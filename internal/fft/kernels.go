@@ -297,8 +297,8 @@ func (pl *Plan) RunTaskKernel(stage, task int, data, w []complex128, kern Kernel
 	gsz := int64(pl.GroupSize(stage))
 	s := pl.Stride(stage)
 	gpt := pl.GroupsPerTask(stage)
-	cshift := uint(pl.LogN - v)                     // codelet: W_{2^v}^k = w[k<<cshift]
-	pshift := uint(pl.LogN - pl.LogP*stage - v)     // premultiply: see identity above
+	cshift := uint(pl.LogN - v)                 // codelet: W_{2^v}^k = w[k<<cshift]
+	pshift := uint(pl.LogN - pl.LogP*stage - v) // premultiply: see identity above
 	for q := 0; q < gpt; q++ {
 		g := int64(task)*int64(gpt) + int64(q)
 		if s == 1 {
@@ -326,7 +326,16 @@ func (pl *Plan) RunTaskKernel(stage, task int, data, w []complex128, kern Kernel
 // TransformKernel is Transform with a selectable butterfly kernel.
 // KernelAuto and KernelRadix2 are bit-for-bit Transform.
 func (pl *Plan) TransformKernel(data, w []complex128, kern Kernel) {
-	pl.TransformKernelWith(data, w, kern, NewScratch(pl))
+	pl.TransformKernelWith(data, w, kern, pl.kernelScratch(kern))
+}
+
+// kernelScratch returns the per-call scratch kern needs: none for the
+// SoA kernels, which bring their own pooled frame.
+func (pl *Plan) kernelScratch(kern Kernel) *Scratch {
+	if kern.SoA() {
+		return nil
+	}
+	return NewScratch(pl)
 }
 
 // TransformKernelWith is TransformKernel with a caller-provided Scratch
@@ -358,12 +367,17 @@ func (pl *Plan) TransformKernelWith(data, w []complex128, kern Kernel, sc *Scrat
 
 // InverseTransformKernel is InverseTransform with a selectable kernel.
 func (pl *Plan) InverseTransformKernel(data, w []complex128, kern Kernel) {
-	pl.InverseTransformKernelWith(data, w, kern, NewScratch(pl))
+	pl.InverseTransformKernelWith(data, w, kern, pl.kernelScratch(kern))
 }
 
 // InverseTransformKernelWith applies the inverse FFT with the chosen
-// kernel via the same conjugation identity as InverseTransformWith.
+// kernel via the same conjugation identity as InverseTransformWith;
+// the SoA kernels fold its two sweeps into their pack and unpack.
 func (pl *Plan) InverseTransformKernelWith(data, w []complex128, kern Kernel, sc *Scratch) {
+	if kern.SoA() {
+		pl.InverseTransformSoA(data, w, kern)
+		return
+	}
 	for i, v := range data {
 		data[i] = complex(real(v), -imag(v))
 	}

@@ -67,10 +67,13 @@ type SoATwiddles struct {
 // first use. w must be Twiddles(pl.N) — the same table every other
 // entry point of the plan requires.
 func (pl *Plan) SoATwiddles(w []complex128) *SoATwiddles {
+	// Validated outside the Once: a panic inside Do would leave it done
+	// with soaTw nil, and every later call with a good table would
+	// return nil.
+	if len(w) != pl.N/2 {
+		panic(LengthError("twiddle table", len(w), pl.N/2))
+	}
 	pl.soaOnce.Do(func() {
-		if len(w) != pl.N/2 {
-			panic(LengthError("twiddle table", len(w), pl.N/2))
-		}
 		st := &SoATwiddles{}
 		idx := make([]int64, pl.P)
 		n0 := pl.TaskTwiddleIndices(0, 0, idx)
@@ -121,22 +124,98 @@ func GetSoAFrame(n int) *SoAFrame {
 // after Release.
 func (f *SoAFrame) Release() { soaFramePool.Put(f) }
 
-// PackBitrev deinterleaves data[lo:hi] into the planes at bit-reversed
-// positions — the SoA transform's combined deinterleave + bit-reversal
-// input pass. Writes for disjoint [lo,hi) ranges are disjoint, so
-// callers may shard it across workers.
-func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
-	for i := lo; i < hi; i++ {
-		r := BitReverse(int64(i), logN)
-		v := data[i]
-		f.Re[r], f.Im[r] = real(v), imag(v)
+// soaTileBits caps q, the bit width of one side of a pack tile: a
+// 2^q × 2^q tile of complex128 is 16 KiB at q = 5 — resident in any
+// L1d with room for the streams flowing through it — and a 2^q run is
+// 512 bytes of input or 256 bytes of each plane, whole cache lines.
+const soaTileBits = 5
+
+// soaTileQ returns q for a 2^logN-point pack. The index is split
+// high q bits | middle | low q bits, and one tile holds the 2^q × 2^q
+// points that share a middle field; small transforms shrink the tile
+// until the two outer fields fit.
+func soaTileQ(logN int) int { return min(soaTileBits, logN/2) }
+
+// SoAPackTiles returns the number of independent tiles PackTiles splits
+// a 2^logN-point pack into — the unit callers shard the pack by.
+func SoAPackTiles(logN int) int { return 1 << (logN - 2*soaTileQ(logN)) }
+
+// PackTiles runs tiles [lo,hi) of the SoA transform's input pass: the
+// deinterleave into split planes fused with the bit-reversal
+// permutation (element i lands at BitReverse(i)), cache-blocked.
+// Tile b copies, for every high field a, the contiguous 2^q-point run
+// data[a·2^(logN−q) + b·2^q ...] into row rev(a) of an L1-resident tile
+// on the stack, then for every low field c gathers tile column c into
+// one contiguous 2^q run of each plane at rev(c)·2^(logN−q) + rev(b)·2^q.
+// The strided half of the transpose stays inside the tile, so every
+// access to the big arrays is a run of whole cache lines; the
+// element-at-a-time scatter this replaces stored N/2 floats apart — a
+// new line, and the same few cache sets, on every store. With conj set
+// the imaginary plane is negated on the way in, folding the inverse
+// transform's leading conjugation into the pack. Distinct tiles write
+// disjoint plane elements, so callers may shard
+// [0, SoAPackTiles(logN)) across workers.
+func (f *SoAFrame) PackTiles(data []complex128, lo, hi, logN int, conj bool) {
+	f.packTiles(data, lo, hi, logN, soaTileQ(logN), conj)
+}
+
+// packTiles is PackTiles at an explicit tile width q ≤ soaTileBits;
+// q = 0 degenerates to one element per tile, so tile b is element b.
+func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, q int, conj bool) {
+	var tile [1 << (2 * soaTileBits)]complex128
+	var rev [1 << soaTileBits]int
+	side := 1 << q
+	for i := 0; i < side; i++ {
+		rev[i] = int(BitReverse(int64(i), q))
 	}
+	top := uint(logN - q) // shift of the high field
+	mid := logN - 2*q
+	for b := lo; b < hi; b++ {
+		for a := 0; a < side; a++ {
+			copy(tile[rev[a]<<q:][:side], data[a<<top|b<<q:])
+		}
+		rb := int(BitReverse(int64(b), mid)) << q
+		for c := 0; c < side; c++ {
+			dst := rev[c]<<top | rb
+			re, im := f.Re[dst:][:side], f.Im[dst:][:side]
+			if conj {
+				for a := range re {
+					v := tile[a<<q|c]
+					re[a], im[a] = real(v), -imag(v)
+				}
+			} else {
+				for a := range re {
+					v := tile[a<<q|c]
+					re[a], im[a] = real(v), imag(v)
+				}
+			}
+		}
+	}
+}
+
+// PackBitrev deinterleaves data[lo:hi] into the planes at bit-reversed
+// positions. The whole array goes through the tiled pack; a partial
+// element range runs the same code one element per tile.
+func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
+	if lo == 0 && hi == 1<<logN {
+		f.PackTiles(data, 0, SoAPackTiles(logN), logN, false)
+		return
+	}
+	f.packTiles(data, lo, hi, logN, 0, false)
 }
 
 // Unpack reinterleaves planes[lo:hi] back into data[lo:hi].
 func (f *SoAFrame) Unpack(data []complex128, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		data[i] = complex(f.Re[i], f.Im[i])
+	}
+}
+
+// UnpackConjScale is Unpack fused with the inverse transform's trailing
+// conjugate-and-scale sweep: data[i] = conj(plane[i])·s.
+func (f *SoAFrame) UnpackConjScale(data []complex128, lo, hi int, s float64) {
+	for i := lo; i < hi; i++ {
+		data[i] = complex(f.Re[i]*s, -f.Im[i]*s)
 	}
 }
 
@@ -421,24 +500,39 @@ func base4Gen(re, im []float64, war, wai, wbr, wbi float64) {
 }
 
 // TransformSoA runs the complete staged FFT serially through the SoA
-// pipeline: pooled pack+bitrev, every stage's passes on the planes,
-// unpack. Zero steady-state allocations (the frame comes from a
+// pipeline: pooled tiled pack+bitrev, every stage's passes on the
+// planes, unpack. Zero steady-state allocations (the frame comes from a
 // sync.Pool; the split twiddle tables are built once per plan).
 func (pl *Plan) TransformSoA(data, w []complex128, kern Kernel) {
+	pl.transformSoA(data, w, kern, false)
+}
+
+// InverseTransformSoA is the inverse FFT through the same pipeline.
+// The conjugation identity's two extra sweeps ride on passes that
+// already touch every element — the leading conjugation on the pack,
+// the trailing conjugate-and-scale on the unpack — so the inverse costs
+// exactly the forward's passes and is bit-for-bit the unfused
+// conj → TransformSoA → conj·1/N composition.
+func (pl *Plan) InverseTransformSoA(data, w []complex128, kern Kernel) {
+	pl.transformSoA(data, w, kern, true)
+}
+
+func (pl *Plan) transformSoA(data, w []complex128, kern Kernel, inverse bool) {
 	if len(data) != pl.N {
 		panic(LengthError("data", len(data), pl.N))
 	}
-	if len(w) != pl.N/2 {
-		panic(LengthError("twiddle table", len(w), pl.N/2))
-	}
 	st := pl.SoATwiddles(w)
 	f := GetSoAFrame(pl.N)
-	f.PackBitrev(data, 0, pl.N, pl.LogN)
+	f.PackTiles(data, 0, SoAPackTiles(pl.LogN), pl.LogN, inverse)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
 			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
 		}
 	}
-	f.Unpack(data, 0, pl.N)
+	if inverse {
+		f.UnpackConjScale(data, 0, pl.N, 1/float64(pl.N))
+	} else {
+		f.Unpack(data, 0, pl.N)
+	}
 	f.Release()
 }

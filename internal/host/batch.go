@@ -31,6 +31,7 @@ const (
 	passConj             // unit: one transform's conjugation sweep
 	passConjScale        // unit: one transform's conjugate-and-scale sweep
 	passWhole            // unit: one complete SoA transform (pack→stages→unpack)
+	passWholeInv         // unit: one complete SoA inverse (conj and scale ride the pack/unpack)
 )
 
 // passLabel maps a batch pass kind to its Observer label; stage passes
@@ -39,7 +40,7 @@ func passLabel(mode int, kern fft.Kernel) string {
 	switch mode {
 	case passBitRev:
 		return PassBitRev
-	case passStage, passWhole:
+	case passStage, passWhole, passWholeInv:
 		return StagePassLabel(kern)
 	case passConj:
 		return PassConj
@@ -129,20 +130,17 @@ func (job *batchJob) run(scratch *sync.Pool) {
 			for t := lo; t < hi; t++ {
 				job.pl.TransformSoA(job.batch[t], job.w, job.kern)
 			}
+		case passWholeInv:
+			for t := lo; t < hi; t++ {
+				job.pl.InverseTransformSoA(job.batch[t], job.w, job.kern)
+			}
 		case passConj:
 			for t := lo; t < hi; t++ {
-				d := job.batch[t]
-				for i, v := range d {
-					d[i] = complex(real(v), -imag(v))
-				}
+				conjugate(job.batch[t])
 			}
 		case passConjScale:
 			for t := lo; t < hi; t++ {
-				d := job.batch[t]
-				s := job.scale
-				for i, v := range d {
-					d[i] = complex(real(v)*s, -imag(v)*s)
-				}
+				conjugateScale(job.batch[t], job.scale)
 			}
 		}
 	}
@@ -237,7 +235,8 @@ func (e *Engine) TransformBatchKernel(pl *fft.Plan, batch [][]complex128, w []co
 
 // InverseBatch applies the inverse FFT in place to every array in batch
 // via the conjugation identity, with the conjugate and scale sweeps
-// batched the same way. Output is bitwise identical to calling
+// batched the same way (or, for the SoA kernels, folded into each
+// transform's pack and unpack). Output is bitwise identical to calling
 // pl.InverseTransform on each array in order.
 func (e *Engine) InverseBatch(pl *fft.Plan, batch [][]complex128, w []complex128) {
 	e.InverseBatchKernel(pl, batch, w, fft.KernelRadix2)
@@ -263,18 +262,20 @@ func (e *Engine) InverseBatchKernel(pl *fft.Plan, batch [][]complex128, w []comp
 	e.ensurePool()
 	job := jobPool.Get().(*batchJob)
 	job.pl, job.batch, job.w, job.kern = pl, batch, w, kern
-	e.runPass(job, passConj, 0, int64(len(batch)))
 	if kern.SoA() {
+		// One pass, like the forward: each whole-transform unit folds
+		// the identity's two sweeps into its own pack and unpack.
 		pl.SoATwiddles(w)
-		e.runPass(job, passWhole, 0, int64(len(batch)))
+		e.runPass(job, passWholeInv, 0, int64(len(batch)))
 	} else {
+		e.runPass(job, passConj, 0, int64(len(batch)))
 		e.runPass(job, passBitRev, 0, int64(len(batch)))
 		for s := 0; s < pl.NumStages; s++ {
 			e.runPass(job, passStage, s, int64(len(batch))*int64(pl.TasksPerStage))
 		}
+		job.scale = 1 / float64(pl.N)
+		e.runPass(job, passConjScale, 0, int64(len(batch)))
 	}
-	job.scale = 1 / float64(pl.N)
-	e.runPass(job, passConjScale, 0, int64(len(batch)))
 	e.releaseJob(job)
 	e.batchDone(len(batch), pl.N, t0)
 }

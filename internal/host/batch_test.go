@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -172,6 +173,59 @@ func TestBatchZeroAllocs(t *testing.T) {
 		serial.TransformBatch(pl, batch, w)
 	}); allocs != 0 {
 		t.Fatalf("serial TransformBatch allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestArbitraryNZeroAllocs is the same guard for the arbitrary-N entry
+// points: their full-array work buffers (the Stockham ping-pong partner,
+// Bluestein's M-point convolution array) are pooled, so on a serial
+// engine a steady-state transform allocates nothing, and on a parallel
+// one — where goroutine dispatch allocates a little — nowhere near a
+// buffer's worth of bytes.
+func TestArbitraryNZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	mp, err := fft.NewMixedPlan(3 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := fft.NewBluesteinPlan(1<<11 + 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = fft.KernelSoARadix4
+	mixed := batchNoise(1, mp.N, 2)[0]
+	blue := batchNoise(1, bp.N, 3)[0]
+	ops := []struct {
+		name string
+		buf  int // bytes of the work buffer a per-call make would allocate
+		run  func(e *host.Engine)
+	}{
+		{"MixedTransform", 16 * mp.N, func(e *host.Engine) { e.MixedTransform(mp, mixed) }},
+		{"MixedInverse", 16 * mp.N, func(e *host.Engine) { e.MixedInverse(mp, mixed) }},
+		{"BluesteinTransform", 16 * bp.M, func(e *host.Engine) { e.BluesteinTransform(bp, blue, k) }},
+		{"BluesteinInverse", 16 * bp.M, func(e *host.Engine) { e.BluesteinInverse(bp, blue, k) }},
+	}
+	serial := host.New(host.Config{Workers: 1})
+	par := host.New(host.Config{Workers: 3, Threshold: 1})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, op := range ops {
+		op.run(serial) // warm the pools and the plan's split twiddles
+		if allocs := testing.AllocsPerRun(10, func() { op.run(serial) }); allocs != 0 {
+			t.Errorf("serial %s allocates %v objects per call in steady state, want 0", op.name, allocs)
+		}
+		op.run(par)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const reps = 10
+		for i := 0; i < reps; i++ {
+			op.run(par)
+		}
+		runtime.ReadMemStats(&after)
+		if perCall := (after.TotalAlloc - before.TotalAlloc) / reps; perCall >= uint64(op.buf) {
+			t.Errorf("parallel %s allocates %d bytes per call, a whole %d-byte work buffer or more", op.name, perCall, op.buf)
+		}
 	}
 }
 

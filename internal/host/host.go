@@ -174,6 +174,44 @@ func (e *Engine) parallelFor(n int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
+// conjugate and conjugateScale are the two elementwise sweeps of the
+// conjugation identity ifft(x) = conj(fft(conj(x)))/N.
+func conjugate(d []complex128) {
+	for i, v := range d {
+		d[i] = complex(real(v), -imag(v))
+	}
+}
+
+func conjugateScale(d []complex128, s float64) {
+	for i, v := range d {
+		d[i] = complex(real(v)*s, -imag(v)*s)
+	}
+}
+
+// conj runs the identity's leading conjugation over data as one
+// observed PassConj pass, sharded across the workers unless serial.
+func (e *Engine) conj(data []complex128, serial bool) {
+	t0 := e.passStart()
+	if serial {
+		conjugate(data)
+	} else {
+		e.parallelFor(len(data), func(_, lo, hi int) { conjugate(data[lo:hi]) })
+	}
+	e.passDone(PassConj, t0)
+}
+
+// conjScale runs the identity's trailing conjugate-and-scale over data
+// as one observed PassScale pass.
+func (e *Engine) conjScale(data []complex128, s float64, serial bool) {
+	t0 := e.passStart()
+	if serial {
+		conjugateScale(data, s)
+	} else {
+		e.parallelFor(len(data), func(_, lo, hi int) { conjugateScale(data[lo:hi], s) })
+	}
+	e.passDone(PassScale, t0)
+}
+
 // bitReverse applies the bit-reversal permutation in parallel. Every swap
 // pair {i, BitReverse(i)} is executed by exactly one worker — the one
 // whose index range holds the smaller element — so the shards never touch
@@ -234,20 +272,9 @@ func (e *Engine) InverseTransform(pl *fft.Plan, data, w []complex128) {
 		pl.InverseTransform(data, w)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conj(data, false)
 	e.Transform(pl, data, w)
-	inv := 1 / float64(pl.N)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.conjScale(data, 1/float64(pl.N), false)
 }
 
 // Transform2D applies the 2-D FFT in place (row-major data): rows are
@@ -296,18 +323,7 @@ func (e *Engine) InverseTransform2D(p *fft.Plan2D, data []complex128) {
 		p.InverseTransform(data)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conj(data, false)
 	e.Transform2D(p, data)
-	inv := 1 / float64(p.Rows*p.Cols)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.conjScale(data, 1/float64(p.Rows*p.Cols), false)
 }

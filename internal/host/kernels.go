@@ -56,13 +56,17 @@ func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Ke
 		return
 	}
 	if kern.SoA() {
-		e.transformSoA(pl, data, w, kern)
+		e.transformSoA(pl, data, w, kern, false)
 		return
 	}
 	t0 := e.passStart()
 	e.bitReverse(data, pl.LogN)
 	e.passDone(PassBitRev, t0)
 	label := StagePassLabel(kern)
+	// The closure captures a never-reassigned copy by value; capturing
+	// kern itself (reassigned above) would move it to the heap at
+	// function entry, one allocation on every call, serial paths too.
+	k := kern
 	scratch := make([]*fft.Scratch, e.workers)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		ts := e.passStart()
@@ -73,7 +77,7 @@ func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Ke
 				scratch[wk] = sc
 			}
 			for task := lo; task < hi; task++ {
-				pl.RunTaskKernel(stage, task, data, w, kern, sc)
+				pl.RunTaskKernel(stage, task, data, w, k, sc)
 			}
 		})
 		e.passDone(label, ts)
@@ -81,17 +85,20 @@ func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Ke
 }
 
 // transformSoA is the engine's parallel path for the split-plane
-// kernels: shard the fused pack+bitrev, run every stage's passes with
-// parallelFor over their units (a barrier after each pass, exactly the
-// ordering TransformSoA uses serially), shard the unpack. Units of one
-// pass touch disjoint plane elements and their results are independent
-// of the partition, so output is bitwise identical to the serial path.
-func (e *Engine) transformSoA(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
+// kernels: shard the tiled pack+bitrev by tile, run every stage's
+// passes with parallelFor over their units (a barrier after each pass,
+// exactly the ordering TransformSoA uses serially), shard the unpack.
+// The inverse folds its conjugation into the pack and its
+// conjugate-and-scale into the unpack, as InverseTransformSoA does.
+// Tiles and units of one pass touch disjoint plane elements and their
+// results are independent of the partition, so output is bitwise
+// identical to the serial path.
+func (e *Engine) transformSoA(pl *fft.Plan, data, w []complex128, kern fft.Kernel, inverse bool) {
 	st := pl.SoATwiddles(w)
 	f := fft.GetSoAFrame(pl.N)
 	t0 := e.passStart()
-	e.parallelFor(pl.N, func(_, lo, hi int) {
-		f.PackBitrev(data, lo, hi, pl.LogN)
+	e.parallelFor(fft.SoAPackTiles(pl.LogN), func(_, lo, hi int) {
+		f.PackTiles(data, lo, hi, pl.LogN, inverse)
 	})
 	e.passDone(PassSoAPack, t0)
 	label := StagePassLabel(kern)
@@ -106,7 +113,11 @@ func (e *Engine) transformSoA(pl *fft.Plan, data, w []complex128, kern fft.Kerne
 	}
 	t1 := e.passStart()
 	e.parallelFor(pl.N, func(_, lo, hi int) {
-		f.Unpack(data, lo, hi)
+		if inverse {
+			f.UnpackConjScale(data, lo, hi, 1/float64(pl.N))
+		} else {
+			f.Unpack(data, lo, hi)
+		}
 	})
 	e.passDone(PassSoAUnpack, t1)
 	f.Release()
@@ -126,20 +137,13 @@ func (e *Engine) InverseTransformKernel(pl *fft.Plan, data, w []complex128, kern
 		pl.InverseTransformKernel(data, w, kern)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	if kern.SoA() {
+		e.transformSoA(pl, data, w, kern, true)
+		return
+	}
+	e.conj(data, false)
 	e.TransformKernel(pl, data, w, kern)
-	inv := 1 / float64(pl.N)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.conjScale(data, 1/float64(pl.N), false)
 }
 
 // Transform2DKernel is Transform2D with a selectable kernel applied to
@@ -197,20 +201,9 @@ func (e *Engine) InverseTransform2DKernel(p *fft.Plan2D, data []complex128, kern
 		p.InverseTransformKernel(data, kern)
 		return
 	}
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
+	e.conj(data, false)
 	e.Transform2DKernel(p, data, kern)
-	inv := 1 / float64(p.Rows*p.Cols)
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
+	e.conjScale(data, 1/float64(p.Rows*p.Cols), false)
 }
 
 // RealTransformKernel is RealTransform with a selectable kernel for the

@@ -109,6 +109,61 @@ func TestKernelBatchMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestSoAInverseMatchesUnfusedIdentity pins the sweep-free SoA inverse
+// in the engine's two sharded execution modes — Workers=3 parallel and
+// pooled batch (plus the batch's serial fallback) — bit-for-bit against
+// the unfused conjugation identity conj → forward → conj·1/N, the
+// composition every other kernel still runs as separate sweeps. The
+// forward leg is the serial fft-layer transform, itself pinned to the
+// scatter-pack pipeline in internal/fft.
+func TestSoAInverseMatchesUnfusedIdentity(t *testing.T) {
+	const b = 5
+	for _, lg := range []int{1, 6, 9, 11, 14} {
+		n := 1 << lg
+		pl, err := fft.NewPlan(n, min(n, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := fft.Twiddles(n)
+		for _, k := range []fft.Kernel{fft.KernelSoARadix2, fft.KernelSoARadix4} {
+			batch := make([][]complex128, b)
+			want := make([][]complex128, b)
+			for i := range batch {
+				batch[i] = kernInput(n, uint64(lg*b+i))
+				d := append([]complex128(nil), batch[i]...)
+				for j, v := range d {
+					d[j] = complex(real(v), -imag(v))
+				}
+				pl.TransformKernel(d, w, k)
+				inv := 1 / float64(n)
+				for j, v := range d {
+					d[j] = complex(real(v)*inv, -imag(v)*inv)
+				}
+				want[i] = d
+			}
+			par := host.New(host.Config{Workers: 3, Threshold: 1})
+			got := append([]complex128(nil), batch[0]...)
+			par.InverseTransformKernel(pl, got, w, k)
+			if !sameBits(got, want[0]) {
+				t.Fatalf("N=2^%d %v: Workers=3 inverse != unfused identity", lg, k)
+			}
+			for _, threshold := range []int{1, 1 << 30} { // pooled, serial fallback
+				eng := host.New(host.Config{Workers: 3, Threshold: threshold})
+				rows := make([][]complex128, b)
+				for i := range rows {
+					rows[i] = append([]complex128(nil), batch[i]...)
+				}
+				eng.InverseBatchKernel(pl, rows, w, k)
+				for i := range rows {
+					if !sameBits(rows[i], want[i]) {
+						t.Fatalf("N=2^%d %v threshold=%d: inverse batch row %d != unfused identity", lg, k, threshold, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelRealAndTwoD covers the kernel variants of the real and 2-D
 // engine paths against their serial fft-layer counterparts.
 func TestKernelRealAndTwoD(t *testing.T) {

@@ -9,10 +9,35 @@
 package host
 
 import (
+	"sync"
 	"time"
 
 	"codeletfft/internal/fft"
 )
+
+// workBuf is a pooled full-array work buffer: the Stockham ping-pong
+// partner of a mixed-radix transform or the M-point convolution array
+// of a Bluestein one — 16 MiB at M = 2^20, which a per-call make would
+// allocate, zero and hand to the GC on every transform. Pooled like
+// fft.SoAFrame; every user overwrites the whole buffer before reading
+// it, so stale contents are harmless.
+type workBuf struct{ v []complex128 }
+
+var workPool sync.Pool
+
+func getWork(n int) *workBuf {
+	b, _ := workPool.Get().(*workBuf)
+	if b == nil {
+		b = &workBuf{}
+	}
+	if cap(b.v) < n {
+		b.v = make([]complex128, n)
+	}
+	b.v = b.v[:n]
+	return b
+}
+
+func (b *workBuf) release() { workPool.Put(b) }
 
 // MixedTransform applies the mixed-radix forward DFT in place, sharding
 // each Stockham stage across the worker pool with a barrier between
@@ -22,11 +47,13 @@ func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
 	if len(data) != mp.N {
 		panic(fft.LengthError("data", len(data), mp.N))
 	}
+	work := getWork(mp.N)
 	if mp.N < e.threshold || e.workers <= 1 {
-		mp.Transform(data)
-		return
+		mp.TransformWith(data, work.v)
+	} else {
+		e.mixedStages(mp, data, work.v)
 	}
-	e.mixedStages(mp, data, make([]complex128, mp.N))
+	work.release()
 }
 
 // mixedStages runs the stage passes over the data/work ping-pong pair,
@@ -53,28 +80,15 @@ func (e *Engine) MixedInverse(mp *fft.MixedPlan, data []complex128) {
 	if len(data) != mp.N {
 		panic(fft.LengthError("data", len(data), mp.N))
 	}
+	work := getWork(mp.N)
 	if mp.N < e.threshold || e.workers <= 1 {
-		mp.InverseTransform(data)
-		return
+		mp.InverseTransformWith(data, work.v)
+	} else {
+		e.conj(data, false)
+		e.mixedStages(mp, data, work.v)
+		e.conjScale(data, 1/float64(mp.N), false)
 	}
-	t0 := e.passStart()
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v), -imag(v))
-		}
-	})
-	e.passDone(PassConj, t0)
-	e.mixedStages(mp, data, make([]complex128, mp.N))
-	inv := 1 / float64(mp.N)
-	t1 := e.passStart()
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := data[i]
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	})
-	e.passDone(PassScale, t1)
+	work.release()
 }
 
 // MixedTransformBatch applies the mixed-radix forward DFT in place to
@@ -103,18 +117,17 @@ func (e *Engine) mixedBatch(mp *fft.MixedPlan, batch [][]complex128, run func(*f
 	if e.obs != nil {
 		start = time.Now()
 	}
-	if len(batch)*mp.N < e.threshold || e.workers <= 1 {
-		work := make([]complex128, mp.N)
-		for _, row := range batch {
-			run(mp, row, work)
+	rows := func(_, lo, hi int) {
+		work := getWork(mp.N)
+		for i := lo; i < hi; i++ {
+			run(mp, batch[i], work.v)
 		}
+		work.release()
+	}
+	if len(batch)*mp.N < e.threshold || e.workers <= 1 {
+		rows(0, 0, len(batch))
 	} else {
-		e.parallelFor(len(batch), func(_, lo, hi int) {
-			work := make([]complex128, mp.N)
-			for i := lo; i < hi; i++ {
-				run(mp, batch[i], work)
-			}
-		})
+		e.parallelFor(len(batch), rows)
 	}
 	if e.obs != nil {
 		e.obs.ObserveBatch(len(batch), mp.N, time.Since(start))
@@ -131,7 +144,9 @@ func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, ke
 	if len(data) != bp.N {
 		panic(fft.LengthError("data", len(data), bp.N))
 	}
-	e.bluestein(bp, data, make([]complex128, bp.M), kern)
+	work := getWork(bp.M)
+	e.bluestein(bp, data, work.v, kern)
+	work.release()
 }
 
 func (e *Engine) bluestein(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel) {
@@ -191,40 +206,16 @@ func (e *Engine) BluesteinInverse(bp *fft.BluesteinPlan, data []complex128, kern
 	if len(data) != bp.N {
 		panic(fft.LengthError("data", len(data), bp.N))
 	}
+	work := getWork(bp.M)
+	e.bluesteinInverse(bp, data, work.v, kern)
+	work.release()
+}
+
+func (e *Engine) bluesteinInverse(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel) {
 	serial := bp.M < e.threshold || e.workers <= 1
-	conj := func() {
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v), -imag(v))
-			}
-			return
-		}
-		e.parallelFor(len(data), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := data[i]
-				data[i] = complex(real(v), -imag(v))
-			}
-		})
-	}
-	t0 := e.passStart()
-	conj()
-	e.passDone(PassConj, t0)
-	e.bluestein(bp, data, make([]complex128, bp.M), kern)
-	inv := 1 / float64(bp.N)
-	t1 := e.passStart()
-	if serial {
-		for i, v := range data {
-			data[i] = complex(real(v)*inv, -imag(v)*inv)
-		}
-	} else {
-		e.parallelFor(len(data), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := data[i]
-				data[i] = complex(real(v)*inv, -imag(v)*inv)
-			}
-		})
-	}
-	e.passDone(PassScale, t1)
+	e.conj(data, serial)
+	e.bluestein(bp, data, work, kern)
+	e.conjScale(data, 1/float64(bp.N), serial)
 }
 
 // BluesteinTransformBatch applies the chirp-z forward DFT in place to
@@ -237,35 +228,7 @@ func (e *Engine) BluesteinTransformBatch(bp *fft.BluesteinPlan, batch [][]comple
 
 // BluesteinInverseBatch is BluesteinTransformBatch for the inverse DFT.
 func (e *Engine) BluesteinInverseBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel) {
-	e.bluesteinBatch(bp, batch, kern, func(bp *fft.BluesteinPlan, data, work []complex128, kern fft.Kernel) {
-		serial := bp.M < e.threshold || e.workers <= 1
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v), -imag(v))
-			}
-		} else {
-			e.parallelFor(len(data), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := data[i]
-					data[i] = complex(real(v), -imag(v))
-				}
-			})
-		}
-		e.bluestein(bp, data, work, kern)
-		inv := 1 / float64(bp.N)
-		if serial {
-			for i, v := range data {
-				data[i] = complex(real(v)*inv, -imag(v)*inv)
-			}
-		} else {
-			e.parallelFor(len(data), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := data[i]
-					data[i] = complex(real(v)*inv, -imag(v)*inv)
-				}
-			})
-		}
-	})
+	e.bluesteinBatch(bp, batch, kern, e.bluesteinInverse)
 }
 
 func (e *Engine) bluesteinBatch(bp *fft.BluesteinPlan, batch [][]complex128, kern fft.Kernel,
@@ -282,10 +245,11 @@ func (e *Engine) bluesteinBatch(bp *fft.BluesteinPlan, batch [][]complex128, ker
 	if e.obs != nil {
 		start = time.Now()
 	}
-	work := make([]complex128, bp.M)
+	work := getWork(bp.M)
 	for _, row := range batch {
-		run(bp, row, work, kern)
+		run(bp, row, work.v, kern)
 	}
+	work.release()
 	if e.obs != nil {
 		e.obs.ObserveBatch(len(batch), bp.N, time.Since(start))
 	}

@@ -12,9 +12,9 @@ import (
 // sit on an engine whose passes run from pool workers.
 type recObserver struct {
 	mu      sync.Mutex
-	batches []int           // occupancy per ObserveBatch
-	passes  map[string]int  // count per pass label
-	zeroDur bool            // any non-positive duration seen
+	batches []int          // occupancy per ObserveBatch
+	passes  map[string]int // count per pass label
+	zeroDur bool           // any non-positive duration seen
 }
 
 func newRecObserver() *recObserver {
@@ -128,5 +128,59 @@ func TestObserverParallelTransform(t *testing.T) {
 	}
 	if obs.passes[PassStage] != pl.NumStages {
 		t.Errorf("stage passes = %d, want %d", obs.passes[PassStage], pl.NumStages)
+	}
+}
+
+// TestObserverInversePasses: every parallel inverse reports all of its
+// passes. The scalar kernels run the conjugation identity as two extra
+// sweeps, which must show up as PassConj and PassScale (the kernel path
+// used to run them unobserved); the SoA kernels fold both into the pack
+// and unpack, so their inverse reports exactly the forward's passes and
+// no sweep at all — in the batch path too.
+func TestObserverInversePasses(t *testing.T) {
+	const n = 1 << 10
+	pl, err := fft.NewPlan(n, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fft.Twiddles(n)
+	observe := func(run func(*Engine)) *recObserver {
+		obs := newRecObserver()
+		run(New(Config{Workers: 4, Threshold: 1, Observer: obs}))
+		return obs
+	}
+	for _, k := range fft.ConcreteKernels() {
+		obs := observe(func(e *Engine) {
+			data := make([]complex128, n)
+			data[1] = 1
+			e.InverseTransformKernel(pl, data, w, k)
+		})
+		sweeps, pack := 1, 0
+		if k.SoA() {
+			sweeps, pack = 0, 1
+		}
+		if obs.passes[PassConj] != sweeps || obs.passes[PassScale] != sweeps {
+			t.Errorf("%v inverse: conj/scale passes = %d/%d, want %d/%d",
+				k, obs.passes[PassConj], obs.passes[PassScale], sweeps, sweeps)
+		}
+		if obs.passes[PassSoAPack] != pack || obs.passes[PassSoAUnpack] != pack || obs.passes[PassBitRev] != 1-pack {
+			t.Errorf("%v inverse: pack/unpack/bitrev passes = %d/%d/%d, want %d/%d/%d", k,
+				obs.passes[PassSoAPack], obs.passes[PassSoAUnpack], obs.passes[PassBitRev], pack, pack, 1-pack)
+		}
+		if got := obs.passes[StagePassLabel(k)]; got != pl.NumStages {
+			t.Errorf("%v inverse: %s passes = %d, want %d", k, StagePassLabel(k), got, pl.NumStages)
+		}
+
+		obs = observe(func(e *Engine) {
+			batch := [][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+			e.InverseBatchKernel(pl, batch, w, k)
+		})
+		if obs.passes[PassConj] != sweeps || obs.passes[PassScale] != sweeps {
+			t.Errorf("%v inverse batch: conj/scale passes = %d/%d, want %d/%d",
+				k, obs.passes[PassConj], obs.passes[PassScale], sweeps, sweeps)
+		}
+		if obs.zeroDur {
+			t.Errorf("%v: observer saw a negative duration", k)
+		}
 	}
 }
