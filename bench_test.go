@@ -14,6 +14,7 @@ import (
 	"codeletfft"
 	"codeletfft/cluster"
 	"codeletfft/internal/exp"
+	"codeletfft/internal/fft"
 )
 
 func quickCfg() exp.Config {
@@ -491,7 +492,9 @@ func BenchmarkCluster(b *testing.B) {
 // the price of the spill staging (informational in CI's bench-compare
 // artifact, not gated; the OOC path's value is its memory bound, not
 // its speed). File I/O lands in the OS page cache at these sizes, so
-// this measures staging overhead, not disk.
+// this measures staging overhead, not disk. The 2^20 fourstep row is
+// the in-core FourStepPlan running the very tile kernel the staged
+// phases call, so ooc ÷ fourstep is staging alone.
 //
 //	go test -bench BenchmarkOOC -benchtime 3x
 func BenchmarkOOC(b *testing.B) {
@@ -510,6 +513,19 @@ func BenchmarkOOC(b *testing.B) {
 				_ = h.Transform(scratch)
 			}
 		})
+		if logN == 20 {
+			b.Run("N=2^20/fourstep", func(b *testing.B) {
+				fs, err := fft.NewFourStep(1<<10, 1<<10)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(n) * 16)
+				for i := 0; i < b.N; i++ {
+					copy(scratch, data)
+					fs.Transform(scratch)
+				}
+			})
+		}
 		for _, pol := range []codeletfft.OOCPolicy{codeletfft.OOCFIFO(), codeletfft.OOCGuided(1)} {
 			name := "fifo"
 			if pol.Name() != "fifo" {

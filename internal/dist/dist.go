@@ -161,8 +161,9 @@ func NearSquareFactor(n int) (n1, n2 int) {
 
 // localPlan is the cached single-node execution state for one N.
 type localPlan struct {
-	pl *fft.Plan
-	w  []complex128
+	pl      *fft.Plan
+	w       []complex128
+	scratch sync.Pool // *fft.Scratch for pl: one per shard in flight
 }
 
 // Coordinator accepts transforms too large (or too numerous) for one
@@ -309,6 +310,7 @@ func (c *Coordinator) localPlanFor(n int) (*localPlan, error) {
 		return nil, err
 	}
 	lp := &localPlan{pl: pl, w: fft.Twiddles(n)}
+	lp.scratch.New = func() any { return fft.NewScratch(pl) }
 	c.locals[n] = lp
 	return lp, nil
 }
@@ -559,23 +561,25 @@ func (c *Coordinator) execOnce(ctx context.Context, addr string, req serve.Shard
 
 // execShardLocal executes one shard on the coordinator itself, in
 // place — identical numerics to a worker's execShard when both run the
-// same kernel (results agree to rounding otherwise).
+// same kernel (results agree to rounding otherwise): the sub-FFTs on
+// Config.LocalKernel, the column scale from the shared two-level table.
 func (c *Coordinator) execShardLocal(f serve.ShardFrame) error {
 	lp, err := c.localPlanFor(f.VecLen)
 	if err != nil {
 		return err
 	}
-	var tw []complex128
+	var tw *fft.TwoLevelTable
 	if f.Op == serve.OpColumns {
-		tw = fft.Twiddles(f.TotalN)
+		tw = fft.TwoLevelTwiddles(f.TotalN)
 	}
-	sc := fft.NewScratch(lp.pl)
+	sc := lp.scratch.Get().(*fft.Scratch)
+	defer lp.scratch.Put(sc)
 	kern := c.cfg.LocalKernel.Concrete()
 	for v := 0; v < f.VecCount(); v++ {
 		vec := f.Vec(v)
 		lp.pl.TransformKernelWith(vec, lp.w, kern, sc)
-		if f.Op == serve.OpColumns {
-			fft.TwiddleScale(vec, tw, f.Start+v, f.TotalN)
+		if tw != nil {
+			tw.Scale(vec, f.Start+v)
 		}
 	}
 	return nil

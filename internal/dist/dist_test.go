@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -581,6 +582,106 @@ func TestLocalKernelConfig(t *testing.T) {
 		c.Close()
 		if d := maxDiff(data, want); d > 1e-12*float64(n) {
 			t.Fatalf("%v: degraded output deviates by %g", k, d)
+		}
+	}
+}
+
+// TestColumnPhaseParityAcrossPaths pins the promise the shared twiddle
+// table makes: with serve.Config.Kernel and Config.LocalKernel on the
+// same kernel, the three ways a transform's shards can execute —
+// resident sessions, one-shot shard RPCs, and the coordinator's local
+// fallback for every shard — produce one and the same bits, and on the
+// SoA radix-4 codelets those are the serial FourStepPlan's.
+func TestColumnPhaseParityAcrossPaths(t *testing.T) {
+	const n = 1 << 12 // 64×64 default split
+	for _, k := range []fft.Kernel{fft.KernelSoARadix4, fft.KernelRadix4} {
+		run := func(name string, resident, outage bool) []complex128 {
+			t.Helper()
+			lb := NewLoopback()
+			addrs := []string{"worker-0", "worker-1"}
+			for _, a := range addrs {
+				srv := serve.New(serve.Config{EnableShard: true, MaxN: 1 << 20, Peers: lb, Kernel: k})
+				lb.Register(a, srv.Handler())
+			}
+			if outage {
+				lb.Fault = func(string, serve.ShardFrame) error { return errors.New("injected: cluster-wide outage") }
+			}
+			c, err := newCoordinator(Config{
+				Transport: lb, Workers: addrs, LocalKernel: k,
+				ShardVecs: 16, MaxAttempts: 2, BackoffBase: time.Microsecond,
+				CircuitThreshold:        1 << 30, // keep the dist path: per-shard fallback, not whole-transform
+				DisableResidentSessions: !resident,
+			})
+			if err != nil {
+				t.Fatalf("%v/%s: %v", k, name, err)
+			}
+			defer c.Close()
+			data := noise(n, 17)
+			if err := c.Transform(context.Background(), data); err != nil {
+				t.Fatalf("%v/%s: Transform: %v", k, name, err)
+			}
+			resOK, local := counter(t, c, "dist_resident_ok_total"), counter(t, c, "dist_local_shards_total")
+			if (resOK == 1) != resident || (local == counter(t, c, "dist_shards_total") && local > 0) != outage {
+				t.Fatalf("%v/%s ran on the wrong path: resident_ok=%d local_shards=%d", k, name, resOK, local)
+			}
+			return data
+		}
+		paths := map[string][]complex128{
+			"resident": run("resident", true, false),
+			"one-shot": run("one-shot", false, false),
+			"local":    run("local", false, true),
+		}
+		want := paths["one-shot"]
+		if k == fft.KernelSoARadix4 {
+			fs, err := fft.NewFourStep(NearSquareFactor(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = noise(n, 17)
+			fs.Transform(want)
+		}
+		for name, got := range paths {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v: %s path bin %d = %v, want %v (not bitwise identical)", k, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLocalShardAllocsConstant is the regression test for the local
+// shard path rebuilding Twiddles(TotalN) and a Scratch on every shard:
+// once the plan and the two-level table are warm, a locally executed
+// column shard allocates a few hundred bytes at most whatever TotalN is
+// (the rebuilt table alone was 8·TotalN: 8 MiB at 2^20).
+func TestLocalShardAllocsConstant(t *testing.T) {
+	for _, k := range []fft.Kernel{fft.KernelSoARadix4, fft.KernelRadix4} {
+		c, err := New(WithLocalKernel(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, shape := range [][2]int{{64, 1 << 12}, {1024, 1 << 20}} {
+			f := serve.ShardFrame{Op: serve.OpColumns, VecLen: shape[0], TotalN: shape[1], Start: 3, Data: noise(4*shape[0], 5)}
+			if err := c.execShardLocal(f); err != nil { // warm plan, tables, pools
+				t.Fatal(err)
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if err := c.execShardLocal(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			// The bound leaves room for a Scratch or frame the pool lost
+			// to a GC (or to -race, which drops a share of Puts) — all
+			// O(VecLen) — and none for anything O(TotalN).
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
+				t.Errorf("%v VecLen=%d TotalN=%d: local shard allocates %d B/shard, want O(1)", k, shape[0], shape[1], per)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync/atomic"
 )
 
 // FourStepPlan is the Bailey four-step factorization of an N-point DFT
@@ -28,16 +30,18 @@ import (
 //  4. transpose once more so bin k lands at index k2·N1+k1 — exactly
 //     the ordering of the direct N-point transform.
 //
-// Transform is the serial reference; internal/dist replays the same
-// steps with the two FFT passes dispatched to remote workers.
+// Transform is the serial reference. Steps 2 and 3 are one tile kernel,
+// Cols and Rows, which internal/ooc calls tile by tile on the same
+// sub-plans; internal/dist replays the steps with the two FFT passes
+// dispatched to remote workers.
 type FourStepPlan struct {
 	N1, N2, N int
 
 	col *Plan // N1-point sub-plan (columns)
 	row *Plan // N2-point sub-plan (rows)
 
-	wCol, wRow []complex128 // sub-transform twiddle tables
-	wBig       []complex128 // Twiddles(N): the step-2 scaling factors
+	wCol, wRow []complex128   // sub-transform twiddle tables
+	tw         *TwoLevelTable // ω_N: the step-2 scaling factors
 }
 
 // NewFourStep builds the factorization for N = n1·n2. Both factors must
@@ -62,15 +66,9 @@ func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 	return &FourStepPlan{
 		N1: n1, N2: n2, N: n,
 		col: col, row: row,
-		wCol: Twiddles(n1), wRow: Twiddles(n2), wBig: Twiddles(n),
+		wCol: Twiddles(n1), wRow: Twiddles(n2), tw: TwoLevelTwiddles(n),
 	}, nil
 }
-
-// ColPlan returns the N1-point sub-plan the column step runs.
-func (p *FourStepPlan) ColPlan() *Plan { return p.col }
-
-// RowPlan returns the N2-point sub-plan the row step runs.
-func (p *FourStepPlan) RowPlan() *Plan { return p.row }
 
 // GatherColumns transposes the row-major N1×N2 input into N2 contiguous
 // columns: dst[j2·N1+j1] = data[j1·N2+j2]. Both slices must have length
@@ -112,42 +110,10 @@ func (p *FourStepPlan) FinalTranspose(dst, data []complex128) {
 	}
 }
 
-// TwiddleAt returns ω_n^e for e in [0, n) given w = Twiddles(n), which
-// stores only the first half-turn: the second half is its negation.
-func TwiddleAt(w []complex128, e int) complex128 {
-	if e < len(w) {
-		return w[e]
-	}
-	return -w[e-len(w)]
-}
-
-// TwiddleScale applies the four-step twiddle segment to one transformed
-// column: col[k] *= ω_totalN^{index·k}, with w = Twiddles(totalN) and
-// index the column's j2. The exponent is reduced mod totalN, so any
-// index is accepted. Coordinator and workers both call exactly this
-// function, so a distributed run is bitwise identical to the serial
-// reference in step 2.
-func TwiddleScale(col, w []complex128, index, totalN int) {
-	if len(w) != totalN/2 {
-		panic(LengthError("twiddle table", len(w), totalN/2))
-	}
-	idx := index % totalN
-	e := 0
-	for k := range col {
-		col[k] *= TwiddleAt(w, e)
-		e += idx
-		if e >= totalN {
-			e -= totalN
-		}
-	}
-}
-
 // TwiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
-// a table, bit for bit equal to TwiddleAt(Twiddles(n), e): the first
-// half-turn evaluates the same cos/sin expression Twiddles stores, the
-// second half is its negation. It exists for out-of-core four-step
-// execution, where Twiddles(totalN) — 8·totalN bytes — would not fit
-// the memory budget the staging layer is there to enforce.
+// a table, bit for bit the entry Twiddles(n) stores: the first half-turn
+// evaluates the same cos/sin expression, the second half is its
+// negation. It fills the two-level table below.
 func TwiddleDirect(e, n int) complex128 {
 	half := n / 2
 	neg := false
@@ -163,42 +129,125 @@ func TwiddleDirect(e, n int) complex128 {
 	return w
 }
 
-// TwiddleScaleDirect is TwiddleScale without the table: col[k] *=
-// ω_totalN^{index·k} with every factor computed by TwiddleDirect. For
-// any (col, index, totalN) it produces bitwise the same result as
-// TwiddleScale with w = Twiddles(totalN), so an out-of-core plan using
-// it stays bit-identical to the in-core four-step reference.
-func TwiddleScaleDirect(col []complex128, index, totalN int) {
-	idx := index % totalN
+// TwoLevelTable evaluates the four-step scaling factors ω_N^e from two
+// short tables instead of one of N/2 entries: with h = ⌈log₂N/2⌉,
+//
+//	ω_N^e = hi[e>>h] · lo[e&(2^h−1)],  hi[i] = ω_N^(i·2^h),  lo[j] = ω_N^j
+//
+// — 2·2^10 entries (32 KiB, L1-resident) at N = 2^20 and 512 KiB at
+// 2^28, where Twiddles(N) would be 8 MiB and 2 GiB. Every entry is
+// TwiddleDirect's, so a factor carries one rounding more than a direct
+// evaluation (the product's); each component stays within 2 ε of the
+// exact root, as TwiddleDirect's own do.
+//
+// Every power-of-two four-step path — FourStepPlan, the out-of-core
+// phases, the cluster's worker and local column shards — scales through
+// this one table, which is what makes them agree bit for bit in step 2.
+type TwoLevelTable struct {
+	n      int
+	h      uint
+	hi, lo []complex128
+}
+
+// twoLevel memoizes one table per log₂N for the life of the process;
+// the tables are immutable and the largest a caller can name is bounded
+// by the transform it can hold.
+var twoLevel [bits.UintSize]atomic.Pointer[TwoLevelTable]
+
+// TwoLevelTwiddles returns the two-level table for modulus n, a power
+// of two ≥ 2, building it on first use.
+func TwoLevelTwiddles(n int) *TwoLevelTable {
+	lg := Log2(n)
+	if lg < 1 {
+		panic("fft: table size must be a power of two ≥ 2")
+	}
+	if t := twoLevel[lg].Load(); t != nil {
+		return t
+	}
+	h := uint(lg+1) / 2
+	t := &TwoLevelTable{n: n, h: h, hi: make([]complex128, n>>h), lo: make([]complex128, 1<<h)}
+	for i := range t.hi {
+		t.hi[i] = TwiddleDirect(i<<h, n)
+	}
+	for j := range t.lo {
+		t.lo[j] = TwiddleDirect(j, n)
+	}
+	twoLevel[lg].CompareAndSwap(nil, t)
+	return twoLevel[lg].Load()
+}
+
+// At returns ω_N^e for e in [0, N).
+func (t *TwoLevelTable) At(e int) complex128 {
+	return t.hi[e>>t.h] * t.lo[e&(len(t.lo)-1)]
+}
+
+// Scale applies the four-step twiddle segment to one transformed
+// column: col[k] *= ω_N^{index·k}, index being the column's j2. The
+// exponent is reduced mod N, so any index is accepted.
+func (t *TwoLevelTable) Scale(col []complex128, index int) {
+	idx := index % t.n
+	if idx < 0 {
+		idx += t.n
+	}
 	e := 0
 	for k := range col {
-		col[k] *= TwiddleDirect(e, totalN)
+		col[k] *= t.At(e)
 		e += idx
-		if e >= totalN {
-			e -= totalN
+		if e >= t.n {
+			e -= t.n
 		}
 	}
 }
 
+// Cols is the column half of the four-step tile kernel. vecs holds
+// whole contiguous N1-point columns j2 = startVec, startVec+1, …; each
+// is forward-transformed in place through the serial SoA pipeline
+// (radix-4 codelets, pooled frame) and scaled by ω_N^{j2·k}. Columns
+// are independent, so the in-core transform passes the whole matrix as
+// one tile while the out-of-core phases pass one column per worker, and
+// both produce the same bits.
+func (p *FourStepPlan) Cols(vecs []complex128, startVec int) {
+	if len(vecs)%p.N1 != 0 {
+		panic(LengthError("column tile", len(vecs), p.N1))
+	}
+	for v := 0; v*p.N1 < len(vecs); v++ {
+		col := vecs[v*p.N1 : (v+1)*p.N1]
+		p.col.TransformSoA(col, p.wCol, KernelSoARadix4)
+		p.tw.Scale(col, startVec+v)
+	}
+}
+
+// Rows is the row half of the tile kernel: every contiguous N2-point
+// row of vecs is forward-transformed in place, same pipeline as Cols.
+func (p *FourStepPlan) Rows(vecs []complex128) {
+	if len(vecs)%p.N2 != 0 {
+		panic(LengthError("row tile", len(vecs), p.N2))
+	}
+	for v := 0; v*p.N2 < len(vecs); v++ {
+		p.row.TransformSoA(vecs[v*p.N2:(v+1)*p.N2], p.wRow, KernelSoARadix4)
+	}
+}
+
+// KernelBytes returns what the tile kernel keeps resident while workers
+// goroutines run it at once: one split-plane frame per goroutine, the
+// sub-plans' twiddle and SoA level tables, and the two-level table.
+func (p *FourStepPlan) KernelBytes(workers int) int64 {
+	frames := int64(workers) * 16 * int64(max(p.N1, p.N2))
+	return frames + 24*int64(p.N1+p.N2) + 16*int64(len(p.tw.hi)+len(p.tw.lo))
+}
+
 // Transform applies the N-point forward FFT in place via the four-step
-// factorization. The output agrees with Plan.Transform bin for bin
-// (within floating-point tolerance — the two algorithms order the
-// arithmetic differently). It allocates one N-element scratch buffer.
+// factorization, the whole matrix as one tile of the kernel. The output
+// agrees with Plan.Transform bin for bin (within floating-point
+// tolerance — the two algorithms order the arithmetic differently). It
+// allocates one N-element scratch buffer.
 func (p *FourStepPlan) Transform(data []complex128) {
 	p.checkLen("data", data)
 	buf := make([]complex128, p.N)
 	p.GatherColumns(buf, data)
-	sc := NewScratch(p.col)
-	for j2 := 0; j2 < p.N2; j2++ {
-		col := buf[j2*p.N1 : (j2+1)*p.N1]
-		p.col.TransformWith(col, p.wCol, sc)
-		TwiddleScale(col, p.wBig, j2, p.N)
-	}
+	p.Cols(buf, 0)
 	p.ScatterColumns(data, buf)
-	sc = NewScratch(p.row)
-	for k1 := 0; k1 < p.N1; k1++ {
-		p.row.TransformWith(data[k1*p.N2:(k1+1)*p.N2], p.wRow, sc)
-	}
+	p.Rows(data)
 	p.FinalTranspose(buf, data)
 	copy(data, buf)
 }

@@ -3,6 +3,7 @@ package fft_test
 import (
 	"errors"
 	"math"
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -142,7 +143,7 @@ func TestFourStepRejectsBadFactors(t *testing.T) {
 
 func TestTwiddleScaleMatchesDirect(t *testing.T) {
 	const totalN = 256
-	w := fft.Twiddles(totalN)
+	tw := fft.TwoLevelTwiddles(totalN)
 	for _, index := range []int{0, 1, 7, 128, 255, 300} {
 		col := randComplex(16, int64(index))
 		want := append([]complex128(nil), col...)
@@ -150,7 +151,7 @@ func TestTwiddleScaleMatchesDirect(t *testing.T) {
 			ang := -2 * math.Pi * float64((index*k)%totalN) / float64(totalN)
 			want[k] *= cmplx.Exp(complex(0, ang))
 		}
-		fft.TwiddleScale(col, w, index, totalN)
+		tw.Scale(col, index)
 		if e := fft.MaxError(col, want); e > 1e-12 {
 			t.Errorf("index %d: twiddle-scale error %g", index, e)
 		}
@@ -194,38 +195,117 @@ func FuzzFourStepMatchesDirect(f *testing.F) {
 	})
 }
 
-// TestTwiddleDirectBitwise is the out-of-core contract: the table-free
-// twiddle evaluation must agree bit for bit with the table, at every
-// exponent, so an OOC transform that cannot afford Twiddles(totalN)
-// still reproduces the in-core four-step exactly.
+// TestTwiddleDirectBitwise pins the entries the two-level table is
+// filled from: the table-free evaluation agrees bit for bit with
+// Twiddles(n) at every exponent, the second half-turn by negation.
 func TestTwiddleDirectBitwise(t *testing.T) {
 	for _, n := range []int{2, 4, 256, 1 << 12} {
 		w := fft.Twiddles(n)
 		for e := 0; e < n; e++ {
-			want := fft.TwiddleAt(w, e)
-			got := fft.TwiddleDirect(e, n)
-			if got != want {
-				t.Fatalf("n=%d e=%d: TwiddleDirect %v != TwiddleAt %v", n, e, want, got)
+			want := w[e%(n/2)]
+			if e >= n/2 {
+				want = -want
+			}
+			if got := fft.TwiddleDirect(e, n); got != want {
+				t.Fatalf("n=%d e=%d: TwiddleDirect %v != table %v", n, e, got, want)
 			}
 		}
 	}
 }
 
-// TestTwiddleScaleDirectBitwise checks the whole scaling sweep, not
-// just single factors: for a sweep of column indices (including ones
-// exceeding totalN, which reduce mod totalN) the table-free scale must
-// leave bitwise the same column as the table-backed one.
-func TestTwiddleScaleDirectBitwise(t *testing.T) {
+// exactTwiddle evaluates ω_n^e = exp(−2πi·e/n) to well beyond double
+// precision: the exponent is folded into the first octant exactly, and
+// sin/cos of the remaining angle ≤ π/4 are summed as Taylor series in
+// 200-bit arithmetic.
+func exactTwiddle(e, n int) (re, im *big.Float) {
+	const prec = 200
+	// e/n = q/8 + r with q the octant and 0 ≤ r < 1/8, all exact.
+	q := 8 * e / n
+	x := new(big.Float).SetPrec(prec).SetInt64(int64(8*e - q*n))
+	pi, _ := new(big.Float).SetPrec(prec).SetString("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899")
+	x.Mul(x, pi).Quo(x, new(big.Float).SetPrec(prec).SetInt64(int64(4*n))) // 2π·r ∈ [0, π/4)
+	x2 := new(big.Float).SetPrec(prec).Mul(x, x)
+	cos := new(big.Float).SetPrec(prec).SetInt64(1)
+	sin := new(big.Float).SetPrec(prec).Set(x)
+	term := new(big.Float).SetPrec(prec).SetInt64(1)
+	for k := int64(1); k < 60; k += 2 {
+		// term runs through x^k/k!; even powers feed cos, odd ones sin.
+		term.Mul(term, x2).Quo(term, new(big.Float).SetPrec(prec).SetInt64(k*(k+1)))
+		sign := k/2%2 == 0
+		c := new(big.Float).SetPrec(prec).Set(term)
+		s := new(big.Float).SetPrec(prec).Mul(term, x)
+		s.Quo(s, new(big.Float).SetPrec(prec).SetInt64(k+2))
+		if sign {
+			cos.Sub(cos, c)
+			sin.Sub(sin, s)
+		} else {
+			cos.Add(cos, c)
+			sin.Add(sin, s)
+		}
+	}
+	// Rotate exp(−i·2πr) by q octants: exp(−iθ) with θ = qπ/4 + 2πr.
+	cr, ci := cos, new(big.Float).SetPrec(prec).Neg(sin)
+	if q%2 == 1 {
+		// times exp(−iπ/4) = √½·(1 − i)
+		rt := new(big.Float).SetPrec(prec).SetInt64(2)
+		rt.Sqrt(rt).Quo(rt, new(big.Float).SetPrec(prec).SetInt64(2))
+		a := new(big.Float).SetPrec(prec).Add(cr, ci)
+		b := new(big.Float).SetPrec(prec).Sub(ci, cr)
+		cr, ci = a.Mul(a, rt), b.Mul(b, rt)
+	}
+	for h := q / 2; h > 0; h-- { // times −i per quarter turn
+		cr, ci = ci, new(big.Float).SetPrec(prec).Neg(cr)
+	}
+	return cr, ci
+}
+
+// TestTwoLevelTwiddleAccuracy bounds the two-level table against the
+// exact roots of unity: at every exponent of N=2^16 and 4096 sampled
+// ones of N=2^28, both components lie within 2 ε (ε = 2^−52) of
+// exp(−2πi·e/N). The budget is mostly TwiddleDirect's own — its rounded
+// angle alone costs up to π·ε — so this also pins that the product adds
+// no more than its one rounding.
+func TestTwoLevelTwiddleAccuracy(t *testing.T) {
+	const eps = 0x1p-52
+	check := func(tw *fft.TwoLevelTable, e, n int) {
+		t.Helper()
+		got := tw.At(e)
+		re, im := exactTwiddle(e, n)
+		dr, _ := re.Sub(re, big.NewFloat(real(got))).Float64()
+		di, _ := im.Sub(im, big.NewFloat(imag(got))).Float64()
+		if d := max(math.Abs(dr), math.Abs(di)); d > 2*eps {
+			t.Fatalf("N=%d e=%d: table is %.3g ε from exact", n, e, d/eps)
+		}
+	}
+	n := 1 << 16
+	tw := fft.TwoLevelTwiddles(n)
+	for e := 0; e < n; e++ {
+		check(tw, e, n)
+	}
+	n = 1 << 28
+	tw = fft.TwoLevelTwiddles(n)
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 4096; i++ {
+		check(tw, rng.Intn(n), n)
+	}
+	for _, e := range []int{0, 1, n/8 - 1, n / 8, n/4 + 1, n / 2, n - 1} {
+		check(tw, e, n)
+	}
+}
+
+// TestTwoLevelScaleReducesIndex: Scale accepts any column index and
+// treats it as index mod N, bit for bit — negative ones included.
+func TestTwoLevelScaleReducesIndex(t *testing.T) {
 	const totalN = 1 << 10
-	w := fft.Twiddles(totalN)
-	for _, index := range []int{0, 1, 5, 31, 512, 1023, 1024, 2049} {
-		tab := randComplex(64, int64(index)+99)
-		direct := append([]complex128(nil), tab...)
-		fft.TwiddleScale(tab, w, index, totalN)
-		fft.TwiddleScaleDirect(direct, index, totalN)
-		for k := range tab {
-			if tab[k] != direct[k] {
-				t.Fatalf("index %d k=%d: direct %v != table %v", index, k, direct[k], tab[k])
+	tw := fft.TwoLevelTwiddles(totalN)
+	for _, index := range []int{0, 1, 5, 31, 512, 1023, 1024, 2049, -1, -1025} {
+		want := randComplex(64, int64(index)+99)
+		got := append([]complex128(nil), want...)
+		tw.Scale(want, ((index%totalN)+totalN)%totalN)
+		tw.Scale(got, index)
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("index %d k=%d: %v != in-range %v", index, k, got[k], want[k])
 			}
 		}
 	}

@@ -12,13 +12,15 @@
 //	      → transpose into S1 rows → N2-point FFT each → scatter the
 //	      final transpose into the output (strided writes)
 //
-// Every per-element operation — the sub-FFTs (Plan.TransformWith), the
-// twiddle factors (TwiddleScaleDirect), the inverse's conjugate/scale —
-// is the same expression the in-core FourStepPlan evaluates, so at
-// sizes where both run, the out-of-core result is bitwise identical to
-// the in-core four-step. The twiddles are computed on the fly because a
-// Twiddles(N) table is 8·N bytes — 2 GiB at N=2^28, itself beyond the
-// memory budget the staging exists to enforce.
+// The sub-FFTs and the twiddle scale are not re-implemented here: both
+// phases call the in-core plan's own tile kernel (FourStepPlan.Cols and
+// Rows — the serial SoA codelets plus the two-level ω_N table) one
+// vector at a time, and the inverse's conjugate/scale is the same
+// expression, so at sizes where both run the out-of-core result is
+// bitwise identical to the in-core four-step at any worker count. The
+// two-level table is what lets the scale fit: 512 KiB at N=2^28, where
+// Twiddles(N) would be 2 GiB — itself beyond the memory budget the
+// staging exists to enforce.
 //
 // Memory is governed by an explicit budget: the tile height is the
 // largest power of two whose three pipeline tiles (prefetch, compute,
@@ -144,13 +146,21 @@ func nearSquareFactor(n int) (int, int) {
 	return 1 << l1, 1 << (logN - l1)
 }
 
-// tileCost estimates the resident bytes of a run with tile height s:
+// tileCost estimates the staging bytes of a run with tile height s:
 // three pipeline tiles of s·lmax elements, plus two staging-buffer
 // sets (segment pack/fetch, s·s each) and two small gather/scatter
 // stagers per I/O worker.
 func tileCost(s, lmax int64, ioWorkers int) int64 {
 	iow := int64(ioWorkers)
 	return 3*s*lmax*16 + 2*iow*s*s*16 + 2*iow*s*16
+}
+
+// runCost is the resident estimate the budget is held against: the
+// staging of tileCost plus what the compute kernel keeps — a frame per
+// compute goroutine (a tile never runs more than s at once), the
+// sub-plan tables and the two-level twiddle table.
+func runCost(fs *fft.FourStepPlan, s int, cfg *config) int64 {
+	return tileCost(int64(s), int64(max(fs.N1, fs.N2)), cfg.ioWorkers) + fs.KernelBytes(min(cfg.workers, s))
 }
 
 // Plan is an out-of-core FFT plan for N = N1·N2 complex points. A Plan
@@ -162,12 +172,9 @@ type Plan struct {
 	n, n1, n2 int
 	s1, s2    int // spill block geometry: segments hold S2×S1 elements
 
-	col, row   *fft.Plan
-	wCol, wRow []complex128
-
-	// Scratch recycling per sub-plan shape: the compute fan-out grabs
-	// one per in-flight vector.
-	colPool, rowPool *sync.Pool
+	// fs is the in-core plan of the same split; its tile kernel does
+	// all of both phases' arithmetic.
+	fs *fft.FourStepPlan
 
 	cfg config
 	met *meters
@@ -216,7 +223,10 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	if n1*n2 != n || fft.Log2(n1) < 1 || fft.Log2(n2) < 1 {
 		return nil, fmt.Errorf("%w: factorization %d×%d invalid for N=%d", fft.ErrUnsupportedLength, n1, n2, n)
 	}
-	lmax := int64(max(n1, n2))
+	fs, err := fft.NewFourStep(n1, n2)
+	if err != nil {
+		return nil, err
+	}
 	smax := min(n1, n2)
 	s := cfg.tileVecs
 	if s > 0 {
@@ -225,33 +235,21 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 		}
 		s = min(s, smax)
 	} else {
-		if tileCost(1, lmax, cfg.ioWorkers) > cfg.budget {
+		if need := runCost(fs, 1, &cfg); need > cfg.budget {
 			return nil, fmt.Errorf("ooc: memory budget %d B cannot hold even single-vector tiles for N=%d×%d (need %d B)",
-				cfg.budget, n1, n2, tileCost(1, lmax, cfg.ioWorkers))
+				cfg.budget, n1, n2, need)
 		}
 		s = 1
-		for next := 2; next <= smax && tileCost(int64(next), lmax, cfg.ioWorkers) <= cfg.budget; next *= 2 {
+		for next := 2; next <= smax && runCost(fs, next, &cfg) <= cfg.budget; next *= 2 {
 			s = next
 		}
-	}
-	col, err := fft.NewPlan(n1, min(64, n1))
-	if err != nil {
-		return nil, err
-	}
-	row, err := fft.NewPlan(n2, min(64, n2))
-	if err != nil {
-		return nil, err
 	}
 	return &Plan{
 		n: n, n1: n1, n2: n2,
 		s1: min(s, n1), s2: min(s, n2),
-		col: col, row: row,
-		wCol:    fft.Twiddles(n1),
-		wRow:    fft.Twiddles(n2),
-		colPool: &sync.Pool{New: func() any { return fft.NewScratch(col) }},
-		rowPool: &sync.Pool{New: func() any { return fft.NewScratch(row) }},
-		cfg:     cfg,
-		met:     newMeters(cfg.reg, cfg.channels, cfg.stripe),
+		fs:  fs,
+		cfg: cfg,
+		met: newMeters(cfg.reg, cfg.channels, cfg.stripe),
 	}, nil
 }
 
@@ -629,13 +627,8 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 			if p.cfg.exec != nil {
 				return p.cfg.exec.ExecCols(ctx, tile, n1, strip*s2, p.n)
 			}
-			return parallelIdx(ctx, p.cfg.workers, s2, nil, func(worker, c int) error {
-				_ = worker
-				sc := p.colPool.Get().(*fft.Scratch)
-				defer p.colPool.Put(sc)
-				v := tile[c*n1 : (c+1)*n1]
-				p.col.TransformWith(v, p.wCol, sc)
-				fft.TwiddleScaleDirect(v, strip*s2+c, p.n)
+			return parallelIdx(ctx, p.cfg.workers, s2, nil, func(_, c int) error {
+				p.fs.Cols(tile[c*n1:(c+1)*n1], strip*s2+c)
 				return nil
 			})
 		},
@@ -721,12 +714,9 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				}
 				return nil
 			}
-			return parallelIdx(ctx, p.cfg.workers, s1, nil, func(worker, r int) error {
-				_ = worker
-				sc := p.rowPool.Get().(*fft.Scratch)
-				defer p.rowPool.Put(sc)
+			return parallelIdx(ctx, p.cfg.workers, s1, nil, func(_, r int) error {
 				v := tile[r*n2 : (r+1)*n2]
-				p.row.TransformWith(v, p.wRow, sc)
+				p.fs.Rows(v)
 				if inverse {
 					for k, x := range v {
 						v[k] = complex(real(x)*inv, -imag(x)*inv)

@@ -98,28 +98,41 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 	}
 }
 
-// TestPolicyIndependence pins that FIFO and guided schedules produce
-// bitwise identical output — ordering moves I/O, never data.
+// TestPolicyIndependence pins that neither the schedule nor the compute
+// fan-out reaches the data: FIFO and guided orders, one compute worker
+// and three, produce bitwise identical output in both directions —
+// ordering moves I/O, and every vector runs the same serial kernel
+// whichever goroutine picks it up.
 func TestPolicyIndependence(t *testing.T) {
 	const n = 1 << 10
 	data := randomData(n, 99)
-	var first []complex128
-	for _, pol := range []Policy{FIFO(), Guided(0), Guided(3), Guided(11)} {
-		p, err := NewPlan(n, WithTileVecs(4), WithPolicy(pol), WithSpillDir(t.TempDir()))
-		if err != nil {
-			t.Fatalf("NewPlan(%s): %v", pol.Name(), err)
-		}
-		got := append([]complex128(nil), data...)
-		if err := p.Transform(got); err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		if first == nil {
-			first = got
-			continue
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				t.Fatalf("%s: bin %d differs from FIFO output", pol.Name(), i)
+	for _, inverse := range []bool{false, true} {
+		var first []complex128
+		for _, pol := range []Policy{FIFO(), Guided(0), Guided(3), Guided(11)} {
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%s/workers=%d/inverse=%v", pol.Name(), workers, inverse)
+				p, err := NewPlan(n, WithTileVecs(4), WithPolicy(pol), WithWorkers(workers), WithSpillDir(t.TempDir()))
+				if err != nil {
+					t.Fatalf("NewPlan(%s): %v", name, err)
+				}
+				got := append([]complex128(nil), data...)
+				if inverse {
+					err = p.Inverse(got)
+				} else {
+					err = p.Transform(got)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if first == nil {
+					first = got
+					continue
+				}
+				for i := range got {
+					if got[i] != first[i] {
+						t.Fatalf("%s: bin %d differs from the FIFO single-worker output", name, i)
+					}
+				}
 			}
 		}
 	}
@@ -291,13 +304,13 @@ func TestPlanValidation(t *testing.T) {
 }
 
 // TestBudgetDerivation checks the tile height honours the memory
-// budget: derived tiles fit tileCost, and a bigger budget never shrinks
-// the tile.
+// budget: derived tiles fit runCost — staging plus what the compute
+// kernel keeps resident — and a bigger budget never shrinks the tile.
 func TestBudgetDerivation(t *testing.T) {
 	const n = 1 << 16 // 256×256
 	prev := 0
 	for _, budget := range []int64{1 << 20, 4 << 20, 16 << 20, 64 << 20} {
-		p, err := NewPlan(n, WithMemoryBudget(budget), WithIOWorkers(2))
+		p, err := NewPlan(n, WithMemoryBudget(budget), WithIOWorkers(2), WithWorkers(2))
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -306,17 +319,44 @@ func TestBudgetDerivation(t *testing.T) {
 			t.Fatalf("square split should give square tiles, got %d×%d", s2, s1)
 		}
 		n1, n2 := p.Factors()
-		lmax := int64(max(n1, n2))
-		if s2 < min(n1, n2) && tileCost(int64(s2)*2, lmax, 2) <= budget {
+		if s2 < min(n1, n2) && runCost(p.fs, s2*2, &p.cfg) <= budget {
 			t.Fatalf("budget %d: tile %d not maximal", budget, s2)
 		}
-		if tileCost(int64(s2), lmax, 2) > budget {
+		if runCost(p.fs, s2, &p.cfg) > budget {
 			t.Fatalf("budget %d: tile %d exceeds it", budget, s2)
 		}
 		if s2 < prev {
 			t.Fatalf("tile shrank (%d → %d) with a growing budget", prev, s2)
 		}
 		prev = s2
+	}
+
+	// The kernel's share is counted, not assumed away: a budget that
+	// holds exactly the staging of a 64-vector tile no longer buys one.
+	exact := tileCost(64, 256, 2)
+	p, err := NewPlan(n, WithMemoryBudget(exact), WithIOWorkers(2), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, _ := p.TileVecs(); s2 >= 64 {
+		t.Fatalf("budget = staging of a 64-vector tile still derived tile %d: kernel bytes not counted", s2)
+	}
+
+	// At the N=2^28 target geometry the kernel term is what the issue
+	// enumerates: a 16·16384-byte frame per compute worker, the two
+	// sub-plans' tables, and the 512 KiB two-level table — and the
+	// derived tile still fits a 256 MiB budget with it included.
+	p, err = NewPlan(1<<28, WithMemoryBudget(256<<20), WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const side = 1 << 14
+	if got, want := p.fs.KernelBytes(4), int64(4*16*side+24*2*side+(512<<10)); got != want {
+		t.Fatalf("KernelBytes(4) at 2^28 = %d, want %d", got, want)
+	}
+	s2, _ := p.TileVecs()
+	if runCost(p.fs, s2, &p.cfg) > 256<<20 {
+		t.Fatalf("2^28: tile %d exceeds the 256 MiB budget once the kernel is counted", s2)
 	}
 }
 
@@ -438,14 +478,19 @@ func TestPolicies(t *testing.T) {
 }
 
 // TestExecutorHook checks WithExecutor routes tile compute through the
-// external engine: a local executor that replays the plan's own math
-// must reproduce the default path bitwise.
+// external engine: a local executor that runs the shared tile kernel a
+// whole tile at a time must reproduce the default path bitwise.
 func TestExecutorHook(t *testing.T) {
 	const n = 1 << 10
 	data := randomData(n, 21)
 	want := fourStepRef(t, data, false)
 
-	exec := &localExec{t: t}
+	n1, n2 := nearSquareFactor(n)
+	fs, err := fft.NewFourStep(n1, n2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &localExec{fs: fs}
 	p, err := NewPlan(n, WithTileVecs(4), WithSpillDir(t.TempDir()), WithExecutor(exec))
 	if err != nil {
 		t.Fatal(err)
@@ -475,39 +520,28 @@ func TestExecutorHook(t *testing.T) {
 	}
 }
 
-// localExec implements Executor with the plan's own serial math.
+// localExec implements Executor with the shared tile kernel of the
+// in-core plan for the same split.
 type localExec struct {
-	t          *testing.T
+	fs         *fft.FourStepPlan
 	cols, rows int
 }
 
 func (e *localExec) ExecCols(ctx context.Context, vecs []complex128, vecLen, startVec, totalN int) error {
 	e.cols++
-	pl, err := fft.NewPlan(vecLen, min(64, vecLen))
-	if err != nil {
-		return err
+	if vecLen != e.fs.N1 || totalN != e.fs.N {
+		return fmt.Errorf("ExecCols(vecLen=%d, totalN=%d) on a %d×%d plan", vecLen, totalN, e.fs.N1, e.fs.N2)
 	}
-	w := fft.Twiddles(vecLen)
-	sc := fft.NewScratch(pl)
-	for v := 0; v*vecLen < len(vecs); v++ {
-		col := vecs[v*vecLen : (v+1)*vecLen]
-		pl.TransformWith(col, w, sc)
-		fft.TwiddleScaleDirect(col, startVec+v, totalN)
-	}
+	e.fs.Cols(vecs, startVec)
 	return nil
 }
 
 func (e *localExec) ExecRows(ctx context.Context, vecs []complex128, vecLen int) error {
 	e.rows++
-	pl, err := fft.NewPlan(vecLen, min(64, vecLen))
-	if err != nil {
-		return err
+	if vecLen != e.fs.N2 {
+		return fmt.Errorf("ExecRows(vecLen=%d) on a %d×%d plan", vecLen, e.fs.N1, e.fs.N2)
 	}
-	w := fft.Twiddles(vecLen)
-	sc := fft.NewScratch(pl)
-	for v := 0; v*vecLen < len(vecs); v++ {
-		pl.TransformWith(vecs[v*vecLen:(v+1)*vecLen], w, sc)
-	}
+	e.fs.Rows(vecs)
 	return nil
 }
 

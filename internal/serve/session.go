@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"codeletfft"
-	"codeletfft/internal/fft"
 )
 
 // PeerSender delivers an encoded frame to a peer worker's shard
@@ -315,23 +314,8 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	if err := plan.TransformBatch(batch); err != nil {
 		return err
 	}
-	totalN := spec.N1 * spec.N2
-	pow2 := fft.Log2(totalN) >= 0
-	tw, err := twiddleCache.GetOrCreate(totalN, func() ([]complex128, error) {
-		if pow2 {
-			return fft.Twiddles(totalN), nil
-		}
-		return fft.TwiddlesAny(totalN), nil
-	})
-	if err != nil {
+	if err := scaleColumns(batch, spec.ColStart, spec.N1*spec.N2); err != nil {
 		return err
-	}
-	for v := range batch {
-		if pow2 {
-			fft.TwiddleScale(batch[v], tw, spec.ColStart+v, totalN)
-		} else {
-			fft.TwiddleScaleAny(batch[v], tw, spec.ColStart+v, totalN)
-		}
 	}
 
 	// Own row block: scratch → resident rows buffer.

@@ -19,14 +19,42 @@ import (
 	"codeletfft/internal/fft"
 )
 
-// twiddleCache memoizes Twiddles(totalN) across column shards so a
-// worker computes each modulus' table once. Column shards of a few
-// transform sizes dominate real traffic, so 2×4 entries is ample; an
-// entry for N=2^22 is 32 MiB, which also argues for a small bound.
+// twiddleCache memoizes TwiddlesAny(totalN) across column shards whose
+// modulus is not a power of two, so a worker computes each such table
+// once. Column shards of a few transform sizes dominate real traffic,
+// so 2×4 entries is ample; an entry is 16·totalN bytes, which also
+// argues for a small bound.
 var twiddleCache = cache.New[int, []complex128](2, 4, func(n int) uint64 {
 	h := uint64(n) * 0x9e3779b97f4a7c15
 	return h ^ h>>29
 })
+
+// scaleColumns applies the four-step twiddle segment to transformed
+// columns start, start+1, …: cols[v][k] *= ω_totalN^{(start+v)·k}.
+// Power-of-two moduli scale through fft's two-level table — the one the
+// serial reference and the coordinator's local path use, so the three
+// agree bit for bit on equal sub-FFT output; other moduli — legal since
+// the codec accepts any totalN that is a multiple of vecLen — use the
+// full general-modulus table.
+func scaleColumns(cols [][]complex128, start, totalN int) error {
+	if fft.Log2(totalN) >= 0 {
+		tw := fft.TwoLevelTwiddles(totalN)
+		for v, col := range cols {
+			tw.Scale(col, start+v)
+		}
+		return nil
+	}
+	w, err := twiddleCache.GetOrCreate(totalN, func() ([]complex128, error) {
+		return fft.TwiddlesAny(totalN), nil
+	})
+	if err != nil {
+		return err
+	}
+	for v, col := range cols {
+		fft.TwiddleScaleAny(col, w, start+v, totalN)
+	}
+	return nil
+}
 
 // handleShard executes one shard-endpoint frame. The body is read into
 // a pooled buffer and dispatched on its magic: FFS2 session frames go
@@ -134,27 +162,7 @@ func (s *Server) execShard(f ShardFrame) (err error) {
 		return err
 	}
 	if f.Op == OpColumns {
-		// Power-of-two moduli keep the compact half table (bitwise
-		// compatibility with the coordinator's serial reference);
-		// other moduli — legal since the codec accepts any totalN
-		// that is a multiple of vecLen — use the full table.
-		pow2 := fft.Log2(f.TotalN) >= 0
-		w, err := twiddleCache.GetOrCreate(f.TotalN, func() ([]complex128, error) {
-			if pow2 {
-				return fft.Twiddles(f.TotalN), nil
-			}
-			return fft.TwiddlesAny(f.TotalN), nil
-		})
-		if err != nil {
-			return err
-		}
-		for v := range batch {
-			if pow2 {
-				fft.TwiddleScale(batch[v], w, f.Start+v, f.TotalN)
-			} else {
-				fft.TwiddleScaleAny(batch[v], w, f.Start+v, f.TotalN)
-			}
-		}
+		return scaleColumns(batch, f.Start, f.TotalN)
 	}
 	return nil
 }

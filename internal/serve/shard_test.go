@@ -163,6 +163,40 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	}
 }
 
+// TestShardColumnScaleTables pins which table a column shard scales
+// by: a power-of-two modulus goes through fft's shared two-level table
+// (what the serial reference and the coordinator's local path use), any
+// other modulus through the full TwiddlesAny table — each bit for bit.
+func TestShardColumnScaleTables(t *testing.T) {
+	s := New(Config{EnableShard: true, Kernel: fft.KernelSoARadix4})
+	const vecLen, start = 8, 1
+	pl, err := fft.NewPlan(vecLen, vecLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, totalN := range []int{64, 24} {
+		f := ShardFrame{Op: OpColumns, VecLen: vecLen, TotalN: totalN, Start: start, Data: randVecs(vecLen, 2, 3)}
+		want := append([]complex128(nil), f.Data...)
+		for v := 0; v < f.VecCount(); v++ {
+			vec := want[v*vecLen : (v+1)*vecLen]
+			pl.TransformSoA(vec, fft.Twiddles(vecLen), fft.KernelSoARadix4)
+			if fft.Log2(totalN) >= 0 {
+				fft.TwoLevelTwiddles(totalN).Scale(vec, start+v)
+			} else {
+				fft.TwiddleScaleAny(vec, fft.TwiddlesAny(totalN), start+v, totalN)
+			}
+		}
+		if err := s.execShard(f); err != nil {
+			t.Fatalf("totalN=%d: %v", totalN, err)
+		}
+		for i := range want {
+			if f.Data[i] != want[i] {
+				t.Fatalf("totalN=%d elem %d: shard %v != reference %v", totalN, i, f.Data[i], want[i])
+			}
+		}
+	}
+}
+
 func TestShardEndpointDisabledByDefault(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -34,8 +34,9 @@ type OOCOption = ooc.Option
 // directory).
 func OOCSpillDir(dir string) OOCOption { return ooc.WithSpillDir(dir) }
 
-// OOCMemoryBudget bounds the plan's resident staging buffers to about
-// b bytes (default 256 MiB); the tile height is derived from it.
+// OOCMemoryBudget bounds the plan's resident staging buffers and
+// compute-kernel tables to about b bytes (default 256 MiB); the tile
+// height is derived from it.
 func OOCMemoryBudget(b int64) OOCOption { return ooc.WithMemoryBudget(b) }
 
 // OOCTileVecs pins the tile height (vectors staged per tile, a power
