@@ -180,6 +180,9 @@ func TestFilterStreamMatchesConvolve(t *testing.T) {
 // TestFilterStreamSteadyStateAllocs: after construction, Process
 // allocates nothing.
 func TestFilterStreamSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
 	p, err := codeletfft.NewConvPlan(1<<12, 33, codeletfft.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package codeletfft
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"codeletfft/internal/cache"
 	"codeletfft/internal/fft"
@@ -102,11 +101,14 @@ type hostOpts struct {
 }
 
 // EngineObserver receives execution telemetry from a plan's parallel
-// engine: one ObserveBatch call per batched dispatch (its occupancy and
-// wall time) and one ObservePass call per lockstep pass (bit-reversal,
-// each butterfly stage, the inverse path's conjugate/scale sweeps).
-// Implementations must be cheap and safe for concurrent use; the
-// serving daemon backs one with atomic histogram instruments.
+// engine: one ObserveBatch call per batched call (its occupancy and
+// wall time) and one ObservePass call per pass the engine dispatches to
+// its workers — every barrier-separated pass of a sharded transform
+// (pack or bit-reversal, each butterfly stage or level sweep, the
+// inverse path's conjugate/scale sweeps), or the single pass of a batch
+// dealt out whole. Serial runs report no passes. Implementations must
+// be cheap and safe for concurrent use; the serving daemon backs one
+// with atomic histogram instruments.
 type EngineObserver = host.Observer
 
 // HostOption configures NewHostPlan, NewHostPlan2D, NewRealPlan, and
@@ -147,11 +149,12 @@ func WithObserver(obs EngineObserver) HostOption {
 }
 
 // WithKernel pins the butterfly kernel (KernelRadix2, KernelRadix4,
-// KernelSplitRadix) or requests autotuned selection (KernelAuto, the
-// default): on the plan's first transform the candidates are raced once
-// on this plan's exact execution configuration and the winner is
-// memoized process-wide per (N, task size, workers) — later plans of
-// the same shape reuse it without measuring.
+// KernelSplitRadix, KernelSoARadix2, KernelSoARadix4) or requests
+// autotuned selection (KernelAuto, the default): on the plan's first
+// transform the candidates are raced once on this plan's exact
+// execution configuration and the winner is memoized process-wide per
+// (N, task size, workers) — later plans of the same shape reuse it
+// without measuring.
 func WithKernel(k Kernel) HostOption {
 	return func(o *hostOpts) { o.kern = k }
 }
@@ -169,35 +172,45 @@ func (o hostOpts) engine() *host.Engine {
 	return host.New(host.Config{Workers: o.workers, Threshold: o.threshold, Observer: o.observer})
 }
 
-// hostCore is the immutable, shareable part of a HostPlan: the plan the
-// length routed to, the twiddle table, and the lazily built real-input
-// plan. CachedHostPlan hands the same core to many HostPlans; only the
-// engine differs per plan. Exactly one of pl (power-of-two staged
-// decomposition), mixed (mixed-radix Stockham schedule), and blue
-// (Bluestein chirp-z embedding) is non-nil.
+// hostCore is the immutable, shareable part of a HostPlan: what the
+// length routed to, reduced to the three things a plan needs from it —
+// its name, the power-of-two shape the kernel family applies to, and
+// its schedules. CachedHostPlan hands the same core to many HostPlans;
+// only the engine differs per plan.
 type hostCore struct {
-	n     int
-	pl    *fft.Plan
-	w     []complex128
-	mixed *fft.MixedPlan
-	blue  *fft.BluesteinPlan
+	n        int
+	algo     string // Algorithm()
+	taskSize int    // TaskSize()
+
+	// tune is the staged plan the kernel choice is raced on — the plan
+	// itself for a power of two, the embedded convolution (a Bluestein
+	// plan's heavy lifting) for Bluestein — with its twiddle table; nil
+	// for mixed-radix, whose stages have their own codelets per radix.
+	tune *fft.Plan
+	w    []complex128
+
+	// schedule returns the pass list for a concrete kernel and direction.
+	schedule func(kern fft.Kernel, inverse bool) *fft.Schedule
 }
 
 // newHostCore routes a length to its planner: powers of two ≥ 2 keep
-// the staged decomposition (bitwise-identical to every prior release),
-// lengths factoring over {2,3,5,7} get the mixed-radix plan, and
-// everything else ≥ 1 gets the Bluestein fallback. Only n < 1 fails.
+// the staged decomposition, lengths factoring over {2,3,5,7} get the
+// mixed-radix plan, and everything else ≥ 1 gets the Bluestein
+// fallback. Only n < 1 fails.
 func newHostCore(n, taskSize int) (*hostCore, error) {
 	if n >= 2 && n&(n-1) == 0 {
 		pl, err := fft.NewPlan(n, taskSize)
 		if err != nil {
 			return nil, err
 		}
-		return &hostCore{n: n, pl: pl, w: fft.Twiddles(n)}, nil
+		w := fft.Twiddles(n)
+		return &hostCore{n: n, algo: "staged", taskSize: pl.P, tune: pl, w: w,
+			schedule: func(k fft.Kernel, inverse bool) *fft.Schedule { return pl.Schedule(w, k, inverse) }}, nil
 	}
 	mp, err := fft.NewMixedPlan(n)
 	if err == nil {
-		return &hostCore{n: n, mixed: mp}, nil
+		return &hostCore{n: n, algo: mp.String(),
+			schedule: func(_ fft.Kernel, inverse bool) *fft.Schedule { return mp.Schedule(inverse) }}, nil
 	}
 	if n < 1 {
 		return nil, err
@@ -206,7 +219,7 @@ func newHostCore(n, taskSize int) (*hostCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hostCore{n: n, blue: bp}, nil
+	return &hostCore{n: n, algo: bp.String(), tune: bp.Conv, w: bp.WConv, schedule: bp.Schedule}, nil
 }
 
 // planKey identifies a cached core: transform length, task size, the
@@ -245,9 +258,9 @@ func coreKey(n int, o hostOpts) planKey {
 // sizes, so eviction is rare in practice.
 var planCache = cache.New[planKey, *hostCore](8, 16, planKeyHash)
 
-// realCache memoizes real-input cores across CachedRealPlan calls,
+// realCache memoizes the split-pass tables across CachedRealPlan calls,
 // bounded the same way as planCache.
-var realCache = cache.New[planKey, realCore](8, 16, planKeyHash)
+var realCache = cache.New[planKey, *fft.RealSplit](8, 16, planKeyHash)
 
 // PlanCacheLen reports how many plan cores CachedHostPlan currently
 // retains — an observability hook for serving systems.
@@ -270,8 +283,54 @@ func PlanCacheStats() (hits, misses int64) { return planCache.Stats() }
 type HostPlan struct {
 	core *hostCore
 	eng  *host.Engine
+	tuned
+}
+
+// tuned is a plan's lazily resolved kernel and the two schedules that
+// follow from it: what to resolve from, and the result once settle has
+// run.
+type tuned struct {
 	opts hostOpts
-	kern atomic.Int32 // resolved concrete kernel; 0 until first use
+	// tune is the staged plan KernelAuto is raced on, with its twiddle
+	// table; nil means the family has no kernel choice.
+	tune     *fft.Plan
+	w        []complex128
+	schedule func(kern fft.Kernel, inverse bool) *fft.Schedule
+
+	once     sync.Once
+	kern     fft.Kernel
+	fwd, inv *fft.Schedule
+}
+
+// settle resolves the kernel on first use — a plain conversion when
+// pinned; under KernelAuto the tuner's pick, memoized process-wide per
+// (N, task size, workers) and measured single-flight — and fetches the
+// schedules for it.
+func (t *tuned) settle() {
+	t.once.Do(func() {
+		t.kern = t.opts.kern.Concrete()
+		if t.tune != nil && t.opts.kern == fft.KernelAuto {
+			t.kern = autotune(t.opts, t.tune, t.w)
+		}
+		t.fwd, t.inv = t.schedule(t.kern, false), t.schedule(t.kern, true)
+	})
+}
+
+// autotune asks the tuner for the staged plan pl's fastest kernel. The
+// measurement drives an observer-free engine with the plan's workers
+// and threshold, so tuning runs don't pollute serving telemetry.
+func autotune(o hostOpts, pl *fft.Plan, w []complex128) fft.Kernel {
+	meas := host.New(host.Config{Workers: o.workers, Threshold: o.threshold})
+	return tune.Resolve(
+		tune.Key{N: pl.N, TaskSize: pl.P, Workers: meas.Workers()},
+		fft.ConcreteKernels(),
+		func(k fft.Kernel, data []complex128) { meas.Run(pl.Schedule(w, k, false), data) })
+}
+
+// newHostPlan wraps a core in a plan with its own engine.
+func newHostPlan(core *hostCore, o hostOpts) *HostPlan {
+	return &HostPlan{core: core, eng: o.engine(),
+		tuned: tuned{opts: o, tune: core.tune, w: core.w, schedule: core.schedule}}
 }
 
 // NewHostPlan builds a host-side plan for n-point transforms, any
@@ -293,7 +352,7 @@ func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HostPlan{core: core, eng: o.engine(), opts: o}, nil
+	return newHostPlan(core, o), nil
 }
 
 // CachedHostPlan is NewHostPlan backed by a process-wide, size-bounded,
@@ -313,7 +372,7 @@ func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HostPlan{core: core, eng: o.engine(), opts: o}, nil
+	return newHostPlan(core, o), nil
 }
 
 // N returns the transform length.
@@ -322,71 +381,21 @@ func (h *HostPlan) N() int { return h.core.n }
 // TaskSize returns the P-point kernel size of the staged power-of-two
 // decomposition, or 0 for mixed-radix and Bluestein plans, which have
 // no task-size knob.
-func (h *HostPlan) TaskSize() int {
-	if h.core.pl == nil {
-		return 0
-	}
-	return h.core.pl.P
-}
+func (h *HostPlan) TaskSize() int { return h.core.taskSize }
 
 // Algorithm names the decomposition the length routed to: "staged" for
 // powers of two, "mixed-radix[…]" with the radix schedule, or
 // "bluestein[M=…]" with the embedded convolution length.
-func (h *HostPlan) Algorithm() string {
-	switch {
-	case h.core.pl != nil:
-		return "staged"
-	case h.core.mixed != nil:
-		return h.core.mixed.String()
-	default:
-		return h.core.blue.String()
-	}
-}
+func (h *HostPlan) Algorithm() string { return h.core.algo }
 
 // Workers returns the worker count the parallel engine resolved.
 func (h *HostPlan) Workers() int { return h.eng.Workers() }
 
 // Kernel returns the concrete kernel this plan runs, resolving
 // KernelAuto through the autotuner if no transform has run yet.
-func (h *HostPlan) Kernel() Kernel { return h.kernel() }
-
-// kernel resolves the plan's concrete kernel on first use. For a pinned
-// kernel this is a plain conversion; for KernelAuto it asks the tuner,
-// which memoizes per (N, task size, workers) process-wide and runs the
-// measurement single-flight. The measurement drives an observer-free
-// engine with this plan's workers and threshold, so tuning runs don't
-// pollute serving telemetry.
-func (h *HostPlan) kernel() fft.Kernel {
-	if k := h.kern.Load(); k != 0 {
-		return fft.Kernel(k)
-	}
-	var k fft.Kernel
-	switch {
-	case h.core.pl != nil:
-		k = resolveKernel(h.opts, h.core.pl, h.core.w)
-	case h.core.blue != nil:
-		// The Bluestein plan's heavy lifting is its embedded M-point
-		// convolution, so that is the shape the tuner races.
-		k = resolveKernel(h.opts, h.core.blue.Conv, h.core.blue.WConv)
-	default:
-		// Mixed-radix stages have their own codelets per radix; the
-		// kernel family doesn't apply, so Auto resolves to the default
-		// without measuring.
-		k = h.opts.kern.Concrete()
-	}
-	h.kern.Store(int32(k))
-	return k
-}
-
-func resolveKernel(o hostOpts, pl *fft.Plan, w []complex128) fft.Kernel {
-	if o.kern != fft.KernelAuto {
-		return o.kern.Concrete()
-	}
-	meas := host.New(host.Config{Workers: o.workers, Threshold: o.threshold})
-	return tune.Resolve(
-		tune.Key{N: pl.N, TaskSize: pl.P, Workers: meas.Workers()},
-		fft.ConcreteKernels(),
-		func(k fft.Kernel, data []complex128) { meas.TransformKernel(pl, data, w, k) })
+func (h *HostPlan) Kernel() Kernel {
+	h.settle()
+	return h.kern
 }
 
 // Transform applies the forward FFT in place on the plan's parallel
@@ -395,28 +404,16 @@ func resolveKernel(o hostOpts, pl *fft.Plan, w []complex128) fft.Kernel {
 // ErrLengthMismatch. The returned error is always nil for host plans —
 // it exists so HostPlan satisfies Plan alongside the cluster client.
 func (h *HostPlan) Transform(data []complex128) error {
-	switch {
-	case h.core.pl != nil:
-		h.eng.TransformKernel(h.core.pl, data, h.core.w, h.kernel())
-	case h.core.mixed != nil:
-		h.eng.MixedTransform(h.core.mixed, data)
-	default:
-		h.eng.BluesteinTransform(h.core.blue, data, h.kernel())
-	}
+	h.settle()
+	h.eng.Run(h.fwd, data)
 	return nil
 }
 
 // Inverse applies the inverse FFT in place. See Transform for the
 // error and panic contract.
 func (h *HostPlan) Inverse(data []complex128) error {
-	switch {
-	case h.core.pl != nil:
-		h.eng.InverseTransformKernel(h.core.pl, data, h.core.w, h.kernel())
-	case h.core.mixed != nil:
-		h.eng.MixedInverse(h.core.mixed, data)
-	default:
-		h.eng.BluesteinInverse(h.core.blue, data, h.kernel())
-	}
+	h.settle()
+	h.eng.Run(h.inv, data)
 	return nil
 }
 
@@ -439,46 +436,33 @@ func (h *HostPlan) InverseCtx(ctx context.Context, data []complex128) error {
 }
 
 // TransformBatch applies the forward FFT in place to every transform in
-// batch through one worker-pool dispatch: workers steal (transform,
-// task-chunk) units within each lockstep stage pass, so B transforms
-// cost the stage-barrier overhead of one. Every slice must have length
-// N; a bad row panics with an error wrapping ErrLengthMismatch that
-// names the row's batch index. Output is bitwise identical to calling
-// Transform in a loop, and the steady-state path performs no
-// allocation.
+// batch. A batch with at least as many rows as the engine has workers
+// is dealt out whole — workers steal complete transforms, so B
+// transforms cost no pass barrier at all; a smaller one runs its rows
+// one after another on the parallel engine. Every slice must have
+// length N; a bad row panics with an error wrapping ErrLengthMismatch
+// that names the row's batch index, before any row is touched. Output
+// is bitwise identical to calling Transform in a loop, and the
+// steady-state path performs no allocation.
 func (h *HostPlan) TransformBatch(batch [][]complex128) error {
-	switch {
-	case h.core.pl != nil:
-		h.eng.TransformBatchKernel(h.core.pl, batch, h.core.w, h.kernel())
-	case h.core.mixed != nil:
-		h.eng.MixedTransformBatch(h.core.mixed, batch)
-	default:
-		h.eng.BluesteinTransformBatch(h.core.blue, batch, h.kernel())
-	}
+	h.settle()
+	h.eng.RunBatch(h.fwd, batch)
 	return nil
 }
 
 // InverseBatch applies the inverse FFT in place to every transform in
-// batch through one worker-pool dispatch. Output is bitwise identical
-// to calling Inverse in a loop.
+// batch. Output is bitwise identical to calling Inverse in a loop.
 func (h *HostPlan) InverseBatch(batch [][]complex128) error {
-	switch {
-	case h.core.pl != nil:
-		h.eng.InverseBatchKernel(h.core.pl, batch, h.core.w, h.kernel())
-	case h.core.mixed != nil:
-		h.eng.MixedInverseBatch(h.core.mixed, batch)
-	default:
-		h.eng.BluesteinInverseBatch(h.core.blue, batch, h.kernel())
-	}
+	h.settle()
+	h.eng.RunBatch(h.inv, batch)
 	return nil
 }
 
 // RealPlan transforms length-N real signals through the packed
 // N/2-point complex path on a parallel engine. Any even n ≥ 4 is
-// accepted: powers of two run the fused staged path (bitwise identical
-// to prior releases), other even lengths pack into an N/2-point
-// mixed-radix or Bluestein half plan with the same O(N) split pass —
-// the real surface is no longer power-of-two-only. It is built with
+// accepted: the O(N) split pass (fft.RealSplit) does not care how the
+// half transform is computed, so the plan is that pass around an
+// N/2-point HostPlan of whatever family N/2 routes to. It is built with
 // the same HostOption set as HostPlan (task size, workers, threshold,
 // observer, kernel) and resolves its kernel the same way: autotuned on
 // first use under KernelAuto, pinned otherwise.
@@ -486,79 +470,29 @@ func (h *HostPlan) InverseBatch(batch [][]complex128) error {
 // A RealPlan is immutable after construction and safe for concurrent
 // use on distinct buffers.
 type RealPlan struct {
-	rp   *fft.RealPlan  // staged power-of-two path; nil on the general path
-	gen  *fft.RealSplit // general even-N split pass; nil on the staged path
-	half *HostPlan      // general path's N/2-point plan
-	eng  *host.Engine
-	opts hostOpts
-	kern atomic.Int32
-	pool sync.Pool // *realScratch, general path only
+	split *fft.RealSplit
+	half  *HostPlan
+	work  sync.Pool // *[]complex128 of length N/2, the inverse's packed buffer
 }
 
-// realScratch is the general real path's per-call state: the inverse
-// pass's N/2 work buffer and a reusable batch-of-1 header, so the
-// steady-state Transform/Inverse cycle performs no allocation.
-type realScratch struct {
-	work  []complex128
-	batch [][]complex128
-}
-
-// realCore is what realCache memoizes: exactly one of the staged plan
-// and the general split is non-nil, mirroring the facade RealPlan.
-type realCore struct {
-	rp  *fft.RealPlan
-	gen *fft.RealSplit
-}
-
-func (c realCore) n() int {
-	if c.rp != nil {
-		return c.rp.N
-	}
-	return c.gen.N
-}
-
-// newRealCore routes a real-input length: powers of two ≥ 4 build the
-// fused staged plan, other even lengths ≥ 4 build the split-pass
-// tables (their half transform is a HostPlan). Odd or < 4 fails with
-// ErrUnsupportedLength.
-func newRealCore(n, taskSize int) (realCore, error) {
-	if n >= 4 && n&(n-1) == 0 {
-		rp, err := fft.NewRealPlan(n, taskSize)
-		if err != nil {
-			return realCore{}, err
-		}
-		return realCore{rp: rp}, nil
-	}
-	gen, err := fft.NewRealSplit(n)
-	if err != nil {
-		return realCore{}, err
-	}
-	return realCore{gen: gen}, nil
-}
-
-// newRealPlan assembles the facade plan around a routed core; the
-// general path builds (or cache-shares) its N/2-point half plan here.
-func newRealPlan(core realCore, o hostOpts, opts []HostOption, cached bool) (*RealPlan, error) {
-	r := &RealPlan{rp: core.rp, gen: core.gen, opts: o}
-	if core.rp != nil {
-		r.eng = o.engine()
-		return r, nil
-	}
-	h := core.gen.N / 2
-	var half *HostPlan
-	var err error
+// newRealPlan assembles the plan around its split tables; the half plan
+// is built, or shared through the plan cache, here. Its task size is
+// the real length's, clamped to N/2.
+func newRealPlan(split *fft.RealSplit, o hostOpts, opts []HostOption, cached bool) (*RealPlan, error) {
+	h := split.N / 2
+	opts = append(opts[:len(opts):len(opts)], WithTaskSize(min(o.taskSize, h)))
+	newHalf := NewHostPlan
 	if cached {
-		half, err = CachedHostPlan(h, opts...)
-	} else {
-		half, err = NewHostPlan(h, opts...)
+		newHalf = CachedHostPlan
 	}
+	half, err := newHalf(h, opts...)
 	if err != nil {
 		return nil, err
 	}
-	r.half = half
-	r.eng = half.eng
-	r.pool.New = func() any {
-		return &realScratch{work: make([]complex128, h), batch: make([][]complex128, 1)}
+	r := &RealPlan{split: split, half: half}
+	r.work.New = func() any {
+		w := make([]complex128, h)
+		return &w
 	}
 	return r, nil
 }
@@ -566,113 +500,66 @@ func newRealPlan(core realCore, o hostOpts, opts []HostOption, cached bool) (*Re
 // NewRealPlan builds a real-input plan for n-point transforms, any even
 // n ≥ 4.
 func NewRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	o := resolveOpts(n, opts)
-	core, err := newRealCore(n, o.taskSize)
+	split, err := fft.NewRealSplit(n)
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(core, o, opts, false)
+	return newRealPlan(split, resolveOpts(n, opts), opts, false)
 }
 
 // CachedRealPlan is NewRealPlan backed by a process-wide cache keyed by
-// (n, task size, kernel), sharing the packed plan and twiddle tables
-// across calls the way CachedHostPlan shares cores. The general even-N
-// path additionally shares its N/2-point half core through the plan
-// cache.
+// n, sharing the split tables across calls the way CachedHostPlan
+// shares cores, and the N/2-point half core through the plan cache.
 func CachedRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	o := resolveOpts(n, opts)
-	core, err := realCache.GetOrCreate(coreKey(n, o), func() (realCore, error) {
-		return newRealCore(n, o.taskSize)
+	split, err := realCache.GetOrCreate(planKey{n: n}, func() (*fft.RealSplit, error) {
+		return fft.NewRealSplit(n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(core, o, opts, true)
+	return newRealPlan(split, resolveOpts(n, opts), opts, true)
 }
 
 // N returns the real-input length.
-func (r *RealPlan) N() int {
-	if r.rp != nil {
-		return r.rp.N
-	}
-	return r.gen.N
-}
+func (r *RealPlan) N() int { return r.split.N }
 
 // SpectrumLen returns N/2+1, the half-spectrum buffer length Transform
 // fills and Inverse consumes.
-func (r *RealPlan) SpectrumLen() int { return r.N()/2 + 1 }
+func (r *RealPlan) SpectrumLen() int { return r.split.SpectrumLen() }
 
-// Algorithm names the path the length routed to: "real+staged" for
-// powers of two, otherwise "real+" followed by the half plan's
-// algorithm (mixed-radix schedule or Bluestein embedding).
-func (r *RealPlan) Algorithm() string {
-	if r.rp != nil {
-		return "real+staged"
-	}
-	return "real+" + r.half.Algorithm()
-}
+// Algorithm names the path the length routed to: "real+" followed by
+// the half plan's algorithm ("staged" for powers of two, otherwise the
+// mixed-radix schedule or Bluestein embedding).
+func (r *RealPlan) Algorithm() string { return "real+" + r.half.Algorithm() }
 
 // Workers returns the worker count the parallel engine resolved.
-func (r *RealPlan) Workers() int { return r.eng.Workers() }
+func (r *RealPlan) Workers() int { return r.half.Workers() }
 
 // Kernel returns the concrete kernel this plan runs, resolving
 // KernelAuto through the autotuner if no transform has run yet. The
 // tuning shape is the packed N/2-point half transform, so real and
 // complex plans of matching half shapes share one memoized winner.
-func (r *RealPlan) Kernel() Kernel { return r.kernel() }
-
-func (r *RealPlan) kernel() fft.Kernel {
-	if r.rp == nil {
-		return r.half.kernel()
-	}
-	if k := r.kern.Load(); k != 0 {
-		return fft.Kernel(k)
-	}
-	k := resolveKernel(r.opts, r.rp.Half, r.rp.WHalf)
-	r.kern.Store(int32(k))
-	return k
-}
+func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 
 // Transform computes the half-spectrum of the length-N real signal x
 // into spec (length SpectrumLen). x is not modified; wrong-length
 // buffers panic with an error wrapping ErrLengthMismatch. The error is
 // always nil — it mirrors the Plan interface convention.
 func (r *RealPlan) Transform(spec []complex128, x []float64) error {
-	if r.rp != nil {
-		r.eng.RealTransformKernel(r.rp, spec, x, r.kernel())
-		return nil
-	}
-	r.gen.Pack(spec, x)
-	sc := r.pool.Get().(*realScratch)
-	sc.batch[0] = spec[:r.gen.N/2]
-	err := r.half.TransformBatch(sc.batch)
-	sc.batch[0] = nil
-	r.pool.Put(sc)
-	if err != nil {
-		return err
-	}
-	r.gen.Unpack(spec)
+	r.split.Pack(spec, x)
+	_ = r.half.Transform(spec[:r.split.N/2]) // host plans never return an error
+	r.split.Unpack(spec)
 	return nil
 }
 
 // Inverse recovers the length-N real signal x from its half-spectrum
 // spec, inverting Transform. spec is not modified.
 func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
-	if r.rp != nil {
-		r.eng.RealInverseKernel(r.rp, x, spec, r.kernel())
-		return nil
-	}
-	sc := r.pool.Get().(*realScratch)
-	defer func() {
-		sc.batch[0] = nil
-		r.pool.Put(sc)
-	}()
-	r.gen.PreInverse(sc.work, spec)
-	sc.batch[0] = sc.work
-	if err := r.half.InverseBatch(sc.batch); err != nil {
-		return err
-	}
-	r.gen.PostInverse(x, sc.work)
+	w := r.work.Get().(*[]complex128)
+	defer r.work.Put(w)
+	r.split.PreInverse(*w, spec)
+	_ = r.half.Inverse(*w)
+	r.split.PostInverse(x, *w)
 	return nil
 }
 
@@ -695,10 +582,8 @@ func (r *RealPlan) InverseCtx(ctx context.Context, x []float64, spec []complex12
 // HostPlan2D is the 2-D row-column analogue of HostPlan. Transform and
 // Inverse run on the plan's parallel engine with the plan's kernel.
 type HostPlan2D struct {
-	pl   *fft.Plan2D
-	eng  *host.Engine
-	opts hostOpts
-	kern atomic.Int32
+	eng *host.Engine
+	tuned
 }
 
 // NewHostPlan2D builds a host-side plan for rows×cols transforms. It
@@ -710,23 +595,20 @@ func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HostPlan2D{pl: pl, eng: o.engine(), opts: o}, nil
+	// Auto resolution tunes on the row transform's shape (the hotter of
+	// the two passes).
+	return &HostPlan2D{eng: o.engine(),
+		tuned: tuned{opts: o, tune: pl.RowPlan, w: pl.WRow, schedule: pl.Schedule}}, nil
 }
 
 // Workers returns the worker count the parallel engine resolved.
 func (h *HostPlan2D) Workers() int { return h.eng.Workers() }
 
-// Kernel returns the concrete kernel this plan runs. Auto resolution
-// tunes on the row transform's shape (the hotter of the two passes).
-func (h *HostPlan2D) Kernel() Kernel { return h.kernel() }
-
-func (h *HostPlan2D) kernel() fft.Kernel {
-	if k := h.kern.Load(); k != 0 {
-		return fft.Kernel(k)
-	}
-	k := resolveKernel(h.opts, h.pl.RowPlan, h.pl.WRow)
-	h.kern.Store(int32(k))
-	return k
+// Kernel returns the concrete kernel this plan runs, resolving
+// KernelAuto through the autotuner if no transform has run yet.
+func (h *HostPlan2D) Kernel() Kernel {
+	h.settle()
+	return h.kern
 }
 
 // Transform applies the forward 2-D FFT in place (row-major data) on
@@ -734,13 +616,15 @@ func (h *HostPlan2D) kernel() fft.Kernel {
 // columns. The error is always nil; wrong-length data panics with an
 // error wrapping ErrLengthMismatch.
 func (h *HostPlan2D) Transform(data []complex128) error {
-	h.eng.Transform2DKernel(h.pl, data, h.kernel())
+	h.settle()
+	h.eng.Run(h.fwd, data)
 	return nil
 }
 
 // Inverse applies the inverse 2-D FFT in place.
 func (h *HostPlan2D) Inverse(data []complex128) error {
-	h.eng.InverseTransform2DKernel(h.pl, data, h.kernel())
+	h.settle()
+	h.eng.Run(h.inv, data)
 	return nil
 }
 

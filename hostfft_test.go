@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -562,6 +563,56 @@ func TestRealPlanFacade(t *testing.T) {
 		if _, err := codeletfft.NewRealPlan(n); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
 			t.Fatalf("NewRealPlan(%d) err = %v, want ErrUnsupportedLength", n, err)
 		}
+	}
+}
+
+// TestRealPlanZeroAllocs: a real plan's steady-state Transform and
+// Inverse allocate nothing on a serial engine, at power-of-two and other
+// even lengths alike — the inverse's packed N/2 buffer is pooled on
+// every path — and so does a 2-D plan's, whose per-unit scratch and
+// column staging come from the schedule pools.
+func TestRealPlanZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := []codeletfft.HostOption{codeletfft.WithWorkers(1), codeletfft.WithKernel(codeletfft.KernelSoARadix4)}
+	for _, n := range []int{4096, 3000} {
+		for name, build := range map[string]func(int, ...codeletfft.HostOption) (*codeletfft.RealPlan, error){
+			"NewRealPlan": codeletfft.NewRealPlan, "CachedRealPlan": codeletfft.CachedRealPlan,
+		} {
+			rp, err := build(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, n)
+			for i, v := range noise(n, int64(n)) {
+				x[i] = real(v)
+			}
+			spec := make([]complex128, rp.SpectrumLen())
+			cycle := func() {
+				_ = rp.Transform(spec, x)
+				_ = rp.Inverse(x, spec)
+			}
+			cycle() // warm the pools and the plan's split twiddles
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Errorf("%s(%d) [%s]: Transform+Inverse allocates %v objects in steady state, want 0",
+					name, n, rp.Algorithm(), allocs)
+			}
+		}
+	}
+	p2, err := codeletfft.NewHostPlan2D(64, 128, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := noise(64*128, 5)
+	cycle := func() {
+		_ = p2.Transform(grid)
+		_ = p2.Inverse(grid)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("HostPlan2D: Transform+Inverse allocates %v objects in steady state, want 0", allocs)
 	}
 }
 

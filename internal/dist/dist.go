@@ -161,9 +161,8 @@ func NearSquareFactor(n int) (n1, n2 int) {
 
 // localPlan is the cached single-node execution state for one N.
 type localPlan struct {
-	pl      *fft.Plan
-	w       []complex128
-	scratch sync.Pool // *fft.Scratch for pl: one per shard in flight
+	pl *fft.Plan
+	w  []complex128
 }
 
 // Coordinator accepts transforms too large (or too numerous) for one
@@ -310,7 +309,6 @@ func (c *Coordinator) localPlanFor(n int) (*localPlan, error) {
 		return nil, err
 	}
 	lp := &localPlan{pl: pl, w: fft.Twiddles(n)}
-	lp.scratch.New = func() any { return fft.NewScratch(pl) }
 	c.locals[n] = lp
 	return lp, nil
 }
@@ -572,12 +570,10 @@ func (c *Coordinator) execShardLocal(f serve.ShardFrame) error {
 	if f.Op == serve.OpColumns {
 		tw = fft.TwoLevelTwiddles(f.TotalN)
 	}
-	sc := lp.scratch.Get().(*fft.Scratch)
-	defer lp.scratch.Put(sc)
 	kern := c.cfg.LocalKernel.Concrete()
 	for v := 0; v < f.VecCount(); v++ {
 		vec := f.Vec(v)
-		lp.pl.TransformKernelWith(vec, lp.w, kern, sc)
+		lp.pl.TransformKernel(vec, lp.w, kern)
 		if tw != nil {
 			tw.Scale(vec, f.Start+v)
 		}

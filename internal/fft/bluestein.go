@@ -8,10 +8,10 @@
 //
 // — a linear convolution of the chirp-premultiplied input with the
 // conjugate chirp, embedded in a circular convolution of length
-// M = 2^⌈log2(2N-1)⌉ and executed with the existing staged
-// power-of-two plan (so the kernel family, autotuner, and parallel
-// engine all apply to the heavy lifting unchanged). The filter's
-// spectrum is fixed per plan and precomputed once.
+// M = 2^⌈log2(2N-1)⌉ and executed by the staged power-of-two plan's
+// passes nested on the work buffer (so the kernel family, autotuner,
+// and parallel engine all apply to the heavy lifting unchanged). The
+// filter's spectrum is fixed per plan and precomputed once.
 package fft
 
 import (
@@ -41,6 +41,8 @@ type BluesteinPlan struct {
 	// BHat is the forward M-point FFT of the wrapped conjugate-chirp
 	// filter b (b[t] = conj(Chirp[t]), mirrored into b[M-t]).
 	BHat []complex128
+
+	sched schedCache // Schedule's memo
 }
 
 // NewBluesteinPlan builds the chirp-z plan for n-point transforms. It
@@ -83,54 +85,53 @@ func (bp *BluesteinPlan) String() string {
 	return fmt.Sprintf("bluestein[M=%d]", bp.M)
 }
 
-// Transform applies the forward DFT in place, allocating the M-element
-// convolution buffer. Wrong-length data panics with an error wrapping
-// ErrLengthMismatch.
-func (bp *BluesteinPlan) Transform(data []complex128) {
-	bp.TransformWith(data, make([]complex128, bp.M), NewScratch(bp.Conv))
+// Schedule returns the plan's pass list under kern — the kernel of the
+// embedded convolution — for the forward or inverse transform, building
+// it on first use: chirp-premultiply and zero-pad into the work buffer,
+// the M-point forward schedule on it, the pointwise product with the
+// filter spectrum, the M-point inverse schedule, and the chirp
+// postmultiply back into the caller's array; the N-point inverse
+// brackets all of that with the conjugation identity's two sweeps.
+func (bp *BluesteinPlan) Schedule(kern Kernel, inverse bool) *Schedule {
+	return bp.sched.get(kern, inverse, bp.schedule)
 }
 
-// TransformWith is Transform with caller-supplied buffers: work must
-// have length M (its prior contents are ignored) and sc must come from
-// NewScratch(bp.Conv).
-func (bp *BluesteinPlan) TransformWith(data, work []complex128, sc *Scratch) {
-	if len(data) != bp.N {
-		panic(LengthError("data", len(data), bp.N))
+func (bp *BluesteinPlan) schedule(kern Kernel, inverse bool) *Schedule {
+	n, m := bp.N, bp.M
+	ps := []Pass{{PassChirp, m, func(st *State, lo, hi int) {
+		for t := lo; t < min(hi, n); t++ {
+			st.Work[t] = st.Data[t] * bp.Chirp[t]
+		}
+		for t := max(lo, n); t < hi; t++ {
+			st.Work[t] = 0
+		}
+	}}}
+	ps = append(ps, bp.Conv.passes(bp.WConv, kern, false, onWork)...)
+	ps = append(ps, Pass{PassChirp, m, func(st *State, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			st.Work[i] *= bp.BHat[i]
+		}
+	}})
+	ps = append(ps, bp.Conv.passes(bp.WConv, kern, true, onWork)...)
+	ps = append(ps, Pass{PassChirp, n, func(st *State, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			st.Data[k] = st.Work[k] * bp.Chirp[k]
+		}
+	}})
+	if inverse {
+		ps = inverted(ps, onData, n)
 	}
-	if len(work) != bp.M {
-		panic(LengthError("work", len(work), bp.M))
-	}
-	for t := 0; t < bp.N; t++ {
-		work[t] = data[t] * bp.Chirp[t]
-	}
-	for t := bp.N; t < bp.M; t++ {
-		work[t] = 0
-	}
-	bp.Conv.TransformWith(work, bp.WConv, sc)
-	for i := range work {
-		work[i] *= bp.BHat[i]
-	}
-	bp.Conv.InverseTransformWith(work, bp.WConv, sc)
-	for k := 0; k < bp.N; k++ {
-		data[k] = work[k] * bp.Chirp[k]
-	}
+	return &Schedule{N: n, Stage: StageLabel(kern), Passes: ps, frame: bp.Conv.frameLen(kern), work: m}
+}
+
+// Transform applies the forward DFT in place, serially, with the
+// radix-2 convolution.
+func (bp *BluesteinPlan) Transform(data []complex128) {
+	bp.Schedule(KernelRadix2, false).Run(data)
 }
 
 // InverseTransform applies the inverse DFT in place via the conjugation
-// identity, allocating the convolution buffer.
+// identity.
 func (bp *BluesteinPlan) InverseTransform(data []complex128) {
-	bp.InverseTransformWith(data, make([]complex128, bp.M), NewScratch(bp.Conv))
-}
-
-// InverseTransformWith is InverseTransform with caller-supplied
-// buffers.
-func (bp *BluesteinPlan) InverseTransformWith(data, work []complex128, sc *Scratch) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
-	bp.TransformWith(data, work, sc)
-	inv := 1 / float64(bp.N)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+	bp.Schedule(KernelRadix2, true).Run(data)
 }

@@ -8,8 +8,8 @@ import "fmt"
 // the paper's scheduling applies to each 1-D pass.
 // A Plan2D is immutable after NewPlan2D: the twiddle tables WRow and WCol
 // are computed once and never written again, so one plan may serve any
-// number of concurrent Transform calls on distinct data arrays (the
-// per-call column buffer and scratch are the only mutable state).
+// number of concurrent runs on distinct data arrays (the pooled
+// per-unit States are the only mutable state).
 type Plan2D struct {
 	Rows, Cols int
 	RowPlan    *Plan
@@ -19,6 +19,8 @@ type Plan2D struct {
 	// mutate them.
 	WRow []complex128
 	WCol []complex128
+
+	sched schedCache // Schedule's memo
 }
 
 // NewPlan2D validates the shape and builds per-dimension plans. Task size
@@ -42,43 +44,57 @@ func NewPlan2D(rows, cols, taskSize int) (*Plan2D, error) {
 	}, nil
 }
 
-// Transform applies the 2-D FFT in place to data in row-major order.
-// It panics with an error wrapping ErrLengthMismatch if len(data) is
-// not Rows×Cols.
-func (p *Plan2D) Transform(data []complex128) {
-	if len(data) != p.Rows*p.Cols {
-		panic(LengthError("2-D data", len(data), p.Rows*p.Cols))
-	}
-	// Row pass.
-	rsc := NewScratch(p.RowPlan)
-	for r := 0; r < p.Rows; r++ {
-		p.RowPlan.TransformWith(data[r*p.Cols:(r+1)*p.Cols], p.WRow, rsc)
-	}
-	// Column pass via gather/scatter.
-	csc := NewScratch(p.ColPlan)
-	col := make([]complex128, p.Rows)
-	for c := 0; c < p.Cols; c++ {
-		for r := 0; r < p.Rows; r++ {
-			col[r] = data[r*p.Cols+c]
-		}
-		p.ColPlan.TransformWith(col, p.WCol, csc)
-		for r := 0; r < p.Rows; r++ {
-			data[r*p.Cols+c] = col[r]
-		}
-	}
+// Schedule returns the plan's pass list under kern for the forward or
+// inverse transform, building it on first use: one pass whose units are
+// whole row transforms, one whose units are whole column transforms
+// (gathered into and scattered from a pooled staging buffer), and the
+// conjugation identity's two sweeps around them for the inverse. A unit
+// runs its 1-D forward schedule serially on its own pooled State.
+func (p *Plan2D) Schedule(kern Kernel, inverse bool) *Schedule {
+	return p.sched.get(kern, inverse, p.schedule)
 }
 
-// InverseTransform applies the inverse 2-D FFT in place.
-func (p *Plan2D) InverseTransform(data []complex128) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
+func (p *Plan2D) schedule(kern Kernel, inverse bool) *Schedule {
+	rows := p.RowPlan.Schedule(p.WRow, kern, false)
+	cols := &Schedule{N: p.Rows, Passes: p.ColPlan.passes(p.WCol, kern, false, onWork),
+		frame: p.ColPlan.frameLen(kern), work: p.Rows}
+	nr, nc := p.Rows, p.Cols
+	ps := []Pass{
+		{PassRows, nr, func(st *State, lo, hi int) {
+			rs := rows.Acquire(nil)
+			for r := lo; r < hi; r++ {
+				rs.Data = st.Data[r*nc : (r+1)*nc]
+				rows.Exec(rs)
+			}
+			rs.Release()
+		}},
+		{PassCols, nc, func(st *State, lo, hi int) {
+			cs := cols.Acquire(nil)
+			for c := lo; c < hi; c++ {
+				for r := range cs.Work {
+					cs.Work[r] = st.Data[r*nc+c]
+				}
+				cols.Exec(cs)
+				for r, v := range cs.Work {
+					st.Data[r*nc+c] = v
+				}
+			}
+			cs.Release()
+		}},
 	}
-	p.Transform(data)
-	inv := 1 / float64(p.Rows*p.Cols)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
+	if inverse {
+		ps = inverted(ps, onData, nr*nc)
 	}
+	return &Schedule{N: nr * nc, Stage: StageLabel(kern), Passes: ps}
 }
+
+// Transform applies the radix-2 2-D FFT in place to data in row-major
+// order, serially. It panics with an error wrapping ErrLengthMismatch
+// if len(data) is not Rows×Cols.
+func (p *Plan2D) Transform(data []complex128) { p.Schedule(KernelRadix2, false).Run(data) }
+
+// InverseTransform applies the inverse 2-D FFT in place.
+func (p *Plan2D) InverseTransform(data []complex128) { p.Schedule(KernelRadix2, true).Run(data) }
 
 func min(a, b int) int {
 	if a < b {

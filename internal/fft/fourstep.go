@@ -256,14 +256,10 @@ func (p *FourStepPlan) Transform(data []complex128) {
 // identity — the same trick Plan.InverseTransform uses, so
 // Transform/InverseTransform round-trip to the input.
 func (p *FourStepPlan) InverseTransform(data []complex128) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
+	p.checkLen("data", data)
+	conjugate(data)
 	p.Transform(data)
-	inv := 1 / float64(p.N)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+	conjugateScale(data, 1/float64(p.N))
 }
 
 func (p *FourStepPlan) checkLen(what string, s []complex128) {

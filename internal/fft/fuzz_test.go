@@ -260,7 +260,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		workers := int(workers8)%8 + 1
 		eng := host.New(host.Config{Workers: workers, Threshold: 1})
 		par := append([]complex128(nil), x...)
-		eng.Transform(pl, par, w)
+		eng.Run(pl.Schedule(w, fft.KernelRadix2, false), par)
 		for i := range par {
 			if math.Float64bits(real(par[i])) != math.Float64bits(real(serial[i])) ||
 				math.Float64bits(imag(par[i])) != math.Float64bits(imag(serial[i])) {
@@ -272,7 +272,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		// And the inverse path, which adds the sharded conjugate/scale
 		// passes on top of the forward engine.
 		pl.InverseTransform(serial, w)
-		eng.InverseTransform(pl, par, w)
+		eng.Run(pl.Schedule(w, fft.KernelRadix2, true), par)
 		for i := range par {
 			if math.Float64bits(real(par[i])) != math.Float64bits(real(serial[i])) ||
 				math.Float64bits(imag(par[i])) != math.Float64bits(imag(serial[i])) {

@@ -114,17 +114,21 @@ func (pl *Plan) Transform(data, w []complex128) {
 // the per-goroutine buffers. sc must not be shared with any concurrent
 // call.
 func (pl *Plan) TransformWith(data, w []complex128, sc *Scratch) {
-	if len(data) != pl.N {
-		panic(LengthError("data", len(data), pl.N))
-	}
-	if len(w) != pl.N/2 {
-		panic(LengthError("twiddle table", len(w), pl.N/2))
-	}
+	pl.checkLen(data, w)
 	BitReversePermute(data)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		for task := 0; task < pl.TasksPerStage; task++ {
 			pl.RunTask(stage, task, data, w, nil, sc)
 		}
+	}
+}
+
+func (pl *Plan) checkLen(data, w []complex128) {
+	if len(data) != pl.N {
+		panic(LengthError("data", len(data), pl.N))
+	}
+	if len(w) != pl.N/2 {
+		panic(LengthError("twiddle table", len(w), pl.N/2))
 	}
 }
 
@@ -135,15 +139,11 @@ func (pl *Plan) InverseTransform(data, w []complex128) {
 }
 
 // InverseTransformWith is InverseTransform with a caller-provided
-// Scratch — the inverse counterpart of TransformWith, for batch loops
-// and worker pools that must not allocate per transform.
+// Scratch. It checks the length first, so a wrong-length array panics
+// untouched.
 func (pl *Plan) InverseTransformWith(data, w []complex128, sc *Scratch) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
+	pl.checkLen(data, w)
+	conjugate(data)
 	pl.TransformWith(data, w, sc)
-	inv := 1 / float64(pl.N)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+	conjugateScale(data, 1/float64(pl.N))
 }

@@ -11,8 +11,8 @@ import (
 // barrier contract) — they differ only in how a task factors its
 // 2^v-point group DFTs, trading twiddle loads for butterfly structure:
 //
-//	KernelRadix2     — the paper's level-by-level radix-2 DIT (PR 1 path,
-//	                   bit-for-bit unchanged).
+//	KernelRadix2     — the paper's level-by-level radix-2 DIT, bit for
+//	                   bit Plan.Transform.
 //	KernelRadix4     — fused level pairs as 3-multiply radix-4
 //	                   butterflies, with one radix-2 fix-up level first
 //	                   when v is odd; ~25% fewer complex multiplies and
@@ -258,7 +258,7 @@ func splitRadixDIT(buf, w []complex128, shift uint, v int) {
 
 // runGroupKernel factors one gathered group buffer with the chosen
 // concrete kernel. kern must not be Auto or Radix2 (those route through
-// the legacy RunTask path before reaching here).
+// RunTask before reaching here).
 func runGroupKernel(buf, w []complex128, cshift uint, v int, kern Kernel) {
 	switch kern {
 	case KernelRadix4:
@@ -271,10 +271,9 @@ func runGroupKernel(buf, w []complex128, cshift uint, v int, kern Kernel) {
 }
 
 // RunTaskKernel is RunTask with a selectable butterfly kernel.
-// KernelAuto and KernelRadix2 delegate to RunTask (bit-for-bit the PR 1
-// path); KernelRadix4 and KernelSplitRadix gather each group, fold the
-// stage twiddles in with premultiplyGroup, and run the standalone
-// codelet. Stage 0 groups are contiguous, offset-0 slices, so they run
+// KernelAuto and KernelRadix2 delegate to RunTask; KernelRadix4 and
+// KernelSplitRadix gather each group, fold the stage twiddles in with
+// premultiplyGroup, and run the standalone codelet. Stage 0 groups are contiguous, offset-0 slices, so they run
 // in place with no gather, scatter or premultiply at all.
 //
 // The concurrency contract is RunTask's: same-stage tasks touch disjoint
@@ -323,120 +322,59 @@ func (pl *Plan) RunTaskKernel(stage, task int, data, w []complex128, kern Kernel
 	return pl.TaskFlops(stage)
 }
 
-// TransformKernel is Transform with a selectable butterfly kernel.
-// KernelAuto and KernelRadix2 are bit-for-bit Transform.
-func (pl *Plan) TransformKernel(data, w []complex128, kern Kernel) {
-	pl.TransformKernelWith(data, w, kern, pl.kernelScratch(kern))
-}
-
-// kernelScratch returns the per-call scratch kern needs: none for the
-// SoA kernels, which bring their own pooled frame.
-func (pl *Plan) kernelScratch(kern Kernel) *Scratch {
-	if kern.SoA() {
-		return nil
-	}
-	return NewScratch(pl)
-}
-
-// TransformKernelWith is TransformKernel with a caller-provided Scratch
-// (same reuse contract as TransformWith).
-func (pl *Plan) TransformKernelWith(data, w []complex128, kern Kernel, sc *Scratch) {
-	if kern.Concrete() == KernelRadix2 {
-		pl.TransformWith(data, w, sc)
-		return
-	}
-	if kern.SoA() {
-		// The SoA pipeline brings its own pooled split-plane scratch;
-		// sc is unused.
-		pl.TransformSoA(data, w, kern)
-		return
-	}
-	if len(data) != pl.N {
-		panic(LengthError("data", len(data), pl.N))
-	}
+// Schedule returns the plan's pass list under kern for the forward or
+// inverse transform, building it on first use. w must be Twiddles(pl.N)
+// and is retained by the schedule. The scalar kernels run a
+// bit-reversal pass and one pass of TasksPerStage tasks per stage,
+// bracketed by the conjugation identity's two sweeps for the inverse;
+// the SoA kernels run pack, one pass per level sweep, unpack (soa.go),
+// with the inverse's sweeps folded into the pack and unpack.
+func (pl *Plan) Schedule(w []complex128, kern Kernel, inverse bool) *Schedule {
 	if len(w) != pl.N/2 {
 		panic(LengthError("twiddle table", len(w), pl.N/2))
 	}
-	BitReversePermute(data)
-	for stage := 0; stage < pl.NumStages; stage++ {
-		for task := 0; task < pl.TasksPerStage; task++ {
-			pl.RunTaskKernel(stage, task, data, w, kern, sc)
-		}
-	}
+	return pl.sched.get(kern, inverse, func(kern Kernel, inverse bool) *Schedule {
+		return &Schedule{N: pl.N, Stage: StageLabel(kern), Passes: pl.passes(w, kern, inverse, onData), frame: pl.frameLen(kern)}
+	})
 }
 
-// InverseTransformKernel is InverseTransform with a selectable kernel.
-func (pl *Plan) InverseTransformKernel(data, w []complex128, kern Kernel) {
-	pl.InverseTransformKernelWith(data, w, kern, pl.kernelScratch(kern))
-}
-
-// InverseTransformKernelWith applies the inverse FFT with the chosen
-// kernel via the same conjugation identity as InverseTransformWith;
-// the SoA kernels fold its two sweeps into their pack and unpack.
-func (pl *Plan) InverseTransformKernelWith(data, w []complex128, kern Kernel, sc *Scratch) {
+// frameLen returns the plane length kern's passes need: N for the SoA
+// kernels, none for the scalar ones.
+func (pl *Plan) frameLen(kern Kernel) int {
 	if kern.SoA() {
-		pl.InverseTransformSoA(data, w, kern)
-		return
+		return pl.N
 	}
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
-	pl.TransformKernelWith(data, w, kern, sc)
-	inv := 1 / float64(pl.N)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+	return 0
 }
 
-// TransformKernelWith is TransformWith with a selectable butterfly
-// kernel for the half transform; the pack/split passes are kernel-
-// independent O(N) sweeps.
-func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Kernel, sc *Scratch) {
-	rp.Pack(dst, src)
-	rp.Half.TransformKernelWith(dst[:rp.N/2], rp.WHalf, kern, sc)
-	rp.Unpack(dst)
+// passes builds the plan's pass list over the array buf selects.
+func (pl *Plan) passes(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
+	if kern.SoA() {
+		return pl.soaPasses(w, kern, inverse, buf)
+	}
+	ps := []Pass{{PassBitRev, pl.N, func(st *State, lo, hi int) { bitReverseRange(buf(st), lo, hi, pl.LogN) }}}
+	label := StageLabel(kern)
+	for stage := 0; stage < pl.NumStages; stage++ {
+		ps = append(ps, Pass{label, pl.TasksPerStage, func(st *State, lo, hi int) {
+			sc, _ := pl.scratch.Get().(*Scratch)
+			if sc == nil {
+				sc = NewScratch(pl)
+			}
+			data := buf(st)
+			for task := lo; task < hi; task++ {
+				pl.RunTaskKernel(stage, task, data, w, kern, sc)
+			}
+			pl.scratch.Put(sc)
+		}})
+	}
+	if inverse {
+		return inverted(ps, buf, pl.N)
+	}
+	return ps
 }
 
-// InverseKernelWith is InverseWith with a selectable butterfly kernel
-// for the half transform.
-func (rp *RealPlan) InverseKernelWith(dst []float64, src, work []complex128, kern Kernel, sc *Scratch) {
-	rp.PreInverse(work, src)
-	rp.Half.InverseTransformKernelWith(work, rp.WHalf, kern, sc)
-	rp.PostInverse(dst, work)
-}
-
-// TransformKernel is Plan2D.Transform with a selectable butterfly kernel
-// applied to both the row and column passes.
-func (p *Plan2D) TransformKernel(data []complex128, kern Kernel) {
-	if len(data) != p.Rows*p.Cols {
-		panic(LengthError("2-D data", len(data), p.Rows*p.Cols))
-	}
-	rsc := NewScratch(p.RowPlan)
-	for r := 0; r < p.Rows; r++ {
-		p.RowPlan.TransformKernelWith(data[r*p.Cols:(r+1)*p.Cols], p.WRow, kern, rsc)
-	}
-	csc := NewScratch(p.ColPlan)
-	col := make([]complex128, p.Rows)
-	for c := 0; c < p.Cols; c++ {
-		for r := 0; r < p.Rows; r++ {
-			col[r] = data[r*p.Cols+c]
-		}
-		p.ColPlan.TransformKernelWith(col, p.WCol, kern, csc)
-		for r := 0; r < p.Rows; r++ {
-			data[r*p.Cols+c] = col[r]
-		}
-	}
-}
-
-// InverseTransformKernel is Plan2D.InverseTransform with a selectable
-// butterfly kernel.
-func (p *Plan2D) InverseTransformKernel(data []complex128, kern Kernel) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
-	p.TransformKernel(data, kern)
-	inv := 1 / float64(p.Rows*p.Cols)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+// TransformKernel runs the forward schedule under kern serially.
+// KernelAuto and KernelRadix2 are bit-for-bit Transform.
+func (pl *Plan) TransformKernel(data, w []complex128, kern Kernel) {
+	pl.Schedule(w, kern, false).Run(data)
 }

@@ -128,7 +128,7 @@ func TestKernelRadix2MatchesLegacyBitwise(t *testing.T) {
 				if !equalBits(got, legacy) {
 					t.Fatalf("N=2^%d P=%d %v: forward not bitwise legacy", lg, p, k)
 				}
-				pl.InverseTransformKernel(got, w, k)
+				pl.Schedule(w, k, true).Run(got)
 				back := append([]complex128(nil), legacy...)
 				pl.InverseTransform(back, w)
 				if !equalBits(got, back) {
@@ -140,8 +140,7 @@ func TestKernelRadix2MatchesLegacyBitwise(t *testing.T) {
 }
 
 // TestKernelRoundTrip: forward + inverse under each kernel returns the
-// input, and the run is deterministic (two runs, same Scratch or fresh,
-// are bitwise identical).
+// input, and the run is deterministic (two runs are bitwise identical).
 func TestKernelRoundTrip(t *testing.T) {
 	for _, lg := range []int{4, 6, 9, 12} {
 		n := 1 << lg
@@ -159,15 +158,14 @@ func TestKernelRoundTrip(t *testing.T) {
 				a := append([]complex128(nil), x...)
 				pl.TransformKernel(a, w, k)
 
-				// Determinism: fresh scratch vs reused scratch.
-				sc := fft.NewScratch(pl)
+				// Determinism: a second run draws its buffers from the pools.
 				b := append([]complex128(nil), x...)
-				pl.TransformKernelWith(b, w, k, sc)
+				pl.TransformKernel(b, w, k)
 				if !equalBits(a, b) {
 					t.Fatalf("N=2^%d P=%d %v: nondeterministic forward", lg, p, k)
 				}
 
-				pl.InverseTransformKernelWith(a, w, k, sc)
+				pl.Schedule(w, k, true).Run(a)
 				if e := maxRelError(a, x); e > 1e-9 {
 					t.Fatalf("N=2^%d P=%d %v: round-trip error %g", lg, p, k, e)
 				}
@@ -194,14 +192,15 @@ func TestRealPlanKernels(t *testing.T) {
 		want := fft.Recursive(wide)
 		for _, k := range fft.ConcreteKernels() {
 			spec := make([]complex128, rp.SpectrumLen())
-			sc := fft.NewScratch(rp.Half)
-			rp.TransformKernelWith(spec, x, k, sc)
+			rp.TransformKernelWith(spec, x, k, nil)
 			if e := maxRelError(spec, want[:n/2+1]); e > 1e-9 {
 				t.Errorf("N=%d %v: RFFT error %g", n, k, e)
 			}
 			back := make([]float64, n)
 			work := make([]complex128, n/2)
-			rp.InverseKernelWith(back, spec, work, k, sc)
+			rp.PreInverse(work, spec)
+			rp.Half.Schedule(rp.WHalf, k, true).Run(work)
+			rp.PostInverse(back, work)
 			for i := range back {
 				if d := math.Abs(back[i] - x[i]); d > 1e-9 {
 					t.Fatalf("N=%d %v: real round trip diverged at %d by %g", n, k, i, d)
@@ -223,11 +222,11 @@ func TestPlan2DKernels(t *testing.T) {
 	p2.Transform(want)
 	for _, k := range fft.ConcreteKernels() {
 		got := append([]complex128(nil), x...)
-		p2.TransformKernel(got, k)
+		p2.Schedule(k, false).Run(got)
 		if e := maxRelError(got, want); e > 1e-9 {
 			t.Errorf("%v: 2-D error vs radix-2 %g", k, e)
 		}
-		p2.InverseTransformKernel(got, k)
+		p2.Schedule(k, true).Run(got)
 		if e := maxRelError(got, x); e > 1e-9 {
 			t.Errorf("%v: 2-D round-trip error %g", k, e)
 		}
@@ -282,7 +281,7 @@ func FuzzKernelParity(f *testing.F) {
 		if e := maxRelError(got, want); e > 1e-9 {
 			t.Fatalf("N=%d P=%d %v: error vs radix-2 %g", n, p, kern, e)
 		}
-		pl.InverseTransformKernel(got, w, kern)
+		pl.Schedule(w, kern, true).Run(got)
 		if e := maxRelError(got, x); e > 1e-9 {
 			t.Fatalf("N=%d P=%d %v: round-trip error %g", n, p, kern, e)
 		}

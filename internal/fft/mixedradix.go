@@ -129,6 +129,8 @@ type MixedPlan struct {
 	N       int
 	Radices []int // the stage radices, in execution order
 	Stages  []MixedStage
+
+	fwd, inv *Schedule
 }
 
 // NewMixedPlan factors n over {2, 3, 5, 7} and builds the stage
@@ -152,6 +154,7 @@ func NewMixedPlan(n int) (*MixedPlan, error) {
 		mp.Stages = append(mp.Stages, MixedStage{R: r, M: m, S: stride, Tw: stageTwiddles(sub, r, m)})
 		sub, stride = m, stride*r
 	}
+	mp.buildSchedules()
 	return mp, nil
 }
 
@@ -183,52 +186,55 @@ func (mp *MixedPlan) String() string {
 	return b.String()
 }
 
-// Transform applies the forward DFT in place, allocating the N-element
-// ping-pong buffer. Use TransformWith to supply the buffer.
-func (mp *MixedPlan) Transform(data []complex128) {
-	mp.TransformWith(data, make([]complex128, mp.N))
+// Schedule returns the plan's pass list for the forward or inverse
+// transform: one pass per Stockham stage, ping-ponging between the
+// caller's array and the work buffer, a copy-back pass when the stage
+// count is odd, and the conjugation identity's two sweeps around it all
+// for the inverse.
+func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
+	if inverse {
+		return mp.inv
+	}
+	return mp.fwd
 }
 
-// TransformWith applies the forward DFT in place using work (length N)
-// as the ping-pong buffer; work's prior contents are ignored and it
-// holds intermediate values afterwards. Wrong-length buffers panic with
-// an error wrapping ErrLengthMismatch.
-func (mp *MixedPlan) TransformWith(data, work []complex128) {
-	if len(data) != mp.N {
-		panic(LengthError("data", len(data), mp.N))
+func (mp *MixedPlan) buildSchedules() {
+	var ps []Pass
+	for i := range mp.Stages {
+		st := &mp.Stages[i]
+		src, dst := onData, onWork
+		if i%2 == 1 {
+			src, dst = dst, src
+		}
+		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.Pass(src(s), dst(s), lo, hi) }})
 	}
+	if len(mp.Stages)%2 == 1 {
+		ps = append(ps, Pass{PassStageMixed, mp.N, func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }})
+	}
+	mp.fwd = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: ps, work: mp.N}
+	mp.inv = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: inverted(ps, onData, mp.N), work: mp.N}
+}
+
+// Transform applies the forward DFT in place, serially.
+func (mp *MixedPlan) Transform(data []complex128) { mp.fwd.Run(data) }
+
+// InverseTransform applies the inverse DFT in place via the conjugation
+// identity IDFT(X) = conj(DFT(conj(X)))/N.
+func (mp *MixedPlan) InverseTransform(data []complex128) { mp.inv.Run(data) }
+
+// TransformWith is Transform with work (length N) as the ping-pong
+// buffer instead of a pooled one; work's prior contents are ignored and
+// it holds intermediate values afterwards. Wrong-length buffers panic
+// with an error wrapping ErrLengthMismatch.
+func (mp *MixedPlan) TransformWith(data, work []complex128) {
+	mp.fwd.Check(data)
 	if len(work) != mp.N {
 		panic(LengthError("work", len(work), mp.N))
 	}
-	src, dst := data, work
-	for i := range mp.Stages {
-		st := &mp.Stages[i]
-		st.Pass(src, dst, 0, st.Units())
-		src, dst = dst, src
-	}
-	if len(mp.Stages)%2 == 1 {
-		copy(data, work)
-	}
-}
-
-// InverseTransform applies the inverse DFT in place via the conjugation
-// identity IDFT(X) = conj(DFT(conj(X)))/N, allocating the ping-pong
-// buffer.
-func (mp *MixedPlan) InverseTransform(data []complex128) {
-	mp.InverseTransformWith(data, make([]complex128, mp.N))
-}
-
-// InverseTransformWith is InverseTransform with a caller-supplied
-// ping-pong buffer.
-func (mp *MixedPlan) InverseTransformWith(data, work []complex128) {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
-	mp.TransformWith(data, work)
-	inv := 1 / float64(mp.N)
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
+	st := statePool.Get().(*State) // pooled so the call allocates nothing; no buffers acquired
+	st.Data, st.Work = data, work
+	mp.fwd.Exec(st)
+	st.Release()
 }
 
 // Pass executes butterfly units [ulo, uhi) of the stage, reading src

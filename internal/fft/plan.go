@@ -30,6 +30,9 @@ type Plan struct {
 	// use after NewPlan.
 	soaOnce sync.Once
 	soaTw   *SoATwiddles
+
+	sched   schedCache // Schedule's memo
+	scratch sync.Pool  // *Scratch sized for this plan, one per running scalar stage chunk
 }
 
 // NewPlan validates n and p and returns the stage decomposition. The

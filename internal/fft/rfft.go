@@ -9,7 +9,8 @@ import "fmt"
 // re-tangles it for the inverse). The pass is pure index arithmetic on
 // the twiddle table — it does not care how the N/2-point transform is
 // computed, so the same split serves the staged power-of-two RealPlan
-// and the facade's mixed-radix/Bluestein even-N real path.
+// here and the facade's RealPlan, whose half transform is a host plan of
+// whatever family N/2 routes to.
 //
 // The spectrum of a real signal is Hermitian (X[N−k] = conj(X[k])), so
 // only the N/2+1 bins X[0..N/2] are produced; X[0] and X[N/2] are
@@ -30,7 +31,7 @@ func NewRealSplit(n int) (*RealSplit, error) {
 	if n < 4 || n%2 != 0 {
 		return nil, fmt.Errorf("%w: real transform length N=%d must be even and ≥ 4", ErrUnsupportedLength, n)
 	}
-	return &RealSplit{N: n, WReal: TwiddlesAny(n)[:n/2]}, nil
+	return &RealSplit{N: n, WReal: twiddleTable(n, n/2)}, nil
 }
 
 // RealPlan computes the FFT of a length-N real signal with one N/2-point
@@ -52,9 +53,9 @@ type RealPlan struct {
 // NewRealPlan builds a real-input plan for n-point transforms whose half
 // transform uses taskSize-point kernels (clamped to n/2). n must be a
 // power of two ≥ 4 so the half transform is a valid staged plan; errors
-// wrap ErrUnsupportedLength or ErrBadTaskSize. Even non-power-of-two
-// lengths combine NewRealSplit with a mixed-radix or Bluestein half plan
-// instead (the facade's RealPlan does exactly that).
+// wrap ErrUnsupportedLength or ErrBadTaskSize. The facade's RealPlan
+// combines NewRealSplit with an N/2-point host plan instead, for every
+// even length.
 func NewRealPlan(n, taskSize int) (*RealPlan, error) {
 	if Log2(n) < 0 || n < 4 {
 		return nil, fmt.Errorf("%w: staged real plan length N=%d must be a power of two ≥ 4", ErrUnsupportedLength, n)
@@ -65,7 +66,7 @@ func NewRealPlan(n, taskSize int) (*RealPlan, error) {
 		return nil, err
 	}
 	return &RealPlan{
-		RealSplit: RealSplit{N: n, WReal: Twiddles(n)},
+		RealSplit: RealSplit{N: n, WReal: twiddleTable(n, h)},
 		Half:      half,
 		WHalf:     Twiddles(h),
 	}, nil
@@ -114,18 +115,20 @@ func (rp *RealSplit) Unpack(dst []complex128) {
 }
 
 // Transform computes the half-spectrum of the length-N real signal src
-// into dst (length SpectrumLen): pack, N/2-point FFT, split. src is not
-// modified. Buffers of the wrong length panic with an error wrapping
-// ErrLengthMismatch.
+// into dst (length SpectrumLen) with the radix-2 half transform: pack,
+// N/2-point FFT, split. src is not modified. Buffers of the wrong
+// length panic with an error wrapping ErrLengthMismatch.
 func (rp *RealPlan) Transform(dst []complex128, src []float64) {
-	rp.TransformWith(dst, src, NewScratch(rp.Half))
+	rp.TransformKernelWith(dst, src, KernelRadix2, nil)
 }
 
-// TransformWith is Transform with a caller-provided Scratch (sized for
-// Half), for batch loops and worker pools that must not allocate.
-func (rp *RealPlan) TransformWith(dst []complex128, src []float64, sc *Scratch) {
+// TransformKernelWith is RealPlan.Transform with a selectable butterfly
+// kernel for the half transform; the pack/split passes are kernel-
+// independent O(N) sweeps. The Scratch parameter is unused — the
+// schedule pools its own.
+func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Kernel, _ *Scratch) {
 	rp.Pack(dst, src)
-	rp.Half.TransformWith(dst[:rp.N/2], rp.WHalf, sc)
+	rp.Half.TransformKernel(dst[:rp.N/2], rp.WHalf, kern)
 	rp.Unpack(dst)
 }
 
@@ -166,17 +169,12 @@ func (rp *RealSplit) PostInverse(dst []float64, work []complex128) {
 }
 
 // Inverse recovers the length-N real signal from its half-spectrum src
-// (length SpectrumLen) into dst. src is not modified. Inverse allocates
-// an N/2 work buffer and scratch; use InverseWith on hot paths.
+// (length SpectrumLen) into dst with the radix-2 half transform. src is
+// not modified. Inverse allocates its N/2 work buffer.
 func (rp *RealPlan) Inverse(dst []float64, src []complex128) {
-	rp.InverseWith(dst, src, make([]complex128, rp.N/2), NewScratch(rp.Half))
-}
-
-// InverseWith is Inverse with a caller-provided work buffer (length
-// N/2) and Scratch, allocating nothing.
-func (rp *RealPlan) InverseWith(dst []float64, src, work []complex128, sc *Scratch) {
+	work := make([]complex128, rp.N/2)
 	rp.PreInverse(work, src)
-	rp.Half.InverseTransformWith(work, rp.WHalf, sc)
+	rp.Half.Schedule(rp.WHalf, KernelRadix2, true).Run(work)
 	rp.PostInverse(dst, work)
 }
 

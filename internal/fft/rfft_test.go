@@ -66,8 +66,7 @@ func TestRealPlanHermitianEnds(t *testing.T) {
 	}
 }
 
-// TestRealPlanRoundTrip checks Inverse(Transform(x)) == x, including
-// the zero-alloc InverseWith path.
+// TestRealPlanRoundTrip checks Inverse(Transform(x)) == x.
 func TestRealPlanRoundTrip(t *testing.T) {
 	for _, n := range []int{4, 16, 64, 4096} {
 		rp, err := fft.NewRealPlan(n, 64)
@@ -84,12 +83,16 @@ func TestRealPlanRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: round trip diverged at %d: %g vs %g", n, i, back[i], x[i])
 			}
 		}
-		// The explicit-buffer path must agree bitwise with Inverse.
+		// Inverse's half transform is the radix-2 schedule, bit for bit
+		// the staged reference Plan.InverseTransform.
+		work := make([]complex128, n/2)
+		rp.PreInverse(work, spec)
+		rp.Half.InverseTransform(work, rp.WHalf)
 		back2 := make([]float64, n)
-		rp.InverseWith(back2, spec, make([]complex128, n/2), fft.NewScratch(rp.Half))
+		rp.PostInverse(back2, work)
 		for i := range back {
 			if math.Float64bits(back[i]) != math.Float64bits(back2[i]) {
-				t.Fatalf("InverseWith diverged from Inverse at %d", i)
+				t.Fatalf("Inverse diverged from the staged reference at %d", i)
 			}
 		}
 	}

@@ -23,8 +23,8 @@ import "sync"
 // distance 2^gl — against per-level twiddle tables built once per
 // plan (SoATwiddles). Each level sweep (or fused level pair for
 // KernelSoARadix4) is one barrier-separated pass of embarrassingly
-// parallel butterflies; SoAPasses/SoAPassUnits/SoARunPass expose the
-// pass grid so internal/host can shard passes across workers.
+// parallel butterflies; soaPasses lists them as the plan's Schedule, so
+// internal/host can shard each across workers.
 //
 // Both members dispatch the inner loops to assembly codelets (AVX2 on
 // amd64, NEON on arm64) when the CPU supports them, with pure-Go
@@ -499,40 +499,37 @@ func base4Gen(re, im []float64, war, wai, wbr, wbi float64) {
 	}
 }
 
-// TransformSoA runs the complete staged FFT serially through the SoA
-// pipeline: pooled tiled pack+bitrev, every stage's passes on the
-// planes, unpack. Zero steady-state allocations (the frame comes from a
-// sync.Pool; the split twiddle tables are built once per plan).
-func (pl *Plan) TransformSoA(data, w []complex128, kern Kernel) {
-	pl.transformSoA(data, w, kern, false)
-}
-
-// InverseTransformSoA is the inverse FFT through the same pipeline.
-// The conjugation identity's two extra sweeps ride on passes that
+// soaPasses builds the split-plane pass list over the array buf
+// selects: tiled pack+bitrev, every stage's passes on the planes,
+// unpack. The inverse's conjugation identity rides on passes that
 // already touch every element — the leading conjugation on the pack,
-// the trailing conjugate-and-scale on the unpack — so the inverse costs
-// exactly the forward's passes and is bit-for-bit the unfused
-// conj → TransformSoA → conj·1/N composition.
-func (pl *Plan) InverseTransformSoA(data, w []complex128, kern Kernel) {
-	pl.transformSoA(data, w, kern, true)
-}
-
-func (pl *Plan) transformSoA(data, w []complex128, kern Kernel, inverse bool) {
-	if len(data) != pl.N {
-		panic(LengthError("data", len(data), pl.N))
-	}
-	st := pl.SoATwiddles(w)
-	f := GetSoAFrame(pl.N)
-	f.PackTiles(data, 0, SoAPackTiles(pl.LogN), pl.LogN, inverse)
+// the trailing conjugate-and-scale on the unpack — so it costs exactly
+// the forward's passes and is bit-for-bit the unfused conj → forward →
+// conj·1/N composition.
+func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
+	tw := pl.SoATwiddles(w)
+	ps := []Pass{{PassSoAPack, SoAPackTiles(pl.LogN), func(st *State, lo, hi int) {
+		st.Frame.PackTiles(buf(st), lo, hi, pl.LogN, inverse)
+	}}}
+	label := StageLabel(kern)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
+			ps = append(ps, Pass{label, pl.SoAPassUnits(stage, pass, kern), func(st *State, lo, hi int) {
+				pl.SoARunPass(stage, pass, lo, hi, st.Frame, tw, kern)
+			}})
 		}
 	}
+	unpack := func(st *State, lo, hi int) { st.Frame.Unpack(buf(st), lo, hi) }
 	if inverse {
-		f.UnpackConjScale(data, 0, pl.N, 1/float64(pl.N))
-	} else {
-		f.Unpack(data, 0, pl.N)
+		inv := 1 / float64(pl.N)
+		unpack = func(st *State, lo, hi int) { st.Frame.UnpackConjScale(buf(st), lo, hi, inv) }
 	}
-	f.Release()
+	return append(ps, Pass{PassSoAUnpack, pl.N, unpack})
+}
+
+// TransformSoA runs the forward SoA schedule serially. Zero
+// steady-state allocations (the frame comes from a sync.Pool; the split
+// twiddle tables are built once per plan).
+func (pl *Plan) TransformSoA(data, w []complex128, kern Kernel) {
+	pl.Schedule(w, kern, false).Run(data)
 }

@@ -159,7 +159,7 @@ func TestSoAMatchesUnfusedOracle(t *testing.T) {
 				copy(want, x)
 				soaInverseOracle(pl, want, w, kern)
 				copy(got, x)
-				pl.InverseTransformKernel(got, w, kern)
+				pl.Schedule(w, kern, true).Run(got)
 				if !equalBits(got, want) {
 					t.Fatalf("N=2^%d P=%d %v: inverse differs from conj → forward → conj·1/N", logN, p, kern)
 				}
@@ -223,12 +223,30 @@ func TestSoATransformAllocs(t *testing.T) {
 		}
 		w := fft.Twiddles(pl.N)
 		data := lcgComplex(pl.N, 99)
-		pl.TransformKernelWith(data, w, kern, nil) // warm tables and pools
+		pl.TransformKernel(data, w, kern) // warm tables and pools
 		if avg := testing.AllocsPerRun(20, func() {
-			pl.TransformKernelWith(data, w, kern, nil)
+			pl.TransformKernel(data, w, kern)
 		}); avg != 0 {
 			t.Errorf("%v: %v allocs per steady-state transform, want 0", kern, avg)
 		}
+	}
+}
+
+// TestMixedTransformWithAllocs: the caller-buffer mixed-radix entry
+// point (what the benchmark's fft.ns_per_pt.mixed_1000 probe times)
+// allocates nothing — its State is pooled, not built per call.
+func TestMixedTransformWithAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	mp, err := fft.NewMixedPlan(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, work := lcgComplex(mp.N, 7), make([]complex128, mp.N)
+	mp.TransformWith(data, work)
+	if avg := testing.AllocsPerRun(20, func() { mp.TransformWith(data, work) }); avg != 0 {
+		t.Errorf("%v allocs per TransformWith, want 0", avg)
 	}
 }
 
@@ -269,7 +287,7 @@ func FuzzSoAParity(f *testing.F) {
 
 		unfused := append([]complex128(nil), got...)
 		soaInverseOracle(pl, unfused, w, kern)
-		pl.InverseTransformKernel(got, w, kern)
+		pl.Schedule(w, kern, true).Run(got)
 		if rel := maxRelError(got, x); rel > 1e-9 {
 			t.Fatalf("n=%d p=%d %v: round-trip relative error %g", n, p, kern, rel)
 		}

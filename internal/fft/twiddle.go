@@ -19,12 +19,7 @@ func Twiddles(n int) []complex128 {
 	if n < 2 || n&(n-1) != 0 {
 		panic("fft: table size must be a power of two ≥ 2")
 	}
-	w := make([]complex128, n/2)
-	for i := range w {
-		ang := -2 * math.Pi * float64(i) / float64(n)
-		w[i] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	return w
+	return twiddleTable(n, n/2)
 }
 
 // TwiddlesAny returns the full forward twiddle table W[i] = exp(-2πi·i/n)
@@ -34,7 +29,13 @@ func TwiddlesAny(n int) []complex128 {
 	if n < 1 {
 		panic("fft: table size must be ≥ 1")
 	}
-	w := make([]complex128, n)
+	return twiddleTable(n, n)
+}
+
+// twiddleTable returns the first count entries of the modulus-n table;
+// every table in the package is a prefix of this one expression.
+func twiddleTable(n, count int) []complex128 {
+	w := make([]complex128, count)
 	for i := range w {
 		ang := -2 * math.Pi * float64(i) / float64(n)
 		w[i] = complex(math.Cos(ang), math.Sin(ang))
@@ -98,8 +99,15 @@ func BitReversePermute(data []complex128) {
 	if n == 0 || n&(n-1) != 0 {
 		panic("fft: data length must be a power of two")
 	}
-	width := bits.TrailingZeros(uint(n))
-	for i := 0; i < n; i++ {
+	bitReverseRange(data, 0, n, bits.TrailingZeros(uint(n)))
+}
+
+// bitReverseRange performs the swaps of the bit-reversal permutation
+// whose smaller index lies in [lo, hi). Every swap pair {i,
+// BitReverse(i)} belongs to exactly one such index, so disjoint ranges
+// touch disjoint elements.
+func bitReverseRange(data []complex128, lo, hi, width int) {
+	for i := lo; i < hi; i++ {
 		j := int(BitReverse(int64(i), width))
 		if j > i {
 			data[i], data[j] = data[j], data[i]

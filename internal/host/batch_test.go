@@ -73,7 +73,7 @@ func TestTransformBatchMatchesSerial(t *testing.T) {
 		for _, d := range want {
 			pl.Transform(d, w)
 		}
-		eng.TransformBatch(pl, batch, w)
+		eng.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
 		if !batchesEqualBits(batch, want) {
 			t.Fatalf("N=%d P=%d B=%d workers=%d: batch diverged from serial loop",
 				tc.n, tc.p, tc.b, tc.workers)
@@ -82,7 +82,7 @@ func TestTransformBatchMatchesSerial(t *testing.T) {
 		for _, d := range want {
 			pl.InverseTransform(d, w)
 		}
-		eng.InverseBatch(pl, batch, w)
+		eng.InverseBatchKernel(pl, batch, w, fft.KernelRadix2)
 		if !batchesEqualBits(batch, want) {
 			t.Fatalf("N=%d P=%d B=%d workers=%d: inverse batch diverged",
 				tc.n, tc.p, tc.b, tc.workers)
@@ -93,8 +93,8 @@ func TestTransformBatchMatchesSerial(t *testing.T) {
 func TestTransformBatchEmpty(t *testing.T) {
 	pl, _ := fft.NewPlan(64, 8)
 	eng := host.New(host.Config{Workers: 4, Threshold: 1})
-	eng.TransformBatch(pl, nil, fft.Twiddles(64))
-	eng.InverseBatch(pl, [][]complex128{}, fft.Twiddles(64))
+	eng.TransformBatchKernel(pl, nil, fft.Twiddles(64), fft.KernelRadix2)
+	eng.InverseBatchKernel(pl, [][]complex128{}, fft.Twiddles(64), fft.KernelRadix2)
 }
 
 // TestBatchConcurrentCalls exercises the shared persistent pool from
@@ -121,7 +121,7 @@ func TestBatchConcurrentCalls(t *testing.T) {
 			}
 			for rep := 0; rep < 5; rep++ {
 				work := cloneBatch(batch)
-				eng.TransformBatch(pl, work, w)
+				eng.TransformBatchKernel(pl, work, w, fft.KernelRadix2)
 				if !batchesEqualBits(work, want) {
 					t.Errorf("goroutine %d rep %d: batch output diverged", g, rep)
 					return
@@ -149,39 +149,40 @@ func TestBatchZeroAllocs(t *testing.T) {
 	eng := host.New(host.Config{Workers: 4, Threshold: 1})
 	batch := batchNoise(b, n, 1)
 
-	// Warm-up: start the pool, size every worker's scratch, fault in
-	// the job object.
+	// Warm-up: start the pool, fill the State and scratch pools, fault
+	// in the job object.
 	for i := 0; i < 3; i++ {
-		eng.TransformBatch(pl, batch, w)
-		eng.InverseBatch(pl, batch, w)
+		eng.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
+		eng.InverseBatchKernel(pl, batch, w, fft.KernelRadix2)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if allocs := testing.AllocsPerRun(10, func() {
-		eng.TransformBatch(pl, batch, w)
+		eng.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
 	}); allocs != 0 {
 		t.Fatalf("TransformBatch allocates %v objects per call in steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		eng.InverseBatch(pl, batch, w)
+		eng.InverseBatchKernel(pl, batch, w, fft.KernelRadix2)
 	}); allocs != 0 {
 		t.Fatalf("InverseBatch allocates %v objects per call in steady state, want 0", allocs)
 	}
 	// The serial fallback must be allocation-free too.
 	serial := host.New(host.Config{Workers: 1})
-	serial.TransformBatch(pl, batch, w)
+	serial.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
 	if allocs := testing.AllocsPerRun(10, func() {
-		serial.TransformBatch(pl, batch, w)
+		serial.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
 	}); allocs != 0 {
 		t.Fatalf("serial TransformBatch allocates %v objects per call, want 0", allocs)
 	}
 }
 
-// TestArbitraryNZeroAllocs is the same guard for the arbitrary-N entry
-// points: their full-array work buffers (the Stockham ping-pong partner,
-// Bluestein's M-point convolution array) are pooled, so on a serial
-// engine a steady-state transform allocates nothing, and on a parallel
-// one — where goroutine dispatch allocates a little — nowhere near a
-// buffer's worth of bytes.
+// TestArbitraryNZeroAllocs is the same guard for single arrays of the
+// arbitrary-N and 2-D schedules: their work buffers (the Stockham
+// ping-pong partner, Bluestein's M-point convolution array, a 2-D
+// plan's column staging and per-unit scratch) are pooled, so on a
+// serial engine a steady-state transform allocates nothing, and on a
+// parallel one — where goroutine dispatch allocates a little — nowhere
+// near a buffer's worth of bytes.
 func TestArbitraryNZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -194,37 +195,46 @@ func TestArbitraryNZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p2, err := fft.NewPlan2D(64, 128, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const k = fft.KernelSoARadix4
 	mixed := batchNoise(1, mp.N, 2)[0]
 	blue := batchNoise(1, bp.N, 3)[0]
+	grid := batchNoise(1, p2.Rows*p2.Cols, 4)[0]
 	ops := []struct {
 		name string
-		buf  int // bytes of the work buffer a per-call make would allocate
-		run  func(e *host.Engine)
+		buf  int // bytes of the largest buffer a per-call make would allocate
+		s    *fft.Schedule
+		data []complex128
 	}{
-		{"MixedTransform", 16 * mp.N, func(e *host.Engine) { e.MixedTransform(mp, mixed) }},
-		{"MixedInverse", 16 * mp.N, func(e *host.Engine) { e.MixedInverse(mp, mixed) }},
-		{"BluesteinTransform", 16 * bp.M, func(e *host.Engine) { e.BluesteinTransform(bp, blue, k) }},
-		{"BluesteinInverse", 16 * bp.M, func(e *host.Engine) { e.BluesteinInverse(bp, blue, k) }},
+		{"mixed forward", 16 * mp.N, mp.Schedule(false), mixed},
+		{"mixed inverse", 16 * mp.N, mp.Schedule(true), mixed},
+		{"bluestein forward", 16 * bp.M, bp.Schedule(k, false), blue},
+		{"bluestein inverse", 16 * bp.M, bp.Schedule(k, true), blue},
+		{"2-D soa4 forward", 16 * p2.Cols * 3, p2.Schedule(k, false), grid},
+		{"2-D soa4 inverse", 16 * p2.Cols * 3, p2.Schedule(k, true), grid},
+		{"2-D radix4 forward", 16 * p2.Cols * 3, p2.Schedule(fft.KernelRadix4, false), grid},
 	}
 	serial := host.New(host.Config{Workers: 1})
 	par := host.New(host.Config{Workers: 3, Threshold: 1})
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, op := range ops {
-		op.run(serial) // warm the pools and the plan's split twiddles
-		if allocs := testing.AllocsPerRun(10, func() { op.run(serial) }); allocs != 0 {
+		serial.Run(op.s, op.data) // warm the pools and the plan's split twiddles
+		if allocs := testing.AllocsPerRun(10, func() { serial.Run(op.s, op.data) }); allocs != 0 {
 			t.Errorf("serial %s allocates %v objects per call in steady state, want 0", op.name, allocs)
 		}
-		op.run(par)
+		par.Run(op.s, op.data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const reps = 10
 		for i := 0; i < reps; i++ {
-			op.run(par)
+			par.Run(op.s, op.data)
 		}
 		runtime.ReadMemStats(&after)
 		if perCall := (after.TotalAlloc - before.TotalAlloc) / reps; perCall >= uint64(op.buf) {
-			t.Errorf("parallel %s allocates %d bytes per call, a whole %d-byte work buffer or more", op.name, perCall, op.buf)
+			t.Errorf("parallel %s allocates %d bytes per call, want under %d (its buffers are pooled)", op.name, perCall, op.buf)
 		}
 	}
 }
@@ -240,12 +250,13 @@ func TestBatchPanicsWrapErrLengthMismatch(t *testing.T) {
 			t.Fatalf("panic value %v, want error wrapping ErrLengthMismatch", v)
 		}
 	}()
-	eng.TransformBatch(pl, [][]complex128{make([]complex128, 64), make([]complex128, 63)}, w)
+	eng.TransformBatchKernel(pl, [][]complex128{make([]complex128, 64), make([]complex128, 63)}, w, fft.KernelRadix2)
 }
 
-// TestEngineRealMatchesPlan pins Engine.RealTransform to the serial
-// RealPlan path bitwise (the half transform is the deterministic
-// parallel engine) and checks the engine-side round trip.
+// TestEngineRealMatchesPlan pins the real-input composition the facade
+// runs — split pack, the half schedule on the engine, split unpack — to
+// the serial RealPlan path bitwise (the half transform is the
+// deterministic parallel engine) and checks the engine-side round trip.
 func TestEngineRealMatchesPlan(t *testing.T) {
 	const n = 1 << 14
 	rp, err := fft.NewRealPlan(n, 64)
@@ -262,7 +273,9 @@ func TestEngineRealMatchesPlan(t *testing.T) {
 	want := make([]complex128, rp.SpectrumLen())
 	rp.Transform(want, x)
 	got := make([]complex128, rp.SpectrumLen())
-	eng.RealTransform(rp, got, x)
+	rp.Pack(got, x)
+	eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, false), got[:n/2])
+	rp.Unpack(got)
 	for i := range got {
 		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
@@ -271,7 +284,10 @@ func TestEngineRealMatchesPlan(t *testing.T) {
 	}
 
 	back := make([]float64, n)
-	eng.RealInverse(rp, back, got)
+	work := make([]complex128, n/2)
+	rp.PreInverse(work, got)
+	eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, true), work)
+	rp.PostInverse(back, work)
 	for i := range back {
 		if math.Abs(back[i]-x[i]) > 1e-10 {
 			t.Fatalf("engine real round trip diverged at %d: %g vs %g", i, back[i], x[i])

@@ -1,18 +1,18 @@
-// Package host executes fft plans in parallel on the real host machine —
-// the repo's hardware counterpart to the fine-grain scheduling story the
-// simulator tells. A stage of a staged plan consists of TasksPerStage
-// butterfly tasks over pairwise-disjoint element sets, so the whole stage
-// can be sharded across goroutines with nothing but a barrier at the
-// stage boundary; the bit-reversal permutation decomposes into disjoint
-// swap pairs and parallelizes the same way, as do the row and column
-// passes of a 2-D plan.
+// Package host executes fft schedules on the real host machine — the
+// repo's hardware counterpart to the fine-grain scheduling story the
+// simulator tells. A schedule (fft.Schedule) is an ordered list of
+// passes whose units touch pairwise-disjoint elements, so a pass can be
+// sharded across goroutines with nothing but a barrier at its end, and
+// a batch of independent transforms can be dealt out whole. The package
+// has exactly two execution entry points over any schedule: Engine.Run
+// for one array and Engine.RunBatch for many.
 //
-// The engine is deliberately deterministic: every task performs exactly
-// the arithmetic the serial path performs, on the same operands, so
-// parallel output is bitwise identical to serial output regardless of
-// worker count or scheduling — a property the test layer (and the
-// FuzzParallelMatchesSerial fuzz target) checks exactly, not within a
-// tolerance.
+// The engine is deliberately deterministic: every unit performs exactly
+// the arithmetic the serial run performs, on the same operands, so
+// output is bitwise identical to fft.Schedule.Run regardless of worker
+// count, partition or batching — a property the conformance test (and
+// the FuzzParallelMatchesSerial fuzz target) checks exactly, not within
+// a tolerance.
 package host
 
 import (
@@ -23,46 +23,52 @@ import (
 	"codeletfft/internal/fft"
 )
 
-// DefaultThreshold is the transform length (total elements for 2-D) below
-// which the parallel entry points fall back to serial execution: under
-// ~8Ki elements the goroutine dispatch and barrier cost rivals the
-// butterfly work itself.
+// DefaultThreshold is the element count (a schedule's span for one
+// array, B spans for a batch) below which the entry points run
+// serially: under ~8Ki elements the goroutine dispatch and barrier cost
+// rivals the butterfly work itself.
 const DefaultThreshold = 1 << 13
 
-// Pass labels reported to an Observer. Each is one lockstep pass of a
-// parallel or batched execution — the unit separated by stage barriers.
+// Pass labels reported to an Observer — the schedule's own
+// (fft.Pass.Label), re-exported for metric exporters that pre-register
+// every label an engine may emit.
 const (
-	PassBitRev = "bitrev" // bit-reversal permutation
-	PassStage  = "stage"  // one butterfly stage
-	PassConj   = "conj"   // inverse-path conjugation sweep
-	PassScale  = "scale"  // inverse-path conjugate-and-scale sweep
-	PassRows   = "rows"   // 2-D row-FFT pass
-	PassCols   = "cols"   // 2-D column-FFT pass
+	PassBitRev = fft.PassBitRev
+	PassStage  = fft.PassStage
+	PassConj   = fft.PassConj
+	PassScale  = fft.PassScale
+	PassRows   = fft.PassRows
+	PassCols   = fft.PassCols
 
-	PassStageMixed = "stage_mixed" // one mixed-radix Stockham stage
-	PassChirp      = "chirp"       // Bluestein chirp pre/post-multiply sweep
+	PassStageRadix4     = fft.PassStageRadix4
+	PassStageSplitRadix = fft.PassStageSplitRadix
+	PassStageSoA2       = fft.PassStageSoA2
+	PassStageSoA4       = fft.PassStageSoA4
+	PassStageMixed      = fft.PassStageMixed
+	PassChirp           = fft.PassChirp
 
-	// SoA-kernel passes: the split-plane pipeline replaces the plain
-	// bit-reversal pass with a fused deinterleave+bitrev pack into the
-	// planes, and adds a reinterleave pass at the end.
-	PassSoAPack   = "soa_pack"   // deinterleave + bit-reverse into planes
-	PassSoAUnpack = "soa_unpack" // reinterleave planes into the data array
+	PassSoAPack   = fft.PassSoAPack
+	PassSoAUnpack = fft.PassSoAUnpack
 )
 
+// StagePassLabel returns the Observer label of kern's butterfly passes.
+func StagePassLabel(kern fft.Kernel) string { return fft.StageLabel(kern) }
+
 // Observer receives execution telemetry from an Engine: one
-// ObserveBatch per batched dispatch (occupancy = number of transforms
-// coalesced into it) and one ObservePass per lockstep pass. Methods are
+// ObserveBatch per RunBatch call (occupancy = number of transforms in
+// it) and one ObservePass per barrier-separated pass the engine
+// dispatched to its workers. Serial runs report no passes. Methods are
 // called synchronously on the dispatching goroutine and must be cheap
 // and concurrency-safe; implementations backed by atomic instruments
 // (internal/metrics) satisfy both and keep the batch path
 // allocation-free.
 type Observer interface {
 	// ObserveBatch reports one batched call: how many transforms it
-	// coalesced, the transform length, and the wall time of the whole
-	// dispatch.
+	// held, the transform length, and the wall time of the whole call.
 	ObserveBatch(batch, n int, d time.Duration)
-	// ObservePass reports one lockstep pass (PassBitRev, PassStage,
-	// PassConj, PassScale) and its wall time.
+	// ObservePass reports one pass by its schedule label and its wall
+	// time. A batch that deals whole transforms out to the workers is
+	// one pass, under the schedule's stage label.
 	ObservePass(pass string, d time.Duration)
 }
 
@@ -80,22 +86,15 @@ type Config struct {
 	Observer Observer
 }
 
-// Engine executes plans with a pool of worker goroutines. An Engine's
-// configuration is immutable after New and an Engine is safe for
-// concurrent use: simultaneous Transform calls on distinct data arrays
-// simply run their own worker sets, and simultaneous batch calls share
-// the persistent batch pool.
+// Engine executes schedules with a pool of worker goroutines. An
+// Engine's configuration is immutable after New and an Engine is safe
+// for concurrent use: simultaneous Run calls on distinct data arrays
+// simply run their own worker sets, and simultaneous RunBatch calls
+// share the persistent batch pool.
 type Engine struct {
 	workers   int
 	threshold int
 	obs       Observer
-
-	// scratch recycles per-worker *fft.Scratch buffers across batch
-	// calls so the steady state allocates nothing. It is a separate
-	// allocation (not an inline field) so the persistent batch workers
-	// can hold it without keeping the Engine itself reachable — the
-	// Engine's finalizer is what shuts the workers down.
-	scratch *sync.Pool
 
 	// Persistent batch worker pool, created on the first batched call.
 	poolOnce sync.Once
@@ -112,7 +111,7 @@ func New(cfg Config) *Engine {
 	if th <= 0 {
 		th = DefaultThreshold
 	}
-	return &Engine{workers: w, threshold: th, obs: cfg.Observer, scratch: new(sync.Pool)}
+	return &Engine{workers: w, threshold: th, obs: cfg.Observer}
 }
 
 // Workers returns the resolved worker count.
@@ -138,192 +137,84 @@ func (e *Engine) passDone(pass string, start time.Time) {
 }
 
 // parallelFor splits [0,n) into one contiguous chunk per worker and runs
-// fn(worker, lo, hi) for each chunk on its own goroutine, returning after
-// all chunks complete — the stage barrier. Chunks are maximal (n/workers
-// iterations each) so dispatch cost is one goroutine spawn per worker per
-// pass, not per task. fn is called on the caller's goroutine when a
+// fn(lo, hi) for each chunk on its own goroutine, returning after all
+// chunks complete — the pass barrier. Chunks are maximal (n/workers
+// iterations each) so dispatch cost is one goroutine spawn per worker
+// per pass, not per unit. fn is called on the caller's goroutine when a
 // single chunk suffices.
-func (e *Engine) parallelFor(n int, fn func(worker, lo, hi int)) {
-	nw := e.workers
-	if nw > n {
-		nw = n
-	}
+func (e *Engine) parallelFor(n int, fn func(lo, hi int)) {
+	nw := min(e.workers, n)
 	if nw <= 1 {
 		if n > 0 {
-			fn(0, 0, n)
+			fn(0, n)
 		}
 		return
 	}
 	chunk := (n + nw - 1) / nw
 	var wg sync.WaitGroup
-	for wk := 0; wk < nw; wk++ {
-		lo := wk * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(wk, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(wk, lo, hi)
-		}(wk, lo, hi)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }
 
-// conjugate and conjugateScale are the two elementwise sweeps of the
-// conjugation identity ifft(x) = conj(fft(conj(x)))/N.
-func conjugate(d []complex128) {
-	for i, v := range d {
-		d[i] = complex(real(v), -imag(v))
-	}
-}
-
-func conjugateScale(d []complex128, s float64) {
-	for i, v := range d {
-		d[i] = complex(real(v)*s, -imag(v)*s)
-	}
-}
-
-// conj runs the identity's leading conjugation over data as one
-// observed PassConj pass, sharded across the workers unless serial.
-func (e *Engine) conj(data []complex128, serial bool) {
-	t0 := e.passStart()
-	if serial {
-		conjugate(data)
-	} else {
-		e.parallelFor(len(data), func(_, lo, hi int) { conjugate(data[lo:hi]) })
-	}
-	e.passDone(PassConj, t0)
-}
-
-// conjScale runs the identity's trailing conjugate-and-scale over data
-// as one observed PassScale pass.
-func (e *Engine) conjScale(data []complex128, s float64, serial bool) {
-	t0 := e.passStart()
-	if serial {
-		conjugateScale(data, s)
-	} else {
-		e.parallelFor(len(data), func(_, lo, hi int) { conjugateScale(data[lo:hi], s) })
-	}
-	e.passDone(PassScale, t0)
-}
-
-// bitReverse applies the bit-reversal permutation in parallel. Every swap
-// pair {i, BitReverse(i)} is executed by exactly one worker — the one
-// whose index range holds the smaller element — so the shards never touch
-// a common element.
-func (e *Engine) bitReverse(data []complex128, width int) {
-	e.parallelFor(len(data), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			j := int(fft.BitReverse(int64(i), width))
-			if j > i {
-				data[i], data[j] = data[j], data[i]
-			}
-		}
-	})
-}
-
-// Transform applies the staged forward FFT in place, sharding each
-// stage's tasks across the worker pool with a WaitGroup barrier between
-// stages. Transforms smaller than the threshold run serially. w must be
-// fft.Twiddles(pl.N). Output is bitwise identical to pl.Transform.
-func (e *Engine) Transform(pl *fft.Plan, data, w []complex128) {
-	if len(data) != pl.N {
-		panic(fft.LengthError("data", len(data), pl.N))
-	}
-	if pl.N < e.threshold || e.workers <= 1 {
-		pl.Transform(data, w)
+// Run transforms data in place by schedule s. Schedules whose span
+// (fft.Schedule.Span: N, or Bluestein's convolution length) is below
+// the threshold, and every schedule on a one-worker engine, run
+// serially on the caller's goroutine (fft.Schedule.Run); otherwise
+// every pass is sharded across the workers with a barrier after it and
+// reported to the observer. A wrong-length array panics, untouched,
+// with an error wrapping fft.ErrLengthMismatch. Output is bitwise
+// identical to s.Run(data) either way.
+func (e *Engine) Run(s *fft.Schedule, data []complex128) {
+	if s.Span() < e.threshold || e.workers <= 1 {
+		s.Run(data)
 		return
 	}
-	t0 := e.passStart()
-	e.bitReverse(data, pl.LogN)
-	e.passDone(PassBitRev, t0)
-	// Per-worker scratch, created on first use and reused across stages
-	// (the inter-stage barrier orders the accesses).
-	scratch := make([]*fft.Scratch, e.workers)
-	for stage := 0; stage < pl.NumStages; stage++ {
-		ts := e.passStart()
-		e.parallelFor(pl.TasksPerStage, func(wk, lo, hi int) {
-			sc := scratch[wk]
-			if sc == nil {
-				sc = fft.NewScratch(pl)
-				scratch[wk] = sc
-			}
-			for task := lo; task < hi; task++ {
-				pl.RunTask(stage, task, data, w, nil, sc)
-			}
-		})
-		e.passDone(PassStage, ts)
+	s.Check(data)
+	st := s.Acquire(data)
+	for i := range s.Passes {
+		p := &s.Passes[i]
+		t0 := e.passStart()
+		e.parallelFor(p.Units, func(lo, hi int) { p.Run(st, lo, hi) })
+		e.passDone(p.Label, t0)
 	}
+	st.Release()
 }
 
-// InverseTransform applies the inverse FFT in place via the conjugation
-// identity, with the conjugation and scaling passes also sharded. Output
-// is bitwise identical to pl.InverseTransform.
-func (e *Engine) InverseTransform(pl *fft.Plan, data, w []complex128) {
-	if len(data) != pl.N {
-		panic(fft.LengthError("data", len(data), pl.N))
-	}
-	if pl.N < e.threshold || e.workers <= 1 {
-		pl.InverseTransform(data, w)
-		return
-	}
-	e.conj(data, false)
-	e.Transform(pl, data, w)
-	e.conjScale(data, 1/float64(pl.N), false)
+// The entry points below exist because the benchmark module compiles
+// against them; each names a family's schedule and hands it to Run or
+// RunBatch.
+
+// TransformKernel runs pl's forward schedule under kern on data. w must
+// be fft.Twiddles(pl.N).
+func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
+	e.Run(pl.Schedule(w, kern, false), data)
 }
 
-// Transform2D applies the 2-D FFT in place (row-major data): rows are
-// sharded across workers, then columns, each worker gathering into its
-// own column buffer. Output is bitwise identical to p.Transform.
-func (e *Engine) Transform2D(p *fft.Plan2D, data []complex128) {
-	if len(data) != p.Rows*p.Cols {
-		panic(fft.LengthError("2-D data", len(data), p.Rows*p.Cols))
-	}
-	if p.Rows*p.Cols < e.threshold || e.workers <= 1 {
-		p.Transform(data)
-		return
-	}
-	t0 := e.passStart()
-	e.parallelFor(p.Rows, func(_, lo, hi int) {
-		sc := fft.NewScratch(p.RowPlan)
-		for r := lo; r < hi; r++ {
-			p.RowPlan.TransformWith(data[r*p.Cols:(r+1)*p.Cols], p.WRow, sc)
-		}
-	})
-	e.passDone(PassRows, t0)
-	t1 := e.passStart()
-	e.parallelFor(p.Cols, func(_, lo, hi int) {
-		sc := fft.NewScratch(p.ColPlan)
-		col := make([]complex128, p.Rows)
-		for c := lo; c < hi; c++ {
-			for r := 0; r < p.Rows; r++ {
-				col[r] = data[r*p.Cols+c]
-			}
-			p.ColPlan.TransformWith(col, p.WCol, sc)
-			for r := 0; r < p.Rows; r++ {
-				data[r*p.Cols+c] = col[r]
-			}
-		}
-	})
-	e.passDone(PassCols, t1)
+// TransformBatchKernel runs pl's forward schedule under kern on every
+// array of batch.
+func (e *Engine) TransformBatchKernel(pl *fft.Plan, batch [][]complex128, w []complex128, kern fft.Kernel) {
+	e.RunBatch(pl.Schedule(w, kern, false), batch)
 }
 
-// InverseTransform2D applies the inverse 2-D FFT in place. Output is
-// bitwise identical to p.InverseTransform.
-func (e *Engine) InverseTransform2D(p *fft.Plan2D, data []complex128) {
-	if len(data) != p.Rows*p.Cols {
-		panic(fft.LengthError("2-D data", len(data), p.Rows*p.Cols))
-	}
-	if p.Rows*p.Cols < e.threshold || e.workers <= 1 {
-		p.InverseTransform(data)
-		return
-	}
-	e.conj(data, false)
-	e.Transform2D(p, data)
-	e.conjScale(data, 1/float64(p.Rows*p.Cols), false)
+// InverseBatchKernel runs pl's inverse schedule under kern on every
+// array of batch.
+func (e *Engine) InverseBatchKernel(pl *fft.Plan, batch [][]complex128, w []complex128, kern fft.Kernel) {
+	e.RunBatch(pl.Schedule(w, kern, true), batch)
+}
+
+// MixedTransform runs mp's forward schedule on data.
+func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
+	e.Run(mp.Schedule(false), data)
+}
+
+// BluesteinTransform runs bp's forward schedule on data, its embedded
+// convolution under kern.
+func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel) {
+	e.Run(bp.Schedule(kern, false), data)
 }

@@ -79,7 +79,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 7, 16} {
 				e := New(Config{Workers: workers, Threshold: 1})
 				got := append([]complex128(nil), x...)
-				e.Transform(pl, got, w)
+				e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
 				if !sameBits(got, want) {
 					t.Errorf("N=%d P=%d workers=%d: parallel != serial (max err %g)",
 						n, p, workers, maxErr(got, want))
@@ -103,8 +103,8 @@ func TestParallelInverseMatchesSerial(t *testing.T) {
 
 	e := New(Config{Workers: 4, Threshold: 1})
 	got := append([]complex128(nil), x...)
-	e.Transform(pl, got, w)
-	e.InverseTransform(pl, got, w)
+	e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
+	e.Run(pl.Schedule(w, fft.KernelRadix2, true), got)
 	if !sameBits(got, want) {
 		t.Fatalf("parallel round trip != serial round trip (max err %g)", maxErr(got, want))
 	}
@@ -115,7 +115,7 @@ func TestParallelInverseMatchesSerial(t *testing.T) {
 
 // TestThresholdFallback checks that transforms below the threshold take
 // the serial path (observable only through correctness here; the fallback
-// branch is the first statement of each entry point).
+// branch is the first statement of Run).
 func TestThresholdFallback(t *testing.T) {
 	n := 256
 	pl, err := fft.NewPlan(n, 8)
@@ -128,7 +128,7 @@ func TestThresholdFallback(t *testing.T) {
 	pl.Transform(want, w)
 	e := New(Config{Workers: 8}) // DefaultThreshold ≫ 256
 	got := append([]complex128(nil), x...)
-	e.Transform(pl, got, w)
+	e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
 	if !sameBits(got, want) {
 		t.Fatal("serial fallback diverged from serial path")
 	}
@@ -147,12 +147,12 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 		for _, workers := range []int{1, 3, 8} {
 			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
-			e.Transform2D(p2, got)
+			e.Run(p2.Schedule(fft.KernelRadix2, false), got)
 			if !sameBits(got, want) {
 				t.Errorf("%dx%d workers=%d: parallel 2-D != serial (max err %g)",
 					rows, cols, workers, maxErr(got, want))
 			}
-			e.InverseTransform2D(p2, got)
+			e.Run(p2.Schedule(fft.KernelRadix2, true), got)
 			if err := maxErr(got, x); err > 1e-12 {
 				t.Errorf("%dx%d workers=%d: 2-D round trip error %g", rows, cols, workers, err)
 			}
@@ -184,7 +184,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				got := append([]complex128(nil), x...)
-				e.Transform(pl, got, w)
+				e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
 				if !sameBits(got, want) {
 					errs <- errFailed
 					return
@@ -205,17 +205,26 @@ type concurrencyError struct{}
 
 func (*concurrencyError) Error() string { return "concurrent transform mismatch" }
 
-// TestParallelBitReverse checks the sharded permutation directly against
-// the serial one across worker counts (including workers > n).
+// TestParallelBitReverse checks the sharded permutation pass directly
+// against the serial one across worker counts (including workers > n).
 func TestParallelBitReverse(t *testing.T) {
 	for _, n := range []int{2, 16, 1024} {
+		pl, err := fft.NewPlan(n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitrev := pl.Schedule(fft.Twiddles(n), fft.KernelRadix2, false).Passes[0]
+		if bitrev.Label != PassBitRev {
+			t.Fatalf("first pass is %q, want %q", bitrev.Label, PassBitRev)
+		}
 		x := noise(n, int64(n))
 		want := append([]complex128(nil), x...)
 		fft.BitReversePermute(want)
 		for _, workers := range []int{1, 2, 5, 2 * n} {
 			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
-			e.bitReverse(got, fft.Log2(n))
+			st := &fft.State{Data: got}
+			e.parallelFor(bitrev.Units, func(lo, hi int) { bitrev.Run(st, lo, hi) })
 			if !sameBits(got, want) {
 				t.Errorf("n=%d workers=%d: parallel bit-reverse wrong", n, workers)
 			}

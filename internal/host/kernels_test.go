@@ -35,80 +35,6 @@ func sameBits(a, b []complex128) bool {
 	return true
 }
 
-// TestKernelParallelMatchesSerial pins the engine's determinism
-// guarantee per kernel: for each kernel, parallel engine output is
-// bitwise identical to the serial fft-layer output with the same
-// kernel, forward and inverse.
-func TestKernelParallelMatchesSerial(t *testing.T) {
-	for _, lg := range []int{6, 10, 13} {
-		n := 1 << lg
-		for _, p := range []int{8, 64} {
-			pl, err := fft.NewPlan(n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := fft.Twiddles(n)
-			x := kernInput(n, uint64(n+p))
-			for _, workers := range []int{2, 5} {
-				eng := host.New(host.Config{Workers: workers, Threshold: 1})
-				for _, k := range fft.ConcreteKernels() {
-					serial := append([]complex128(nil), x...)
-					pl.TransformKernel(serial, w, k)
-					par := append([]complex128(nil), x...)
-					eng.TransformKernel(pl, par, w, k)
-					if !sameBits(par, serial) {
-						t.Fatalf("N=2^%d P=%d workers=%d %v: parallel != serial", lg, p, workers, k)
-					}
-					pl.InverseTransformKernel(serial, w, k)
-					eng.InverseTransformKernel(pl, par, w, k)
-					if !sameBits(par, serial) {
-						t.Fatalf("N=2^%d P=%d workers=%d %v: inverse parallel != serial", lg, p, workers, k)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestKernelBatchMatchesLoop: for each kernel, TransformBatchKernel is
-// bitwise identical to a loop of serial per-kernel transforms, through
-// both the pooled and the below-threshold serial batch paths.
-func TestKernelBatchMatchesLoop(t *testing.T) {
-	const n, b = 512, 6
-	pl, err := fft.NewPlan(n, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := fft.Twiddles(n)
-	for _, threshold := range []int{1, 1 << 20} { // pooled, serial fallback
-		eng := host.New(host.Config{Workers: 4, Threshold: threshold})
-		for _, k := range fft.ConcreteKernels() {
-			batch := make([][]complex128, b)
-			want := make([][]complex128, b)
-			for i := range batch {
-				batch[i] = kernInput(n, uint64(i)+9)
-				want[i] = append([]complex128(nil), batch[i]...)
-				pl.TransformKernel(want[i], w, k)
-			}
-			eng.TransformBatchKernel(pl, batch, w, k)
-			for i := range batch {
-				if !sameBits(batch[i], want[i]) {
-					t.Fatalf("threshold=%d %v: batch row %d != loop", threshold, k, i)
-				}
-			}
-			for i := range batch {
-				pl.InverseTransformKernel(want[i], w, k)
-			}
-			eng.InverseBatchKernel(pl, batch, w, k)
-			for i := range batch {
-				if !sameBits(batch[i], want[i]) {
-					t.Fatalf("threshold=%d %v: inverse batch row %d != loop", threshold, k, i)
-				}
-			}
-		}
-	}
-}
-
 // TestSoAInverseMatchesUnfusedIdentity pins the sweep-free SoA inverse
 // in the engine's two sharded execution modes — Workers=3 parallel and
 // pooled batch (plus the batch's serial fallback) — bit-for-bit against
@@ -143,7 +69,7 @@ func TestSoAInverseMatchesUnfusedIdentity(t *testing.T) {
 			}
 			par := host.New(host.Config{Workers: 3, Threshold: 1})
 			got := append([]complex128(nil), batch[0]...)
-			par.InverseTransformKernel(pl, got, w, k)
+			par.Run(pl.Schedule(w, k, true), got)
 			if !sameBits(got, want[0]) {
 				t.Fatalf("N=2^%d %v: Workers=3 inverse != unfused identity", lg, k)
 			}
@@ -165,7 +91,7 @@ func TestSoAInverseMatchesUnfusedIdentity(t *testing.T) {
 }
 
 // TestKernelRealAndTwoD covers the kernel variants of the real and 2-D
-// engine paths against their serial fft-layer counterparts.
+// schedules on the engine against their serial fft-layer runs.
 func TestKernelRealAndTwoD(t *testing.T) {
 	eng := host.New(host.Config{Workers: 3, Threshold: 1})
 
@@ -180,14 +106,19 @@ func TestKernelRealAndTwoD(t *testing.T) {
 	}
 	for _, k := range fft.ConcreteKernels() {
 		want := make([]complex128, rp.SpectrumLen())
-		rp.TransformKernelWith(want, x, k, fft.NewScratch(rp.Half))
+		rp.TransformKernelWith(want, x, k, nil)
 		got := make([]complex128, rp.SpectrumLen())
-		eng.RealTransformKernel(rp, got, x, k)
+		rp.Pack(got, x)
+		eng.Run(rp.Half.Schedule(rp.WHalf, k, false), got[:512])
+		rp.Unpack(got)
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine real transform != serial", k)
 		}
 		back := make([]float64, 1024)
-		eng.RealInverseKernel(rp, back, got, k)
+		work := make([]complex128, 512)
+		rp.PreInverse(work, got)
+		eng.Run(rp.Half.Schedule(rp.WHalf, k, true), work)
+		rp.PostInverse(back, work)
 		for i := range back {
 			if math.Abs(back[i]-x[i]) > 1e-9 {
 				t.Fatalf("%v: real round trip diverged at %d", k, i)
@@ -202,13 +133,13 @@ func TestKernelRealAndTwoD(t *testing.T) {
 	for _, k := range fft.ConcreteKernels() {
 		want := kernInput(32*64, 5)
 		got := append([]complex128(nil), want...)
-		p2.TransformKernel(want, k)
-		eng.Transform2DKernel(p2, got, k)
+		p2.Schedule(k, false).Run(want)
+		eng.Run(p2.Schedule(k, false), got)
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine 2-D != serial", k)
 		}
-		p2.InverseTransformKernel(want, k)
-		eng.InverseTransform2DKernel(p2, got, k)
+		p2.Schedule(k, true).Run(want)
+		eng.Run(p2.Schedule(k, true), got)
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine inverse 2-D != serial", k)
 		}
@@ -230,27 +161,33 @@ func (r *passRecorder) ObservePass(pass string, d time.Duration) {
 	r.passes[pass]++
 }
 
-// TestKernelStagePassLabels: higher-radix stage passes report their own
-// observer labels; radix-2 keeps the original "stage" label.
+// TestKernelStagePassLabels: every kernel's butterfly passes report
+// under its own observer label — one per barrier-separated pass, so a
+// scalar kernel reports one per stage and an SoA kernel one per level
+// sweep — and a batch dealt out whole reports the label once.
 func TestKernelStagePassLabels(t *testing.T) {
 	pl, err := fft.NewPlan(256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := fft.Twiddles(256)
+	sweeps := func(k fft.Kernel) int {
+		n := 0
+		for s := 0; s < pl.NumStages; s++ {
+			n += pl.SoAPasses(s, k)
+		}
+		return n
+	}
 	cases := []struct {
-		kern    fft.Kernel
-		label   string
-		batched int // expected batched-path observations of the label
+		kern   fft.Kernel
+		label  string
+		passes int // butterfly passes of one transform
 	}{
 		{fft.KernelRadix2, host.PassStage, pl.NumStages},
 		{fft.KernelRadix4, host.PassStageRadix4, pl.NumStages},
 		{fft.KernelSplitRadix, host.PassStageSplitRadix, pl.NumStages},
-		// The SoA engine path reports its stage label once per stage like
-		// the others; the batched path steals whole transforms, so one
-		// dispatch reports the label once.
-		{fft.KernelSoARadix2, host.PassStageSoA2, 1},
-		{fft.KernelSoARadix4, host.PassStageSoA4, 1},
+		{fft.KernelSoARadix2, host.PassStageSoA2, sweeps(fft.KernelSoARadix2)},
+		{fft.KernelSoARadix4, host.PassStageSoA4, sweeps(fft.KernelSoARadix4)},
 	}
 	for _, tc := range cases {
 		if got := host.StagePassLabel(tc.kern); got != tc.label {
@@ -260,9 +197,9 @@ func TestKernelStagePassLabels(t *testing.T) {
 		eng := host.New(host.Config{Workers: 2, Threshold: 1, Observer: rec})
 		data := kernInput(256, 1)
 		eng.TransformKernel(pl, data, w, tc.kern)
-		if rec.passes[tc.label] != pl.NumStages {
+		if rec.passes[tc.label] != tc.passes {
 			t.Fatalf("%v: saw %d %q passes, want %d (all: %v)",
-				tc.kern, rec.passes[tc.label], tc.label, pl.NumStages, rec.passes)
+				tc.kern, rec.passes[tc.label], tc.label, tc.passes, rec.passes)
 		}
 		if tc.kern.SoA() {
 			// The split-plane pipeline replaces bitrev with its fused
@@ -275,13 +212,13 @@ func TestKernelStagePassLabels(t *testing.T) {
 				t.Fatalf("%v: saw %d bitrev passes, want 0", tc.kern, rec.passes[host.PassBitRev])
 			}
 		}
-		// The batched path reports the same label.
+		// Two rows on two workers are dealt out whole: one pass, same label.
 		rec2 := &passRecorder{}
 		eng2 := host.New(host.Config{Workers: 2, Threshold: 1, Observer: rec2})
 		batch := [][]complex128{kernInput(256, 2), kernInput(256, 3)}
 		eng2.TransformBatchKernel(pl, batch, w, tc.kern)
-		if rec2.passes[tc.label] != tc.batched {
-			t.Fatalf("%v batched: saw %d %q passes, want %d", tc.kern, rec2.passes[tc.label], tc.label, tc.batched)
+		if rec2.passes[tc.label] != 1 || len(rec2.passes) != 1 {
+			t.Fatalf("%v batched: passes = %v, want one %q", tc.kern, rec2.passes, tc.label)
 		}
 	}
 }
@@ -314,5 +251,5 @@ func TestBatchLengthPanicNamesIndex(t *testing.T) {
 			t.Fatalf("panic %q does not name batch index 2", err)
 		}
 	}()
-	eng.TransformBatch(pl, batch, w)
+	eng.TransformBatchKernel(pl, batch, w, fft.KernelRadix2)
 }

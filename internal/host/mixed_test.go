@@ -1,7 +1,7 @@
 // Determinism tests for the arbitrary-N engine paths: the parallel
 // mixed-radix sweep and the Bluestein convolution must be bitwise
-// identical to their serial counterparts at every worker count, and the
-// batch entry points must match a plain loop element-for-element. The
+// identical to their serial counterparts at every worker count, and a
+// batch must match a plain loop element-for-element. The
 // facade's reproducibility contract — same plan, same input, same bits,
 // regardless of engine shape — extends to non-power-of-two lengths only
 // because of the properties pinned here.
@@ -56,40 +56,9 @@ func TestMixedParallelMatchesSerial(t *testing.T) {
 			par := append([]complex128(nil), x...)
 			eng.MixedTransform(mp, par)
 			requireSameBits(t, par, serial, "forward")
-			eng.MixedInverse(mp, par)
+			eng.Run(mp.Schedule(true), par)
 			requireSameBits(t, par, serialInv, "inverse")
 		}
-	}
-}
-
-// TestMixedBatchMatchesLoop: the batched entry points are a scheduling
-// construct only — every row must carry the same bits as a one-row
-// call.
-func TestMixedBatchMatchesLoop(t *testing.T) {
-	const n, rows = 360, 9
-	mp, err := fft.NewMixedPlan(n)
-	if err != nil {
-		t.Fatalf("NewMixedPlan(%d): %v", n, err)
-	}
-	want := make([][]complex128, rows)
-	batch := make([][]complex128, rows)
-	for r := range batch {
-		x := mixedSignal(n, int64(100+r))
-		want[r] = append([]complex128(nil), x...)
-		mp.Transform(want[r])
-		batch[r] = append([]complex128(nil), x...)
-	}
-	eng := host.New(host.Config{Workers: 4, Threshold: 1})
-	eng.MixedTransformBatch(mp, batch)
-	for r := range batch {
-		requireSameBits(t, batch[r], want[r], "batch forward row")
-	}
-	for r := range batch {
-		mp.InverseTransform(want[r])
-	}
-	eng.MixedInverseBatch(mp, batch)
-	for r := range batch {
-		requireSameBits(t, batch[r], want[r], "batch inverse row")
 	}
 }
 
@@ -118,8 +87,8 @@ func TestBluesteinEngineDeterministic(t *testing.T) {
 			four.BluesteinTransform(bp, par, kern)
 			requireSameBits(t, par, ref, "bluestein forward")
 
-			one.BluesteinInverse(bp, ref, kern)
-			four.BluesteinInverse(bp, par, kern)
+			one.Run(bp.Schedule(kern, true), ref)
+			four.Run(bp.Schedule(kern, true), par)
 			requireSameBits(t, par, ref, "bluestein inverse")
 			if e := fft.MaxError(par, x); e > 1e-9 {
 				t.Fatalf("n=%d kern=%v: round-trip error %g", n, kern, e)
@@ -128,8 +97,9 @@ func TestBluesteinEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestBluesteinBatchMatchesLoop: batch rows share one scratch buffer
-// sequentially, so each row must match the single-shot call exactly.
+// TestBluesteinBatchMatchesLoop: batch rows are dealt out whole to
+// workers that each reuse one State, so each row must match the
+// single-shot call exactly.
 func TestBluesteinBatchMatchesLoop(t *testing.T) {
 	const n, rows = 97, 5
 	bp, err := fft.NewBluesteinPlan(n)
@@ -145,14 +115,14 @@ func TestBluesteinBatchMatchesLoop(t *testing.T) {
 		eng.BluesteinTransform(bp, want[r], fft.KernelRadix2)
 		batch[r] = append([]complex128(nil), x...)
 	}
-	eng.BluesteinTransformBatch(bp, batch, fft.KernelRadix2)
+	eng.RunBatch(bp.Schedule(fft.KernelRadix2, false), batch)
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch row")
 	}
 	for r := range batch {
-		eng.BluesteinInverse(bp, want[r], fft.KernelRadix2)
+		eng.Run(bp.Schedule(fft.KernelRadix2, true), want[r])
 	}
-	eng.BluesteinInverseBatch(bp, batch, fft.KernelRadix2)
+	eng.RunBatch(bp.Schedule(fft.KernelRadix2, true), batch)
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch inverse row")
 	}

@@ -39,6 +39,10 @@ func (o *recObserver) ObservePass(pass string, d time.Duration) {
 	}
 }
 
+// TestObserverBatchAndPasses: a batch with at least as many rows as
+// workers is dealt out whole, so each dispatch reports its occupancy
+// once and one pass under the schedule's stage label — none of the
+// per-row passes.
 func TestObserverBatchAndPasses(t *testing.T) {
 	const n, batchSize = 256, 8
 	pl, err := fft.NewPlan(n, 16)
@@ -54,8 +58,8 @@ func TestObserverBatchAndPasses(t *testing.T) {
 		batch[i] = make([]complex128, n)
 		batch[i][1] = 1
 	}
-	e.TransformBatch(pl, batch, w)
-	e.InverseBatch(pl, batch, w)
+	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch)
+	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, true), batch)
 
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
@@ -67,16 +71,8 @@ func TestObserverBatchAndPasses(t *testing.T) {
 			t.Errorf("batch occupancy = %d, want %d", b, batchSize)
 		}
 	}
-	// Forward: bitrev + NumStages stage passes. Inverse adds conj,
-	// another bitrev+stages, and the scale pass.
-	if got, want := obs.passes[PassBitRev], 2; got != want {
-		t.Errorf("%s passes = %d, want %d", PassBitRev, got, want)
-	}
-	if got, want := obs.passes[PassStage], 2*pl.NumStages; got != want {
-		t.Errorf("%s passes = %d, want %d", PassStage, got, want)
-	}
-	if obs.passes[PassConj] != 1 || obs.passes[PassScale] != 1 {
-		t.Errorf("conj/scale passes = %d/%d, want 1/1", obs.passes[PassConj], obs.passes[PassScale])
+	if obs.passes[PassStage] != 2 || len(obs.passes) != 1 {
+		t.Errorf("passes = %v, want two %q and nothing else", obs.passes, PassStage)
 	}
 	if obs.zeroDur {
 		t.Error("observer saw a negative duration")
@@ -85,7 +81,7 @@ func TestObserverBatchAndPasses(t *testing.T) {
 
 // TestObserverSerialFallback: below the threshold the batch runs
 // serially but occupancy must still be reported — the serving daemon's
-// coalescing proof reads this histogram.
+// coalescing proof reads this histogram — while no pass is.
 func TestObserverSerialFallback(t *testing.T) {
 	const n, batchSize = 64, 3
 	pl, err := fft.NewPlan(n, 16)
@@ -99,11 +95,15 @@ func TestObserverSerialFallback(t *testing.T) {
 	for i := range batch {
 		batch[i] = make([]complex128, n)
 	}
-	e.TransformBatch(pl, batch, w)
+	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch)
+	e.Run(pl.Schedule(w, fft.KernelRadix2, true), batch[0])
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if len(obs.batches) != 1 || obs.batches[0] != batchSize {
 		t.Fatalf("serial fallback batches = %v, want [%d]", obs.batches, batchSize)
+	}
+	if len(obs.passes) != 0 {
+		t.Fatalf("serial fallback reported passes %v, want none", obs.passes)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestObserverParallelTransform(t *testing.T) {
 	e := New(Config{Workers: 4, Threshold: 1, Observer: obs})
 	data := make([]complex128, n)
 	data[1] = 1
-	e.Transform(pl, data, w)
+	e.Run(pl.Schedule(w, fft.KernelRadix2, false), data)
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if obs.passes[PassBitRev] != 1 {
@@ -133,10 +133,10 @@ func TestObserverParallelTransform(t *testing.T) {
 
 // TestObserverInversePasses: every parallel inverse reports all of its
 // passes. The scalar kernels run the conjugation identity as two extra
-// sweeps, which must show up as PassConj and PassScale (the kernel path
-// used to run them unobserved); the SoA kernels fold both into the pack
-// and unpack, so their inverse reports exactly the forward's passes and
-// no sweep at all — in the batch path too.
+// sweeps, which must show up as PassConj and PassScale; the SoA kernels
+// fold both into the pack and unpack, so their inverse reports exactly
+// the forward's passes and no sweep at all. A batch with fewer rows
+// than workers goes through the same path row by row.
 func TestObserverInversePasses(t *testing.T) {
 	const n = 1 << 10
 	pl, err := fft.NewPlan(n, 64)
@@ -150,37 +150,40 @@ func TestObserverInversePasses(t *testing.T) {
 		return obs
 	}
 	for _, k := range fft.ConcreteKernels() {
-		obs := observe(func(e *Engine) {
-			data := make([]complex128, n)
-			data[1] = 1
-			e.InverseTransformKernel(pl, data, w, k)
-		})
+		inv := pl.Schedule(w, k, true)
+		stages := pl.NumStages
 		sweeps, pack := 1, 0
 		if k.SoA() {
 			sweeps, pack = 0, 1
+			stages = len(inv.Passes) - 2
 		}
-		if obs.passes[PassConj] != sweeps || obs.passes[PassScale] != sweeps {
-			t.Errorf("%v inverse: conj/scale passes = %d/%d, want %d/%d",
-				k, obs.passes[PassConj], obs.passes[PassScale], sweeps, sweeps)
-		}
-		if obs.passes[PassSoAPack] != pack || obs.passes[PassSoAUnpack] != pack || obs.passes[PassBitRev] != 1-pack {
-			t.Errorf("%v inverse: pack/unpack/bitrev passes = %d/%d/%d, want %d/%d/%d", k,
-				obs.passes[PassSoAPack], obs.passes[PassSoAUnpack], obs.passes[PassBitRev], pack, pack, 1-pack)
-		}
-		if got := obs.passes[StagePassLabel(k)]; got != pl.NumStages {
-			t.Errorf("%v inverse: %s passes = %d, want %d", k, StagePassLabel(k), got, pl.NumStages)
-		}
-
-		obs = observe(func(e *Engine) {
-			batch := [][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
-			e.InverseBatchKernel(pl, batch, w, k)
-		})
-		if obs.passes[PassConj] != sweeps || obs.passes[PassScale] != sweeps {
-			t.Errorf("%v inverse batch: conj/scale passes = %d/%d, want %d/%d",
-				k, obs.passes[PassConj], obs.passes[PassScale], sweeps, sweeps)
-		}
-		if obs.zeroDur {
-			t.Errorf("%v: observer saw a negative duration", k)
+		for rows := 1; rows <= 3; rows += 2 {
+			obs := observe(func(e *Engine) {
+				batch := make([][]complex128, rows)
+				for i := range batch {
+					batch[i] = make([]complex128, n)
+					batch[i][1] = 1
+				}
+				if rows == 1 {
+					e.Run(inv, batch[0])
+				} else {
+					e.RunBatch(inv, batch)
+				}
+			})
+			if obs.passes[PassConj] != rows*sweeps || obs.passes[PassScale] != rows*sweeps {
+				t.Errorf("%v inverse ×%d: conj/scale passes = %d/%d, want %d each",
+					k, rows, obs.passes[PassConj], obs.passes[PassScale], rows*sweeps)
+			}
+			if obs.passes[PassSoAPack] != rows*pack || obs.passes[PassSoAUnpack] != rows*pack || obs.passes[PassBitRev] != rows*(1-pack) {
+				t.Errorf("%v inverse ×%d: pack/unpack/bitrev passes = %d/%d/%d, want %d/%d/%d", k, rows,
+					obs.passes[PassSoAPack], obs.passes[PassSoAUnpack], obs.passes[PassBitRev], rows*pack, rows*pack, rows*(1-pack))
+			}
+			if got := obs.passes[StagePassLabel(k)]; got != rows*stages {
+				t.Errorf("%v inverse ×%d: %s passes = %d, want %d", k, rows, StagePassLabel(k), got, rows*stages)
+			}
+			if obs.zeroDur {
+				t.Errorf("%v: observer saw a negative duration", k)
+			}
 		}
 	}
 }

@@ -7,8 +7,8 @@
 // baseline previously written with -snapshot:
 //
 //	go test -run '^$' -bench 'BenchmarkHost(Batch|Parallel|Kernels)' . > new.txt
-//	go run ./scripts/benchgate -old BENCH_baseline.json -new new.txt
-//	go run ./scripts/benchgate -snapshot BENCH_baseline.json -new new.txt
+//	go run ./scripts/benchgate -old old.txt -new new.txt
+//	go run ./scripts/benchgate -snapshot old.json -new old.txt
 //
 // Benchmark names are compared with the trailing -GOMAXPROCS suffix
 // stripped, so results from machines with different core counts still

@@ -178,6 +178,9 @@ func TestSTFTStreamMatchesBatch(t *testing.T) {
 // TestSTFTStreamSteadyStateAllocs: one hop in, one frame out, zero
 // allocations once warm.
 func TestSTFTStreamSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
 	const frame, hop = 256, 64
 	p, err := codeletfft.NewSTFTPlan(frame, hop, codeletfft.HannWindow(frame), codeletfft.WithWorkers(1))
 	if err != nil {
