@@ -199,7 +199,7 @@ func checkSpectrogram(seed int64, workers int) int {
 // requests — while new work sheds with 503.
 func checkServedSpectrogramDrain(seed int64) int {
 	const frame, hop = 256, 16
-	s := serve.New(serve.Config{BatchWindow: -1})
+	s := serve.New(serve.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

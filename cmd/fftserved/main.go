@@ -1,12 +1,12 @@
 // fftserved is the FFT serving daemon: an HTTP front end over the
-// host engine's batched transform path. Same-shape requests arriving
-// within the batch window are coalesced into one TransformBatch
-// dispatch against the process-wide plan cache, with admission control
-// (bounded queue, 429/503 shedding), per-request deadlines, and
+// host engine's batched transform path. A request whose shape is idle
+// dispatches at once; same-shape requests arriving while that batch runs
+// are coalesced into the next TransformBatch dispatch, with admission
+// control (bounded queue, 429/503 shedding), per-request deadlines, and
 // panic-isolated execution. SIGTERM/SIGINT triggers a graceful drain:
 // new requests shed with 503 while every admitted request finishes.
 //
-//	go run ./cmd/fftserved -addr :8080 -window 2ms -max-batch 64
+//	go run ./cmd/fftserved -addr :8080 -max-batch 64
 //
 // Endpoints: POST /fft (JSON), POST /fft/bin (binary frames),
 // POST /fft/stft (chunked NDJSON spectrogram stream — frames flow back
@@ -38,8 +38,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		window     = flag.Duration("window", serve.DefaultBatchWindow, "micro-batch coalescing window (negative disables batching)")
-		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "flush a batch at this many requests without waiting out the window")
+		maxBatch   = flag.Int("max-batch", serve.DefaultMaxBatch, "most requests queued behind a shape's running batch that form the next one")
 		queue      = flag.Int("queue", serve.DefaultQueueLimit, "admission queue limit; beyond it requests shed with 429")
 		timeout    = flag.Duration("timeout", serve.DefaultRequestTimeout, "default per-request deadline")
 		maxTimeout = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on client-supplied ?timeout=")
@@ -63,7 +62,6 @@ func main() {
 	cfg := serve.Config{
 		MinN:           *minN,
 		MaxN:           *maxN,
-		BatchWindow:    *window,
 		MaxBatch:       *maxBatch,
 		QueueLimit:     *queue,
 		RequestTimeout: *timeout,
@@ -107,8 +105,8 @@ func main() {
 	if *worker {
 		mode = " worker-mode"
 	}
-	log.Printf("fftserved listening on %s%s (window=%v max-batch=%d queue=%d N=[%d,%d] kernel=%v)",
-		*addr, mode, *window, *maxBatch, *queue, *minN, *maxN, kern)
+	log.Printf("fftserved listening on %s%s (max-batch=%d queue=%d N=[%d,%d] kernel=%v)",
+		*addr, mode, *maxBatch, *queue, *minN, *maxN, kern)
 
 	select {
 	case err := <-errCh:

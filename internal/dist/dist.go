@@ -530,20 +530,30 @@ func (c *Coordinator) execHedged(ctx context.Context, primary, alt string, req s
 	return serve.ShardFrame{}, "", firstErr
 }
 
-// execOnce performs one RPC with the per-attempt deadline, recording
-// latency per worker.
-func (c *Coordinator) execOnce(ctx context.Context, addr string, req serve.ShardFrame) (serve.ShardFrame, error) {
+// startRPC counts one RPC attempt against addr; the returned function,
+// called when the RPC returns, records its latency in total and per
+// worker. Every coordinator→worker call of either data path is
+// bracketed by it.
+func (c *Coordinator) startRPC(addr string) (done func()) {
 	c.m.attempts.Inc()
+	start := time.Now()
+	return func() {
+		d := time.Since(start).Seconds()
+		c.m.rpcSec.Observe(d)
+		c.m.perWorkerSec(addr).Observe(d)
+	}
+}
+
+// execOnce performs one one-shot RPC with the per-attempt deadline.
+func (c *Coordinator) execOnce(ctx context.Context, addr string, req serve.ShardFrame) (serve.ShardFrame, error) {
 	if c.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.cfg.ShardTimeout)
 		defer cancel()
 	}
-	start := time.Now()
+	done := c.startRPC(addr)
 	resp, err := c.cfg.Transport.Exec(ctx, addr, req)
-	d := time.Since(start).Seconds()
-	c.m.rpcSec.Observe(d)
-	c.m.perWorkerSec(addr).Observe(d)
+	done()
 	if err != nil {
 		return serve.ShardFrame{}, err
 	}

@@ -177,7 +177,10 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 			wg.Add(1)
 			go func(rw *residentWorker) {
 				defer wg.Done()
-				if rw.sess.CloseSession(cctx) == nil {
+				done := c.startRPC(rw.addr)
+				err := rw.sess.CloseSession(cctx)
+				done()
+				if err == nil {
 					moved.Add(2 * serve.SessionHeaderLen)
 				}
 			}(rw)
@@ -200,7 +203,9 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 	sid := nextSessionID()
 	openErr := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		open := serve.SessionFrame{Op: serve.OpSessOpen, Spec: &rw.spec}
+		done := c.startRPC(rw.addr)
 		sess, err := st.OpenSession(ctx, rw.addr, rw.spec, sid)
+		done()
 		if err != nil {
 			if errors.Is(err, ErrSessionUnsupported) {
 				c.markLegacy(rw.addr)
@@ -231,7 +236,9 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 			Data: cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1],
 		}
 		moved.Add(int64(serve.SessionFrameLen(req)) + serve.SessionHeaderLen)
+		done := c.startRPC(rw.addr)
 		ack, err := rw.sess.ExecShard(ctx, req, nil)
+		done()
 		if err != nil {
 			return err
 		}
@@ -253,7 +260,9 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 	rowsErr := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		into := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
+		done := c.startRPC(rw.addr)
 		resp, err := rw.sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessRows}, into)
+		done()
 		if err != nil {
 			return err
 		}

@@ -58,7 +58,7 @@ func TestResidentMatchesSingleNode(t *testing.T) {
 	for _, nw := range []int{1, 2, 4} {
 		for _, n := range []int{1 << 6, 1 << 12, 1 << 16} {
 			t.Run(fmt.Sprintf("w=%d/n=%d", nw, n), func(t *testing.T) {
-				c, _, _ := newResidentCluster(t, nw, Config{})
+				c, _, addrs := newResidentCluster(t, nw, Config{})
 				data := noise(n, int64(n+nw))
 				want := singleNode(t, data)
 				if err := c.Transform(context.Background(), data); err != nil {
@@ -75,6 +75,19 @@ func TestResidentMatchesSingleNode(t *testing.T) {
 				}
 				if got := counter(t, c, "dist_degraded_total"); got != 0 {
 					t.Errorf("degraded_total = %d, want 0", got)
+				}
+				// The resident path feeds the same RPC accounting as the
+				// one-shot path: open, cols, rows and close per worker.
+				if got := counter(t, c, "dist_rpc_attempts_total"); got != int64(4*nw) {
+					t.Errorf("rpc_attempts_total = %d, want 4 per worker = %d", got, 4*nw)
+				}
+				if got := counter(t, c, "dist_rpc_seconds_count"); got != int64(4*nw) {
+					t.Errorf("rpc_seconds observations = %d, want %d", got, 4*nw)
+				}
+				for _, addr := range addrs {
+					if got := counter(t, c, "dist_worker_"+sanitizeAddr(addr)+"_rpc_seconds_count"); got != 4 {
+						t.Errorf("worker %s rpc_seconds observations = %d, want 4", addr, got)
+					}
 				}
 			})
 		}

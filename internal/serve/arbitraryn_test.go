@@ -17,7 +17,7 @@ import (
 // (Bluestein) complex forward transform and checks the spectra against
 // the reference DFT.
 func TestJSONArbitraryN(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	for _, n := range []int{12, 13, 100} {
 		re := make([]float64, n)
 		im := make([]float64, n)
@@ -57,7 +57,7 @@ func TestJSONArbitraryN(t *testing.T) {
 // TestArbitraryNUnservableShapesReturn400: shapes the planner cannot or
 // will not serve are client errors, never internal ones.
 func TestArbitraryNUnservableShapesReturn400(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: -1})
+	s, ts := newTestServer(t, Config{})
 	cases := map[string]jsonRequest{
 		"real odd length": {Kind: "real", Re: make([]float64, 13)},
 		"real-inv tiny":   {Kind: "real-inverse", Re: make([]float64, 2), Im: make([]float64, 2)},

@@ -45,14 +45,6 @@ const (
 	kindCount
 )
 
-// KindSTFT is the internal batch kind of the streaming spectrogram
-// endpoint (POST /fft/stft): every chunk of windowed frames coalesces
-// under batchKey{frame, KindSTFT} so concurrent spectrogram streams of
-// one frame length share TransformBatch dispatches. It is deliberately
-// outside the wire range — DecodeFrame rejects it like any unknown
-// kind, so a binary frame can never smuggle one in.
-const KindSTFT Kind = 255
-
 // String names the kind as the JSON API spells it.
 func (k Kind) String() string {
 	switch k {
@@ -64,8 +56,6 @@ func (k Kind) String() string {
 		return "real"
 	case KindRealInverse:
 		return "real-inverse"
-	case KindSTFT:
-		return "stft"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

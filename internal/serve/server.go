@@ -1,11 +1,11 @@
 // Package serve is the HTTP serving layer of the FFT daemon
 // (cmd/fftserved): it accepts transform requests over JSON or the
-// compact binary codec, coalesces same-shape requests inside a
-// micro-batching window into one TransformBatch dispatch against the
-// process-wide plan cache, and wraps the whole path in production
+// compact binary codec, coalesces same-shape requests that arrive while
+// a batch of their shape is running into the next TransformBatch
+// dispatch (pipeline.go), and wraps the whole path in production
 // controls — per-request deadlines, admission control with a bounded
-// queue and explicit 429/503 shedding, panic-isolated batch executors,
-// and graceful drain — with every stage instrumented through
+// queue and explicit 429/503 shedding, a panic-isolated executor, and
+// graceful drain — with every stage instrumented through
 // internal/metrics.
 //
 // Endpoints:
@@ -27,14 +27,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"codeletfft"
+	"codeletfft/internal/cache"
 	"codeletfft/internal/host"
 	"codeletfft/internal/metrics"
 )
@@ -43,7 +44,6 @@ import (
 const (
 	DefaultMinN           = 8
 	DefaultMaxN           = 1 << 22
-	DefaultBatchWindow    = 2 * time.Millisecond
 	DefaultMaxBatch       = 64
 	DefaultQueueLimit     = 1024
 	DefaultRequestTimeout = 10 * time.Second
@@ -59,13 +59,8 @@ type Config struct {
 	// Complex transforms accept any length in the range; real
 	// transforms additionally require a power of two ≥ 4.
 	MinN, MaxN int
-	// BatchWindow is how long the first request of a shape waits for
-	// same-shape company before its batch flushes. Negative disables
-	// coalescing (every request flushes immediately); 0 means
-	// DefaultBatchWindow.
-	BatchWindow time.Duration
-	// MaxBatch flushes a shape's batch as soon as it reaches this many
-	// requests, without waiting out the window.
+	// MaxBatch caps how many requests queued behind a shape's running
+	// batch the executor takes as the next one.
 	MaxBatch int
 	// QueueLimit bounds the number of admitted-but-unfinished requests
 	// across all shapes; beyond it requests are shed with 429.
@@ -113,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxN <= 0 {
 		c.MaxN = DefaultMaxN
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = DefaultBatchWindow
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
@@ -138,24 +130,6 @@ func (c Config) withDefaults() Config {
 		c.Registry = metrics.NewRegistry()
 	}
 	return c
-}
-
-// batchKey identifies a coalescible shape: requests batch together only
-// when both the transform length and the kind match.
-type batchKey struct {
-	n    int
-	kind Kind
-}
-
-// pending is one admitted request waiting for (or inside) a batch.
-type pending struct {
-	ctx     context.Context
-	done    chan error // buffered; receives exactly one result
-	data    []complex128
-	realIn  []float64
-	spec    []complex128   // KindReal output (N/2+1 bins)
-	realOut []float64      // KindRealInverse output (N samples)
-	frames  [][]complex128 // KindSTFT: windowed frames, transformed in place
 }
 
 // serverMetrics names every instrument once, so handler code reads like
@@ -288,8 +262,15 @@ type Server struct {
 
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	batchers map[batchKey]*batcher
+	// shapes holds an entry for every shape with a batch running: the
+	// requests queued behind it (pipeline.go). A shape with nothing
+	// running has no entry, so the table is bounded by the executors
+	// alive, not by the shapes ever served.
+	mu     sync.Mutex
+	shapes map[batchKey][]*pending
+
+	// plans resolves each shape's plan once per Server (pipeline.go).
+	plans *cache.Cache[planKey, shapePlan]
 
 	// Resident-session table: sessions pin rows buffers between the
 	// cols and rows phases; idle entries are reaped lazily on session
@@ -298,9 +279,10 @@ type Server struct {
 	sessions   map[uint64]*sessEntry
 	lastSessGC time.Time
 
-	// execHook, when non-nil, runs inside the panic-isolated executor
-	// just before the transform — the test seam for panic isolation.
-	execHook func(key batchKey, live int)
+	// execHook, when non-nil, runs inside run's isolation boundary just
+	// before the transform — the test seam for panics and for parking a
+	// batch so that followers queue behind it.
+	execHook func(key batchKey, rows [][]complex128)
 
 	maxBody int64
 }
@@ -313,8 +295,13 @@ func New(cfg Config) *Server {
 		reg:      cfg.Registry,
 		m:        newServerMetrics(cfg.Registry),
 		sem:      make(chan struct{}, cfg.QueueLimit),
-		batchers: make(map[batchKey]*batcher),
+		shapes:   make(map[batchKey][]*pending),
 		sessions: make(map[uint64]*sessEntry),
+		// Bounded like the facade's process-wide plan cache.
+		plans: cache.New[planKey, shapePlan](8, 16, func(k planKey) uint64 {
+			h := uint64(k.n) * 0x9e3779b97f4a7c15
+			return h ^ h>>29
+		}),
 		// JSON spells a float64 in ~25 bytes; 64·MaxN covers the worst
 		// re+im request with headroom, and the binary frame is smaller.
 		maxBody: int64(cfg.MaxN)*64 + 4096,
@@ -369,53 +356,31 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // StartDrain flips the server into draining mode: subsequent requests
-// are refused with 503 and every pending batch is flushed immediately
-// instead of waiting out its window. Idempotent.
-func (s *Server) StartDrain() {
-	if s.draining.Swap(true) {
-		return
-	}
-	s.flushAll()
-}
-
-func (s *Server) flushAll() {
-	s.mu.Lock()
-	bs := make([]*batcher, 0, len(s.batchers))
-	for _, b := range s.batchers {
-		bs = append(bs, b)
-	}
-	s.mu.Unlock()
-	for _, b := range bs {
-		b.flush()
-	}
-}
+// are refused with 503. Nothing admitted waits on a clock, so there is
+// nothing to flush. Idempotent.
+func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // Drain initiates drain (if not already started) and blocks until every
-// admitted request has been answered or ctx expires. Combined with
+// admitted request has been answered or ctx expires: tokens are released
+// only after the executor (or the stream or shard handler holding one)
+// is done, so an empty queue means nothing is in flight. Combined with
 // http.Server.Shutdown it gives SIGTERM semantics: stop accepting,
 // finish everything in flight, exit.
 func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for {
-		// Tokens are released by the executor after it answers each
-		// request, so an empty queue means nothing is in flight. The
-		// flush sweep catches requests that raced past the draining check
-		// into a fresh batch window.
-		s.flushAll()
-		if len(s.sem) == 0 {
-			return nil
-		}
+	for len(s.sem) > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
 		}
 	}
+	return nil
 }
 
-// errShapeRejected tags client errors found before any work happens.
+// shapeError tags client errors found before any work happens.
 type shapeError struct{ msg string }
 
 func (e *shapeError) Error() string { return e.msg }
@@ -458,75 +423,6 @@ func (s *Server) deadlineFor(r *http.Request) (time.Duration, error) {
 	return min(d, s.cfg.MaxTimeout), nil
 }
 
-// submit runs the admission + coalescing + wait pipeline shared by both
-// codecs. It returns nil once the transform has been applied to the
-// pending's buffers; any non-nil return has already been counted and
-// converted to a status by respondError.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, key batchKey, p *pending) bool {
-	if s.draining.Load() {
-		s.m.shedDrain.Inc()
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return false
-	}
-	d, err := s.deadlineFor(r)
-	if err != nil {
-		s.m.bad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	p.ctx = ctx
-
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.shedQueue.Inc()
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return false
-	}
-	s.batcherFor(key).add(p)
-
-	select {
-	case err := <-p.done:
-		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-				s.m.deadline.Inc()
-				http.Error(w, "deadline exceeded in queue", http.StatusGatewayTimeout)
-			case errors.Is(err, codeletfft.ErrLengthMismatch):
-				// A malformed row in a coalesced batch: the recovered
-				// engine panic names the offending batch element, so the
-				// 400 can say which request was bad.
-				s.m.bad.Inc()
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			default:
-				s.m.internal.Inc()
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return false
-		}
-		return true
-	case <-ctx.Done():
-		// The executor will still answer p.done (buffered) and release
-		// the queue slot; the client just stops waiting.
-		s.m.deadline.Inc()
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-		return false
-	}
-}
-
-func (s *Server) batcherFor(key batchKey) *batcher {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batchers[key]
-	if !ok {
-		b = &batcher{s: s, key: key}
-		s.batchers[key] = b
-	}
-	return b
-}
-
 // jsonRequest is the JSON wire format. Re is the payload (samples for
 // complex/real kinds, spectrum-real-parts for real-inverse); Im, when
 // present, must match its length.
@@ -557,184 +453,157 @@ func parseKind(k string) (Kind, error) {
 	}
 }
 
-func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.m.requests.Inc()
-	defer func() { s.m.requestSec.Observe(time.Since(start).Seconds()) }()
-
+// decodeJSON reads the JSON wire form of a request into a Frame: kind
+// real carries its samples as the real payload, every other kind zips
+// re/im into the complex one.
+func decodeJSON(body io.Reader) (Frame, error) {
 	var req jsonRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.m.bad.Inc()
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
+		return Frame{}, shapeErrorf("bad JSON: %v", err)
 	}
 	kind, err := parseKind(req.Kind)
-	if err == nil && len(req.Im) > 0 && len(req.Im) != len(req.Re) {
-		err = shapeErrorf("im has %d values, re has %d", len(req.Im), len(req.Re))
+	switch {
+	case err != nil:
+		return Frame{}, err
+	case len(req.Im) > 0 && len(req.Im) != len(req.Re):
+		return Frame{}, shapeErrorf("im has %d values, re has %d", len(req.Im), len(req.Re))
+	case kind == KindReal && len(req.Im) > 0:
+		return Frame{}, shapeErrorf("kind real takes no im values")
+	case kind == KindReal:
+		return Frame{Kind: kind, Real: req.Re}, nil
 	}
-	if err == nil && kind == KindReal && len(req.Im) > 0 {
-		err = shapeErrorf("kind real takes no im values")
+	c := make([]complex128, len(req.Re))
+	for i, re := range req.Re {
+		if len(req.Im) > 0 {
+			c[i] = complex(re, req.Im[i])
+		} else {
+			c[i] = complex(re, 0)
+		}
 	}
+	return Frame{Kind: kind, Complex: c}, nil
+}
+
+// encodeJSON renders a response Frame in the JSON wire form; n is the
+// transform length, which a half spectrum implies.
+func encodeJSON(f Frame) ([]byte, error) {
+	resp := jsonResponse{N: len(f.Complex), Re: f.Real}
+	switch f.Kind {
+	case KindRealInverse:
+		resp.N = len(f.Real)
+	case KindReal:
+		resp.N = 2 * (len(f.Complex) - 1)
+	}
+	if f.Complex != nil {
+		resp.Re = make([]float64, len(f.Complex))
+		resp.Im = make([]float64, len(f.Complex))
+		for i, v := range f.Complex {
+			resp.Re[i], resp.Im[i] = real(v), imag(v)
+		}
+	}
+	b, err := json.Marshal(resp)
+	return append(b, '\n'), err
+}
+
+func decodeBinary(body io.Reader) (Frame, error) {
+	raw, err := io.ReadAll(body)
 	if err != nil {
-		s.m.bad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return Frame{}, fmt.Errorf("reading body: %w", err)
 	}
-
-	p := &pending{done: make(chan error, 1)}
-	var key batchKey
-	switch kind {
-	case KindForward, KindInverse:
-		key = batchKey{n: len(req.Re), kind: kind}
-		if err := s.checkN(key.n, kind); err != nil {
-			s.m.bad.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p.data = make([]complex128, key.n)
-		for i, re := range req.Re {
-			if len(req.Im) > 0 {
-				p.data[i] = complex(re, req.Im[i])
-			} else {
-				p.data[i] = complex(re, 0)
-			}
-		}
-	case KindReal:
-		key = batchKey{n: len(req.Re), kind: kind}
-		if err := s.checkN(key.n, kind); err != nil {
-			s.m.bad.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p.realIn = append([]float64(nil), req.Re...)
-		p.spec = make([]complex128, key.n/2+1)
-	case KindRealInverse:
-		n := 2 * (len(req.Re) - 1)
-		key = batchKey{n: n, kind: kind}
-		if err := s.checkN(n, kind); err != nil {
-			s.m.bad.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p.data = make([]complex128, len(req.Re))
-		for i, re := range req.Re {
-			if len(req.Im) > 0 {
-				p.data[i] = complex(re, req.Im[i])
-			} else {
-				p.data[i] = complex(re, 0)
-			}
-		}
-		p.realOut = make([]float64, n)
-	}
-
-	if !s.submit(w, r, key, p) {
-		return
-	}
-	s.m.ok.Inc()
-	resp := jsonResponse{N: key.n}
-	switch kind {
-	case KindForward, KindInverse:
-		resp.Re, resp.Im = splitComplex(p.data)
-	case KindReal:
-		resp.Re, resp.Im = splitComplex(p.spec)
-	case KindRealInverse:
-		resp.Re = p.realOut
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		return // client went away; the request itself succeeded
-	}
+	return DecodeFrame(raw)
 }
 
-func splitComplex(c []complex128) (re, im []float64) {
-	re = make([]float64, len(c))
-	im = make([]float64, len(c))
-	for i, v := range c {
-		re[i], im[i] = real(v), imag(v)
-	}
-	return re, im
+// wireCodec is one wire form of a Frame.
+type wireCodec struct {
+	contentType string
+	decode      func(io.Reader) (Frame, error)
+	encode      func(Frame) ([]byte, error)
 }
+
+var (
+	jsonCodec   = wireCodec{"application/json", decodeJSON, encodeJSON}
+	binaryCodec = wireCodec{"application/octet-stream", decodeBinary, EncodeFrame}
+)
+
+func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) { s.handleFrame(w, r, jsonCodec) }
 
 func (s *Server) handleBinary(w http.ResponseWriter, r *http.Request) {
+	s.handleFrame(w, r, binaryCodec)
+}
+
+// handleFrame serves one transform request in either wire form: the
+// codec turns the body into a Frame and the answer back into bytes;
+// shape checks, admission, coalescing and the transform are the same
+// code for both.
+func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request, c wireCodec) {
 	start := time.Now()
 	s.m.requests.Inc()
 	defer func() { s.m.requestSec.Observe(time.Since(start).Seconds()) }()
 
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	raw, err := readAll(body)
+	in, err := c.decode(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		s.m.bad.Inc()
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		s.reject(w, err)
 		return
 	}
-	f, err := DecodeFrame(raw)
+	key, p, err := s.request(in)
 	if err != nil {
-		s.m.bad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.reject(w, err)
 		return
 	}
-
-	p := &pending{done: make(chan error, 1)}
-	var key batchKey
-	var shapeErr error
-	switch f.Kind {
-	case KindForward, KindInverse:
-		if f.Complex == nil {
-			shapeErr = shapeErrorf("kind %s takes a complex payload", f.Kind)
-			break
-		}
-		key = batchKey{n: len(f.Complex), kind: f.Kind}
-		if shapeErr = s.checkN(key.n, f.Kind); shapeErr == nil {
-			p.data = f.Complex
-		}
-	case KindReal:
-		if f.Real == nil {
-			shapeErr = shapeErrorf("kind real takes a real payload")
-			break
-		}
-		key = batchKey{n: len(f.Real), kind: f.Kind}
-		if shapeErr = s.checkN(key.n, f.Kind); shapeErr == nil {
-			p.realIn = f.Real
-			p.spec = make([]complex128, key.n/2+1)
-		}
-	case KindRealInverse:
-		if f.Complex == nil {
-			shapeErr = shapeErrorf("kind real-inverse takes a complex payload")
-			break
-		}
-		n := 2 * (len(f.Complex) - 1)
-		key = batchKey{n: n, kind: f.Kind}
-		if shapeErr = s.checkN(n, f.Kind); shapeErr == nil {
-			p.data = f.Complex
-			p.realOut = make([]float64, n)
-		}
-	}
-	if shapeErr != nil {
-		s.m.bad.Inc()
-		http.Error(w, shapeErr.Error(), http.StatusBadRequest)
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-
-	if !s.submit(w, r, key, p) {
+	defer cancel()
+	p.ownsToken = true
+	if err := s.submit(ctx, key, p); err != nil {
+		s.fail(w, err)
+		return
+	}
+	body, err := c.encode(response(in.Kind, p))
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	s.m.ok.Inc()
-	out := Frame{Kind: f.Kind}
+	w.Header().Set("Content-Type", c.contentType)
+	_, _ = w.Write(body) // a failed write means the client went away
+}
+
+// request validates a decoded frame against the served shapes and lays
+// out the buffers its transform works in.
+func (s *Server) request(f Frame) (batchKey, *pending, error) {
+	key := batchKey{kind: f.Kind}
+	switch {
+	case f.Kind == KindReal && f.Complex != nil:
+		return key, nil, shapeErrorf("kind real takes a real payload")
+	case f.Kind != KindReal && f.Real != nil:
+		return key, nil, shapeErrorf("kind %s takes a complex payload", f.Kind)
+	}
 	switch f.Kind {
-	case KindForward, KindInverse:
-		out.Complex = p.data
 	case KindReal:
-		out.Complex = p.spec
+		key.n = len(f.Real)
 	case KindRealInverse:
-		out.Real = p.realOut
+		key.n = 2 * (len(f.Complex) - 1)
+	default:
+		key.n = len(f.Complex)
 	}
-	enc, err := EncodeFrame(out)
-	if err != nil {
-		s.m.internal.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	if err := s.checkN(key.n, f.Kind); err != nil {
+		return key, nil, err
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(enc)
+	switch f.Kind {
+	case KindReal:
+		return key, &pending{rows: [][]complex128{make([]complex128, key.n/2+1)}, real: f.Real}, nil
+	case KindRealInverse:
+		return key, &pending{rows: [][]complex128{f.Complex}, real: make([]float64, key.n)}, nil
+	default:
+		return key, &pending{rows: [][]complex128{f.Complex}}, nil
+	}
+}
+
+// response is request's inverse: the frame that answers a served pending.
+func response(kind Kind, p *pending) Frame {
+	if kind == KindRealInverse {
+		return Frame{Kind: kind, Real: p.real}
+	}
+	return Frame{Kind: kind, Complex: p.rows[0]}
 }

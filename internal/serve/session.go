@@ -40,8 +40,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"codeletfft"
 )
 
 // PeerSender delivers an encoded frame to a peer worker's shard
@@ -164,7 +162,7 @@ func (s *Server) gcSessionsLocked(now time.Time) {
 
 // handleSession dispatches one FFS2 frame. raw stays valid (and owned
 // by the caller) for the duration of the call.
-func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, raw []byte) {
+func (s *Server) handleSession(ctx context.Context, w http.ResponseWriter, raw []byte) {
 	hdr, err := DecodeSessionHeader(raw)
 	if err != nil {
 		s.m.sessBad.Inc()
@@ -175,7 +173,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, raw []byt
 	case OpSessOpen:
 		s.sessOpen(w, raw)
 	case OpSessCols:
-		s.sessCols(w, r, hdr, raw)
+		s.sessCols(ctx, w, hdr, raw)
 	case OpSessExchange:
 		s.sessExchange(w, hdr, raw)
 	case OpSessRows:
@@ -243,7 +241,7 @@ func (s *Server) sessClose(w http.ResponseWriter, hdr SessionFrame) {
 	s.writeSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
 }
 
-func (s *Server) sessCols(w http.ResponseWriter, r *http.Request, hdr SessionFrame, raw []byte) {
+func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr SessionFrame, raw []byte) {
 	s.m.sessCols.Inc()
 	sess := s.lookupSession(hdr.ID)
 	if sess == nil {
@@ -267,20 +265,8 @@ func (s *Server) sessCols(w http.ResponseWriter, r *http.Request, hdr SessionFra
 		return
 	}
 
-	// One admission token covers the FFT dispatch and the peer pushes,
-	// so Drain's empty-queue test still means "nothing in flight".
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.shedQueue.Inc()
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return
-	}
-	defer func() { <-s.sem }()
-
-	if err := s.execSessCols(r.Context(), sess, *scratch); err != nil {
-		s.m.internal.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err := s.execSessCols(ctx, sess, *scratch); err != nil {
+		s.fail(w, err)
 		return
 	}
 	s.m.shardVecs.Add(int64(hdr.VecCount))
@@ -289,32 +275,13 @@ func (s *Server) sessCols(w http.ResponseWriter, r *http.Request, hdr SessionFra
 
 // execSessCols runs the column phase: FFT + twiddle in place in the
 // pooled scratch, own rows scattered into the resident buffer, peer
-// blocks pushed as exchange frames. Engine panics become errors, the
-// same isolation boundary execShard draws.
-func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics.Inc()
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("session cols panic: %w", e)
-			} else {
-				err = fmt.Errorf("session cols panic: %v", r)
-			}
-		}
-	}()
+// blocks pushed as exchange frames.
+func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
 	spec := sess.spec
-	plan, err := codeletfft.CachedHostPlan(spec.N1, s.planOpts...)
-	if err != nil {
-		return err
-	}
-	batch := make([][]complex128, spec.ColCount)
-	for v := range batch {
-		batch[v] = cols[v*spec.N1 : (v+1)*spec.N1]
-	}
-	if err := plan.TransformBatch(batch); err != nil {
-		return err
-	}
-	if err := scaleColumns(batch, spec.ColStart, spec.N1*spec.N2); err != nil {
+	batch := splitRows(cols, spec.N1)
+	if err := s.run(batchKey{n: spec.N1, kind: KindForward}, batch, nil, func() error {
+		return scaleColumns(batch, spec.ColStart, spec.N1*spec.N2)
+	}); err != nil {
 		return err
 	}
 
@@ -441,15 +408,6 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 		http.Error(w, fmt.Sprintf("unknown session %d", hdr.ID), http.StatusNotFound)
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.shedQueue.Inc()
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return
-	}
-	defer func() { <-s.sem }()
-
 	spec := sess.spec
 	// The mutex is held through the response write: the rows buffer
 	// must not return to the pool while its bytes stream out.
@@ -470,9 +428,10 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 			http.StatusConflict)
 		return
 	}
-	if err := s.execSessRows(sess); err != nil {
-		s.m.internal.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	// Every resident row is transformed in place.
+	rows := splitRows((*sess.rows)[:spec.RowCount*spec.N2], spec.N2)
+	if err := s.run(batchKey{n: spec.N2, kind: KindForward}, rows, nil, nil); err != nil {
+		s.fail(w, err)
 		return
 	}
 	sess.rowsDone = true
@@ -482,32 +441,6 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 		VecLen: spec.N2, VecCount: spec.RowCount, Arg0: spec.RowStart,
 		Data: (*sess.rows)[:spec.RowCount*spec.N2],
 	})
-}
-
-// execSessRows FFTs every resident row in place. Caller holds sess.mu
-// and has verified readiness.
-func (s *Server) execSessRows(sess *workerSession) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics.Inc()
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("session rows panic: %w", e)
-			} else {
-				err = fmt.Errorf("session rows panic: %v", r)
-			}
-		}
-	}()
-	spec := sess.spec
-	plan, err := codeletfft.CachedHostPlan(spec.N2, s.planOpts...)
-	if err != nil {
-		return err
-	}
-	rows := *sess.rows
-	batch := make([][]complex128, spec.RowCount)
-	for i := range batch {
-		batch[i] = rows[i*spec.N2 : (i+1)*spec.N2]
-	}
-	return plan.TransformBatch(batch)
 }
 
 // streamChunkElems is the payload chunk size for streaming writes:
@@ -564,7 +497,7 @@ func (s *Server) readShardBody(w http.ResponseWriter, r *http.Request) (*[]byte,
 		}
 		return bp, nil
 	}
-	b, err := readAll(body)
+	b, err := io.ReadAll(body)
 	if err != nil {
 		return nil, err
 	}

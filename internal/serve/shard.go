@@ -1,12 +1,11 @@
 // The shard-exec endpoint is the worker half of the cluster path
 // (internal/dist): a coordinator four-steps a large transform and posts
 // the column/row segments here as shard frames. Each shard executes
-// synchronously through the same cached-plan batch engine the
-// coalescing path uses — one TransformBatch over the shard's vectors,
-// plus the twiddle-segment scaling for column shards — inside the
-// server's admission and drain accounting, so a draining worker refuses
-// shards with 503 exactly like client requests and Drain still proves
-// the queue empty.
+// synchronously through the pipeline's run — one TransformBatch over the
+// shard's vectors, plus the twiddle-segment scaling for column shards —
+// inside the server's admission and drain accounting, so a draining
+// worker refuses shards with 503 exactly like client requests and Drain
+// still proves the queue empty.
 package serve
 
 import (
@@ -14,7 +13,6 @@ import (
 	"net/http"
 	"time"
 
-	"codeletfft"
 	"codeletfft/internal/cache"
 	"codeletfft/internal/fft"
 )
@@ -69,11 +67,16 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	s.m.shardRequests.Inc()
 	defer func() { s.m.shardSec.Observe(time.Since(start).Seconds()) }()
 
-	if s.draining.Load() {
-		s.m.shedDrain.Inc()
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	// One admission token covers the whole request — body, dispatch,
+	// peer pushes, response — for every op, so Drain's empty-queue test
+	// means "nothing in flight" for cluster traffic too.
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
+	defer cancel()
+	defer s.release()
+
 	bp, err := s.readShardBody(w, r)
 	if err != nil {
 		s.m.shardBad.Inc()
@@ -84,7 +87,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	raw := *bp
 
 	if IsSessionFrame(raw) && !s.cfg.DisableSessions {
-		s.handleSession(w, r, raw)
+		s.handleSession(ctx, w, raw)
 		return
 	}
 
@@ -112,21 +115,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One admission token covers the whole shard: it is a single
-	// engine dispatch, and the token keeps Drain's empty-queue test
-	// meaning "nothing in flight" for shards too.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.shedQueue.Inc()
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return
-	}
-	defer func() { <-s.sem }()
-
 	if err := s.execShard(f); err != nil {
-		s.m.internal.Inc()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		s.fail(w, err)
 		return
 	}
 	s.m.shardOK.Inc()
@@ -136,33 +126,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeFrameStreaming(w, appendShardHeader((*hp)[:0], f), f.Data)
 }
 
-// execShard transforms the frame's vectors in place. A panic inside the
-// engine is converted to an error, the same isolation boundary the
-// batch executor draws.
-func (s *Server) execShard(f ShardFrame) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics.Inc()
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("shard panic: %w", e)
-			} else {
-				err = fmt.Errorf("shard panic: %v", r)
-			}
-		}
-	}()
-	plan, err := codeletfft.CachedHostPlan(f.VecLen, s.planOpts...)
-	if err != nil {
-		return err
-	}
-	batch := make([][]complex128, f.VecCount())
-	for v := range batch {
-		batch[v] = f.Vec(v)
-	}
-	if err := plan.TransformBatch(batch); err != nil {
-		return err
-	}
+// execShard transforms the frame's vectors in place.
+func (s *Server) execShard(f ShardFrame) error {
+	vecs := splitRows(f.Data, f.VecLen)
+	var scale func() error
 	if f.Op == OpColumns {
-		return scaleColumns(batch, f.Start, f.TotalN)
+		scale = func() error { return scaleColumns(vecs, f.Start, f.TotalN) }
 	}
-	return nil
+	return s.run(batchKey{n: f.VecLen, kind: KindForward}, vecs, nil, scale)
 }

@@ -4,24 +4,26 @@
 // after every chunk, so a long signal's first frames arrive while the
 // last are still being transformed.
 //
-// The endpoint rides the daemon's existing production controls rather
-// than sidestepping them:
+// The endpoint rides the daemon's one request pipeline (pipeline.go)
+// rather than sidestepping it:
 //
 //   - Admission: a stream is refused up front with 503 under drain and
-//     429 when the queue is full, like any other request, and holds one
-//     queue slot for its whole lifetime so Drain cannot declare the
-//     server idle while a stream is mid-flight.
-//   - Micro-batching: frames are windowed in the handler and submitted
-//     in chunks under batchKey{frame, KindSTFT}; chunks from concurrent
-//     streams of one frame length coalesce into shared TransformBatch
+//     429 when the queue is full, like any other request, and holds its
+//     one queue token for its whole lifetime, so Drain cannot declare
+//     the server idle while a stream is mid-flight. Its chunks ride that
+//     token — they take none of their own, so a stream can never starve
+//     against its own slot.
+//   - Coalescing: frames are windowed in the handler and submitted in
+//     chunks under batchKey{frame, KindForward} — a chunk is just a
+//     request with many rows — so chunks of concurrent streams, and
+//     plain forward requests of the same length, share TransformBatch
 //     dispatches.
 //   - Graceful drain: chunks of an already-admitted stream keep flowing
-//     during drain (the batcher flushes them immediately), so an
-//     in-flight spectrogram finishes rather than being severed.
+//     during drain, so an in-flight spectrogram finishes rather than
+//     being severed.
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"time"
@@ -76,18 +78,15 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 	var req stftRequest
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.m.bad.Inc()
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		s.reject(w, shapeErrorf("bad JSON: %v", err))
 		return
 	}
-	if err := s.checkN(req.Frame, KindSTFT); err != nil {
-		s.m.bad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := s.checkN(req.Frame, KindForward); err != nil {
+		s.reject(w, err)
 		return
 	}
 	if req.Hop < 1 || req.Hop > req.Frame {
-		s.m.bad.Inc()
-		http.Error(w, shapeErrorf("hop %d outside [1, frame=%d]", req.Hop, req.Frame).Error(), http.StatusBadRequest)
+		s.reject(w, shapeErrorf("hop %d outside [1, frame=%d]", req.Hop, req.Frame))
 		return
 	}
 	var win []float64
@@ -96,35 +95,19 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 		win = codeletfft.HannWindow(req.Frame)
 	case "", "rect":
 	default:
-		s.m.bad.Inc()
-		http.Error(w, shapeErrorf("unknown window %q", req.Window).Error(), http.StatusBadRequest)
+		s.reject(w, shapeErrorf("unknown window %q", req.Window))
 		return
 	}
 
-	// Admission happens once, up front: drain refuses new streams, a
-	// full queue sheds them, and the stream's slot is held until the
-	// last frame is written so Drain waits out in-flight spectrograms.
-	if s.draining.Load() {
-		s.m.shedDrain.Inc()
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	// Admission happens once, up front, and the stream's token is held
+	// until the last frame is written so Drain waits out in-flight
+	// spectrograms.
+	ctx, cancel, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	d, err := s.deadlineFor(r)
-	if err != nil {
-		s.m.bad.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		s.m.shedQueue.Inc()
-		http.Error(w, "queue full", http.StatusTooManyRequests)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
+	defer s.release()
 
 	s.m.stftStreams.Inc()
 	nf := 0
@@ -139,14 +122,12 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	key := batchKey{n: req.Frame, kind: KindSTFT}
+	key := batchKey{n: req.Frame, kind: KindForward}
 	line := stftFrame{Re: make([]float64, req.Frame), Im: make([]float64, req.Frame)}
 	for base := 0; base < nf; base += stftChunkFrames {
 		cnt := min(stftChunkFrames, nf-base)
-		frames := make([][]complex128, cnt)
-		slab := make([]complex128, cnt*req.Frame)
-		for f := 0; f < cnt; f++ {
-			row := slab[f*req.Frame : (f+1)*req.Frame]
+		frames := splitRows(make([]complex128, cnt*req.Frame), req.Frame)
+		for f, row := range frames {
 			src := req.Samples[(base+f)*req.Hop : (base+f)*req.Hop+req.Frame]
 			if win != nil {
 				for i, v := range src {
@@ -157,30 +138,12 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 					row[i] = complex(v, 0)
 				}
 			}
-			frames[f] = row
 		}
 
-		// Continuation chunks of an admitted stream block for a slot
-		// instead of shedding: severing a half-written spectrogram is
-		// worse than queueing behind it.
-		p := &pending{ctx: ctx, done: make(chan error, 1), frames: frames}
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			s.m.deadline.Inc()
-			_ = enc.Encode(stftError{Error: "deadline exceeded"})
-			return
-		}
-		s.batcherFor(key).add(p)
-		var chunkErr error
-		select {
-		case chunkErr = <-p.done:
-		case <-ctx.Done():
-			chunkErr = ctx.Err()
-		}
-		if chunkErr != nil {
-			s.m.deadline.Inc()
-			_ = enc.Encode(stftError{Error: chunkErr.Error()})
+		if err := s.submit(ctx, key, &pending{rows: frames}); err != nil {
+			// The status line is long gone; the failure trails the stream.
+			_, msg := s.classify(err)
+			_ = enc.Encode(stftError{Error: msg})
 			return
 		}
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func postSTFT(t *testing.T, url string, req stftRequest) (int, stftHeader, map[i
 // the reference DFT of each windowed frame, for a power-of-two and a
 // mixed-radix frame length.
 func TestSTFTEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	for _, frame := range []int{16, 12} {
 		hop := frame / 2
 		samples := make([]float64, 5*frame)
@@ -117,7 +118,7 @@ func TestSTFTEndpoint(t *testing.T) {
 
 // TestSTFTBadRequests: malformed spectrogram shapes are client errors.
 func TestSTFTBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1, MaxN: 1 << 12})
+	_, ts := newTestServer(t, Config{MaxN: 1 << 12})
 	for name, req := range map[string]stftRequest{
 		"zero frame":     {Frame: 0, Hop: 1},
 		"oversize frame": {Frame: 1 << 13, Hop: 1},
@@ -140,7 +141,7 @@ func TestSTFTBadRequests(t *testing.T) {
 // TestSTFTEmptySignal: a signal shorter than one frame streams a
 // zero-frame spectrogram, not an error.
 func TestSTFTEmptySignal(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: -1})
+	_, ts := newTestServer(t, Config{})
 	status, hdr, frames, streamErr := postSTFT(t, ts.URL, stftRequest{
 		Frame: 16, Hop: 8, Samples: make([]float64, 10),
 	})
@@ -157,7 +158,7 @@ func TestSTFTEmptySignal(t *testing.T) {
 // every frame — zero severed in-flight requests — while a stream
 // arriving after drain starts is refused with 503.
 func TestSTFTStreamSurvivesDrain(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: -1})
+	s, ts := newTestServer(t, Config{})
 	// Enough samples for several chunks, so some are still unsent when
 	// drain begins: 4·stftChunkFrames frames at frame=8, hop=1.
 	const frame, hop = 8, 1
@@ -172,8 +173,8 @@ func TestSTFTStreamSurvivesDrain(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	s.execHook = func(key batchKey, live int) {
-		if key.kind == KindSTFT {
+	s.execHook = func(key batchKey, _ [][]complex128) {
+		if key == (batchKey{n: frame, kind: KindForward}) {
 			once.Do(func() { close(started) })
 			<-gate
 		}
@@ -227,5 +228,158 @@ func TestSTFTStreamSurvivesDrain(t *testing.T) {
 	}
 	if got := len(s.sem); got != 0 {
 		t.Fatalf("queue depth = %d after drained stream, want 0", got)
+	}
+}
+
+// rampSignal is a deterministic real signal giving nf frames.
+func rampSignal(frame, hop, nf int) []float64 {
+	samples := make([]float64, frame+(nf-1)*hop)
+	for i := range samples {
+		samples[i] = math.Sin(float64(i)/3) + 0.01*float64(i%7)
+	}
+	return samples
+}
+
+// TestSTFTQueueLimitOne: a stream's chunks ride the stream's own
+// admission token, so a lone stream completes even when the queue holds
+// exactly one slot (it used to wait for a second slot behind itself
+// until its deadline, delivering no frames).
+func TestSTFTQueueLimitOne(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueLimit: 1, RequestTimeout: 2 * time.Second})
+	const frame, hop, nf = 16, 8, 7
+	status, hdr, frames, streamErr := postSTFT(t, ts.URL, stftRequest{
+		Frame: frame, Hop: hop, Samples: rampSignal(frame, hop, nf),
+	})
+	if status != http.StatusOK || streamErr != "" {
+		t.Fatalf("status = %d, stream error %q", status, streamErr)
+	}
+	if hdr.Frames != nf || len(frames) != nf {
+		t.Fatalf("delivered %d of %d frames", len(frames), hdr.Frames)
+	}
+	if got := s.m.deadline.Value(); got != 0 {
+		t.Fatalf("deadline counter = %d, want 0", got)
+	}
+	if got := len(s.sem); got != 0 {
+		t.Fatalf("queue depth = %d after the stream, want 0", got)
+	}
+}
+
+// TestSTFTConcurrentStreamsAtQueueLimit: k streams fill a k-slot queue
+// and still all finish — none of them needs a slot beyond its own. The
+// first chunk is parked until all k streams hold their slot, the state
+// in which streams that wanted a second slot per chunk starved each
+// other.
+func TestSTFTConcurrentStreamsAtQueueLimit(t *testing.T) {
+	const k = 4
+	s, ts := newTestServer(t, Config{QueueLimit: k, RequestTimeout: 5 * time.Second})
+	g := parkFirstBatch(s)
+	defer g.release()
+	const frame, hop = 8, 1
+	nf := 3 * stftChunkFrames
+	samples := rampSignal(frame, hop, nf)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, _, frames, streamErr := postSTFT(t, ts.URL, stftRequest{Frame: frame, Hop: hop, Samples: samples})
+			if status != http.StatusOK || streamErr != "" || len(frames) != nf {
+				t.Errorf("stream: status %d, error %q, %d/%d frames", status, streamErr, len(frames), nf)
+			}
+		}()
+	}
+	<-g.started
+	waitFor(t, "every stream to hold its slot", func() bool { return len(s.sem) == k })
+	g.release()
+	wg.Wait()
+}
+
+// TestSTFTChunkFailureIsNotADeadline: a chunk that fails in the executor
+// is classified like any other request — an engine fault counts as an
+// error, not as a deadline — and the server keeps serving.
+func TestSTFTChunkFailureIsNotADeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const frame, hop, nf = 16, 8, 5
+	var once sync.Once
+	s.execHook = func(batchKey, [][]complex128) {
+		fire := false
+		once.Do(func() { fire = true })
+		if fire {
+			panic("injected chunk failure")
+		}
+	}
+	req := stftRequest{Frame: frame, Hop: hop, Samples: rampSignal(frame, hop, nf)}
+	status, _, frames, streamErr := postSTFT(t, ts.URL, req)
+	if status != http.StatusOK || len(frames) != 0 || !strings.Contains(streamErr, "injected chunk failure") {
+		t.Fatalf("status %d, %d frames, trailing error %q; want 200, 0 frames and the panic message", status, len(frames), streamErr)
+	}
+	if got := s.m.internal.Value(); got != 1 {
+		t.Errorf("fft_responses_error_total = %d, want 1", got)
+	}
+	if got := s.m.deadline.Value(); got != 0 {
+		t.Errorf("fft_responses_deadline_total = %d, want 0", got)
+	}
+	if got := s.m.panics.Value(); got != 1 {
+		t.Errorf("fft_panics_total = %d, want 1", got)
+	}
+	if status, _, frames, streamErr := postSTFT(t, ts.URL, req); status != http.StatusOK || streamErr != "" || len(frames) != nf {
+		t.Fatalf("after the failure: status %d, error %q, %d/%d frames", status, streamErr, len(frames), nf)
+	}
+	if got := len(s.sem); got != 0 {
+		t.Fatalf("queue depth = %d, want 0 (slot leaked)", got)
+	}
+}
+
+// TestSTFTCoalescesWithForward: a spectrogram chunk is a forward request
+// with many rows, so it shares a dispatch with plain forward requests of
+// the frame length that queued behind the same running batch.
+func TestSTFTCoalescesWithForward(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const frame, hop, nf = 16, 4, 6
+	key := batchKey{n: frame, kind: KindForward}
+	g, codes := parkLeaderAndFollowers(t, s, ts.URL, frame, 1)
+
+	type result struct {
+		status    int
+		frames    map[int]stftFrame
+		streamErr string
+	}
+	samples := rampSignal(frame, hop, nf)
+	stream := make(chan result, 1)
+	go func() {
+		status, _, frames, streamErr := postSTFT(t, ts.URL, stftRequest{Frame: frame, Hop: hop, Samples: samples})
+		stream <- result{status, frames, streamErr}
+	}()
+	waitFor(t, "chunk to queue behind the running batch", func() bool { return s.queued(key) == 2 })
+	g.release()
+
+	for _, c := range codes {
+		if code := <-c; code != http.StatusOK {
+			t.Fatalf("forward request status %d", code)
+		}
+	}
+	r := <-stream
+	if r.status != http.StatusOK || r.streamErr != "" || len(r.frames) != nf {
+		t.Fatalf("stream: status %d, error %q, %d/%d frames", r.status, r.streamErr, len(r.frames), nf)
+	}
+	// Two dispatches: the parked leader alone, then the forward follower
+	// and the chunk's frames together, as two requests.
+	if got := g.sizes(); len(got) != 2 || got[0] != 1 || got[1] != 1+nf {
+		t.Fatalf("dispatch row counts = %v, want [1 %d]", got, 1+nf)
+	}
+	if got := s.m.occupancy.Mean(); got != 1.5 {
+		t.Fatalf("mean occupancy = %v, want 1.5 (batches of 1 and 2 requests)", got)
+	}
+	for fi := 0; fi < nf; fi++ {
+		x := make([]complex128, frame)
+		for i := range x {
+			x[i] = complex(samples[fi*hop+i], 0)
+		}
+		want := fft.DFT(x)
+		for k := range want {
+			if d := math.Hypot(r.frames[fi].Re[k]-real(want[k]), r.frames[fi].Im[k]-imag(want[k])); d > 1e-9*frame {
+				t.Fatalf("frame %d bin %d diverged by %g", fi, k, d)
+			}
+		}
 	}
 }

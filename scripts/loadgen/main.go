@@ -2,7 +2,8 @@
 // daemon with concurrent clients posting mixed-size binary frames,
 // tallies response codes and latencies, and finishes by scraping
 // /metrics so a run doubles as a coalescing check (mean batch
-// occupancy > 1 proves the window is merging concurrent requests).
+// occupancy > 1 shows requests that arrived while their shape's batch
+// was running were merged into the next one).
 //
 //	go run ./cmd/fftserved &
 //	go run ./scripts/loadgen -addr http://localhost:8080 -clients 200 -duration 5s
