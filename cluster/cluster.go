@@ -1,8 +1,9 @@
 // Package cluster is the public face of the distributed FFT: a
 // coordinator that factors large transforms four-step (N = N1·N2) and
-// fans the column and row FFT passes out to worker daemons, with
-// health-checked membership, consistent-hash placement, retries,
-// optional hedging, and graceful degradation to local execution.
+// runs the column and row FFT passes as one resident session over
+// worker daemons, with health-checked membership, consistent-hash
+// placement, a failed session retried on the surviving workers, and
+// graceful degradation to local execution.
 //
 // Workers are `fftserved -worker` processes; a Cluster built with New
 // reaches them over HTTP. NewLoopback instead stands up an entire
@@ -53,16 +54,11 @@ type Config struct {
 	// failures).
 	ProbeInterval time.Duration
 
-	// ShardVecs is how many column/row vectors ride in one worker RPC
-	// (default 32).
-	ShardVecs int
-	// MaxAttempts bounds the tries per shard, first attempt included
-	// (default 3).
+	// MaxAttempts bounds the session attempts per transform, first
+	// attempt included (default 3); each retry leaves out the worker the
+	// failed attempt blamed.
 	MaxAttempts int
-	// HedgeDelay, when positive, sends a second copy of a slow shard to
-	// the next worker on the ring; the first answer wins. 0 disables.
-	HedgeDelay time.Duration
-	// ShardTimeout is the per-attempt deadline (default 10s).
+	// ShardTimeout is the deadline of each session RPC (default 10s).
 	ShardTimeout time.Duration
 
 	// Factor overrides the four-step split for a given N; nil picks the
@@ -70,17 +66,10 @@ type Config struct {
 	Factor func(n int) (n1, n2 int)
 
 	// LocalKernel selects the butterfly kernel for degraded (local)
-	// execution and locally run shards. The zero value resolves to
-	// radix-2; the coordinator never runs tuning measurements on the
-	// request path. Workers pick their own kernel via `fftserved
-	// -kernel`.
+	// execution. The zero value resolves to radix-2; the coordinator
+	// never runs tuning measurements on the request path. Workers pick
+	// their own kernel via `fftserved -kernel`.
 	LocalKernel codeletfft.Kernel
-
-	// DisableResidentSessions forces every transform through the legacy
-	// one-shot shard frames even when the transport supports resident
-	// sessions. The zero value (resident enabled) is the
-	// communication-avoiding default.
-	DisableResidentSessions bool
 }
 
 // options translates the public Config onto the coordinator's
@@ -91,13 +80,10 @@ func (c Config) options(t dist.Transport, workers []string) []dist.Option {
 		dist.WithWorkers(workers...),
 		dist.WithMemberFile(c.MemberFile),
 		dist.WithProbeInterval(c.ProbeInterval),
-		dist.WithShardVecs(c.ShardVecs),
 		dist.WithMaxAttempts(c.MaxAttempts),
-		dist.WithHedgeDelay(c.HedgeDelay),
 		dist.WithShardTimeout(c.ShardTimeout),
 		dist.WithFactor(c.Factor),
 		dist.WithLocalKernel(c.LocalKernel),
-		dist.WithResidentSessions(!c.DisableResidentSessions),
 	}
 }
 
@@ -108,10 +94,7 @@ type Cluster struct {
 	co *dist.Coordinator
 }
 
-// New connects to the configured workers over HTTP. The transport is
-// session-capable: against upgraded workers each transform runs the
-// communication-avoiding resident path, and old FFS1-only daemons
-// degrade per-worker to the one-shot frames.
+// New connects to the configured workers over HTTP.
 func New(cfg Config) (*Cluster, error) {
 	co, err := dist.New(cfg.options(&dist.HTTPTransport{}, cfg.Workers)...)
 	if err != nil {
@@ -151,8 +134,8 @@ func NewLoopback(nWorkers int, cfg Config) (*Cluster, error) {
 }
 
 // TransformCtx applies the forward FFT to data in place, honoring ctx
-// throughout the shard RPCs. len(data) must be a power of two ≥ 4. The
-// output matches the single-node transform within floating-point
+// throughout the session RPCs. len(data) must be a power of two ≥ 4.
+// The output matches the single-node transform within floating-point
 // tolerance.
 func (c *Cluster) TransformCtx(ctx context.Context, data []complex128) error {
 	return c.co.Transform(ctx, data)
@@ -201,7 +184,7 @@ func (c *Cluster) InverseBatch(batch [][]complex128) error {
 func (c *Cluster) Close() { c.co.Close() }
 
 // Snapshot returns the coordinator's metrics — transform and RPC
-// counts, retry/hedge/degradation counters, latency histograms — as a
+// counts, retry/degradation counters, latency histograms — as a
 // flat name → value map.
 func (c *Cluster) Snapshot() map[string]float64 { return c.co.Registry().Snapshot() }
 

@@ -57,7 +57,7 @@ func TestLoopbackClusterMatchesSingleNode(t *testing.T) {
 // TestLoopbackClusterRoundTrip checks Inverse undoes Transform through
 // the public API.
 func TestLoopbackClusterRoundTrip(t *testing.T) {
-	cl, err := cluster.NewLoopback(2, cluster.Config{ShardVecs: 8})
+	cl, err := cluster.NewLoopback(2, cluster.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,16 @@
 // fftcluster is the cluster FFT coordinator daemon: an HTTP front end
 // over internal/dist. Client transforms arrive as binary frames
 // (the fftserved FFB1 codec, complex forward/inverse kinds), are
-// factored four-step, and the column/row FFT passes are dispatched as
-// shard RPCs to `fftserved -worker` processes — with health-checked
-// membership, per-worker circuit breakers, consistent-hash placement,
-// retries with exponential backoff, optional hedged requests, and
-// graceful degradation to local execution when the worker set is
-// empty or exhausted.
+// factored four-step, and the column/row FFT passes run as one resident
+// session over `fftserved -worker` processes — with health-checked
+// membership, per-worker circuit breakers, consistent-hash placement, a
+// failed session retried after a backoff on the workers it did not
+// blame, and graceful degradation to local execution when the worker
+// set is empty or exhausted.
 //
 //	go run ./cmd/fftcluster -addr :9100 \
 //	    -workers http://127.0.0.1:9101,http://127.0.0.1:9102 \
-//	    -probe 500ms -hedge 0
+//	    -probe 500ms
 //
 // Endpoints: POST /fft/bin (binary frames, forward/inverse complex),
 // GET /metrics, GET /healthz, GET /debug/vars (expvar), and — with
@@ -56,6 +56,19 @@ type server struct {
 	shed     *metrics.Counter
 }
 
+func newServer(co *dist.Coordinator, timeout time.Duration) *server {
+	reg := co.Registry()
+	return &server{
+		co:       co,
+		reg:      reg,
+		timeout:  timeout,
+		requests: reg.Counter("cluster_requests_total"),
+		okCount:  reg.Counter("cluster_ok_total"),
+		bad:      reg.Counter("cluster_bad_total"),
+		shed:     reg.Counter("cluster_shed_total"),
+	}
+}
+
 func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	if s.draining.Load() {
@@ -95,11 +108,14 @@ func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 		err = s.co.Inverse(ctx, f.Complex)
 	}
 	if err != nil {
-		if ctx.Err() != nil {
+		switch {
+		case ctx.Err() != nil:
 			http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-		} else {
+		case errors.Is(err, codeletfft.ErrUnsupportedLength):
 			s.bad.Inc()
 			http.Error(w, err.Error(), http.StatusBadRequest)
+		default:
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 		return
 	}
@@ -127,15 +143,11 @@ func main() {
 		workers     = flag.String("workers", "", "comma-separated worker base URLs (fftserved -worker processes)")
 		memberFile  = flag.String("member-file", "", "membership file polled for worker joins/leaves (one address per line)")
 		probe       = flag.Duration("probe", time.Second, "worker health-probe interval (0 disables)")
-		shardVecs   = flag.Int("shard-vecs", dist.DefaultShardVecs, "column/row vectors per shard RPC")
-		maxAttempts = flag.Int("max-attempts", dist.DefaultMaxAttempts, "tries per shard, first attempt included")
-		hedge       = flag.Duration("hedge", 0, "hedged-request delay; 0 disables tail-latency hedging")
-		shardTO     = flag.Duration("shard-timeout", dist.DefaultShardTimeout, "per-attempt shard deadline")
-		inflight    = flag.Int("max-inflight", dist.DefaultMaxInflight, "concurrent shard RPCs per transform")
+		maxAttempts = flag.Int("max-attempts", dist.DefaultMaxAttempts, "session attempts per transform, first attempt included")
+		shardTO     = flag.Duration("shard-timeout", dist.DefaultShardTimeout, "deadline of each session RPC")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request deadline")
 		localW      = flag.Int("local-workers", 0, "goroutines for degraded local execution (0 = GOMAXPROCS)")
 		kernelName  = flag.String("local-kernel", "radix2", "butterfly kernel for degraded local execution: radix2, radix4, splitradix")
-		resident    = flag.Bool("resident", true, "use resident worker sessions (communication-avoiding path); false forces one-shot shards")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		pprofFlag   = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the serving mux")
 	)
@@ -157,34 +169,20 @@ func main() {
 		dist.WithWorkers(workerList...),
 		dist.WithMemberFile(*memberFile),
 		dist.WithProbeInterval(*probe),
-		dist.WithShardVecs(*shardVecs),
 		dist.WithMaxAttempts(*maxAttempts),
-		dist.WithHedgeDelay(*hedge),
 		dist.WithShardTimeout(*shardTO),
-		dist.WithMaxInflight(*inflight),
 		dist.WithLocalWorkers(*localW),
 		dist.WithLocalKernel(kern),
-		dist.WithResidentSessions(*resident),
 	)
 	if err != nil {
 		log.Fatalf("fftcluster: %v", err)
 	}
 	defer co.Close()
-	reg := co.Registry()
-	reg.Publish("fftcluster")
-
-	s := &server{
-		co:       co,
-		reg:      reg,
-		timeout:  *timeout,
-		requests: reg.Counter("cluster_requests_total"),
-		okCount:  reg.Counter("cluster_ok_total"),
-		bad:      reg.Counter("cluster_bad_total"),
-		shed:     reg.Counter("cluster_shed_total"),
-	}
+	s := newServer(co, *timeout)
+	s.reg.Publish("fftcluster")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fft/bin", s.handleBin)
-	mux.Handle("GET /metrics", reg.Handler())
+	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	if *pprofFlag {
@@ -201,8 +199,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("fftcluster listening on %s (%d workers, probe=%v hedge=%v shard-vecs=%d)",
-		*addr, len(workerList), *probe, *hedge, *shardVecs)
+	log.Printf("fftcluster listening on %s (%d workers, probe=%v)", *addr, len(workerList), *probe)
 
 	select {
 	case err := <-errCh:

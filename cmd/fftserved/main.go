@@ -48,7 +48,6 @@ func main() {
 		taskSize   = flag.Int("task", 0, "P-point kernel size (0 = engine default, 64)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		worker     = flag.Bool("worker", false, "serve POST /fft/shard so a fftcluster coordinator can dispatch four-step segments here")
-		sessions   = flag.Bool("sessions", true, "accept resident shard sessions (FFS2) in worker mode; false simulates an FFS1-only daemon")
 		kernelName = flag.String("kernel", "auto", "butterfly kernel: auto, radix2, radix4, splitradix (auto tunes per shape on first use and memoizes)")
 		pprof      = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the serving mux")
 	)
@@ -75,11 +74,7 @@ func main() {
 		// Resident sessions exchange the four-step transpose directly
 		// between workers; peers are named by the coordinator's session
 		// spec, so the daemon just needs an HTTP pusher.
-		if *sessions {
-			cfg.Peers = &serve.HTTPPeers{}
-		} else {
-			cfg.DisableSessions = true
-		}
+		cfg.Peers = &serve.HTTPPeers{}
 	}
 	s := serve.New(cfg)
 	s.Registry().Publish("fftserved")

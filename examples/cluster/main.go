@@ -1,12 +1,12 @@
 // Example cluster runs a complete distributed FFT inside one process:
 // a coordinator factoring transforms four-step over loopback workers
-// speaking the real shard protocol. It demonstrates the public
+// speaking the real session protocol. It demonstrates the public
 // codeletfft/cluster API — transform, verify against the single-node
 // engine, then kill the worker set mid-run and watch the coordinator
 // degrade gracefully instead of failing.
 //
 //	go run ./examples/cluster
-//	go run ./examples/cluster -logn 18 -workers 4 -hedge 1ms
+//	go run ./examples/cluster -logn 18 -workers 4
 package main
 
 import (
@@ -26,12 +26,11 @@ func main() {
 	var (
 		logN    = flag.Int("logn", 16, "transform length: N=2^logn")
 		workers = flag.Int("workers", 3, "loopback worker count")
-		hedge   = flag.Duration("hedge", 0, "hedged-request delay (0 disables)")
 	)
 	flag.Parse()
 	n := 1 << *logN
 
-	cl, err := cluster.NewLoopback(*workers, cluster.Config{HedgeDelay: *hedge})
+	cl, err := cluster.NewLoopback(*workers, cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,8 +53,8 @@ func main() {
 	}
 
 	// The same transform through the cluster: gathered into columns,
-	// column FFTs + twiddles and row FFTs dispatched as shard RPCs to
-	// the workers, transposed back.
+	// column FFTs + twiddles and row FFTs run by the workers in one
+	// resident session, transposed back.
 	data := append([]complex128(nil), signal...)
 	ctx := context.Background()
 	start := time.Now()
@@ -94,15 +93,15 @@ func main() {
 			snap["dist_resident_ok_total"], snap["dist_resident_fallback_total"],
 			snap["dist_resident_bytes_total"]/elems)
 	}
-	fmt.Printf("one-shot shards %v, RPC attempts %v, retries %v, hedges %v\n",
-		snap["dist_shards_total"], snap["dist_rpc_attempts_total"],
-		snap["dist_retries_total"], snap["dist_hedges_total"])
+	fmt.Printf("session RPCs %v, errors %v, retries %v\n",
+		snap["dist_rpc_attempts_total"], snap["dist_rpc_errors_total"], snap["dist_retries_total"])
 
 	// Degradation: a cluster whose only worker is unreachable (nothing
-	// listens on port 1) still answers every transform — failed shards
-	// retry, exhaust the worker set, and run locally; once the worker's
-	// circuit breaker trips, later shards skip the dead address
-	// entirely. The client never sees a cluster-induced failure.
+	// listens on port 1) still answers every transform — the session's
+	// open fails, the worker is blamed, nobody is left, and the transform
+	// runs locally; once the worker's circuit breaker trips, later
+	// transforms skip the dead address entirely. The client never sees a
+	// cluster-induced failure.
 	down, err := cluster.New(cluster.Config{
 		Workers:      []string{"http://127.0.0.1:1"},
 		MaxAttempts:  2,
@@ -123,6 +122,6 @@ func main() {
 		}
 	}
 	dsnap := down.Snapshot()
-	fmt.Printf("dead-worker cluster still answered (max deviation %.3g): rpc_errors=%v local_shards=%v degraded=%v\n",
-		degWorst, dsnap["dist_rpc_errors_total"], dsnap["dist_local_shards_total"], dsnap["dist_degraded_total"])
+	fmt.Printf("dead-worker cluster still answered (max deviation %.3g): rpc_errors=%v degraded=%v\n",
+		degWorst, dsnap["dist_rpc_errors_total"], dsnap["dist_degraded_total"])
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,31 +18,39 @@ import (
 	"codeletfft/internal/serve"
 )
 
-// newTestCluster stands up nWorkers in-process shard workers on a
-// loopback transport and a coordinator over them. The caller's cfg is
-// honored except Transport/Workers, which the helper owns, and the
-// resident-session path, which is disabled: these tests pin the legacy
-// one-shot path's exact counter identities (faults injected on Exec),
-// which the resident path would bypass. Resident-path coverage lives
-// in session_test.go's newResidentCluster.
+// newTestCluster stands up nWorkers in-process workers on a loopback
+// transport and a coordinator over them. The caller's cfg is honored
+// except Transport/Workers, which the helper owns; ProbeInterval stays
+// at its zero default unless the caller sets it, so membership learns
+// of a bad worker from the data path alone.
 func newTestCluster(t *testing.T, nWorkers int, cfg Config) (*Coordinator, *Loopback, []string) {
+	t.Helper()
+	c, lb, addrs, _ := newTestClusterOf(t, nWorkers, cfg, serve.Config{})
+	return c, lb, addrs
+}
+
+// newTestClusterOf is newTestCluster with the workers' own config
+// (EnableShard, MaxN and Peers are the helper's) and their servers.
+func newTestClusterOf(t *testing.T, nWorkers int, cfg Config, scfg serve.Config) (*Coordinator, *Loopback, []string, []*serve.Server) {
 	t.Helper()
 	lb := NewLoopback()
 	addrs := make([]string, nWorkers)
+	srvs := make([]*serve.Server, nWorkers)
+	scfg.EnableShard, scfg.MaxN, scfg.Peers = true, 1<<20, lb
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("worker-%d", i)
-		srv := serve.New(serve.Config{EnableShard: true, MaxN: 1 << 20, Peers: lb})
-		lb.Register(addrs[i], srv.Handler())
+		scfg.Registry = nil
+		srvs[i] = serve.New(scfg)
+		lb.Register(addrs[i], srvs[i].Handler())
 	}
 	cfg.Transport = lb
 	cfg.Workers = addrs
-	cfg.DisableResidentSessions = true
 	c, err := newCoordinator(cfg)
 	if err != nil {
 		t.Fatalf("newCoordinator: %v", err)
 	}
 	t.Cleanup(c.Close)
-	return c, lb, addrs
+	return c, lb, addrs, srvs
 }
 
 // noise returns a deterministic pseudo-random signal.
@@ -121,8 +128,8 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			if got := counter(t, c, "dist_degraded_total"); got != 0 {
 				t.Fatalf("degraded_total = %d, want 0", got)
 			}
-			if got := counter(t, c, "dist_local_shards_total"); got != 0 {
-				t.Fatalf("local_shards_total = %d, want 0", got)
+			if got := counter(t, c, "dist_resident_ok_total"); got != 1 {
+				t.Fatalf("resident_ok_total = %d, want 1", got)
 			}
 		})
 	}
@@ -149,23 +156,21 @@ func TestClusterInverseRoundTrip(t *testing.T) {
 
 // TestClusterWorkerDiesMidStream kills one of three workers partway
 // through a stream of transforms. Every transform must still succeed
-// with correct output, and the fault counters must be exactly
-// consistent with the injected faults: with hedging off, every fault
-// the transport delivered is one failed RPC and one retry — no
-// degradation, no local shards.
+// with correct output on the resident path, and the fault counters must
+// be exactly consistent with the injected faults: every fault the
+// transport delivered is one failed RPC and one retried session — no
+// degradation.
 func TestClusterWorkerDiesMidStream(t *testing.T) {
 	var dead atomic.Bool
 	var faults atomic.Int64
 	c, lb, addrs := newTestCluster(t, 3, Config{
-		ShardVecs: 8,
 		// Generous circuit threshold keeps the dead worker in rotation,
-		// so the fault count is driven purely by placement — the
-		// counter identity below holds regardless.
+		// so every transform after the death meets it.
 		CircuitThreshold: 1 << 30,
 		BackoffBase:      time.Microsecond,
 	})
 	victim := addrs[1]
-	lb.Fault = func(addr string, req serve.ShardFrame) error {
+	lb.SessionFault = func(_ context.Context, addr string, _ serve.SessionOp) error {
 		if addr == victim && dead.Load() {
 			faults.Add(1)
 			return errors.New("injected: connection reset")
@@ -190,46 +195,42 @@ func TestClusterWorkerDiesMidStream(t *testing.T) {
 		}
 	}
 
+	// A dead worker fails the session's first frame, its open, so each
+	// transform after the death meets exactly one fault.
 	f := faults.Load()
-	if f == 0 {
-		t.Fatalf("no faults were injected; placement never chose %s", victim)
+	if f != rounds/2 {
+		t.Fatalf("%d faults injected, want one per transform after the death (%d)", f, rounds/2)
 	}
 	if got := counter(t, c, "dist_rpc_errors_total"); got != f {
 		t.Errorf("rpc_errors_total = %d, want exactly %d (injected faults)", got, f)
 	}
+	if got := counter(t, c, "dist_worker_"+sanitizeAddr(victim)+"_errors_total"); got != f {
+		t.Errorf("victim errors_total = %d, want %d", got, f)
+	}
 	if got := counter(t, c, "dist_retries_total"); got != f {
 		t.Errorf("retries_total = %d, want exactly %d (every fault retried once)", got, f)
+	}
+	if got := counter(t, c, "dist_resident_ok_total"); got != rounds {
+		t.Errorf("resident_ok_total = %d, want %d (every transform stayed resident)", got, rounds)
 	}
 	if got := counter(t, c, "dist_degraded_total"); got != 0 {
 		t.Errorf("degraded_total = %d, want 0", got)
 	}
-	if got := counter(t, c, "dist_local_shards_total"); got != 0 {
-		t.Errorf("local_shards_total = %d, want 0", got)
-	}
-	if got := counter(t, c, "dist_hedges_total"); got != 0 {
-		t.Errorf("hedges_total = %d, want 0 with hedging disabled", got)
-	}
-	// Attempts = successes + failures; every shard eventually succeeded
-	// remotely, so attempts == shards + faults.
-	shards := counter(t, c, "dist_shards_total")
-	if got := counter(t, c, "dist_rpc_attempts_total"); got != shards+f {
-		t.Errorf("rpc_attempts_total = %d, want shards+faults = %d", got, shards+f)
-	}
 }
 
-// TestClusterCircuitBreakerSheds verifies that a persistently failing
-// worker trips its circuit and is bypassed without per-call errors once
-// open: after the trip, transforms keep succeeding and the error count
-// stops growing.
+// TestClusterCircuitBreakerSheds is the regression test for the data
+// path being invisible to membership: with no health prober
+// (ProbeInterval 0, the cluster.Config{} default) a worker that refuses
+// every session frame must trip its circuit after CircuitThreshold
+// transforms and stop being opened — it used to be re-picked forever.
 func TestClusterCircuitBreakerSheds(t *testing.T) {
 	var faults atomic.Int64
 	c, lb, addrs := newTestCluster(t, 3, Config{
-		ShardVecs:       8,
 		BackoffBase:     time.Microsecond,
 		CircuitOpenBase: time.Hour, // stays open for the whole test
 	})
 	victim := addrs[0]
-	lb.Fault = func(addr string, req serve.ShardFrame) error {
+	lb.SessionFault = func(_ context.Context, addr string, _ serve.SessionOp) error {
 		if addr == victim {
 			faults.Add(1)
 			return errors.New("injected: down for good")
@@ -247,6 +248,13 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 		if d := maxDiff(data, want); d > 1e-12*float64(n) {
 			t.Fatalf("round %d: output deviates by %g", round, d)
 		}
+		wantEligible := 3
+		if round+1 >= DefaultCircuitThreshold {
+			wantEligible = 2 // one failed open per transform so far
+		}
+		if got := c.Members().EligibleCount(); got != wantEligible {
+			t.Fatalf("round %d: EligibleCount = %d, want %d", round, got, wantEligible)
+		}
 	}
 	// The circuit opens after DefaultCircuitThreshold consecutive
 	// failures and never half-opens (OpenBase = 1h), so the victim saw
@@ -257,60 +265,16 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 	if got := counter(t, c, "dist_rpc_errors_total"); got != faults.Load() {
 		t.Errorf("rpc_errors_total = %d, want %d", got, faults.Load())
 	}
+	if got := counter(t, c, "dist_resident_ok_total"); got != 10 {
+		t.Errorf("resident_ok_total = %d, want 10", got)
+	}
 }
 
-// TestClusterHedgingWins makes one worker artificially slow and checks
-// that hedged requests fire, win, and keep the error counters at zero.
-func TestClusterHedgingWins(t *testing.T) {
-	var slow atomic.Value // string: address to slow down
-	slow.Store("")
-	c, lb, addrs := newTestCluster(t, 3, Config{
-		ShardVecs:  8,
-		HedgeDelay: time.Millisecond,
-	})
-	lb.Fault = func(addr string, req serve.ShardFrame) error {
-		if addr == slow.Load().(string) {
-			time.Sleep(100 * time.Millisecond)
-		}
-		return nil
-	}
-	slow.Store(addrs[2])
-	const n = 1 << 12
-	data := noise(n, 3)
-	want := singleNode(t, data)
-	if err := c.Transform(context.Background(), data); err != nil {
-		t.Fatalf("Transform: %v", err)
-	}
-	if d := maxDiff(data, want); d > 1e-12*float64(n) {
-		t.Fatalf("output deviates by %g", d)
-	}
-	hedges := counter(t, c, "dist_hedges_total")
-	wins := counter(t, c, "dist_hedge_wins_total")
-	if hedges == 0 {
-		t.Fatalf("no hedges fired despite a slow worker")
-	}
-	// Every shard whose primary is the stalled worker must be rescued
-	// by its hedge; a hedge fired for a merely slow-ish healthy primary
-	// may legitimately lose, so wins ≤ hedges rather than equality.
-	if wins == 0 {
-		t.Errorf("hedge_wins_total = 0, want > 0 (hedges must beat the 100ms stall)")
-	}
-	if wins > hedges {
-		t.Errorf("hedge_wins_total = %d > hedges_total = %d", wins, hedges)
-	}
-	if got := counter(t, c, "dist_rpc_errors_total"); got != 0 {
-		t.Errorf("rpc_errors_total = %d, want 0 — hedge losers must not count as failures", got)
-	}
-	if got := counter(t, c, "dist_retries_total"); got != 0 {
-		t.Errorf("retries_total = %d, want 0", got)
-	}
-	slow.Store("") // let the stalled handlers finish fast on cleanup
-}
-
-// TestClusterDegradesToLocal checks both degradation tiers: a
-// coordinator with no workers at all runs the whole transform locally,
-// and one whose entire worker set fails runs each stranded shard
-// locally — in both cases the client sees success and correct output.
+// TestClusterDegradesToLocal checks both ways a transform ends on the
+// coordinator's own engine: a coordinator with no workers at all never
+// tries a session, and one whose entire worker set fails runs out of
+// workers to retry on — in both cases the client sees success and
+// correct output.
 func TestClusterDegradesToLocal(t *testing.T) {
 	t.Run("no workers", func(t *testing.T) {
 		c, err := New()
@@ -330,21 +294,22 @@ func TestClusterDegradesToLocal(t *testing.T) {
 		if got := counter(t, c, "dist_degraded_total"); got != 1 {
 			t.Errorf("degraded_total = %d, want 1", got)
 		}
+		if got := counter(t, c, "dist_resident_fallback_total"); got != 0 {
+			t.Errorf("resident_fallback_total = %d, want 0 (no session was tried)", got)
+		}
 	})
 	t.Run("all workers failing", func(t *testing.T) {
 		c, lb, _ := newTestCluster(t, 2, Config{
-			ShardVecs:   32,
 			MaxAttempts: 2,
 			BackoffBase: time.Microsecond,
 			// Keep circuits closed so the membership still looks
-			// eligible and the dist path (not whole-transform
-			// degradation) is exercised.
+			// eligible and sessions are tried.
 			CircuitThreshold: 1 << 30,
 		})
-		lb.Fault = func(string, serve.ShardFrame) error {
+		lb.SessionFault = func(context.Context, string, serve.SessionOp) error {
 			return errors.New("injected: cluster-wide outage")
 		}
-		const n = 1 << 12 // 64×64 default split → 2+2 shards at ShardVecs=32
+		const n = 1 << 12
 		data := noise(n, 5)
 		want := singleNode(t, data)
 		if err := c.Transform(context.Background(), data); err != nil {
@@ -353,12 +318,14 @@ func TestClusterDegradesToLocal(t *testing.T) {
 		if d := maxDiff(data, want); d > 1e-12*float64(n) {
 			t.Fatalf("fallback output deviates by %g", d)
 		}
-		shards := counter(t, c, "dist_shards_total")
-		if got := counter(t, c, "dist_local_shards_total"); got != shards {
-			t.Errorf("local_shards_total = %d, want every shard (%d) to fall back", got, shards)
+		if got := counter(t, c, "dist_resident_fallback_total"); got != 1 {
+			t.Errorf("resident_fallback_total = %d, want 1", got)
 		}
-		if got := counter(t, c, "dist_degraded_total"); got != 0 {
-			t.Errorf("degraded_total = %d, want 0 (per-shard fallback, not whole-transform)", got)
+		if got := counter(t, c, "dist_degraded_total"); got != 1 {
+			t.Errorf("degraded_total = %d, want 1", got)
+		}
+		if got := counter(t, c, "dist_resident_ok_total"); got != 0 {
+			t.Errorf("resident_ok_total = %d, want 0", got)
 		}
 	})
 }
@@ -367,7 +334,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 // goroutines — primarily a race-detector target for the shared
 // membership, metrics, and plan-cache state.
 func TestClusterConcurrentTransforms(t *testing.T) {
-	c, _, _ := newTestCluster(t, 3, Config{ShardVecs: 8})
+	c, _, _ := newTestCluster(t, 3, Config{})
 	const n = 1 << 10
 	want := singleNode(t, noise(n, 7))
 	var wg sync.WaitGroup
@@ -397,19 +364,20 @@ func TestClusterConcurrentTransforms(t *testing.T) {
 func TestClusterRejectsBadN(t *testing.T) {
 	c, _, _ := newTestCluster(t, 1, Config{})
 	for _, n := range []int{0, 1, 2, 3, 6, 1000} {
-		if err := c.Transform(context.Background(), make([]complex128, n)); err == nil {
-			t.Errorf("Transform accepted N=%d", n)
+		if err := c.Transform(context.Background(), make([]complex128, n)); !errors.Is(err, fft.ErrUnsupportedLength) {
+			t.Errorf("Transform(N=%d) = %v, want ErrUnsupportedLength", n, err)
 		}
 	}
 }
 
 // TestClusterContextCancellation checks a cancelled context aborts the
-// distributed path with ctx.Err instead of hanging or degrading.
+// transform with ctx.Err — no hang, no degradation, nobody blamed — and
+// leaves the caller's data as it was.
 func TestClusterContextCancellation(t *testing.T) {
-	c, lb, _ := newTestCluster(t, 2, Config{ShardVecs: 4, BackoffBase: time.Microsecond})
+	c, lb, _ := newTestCluster(t, 2, Config{BackoffBase: time.Microsecond})
 	block := make(chan struct{})
 	var once sync.Once
-	lb.Fault = func(string, serve.ShardFrame) error {
+	lb.SessionFault = func(context.Context, string, serve.SessionOp) error {
 		once.Do(func() { close(block) })
 		time.Sleep(5 * time.Millisecond)
 		return nil
@@ -419,9 +387,21 @@ func TestClusterContextCancellation(t *testing.T) {
 		<-block
 		cancel()
 	}()
-	err := c.Transform(ctx, noise(1<<12, 8))
+	data := noise(1<<12, 8)
+	orig := append([]complex128(nil), data...)
+	err := c.Transform(ctx, data)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("Transform after cancel: err = %v, want context.Canceled", err)
+	}
+	for i := range data {
+		if data[i] != orig[i] {
+			t.Fatalf("cancelled transform wrote data[%d]", i)
+		}
+	}
+	for _, name := range []string{"dist_rpc_errors_total", "dist_retries_total", "dist_degraded_total"} {
+		if got := counter(t, c, name); got != 0 {
+			t.Errorf("%s = %d after a cancellation, want 0", name, got)
+		}
 	}
 }
 
@@ -586,101 +566,54 @@ func TestLocalKernelConfig(t *testing.T) {
 	}
 }
 
-// TestColumnPhaseParityAcrossPaths pins the promise the shared twiddle
-// table makes: with serve.Config.Kernel and Config.LocalKernel on the
-// same kernel, the three ways a transform's shards can execute —
-// resident sessions, one-shot shard RPCs, and the coordinator's local
-// fallback for every shard — produce one and the same bits, and on the
-// SoA radix-4 codelets those are the serial FourStepPlan's.
+// TestColumnPhaseParityAcrossPaths pins the bitwise claim the shared
+// tile kernel makes: resident sessions on the SoA radix-4 codelets
+// produce the serial fft.FourStepPlan's bits however the transform is
+// partitioned — over 1, 2 or 3 workers, and when a worker dies
+// mid-transform and the session is retried on fewer. (Whole-transform
+// degraded execution is the direct staged algorithm, not a four-step,
+// and agrees to rounding only — TestClusterDegradesToLocal.)
 func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 	const n = 1 << 12 // 64×64 default split
-	for _, k := range []fft.Kernel{fft.KernelSoARadix4, fft.KernelRadix4} {
-		run := func(name string, resident, outage bool) []complex128 {
-			t.Helper()
-			lb := NewLoopback()
-			addrs := []string{"worker-0", "worker-1"}
-			for _, a := range addrs {
-				srv := serve.New(serve.Config{EnableShard: true, MaxN: 1 << 20, Peers: lb, Kernel: k})
-				lb.Register(a, srv.Handler())
-			}
-			if outage {
-				lb.Fault = func(string, serve.ShardFrame) error { return errors.New("injected: cluster-wide outage") }
-			}
-			c, err := newCoordinator(Config{
-				Transport: lb, Workers: addrs, LocalKernel: k,
-				ShardVecs: 16, MaxAttempts: 2, BackoffBase: time.Microsecond,
-				CircuitThreshold:        1 << 30, // keep the dist path: per-shard fallback, not whole-transform
-				DisableResidentSessions: !resident,
-			})
-			if err != nil {
-				t.Fatalf("%v/%s: %v", k, name, err)
-			}
-			defer c.Close()
-			data := noise(n, 17)
-			if err := c.Transform(context.Background(), data); err != nil {
-				t.Fatalf("%v/%s: Transform: %v", k, name, err)
-			}
-			resOK, local := counter(t, c, "dist_resident_ok_total"), counter(t, c, "dist_local_shards_total")
-			if (resOK == 1) != resident || (local == counter(t, c, "dist_shards_total") && local > 0) != outage {
-				t.Fatalf("%v/%s ran on the wrong path: resident_ok=%d local_shards=%d", k, name, resOK, local)
-			}
-			return data
-		}
-		paths := map[string][]complex128{
-			"resident": run("resident", true, false),
-			"one-shot": run("one-shot", false, false),
-			"local":    run("local", false, true),
-		}
-		want := paths["one-shot"]
-		if k == fft.KernelSoARadix4 {
-			fs, err := fft.NewFourStep(NearSquareFactor(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = noise(n, 17)
-			fs.Transform(want)
-		}
-		for name, got := range paths {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v: %s path bin %d = %v, want %v (not bitwise identical)", k, name, i, got[i], want[i])
-				}
-			}
-		}
+	fs, err := fft.NewFourStep(NearSquareFactor(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestLocalShardAllocsConstant is the regression test for the local
-// shard path rebuilding Twiddles(TotalN) and a Scratch on every shard:
-// once the plan and the two-level table are warm, a locally executed
-// column shard allocates a few hundred bytes at most whatever TotalN is
-// (the rebuilt table alone was 8·TotalN: 8 MiB at 2^20).
-func TestLocalShardAllocsConstant(t *testing.T) {
-	for _, k := range []fft.Kernel{fft.KernelSoARadix4, fft.KernelRadix4} {
-		c, err := New(WithLocalKernel(k))
-		if err != nil {
-			t.Fatal(err)
+	want := noise(n, 17)
+	fs.Transform(want)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		dieAt   serve.SessionOp // the victim refuses this op; OpSessAck: nobody dies
+	}{
+		{"1 worker", 1, serve.OpSessAck},
+		{"2 workers", 2, serve.OpSessAck},
+		{"3 workers", 3, serve.OpSessAck},
+		{"3 workers, one dies at cols", 3, serve.OpSessCols},
+		{"2 workers, one dies at rows", 2, serve.OpSessRows},
+	} {
+		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond},
+			serve.Config{Kernel: fft.KernelSoARadix4})
+		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
+			if op == tc.dieAt && addr == addrs[0] {
+				return errors.New("injected: worker died mid-transform")
+			}
+			return nil
 		}
-		defer c.Close()
-		for _, shape := range [][2]int{{64, 1 << 12}, {1024, 1 << 20}} {
-			f := serve.ShardFrame{Op: serve.OpColumns, VecLen: shape[0], TotalN: shape[1], Start: 3, Data: noise(4*shape[0], 5)}
-			if err := c.execShardLocal(f); err != nil { // warm plan, tables, pools
-				t.Fatal(err)
-			}
-			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				if err := c.execShardLocal(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			// The bound leaves room for a Scratch or frame the pool lost
-			// to a GC (or to -race, which drops a share of Puts) — all
-			// O(VecLen) — and none for anything O(TotalN).
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 64<<10 {
-				t.Errorf("%v VecLen=%d TotalN=%d: local shard allocates %d B/shard, want O(1)", k, shape[0], shape[1], per)
+		got := noise(n, 17)
+		if err := c.Transform(context.Background(), got); err != nil {
+			t.Fatalf("%s: Transform: %v", tc.name, err)
+		}
+		wantRetries := int64(0)
+		if tc.dieAt != serve.OpSessAck {
+			wantRetries = 1
+		}
+		if ok, retries := counter(t, c, "dist_resident_ok_total"), counter(t, c, "dist_retries_total"); ok != 1 || retries != wantRetries {
+			t.Fatalf("%s ran on the wrong path: resident_ok=%d retries=%d", tc.name, ok, retries)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: bin %d = %v, want %v (not bitwise identical)", tc.name, i, got[i], want[i])
 			}
 		}
 	}

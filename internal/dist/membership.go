@@ -64,8 +64,8 @@ type MemberConfig struct {
 // Membership tracks the worker set and each worker's health: static
 // and file-sourced members, active health probing, and a per-worker
 // circuit breaker fed by the coordinator's call outcomes. Placement is
-// by consistent hashing so shard keys keep their home workers across
-// membership churn.
+// by consistent hashing so transform shapes keep their home workers
+// across membership churn.
 type Membership struct {
 	cfg MemberConfig
 
@@ -166,9 +166,8 @@ func (m *Membership) EligibleCount() int {
 	return n
 }
 
-// Successors returns up to max eligible workers for the shard key in
-// ring order, skipping excluded addresses. Element 0 is the shard's
-// home worker; element 1 is the failover/hedge peer.
+// Successors returns up to max eligible workers for the placement key
+// in ring order, skipping excluded addresses.
 func (m *Membership) Successors(key uint64, max int, excluded map[string]bool) []string {
 	now := time.Now()
 	m.mu.RLock()

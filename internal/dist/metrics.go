@@ -9,27 +9,24 @@ import (
 
 // distMetrics names the coordinator's instruments once. The counters
 // are defined so fault-injection tests can assert exact consistency:
-// every failed RPC attempt increments errors; every failed attempt
-// that is followed by another attempt increments retries; every hedge
-// launch increments hedges (wins count separately); a transform that
-// never leaves the coordinator increments degraded; a single shard
-// that exhausts its attempts and runs locally increments localShards.
+// attempts counts every session RPC (open, cols, rows, close — four per
+// worker per healthy transform); errors every RPC whose failure was
+// held against an address (cancelled siblings and 429s are not);
+// retries every abandoned session attempt that was followed by
+// another; degraded every transform that ran on the coordinator's host
+// engine, and residentFall those of them that tried a session first.
 type distMetrics struct {
 	reg *metrics.Registry
 
-	transforms  *metrics.Counter // dist_transforms_total
-	attempts    *metrics.Counter // dist_rpc_attempts_total
-	errors      *metrics.Counter // dist_rpc_errors_total
-	retries     *metrics.Counter // dist_retries_total
-	hedges      *metrics.Counter // dist_hedges_total
-	hedgeWins   *metrics.Counter // dist_hedge_wins_total
-	degraded    *metrics.Counter // dist_degraded_total
-	localShards *metrics.Counter // dist_local_shards_total
-	shards      *metrics.Counter // dist_shards_total
+	transforms *metrics.Counter // dist_transforms_total
+	attempts   *metrics.Counter // dist_rpc_attempts_total
+	errors     *metrics.Counter // dist_rpc_errors_total
+	retries    *metrics.Counter // dist_retries_total
+	degraded   *metrics.Counter // dist_degraded_total
 
-	// Wire accounting. bytesMoved counts coordinator↔worker bytes on
-	// both paths; the resident pair counts only transforms the resident
-	// path completed, so residentBytes / residentElems is the
+	// Wire accounting. bytesMoved counts every coordinator↔worker byte,
+	// abandoned attempts included; the resident pair counts completed
+	// attempts only, so residentBytes / residentElems is the
 	// communication-avoidance invariant CI gates on:
 	// bytes ≤ 2·16·elems (+ header noise).
 	bytesMoved    *metrics.Counter // dist_bytes_moved_total
@@ -38,7 +35,6 @@ type distMetrics struct {
 	residentOK    *metrics.Counter // dist_resident_ok_total
 	residentFall  *metrics.Counter // dist_resident_fallback_total
 	sessions      *metrics.Counter // dist_sessions_total
-	capabilityOld *metrics.Counter // dist_capability_legacy_total
 
 	rpcSec       *metrics.Histogram // dist_rpc_seconds
 	transformSec *metrics.Histogram // dist_transform_seconds
@@ -52,16 +48,12 @@ type distMetrics struct {
 func newDistMetrics(r *metrics.Registry) *distMetrics {
 	latency := metrics.ExpBuckets(1e-5, 2, 22) // 10µs … ~40s
 	return &distMetrics{
-		reg:         r,
-		transforms:  r.Counter("dist_transforms_total"),
-		attempts:    r.Counter("dist_rpc_attempts_total"),
-		errors:      r.Counter("dist_rpc_errors_total"),
-		retries:     r.Counter("dist_retries_total"),
-		hedges:      r.Counter("dist_hedges_total"),
-		hedgeWins:   r.Counter("dist_hedge_wins_total"),
-		degraded:    r.Counter("dist_degraded_total"),
-		localShards: r.Counter("dist_local_shards_total"),
-		shards:      r.Counter("dist_shards_total"),
+		reg:        r,
+		transforms: r.Counter("dist_transforms_total"),
+		attempts:   r.Counter("dist_rpc_attempts_total"),
+		errors:     r.Counter("dist_rpc_errors_total"),
+		retries:    r.Counter("dist_retries_total"),
+		degraded:   r.Counter("dist_degraded_total"),
 
 		bytesMoved:    r.Counter("dist_bytes_moved_total"),
 		residentBytes: r.Counter("dist_resident_bytes_total"),
@@ -69,7 +61,6 @@ func newDistMetrics(r *metrics.Registry) *distMetrics {
 		residentOK:    r.Counter("dist_resident_ok_total"),
 		residentFall:  r.Counter("dist_resident_fallback_total"),
 		sessions:      r.Counter("dist_sessions_total"),
-		capabilityOld: r.Counter("dist_capability_legacy_total"),
 
 		rpcSec:       r.Histogram("dist_rpc_seconds", latency),
 		transformSec: r.Histogram("dist_transform_seconds", latency),

@@ -27,10 +27,8 @@ func New(opts ...Option) (*Coordinator, error) {
 	return newCoordinator(cfg)
 }
 
-// WithTransport sets the RPC transport carrying shard frames to
-// workers (required whenever workers are configured). A transport that
-// also implements SessionTransport enables the communication-avoiding
-// resident path.
+// WithTransport sets the transport that opens sessions on workers
+// (required whenever workers are configured).
 func WithTransport(t Transport) Option {
 	return func(c *Config) { c.Transport = t }
 }
@@ -56,36 +54,20 @@ func WithFilePollInterval(d time.Duration) Option {
 	return func(c *Config) { c.FilePollInterval = d }
 }
 
-// WithShardVecs sets how many column/row vectors ride in one one-shot
-// shard RPC (the legacy path's batching unit).
-func WithShardVecs(n int) Option {
-	return func(c *Config) { c.ShardVecs = n }
-}
-
-// WithMaxAttempts bounds tries per one-shot shard, first included.
+// WithMaxAttempts bounds the session attempts per transform, first
+// included.
 func WithMaxAttempts(n int) Option {
 	return func(c *Config) { c.MaxAttempts = n }
 }
 
-// WithBackoff shapes the exponential retry backoff between attempts.
+// WithBackoff shapes the exponential wait between attempts.
 func WithBackoff(base, max time.Duration) Option {
 	return func(c *Config) { c.BackoffBase, c.BackoffMax = base, max }
 }
 
-// WithHedgeDelay enables tail-latency hedging: a second copy of a
-// silent shard goes to the next worker after d. 0 disables hedging.
-func WithHedgeDelay(d time.Duration) Option {
-	return func(c *Config) { c.HedgeDelay = d }
-}
-
-// WithShardTimeout sets the per-attempt RPC deadline.
+// WithShardTimeout sets the deadline of each session RPC.
 func WithShardTimeout(d time.Duration) Option {
 	return func(c *Config) { c.ShardTimeout = d }
-}
-
-// WithMaxInflight bounds concurrent shard RPCs per transform.
-func WithMaxInflight(n int) Option {
-	return func(c *Config) { c.MaxInflight = n }
 }
 
 // WithFactor overrides the four-step split; nil keeps the near-square
@@ -107,17 +89,9 @@ func WithLocalTaskSize(n int) Option {
 }
 
 // WithLocalKernel selects the butterfly kernel for degraded (local)
-// execution and locally run shards.
+// execution.
 func WithLocalKernel(k fft.Kernel) Option {
 	return func(c *Config) { c.LocalKernel = k }
-}
-
-// WithResidentSessions toggles the communication-avoiding
-// resident-shard path (on by default when the transport supports it).
-// Pass false to force every transform through the legacy one-shot
-// frames.
-func WithResidentSessions(enabled bool) Option {
-	return func(c *Config) { c.DisableResidentSessions = !enabled }
 }
 
 // WithCircuit tunes the per-worker circuit breaker: consecutive

@@ -7,10 +7,10 @@ import (
 )
 
 // ring is a consistent-hash ring over worker addresses. Each worker
-// owns ringVnodes points, so shard keys spread evenly and a membership
-// change only remaps the slices adjacent to the joined or departed
-// worker — the property that keeps each worker's plan cache warm for
-// the shard shapes it habitually serves.
+// owns ringVnodes points, so placement keys spread evenly and a
+// membership change only remaps the slices adjacent to the joined or
+// departed worker — the property that keeps each worker's plan cache
+// warm for the transform shapes it habitually serves.
 const ringVnodes = 64
 
 type ringPoint struct {
@@ -23,7 +23,7 @@ type ring struct {
 }
 
 // hash64 is FNV-1a over the string — stable across processes, so a
-// coordinator restart lands shards on the same workers.
+// coordinator restart lands transforms on the same workers.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
@@ -42,8 +42,7 @@ func buildRing(addrs []string) *ring {
 }
 
 // successors walks clockwise from key and appends up to max distinct
-// addresses for which keep returns true, in ring order — element 0 is
-// the shard's home worker, element 1 the natural failover/hedge peer.
+// addresses for which keep returns true, in ring order.
 func (r *ring) successors(key uint64, max int, keep func(addr string) bool) []string {
 	if len(r.points) == 0 || max <= 0 {
 		return nil

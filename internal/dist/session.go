@@ -1,8 +1,6 @@
 // Coordinator half of the resident-shard session protocol: the
-// communication-avoiding four-step data path. The legacy one-shot path
-// moves every element over the coordinator's wire four times (columns
-// out/back, rows out/back); here each worker receives its column slab
-// once, keeps its row block resident while the workers exchange the
+// cluster's one data path. Each worker receives its column slab once,
+// keeps its row block resident while the workers exchange the
 // transpose among themselves, and returns the finished rows once — so
 // the coordinator's traffic is exactly one trip out and one trip in
 // per element (2·16·N payload bytes per transform, plus headers), the
@@ -19,14 +17,15 @@
 //     blocks;
 //   - fetch: each worker's rows response decodes straight into its
 //     slice of a pooled rows buffer, and FinalTranspose writes the
-//     caller's output only after every fetch succeeded — so any
-//     mid-session failure leaves the input untouched and the transform
-//     falls back to the legacy path (retries, hedging, local shards).
+//     caller's output only after every fetch succeeded — so a failed
+//     session leaves the input untouched, and Transform retries with a
+//     fresh session on the workers that are left.
 //
-// Capability negotiation: a worker that rejects the FFS2 open (an old
-// FFS1-only daemon answers 400 to the unknown magic) is cached as
-// legacy-only for a minute and the transform proceeds one-shot; mixed
-// fleets therefore degrade per-worker, not per-cluster.
+// Failure: a session that loses any RPC is abandoned — the sessions on
+// the workers that still answer are closed — and the failure is held
+// against one address (blame). The survivors' rows buffers are sized to
+// the abandoned partition, which is why the retry is a new session and
+// not a repair of the old one.
 package dist
 
 import (
@@ -35,43 +34,21 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"codeletfft/internal/fft"
 	"codeletfft/internal/serve"
 )
-
-// capabilityTTL is how long a worker stays cached as FFS1-only after
-// rejecting a session open; after it expires the coordinator probes
-// again, so an upgraded worker rejoins the resident path.
-const capabilityTTL = time.Minute
-
-// markLegacy caches addr as FFS1-only.
-func (c *Coordinator) markLegacy(addr string) {
-	c.caps.Store(addr, time.Now().Add(capabilityTTL))
-	c.m.capabilityOld.Inc()
-}
-
-// isLegacy reports whether addr is cached as FFS1-only.
-func (c *Coordinator) isLegacy(addr string) bool {
-	v, ok := c.caps.Load(addr)
-	if !ok {
-		return false
-	}
-	if time.Now().After(v.(time.Time)) {
-		c.caps.Delete(addr)
-		return false
-	}
-	return true
-}
 
 // residentKey places a transform shape on the ring: same N1×N2 → same
 // worker set, so each worker's plan cache and twiddle cache stay warm.
 func residentKey(n1, n2 int) uint64 {
 	h := fnv.New64a()
 	var b [17]byte
-	b[0] = 0xF5 // domain-separate from shardKey
+	b[0] = 0xF5 // arbitrary domain byte; changing it only moves placement
 	binary.LittleEndian.PutUint64(b[1:9], uint64(n1))
 	binary.LittleEndian.PutUint64(b[9:17], uint64(n2))
 	_, _ = h.Write(b[:])
@@ -86,8 +63,10 @@ type residentWorker struct {
 }
 
 // parallelWorkers runs fn once per worker concurrently; the first
-// error cancels the rest and is returned.
-func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx context.Context, w *residentWorker) error) error {
+// error cancels the rest. It returns nil when every call succeeded and
+// otherwise each worker's error — the cancelled siblings' included —
+// at the worker's index.
+func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx context.Context, w *residentWorker) error) []error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -103,55 +82,89 @@ func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx cont
 		}(i, w)
 	}
 	wg.Wait()
-	// Prefer a root-cause error: the first failure cancels the rest, so
-	// sibling goroutines often surface context.Canceled.
-	var first error
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if !errors.Is(e, context.Canceled) {
-			return e
-		}
-		if first == nil {
-			first = e
+	for _, err := range errs {
+		if err != nil {
+			return errs
 		}
 	}
-	return first
+	return nil
 }
 
-// transformResident attempts the communication-avoiding path. handled
-// reports whether the transform was completed (or definitively failed,
-// e.g. the context expired); (false, nil) means "fall back to the
-// legacy one-shot path with the input untouched".
-func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport, data []complex128) (handled bool, err error) {
-	fs, err := c.fourStepFor(len(data))
-	if err != nil {
-		return false, nil // the legacy path will surface the same error
-	}
-	maxW := min(c.members.EligibleCount(), fs.N1, fs.N2)
-	if maxW < 1 {
-		return false, nil
-	}
-	cands := c.members.Successors(residentKey(fs.N1, fs.N2), maxW, nil)
-	ws := make([]*residentWorker, 0, len(cands))
-	for _, addr := range cands {
-		if !c.isLegacy(addr) {
-			ws = append(ws, &residentWorker{addr: addr})
+// blameError is a failed session RPC with the address the failure is
+// held against — the address the next attempt of the transform leaves
+// out.
+type blameError struct {
+	addr string
+	err  error
+}
+
+func (e *blameError) Error() string { return e.err.Error() }
+func (e *blameError) Unwrap() error { return e.err }
+
+// blame names the address a failed RPC to addr is held against: the
+// address that did not answer. That is addr itself — a draining
+// worker's 503 included, it is leaving — except that a worker whose
+// exchange push failed names the silent peer, and a 429 blames nobody:
+// a full session table or admission queue is back-pressure from a
+// healthy worker, to be waited out.
+func blame(addr string, err error) string {
+	var se *statusError
+	if errors.As(err, &se) {
+		if se.code == http.StatusTooManyRequests {
+			return ""
+		}
+		if se.peer != "" {
+			return se.peer
 		}
 	}
-	if len(ws) == 0 {
-		return false, nil
+	return addr
+}
+
+// call brackets one session RPC to addr: the per-RPC deadline, the
+// attempt and latency instruments, and the verdict membership hears. A
+// call that ends because ctx did — the caller gave up, or a sibling's
+// failure cancelled the phase — is no verdict on anybody.
+func (c *Coordinator) call(ctx context.Context, addr string, fn func(ctx context.Context) error) error {
+	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	defer cancel()
+	c.m.attempts.Inc()
+	start := time.Now()
+	err := fn(cctx)
+	d := time.Since(start).Seconds()
+	c.m.rpcSec.Observe(d)
+	c.m.perWorkerSec(addr).Observe(d)
+	if err == nil {
+		c.members.ReportSuccess(addr)
+		return nil
 	}
-	w := len(ws)
+	if ctx.Err() != nil {
+		return err
+	}
+	bad := blame(addr, err)
+	if bad == "" {
+		return err
+	}
+	c.m.errors.Inc()
+	c.m.perWorkerErr(bad).Inc()
+	c.members.ReportFailure(bad)
+	return &blameError{addr: bad, err: err}
+}
+
+// runSession is one attempt at the transform: a fresh session over
+// addrs, open → cols → rows → close. It reports whether data holds the
+// result; if not, data is untouched, the sessions are closed and the
+// addresses the failure is held against are added to blamed.
+func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addrs []string, data []complex128, blamed map[string]bool) bool {
+	w := len(addrs)
+	ws := make([]*residentWorker, w)
 	// Contiguous near-even partition of both the N2 columns and the N1
 	// rows; worker i's peers are every other worker's row block.
-	for i, rw := range ws {
-		rw.spec = serve.SessionSpec{
+	for i, addr := range addrs {
+		ws[i] = &residentWorker{addr: addr, spec: serve.SessionSpec{
 			N1: fs.N1, N2: fs.N2,
 			ColStart: i * fs.N2 / w, ColCount: (i+1)*fs.N2/w - i*fs.N2/w,
 			RowStart: i * fs.N1 / w, RowCount: (i+1)*fs.N1/w - i*fs.N1/w,
-		}
+		}}
 	}
 	for i, rw := range ws {
 		for j, pw := range ws {
@@ -166,9 +179,10 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 
 	var moved atomic.Int64 // coordinator↔worker wire bytes, both directions
 
+	// closeAll closes every session, whatever became of ctx: a worker's
+	// rows buffer stays pinned until its session closes or expires.
 	closeAll := func() {
-		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
+		cctx := context.WithoutCancel(ctx)
 		var wg sync.WaitGroup
 		for _, rw := range ws {
 			if rw.sess == nil {
@@ -177,47 +191,51 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 			wg.Add(1)
 			go func(rw *residentWorker) {
 				defer wg.Done()
-				done := c.startRPC(rw.addr)
-				err := rw.sess.CloseSession(cctx)
-				done()
-				if err == nil {
+				if c.call(cctx, rw.addr, rw.sess.CloseSession) == nil {
 					moved.Add(2 * serve.SessionHeaderLen)
 				}
 			}(rw)
 		}
 		wg.Wait()
 	}
-	fallback := func(error) (bool, error) {
+	// abandon gives up on the sessions after a failed phase. A worker
+	// whose own call was held against it is not sent a close: it did not
+	// answer, a stopped one would cost a second ShardTimeout, and its
+	// session, if it has one, goes with the worker's SessionTTL.
+	abandon := func(errs []error) bool {
+		for i, rw := range ws {
+			var be *blameError
+			if errors.As(errs[i], &be) {
+				blamed[be.addr] = true
+				if be.addr == rw.addr {
+					rw.sess = nil
+				}
+			}
+		}
 		closeAll()
 		c.m.bytesMoved.Add(moved.Load())
-		c.m.residentFall.Inc()
-		if ctx.Err() != nil {
-			return true, ctx.Err()
-		}
-		return false, nil
+		return false
 	}
 
 	// Phase 0: open one distributed session — the SAME coordinator-chosen
 	// id on every worker, so a peer exchange frame carrying that id lands
 	// in the receiving worker's session table.
 	sid := nextSessionID()
-	openErr := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
-		open := serve.SessionFrame{Op: serve.OpSessOpen, Spec: &rw.spec}
-		done := c.startRPC(rw.addr)
-		sess, err := st.OpenSession(ctx, rw.addr, rw.spec, sid)
-		done()
-		if err != nil {
-			if errors.Is(err, ErrSessionUnsupported) {
-				c.markLegacy(rw.addr)
+	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
+		return c.call(ctx, rw.addr, func(ctx context.Context) error {
+			sess, err := c.cfg.Transport.OpenSession(ctx, rw.addr, rw.spec, sid)
+			// Kept on failure too: an open cancelled by a sibling's failure
+			// may have landed, and closing an unknown session is a no-op.
+			rw.sess = sess
+			if err != nil {
+				return err
 			}
-			return err
-		}
-		moved.Add(int64(serve.SessionFrameLen(open)) + serve.SessionHeaderLen)
-		rw.sess = sess
-		return nil
-	})
-	if openErr != nil {
-		return fallback(openErr)
+			frame := serve.SessionFrame{Op: serve.OpSessOpen, Spec: &rw.spec}
+			moved.Add(int64(serve.SessionFrameLen(frame)) + serve.SessionHeaderLen)
+			return nil
+		})
+	}); errs != nil {
+		return abandon(errs)
 	}
 	c.m.sessions.Add(int64(w))
 
@@ -229,26 +247,25 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 	defer serve.ReleaseComplex(colsBuf)
 	cols := *colsBuf
 	fs.GatherColumns(cols, data)
-	colsErr := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
+	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		req := serve.SessionFrame{
 			Op: serve.OpSessCols, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
 			Data: cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1],
 		}
 		moved.Add(int64(serve.SessionFrameLen(req)) + serve.SessionHeaderLen)
-		done := c.startRPC(rw.addr)
-		ack, err := rw.sess.ExecShard(ctx, req, nil)
-		done()
-		if err != nil {
-			return err
-		}
-		if ack.Op != serve.OpSessAck {
-			return fmt.Errorf("dist: worker %s answered cols with %s", rw.addr, ack.Op)
-		}
-		return nil
-	})
-	if colsErr != nil {
-		return fallback(colsErr)
+		return c.call(ctx, rw.addr, func(ctx context.Context) error {
+			ack, err := rw.sess.ExecShard(ctx, req, nil)
+			if err != nil {
+				return err
+			}
+			if ack.Op != serve.OpSessAck {
+				return fmt.Errorf("dist: worker %s answered cols with %s", rw.addr, ack.Op)
+			}
+			return nil
+		})
+	}); errs != nil {
+		return abandon(errs)
 	}
 
 	// Phase 2: fetch each finished row block straight into its slice
@@ -257,24 +274,23 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 	rowsBuf := serve.AcquireComplex(fs.N)
 	defer serve.ReleaseComplex(rowsBuf)
 	rows := *rowsBuf
-	rowsErr := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
+	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		into := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
-		done := c.startRPC(rw.addr)
-		resp, err := rw.sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessRows}, into)
-		done()
-		if err != nil {
-			return err
-		}
-		if resp.Op != serve.OpSessRows || resp.VecLen != sp.N2 || resp.VecCount != sp.RowCount || resp.Arg0 != sp.RowStart {
-			return fmt.Errorf("dist: worker %s returned mismatched rows (%s %d×%d@%d)",
-				rw.addr, resp.Op, resp.VecCount, resp.VecLen, resp.Arg0)
-		}
-		moved.Add(2*serve.SessionHeaderLen + 16*int64(len(resp.Data)))
-		return nil
-	})
-	if rowsErr != nil {
-		return fallback(rowsErr)
+		return c.call(ctx, rw.addr, func(ctx context.Context) error {
+			resp, err := rw.sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessRows}, into)
+			if err != nil {
+				return err
+			}
+			if resp.Op != serve.OpSessRows || resp.VecLen != sp.N2 || resp.VecCount != sp.RowCount || resp.Arg0 != sp.RowStart {
+				return fmt.Errorf("dist: worker %s returned mismatched rows (%s %d×%d@%d)",
+					rw.addr, resp.Op, resp.VecCount, resp.VecLen, resp.Arg0)
+			}
+			moved.Add(2*serve.SessionHeaderLen + 16*int64(len(resp.Data)))
+			return nil
+		})
+	}); errs != nil {
+		return abandon(errs)
 	}
 
 	fs.FinalTranspose(data, rows)
@@ -285,5 +301,5 @@ func (c *Coordinator) transformResident(ctx context.Context, st SessionTransport
 	c.m.residentBytes.Add(total)
 	c.m.residentElems.Add(int64(fs.N))
 	c.m.residentOK.Inc()
-	return true, nil
+	return true
 }

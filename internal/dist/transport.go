@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,24 +14,20 @@ import (
 	"codeletfft/internal/serve"
 )
 
-// Transport carries shard frames to workers. Exec must not mutate
-// req.Data (hedged attempts share one request) and must return a
-// response with freshly allocated Data. Implementations must be safe
-// for concurrent use.
+// Transport reaches workers: it opens resident sessions and probes
+// health. Implementations must be safe for concurrent use.
 type Transport interface {
-	// Exec posts one shard frame to the worker at addr and returns the
-	// decoded response frame.
-	Exec(ctx context.Context, addr string, req serve.ShardFrame) (serve.ShardFrame, error)
+	// OpenSession opens a resident session on the worker at addr. id is
+	// the coordinator-chosen session identifier — one distributed
+	// transform opens the SAME id on every participating worker, which is
+	// how a worker matches an incoming peer exchange frame to its own
+	// session. The Session comes back with an error too whenever the open
+	// frame may have reached the worker, for the caller to close.
+	OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error)
 	// Health probes the worker's health endpoint; nil means the worker
 	// is accepting traffic.
 	Health(ctx context.Context, addr string) error
 }
-
-// ErrSessionUnsupported reports that a worker rejected an FFS2 open —
-// an old FFS1-only worker, or one with sessions disabled. The
-// coordinator caches the address as legacy-only and falls back to
-// one-shot Exec frames.
-var ErrSessionUnsupported = errors.New("dist: worker does not support resident sessions")
 
 // Session is one open resident-shard session on a worker: the column
 // slab ships out through it once, the finished row block ships back
@@ -52,19 +47,8 @@ type Session interface {
 	CloseSession(ctx context.Context) error
 }
 
-// SessionTransport is a Transport that can additionally open resident
-// sessions. id is the coordinator-chosen session identifier — one
-// distributed transform opens the SAME id on every participating
-// worker, which is how a worker matches an incoming peer exchange
-// frame to its own session. OpenSession returns ErrSessionUnsupported
-// (possibly wrapped) when the worker speaks only FFS1.
-type SessionTransport interface {
-	Transport
-	OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error)
-}
-
-// HTTPTransport speaks the shard protocol over real HTTP: addr is the
-// worker's base URL (e.g. "http://10.0.0.7:8080") with the shard-exec
+// HTTPTransport speaks the session protocol over real HTTP: addr is the
+// worker's base URL (e.g. "http://10.0.0.7:8080") with the session
 // endpoint at /fft/shard and health at /healthz — a `fftserved -worker`
 // process.
 type HTTPTransport struct {
@@ -81,7 +65,7 @@ func (t *HTTPTransport) client() *http.Client {
 	return defaultHTTPClient
 }
 
-// defaultHTTPClient pools keep-alive connections per worker; shard
+// defaultHTTPClient pools keep-alive connections per worker; session
 // payloads are large, so reusing connections matters more than the
 // default transport's conservative idle limits.
 var defaultHTTPClient = &http.Client{
@@ -90,32 +74,6 @@ var defaultHTTPClient = &http.Client{
 		MaxIdleConnsPerHost: 16,
 		IdleConnTimeout:     90 * time.Second,
 	},
-}
-
-// Exec implements Transport.
-func (t *HTTPTransport) Exec(ctx context.Context, addr string, req serve.ShardFrame) (serve.ShardFrame, error) {
-	enc, err := serve.EncodeShardFrame(req)
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/fft/shard", bytes.NewReader(enc))
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := t.client().Do(hreq)
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return serve.ShardFrame{}, fmt.Errorf("dist: worker %s: status %d: %s", addr, resp.StatusCode, snippet(raw))
-	}
-	return serve.DecodeShardFrame(raw)
 }
 
 // Health implements Transport.
@@ -145,43 +103,32 @@ func init() { sessionIDs.Store(uint64(time.Now().UnixNano())) }
 
 func nextSessionID() uint64 { return sessionIDs.Add(1) }
 
-// statusError is a non-200 worker response; OpenSession maps the
-// rejection statuses onto ErrSessionUnsupported.
+// statusError is a non-200 worker response. peer is the address the
+// worker named as the one that failed it (serve.PeerHeader), if any.
 type statusError struct {
 	addr string
 	code int
 	msg  string
+	peer string
 }
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("dist: worker %s: status %d: %s", e.addr, e.code, e.msg)
 }
 
-// checkOpenAck turns an open response into the capability verdict: an
-// FFS1-only worker 400s the unknown magic (and a drained session table
-// 404s later frames), both of which mean "use the legacy path".
-func checkOpenAck(ack serve.SessionFrame, err error) error {
-	if err != nil {
-		var se *statusError
-		if errors.As(err, &se) && (se.code == http.StatusBadRequest || se.code == http.StatusNotFound) {
-			return fmt.Errorf("%w: %s", ErrSessionUnsupported, se.msg)
-		}
-		return err
+// open sends the open frame through a transport's new session.
+func open(ctx context.Context, sess Session, addr string, spec serve.SessionSpec) error {
+	ack, err := sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessOpen, Spec: &spec}, nil)
+	if err == nil && ack.Op != serve.OpSessAck {
+		err = fmt.Errorf("dist: worker %s answered open with %s", addr, ack.Op)
 	}
-	if ack.Op != serve.OpSessAck || ack.Flags&serve.FlagResident == 0 {
-		return ErrSessionUnsupported
-	}
-	return nil
+	return err
 }
 
-// OpenSession implements SessionTransport.
+// OpenSession implements Transport.
 func (t *HTTPTransport) OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error) {
 	sess := &httpSession{t: t, addr: addr, id: id}
-	ack, err := sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessOpen, Spec: &spec}, nil)
-	if err := checkOpenAck(ack, err); err != nil {
-		return nil, err
-	}
-	return sess, nil
+	return sess, open(ctx, sess, addr, spec)
 }
 
 type httpSession struct {
@@ -222,7 +169,7 @@ func (s *httpSession) ExecShard(ctx context.Context, req serve.SessionFrame, res
 	}
 	defer serve.ReleaseFrame(rp)
 	if resp.StatusCode != http.StatusOK {
-		return serve.SessionFrame{}, &statusError{addr: s.addr, code: resp.StatusCode, msg: snippet(raw)}
+		return serve.SessionFrame{}, &statusError{addr: s.addr, code: resp.StatusCode, msg: snippet(raw), peer: resp.Header.Get(serve.PeerHeader)}
 	}
 	if respInto != nil {
 		return serve.DecodeSessionFrameInto(raw, respInto)
@@ -273,17 +220,12 @@ type Loopback struct {
 	mu       sync.RWMutex
 	handlers map[string]http.Handler
 
-	// Fault, when non-nil, runs before every Exec; a non-nil return is
-	// delivered as the transport error without reaching the worker —
-	// the fault-injection seam the cluster tests and fftcheck use to
-	// simulate crashed or partitioned workers.
-	Fault func(addr string, req serve.ShardFrame) error
-
 	// SessionFault, when non-nil, runs before every session frame
 	// (coordinator→worker ExecShard and worker→worker PushFrame alike);
 	// a non-nil return is delivered as the transport error without
-	// reaching the worker — mid-session worker death.
-	SessionFault func(addr string, op serve.SessionOp) error
+	// reaching the worker — mid-session worker death. It may block until
+	// ctx, the frame's own context, is done: a stopped worker.
+	SessionFault func(ctx context.Context, addr string, op serve.SessionOp) error
 	// TruncateFrame, when non-nil, may mangle an encoded session frame
 	// before delivery — a partial write on the wire.
 	TruncateFrame func(addr string, op serve.SessionOp, frame []byte) []byte
@@ -322,42 +264,10 @@ func (l *Loopback) handler(addr string) (http.Handler, error) {
 	return h, nil
 }
 
-// Exec implements Transport.
-func (l *Loopback) Exec(ctx context.Context, addr string, req serve.ShardFrame) (serve.ShardFrame, error) {
-	if f := l.Fault; f != nil {
-		if err := f(addr, req); err != nil {
-			return serve.ShardFrame{}, err
-		}
-	}
-	h, err := l.handler(addr)
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	enc, err := serve.EncodeShardFrame(req)
-	if err != nil {
-		return serve.ShardFrame{}, err
-	}
-	hreq := httptest.NewRequest(http.MethodPost, "http://"+addr+"/fft/shard", bytes.NewReader(enc)).WithContext(ctx)
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, hreq)
-	if err := ctx.Err(); err != nil {
-		return serve.ShardFrame{}, err
-	}
-	if rec.Code != http.StatusOK {
-		return serve.ShardFrame{}, fmt.Errorf("dist: worker %s: status %d: %s", addr, rec.Code, snippet(rec.Body.Bytes()))
-	}
-	return serve.DecodeShardFrame(rec.Body.Bytes())
-}
-
-// OpenSession implements SessionTransport.
+// OpenSession implements Transport.
 func (l *Loopback) OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error) {
 	sess := &loopbackSession{l: l, addr: addr, id: id}
-	ack, err := sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessOpen, Spec: &spec}, nil)
-	if err := checkOpenAck(ack, err); err != nil {
-		return nil, err
-	}
-	return sess, nil
+	return sess, open(ctx, sess, addr, spec)
 }
 
 type loopbackSession struct {
@@ -371,7 +281,7 @@ type loopbackSession struct {
 func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame, respInto []complex128) (serve.SessionFrame, error) {
 	req.ID = s.id
 	if f := s.l.SessionFault; f != nil {
-		if err := f(s.addr, req.Op); err != nil {
+		if err := f(ctx, s.addr, req.Op); err != nil {
 			return serve.SessionFrame{}, err
 		}
 	}
@@ -394,7 +304,7 @@ func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame,
 		return serve.SessionFrame{}, err
 	}
 	if rec.Code != http.StatusOK {
-		return serve.SessionFrame{}, &statusError{addr: s.addr, code: rec.Code, msg: snippet(rec.Body.Bytes())}
+		return serve.SessionFrame{}, &statusError{addr: s.addr, code: rec.Code, msg: snippet(rec.Body.Bytes()), peer: rec.Header().Get(serve.PeerHeader)}
 	}
 	raw := rec.Body.Bytes()
 	if tr := s.l.TruncateResponse; tr != nil {
@@ -419,7 +329,7 @@ func (s *loopbackSession) CloseSession(ctx context.Context) error {
 func (l *Loopback) PushFrame(ctx context.Context, addr string, frame []byte) ([]byte, error) {
 	op := serve.OpSessExchange
 	if f := l.SessionFault; f != nil {
-		if err := f(addr, op); err != nil {
+		if err := f(ctx, addr, op); err != nil {
 			return nil, err
 		}
 	}

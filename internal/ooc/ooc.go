@@ -63,20 +63,6 @@ const (
 	DefaultIOWorkers = 4
 )
 
-// Executor offloads a tile's vector FFTs to an external compute fabric
-// — the cluster coordinator implements it with shard RPCs so an
-// out-of-core plan's segments fan out across workers. Both methods
-// transform vecs in place; vecs holds len(vecs)/vecLen contiguous
-// vectors. ExecCols must forward-FFT every vector and apply the
-// four-step twiddle scale ω_totalN^{(startVec+v)·k}; ExecRows must
-// forward-FFT every vector. A remote executor trades the local path's
-// bitwise identity for distribution: workers choose their own kernels,
-// so results match to rounding, like every other cluster path.
-type Executor interface {
-	ExecCols(ctx context.Context, vecs []complex128, vecLen, startVec, totalN int) error
-	ExecRows(ctx context.Context, vecs []complex128, vecLen int) error
-}
-
 // config is the resolved option set.
 type config struct {
 	spillDir  string
@@ -89,7 +75,6 @@ type config struct {
 	policy    Policy
 	reg       *metrics.Registry
 	factor    func(n int) (int, int)
-	exec      Executor
 }
 
 // Option configures NewPlan.
@@ -133,10 +118,6 @@ func WithRegistry(r *metrics.Registry) Option { return func(c *config) { c.reg =
 
 // WithFactor overrides the N = N1·N2 split (default near-square).
 func WithFactor(f func(n int) (int, int)) Option { return func(c *config) { c.factor = f } }
-
-// WithExecutor offloads tile compute to e (see Executor); nil keeps
-// the local engine.
-func WithExecutor(e Executor) Option { return func(c *config) { c.exec = e } }
 
 // nearSquareFactor splits a power-of-two n into the most balanced
 // power-of-two pair n1 ≤ n2.
@@ -624,9 +605,6 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			if p.cfg.exec != nil {
-				return p.cfg.exec.ExecCols(ctx, tile, n1, strip*s2, p.n)
-			}
 			return parallelIdx(ctx, p.cfg.workers, s2, nil, func(_, c int) error {
 				p.fs.Cols(tile[c*n1:(c+1)*n1], strip*s2+c)
 				return nil
@@ -703,17 +681,6 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			if p.cfg.exec != nil {
-				if err := p.cfg.exec.ExecRows(ctx, tile, n2); err != nil {
-					return err
-				}
-				if inverse {
-					for i, v := range tile {
-						tile[i] = complex(real(v)*inv, -imag(v)*inv)
-					}
-				}
-				return nil
-			}
 			return parallelIdx(ctx, p.cfg.workers, s1, nil, func(_, r int) error {
 				v := tile[r*n2 : (r+1)*n2]
 				p.fs.Rows(v)

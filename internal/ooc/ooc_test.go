@@ -477,74 +477,6 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-// TestExecutorHook checks WithExecutor routes tile compute through the
-// external engine: a local executor that runs the shared tile kernel a
-// whole tile at a time must reproduce the default path bitwise.
-func TestExecutorHook(t *testing.T) {
-	const n = 1 << 10
-	data := randomData(n, 21)
-	want := fourStepRef(t, data, false)
-
-	n1, n2 := nearSquareFactor(n)
-	fs, err := fft.NewFourStep(n1, n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := &localExec{fs: fs}
-	p, err := NewPlan(n, WithTileVecs(4), WithSpillDir(t.TempDir()), WithExecutor(exec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append([]complex128(nil), data...)
-	if err := p.Transform(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("bin %d: executor path %v != reference %v", i, got[i], want[i])
-		}
-	}
-	if exec.cols == 0 || exec.rows == 0 {
-		t.Fatalf("executor not exercised: cols=%d rows=%d", exec.cols, exec.rows)
-	}
-
-	// Inverse through the executor round-trips too (the conjugate/scale
-	// stays plan-side).
-	if err := p.Inverse(got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if d := cmplx.Abs(got[i] - data[i]); d > 1e-9 {
-			t.Fatalf("executor round trip bin %d off by %g", i, d)
-		}
-	}
-}
-
-// localExec implements Executor with the shared tile kernel of the
-// in-core plan for the same split.
-type localExec struct {
-	fs         *fft.FourStepPlan
-	cols, rows int
-}
-
-func (e *localExec) ExecCols(ctx context.Context, vecs []complex128, vecLen, startVec, totalN int) error {
-	e.cols++
-	if vecLen != e.fs.N1 || totalN != e.fs.N {
-		return fmt.Errorf("ExecCols(vecLen=%d, totalN=%d) on a %d×%d plan", vecLen, totalN, e.fs.N1, e.fs.N2)
-	}
-	e.fs.Cols(vecs, startVec)
-	return nil
-}
-
-func (e *localExec) ExecRows(ctx context.Context, vecs []complex128, vecLen int) error {
-	e.rows++
-	if vecLen != e.fs.N2 {
-		return fmt.Errorf("ExecRows(vecLen=%d) on a %d×%d plan", vecLen, e.fs.N1, e.fs.N2)
-	}
-	e.fs.Rows(vecs)
-	return nil
-}
-
 // TestToneLargeStreaming is the scaled-down shape of the N=2^28
 // acceptance check: a pure tone x[j] = ω^{f·j} transforms to N·δ[k−f],
 // verifiable without an in-core reference.

@@ -19,8 +19,8 @@ type Store interface {
 }
 
 // fileStore is a Store over an *os.File of raw native-order complex128
-// values (no header — the deliverable format fftooc and the cluster
-// hook exchange). Positioned I/O only, so it is concurrency-safe.
+// values (no header — the deliverable format fftooc reads and
+// writes). Positioned I/O only, so it is concurrency-safe.
 type fileStore struct {
 	f *os.File
 }

@@ -18,7 +18,20 @@ package serve
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
+
+// framesOut and complexOut count buffers acquired and not yet released.
+// An open session pins one complex buffer (its rows block); everything
+// else is back by the time its request returns, so the fault-injection
+// tests can tell a leak from a buffer the protocol means to hold.
+var framesOut, complexOut atomic.Int64
+
+// PoolsOutstanding reports how many frame and complex buffers are
+// acquired and not yet released, process-wide.
+func PoolsOutstanding() (frames, complexes int64) {
+	return framesOut.Load(), complexOut.Load()
+}
 
 // byteBuf size classes: pools[i] holds buffers of capacity 1<<i.
 var byteBufPools [34]sync.Pool
@@ -29,6 +42,7 @@ func AcquireFrame(n int) *[]byte {
 	if n < 0 {
 		n = 0
 	}
+	framesOut.Add(1)
 	class := sizeClass(n)
 	if p, _ := byteBufPools[class].Get().(*[]byte); p != nil {
 		*p = (*p)[:n]
@@ -48,6 +62,7 @@ func ReleaseFrame(p *[]byte) {
 	if 1<<class != cap(*p) {
 		return // foreign buffer; let the GC have it
 	}
+	framesOut.Add(-1)
 	byteBufPools[class].Put(p)
 }
 
@@ -60,6 +75,7 @@ func AcquireComplex(n int) *[]complex128 {
 	if n < 0 {
 		n = 0
 	}
+	complexOut.Add(1)
 	class := sizeClass(n)
 	if p, _ := complexBufPools[class].Get().(*[]complex128); p != nil {
 		*p = (*p)[:n]
@@ -79,6 +95,7 @@ func ReleaseComplex(p *[]complex128) {
 	if 1<<class != cap(*p) {
 		return
 	}
+	complexOut.Add(-1)
 	complexBufPools[class].Put(p)
 }
 

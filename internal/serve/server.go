@@ -81,9 +81,8 @@ type Config struct {
 	EnableShard bool
 	// Peers sends this worker's exchange frames to its peers during a
 	// resident session (the on-worker four-step transpose). nil is fine
-	// for single-worker clusters; a multi-worker resident session whose
-	// spec names peers fails its cols phase without a sender, and the
-	// coordinator falls back to one-shot frames.
+	// for single-worker clusters; a worker without a sender refuses the
+	// open of a session whose spec names peers.
 	Peers PeerSender
 	// SessionTTL expires idle resident sessions (lazy GC on session
 	// traffic); 0 means DefaultSessionTTL.
@@ -91,11 +90,6 @@ type Config struct {
 	// MaxSessions bounds concurrently open resident sessions (each pins
 	// a rows buffer); 0 means DefaultMaxSessions.
 	MaxSessions int
-	// DisableSessions makes the worker FFS1-only: FFS2 frames are
-	// rejected exactly like any unknown magic (400), which is how an
-	// old worker behaves — the seam the mixed-version regression test
-	// uses to prove the coordinator degrades gracefully.
-	DisableSessions bool
 	// Registry collects the server's instruments; New creates one when
 	// nil. The daemon publishes it at /metrics and through expvar.
 	Registry *metrics.Registry
@@ -150,7 +144,6 @@ type serverMetrics struct {
 	stftFrames  *metrics.Counter
 
 	shardRequests *metrics.Counter
-	shardOK       *metrics.Counter
 	shardBad      *metrics.Counter
 	shardVecs     *metrics.Counter
 
@@ -186,7 +179,6 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		stftFrames:  r.Counter("fft_stft_frames_total"),
 
 		shardRequests: r.Counter("shard_requests_total"),
-		shardOK:       r.Counter("shard_ok_total"),
 		shardBad:      r.Counter("shard_bad_total"),
 		shardVecs:     r.Counter("shard_vecs_total"),
 

@@ -33,6 +33,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -91,6 +92,20 @@ func (p *HTTPPeers) PushFrame(ctx context.Context, addr string, frame []byte) ([
 	}
 	return body, nil
 }
+
+// PeerHeader names, on the 502 a worker answers a cols frame with when
+// an exchange push failed, the peer that did not take the push — so the
+// coordinator blames the silent peer and not the healthy pusher.
+const PeerHeader = "X-Fft-Failed-Peer"
+
+// peerError is a failed exchange push to the peer at addr.
+type peerError struct {
+	addr string
+	err  error
+}
+
+func (e *peerError) Error() string { return fmt.Sprintf("exchange to %s: %v", e.addr, e.err) }
+func (e *peerError) Unwrap() error { return e.err }
 
 // workerSession is one open resident session. The mutex serializes all
 // rows-buffer access; colsSeen counts the columns already folded into
@@ -266,6 +281,13 @@ func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr Sessio
 	}
 
 	if err := s.execSessCols(ctx, sess, *scratch); err != nil {
+		var pe *peerError
+		if errors.As(err, &pe) && ctx.Err() == nil {
+			s.m.internal.Inc()
+			w.Header().Set(PeerHeader, pe.addr)
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
 		s.fail(w, err)
 		return
 	}
@@ -302,8 +324,8 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	sess.mu.Unlock()
 
 	// Peer row blocks: scratch → pooled exchange frames → peers, in
-	// parallel. Any push failure fails the cols request, and the
-	// coordinator aborts the whole resident attempt.
+	// parallel. Any push failure fails the cols request with the peer's
+	// name on it, and the coordinator abandons the attempt.
 	if len(spec.Peers) == 0 {
 		return nil
 	}
@@ -351,11 +373,11 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	}
 	resp, err := s.cfg.Peers.PushFrame(ctx, p.Addr, b)
 	if err != nil {
-		return fmt.Errorf("exchange to %s: %w", p.Addr, err)
+		return &peerError{p.Addr, err}
 	}
 	ack, err := DecodeSessionFrame(resp)
 	if err != nil || ack.Op != OpSessAck {
-		return fmt.Errorf("exchange to %s: bad ack", p.Addr)
+		return &peerError{p.Addr, errors.New("bad ack")}
 	}
 	return nil
 }

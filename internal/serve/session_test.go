@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -40,9 +41,6 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 		}
 		if len(enc) != SessionFrameLen(f) {
 			t.Fatalf("%s: SessionFrameLen = %d, encoded %d bytes", f.Op, SessionFrameLen(f), len(enc))
-		}
-		if !IsSessionFrame(enc) {
-			t.Fatalf("%s: IsSessionFrame = false", f.Op)
 		}
 		dec, err := DecodeSessionFrame(enc)
 		if err != nil {
@@ -273,18 +271,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestSessionDisabled pins the old-worker simulation: with sessions
-// disabled an FFS2 frame falls through to the FFS1 decoder and is
-// rejected as a bad frame — exactly what a pre-FFS2 daemon does.
-func TestSessionDisabled(t *testing.T) {
-	s := New(Config{EnableShard: true, DisableSessions: true})
-	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
-	code, _ := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 1, Spec: &spec})
-	if code != http.StatusBadRequest {
-		t.Fatalf("open with sessions disabled: status %d, want 400", code)
-	}
-}
-
 // TestSessionExpiry checks the worker GC: a session idle past the TTL
 // is reaped and later frames 404.
 func TestSessionExpiry(t *testing.T) {
@@ -326,6 +312,34 @@ func TestSessionPeersRequired(t *testing.T) {
 	code, _ := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 6, Spec: &spec})
 	if code != http.StatusBadRequest {
 		t.Fatalf("open with peers but no sender: status %d, want 400", code)
+	}
+}
+
+// failingPeers is a PeerSender no push gets through.
+type failingPeers struct{}
+
+func (failingPeers) PushFrame(context.Context, string, []byte) ([]byte, error) {
+	return nil, errors.New("connection refused")
+}
+
+// TestSessionColsNamesFailedPeer: a worker whose exchange push fails
+// answers the cols frame 502 and names the peer that did not take the
+// push, so the coordinator can tell the silent peer from the pusher.
+func TestSessionColsNamesFailedPeer(t *testing.T) {
+	s := New(Config{EnableShard: true, Peers: failingPeers{}})
+	spec := testSpec()
+	if code, body := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 8, Spec: &spec}); code != http.StatusOK {
+		t.Fatalf("open: status %d: %s", code, body)
+	}
+	enc, err := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 8, VecLen: 4, VecCount: 4, Data: randVecs(4, 4, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(enc)))
+	if rec.Code != http.StatusBadGateway || rec.Header().Get(PeerHeader) != "peer-1" {
+		t.Fatalf("cols with a dead peer: status %d, %s = %q; want 502 naming peer-1",
+			rec.Code, PeerHeader, rec.Header().Get(PeerHeader))
 	}
 }
 

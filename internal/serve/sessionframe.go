@@ -1,20 +1,17 @@
-// The FFS2 session codec is the resident-shard extension of the FFS1
-// one-shot shard frame: instead of round-tripping every vector through
-// the coordinator twice (columns out/back, rows out/back), a
-// coordinator opens a *session* on each worker, ships that worker's
-// column slab exactly once, lets the workers exchange the four-step
+// The FFS2 session codec is the cluster's wire format: instead of
+// round-tripping every vector through the coordinator twice (columns
+// out/back, rows out/back), a coordinator opens a *session* on each
+// worker, ships that worker's column slab exactly once, lets the workers exchange the four-step
 // transpose among themselves, and fetches each worker's finished row
 // block exactly once — so each element crosses the coordinator's wire
 // at most once in each direction.
 //
 //	offset  size  field
 //	0       4     magic "FFS2"
-//	4       1     version (2) — negotiation: an FFS1-only worker rejects
-//	              the magic with 400 and the coordinator falls back to
-//	              one-shot Exec frames
+//	4       1     version (2)
 //	5       1     op      (OpSessOpen … OpSessAck)
-//	6       1     flags   (bit 0: FlagResident — the resident-session
-//	              capability; a worker acks Open with it set)
+//	6       1     flags   (bit 0: FlagResident; a worker acks Open
+//	              with it set)
 //	7       1     reserved, must be 0
 //	8       8     session (uint64 LE, coordinator-chosen session id)
 //	16      4     vecLen   (uint32 LE)
@@ -46,7 +43,7 @@
 //     unknown session acks anyway (abort paths are idempotent).
 //   - OpSessAck: header-only generic success response.
 //
-// Decoding is strict and mirrors the FFS1 rules: unknown versions/ops,
+// Decoding is strict and mirrors DecodeFrame: unknown versions/ops,
 // non-zero reserved bytes, header/payload length mismatches, and
 // malformed specs are rejected with errors wrapping ErrBadFrame, never
 // a panic (FuzzSessionFrame). Encoding is canonical: re-encoding a
@@ -108,10 +105,8 @@ const (
 	SessionHeaderLen = 40
 	sessHeaderLen    = SessionHeaderLen
 
-	// FlagResident is the resident-session capability bit: set by a
-	// worker in its OpSessOpen ack to confirm it holds shards resident
-	// across phases. A coordinator that does not see it falls back to
-	// FFS1 one-shot frames.
+	// FlagResident is set by a worker in its OpSessOpen ack to confirm
+	// it holds shards resident across phases.
 	FlagResident byte = 1 << 0
 
 	// maxSessionPeers bounds the peer table so a hostile spec cannot
@@ -360,13 +355,6 @@ func appendSessionHeader(dst []byte, f SessionFrame) []byte {
 // AppendSessionFrame).
 func EncodeSessionFrame(f SessionFrame) ([]byte, error) {
 	return AppendSessionFrame(make([]byte, 0, SessionFrameLen(f)), f)
-}
-
-// IsSessionFrame reports whether b starts with the FFS2 magic — the
-// dispatch sniff that routes /fft/shard bodies between the one-shot
-// FFS1 path and the session path.
-func IsSessionFrame(b []byte) bool {
-	return len(b) >= 4 && string(b[:4]) == sessMagic
 }
 
 // sessDecodeMode selects how decodeSession materializes the payload.

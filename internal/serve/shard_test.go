@@ -28,7 +28,7 @@ func TestShardFrameRoundTrip(t *testing.T) {
 		{Op: OpRows, VecLen: 16, Start: 5, Data: randVecs(16, 2, 3)},
 	}
 	for _, f := range frames {
-		enc, err := EncodeShardFrame(f)
+		enc, err := AppendShardFrame(nil, f)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", f.Op, err)
 		}
@@ -45,7 +45,7 @@ func TestShardFrameRoundTrip(t *testing.T) {
 				t.Fatalf("%s: payload differs at %d", f.Op, i)
 			}
 		}
-		re, err := EncodeShardFrame(dec)
+		re, err := AppendShardFrame(nil, dec)
 		if err != nil || !bytes.Equal(re, enc) {
 			t.Fatalf("%s: re-encode is not canonical (err %v)", f.Op, err)
 		}
@@ -54,7 +54,7 @@ func TestShardFrameRoundTrip(t *testing.T) {
 
 func TestShardFrameRejects(t *testing.T) {
 	good := ShardFrame{Op: OpColumns, VecLen: 8, TotalN: 64, Start: 0, Data: randVecs(8, 2, 4)}
-	enc, err := EncodeShardFrame(good)
+	enc, err := AppendShardFrame(nil, good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +86,19 @@ func TestShardFrameRejects(t *testing.T) {
 		{Op: OpRows, VecLen: 8, Data: randVecs(1, 12, 5)},                         // ragged payload
 	}
 	for i, f := range encCases {
-		if _, err := EncodeShardFrame(f); !errors.Is(err, ErrBadFrame) {
+		if _, err := AppendShardFrame(nil, f); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("encode case %d: err = %v, want ErrBadFrame", i, err)
 		}
 	}
 }
 
 // TestShardEndpointExecutesFourStepSegments drives the worker endpoint
-// with the column and row shards of a real four-step transform and
-// checks the reassembled result against the serial reference.
+// over real HTTP with the session of a whole four-step transform — all
+// the columns out, all the rows back — and checks the result against
+// the serial reference bit for bit (both run the SoA radix-4 codelets
+// and the shared twiddle table).
 func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
-	s := New(Config{EnableShard: true, Workers: 2})
+	s := New(Config{EnableShard: true, Workers: 2, Kernel: fft.KernelSoARadix4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -109,9 +111,10 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	want := append([]complex128(nil), x...)
 	fs.Transform(want)
 
-	post := func(f ShardFrame) ShardFrame {
+	post := func(f SessionFrame) SessionFrame {
 		t.Helper()
-		enc, err := EncodeShardFrame(f)
+		f.ID = 7
+		enc, err := EncodeSessionFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,48 +128,44 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard status %d: %s", resp.StatusCode, raw)
+			t.Fatalf("%s: status %d: %s", f.Op, resp.StatusCode, raw)
 		}
-		out, err := DecodeShardFrame(raw)
+		out, err := DecodeSessionFrame(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 
-	// Columns in two shards, rows in one, transposes done locally —
-	// exactly the coordinator's steps.
-	buf := make([]complex128, fs.N)
-	data := append([]complex128(nil), x...)
-	fs.GatherColumns(buf, data)
-	half := n2 / 2 * n1
-	c0 := post(ShardFrame{Op: OpColumns, VecLen: n1, TotalN: fs.N, Start: 0, Data: buf[:half]})
-	c1 := post(ShardFrame{Op: OpColumns, VecLen: n1, TotalN: fs.N, Start: n2 / 2, Data: buf[half:]})
-	copy(buf, c0.Data)
-	copy(buf[half:], c1.Data)
-	fs.ScatterColumns(data, buf)
-	r0 := post(ShardFrame{Op: OpRows, VecLen: n2, Start: 0, Data: data})
-	fs.FinalTranspose(buf, r0.Data)
+	// Gather, session, final transpose — exactly the coordinator's steps.
+	cols := make([]complex128, fs.N)
+	fs.GatherColumns(cols, x)
+	spec := SessionSpec{N1: n1, N2: n2, ColCount: n2, RowCount: n1}
+	post(SessionFrame{Op: OpSessOpen, Spec: &spec})
+	post(SessionFrame{Op: OpSessCols, VecLen: n1, VecCount: n2, Data: cols})
+	rows := post(SessionFrame{Op: OpSessRows})
+	post(SessionFrame{Op: OpSessClose})
+	got := make([]complex128, fs.N)
+	fs.FinalTranspose(got, rows.Data)
 
-	if e := fft.MaxError(buf, want); e > 1e-9 {
-		t.Fatalf("shard-executed four-step vs serial reference error %g", e)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("bin %d: session-executed four-step %v != serial reference %v", i, got[i], want[i])
+		}
 	}
 	snap := s.Registry().Snapshot()
-	if got := snap["shard_requests_total"]; got != 3 {
-		t.Errorf("shard_requests_total = %v, want 3", got)
-	}
-	if got := snap["shard_ok_total"]; got != 3 {
-		t.Errorf("shard_ok_total = %v, want 3", got)
+	if got := snap["shard_requests_total"]; got != 4 {
+		t.Errorf("shard_requests_total = %v, want 4", got)
 	}
 	if got := snap["shard_vecs_total"]; got != float64(n2+n1) {
 		t.Errorf("shard_vecs_total = %v, want %d", got, n2+n1)
 	}
 }
 
-// TestShardColumnScaleTables pins which table a column shard scales
-// by: a power-of-two modulus goes through fft's shared two-level table
-// (what the serial reference and the coordinator's local path use), any
-// other modulus through the full TwiddlesAny table — each bit for bit.
+// TestShardColumnScaleTables pins which table a column slab scales by:
+// a power-of-two modulus goes through fft's shared two-level table
+// (what the serial reference uses), any other modulus through the full
+// TwiddlesAny table — each bit for bit.
 func TestShardColumnScaleTables(t *testing.T) {
 	s := New(Config{EnableShard: true, Kernel: fft.KernelSoARadix4})
 	const vecLen, start = 8, 1
@@ -175,9 +174,9 @@ func TestShardColumnScaleTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, totalN := range []int{64, 24} {
-		f := ShardFrame{Op: OpColumns, VecLen: vecLen, TotalN: totalN, Start: start, Data: randVecs(vecLen, 2, 3)}
-		want := append([]complex128(nil), f.Data...)
-		for v := 0; v < f.VecCount(); v++ {
+		data := randVecs(vecLen, 2, 3)
+		want := append([]complex128(nil), data...)
+		for v := 0; v < 2; v++ {
 			vec := want[v*vecLen : (v+1)*vecLen]
 			pl.TransformSoA(vec, fft.Twiddles(vecLen), fft.KernelSoARadix4)
 			if fft.Log2(totalN) >= 0 {
@@ -186,47 +185,67 @@ func TestShardColumnScaleTables(t *testing.T) {
 				fft.TwiddleScaleAny(vec, fft.TwiddlesAny(totalN), start+v, totalN)
 			}
 		}
-		if err := s.execShard(f); err != nil {
+		// The column phase of a session (execSessCols): sub-FFTs, then scale.
+		vecs := splitRows(data, vecLen)
+		if err := s.run(batchKey{n: vecLen, kind: KindForward}, vecs, nil, func() error {
+			return scaleColumns(vecs, start, totalN)
+		}); err != nil {
 			t.Fatalf("totalN=%d: %v", totalN, err)
 		}
 		for i := range want {
-			if f.Data[i] != want[i] {
-				t.Fatalf("totalN=%d elem %d: shard %v != reference %v", totalN, i, f.Data[i], want[i])
+			if data[i] != want[i] {
+				t.Fatalf("totalN=%d elem %d: worker %v != reference %v", totalN, i, data[i], want[i])
 			}
 		}
 	}
 }
 
+// shardPost drives the server's shard endpoint with a raw body.
+func shardPost(s *Server, body []byte) int {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(body)))
+	return rec.Code
+}
+
 func TestShardEndpointDisabledByDefault(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	f := ShardFrame{Op: OpRows, VecLen: 8, Data: randVecs(8, 1, 1)}
-	enc, _ := EncodeShardFrame(f)
-	resp, err := http.Post(ts.URL+"/fft/shard", "application/octet-stream", bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("shard endpoint on non-worker: status %d, want 404", resp.StatusCode)
+	enc, _ := EncodeSessionFrame(SessionFrame{Op: OpSessClose, ID: 1})
+	if code := shardPost(New(Config{}), enc); code != http.StatusNotFound {
+		t.Fatalf("shard endpoint on non-worker: status %d, want 404", code)
 	}
 }
 
 func TestShardEndpointShedsWhileDraining(t *testing.T) {
 	s := New(Config{EnableShard: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 	s.StartDrain()
-	f := ShardFrame{Op: OpRows, VecLen: 8, Data: randVecs(8, 1, 1)}
-	enc, _ := EncodeShardFrame(f)
-	resp, err := http.Post(ts.URL+"/fft/shard", "application/octet-stream", bytes.NewReader(enc))
+	enc, _ := EncodeSessionFrame(SessionFrame{Op: OpSessClose, ID: 1})
+	if code := shardPost(s, enc); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining shard: status %d, want 503", code)
+	}
+}
+
+// TestShardEndpointBadFrames: whatever the session decoder rejects —
+// an FFS1 frame included, the endpoint has one decode path — is a 400.
+func TestShardEndpointBadFrames(t *testing.T) {
+	ffs1, err := AppendShardFrame(nil, ShardFrame{Op: OpRows, VecLen: 8, Data: randVecs(8, 1, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining shard: status %d, want 503", resp.StatusCode)
+	ack, _ := EncodeSessionFrame(SessionFrame{Op: OpSessAck, ID: 1})
+	cols, _ := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 2)})
+	for name, body := range map[string][]byte{
+		"FFS1 frame":       ffs1,
+		"empty body":       nil,
+		"truncated header": cols[:sessHeaderLen-1],
+		"truncated cols":   cols[:len(cols)-8],
+		"ack as a request": ack,
+	} {
+		s := New(Config{EnableShard: true})
+		if code := shardPost(s, body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, code)
+		}
+		if got := s.Registry().Snapshot()["sess_bad_total"]; got != 1 {
+			t.Errorf("%s: sess_bad_total = %v, want 1", name, got)
+		}
 	}
 }
 
@@ -235,11 +254,11 @@ func TestShardEndpointShedsWhileDraining(t *testing.T) {
 // the input bytes (canonical encoding).
 func FuzzShardFrame(f *testing.F) {
 	seed := ShardFrame{Op: OpColumns, VecLen: 4, TotalN: 16, Start: 1, Data: randVecs(4, 2, 6)}
-	if enc, err := EncodeShardFrame(seed); err == nil {
+	if enc, err := AppendShardFrame(nil, seed); err == nil {
 		f.Add(enc)
 	}
 	rows := ShardFrame{Op: OpRows, VecLen: 2, Start: 0, Data: randVecs(2, 3, 7)}
-	if enc, err := EncodeShardFrame(rows); err == nil {
+	if enc, err := AppendShardFrame(nil, rows); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte(shardMagic))
@@ -252,7 +271,7 @@ func FuzzShardFrame(f *testing.F) {
 			}
 			return
 		}
-		re, err := EncodeShardFrame(dec)
+		re, err := AppendShardFrame(nil, dec)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}

@@ -1,6 +1,9 @@
-// The shard frame is the cluster extension of the binary codec: one
-// frame carries a contiguous segment of the four-step decomposition —
-// a batch of equal-length column or row vectors plus the twiddle
+// The FFS1 shard frame has no production caller: the benchmark's
+// serve.*_gbs.shard probes are all that compile against this codec, and
+// it leaves with those rows (ROADMAP item 1's benchmark refresh).
+//
+// One frame carries a contiguous segment of the four-step decomposition
+// — a batch of equal-length column or row vectors plus the twiddle
 // context a worker needs to execute them without knowing the rest of
 // the transform.
 //
@@ -66,12 +69,9 @@ func (op ShardOp) String() string {
 }
 
 const (
-	shardMagic   = "FFS1"
-	shardVersion = 1
-	// ShardHeaderLen is the fixed FFS1 header size — callers accounting
-	// wire bytes add 16 per payload element.
-	ShardHeaderLen = 32
-	shardHeaderLen = ShardHeaderLen
+	shardMagic     = "FFS1"
+	shardVersion   = 1
+	shardHeaderLen = 32
 )
 
 // ShardFrame is one decoded shard request or response: len(Data) =
@@ -90,11 +90,6 @@ func (f ShardFrame) VecCount() int {
 		return 0
 	}
 	return len(f.Data) / f.VecLen
-}
-
-// Vec returns vector v as a sub-slice of Data.
-func (f ShardFrame) Vec(v int) []complex128 {
-	return f.Data[v*f.VecLen : (v+1)*f.VecLen]
 }
 
 // validateShard checks the header invariants shared by encode and
@@ -145,25 +140,13 @@ func AppendShardFrame(dst []byte, f ShardFrame) ([]byte, error) {
 	if err := validateShard(f.Op, f.VecLen, f.VecCount(), f.TotalN, f.Start); err != nil {
 		return nil, err
 	}
-	return AppendComplexPayload(appendShardHeader(dst, f), f.Data), nil
-}
-
-// appendShardHeader writes the 32-byte FFS1 header only — the seam the
-// streaming response writer uses to emit a header followed by payload
-// chunks encoded straight out of the pooled shard buffer.
-func appendShardHeader(dst []byte, f ShardFrame) []byte {
 	dst = append(dst, shardMagic...)
 	dst = append(dst, shardVersion, byte(f.Op), 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.VecLen))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.VecCount()))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.TotalN))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Start))
-	return dst
-}
-
-// EncodeShardFrame encodes the frame into a fresh buffer.
-func EncodeShardFrame(f ShardFrame) ([]byte, error) {
-	return AppendShardFrame(make([]byte, 0, shardHeaderLen+16*len(f.Data)), f)
+	return AppendComplexPayload(dst, f.Data), nil
 }
 
 // DecodeShardFrame parses one shard frame from b, which must contain
@@ -175,26 +158,9 @@ func DecodeShardFrame(b []byte) (ShardFrame, error) {
 
 // DecodeShardFrameInto parses one shard frame from b, decoding the
 // payload directly into dst — which must have exactly vecLen·vecCount
-// elements — so the wire bytes land in the worker's pooled scratch with
-// no intermediate allocation.
+// elements — with no intermediate allocation.
 func DecodeShardFrameInto(b []byte, dst []complex128) (ShardFrame, error) {
 	return decodeShard(b, dst, true)
-}
-
-// ShardFrameElems parses just enough of b to size a destination buffer
-// for DecodeShardFrameInto: the declared vecLen·vecCount, without
-// validating the rest of the frame. Returns -1 when b is shorter than a
-// header or the declared count exceeds MaxFrameElems.
-func ShardFrameElems(b []byte) int {
-	if len(b) < shardHeaderLen {
-		return -1
-	}
-	vecLen := int64(binary.LittleEndian.Uint32(b[8:12]))
-	vecCount := int64(binary.LittleEndian.Uint32(b[12:16]))
-	if n := vecLen * vecCount; n <= int64(MaxFrameElems) {
-		return int(n)
-	}
-	return -1
 }
 
 func decodeShard(b []byte, dst []complex128, into bool) (ShardFrame, error) {

@@ -11,11 +11,10 @@
 // With -cluster the target is a fftcluster coordinator instead: the
 // mix shifts to large complex transforms (the four-step sweet spot),
 // real-input kinds are dropped (the cluster path is complex-only), and
-// the final scrape reports the coordinator's retry/hedge/degradation
-// counters — so a run against a coordinator with -hedge set doubles as
-// a hedging smoke test:
+// the final scrape reports the coordinator's error/retry/degradation
+// counters and resident-session wire bytes:
 //
-//	go run ./cmd/fftcluster -workers ... -hedge 2ms &
+//	go run ./cmd/fftcluster -workers ... &
 //	go run ./scripts/loadgen -cluster -addr http://localhost:9100 -clients 8
 //
 // Shed responses (429 queue-full, 503 draining) are counted separately
@@ -100,6 +99,7 @@ func main() {
 
 	var (
 		ok, shed, refused, failed atomic.Int64
+		okElems                   atomic.Int64 // points in the requests answered 200
 		mu                        sync.Mutex
 		latencies                 []time.Duration
 		failSamples               []string
@@ -174,6 +174,7 @@ func main() {
 				switch resp.StatusCode {
 				case http.StatusOK:
 					ok.Add(1)
+					okElems.Add(int64(n))
 					d := time.Since(start)
 					mu.Lock()
 					latencies = append(latencies, d)
@@ -229,10 +230,12 @@ func main() {
 	if *clusterT {
 		interesting = []string{
 			"cluster_requests_total", "cluster_ok_total", "cluster_shed_total",
-			"dist_transforms_total", "dist_shards_total",
+			"dist_transforms_total",
 			"dist_rpc_attempts_total", "dist_rpc_errors_total",
-			"dist_retries_total", "dist_hedges_total", "dist_hedge_wins_total",
-			"dist_degraded_total", "dist_local_shards_total",
+			"dist_retries_total", "dist_degraded_total",
+			"dist_resident_ok_total", "dist_resident_fallback_total",
+			"dist_resident_bytes_total", "dist_resident_elems_total",
+			"dist_bytes_moved_total",
 			"dist_workers_eligible", "dist_workers_total",
 		}
 	}
@@ -240,6 +243,15 @@ func main() {
 		for _, name := range interesting {
 			if strings.HasPrefix(line, name+" ") {
 				fmt.Println("  " + line)
+			}
+		}
+		// Every byte the coordinator moved — abandoned session attempts
+		// included — over the points it answered: the honest cost of
+		// retrying whole sessions (32 is one trip out and one back).
+		if v, found := strings.CutPrefix(line, "dist_bytes_moved_total "); found && okElems.Load() > 0 {
+			if moved, err := strconv.ParseFloat(v, 64); err == nil {
+				fmt.Printf("  coordinator wire, all attempts: %.3f bytes/element over %d elements\n",
+					moved/float64(okElems.Load()), okElems.Load())
 			}
 		}
 	}
