@@ -79,23 +79,22 @@ func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16*int64(serve.MaxFrameElems)+64))
-	if err != nil {
-		s.bad.Inc()
-		http.Error(w, "read: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	f, err := serve.DecodeFrame(raw)
+	// The frame's payload goes from the socket into the pooled buffer the
+	// coordinator transforms in place, and the answer leaves from it; a
+	// frame of another kind is refused on its 12-byte header.
+	f, buf, err := serve.ReadFrame(http.MaxBytesReader(w, r.Body, 16*int64(serve.MaxFrameElems)+64), r.ContentLength,
+		func(h serve.FrameHeader) error {
+			if h.Real || (h.Kind != serve.KindForward && h.Kind != serve.KindInverse) {
+				return errors.New("cluster serves complex forward/inverse frames only")
+			}
+			return nil
+		})
 	if err != nil {
 		s.bad.Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if f.Kind != serve.KindForward && f.Kind != serve.KindInverse {
-		s.bad.Inc()
-		http.Error(w, "cluster serves complex forward/inverse frames only", http.StatusBadRequest)
-		return
-	}
+	defer serve.ReleaseComplex(buf) // after the answer is written
 	ctx := r.Context()
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
@@ -119,14 +118,8 @@ func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	enc, err := serve.EncodeFrame(f)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	s.okCount.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(enc)
+	_ = serve.WriteFrame(w, f) // f came from ReadFrame: it encodes
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {

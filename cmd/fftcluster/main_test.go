@@ -35,19 +35,23 @@ func TestHandleBinStatus(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n       int
+		lie     int64 // added to the request's Content-Length
 		status  int
 		wantBad int64
 	}{
-		{"served", 256, http.StatusOK, 0},
-		{"not a power of two", 12, http.StatusBadRequest, 1},
-		{"coordinator error", 64, http.StatusInternalServerError, 1},
+		{"served", 256, 0, http.StatusOK, 0},
+		{"not a power of two", 12, 0, http.StatusBadRequest, 1},
+		{"coordinator error", 64, 0, http.StatusInternalServerError, 1},
+		{"length disagrees with count", 256, 16, http.StatusBadRequest, 2},
 	} {
 		enc, err := serve.EncodeFrame(serve.Frame{Kind: serve.KindForward, Complex: make([]complex128, tc.n)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		s.handleBin(rec, httptest.NewRequest(http.MethodPost, "/fft/bin", bytes.NewReader(enc)))
+		req := httptest.NewRequest(http.MethodPost, "/fft/bin", bytes.NewReader(enc))
+		req.ContentLength += tc.lie
+		s.handleBin(rec, req)
 		if rec.Code != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.status, bytes.TrimSpace(rec.Body.Bytes()))
 		}

@@ -33,7 +33,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"codeletfft"
 	"codeletfft/internal/fft"
@@ -234,7 +233,7 @@ func writeTone(f *os.File, n, tone int) error {
 			ang := 2 * math.Pi * float64((int64(tone)*int64(j))%int64(n)) / float64(n)
 			buf[i] = cmplx.Exp(complex(0, ang))
 		}
-		if _, err := f.Write(complexBytes(buf[:m])); err != nil {
+		if _, err := f.Write(fft.ComplexBytes(buf[:m])); err != nil {
 			return err
 		}
 	}
@@ -256,7 +255,7 @@ func verifyTone(path string, n, tone int) error {
 	worst := 0.0
 	for base := 0; base < n; base += chunk {
 		m := min(chunk, n-base)
-		raw := complexBytes(buf[:m])
+		raw := fft.ComplexBytes(buf[:m])
 		if _, err := f.ReadAt(raw, int64(base)*16); err != nil {
 			return err
 		}
@@ -295,10 +294,10 @@ func compareFiles(a, b string, n int, tol float64) error {
 	bufB := make([]complex128, chunk)
 	for base := 0; base < n; base += chunk {
 		m := min(chunk, n-base)
-		if _, err := fa.ReadAt(complexBytes(bufA[:m]), int64(base)*16); err != nil {
+		if _, err := fa.ReadAt(fft.ComplexBytes(bufA[:m]), int64(base)*16); err != nil {
 			return err
 		}
-		if _, err := fb.ReadAt(complexBytes(bufB[:m]), int64(base)*16); err != nil {
+		if _, err := fb.ReadAt(fft.ComplexBytes(bufB[:m]), int64(base)*16); err != nil {
 			return err
 		}
 		for i := 0; i < m; i++ {
@@ -394,13 +393,4 @@ func fmtBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%dB", b)
 	}
-}
-
-// complexBytes reinterprets a complex128 slice as raw bytes for the
-// streaming file I/O.
-func complexBytes(v []complex128) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*16)
 }

@@ -162,12 +162,13 @@ func (s *httpSession) ExecShard(ctx context.Context, req serve.SessionFrame, res
 		return serve.SessionFrame{}, err
 	}
 	defer resp.Body.Close()
-	raw, rp, err := readBodyPooled(resp.Body, resp.ContentLength)
+	rp, err := serve.ReadBodyPooled(resp.Body, resp.ContentLength)
 	serve.ReleaseFrame(bp) // request fully sent once the response arrived
 	if err != nil {
 		return serve.SessionFrame{}, err
 	}
 	defer serve.ReleaseFrame(rp)
+	raw := *rp
 	if resp.StatusCode != http.StatusOK {
 		return serve.SessionFrame{}, &statusError{addr: s.addr, code: resp.StatusCode, msg: snippet(raw), peer: resp.Header.Get(serve.PeerHeader)}
 	}
@@ -181,25 +182,6 @@ func (s *httpSession) ExecShard(ctx context.Context, req serve.SessionFrame, res
 func (s *httpSession) CloseSession(ctx context.Context) error {
 	_, err := s.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessClose}, nil)
 	return err
-}
-
-// readBodyPooled reads r fully into a pooled buffer (exact-sized when
-// the length is known). The caller must ReleaseFrame the returned
-// pointer; the byte slice aliases it.
-func readBodyPooled(r io.Reader, contentLength int64) ([]byte, *[]byte, error) {
-	if contentLength >= 0 && contentLength <= 16*int64(serve.MaxFrameElems)+1<<20 {
-		bp := serve.AcquireFrame(int(contentLength))
-		if _, err := io.ReadFull(r, *bp); err != nil {
-			serve.ReleaseFrame(bp)
-			return nil, nil, err
-		}
-		return *bp, bp, nil
-	}
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, &b, nil
 }
 
 func snippet(b []byte) string {

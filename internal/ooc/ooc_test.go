@@ -170,7 +170,7 @@ func TestTransformFile(t *testing.T) {
 	want := fourStepRef(t, data, false)
 
 	src := filepath.Join(dir, "in.c128")
-	if err := os.WriteFile(src, append([]byte(nil), complexBytes(data)...), 0o644); err != nil {
+	if err := os.WriteFile(src, append([]byte(nil), fft.ComplexBytes(data)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	p, err := NewPlan(n, WithTileVecs(4), WithSpillDir(dir))
@@ -192,7 +192,7 @@ func TestTransformFile(t *testing.T) {
 			t.Fatalf("%s: %d bytes, want %d", path, len(raw), n*16)
 		}
 		got := make([]complex128, n)
-		copy(complexBytes(got), raw)
+		copy(fft.ComplexBytes(got), raw)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%s bin %d: %v != %v", path, i, got[i], want[i])
@@ -216,7 +216,7 @@ func TestTransformFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]complex128, n)
-	copy(complexBytes(got), raw)
+	copy(fft.ComplexBytes(got), raw)
 	for i := range got {
 		if d := cmplx.Abs(got[i] - data[i]); d > 1e-9 {
 			t.Fatalf("file round trip bin %d off by %g", i, d)

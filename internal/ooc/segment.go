@@ -8,7 +8,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unsafe"
+
+	"codeletfft/internal/fft"
 )
 
 // Spill-segment on-disk format. A spill file is a flat array of
@@ -96,16 +97,6 @@ func decodeSegHeader(b []byte) (segHeader, error) {
 	return h, nil
 }
 
-// complexBytes reinterprets a complex128 slice as its underlying bytes
-// (native order). The spill layer stages tile-sized payloads through
-// pread/pwrite without copying them through a byte buffer.
-func complexBytes(v []complex128) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*16)
-}
-
 // spill is one spill file: nsegs segments of segElems complex values
 // each. writeSegment and readSegment are safe for concurrent use on
 // distinct (or even the same) segments — they issue positioned I/O and
@@ -174,7 +165,7 @@ func (sp *spill) writeSegment(idx int, data []complex128) (int64, error) {
 	if len(data) != sp.segElems {
 		return 0, fmt.Errorf("ooc: segment payload %d elems, want %d", len(data), sp.segElems)
 	}
-	payload := complexBytes(data)
+	payload := fft.ComplexBytes(data)
 	var hdr [segHeaderLen]byte
 	encodeSegHeader(hdr[:], segHeader{
 		index:      uint64(idx),
@@ -225,7 +216,7 @@ func (sp *spill) readSegment(idx int, dst []complex128) (int64, error) {
 	if h.elems != uint64(sp.segElems) {
 		return 0, sp.corrupt(idx, fmt.Errorf("header claims %d elems, want %d", h.elems, sp.segElems))
 	}
-	payload := complexBytes(dst)
+	payload := fft.ComplexBytes(dst)
 	if _, err := io.ReadFull(io.NewSectionReader(sp.f, off+segHeaderLen, int64(len(payload))), payload); err != nil {
 		return 0, sp.corrupt(idx, fmt.Errorf("reading payload: %w", err))
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"codeletfft/internal/fft"
 )
 
 // Store is a flat array of complex128 values addressed by element
@@ -26,7 +28,7 @@ type fileStore struct {
 }
 
 func (s fileStore) ReadVec(dst []complex128, off int64) error {
-	b := complexBytes(dst)
+	b := fft.ComplexBytes(dst)
 	if _, err := io.ReadFull(io.NewSectionReader(s.f, off*16, int64(len(b))), b); err != nil {
 		return fmt.Errorf("ooc: reading %d elems at %d from %s: %w", len(dst), off, s.f.Name(), err)
 	}
@@ -34,7 +36,7 @@ func (s fileStore) ReadVec(dst []complex128, off int64) error {
 }
 
 func (s fileStore) WriteVec(src []complex128, off int64) error {
-	if _, err := s.f.WriteAt(complexBytes(src), off*16); err != nil {
+	if _, err := s.f.WriteAt(fft.ComplexBytes(src), off*16); err != nil {
 		return fmt.Errorf("ooc: writing %d elems at %d to %s: %w", len(src), off, s.f.Name(), err)
 	}
 	return nil

@@ -16,6 +16,9 @@
 package serve
 
 import (
+	"errors"
+	"io"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -66,6 +69,42 @@ func ReleaseFrame(p *[]byte) {
 	byteBufPools[class].Put(p)
 }
 
+// maxPooledBody is the longest body ReadBodyPooled sizes a buffer for
+// on the word of its declared length: the largest payload plus the
+// largest session spec, generously.
+const maxPooledBody = int64(SessionHeaderLen) + 16*int64(MaxFrameElems) + 1<<20
+
+// ReadBodyPooled reads r to its end into a frame buffer from the pool —
+// sized once by the declared length when there is a plausible one — for
+// both directions of the worker protocol: a worker reading a session
+// request, a coordinator reading the response. A body that runs past
+// its declared length is an error. The caller owns the returned buffer
+// and must ReleaseFrame it.
+func ReadBodyPooled(r io.Reader, declared int64) (*[]byte, error) {
+	if declared < 0 || declared > maxPooledBody {
+		b, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
+		// Moved into the pool's own memory so that the release accounting
+		// never sees a foreign buffer.
+		bp := AcquireFrame(len(b))
+		copy(*bp, b)
+		return bp, nil
+	}
+	bp := AcquireFrame(int(declared))
+	if _, err := io.ReadFull(r, *bp); err != nil {
+		ReleaseFrame(bp)
+		return nil, err
+	}
+	var extra [1]byte
+	if n, _ := r.Read(extra[:]); n > 0 {
+		ReleaseFrame(bp)
+		return nil, errors.New("body longer than its declared length")
+	}
+	return bp, nil
+}
+
 // complexBuf size classes, same scheme in units of complex128.
 var complexBufPools [28]sync.Pool
 
@@ -94,6 +133,15 @@ func ReleaseComplex(p *[]complex128) {
 	class := uint(bits.Len(uint(cap(*p)))) - 1
 	if 1<<class != cap(*p) {
 		return
+	}
+	if raceEnabled {
+		// Under the race detector a buffer is overwritten as it is taken
+		// back: a holder that let go while someone could still touch it
+		// races with this write, and a stale reader finds NaNs, not a
+		// plausible answer.
+		for i := range *p {
+			(*p)[i] = complex(math.NaN(), math.NaN())
+		}
 	}
 	complexOut.Add(-1)
 	complexBufPools[class].Put(p)

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"codeletfft"
@@ -34,7 +35,18 @@ type batchKey struct {
 	kind Kind
 }
 
-// pending is one admitted unit of work waiting for (or inside) a batch.
+// pending is one unit of work on its way to, waiting for, or inside a
+// batch.
+//
+// Buffer ownership: holders counts who may still touch p's buffers —
+// the handler from the moment it lays them out, the executor from
+// submit until it has answered. Each lets go once (drop), and whoever
+// lets go last returns the pooled ones to the pool: one atomic
+// hand-off. So a request that was never admitted gives its buffers back
+// when its handler returns; a served one once its answer is written;
+// and one whose deadline fired while its batch was running when the
+// executor is done with it — not under the executor's feet, and not
+// left to the collector with the pool's count of it drifting.
 type pending struct {
 	ctx  context.Context
 	done chan error // buffered; receives exactly one result
@@ -45,12 +57,23 @@ type pending struct {
 	// real is the real kinds' sample buffer: KindReal reads it,
 	// KindRealInverse fills it.
 	real []float64
+	// pooled are the pool buffers behind rows and real, if any.
+	pooled  [2]*[]complex128
+	holders atomic.Int32
 	// ownsToken makes the executor release one admission token once it
 	// has answered, so a request whose client stopped waiting still
 	// counts against the queue until its buffers are done with. A
 	// stream's chunks leave it false: they ride the token their handler
 	// holds for the whole stream.
 	ownsToken bool
+}
+
+// drop lets go of p's buffers on behalf of one holder.
+func (p *pending) drop() {
+	if p.holders.Add(-1) == 0 {
+		ReleaseComplex(p.pooled[0])
+		ReleaseComplex(p.pooled[1])
+	}
 }
 
 // admit is the one door into the queue. On success the caller owns one
@@ -88,6 +111,7 @@ func (s *Server) release() { <-s.sem }
 func (s *Server) submit(ctx context.Context, key batchKey, p *pending) error {
 	p.ctx = ctx
 	p.done = make(chan error, 1)
+	p.holders.Add(1) // the executor's; answer drops it
 	s.mu.Lock()
 	queue, running := s.shapes[key]
 	if running {
@@ -143,6 +167,7 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 		if p.ctx.Err() != nil {
 			s.m.expired.Inc()
 			p.done <- context.DeadlineExceeded
+			p.drop()
 			continue
 		}
 		live = append(live, p)
@@ -159,6 +184,7 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 		s.m.batchSec.Observe(time.Since(start).Seconds())
 		for _, p := range live {
 			p.done <- err
+			p.drop()
 		}
 	}
 	for _, p := range reqs {

@@ -36,6 +36,7 @@ import (
 
 	"codeletfft"
 	"codeletfft/internal/cache"
+	"codeletfft/internal/fft"
 	"codeletfft/internal/host"
 	"codeletfft/internal/metrics"
 )
@@ -158,6 +159,8 @@ type serverMetrics struct {
 	occupancy  *metrics.Histogram
 	batchSec   *metrics.Histogram
 	requestSec *metrics.Histogram
+	readSec    *metrics.Histogram
+	writeSec   *metrics.Histogram
 	shardSec   *metrics.Histogram
 }
 
@@ -194,6 +197,11 @@ func newServerMetrics(r *metrics.Registry) serverMetrics {
 		batchSec:   r.Histogram("fft_batch_seconds", latency),
 		requestSec: r.Histogram("fft_request_seconds", latency),
 		shardSec:   r.Histogram("shard_exec_seconds", latency),
+		// Where a /fft or /fft/bin request's time went: reading is header,
+		// payload and shape checks, writing is encoding and the response
+		// body, and request − read − its batch − write is queueing.
+		readSec:  r.Histogram("fft_read_seconds", latency),
+		writeSec: r.Histogram("fft_write_seconds", latency),
 	}
 }
 
@@ -496,25 +504,44 @@ func encodeJSON(f Frame) ([]byte, error) {
 	return append(b, '\n'), err
 }
 
-func decodeBinary(body io.Reader) (Frame, error) {
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		return Frame{}, fmt.Errorf("reading body: %w", err)
-	}
-	return DecodeFrame(raw)
-}
-
-// wireCodec is one wire form of a Frame.
+// wireCodec is one wire form of a Frame, as the pair of functions that
+// take a request off the wire and put its answer on it.
 type wireCodec struct {
-	contentType string
-	decode      func(io.Reader) (Frame, error)
-	encode      func(Frame) ([]byte, error)
+	// read has ReadFrame's contract: check sees the frame's shape before
+	// a payload it would refuse is buffered, and the buffer returned with
+	// the frame is the pooled one behind its payload — nil where the
+	// payload is the garbage collector's, as JSON's is.
+	read func(body io.Reader, declared int64, check func(FrameHeader) error) (Frame, *[]complex128, error)
+	// write answers with f. It calls ok once f is known to encode and
+	// before the first byte leaves, and returns an error only before
+	// that; a write the client did not stay for is not an error.
+	write func(w http.ResponseWriter, f Frame, ok func()) error
 }
 
 var (
-	jsonCodec   = wireCodec{"application/json", decodeJSON, encodeJSON}
-	binaryCodec = wireCodec{"application/octet-stream", decodeBinary, EncodeFrame}
+	jsonCodec   = wireCodec{readJSON, writeJSON}
+	binaryCodec = wireCodec{ReadFrame, writeFrame}
 )
+
+func readJSON(body io.Reader, _ int64, check func(FrameHeader) error) (Frame, *[]complex128, error) {
+	f, err := decodeJSON(body)
+	if err != nil {
+		return Frame{}, nil, err
+	}
+	// decodeJSON puts kind real's samples, and only those, in f.Real.
+	return f, nil, check(FrameHeader{Kind: f.Kind, Real: f.Kind == KindReal, Count: len(f.Complex) + len(f.Real)})
+}
+
+func writeJSON(w http.ResponseWriter, f Frame, ok func()) error {
+	body, err := encodeJSON(f)
+	if err != nil {
+		return err
+	}
+	ok()
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body) // a failed write means the client went away
+	return nil
+}
 
 func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) { s.handleFrame(w, r, jsonCodec) }
 
@@ -523,24 +550,29 @@ func (s *Server) handleBinary(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFrame serves one transform request in either wire form: the
-// codec turns the body into a Frame and the answer back into bytes;
+// codec reads the body into a Frame and writes the answer from one;
 // shape checks, admission, coalescing and the transform are the same
-// code for both.
+// code for both. The request's buffers are dropped on every way out —
+// a refusal's error body is still in the response buffer when the
+// deferred drop runs, so a refused request has given its buffer back
+// before its answer reaches the wire.
 func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request, c wireCodec) {
 	start := time.Now()
 	s.m.requests.Inc()
 	defer func() { s.m.requestSec.Observe(time.Since(start).Seconds()) }()
 
-	in, err := c.decode(http.MaxBytesReader(w, r.Body, s.maxBody))
+	var key batchKey
+	in, buf, err := c.read(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, func(h FrameHeader) (err error) {
+		key, err = s.shape(h)
+		return err
+	})
+	s.m.readSec.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.reject(w, err)
 		return
 	}
-	key, p, err := s.request(in)
-	if err != nil {
-		s.reject(w, err)
-		return
-	}
+	p := newPending(key, in, buf)
+	defer p.drop()
 	ctx, cancel, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -551,49 +583,53 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request, c wireCodec
 		s.fail(w, err)
 		return
 	}
-	body, err := c.encode(response(in.Kind, p))
+	wstart := time.Now()
+	err = c.write(w, p.response(key.kind), s.m.ok.Inc)
+	s.m.writeSec.Observe(time.Since(wstart).Seconds())
 	if err != nil {
 		s.fail(w, err)
-		return
 	}
-	s.m.ok.Inc()
-	w.Header().Set("Content-Type", c.contentType)
-	_, _ = w.Write(body) // a failed write means the client went away
 }
 
-// request validates a decoded frame against the served shapes and lays
-// out the buffers its transform works in.
-func (s *Server) request(f Frame) (batchKey, *pending, error) {
-	key := batchKey{kind: f.Kind}
+// shape names the batch a frame with header h belongs to, or the
+// reason the daemon does not serve it. It needs the header only, so a
+// binary request is judged before its payload is read.
+func (s *Server) shape(h FrameHeader) (batchKey, error) {
+	key := batchKey{kind: h.Kind}
 	switch {
-	case f.Kind == KindReal && f.Complex != nil:
-		return key, nil, shapeErrorf("kind real takes a real payload")
-	case f.Kind != KindReal && f.Real != nil:
-		return key, nil, shapeErrorf("kind %s takes a complex payload", f.Kind)
-	}
-	switch f.Kind {
-	case KindReal:
-		key.n = len(f.Real)
-	case KindRealInverse:
-		key.n = 2 * (len(f.Complex) - 1)
+	case h.Kind == KindReal && !h.Real:
+		return key, shapeErrorf("kind real takes a real payload")
+	case h.Kind != KindReal && h.Real:
+		return key, shapeErrorf("kind %s takes a complex payload", h.Kind)
+	case h.Kind == KindRealInverse:
+		key.n = 2 * (h.Count - 1)
 	default:
-		key.n = len(f.Complex)
+		key.n = h.Count
 	}
-	if err := s.checkN(key.n, f.Kind); err != nil {
-		return key, nil, err
-	}
-	switch f.Kind {
-	case KindReal:
-		return key, &pending{rows: [][]complex128{make([]complex128, key.n/2+1)}, real: f.Real}, nil
-	case KindRealInverse:
-		return key, &pending{rows: [][]complex128{f.Complex}, real: make([]float64, key.n)}, nil
-	default:
-		return key, &pending{rows: [][]complex128{f.Complex}}, nil
-	}
+	return key, s.checkN(key.n, h.Kind)
 }
 
-// response is request's inverse: the frame that answers a served pending.
-func response(kind Kind, p *pending) Frame {
+// newPending lays out the buffers the transform of in works in. The
+// real kinds' second buffer rides the same pool as the payload: a
+// half spectrum as it is, real samples as the float64s of a complex
+// buffer half as long.
+func newPending(key batchKey, in Frame, buf *[]complex128) *pending {
+	p := &pending{rows: [][]complex128{in.Complex}, real: in.Real, pooled: [2]*[]complex128{buf}}
+	p.holders.Store(1)
+	switch key.kind {
+	case KindReal:
+		p.pooled[1] = AcquireComplex(key.n/2 + 1)
+		p.rows[0] = *p.pooled[1]
+	case KindRealInverse:
+		p.pooled[1] = AcquireComplex(key.n / 2)
+		p.real = fft.ComplexFloat64s(*p.pooled[1])
+	}
+	return p
+}
+
+// response is newPending's inverse: the frame that answers a served
+// pending.
+func (p *pending) response(kind Kind) Frame {
 	if kind == KindRealInverse {
 		return Frame{Kind: kind, Real: p.real}
 	}

@@ -504,19 +504,28 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
 		}
 	}
-	// Binary: a structurally valid frame with an unservable length
-	// (below MinN).
-	enc, err := EncodeFrame(Frame{Kind: KindForward, Complex: make([]complex128, 3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/fft/bin", "application/octet-stream", bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("binary below MinN: status = %d, want 400", resp.StatusCode)
+	// The same mistakes in the binary form (one count covers re and im,
+	// so "im length mismatch" has no twin; an unknown kind is a bad kind
+	// byte), and one only it can make: a payload of the other element type.
+	for name, f := range map[string]Frame{
+		"real odd length":      {Kind: KindReal, Real: make([]float64, 101)},
+		"real tiny":            {Kind: KindReal, Real: make([]float64, 2)},
+		"unknown kind":         {Kind: kindCount, Complex: make([]complex128, 64)},
+		"too large":            {Kind: KindForward, Complex: make([]complex128, 1<<13)},
+		"too small":            {Kind: KindForward, Complex: make([]complex128, 2)},
+		"real with im":         {Kind: KindReal, Complex: make([]complex128, 64)},
+		"forward with samples": {Kind: KindForward, Real: make([]float64, 64)},
+	} {
+		h := FrameHeader{Kind: f.Kind, Real: f.Real != nil, Count: len(f.Complex) + len(f.Real)}
+		enc := append(appendFrameHeader(nil, h), make([]byte, h.payloadLen())...)
+		resp, err := http.Post(ts.URL+"/fft/bin", "application/octet-stream", bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("binary %s: status = %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 
@@ -577,6 +586,8 @@ func TestMetricsAfterKnownMix(t *testing.T) {
 		"fft_responses_ok_total 5",
 		"fft_responses_bad_request_total 1",
 		"fft_batches_total 5",
+		"fft_read_seconds_count 6",  // every body that was read, the refused one too
+		"fft_write_seconds_count 5", // every answer that was written
 	} {
 		if !strings.Contains(text, line+"\n") {
 			t.Errorf("/metrics missing %q:\n%s", line, text)

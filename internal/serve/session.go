@@ -364,12 +364,7 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	defer ReleaseFrame(bp)
 	b := appendSessionHeader((*bp)[:0], f)
 	for v := 0; v < spec.ColCount; v++ {
-		col := cols[v*spec.N1 : (v+1)*spec.N1]
-		for i := 0; i < p.RowCount; i++ {
-			c := col[p.RowStart+i]
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(c)))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(c)))
-		}
+		b = AppendComplexPayload(b, cols[v*spec.N1+p.RowStart:][:p.RowCount])
 	}
 	resp, err := s.cfg.Peers.PushFrame(ctx, p.Addr, b)
 	if err != nil {
@@ -465,63 +460,17 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 	})
 }
 
-// streamChunkElems is the payload chunk size for streaming writes:
-// 4096 elements = 64 KiB, large enough to amortize the write syscall,
-// small enough that the chunk buffer stays cache- and pool-friendly.
-const streamChunkElems = 4096
-
-// writeSessionFrame streams an FFS2 frame as header + payload chunks
-// encoded straight out of f.Data — the vectored-write path: no
-// contiguous copy of the whole frame ever exists on the worker.
+// writeSessionFrame answers with an FFS2 frame: the header, then
+// f.Data's wire bytes straight out of the resident buffer, under a
+// Content-Length — no contiguous copy of the frame ever exists on the
+// worker.
 func (s *Server) writeSessionFrame(w http.ResponseWriter, f SessionFrame) {
 	hp := AcquireFrame(SessionHeaderLen)
 	defer ReleaseFrame(hp)
 	hdr := appendSessionHeader((*hp)[:0], f)
-	writeFrameStreaming(w, hdr, f.Data)
-}
-
-// writeFrameStreaming writes an already-encoded header followed by the
-// payload in pooled chunks.
-func writeFrameStreaming(w http.ResponseWriter, hdr []byte, data []complex128) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+16*len(data)))
-	if _, err := w.Write(hdr); err != nil || len(data) == 0 {
-		return
+	w.Header().Set("Content-Length", strconv.Itoa(len(hdr)+16*len(f.Data)))
+	if _, err := w.Write(hdr); err == nil {
+		_ = writeComplexPayload(w, f.Data) // a failed write means the peer went away
 	}
-	cp := AcquireFrame(16 * min(streamChunkElems, len(data)))
-	defer ReleaseFrame(cp)
-	for off := 0; off < len(data); off += streamChunkElems {
-		end := min(off+streamChunkElems, len(data))
-		chunk := AppendComplexPayload((*cp)[:0], data[off:end])
-		if _, err := w.Write(chunk); err != nil {
-			return
-		}
-	}
-}
-
-// readShardBody reads a shard/session request body into a pooled
-// buffer (sized by Content-Length on the common path). The caller owns
-// the returned buffer and must ReleaseFrame it.
-func (s *Server) readShardBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
-	// Generous bound: the largest payload plus the largest session spec.
-	limit := int64(SessionHeaderLen) + 16*int64(MaxFrameElems) + 1<<20
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if n := r.ContentLength; n >= 0 && n <= limit {
-		bp := AcquireFrame(int(n))
-		if _, err := io.ReadFull(body, *bp); err != nil {
-			ReleaseFrame(bp)
-			return nil, err
-		}
-		var extra [1]byte
-		if m, _ := body.Read(extra[:]); m > 0 {
-			ReleaseFrame(bp)
-			return nil, fmt.Errorf("request body longer than its declared length")
-		}
-		return bp, nil
-	}
-	b, err := io.ReadAll(body)
-	if err != nil {
-		return nil, err
-	}
-	return &b, nil
 }

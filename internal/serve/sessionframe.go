@@ -53,7 +53,6 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // SessionOp selects what a session frame does.
@@ -448,25 +447,4 @@ func decodeSession(b []byte, dst []complex128, mode sessDecodeMode) (SessionFram
 	}
 	DecodeComplexPayload(f.Data, payload)
 	return f, nil
-}
-
-// AppendComplexPayload appends src as float64 LE re/im pairs — the
-// payload encoding shared by every frame format in this package.
-func AppendComplexPayload(dst []byte, src []complex128) []byte {
-	for _, c := range src {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(c)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(c)))
-	}
-	return dst
-}
-
-// DecodeComplexPayload fills dst from payload, which must hold exactly
-// 16·len(dst) bytes. The inverse of AppendComplexPayload.
-func DecodeComplexPayload(dst []complex128, payload []byte) {
-	_ = payload[16*len(dst)-1] // one bounds check for the whole loop
-	for i := range dst {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(payload[16*i:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(payload[16*i+8:]))
-		dst[i] = complex(re, im)
-	}
 }

@@ -71,7 +71,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	defer s.release()
 
-	bp, err := s.readShardBody(w, r)
+	bp, err := ReadBodyPooled(http.MaxBytesReader(w, r.Body, maxPooledBody), r.ContentLength)
 	if err != nil {
 		s.m.shardBad.Inc()
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)

@@ -61,7 +61,12 @@ func retryable(err error) bool {
 	return strings.Contains(msg, "connection reset by peer") ||
 		strings.Contains(msg, "EOF") ||
 		strings.Contains(msg, "broken pipe") ||
-		strings.Contains(msg, "use of closed network connection")
+		strings.Contains(msg, "use of closed network connection") ||
+		// net/http's own name for the race, when the close reaches the
+		// client while the connection sits idle in its pool. A reply with
+		// a Content-Length is complete to the client before the handler
+		// has returned, so under a drain this spelling is the common one.
+		strings.Contains(msg, "server closed idle connection")
 }
 
 func main() {
