@@ -66,9 +66,9 @@ type Config struct {
 	Factor func(n int) (n1, n2 int)
 
 	// LocalKernel selects the butterfly kernel for degraded (local)
-	// execution. The zero value resolves to radix-2; the coordinator
-	// never runs tuning measurements on the request path. Workers pick
-	// their own kernel via `fftserved -kernel`.
+	// execution. The zero value runs the SoA radix-4 codelets; the
+	// coordinator never runs tuning measurements on the request path.
+	// Workers pick their own kernel via `fftserved -kernel`.
 	LocalKernel codeletfft.Kernel
 }
 

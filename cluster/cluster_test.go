@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"math/cmplx"
 	"math/rand"
 	"strings"
@@ -79,6 +80,44 @@ func TestLoopbackClusterRoundTrip(t *testing.T) {
 	for i := range data {
 		if d := cmplx.Abs(data[i] - orig[i]); d > 1e-11 {
 			t.Fatalf("round trip bin %d error %g", i, d)
+		}
+	}
+}
+
+// TestInverseCtxLeavesDataOnFailure: an inverse that fails — on a length
+// the cluster does not take, or under a context already cancelled —
+// returns the caller's array bit for bit as it got it, imaginary parts
+// included.
+func TestInverseCtxLeavesDataOnFailure(t *testing.T) {
+	cl, err := cluster.NewLoopback(2, cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		n    int
+		want error
+	}{
+		{"bad N", context.Background(), 1000, codeletfft.ErrUnsupportedLength},
+		{"cancelled", cancelled, 1 << 10, context.Canceled},
+	} {
+		rng := rand.New(rand.NewSource(4))
+		data := make([]complex128, tc.n)
+		for i := range data {
+			data[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+		}
+		orig := append([]complex128(nil), data...)
+		if err := cl.InverseCtx(tc.ctx, data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: InverseCtx = %v, want %v", tc.name, err, tc.want)
+		}
+		for i := range data {
+			if data[i] != orig[i] {
+				t.Fatalf("%s: failed inverse wrote data[%d]: %v, was %v", tc.name, i, data[i], orig[i])
+			}
 		}
 	}
 }

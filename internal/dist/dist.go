@@ -88,9 +88,8 @@ type Config struct {
 	// degraded (local) execution; 0 means the engine defaults.
 	LocalWorkers, LocalTaskSize int
 	// LocalKernel selects the butterfly kernel of degraded (local)
-	// execution. The zero value (KernelAuto) resolves to radix-2 at this
-	// layer — the coordinator never runs tuning measurements on the
-	// request path.
+	// execution. The zero value (KernelAuto) runs KernelSoARadix4 — the
+	// coordinator never runs tuning measurements on the request path.
 	LocalKernel fft.Kernel
 
 	// Circuit-breaker knobs, forwarded to the membership layer.
@@ -217,6 +216,19 @@ func checkN(n int) error {
 // single-node transform within floating-point tolerance (the four-step
 // ordering differs from the direct staged algorithm).
 func (c *Coordinator) Transform(ctx context.Context, data []complex128) error {
+	return c.transform(ctx, data, false)
+}
+
+// Inverse applies the inverse FFT in place via the conjugation
+// identity, under Transform's contract: the identity's two sweeps ride
+// on the session's two transpositions (and on the local schedule's pack
+// and unpack), so no attempt writes data before it has the result.
+func (c *Coordinator) Inverse(ctx context.Context, data []complex128) error {
+	return c.transform(ctx, data, true)
+}
+
+// transform is Transform, or Inverse when inverse is set.
+func (c *Coordinator) transform(ctx context.Context, data []complex128, inverse bool) error {
 	if err := checkN(len(data)); err != nil {
 		return err
 	}
@@ -226,7 +238,7 @@ func (c *Coordinator) Transform(ctx context.Context, data []complex128) error {
 
 	if c.members.EligibleCount() == 0 {
 		c.m.degraded.Inc()
-		return c.transformLocal(data)
+		return c.transformLocal(data, inverse)
 	}
 	fs, err := c.fourStepFor(len(data))
 	if err != nil {
@@ -248,7 +260,7 @@ func (c *Coordinator) Transform(ctx context.Context, data []complex128) error {
 			}
 			backoff = min(2*backoff, c.cfg.BackoffMax)
 		}
-		if c.runSession(ctx, fs, addrs, data, blamed) {
+		if c.runSession(ctx, fs, addrs, data, inverse, blamed) {
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -257,33 +269,24 @@ func (c *Coordinator) Transform(ctx context.Context, data []complex128) error {
 	}
 	c.m.residentFall.Inc()
 	c.m.degraded.Inc()
-	return c.transformLocal(data)
-}
-
-// Inverse applies the inverse FFT in place via the conjugation
-// identity, reusing the forward cluster path.
-func (c *Coordinator) Inverse(ctx context.Context, data []complex128) error {
-	for i, v := range data {
-		data[i] = complex(real(v), -imag(v))
-	}
-	if err := c.Transform(ctx, data); err != nil {
-		return err
-	}
-	inv := 1 / float64(len(data))
-	for i, v := range data {
-		data[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-	return nil
+	return c.transformLocal(data, inverse)
 }
 
 // transformLocal is the degraded path: the whole transform on the host
-// engine.
-func (c *Coordinator) transformLocal(data []complex128) error {
+// engine, data untouched unless the plan exists. A LocalKernel left at
+// KernelAuto runs the SoA radix-4 codelets — the coordinator never
+// tunes on the request path, and auto's static fallback below the
+// facade is the radix-2 reference, five times slower at 2^20.
+func (c *Coordinator) transformLocal(data []complex128, inverse bool) error {
 	lp, err := c.localPlanFor(len(data))
 	if err != nil {
 		return err
 	}
-	c.eng.TransformKernel(lp.pl, data, lp.w, c.cfg.LocalKernel)
+	kern := c.cfg.LocalKernel
+	if kern == fft.KernelAuto {
+		kern = fft.KernelSoARadix4
+	}
+	c.eng.Run(lp.pl.Schedule(lp.w, kern, inverse), data)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"os"
@@ -331,27 +332,43 @@ func TestClusterDegradesToLocal(t *testing.T) {
 }
 
 // TestClusterConcurrentTransforms hammers one coordinator from many
-// goroutines — primarily a race-detector target for the shared
-// membership, metrics, and plan-cache state.
+// goroutines, forward and inverse at once — a race-detector target for
+// the shared membership, metrics and plan-cache state and for the
+// per-slab transpositions, whose goroutines write disjoint slices of one
+// pooled buffer and then of the caller's array. The workers run the
+// four-step tile kernel, so every output is compared bit for bit with
+// the serial plan's, not to a tolerance.
 func TestClusterConcurrentTransforms(t *testing.T) {
-	c, _, _ := newTestCluster(t, 3, Config{})
-	const n = 1 << 10
-	want := singleNode(t, noise(n, 7))
+	c, _, _, _ := newTestClusterOf(t, 3, Config{}, serve.Config{Kernel: fft.KernelSoARadix4})
+	const n = 1 << 14 // 128×128: slabs of 42/43/43, two tiles and a ragged edge each way
+	fs, err := fft.NewFourStep(NearSquareFactor(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFwd, wantInv := noise(n, 7), noise(n, 7)
+	fs.Transform(wantFwd)
+	fs.InverseTransform(wantInv)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			data := noise(n, 7)
-			if err := c.Transform(context.Background(), data); err != nil {
+			data, run, want := noise(n, 7), c.Transform, wantFwd
+			if g%2 == 1 {
+				run, want = c.Inverse, wantInv
+			}
+			if err := run(context.Background(), data); err != nil {
 				errs <- err
 				return
 			}
-			if d := maxDiff(data, want); d > 1e-12*float64(n) {
-				errs <- fmt.Errorf("output deviates by %g", d)
+			for i := range data {
+				if data[i] != want[i] {
+					errs <- fmt.Errorf("goroutine %d: bin %d = %v, want %v (not bitwise identical)", g, i, data[i], want[i])
+					return
+				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
@@ -403,6 +420,58 @@ func TestClusterContextCancellation(t *testing.T) {
 			t.Errorf("%s = %d after a cancellation, want 0", name, got)
 		}
 	}
+}
+
+// TestClusterInverseLeavesDataOnFailure holds Inverse to Transform's
+// contract — data is written only by an attempt that completed. The
+// conjugation identity's leading sweep used to run in place before the
+// length check and before the first session, so a rejected or cancelled
+// inverse handed back its input with every imaginary part negated.
+func TestClusterInverseLeavesDataOnFailure(t *testing.T) {
+	sameBits := func(t *testing.T, got, orig []complex128) {
+		t.Helper()
+		for i := range got {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(orig[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(orig[i])) {
+				t.Fatalf("failed inverse wrote data[%d]: %v, was %v", i, got[i], orig[i])
+			}
+		}
+	}
+	t.Run("bad N", func(t *testing.T) {
+		for _, workers := range []int{0, 1} { // the degraded path and the session path
+			c, _, _ := newTestCluster(t, workers, Config{})
+			for _, n := range []int{1, 2, 3, 6, 1000} {
+				data := noise(n, int64(n))
+				orig := append([]complex128(nil), data...)
+				if err := c.Inverse(context.Background(), data); !errors.Is(err, fft.ErrUnsupportedLength) {
+					t.Errorf("%d workers: Inverse(N=%d) = %v, want ErrUnsupportedLength", workers, n, err)
+				}
+				sameBits(t, data, orig)
+			}
+		}
+	})
+	t.Run("cancel mid-session", func(t *testing.T) {
+		// Cancelled when the first rows fetch goes out: every slab has been
+		// gathered (and conjugated) and shipped by then.
+		c, lb, _ := newTestCluster(t, 2, Config{BackoffBase: time.Microsecond})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		lb.SessionFault = func(_ context.Context, _ string, op serve.SessionOp) error {
+			if op == serve.OpSessRows {
+				cancel()
+			}
+			return nil
+		}
+		data := noise(1<<12, 9)
+		orig := append([]complex128(nil), data...)
+		if err := c.Inverse(ctx, data); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Inverse after cancel: err = %v, want context.Canceled", err)
+		}
+		sameBits(t, data, orig)
+		if got := counter(t, c, "dist_degraded_total"); got != 0 {
+			t.Errorf("dist_degraded_total = %d after a cancellation, want 0", got)
+		}
+	})
 }
 
 // TestMembershipFileWatch verifies workers added through the polled
@@ -566,6 +635,47 @@ func TestLocalKernelConfig(t *testing.T) {
 	}
 }
 
+// TestDegradedDefaultKernel pins what a coordinator left at its default
+// LocalKernel runs when it degrades: the SoA radix-4 schedule, bit for
+// bit, forward and inverse — not KernelAuto's static fallback, the
+// radix-2 reference.
+func TestDegradedDefaultKernel(t *testing.T) {
+	c, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	const n = 1 << 12
+	pl, err := fft.NewPlan(n, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := fft.Twiddles(n)
+	for _, tc := range []struct {
+		name    string
+		run     func(context.Context, []complex128) error
+		inverse bool
+	}{{"Transform", c.Transform, false}, {"Inverse", c.Inverse, true}} {
+		got, want := noise(n, 21), noise(n, 21)
+		if tc.inverse {
+			pl.Schedule(w, fft.KernelSoARadix4, true).Run(want)
+		} else {
+			pl.TransformSoA(want, w, fft.KernelSoARadix4)
+		}
+		if err := tc.run(context.Background(), got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: bin %d = %v, want the SoA radix-4 schedule's %v", tc.name, i, got[i], want[i])
+			}
+		}
+	}
+	if got := counter(t, c, "dist_degraded_total"); got != 2 {
+		t.Errorf("dist_degraded_total = %d, want 2", got)
+	}
+}
+
 // TestColumnPhaseParityAcrossPaths pins the bitwise claim the shared
 // tile kernel makes: resident sessions on the SoA radix-4 codelets
 // produce the serial fft.FourStepPlan's bits however the transform is
@@ -574,25 +684,33 @@ func TestLocalKernelConfig(t *testing.T) {
 // degraded execution is the direct staged algorithm, not a four-step,
 // and agrees to rounding only — TestClusterDegradesToLocal.)
 func TestColumnPhaseParityAcrossPaths(t *testing.T) {
-	const n = 1 << 12 // 64×64 default split
-	fs, err := fft.NewFourStep(NearSquareFactor(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := noise(n, 17)
-	fs.Transform(want)
+	const n = 1 << 12
+	skewed := func(int) (int, int) { return 32, 128 }
 	for _, tc := range []struct {
 		name    string
 		workers int
-		dieAt   serve.SessionOp // the victim refuses this op; OpSessAck: nobody dies
+		factor  func(int) (int, int) // nil: the default 64×64 split
+		dieAt   serve.SessionOp      // the victim refuses this op; OpSessAck: nobody dies
 	}{
-		{"1 worker", 1, serve.OpSessAck},
-		{"2 workers", 2, serve.OpSessAck},
-		{"3 workers", 3, serve.OpSessAck},
-		{"3 workers, one dies at cols", 3, serve.OpSessCols},
-		{"2 workers, one dies at rows", 2, serve.OpSessRows},
+		{"1 worker", 1, nil, serve.OpSessAck},
+		{"2 workers", 2, nil, serve.OpSessAck},
+		{"3 workers", 3, nil, serve.OpSessAck}, // slabs of 21 / 21 / 22 rows and columns
+		{"3 workers, one dies at cols", 3, nil, serve.OpSessCols},
+		{"2 workers, one dies at rows", 2, nil, serve.OpSessRows},
+		{"2 workers, 32×128", 2, skewed, serve.OpSessAck},
+		{"3 workers, 32×128", 3, skewed, serve.OpSessAck}, // 10 / 11 / 11 rows, 42 / 43 / 43 columns
 	} {
-		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond},
+		factor := tc.factor
+		if factor == nil {
+			factor = NearSquareFactor
+		}
+		fs, err := fft.NewFourStep(factor(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := noise(n, 17)
+		fs.Transform(want)
+		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor},
 			serve.Config{Kernel: fft.KernelSoARadix4})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
 			if op == tc.dieAt && addr == addrs[0] {

@@ -9,17 +9,28 @@
 //
 // Buffer ownership per phase (coordinator side):
 //
-//   - gather: a pooled cols buffer receives GatherColumns; each
-//     worker's cols frame encodes straight from its contiguous slice
-//     of that buffer (columns [c0, c1) occupy exactly
-//     cols[c0·N1 : c1·N1] in column-major order — no per-worker copy);
+//   - gather: each worker's goroutine transposes that worker's column
+//     slab — columns [c0, c1) of the caller's row-major N1×N2 array —
+//     in tiles (fft.TransposeBlock) into cols[c0·N1 : c1·N1] of a pooled
+//     column-major buffer and encodes its cols frame straight from that
+//     slice, so the first worker is computing while the last slab is
+//     still being gathered and no per-worker copy exists. The caller's
+//     array is only read;
 //   - resident: the coordinator holds nothing; workers own their row
 //     blocks;
 //   - fetch: each worker's rows response decodes straight into its
-//     slice of a pooled rows buffer, and FinalTranspose writes the
-//     caller's output only after every fetch succeeded — so a failed
+//     slice of a pooled rows buffer;
+//   - final transpose: only after every fetch succeeded — so a failed
 //     session leaves the input untouched, and Transform retries with a
-//     fresh session on the workers that are left.
+//     fresh session on the workers that are left — each row block is
+//     transposed, by its own goroutine, into the caller's array in
+//     direct-DFT bin order.
+//
+// The inverse rides on the same two moves: the gather conjugates
+// (TransposeBlockConj) and the final transpose conjugates and scales by
+// 1/N (TransposeBlockConjScale) — the conjugation identity's two sweeps,
+// the same arithmetic per element, with no pass of their own and no
+// write to the caller's array before the rows barrier.
 //
 // Failure: a session that loses any RPC is abandoned — the sessions on
 // the workers that still answer are closed — and the failure is held
@@ -150,11 +161,12 @@ func (c *Coordinator) call(ctx context.Context, addr string, fn func(ctx context
 	return &blameError{addr: bad, err: err}
 }
 
-// runSession is one attempt at the transform: a fresh session over
-// addrs, open → cols → rows → close. It reports whether data holds the
-// result; if not, data is untouched, the sessions are closed and the
-// addresses the failure is held against are added to blamed.
-func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addrs []string, data []complex128, blamed map[string]bool) bool {
+// runSession is one attempt at the transform — the inverse one via the
+// conjugation identity when inverse is set: a fresh session over addrs,
+// open → cols → rows → close. It reports whether data holds the result;
+// if not, data is untouched, the sessions are closed and the addresses
+// the failure is held against are added to blamed.
+func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addrs []string, data []complex128, inverse bool, blamed map[string]bool) bool {
 	w := len(addrs)
 	ws := make([]*residentWorker, w)
 	// Contiguous near-even partition of both the N2 columns and the N1
@@ -239,19 +251,28 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 	c.m.sessions.Add(int64(w))
 
-	// Phase 1: gather once, ship each worker's column slab directly
-	// out of the pooled column-major buffer. The ack returns only once
-	// the worker has pushed every peer's row block, so after this
-	// barrier every rows buffer in the cluster is complete.
+	// Phase 1: each worker's goroutine gathers that worker's column slab
+	// — a tiled transposition of data's columns [ColStart, ColStart +
+	// ColCount) into the slab's own slice of the pooled column-major
+	// buffer, conjugating on the way for the inverse — and ships it
+	// straight out of that slice, so one worker computes while the next
+	// slab is still being gathered. The ack returns only once the worker
+	// has pushed every peer's row block, so after this barrier every rows
+	// buffer in the cluster is complete.
 	colsBuf := serve.AcquireComplex(fs.N)
 	defer serve.ReleaseComplex(colsBuf)
 	cols := *colsBuf
-	fs.GatherColumns(cols, data)
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
+		slab := cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1]
+		if inverse {
+			fft.TransposeBlockConj(slab, sp.N1, data[sp.ColStart:], sp.N2, sp.N1, sp.ColCount)
+		} else {
+			fft.TransposeBlock(slab, sp.N1, data[sp.ColStart:], sp.N2, sp.N1, sp.ColCount)
+		}
 		req := serve.SessionFrame{
 			Op: serve.OpSessCols, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
-			Data: cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1],
+			Data: slab,
 		}
 		moved.Add(int64(serve.SessionFrameLen(req)) + serve.SessionHeaderLen)
 		return c.call(ctx, rw.addr, func(ctx context.Context) error {
@@ -269,8 +290,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Phase 2: fetch each finished row block straight into its slice
-	// of the pooled rows buffer. The caller's data is only written
-	// after every fetch succeeded.
+	// of the pooled rows buffer.
 	rowsBuf := serve.AcquireComplex(fs.N)
 	defer serve.ReleaseComplex(rowsBuf)
 	rows := *rowsBuf
@@ -293,7 +313,24 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 		return abandon(errs)
 	}
 
-	fs.FinalTranspose(data, rows)
+	// Only now, with every row block fetched, is the caller's data
+	// written: each block's goroutine transposes it into direct-DFT bin
+	// order, data[k2·N1+k1] = rows[k1·N2+k2], applying the inverse's
+	// conjugate-and-scale on the way.
+	var wg sync.WaitGroup
+	for _, rw := range ws {
+		wg.Add(1)
+		go func(sp serve.SessionSpec) {
+			defer wg.Done()
+			block := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
+			if inverse {
+				fft.TransposeBlockConjScale(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2, 1/float64(fs.N))
+			} else {
+				fft.TransposeBlock(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2)
+			}
+		}(rw.spec)
+	}
+	wg.Wait()
 	closeAll()
 	total := moved.Load()
 	c.m.bytesMoved.Add(total)

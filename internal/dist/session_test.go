@@ -252,7 +252,8 @@ func TestResidentTruncatedResponse(t *testing.T) {
 // needs nor hand one buffer to two owners (which -race would catch as
 // concurrent writes).
 func TestResidentFaultChurn(t *testing.T) {
-	c, lb, addrs := newTestCluster(t, 3, Config{BackoffBase: time.Microsecond})
+	frames0, complexes0 := serve.PoolsOutstanding()
+	c, lb, addrs, srvs := newTestClusterOf(t, 3, Config{BackoffBase: time.Microsecond}, serve.Config{})
 	ops := []serve.SessionOp{serve.OpSessOpen, serve.OpSessCols, serve.OpSessExchange, serve.OpSessRows}
 	var faultOp atomic.Int64
 	faultOp.Store(-1)
@@ -286,6 +287,19 @@ func TestResidentFaultChurn(t *testing.T) {
 	}
 	if got := counter(t, c, "dist_degraded_total"); got != 0 {
 		t.Errorf("degraded_total = %d, want 0", got)
+	}
+	// Every pooled buffer is back — the loopback transport's request and
+	// response frames included — except the rows blocks of the sessions
+	// the faulted worker was not told to close.
+	var open int64
+	for _, srv := range srvs {
+		w := srv.Registry().Snapshot()
+		open += int64(w["sess_opens_total"] - w["sess_closes_total"])
+	}
+	frames, complexes := serve.PoolsOutstanding()
+	if frames != frames0 || complexes-complexes0 != open {
+		t.Errorf("pools out of balance after the churn: %d frames, %d complex buffers outstanding with %d sessions open",
+			frames-frames0, complexes-complexes0, open)
 	}
 }
 

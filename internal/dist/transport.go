@@ -259,7 +259,10 @@ type loopbackSession struct {
 }
 
 // ExecShard implements Session in-process, applying the loopback's
-// session fault hooks on the way through.
+// session fault hooks on the way through. Like httpSession it encodes
+// the request into a pooled frame and collects the response in one —
+// sized for what the op returns, a header or the rows respInto takes —
+// both released once the response is decoded.
 func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame, respInto []complex128) (serve.SessionFrame, error) {
 	req.ID = s.id
 	if f := s.l.SessionFault; f != nil {
@@ -271,7 +274,9 @@ func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame,
 	if err != nil {
 		return serve.SessionFrame{}, err
 	}
-	enc, err := serve.EncodeSessionFrame(req)
+	bp := serve.AcquireFrame(serve.SessionFrameLen(req))
+	defer serve.ReleaseFrame(bp)
+	enc, err := serve.AppendSessionFrame((*bp)[:0], req)
 	if err != nil {
 		return serve.SessionFrame{}, err
 	}
@@ -280,7 +285,10 @@ func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame,
 	}
 	hreq := httptest.NewRequest(http.MethodPost, "http://"+s.addr+"/fft/shard", bytes.NewReader(enc)).WithContext(ctx)
 	hreq.Header.Set("Content-Type", "application/octet-stream")
+	rp := serve.AcquireFrame(serve.SessionHeaderLen + 16*len(respInto))
+	defer serve.ReleaseFrame(rp)
 	rec := httptest.NewRecorder()
+	rec.Body = bytes.NewBuffer((*rp)[:0])
 	h.ServeHTTP(rec, hreq)
 	if err := ctx.Err(); err != nil {
 		return serve.SessionFrame{}, err

@@ -18,6 +18,7 @@ package fft
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -25,8 +26,10 @@ import (
 // smoothTable lists every 7-smooth number (2^a·3^b·5^c·7^d) up to
 // smoothCap in ascending order — the lengths the mixed-radix planner
 // runs natively, so a segment length drawn from it never needs the
-// Bluestein embedding. Built once on first use (~3.8k entries).
-const smoothCap = 1 << 31
+// Bluestein embedding. Built once on first use (~3.8k entries). The cap
+// is 2^31 where an int can hold it and the largest int elsewhere — a
+// length past that cannot index a slice anyway.
+const smoothCap = min(1<<31, math.MaxInt)
 
 var (
 	smoothOnce sync.Once
@@ -51,6 +54,9 @@ func buildSmoothTable() {
 			if p3 > smoothCap/3 {
 				break
 			}
+		}
+		if p2 > smoothCap/2 {
+			break
 		}
 	}
 	sort.Ints(tab)

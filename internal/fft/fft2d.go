@@ -95,10 +95,3 @@ func (p *Plan2D) Transform(data []complex128) { p.Schedule(KernelRadix2, false).
 
 // InverseTransform applies the inverse 2-D FFT in place.
 func (p *Plan2D) InverseTransform(data []complex128) { p.Schedule(KernelRadix2, true).Run(data) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,7 +34,9 @@ import (
 // Transform is the serial reference. Steps 2 and 3 are one tile kernel,
 // Cols and Rows, which internal/ooc calls tile by tile on the same
 // sub-plans; internal/dist replays the steps with the two FFT passes
-// dispatched to remote workers.
+// dispatched to remote workers. Steps 1, 3 and 4 move their data
+// through TransposeBlock (transpose.go), as the workers and the
+// coordinator do slab by slab.
 type FourStepPlan struct {
 	N1, N2, N int
 
@@ -42,6 +45,8 @@ type FourStepPlan struct {
 
 	wCol, wRow []complex128   // sub-transform twiddle tables
 	tw         *TwoLevelTable // ω_N: the step-2 scaling factors
+
+	scratch sync.Pool // *[]complex128 of N elements: what Transform transposes into
 }
 
 // NewFourStep builds the factorization for N = n1·n2. Both factors must
@@ -76,12 +81,7 @@ func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 func (p *FourStepPlan) GatherColumns(dst, data []complex128) {
 	p.checkLen("GatherColumns dst", dst)
 	p.checkLen("GatherColumns data", data)
-	for j1 := 0; j1 < p.N1; j1++ {
-		r := data[j1*p.N2 : (j1+1)*p.N2]
-		for j2, v := range r {
-			dst[j2*p.N1+j1] = v
-		}
-	}
+	TransposeBlock(dst, p.N1, data, p.N2, p.N1, p.N2)
 }
 
 // ScatterColumns transposes the column buffer back into N1 contiguous
@@ -89,12 +89,7 @@ func (p *FourStepPlan) GatherColumns(dst, data []complex128) {
 func (p *FourStepPlan) ScatterColumns(dst, buf []complex128) {
 	p.checkLen("ScatterColumns dst", dst)
 	p.checkLen("ScatterColumns buf", buf)
-	for j2 := 0; j2 < p.N2; j2++ {
-		c := buf[j2*p.N1 : (j2+1)*p.N1]
-		for k1, v := range c {
-			dst[k1*p.N2+j2] = v
-		}
-	}
+	TransposeBlock(dst, p.N2, buf, p.N1, p.N2, p.N1)
 }
 
 // FinalTranspose writes the row-FFT output into direct-DFT bin order:
@@ -102,12 +97,7 @@ func (p *FourStepPlan) ScatterColumns(dst, buf []complex128) {
 func (p *FourStepPlan) FinalTranspose(dst, data []complex128) {
 	p.checkLen("FinalTranspose dst", dst)
 	p.checkLen("FinalTranspose data", data)
-	for k1 := 0; k1 < p.N1; k1++ {
-		r := data[k1*p.N2 : (k1+1)*p.N2]
-		for k2, v := range r {
-			dst[k2*p.N1+k1] = v
-		}
-	}
+	TransposeBlock(dst, p.N1, data, p.N2, p.N1, p.N2)
 }
 
 // TwiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
@@ -239,11 +229,19 @@ func (p *FourStepPlan) KernelBytes(workers int) int64 {
 // Transform applies the N-point forward FFT in place via the four-step
 // factorization, the whole matrix as one tile of the kernel. The output
 // agrees with Plan.Transform bin for bin (within floating-point
-// tolerance — the two algorithms order the arithmetic differently). It
-// allocates one N-element scratch buffer.
+// tolerance — the two algorithms order the arithmetic differently). Its
+// one N-element scratch buffer is pooled on the plan: every element is
+// written by the gather before it is read, and a fresh 16 MiB of zeroed
+// pages per 2^20-point call cost as much as a transposition.
 func (p *FourStepPlan) Transform(data []complex128) {
 	p.checkLen("data", data)
-	buf := make([]complex128, p.N)
+	bp, _ := p.scratch.Get().(*[]complex128)
+	if bp == nil {
+		b := make([]complex128, p.N)
+		bp = &b
+	}
+	defer p.scratch.Put(bp)
+	buf := *bp
 	p.GatherColumns(buf, data)
 	p.Cols(buf, 0)
 	p.ScatterColumns(data, buf)

@@ -571,6 +571,11 @@ func TestMetricsAfterKnownMix(t *testing.T) {
 		t.Errorf("occupancy observations = %d, want 5", got)
 	}
 
+	// A handler records its write time after the write, so the last
+	// reply can be in the client's hands before its Observe has run.
+	for deadline := time.Now().Add(5 * time.Second); s.m.writeSec.Count() < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

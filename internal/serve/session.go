@@ -15,14 +15,22 @@
 //     (RowCount×N2) and owns it until close/expiry;
 //   - cols: the handler owns a pooled column scratch for the duration
 //     of the request — wire bytes decode straight into it, the FFT and
-//     twiddle run in place, own rows scatter into the session's rows
-//     buffer, and peer blocks encode straight out of it into pooled
-//     exchange frames (released as each push completes);
-//   - exchange: the payload scatters from the wire bytes directly into
-//     the resident rows buffer — no intermediate complex buffer exists;
+//     twiddle run in place, the worker's own RowCount×ColCount block is
+//     transposed in tiles (fft.TransposeBlock) into columns [ColStart,
+//     ColStart+ColCount) of the session's rows buffer, and peer blocks
+//     encode straight out of the scratch into pooled exchange frames
+//     (released as each push completes);
+//   - exchange: the payload is transposed into the sender's columns of
+//     the resident rows buffer — the payload codec decodes the wire
+//     bytes run by run into the transposition's own tile
+//     (scatterExchange), so no intermediate complex buffer exists;
 //   - rows: the row FFTs run in place in the rows buffer and the
 //     response streams straight out of it;
 //   - close: the rows buffer returns to the pool.
+//
+// Neither transposition stores an element at a time: a row of the rows
+// buffer is N2·16 bytes (16 KiB at 2^20 points), and a store per row
+// stride is a new page and the same L1 set on every store.
 //
 // All rows-buffer access is serialized by the session mutex; the
 // colsSeen count under the same mutex is the happens-before edge that
@@ -32,15 +40,15 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
+
+	"codeletfft/internal/fft"
 )
 
 // PeerSender delivers an encoded frame to a peer worker's shard
@@ -296,7 +304,7 @@ func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr Sessio
 }
 
 // execSessCols runs the column phase: FFT + twiddle in place in the
-// pooled scratch, own rows scattered into the resident buffer, peer
+// pooled scratch, own rows transposed into the resident buffer, peer
 // blocks pushed as exchange frames.
 func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
 	spec := sess.spec
@@ -313,13 +321,7 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 		sess.mu.Unlock()
 		return fmt.Errorf("session %d is closed", sess.id)
 	}
-	rows := *sess.rows
-	for v := 0; v < spec.ColCount; v++ {
-		col := cols[v*spec.N1 : (v+1)*spec.N1]
-		for i := 0; i < spec.RowCount; i++ {
-			rows[i*spec.N2+spec.ColStart+v] = col[spec.RowStart+i]
-		}
-	}
+	fft.TransposeBlock((*sess.rows)[spec.ColStart:], spec.N2, cols[spec.RowStart:], spec.N1, spec.ColCount, spec.RowCount)
 	sess.colsSeen += spec.ColCount
 	sess.mu.Unlock()
 
@@ -401,20 +403,24 @@ func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, raw []byt
 		http.Error(w, fmt.Sprintf("session %d is closed", hdr.ID), http.StatusConflict)
 		return
 	}
-	// Wire → resident rows buffer directly: vector v element i is
-	// matrix cell (row arg1+i, column arg0+v).
-	rows := *sess.rows
-	for v := 0; v < hdr.VecCount; v++ {
-		base := 16 * v * hdr.VecLen
-		for i := 0; i < hdr.VecLen; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(payload[base+16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(payload[base+16*i+8:]))
-			rows[i*spec.N2+hdr.Arg0+v] = complex(re, im)
-		}
-	}
+	scatterExchange((*sess.rows)[hdr.Arg0:], spec.N2, payload, hdr.VecCount, hdr.VecLen)
 	sess.colsSeen += hdr.VecCount
 	sess.mu.Unlock()
 	s.writeSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
+}
+
+// scatterExchange lands an exchange payload in the window rows of the
+// resident rows buffer (leading dimension ld): the payload is vecCount
+// vectors of vecLen wire elements, and vector v's element i is matrix
+// cell (row i, column v). The payload codec — a copy on a little-endian
+// host, the portable loop elsewhere — decodes each 1 KiB run of wire
+// bytes straight into the transposition's own tile, so nothing is
+// staged in between and the rows buffer is only ever written in runs of
+// whole cache lines.
+func scatterExchange(rows []complex128, ld int, payload []byte, vecCount, vecLen int) {
+	fft.TransposeBlockFrom(rows, ld, vecCount, vecLen, func(run []complex128, v, i int) {
+		DecodeComplexPayload(run, payload[16*(v*vecLen+i):])
+	})
 }
 
 func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
