@@ -64,12 +64,6 @@ type Config struct {
 	// Factor overrides the four-step split for a given N; nil picks the
 	// near-square power-of-two split.
 	Factor func(n int) (n1, n2 int)
-
-	// LocalKernel selects the butterfly kernel for degraded (local)
-	// execution. The zero value runs the SoA radix-4 codelets; the
-	// coordinator never runs tuning measurements on the request path.
-	// Workers pick their own kernel via `fftserved -kernel`.
-	LocalKernel codeletfft.Kernel
 }
 
 // options translates the public Config onto the coordinator's
@@ -83,7 +77,6 @@ func (c Config) options(t dist.Transport, workers []string) []dist.Option {
 		dist.WithMaxAttempts(c.MaxAttempts),
 		dist.WithShardTimeout(c.ShardTimeout),
 		dist.WithFactor(c.Factor),
-		dist.WithLocalKernel(c.LocalKernel),
 	}
 }
 
@@ -112,10 +105,10 @@ func NewLoopback(nWorkers int, cfg Config) (*Cluster, error) {
 	}
 	lb := dist.NewLoopback()
 	addrs := make([]string, nWorkers)
-	// Split the host's parallelism between the in-process workers so a
-	// loopback cluster doesn't oversubscribe the machine the way
-	// nWorkers independent daemons would.
-	perWorker := max(1, runtime.NumCPU()/nWorkers)
+	// Split the process's worker pool (GOMAXPROCS workers, which a CPU
+	// quota can set below NumCPU) between the in-process workers, so
+	// each cuts its work for its share of it.
+	perWorker := max(1, runtime.GOMAXPROCS(0)/nWorkers)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("loopback-%d", i)
 		srv := serve.New(serve.Config{

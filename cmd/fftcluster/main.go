@@ -139,17 +139,10 @@ func main() {
 		maxAttempts = flag.Int("max-attempts", dist.DefaultMaxAttempts, "session attempts per transform, first attempt included")
 		shardTO     = flag.Duration("shard-timeout", dist.DefaultShardTimeout, "deadline of each session RPC")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request deadline")
-		localW      = flag.Int("local-workers", 0, "goroutines for degraded local execution (0 = GOMAXPROCS)")
-		kernelName  = flag.String("local-kernel", "radix2", "butterfly kernel for degraded local execution: radix2, radix4, splitradix")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		pprofFlag   = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the serving mux")
 	)
 	flag.Parse()
-
-	kern, err := codeletfft.ParseKernel(*kernelName)
-	if err != nil {
-		log.Fatalf("-local-kernel: %v", err)
-	}
 
 	var workerList []string
 	for _, w := range strings.Split(*workers, ",") {
@@ -164,8 +157,6 @@ func main() {
 		dist.WithProbeInterval(*probe),
 		dist.WithMaxAttempts(*maxAttempts),
 		dist.WithShardTimeout(*shardTO),
-		dist.WithLocalWorkers(*localW),
-		dist.WithLocalKernel(kern),
 	)
 	if err != nil {
 		log.Fatalf("fftcluster: %v", err)

@@ -125,9 +125,12 @@ func WithTaskSize(p int) HostOption {
 	return func(o *hostOpts) { o.taskSize = p }
 }
 
-// WithWorkers sets the goroutine count of the parallel engine behind
-// Transform, TransformBatch, and friends. 0 (the default) means
-// GOMAXPROCS.
+// WithWorkers sets the most ways a Transform, TransformBatch and
+// friends split a call over the process's worker pool: 1 keeps every
+// call on the caller's goroutine, 0 (the default) means GOMAXPROCS. The
+// pool has GOMAXPROCS workers whatever any plan asks for — a larger
+// value only cuts the work finer — and the output is bitwise identical
+// for every value.
 func WithWorkers(n int) HostOption {
 	return func(o *hostOpts) { o.workers = n }
 }
@@ -167,7 +170,8 @@ func resolveOpts(n int, opts []HostOption) hostOpts {
 	return o
 }
 
-// engine builds the parallel engine the resolved options describe.
+// engine builds the engine the resolved options describe — a view of
+// the process's worker pool, free to build per plan.
 func (o hostOpts) engine() *host.Engine {
 	return host.New(host.Config{Workers: o.workers, Threshold: o.threshold, Observer: o.observer})
 }
@@ -258,9 +262,29 @@ func coreKey(n int, o hostOpts) planKey {
 // sizes, so eviction is rare in practice.
 var planCache = cache.New[planKey, *hostCore](8, 16, planKeyHash)
 
-// realCache memoizes the split-pass tables across CachedRealPlan calls,
-// bounded the same way as planCache.
-var realCache = cache.New[planKey, *fft.RealSplit](8, 16, planKeyHash)
+// realCore is the shareable part of a RealPlan: the split-pass tables
+// and the pool of packed buffers the inverse works in.
+type realCore struct {
+	*fft.RealSplit
+	work sync.Pool // *[]complex128 of length N/2
+}
+
+func newRealCore(n int) (*realCore, error) {
+	split, err := fft.NewRealSplit(n)
+	if err != nil {
+		return nil, err
+	}
+	c := &realCore{RealSplit: split}
+	c.work.New = func() any {
+		w := make([]complex128, n/2)
+		return &w
+	}
+	return c, nil
+}
+
+// realCache memoizes real cores across CachedRealPlan calls, bounded
+// the same way as planCache.
+var realCache = cache.New[planKey, *realCore](8, 16, planKeyHash)
 
 // PlanCacheLen reports how many plan cores CachedHostPlan currently
 // retains — an observability hook for serving systems.
@@ -470,16 +494,15 @@ func (h *HostPlan) InverseBatch(batch [][]complex128) error {
 // A RealPlan is immutable after construction and safe for concurrent
 // use on distinct buffers.
 type RealPlan struct {
-	split *fft.RealSplit
-	half  *HostPlan
-	work  sync.Pool // *[]complex128 of length N/2, the inverse's packed buffer
+	core *realCore
+	half *HostPlan
 }
 
-// newRealPlan assembles the plan around its split tables; the half plan
-// is built, or shared through the plan cache, here. Its task size is
-// the real length's, clamped to N/2.
-func newRealPlan(split *fft.RealSplit, o hostOpts, opts []HostOption, cached bool) (*RealPlan, error) {
-	h := split.N / 2
+// newRealPlan assembles the plan around its core; the half plan is
+// built, or shared through the plan cache, here. Its task size is the
+// real length's, clamped to N/2.
+func newRealPlan(core *realCore, o hostOpts, opts []HostOption, cached bool) (*RealPlan, error) {
+	h := core.N / 2
 	opts = append(opts[:len(opts):len(opts)], WithTaskSize(min(o.taskSize, h)))
 	newHalf := NewHostPlan
 	if cached {
@@ -489,43 +512,39 @@ func newRealPlan(split *fft.RealSplit, o hostOpts, opts []HostOption, cached boo
 	if err != nil {
 		return nil, err
 	}
-	r := &RealPlan{split: split, half: half}
-	r.work.New = func() any {
-		w := make([]complex128, h)
-		return &w
-	}
-	return r, nil
+	return &RealPlan{core: core, half: half}, nil
 }
 
 // NewRealPlan builds a real-input plan for n-point transforms, any even
 // n ≥ 4.
 func NewRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	split, err := fft.NewRealSplit(n)
+	core, err := newRealCore(n)
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(split, resolveOpts(n, opts), opts, false)
+	return newRealPlan(core, resolveOpts(n, opts), opts, false)
 }
 
 // CachedRealPlan is NewRealPlan backed by a process-wide cache keyed by
-// n, sharing the split tables across calls the way CachedHostPlan
-// shares cores, and the N/2-point half core through the plan cache.
+// n, sharing the split tables and the inverse's work buffers across
+// calls the way CachedHostPlan shares cores, and the N/2-point half
+// core through the plan cache.
 func CachedRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	split, err := realCache.GetOrCreate(planKey{n: n}, func() (*fft.RealSplit, error) {
-		return fft.NewRealSplit(n)
+	core, err := realCache.GetOrCreate(planKey{n: n}, func() (*realCore, error) {
+		return newRealCore(n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(split, resolveOpts(n, opts), opts, true)
+	return newRealPlan(core, resolveOpts(n, opts), opts, true)
 }
 
 // N returns the real-input length.
-func (r *RealPlan) N() int { return r.split.N }
+func (r *RealPlan) N() int { return r.core.N }
 
 // SpectrumLen returns N/2+1, the half-spectrum buffer length Transform
 // fills and Inverse consumes.
-func (r *RealPlan) SpectrumLen() int { return r.split.SpectrumLen() }
+func (r *RealPlan) SpectrumLen() int { return r.core.SpectrumLen() }
 
 // Algorithm names the path the length routed to: "real+" followed by
 // the half plan's algorithm ("staged" for powers of two, otherwise the
@@ -546,20 +565,20 @@ func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 // buffers panic with an error wrapping ErrLengthMismatch. The error is
 // always nil — it mirrors the Plan interface convention.
 func (r *RealPlan) Transform(spec []complex128, x []float64) error {
-	r.split.Pack(spec, x)
-	_ = r.half.Transform(spec[:r.split.N/2]) // host plans never return an error
-	r.split.Unpack(spec)
+	r.core.Pack(spec, x)
+	_ = r.half.Transform(spec[:r.core.N/2]) // host plans never return an error
+	r.core.Unpack(spec)
 	return nil
 }
 
 // Inverse recovers the length-N real signal x from its half-spectrum
 // spec, inverting Transform. spec is not modified.
 func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
-	w := r.work.Get().(*[]complex128)
-	defer r.work.Put(w)
-	r.split.PreInverse(*w, spec)
+	w := r.core.work.Get().(*[]complex128)
+	defer r.core.work.Put(w)
+	r.core.PreInverse(*w, spec)
 	_ = r.half.Inverse(*w)
-	r.split.PostInverse(x, *w)
+	r.core.PostInverse(x, *w)
 	return nil
 }
 

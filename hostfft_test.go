@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -613,6 +614,40 @@ func TestRealPlanZeroAllocs(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Errorf("HostPlan2D: Transform+Inverse allocates %v objects in steady state, want 0", allocs)
+	}
+}
+
+// TestOnePoolAcrossShapes: plans hold no goroutines. With the collector
+// off (so nothing could be reaped behind the count), 100 distinct cached
+// shapes, each run as a stolen batch and as a sharded single transform,
+// leave at most the process's one pool behind — GOMAXPROCS workers,
+// however many plans were built.
+func TestOnePoolAcrossShapes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rows = 4
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		n := 512 + 4*i
+		p, err := codeletfft.CachedHostPlan(n, codeletfft.WithWorkers(2), codeletfft.WithThreshold(1),
+			codeletfft.WithKernel(codeletfft.KernelSoARadix4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([][]complex128, rows)
+		for r := range batch {
+			batch[r] = make([]complex128, n)
+		}
+		if err := p.TransformBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Transform(batch[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew, limit := runtime.NumGoroutine()-before, runtime.GOMAXPROCS(0)
+	t.Logf("100 shapes left %d new goroutines (limit %d)", grew, limit)
+	if grew > limit {
+		t.Fatalf("100 shapes left %d new goroutines, want at most GOMAXPROCS = %d (one pool)", grew, limit)
 	}
 }
 

@@ -37,8 +37,8 @@ import (
 	"sync"
 	"time"
 
+	"codeletfft"
 	"codeletfft/internal/fft"
-	"codeletfft/internal/host"
 	"codeletfft/internal/metrics"
 	"codeletfft/internal/serve"
 )
@@ -84,14 +84,6 @@ type Config struct {
 	// near-square power-of-two split.
 	Factor func(n int) (n1, n2 int)
 
-	// LocalWorkers and LocalTaskSize configure the host engine used for
-	// degraded (local) execution; 0 means the engine defaults.
-	LocalWorkers, LocalTaskSize int
-	// LocalKernel selects the butterfly kernel of degraded (local)
-	// execution. The zero value (KernelAuto) runs KernelSoARadix4 — the
-	// coordinator never runs tuning measurements on the request path.
-	LocalKernel fft.Kernel
-
 	// Circuit-breaker knobs, forwarded to the membership layer.
 	CircuitThreshold int
 	CircuitOpenBase  time.Duration
@@ -133,12 +125,6 @@ func NearSquareFactor(n int) (n1, n2 int) {
 	return 1 << l1, 1 << (logN - l1)
 }
 
-// localPlan is the cached single-node execution state for one N.
-type localPlan struct {
-	pl *fft.Plan
-	w  []complex128
-}
-
 // Coordinator accepts transforms too large (or too numerous) for one
 // node and fans them out four-step across the worker set. Safe for
 // concurrent use; Close stops the membership loops.
@@ -146,11 +132,9 @@ type Coordinator struct {
 	cfg     Config
 	members *Membership
 	m       *distMetrics
-	eng     *host.Engine
 
-	mu     sync.Mutex
-	fs     map[[2]int]*fft.FourStepPlan
-	locals map[int]*localPlan
+	mu sync.Mutex
+	fs map[[2]int]*fft.FourStepPlan
 }
 
 // newCoordinator builds a coordinator and starts its membership loops.
@@ -175,9 +159,7 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		members: members,
 		m:       newDistMetrics(cfg.Registry),
-		eng:     host.New(host.Config{Workers: cfg.LocalWorkers}),
 		fs:      map[[2]int]*fft.FourStepPlan{},
-		locals:  map[int]*localPlan{},
 	}
 	cfg.Registry.GaugeFunc("dist_workers_eligible", func() float64 {
 		return float64(c.members.EligibleCount())
@@ -272,41 +254,19 @@ func (c *Coordinator) transform(ctx context.Context, data []complex128, inverse 
 	return c.transformLocal(data, inverse)
 }
 
-// transformLocal is the degraded path: the whole transform on the host
-// engine, data untouched unless the plan exists. A LocalKernel left at
-// KernelAuto runs the SoA radix-4 codelets — the coordinator never
-// tunes on the request path, and auto's static fallback below the
-// facade is the radix-2 reference, five times slower at 2^20.
+// transformLocal is the degraded path: the whole transform on the
+// facade's cached host plan, data untouched unless the plan exists. The
+// kernel is pinned to the SoA radix-4 codelets — the coordinator never
+// tunes on the request path.
 func (c *Coordinator) transformLocal(data []complex128, inverse bool) error {
-	lp, err := c.localPlanFor(len(data))
+	p, err := codeletfft.CachedHostPlan(len(data), codeletfft.WithKernel(codeletfft.KernelSoARadix4))
 	if err != nil {
 		return err
 	}
-	kern := c.cfg.LocalKernel
-	if kern == fft.KernelAuto {
-		kern = fft.KernelSoARadix4
+	if inverse {
+		return p.Inverse(data)
 	}
-	c.eng.Run(lp.pl.Schedule(lp.w, kern, inverse), data)
-	return nil
-}
-
-func (c *Coordinator) localPlanFor(n int) (*localPlan, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if lp, ok := c.locals[n]; ok {
-		return lp, nil
-	}
-	p := c.cfg.LocalTaskSize
-	if p <= 0 {
-		p = min(64, n)
-	}
-	pl, err := fft.NewPlan(n, p)
-	if err != nil {
-		return nil, err
-	}
-	lp := &localPlan{pl: pl, w: fft.Twiddles(n)}
-	c.locals[n] = lp
-	return lp, nil
+	return p.Transform(data)
 }
 
 func (c *Coordinator) fourStepFor(n int) (*fft.FourStepPlan, error) {

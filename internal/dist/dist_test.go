@@ -612,33 +612,9 @@ func TestNearSquareFactor(t *testing.T) {
 	}
 }
 
-// TestLocalKernelConfig: the degraded path honors Config.LocalKernel —
-// every kernel's local output matches the reference single-node
-// transform to rounding.
-func TestLocalKernelConfig(t *testing.T) {
-	const n = 1 << 12
-	for _, k := range fft.ConcreteKernels() {
-		c, err := New(WithLocalKernel(k))
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		data := noise(n, 7)
-		want := singleNode(t, data)
-		if err := c.Transform(context.Background(), data); err != nil {
-			c.Close()
-			t.Fatalf("%v: Transform: %v", k, err)
-		}
-		c.Close()
-		if d := maxDiff(data, want); d > 1e-12*float64(n) {
-			t.Fatalf("%v: degraded output deviates by %g", k, d)
-		}
-	}
-}
-
-// TestDegradedDefaultKernel pins what a coordinator left at its default
-// LocalKernel runs when it degrades: the SoA radix-4 schedule, bit for
-// bit, forward and inverse — not KernelAuto's static fallback, the
-// radix-2 reference.
+// TestDegradedDefaultKernel pins what a coordinator runs when it
+// degrades: the SoA radix-4 schedule, bit for bit, forward and inverse —
+// not KernelAuto's static fallback, the radix-2 reference.
 func TestDegradedDefaultKernel(t *testing.T) {
 	c, err := New()
 	if err != nil {

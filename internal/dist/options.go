@@ -8,7 +8,6 @@ package dist
 import (
 	"time"
 
-	"codeletfft/internal/fft"
 	"codeletfft/internal/metrics"
 )
 
@@ -74,24 +73,6 @@ func WithShardTimeout(d time.Duration) Option {
 // power-of-two default.
 func WithFactor(f func(n int) (n1, n2 int)) Option {
 	return func(c *Config) { c.Factor = f }
-}
-
-// WithLocalWorkers sets the host-engine worker count used for degraded
-// (local) execution.
-func WithLocalWorkers(n int) Option {
-	return func(c *Config) { c.LocalWorkers = n }
-}
-
-// WithLocalTaskSize sets the host-engine task granularity for degraded
-// (local) execution.
-func WithLocalTaskSize(n int) Option {
-	return func(c *Config) { c.LocalTaskSize = n }
-}
-
-// WithLocalKernel selects the butterfly kernel for degraded (local)
-// execution.
-func WithLocalKernel(k fft.Kernel) Option {
-	return func(c *Config) { c.LocalKernel = k }
 }
 
 // WithCircuit tunes the per-worker circuit breaker: consecutive

@@ -22,9 +22,9 @@
 //     slice of a pooled rows buffer;
 //   - final transpose: only after every fetch succeeded — so a failed
 //     session leaves the input untouched, and Transform retries with a
-//     fresh session on the workers that are left — each row block is
-//     transposed, by its own goroutine, into the caller's array in
-//     direct-DFT bin order.
+//     fresh session on the workers that are left — the row blocks are
+//     transposed, as units of the process's worker pool (host.Do), into
+//     the caller's array in direct-DFT bin order.
 //
 // The inverse rides on the same two moves: the gather conjugates
 // (TransposeBlockConj) and the final transpose conjugates and scales by
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"codeletfft/internal/fft"
+	"codeletfft/internal/host"
 	"codeletfft/internal/serve"
 )
 
@@ -76,7 +77,9 @@ type residentWorker struct {
 // parallelWorkers runs fn once per worker concurrently; the first
 // error cancels the rest. It returns nil when every call succeeded and
 // otherwise each worker's error — the cancelled siblings' included —
-// at the worker's index.
+// at the worker's index. This is the RPC fan-out: every fn blocks in a
+// session call, so each gets a goroutine of its own rather than a slot
+// in the process's CPU pool.
 func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx context.Context, w *residentWorker) error) []error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -201,7 +204,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 				continue
 			}
 			wg.Add(1)
-			go func(rw *residentWorker) {
+			go func(rw *residentWorker) { // RPC fan-out: blocks in the close call
 				defer wg.Done()
 				if c.call(cctx, rw.addr, rw.sess.CloseSession) == nil {
 					moved.Add(2 * serve.SessionHeaderLen)
@@ -314,23 +317,21 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Only now, with every row block fetched, is the caller's data
-	// written: each block's goroutine transposes it into direct-DFT bin
-	// order, data[k2·N1+k1] = rows[k1·N2+k2], applying the inverse's
-	// conjugate-and-scale on the way.
-	var wg sync.WaitGroup
-	for _, rw := range ws {
-		wg.Add(1)
-		go func(sp serve.SessionSpec) {
-			defer wg.Done()
+	// written: each block is transposed into direct-DFT bin order,
+	// data[k2·N1+k1] = rows[k1·N2+k2], applying the inverse's
+	// conjugate-and-scale on the way. The blocks are compute, not I/O:
+	// they are dealt to the process's worker pool.
+	host.Do(len(ws), len(ws), func(lo, hi int) {
+		for _, rw := range ws[lo:hi] {
+			sp := rw.spec
 			block := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
 			if inverse {
 				fft.TransposeBlockConjScale(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2, 1/float64(fs.N))
 			} else {
 				fft.TransposeBlock(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2)
 			}
-		}(rw.spec)
-	}
-	wg.Wait()
+		}
+	})
 	closeAll()
 	total := moved.Load()
 	c.m.bytesMoved.Add(total)

@@ -97,9 +97,9 @@ func TestTransformBatchEmpty(t *testing.T) {
 	eng.InverseBatchKernel(pl, [][]complex128{}, fft.Twiddles(64), fft.KernelRadix2)
 }
 
-// TestBatchConcurrentCalls exercises the shared persistent pool from
+// TestBatchConcurrentCalls exercises the process's worker pool from
 // several goroutines at once — the race-detector gate for the batch
-// scheduler's channel/WaitGroup protocol.
+// task's channel/WaitGroup protocol.
 func TestBatchConcurrentCalls(t *testing.T) {
 	const n, b = 256, 6
 	pl, err := fft.NewPlan(n, 8)

@@ -5,7 +5,9 @@
 // sharded across goroutines with nothing but a barrier at its end, and
 // a batch of independent transforms can be dealt out whole. The package
 // has exactly two execution entry points over any schedule: Engine.Run
-// for one array and Engine.RunBatch for many.
+// for one array and Engine.RunBatch for many. Both, and Do for the one
+// caller whose units are not a schedule's, draw on the one worker pool
+// the process has (pool.go).
 //
 // The engine is deliberately deterministic: every unit performs exactly
 // the arithmetic the serial run performs, on the same operands, so
@@ -17,7 +19,6 @@ package host
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"codeletfft/internal/fft"
@@ -25,7 +26,7 @@ import (
 
 // DefaultThreshold is the element count (a schedule's span for one
 // array, B spans for a batch) below which the entry points run
-// serially: under ~8Ki elements the goroutine dispatch and barrier cost
+// serially: under ~8Ki elements the hand-off and barrier cost
 // rivals the butterfly work itself.
 const DefaultThreshold = 1 << 13
 
@@ -74,8 +75,10 @@ type Observer interface {
 
 // Config tunes an Engine.
 type Config struct {
-	// Workers is the number of goroutines a parallel pass uses.
-	// 0 means GOMAXPROCS.
+	// Workers is the most ways a call is split: a pass into that many
+	// chunks, a batch among that many stealers. It never changes the
+	// output, and the pool lends at most GOMAXPROCS workers whatever it
+	// says. 0 means GOMAXPROCS.
 	Workers int
 	// Threshold is the minimum number of elements for which the parallel
 	// path engages; smaller transforms run serially. 0 means
@@ -86,19 +89,15 @@ type Config struct {
 	Observer Observer
 }
 
-// Engine executes schedules with a pool of worker goroutines. An
-// Engine's configuration is immutable after New and an Engine is safe
-// for concurrent use: simultaneous Run calls on distinct data arrays
-// simply run their own worker sets, and simultaneous RunBatch calls
-// share the persistent batch pool.
+// Engine is a view of the process's worker pool (pool.go): how many
+// ways to split a call, below what size not to split at all, and whom
+// to tell. It owns no goroutines and no mutable state, so building one
+// is free, and any number of engines — and of concurrent Run and
+// RunBatch calls on each — share the pool's GOMAXPROCS workers.
 type Engine struct {
 	workers   int
 	threshold int
 	obs       Observer
-
-	// Persistent batch worker pool, created on the first batched call.
-	poolOnce sync.Once
-	jobs     chan *batchJob
 }
 
 // New builds an engine, applying the Config defaults.
@@ -136,32 +135,6 @@ func (e *Engine) passDone(pass string, start time.Time) {
 	}
 }
 
-// parallelFor splits [0,n) into one contiguous chunk per worker and runs
-// fn(lo, hi) for each chunk on its own goroutine, returning after all
-// chunks complete — the pass barrier. Chunks are maximal (n/workers
-// iterations each) so dispatch cost is one goroutine spawn per worker
-// per pass, not per unit. fn is called on the caller's goroutine when a
-// single chunk suffices.
-func (e *Engine) parallelFor(n int, fn func(lo, hi int)) {
-	nw := min(e.workers, n)
-	if nw <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + nw - 1) / nw
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, min(lo+chunk, n))
-	}
-	wg.Wait()
-}
-
 // Run transforms data in place by schedule s. Schedules whose span
 // (fft.Schedule.Span: N, or Bluestein's convolution length) is below
 // the threshold, and every schedule on a one-worker engine, run
@@ -180,7 +153,7 @@ func (e *Engine) Run(s *fft.Schedule, data []complex128) {
 	for i := range s.Passes {
 		p := &s.Passes[i]
 		t0 := e.passStart()
-		e.parallelFor(p.Units, func(lo, hi int) { p.Run(st, lo, hi) })
+		Do(e.workers, p.Units, func(lo, hi int) { p.Run(st, lo, hi) })
 		e.passDone(p.Label, t0)
 	}
 	st.Release()

@@ -221,10 +221,9 @@ func TestParallelBitReverse(t *testing.T) {
 		want := append([]complex128(nil), x...)
 		fft.BitReversePermute(want)
 		for _, workers := range []int{1, 2, 5, 2 * n} {
-			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
 			st := &fft.State{Data: got}
-			e.parallelFor(bitrev.Units, func(lo, hi int) { bitrev.Run(st, lo, hi) })
+			Do(workers, bitrev.Units, func(lo, hi int) { bitrev.Run(st, lo, hi) })
 			if !sameBits(got, want) {
 				t.Errorf("n=%d workers=%d: parallel bit-reverse wrong", n, workers)
 			}

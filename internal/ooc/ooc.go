@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"codeletfft/internal/fft"
+	"codeletfft/internal/host"
 	"codeletfft/internal/metrics"
 )
 
@@ -93,8 +94,8 @@ func WithMemoryBudget(b int64) Option { return func(c *config) { c.budget = b } 
 // it is clamped to the plan's factor lengths.
 func WithTileVecs(v int) Option { return func(c *config) { c.tileVecs = v } }
 
-// WithWorkers sets the FFT compute goroutines per tile (default
-// GOMAXPROCS).
+// WithWorkers sets how many ways a tile's vectors are split over the
+// process's worker pool (default GOMAXPROCS).
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithIOWorkers sets the staging goroutines per pipeline stage
@@ -443,7 +444,7 @@ func (p *Plan) runPhase(ctx context.Context, ph phase) error {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // prefetcher
+	go func() { // prefetcher: an I/O stage, blocked in fill's reads
 		defer wg.Done()
 		defer close(compCh)
 		for _, s := range order {
@@ -471,7 +472,7 @@ func (p *Plan) runPhase(ctx context.Context, ph phase) error {
 	}()
 
 	wg.Add(1)
-	go func() { // writeback
+	go func() { // writeback: an I/O stage, blocked in drain's writes
 		defer wg.Done()
 		for t := range drainCh {
 			// After a failure, keep recycling tiles so compute never
@@ -485,8 +486,8 @@ func (p *Plan) runPhase(ctx context.Context, ph phase) error {
 		}
 	}()
 
-	// Compute runs on the caller's goroutine (its internal vector loop
-	// fans out across the plan's workers).
+	// Compute runs on the caller's goroutine (its vector loop is shared
+	// with the process's worker pool).
 compute:
 	for {
 		waitStart := time.Now()
@@ -523,13 +524,19 @@ compute:
 
 // parallelIdx runs fn(worker, idx) for every idx in [0, n) across w
 // goroutines pulling indices from a shared counter, optionally through
-// a policy-ordered index list. It returns the first error.
+// a policy-ordered index list. It returns the first error. Its callers
+// are the staging steps, whose units block in pread/pwrite: they get
+// goroutines of their own, because a blocked syscall must not park one
+// of the process's CPU workers (host.Do, which the two compute steps
+// use).
 func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx int) error) error {
 	if w > n {
 		w = n
 	}
 	var next atomic.Int64
-	var firstErr atomic.Value
+	var failed atomic.Bool
+	var once sync.Once
+	var firstErr error
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
@@ -537,7 +544,7 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || firstErr.Load() != nil || ctx.Err() != nil {
+				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
 				idx := i
@@ -545,15 +552,18 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 					idx = order[i]
 				}
 				if err := fn(worker, idx); err != nil {
-					firstErr.CompareAndSwap(nil, err)
+					once.Do(func() {
+						firstErr = err
+						failed.Store(true)
+					})
 					return
 				}
 			}
 		}(wk)
 	}
 	wg.Wait()
-	if err, _ := firstErr.Load().(error); err != nil {
-		return err
+	if firstErr != nil {
+		return firstErr
 	}
 	return ctx.Err()
 }
@@ -605,10 +615,12 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			return parallelIdx(ctx, p.cfg.workers, s2, nil, func(_, c int) error {
-				p.fs.Cols(tile[c*n1:(c+1)*n1], strip*s2+c)
-				return nil
+			host.Do(p.cfg.workers, s2, func(lo, hi int) {
+				for c := lo; c < hi && ctx.Err() == nil; c++ {
+					p.fs.Cols(tile[c*n1:(c+1)*n1], strip*s2+c)
+				}
 			})
+			return ctx.Err()
 		},
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			return parallelIdx(ctx, iow, blocksPerStrip, nil, func(worker, j int) error {
@@ -681,16 +693,18 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			return parallelIdx(ctx, p.cfg.workers, s1, nil, func(_, r int) error {
-				v := tile[r*n2 : (r+1)*n2]
-				p.fs.Rows(v)
-				if inverse {
-					for k, x := range v {
-						v[k] = complex(real(x)*inv, -imag(x)*inv)
+			host.Do(p.cfg.workers, s1, func(lo, hi int) {
+				for r := lo; r < hi && ctx.Err() == nil; r++ {
+					v := tile[r*n2 : (r+1)*n2]
+					p.fs.Rows(v)
+					if inverse {
+						for k, x := range v {
+							v[k] = complex(real(x)*inv, -imag(x)*inv)
+						}
 					}
 				}
-				return nil
 			})
+			return ctx.Err()
 		},
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s1)

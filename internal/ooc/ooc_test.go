@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"codeletfft/internal/fft"
@@ -277,6 +279,29 @@ func TestContextCancel(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Fatalf("spill files leaked after cancel: %v", left)
+	}
+}
+
+// TestParallelIdxMixedErrorTypes: two staging goroutines that fail at
+// once with errors of different concrete types (a *fs.PathError from a
+// store beside a wrapped CRC error) yield one of the two — an
+// atomic.Value holding the first error panics on the second's type, in
+// a goroutine no caller can recover from.
+func TestParallelIdxMixedErrorTypes(t *testing.T) {
+	pathErr := &fs.PathError{Op: "read", Path: "spill", Err: os.ErrClosed}
+	crcErr := fmt.Errorf("segment 3: %w", ErrCorruptSegment)
+	var gate sync.WaitGroup // both workers are past the first-error check
+	gate.Add(2)
+	err := parallelIdx(context.Background(), 2, 2, nil, func(_, idx int) error {
+		gate.Done()
+		gate.Wait()
+		if idx == 0 {
+			return pathErr
+		}
+		return crcErr
+	})
+	if err != error(pathErr) && err != crcErr {
+		t.Fatalf("err = %v, want one of the two workers' errors", err)
 	}
 }
 

@@ -121,6 +121,10 @@ func (s *Server) submit(ctx context.Context, key batchKey, p *pending) error {
 	}
 	s.mu.Unlock()
 	if !running {
+		// The shape's executor: it owns the queue behind its batch and
+		// blocks on the handlers it answers, so it is a goroutine of
+		// its own; the batch's arithmetic it hands to the engine is
+		// what runs on the process's worker pool.
 		go s.execute(key, []*pending{p})
 	}
 	select {
@@ -194,38 +198,11 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 	}
 }
 
-// planKey indexes the per-server plan table.
-type planKey struct {
-	n    int
-	real bool
-}
-
-// shapePlan is a table entry: host for the complex kinds, real for the
-// real ones.
-type shapePlan struct {
-	host *codeletfft.HostPlan
-	real *codeletfft.RealPlan
-}
-
-// plan resolves a shape's plan once per Server. The facade's cached
-// constructors share the immutable core but wrap it in a fresh engine
-// (and, for real plans, a fresh work-buffer pool) on every call; holding
-// the wrapper here keeps one worker pool and one buffer pool per shape
-// for the server's lifetime.
-func (s *Server) plan(n int, realInput bool) (shapePlan, error) {
-	return s.plans.GetOrCreate(planKey{n, realInput}, func() (shapePlan, error) {
-		if realInput {
-			p, err := codeletfft.CachedRealPlan(n, s.planOpts...)
-			return shapePlan{real: p}, err
-		}
-		p, err := codeletfft.CachedHostPlan(n, s.planOpts...)
-		return shapePlan{host: p}, err
-	})
-}
-
 // run is the daemon's one entry into the engine and its one isolation
-// boundary: it applies key's transform to every row in a single batched
-// call (per-row calls for the real kinds, whose sample buffers are the
+// boundary: it resolves key's plan through the facade's process-wide
+// cache (a plan is a view of the shared core and the shared worker
+// pool, so a hit costs one lookup per batch and holds nothing), applies
+// key's transform to every row in a single batched call (per-row calls for the real kinds, whose sample buffers are the
 // parallel reals), then runs then, if any, on the result. A panic
 // anywhere inside becomes an error and the server keeps serving; panic
 // values that are errors are wrapped, not stringified, so classify can
@@ -245,22 +222,28 @@ func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64, then 
 	if s.execHook != nil {
 		s.execHook(key, rows)
 	}
-	p, err := s.plan(key.n, key.kind == KindReal || key.kind == KindRealInverse)
-	if err != nil {
-		return err
-	}
 	switch key.kind {
-	case KindForward:
-		err = p.host.TransformBatch(rows)
-	case KindInverse:
-		err = p.host.InverseBatch(rows)
-	case KindReal:
-		for i := 0; i < len(rows) && err == nil; i++ {
-			err = p.real.Transform(rows[i], reals[i])
+	case KindForward, KindInverse:
+		var p *codeletfft.HostPlan
+		if p, err = codeletfft.CachedHostPlan(key.n, s.planOpts...); err != nil {
+			return err
 		}
-	case KindRealInverse:
+		if key.kind == KindForward {
+			err = p.TransformBatch(rows)
+		} else {
+			err = p.InverseBatch(rows)
+		}
+	case KindReal, KindRealInverse:
+		var p *codeletfft.RealPlan
+		if p, err = codeletfft.CachedRealPlan(key.n, s.planOpts...); err != nil {
+			return err
+		}
 		for i := 0; i < len(rows) && err == nil; i++ {
-			err = p.real.Inverse(reals[i], rows[i])
+			if key.kind == KindReal {
+				err = p.Transform(rows[i], reals[i])
+			} else {
+				err = p.Inverse(reals[i], rows[i])
+			}
 		}
 	}
 	if err != nil || then == nil {

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"codeletfft"
-	"codeletfft/internal/cache"
 	"codeletfft/internal/fft"
 	"codeletfft/internal/host"
 	"codeletfft/internal/metrics"
@@ -69,8 +68,10 @@ type Config struct {
 	// RequestTimeout is the per-request deadline when the client sends
 	// none; MaxTimeout caps what a client may ask for via ?timeout=.
 	RequestTimeout, MaxTimeout time.Duration
-	// Workers and TaskSize configure the plans the executor resolves
-	// (0 means the engine defaults: GOMAXPROCS workers, 64-point tasks).
+	// Workers and TaskSize configure the plans the executor resolves:
+	// the most ways a batch is split over the process's worker pool
+	// (which has GOMAXPROCS workers whatever this says), and the kernel
+	// size. 0 means the defaults: GOMAXPROCS ways, 64-point tasks.
 	Workers, TaskSize int
 	// Kernel selects the butterfly kernel of every plan the executor
 	// resolves. The zero value is KernelAuto: the first request of each
@@ -269,9 +270,6 @@ type Server struct {
 	mu     sync.Mutex
 	shapes map[batchKey][]*pending
 
-	// plans resolves each shape's plan once per Server (pipeline.go).
-	plans *cache.Cache[planKey, shapePlan]
-
 	// Resident-session table: sessions pin rows buffers between the
 	// cols and rows phases; idle entries are reaped lazily on session
 	// traffic once SessionTTL passes.
@@ -297,11 +295,6 @@ func New(cfg Config) *Server {
 		sem:      make(chan struct{}, cfg.QueueLimit),
 		shapes:   make(map[batchKey][]*pending),
 		sessions: make(map[uint64]*sessEntry),
-		// Bounded like the facade's process-wide plan cache.
-		plans: cache.New[planKey, shapePlan](8, 16, func(k planKey) uint64 {
-			h := uint64(k.n) * 0x9e3779b97f4a7c15
-			return h ^ h>>29
-		}),
 		// JSON spells a float64 in ~25 bytes; 64·MaxN covers the worst
 		// re+im request with headroom, and the binary frame is smaller.
 		maxBody: int64(cfg.MaxN)*64 + 4096,

@@ -10,8 +10,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -698,30 +696,6 @@ func TestRunBatchNamesBadBatchElement(t *testing.T) {
 	}
 	if status, _ := s.classify(err); status != http.StatusBadRequest {
 		t.Fatalf("classified as %d, want 400", status)
-	}
-}
-
-// TestPlanTableKeepsOneEnginePerShape: a shape's plan — and with it the
-// engine's persistent worker pool — is resolved once per Server. With
-// the collector off (a pool is otherwise reaped by a finalizer), 200
-// coalesced dispatches of one shape must not grow the goroutine count
-// beyond one pool.
-func TestPlanTableKeepsOneEnginePerShape(t *testing.T) {
-	const workers, n, rows = 2, 4096, 4
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	s := New(Config{Workers: workers, Kernel: codeletfft.KernelRadix2})
-	batch := make([][]complex128, rows)
-	for i := range batch {
-		batch[i] = make([]complex128, n)
-	}
-	before := runtime.NumGoroutine()
-	for i := 0; i < 200; i++ {
-		if err := s.run(batchKey{n: n, kind: KindForward}, batch, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grew := runtime.NumGoroutine() - before; grew > workers {
-		t.Fatalf("200 dispatches of one shape left %d new goroutines, want at most %d (one pool)", grew, workers)
 	}
 }
 

@@ -326,7 +326,8 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	sess.mu.Unlock()
 
 	// Peer row blocks: scratch → pooled exchange frames → peers, in
-	// parallel. Any push failure fails the cols request with the peer's
+	// parallel — the peer fan-out, one goroutine per push because each
+	// blocks on the network. Any push failure fails the cols request with the peer's
 	// name on it, and the coordinator abandons the attempt.
 	if len(spec.Peers) == 0 {
 		return nil

@@ -43,8 +43,10 @@ func OOCMemoryBudget(b int64) OOCOption { return ooc.WithMemoryBudget(b) }
 // of two) instead of deriving it from the memory budget.
 func OOCTileVecs(v int) OOCOption { return ooc.WithTileVecs(v) }
 
-// OOCWorkers sets the FFT compute goroutines per tile (default
-// GOMAXPROCS).
+// OOCWorkers sets how many ways a tile's FFTs are split over the
+// process's worker pool (default GOMAXPROCS) — the same meaning as
+// WithWorkers. The staging I/O has its own goroutines (OOCIOWorkers):
+// a blocked read or write never occupies a pool worker.
 func OOCWorkers(n int) OOCOption { return ooc.WithWorkers(n) }
 
 // OOCIOWorkers sets the staging goroutines per pipeline stage
