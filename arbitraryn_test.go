@@ -166,9 +166,9 @@ func TestMixedFacadeBitwise(t *testing.T) {
 	}
 }
 
-// TestBluesteinFacadeBitwise: with the kernel pinned (so autotuning
-// cannot resolve differently per worker count), the Bluestein facade
-// path is bitwise-deterministic across engine shapes.
+// TestBluesteinFacadeBitwise: the Bluestein facade path, here on the
+// radix-2 reference kernel, is bitwise-deterministic across engine
+// shapes.
 func TestBluesteinFacadeBitwise(t *testing.T) {
 	const n = 1009 // prime
 	pin := codeletfft.WithKernel(codeletfft.KernelRadix2)

@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"codeletfft"
 	"codeletfft/internal/serve"
 )
 
@@ -48,15 +47,9 @@ func main() {
 		taskSize   = flag.Int("task", 0, "P-point kernel size (0 = engine default, 64)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		worker     = flag.Bool("worker", false, "serve POST /fft/shard so a fftcluster coordinator can dispatch four-step segments here")
-		kernelName = flag.String("kernel", "auto", "butterfly kernel: auto, radix2, radix4, splitradix (auto tunes per shape on first use and memoizes)")
 		pprof      = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the serving mux")
 	)
 	flag.Parse()
-
-	kern, err := codeletfft.ParseKernel(*kernelName)
-	if err != nil {
-		log.Fatalf("-kernel: %v", err)
-	}
 
 	cfg := serve.Config{
 		MinN:           *minN,
@@ -67,7 +60,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Workers:        *workers,
 		TaskSize:       *taskSize,
-		Kernel:         kern,
 		EnableShard:    *worker,
 	}
 	if *worker {
@@ -100,8 +92,8 @@ func main() {
 	if *worker {
 		mode = " worker-mode"
 	}
-	log.Printf("fftserved listening on %s%s (max-batch=%d queue=%d N=[%d,%d] kernel=%v)",
-		*addr, mode, *maxBatch, *queue, *minN, *maxN, kern)
+	log.Printf("fftserved listening on %s%s (max-batch=%d queue=%d N=[%d,%d])",
+		*addr, mode, *maxBatch, *queue, *minN, *maxN)
 
 	select {
 	case err := <-errCh:

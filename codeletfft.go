@@ -41,17 +41,18 @@
 //	    codeletfft.WithTaskSize(64),      // P-point kernels (default 64)
 //	    codeletfft.WithWorkers(8),        // default GOMAXPROCS
 //	    codeletfft.WithThreshold(1<<13),  // serial below this size
-//	    codeletfft.WithKernel(codeletfft.KernelAuto)) // the default
+//	    codeletfft.WithKernel(codeletfft.KernelAuto)) // the default: soa4 from 128 points, radix4 below
 //
-// Three butterfly kernel families run on the same staged decomposition:
-// radix-2 (the paper's formulation), radix-4 (three-multiply
-// butterflies), and split-radix (the lowest multiplication count).
-// WithKernel pins one; KernelAuto — the default — races the candidates
-// on the plan's exact (N, task size, workers) shape at first use and
-// memoizes the winner process-wide, so later plans of the same shape
-// skip the measurement. For a fixed plan and kernel, serial, parallel,
-// and batched execution are bitwise identical; different kernels agree
-// to rounding (about 1e-9 relative error at N=2^12).
+// Five butterfly kernels run on the same staged decomposition: radix-2
+// (the paper's formulation), radix-4 (three-multiply butterflies),
+// split-radix (the lowest multiplication count), and radix-2 and
+// radix-4 on split real/imaginary planes with SIMD codelets. WithKernel
+// pins one; KernelAuto — the default — is a fixed rule on the length
+// the kernel runs on, applied when the plan is built, so the default
+// plan is as reproducible as a pinned one. For a fixed plan and kernel,
+// serial, parallel, and batched execution are bitwise identical;
+// different kernels agree to rounding (about 1e-9 relative error at
+// N=2^12).
 //
 // Serving workloads lean on the same engine: TransformBatch pushes many
 // same-size transforms through one worker-pool dispatch with zero

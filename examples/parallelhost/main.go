@@ -2,8 +2,9 @@
 // parallel worker-pool engine — the real-hardware counterpart to the
 // paper's fine-grain scheduling story — and verifies the two paths agree
 // bitwise. Parallelism is a plan property, so the comparison builds a
-// one-worker plan and a many-worker plan pinned to the same butterfly
-// kernel; -kernel auto lets the autotuner pick the family first.
+// one-worker plan and a many-worker plan on the same butterfly kernel:
+// the one -kernel names, or with -kernel auto the library's default for
+// the length.
 //
 //	go run ./examples/parallelhost            # N=2^20, GOMAXPROCS workers
 //	go run ./examples/parallelhost -logn 22 -workers 4 -kernel splitradix
@@ -27,7 +28,7 @@ func main() {
 		p          = flag.Int("p", 64, "task size (points per butterfly kernel)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		reps       = flag.Int("reps", 3, "timed repetitions (best is reported)")
-		kernelName = flag.String("kernel", "auto", "butterfly kernel: auto, radix2, radix4, splitradix")
+		kernelName = flag.String("kernel", "auto", "butterfly kernel: auto, radix2, radix4, splitradix, soa2, soa4")
 	)
 	flag.Parse()
 
@@ -43,12 +44,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Kernel() resolves "auto" to the tuned concrete family; pinning the
-	// serial plan to the same family keeps the bitwise comparison honest.
 	hs, err := codeletfft.NewHostPlan(n,
 		codeletfft.WithTaskSize(*p),
 		codeletfft.WithWorkers(1),
-		codeletfft.WithKernel(h.Kernel()))
+		codeletfft.WithKernel(kern))
 	if err != nil {
 		log.Fatal(err)
 	}

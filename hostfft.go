@@ -7,7 +7,6 @@ import (
 	"codeletfft/internal/cache"
 	"codeletfft/internal/fft"
 	"codeletfft/internal/host"
-	"codeletfft/internal/tune"
 )
 
 // Sentinel errors re-exported from the core package so callers can test
@@ -30,11 +29,12 @@ var (
 )
 
 // Kernel selects the butterfly factorization a plan runs: KernelAuto
-// (the default) lets the autotuner race the concrete kernels for the
-// plan's (N, task size, workers) shape on first use and memoize the
-// winner; the other values pin one factorization. All kernels compute
-// the same DFT over the same staged decomposition — outputs of one plan
-// are bitwise deterministic, outputs of different kernels agree to
+// (the default) is replaced, when the plan is built, by the kernel a
+// fixed rule names for the length the kernel runs on (KernelSoARadix4
+// from 128 points up, KernelRadix4 below); the other values pin one
+// factorization. All kernels compute the same DFT over the same staged
+// decomposition — outputs of one plan are bitwise deterministic, the
+// default plan's included, and outputs of different kernels agree to
 // rounding.
 type Kernel = fft.Kernel
 
@@ -48,23 +48,22 @@ const (
 	KernelSoARadix4  = fft.KernelSoARadix4
 )
 
-// Kernels lists the concrete (executable) kernels in a stable order —
-// the candidate set KernelAuto picks from.
+// Kernels lists the concrete (executable) kernels in a stable order.
 func Kernels() []Kernel { return fft.ConcreteKernels() }
 
 // ParseKernel maps kernel names ("auto", "radix2", "radix4",
 // "splitradix", "soa2", "soa4"; case-insensitive, "split-radix",
 // "soa-radix2", "soa-radix4" and plain "soa" accepted) to Kernel
-// values — the -kernel flag parser of the daemons.
+// values — a -kernel flag's parser.
 func ParseKernel(s string) (Kernel, error) { return fft.ParseKernel(s) }
 
 // Acceleration names the SIMD codelet backend the SoA kernels
 // (KernelSoARadix2, KernelSoARadix4) run on in this process:
 // "avx2+fma", "neon", or "generic" when the binary was built with the
 // noasm tag or the CPU lacks the features. The scalar kernels are
-// unaffected by it; KernelAuto measures whatever backend is active, so
-// a "generic" process simply tunes away from the SoA family when the
-// pure-Go loops lose.
+// unaffected by it, and so is the default: KernelAuto resolves to the
+// same kernel on every backend (the pure-Go SoA loops still beat the
+// scalar kernels from 128 points up).
 func Acceleration() string { return fft.SoAAccel() }
 
 // Plan is the one interface every transform provider implements: host
@@ -113,7 +112,7 @@ type EngineObserver = host.Observer
 
 // HostOption configures NewHostPlan, NewHostPlan2D, NewRealPlan, and
 // their Cached variants.
-type HostOption func(*hostOpts)
+type HostOption func(hostOpts) hostOpts
 
 // WithTaskSize selects the P-point kernel size of the staged
 // decomposition (the paper's codelet size). It must be a power of two
@@ -122,7 +121,7 @@ type HostOption func(*hostOpts)
 // is clamped to the transform length. Mixed-radix and Bluestein plans
 // (non-power-of-two lengths) have no task-size knob and ignore it.
 func WithTaskSize(p int) HostOption {
-	return func(o *hostOpts) { o.taskSize = p }
+	return func(o hostOpts) hostOpts { o.taskSize = p; return o }
 }
 
 // WithWorkers sets the most ways a Transform, TransformBatch and
@@ -132,7 +131,7 @@ func WithTaskSize(p int) HostOption {
 // value only cuts the work finer — and the output is bitwise identical
 // for every value.
 func WithWorkers(n int) HostOption {
-	return func(o *hostOpts) { o.workers = n }
+	return func(o hostOpts) hostOpts { o.workers = n; return o }
 }
 
 // WithThreshold sets the minimum element count (N for a single
@@ -141,80 +140,106 @@ func WithWorkers(n int) HostOption {
 // dominate. 0 means the package default (8192); 1 forces the parallel
 // path at every size.
 func WithThreshold(n int) HostOption {
-	return func(o *hostOpts) { o.threshold = n }
+	return func(o hostOpts) hostOpts { o.threshold = n; return o }
 }
 
 // WithObserver attaches an EngineObserver to the plan's parallel
 // engine, so the batch and parallel paths report occupancy and
 // per-pass latency instead of being measured from outside.
 func WithObserver(obs EngineObserver) HostOption {
-	return func(o *hostOpts) { o.observer = obs }
+	return func(o hostOpts) hostOpts { o.observer = obs; return o }
 }
 
 // WithKernel pins the butterfly kernel (KernelRadix2, KernelRadix4,
-// KernelSplitRadix, KernelSoARadix2, KernelSoARadix4) or requests
-// autotuned selection (KernelAuto, the default): on the plan's first
-// transform the candidates are raced once on this plan's exact
-// execution configuration and the winner is memoized process-wide per
-// (N, task size, workers) — later plans of the same shape reuse it
-// without measuring.
+// KernelSplitRadix, KernelSoARadix2, KernelSoARadix4). KernelAuto, the
+// default, is the same as pinning the kernel the rule names for the
+// plan's length (see Kernel): the two build the same plan and, cached,
+// share one cache entry. Mixed-radix plans run per-radix codelets, not
+// a kernel, and ignore it.
 func WithKernel(k Kernel) HostOption {
-	return func(o *hostOpts) { o.kern = k }
+	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
 
-func resolveOpts(n int, opts []HostOption) hostOpts {
+// applyOpts applies opts over the defaults of an n-point plan. The
+// kernel is left as given; resolveOpts resolves it.
+func applyOpts(n int, opts []HostOption) hostOpts {
 	o := hostOpts{taskSize: min(64, n)}
 	for _, opt := range opts {
-		opt(&o)
+		o = opt(o)
 	}
+	return o
+}
+
+// resolveOpts is applyOpts for a plan whose kernel runs on kernLen
+// points, with KernelAuto resolved by the rule — here, before a cache
+// key is formed or a core built, so nothing downstream sees Auto.
+func resolveOpts(n, kernLen int, opts []HostOption) hostOpts {
+	o := applyOpts(n, opts)
+	if o.kern == KernelAuto {
+		o.kern = fft.AutoKernel(kernLen)
+	}
+	return o
+}
+
+// complexOpts is resolveOpts for an n-point complex plan, given n's
+// radix signature: the kernel runs on n points, or on the convolution
+// length when n routes to Bluestein. What a family ignores is reset, so
+// callers differing only in an ignored option build — and, cached,
+// share — the same core: the mixed-radix and Bluestein planners take no
+// task size, and a mixed-radix plan runs per-radix codelets and no
+// kernel (its Kernel reports the rule's answer for n, pinned or not).
+func complexOpts(n int, sig uint64, opts []HostOption) hostOpts {
+	if n >= 2 && n&(n-1) == 0 {
+		return resolveOpts(n, n, opts)
+	}
+	if sig>>63 != 0 {
+		o := resolveOpts(n, fft.BluesteinLen(n), opts)
+		o.taskSize = 0
+		return o
+	}
+	o := applyOpts(n, opts)
+	o.taskSize, o.kern = 0, fft.AutoKernel(n)
 	return o
 }
 
 // engine builds the engine the resolved options describe — a view of
 // the process's worker pool, free to build per plan.
-func (o hostOpts) engine() *host.Engine {
-	return host.New(host.Config{Workers: o.workers, Threshold: o.threshold, Observer: o.observer})
+func (o hostOpts) engine() host.Engine {
+	return host.Make(host.Config{Workers: o.workers, Threshold: o.threshold, Observer: o.observer})
 }
 
-// hostCore is the immutable, shareable part of a HostPlan: what the
-// length routed to, reduced to the three things a plan needs from it —
-// its name, the power-of-two shape the kernel family applies to, and
-// its schedules. CachedHostPlan hands the same core to many HostPlans;
-// only the engine differs per plan.
+// hostCore is the immutable, shareable part of a plan: what the length
+// routed to, reduced to its name and its two schedules under the
+// kernel resolved at construction. CachedHostPlan hands the same core
+// to many HostPlans; only the engine differs per plan.
 type hostCore struct {
 	n        int
 	algo     string // Algorithm()
 	taskSize int    // TaskSize()
-
-	// tune is the staged plan the kernel choice is raced on — the plan
-	// itself for a power of two, the embedded convolution (a Bluestein
-	// plan's heavy lifting) for Bluestein — with its twiddle table; nil
-	// for mixed-radix, whose stages have their own codelets per radix.
-	tune *fft.Plan
-	w    []complex128
-
-	// schedule returns the pass list for a concrete kernel and direction.
-	schedule func(kern fft.Kernel, inverse bool) *fft.Schedule
+	kern     Kernel // Kernel()
+	fwd, inv *fft.Schedule
 }
 
 // newHostCore routes a length to its planner: powers of two ≥ 2 keep
 // the staged decomposition, lengths factoring over {2,3,5,7} get the
 // mixed-radix plan, and everything else ≥ 1 gets the Bluestein
 // fallback. Only n < 1 fails.
-func newHostCore(n, taskSize int) (*hostCore, error) {
+func newHostCore(n int, o hostOpts) (*hostCore, error) {
+	c := &hostCore{n: n, kern: o.kern}
 	if n >= 2 && n&(n-1) == 0 {
-		pl, err := fft.NewPlan(n, taskSize)
+		pl, err := fft.NewPlan(n, o.taskSize)
 		if err != nil {
 			return nil, err
 		}
 		w := fft.Twiddles(n)
-		return &hostCore{n: n, algo: "staged", taskSize: pl.P, tune: pl, w: w,
-			schedule: func(k fft.Kernel, inverse bool) *fft.Schedule { return pl.Schedule(w, k, inverse) }}, nil
+		c.algo, c.taskSize = "staged", pl.P
+		c.fwd, c.inv = pl.Schedule(w, o.kern, false), pl.Schedule(w, o.kern, true)
+		return c, nil
 	}
 	mp, err := fft.NewMixedPlan(n)
 	if err == nil {
-		return &hostCore{n: n, algo: mp.String(),
-			schedule: func(_ fft.Kernel, inverse bool) *fft.Schedule { return mp.Schedule(inverse) }}, nil
+		c.algo, c.fwd, c.inv = mp.String(), mp.Schedule(false), mp.Schedule(true)
+		return c, nil
 	}
 	if n < 1 {
 		return nil, err
@@ -223,15 +248,16 @@ func newHostCore(n, taskSize int) (*hostCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hostCore{n: n, algo: bp.String(), tune: bp.Conv, w: bp.WConv, schedule: bp.Schedule}, nil
+	c.algo, c.fwd, c.inv = bp.String(), bp.Schedule(o.kern, false), bp.Schedule(o.kern, true)
+	return c, nil
 }
 
-// planKey identifies a cached core: transform length, task size, the
-// requested kernel (including KernelAuto — an Auto plan and a pinned
-// plan are distinct cache entries, so pinning a kernel for one caller
-// can never change what another caller's Auto plan resolved), and the
-// radix signature of the length, so a mixed-radix core and a Bluestein
-// core can never alias even under hash collisions on n.
+// planKey identifies a cached core by what complexOpts resolved: the
+// transform length, the task size (0 off the powers of two), the kernel
+// (never KernelAuto: a default plan and one pinned to the kernel the
+// rule names are the same entry, and every mixed-radix plan of a length
+// is), and the radix signature of the length, so a mixed-radix core and
+// a Bluestein core can never alias even under hash collisions on n.
 type planKey struct {
 	n, p int
 	kern Kernel
@@ -244,17 +270,6 @@ func planKeyHash(k planKey) uint64 {
 	h ^= h >> 29
 	h *= 0x94d049bb133111eb
 	return h ^ h>>32
-}
-
-// coreKey builds the cache key for a length: non-power-of-two lengths
-// ignore the task size (the mixed/Bluestein planners don't take one),
-// so callers differing only in WithTaskSize share one core.
-func coreKey(n int, o hostOpts) planKey {
-	p := o.taskSize
-	if n < 2 || n&(n-1) != 0 {
-		p = 0
-	}
-	return planKey{n: n, p: p, kern: o.kern, sig: fft.RadixSignature(n)}
 }
 
 // planCache memoizes plan cores across CachedHostPlan calls. 8 shards ×
@@ -306,61 +321,14 @@ func PlanCacheStats() (hits, misses int64) { return planCache.Stats() }
 // above the threshold, serial below it, bitwise identical either way.
 type HostPlan struct {
 	core *hostCore
-	eng  *host.Engine
-	tuned
-}
-
-// tuned is a plan's lazily resolved kernel and the two schedules that
-// follow from it: what to resolve from, and the result once settle has
-// run.
-type tuned struct {
-	opts hostOpts
-	// tune is the staged plan KernelAuto is raced on, with its twiddle
-	// table; nil means the family has no kernel choice.
-	tune     *fft.Plan
-	w        []complex128
-	schedule func(kern fft.Kernel, inverse bool) *fft.Schedule
-
-	once     sync.Once
-	kern     fft.Kernel
-	fwd, inv *fft.Schedule
-}
-
-// settle resolves the kernel on first use — a plain conversion when
-// pinned; under KernelAuto the tuner's pick, memoized process-wide per
-// (N, task size, workers) and measured single-flight — and fetches the
-// schedules for it.
-func (t *tuned) settle() {
-	t.once.Do(func() {
-		t.kern = t.opts.kern.Concrete()
-		if t.tune != nil && t.opts.kern == fft.KernelAuto {
-			t.kern = autotune(t.opts, t.tune, t.w)
-		}
-		t.fwd, t.inv = t.schedule(t.kern, false), t.schedule(t.kern, true)
-	})
-}
-
-// autotune asks the tuner for the staged plan pl's fastest kernel. The
-// measurement drives an observer-free engine with the plan's workers
-// and threshold, so tuning runs don't pollute serving telemetry.
-func autotune(o hostOpts, pl *fft.Plan, w []complex128) fft.Kernel {
-	meas := host.New(host.Config{Workers: o.workers, Threshold: o.threshold})
-	return tune.Resolve(
-		tune.Key{N: pl.N, TaskSize: pl.P, Workers: meas.Workers()},
-		fft.ConcreteKernels(),
-		func(k fft.Kernel, data []complex128) { meas.Run(pl.Schedule(w, k, false), data) })
-}
-
-// newHostPlan wraps a core in a plan with its own engine.
-func newHostPlan(core *hostCore, o hostOpts) *HostPlan {
-	return &HostPlan{core: core, eng: o.engine(),
-		tuned: tuned{opts: o, tune: core.tune, w: core.w, schedule: core.schedule}}
+	eng  host.Engine
 }
 
 // NewHostPlan builds a host-side plan for n-point transforms, any
 // n ≥ 1. Powers of two run the staged decomposition (64-point kernels
 // by default, clamped to n); other lengths factoring over {2, 3, 5, 7}
-// run the mixed-radix Stockham schedule (WithTaskSize is ignored); and
+// run the mixed-radix Stockham schedule (WithTaskSize and WithKernel are
+// ignored); and
 // lengths with larger prime factors run the Bluestein chirp-z plan,
 // whose embedded power-of-two convolution still honors WithKernel. All
 // paths use a GOMAXPROCS parallel engine by default; functional options
@@ -371,32 +339,32 @@ func newHostPlan(core *hostCore, o hostOpts) *HostPlan {
 //	    codeletfft.WithWorkers(8),
 //	    codeletfft.WithKernel(codeletfft.KernelSplitRadix))
 func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
-	o := resolveOpts(n, opts)
-	core, err := newHostCore(n, o.taskSize)
+	o := complexOpts(n, fft.RadixSignature(n), opts)
+	core, err := newHostCore(n, o)
 	if err != nil {
 		return nil, err
 	}
-	return newHostPlan(core, o), nil
+	return &HostPlan{core: core, eng: o.engine()}, nil
 }
 
 // CachedHostPlan is NewHostPlan backed by a process-wide, size-bounded,
 // concurrency-safe plan cache keyed by (n, task size, kernel). Repeated
-// calls for one shape share the stage decomposition and twiddle table —
-// concurrent first calls run plan construction once (single-flight) —
-// so serving code can call it per request instead of hand-managing
-// plan lifetimes. The engine options (WithWorkers, WithThreshold) are
-// still applied per returned plan, and an Auto plan's tuned kernel is
-// memoized per (n, task size, workers), so a cache-resolved plan never
-// re-measures a shape the process has already tuned.
+// calls for one shape share the stage decomposition, twiddle table and
+// schedules — concurrent first calls run plan construction once
+// (single-flight) — so serving code can call it per request instead of
+// hand-managing plan lifetimes: a hit is the cache lookup plus one
+// small struct. The engine options (WithWorkers, WithThreshold,
+// WithObserver) are still applied per returned plan.
 func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
-	o := resolveOpts(n, opts)
-	core, err := planCache.GetOrCreate(coreKey(n, o), func() (*hostCore, error) {
-		return newHostCore(n, o.taskSize)
+	sig := fft.RadixSignature(n)
+	o := complexOpts(n, sig, opts)
+	core, err := planCache.GetOrCreate(planKey{n: n, p: o.taskSize, kern: o.kern, sig: sig}, func() (*hostCore, error) {
+		return newHostCore(n, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return newHostPlan(core, o), nil
+	return &HostPlan{core: core, eng: o.engine()}, nil
 }
 
 // N returns the transform length.
@@ -415,12 +383,12 @@ func (h *HostPlan) Algorithm() string { return h.core.algo }
 // Workers returns the worker count the parallel engine resolved.
 func (h *HostPlan) Workers() int { return h.eng.Workers() }
 
-// Kernel returns the concrete kernel this plan runs, resolving
-// KernelAuto through the autotuner if no transform has run yet.
-func (h *HostPlan) Kernel() Kernel {
-	h.settle()
-	return h.kern
-}
+// Kernel returns the concrete kernel this plan runs: the one WithKernel
+// pinned, else the rule's answer for this length — for a Bluestein
+// plan, for its convolution length. A mixed-radix plan runs per-radix
+// codelets and no kernel; it reports the rule's answer for its own
+// length whatever was pinned.
+func (h *HostPlan) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward FFT in place on the plan's parallel
 // engine (serial below the threshold; bitwise identical either way).
@@ -428,16 +396,14 @@ func (h *HostPlan) Kernel() Kernel {
 // ErrLengthMismatch. The returned error is always nil for host plans —
 // it exists so HostPlan satisfies Plan alongside the cluster client.
 func (h *HostPlan) Transform(data []complex128) error {
-	h.settle()
-	h.eng.Run(h.fwd, data)
+	h.eng.Run(h.core.fwd, data)
 	return nil
 }
 
 // Inverse applies the inverse FFT in place. See Transform for the
 // error and panic contract.
 func (h *HostPlan) Inverse(data []complex128) error {
-	h.settle()
-	h.eng.Run(h.inv, data)
+	h.eng.Run(h.core.inv, data)
 	return nil
 }
 
@@ -469,16 +435,14 @@ func (h *HostPlan) InverseCtx(ctx context.Context, data []complex128) error {
 // is bitwise identical to calling Transform in a loop, and the
 // steady-state path performs no allocation.
 func (h *HostPlan) TransformBatch(batch [][]complex128) error {
-	h.settle()
-	h.eng.RunBatch(h.fwd, batch)
+	h.eng.RunBatch(h.core.fwd, batch)
 	return nil
 }
 
 // InverseBatch applies the inverse FFT in place to every transform in
 // batch. Output is bitwise identical to calling Inverse in a loop.
 func (h *HostPlan) InverseBatch(batch [][]complex128) error {
-	h.settle()
-	h.eng.RunBatch(h.inv, batch)
+	h.eng.RunBatch(h.core.inv, batch)
 	return nil
 }
 
@@ -488,8 +452,7 @@ func (h *HostPlan) InverseBatch(batch [][]complex128) error {
 // half transform is computed, so the plan is that pass around an
 // N/2-point HostPlan of whatever family N/2 routes to. It is built with
 // the same HostOption set as HostPlan (task size, workers, threshold,
-// observer, kernel) and resolves its kernel the same way: autotuned on
-// first use under KernelAuto, pinned otherwise.
+// observer, kernel); its kernel is the half plan's.
 //
 // A RealPlan is immutable after construction and safe for concurrent
 // use on distinct buffers.
@@ -498,21 +461,18 @@ type RealPlan struct {
 	half *HostPlan
 }
 
-// newRealPlan assembles the plan around its core; the half plan is
-// built, or shared through the plan cache, here. Its task size is the
-// real length's, clamped to N/2.
-func newRealPlan(core *realCore, o hostOpts, opts []HostOption, cached bool) (*RealPlan, error) {
-	h := core.N / 2
-	opts = append(opts[:len(opts):len(opts)], WithTaskSize(min(o.taskSize, h)))
-	newHalf := NewHostPlan
-	if cached {
-		newHalf = CachedHostPlan
-	}
-	half, err := newHalf(h, opts...)
+// plan assembles the plan around the core and the N/2-point half plan
+// newHalf builds (NewHostPlan, or CachedHostPlan to share it through
+// the plan cache). The half's task size is the real length's, clamped
+// to N/2.
+func (c *realCore) plan(newHalf func(int, ...HostOption) (*HostPlan, error), opts []HostOption) (*RealPlan, error) {
+	h := c.N / 2
+	p := min(applyOpts(c.N, opts).taskSize, h)
+	half, err := newHalf(h, append(opts[:len(opts):len(opts)], WithTaskSize(p))...)
 	if err != nil {
 		return nil, err
 	}
-	return &RealPlan{core: core, half: half}, nil
+	return &RealPlan{core: c, half: half}, nil
 }
 
 // NewRealPlan builds a real-input plan for n-point transforms, any even
@@ -522,7 +482,7 @@ func NewRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(core, resolveOpts(n, opts), opts, false)
+	return core.plan(NewHostPlan, opts)
 }
 
 // CachedRealPlan is NewRealPlan backed by a process-wide cache keyed by
@@ -536,7 +496,7 @@ func CachedRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newRealPlan(core, resolveOpts(n, opts), opts, true)
+	return core.plan(CachedHostPlan, opts)
 }
 
 // N returns the real-input length.
@@ -554,10 +514,9 @@ func (r *RealPlan) Algorithm() string { return "real+" + r.half.Algorithm() }
 // Workers returns the worker count the parallel engine resolved.
 func (r *RealPlan) Workers() int { return r.half.Workers() }
 
-// Kernel returns the concrete kernel this plan runs, resolving
-// KernelAuto through the autotuner if no transform has run yet. The
-// tuning shape is the packed N/2-point half transform, so real and
-// complex plans of matching half shapes share one memoized winner.
+// Kernel returns the concrete kernel this plan runs — the packed
+// N/2-point half transform's, so under KernelAuto the rule's answer for
+// N/2.
 func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 
 // Transform computes the half-spectrum of the length-N real signal x
@@ -601,49 +560,44 @@ func (r *RealPlan) InverseCtx(ctx context.Context, x []float64, spec []complex12
 // HostPlan2D is the 2-D row-column analogue of HostPlan. Transform and
 // Inverse run on the plan's parallel engine with the plan's kernel.
 type HostPlan2D struct {
-	eng *host.Engine
-	tuned
+	core *hostCore
+	eng  host.Engine
 }
 
 // NewHostPlan2D builds a host-side plan for rows×cols transforms. It
 // accepts the same functional options as NewHostPlan; the task size is
 // clamped to each axis length as needed by the row-column pass.
 func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
-	o := resolveOpts(min(rows, cols), opts)
+	// KernelAuto resolves on the row transform's length (the hotter of
+	// the two passes).
+	o := resolveOpts(min(rows, cols), cols, opts)
 	pl, err := fft.NewPlan2D(rows, cols, o.taskSize)
 	if err != nil {
 		return nil, err
 	}
-	// Auto resolution tunes on the row transform's shape (the hotter of
-	// the two passes).
-	return &HostPlan2D{eng: o.engine(),
-		tuned: tuned{opts: o, tune: pl.RowPlan, w: pl.WRow, schedule: pl.Schedule}}, nil
+	core := &hostCore{kern: o.kern, fwd: pl.Schedule(o.kern, false), inv: pl.Schedule(o.kern, true)}
+	return &HostPlan2D{core: core, eng: o.engine()}, nil
 }
 
 // Workers returns the worker count the parallel engine resolved.
 func (h *HostPlan2D) Workers() int { return h.eng.Workers() }
 
-// Kernel returns the concrete kernel this plan runs, resolving
-// KernelAuto through the autotuner if no transform has run yet.
-func (h *HostPlan2D) Kernel() Kernel {
-	h.settle()
-	return h.kern
-}
+// Kernel returns the concrete kernel this plan runs: the one WithKernel
+// pinned, else the rule's answer for the row length.
+func (h *HostPlan2D) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward 2-D FFT in place (row-major data) on
 // the plan's parallel engine: rows sharded across workers, then
 // columns. The error is always nil; wrong-length data panics with an
 // error wrapping ErrLengthMismatch.
 func (h *HostPlan2D) Transform(data []complex128) error {
-	h.settle()
-	h.eng.Run(h.fwd, data)
+	h.eng.Run(h.core.fwd, data)
 	return nil
 }
 
 // Inverse applies the inverse 2-D FFT in place.
 func (h *HostPlan2D) Inverse(data []complex128) error {
-	h.settle()
-	h.eng.Run(h.inv, data)
+	h.eng.Run(h.core.inv, data)
 	return nil
 }
 

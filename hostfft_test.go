@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"codeletfft"
+	"codeletfft/internal/fft"
 )
 
 // The facade's providers all satisfy the unified Plan interface.
@@ -226,10 +227,10 @@ func TestHostPlanOptionDefaults(t *testing.T) {
 	}
 }
 
-// TestWithKernelPinsSelection: WithKernel fixes the kernel without
-// tuning, every pinned kernel agrees with the radix-2 reference to
-// rounding, and KernelAuto resolves to a concrete kernel that the
-// tuner memoizes per shape.
+// TestWithKernelPinsSelection: WithKernel fixes the kernel, every
+// pinned kernel agrees with the radix-2 reference to rounding, and
+// KernelAuto resolves to a concrete kernel, the same one for the same
+// shape.
 func TestWithKernelPinsSelection(t *testing.T) {
 	const n = 1 << 10
 	ref, err := codeletfft.NewHostPlan(n, codeletfft.WithKernel(codeletfft.KernelRadix2))
@@ -272,8 +273,7 @@ func TestWithKernelPinsSelection(t *testing.T) {
 	if k1 == codeletfft.KernelAuto {
 		t.Fatal("Auto plan did not resolve a concrete kernel")
 	}
-	// Same (N, taskSize, workers) shape → the memoized winner, not a
-	// fresh measurement that could disagree.
+	// Same shape → same kernel.
 	if k2 := auto2.Kernel(); k2 != k1 {
 		t.Fatalf("same-shape Auto plans resolved %v and %v", k1, k2)
 	}
@@ -677,8 +677,7 @@ func TestCachedHostPlan(t *testing.T) {
 		t.Fatalf("distinct task size did not add an entry: %d -> %d",
 			before, codeletfft.PlanCacheLen())
 	}
-	// Distinct requested kernel → distinct cache entry, so pinning a
-	// kernel can never alias an Auto caller's plan.
+	// Distinct kernel → distinct cache entry.
 	if _, err := codeletfft.CachedHostPlan(1<<9, codeletfft.WithKernel(codeletfft.KernelSplitRadix)); err != nil {
 		t.Fatal(err)
 	}
@@ -702,6 +701,162 @@ func TestCachedHostPlan(t *testing.T) {
 	_ = h2.Transform(b)
 	if !sameBits(a, b) {
 		t.Fatal("cached plans with a shared core disagree")
+	}
+}
+
+// TestAutoKernelRule: KernelAuto is fft.AutoKernel of the length the
+// kernel runs on — N for a power of two, N/2 for a real plan, the
+// convolution length M for Bluestein, the row length for 2-D — on both
+// sides of the rule's one threshold, and what Kernel() reports is what
+// runs: the default plan's bits are the pinned plan's.
+func TestAutoKernelRule(t *testing.T) {
+	const lo, hi = codeletfft.KernelRadix4, codeletfft.KernelSoARadix4
+	for _, c := range []struct {
+		n    int
+		want codeletfft.Kernel
+	}{{1, lo}, {2, lo}, {64, lo}, {127, lo}, {128, hi}, {1 << 20, hi}} {
+		if got := fft.AutoKernel(c.n); got != c.want {
+			t.Errorf("AutoKernel(%d) = %v, want %v", c.n, got, c.want)
+		}
+	}
+
+	type plan interface{ Kernel() codeletfft.Kernel }
+	check := func(name string, want codeletfft.Kernel, build func(...codeletfft.HostOption) (plan, []complex128)) {
+		t.Helper()
+		def, a := build()
+		pin, b := build(codeletfft.WithKernel(want))
+		if def.Kernel() != want || pin.Kernel() != want {
+			t.Errorf("%s: Kernel() = %v (default), %v (pinned), want %v", name, def.Kernel(), pin.Kernel(), want)
+		}
+		if !sameBits(a, b) {
+			t.Errorf("%s: default plan and the plan pinned to %v disagree bitwise", name, want)
+		}
+	}
+	complexPlan := func(n int) func(...codeletfft.HostOption) (plan, []complex128) {
+		return func(opts ...codeletfft.HostOption) (plan, []complex128) {
+			h, err := codeletfft.NewHostPlan(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := noise(n, 21)
+			_ = h.Transform(data)
+			return h, data
+		}
+	}
+	realPlan := func(n int) func(...codeletfft.HostOption) (plan, []complex128) {
+		return func(opts ...codeletfft.HostOption) (plan, []complex128) {
+			r, err := codeletfft.NewRealPlan(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := make([]float64, n)
+			for i, v := range noise(n, 22) {
+				x[i] = real(v)
+			}
+			spec := make([]complex128, r.SpectrumLen())
+			_ = r.Transform(spec, x)
+			return r, spec
+		}
+	}
+	plan2D := func(rows, cols int) func(...codeletfft.HostOption) (plan, []complex128) {
+		return func(opts ...codeletfft.HostOption) (plan, []complex128) {
+			h, err := codeletfft.NewHostPlan2D(rows, cols, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := noise(rows*cols, 23)
+			_ = h.Transform(data)
+			return h, data
+		}
+	}
+	check("pow2 64", lo, complexPlan(64))
+	check("pow2 128", hi, complexPlan(128))
+	check("real 128 (half 64)", lo, realPlan(128))
+	check("real 256 (half 128)", hi, realPlan(256))
+	check("bluestein 31 (M=64)", lo, complexPlan(31))
+	check("bluestein 33 (M=128)", hi, complexPlan(33))
+	check("2-D 256x64 (rows of 64)", lo, plan2D(256, 64))
+	check("2-D 64x128 (rows of 128)", hi, plan2D(64, 128))
+}
+
+// TestDefaultPlanIsReproducible: the default plan is a function of the
+// length — two fresh default plans give the same bits as each other and
+// as the plan pinned to the rule's kernel, forward and inverse, however
+// many ways the call is split.
+func TestDefaultPlanIsReproducible(t *testing.T) {
+	for _, n := range []int{8, 64, 4096, 1 << 16} {
+		x := noise(n, int64(n))
+		for _, w := range []int{1, 2, 3} {
+			run := func(opts ...codeletfft.HostOption) (fwd, inv []complex128) {
+				h, err := codeletfft.NewHostPlan(n, append(opts, codeletfft.WithWorkers(w))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fwd = append([]complex128(nil), x...)
+				_ = h.Transform(fwd)
+				inv = append([]complex128(nil), x...)
+				_ = h.Inverse(inv)
+				return fwd, inv
+			}
+			f1, i1 := run()
+			f2, i2 := run()
+			fp, ip := run(codeletfft.WithKernel(fft.AutoKernel(n)))
+			if !sameBits(f1, f2) || !sameBits(i1, i2) {
+				t.Errorf("n=%d workers=%d: two default plans disagree bitwise", n, w)
+			}
+			if !sameBits(f1, fp) || !sameBits(i1, ip) {
+				t.Errorf("n=%d workers=%d: default plan differs from the plan pinned to %v", n, w, fft.AutoKernel(n))
+			}
+		}
+	}
+}
+
+// TestCachedPlanSharesCore: a default cached plan and one pinned to the
+// rule's kernel are one cache entry with one schedule, as are the
+// mixed-radix plans of a length, and a hit builds nothing but the
+// returned plan.
+func TestCachedPlanSharesCore(t *testing.T) {
+	const n = 1 << 11
+	pinned := []codeletfft.HostOption{codeletfft.WithTaskSize(32), codeletfft.WithKernel(fft.AutoKernel(n))}
+	a, err := codeletfft.CachedHostPlan(n, pinned[:1]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := codeletfft.PlanCacheLen()
+	b, err := codeletfft.CachedHostPlan(n, pinned...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := codeletfft.PlanCacheLen(); got != before {
+		t.Fatalf("the pinned plan added a cache entry beside the default plan's: %d -> %d", before, got)
+	}
+	if codeletfft.ForwardSchedule(a) != codeletfft.ForwardSchedule(b) {
+		t.Fatal("default and pinned plan run different schedule values")
+	}
+
+	// A mixed-radix plan runs no kernel, so whatever is pinned is the
+	// same entry too, and Kernel() does not depend on who built it.
+	const mixed = 1500
+	m1, err := codeletfft.CachedHostPlan(mixed, codeletfft.WithKernel(codeletfft.KernelRadix2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = codeletfft.PlanCacheLen()
+	m2, err := codeletfft.CachedHostPlan(mixed, codeletfft.WithTaskSize(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(m1) != codeletfft.ForwardSchedule(m2) {
+		t.Fatalf("mixed-radix plans differing in ignored options do not share a core (cache %d -> %d)", before, got)
+	}
+	if want := fft.AutoKernel(mixed); m1.Kernel() != want || m2.Kernel() != want {
+		t.Fatalf("mixed-radix Kernel() = %v (pinned), %v (default), want %v", m1.Kernel(), m2.Kernel(), want)
+	}
+	if raceEnabled {
+		return // instrumentation allocates
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = codeletfft.CachedHostPlan(n, pinned...) }); allocs > 1 {
+		t.Fatalf("cached-plan hit costs %v allocations, want at most 1", allocs)
 	}
 }
 
@@ -741,31 +896,6 @@ func TestWithObserverThreadsTelemetry(t *testing.T) {
 	}
 	if obs.passes.Load() == 0 {
 		t.Fatal("no passes observed")
-	}
-}
-
-// TestAutoTuningSkipsObserver: resolving KernelAuto must not leak
-// tuning-run telemetry into the plan's observer — the measurement runs
-// on a separate observer-free engine.
-func TestAutoTuningSkipsObserver(t *testing.T) {
-	const n = 256
-	obs := new(countObserver)
-	h, err := codeletfft.NewHostPlan(n,
-		codeletfft.WithWorkers(2),
-		codeletfft.WithThreshold(1),
-		codeletfft.WithObserver(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := h.Kernel(); k == codeletfft.KernelAuto {
-		t.Fatal("Auto did not resolve")
-	}
-	if got := obs.passes.Load(); got != 0 {
-		t.Fatalf("tuning leaked %d passes into the plan observer", got)
-	}
-	_ = h.Transform(noise(n, 1))
-	if obs.passes.Load() == 0 {
-		t.Fatal("real transform reported no passes")
 	}
 }
 

@@ -255,11 +255,9 @@ func (c *Coordinator) transform(ctx context.Context, data []complex128, inverse 
 }
 
 // transformLocal is the degraded path: the whole transform on the
-// facade's cached host plan, data untouched unless the plan exists. The
-// kernel is pinned to the SoA radix-4 codelets — the coordinator never
-// tunes on the request path.
+// facade's cached default plan, data untouched unless the plan exists.
 func (c *Coordinator) transformLocal(data []complex128, inverse bool) error {
-	p, err := codeletfft.CachedHostPlan(len(data), codeletfft.WithKernel(codeletfft.KernelSoARadix4))
+	p, err := codeletfft.CachedHostPlan(len(data))
 	if err != nil {
 		return err
 	}

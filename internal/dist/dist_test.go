@@ -339,7 +339,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 // four-step tile kernel, so every output is compared bit for bit with
 // the serial plan's, not to a tolerance.
 func TestClusterConcurrentTransforms(t *testing.T) {
-	c, _, _, _ := newTestClusterOf(t, 3, Config{}, serve.Config{Kernel: fft.KernelSoARadix4})
+	c, _, _, _ := newTestClusterOf(t, 3, Config{}, serve.Config{})
 	const n = 1 << 14 // 128×128: slabs of 42/43/43, two tiles and a ragged edge each way
 	fs, err := fft.NewFourStep(NearSquareFactor(n))
 	if err != nil {
@@ -613,8 +613,9 @@ func TestNearSquareFactor(t *testing.T) {
 }
 
 // TestDegradedDefaultKernel pins what a coordinator runs when it
-// degrades: the SoA radix-4 schedule, bit for bit, forward and inverse —
-// not KernelAuto's static fallback, the radix-2 reference.
+// degrades: the facade's default plan — at this length the SoA radix-4
+// schedule (fft.AutoKernel), bit for bit, forward and inverse — not the
+// radix-2 reference internal/fft runs when handed KernelAuto directly.
 func TestDegradedDefaultKernel(t *testing.T) {
 	c, err := New()
 	if err != nil {
@@ -653,28 +654,30 @@ func TestDegradedDefaultKernel(t *testing.T) {
 }
 
 // TestColumnPhaseParityAcrossPaths pins the bitwise claim the shared
-// tile kernel makes: resident sessions on the SoA radix-4 codelets
-// produce the serial fft.FourStepPlan's bits however the transform is
-// partitioned — over 1, 2 or 3 workers, and when a worker dies
-// mid-transform and the session is retried on fewer. (Whole-transform
-// degraded execution is the direct staged algorithm, not a four-step,
-// and agrees to rounding only — TestClusterDegradesToLocal.)
+// tile kernel makes: resident sessions on the SoA radix-4 codelets —
+// what the workers' default plans run from 128-point factors up
+// (fft.AutoKernel) — produce the serial fft.FourStepPlan's bits however
+// the transform is partitioned: over 1, 2 or 3 workers, and when a
+// worker dies mid-transform and the session is retried on fewer.
+// (Whole-transform degraded execution is the direct staged algorithm,
+// not a four-step, and agrees to rounding only —
+// TestClusterDegradesToLocal.)
 func TestColumnPhaseParityAcrossPaths(t *testing.T) {
-	const n = 1 << 12
-	skewed := func(int) (int, int) { return 32, 128 }
+	const n = 1 << 16
+	skewed := func(int) (int, int) { return 128, 512 }
 	for _, tc := range []struct {
 		name    string
 		workers int
-		factor  func(int) (int, int) // nil: the default 64×64 split
+		factor  func(int) (int, int) // nil: the default 256×256 split
 		dieAt   serve.SessionOp      // the victim refuses this op; OpSessAck: nobody dies
 	}{
 		{"1 worker", 1, nil, serve.OpSessAck},
 		{"2 workers", 2, nil, serve.OpSessAck},
-		{"3 workers", 3, nil, serve.OpSessAck}, // slabs of 21 / 21 / 22 rows and columns
+		{"3 workers", 3, nil, serve.OpSessAck}, // slabs of 85 / 85 / 86 rows and columns
 		{"3 workers, one dies at cols", 3, nil, serve.OpSessCols},
 		{"2 workers, one dies at rows", 2, nil, serve.OpSessRows},
-		{"2 workers, 32×128", 2, skewed, serve.OpSessAck},
-		{"3 workers, 32×128", 3, skewed, serve.OpSessAck}, // 10 / 11 / 11 rows, 42 / 43 / 43 columns
+		{"2 workers, 128×512", 2, skewed, serve.OpSessAck},
+		{"3 workers, 128×512", 3, skewed, serve.OpSessAck}, // 42 / 43 / 43 rows, 170 / 171 / 171 columns
 	} {
 		factor := tc.factor
 		if factor == nil {
@@ -686,8 +689,7 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 		}
 		want := noise(n, 17)
 		fs.Transform(want)
-		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor},
-			serve.Config{Kernel: fft.KernelSoARadix4})
+		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor}, serve.Config{})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
 			if op == tc.dieAt && addr == addrs[0] {
 				return errors.New("injected: worker died mid-transform")
@@ -710,5 +712,41 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 				t.Fatalf("%s: bin %d = %v, want %v (not bitwise identical)", tc.name, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestSmallFactorsMatchFourStep covers the session path below the
+// rule's threshold: 64-point factors run the workers' default plans on
+// the radix-4 kernel while the serial fft.FourStepPlan hard-codes SoA
+// radix-4, so the two agree to rounding, not bitwise — forward and
+// inverse, over three uneven slabs (21 / 21 / 22 rows and columns).
+func TestSmallFactorsMatchFourStep(t *testing.T) {
+	const n = 1 << 12
+	if k := fft.AutoKernel(64); k == fft.KernelSoARadix4 {
+		t.Fatalf("AutoKernel(64) = %v: this case no longer sits below the threshold", k)
+	}
+	fs, err := fft.NewFourStep(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, _ := newTestCluster(t, 3, Config{Factor: func(int) (int, int) { return 64, 64 }})
+	ctx := context.Background()
+	want, got := noise(n, 19), noise(n, 19)
+	fs.Transform(want)
+	if err := c.Transform(ctx, got); err != nil {
+		t.Fatalf("Transform: %v", err)
+	}
+	if d := maxDiff(got, want); d > 1e-12*n {
+		t.Fatalf("forward deviates from the serial four-step by %g", d)
+	}
+	fs.InverseTransform(want)
+	if err := c.Inverse(ctx, got); err != nil {
+		t.Fatalf("Inverse: %v", err)
+	}
+	if d := maxDiff(got, want); d > 1e-12 {
+		t.Fatalf("inverse deviates from the serial four-step by %g", d)
+	}
+	if ok, degraded := counter(t, c, "dist_resident_ok_total"), counter(t, c, "dist_degraded_total"); ok != 2 || degraded != 0 {
+		t.Fatalf("ran on the wrong path: resident_ok=%d degraded=%d", ok, degraded)
 	}
 }

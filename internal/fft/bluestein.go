@@ -9,8 +9,8 @@
 // — a linear convolution of the chirp-premultiplied input with the
 // conjugate chirp, embedded in a circular convolution of length
 // M = 2^⌈log2(2N-1)⌉ and executed by the staged power-of-two plan's
-// passes nested on the work buffer (so the kernel family, autotuner,
-// and parallel engine all apply to the heavy lifting unchanged). The
+// passes nested on the work buffer (so the kernel family and the
+// parallel engine apply to the heavy lifting unchanged). The
 // filter's spectrum is fixed per plan and precomputed once.
 package fft
 
@@ -45,16 +45,23 @@ type BluesteinPlan struct {
 	sched schedCache // Schedule's memo
 }
 
+// BluesteinLen returns the convolution length M of the n-point chirp-z
+// plan: the smallest power of two ≥ max(2n-1, 2).
+func BluesteinLen(n int) int {
+	m := 2
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	return m
+}
+
 // NewBluesteinPlan builds the chirp-z plan for n-point transforms. It
 // errors, wrapping ErrUnsupportedLength, only for n < 1.
 func NewBluesteinPlan(n int) (*BluesteinPlan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: bluestein plan needs n ≥ 1, got %d", ErrUnsupportedLength, n)
 	}
-	m := 2
-	for m < 2*n-1 {
-		m <<= 1
-	}
+	m := BluesteinLen(n)
 	conv, err := NewPlan(m, min(64, m))
 	if err != nil {
 		return nil, err

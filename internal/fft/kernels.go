@@ -24,10 +24,10 @@ import (
 //	KernelSoARadix4  — the SoA layout with fused radix-4 level pairs;
 //	                   see soa.go for layout and dispatch rules.
 //
-// KernelAuto is not an algorithm: it asks whichever layer can measure
-// (the facade autotuner, package tune) to pick a concrete kernel. Layers
-// below that — this package and internal/host — resolve Auto to
-// KernelRadix2, the conservative paper baseline.
+// KernelAuto is not an algorithm: it is the facade's default, which the
+// facade replaces by AutoKernel(n) when it builds a plan. This package
+// and internal/host never see that Auto; handed Auto directly they run
+// KernelRadix2, the staged reference (Concrete).
 //
 // Every kernel is a pure sequential computation per task, so the host
 // engine's guarantee holds per kernel: for a fixed kernel, serial,
@@ -38,8 +38,8 @@ import (
 type Kernel uint8
 
 const (
-	// KernelAuto defers the choice to an autotuning layer; math layers
-	// treat it as KernelRadix2.
+	// KernelAuto is the facade's default (AutoKernel picks); this
+	// package runs it as KernelRadix2.
 	KernelAuto Kernel = iota
 	// KernelRadix2 is the paper's staged radix-2 DIT path.
 	KernelRadix2
@@ -64,7 +64,7 @@ const (
 )
 
 // ConcreteKernels lists the executable kernels (excluding KernelAuto) in
-// a stable order — the candidate set the autotuner races.
+// a stable order.
 func ConcreteKernels() []Kernel {
 	return []Kernel{KernelRadix2, KernelRadix4, KernelSplitRadix, KernelSoARadix2, KernelSoARadix4}
 }
@@ -78,12 +78,33 @@ func (k Kernel) SoA() bool {
 }
 
 // Concrete resolves KernelAuto to the package default (KernelRadix2) and
-// returns any concrete kernel unchanged.
+// returns any concrete kernel unchanged. It is what this package does
+// when handed Auto directly — the staged reference — not what a facade
+// plan built without WithKernel runs; that is AutoKernel.
 func (k Kernel) Concrete() Kernel {
 	if k == KernelAuto {
 		return KernelRadix2
 	}
 	return k
+}
+
+// autoSoAMin is the length from which AutoKernel answers soa4. Recorded
+// ns per transform (EXPERIMENTS "Default kernel: rule vs race"): at
+// N ≥ 128 soa4 is fastest with the AVX2 codelets and under -tags noasm
+// alike, at N ≤ 32 radix4 is in both, and N = 64 splits the builds —
+// soa4 by 8 % with AVX2, radix4 by 40 % without — so one constant for
+// both builds sits above 64.
+const autoSoAMin = 128
+
+// AutoKernel is the rule the facade resolves KernelAuto by when it
+// builds a plan: a pure function of n, the power-of-two length the
+// kernel runs on (the transform's own length, a real plan's N/2, a
+// Bluestein plan's convolution length, a 2-D plan's row length).
+func AutoKernel(n int) Kernel {
+	if n >= autoSoAMin {
+		return KernelSoARadix4
+	}
+	return KernelRadix4
 }
 
 // Valid reports whether k names a known kernel (including KernelAuto).

@@ -27,6 +27,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -91,9 +92,13 @@ func RadixSignature(n int) uint64 {
 	if n < 1 {
 		return 0
 	}
-	var sig uint64
-	shift := uint(0)
-	for _, p := range [...]int{2, 3, 5, 7} {
+	// The multiplicity of 2 is a bit count, not a division loop: this
+	// runs on every cached-plan lookup, mostly for powers of two.
+	twos := bits.TrailingZeros(uint(n))
+	n >>= twos
+	sig := uint64(twos)
+	shift := uint(8)
+	for _, p := range [...]int{3, 5, 7} {
 		var c uint64
 		for n%p == 0 {
 			n /= p

@@ -102,6 +102,13 @@ type Engine struct {
 
 // New builds an engine, applying the Config defaults.
 func New(cfg Config) *Engine {
+	e := Make(cfg)
+	return &e
+}
+
+// Make is New by value, for a holder that embeds its engine and so
+// builds it without an allocation.
+func Make(cfg Config) Engine {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -110,7 +117,7 @@ func New(cfg Config) *Engine {
 	if th <= 0 {
 		th = DefaultThreshold
 	}
-	return &Engine{workers: w, threshold: th, obs: cfg.Observer}
+	return Engine{workers: w, threshold: th, obs: cfg.Observer}
 }
 
 // Workers returns the resolved worker count.

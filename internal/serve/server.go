@@ -71,12 +71,11 @@ type Config struct {
 	// Workers and TaskSize configure the plans the executor resolves:
 	// the most ways a batch is split over the process's worker pool
 	// (which has GOMAXPROCS workers whatever this says), and the kernel
-	// size. 0 means the defaults: GOMAXPROCS ways, 64-point tasks.
+	// size. 0 means the defaults: GOMAXPROCS ways, 64-point tasks. The
+	// butterfly kernel is not a setting: every plan runs the facade's
+	// default for its length (fft.AutoKernel), so a daemon's output bits
+	// are a function of the request and the build.
 	Workers, TaskSize int
-	// Kernel selects the butterfly kernel of every plan the executor
-	// resolves. The zero value is KernelAuto: the first request of each
-	// shape autotunes once and the winner is memoized process-wide.
-	Kernel codeletfft.Kernel
 	// EnableShard mounts the cluster shard-exec endpoint
 	// (POST /fft/shard), making this server a worker a dist
 	// coordinator can dispatch four-step segments to.
@@ -306,9 +305,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.TaskSize > 0 {
 		s.planOpts = append(s.planOpts, codeletfft.WithTaskSize(cfg.TaskSize))
-	}
-	if cfg.Kernel != codeletfft.KernelAuto {
-		s.planOpts = append(s.planOpts, codeletfft.WithKernel(cfg.Kernel))
 	}
 	cfg.Registry.GaugeFunc("fft_queue_depth", func() float64 { return float64(len(s.sem)) })
 	cfg.Registry.GaugeFunc("plan_cache_len", func() float64 { return float64(codeletfft.PlanCacheLen()) })

@@ -95,14 +95,15 @@ func TestShardFrameRejects(t *testing.T) {
 // TestShardEndpointExecutesFourStepSegments drives the worker endpoint
 // over real HTTP with the session of a whole four-step transform — all
 // the columns out, all the rows back — and checks the result against
-// the serial reference bit for bit (both run the SoA radix-4 codelets
-// and the shared twiddle table).
+// the serial reference bit for bit: both run the SoA radix-4 codelets
+// and the shared twiddle table — the worker because that is what its
+// default plans run at these factor lengths (fft.AutoKernel).
 func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
-	s := New(Config{EnableShard: true, Workers: 2, Kernel: fft.KernelSoARadix4})
+	s := New(Config{EnableShard: true, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const n1, n2 = 16, 32
+	const n1, n2 = 128, 256
 	fs, err := fft.NewFourStep(n1, n2)
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +166,10 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 // TestShardColumnScaleTables pins which table a column slab scales by:
 // a power-of-two modulus goes through fft's shared two-level table
 // (what the serial reference uses), any other modulus through the full
-// TwiddlesAny table — each bit for bit.
+// TwiddlesAny table — each bit for bit. The sub-FFTs ahead of the
+// scaling are the worker's default plan's.
 func TestShardColumnScaleTables(t *testing.T) {
-	s := New(Config{EnableShard: true, Kernel: fft.KernelSoARadix4})
+	s := New(Config{EnableShard: true})
 	const vecLen, start = 8, 1
 	pl, err := fft.NewPlan(vecLen, vecLen)
 	if err != nil {
@@ -178,7 +180,7 @@ func TestShardColumnScaleTables(t *testing.T) {
 		want := append([]complex128(nil), data...)
 		for v := 0; v < 2; v++ {
 			vec := want[v*vecLen : (v+1)*vecLen]
-			pl.TransformSoA(vec, fft.Twiddles(vecLen), fft.KernelSoARadix4)
+			pl.TransformKernel(vec, fft.Twiddles(vecLen), fft.AutoKernel(vecLen))
 			if fft.Log2(totalN) >= 0 {
 				fft.TwoLevelTwiddles(totalN).Scale(vec, start+v)
 			} else {

@@ -111,15 +111,25 @@ func TestBinarySteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		serve()
 	}
+	// One request in eleven may be an outlier: the executor lets go of a
+	// request's buffers on its own goroutine, and a Put that lands in
+	// another P's private sync.Pool slot is invisible to the next Get,
+	// so now and then a request pays a fresh 1 MiB buffer (the plain mean
+	// of ten failed one run in eight, at the parent too). The largest
+	// sample is set aside; the mean of the other ten keeps the bound.
 	const rounds = 10
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
+	var sum, most uint64
+	for i := 0; i < rounds+1; i++ {
+		runtime.ReadMemStats(&before)
 		serve()
+		runtime.ReadMemStats(&after)
+		d := after.TotalAlloc - before.TotalAlloc
+		sum += d
+		most = max(most, d)
 	}
-	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / rounds
-	t.Logf("a warm 65536-point request allocates %d bytes", per)
+	per := (sum - most) / rounds
+	t.Logf("a warm 65536-point request allocates %d bytes (largest of %d set aside: %d)", per, rounds+1, most)
 	if per >= 64<<10 {
 		t.Fatalf("want < 64 KiB")
 	}

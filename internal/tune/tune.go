@@ -1,16 +1,20 @@
-// Package tune is a one-shot kernel autotuner: the first time a plan
-// shape (N, taskSize, workers) is used with kernel Auto, it races the
-// candidate kernels on a deterministic input and memoizes the winner for
-// the life of the process. Subsequent lookups for the same shape are a
-// map hit — the measurement runs exactly once per shape, single-flight,
-// no matter how many goroutines ask concurrently.
+// This package has no production caller: the facade resolves KernelAuto
+// by a rule (fft.AutoKernel) when it builds a plan. The benchmark's
+// tune.* probes, its Reset between set-ups and its "tuned" line are all
+// that compile against it, and it leaves with those rows (ROADMAP item
+// 1's benchmark refresh).
+
+// Package tune is a one-shot kernel autotuner: the first time a shape
+// (N, taskSize, workers) is resolved, it races the candidate kernels on
+// a deterministic input and memoizes the winner for the life of the
+// process. Subsequent lookups for the same shape are a map hit — the
+// measurement runs exactly once per shape, single-flight, no matter how
+// many goroutines ask concurrently.
 //
 // The package deliberately knows nothing about engines or plans: the
 // caller supplies a closure that runs one forward transform with a given
 // kernel, so the measurement exercises exactly the execution path
-// (worker count, threshold, scheduling) the winner will later run under.
-// The facade passes a closure over an observer-free engine so tuning
-// runs never pollute serving telemetry.
+// (worker count, threshold, scheduling) the caller chose.
 package tune
 
 import (
@@ -44,9 +48,11 @@ var (
 // run must execute one forward transform of data (length key.N) with
 // the given kernel; it is called several times per candidate during
 // measurement and never again after. candidates must be concrete
-// kernels; an empty slice resolves to KernelRadix2. Concurrent Resolve
-// calls for the same key block on one measurement (single-flight);
-// different keys measure independently.
+// kernels; an empty slice resolves to KernelRadix2, and a nil run —
+// what the benchmark's tune.hit_ns probe passes, for a key nothing
+// memoizes ahead of it any more — to the first candidate. Concurrent
+// Resolve calls for the same key block on one measurement
+// (single-flight); different keys measure independently.
 func Resolve(key Key, candidates []fft.Kernel, run func(fft.Kernel, []complex128)) fft.Kernel {
 	mu.Lock()
 	e := entries[key]
@@ -68,7 +74,7 @@ func measure(key Key, candidates []fft.Kernel, run func(fft.Kernel, []complex128
 	if len(candidates) == 0 {
 		return fft.KernelRadix2
 	}
-	if len(candidates) == 1 {
+	if len(candidates) == 1 || run == nil {
 		return candidates[0].Concrete()
 	}
 	n := key.N
@@ -117,8 +123,7 @@ func measure(key Key, candidates []fft.Kernel, run func(fft.Kernel, []complex128
 }
 
 // Winners returns a snapshot of every shape that has finished measuring
-// and the kernel it resolved to — observability for /metrics handlers
-// and tests.
+// and the kernel it resolved to.
 func Winners() map[Key]fft.Kernel {
 	mu.Lock()
 	defer mu.Unlock()
@@ -131,8 +136,7 @@ func Winners() map[Key]fft.Kernel {
 	return out
 }
 
-// Reset clears the memo. Test-only: production code relies on winners
-// being stable for the process lifetime.
+// Reset clears the memo: the next Resolve of each key measures again.
 func Reset() {
 	mu.Lock()
 	defer mu.Unlock()

@@ -53,6 +53,11 @@ func TestResolveSingleCandidateSkipsMeasurement(t *testing.T) {
 	if got := tune.Resolve(tune.Key{N: 32, TaskSize: 4, Workers: 1}, nil, nil); got != fft.KernelRadix2 {
 		t.Fatalf("empty candidates resolved to %v, want radix2", got)
 	}
+	// The benchmark's tune.hit_ns probe resolves an unmemoized key with
+	// nothing to time.
+	if got := tune.Resolve(tune.Key{N: 4096, TaskSize: 64, Workers: 1}, fft.ConcreteKernels(), nil); got != fft.KernelRadix2 {
+		t.Fatalf("nil run resolved to %v, want the first candidate", got)
+	}
 }
 
 // TestResolveSingleFlight hammers one key from many goroutines: exactly
