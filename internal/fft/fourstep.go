@@ -218,12 +218,54 @@ func (p *FourStepPlan) Rows(vecs []complex128) {
 	}
 }
 
-// KernelBytes returns what the tile kernel keeps resident while workers
-// goroutines run it at once: one split-plane frame per goroutine, the
-// sub-plans' twiddle and SoA level tables, and the two-level table.
-func (p *FourStepPlan) KernelBytes(workers int) int64 {
-	frames := int64(workers) * 16 * int64(max(p.N1, p.N2))
-	return frames + 24*int64(p.N1+p.N2) + 16*int64(len(p.tw.hi)+len(p.tw.lo))
+// ColStages and RowStages are the tile kernel with the moves left to
+// the caller: the butterfly passes of Cols (without its scaling) and of
+// Rows on a frame that already holds the vector in bit-reversed order,
+// leaving its transform in the planes — no pooled frame, no pack, no
+// unpack. The out-of-core phases, whose staging moves pack and unpack on
+// their way through, run these between them; the arithmetic is the
+// passes Cols and Rows run, so the bits agree.
+func (p *FourStepPlan) ColStages(f *SoAFrame) {
+	if len(f.Re) != p.N1 || len(f.Im) != p.N1 {
+		panic(LengthError("column planes", len(f.Re), p.N1))
+	}
+	p.col.SoAStages(f, p.col.SoATwiddles(p.wCol), KernelSoARadix4)
+}
+
+// RowStages is ColStages for an N2-point row: Rows without its moves.
+func (p *FourStepPlan) RowStages(f *SoAFrame) {
+	if len(f.Re) != p.N2 || len(f.Im) != p.N2 {
+		panic(LengthError("row planes", len(f.Re), p.N2))
+	}
+	p.row.SoAStages(f, p.row.SoATwiddles(p.wRow), KernelSoARadix4)
+}
+
+// ScaleFrom is Scale fused with the unpack of a window of the column:
+// dst[i] = (re[i] + i·im[i]) · ω_N^{index·(k0+i)}, re and im being the
+// planes of the transformed column from bin k0 on. Element for element
+// it is Scale's product.
+func (t *TwoLevelTable) ScaleFrom(dst []complex128, re, im []float64, index, k0 int) {
+	idx := index % t.n
+	if idx < 0 {
+		idx += t.n
+	}
+	e := int(int64(idx) * int64(k0) % int64(t.n))
+	re, im = re[:len(dst)], im[:len(dst)]
+	for i := range dst {
+		dst[i] = complex(re[i], im[i]) * t.At(e)
+		e += idx
+		if e >= t.n {
+			e -= t.n
+		}
+	}
+}
+
+// KernelBytes returns what the tile kernel keeps resident however many
+// goroutines run it: the sub-plans' twiddle and SoA level tables and
+// the two-level table. (Cols and Rows also take a pooled frame each
+// while they run; ColStages and RowStages work in the caller's memory.)
+func (p *FourStepPlan) KernelBytes() int64 {
+	return 24*int64(p.N1+p.N2) + 16*int64(len(p.tw.hi)+len(p.tw.lo))
 }
 
 // Transform applies the N-point forward FFT in place via the four-step

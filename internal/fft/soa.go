@@ -193,6 +193,144 @@ func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, q int, conj bool) 
 	}
 }
 
+// FrameOf views the memory of v as a frame of len(v)-point planes, Re
+// in its first half and Im in its second: where the out-of-core tiles
+// keep a vector between the move that packs it and the move that reads
+// its transform, so neither a pooled frame nor an unpack stands between
+// them. The frame aliases v and must not be Released.
+func FrameOf(v []complex128) SoAFrame {
+	f := ComplexFloat64s(v)
+	return SoAFrame{Re: f[:len(v)], Im: f[len(v):]}
+}
+
+// MoveRuns is the number of vectors one chunk of PackColumns or
+// UnpackColumns stages — 64, the side of the transposition's tile, for
+// its reasons: a run of one plane is 512 bytes of whole cache lines, and
+// at 64 vectors of 64 elements the staged rows are one 64 KiB tile.
+const (
+	soaColumnBits = 6
+	MoveRuns      = 1 << soaColumnBits
+)
+
+// PackColumnTiles returns the number of independent tiles PackColumns
+// splits the pack of 2^logN-point columns into; a tile stages
+// min(2^logN, MoveRuns) source rows.
+func PackColumnTiles(logN int) int { return 1 << (logN - min(logN, soaColumnBits)) }
+
+// PackColumns is the transposing sibling of PackTiles: it packs cols
+// columns of a row-major 2^logN × cols matrix, each into its own frame,
+// in one tiled move — the four-step's column gather and the SoA pack's
+// bit reversal, which the in-core transform runs as two sweeps. Column
+// v's frame is FrameOf(tile[v·2^logN:][:2^logN]), and source element
+// (j, v) lands in it at BitReverse(j).
+//
+// The source is read whole rows at a time through load, which fills run
+// (len cols) with row j — the out-of-core path reads it from its input
+// Store, one positioned read per vector. With q = min(logN, 6), tile b
+// loads, for every high field a, row a·2^(logN−q)+b into row rev(a) of
+// runs, a 2^q × cols staging buffer the caller owns (len ≥ MoveRuns·cols
+// always suffices), then gathers every column of runs into one
+// contiguous 2^q run of each plane of that column at rev(b)·2^q: as in
+// PackTiles the strided half of the move stays inside the staged rows.
+// The gather takes four columns — one cache line of every staged row —
+// per sweep, so each line of runs is read once however far apart the
+// rows are. With conj set the imaginary plane is negated on the way in.
+// Distinct tiles write disjoint plane elements, so callers may run
+// [0, PackColumnTiles(logN)) on several goroutines, each with its own
+// runs.
+func PackColumns(tile []complex128, logN, b, cols int, conj bool, runs []complex128, load func(run []complex128, j int)) {
+	n := 1 << logN
+	q := min(logN, soaColumnBits)
+	side := 1 << q
+	if len(tile) < cols*n {
+		panic(LengthError("column tile", len(tile), cols*n))
+	}
+	if len(runs) < side*cols {
+		panic(LengthError("column runs", len(runs), side*cols))
+	}
+	low := logN - q // width of the tile-index field b
+	for a := 0; a < side; a++ {
+		load(runs[int(BitReverse(int64(a), q))*cols:][:cols], a<<low|b)
+	}
+	sign := 1.0
+	if conj {
+		sign = -1
+	}
+	planes := ComplexFloat64s(tile)
+	off := int(BitReverse(int64(b), low)) << q
+	plane := func(c int) (re, im []float64) {
+		col := planes[c*2*n:][:2*n]
+		return col[off:][:side], col[n+off:][:side]
+	}
+	c := 0
+	for ; c+4 <= cols; c += 4 {
+		re0, im0 := plane(c)
+		re1, im1 := plane(c + 1)
+		re2, im2 := plane(c + 2)
+		re3, im3 := plane(c + 3)
+		for a := 0; a < side; a++ {
+			line := runs[a*cols+c:][:4]
+			re0[a], im0[a] = real(line[0]), sign*imag(line[0])
+			re1[a], im1[a] = real(line[1]), sign*imag(line[1])
+			re2[a], im2[a] = real(line[2]), sign*imag(line[2])
+			re3[a], im3[a] = real(line[3]), sign*imag(line[3])
+		}
+	}
+	for ; c < cols; c++ {
+		re, im := plane(c)
+		for a := range re {
+			v := runs[a*cols+c]
+			re[a], im[a] = real(v), sign*imag(v)
+		}
+	}
+}
+
+// UnpackColumns is the move back out: it reads bins [k0, k0+w) of rows
+// transformed vectors, each held as the planes of its tile row
+// (FrameOf(tile[r·n:][:n])), and writes them transposed into runs — bin
+// k0+c of every row as one contiguous vector runs[c·rows:][:rows], the
+// four-step's final transpose fused with the unpack. With conjScale set
+// an element is conj(x)·s, the inverse transform's trailing sweep. The
+// scatter fills four rows — one cache line of every vector of runs — per
+// sweep of the planes.
+func UnpackColumns(runs, tile []complex128, n, rows, k0, w int, conjScale bool, s float64) {
+	if len(tile) < rows*n {
+		panic(LengthError("row tile", len(tile), rows*n))
+	}
+	if len(runs) < w*rows {
+		panic(LengthError("row runs", len(runs), w*rows))
+	}
+	sr, si := 1.0, 1.0
+	if conjScale {
+		sr, si = s, -s
+	}
+	planes := ComplexFloat64s(tile)
+	plane := func(r int) (re, im []float64) {
+		row := planes[r*2*n:][:2*n]
+		return row[k0:][:w], row[n+k0:][:w]
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		re0, im0 := plane(r)
+		re1, im1 := plane(r + 1)
+		re2, im2 := plane(r + 2)
+		re3, im3 := plane(r + 3)
+		for c := 0; c < w; c++ {
+			line := runs[c*rows+r:][:4]
+			line[0] = complex(re0[c]*sr, im0[c]*si)
+			line[1] = complex(re1[c]*sr, im1[c]*si)
+			line[2] = complex(re2[c]*sr, im2[c]*si)
+			line[3] = complex(re3[c]*sr, im3[c]*si)
+		}
+	}
+	for ; r < rows; r++ {
+		re, im := plane(r)
+		for c := range re {
+			runs[c*rows+r] = complex(re[c]*sr, im[c]*si)
+		}
+	}
+}
+
 // PackBitrev deinterleaves data[lo:hi] into the planes at bit-reversed
 // positions. The whole array goes through the tiled pack; a partial
 // element range runs the same code one element per tile.
@@ -296,6 +434,18 @@ func (pl *Plan) SoARunPass(stage, pass, lo, hi int, f *SoAFrame, st *SoATwiddles
 		pl.soaSweepPair(gl, b0, b1, f, st)
 	} else {
 		pl.soaSweep2(gl, b0, b1, f, st)
+	}
+}
+
+// SoAStages runs every butterfly pass of the SoA schedule over its whole
+// unit range on planes that already hold the input in bit-reversed
+// order: the schedule's passes between its pack and its unpack, for
+// callers whose own moves do both.
+func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
+	for stage := 0; stage < pl.NumStages; stage++ {
+		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
+			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
+		}
 	}
 }
 

@@ -17,6 +17,11 @@ import (
 // transposes in tiles" has every shape tried).
 const tileSide = 64
 
+// MoveTileBytes is what one transposition in flight keeps resident — the
+// term a caller that budgets its memory (internal/ooc) counts per
+// goroutine that may be inside one.
+const MoveTileBytes = tileSide * tileSide * 16
+
 // tilePool holds the tiles: 64 KiB is too much to zero on the stack of
 // every call.
 var tilePool = sync.Pool{New: func() any { return new([tileSide * tileSide]complex128) }}

@@ -81,7 +81,8 @@ func (m *meters) chanOf(byteOff int64) int {
 }
 
 // onRead/onWrite account one positioned I/O against its channel and
-// the active phase's byte counter.
+// the active phase's byte counter — the per-segment path; a staging
+// goroutine's many small vector I/Os go through a chanAcc instead.
 func (m *meters) onRead(byteOff, n int64, phase *metrics.Counter) {
 	phase.Add(n)
 	m.readBytesCh[m.chanOf(byteOff)].Add(n)
@@ -90,6 +91,50 @@ func (m *meters) onRead(byteOff, n int64, phase *metrics.Counter) {
 func (m *meters) onWrite(byteOff, n int64, phase *metrics.Counter) {
 	phase.Add(n)
 	m.writeBytesCh[m.chanOf(byteOff)].Add(n)
+}
+
+// chanAcc accounts one staging goroutine's vector I/Os, each attributed
+// — all its bytes — to the channel of its first byte, exactly as
+// onRead/onWrite would one by one. A move touches vectors a fixed stride
+// apart, so consecutive ones mostly fall in one stripe: the accumulator
+// keeps the byte range of the stripe it is in, sums privately while the
+// offsets stay inside it, and pays the divisions and the shared atomic
+// adds only when they leave it (and at flush).
+type chanAcc struct {
+	m      *meters
+	perCh  []*metrics.Counter // readBytesCh or writeBytesCh
+	phase  *metrics.Counter
+	lo, hi int64 // byte range of the current stripe; empty before the first add
+	ch     int   // its channel
+	n      int64 // bytes pending for ch
+}
+
+func (m *meters) reads(phase *metrics.Counter) chanAcc {
+	return chanAcc{m: m, perCh: m.readBytesCh, phase: phase}
+}
+
+func (m *meters) writes(phase *metrics.Counter) chanAcc {
+	return chanAcc{m: m, perCh: m.writeBytesCh, phase: phase}
+}
+
+// add accounts n bytes moved at byteOff.
+func (a *chanAcc) add(byteOff, n int64) {
+	if byteOff < a.lo || byteOff >= a.hi {
+		a.flush()
+		a.lo = byteOff - byteOff%a.m.stripe
+		a.hi = a.lo + a.m.stripe
+		a.ch = a.m.chanOf(byteOff)
+	}
+	a.n += n
+}
+
+// flush publishes the pending bytes; the accumulator stays usable.
+func (a *chanAcc) flush() {
+	if a.n != 0 {
+		a.phase.Add(a.n)
+		a.perCh[a.ch].Add(a.n)
+		a.n = 0
+	}
 }
 
 // onStall charges a compute-side wait to the channel of the strip that

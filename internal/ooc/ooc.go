@@ -6,21 +6,26 @@
 //
 // The transform runs as two staged phases over the spill:
 //
-//	cols: gather S2 input columns (strided reads) → N1-point FFT each +
-//	      four-step twiddle scale → pack into S2×S1 block segments
+//	cols: gather S2 input columns (strided reads) → N1-point FFT each →
+//	      four-step twiddle scale + pack into S2×S1 block segments
 //	rows: fetch a block-column of segments (verified, contiguous reads)
 //	      → transpose into S1 rows → N2-point FFT each → scatter the
 //	      final transpose into the output (strided writes)
 //
 // The sub-FFTs and the twiddle scale are not re-implemented here: both
-// phases call the in-core plan's own tile kernel (FourStepPlan.Cols and
-// Rows — the serial SoA codelets plus the two-level ω_N table) one
-// vector at a time, and the inverse's conjugate/scale is the same
-// expression, so at sizes where both run the out-of-core result is
-// bitwise identical to the in-core four-step at any worker count. The
-// two-level table is what lets the scale fit: 512 KiB at N=2^28, where
-// Twiddles(N) would be 2 GiB — itself beyond the memory budget the
-// staging exists to enforce.
+// phases run the in-core plan's own tile kernel with its data moves
+// taken out (FourStepPlan.ColStages and RowStages — the serial SoA
+// codelets' sweeps on a vector held as split planes in its tile row —
+// plus the two-level ω_N table), and the kernel's pack, unpack and
+// scale are what the four staging moves do on their way through, each
+// moving every element once, in cache-line runs (fft.PackColumns,
+// TwoLevelTable.ScaleFrom, fft.TransposeBlock, fft.UnpackColumns). Per
+// element it is the same sequence of operations, and the inverse's
+// conjugate/scale is the same expression, so at sizes where both run
+// the out-of-core result is bitwise identical to the in-core four-step
+// at any worker count. The two-level table is what lets the scale fit:
+// 512 KiB at N=2^28, where Twiddles(N) would be 2 GiB — itself beyond
+// the memory budget the staging exists to enforce.
 //
 // Memory is governed by an explicit budget: the tile height is the
 // largest power of two whose three pipeline tiles (prefetch, compute,
@@ -128,38 +133,63 @@ func nearSquareFactor(n int) (int, int) {
 	return 1 << l1, 1 << (logN - l1)
 }
 
-// tileCost estimates the staging bytes of a run with tile height s:
-// three pipeline tiles of s·lmax elements, plus two staging-buffer
-// sets (segment pack/fetch, s·s each) and two small gather/scatter
-// stagers per I/O worker.
+// tileCost counts the staging bytes of a run with tile height s: the
+// three pipeline tiles of s·lmax elements, and what the I/O goroutines
+// of the costlier phase hold while they move data — in the rows phase
+// each prefetcher a segment buffer and the tile of its transposition,
+// each writer the run buffer its chunk of output vectors is gathered in
+// (the cols phase holds a subset: a run buffer per reader, a segment
+// buffer per writer).
 func tileCost(s, lmax int64, ioWorkers int) int64 {
-	iow := int64(ioWorkers)
-	return 3*s*lmax*16 + 2*iow*s*s*16 + 2*iow*s*16
+	seg := (segHeaderElems + s*s) * 16
+	runs := fft.MoveRuns * s * 16
+	return 3*s*lmax*16 + int64(ioWorkers)*(seg+fft.MoveTileBytes+runs)
 }
 
 // runCost is the resident estimate the budget is held against: the
-// staging of tileCost plus what the compute kernel keeps — a frame per
-// compute goroutine (a tile never runs more than s at once), the
-// sub-plan tables and the two-level twiddle table.
+// staging of tileCost plus what compute keeps — a row of pack scratch
+// per compute goroutine (a tile never runs more than s at once), the
+// sub-plan tables and the two-level twiddle table. There is no frame
+// term: a vector is transformed in its own tile row.
 func runCost(fs *fft.FourStepPlan, s int, cfg *config) int64 {
-	return tileCost(int64(s), int64(max(fs.N1, fs.N2)), cfg.ioWorkers) + fs.KernelBytes(min(cfg.workers, s))
+	return tileCost(int64(s), int64(max(fs.N1, fs.N2)), cfg.ioWorkers) +
+		int64(min(cfg.workers, s))*int64(fs.N2)*16 + fs.KernelBytes()
 }
 
-// Plan is an out-of-core FFT plan for N = N1·N2 complex points. A Plan
-// is immutable after construction; one plan may run concurrent
-// transforms (each run creates its own spill file and buffers), though
-// sharing one memory budget across concurrent runs multiplies resident
-// usage accordingly.
+// Plan is an out-of-core FFT plan for N = N1·N2 complex points. A
+// Plan's geometry is immutable after construction; one plan may run
+// concurrent transforms (each run creates its own spill file and draws
+// its own buffers), though sharing one memory budget across concurrent
+// runs multiplies resident usage accordingly.
 type Plan struct {
 	n, n1, n2 int
 	s1, s2    int // spill block geometry: segments hold S2×S1 elements
 
-	// fs is the in-core plan of the same split; its tile kernel does
-	// all of both phases' arithmetic.
+	// fs is the in-core plan of the same split; its stage kernel and
+	// two-level table do all of both phases' arithmetic.
 	fs *fft.FourStepPlan
+	tw *fft.TwoLevelTable
 
 	cfg config
 	met *meters
+
+	// What a run holds, kept between runs; each pool's buffers have one
+	// length. Every element is written before it is read, so stale
+	// contents are harmless.
+	tiles   sync.Pool // pipeline tiles: S·max(N1,N2) elements, so one pool serves both phases
+	segs    sync.Pool // segment buffers (segBuf)
+	runs    sync.Pool // run buffers of the two endpoint moves: fft.MoveRuns vectors of S
+	scratch sync.Pool // the rows compute's pack scratch: one row
+}
+
+// take returns a buffer of n elements from pool, which holds
+// *[]complex128 of that one length, allocating when it is empty.
+func take(pool *sync.Pool, n int) *[]complex128 {
+	if v, _ := pool.Get().(*[]complex128); v != nil {
+		return v
+	}
+	v := make([]complex128, n)
+	return &v
 }
 
 // NewPlan builds an out-of-core plan for n-point transforms. n must be
@@ -230,6 +260,7 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 		n: n, n1: n1, n2: n2,
 		s1: min(s, n1), s2: min(s, n2),
 		fs:  fs,
+		tw:  fft.TwoLevelTwiddles(n),
 		cfg: cfg,
 		met: newMeters(cfg.reg, cfg.channels, cfg.stripe),
 	}, nil
@@ -426,9 +457,11 @@ func (p *Plan) runPhase(ctx context.Context, ph phase) error {
 	defer cancel()
 
 	const nbuf = 3
+	var tiles [nbuf]*[]complex128
 	free := make(chan []complex128, nbuf)
-	for i := 0; i < nbuf; i++ {
-		free <- make([]complex128, ph.tileLen)
+	for i := range tiles {
+		tiles[i] = take(&p.tiles, p.s1*max(p.n1, p.n2)) // s1 = s2
+		free <- (*tiles[i])[:ph.tileLen]
 	}
 	compCh := make(chan tileRef)
 	drainCh := make(chan tileRef)
@@ -516,20 +549,25 @@ compute:
 	}
 	close(drainCh)
 	wg.Wait()
+	for _, t := range tiles { // both stages have exited: nothing holds a tile
+		p.tiles.Put(t)
+	}
 	if firstErr != nil {
 		return firstErr
 	}
 	return ctx.Err()
 }
 
-// parallelIdx runs fn(worker, idx) for every idx in [0, n) across w
+// parallelIdx runs fn(idx) for every idx in [0, n) across w
 // goroutines pulling indices from a shared counter, optionally through
 // a policy-ordered index list. It returns the first error. Its callers
-// are the staging steps, whose units block in pread/pwrite: they get
-// goroutines of their own, because a blocked syscall must not park one
-// of the process's CPU workers (host.Do, which the two compute steps
-// use).
-func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx int) error) error {
+// are the staging steps, and an index is a chunk of a step's move — a
+// segment, or the vectors of one move tile — so the dispatch and the
+// ctx check are paid per chunk, not per vector. The chunks block in
+// pread/pwrite: they get goroutines of their own, because a blocked
+// syscall must not park one of the process's CPU workers (host.Do,
+// which the two compute steps use).
+func parallelIdx(ctx context.Context, w, n int, order []int, fn func(idx int) error) error {
 	if w > n {
 		w = n
 	}
@@ -540,7 +578,7 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 	var wg sync.WaitGroup
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -551,7 +589,7 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 				if order != nil {
 					idx = order[i]
 				}
-				if err := fn(worker, idx); err != nil {
+				if err := fn(idx); err != nil {
 					once.Do(func() {
 						firstErr = err
 						failed.Store(true)
@@ -559,7 +597,7 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 					return
 				}
 			}
-		}(wk)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -569,67 +607,68 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(worker, idx
 }
 
 // colsPhase stages strip i of S2 input columns: strided gather from
-// src, N1-point FFT + twiddle scale per column, pack into S2×S1 block
-// segments of the spill. The tile is an S2×N1 row-major slab (one
-// transformed column per row).
+// src, N1-point FFT per column, twiddle scale + pack into S2×S1 block
+// segments of the spill. The tile holds one column per row — S2 rows of
+// N1 elements — but between fill and drain a row is not samples: it is
+// the column's split planes (fft.FrameOf), bit-reversed by the fill and
+// transformed in place by compute, so each of the three steps moves or
+// sweeps every element once.
 func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 	n1, n2, s1, s2 := p.n1, p.n2, p.s1, p.s2
 	blocksPerStrip := n1 / s1
 	iow := p.cfg.ioWorkers
-
-	// Per-goroutine staging, allocated once per phase: gather stagers
-	// for fill, pack buffers for drain (fill and drain run in
-	// different pipeline goroutines, so the sets are distinct).
-	gatherStage := make([][]complex128, iow)
-	for i := range gatherStage {
-		gatherStage[i] = make([]complex128, s2)
-	}
-	packBuf := make([][]complex128, iow)
-	for i := range packBuf {
-		packBuf[i] = make([]complex128, s1*s2)
-	}
+	logN1 := fft.Log2(n1)
 
 	return phase{
 		strips:   n2 / s2,
 		tileLen:  s2 * n1,
 		stripOff: func(strip int) int64 { return int64(strip) * int64(s2) * 16 },
+		// fill: the column gather and the SoA pack as one tiled move. A
+		// chunk is the min(N1, 64) source vectors of one pack tile, each
+		// read whole into the chunk's run buffer.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s2)
-			return parallelIdx(ctx, iow, n1, nil, func(worker, j1 int) error {
-				stage := gatherStage[worker]
-				off := int64(j1)*int64(n2) + base
-				if err := src.ReadVec(stage, off); err != nil {
-					return err
-				}
-				p.met.onRead(off*16, int64(s2)*16, p.met.colsReadBytes)
-				if inverse {
-					for c, v := range stage {
-						tile[c*n1+j1] = complex(real(v), -imag(v))
+			return parallelIdx(ctx, iow, fft.PackColumnTiles(logN1), nil, func(b int) error {
+				runs := take(&p.runs, fft.MoveRuns*s2)
+				defer p.runs.Put(runs)
+				acc := p.met.reads(p.met.colsReadBytes)
+				defer acc.flush()
+				var err error
+				fft.PackColumns(tile, logN1, b, s2, inverse, *runs, func(run []complex128, j1 int) {
+					if err != nil {
+						return
 					}
-				} else {
-					for c, v := range stage {
-						tile[c*n1+j1] = v
+					off := int64(j1)*int64(n2) + base
+					if err = src.ReadVec(run, off); err == nil {
+						acc.add(off*16, int64(s2)*16)
 					}
-				}
-				return nil
+				})
+				return err
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
 			host.Do(p.cfg.workers, s2, func(lo, hi int) {
 				for c := lo; c < hi && ctx.Err() == nil; c++ {
-					p.fs.Cols(tile[c*n1:(c+1)*n1], strip*s2+c)
+					f := fft.FrameOf(tile[c*n1 : (c+1)*n1])
+					p.fs.ColStages(&f)
 				}
 			})
 			return ctx.Err()
 		},
+		// drain: unpack, twiddle scale and the S2×S1 block layout as one
+		// sweep from the planes into the segment buffer. A chunk is one
+		// segment: the S1-bin window of all S2 columns.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
-			return parallelIdx(ctx, iow, blocksPerStrip, nil, func(worker, j int) error {
-				buf := packBuf[worker]
+			return parallelIdx(ctx, iow, blocksPerStrip, nil, func(j int) error {
+				sb := take(&p.segs, segHeaderElems+s1*s2)
+				defer p.segs.Put(sb)
+				buf := segBuf(*sb).payload()
 				for c := 0; c < s2; c++ {
-					copy(buf[c*s1:(c+1)*s1], tile[c*n1+j*s1:c*n1+(j+1)*s1])
+					f := fft.FrameOf(tile[c*n1 : (c+1)*n1])
+					p.tw.ScaleFrom(buf[c*s1:(c+1)*s1], f.Re[j*s1:], f.Im[j*s1:], strip*s2+c, j*s1)
 				}
 				idx := strip*blocksPerStrip + j
-				nb, err := sp.writeSegment(idx, buf)
+				nb, err := sp.write(idx, *sb)
 				if err != nil {
 					return err
 				}
@@ -643,28 +682,23 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 
 // rowsPhase stages strip j of S1 output rows: fetch and verify the
 // strip's block-column of segments (order chosen by the policy),
-// transpose into an S1×N2 slab, N2-point FFT per row (+ the inverse's
-// conjugate/scale), scatter the final transpose into dst.
+// transpose into an S1×N2 slab, N2-point FFT per row, scatter the final
+// transpose (+ the inverse's conjugate/scale) into dst. Compute leaves a
+// row as its split planes, which is what the drain reads.
 func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 	n1, n2, s1, s2 := p.n1, p.n2, p.s1, p.s2
 	blocksPerStrip := n1 / s1
 	segStrips := n2 / s2
 	iow := p.cfg.ioWorkers
+	logN2 := fft.Log2(n2)
 	inv := 1 / float64(p.n)
-
-	fetchBuf := make([][]complex128, iow)
-	for i := range fetchBuf {
-		fetchBuf[i] = make([]complex128, s1*s2)
-	}
-	scatterStage := make([][]complex128, iow)
-	for i := range scatterStage {
-		scatterStage[i] = make([]complex128, s1)
-	}
 
 	return phase{
 		strips:   blocksPerStrip,
 		tileLen:  s1 * n2,
 		stripOff: func(strip int) int64 { return sp.segOff(strip) },
+		// fill: a chunk is one verified segment, transposed in tiles
+		// into its S2-column window of the slab.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
 			// The segment fetch order inside the strip is also
 			// policy-scheduled: this is the prefetch ordering the
@@ -673,51 +707,59 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 			if !validOrder(order, segStrips) {
 				return fmt.Errorf("ooc: policy %s returned an invalid order for %d segments", p.cfg.policy.Name(), segStrips)
 			}
-			return parallelIdx(ctx, iow, segStrips, order, func(worker, i int) error {
-				buf := fetchBuf[worker]
+			return parallelIdx(ctx, iow, segStrips, order, func(i int) error {
+				sb := take(&p.segs, segHeaderElems+s1*s2)
+				defer p.segs.Put(sb)
 				idx := i*blocksPerStrip + strip
-				nb, err := sp.readSegment(idx, buf)
+				nb, err := sp.read(idx, *sb)
 				if err != nil {
 					p.met.corrupt.Inc()
 					return err
 				}
 				p.met.segsRead.Inc()
 				p.met.onRead(sp.segOff(idx), nb, p.met.rowsReadBytes)
-				for c := 0; c < s2; c++ {
-					colBase := i * s2
-					for r := 0; r < s1; r++ {
-						tile[r*n2+colBase+c] = buf[c*s1+r]
-					}
-				}
+				fft.TransposeBlock(tile[i*s2:], n2, segBuf(*sb).payload(), s1, s2, s1)
 				return nil
 			})
 		},
+		// compute: a row is packed once, through a scratch copy, into
+		// its own memory as planes, and transformed there.
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
 			host.Do(p.cfg.workers, s1, func(lo, hi int) {
+				sc := take(&p.scratch, n2)
+				defer p.scratch.Put(sc)
 				for r := lo; r < hi && ctx.Err() == nil; r++ {
-					v := tile[r*n2 : (r+1)*n2]
-					p.fs.Rows(v)
-					if inverse {
-						for k, x := range v {
-							v[k] = complex(real(x)*inv, -imag(x)*inv)
-						}
-					}
+					row := tile[r*n2 : (r+1)*n2]
+					copy(*sc, row)
+					f := fft.FrameOf(row)
+					f.PackTiles(*sc, 0, fft.SoAPackTiles(logN2), logN2, false)
+					p.fs.RowStages(&f)
 				}
 			})
 			return ctx.Err()
 		},
+		// drain: the final transpose as a tiled move out of the planes —
+		// the unpack, and conj·1/N with it for the inverse, on the way. A
+		// chunk is up to 64 output vectors (bins k2), gathered in the
+		// chunk's run buffer and each written whole.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s1)
-			return parallelIdx(ctx, iow, n2, nil, func(worker, k2 int) error {
-				stage := scatterStage[worker]
-				for r := 0; r < s1; r++ {
-					stage[r] = tile[r*n2+k2]
+			chunks := (n2 + fft.MoveRuns - 1) / fft.MoveRuns
+			return parallelIdx(ctx, iow, chunks, nil, func(ch int) error {
+				runs := take(&p.runs, fft.MoveRuns*s1)
+				defer p.runs.Put(runs)
+				k0 := ch * fft.MoveRuns
+				w := min(fft.MoveRuns, n2-k0)
+				fft.UnpackColumns(*runs, tile, n2, s1, k0, w, inverse, inv)
+				acc := p.met.writes(p.met.rowsWriteBytes)
+				defer acc.flush()
+				for c := 0; c < w; c++ {
+					off := int64(k0+c)*int64(n1) + base
+					if err := dst.WriteVec((*runs)[c*s1:(c+1)*s1], off); err != nil {
+						return err
+					}
+					acc.add(off*16, int64(s1)*16)
 				}
-				off := int64(k2)*int64(n1) + base
-				if err := dst.WriteVec(stage, off); err != nil {
-					return err
-				}
-				p.met.onWrite(off*16, int64(s1)*16, p.met.rowsWriteBytes)
 				return nil
 			})
 		},

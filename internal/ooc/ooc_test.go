@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"codeletfft/internal/fft"
@@ -28,10 +29,16 @@ func randomData(n int, seed int64) []complex128 {
 	return data
 }
 
-// fourStepRef computes the in-core four-step reference transform.
+// fourStepRef computes the in-core four-step reference transform at the
+// near-square split.
 func fourStepRef(t *testing.T, data []complex128, inverse bool) []complex128 {
 	t.Helper()
 	n1, n2 := nearSquareFactor(len(data))
+	return fourStepRefSplit(t, data, n1, n2, inverse)
+}
+
+func fourStepRefSplit(t *testing.T, data []complex128, n1, n2 int, inverse bool) []complex128 {
+	t.Helper()
 	fs, err := fft.NewFourStep(n1, n2)
 	if err != nil {
 		t.Fatalf("NewFourStep(%d,%d): %v", n1, n2, err)
@@ -49,38 +56,64 @@ func fourStepRef(t *testing.T, data []complex128, inverse bool) []complex128 {
 // co-runnable sizes, the staged out-of-core execution produces bit for
 // bit the same output as the in-core four-step — across sizes, tile
 // heights (including ones forcing many strips and many segments per
-// strip), both scheduling policies, and both directions.
+// strip), both scheduling policies, and both directions. The staging
+// moves run in 64-vector tiles, so the matrix also has what exercises
+// their edges: non-square splits, factors below the tile side (one short
+// move tile), tile heights at and above it (several column windows per
+// move), a skewed split either way round, and a single I/O goroutine.
 func TestTransformBitwiseVsFourStep(t *testing.T) {
 	for _, tc := range []struct {
 		n, tile int
 		policy  Policy
+		n1      int // 0 = the default near-square split
+		iow     int // 0 = 2
 	}{
-		{4, 1, FIFO()},
-		{8, 1, FIFO()},
-		{64, 2, FIFO()},
-		{64, 8, Guided(3)},
-		{256, 4, FIFO()},
-		{256, 4, Guided(1)},
-		{1 << 10, 8, FIFO()},
-		{1 << 10, 8, Guided(7)},
-		{1 << 12, 16, Guided(5)},
-		{1 << 14, 32, FIFO()},
+		{n: 4, tile: 1, policy: FIFO()},
+		{n: 8, tile: 1, policy: FIFO()},
+		{n: 64, tile: 2, policy: FIFO()},
+		{n: 64, tile: 8, policy: Guided(3)},
+		{n: 256, tile: 4, policy: FIFO()},
+		{n: 256, tile: 4, policy: Guided(1)},
+		{n: 1 << 10, tile: 8, policy: FIFO()},
+		{n: 1 << 10, tile: 8, policy: Guided(7)},
+		{n: 1 << 12, tile: 16, policy: Guided(5)},
+		{n: 1 << 14, tile: 32, policy: FIFO()},
+		{n: 1 << 11, tile: 64, policy: FIFO()},
+		{n: 1 << 13, tile: 64, policy: Guided(2)},
+		{n: 1 << 13, tile: 128, policy: FIFO()},
+		{n: 1 << 15, tile: 64, policy: FIFO()},
+		{n: 1 << 15, tile: 128, policy: Guided(9)},
+		{n: 1 << 16, tile: 128, policy: FIFO(), iow: 1},
+		{n: 1 << 14, tile: 64, policy: FIFO(), n1: 16},
+		{n: 1 << 14, tile: 64, policy: Guided(4), n1: 1024},
+		{n: 1 << 12, tile: 64, policy: FIFO(), iow: 1},
 	} {
 		for _, inverse := range []bool{false, true} {
 			name := fmt.Sprintf("n=%d/tile=%d/%s/inverse=%v", tc.n, tc.tile, tc.policy.Name(), inverse)
+			n1, n2 := nearSquareFactor(tc.n)
+			if tc.n1 != 0 {
+				n1, n2 = tc.n1, tc.n/tc.n1
+				name = fmt.Sprintf("n=%d=%dx%d/tile=%d/%s/inverse=%v", tc.n, n1, n2, tc.tile, tc.policy.Name(), inverse)
+			}
+			iow := 2
+			if tc.iow != 0 {
+				iow = tc.iow
+				name += fmt.Sprintf("/iow=%d", iow)
+			}
 			t.Run(name, func(t *testing.T) {
 				p, err := NewPlan(tc.n,
 					WithTileVecs(tc.tile),
 					WithPolicy(tc.policy),
 					WithSpillDir(t.TempDir()),
 					WithWorkers(3),
-					WithIOWorkers(2),
+					WithIOWorkers(iow),
+					WithFactor(func(int) (int, int) { return n1, n2 }),
 				)
 				if err != nil {
 					t.Fatalf("NewPlan: %v", err)
 				}
 				data := randomData(tc.n, int64(tc.n))
-				want := fourStepRef(t, data, inverse)
+				want := fourStepRefSplit(t, data, n1, n2, inverse)
 				got := append([]complex128(nil), data...)
 				if inverse {
 					err = p.Inverse(got)
@@ -235,6 +268,50 @@ func TestTransformFile(t *testing.T) {
 	}
 }
 
+// TestFileToFileBitwise holds the file endpoints to the in-core
+// four-step bit for bit in both directions, at non-square splits with
+// the tile at and above the move's side: fileStore reads and writes are
+// what the endpoint moves load from and store to, a vector at a time.
+func TestFileToFileBitwise(t *testing.T) {
+	for _, tc := range []struct{ n, tile int }{{1 << 13, 64}, {1 << 15, 128}} {
+		dir := t.TempDir()
+		data := randomData(tc.n, int64(tc.tile))
+		src := filepath.Join(dir, "in.c128")
+		if err := os.WriteFile(src, fft.ComplexBytes(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithSpillDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inverse := range []bool{false, true} {
+			dst := filepath.Join(dir, fmt.Sprintf("out-%v.c128", inverse))
+			if inverse {
+				err = p.InverseFile(context.Background(), dst, src)
+			} else {
+				err = p.TransformFile(context.Background(), dst, src)
+			}
+			if err != nil {
+				t.Fatalf("n=%d inverse=%v: %v", tc.n, inverse, err)
+			}
+			raw, err := os.ReadFile(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]complex128, tc.n)
+			if copy(fft.ComplexBytes(got), raw) != len(raw) {
+				t.Fatalf("n=%d: output is %d bytes, want %d", tc.n, len(raw), tc.n*16)
+			}
+			want := fourStepRef(t, data, inverse)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d inverse=%v bin %d: file %v != four-step %v", tc.n, inverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBatchMethods covers the facade-compat batch entry points.
 func TestBatchMethods(t *testing.T) {
 	const n = 256
@@ -259,8 +336,9 @@ func TestBatchMethods(t *testing.T) {
 	}
 }
 
-// TestContextCancel pins that a pre-cancelled context aborts the run
-// with ctx.Err and releases the spill file.
+// TestContextCancel pins that a cancelled context — before the run, or
+// in the middle of a fill — aborts it with ctx.Err and releases the
+// spill file.
 func TestContextCancel(t *testing.T) {
 	const n = 1 << 10
 	dir := t.TempDir()
@@ -273,13 +351,51 @@ func TestContextCancel(t *testing.T) {
 	if err := p.TransformCtx(ctx, make([]complex128, n)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	left, err := filepath.Glob(filepath.Join(dir, "ooc-spill-*"))
+	noSpillLeft := func() {
+		t.Helper()
+		left, err := filepath.Glob(filepath.Join(dir, "ooc-spill-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Fatalf("spill files leaked after cancel: %v", left)
+		}
+	}
+	noSpillLeft()
+
+	// Cancelled mid-fill: the staging goroutines take whole chunks (the
+	// 64 vectors of a move tile), and the run unwinds between them — a
+	// goroutine finishes at most the chunk it is in.
+	const big, iow = 1 << 16, 2 // 256×256: four chunks per strip, four strips
+	p, err = NewPlan(big, WithTileVecs(64), WithSpillDir(dir), WithIOWorkers(iow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(left) != 0 {
-		t.Fatalf("spill files leaked after cancel: %v", left)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	st := &cancellingStore{memStore: memStore{make([]complex128, big)}, after: 10, cancel: cancel}
+	if err := p.run(ctx, st, st, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if late := st.reads.Load() - st.after; late > iow*fft.MoveRuns {
+		t.Fatalf("%d vector reads after the cancel, want at most one %d-vector chunk per I/O goroutine", late, fft.MoveRuns)
+	}
+	noSpillLeft()
+}
+
+// cancellingStore cancels its context on the after-th read.
+type cancellingStore struct {
+	memStore
+	reads  atomic.Int64
+	after  int64
+	cancel context.CancelFunc
+}
+
+func (s *cancellingStore) ReadVec(dst []complex128, off int64) error {
+	if s.reads.Add(1) == s.after {
+		s.cancel()
+	}
+	return s.memStore.ReadVec(dst, off)
 }
 
 // TestParallelIdxMixedErrorTypes: two staging goroutines that fail at
@@ -292,7 +408,7 @@ func TestParallelIdxMixedErrorTypes(t *testing.T) {
 	crcErr := fmt.Errorf("segment 3: %w", ErrCorruptSegment)
 	var gate sync.WaitGroup // both workers are past the first-error check
 	gate.Add(2)
-	err := parallelIdx(context.Background(), 2, 2, nil, func(_, idx int) error {
+	err := parallelIdx(context.Background(), 2, 2, nil, func(idx int) error {
 		gate.Done()
 		gate.Wait()
 		if idx == 0 {
@@ -367,21 +483,44 @@ func TestBudgetDerivation(t *testing.T) {
 		t.Fatalf("budget = staging of a 64-vector tile still derived tile %d: kernel bytes not counted", s2)
 	}
 
-	// At the N=2^28 target geometry the kernel term is what the issue
-	// enumerates: a 16·16384-byte frame per compute worker, the two
-	// sub-plans' tables, and the 512 KiB two-level table — and the
+	// The staging term by term: three pipeline tiles, and per I/O
+	// goroutine what the rows phase — the costlier one — has in flight:
+	// a segment buffer (header included) and the transposition's tile
+	// under each prefetcher, a run buffer of 64 output vectors under
+	// each writer.
+	if got, want := tileCost(64, 256, 2), int64(3*64*256*16+2*((64+64*64*16)+fft.MoveTileBytes+64*64*16)); got != want {
+		t.Fatalf("tileCost(64, 256, 2) = %d, want %d", got, want)
+	}
+	// On top of it compute keeps one row of pack scratch per goroutine
+	// and the kernel's tables — and no frame.
+	if got, want := runCost(p.fs, 64, &p.cfg), tileCost(64, 256, 2)+2*256*16+p.fs.KernelBytes(); got != want {
+		t.Fatalf("runCost(64) = %d, want %d", got, want)
+	}
+
+	// At the N=2^28 target geometry the kernel term is the two
+	// sub-plans' tables and the 512 KiB two-level table — and the
 	// derived tile still fits a 256 MiB budget with it included.
 	p, err = NewPlan(1<<28, WithMemoryBudget(256<<20), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const side = 1 << 14
-	if got, want := p.fs.KernelBytes(4), int64(4*16*side+24*2*side+(512<<10)); got != want {
-		t.Fatalf("KernelBytes(4) at 2^28 = %d, want %d", got, want)
+	if got, want := p.fs.KernelBytes(), int64(24*2*side+(512<<10)); got != want {
+		t.Fatalf("KernelBytes at 2^28 = %d, want %d", got, want)
 	}
 	s2, _ := p.TileVecs()
 	if runCost(p.fs, s2, &p.cfg) > 256<<20 {
 		t.Fatalf("2^28: tile %d exceeds the 256 MiB budget once the kernel is counted", s2)
+	}
+
+	// The benchmark's geometry: 2^20 points under 4 MiB still stage in
+	// 64-vector tiles — 256 segments — with every term above counted.
+	p, err = NewPlan(1<<20, WithMemoryBudget(4<<20), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, s1 := p.TileVecs(); s2 != 64 || s1 != 64 {
+		t.Fatalf("2^20 under 4 MiB: tiles %d×%d, want 64×64", s2, s1)
 	}
 }
 
@@ -449,6 +588,56 @@ func TestMetricsPopulated(t *testing.T) {
 					nsegs, vals["ooc_segments_read_total"])
 			}
 		})
+	}
+}
+
+// TestChannelBytesMatchPerVectorReference: the staging goroutines batch
+// their per-channel accounting (chanAcc), and the batching must not
+// show — each channel's read and write counter equals a reference that
+// attributes every positioned I/O, one by one, to the channel of its
+// first byte. The model is deliberately not a power of two (3 channels,
+// 4608-byte stripes), so stripe edges fall inside vectors, between the
+// vectors of a chunk, and nowhere near a tile boundary.
+func TestChannelBytesMatchPerVectorReference(t *testing.T) {
+	const channels, stripe = 3, 4608
+	for _, tc := range []struct{ n, tile int }{{1 << 13, 64}, {1 << 12, 16}, {1 << 15, 128}} {
+		reg := metrics.NewRegistry()
+		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithRegistry(reg), WithSpillDir(t.TempDir()),
+			WithChannels(channels), WithStripe(stripe), WithPolicy(Guided(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Inverse(randomData(tc.n, 5)); err != nil {
+			t.Fatal(err)
+		}
+		n1, n2 := p.Factors()
+		s2, s1 := p.TileVecs()
+		var wantRead, wantWrite [channels]int64
+		io := func(acc *[channels]int64, byteOff, bytes int64) { acc[byteOff/stripe%channels] += bytes }
+		for strip := 0; strip < n2/s2; strip++ {
+			for j1 := 0; j1 < n1; j1++ {
+				io(&wantRead, int64(j1*n2+strip*s2)*16, int64(s2)*16)
+			}
+		}
+		for strip := 0; strip < n1/s1; strip++ {
+			for k2 := 0; k2 < n2; k2++ {
+				io(&wantWrite, int64(k2*n1+strip*s1)*16, int64(s1)*16)
+			}
+		}
+		segBytes := int64(segHeaderLen + s1*s2*16)
+		for idx := 0; idx < (n1/s1)*(n2/s2); idx++ {
+			io(&wantWrite, int64(idx)*segBytes, segBytes)
+			io(&wantRead, int64(idx)*segBytes, segBytes)
+		}
+		snap := reg.Snapshot()
+		for c := 0; c < channels; c++ {
+			if got := int64(snap[fmt.Sprintf("ooc_prefetch_read_bytes_ch%d_total", c)]); got != wantRead[c] {
+				t.Errorf("n=%d tile=%d: channel %d read %d bytes, per-I/O reference %d", tc.n, tc.tile, c, got, wantRead[c])
+			}
+			if got := int64(snap[fmt.Sprintf("ooc_prefetch_write_bytes_ch%d_total", c)]); got != wantWrite[c] {
+				t.Errorf("n=%d tile=%d: channel %d wrote %d bytes, per-I/O reference %d", tc.n, tc.tile, c, got, wantWrite[c])
+			}
+		}
 	}
 }
 

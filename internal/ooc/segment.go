@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -72,7 +71,7 @@ func encodeSegHeader(dst []byte, h segHeader) {
 
 // decodeSegHeader validates and decodes a segment header. The returned
 // error (if any) names the failed check; it does not wrap
-// ErrCorruptSegment itself — readSegment adds the segment's identity
+// ErrCorruptSegment itself — spill.read adds the segment's identity
 // and the sentinel.
 func decodeSegHeader(b []byte) (segHeader, error) {
 	var h segHeader
@@ -98,9 +97,9 @@ func decodeSegHeader(b []byte) (segHeader, error) {
 }
 
 // spill is one spill file: nsegs segments of segElems complex values
-// each. writeSegment and readSegment are safe for concurrent use on
-// distinct (or even the same) segments — they issue positioned I/O and
-// share no mutable state.
+// each. write and read are safe for concurrent use on
+// distinct (or even the same) segments — each issues one positioned
+// I/O and they share no mutable state.
 type spill struct {
 	f        *os.File
 	path     string
@@ -156,30 +155,38 @@ func (sp *spill) Close() error {
 	return err
 }
 
-// writeSegment checksums and writes segment idx. len(data) must be
-// segElems. It returns the bytes written, for I/O accounting.
-func (sp *spill) writeSegment(idx int, data []complex128) (int64, error) {
+// segHeaderElems is the header's length in payload elements.
+const segHeaderElems = segHeaderLen / 16
+
+// segBuf stages one segment the way the file holds it — the header in
+// the bytes of its first segHeaderElems elements, the payload after —
+// so a segment crosses the file boundary in one positioned call, and
+// the payload is addressable as samples without a second buffer.
+type segBuf []complex128
+
+// payload is the segment's samples.
+func (b segBuf) payload() []complex128 { return b[segHeaderElems:] }
+
+// write checksums b's payload and writes header and payload as
+// segment idx. len(b.payload()) must be segElems. It returns the bytes
+// written, for I/O accounting.
+func (sp *spill) write(idx int, b segBuf) (int64, error) {
 	if idx < 0 || idx >= sp.nsegs {
 		return 0, fmt.Errorf("ooc: segment index %d out of range [0,%d)", idx, sp.nsegs)
 	}
-	if len(data) != sp.segElems {
-		return 0, fmt.Errorf("ooc: segment payload %d elems, want %d", len(data), sp.segElems)
+	if len(b) != segHeaderElems+sp.segElems {
+		return 0, fmt.Errorf("ooc: segment payload %d elems, want %d", len(b)-segHeaderElems, sp.segElems)
 	}
-	payload := fft.ComplexBytes(data)
-	var hdr [segHeaderLen]byte
-	encodeSegHeader(hdr[:], segHeader{
+	raw := fft.ComplexBytes(b)
+	encodeSegHeader(raw, segHeader{
 		index:      uint64(idx),
-		elems:      uint64(len(data)),
-		payloadCRC: crc32.Checksum(payload, castagnoli),
+		elems:      uint64(sp.segElems),
+		payloadCRC: crc32.Checksum(raw[segHeaderLen:], castagnoli),
 	})
-	off := sp.segOff(idx)
-	if _, err := sp.f.WriteAt(hdr[:], off); err != nil {
-		return 0, fmt.Errorf("ooc: writing segment %d header: %w", idx, err)
+	if _, err := sp.f.WriteAt(raw, sp.segOff(idx)); err != nil {
+		return 0, fmt.Errorf("ooc: writing segment %d: %w", idx, err)
 	}
-	if _, err := sp.f.WriteAt(payload, off+segHeaderLen); err != nil {
-		return 0, fmt.Errorf("ooc: writing segment %d payload: %w", idx, err)
-	}
-	return segHeaderLen + int64(len(payload)), nil
+	return int64(len(raw)), nil
 }
 
 // corrupt wraps a verification failure with the sentinel and the
@@ -188,25 +195,26 @@ func (sp *spill) corrupt(idx int, err error) error {
 	return fmt.Errorf("%w: %s segment %d: %v", ErrCorruptSegment, filepath.Base(sp.path), idx, err)
 }
 
-// readSegment reads and verifies segment idx into dst (len segElems).
-// Any integrity failure — truncation, bit flips in header or payload,
-// a wrong format version, or a header naming a different segment —
-// returns an error wrapping ErrCorruptSegment; dst contents are
-// unspecified on error and must not be used. It returns the bytes
+// read reads segment idx into b (payload length segElems) and
+// verifies it: the header first, then the payload against the header's
+// checksum. Any integrity failure — truncation, bit flips in header or
+// payload, a wrong format version, or a header naming a different
+// segment — returns an error wrapping ErrCorruptSegment; b's contents
+// are unspecified on error and must not be used. It returns the bytes
 // read, for I/O accounting.
-func (sp *spill) readSegment(idx int, dst []complex128) (int64, error) {
+func (sp *spill) read(idx int, b segBuf) (int64, error) {
 	if idx < 0 || idx >= sp.nsegs {
 		return 0, fmt.Errorf("ooc: segment index %d out of range [0,%d)", idx, sp.nsegs)
 	}
-	if len(dst) != sp.segElems {
-		return 0, fmt.Errorf("ooc: segment read buffer %d elems, want %d", len(dst), sp.segElems)
+	if len(b) != segHeaderElems+sp.segElems {
+		return 0, fmt.Errorf("ooc: segment read buffer %d elems, want %d", len(b)-segHeaderElems, sp.segElems)
 	}
-	off := sp.segOff(idx)
-	var hdr [segHeaderLen]byte
-	if _, err := io.ReadFull(io.NewSectionReader(sp.f, off, segHeaderLen), hdr[:]); err != nil {
-		return 0, sp.corrupt(idx, fmt.Errorf("reading header: %w", err))
+	raw := fft.ComplexBytes(b)
+	n, rerr := sp.f.ReadAt(raw, sp.segOff(idx))
+	if n < segHeaderLen {
+		return 0, sp.corrupt(idx, fmt.Errorf("reading header: %w", rerr))
 	}
-	h, err := decodeSegHeader(hdr[:])
+	h, err := decodeSegHeader(raw)
 	if err != nil {
 		return 0, sp.corrupt(idx, err)
 	}
@@ -216,12 +224,11 @@ func (sp *spill) readSegment(idx int, dst []complex128) (int64, error) {
 	if h.elems != uint64(sp.segElems) {
 		return 0, sp.corrupt(idx, fmt.Errorf("header claims %d elems, want %d", h.elems, sp.segElems))
 	}
-	payload := fft.ComplexBytes(dst)
-	if _, err := io.ReadFull(io.NewSectionReader(sp.f, off+segHeaderLen, int64(len(payload))), payload); err != nil {
-		return 0, sp.corrupt(idx, fmt.Errorf("reading payload: %w", err))
+	if n < len(raw) {
+		return 0, sp.corrupt(idx, fmt.Errorf("reading payload: %w", rerr))
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != h.payloadCRC {
+	if got := crc32.Checksum(raw[segHeaderLen:], castagnoli); got != h.payloadCRC {
 		return 0, sp.corrupt(idx, fmt.Errorf("payload checksum mismatch: stored %#08x computed %#08x", h.payloadCRC, got))
 	}
-	return segHeaderLen + int64(len(payload)), nil
+	return int64(len(raw)), nil
 }

@@ -9,6 +9,23 @@ import (
 	"testing"
 )
 
+// writeSegment and readSegment let the tests below speak in bare
+// payload slices: they stage the payload through a segBuf, the form the
+// spill itself moves — header and payload contiguous, one positioned
+// I/O each way.
+func (sp *spill) writeSegment(idx int, data []complex128) (int64, error) {
+	b := make(segBuf, segHeaderElems+len(data))
+	copy(b.payload(), data)
+	return sp.write(idx, b)
+}
+
+func (sp *spill) readSegment(idx int, dst []complex128) (int64, error) {
+	b := make(segBuf, segHeaderElems+len(dst))
+	nb, err := sp.read(idx, b)
+	copy(dst, b.payload())
+	return nb, err
+}
+
 // writeTestSpill creates a spill with deterministic payloads and
 // returns it plus the expected segment contents.
 func writeTestSpill(t *testing.T, segElems, nsegs int) (*spill, [][]complex128) {

@@ -2,7 +2,6 @@ package ooc
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"codeletfft/internal/fft"
@@ -29,7 +28,7 @@ type fileStore struct {
 
 func (s fileStore) ReadVec(dst []complex128, off int64) error {
 	b := fft.ComplexBytes(dst)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, off*16, int64(len(b))), b); err != nil {
+	if n, err := s.f.ReadAt(b, off*16); n < len(b) {
 		return fmt.Errorf("ooc: reading %d elems at %d from %s: %w", len(dst), off, s.f.Name(), err)
 	}
 	return nil
