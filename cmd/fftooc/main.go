@@ -11,7 +11,7 @@
 // Usage:
 //
 //	fftooc -logn 26 -budget 256MiB -check tone     # 2^26 points, ≤ budget RAM
-//	fftooc -logn 22 -check incore -policy guided   # bitwise vs in-core
+//	fftooc -logn 22 -check incore -metrics         # bitwise vs in-core
 //	fftooc -in x.c128 -out X.c128 -logn 24         # transform a file
 //	fftooc -logn 20 -check roundtrip -metrics      # + metrics dump
 //
@@ -19,7 +19,8 @@
 // -in, the driver synthesizes a pure tone x[j] = exp(2πi·f·j/N)
 // streaming to a temp file, so even N=2^28 (4 GiB of data) never needs
 // N points in RAM; -check tone then verifies X[k] = N·δ[k−f] the same
-// way. Exit status is non-zero if any check fails.
+// way, so it refuses -in. -check incore transforms random data in RAM
+// and refuses -in and -out. Exit status is non-zero if any check fails.
 package main
 
 import (
@@ -46,11 +47,8 @@ func main() {
 		dir     = flag.String("dir", "", "spill/scratch directory (default $TMPDIR)")
 		budget  = flag.String("budget", "256MiB", "memory budget for staging buffers (e.g. 512MiB, 1GiB)")
 		tile    = flag.Int("tile", 0, "pin tile height (vectors per tile, power of two; 0 = derive from budget)")
-		policy  = flag.String("policy", "fifo", "prefetch schedule: fifo or guided")
-		seed    = flag.Int("seed", 1, "guided-policy seed")
 		workers = flag.Int("workers", 0, "compute goroutines (0 = GOMAXPROCS)")
 		iow     = flag.Int("io", 0, "staging I/O goroutines per pipeline stage (0 = default)")
-		chans   = flag.Int("channels", 0, "modelled I/O channels for byte/stall accounting (0 = default)")
 		inverse = flag.Bool("inverse", false, "run the inverse transform")
 		check   = flag.String("check", "none", "verification: none, tone, incore, or roundtrip")
 		tone    = flag.Int("tone", 12345, "tone frequency bin for synthesized input / -check tone")
@@ -58,24 +56,23 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*logN, *in, *out, *dir, *budget, *tile, *policy, *seed,
-		*workers, *iow, *chans, *inverse, *check, *tone, *metrics); err != nil {
+	if err := run(*logN, *in, *out, *dir, *budget, *tile,
+		*workers, *iow, *inverse, *check, *tone, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "fftooc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logN int, in, out, dir, budgetStr string, tile int, policyName string, seed,
-	workers, iow, chans int, inverse bool, check string, tone int, metrics bool) error {
+func run(logN int, in, out, dir, budgetStr string, tile,
+	workers, iow int, inverse bool, check string, tone int, metrics bool) error {
 	if logN < 2 || logN > 40 {
 		return fmt.Errorf("-logn %d out of range [2,40]", logN)
 	}
-	n := 1 << logN
-	budget, err := parseBytes(budgetStr)
-	if err != nil {
+	if err := checkArgs(check, in, out, inverse); err != nil {
 		return err
 	}
-	pol, err := codeletfft.ParseOOCPolicy(policyName, seed)
+	n := 1 << logN
+	budget, err := parseBytes(budgetStr)
 	if err != nil {
 		return err
 	}
@@ -86,7 +83,6 @@ func run(logN int, in, out, dir, budgetStr string, tile int, policyName string, 
 	opts := []codeletfft.OOCOption{
 		codeletfft.OOCSpillDir(dir),
 		codeletfft.OOCMemoryBudget(budget),
-		codeletfft.OOCSchedule(pol),
 	}
 	if tile > 0 {
 		opts = append(opts, codeletfft.OOCTileVecs(tile))
@@ -97,16 +93,13 @@ func run(logN int, in, out, dir, budgetStr string, tile int, policyName string, 
 	if iow > 0 {
 		opts = append(opts, codeletfft.OOCIOWorkers(iow))
 	}
-	if chans > 0 {
-		opts = append(opts, codeletfft.OOCChannels(chans))
-	}
 	p, err := codeletfft.NewOOCPlan(n, opts...)
 	if err != nil {
 		return err
 	}
 	s2, s1 := p.TileVecs()
-	fmt.Printf("plan: %s budget=%s tiles=%d×%d spill=%s policy=%s\n",
-		p, budgetStr, s2, s1, fmtBytes(p.SpillBytes()), pol.Name())
+	fmt.Printf("plan: %s budget=%s tiles=%d×%d spill=%s\n",
+		p, budgetStr, s2, s1, fmtBytes(p.SpillBytes()))
 
 	if check == "incore" {
 		return checkInCore(p, n, inverse, metrics)
@@ -148,9 +141,6 @@ func run(logN int, in, out, dir, budgetStr string, tile int, policyName string, 
 	switch check {
 	case "none":
 	case "tone":
-		if inverse {
-			return fmt.Errorf("-check tone verifies the forward transform; drop -inverse")
-		}
 		if err := verifyTone(out, n, tone); err != nil {
 			return err
 		}
@@ -170,14 +160,34 @@ func run(logN int, in, out, dir, budgetStr string, tile int, policyName string, 
 			return err
 		}
 		fmt.Println("check: roundtrip ok")
-	default:
-		return fmt.Errorf("unknown -check mode %q (want none, tone, incore, or roundtrip)", check)
 	}
 
 	if metrics {
 		fmt.Print(p.MetricsText())
 	}
 	reportRSS()
+	return nil
+}
+
+// checkArgs rejects a -check mode the other flags make meaningless,
+// before a plan is built or a byte is transformed.
+func checkArgs(check, in, out string, inverse bool) error {
+	switch check {
+	case "none", "roundtrip":
+	case "tone":
+		if in != "" {
+			return fmt.Errorf("-check tone verifies the synthesized tone, not an -in file; drop -in or pick -check roundtrip")
+		}
+		if inverse {
+			return fmt.Errorf("-check tone verifies the forward transform; drop -inverse")
+		}
+	case "incore":
+		if in != "" || out != "" {
+			return fmt.Errorf("-check incore transforms random data in RAM and would ignore -in and -out; drop them")
+		}
+	default:
+		return fmt.Errorf("unknown -check mode %q (want none, tone, incore, or roundtrip)", check)
+	}
 	return nil
 }
 

@@ -6,6 +6,13 @@ import (
 	"codeletfft/internal/metrics"
 )
 
+// The channel model a plan's meters use: a file offset's channel is
+// (offset/ioStripe) mod ioChannels.
+const (
+	ioChannels       = 4
+	ioStripe   int64 = 1 << 20
+)
+
 // meters holds the plan's pre-resolved instruments, so the I/O hot
 // paths do a map-free atomic add per operation. The paper's thesis —
 // imbalance, not throughput, is what limits FFTs — is what the
@@ -14,8 +21,10 @@ import (
 // (channel = offset/stripe mod channels, a RAID-stripe/multi-queue-SSD
 // model), and every time the compute loop outruns the prefetcher the
 // stall is charged to the channel that eventually delivered the tile.
-// A balanced schedule shows near-equal per-channel bytes and few
-// stalls; a skewed one shows exactly where the I/O bottleneck sits.
+// A byte's channel is a function of its offset, so the split measures
+// the layout, not the fetch order: a balanced layout shows near-equal
+// per-channel bytes and few stalls; a skewed one shows exactly where
+// the I/O bottleneck sits.
 type meters struct {
 	channels int
 	stripe   int64

@@ -30,11 +30,10 @@
 // Memory is governed by an explicit budget: the tile height is the
 // largest power of two whose three pipeline tiles (prefetch, compute,
 // writeback) plus staging buffers fit, so peak RSS tracks the budget
-// rather than N. Prefetch order is a pluggable Policy (FIFO vs the
-// paper-echoing seeded-LIFO sibling groups) and all I/O is accounted
-// per modelled channel in internal/metrics, so I/O-load imbalance is
-// measured, not assumed — the paper's bank-balance thesis one level
-// down the memory hierarchy.
+// rather than N. Strips and segment fetches run in natural order, and
+// all I/O is accounted per modelled channel in internal/metrics, so
+// I/O-load imbalance is measured, not assumed — the paper's
+// bank-balance thesis one level down the memory hierarchy.
 package ooc
 
 import (
@@ -57,12 +56,6 @@ const (
 	// DefaultMemoryBudget bounds the plan's resident tile and staging
 	// buffers: 256 MiB.
 	DefaultMemoryBudget int64 = 256 << 20
-	// DefaultChannels is the number of modelled I/O channels byte
-	// counters are split across.
-	DefaultChannels = 4
-	// DefaultStripe is the byte stripe width of the channel model: a
-	// file offset's channel is (offset/stripe) mod channels.
-	DefaultStripe int64 = 1 << 20
 	// DefaultIOWorkers is the number of goroutines the staging layer
 	// uses for gather/scatter and segment I/O inside each pipeline
 	// stage.
@@ -76,9 +69,6 @@ type config struct {
 	tileVecs  int
 	workers   int
 	ioWorkers int
-	channels  int
-	stripe    int64
-	policy    Policy
 	reg       *metrics.Registry
 	factor    func(n int) (int, int)
 }
@@ -106,17 +96,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // WithIOWorkers sets the staging goroutines per pipeline stage
 // (default DefaultIOWorkers).
 func WithIOWorkers(n int) Option { return func(c *config) { c.ioWorkers = n } }
-
-// WithChannels sets how many modelled I/O channels the byte and stall
-// counters are split across (default DefaultChannels).
-func WithChannels(n int) Option { return func(c *config) { c.channels = n } }
-
-// WithStripe sets the channel model's byte stripe width (default
-// DefaultStripe).
-func WithStripe(b int64) Option { return func(c *config) { c.stripe = b } }
-
-// WithPolicy selects the prefetch scheduling policy (default FIFO()).
-func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
 
 // WithRegistry collects the plan's instruments in r instead of a
 // private registry.
@@ -199,9 +178,6 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	cfg := config{
 		budget:    DefaultMemoryBudget,
 		ioWorkers: DefaultIOWorkers,
-		channels:  DefaultChannels,
-		stripe:    DefaultStripe,
-		policy:    FIFO(),
 		factor:    nearSquareFactor,
 	}
 	for _, opt := range opts {
@@ -212,15 +188,6 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	}
 	if cfg.ioWorkers <= 0 {
 		cfg.ioWorkers = DefaultIOWorkers
-	}
-	if cfg.channels <= 0 {
-		cfg.channels = DefaultChannels
-	}
-	if cfg.stripe <= 0 {
-		cfg.stripe = DefaultStripe
-	}
-	if cfg.policy == nil {
-		cfg.policy = FIFO()
 	}
 	if cfg.factor == nil {
 		cfg.factor = nearSquareFactor
@@ -262,7 +229,7 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 		fs:  fs,
 		tw:  fft.TwoLevelTwiddles(n),
 		cfg: cfg,
-		met: newMeters(cfg.reg, cfg.channels, cfg.stripe),
+		met: newMeters(cfg.reg, ioChannels, ioStripe),
 	}, nil
 }
 
@@ -283,15 +250,12 @@ func (p *Plan) SpillBytes() int64 {
 	return segs * (segHeaderLen + int64(p.s1)*int64(p.s2)*16)
 }
 
-// Policy returns the plan's prefetch scheduling policy.
-func (p *Plan) Policy() Policy { return p.cfg.policy }
-
 // Registry returns the registry collecting the plan's instruments.
 func (p *Plan) Registry() *metrics.Registry { return p.cfg.reg }
 
 // String describes the plan geometry.
 func (p *Plan) String() string {
-	return fmt.Sprintf("ooc[N=%d=%d×%d tile=%d×%d policy=%s]", p.n, p.n1, p.n2, p.s2, p.s1, p.cfg.policy.Name())
+	return fmt.Sprintf("ooc[N=%d=%d×%d tile=%d×%d]", p.n, p.n1, p.n2, p.s2, p.s1)
 }
 
 // Transform applies the forward FFT in place, staging through the
@@ -445,14 +409,8 @@ type tileRef struct {
 // prefetch (fill), compute, writeback (drain) — over a bounded pool of
 // three tiles, so the reader stays one strip ahead of compute
 // (double-buffered prefetch) while the writer drains the strip behind
-// it. Strip order comes from the plan's scheduling policy; strips are
-// independent, so ordering affects I/O timing and channel balance, not
-// the result.
+// it.
 func (p *Plan) runPhase(ctx context.Context, ph phase) error {
-	order := p.cfg.policy.Order(ph.strips)
-	if !validOrder(order, ph.strips) {
-		return fmt.Errorf("ooc: policy %s returned an invalid order for %d strips", p.cfg.policy.Name(), ph.strips)
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -480,7 +438,7 @@ func (p *Plan) runPhase(ctx context.Context, ph phase) error {
 	go func() { // prefetcher: an I/O stage, blocked in fill's reads
 		defer wg.Done()
 		defer close(compCh)
-		for _, s := range order {
+		for s := 0; s < ph.strips; s++ {
 			var buf []complex128
 			waitStart := time.Now()
 			select {
@@ -559,15 +517,15 @@ compute:
 }
 
 // parallelIdx runs fn(idx) for every idx in [0, n) across w
-// goroutines pulling indices from a shared counter, optionally through
-// a policy-ordered index list. It returns the first error. Its callers
-// are the staging steps, and an index is a chunk of a step's move — a
-// segment, or the vectors of one move tile — so the dispatch and the
-// ctx check are paid per chunk, not per vector. The chunks block in
+// goroutines pulling indices from a shared counter. It returns the
+// first error. Its callers are the staging steps, and an index is a
+// chunk of a step's move — a segment, or the vectors of one move tile —
+// so the dispatch and the ctx check are paid per chunk, not per
+// vector. The chunks block in
 // pread/pwrite: they get goroutines of their own, because a blocked
 // syscall must not park one of the process's CPU workers (host.Do,
 // which the two compute steps use).
-func parallelIdx(ctx context.Context, w, n int, order []int, fn func(idx int) error) error {
+func parallelIdx(ctx context.Context, w, n int, fn func(idx int) error) error {
 	if w > n {
 		w = n
 	}
@@ -585,11 +543,7 @@ func parallelIdx(ctx context.Context, w, n int, order []int, fn func(idx int) er
 				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				idx := i
-				if order != nil {
-					idx = order[i]
-				}
-				if err := fn(idx); err != nil {
+				if err := fn(i); err != nil {
 					once.Do(func() {
 						firstErr = err
 						failed.Store(true)
@@ -628,7 +582,7 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 		// read whole into the chunk's run buffer.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s2)
-			return parallelIdx(ctx, iow, fft.PackColumnTiles(logN1), nil, func(b int) error {
+			return parallelIdx(ctx, iow, fft.PackColumnTiles(logN1), func(b int) error {
 				runs := take(&p.runs, fft.MoveRuns*s2)
 				defer p.runs.Put(runs)
 				acc := p.met.reads(p.met.colsReadBytes)
@@ -659,7 +613,7 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 		// sweep from the planes into the segment buffer. A chunk is one
 		// segment: the S1-bin window of all S2 columns.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
-			return parallelIdx(ctx, iow, blocksPerStrip, nil, func(j int) error {
+			return parallelIdx(ctx, iow, blocksPerStrip, func(j int) error {
 				sb := take(&p.segs, segHeaderElems+s1*s2)
 				defer p.segs.Put(sb)
 				buf := segBuf(*sb).payload()
@@ -681,10 +635,10 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 }
 
 // rowsPhase stages strip j of S1 output rows: fetch and verify the
-// strip's block-column of segments (order chosen by the policy),
-// transpose into an S1×N2 slab, N2-point FFT per row, scatter the final
-// transpose (+ the inverse's conjugate/scale) into dst. Compute leaves a
-// row as its split planes, which is what the drain reads.
+// strip's block-column of segments, transpose into an S1×N2 slab,
+// N2-point FFT per row, scatter the final transpose (+ the inverse's
+// conjugate/scale) into dst. Compute leaves a row as its split planes,
+// which is what the drain reads.
 func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 	n1, n2, s1, s2 := p.n1, p.n2, p.s1, p.s2
 	blocksPerStrip := n1 / s1
@@ -700,14 +654,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 		// fill: a chunk is one verified segment, transposed in tiles
 		// into its S2-column window of the slab.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
-			// The segment fetch order inside the strip is also
-			// policy-scheduled: this is the prefetch ordering the
-			// per-channel counters measure.
-			order := p.cfg.policy.Order(segStrips)
-			if !validOrder(order, segStrips) {
-				return fmt.Errorf("ooc: policy %s returned an invalid order for %d segments", p.cfg.policy.Name(), segStrips)
-			}
-			return parallelIdx(ctx, iow, segStrips, order, func(i int) error {
+			return parallelIdx(ctx, iow, segStrips, func(i int) error {
 				sb := take(&p.segs, segHeaderElems+s1*s2)
 				defer p.segs.Put(sb)
 				idx := i*blocksPerStrip + strip
@@ -745,7 +692,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s1)
 			chunks := (n2 + fft.MoveRuns - 1) / fft.MoveRuns
-			return parallelIdx(ctx, iow, chunks, nil, func(ch int) error {
+			return parallelIdx(ctx, iow, chunks, func(ch int) error {
 				runs := take(&p.runs, fft.MoveRuns*s1)
 				defer p.runs.Put(runs)
 				k0 := ch * fft.MoveRuns

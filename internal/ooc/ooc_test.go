@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,44 +55,44 @@ func fourStepRefSplit(t *testing.T, data []complex128, n1, n2 int, inverse bool)
 // co-runnable sizes, the staged out-of-core execution produces bit for
 // bit the same output as the in-core four-step — across sizes, tile
 // heights (including ones forcing many strips and many segments per
-// strip), both scheduling policies, and both directions. The staging
-// moves run in 64-vector tiles, so the matrix also has what exercises
-// their edges: non-square splits, factors below the tile side (one short
-// move tile), tile heights at and above it (several column windows per
-// move), a skewed split either way round, and a single I/O goroutine.
+// strip), and both directions. The staging moves run in 64-vector
+// tiles, so the matrix also has what exercises their edges: non-square
+// splits, factors below the tile side (one short move tile), tile
+// heights at and above it (several column windows per move), a skewed
+// split either way round, and a single I/O goroutine. The names' "fifo"
+// is the fetch order every run takes.
 func TestTransformBitwiseVsFourStep(t *testing.T) {
 	for _, tc := range []struct {
 		n, tile int
-		policy  Policy
 		n1      int // 0 = the default near-square split
 		iow     int // 0 = 2
 	}{
-		{n: 4, tile: 1, policy: FIFO()},
-		{n: 8, tile: 1, policy: FIFO()},
-		{n: 64, tile: 2, policy: FIFO()},
-		{n: 64, tile: 8, policy: Guided(3)},
-		{n: 256, tile: 4, policy: FIFO()},
-		{n: 256, tile: 4, policy: Guided(1)},
-		{n: 1 << 10, tile: 8, policy: FIFO()},
-		{n: 1 << 10, tile: 8, policy: Guided(7)},
-		{n: 1 << 12, tile: 16, policy: Guided(5)},
-		{n: 1 << 14, tile: 32, policy: FIFO()},
-		{n: 1 << 11, tile: 64, policy: FIFO()},
-		{n: 1 << 13, tile: 64, policy: Guided(2)},
-		{n: 1 << 13, tile: 128, policy: FIFO()},
-		{n: 1 << 15, tile: 64, policy: FIFO()},
-		{n: 1 << 15, tile: 128, policy: Guided(9)},
-		{n: 1 << 16, tile: 128, policy: FIFO(), iow: 1},
-		{n: 1 << 14, tile: 64, policy: FIFO(), n1: 16},
-		{n: 1 << 14, tile: 64, policy: Guided(4), n1: 1024},
-		{n: 1 << 12, tile: 64, policy: FIFO(), iow: 1},
+		{n: 4, tile: 1},
+		{n: 8, tile: 1},
+		{n: 64, tile: 2},
+		{n: 64, tile: 8},
+		{n: 256, tile: 4},
+		{n: 256, tile: 4, iow: 1},
+		{n: 1 << 10, tile: 8},
+		{n: 1 << 10, tile: 8, iow: 1},
+		{n: 1 << 12, tile: 16},
+		{n: 1 << 14, tile: 32},
+		{n: 1 << 11, tile: 64},
+		{n: 1 << 13, tile: 64},
+		{n: 1 << 13, tile: 128},
+		{n: 1 << 15, tile: 64},
+		{n: 1 << 15, tile: 128},
+		{n: 1 << 16, tile: 128, iow: 1},
+		{n: 1 << 14, tile: 64, n1: 16},
+		{n: 1 << 14, tile: 64, n1: 1024},
+		{n: 1 << 12, tile: 64, iow: 1},
 	} {
 		for _, inverse := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/tile=%d/%s/inverse=%v", tc.n, tc.tile, tc.policy.Name(), inverse)
+			name := fmt.Sprintf("n=%d/tile=%d/fifo/inverse=%v", tc.n, tc.tile, inverse)
 			n1, n2 := nearSquareFactor(tc.n)
 			if tc.n1 != 0 {
 				n1, n2 = tc.n1, tc.n/tc.n1
-				name = fmt.Sprintf("n=%d=%dx%d/tile=%d/%s/inverse=%v", tc.n, n1, n2, tc.tile, tc.policy.Name(), inverse)
+				name = fmt.Sprintf("n=%d=%dx%d/tile=%d/fifo/inverse=%v", tc.n, n1, n2, tc.tile, inverse)
 			}
 			iow := 2
 			if tc.iow != 0 {
@@ -103,7 +102,6 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				p, err := NewPlan(tc.n,
 					WithTileVecs(tc.tile),
-					WithPolicy(tc.policy),
 					WithSpillDir(t.TempDir()),
 					WithWorkers(3),
 					WithIOWorkers(iow),
@@ -133,40 +131,37 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 	}
 }
 
-// TestPolicyIndependence pins that neither the schedule nor the compute
-// fan-out reaches the data: FIFO and guided orders, one compute worker
-// and three, produce bitwise identical output in both directions —
-// ordering moves I/O, and every vector runs the same serial kernel
+// TestWorkerCountIndependence pins that the compute fan-out does not
+// reach the data: one compute worker and three produce bitwise identical
+// output in both directions — every vector runs the same serial kernel
 // whichever goroutine picks it up.
-func TestPolicyIndependence(t *testing.T) {
+func TestWorkerCountIndependence(t *testing.T) {
 	const n = 1 << 10
 	data := randomData(n, 99)
 	for _, inverse := range []bool{false, true} {
 		var first []complex128
-		for _, pol := range []Policy{FIFO(), Guided(0), Guided(3), Guided(11)} {
-			for _, workers := range []int{1, 3} {
-				name := fmt.Sprintf("%s/workers=%d/inverse=%v", pol.Name(), workers, inverse)
-				p, err := NewPlan(n, WithTileVecs(4), WithPolicy(pol), WithWorkers(workers), WithSpillDir(t.TempDir()))
-				if err != nil {
-					t.Fatalf("NewPlan(%s): %v", name, err)
-				}
-				got := append([]complex128(nil), data...)
-				if inverse {
-					err = p.Inverse(got)
-				} else {
-					err = p.Transform(got)
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if first == nil {
-					first = got
-					continue
-				}
-				for i := range got {
-					if got[i] != first[i] {
-						t.Fatalf("%s: bin %d differs from the FIFO single-worker output", name, i)
-					}
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("workers=%d/inverse=%v", workers, inverse)
+			p, err := NewPlan(n, WithTileVecs(4), WithWorkers(workers), WithSpillDir(t.TempDir()))
+			if err != nil {
+				t.Fatalf("NewPlan(%s): %v", name, err)
+			}
+			got := append([]complex128(nil), data...)
+			if inverse {
+				err = p.Inverse(got)
+			} else {
+				err = p.Transform(got)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if first == nil {
+				first = got
+				continue
+			}
+			for i := range got {
+				if got[i] != first[i] {
+					t.Fatalf("%s: bin %d differs from the single-worker output", name, i)
 				}
 			}
 		}
@@ -408,7 +403,7 @@ func TestParallelIdxMixedErrorTypes(t *testing.T) {
 	crcErr := fmt.Errorf("segment 3: %w", ErrCorruptSegment)
 	var gate sync.WaitGroup // both workers are past the first-error check
 	gate.Add(2)
-	err := parallelIdx(context.Background(), 2, 2, nil, func(idx int) error {
+	err := parallelIdx(context.Background(), 2, 2, func(idx int) error {
 		gate.Done()
 		gate.Wait()
 		if idx == 0 {
@@ -524,22 +519,20 @@ func TestBudgetDerivation(t *testing.T) {
 	}
 }
 
-// TestMetricsPopulated runs one transform per policy and checks the
-// per-channel prefetch counters and phase byte counters land in the
-// registry with the expected totals.
+// TestMetricsPopulated runs one transform and checks the per-channel
+// prefetch counters and phase byte counters land in the registry with
+// the expected totals. It runs under the one fetch order ("fifo") and
+// again with a single I/O goroutine: the totals are a property of the
+// transform, not of how its fetches are spread over goroutines.
 func TestMetricsPopulated(t *testing.T) {
 	const n = 1 << 12
-	for _, pol := range []Policy{FIFO(), Guided(3)} {
-		t.Run(pol.Name(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		iow  int // 0 = DefaultIOWorkers
+	}{{"fifo", 0}, {"iow=1", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
-			p, err := NewPlan(n,
-				WithTileVecs(8),
-				WithPolicy(pol),
-				WithRegistry(reg),
-				WithSpillDir(t.TempDir()),
-				WithChannels(4),
-				WithStripe(4096),
-			)
+			p, err := NewPlan(n, WithTileVecs(8), WithIOWorkers(tc.iow), WithRegistry(reg), WithSpillDir(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -565,10 +558,10 @@ func TestMetricsPopulated(t *testing.T) {
 			if got := vals["ooc_phase_rows_read_bytes_total"]; got != spillBytes {
 				t.Fatalf("rows read %d spill bytes, want %d", got, spillBytes)
 			}
-			// Every channel's read counter exists; together they account
-			// for every byte read in both phases.
+			// Every channel's read counter exists; together they account for
+			// every byte read in both phases.
 			var chSum int64
-			for c := 0; c < 4; c++ {
+			for c := 0; c < ioChannels; c++ {
 				name := fmt.Sprintf("ooc_prefetch_read_bytes_ch%d_total", c)
 				v, ok := vals[name]
 				if !ok {
@@ -596,17 +589,18 @@ func TestMetricsPopulated(t *testing.T) {
 // show — each channel's read and write counter equals a reference that
 // attributes every positioned I/O, one by one, to the channel of its
 // first byte. The model is deliberately not a power of two (3 channels,
-// 4608-byte stripes), so stripe edges fall inside vectors, between the
-// vectors of a chunk, and nowhere near a tile boundary.
+// 4608-byte stripes, installed on the plan in place of the default), so
+// stripe edges fall inside vectors, between the vectors of a chunk, and
+// nowhere near a tile boundary.
 func TestChannelBytesMatchPerVectorReference(t *testing.T) {
 	const channels, stripe = 3, 4608
 	for _, tc := range []struct{ n, tile int }{{1 << 13, 64}, {1 << 12, 16}, {1 << 15, 128}} {
-		reg := metrics.NewRegistry()
-		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithRegistry(reg), WithSpillDir(t.TempDir()),
-			WithChannels(channels), WithStripe(stripe), WithPolicy(Guided(2)))
+		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithSpillDir(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := metrics.NewRegistry()
+		p.met = newMeters(reg, channels, stripe)
 		if err := p.Inverse(randomData(tc.n, 5)); err != nil {
 			t.Fatal(err)
 		}
@@ -641,63 +635,13 @@ func TestChannelBytesMatchPerVectorReference(t *testing.T) {
 	}
 }
 
-// TestPolicies pins the policy contract: both orders are permutations
-// for awkward sizes, guided is seed-deterministic, differs from FIFO on
-// large-enough inputs, and ParsePolicy maps flag spellings.
-func TestPolicies(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 8, 9, 16, 64, 100, 1 << 10} {
-		for _, pol := range []Policy{FIFO(), Guided(0), Guided(5), Guided(-3), Guided(1 << 20)} {
-			if order := pol.Order(n); !validOrder(order, n) {
-				t.Fatalf("%s.Order(%d) = %v is not a permutation", pol.Name(), n, order)
-			}
-		}
-	}
-	a := Guided(5).Order(256)
-	b := Guided(5).Order(256)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Guided order is not deterministic for equal seeds")
-		}
-	}
-	fifo := FIFO().Order(256)
-	same := true
-	for i := range a {
-		if a[i] != fifo[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("Guided(5) order equals FIFO on 256 items")
-	}
-
-	for _, tc := range []struct {
-		in   string
-		want string
-	}{
-		{"", "fifo"}, {"fifo", "fifo"}, {"FIFO", "fifo"},
-		{"guided", "guided[seed=9]"}, {"lifo", "guided[seed=9]"}, {"guided-lifo", "guided[seed=9]"},
-	} {
-		p, err := ParsePolicy(tc.in, 9)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%q): %v", tc.in, err)
-		}
-		if p.Name() != tc.want {
-			t.Fatalf("ParsePolicy(%q).Name() = %q, want %q", tc.in, p.Name(), tc.want)
-		}
-	}
-	if _, err := ParsePolicy("bogus", 0); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("ParsePolicy(bogus) err = %v, want named error", err)
-	}
-}
-
 // TestToneLargeStreaming is the scaled-down shape of the N=2^28
 // acceptance check: a pure tone x[j] = ω^{f·j} transforms to N·δ[k−f],
 // verifiable without an in-core reference.
 func TestToneLargeStreaming(t *testing.T) {
 	const n = 1 << 14
 	const f = 1234
-	p, err := NewPlan(n, WithTileVecs(16), WithSpillDir(t.TempDir()), WithPolicy(Guided(1)))
+	p, err := NewPlan(n, WithTileVecs(16), WithSpillDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,21 +12,6 @@ import (
 // Errors from OOC transforms wrap it; test with errors.Is.
 var ErrCorruptSegment = ooc.ErrCorruptSegment
 
-// OOCPolicy orders the strips and segment fetches of an out-of-core
-// run. Ordering never changes the output — only the I/O schedule the
-// per-channel prefetch counters measure.
-type OOCPolicy = ooc.Policy
-
-// OOCFIFO returns the natural-order prefetch policy (the default).
-func OOCFIFO() OOCPolicy { return ooc.FIFO() }
-
-// OOCGuided returns the seeded-LIFO sibling-group prefetch policy —
-// the out-of-core analogue of the paper's guided codelet scheduling.
-func OOCGuided(seed int) OOCPolicy { return ooc.Guided(seed) }
-
-// ParseOOCPolicy maps flag spellings ("fifo", "guided") to a policy.
-func ParseOOCPolicy(name string, seed int) (OOCPolicy, error) { return ooc.ParsePolicy(name, seed) }
-
 // OOCOption configures NewOOCPlan.
 type OOCOption = ooc.Option
 
@@ -53,17 +38,6 @@ func OOCWorkers(n int) OOCOption { return ooc.WithWorkers(n) }
 // (default 4).
 func OOCIOWorkers(n int) OOCOption { return ooc.WithIOWorkers(n) }
 
-// OOCChannels sets how many modelled I/O channels the prefetch
-// counters split bytes and stalls across (default 4).
-func OOCChannels(n int) OOCOption { return ooc.WithChannels(n) }
-
-// OOCStripe sets the channel model's byte stripe width (default 1 MiB).
-func OOCStripe(b int64) OOCOption { return ooc.WithStripe(b) }
-
-// OOCSchedule selects the prefetch scheduling policy (default
-// OOCFIFO()).
-func OOCSchedule(p OOCPolicy) OOCOption { return ooc.WithPolicy(p) }
-
 // OOCPlan computes transforms too large for RAM by staging a four-step
 // decomposition through a file-backed spill store under a fixed memory
 // budget. At sizes where both fit, its output is bitwise identical to
@@ -84,8 +58,7 @@ var _ Plan = (*OOCPlan)(nil)
 //
 //	p, err := codeletfft.NewOOCPlan(1<<28,
 //	    codeletfft.OOCSpillDir("/scratch"),
-//	    codeletfft.OOCMemoryBudget(512<<20),
-//	    codeletfft.OOCSchedule(codeletfft.OOCGuided(1)))
+//	    codeletfft.OOCMemoryBudget(512<<20))
 //	err = p.TransformFile(ctx, "out.c128", "in.c128")
 func NewOOCPlan(n int, opts ...OOCOption) (*OOCPlan, error) {
 	p, err := ooc.NewPlan(n, opts...)
@@ -109,7 +82,7 @@ func (o *OOCPlan) TileVecs() (s2, s1 int) { return o.p.TileVecs() }
 // store, segment headers included.
 func (o *OOCPlan) SpillBytes() int64 { return o.p.SpillBytes() }
 
-// String describes the plan geometry and policy.
+// String describes the plan geometry.
 func (o *OOCPlan) String() string { return o.p.String() }
 
 // Transform applies the forward FFT in place through the full staged

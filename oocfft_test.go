@@ -16,7 +16,7 @@ import (
 
 // TestOOCPlanBitwiseVsFourStep pins the facade's core contract: the
 // out-of-core plan reproduces the in-core four-step bit for bit at
-// co-runnable sizes, for both policies and directions.
+// co-runnable sizes, in both directions.
 func TestOOCPlanBitwiseVsFourStep(t *testing.T) {
 	const n = 1 << 12
 	rng := rand.New(rand.NewSource(42))
@@ -29,32 +29,28 @@ func TestOOCPlanBitwiseVsFourStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []codeletfft.OOCPolicy{codeletfft.OOCFIFO(), codeletfft.OOCGuided(2)} {
-		for _, inverse := range []bool{false, true} {
-			p, err := codeletfft.NewOOCPlan(n,
-				codeletfft.OOCTileVecs(8),
-				codeletfft.OOCSchedule(pol),
-				codeletfft.OOCSpillDir(t.TempDir()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append([]complex128(nil), data...)
-			got := append([]complex128(nil), data...)
-			if inverse {
-				fs.InverseTransform(want)
-				err = p.Inverse(got)
-			} else {
-				fs.Transform(want)
-				err = p.Transform(got)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s inverse=%v bin %d: ooc %v != four-step %v",
-						pol.Name(), inverse, i, got[i], want[i])
-				}
+	for _, inverse := range []bool{false, true} {
+		p, err := codeletfft.NewOOCPlan(n,
+			codeletfft.OOCTileVecs(8),
+			codeletfft.OOCSpillDir(t.TempDir()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]complex128(nil), data...)
+		got := append([]complex128(nil), data...)
+		if inverse {
+			fs.InverseTransform(want)
+			err = p.Inverse(got)
+		} else {
+			fs.Transform(want)
+			err = p.Transform(got)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("inverse=%v bin %d: ooc %v != four-step %v", inverse, i, got[i], want[i])
 			}
 		}
 	}
@@ -99,8 +95,6 @@ func TestOOCPlanFileAndMetrics(t *testing.T) {
 	p, err := codeletfft.NewOOCPlan(n,
 		codeletfft.OOCSpillDir(dir),
 		codeletfft.OOCTileVecs(4),
-		codeletfft.OOCChannels(2),
-		codeletfft.OOCStripe(4096),
 		codeletfft.OOCIOWorkers(2),
 		codeletfft.OOCWorkers(2))
 	if err != nil {
@@ -142,20 +136,10 @@ func TestOOCPlanFileAndMetrics(t *testing.T) {
 	}
 }
 
-// TestOOCErrors covers the re-exported sentinels and option failures.
+// TestOOCErrors covers the re-exported sentinels.
 func TestOOCErrors(t *testing.T) {
 	if _, err := codeletfft.NewOOCPlan(1000); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
 		t.Fatalf("N=1000: err = %v, want ErrUnsupportedLength", err)
-	}
-	if _, err := codeletfft.ParseOOCPolicy("nope", 0); err == nil {
-		t.Fatal("ParseOOCPolicy accepted garbage")
-	}
-	pol, err := codeletfft.ParseOOCPolicy("guided", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(pol.Name(), "guided") {
-		t.Fatalf("policy name %q", pol.Name())
 	}
 	if codeletfft.ErrCorruptSegment == nil {
 		t.Fatal("ErrCorruptSegment must be non-nil")
