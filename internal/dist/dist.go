@@ -34,7 +34,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"codeletfft"
@@ -132,9 +131,6 @@ type Coordinator struct {
 	cfg     Config
 	members *Membership
 	m       *distMetrics
-
-	mu sync.Mutex
-	fs map[[2]int]*fft.FourStepPlan
 }
 
 // newCoordinator builds a coordinator and starts its membership loops.
@@ -159,7 +155,6 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		members: members,
 		m:       newDistMetrics(cfg.Registry),
-		fs:      map[[2]int]*fft.FourStepPlan{},
 	}
 	cfg.Registry.GaugeFunc("dist_workers_eligible", func() float64 {
 		return float64(c.members.EligibleCount())
@@ -267,21 +262,12 @@ func (c *Coordinator) transformLocal(data []complex128, inverse bool) error {
 	return p.Transform(data)
 }
 
+// fourStepFor builds the plan of n's split; its tables are shared
+// process-wide, so building one per transform costs an allocation.
 func (c *Coordinator) fourStepFor(n int) (*fft.FourStepPlan, error) {
 	n1, n2 := c.cfg.Factor(n)
 	if n1*n2 != n {
 		return nil, fmt.Errorf("dist: factorization %d×%d does not cover N=%d", n1, n2, n)
 	}
-	key := [2]int{n1, n2}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fs, ok := c.fs[key]; ok {
-		return fs, nil
-	}
-	fs, err := fft.NewFourStep(n1, n2)
-	if err != nil {
-		return nil, err
-	}
-	c.fs[key] = fs
-	return fs, nil
+	return fft.NewFourStep(n1, n2)
 }

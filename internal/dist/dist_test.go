@@ -335,8 +335,8 @@ func TestClusterDegradesToLocal(t *testing.T) {
 // goroutines, forward and inverse at once — a race-detector target for
 // the shared membership, metrics and plan-cache state and for the
 // per-slab transpositions, whose goroutines write disjoint slices of one
-// pooled buffer and then of the caller's array. The workers run the
-// four-step tile kernel, so every output is compared bit for bit with
+// pooled buffer and then of the caller's array. The cluster runs the
+// four-step's own steps, so every output is compared bit for bit with
 // the serial plan's, not to a tolerance.
 func TestClusterConcurrentTransforms(t *testing.T) {
 	c, _, _, _ := newTestClusterOf(t, 3, Config{}, serve.Config{})
@@ -654,40 +654,41 @@ func TestDegradedDefaultKernel(t *testing.T) {
 }
 
 // TestColumnPhaseParityAcrossPaths pins the bitwise claim the shared
-// tile kernel makes: resident sessions on the SoA radix-4 codelets —
-// what the workers' default plans run from 128-point factors up
-// (fft.AutoKernel) — produce the serial fft.FourStepPlan's bits however
-// the transform is partitioned: over 1, 2 or 3 workers, and when a
-// worker dies mid-transform and the session is retried on fewer.
-// (Whole-transform degraded execution is the direct staged algorithm,
-// not a four-step, and agrees to rounding only —
-// TestClusterDegradesToLocal.)
+// four-step steps make: resident sessions produce the serial
+// fft.FourStepPlan's bits however the transform is partitioned — over
+// 1, 2 or 3 workers, when a worker dies mid-transform and the session is
+// retried on fewer, and at factors below the 128 points where the
+// workers' default plans once switched kernels. (Whole-transform
+// degraded execution is the direct staged algorithm, not a four-step,
+// and agrees to rounding only — TestClusterDegradesToLocal.)
 func TestColumnPhaseParityAcrossPaths(t *testing.T) {
-	const n = 1 << 16
 	skewed := func(int) (int, int) { return 128, 512 }
 	for _, tc := range []struct {
 		name    string
+		n       int
 		workers int
-		factor  func(int) (int, int) // nil: the default 256×256 split
+		factor  func(int) (int, int) // nil: the default near-square split
 		dieAt   serve.SessionOp      // the victim refuses this op; OpSessAck: nobody dies
 	}{
-		{"1 worker", 1, nil, serve.OpSessAck},
-		{"2 workers", 2, nil, serve.OpSessAck},
-		{"3 workers", 3, nil, serve.OpSessAck}, // slabs of 85 / 85 / 86 rows and columns
-		{"3 workers, one dies at cols", 3, nil, serve.OpSessCols},
-		{"2 workers, one dies at rows", 2, nil, serve.OpSessRows},
-		{"2 workers, 128×512", 2, skewed, serve.OpSessAck},
-		{"3 workers, 128×512", 3, skewed, serve.OpSessAck}, // 42 / 43 / 43 rows, 170 / 171 / 171 columns
+		{"1 worker", 1 << 16, 1, nil, serve.OpSessAck},
+		{"2 workers", 1 << 16, 2, nil, serve.OpSessAck},
+		{"3 workers", 1 << 16, 3, nil, serve.OpSessAck}, // slabs of 85 / 85 / 86 rows and columns
+		{"3 workers, one dies at cols", 1 << 16, 3, nil, serve.OpSessCols},
+		{"2 workers, one dies at rows", 1 << 16, 2, nil, serve.OpSessRows},
+		{"2 workers, 128×512", 1 << 16, 2, skewed, serve.OpSessAck},
+		{"3 workers, 128×512", 1 << 16, 3, skewed, serve.OpSessAck}, // 42 / 43 / 43 rows, 170 / 171 / 171 columns
+		{"3 workers, 64×64", 1 << 12, 3, nil, serve.OpSessAck},
+		{"3 workers, 16×1024", 1 << 14, 3, func(int) (int, int) { return 16, 1024 }, serve.OpSessAck},
 	} {
 		factor := tc.factor
 		if factor == nil {
 			factor = NearSquareFactor
 		}
-		fs, err := fft.NewFourStep(factor(n))
+		fs, err := fft.NewFourStep(factor(tc.n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := noise(n, 17)
+		want := noise(tc.n, 17)
 		fs.Transform(want)
 		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor}, serve.Config{})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
@@ -696,7 +697,7 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 			}
 			return nil
 		}
-		got := noise(n, 17)
+		got := noise(tc.n, 17)
 		if err := c.Transform(context.Background(), got); err != nil {
 			t.Fatalf("%s: Transform: %v", tc.name, err)
 		}
@@ -715,16 +716,13 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestSmallFactorsMatchFourStep covers the session path below the
-// rule's threshold: 64-point factors run the workers' default plans on
-// the radix-4 kernel while the serial fft.FourStepPlan hard-codes SoA
-// radix-4, so the two agree to rounding, not bitwise — forward and
-// inverse, over three uneven slabs (21 / 21 / 22 rows and columns).
+// TestSmallFactorsMatchFourStep covers the session path at 64-point
+// factors, below the size where the default kernel rule picks SoA
+// radix-4: the workers run the plan's own steps whatever that rule says,
+// so forward and inverse equal the serial fft.FourStepPlan bit for bit,
+// over three uneven slabs (21 / 21 / 22 rows and columns).
 func TestSmallFactorsMatchFourStep(t *testing.T) {
 	const n = 1 << 12
-	if k := fft.AutoKernel(64); k == fft.KernelSoARadix4 {
-		t.Fatalf("AutoKernel(64) = %v: this case no longer sits below the threshold", k)
-	}
 	fs, err := fft.NewFourStep(64, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -732,20 +730,24 @@ func TestSmallFactorsMatchFourStep(t *testing.T) {
 	c, _, _ := newTestCluster(t, 3, Config{Factor: func(int) (int, int) { return 64, 64 }})
 	ctx := context.Background()
 	want, got := noise(n, 19), noise(n, 19)
+	check := func(dir string) {
+		t.Helper()
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: bin %d = %v, the serial four-step gives %v", dir, i, got[i], want[i])
+			}
+		}
+	}
 	fs.Transform(want)
 	if err := c.Transform(ctx, got); err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
-	if d := maxDiff(got, want); d > 1e-12*n {
-		t.Fatalf("forward deviates from the serial four-step by %g", d)
-	}
+	check("forward")
 	fs.InverseTransform(want)
 	if err := c.Inverse(ctx, got); err != nil {
 		t.Fatalf("Inverse: %v", err)
 	}
-	if d := maxDiff(got, want); d > 1e-12 {
-		t.Fatalf("inverse deviates from the serial four-step by %g", d)
-	}
+	check("inverse")
 	if ok, degraded := counter(t, c, "dist_resident_ok_total"), counter(t, c, "dist_degraded_total"); ok != 2 || degraded != 0 {
 		t.Fatalf("ran on the wrong path: resident_ok=%d degraded=%d", ok, degraded)
 	}

@@ -7,30 +7,37 @@
 // invariant dist_resident_bytes_total / dist_resident_elems_total
 // exposes and CI gates on.
 //
+// The coordinator runs the four-step's first and last steps
+// (fft.FourStepPlan, DESIGN §12) and the workers the three between, so
+// the cluster's output is the serial plan's, bit for bit, however the
+// transform is partitioned.
+//
 // Buffer ownership per phase (coordinator side):
 //
-//   - gather: each worker's goroutine transposes that worker's column
-//     slab — columns [c0, c1) of the caller's row-major N1×N2 array —
-//     in tiles (fft.TransposeBlock) into cols[c0·N1 : c1·N1] of a pooled
-//     column-major buffer and encodes its cols frame straight from that
-//     slice, so the first worker is computing while the last slab is
-//     still being gathered and no per-worker copy exists. The caller's
-//     array is only read;
+//   - gather: each worker's goroutine packs that worker's column slab —
+//     columns [c0, c1) of the caller's row-major N1×N2 array — as split
+//     planes, bit-reversed (FourStepPlan.PackColumnsFrom), into
+//     cols[c0·N1 : c1·N1] of a pooled buffer and encodes its cols frame
+//     straight from that slice, so the first worker is computing while
+//     the last slab is still being packed and no per-worker copy exists.
+//     The caller's array is only read;
 //   - resident: the coordinator holds nothing; workers own their row
 //     blocks;
-//   - fetch: each worker's rows response decodes straight into its
-//     slice of a pooled rows buffer;
+//   - fetch: each worker's rows response — its row block as the planes
+//     of the rows' transforms — decodes straight into its slice of a
+//     pooled rows buffer;
 //   - final transpose: only after every fetch succeeded — so a failed
 //     session leaves the input untouched, and Transform retries with a
 //     fresh session on the workers that are left — the row blocks are
-//     transposed, as units of the process's worker pool (host.Do), into
-//     the caller's array in direct-DFT bin order.
+//     unpacked and transposed (FourStepPlan.UnpackRows), as units of the
+//     process's worker pool (host.Do), into the caller's array in
+//     direct-DFT bin order.
 //
-// The inverse rides on the same two moves: the gather conjugates
-// (TransposeBlockConj) and the final transpose conjugates and scales by
-// 1/N (TransposeBlockConjScale) — the conjugation identity's two sweeps,
-// the same arithmetic per element, with no pass of their own and no
-// write to the caller's array before the rows barrier.
+// The inverse rides on the same two moves: the pack conjugates and the
+// final transpose conjugates and scales by 1/N — the conjugation
+// identity's two sweeps, the same arithmetic per element, with no pass
+// of their own and no write to the caller's array before the rows
+// barrier.
 //
 // Failure: a session that loses any RPC is abandoned — the sessions on
 // the workers that still answer are closed — and the failure is held
@@ -254,25 +261,20 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 	c.m.sessions.Add(int64(w))
 
-	// Phase 1: each worker's goroutine gathers that worker's column slab
-	// — a tiled transposition of data's columns [ColStart, ColStart +
-	// ColCount) into the slab's own slice of the pooled column-major
-	// buffer, conjugating on the way for the inverse — and ships it
-	// straight out of that slice, so one worker computes while the next
-	// slab is still being gathered. The ack returns only once the worker
-	// has pushed every peer's row block, so after this barrier every rows
-	// buffer in the cluster is complete.
+	// Phase 1: each worker's goroutine packs that worker's column slab —
+	// data's columns [ColStart, ColStart + ColCount), each into the planes
+	// of its own vector of the pooled buffer, conjugating on the way for
+	// the inverse — and ships it straight out of that slice, so one worker
+	// computes while the next slab is still being packed. The ack returns
+	// only once the worker has pushed every peer's row block, so after
+	// this barrier every rows buffer in the cluster is complete.
 	colsBuf := serve.AcquireComplex(fs.N)
 	defer serve.ReleaseComplex(colsBuf)
 	cols := *colsBuf
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		slab := cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1]
-		if inverse {
-			fft.TransposeBlockConj(slab, sp.N1, data[sp.ColStart:], sp.N2, sp.N1, sp.ColCount)
-		} else {
-			fft.TransposeBlock(slab, sp.N1, data[sp.ColStart:], sp.N2, sp.N1, sp.ColCount)
-		}
+		fs.PackColumnsFrom(slab, data[sp.ColStart:], sp.ColCount, inverse)
 		req := serve.SessionFrame{
 			Op: serve.OpSessCols, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
 			Data: slab,
@@ -317,19 +319,15 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Only now, with every row block fetched, is the caller's data
-	// written: each block is transposed into direct-DFT bin order,
-	// data[k2·N1+k1] = rows[k1·N2+k2], applying the inverse's
+	// written: each block's planes are unpacked into direct-DFT bin
+	// order, bin k2 of row k1 at data[k2·N1+k1], applying the inverse's
 	// conjugate-and-scale on the way. The blocks are compute, not I/O:
 	// they are dealt to the process's worker pool.
 	host.Do(len(ws), len(ws), func(lo, hi int) {
 		for _, rw := range ws[lo:hi] {
 			sp := rw.spec
 			block := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
-			if inverse {
-				fft.TransposeBlockConjScale(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2, 1/float64(fs.N))
-			} else {
-				fft.TransposeBlock(data[sp.RowStart:], sp.N1, block, sp.N2, sp.RowCount, sp.N2)
-			}
+			fs.UnpackRows(data[sp.RowStart:], block, sp.RowCount, inverse)
 		}
 	})
 	closeAll()

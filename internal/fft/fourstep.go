@@ -11,47 +11,47 @@ import (
 // FourStepPlan is the Bailey four-step factorization of an N-point DFT
 // into N = N1·N2: column FFTs, a twiddle scaling, row FFTs, and a final
 // transpose. It is the decomposition large transforms shard across
-// machines — each column (length N1) and each row (length N2) is an
-// independent sub-FFT, so the two FFT steps fan out as batches while
-// the transposes and the twiddle step are embarrassingly parallel
-// element permutations.
+// machines and stage through disk — each column (length N1) and each
+// row (length N2) is an independent sub-FFT, so the two FFT steps fan
+// out as batches while the moves between them are embarrassingly
+// parallel element permutations.
 //
 // With the input read row-major as an N1×N2 matrix A[j1][j2] =
 // x[j1·N2+j2] and ω = exp(−2πi/N), the identity is
 //
 //	X[k2·N1+k1] = Σ_{j2} ( Σ_{j1} A[j1][j2]·ω_{N1}^{j1·k1} ) · ω^{j2·k1} · ω_{N2}^{j2·k2}
 //
-// so the steps are:
+// The plan runs it as five staged steps, each moving or sweeping every
+// element once:
 //
-//  1. transpose A into N2 contiguous columns of length N1,
-//  2. FFT every column and scale column j2's bin k1 by ω^{j2·k1}
-//     (the twiddle segment),
-//  3. transpose back into N1 contiguous rows of length N2 and FFT
-//     every row,
-//  4. transpose once more so bin k lands at index k2·N1+k1 — exactly
-//     the ordering of the direct N-point transform.
+//  1. PackColumnsFrom (PackColumns over memory): gather column j2 and
+//     pack it, bit-reversed, into its own split planes — conjugated on
+//     the way in for the inverse;
+//  2. ColStages: the N1-point SoA radix-4 sweeps on those planes;
+//  3. TransposeScaled: unpack bin k1 of column j2, scale it by
+//     ω^{j2·k1} (TwoLevelTable.ScaleFrom) and transpose it into row k1;
+//  4. RowFrom: pack row k1 into planes and run the N2-point sweeps;
+//  5. UnpackRows (UnpackColumns): unpack bin k2 of row k1 into
+//     X[k2·N1+k1] — times conj·1/N for the inverse.
 //
-// Transform is the serial reference. Steps 2 and 3 are one tile kernel,
-// Cols and Rows, which internal/ooc calls tile by tile on the same
-// sub-plans; internal/dist replays the steps with the two FFT passes
-// dispatched to remote workers. Steps 1, 3 and 4 move their data
-// through TransposeBlock (transpose.go), as the workers and the
-// coordinator do slab by slab.
+// Transform composes them over the caller's array and one pooled
+// N-element buffer. internal/ooc composes the same steps around its
+// spill store, and internal/dist splits them between the coordinator
+// (1 and 5) and the workers (2–4), so every path runs the same
+// arithmetic per element and produces the same bits.
 type FourStepPlan struct {
 	N1, N2, N int
 
-	col *Plan // N1-point sub-plan (columns)
-	row *Plan // N2-point sub-plan (rows)
+	col, row *factor        // the N1-point (columns) and N2-point (rows) sweeps
+	tw       *TwoLevelTable // ω_N: the step-3 scaling factors
 
-	wCol, wRow []complex128   // sub-transform twiddle tables
-	tw         *TwoLevelTable // ω_N: the step-2 scaling factors
-
-	scratch sync.Pool // *[]complex128 of N elements: what Transform transposes into
+	scratch sync.Pool // *[]complex128 of N elements: the planes Transform stages through
 }
 
 // NewFourStep builds the factorization for N = n1·n2. Both factors must
-// be powers of two ≥ 2 (errors wrap ErrUnsupportedLength); the
-// sub-plans use task size min(64, factor), the engine default.
+// be powers of two ≥ 2 (errors wrap ErrUnsupportedLength). Its tables
+// are shared process-wide — the sub-plans' and the two-level table — so
+// a plan costs one allocation after the first of its factors.
 func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 	if Log2(n1) < 1 {
 		return nil, fmt.Errorf("%w: N1=%d must be a power of two ≥ 2", ErrUnsupportedLength, n1)
@@ -59,45 +59,43 @@ func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 	if Log2(n2) < 1 {
 		return nil, fmt.Errorf("%w: N2=%d must be a power of two ≥ 2", ErrUnsupportedLength, n2)
 	}
-	col, err := NewPlan(n1, min(64, n1))
-	if err != nil {
-		return nil, err
-	}
-	row, err := NewPlan(n2, min(64, n2))
-	if err != nil {
-		return nil, err
-	}
-	n := n1 * n2
 	return &FourStepPlan{
-		N1: n1, N2: n2, N: n,
-		col: col, row: row,
-		wCol: Twiddles(n1), wRow: Twiddles(n2), tw: TwoLevelTwiddles(n),
+		N1: n1, N2: n2, N: n1 * n2,
+		col: factorOf(n1), row: factorOf(n2), tw: TwoLevelTwiddles(n1 * n2),
 	}, nil
 }
 
-// GatherColumns transposes the row-major N1×N2 input into N2 contiguous
-// columns: dst[j2·N1+j1] = data[j1·N2+j2]. Both slices must have length
-// N (panics wrap ErrLengthMismatch).
-func (p *FourStepPlan) GatherColumns(dst, data []complex128) {
-	p.checkLen("GatherColumns dst", dst)
-	p.checkLen("GatherColumns data", data)
-	TransposeBlock(dst, p.N1, data, p.N2, p.N1, p.N2)
+// factor is one four-step factor length's sweeps: its sub-plan, with
+// task size min(64, n) — the engine default — and twiddle table. Both
+// are immutable (the plan builds its SoA tables once, under its own
+// sync.Once), so one per log₂n serves every FourStepPlan for the life
+// of the process, as the two-level tables do.
+type factor struct {
+	pl *Plan
+	w  []complex128
 }
 
-// ScatterColumns transposes the column buffer back into N1 contiguous
-// rows: dst[k1·N2+j2] = buf[j2·N1+k1], the layout the row FFTs consume.
-func (p *FourStepPlan) ScatterColumns(dst, buf []complex128) {
-	p.checkLen("ScatterColumns dst", dst)
-	p.checkLen("ScatterColumns buf", buf)
-	TransposeBlock(dst, p.N2, buf, p.N1, p.N2, p.N1)
+var factors [bits.UintSize]atomic.Pointer[factor]
+
+// factorOf returns the factor for n, a power of two ≥ 2, building it on
+// first use.
+func factorOf(n int) *factor {
+	lg := Log2(n)
+	if f := factors[lg].Load(); f != nil {
+		return f
+	}
+	pl, err := NewPlan(n, min(64, n))
+	if err != nil {
+		panic(err) // unreachable: n is a power of two ≥ 2
+	}
+	factors[lg].CompareAndSwap(nil, &factor{pl: pl, w: Twiddles(n)})
+	return factors[lg].Load()
 }
 
-// FinalTranspose writes the row-FFT output into direct-DFT bin order:
-// dst[k2·N1+k1] = data[k1·N2+k2].
-func (p *FourStepPlan) FinalTranspose(dst, data []complex128) {
-	p.checkLen("FinalTranspose dst", dst)
-	p.checkLen("FinalTranspose data", data)
-	TransposeBlock(dst, p.N1, data, p.N2, p.N1, p.N2)
+// stages runs the factor's SoA radix-4 butterfly passes on a frame that
+// holds a vector in bit-reversed order.
+func (f *factor) stages(fr *SoAFrame) {
+	f.pl.SoAStages(fr, f.pl.SoATwiddles(f.w), KernelSoARadix4)
 }
 
 // TwiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
@@ -130,9 +128,9 @@ func TwiddleDirect(e, n int) complex128 {
 // evaluation (the product's); each component stays within 2 ε of the
 // exact root, as TwiddleDirect's own do.
 //
-// Every power-of-two four-step path — FourStepPlan, the out-of-core
-// phases, the cluster's worker and local column shards — scales through
-// this one table, which is what makes them agree bit for bit in step 2.
+// Every four-step path — FourStepPlan, the out-of-core phases, the
+// cluster's workers — scales through this one table, which is what makes
+// them agree bit for bit in step 3.
 type TwoLevelTable struct {
 	n      int
 	h      uint
@@ -171,79 +169,10 @@ func (t *TwoLevelTable) At(e int) complex128 {
 	return t.hi[e>>t.h] * t.lo[e&(len(t.lo)-1)]
 }
 
-// Scale applies the four-step twiddle segment to one transformed
-// column: col[k] *= ω_N^{index·k}, index being the column's j2. The
-// exponent is reduced mod N, so any index is accepted.
-func (t *TwoLevelTable) Scale(col []complex128, index int) {
-	idx := index % t.n
-	if idx < 0 {
-		idx += t.n
-	}
-	e := 0
-	for k := range col {
-		col[k] *= t.At(e)
-		e += idx
-		if e >= t.n {
-			e -= t.n
-		}
-	}
-}
-
-// Cols is the column half of the four-step tile kernel. vecs holds
-// whole contiguous N1-point columns j2 = startVec, startVec+1, …; each
-// is forward-transformed in place through the serial SoA pipeline
-// (radix-4 codelets, pooled frame) and scaled by ω_N^{j2·k}. Columns
-// are independent, so the in-core transform passes the whole matrix as
-// one tile while the out-of-core phases pass one column per worker, and
-// both produce the same bits.
-func (p *FourStepPlan) Cols(vecs []complex128, startVec int) {
-	if len(vecs)%p.N1 != 0 {
-		panic(LengthError("column tile", len(vecs), p.N1))
-	}
-	for v := 0; v*p.N1 < len(vecs); v++ {
-		col := vecs[v*p.N1 : (v+1)*p.N1]
-		p.col.TransformSoA(col, p.wCol, KernelSoARadix4)
-		p.tw.Scale(col, startVec+v)
-	}
-}
-
-// Rows is the row half of the tile kernel: every contiguous N2-point
-// row of vecs is forward-transformed in place, same pipeline as Cols.
-func (p *FourStepPlan) Rows(vecs []complex128) {
-	if len(vecs)%p.N2 != 0 {
-		panic(LengthError("row tile", len(vecs), p.N2))
-	}
-	for v := 0; v*p.N2 < len(vecs); v++ {
-		p.row.TransformSoA(vecs[v*p.N2:(v+1)*p.N2], p.wRow, KernelSoARadix4)
-	}
-}
-
-// ColStages and RowStages are the tile kernel with the moves left to
-// the caller: the butterfly passes of Cols (without its scaling) and of
-// Rows on a frame that already holds the vector in bit-reversed order,
-// leaving its transform in the planes — no pooled frame, no pack, no
-// unpack. The out-of-core phases, whose staging moves pack and unpack on
-// their way through, run these between them; the arithmetic is the
-// passes Cols and Rows run, so the bits agree.
-func (p *FourStepPlan) ColStages(f *SoAFrame) {
-	if len(f.Re) != p.N1 || len(f.Im) != p.N1 {
-		panic(LengthError("column planes", len(f.Re), p.N1))
-	}
-	p.col.SoAStages(f, p.col.SoATwiddles(p.wCol), KernelSoARadix4)
-}
-
-// RowStages is ColStages for an N2-point row: Rows without its moves.
-func (p *FourStepPlan) RowStages(f *SoAFrame) {
-	if len(f.Re) != p.N2 || len(f.Im) != p.N2 {
-		panic(LengthError("row planes", len(f.Re), p.N2))
-	}
-	p.row.SoAStages(f, p.row.SoATwiddles(p.wRow), KernelSoARadix4)
-}
-
-// ScaleFrom is Scale fused with the unpack of a window of the column:
-// dst[i] = (re[i] + i·im[i]) · ω_N^{index·(k0+i)}, re and im being the
-// planes of the transformed column from bin k0 on. Element for element
-// it is Scale's product.
+// ScaleFrom is the twiddle step fused with the unpack of a window of a
+// transformed column: dst[i] = (re[i] + i·im[i]) · ω_N^{index·(k0+i)},
+// re and im being the column's planes from bin k0 on. The exponent is
+// reduced mod N, so any index is accepted.
 func (t *TwoLevelTable) ScaleFrom(dst []complex128, re, im []float64, index, k0 int) {
 	idx := index % t.n
 	if idx < 0 {
@@ -260,22 +189,108 @@ func (t *TwoLevelTable) ScaleFrom(dst []complex128, re, im []float64, index, k0 
 	}
 }
 
-// KernelBytes returns what the tile kernel keeps resident however many
-// goroutines run it: the sub-plans' twiddle and SoA level tables and
-// the two-level table. (Cols and Rows also take a pooled frame each
-// while they run; ColStages and RowStages work in the caller's memory.)
+// PackColumnsFrom is step 1 over memory: it packs columns [0, cols) of
+// the row-major N1-row matrix src (rows N2 apart) into dst, column v as
+// the planes of dst[v·N1:][:N1] with element j at BitReverse(j) and, with
+// conj set, its imaginary part negated. The columns go through
+// PackColumns a strip of MoveRuns at a time, each strip's rows staged in
+// a pooled tile.
+func (p *FourStepPlan) PackColumnsFrom(dst, src []complex128, cols int, conj bool) {
+	checkWindow("src", len(src), p.N2, p.N1, cols)
+	logN1 := p.col.pl.LogN
+	runs := tilePool.Get().(*[tileSide * tileSide]complex128)
+	defer tilePool.Put(runs)
+	for c0 := 0; c0 < cols; c0 += MoveRuns {
+		w := min(MoveRuns, cols-c0)
+		for b := 0; b < PackColumnTiles(logN1); b++ {
+			PackColumns(dst[c0*p.N1:], logN1, b, w, conj, runs[:], func(run []complex128, j int) {
+				copy(run, src[j*p.N2+c0:])
+			})
+		}
+	}
+}
+
+// ColStages is step 2: the N1-point SoA radix-4 butterfly passes on a
+// frame that already holds a column in bit-reversed order, leaving its
+// transform in the planes — no pooled frame, no pack, no unpack.
+func (p *FourStepPlan) ColStages(f *SoAFrame) {
+	if len(f.Re) != p.N1 || len(f.Im) != p.N1 {
+		panic(LengthError("column planes", len(f.Re), p.N1))
+	}
+	p.col.stages(f)
+}
+
+// TransposeScaled is step 3: ScaleFrom fed into TransposeBlockFrom. It
+// reads bins [k0, k0+bins) of count transformed columns — column v held
+// as the planes of cols[v·N1:][:N1], its column index j0+v — and writes
+// bin k of column v, scaled by ω_N^{(j0+v)·k}, at dst[(k−k0)·ld + v]: the
+// unpack, the twiddle and the transposition in one tiled move.
+func (p *FourStepPlan) TransposeScaled(dst []complex128, ld int, cols []complex128, j0, count, k0, bins int) {
+	if len(cols) < count*p.N1 {
+		panic(LengthError("column planes", len(cols), count*p.N1))
+	}
+	if k0 < 0 || k0+bins > p.N1 {
+		panic(fmt.Errorf("%w: bins [%d, %d) outside a %d-point column", ErrLengthMismatch, k0, k0+bins, p.N1))
+	}
+	TransposeBlockFrom(dst, ld, count, bins, func(run []complex128, v, k int) {
+		f := FrameOf(cols[v*p.N1 : (v+1)*p.N1])
+		p.tw.ScaleFrom(run, f.Re[k0+k:], f.Im[k0+k:], j0+v, k0+k)
+	})
+}
+
+// RowFrom is step 4: it packs the N2-point row src, bit-reversed, into
+// the planes of dst (FrameOf(dst)) and runs the N2-point sweeps there,
+// leaving the row's transform in dst's planes for UnpackRows. dst and src
+// must not overlap: a caller that transforms a row where it lies copies
+// it out first.
+func (p *FourStepPlan) RowFrom(dst, src []complex128) {
+	if len(dst) != p.N2 || len(src) != p.N2 {
+		panic(LengthError("row", min(len(dst), len(src)), p.N2))
+	}
+	f := FrameOf(dst)
+	lg := p.row.pl.LogN
+	f.PackTiles(src, 0, SoAPackTiles(lg), lg, false)
+	p.row.stages(&f)
+}
+
+// UnpackRows is step 5: the final transpose of count transformed rows,
+// row r held as the planes of rows[r·N2:][:N2], bin k2 of row r landing
+// at dst[k2·N1 + r] — so a block of rows lands in its own slots of the
+// whole output when dst starts at the block's first row. With inverse
+// set an element is conj(x)/N. It runs UnpackColumns MoveRuns bins at a
+// time.
+func (p *FourStepPlan) UnpackRows(dst, rows []complex128, count int, inverse bool) {
+	s := 1 / float64(p.N)
+	for k0 := 0; k0 < p.N2; k0 += MoveRuns {
+		UnpackColumns(dst[k0*p.N1:], rows, p.N2, count, k0, min(MoveRuns, p.N2-k0), p.N1, inverse, s)
+	}
+}
+
+// KernelBytes returns what the steps keep resident however many
+// goroutines run them: the sub-plans' twiddle and SoA level tables and
+// the two-level table. (PackColumnsFrom also takes a pooled staging tile
+// while it runs; the other steps work in the caller's memory.)
 func (p *FourStepPlan) KernelBytes() int64 {
 	return 24*int64(p.N1+p.N2) + 16*int64(len(p.tw.hi)+len(p.tw.lo))
 }
 
 // Transform applies the N-point forward FFT in place via the four-step
-// factorization, the whole matrix as one tile of the kernel. The output
-// agrees with Plan.Transform bin for bin (within floating-point
-// tolerance — the two algorithms order the arithmetic differently). Its
-// one N-element scratch buffer is pooled on the plan: every element is
-// written by the gather before it is read, and a fresh 16 MiB of zeroed
-// pages per 2^20-point call cost as much as a transposition.
-func (p *FourStepPlan) Transform(data []complex128) {
+// factorization. The output agrees with Plan.Transform bin for bin
+// (within floating-point tolerance — the two algorithms order the
+// arithmetic differently). The steps alternate between data and one
+// pooled N-element buffer: the columns a strip of MoveRuns at a time
+// (packed into the buffer, swept there, scaled back into the strip of
+// data they came from), then every row into the buffer and the final
+// transpose back — four moves, each element written once per move.
+func (p *FourStepPlan) Transform(data []complex128) { p.transform(data, false) }
+
+// InverseTransform applies the inverse FFT in place via the conjugation
+// identity, folded into the first and last moves — the same per-element
+// arithmetic as Plan.InverseTransform, so Transform/InverseTransform
+// round-trip to the input.
+func (p *FourStepPlan) InverseTransform(data []complex128) { p.transform(data, true) }
+
+func (p *FourStepPlan) transform(data []complex128, inverse bool) {
 	p.checkLen("data", data)
 	bp, _ := p.scratch.Get().(*[]complex128)
 	if bp == nil {
@@ -284,22 +299,20 @@ func (p *FourStepPlan) Transform(data []complex128) {
 	}
 	defer p.scratch.Put(bp)
 	buf := *bp
-	p.GatherColumns(buf, data)
-	p.Cols(buf, 0)
-	p.ScatterColumns(data, buf)
-	p.Rows(data)
-	p.FinalTranspose(buf, data)
-	copy(data, buf)
-}
-
-// InverseTransform applies the inverse FFT in place via the conjugation
-// identity — the same trick Plan.InverseTransform uses, so
-// Transform/InverseTransform round-trip to the input.
-func (p *FourStepPlan) InverseTransform(data []complex128) {
-	p.checkLen("data", data)
-	conjugate(data)
-	p.Transform(data)
-	conjugateScale(data, 1/float64(p.N))
+	for c0 := 0; c0 < p.N2; c0 += MoveRuns {
+		w := min(MoveRuns, p.N2-c0)
+		strip := buf[c0*p.N1 : (c0+w)*p.N1]
+		p.PackColumnsFrom(strip, data[c0:], w, inverse)
+		for v := 0; v < w; v++ {
+			f := FrameOf(strip[v*p.N1 : (v+1)*p.N1])
+			p.ColStages(&f)
+		}
+		p.TransposeScaled(data[c0:], p.N2, strip, c0, w, 0, p.N1)
+	}
+	for r := 0; r < p.N1; r++ {
+		p.RowFrom(buf[r*p.N2:(r+1)*p.N2], data[r*p.N2:(r+1)*p.N2])
+	}
+	p.UnpackRows(data, buf, p.N1, inverse)
 }
 
 func (p *FourStepPlan) checkLen(what string, s []complex128) {

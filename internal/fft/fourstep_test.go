@@ -158,13 +158,95 @@ func TestTwiddleScaleMatchesDirect(t *testing.T) {
 	}
 }
 
+// unfusedFourStep is the four-step as FourStepPlan ran it before its
+// moves were fused, kept as the oracle its steps are held to bit for
+// bit: TransposeBlock gathers the columns, each is transformed by
+// Plan.TransformSoA and scaled by the element-loop Scale, TransposeBlock
+// scatters them into rows, each row is transformed the same way, and a
+// last TransposeBlock writes direct-DFT bin order. The inverse
+// conjugates before and scales conj·1/N after, as element loops.
+func unfusedFourStep(t testing.TB, n1, n2 int, data []complex128, inverse bool) {
+	t.Helper()
+	n := n1 * n2
+	col, err := fft.NewPlan(n1, min(64, n1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := fft.NewPlan(n2, min(64, n2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc, wr, tw := fft.Twiddles(n1), fft.Twiddles(n2), fft.TwoLevelTwiddles(n)
+	if inverse {
+		for i, v := range data {
+			data[i] = complex(real(v), -imag(v))
+		}
+	}
+	buf := make([]complex128, n)
+	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
+	for j2 := 0; j2 < n2; j2++ {
+		c := buf[j2*n1 : (j2+1)*n1]
+		col.TransformSoA(c, wc, fft.KernelSoARadix4)
+		tw.Scale(c, j2)
+	}
+	fft.TransposeBlock(data, n2, buf, n1, n2, n1)
+	for k1 := 0; k1 < n1; k1++ {
+		row.TransformSoA(data[k1*n2:(k1+1)*n2], wr, fft.KernelSoARadix4)
+	}
+	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
+	copy(data, buf)
+	if inverse {
+		s := 1 / float64(n)
+		for i, v := range data {
+			data[i] = complex(real(v)*s, -imag(v)*s)
+		}
+	}
+}
+
+// checkFourStepOracle holds Transform and InverseTransform to the
+// unfused oracle, every float bit for bit.
+func checkFourStepOracle(t testing.TB, fs *fft.FourStepPlan, x []complex128) {
+	t.Helper()
+	for _, inverse := range []bool{false, true} {
+		got := append([]complex128(nil), x...)
+		want := append([]complex128(nil), x...)
+		if inverse {
+			fs.InverseTransform(got)
+		} else {
+			fs.Transform(got)
+		}
+		unfusedFourStep(t, fs.N1, fs.N2, want, inverse)
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%d×%d inverse=%v: bin %d = %v, the unfused four-step gives %v", fs.N1, fs.N2, inverse, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestFourStepMatchesUnfusedOracle: the staged steps change which code
+// runs the arithmetic, not the arithmetic — at factor lengths on both
+// sides of the pack's and the moves' tile sides, square and skewed, with
+// ragged column strips (N2 < 64) and two-point factors.
+func TestFourStepMatchesUnfusedOracle(t *testing.T) {
+	for _, f := range [][2]int{{2, 2}, {4, 16}, {32, 64}, {64, 32}, {64, 64}, {128, 256}, {16, 1024}, {2048, 8}, {1024, 1024}} {
+		fs, err := fft.NewFourStep(f[0], f[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFourStepOracle(t, fs, randComplex(fs.N, int64(f[0]*7+f[1])))
+	}
+}
+
 // FuzzFourStepMatchesDirect fuzzes the factor split and the input and
 // checks the four-step output against the staged direct transform, then
-// the round trip back to the input.
+// the round trip back to the input, and holds forward and inverse to
+// the unfused oracle bit for bit.
 func FuzzFourStepMatchesDirect(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
 	f.Add(make([]byte, 256), uint8(3))
 	f.Add([]byte{255, 0, 128, 64, 32, 16, 200, 100}, uint8(0))
+	f.Add(make([]byte, 1024), uint8(7)) // 256×2: N2 < 4 and one ragged strip
 	f.Fuzz(func(t *testing.T, raw []byte, split uint8) {
 		x, _ := fuzzInput(raw, 0)
 		if x == nil || len(x) < 4 {
@@ -192,6 +274,7 @@ func FuzzFourStepMatchesDirect(f *testing.F) {
 		if e := fft.MaxError(got, x); e > 1e-9 {
 			t.Fatalf("N=%d split 2^%d: round-trip error %g", n, l1, e)
 		}
+		checkFourStepOracle(t, fs, x)
 	})
 }
 

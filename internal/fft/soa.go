@@ -194,8 +194,8 @@ func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, q int, conj bool) 
 }
 
 // FrameOf views the memory of v as a frame of len(v)-point planes, Re
-// in its first half and Im in its second: where the out-of-core tiles
-// keep a vector between the move that packs it and the move that reads
+// in its first half and Im in its second: where every four-step path
+// keeps a vector between the move that packs it and the move that reads
 // its transform, so neither a pooled frame nor an unpack stands between
 // them. The frame aliases v and must not be Released.
 func FrameOf(v []complex128) SoAFrame {
@@ -220,13 +220,14 @@ func PackColumnTiles(logN int) int { return 1 << (logN - min(logN, soaColumnBits
 // PackColumns is the transposing sibling of PackTiles: it packs cols
 // columns of a row-major 2^logN × cols matrix, each into its own frame,
 // in one tiled move — the four-step's column gather and the SoA pack's
-// bit reversal, which the in-core transform runs as two sweeps. Column
-// v's frame is FrameOf(tile[v·2^logN:][:2^logN]), and source element
-// (j, v) lands in it at BitReverse(j).
+// bit reversal as one step (FourStepPlan, DESIGN §12). Column v's frame
+// is FrameOf(tile[v·2^logN:][:2^logN]), and source element (j, v) lands
+// in it at BitReverse(j).
 //
 // The source is read whole rows at a time through load, which fills run
-// (len cols) with row j — the out-of-core path reads it from its input
-// Store, one positioned read per vector. With q = min(logN, 6), tile b
+// (len cols) with row j — FourStepPlan.PackColumnsFrom copies it out of
+// memory, the out-of-core path reads it from its input Store, one
+// positioned read per vector. With q = min(logN, 6), tile b
 // loads, for every high field a, row a·2^(logN−q)+b into row rev(a) of
 // runs, a 2^q × cols staging buffer the caller owns (len ≥ MoveRuns·cols
 // always suffices), then gathers every column of runs into one
@@ -288,18 +289,17 @@ func PackColumns(tile []complex128, logN, b, cols int, conj bool, runs []complex
 // UnpackColumns is the move back out: it reads bins [k0, k0+w) of rows
 // transformed vectors, each held as the planes of its tile row
 // (FrameOf(tile[r·n:][:n])), and writes them transposed into runs — bin
-// k0+c of every row as one contiguous vector runs[c·rows:][:rows], the
+// k0+c of row r at runs[c·ld + r], ld ≥ rows, so bin k0+c of every row is
+// one contiguous run, and runs may be a window into a larger matrix: the
 // four-step's final transpose fused with the unpack. With conjScale set
 // an element is conj(x)·s, the inverse transform's trailing sweep. The
-// scatter fills four rows — one cache line of every vector of runs — per
-// sweep of the planes.
-func UnpackColumns(runs, tile []complex128, n, rows, k0, w int, conjScale bool, s float64) {
+// scatter fills four rows — one cache line of every run — per sweep of
+// the planes.
+func UnpackColumns(runs, tile []complex128, n, rows, k0, w, ld int, conjScale bool, s float64) {
 	if len(tile) < rows*n {
 		panic(LengthError("row tile", len(tile), rows*n))
 	}
-	if len(runs) < w*rows {
-		panic(LengthError("row runs", len(runs), w*rows))
-	}
+	checkWindow("runs", len(runs), ld, w, rows)
 	sr, si := 1.0, 1.0
 	if conjScale {
 		sr, si = s, -s
@@ -316,7 +316,7 @@ func UnpackColumns(runs, tile []complex128, n, rows, k0, w int, conjScale bool, 
 		re2, im2 := plane(r + 2)
 		re3, im3 := plane(r + 3)
 		for c := 0; c < w; c++ {
-			line := runs[c*rows+r:][:4]
+			line := runs[c*ld+r:][:4]
 			line[0] = complex(re0[c]*sr, im0[c]*si)
 			line[1] = complex(re1[c]*sr, im1[c]*si)
 			line[2] = complex(re2[c]*sr, im2[c]*si)
@@ -326,7 +326,7 @@ func UnpackColumns(runs, tile []complex128, n, rows, k0, w int, conjScale bool, 
 	for ; r < rows; r++ {
 		re, im := plane(r)
 		for c := range re {
-			runs[c*rows+r] = complex(re[c]*sr, im[c]*si)
+			runs[c*ld+r] = complex(re[c]*sr, im[c]*si)
 		}
 	}
 }

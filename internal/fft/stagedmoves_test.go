@@ -7,11 +7,10 @@ import (
 	"codeletfft/internal/fft"
 )
 
-// The out-of-core phases stage through four moves. One is this
-// package's transposition (TransposeBlock, held to the element loop in
-// transpose_test.go); the other three are below, each against the
-// element loop it replaced in internal/ooc, and so is the stage-only
-// kernel that runs between them.
+// The four-step's steps move data with the transposition
+// (TransposeBlock, held to the element loop in transpose_test.go) and
+// with the three moves below, each held to the element loop it replaced;
+// fourstep_test.go holds their composition to the unfused four-step.
 
 // checkPackColumns packs cols columns of a 2^logN-row matrix with
 // leading dimension cols+pad, tile by tile in the order shard says, and
@@ -102,13 +101,15 @@ func FuzzPackColumns(f *testing.F) {
 }
 
 // checkUnpackColumns unpacks bins [k0, k0+w) of rows vectors held as
-// planes and compares runs with the loop of the old drain,
+// planes into runs pad elements longer than a row block, and compares
+// runs with the loop of the old drain,
 //
 //	stage[r] = tile[r*n2+k2]
 //
 // over what the old compute left in the tile: the unpacked vector, and
-// conj·s of it for the inverse. Runs past the window keep the sentinel.
-func checkUnpackColumns(t *testing.T, n, rows, k0, w int, conjScale bool, seed int64) {
+// conj·s of it for the inverse. The padding between and past the runs
+// keeps the sentinel.
+func checkUnpackColumns(t *testing.T, n, rows, k0, w, pad int, conjScale bool, seed int64) {
 	t.Helper()
 	const s = 1.0 / 3
 	vecs := randComplex(rows*n, seed)
@@ -119,7 +120,8 @@ func checkUnpackColumns(t *testing.T, n, rows, k0, w int, conjScale bool, seed i
 			f.Re[k], f.Im[k] = real(v), imag(v)
 		}
 	}
-	runs := make([]complex128, w*rows+2)
+	ld := rows + pad
+	runs := make([]complex128, w*ld+2)
 	want := make([]complex128, len(runs))
 	for i := range runs {
 		runs[i], want[i] = sentinel, sentinel
@@ -130,14 +132,14 @@ func checkUnpackColumns(t *testing.T, n, rows, k0, w int, conjScale bool, seed i
 			if conjScale {
 				x = complex(real(x)*s, -imag(x)*s)
 			}
-			want[c*rows+r] = x
+			want[c*ld+r] = x
 		}
 	}
 	before := append([]complex128(nil), tile...)
-	fft.UnpackColumns(runs, tile, n, rows, k0, w, conjScale, s)
+	fft.UnpackColumns(runs, tile, n, rows, k0, w, ld, conjScale, s)
 	for i := range runs {
 		if !sameBits(runs[i], want[i]) {
-			t.Fatalf("n=%d rows=%d k0=%d w=%d conjScale=%v: runs[%d] = %v, want %v", n, rows, k0, w, conjScale, i, runs[i], want[i])
+			t.Fatalf("n=%d rows=%d k0=%d w=%d ld=%d conjScale=%v: runs[%d] = %v, want %v", n, rows, k0, w, ld, conjScale, i, runs[i], want[i])
 		}
 	}
 	for i := range tile {
@@ -152,10 +154,11 @@ func TestUnpackColumnsMatchesGather(t *testing.T) {
 		for _, rows := range []int{1, 2, 3, 4, 5, 64, 130} {
 			for _, conjScale := range []bool{false, true} {
 				for k0 := 0; k0 < n; k0 += fft.MoveRuns {
-					checkUnpackColumns(t, n, rows, k0, min(fft.MoveRuns, n-k0), conjScale, int64(n*rows+k0))
+					checkUnpackColumns(t, n, rows, k0, min(fft.MoveRuns, n-k0), 0, conjScale, int64(n*rows+k0))
+					checkUnpackColumns(t, n, rows, k0, min(fft.MoveRuns, n-k0), 5, conjScale, int64(n*rows+k0))
 				}
-				checkUnpackColumns(t, n, rows, n/2, 1, conjScale, 7)
-				checkUnpackColumns(t, n, rows, 1, 0, conjScale, 8)
+				checkUnpackColumns(t, n, rows, n/2, 1, 3, conjScale, 7)
+				checkUnpackColumns(t, n, rows, 1, 0, 0, conjScale, 8)
 			}
 		}
 	}
@@ -168,7 +171,8 @@ func FuzzUnpackColumns(f *testing.F) {
 	f.Fuzz(func(t *testing.T, logN, rows uint8, k0 uint16, w uint8, conjScale bool, seed int64) {
 		n := 1 << (1 + int(logN)%10)
 		k := int(k0) % n
-		checkUnpackColumns(t, n, 1+int(rows)%140, k, int(w)%(min(fft.MoveRuns, n-k)+1), conjScale, seed)
+		pad := int(uint64(seed) % 9) // the leading dimension's slack past the row block
+		checkUnpackColumns(t, n, 1+int(rows)%140, k, int(w)%(min(fft.MoveRuns, n-k)+1), pad, conjScale, seed)
 	})
 }
 
@@ -224,13 +228,23 @@ func FuzzScaleFrom(f *testing.F) {
 }
 
 // TestStageKernelMatchesTileKernel: the moves around ColStages and
-// RowStages — pack into the vector's own memory, stages there, unpack
-// (+ scale) out of it — give the bits Cols and Rows give, at factor
-// lengths on both sides of the pack's and the move's tile sides.
+// RowFrom's sweeps — pack into the vector's own memory, stages there,
+// unpack (+ scale) out of it — give the bits the tile kernel gives
+// (Plan.TransformSoA on a whole vector, then the element-loop Scale for
+// a column), at factor lengths on both sides of the pack's and the
+// move's tile sides.
 func TestStageKernelMatchesTileKernel(t *testing.T) {
 	for _, f := range [][2]int{{2, 2}, {4, 16}, {32, 64}, {64, 32}, {128, 256}, {16, 1024}, {2048, 8}} {
 		n1, n2 := f[0], f[1]
 		fs, err := fft.NewFourStep(n1, n2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		colPlan, err := fft.NewPlan(n1, min(64, n1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowPlan, err := fft.NewPlan(n2, min(64, n2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +254,13 @@ func TestStageKernelMatchesTileKernel(t *testing.T) {
 		src := randComplex(n1*cols, int64(n1))
 		want := make([]complex128, cols*n1)
 		for v := 0; v < cols; v++ {
-			for j := 0; j < n1; j++ {
-				want[v*n1+j] = src[j*cols+v]
+			c := want[v*n1 : (v+1)*n1]
+			for j := range c {
+				c[j] = src[j*cols+v]
 			}
+			colPlan.TransformSoA(c, fft.Twiddles(n1), fft.KernelSoARadix4)
+			tw.Scale(c, 5+v)
 		}
-		fs.Cols(want, 5)
 		tile := make([]complex128, cols*n1)
 		runs := make([]complex128, fft.MoveRuns*cols)
 		for b := 0; b < fft.PackColumnTiles(fft.Log2(n1)); b++ {
@@ -257,26 +273,24 @@ func TestStageKernelMatchesTileKernel(t *testing.T) {
 			fs.ColStages(&fr)
 			tw.ScaleFrom(got, fr.Re, fr.Im, 5+v, 0)
 			for k := range got {
-				if got[k] != want[v*n1+k] {
-					t.Fatalf("%d×%d column %d bin %d: stages %v, Cols %v", n1, n2, v, k, got[k], want[v*n1+k])
+				if !sameBits(got[k], want[v*n1+k]) {
+					t.Fatalf("%d×%d column %d bin %d: stages %v, tile kernel %v", n1, n2, v, k, got[k], want[v*n1+k])
 				}
 			}
 		}
 
 		row := randComplex(n2, int64(n2)+1)
 		wantRow := append([]complex128(nil), row...)
-		fs.Rows(wantRow)
-		scratch := append([]complex128(nil), row...)
-		fr := fft.FrameOf(row)
-		fr.PackTiles(scratch, 0, fft.SoAPackTiles(fft.Log2(n2)), fft.Log2(n2), false)
-		fs.RowStages(&fr)
+		rowPlan.TransformSoA(wantRow, fft.Twiddles(n2), fft.KernelSoARadix4)
+		planes := make([]complex128, n2)
+		fs.RowFrom(planes, row)
 		gotRow := make([]complex128, n2)
 		for k0 := 0; k0 < n2; k0 += fft.MoveRuns { // one row: a run per bin
-			fft.UnpackColumns(gotRow[k0:], row, n2, 1, k0, min(fft.MoveRuns, n2-k0), false, 0)
+			fft.UnpackColumns(gotRow[k0:], planes, n2, 1, k0, min(fft.MoveRuns, n2-k0), 1, false, 0)
 		}
 		for k := range gotRow {
-			if gotRow[k] != wantRow[k] {
-				t.Fatalf("%d×%d row bin %d: stages %v, Rows %v", n1, n2, k, gotRow[k], wantRow[k])
+			if !sameBits(gotRow[k], wantRow[k]) {
+				t.Fatalf("%d×%d row bin %d: stages %v, tile kernel %v", n1, n2, k, gotRow[k], wantRow[k])
 			}
 		}
 	}

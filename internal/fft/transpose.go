@@ -26,15 +26,6 @@ const MoveTileBytes = tileSide * tileSide * 16
 // every call.
 var tilePool = sync.Pool{New: func() any { return new([tileSide * tileSide]complex128) }}
 
-// tileMap is what a transposition does to each element on the way.
-type tileMap uint8
-
-const (
-	mapCopy      tileMap = iota // dst = src
-	mapConj                     // dst = conj(src)
-	mapConjScale                // dst = conj(src)·s
-)
-
 // TransposeBlock writes the transpose of a rows×cols sub-matrix:
 //
 //	dst[c·ldDst + r] = src[r·ldSrc + c],  0 ≤ r < rows, 0 ≤ c < cols
@@ -58,54 +49,18 @@ const (
 // Distinct blocks of one matrix write disjoint elements, so callers may
 // transpose slabs concurrently.
 func TransposeBlock(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
-	transposeSlice(dst, ldDst, src, ldSrc, rows, cols, mapCopy, 0)
-}
-
-// TransposeBlockConj is TransposeBlock with every element conjugated:
-// the inverse transform's leading conjugation folded into the move.
-func TransposeBlockConj(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
-	transposeSlice(dst, ldDst, src, ldSrc, rows, cols, mapConj, 0)
-}
-
-// TransposeBlockConjScale is TransposeBlock with every element
-// conjugated and scaled, dst = conj(src)·s: the inverse transform's
-// trailing sweep folded into the move, the same arithmetic per element
-// as conjugateScale.
-func TransposeBlockConjScale(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int, s float64) {
-	transposeSlice(dst, ldDst, src, ldSrc, rows, cols, mapConjScale, s)
+	checkWindow("src", len(src), ldSrc, rows, cols)
+	TransposeBlockFrom(dst, ldDst, rows, cols, func(run []complex128, r, c int) { copy(run, src[r*ldSrc+c:]) })
 }
 
 // TransposeBlockFrom is TransposeBlock for a source that is not a
-// []complex128 — the worker's exchange receive holds wire bytes: load
-// fills run with source elements (r, c), (r, c+1), …, (r, c+len(run)−1),
-// and is called once per tile row, so the source is decoded straight
-// into the tile the move owns and never staged in between.
+// []complex128 window — the planes of transformed columns, which
+// FourStepPlan.TransposeScaled unpacks and scales on the way, or the wire
+// bytes of a worker's exchange receive: load fills run with source
+// elements (r, c), (r, c+1), …, (r, c+len(run)−1), and is called once
+// per tile row, so the source is converted straight into the tile the
+// move owns and never staged in between.
 func TransposeBlockFrom(dst []complex128, ldDst, rows, cols int, load func(run []complex128, r, c int)) {
-	transposeTiles(dst, ldDst, rows, cols, load, mapCopy, 0)
-}
-
-// transposeSlice is transposeTiles with a slice as the source: the fill
-// step copies runs out of a rows×cols window of src, rows ldSrc apart.
-func transposeSlice(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int, m tileMap, s float64) {
-	checkWindow("src", len(src), ldSrc, rows, cols)
-	transposeTiles(dst, ldDst, rows, cols, func(run []complex128, r, c int) { copy(run, src[r*ldSrc+c:]) }, m, s)
-}
-
-// checkWindow panics unless a slice of length n holds a rows×cols
-// window whose rows are ld apart.
-func checkWindow(what string, n, ld, rows, cols int) {
-	if rows < 0 || cols < 0 || ld < cols {
-		panic(fmt.Errorf("%w: transpose %s: %d×%d window with leading dimension %d", ErrLengthMismatch, what, rows, cols, ld))
-	}
-	if need := (rows-1)*ld + cols; rows > 0 && cols > 0 && n < need {
-		panic(LengthError("transpose "+what, n, need))
-	}
-}
-
-// transposeTiles is the one tiled move behind the exported variants:
-// load fills a tile row from the source, m is chosen per gathered run,
-// not per element.
-func transposeTiles(dst []complex128, ldDst, rows, cols int, load func(run []complex128, r, c int), m tileMap, s float64) {
 	checkWindow("dst", len(dst), ldDst, cols, rows)
 	if rows == 0 || cols == 0 {
 		return
@@ -121,23 +76,21 @@ func transposeTiles(dst []complex128, ldDst, rows, cols int, load func(run []com
 			}
 			for c := 0; c < w; c++ {
 				run := dst[(c0+c)*ldDst+r0:][:h]
-				switch m {
-				case mapCopy:
-					for r := range run {
-						run[r] = tile[r*tileSide+c]
-					}
-				case mapConj:
-					for r := range run {
-						v := tile[r*tileSide+c]
-						run[r] = complex(real(v), -imag(v))
-					}
-				case mapConjScale:
-					for r := range run {
-						v := tile[r*tileSide+c]
-						run[r] = complex(real(v)*s, -imag(v)*s)
-					}
+				for r := range run {
+					run[r] = tile[r*tileSide+c]
 				}
 			}
 		}
+	}
+}
+
+// checkWindow panics unless a slice of length n holds a rows×cols
+// window whose rows are ld apart.
+func checkWindow(what string, n, ld, rows, cols int) {
+	if rows < 0 || cols < 0 || ld < cols {
+		panic(fmt.Errorf("%w: transpose %s: %d×%d window with leading dimension %d", ErrLengthMismatch, what, rows, cols, ld))
+	}
+	if need := (rows-1)*ld + cols; rows > 0 && cols > 0 && n < need {
+		panic(LengthError("transpose "+what, n, need))
 	}
 }

@@ -2,27 +2,23 @@ package fft_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"codeletfft/internal/fft"
 )
 
-// transposeVariants pairs each exported tiled move with the element map
-// it promises, spelled the way the loops it replaced spelled it.
+// transposeVariants names each exported tiled move as a slice-to-slice
+// transposition.
 var transposeVariants = []struct {
 	name string
 	move func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int)
-	elem func(complex128) complex128
 }{
-	{"plain", fft.TransposeBlock, func(v complex128) complex128 { return v }},
-	{"conj", fft.TransposeBlockConj, func(v complex128) complex128 { return complex(real(v), -imag(v)) }},
-	{"conjscale", func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
-		fft.TransposeBlockConjScale(dst, ldDst, src, ldSrc, rows, cols, 1.0/3)
-	}, func(v complex128) complex128 { return complex(real(v)*(1.0/3), -imag(v)*(1.0/3)) }},
+	{"plain", fft.TransposeBlock},
 	{"from", func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
 		fft.TransposeBlockFrom(dst, ldDst, rows, cols, func(run []complex128, r, c int) { copy(run, src[r*ldSrc+c:]) })
-	}, func(v complex128) complex128 { return v }},
+	}},
 }
 
 // sentinel fills everything a transposition must leave alone. NaN never
@@ -36,10 +32,9 @@ func sameBits(a, b complex128) bool {
 
 // checkTransposeBlock runs move on a rows×cols window at offsets into
 // larger arrays and compares dst, element for element, with the element
-// loop: the window transposed under elem, every other element still the
-// sentinel.
+// loop: the window transposed, every other element still the sentinel.
 func checkTransposeBlock(t *testing.T, move func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int),
-	elem func(complex128) complex128, rows, cols, padDst, padSrc, offDst, offSrc int, seed int64) {
+	rows, cols, padDst, padSrc, offDst, offSrc int, seed int64) {
 	t.Helper()
 	ldSrc, ldDst := cols+padSrc, rows+padDst
 	src := randComplex(offSrc+rows*ldSrc+5, seed)
@@ -50,7 +45,7 @@ func checkTransposeBlock(t *testing.T, move func(dst []complex128, ldDst int, sr
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			want[offDst+c*ldDst+r] = elem(src[offSrc+r*ldSrc+c])
+			want[offDst+c*ldDst+r] = src[offSrc+r*ldSrc+c]
 		}
 	}
 	srcBefore := append([]complex128(nil), src...)
@@ -80,8 +75,8 @@ func TestTransposeBlock(t *testing.T) {
 			for _, rows := range sizes {
 				for _, cols := range sizes {
 					seed := int64(rows*1000 + cols)
-					checkTransposeBlock(t, v.move, v.elem, rows, cols, 0, 0, 0, 0, seed)
-					checkTransposeBlock(t, v.move, v.elem, rows, cols, 7, 3, 11, 5, seed)
+					checkTransposeBlock(t, v.move, rows, cols, 0, 0, 0, 0, seed)
+					checkTransposeBlock(t, v.move, rows, cols, 7, 3, 11, 5, seed)
 				}
 			}
 		})
@@ -129,58 +124,86 @@ func FuzzTransposeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols uint16, padDst, padSrc uint8, seed int64) {
 		r, c := int(rows)%300, int(cols)%300
 		for _, v := range transposeVariants {
-			checkTransposeBlock(t, v.move, v.elem, r, c, int(padDst), int(padSrc), int(padDst)%13, int(padSrc)%13, seed)
+			checkTransposeBlock(t, v.move, r, c, int(padDst), int(padSrc), int(padDst)%13, int(padSrc)%13, seed)
 		}
 	})
 }
 
-// TestFourStepTransposesMatchLoops holds the plan's three data moves to
-// the element loops they were, kept here as the reference, on square,
-// skewed, sub-tile and multi-tile factorizations.
+// TestFourStepTransposesMatchLoops holds the plan's three data moves —
+// the column gather (PackColumnsFrom), the scaled transposition between
+// the sweeps (TransposeScaled) and the final transpose (UnpackRows) —
+// to the element loops they fuse, kept here as the reference, forward
+// and inverse, on square, skewed, sub-tile and multi-tile factorizations.
 func TestFourStepTransposesMatchLoops(t *testing.T) {
 	for _, f := range [][2]int{{2, 2}, {4, 64}, {64, 4}, {32, 128}, {1024, 16}} {
 		n1, n2 := f[0], f[1]
+		n := n1 * n2
 		fs, err := fft.NewFourStep(n1, n2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := randComplex(n1*n2, int64(n1*7+n2))
-		for _, tc := range []struct {
-			name string
-			move func(dst, src []complex128)
-			loop func(dst, src []complex128)
-		}{
-			{"GatherColumns", fs.GatherColumns, func(dst, data []complex128) {
-				for j1 := 0; j1 < n1; j1++ {
-					for j2 := 0; j2 < n2; j2++ {
-						dst[j2*n1+j1] = data[j1*n2+j2]
-					}
-				}
-			}},
-			{"ScatterColumns", fs.ScatterColumns, func(dst, buf []complex128) {
-				for j2 := 0; j2 < n2; j2++ {
-					for k1 := 0; k1 < n1; k1++ {
-						dst[k1*n2+j2] = buf[j2*n1+k1]
-					}
-				}
-			}},
-			{"FinalTranspose", fs.FinalTranspose, func(dst, data []complex128) {
-				for k1 := 0; k1 < n1; k1++ {
-					for k2 := 0; k2 < n2; k2++ {
-						dst[k2*n1+k1] = data[k1*n2+k2]
-					}
-				}
-			}},
-		} {
-			got, want := make([]complex128, n1*n2), make([]complex128, n1*n2)
-			tc.move(got, src)
-			tc.loop(want, src)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%d×%d %s: element %d = %v, want %v", n1, n2, tc.name, i, got[i], want[i])
+		tw := fft.TwoLevelTwiddles(n)
+		check := func(name string, got, want []complex128) {
+			t.Helper()
+			g, w := fft.ComplexFloat64s(got), fft.ComplexFloat64s(want)
+			for i := range g {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("%d×%d %s: float %d = %v, want %v", n1, n2, name, i, g[i], w[i])
 				}
 			}
 		}
+		src := randComplex(n, int64(n1*7+n2))
+		for _, conj := range []bool{false, true} {
+			// Gather column j2 of the row-major N1×N2 matrix into the
+			// planes of its own N1 elements, bit-reversed.
+			got, want := make([]complex128, n), make([]complex128, n)
+			fs.PackColumnsFrom(got, src, n2, conj)
+			for j2 := 0; j2 < n2; j2++ {
+				fr := fft.FrameOf(want[j2*n1 : (j2+1)*n1])
+				for j1 := 0; j1 < n1; j1++ {
+					x := src[j1*n2+j2]
+					if conj {
+						x = complex(real(x), -imag(x))
+					}
+					r := fft.BitReverse(int64(j1), fft.Log2(n1))
+					fr.Re[r], fr.Im[r] = real(x), imag(x)
+				}
+			}
+			check(fmt.Sprintf("PackColumnsFrom conj=%v", conj), got, want)
+
+			// Final transpose: bin k2 of row k1, held as planes, to
+			// X[k2·N1+k1], conj·1/N of it for the inverse.
+			fs.UnpackRows(got, src, n1, conj)
+			s := 1 / float64(n)
+			for k1 := 0; k1 < n1; k1++ {
+				fr := fft.FrameOf(src[k1*n2 : (k1+1)*n2])
+				for k2 := 0; k2 < n2; k2++ {
+					x := complex(fr.Re[k2], fr.Im[k2])
+					if conj {
+						x = complex(real(x)*s, -imag(x)*s)
+					}
+					want[k2*n1+k1] = x
+				}
+			}
+			check(fmt.Sprintf("UnpackRows inverse=%v", conj), got, want)
+		}
+
+		// Between the sweeps: unpack column j2's planes, scale bin k1 by
+		// ω_N^{j2·k1}, and write it at row k1, column j2.
+		got, want := make([]complex128, n), make([]complex128, n)
+		fs.TransposeScaled(got, n2, src, 0, n2, 0, n1)
+		c := make([]complex128, n1)
+		for j2 := 0; j2 < n2; j2++ {
+			fr := fft.FrameOf(src[j2*n1 : (j2+1)*n1])
+			for k1 := range c {
+				c[k1] = complex(fr.Re[k1], fr.Im[k1])
+			}
+			tw.Scale(c, j2)
+			for k1, x := range c {
+				want[k1*n2+j2] = x
+			}
+		}
+		check("TransposeScaled", got, want)
 	}
 }
 

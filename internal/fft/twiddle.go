@@ -22,16 +22,6 @@ func Twiddles(n int) []complex128 {
 	return twiddleTable(n, n/2)
 }
 
-// TwiddlesAny returns the full forward twiddle table W[i] = exp(-2πi·i/n)
-// for i in [0, n), any n ≥ 1 — the general-modulus companion to Twiddles
-// for four-step scaling when totalN is not a power of two (TwiddleScaleAny).
-func TwiddlesAny(n int) []complex128 {
-	if n < 1 {
-		panic("fft: table size must be ≥ 1")
-	}
-	return twiddleTable(n, n)
-}
-
 // twiddleTable returns the first count entries of the modulus-n table;
 // every table in the package is a prefix of this one expression.
 func twiddleTable(n, count int) []complex128 {
@@ -41,27 +31,6 @@ func twiddleTable(n, count int) []complex128 {
 		w[i] = complex(math.Cos(ang), math.Sin(ang))
 	}
 	return w
-}
-
-// TwiddleScaleAny is TwiddleScale for any modulus: col[k] *= ω_totalN^{index·k}
-// with w = TwiddlesAny(totalN). The exponent is reduced mod totalN, so
-// any index is accepted.
-func TwiddleScaleAny(col, w []complex128, index, totalN int) {
-	if len(w) != totalN {
-		panic(LengthError("twiddle table", len(w), totalN))
-	}
-	idx := index % totalN
-	if idx < 0 {
-		idx += totalN
-	}
-	e := 0
-	for k := range col {
-		col[k] *= w[e]
-		e += idx
-		if e >= totalN {
-			e -= totalN
-		}
-	}
 }
 
 // BitReverse reverses the low `width` bits of x. It is the hash function

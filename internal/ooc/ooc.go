@@ -1,31 +1,26 @@
 // Package ooc executes Fourier transforms on datasets larger than RAM:
-// a Bailey four-step decomposition (internal/fft.FourStepPlan's math)
-// whose intermediate N2×N1 matrix lives in a checksummed, file-backed
-// spill store instead of memory, streamed through a bounded pool of
-// in-RAM tiles with double-buffered asynchronous prefetch.
+// the Bailey four-step of internal/fft.FourStepPlan whose intermediate
+// N2×N1 matrix lives in a checksummed, file-backed spill store instead
+// of memory, streamed through a bounded pool of in-RAM tiles with
+// double-buffered asynchronous prefetch.
 //
-// The transform runs as two staged phases over the spill:
+// The transform runs as two staged phases over the spill, each strip of
+// tile vectors flowing fill → compute → drain:
 //
-//	cols: gather S2 input columns (strided reads) → N1-point FFT each →
-//	      four-step twiddle scale + pack into S2×S1 block segments
-//	rows: fetch a block-column of segments (verified, contiguous reads)
-//	      → transpose into S1 rows → N2-point FFT each → scatter the
-//	      final transpose into the output (strided writes)
+//	cols: fft.PackColumns (gather from the input Store + bit-reversal
+//	      pack) → FourStepPlan.ColStages → TwoLevelTable.ScaleFrom into
+//	      S2×S1 block segments of the spill
+//	rows: verified segments transposed (fft.TransposeBlock) into S1 rows
+//	      → FourStepPlan.RowFrom → fft.UnpackColumns (final transpose,
+//	      the inverse's conj·1/N) into the output Store
 //
-// The sub-FFTs and the twiddle scale are not re-implemented here: both
-// phases run the in-core plan's own tile kernel with its data moves
-// taken out (FourStepPlan.ColStages and RowStages — the serial SoA
-// codelets' sweeps on a vector held as split planes in its tile row —
-// plus the two-level ω_N table), and the kernel's pack, unpack and
-// scale are what the four staging moves do on their way through, each
-// moving every element once, in cache-line runs (fft.PackColumns,
-// TwoLevelTable.ScaleFrom, fft.TransposeBlock, fft.UnpackColumns). Per
-// element it is the same sequence of operations, and the inverse's
-// conjugate/scale is the same expression, so at sizes where both run
-// the out-of-core result is bitwise identical to the in-core four-step
-// at any worker count. The two-level table is what lets the scale fit:
-// 512 KiB at N=2^28, where Twiddles(N) would be 2 GiB — itself beyond
-// the memory budget the staging exists to enforce.
+// These are the in-core plan's own steps (DESIGN §12) with the spill
+// between steps 3 and 4: every move touches each element once, in
+// cache-line runs, and per element the arithmetic is the in-core
+// four-step's, so the out-of-core result is bitwise identical to
+// FourStepPlan at any worker count. The two-level ω_N table is what lets
+// the scale fit: 512 KiB at N=2^28, where Twiddles(N) would be 2 GiB —
+// itself beyond the memory budget the staging exists to enforce.
 //
 // Memory is governed by an explicit budget: the tile height is the
 // largest power of two whose three pipeline tiles (prefetch, compute,
@@ -144,8 +139,8 @@ type Plan struct {
 	n, n1, n2 int
 	s1, s2    int // spill block geometry: segments hold S2×S1 elements
 
-	// fs is the in-core plan of the same split; its stage kernel and
-	// two-level table do all of both phases' arithmetic.
+	// fs is the in-core plan of the same split; its steps and two-level
+	// table do all of both phases' arithmetic.
 	fs *fft.FourStepPlan
 	tw *fft.TwoLevelTable
 
@@ -644,7 +639,6 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 	blocksPerStrip := n1 / s1
 	segStrips := n2 / s2
 	iow := p.cfg.ioWorkers
-	logN2 := fft.Log2(n2)
 	inv := 1 / float64(p.n)
 
 	return phase{
@@ -669,7 +663,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				return nil
 			})
 		},
-		// compute: a row is packed once, through a scratch copy, into
+		// compute: a row is copied out to scratch and packed back into
 		// its own memory as planes, and transformed there.
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
 			host.Do(p.cfg.workers, s1, func(lo, hi int) {
@@ -678,9 +672,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				for r := lo; r < hi && ctx.Err() == nil; r++ {
 					row := tile[r*n2 : (r+1)*n2]
 					copy(*sc, row)
-					f := fft.FrameOf(row)
-					f.PackTiles(*sc, 0, fft.SoAPackTiles(logN2), logN2, false)
-					p.fs.RowStages(&f)
+					p.fs.RowFrom(row, *sc)
 				}
 			})
 			return ctx.Err()
@@ -697,7 +689,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				defer p.runs.Put(runs)
 				k0 := ch * fft.MoveRuns
 				w := min(fft.MoveRuns, n2-k0)
-				fft.UnpackColumns(*runs, tile, n2, s1, k0, w, inverse, inv)
+				fft.UnpackColumns(*runs, tile, n2, s1, k0, w, s1, inverse, inv)
 				acc := p.met.writes(p.met.rowsWriteBytes)
 				defer acc.flush()
 				for c := 0; c < w; c++ {

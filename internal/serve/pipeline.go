@@ -182,7 +182,7 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 	}
 	if len(live) > 0 {
 		start := time.Now()
-		err := s.run(key, rows, reals, nil)
+		err := s.run(key, rows, reals)
 		s.m.batches.Inc()
 		s.m.occupancy.Observe(float64(len(live)))
 		s.m.batchSec.Observe(time.Since(start).Seconds())
@@ -198,17 +198,48 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 	}
 }
 
-// run is the daemon's one entry into the engine and its one isolation
-// boundary: it resolves key's plan through the facade's process-wide
-// cache (a plan is a view of the shared core and the shared worker
-// pool, so a hit costs one lookup per batch and holds nothing), applies
-// key's transform to every row in a single batched call (per-row calls for the real kinds, whose sample buffers are the
-// parallel reals), then runs then, if any, on the result. A panic
-// anywhere inside becomes an error and the server keeps serving; panic
-// values that are errors are wrapped, not stringified, so classify can
-// tell a length-mismatch (which names the offending batch element) from
-// a fault.
-func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64, then func() error) (err error) {
+// run is the daemon's one entry into the engine: it resolves key's plan
+// through the facade's process-wide cache (a plan is a view of the
+// shared core and the shared worker pool, so a hit costs one lookup per
+// batch and holds nothing) and applies key's transform to every row in
+// a single batched call (per-row calls for the real kinds, whose sample
+// buffers are the parallel reals), behind isolate.
+func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64) error {
+	return s.isolate(key, rows, func() (err error) {
+		switch key.kind {
+		case KindForward, KindInverse:
+			var p *codeletfft.HostPlan
+			if p, err = codeletfft.CachedHostPlan(key.n, s.planOpts...); err != nil {
+				return err
+			}
+			if key.kind == KindForward {
+				return p.TransformBatch(rows)
+			}
+			return p.InverseBatch(rows)
+		case KindReal, KindRealInverse:
+			var p *codeletfft.RealPlan
+			if p, err = codeletfft.CachedRealPlan(key.n, s.planOpts...); err != nil {
+				return err
+			}
+			for i := 0; i < len(rows) && err == nil; i++ {
+				if key.kind == KindReal {
+					err = p.Transform(rows[i], reals[i])
+				} else {
+					err = p.Inverse(reals[i], rows[i])
+				}
+			}
+		}
+		return err
+	})
+}
+
+// isolate is the daemon's one isolation boundary, around every batch and
+// every session step: a panic anywhere inside work becomes an error and
+// the server keeps serving; panic values that are errors are wrapped,
+// not stringified, so classify can tell a length-mismatch (which names
+// the offending batch element) from a fault. key and rows are what the
+// test seam execHook sees.
+func (s *Server) isolate(key batchKey, rows [][]complex128, work func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.Inc()
@@ -222,34 +253,7 @@ func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64, then 
 	if s.execHook != nil {
 		s.execHook(key, rows)
 	}
-	switch key.kind {
-	case KindForward, KindInverse:
-		var p *codeletfft.HostPlan
-		if p, err = codeletfft.CachedHostPlan(key.n, s.planOpts...); err != nil {
-			return err
-		}
-		if key.kind == KindForward {
-			err = p.TransformBatch(rows)
-		} else {
-			err = p.InverseBatch(rows)
-		}
-	case KindReal, KindRealInverse:
-		var p *codeletfft.RealPlan
-		if p, err = codeletfft.CachedRealPlan(key.n, s.planOpts...); err != nil {
-			return err
-		}
-		for i := 0; i < len(rows) && err == nil; i++ {
-			if key.kind == KindReal {
-				err = p.Transform(rows[i], reals[i])
-			} else {
-				err = p.Inverse(reals[i], rows[i])
-			}
-		}
-	}
-	if err != nil || then == nil {
-		return err
-	}
-	return then()
+	return work()
 }
 
 // classify counts a failed request and names its status: a deadline is

@@ -276,9 +276,9 @@ type Server struct {
 	sessions   map[uint64]*sessEntry
 	lastSessGC time.Time
 
-	// execHook, when non-nil, runs inside run's isolation boundary just
-	// before the transform — the test seam for panics and for parking a
-	// batch so that followers queue behind it.
+	// execHook, when non-nil, runs inside the isolation boundary just
+	// before the work — the test seam for panics and for parking a batch
+	// so that followers queue behind it. A session step passes nil rows.
 	execHook func(key batchKey, rows [][]complex128)
 
 	maxBody int64

@@ -652,7 +652,7 @@ func TestConcurrentMixedSizes(t *testing.T) {
 func TestRunBatchNamesBadBatchElement(t *testing.T) {
 	s := New(Config{})
 	rows := [][]complex128{make([]complex128, 64), make([]complex128, 32)} // row 1 is bad
-	err := s.run(batchKey{n: 64, kind: KindForward}, rows, nil, nil)
+	err := s.run(batchKey{n: 64, kind: KindForward}, rows, nil)
 	if err == nil {
 		t.Fatal("run accepted a malformed batch row")
 	}

@@ -4,28 +4,37 @@
 // column slab once, and fetches the finished row block once; between
 // those two transfers the data stays resident here. The communication-
 // avoiding step is the transpose: after the column FFTs the worker
-// scatters its own rows into the resident rows buffer and pushes every
+// scales its own rows into the resident rows buffer and pushes every
 // peer's row block directly to that peer (PeerSender), so the all-to-all
 // that dominates distributed four-step never passes through the
 // coordinator.
+//
+// The worker runs steps 2–4 of fft.FourStepPlan (DESIGN §12) on the
+// session's plan; the coordinator runs 1 and 5. So the cols payload
+// arrives as split planes — column v as the planes of its N1-element
+// vector, bit-reversed — and the rows reply leaves as split planes; only
+// the exchange between workers carries samples.
 //
 // Buffer ownership per phase:
 //
 //   - open: the session acquires the pooled rows buffer
 //     (RowCount×N2) and owns it until close/expiry;
 //   - cols: the handler owns a pooled column scratch for the duration
-//     of the request — wire bytes decode straight into it, the FFT and
-//     twiddle run in place, the worker's own RowCount×ColCount block is
-//     transposed in tiles (fft.TransposeBlock) into columns [ColStart,
-//     ColStart+ColCount) of the session's rows buffer, and peer blocks
-//     encode straight out of the scratch into pooled exchange frames
-//     (released as each push completes);
+//     of the request — wire bytes decode straight into it and
+//     ColStages sweeps each column's planes in place; the worker's own
+//     RowCount×ColCount block is scaled and transposed in tiles
+//     (FourStepPlan.TransposeScaled) into columns [ColStart,
+//     ColStart+ColCount) of the session's rows buffer, and each peer's
+//     block is scaled (ScaleFrom, through one pooled run) into a pooled
+//     exchange frame, released as its push completes;
 //   - exchange: the payload is transposed into the sender's columns of
 //     the resident rows buffer — the payload codec decodes the wire
 //     bytes run by run into the transposition's own tile
 //     (scatterExchange), so no intermediate complex buffer exists;
-//   - rows: the row FFTs run in place in the rows buffer and the
-//     response streams straight out of it;
+//   - rows: each resident row is copied into a pooled scratch row and
+//     packed back into its own memory as planes, where its sweeps run
+//     (FourStepPlan.RowFrom); the response streams straight out of the
+//     rows buffer;
 //   - close: the rows buffer returns to the pool.
 //
 // Neither transposition stores an element at a time: a row of the rows
@@ -44,11 +53,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"codeletfft/internal/fft"
+	"codeletfft/internal/host"
 )
 
 // PeerSender delivers an encoded frame to a peer worker's shard
@@ -122,6 +133,7 @@ func (e *peerError) Unwrap() error { return e.err }
 type workerSession struct {
 	id   uint64
 	spec SessionSpec
+	fs   *fft.FourStepPlan // the session's N1×N2 steps
 
 	mu       sync.Mutex
 	rows     *[]complex128 // RowCount×N2, pooled; nil once released
@@ -229,6 +241,12 @@ func (s *Server) sessOpen(w http.ResponseWriter, raw []byte) {
 		http.Error(w, "worker has no peer sender configured", http.StatusBadRequest)
 		return
 	}
+	fs, err := fft.NewFourStep(spec.N1, spec.N2)
+	if err != nil {
+		s.m.sessBad.Inc()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	now := time.Now()
 	s.sessMu.Lock()
 	s.gcSessionsLocked(now)
@@ -244,7 +262,7 @@ func (s *Server) sessOpen(w http.ResponseWriter, raw []byte) {
 		http.Error(w, "session table full", http.StatusTooManyRequests)
 		return
 	}
-	sess := &workerSession{id: f.ID, spec: spec, rows: AcquireComplex(spec.RowCount * spec.N2)}
+	sess := &workerSession{id: f.ID, spec: spec, fs: fs, rows: AcquireComplex(spec.RowCount * spec.N2)}
 	s.sessions[f.ID] = &sessEntry{sess: sess, lastUsed: now}
 	s.sessMu.Unlock()
 	s.writeSessionFrame(w, SessionFrame{Op: OpSessAck, Flags: FlagResident, ID: f.ID})
@@ -303,32 +321,44 @@ func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr Sessio
 	s.writeSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
 }
 
-// execSessCols runs the column phase: FFT + twiddle in place in the
-// pooled scratch, own rows transposed into the resident buffer, peer
-// blocks pushed as exchange frames.
+// ways is how many ways a session step splits its vectors over the
+// process's worker pool: Config.Workers, or GOMAXPROCS.
+func (s *Server) ways() int {
+	if s.cfg.Workers > 0 {
+		return s.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// execSessCols runs the column steps on the slab — column v as the
+// planes of cols[v·N1:][:N1]: the sweeps in place and the worker's own
+// row block scaled out of the planes, behind the isolation boundary;
+// then every peer's row block, scaled into its exchange frame and
+// pushed.
 func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
-	spec := sess.spec
-	batch := splitRows(cols, spec.N1)
-	if err := s.run(batchKey{n: spec.N1, kind: KindForward}, batch, nil, func() error {
-		return scaleColumns(batch, spec.ColStart, spec.N1*spec.N2)
+	spec, fs := sess.spec, sess.fs
+	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
+		host.Do(s.ways(), spec.ColCount, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				f := fft.FrameOf(cols[v*spec.N1 : (v+1)*spec.N1])
+				fs.ColStages(&f)
+			}
+		})
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		if sess.rows == nil {
+			return fmt.Errorf("session %d is closed", sess.id)
+		}
+		fs.TransposeScaled((*sess.rows)[spec.ColStart:], spec.N2, cols, spec.ColStart, spec.ColCount, spec.RowStart, spec.RowCount)
+		sess.colsSeen += spec.ColCount
+		return nil
 	}); err != nil {
 		return err
 	}
 
-	// Own row block: scratch → resident rows buffer.
-	sess.mu.Lock()
-	if sess.rows == nil {
-		sess.mu.Unlock()
-		return fmt.Errorf("session %d is closed", sess.id)
-	}
-	fft.TransposeBlock((*sess.rows)[spec.ColStart:], spec.N2, cols[spec.RowStart:], spec.N1, spec.ColCount, spec.RowCount)
-	sess.colsSeen += spec.ColCount
-	sess.mu.Unlock()
-
-	// Peer row blocks: scratch → pooled exchange frames → peers, in
-	// parallel — the peer fan-out, one goroutine per push because each
-	// blocks on the network. Any push failure fails the cols request with the peer's
-	// name on it, and the coordinator abandons the attempt.
+	// The peer fan-out, in parallel — one goroutine per push because each
+	// blocks on the network. Any push failure fails the cols request with
+	// the peer's name on it, and the coordinator abandons the attempt.
 	if len(spec.Peers) == 0 {
 		return nil
 	}
@@ -353,23 +383,35 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	return nil
 }
 
-// pushExchange encodes peer p's row block straight out of the column
-// scratch into a pooled frame and delivers it.
+// pushExchange encodes peer p's exchange frame into a pooled buffer
+// straight out of the column planes — vector v is bins [p.RowStart,
+// p.RowStart+p.RowCount) of column v, scaled by the four-step twiddle
+// (ScaleFrom) into one pooled run and appended from there, behind the
+// isolation boundary — and delivers it.
 func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRange, cols []complex128) error {
 	spec := sess.spec
-	f := SessionFrame{
-		Op: OpSessExchange, ID: sess.id,
-		VecLen: p.RowCount, VecCount: spec.ColCount,
-		Arg0: spec.ColStart, Arg1: p.RowStart,
-	}
-	size := SessionHeaderLen + 16*p.RowCount*spec.ColCount
-	bp := AcquireFrame(size)
+	bp := AcquireFrame(SessionHeaderLen + 16*p.RowCount*spec.ColCount)
 	defer ReleaseFrame(bp)
-	b := appendSessionHeader((*bp)[:0], f)
-	for v := 0; v < spec.ColCount; v++ {
-		b = AppendComplexPayload(b, cols[v*spec.N1+p.RowStart:][:p.RowCount])
+	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
+		tw := fft.TwoLevelTwiddles(spec.N1 * spec.N2)
+		run := AcquireComplex(p.RowCount)
+		defer ReleaseComplex(run)
+		b := appendSessionHeader((*bp)[:0], SessionFrame{
+			Op: OpSessExchange, ID: sess.id,
+			VecLen: p.RowCount, VecCount: spec.ColCount,
+			Arg0: spec.ColStart, Arg1: p.RowStart,
+		})
+		for v := 0; v < spec.ColCount; v++ {
+			f := fft.FrameOf(cols[v*spec.N1 : (v+1)*spec.N1])
+			tw.ScaleFrom(*run, f.Re[p.RowStart:], f.Im[p.RowStart:], spec.ColStart+v, p.RowStart)
+			b = AppendComplexPayload(b, *run)
+		}
+		*bp = b
+		return nil
+	}); err != nil {
+		return err
 	}
-	resp, err := s.cfg.Peers.PushFrame(ctx, p.Addr, b)
+	resp, err := s.cfg.Peers.PushFrame(ctx, p.Addr, *bp)
 	if err != nil {
 		return &peerError{p.Addr, err}
 	}
@@ -452,9 +494,19 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 			http.StatusConflict)
 		return
 	}
-	// Every resident row is transformed in place.
-	rows := splitRows((*sess.rows)[:spec.RowCount*spec.N2], spec.N2)
-	if err := s.run(batchKey{n: spec.N2, kind: KindForward}, rows, nil, nil); err != nil {
+	// Every resident row becomes the planes of its transform, in place.
+	if err := s.isolate(batchKey{n: spec.N2, kind: KindForward}, nil, func() error {
+		host.Do(s.ways(), spec.RowCount, func(lo, hi int) {
+			sc := AcquireComplex(spec.N2)
+			defer ReleaseComplex(sc)
+			for r := lo; r < hi; r++ {
+				row := (*sess.rows)[r*spec.N2 : (r+1)*spec.N2]
+				copy(*sc, row)
+				sess.fs.RowFrom(row, *sc)
+			}
+		})
+		return nil
+	}); err != nil {
 		s.fail(w, err)
 		return
 	}

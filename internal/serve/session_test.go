@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -148,6 +149,7 @@ func TestSessionFrameRejects(t *testing.T) {
 		{"empty peer addr", func(s *SessionSpec) { s.Peers[0].Addr = "" }},
 		{"cols outside N2", func(s *SessionSpec) { s.ColCount = 9 }},
 		{"tiny factor", func(s *SessionSpec) { s.N1 = 1 }},
+		{"factor not a power of two", func(s *SessionSpec) { s.N2 = 12; s.ColCount = 12 }},
 	}
 	for _, tc := range specCases {
 		s := testSpec()
@@ -312,6 +314,37 @@ func TestSessionPeersRequired(t *testing.T) {
 	code, _ := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 6, Spec: &spec})
 	if code != http.StatusBadRequest {
 		t.Fatalf("open with peers but no sender: status %d, want 400", code)
+	}
+}
+
+// TestSessionPanicIsolation: session steps run behind the daemon's one
+// isolation boundary — a panic in a cols step answers 500, counts in
+// fft_panics_total, and the worker goes on serving sessions.
+func TestSessionPanicIsolation(t *testing.T) {
+	s := New(Config{EnableShard: true})
+	h := s.Handler()
+	var once sync.Once
+	s.execHook = func(batchKey, [][]complex128) {
+		fire := false
+		once.Do(func() { fire = true })
+		if fire {
+			panic("injected session failure")
+		}
+	}
+	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
+	for id, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		if code, body := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: uint64(id), Spec: &spec}); code != http.StatusOK {
+			t.Fatalf("open %d: status %d: %s", id, code, body)
+		}
+		if code, body := sessPost(t, h, SessionFrame{Op: OpSessCols, ID: uint64(id), VecLen: 4, VecCount: 8, Data: randVecs(4, 8, 9)}); code != want {
+			t.Fatalf("cols %d: status %d, want %d: %s", id, code, want, body)
+		}
+	}
+	if code, body := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 1}); code != http.StatusOK {
+		t.Fatalf("rows after the panic: status %d: %s", code, body)
+	}
+	if got := s.m.panics.Value(); got != 1 {
+		t.Fatalf("fft_panics_total = %d, want 1", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	offset  size  field
 //	0       4     magic "FFS2"
-//	4       1     version (2)
+//	4       1     version (3)
 //	5       1     op      (OpSessOpen … OpSessAck)
 //	6       1     flags   (bit 0: FlagResident; a worker acks Open
 //	              with it set)
@@ -18,7 +18,7 @@
 //	20      4     vecCount (uint32 LE)
 //	24      8     arg0     (uint64 LE, op-specific, see below)
 //	32      8     arg1     (uint64 LE, op-specific)
-//	40      …     payload  (vecLen·vecCount complex128 as float64 LE
+//	40      …     payload  (vecLen·vecCount 16-byte elements as float64 LE
 //	              pairs, or the session spec for OpSessOpen)
 //
 // Op semantics (arg0/arg1 meanings):
@@ -26,19 +26,28 @@
 //   - OpSessOpen: payload is the encoded SessionSpec; vecLen, vecCount,
 //     arg0, arg1 are 0. Response: OpSessAck with FlagResident set.
 //   - OpSessCols: the worker's column slab — vecLen = N1, vecCount =
-//     ColCount, arg0 = ColStart, arg1 = 0. The worker FFTs every
-//     column, applies the four-step twiddle, keeps its own row block
-//     resident, and pushes each peer's row block to that peer as
-//     OpSessExchange frames. Response: OpSessAck (no payload — the
-//     columns never travel back).
+//     ColCount, arg0 = ColStart, arg1 = 0. Each vector is a column
+//     packed as split planes (fft.FrameOf: the N1 real parts, then the
+//     N1 imaginary parts, in bit-reversed order — fft.PackColumns'
+//     output), so the payload's floats are the planes, not samples. The
+//     worker FFTs every column, applies the four-step twiddle, keeps its
+//     own row block resident, and pushes each peer's row block to that
+//     peer as OpSessExchange frames. Response: OpSessAck (no payload —
+//     the columns never travel back).
 //   - OpSessExchange (worker → worker): vecLen = receiver's RowCount,
 //     vecCount = sender's column count, arg0 = first column index,
 //     arg1 = receiver's RowStart (echoed for validation). Vector v,
-//     element i is matrix cell (row arg1+i, column arg0+v). Response:
-//     OpSessAck.
+//     element i is the sample at matrix cell (row arg1+i, column
+//     arg0+v). Response: OpSessAck.
 //   - OpSessRows: request is header-only (vecLen = vecCount = 0); the
 //     response carries the worker's finished row block — vecLen = N2,
-//     vecCount = RowCount, arg0 = RowStart.
+//     vecCount = RowCount, arg0 = RowStart — each row as the split
+//     planes of its transform, in natural bin order, for the
+//     coordinator's final transpose (fft.UnpackColumns) to unpack.
+//
+// Version 3 is the version whose cols and rows payloads carry planes;
+// version 2 carried samples there, and a peer speaking it is refused
+// rather than fed numbers it would misread.
 //   - OpSessClose: header-only; drops the session state. Closing an
 //     unknown session acks anyway (abort paths are idempotent).
 //   - OpSessAck: header-only generic success response.
@@ -53,6 +62,8 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
+
+	"codeletfft/internal/fft"
 )
 
 // SessionOp selects what a session frame does.
@@ -98,7 +109,7 @@ func (op SessionOp) String() string {
 
 const (
 	sessMagic   = "FFS2"
-	sessVersion = 2
+	sessVersion = 3
 	// SessionHeaderLen is the fixed FFS2 header size — callers sizing
 	// pooled buffers or accounting wire bytes add 16 per payload element.
 	SessionHeaderLen = 40
@@ -119,7 +130,8 @@ type PeerRange struct {
 	RowStart, RowCount int
 }
 
-// SessionSpec is the OpSessOpen payload: the four-step geometry and
+// SessionSpec is the OpSessOpen payload: the four-step geometry — two
+// power-of-two factors, the only kind fft.NewFourStep builds — and
 // this worker's slice of it. Peers lists the OTHER workers' row blocks
 // (self excluded) so the worker knows where to push each exchange
 // sub-block; Peers' ranges plus [RowStart, RowStart+RowCount) must tile
@@ -133,8 +145,8 @@ type SessionSpec struct {
 
 // Validate checks the spec invariants shared by encode and decode.
 func (s SessionSpec) Validate() error {
-	if s.N1 < 2 || s.N2 < 2 {
-		return fmt.Errorf("%w: four-step factors %d×%d must both be ≥ 2", ErrBadFrame, s.N1, s.N2)
+	if fft.Log2(s.N1) < 1 || fft.Log2(s.N2) < 1 {
+		return fmt.Errorf("%w: four-step factors %d×%d must both be powers of two ≥ 2", ErrBadFrame, s.N1, s.N2)
 	}
 	if s.N1 > MaxFrameElems || s.N2 > MaxFrameElems || s.N1*s.N2 > MaxFrameElems {
 		return fmt.Errorf("%w: transform %d×%d exceeds the %d-element limit", ErrBadFrame, s.N1, s.N2, MaxFrameElems)

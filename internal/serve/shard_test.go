@@ -95,22 +95,14 @@ func TestShardFrameRejects(t *testing.T) {
 // TestShardEndpointExecutesFourStepSegments drives the worker endpoint
 // over real HTTP with the session of a whole four-step transform — all
 // the columns out, all the rows back — and checks the result against
-// the serial reference bit for bit: both run the SoA radix-4 codelets
-// and the shared twiddle table — the worker because that is what its
-// default plans run at these factor lengths (fft.AutoKernel).
+// the serial reference bit for bit: the worker runs the plan's middle
+// steps on the planes the plan's first step packed, and the plan's last
+// step unpacks what it returns. Factors on both sides of the 64-point
+// tiles.
 func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	s := New(Config{EnableShard: true, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	const n1, n2 = 128, 256
-	fs, err := fft.NewFourStep(n1, n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVecs(fs.N, 1, 9)
-	want := append([]complex128(nil), x...)
-	fs.Transform(want)
 
 	post := func(f SessionFrame) SessionFrame {
 		t.Helper()
@@ -138,67 +130,41 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 		return out
 	}
 
-	// Gather, session, final transpose — exactly the coordinator's steps.
-	cols := make([]complex128, fs.N)
-	fs.GatherColumns(cols, x)
-	spec := SessionSpec{N1: n1, N2: n2, ColCount: n2, RowCount: n1}
-	post(SessionFrame{Op: OpSessOpen, Spec: &spec})
-	post(SessionFrame{Op: OpSessCols, VecLen: n1, VecCount: n2, Data: cols})
-	rows := post(SessionFrame{Op: OpSessRows})
-	post(SessionFrame{Op: OpSessClose})
-	got := make([]complex128, fs.N)
-	fs.FinalTranspose(got, rows.Data)
-
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bin %d: session-executed four-step %v != serial reference %v", i, got[i], want[i])
+	vecs := 0
+	for _, f := range [][2]int{{128, 256}, {8, 16}} {
+		n1, n2 := f[0], f[1]
+		fs, err := fft.NewFourStep(n1, n2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		x := randVecs(fs.N, 1, 9)
+		want := append([]complex128(nil), x...)
+		fs.Transform(want)
+
+		// Pack, session, final transpose — exactly the coordinator's steps.
+		cols := make([]complex128, fs.N)
+		fs.PackColumnsFrom(cols, x, n2, false)
+		spec := SessionSpec{N1: n1, N2: n2, ColCount: n2, RowCount: n1}
+		post(SessionFrame{Op: OpSessOpen, Spec: &spec})
+		post(SessionFrame{Op: OpSessCols, VecLen: n1, VecCount: n2, Data: cols})
+		rows := post(SessionFrame{Op: OpSessRows})
+		post(SessionFrame{Op: OpSessClose})
+		got := make([]complex128, fs.N)
+		fs.UnpackRows(got, rows.Data, n1, false)
+
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d×%d bin %d: session-executed four-step %v != serial reference %v", n1, n2, i, got[i], want[i])
+			}
+		}
+		vecs += n1 + n2
 	}
 	snap := s.Registry().Snapshot()
-	if got := snap["shard_requests_total"]; got != 4 {
-		t.Errorf("shard_requests_total = %v, want 4", got)
+	if got := snap["shard_requests_total"]; got != 8 {
+		t.Errorf("shard_requests_total = %v, want 8", got)
 	}
-	if got := snap["shard_vecs_total"]; got != float64(n2+n1) {
-		t.Errorf("shard_vecs_total = %v, want %d", got, n2+n1)
-	}
-}
-
-// TestShardColumnScaleTables pins which table a column slab scales by:
-// a power-of-two modulus goes through fft's shared two-level table
-// (what the serial reference uses), any other modulus through the full
-// TwiddlesAny table — each bit for bit. The sub-FFTs ahead of the
-// scaling are the worker's default plan's.
-func TestShardColumnScaleTables(t *testing.T) {
-	s := New(Config{EnableShard: true})
-	const vecLen, start = 8, 1
-	pl, err := fft.NewPlan(vecLen, vecLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, totalN := range []int{64, 24} {
-		data := randVecs(vecLen, 2, 3)
-		want := append([]complex128(nil), data...)
-		for v := 0; v < 2; v++ {
-			vec := want[v*vecLen : (v+1)*vecLen]
-			pl.TransformKernel(vec, fft.Twiddles(vecLen), fft.AutoKernel(vecLen))
-			if fft.Log2(totalN) >= 0 {
-				fft.TwoLevelTwiddles(totalN).Scale(vec, start+v)
-			} else {
-				fft.TwiddleScaleAny(vec, fft.TwiddlesAny(totalN), start+v, totalN)
-			}
-		}
-		// The column phase of a session (execSessCols): sub-FFTs, then scale.
-		vecs := splitRows(data, vecLen)
-		if err := s.run(batchKey{n: vecLen, kind: KindForward}, vecs, nil, func() error {
-			return scaleColumns(vecs, start, totalN)
-		}); err != nil {
-			t.Fatalf("totalN=%d: %v", totalN, err)
-		}
-		for i := range want {
-			if data[i] != want[i] {
-				t.Fatalf("totalN=%d elem %d: worker %v != reference %v", totalN, i, data[i], want[i])
-			}
-		}
+	if got := snap["shard_vecs_total"]; got != float64(vecs) {
+		t.Errorf("shard_vecs_total = %v, want %d", got, vecs)
 	}
 }
 
@@ -226,7 +192,9 @@ func TestShardEndpointShedsWhileDraining(t *testing.T) {
 }
 
 // TestShardEndpointBadFrames: whatever the session decoder rejects —
-// an FFS1 frame included, the endpoint has one decode path — is a 400.
+// an FFS1 frame included, the endpoint has one decode path — is a 400:
+// among them a version-2 frame, whose cols and rows payloads meant
+// samples, and an open whose factors no coordinator builds.
 func TestShardEndpointBadFrames(t *testing.T) {
 	ffs1, err := AppendShardFrame(nil, ShardFrame{Op: OpRows, VecLen: 8, Data: randVecs(8, 1, 1)})
 	if err != nil {
@@ -234,12 +202,19 @@ func TestShardEndpointBadFrames(t *testing.T) {
 	}
 	ack, _ := EncodeSessionFrame(SessionFrame{Op: OpSessAck, ID: 1})
 	cols, _ := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 2)})
+	v2 := append([]byte(nil), cols...)
+	v2[4] = 2
+	// The encoder refuses the spec, so the frame is built by hand.
+	odd := SessionSpec{N1: 3, N2: 8, ColCount: 8, RowCount: 3}
+	open3x8 := appendSpec(appendSessionHeader(nil, SessionFrame{Op: OpSessOpen, ID: 1}), &odd)
 	for name, body := range map[string][]byte{
 		"FFS1 frame":       ffs1,
 		"empty body":       nil,
 		"truncated header": cols[:sessHeaderLen-1],
 		"truncated cols":   cols[:len(cols)-8],
 		"ack as a request": ack,
+		"version 2 frame":  v2,
+		"3×8 spec":         open3x8,
 	} {
 		s := New(Config{EnableShard: true})
 		if code := shardPost(s, body); code != http.StatusBadRequest {
