@@ -207,14 +207,14 @@ func checkInCore(p *codeletfft.OOCPlan, n int, inverse, metrics bool) error {
 		return err
 	}
 	want := append([]complex128(nil), data...)
+	ref, run := fs.Transform, p.Transform
 	if inverse {
-		fs.InverseTransform(want)
-		err = p.Inverse(data)
-	} else {
-		fs.Transform(want)
-		err = p.Transform(data)
+		ref, run = fs.InverseTransform, p.Inverse
 	}
-	if err != nil {
+	if err := ref(want); err != nil {
+		return err
+	}
+	if err := run(data); err != nil {
 		return err
 	}
 	for i := range data {

@@ -65,16 +65,15 @@
 // can be resolved per request.
 //
 // Construction errors wrap the sentinels ErrUnsupportedLength and
-// ErrBadTaskSize; wrong-length slices panic with an error wrapping
-// ErrLengthMismatch (for batches, the error names the offending row's
-// index). Host plans always return a nil error from Plan methods —
-// the error return exists for transport-backed providers like the
-// cluster client. The engine is hardened by fuzz targets (internal/fft:
-// FuzzTransformRoundTrip, FuzzParallelMatchesSerial, FuzzRealRoundTrip,
-// FuzzKernelParity), a metamorphic property suite (linearity, Parseval,
-// impulse and shift theorems over every plan shape), a cross-kernel
-// parity suite (every kernel vs the reference DFT at every size),
-// allocation guards on the batched path, and a `go test -race` CI gate.
+// ErrBadTaskSize; every plan returns a wrong-length buffer as an error
+// wrapping ErrLengthMismatch (for batches, naming the offending row's
+// index), never as a panic. The engine is hardened by fuzz targets
+// (internal/fft: FuzzTransformRoundTrip, FuzzParallelMatchesSerial,
+// FuzzRealRoundTrip, FuzzKernelParity), a metamorphic property suite
+// (linearity, Parseval, impulse and shift theorems over every plan
+// shape), a cross-kernel parity suite (every kernel vs the reference
+// DFT at every size), allocation guards on the batched path, and a
+// `go test -race` CI gate.
 package codeletfft
 
 import (

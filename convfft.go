@@ -83,9 +83,13 @@ func (p *ConvPlan) SegmentLen() int { return p.spec.M }
 // Segments returns how many segments tile one convolution.
 func (p *ConvPlan) Segments() int { return p.spec.Segs }
 
-// kernelSpectrum computes the M-point spectrum of the padded kernel —
+// kernelSpectrum checks h's length for every entry that takes a
+// kernel, then computes the M-point spectrum of the padded kernel —
 // reversed and conjugated for correlation — through the segment plan.
 func (p *ConvPlan) kernelSpectrum(h []complex128, reversed bool) ([]complex128, error) {
+	if len(h) != p.spec.K {
+		return nil, fft.LengthError("kernel", len(h), p.spec.K)
+	}
 	hhat := make([]complex128, p.spec.M)
 	if reversed {
 		p.spec.PadKernelReversed(hhat, h)
@@ -98,10 +102,35 @@ func (p *ConvPlan) kernelSpectrum(h []complex128, reversed bool) ([]complex128, 
 	return hhat, nil
 }
 
-// run executes the overlap-save pipeline against a precomputed kernel
-// spectrum: segment groups of up to convGroup gather, forward-batch,
+// Convolve computes the linear convolution dst[i] = Σ_j x[j]·h[i-j].
+// len(x) must be N, len(h) KernelLen, and len(dst) OutLen; a mismatch
+// is returned as an error wrapping ErrLengthMismatch before any buffer
+// is touched. x and h are not modified.
+func (p *ConvPlan) Convolve(dst, x, h []complex128) error { return p.convolve(dst, x, h, false) }
+
+// CrossCorrelate computes the cross-correlation of x against h:
+// dst[K-1+ℓ] = Σ_j x[j]·conj(h[j-ℓ]) for lags ℓ ∈ [-(K-1), N), K the
+// kernel length — zero lag lands at dst[K-1]. Buffer lengths match
+// Convolve's contract.
+func (p *ConvPlan) CrossCorrelate(dst, x, h []complex128) error {
+	return p.convolve(dst, x, h, true)
+}
+
+// convolve checks x and dst, then h in kernelSpectrum, before touching
+// any of them, and runs the overlap-save pipeline against h's spectrum:
+// segment groups of up to convGroup gather, forward-batch,
 // pointwise-multiply, inverse-batch, scatter.
-func (p *ConvPlan) run(dst, x, hhat []complex128) error {
+func (p *ConvPlan) convolve(dst, x, h []complex128, reversed bool) error {
+	switch {
+	case len(x) != p.spec.N:
+		return fft.LengthError("signal", len(x), p.spec.N)
+	case len(dst) != p.spec.OutLen():
+		return fft.LengthError("convolution output", len(dst), p.spec.OutLen())
+	}
+	hhat, err := p.kernelSpectrum(h, reversed)
+	if err != nil {
+		return err
+	}
 	sc := p.pool.Get().(*convScratch)
 	defer p.pool.Put(sc)
 	for g0 := 0; g0 < p.spec.Segs; g0 += len(sc.rows) {
@@ -129,53 +158,11 @@ func (p *ConvPlan) run(dst, x, hhat []complex128) error {
 	return nil
 }
 
-// Convolve computes the linear convolution dst[i] = Σ_j x[j]·h[i-j].
-// len(x) must be N, len(h) KernelLen, and len(dst) OutLen; mismatches
-// panic with an error wrapping ErrLengthMismatch. x and h are not
-// modified. The error mirrors the Plan convention (always nil for host
-// execution).
-func (p *ConvPlan) Convolve(dst, x, h []complex128) error {
-	p.checkArgs(dst, x, h)
-	hhat, err := p.kernelSpectrum(h, false)
-	if err != nil {
-		return err
-	}
-	return p.run(dst, x, hhat)
-}
-
-// CrossCorrelate computes the cross-correlation of x against h:
-// dst[K-1+ℓ] = Σ_j x[j]·conj(h[j-ℓ]) for lags ℓ ∈ [-(K-1), N), K the
-// kernel length — zero lag lands at dst[K-1]. Buffer lengths match
-// Convolve's contract.
-func (p *ConvPlan) CrossCorrelate(dst, x, h []complex128) error {
-	p.checkArgs(dst, x, h)
-	hhat, err := p.kernelSpectrum(h, true)
-	if err != nil {
-		return err
-	}
-	return p.run(dst, x, hhat)
-}
-
-func (p *ConvPlan) checkArgs(dst, x, h []complex128) {
-	if len(x) != p.spec.N {
-		panic(fft.LengthError("signal", len(x), p.spec.N))
-	}
-	if len(h) != p.spec.K {
-		panic(fft.LengthError("kernel", len(h), p.spec.K))
-	}
-	if len(dst) != p.spec.OutLen() {
-		panic(fft.LengthError("convolution output", len(dst), p.spec.OutLen()))
-	}
-}
-
 // FilterStream builds a streaming FIR filter over the plan's segment
 // machinery with h's segment spectrum precomputed once — the shape for
 // long or unbounded signals where Convolve's whole-signal buffers don't
-// apply. len(h) must be KernelLen.
+// apply. len(h) must be KernelLen, or the error wraps ErrLengthMismatch.
 func (p *ConvPlan) FilterStream(h []complex128) (*StreamFilter, error) {
-	if len(h) != p.spec.K {
-		panic(fft.LengthError("kernel", len(h), p.spec.K))
-	}
 	hhat, err := p.kernelSpectrum(h, false)
 	if err != nil {
 		return nil, err
@@ -209,10 +196,12 @@ func (f *StreamFilter) KernelLen() int { return f.p.spec.K }
 // Process filters len(src) samples continuing from the history of all
 // prior calls: dst[i] = Σ_j h[j]·src[i-j], with src[i-j] drawn from
 // earlier Process calls when i < j (zeros before the first call).
-// len(dst) must equal len(src); dst and src may be the same slice.
+// len(dst) must equal len(src), or the error wraps ErrLengthMismatch
+// and neither the buffers nor the history move; dst and src may be the
+// same slice.
 func (f *StreamFilter) Process(dst, src []complex128) error {
 	if len(dst) != len(src) {
-		panic(fft.LengthError("filter output", len(dst), len(src)))
+		return fft.LengthError("filter output", len(dst), len(src))
 	}
 	spec := f.p.spec
 	k1 := spec.K - 1

@@ -11,8 +11,6 @@ import (
 
 // Sentinel errors re-exported from the core package so callers can test
 // failure modes with errors.Is without importing internal packages.
-// Length-mismatch panics raised by Transform and friends carry an error
-// value wrapping ErrLengthMismatch.
 var (
 	// ErrUnsupportedLength reports a transform length no planner accepts:
 	// non-positive everywhere, odd or < 4 for the real-input path,
@@ -22,9 +20,9 @@ var (
 	// ErrBadTaskSize reports a task size that is not a power of two ≥ 2
 	// or exceeds the transform length.
 	ErrBadTaskSize = fft.ErrBadTaskSize
-	// ErrLengthMismatch reports a data slice whose length does not match
-	// the plan. It is delivered by panic, not by return value, because it
-	// is a programming error rather than an environmental condition.
+	// ErrLengthMismatch reports a buffer whose length does not match the
+	// plan. Every method that takes one returns it (wrapped, naming the
+	// buffer — and, in a batch, the row) before touching any element.
 	ErrLengthMismatch = fft.ErrLengthMismatch
 )
 
@@ -70,10 +68,10 @@ func Acceleration() string { return fft.SoAAccel() }
 // plans (NewHostPlan), cached host plans (CachedHostPlan), and the
 // cluster client (cluster.New) alike. Methods transform in place.
 //
-// Host plans never return errors from these methods — invalid lengths
-// are programming errors and panic (wrapping ErrLengthMismatch) — while
-// the cluster client surfaces transport failures; code written against
-// Plan handles the error and works unchanged against either.
+// Every provider returns a wrong-length buffer as an error wrapping
+// ErrLengthMismatch before touching any element; the cluster client and
+// the out-of-core plan add transport and I/O failures. Code written
+// against Plan handles the error and works unchanged against any of them.
 //
 // The Ctx variants check the context before starting; once a transform
 // is running it completes (data is never left torn mid-transform).
@@ -392,19 +390,16 @@ func (h *HostPlan) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward FFT in place on the plan's parallel
 // engine (serial below the threshold; bitwise identical either way).
-// len(data) must equal N; a mismatch panics with an error wrapping
-// ErrLengthMismatch. The returned error is always nil for host plans —
-// it exists so HostPlan satisfies Plan alongside the cluster client.
+// len(data) must equal N; a mismatch is returned as an error wrapping
+// ErrLengthMismatch, with data untouched.
 func (h *HostPlan) Transform(data []complex128) error {
-	h.eng.Run(h.core.fwd, data)
-	return nil
+	return h.eng.Run(h.core.fwd, data)
 }
 
 // Inverse applies the inverse FFT in place. See Transform for the
-// error and panic contract.
+// error contract.
 func (h *HostPlan) Inverse(data []complex128) error {
-	h.eng.Run(h.core.inv, data)
-	return nil
+	return h.eng.Run(h.core.inv, data)
 }
 
 // TransformCtx is Transform with a pre-flight context check: a done
@@ -430,20 +425,18 @@ func (h *HostPlan) InverseCtx(ctx context.Context, data []complex128) error {
 // is dealt out whole — workers steal complete transforms, so B
 // transforms cost no pass barrier at all; a smaller one runs its rows
 // one after another on the parallel engine. Every slice must have
-// length N; a bad row panics with an error wrapping ErrLengthMismatch
-// that names the row's batch index, before any row is touched. Output
-// is bitwise identical to calling Transform in a loop, and the
-// steady-state path performs no allocation.
+// length N; a bad row is returned as an error wrapping
+// ErrLengthMismatch that names the row's batch index, before any row is
+// touched. Output is bitwise identical to calling Transform in a loop,
+// and the steady-state path performs no allocation.
 func (h *HostPlan) TransformBatch(batch [][]complex128) error {
-	h.eng.RunBatch(h.core.fwd, batch)
-	return nil
+	return h.eng.RunBatch(h.core.fwd, batch)
 }
 
 // InverseBatch applies the inverse FFT in place to every transform in
 // batch. Output is bitwise identical to calling Inverse in a loop.
 func (h *HostPlan) InverseBatch(batch [][]complex128) error {
-	h.eng.RunBatch(h.core.inv, batch)
-	return nil
+	return h.eng.RunBatch(h.core.inv, batch)
 }
 
 // RealPlan transforms length-N real signals through the packed
@@ -520,24 +513,47 @@ func (r *RealPlan) Workers() int { return r.half.Workers() }
 func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 
 // Transform computes the half-spectrum of the length-N real signal x
-// into spec (length SpectrumLen). x is not modified; wrong-length
-// buffers panic with an error wrapping ErrLengthMismatch. The error is
-// always nil — it mirrors the Plan interface convention.
+// into spec (length SpectrumLen). x is not modified; a wrong-length
+// buffer is returned as an error wrapping ErrLengthMismatch, with both
+// untouched.
 func (r *RealPlan) Transform(spec []complex128, x []float64) error {
+	if err := r.check(spec, x); err != nil {
+		return err
+	}
 	r.core.Pack(spec, x)
-	_ = r.half.Transform(spec[:r.core.N/2]) // host plans never return an error
+	if err := r.half.Transform(spec[:r.core.N/2]); err != nil {
+		return err
+	}
 	r.core.Unpack(spec)
 	return nil
 }
 
 // Inverse recovers the length-N real signal x from its half-spectrum
-// spec, inverting Transform. spec is not modified.
+// spec, inverting Transform. spec is not modified; wrong-length buffers
+// are returned as Transform's are, before any work.
 func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
+	if err := r.check(spec, x); err != nil {
+		return err
+	}
 	w := r.core.work.Get().(*[]complex128)
 	defer r.core.work.Put(w)
 	r.core.PreInverse(*w, spec)
-	_ = r.half.Inverse(*w)
+	if err := r.half.Inverse(*w); err != nil {
+		return err
+	}
 	r.core.PostInverse(x, *w)
+	return nil
+}
+
+// check validates both of a call's buffers at the entry; the split
+// passes check none.
+func (r *RealPlan) check(spec []complex128, x []float64) error {
+	if len(x) != r.core.N {
+		return fft.LengthError("real signal", len(x), r.core.N)
+	}
+	if len(spec) != r.core.SpectrumLen() {
+		return fft.LengthError("half-spectrum", len(spec), r.core.SpectrumLen())
+	}
 	return nil
 }
 
@@ -588,17 +604,15 @@ func (h *HostPlan2D) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward 2-D FFT in place (row-major data) on
 // the plan's parallel engine: rows sharded across workers, then
-// columns. The error is always nil; wrong-length data panics with an
-// error wrapping ErrLengthMismatch.
+// columns. Wrong-length data is returned, untouched, as an error
+// wrapping ErrLengthMismatch.
 func (h *HostPlan2D) Transform(data []complex128) error {
-	h.eng.Run(h.core.fwd, data)
-	return nil
+	return h.eng.Run(h.core.fwd, data)
 }
 
 // Inverse applies the inverse 2-D FFT in place.
 func (h *HostPlan2D) Inverse(data []complex128) error {
-	h.eng.Run(h.core.inv, data)
-	return nil
+	return h.eng.Run(h.core.inv, data)
 }
 
 // DFT computes the discrete Fourier transform directly in O(n²) — the

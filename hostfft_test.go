@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -376,44 +375,6 @@ func TestParseKernelFacade(t *testing.T) {
 	if _, err := codeletfft.ParseKernel("radix8"); err == nil {
 		t.Fatal("ParseKernel accepted an unknown kernel")
 	}
-}
-
-func TestHostPlanTransformPanicContract(t *testing.T) {
-	h, err := codeletfft.NewHostPlan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		v := recover()
-		e, ok := v.(error)
-		if !ok || !errors.Is(e, codeletfft.ErrLengthMismatch) {
-			t.Fatalf("panic value %v, want error wrapping ErrLengthMismatch", v)
-		}
-	}()
-	_ = h.Transform(make([]complex128, 63))
-}
-
-// TestBatchPanicNamesIndex: a bad row panics with an error naming the
-// offending batch index — the contract the serving daemon's 400s use.
-func TestBatchPanicNamesIndex(t *testing.T) {
-	h, err := codeletfft.NewHostPlan(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		v := recover()
-		e, ok := v.(error)
-		if !ok || !errors.Is(e, codeletfft.ErrLengthMismatch) {
-			t.Fatalf("panic value %v, want error wrapping ErrLengthMismatch", v)
-		}
-		if want := "batch element 1"; !strings.Contains(e.Error(), want) {
-			t.Fatalf("panic %q does not contain %q", e.Error(), want)
-		}
-	}()
-	_ = h.TransformBatch([][]complex128{
-		make([]complex128, 64),
-		make([]complex128, 32),
-	})
 }
 
 func TestHostPlanBatchMatchesLoop(t *testing.T) {

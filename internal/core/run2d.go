@@ -191,7 +191,9 @@ func Run2D(opts Options2D) (*Result2D, error) {
 			return nil, err
 		}
 		want := append([]complex128(nil), input...)
-		p2.Transform(want)
+		if err := p2.Transform(want); err != nil {
+			return nil, err
+		}
 		res.MaxError = fft.MaxError(data, want)
 		res.Checked = true
 		if res.MaxError > 1e-6 {

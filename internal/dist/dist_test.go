@@ -19,6 +19,14 @@ import (
 	"codeletfft/internal/serve"
 )
 
+// noErr fails t on a non-nil error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // newTestCluster stands up nWorkers in-process workers on a loopback
 // transport and a coordinator over them. The caller's cfg is honored
 // except Transport/Workers, which the helper owns; ProbeInterval stays
@@ -346,8 +354,8 @@ func TestClusterConcurrentTransforms(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantFwd, wantInv := noise(n, 7), noise(n, 7)
-	fs.Transform(wantFwd)
-	fs.InverseTransform(wantInv)
+	noErr(t, fs.Transform(wantFwd))
+	noErr(t, fs.InverseTransform(wantInv))
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -635,7 +643,7 @@ func TestDegradedDefaultKernel(t *testing.T) {
 	}{{"Transform", c.Transform, false}, {"Inverse", c.Inverse, true}} {
 		got, want := noise(n, 21), noise(n, 21)
 		if tc.inverse {
-			pl.Schedule(w, fft.KernelSoARadix4, true).Run(want)
+			noErr(t, pl.Schedule(w, fft.KernelSoARadix4, true).Run(want))
 		} else {
 			pl.TransformSoA(want, w, fft.KernelSoARadix4)
 		}
@@ -689,7 +697,7 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := noise(tc.n, 17)
-		fs.Transform(want)
+		noErr(t, fs.Transform(want))
 		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor}, serve.Config{})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
 			if op == tc.dieAt && addr == addrs[0] {
@@ -738,12 +746,12 @@ func TestSmallFactorsMatchFourStep(t *testing.T) {
 			}
 		}
 	}
-	fs.Transform(want)
+	noErr(t, fs.Transform(want))
 	if err := c.Transform(ctx, got); err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
 	check("forward")
-	fs.InverseTransform(want)
+	noErr(t, fs.InverseTransform(want))
 	if err := c.Inverse(ctx, got); err != nil {
 		t.Fatalf("Inverse: %v", err)
 	}

@@ -69,13 +69,26 @@ func arbitraryNMatrix() []radixFamily {
 func planAny(t *testing.T, n int) (forward, inverse func([]complex128), desc string) {
 	t.Helper()
 	if mp, err := fft.NewMixedPlan(n); err == nil {
-		return mp.Transform, mp.InverseTransform, mp.String()
+		return checked(t, mp.Transform), checked(t, mp.InverseTransform), mp.String()
 	}
 	bp, err := fft.NewBluesteinPlan(n)
 	if err != nil {
 		t.Fatalf("no plan for n=%d: %v", n, err)
 	}
-	return bp.Transform, bp.InverseTransform, bp.String()
+	return checked(t, bp.Transform), checked(t, bp.InverseTransform), bp.String()
+}
+
+// checked adapts an in-place transform to a test: an error fails t.
+func checked(t *testing.T, f func([]complex128) error) func([]complex128) {
+	return func(x []complex128) { noErr(t, f(x)) }
+}
+
+// noErr fails t on a non-nil error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // peakMag returns the largest |X[k]| — the scale relative errors are
@@ -343,7 +356,7 @@ func TestBluesteinLargePrime(t *testing.T) {
 	}
 	x := randSignal(n, 20)
 	data := append([]complex128(nil), x...)
-	bp.Transform(data)
+	noErr(t, bp.Transform(data))
 	var timeE, freqE float64
 	for i := range x {
 		timeE += cAbs2(x[i])
@@ -353,7 +366,7 @@ func TestBluesteinLargePrime(t *testing.T) {
 	if rel := math.Abs(timeE-freqE) / timeE; rel > 1e-9 {
 		t.Errorf("n=%d: Parseval violated, relative error %g", n, rel)
 	}
-	bp.InverseTransform(data)
+	noErr(t, bp.InverseTransform(data))
 	if e := fft.MaxError(data, x); e > 1e-8 {
 		t.Errorf("n=%d: round-trip error %g", n, e)
 	}

@@ -132,13 +132,14 @@ func (bp *BluesteinPlan) schedule(kern Kernel, inverse bool) *Schedule {
 }
 
 // Transform applies the forward DFT in place, serially, with the
-// radix-2 convolution.
-func (bp *BluesteinPlan) Transform(data []complex128) {
-	bp.Schedule(KernelRadix2, false).Run(data)
+// radix-2 convolution. A wrong-length array is returned as an error
+// wrapping ErrLengthMismatch.
+func (bp *BluesteinPlan) Transform(data []complex128) error {
+	return bp.Schedule(KernelRadix2, false).Run(data)
 }
 
 // InverseTransform applies the inverse DFT in place via the conjugation
 // identity.
-func (bp *BluesteinPlan) InverseTransform(data []complex128) {
-	bp.Schedule(KernelRadix2, true).Run(data)
+func (bp *BluesteinPlan) InverseTransform(data []complex128) error {
+	return bp.Schedule(KernelRadix2, true).Run(data)
 }

@@ -13,7 +13,9 @@
 // This file holds the pure geometry — segment sizing, gather/scatter
 // index math, the kernel-spectrum layout, and the O(N·K) reference —
 // while the facade (codeletfft.ConvPlan) dispatches the segment FFTs
-// through the batched host engine.
+// through the batched host engine. The geometry checks no buffer
+// lengths: the facade validates the caller's at its entry, and the
+// segment buffers are its own.
 package fft
 
 import (
@@ -133,12 +135,6 @@ func (c ConvSpec) OutLen() int { return c.N + c.K - 1 }
 // the previous segment; their circularly-contaminated outputs are
 // discarded by Scatter.
 func (c ConvSpec) Gather(seg int, dst, x []complex128) {
-	if len(dst) != c.M {
-		panic(LengthError("segment buffer", len(dst), c.M))
-	}
-	if len(x) != c.N {
-		panic(LengthError("signal", len(x), c.N))
-	}
 	start := seg*c.S - (c.K - 1)
 	lo := max(start, 0)
 	hi := min(start+c.M, c.N)
@@ -157,12 +153,6 @@ func (c ConvSpec) Gather(seg int, dst, x []complex128) {
 // the inverse-transformed segment buffer, the ones free of circular
 // contamination — into dst[seg·S : min(seg·S+S, OutLen)].
 func (c ConvSpec) Scatter(seg int, dst, work []complex128) {
-	if len(work) != c.M {
-		panic(LengthError("segment buffer", len(work), c.M))
-	}
-	if len(dst) != c.OutLen() {
-		panic(LengthError("convolution output", len(dst), c.OutLen()))
-	}
 	lo := seg * c.S
 	cnt := min(c.S, c.OutLen()-lo)
 	copy(dst[lo:lo+cnt], work[c.K-1:c.K-1+cnt])
@@ -172,12 +162,6 @@ func (c ConvSpec) Scatter(seg int, dst, work []complex128) {
 // (kernel first, zeros after) — the layout whose forward M-point
 // transform is the cached segment filter spectrum.
 func (c ConvSpec) PadKernel(dst, h []complex128) {
-	if len(dst) != c.M {
-		panic(LengthError("kernel buffer", len(dst), c.M))
-	}
-	if len(h) != c.K {
-		panic(LengthError("kernel", len(h), c.K))
-	}
 	copy(dst, h)
 	for i := c.K; i < c.M; i++ {
 		dst[i] = 0
@@ -189,12 +173,6 @@ func (c ConvSpec) PadKernel(dst, h []complex128) {
 // convolving x with the conjugated reversal of h yields
 // dst[K-1+ℓ] = Σ_j x[j]·conj(h[j-ℓ]) for lags ℓ ∈ [-(K-1), N).
 func (c ConvSpec) PadKernelReversed(dst, h []complex128) {
-	if len(dst) != c.M {
-		panic(LengthError("kernel buffer", len(dst), c.M))
-	}
-	if len(h) != c.K {
-		panic(LengthError("kernel", len(h), c.K))
-	}
 	for t := 0; t < c.K; t++ {
 		v := h[c.K-1-t]
 		dst[t] = complex(real(v), -imag(v))

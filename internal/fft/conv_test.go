@@ -26,17 +26,17 @@ func ossConvolve(t testing.TB, x, h []complex128) []complex128 {
 	}
 	hhat := make([]complex128, spec.M)
 	spec.PadKernel(hhat, h)
-	mp.Transform(hhat)
+	noErr(t, mp.Transform(hhat))
 
 	dst := make([]complex128, spec.OutLen())
 	seg := make([]complex128, spec.M)
 	for s := 0; s < spec.Segs; s++ {
 		spec.Gather(s, seg, x)
-		mp.Transform(seg)
+		noErr(t, mp.Transform(seg))
 		for i := range seg {
 			seg[i] *= hhat[i]
 		}
-		mp.InverseTransform(seg)
+		noErr(t, mp.InverseTransform(seg))
 		spec.Scatter(s, dst, seg)
 	}
 	return dst

@@ -5,10 +5,8 @@ import (
 	"fmt"
 )
 
-// Sentinel errors. Constructors return them wrapped with context
-// (test with errors.Is); length-mismatch panics carry an error value
-// wrapping ErrLengthMismatch so recovered panics are testable the same
-// way.
+// Sentinel errors. Constructors and entry points return them wrapped
+// with context; test with errors.Is.
 var (
 	// ErrUnsupportedLength reports a transform length no planner in this
 	// package accepts: a non-positive N everywhere, a non-power-of-two N
@@ -20,17 +18,16 @@ var (
 	// ErrBadTaskSize reports a task size P that is not a power of two
 	// ≥ 2 or that exceeds the transform length.
 	ErrBadTaskSize = errors.New("fft: invalid task size")
-	// ErrLengthMismatch reports a data/spectrum/twiddle buffer whose
-	// length does not match what the plan requires. It is the panic
-	// value (wrapped) of every length-mismatch panic in this package
-	// and in internal/host.
+	// ErrLengthMismatch reports a caller's buffer whose length does not
+	// match the plan. Every entry point with an error result returns it
+	// (wrapped) before touching an element; the no-error variants and
+	// plan-owned buffers (tiles, frames, tables) panic with it.
 	ErrLengthMismatch = errors.New("fft: length mismatch")
 )
 
-// LengthError builds the canonical length-mismatch error: every
-// length-check panic in this package and internal/host uses it, so the
-// wording is uniform and errors.Is(v, ErrLengthMismatch) holds for any
-// recovered panic value v.
+// LengthError builds the canonical length-mismatch error, so the
+// wording is uniform and errors.Is(err, ErrLengthMismatch) holds for
+// every one.
 func LengthError(what string, got, want int) error {
 	return fmt.Errorf("%w: %s has %d elements, want %d", ErrLengthMismatch, what, got, want)
 }
@@ -38,7 +35,14 @@ func LengthError(what string, got, want int) error {
 // BatchLengthError is LengthError for one row of a batched call: it
 // names the batch index of the offending row so callers rejecting a
 // whole batch (the serving daemon's 400s) can say which request was
-// malformed. It wraps ErrLengthMismatch like every other length panic.
+// malformed. It wraps ErrLengthMismatch like every other length error.
 func BatchLengthError(index, got, want int) error {
 	return fmt.Errorf("%w: batch element %d has %d elements, want %d", ErrLengthMismatch, index, got, want)
+}
+
+// must panics with a non-nil err: how the no-error variants fail.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

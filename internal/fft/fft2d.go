@@ -89,9 +89,11 @@ func (p *Plan2D) schedule(kern Kernel, inverse bool) *Schedule {
 }
 
 // Transform applies the radix-2 2-D FFT in place to data in row-major
-// order, serially. It panics with an error wrapping ErrLengthMismatch
-// if len(data) is not Rows×Cols.
-func (p *Plan2D) Transform(data []complex128) { p.Schedule(KernelRadix2, false).Run(data) }
+// order, serially. It returns an error wrapping ErrLengthMismatch if
+// len(data) is not Rows×Cols.
+func (p *Plan2D) Transform(data []complex128) error { return p.Schedule(KernelRadix2, false).Run(data) }
 
 // InverseTransform applies the inverse 2-D FFT in place.
-func (p *Plan2D) InverseTransform(data []complex128) { p.Schedule(KernelRadix2, true).Run(data) }
+func (p *Plan2D) InverseTransform(data []complex128) error {
+	return p.Schedule(KernelRadix2, true).Run(data)
+}

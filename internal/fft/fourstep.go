@@ -85,9 +85,7 @@ func factorOf(n int) *factor {
 		return f
 	}
 	pl, err := NewPlan(n, min(64, n))
-	if err != nil {
-		panic(err) // unreachable: n is a power of two ≥ 2
-	}
+	must(err) // unreachable: n is a power of two ≥ 2
 	factors[lg].CompareAndSwap(nil, &factor{pl: pl, w: Twiddles(n)})
 	return factors[lg].Load()
 }
@@ -282,16 +280,20 @@ func (p *FourStepPlan) KernelBytes() int64 {
 // (packed into the buffer, swept there, scaled back into the strip of
 // data they came from), then every row into the buffer and the final
 // transpose back — four moves, each element written once per move.
-func (p *FourStepPlan) Transform(data []complex128) { p.transform(data, false) }
+// A wrong-length array is returned, untouched, as an error wrapping
+// ErrLengthMismatch.
+func (p *FourStepPlan) Transform(data []complex128) error { return p.transform(data, false) }
 
 // InverseTransform applies the inverse FFT in place via the conjugation
 // identity, folded into the first and last moves — the same per-element
 // arithmetic as Plan.InverseTransform, so Transform/InverseTransform
 // round-trip to the input.
-func (p *FourStepPlan) InverseTransform(data []complex128) { p.transform(data, true) }
+func (p *FourStepPlan) InverseTransform(data []complex128) error { return p.transform(data, true) }
 
-func (p *FourStepPlan) transform(data []complex128, inverse bool) {
-	p.checkLen("data", data)
+func (p *FourStepPlan) transform(data []complex128, inverse bool) error {
+	if len(data) != p.N {
+		return LengthError("data", len(data), p.N)
+	}
 	bp, _ := p.scratch.Get().(*[]complex128)
 	if bp == nil {
 		b := make([]complex128, p.N)
@@ -313,10 +315,5 @@ func (p *FourStepPlan) transform(data []complex128, inverse bool) {
 		p.RowFrom(buf[r*p.N2:(r+1)*p.N2], data[r*p.N2:(r+1)*p.N2])
 	}
 	p.UnpackRows(data, buf, p.N1, inverse)
-}
-
-func (p *FourStepPlan) checkLen(what string, s []complex128) {
-	if len(s) != p.N {
-		panic(LengthError(what, len(s), p.N))
-	}
+	return nil
 }

@@ -61,7 +61,7 @@ func TestFourStepMatchesPlanTransform(t *testing.T) {
 				t.Fatalf("NewFourStep(%d, %d): %v", f[0], f[1], err)
 			}
 			got := append([]complex128(nil), x...)
-			fs.Transform(got)
+			noErr(t, fs.Transform(got))
 			// Tolerance scales with N: both algorithms accumulate
 			// O(log N) rounding on bins of magnitude ~sqrt(N).
 			if e := fft.MaxError(got, want); e > 1e-12*float64(n) {
@@ -79,8 +79,8 @@ func TestFourStepRoundTrip(t *testing.T) {
 		}
 		x := randComplex(fs.N, 7)
 		data := append([]complex128(nil), x...)
-		fs.Transform(data)
-		fs.InverseTransform(data)
+		noErr(t, fs.Transform(data))
+		noErr(t, fs.InverseTransform(data))
 		if e := fft.MaxError(data, x); e > 1e-9 {
 			t.Errorf("%dx%d: round-trip error %g", f[0], f[1], e)
 		}
@@ -100,9 +100,9 @@ func TestFourStepLinearity(t *testing.T) {
 	for i := range mix {
 		mix[i] = a*x[i] + b*y[i]
 	}
-	fs.Transform(mix)
-	fs.Transform(x)
-	fs.Transform(y)
+	noErr(t, fs.Transform(mix))
+	noErr(t, fs.Transform(x))
+	noErr(t, fs.Transform(y))
 	want := make([]complex128, n)
 	for i := range want {
 		want[i] = a*x[i] + b*y[i]
@@ -123,7 +123,7 @@ func TestFourStepImpulse(t *testing.T) {
 	const shift = 5
 	data := make([]complex128, n)
 	data[shift] = 1
-	fs.Transform(data)
+	noErr(t, fs.Transform(data))
 	for k := range data {
 		ang := -2 * math.Pi * float64(shift*k%n) / float64(n)
 		want := cmplx.Exp(complex(0, ang))
@@ -211,9 +211,9 @@ func checkFourStepOracle(t testing.TB, fs *fft.FourStepPlan, x []complex128) {
 		got := append([]complex128(nil), x...)
 		want := append([]complex128(nil), x...)
 		if inverse {
-			fs.InverseTransform(got)
+			noErr(t, fs.InverseTransform(got))
 		} else {
-			fs.Transform(got)
+			noErr(t, fs.Transform(got))
 		}
 		unfusedFourStep(t, fs.N1, fs.N2, want, inverse)
 		for i := range got {
@@ -266,11 +266,11 @@ func FuzzFourStepMatchesDirect(f *testing.F) {
 		want := append([]complex128(nil), x...)
 		pl.Transform(want, fft.Twiddles(n))
 		got := append([]complex128(nil), x...)
-		fs.Transform(got)
+		noErr(t, fs.Transform(got))
 		if e := fft.MaxError(got, want); e > 1e-9 {
 			t.Fatalf("N=%d split 2^%d: four-step vs direct error %g", n, l1, e)
 		}
-		fs.InverseTransform(got)
+		noErr(t, fs.InverseTransform(got))
 		if e := fft.MaxError(got, x); e > 1e-9 {
 			t.Fatalf("N=%d split 2^%d: round-trip error %g", n, l1, e)
 		}

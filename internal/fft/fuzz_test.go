@@ -111,25 +111,25 @@ func fuzzAnySignal(raw []byte, n int) []complex128 {
 func anyForward(t *testing.T, n int) func([]complex128) {
 	t.Helper()
 	if mp, err := fft.NewMixedPlan(n); err == nil {
-		return mp.Transform
+		return checked(t, mp.Transform)
 	}
 	bp, err := fft.NewBluesteinPlan(n)
 	if err != nil {
 		t.Fatalf("no plan for n=%d: %v", n, err)
 	}
-	return bp.Transform
+	return checked(t, bp.Transform)
 }
 
 func anyInverse(t *testing.T, n int) func([]complex128) {
 	t.Helper()
 	if mp, err := fft.NewMixedPlan(n); err == nil {
-		return mp.InverseTransform
+		return checked(t, mp.InverseTransform)
 	}
 	bp, err := fft.NewBluesteinPlan(n)
 	if err != nil {
 		t.Fatalf("no plan for n=%d: %v", n, err)
 	}
-	return bp.InverseTransform
+	return checked(t, bp.InverseTransform)
 }
 
 // FuzzMixedRadixRoundTrip fuzzes the mixed-radix plan over arbitrary
@@ -153,13 +153,13 @@ func FuzzMixedRadixRoundTrip(f *testing.F) {
 		}
 		x := fuzzAnySignal(raw, n)
 		data := append([]complex128(nil), x...)
-		mp.Transform(data)
+		noErr(t, mp.Transform(data))
 		if n <= 512 {
 			if e := fft.MaxError(data, fft.DFT(x)); e > 1e-9*float64(n) {
 				t.Fatalf("N=%d: mixed-radix vs DFT error %g", n, e)
 			}
 		}
-		mp.InverseTransform(data)
+		noErr(t, mp.InverseTransform(data))
 		if e := fft.MaxError(data, x); e > 1e-9 {
 			t.Fatalf("N=%d: round-trip error %g", n, e)
 		}
@@ -183,11 +183,11 @@ func FuzzBluesteinMatchesDFT(f *testing.F) {
 		}
 		x := fuzzAnySignal(raw, n)
 		data := append([]complex128(nil), x...)
-		bp.Transform(data)
+		noErr(t, bp.Transform(data))
 		if e := fft.MaxError(data, fft.DFT(x)); e > 1e-9*float64(n) {
 			t.Fatalf("N=%d: Bluestein vs DFT error %g", n, e)
 		}
-		bp.InverseTransform(data)
+		noErr(t, bp.InverseTransform(data))
 		if e := fft.MaxError(data, x); e > 1e-9 {
 			t.Fatalf("N=%d: round-trip error %g", n, e)
 		}
@@ -217,7 +217,7 @@ func FuzzRealRoundTrip(f *testing.F) {
 			t.Fatalf("NewRealPlan(%d, %d): %v", n, p, err)
 		}
 		spec := make([]complex128, rp.SpectrumLen())
-		rp.Transform(spec, x)
+		noErr(t, rp.Transform(spec, x))
 
 		wide := make([]complex128, n)
 		for i, v := range x {
@@ -229,7 +229,7 @@ func FuzzRealRoundTrip(f *testing.F) {
 		}
 
 		back := make([]float64, n)
-		rp.Inverse(back, spec)
+		noErr(t, rp.Inverse(back, spec))
 		for i := range x {
 			if d := back[i] - x[i]; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("N=%d P=%d: round trip diverged at %d (%g vs %g)", n, p, i, back[i], x[i])
@@ -260,7 +260,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		workers := int(workers8)%8 + 1
 		eng := host.New(host.Config{Workers: workers, Threshold: 1})
 		par := append([]complex128(nil), x...)
-		eng.Run(pl.Schedule(w, fft.KernelRadix2, false), par)
+		noErr(t, eng.Run(pl.Schedule(w, fft.KernelRadix2, false), par))
 		for i := range par {
 			if math.Float64bits(real(par[i])) != math.Float64bits(real(serial[i])) ||
 				math.Float64bits(imag(par[i])) != math.Float64bits(imag(serial[i])) {
@@ -272,7 +272,7 @@ func FuzzParallelMatchesSerial(f *testing.F) {
 		// And the inverse path, which adds the sharded conjugate/scale
 		// passes on top of the forward engine.
 		pl.InverseTransform(serial, w)
-		eng.Run(pl.Schedule(w, fft.KernelRadix2, true), par)
+		noErr(t, eng.Run(pl.Schedule(w, fft.KernelRadix2, true), par))
 		for i := range par {
 			if math.Float64bits(real(par[i])) != math.Float64bits(real(serial[i])) ||
 				math.Float64bits(imag(par[i])) != math.Float64bits(imag(serial[i])) {

@@ -101,20 +101,11 @@ func (pl *Plan) RunTask(stage, task int, data, w []complex128, twiddleAt func(in
 // validates the plan decomposition itself, independent of any scheduling
 // or machine model. w must be Twiddles(pl.N); a data or twiddle slice of
 // the wrong length panics with an error wrapping ErrLengthMismatch.
-//
 // Transform allocates a fresh Scratch per call and is therefore safe to
-// call concurrently on distinct data arrays; use TransformWith to amortize
-// the scratch across many transforms on one goroutine.
+// call concurrently on distinct data arrays.
 func (pl *Plan) Transform(data, w []complex128) {
-	pl.TransformWith(data, w, NewScratch(pl))
-}
-
-// TransformWith is Transform with a caller-provided Scratch, for callers
-// (worker pools, batch loops) that run many transforms and want to reuse
-// the per-goroutine buffers. sc must not be shared with any concurrent
-// call.
-func (pl *Plan) TransformWith(data, w []complex128, sc *Scratch) {
-	pl.checkLen(data, w)
+	must(pl.checkLen(data, w))
+	sc := NewScratch(pl)
 	BitReversePermute(data)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		for task := 0; task < pl.TasksPerStage; task++ {
@@ -123,27 +114,22 @@ func (pl *Plan) TransformWith(data, w []complex128, sc *Scratch) {
 	}
 }
 
-func (pl *Plan) checkLen(data, w []complex128) {
+func (pl *Plan) checkLen(data, w []complex128) error {
 	if len(data) != pl.N {
-		panic(LengthError("data", len(data), pl.N))
+		return LengthError("data", len(data), pl.N)
 	}
 	if len(w) != pl.N/2 {
-		panic(LengthError("twiddle table", len(w), pl.N/2))
+		return LengthError("twiddle table", len(w), pl.N/2)
 	}
+	return nil
 }
 
 // InverseTransform applies the inverse FFT using the same plan via the
-// conjugation identity.
+// conjugation identity. It checks the lengths first, so a wrong-length
+// array panics untouched.
 func (pl *Plan) InverseTransform(data, w []complex128) {
-	pl.InverseTransformWith(data, w, NewScratch(pl))
-}
-
-// InverseTransformWith is InverseTransform with a caller-provided
-// Scratch. It checks the length first, so a wrong-length array panics
-// untouched.
-func (pl *Plan) InverseTransformWith(data, w []complex128, sc *Scratch) {
-	pl.checkLen(data, w)
+	must(pl.checkLen(data, w))
 	conjugate(data)
-	pl.TransformWith(data, w, sc)
+	pl.Transform(data, w)
 	conjugateScale(data, 1/float64(pl.N))
 }

@@ -395,7 +395,8 @@ func (pl *Plan) passes(w []complex128, kern Kernel, inverse bool, buf operand) [
 }
 
 // TransformKernel runs the forward schedule under kern serially.
-// KernelAuto and KernelRadix2 are bit-for-bit Transform.
+// KernelAuto and KernelRadix2 are bit-for-bit Transform. A wrong-length
+// array panics with an error wrapping ErrLengthMismatch.
 func (pl *Plan) TransformKernel(data, w []complex128, kern Kernel) {
-	pl.Schedule(w, kern, false).Run(data)
+	must(pl.Schedule(w, kern, false).Run(data))
 }

@@ -128,7 +128,7 @@ func TestKernelRadix2MatchesLegacyBitwise(t *testing.T) {
 				if !equalBits(got, legacy) {
 					t.Fatalf("N=2^%d P=%d %v: forward not bitwise legacy", lg, p, k)
 				}
-				pl.Schedule(w, k, true).Run(got)
+				noErr(t, pl.Schedule(w, k, true).Run(got))
 				back := append([]complex128(nil), legacy...)
 				pl.InverseTransform(back, w)
 				if !equalBits(got, back) {
@@ -165,7 +165,7 @@ func TestKernelRoundTrip(t *testing.T) {
 					t.Fatalf("N=2^%d P=%d %v: nondeterministic forward", lg, p, k)
 				}
 
-				pl.Schedule(w, k, true).Run(a)
+				noErr(t, pl.Schedule(w, k, true).Run(a))
 				if e := maxRelError(a, x); e > 1e-9 {
 					t.Fatalf("N=2^%d P=%d %v: round-trip error %g", lg, p, k, e)
 				}
@@ -199,7 +199,7 @@ func TestRealPlanKernels(t *testing.T) {
 			back := make([]float64, n)
 			work := make([]complex128, n/2)
 			rp.PreInverse(work, spec)
-			rp.Half.Schedule(rp.WHalf, k, true).Run(work)
+			noErr(t, rp.Half.Schedule(rp.WHalf, k, true).Run(work))
 			rp.PostInverse(back, work)
 			for i := range back {
 				if d := math.Abs(back[i] - x[i]); d > 1e-9 {
@@ -219,14 +219,14 @@ func TestPlan2DKernels(t *testing.T) {
 	}
 	x := lcgComplex(16*64, 11)
 	want := append([]complex128(nil), x...)
-	p2.Transform(want)
+	noErr(t, p2.Transform(want))
 	for _, k := range fft.ConcreteKernels() {
 		got := append([]complex128(nil), x...)
-		p2.Schedule(k, false).Run(got)
+		noErr(t, p2.Schedule(k, false).Run(got))
 		if e := maxRelError(got, want); e > 1e-9 {
 			t.Errorf("%v: 2-D error vs radix-2 %g", k, e)
 		}
-		p2.Schedule(k, true).Run(got)
+		noErr(t, p2.Schedule(k, true).Run(got))
 		if e := maxRelError(got, x); e > 1e-9 {
 			t.Errorf("%v: 2-D round-trip error %g", k, e)
 		}
@@ -281,7 +281,7 @@ func FuzzKernelParity(f *testing.F) {
 		if e := maxRelError(got, want); e > 1e-9 {
 			t.Fatalf("N=%d P=%d %v: error vs radix-2 %g", n, p, kern, e)
 		}
-		pl.Schedule(w, kern, true).Run(got)
+		noErr(t, pl.Schedule(w, kern, true).Run(got))
 		if e := maxRelError(got, x); e > 1e-9 {
 			t.Fatalf("N=%d P=%d %v: round-trip error %g", n, p, kern, e)
 		}

@@ -220,22 +220,24 @@ func (mp *MixedPlan) buildSchedules() {
 	mp.inv = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: inverted(ps, onData, mp.N), work: mp.N}
 }
 
-// Transform applies the forward DFT in place, serially.
-func (mp *MixedPlan) Transform(data []complex128) { mp.fwd.Run(data) }
+// Transform applies the forward DFT in place, serially. A wrong-length
+// array is returned as an error wrapping ErrLengthMismatch.
+func (mp *MixedPlan) Transform(data []complex128) error { return mp.fwd.Run(data) }
 
 // InverseTransform applies the inverse DFT in place via the conjugation
 // identity IDFT(X) = conj(DFT(conj(X)))/N.
-func (mp *MixedPlan) InverseTransform(data []complex128) { mp.inv.Run(data) }
+func (mp *MixedPlan) InverseTransform(data []complex128) error { return mp.inv.Run(data) }
 
 // TransformWith is Transform with work (length N) as the ping-pong
 // buffer instead of a pooled one; work's prior contents are ignored and
 // it holds intermediate values afterwards. Wrong-length buffers panic
 // with an error wrapping ErrLengthMismatch.
 func (mp *MixedPlan) TransformWith(data, work []complex128) {
-	mp.fwd.Check(data)
-	if len(work) != mp.N {
-		panic(LengthError("work", len(work), mp.N))
+	err := mp.fwd.Check(data)
+	if err == nil && len(work) != mp.N {
+		err = LengthError("work", len(work), mp.N)
 	}
+	must(err)
 	st := statePool.Get().(*State) // pooled so the call allocates nothing; no buffers acquired
 	st.Data, st.Work = data, work
 	mp.fwd.Exec(st)

@@ -15,6 +15,9 @@ import "fmt"
 // The spectrum of a real signal is Hermitian (X[N−k] = conj(X[k])), so
 // only the N/2+1 bins X[0..N/2] are produced; X[0] and X[N/2] are
 // purely real by construction.
+//
+// The split passes check no lengths: a caller validates its buffers at
+// its own entry, before any work.
 type RealSplit struct {
 	// N is the real-input length (even, ≥ 4).
 	N int
@@ -80,10 +83,6 @@ func (rp *RealSplit) SpectrumLen() int { return rp.N/2 + 1 }
 // dst[j] = src[2j] + i·src[2j+1], leaving dst[N/2] untouched. dst must
 // have SpectrumLen elements.
 func (rp *RealSplit) Pack(dst []complex128, src []float64) {
-	rp.checkSpectrum(dst)
-	if len(src) != rp.N {
-		panic(LengthError("real input", len(src), rp.N))
-	}
 	for j := 0; j < rp.N/2; j++ {
 		dst[j] = complex(src[2*j], src[2*j+1])
 	}
@@ -100,7 +99,6 @@ func (rp *RealSplit) Pack(dst []complex128, src []float64) {
 // and the pair (k, h−k) is resolved simultaneously so the pass runs in
 // place (for odd h the middle pair k = h−k resolves to itself).
 func (rp *RealSplit) Unpack(dst []complex128) {
-	rp.checkSpectrum(dst)
 	h := rp.N / 2
 	z0 := dst[0]
 	dst[0] = complex(real(z0)+imag(z0), 0)
@@ -117,19 +115,28 @@ func (rp *RealSplit) Unpack(dst []complex128) {
 // Transform computes the half-spectrum of the length-N real signal src
 // into dst (length SpectrumLen) with the radix-2 half transform: pack,
 // N/2-point FFT, split. src is not modified. Buffers of the wrong
-// length panic with an error wrapping ErrLengthMismatch.
-func (rp *RealPlan) Transform(dst []complex128, src []float64) {
-	rp.TransformKernelWith(dst, src, KernelRadix2, nil)
+// length are returned, untouched, as an error wrapping ErrLengthMismatch.
+func (rp *RealPlan) Transform(dst []complex128, src []float64) error {
+	return rp.transform(dst, src, KernelRadix2)
 }
 
 // TransformKernelWith is RealPlan.Transform with a selectable butterfly
 // kernel for the half transform; the pack/split passes are kernel-
 // independent O(N) sweeps. The Scratch parameter is unused — the
-// schedule pools its own.
+// schedule pools its own. Wrong-length buffers panic with Transform's
+// error.
 func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Kernel, _ *Scratch) {
+	must(rp.transform(dst, src, kern))
+}
+
+func (rp *RealPlan) transform(dst []complex128, src []float64, kern Kernel) error {
+	if err := rp.check(dst, src); err != nil {
+		return err
+	}
 	rp.Pack(dst, src)
 	rp.Half.TransformKernel(dst[:rp.N/2], rp.WHalf, kern)
 	rp.Unpack(dst)
+	return nil
 }
 
 // PreInverse rebuilds the packed half transform Z (into work, length
@@ -141,10 +148,6 @@ func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Ke
 //	Z[k] = E[k] + i·O[k].
 func (rp *RealSplit) PreInverse(work, src []complex128) {
 	h := rp.N / 2
-	if len(work) != h {
-		panic(LengthError("work buffer", len(work), h))
-	}
-	rp.checkSpectrum(src)
 	for k := 0; k < h; k++ {
 		a, b := src[k], conj(src[h-k])
 		e := (a + b) * 0.5
@@ -156,12 +159,6 @@ func (rp *RealSplit) PreInverse(work, src []complex128) {
 // PostInverse de-interleaves the inverse half transform work (length
 // N/2) into the real signal dst (length N).
 func (rp *RealSplit) PostInverse(dst []float64, work []complex128) {
-	if len(dst) != rp.N {
-		panic(LengthError("real output", len(dst), rp.N))
-	}
-	if len(work) != rp.N/2 {
-		panic(LengthError("work buffer", len(work), rp.N/2))
-	}
 	for j, v := range work {
 		dst[2*j] = real(v)
 		dst[2*j+1] = imag(v)
@@ -170,18 +167,31 @@ func (rp *RealSplit) PostInverse(dst []float64, work []complex128) {
 
 // Inverse recovers the length-N real signal from its half-spectrum src
 // (length SpectrumLen) into dst with the radix-2 half transform. src is
-// not modified. Inverse allocates its N/2 work buffer.
-func (rp *RealPlan) Inverse(dst []float64, src []complex128) {
+// not modified. Inverse allocates its N/2 work buffer. Buffers of the
+// wrong length are returned as Transform's are, before any work.
+func (rp *RealPlan) Inverse(dst []float64, src []complex128) error {
+	if err := rp.check(src, dst); err != nil {
+		return err
+	}
 	work := make([]complex128, rp.N/2)
 	rp.PreInverse(work, src)
-	rp.Half.Schedule(rp.WHalf, KernelRadix2, true).Run(work)
+	if err := rp.Half.Schedule(rp.WHalf, KernelRadix2, true).Run(work); err != nil {
+		return err
+	}
 	rp.PostInverse(dst, work)
+	return nil
 }
 
-func (rp *RealSplit) checkSpectrum(s []complex128) {
-	if len(s) != rp.N/2+1 {
-		panic(LengthError("half-spectrum", len(s), rp.N/2+1))
+// check returns an error wrapping ErrLengthMismatch unless spec has
+// SpectrumLen elements and x has N.
+func (rp *RealSplit) check(spec []complex128, x []float64) error {
+	if len(x) != rp.N {
+		return LengthError("real signal", len(x), rp.N)
 	}
+	if len(spec) != rp.SpectrumLen() {
+		return LengthError("half-spectrum", len(spec), rp.SpectrumLen())
+	}
+	return nil
 }
 
 func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }

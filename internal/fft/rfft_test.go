@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"codeletfft/internal/fft"
@@ -38,7 +39,7 @@ func TestRealPlanMatchesDFT(t *testing.T) {
 			}
 			x := realNoise(n, int64(n+p))
 			spec := make([]complex128, rp.SpectrumLen())
-			rp.Transform(spec, x)
+			noErr(t, rp.Transform(spec, x))
 			want := fft.DFT(asComplex(x))
 			for k := 0; k <= n/2; k++ {
 				d := spec[k] - want[k]
@@ -60,7 +61,7 @@ func TestRealPlanHermitianEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := make([]complex128, rp.SpectrumLen())
-	rp.Transform(spec, realNoise(256, 9))
+	noErr(t, rp.Transform(spec, realNoise(256, 9)))
 	if imag(spec[0]) != 0 || imag(spec[128]) != 0 {
 		t.Fatalf("DC/Nyquist bins not exactly real: %v, %v", spec[0], spec[128])
 	}
@@ -75,9 +76,9 @@ func TestRealPlanRoundTrip(t *testing.T) {
 		}
 		x := realNoise(n, int64(n))
 		spec := make([]complex128, rp.SpectrumLen())
-		rp.Transform(spec, x)
+		noErr(t, rp.Transform(spec, x))
 		back := make([]float64, n)
-		rp.Inverse(back, spec)
+		noErr(t, rp.Inverse(back, spec))
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-10 {
 				t.Fatalf("n=%d: round trip diverged at %d: %g vs %g", n, i, back[i], x[i])
@@ -113,9 +114,9 @@ func TestRealPlanLinearity(t *testing.T) {
 	sx := make([]complex128, rp.SpectrumLen())
 	sy := make([]complex128, rp.SpectrumLen())
 	sm := make([]complex128, rp.SpectrumLen())
-	rp.Transform(sx, x)
-	rp.Transform(sy, y)
-	rp.Transform(sm, mixed)
+	noErr(t, rp.Transform(sx, x))
+	noErr(t, rp.Transform(sy, y))
+	noErr(t, rp.Transform(sm, mixed))
 	for k := range sm {
 		d := sm[k] - (2*sx[k] - 3*sy[k])
 		if math.Hypot(real(d), imag(d)) > 1e-9 {
@@ -141,32 +142,36 @@ func TestNewRealPlanRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestRealPlanPanicsWrapErrLengthMismatch pins the documented panic
-// contract: wrong-length buffers panic with an error value satisfying
-// errors.Is(v, ErrLengthMismatch).
-func TestRealPlanPanicsWrapErrLengthMismatch(t *testing.T) {
+// TestRealPlanLengthErrors: wrong-length buffers are returned as an
+// error wrapping ErrLengthMismatch, before any buffer is written.
+func TestRealPlanLengthErrors(t *testing.T) {
 	rp, err := fft.NewRealPlan(16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustLengthPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			v := recover()
-			e, ok := v.(error)
-			if !ok || !errors.Is(e, fft.ErrLengthMismatch) {
-				t.Fatalf("%s: panic value %v, want error wrapping ErrLengthMismatch", name, v)
-			}
-		}()
-		fn()
+	for _, tc := range []struct {
+		name string
+		spec []complex128
+		x    []float64
+		call func(spec []complex128, x []float64) error
+	}{
+		{"short spectrum", make([]complex128, 3), make([]float64, 16), rp.Transform},
+		{"short input", make([]complex128, 9), make([]float64, 15), rp.Transform},
+		{"short output", make([]complex128, 9), make([]float64, 8), func(spec []complex128, x []float64) error { return rp.Inverse(x, spec) }},
+		{"short inverse spectrum", make([]complex128, 8), make([]float64, 16), func(spec []complex128, x []float64) error { return rp.Inverse(x, spec) }},
+	} {
+		for i := range tc.spec {
+			tc.spec[i] = complex(float64(i), 1)
+		}
+		for i := range tc.x {
+			tc.x[i] = float64(i) + 0.5
+		}
+		spec, x := slices.Clone(tc.spec), slices.Clone(tc.x)
+		if err := tc.call(tc.spec, tc.x); !errors.Is(err, fft.ErrLengthMismatch) {
+			t.Fatalf("%s: err = %v, want ErrLengthMismatch", tc.name, err)
+		}
+		if !slices.Equal(spec, tc.spec) || !slices.Equal(x, tc.x) {
+			t.Fatalf("%s: a buffer was written before the length error", tc.name)
+		}
 	}
-	mustLengthPanic("short spectrum", func() {
-		rp.Transform(make([]complex128, 3), make([]float64, 16))
-	})
-	mustLengthPanic("short input", func() {
-		rp.Transform(make([]complex128, 9), make([]float64, 15))
-	})
-	mustLengthPanic("short output", func() {
-		rp.Inverse(make([]float64, 8), make([]complex128, 9))
-	})
 }

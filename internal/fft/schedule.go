@@ -116,13 +116,14 @@ func (st *State) Release() {
 	statePool.Put(st)
 }
 
-// Check panics with an error wrapping ErrLengthMismatch unless data has
-// the schedule's length. Executors call it before the first pass, so a
+// Check returns an error wrapping ErrLengthMismatch unless data has the
+// schedule's length. Executors call it before the first pass, so a
 // wrong-length array is rejected untouched.
-func (s *Schedule) Check(data []complex128) {
+func (s *Schedule) Check(data []complex128) error {
 	if len(data) != s.N {
-		panic(LengthError("data", len(data), s.N))
+		return LengthError("data", len(data), s.N)
 	}
+	return nil
 }
 
 // Exec runs every pass of s over its whole unit range on st, on the
@@ -135,11 +136,14 @@ func (s *Schedule) Exec(st *State) {
 }
 
 // Run transforms data in place serially: check, acquire, Exec, release.
-func (s *Schedule) Run(data []complex128) {
-	s.Check(data)
+func (s *Schedule) Run(data []complex128) error {
+	if err := s.Check(data); err != nil {
+		return err
+	}
 	st := s.Acquire(data)
 	s.Exec(st)
 	st.Release()
+	return nil
 }
 
 // operand selects the array a family's passes work on: the caller's

@@ -679,7 +679,8 @@ func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool, buf operand
 
 // TransformSoA runs the forward SoA schedule serially. Zero
 // steady-state allocations (the frame comes from a sync.Pool; the split
-// twiddle tables are built once per plan).
+// twiddle tables are built once per plan). A wrong-length array panics
+// with an error wrapping ErrLengthMismatch.
 func (pl *Plan) TransformSoA(data, w []complex128, kern Kernel) {
-	pl.Schedule(w, kern, false).Run(data)
+	must(pl.Schedule(w, kern, false).Run(data))
 }

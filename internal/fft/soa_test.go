@@ -159,7 +159,7 @@ func TestSoAMatchesUnfusedOracle(t *testing.T) {
 				copy(want, x)
 				soaInverseOracle(pl, want, w, kern)
 				copy(got, x)
-				pl.Schedule(w, kern, true).Run(got)
+				noErr(t, pl.Schedule(w, kern, true).Run(got))
 				if !equalBits(got, want) {
 					t.Fatalf("N=2^%d P=%d %v: inverse differs from conj → forward → conj·1/N", logN, p, kern)
 				}
@@ -287,7 +287,7 @@ func FuzzSoAParity(f *testing.F) {
 
 		unfused := append([]complex128(nil), got...)
 		soaInverseOracle(pl, unfused, w, kern)
-		pl.Schedule(w, kern, true).Run(got)
+		noErr(t, pl.Schedule(w, kern, true).Run(got))
 		if rel := maxRelError(got, x); rel > 1e-9 {
 			t.Fatalf("n=%d p=%d %v: round-trip relative error %g", n, p, kern, rel)
 		}

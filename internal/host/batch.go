@@ -30,7 +30,7 @@ func execRows(s *fft.Schedule, st *fft.State, rows [][]complex128) {
 
 // RunBatch transforms every array of batch in place by schedule s. The
 // arrays must be distinct (no aliasing). Every row's length is checked
-// before any is touched; a bad row panics with fft.BatchLengthError,
+// before any is touched; a bad row is returned as fft.BatchLengthError,
 // which names its index. Then, by what the inputs allow:
 //
 //   - one worker, or a whole batch (rows × span) below the threshold:
@@ -46,14 +46,14 @@ func execRows(s *fft.Schedule, st *fft.State, rows [][]complex128) {
 //
 // One ObserveBatch reports the call. Output is bitwise identical to
 // calling s.Run on each row in order.
-func (e *Engine) RunBatch(s *fft.Schedule, batch [][]complex128) {
+func (e *Engine) RunBatch(s *fft.Schedule, batch [][]complex128) error {
 	for i, row := range batch {
 		if len(row) != s.N {
-			panic(fft.BatchLengthError(i, len(row), s.N))
+			return fft.BatchLengthError(i, len(row), s.N)
 		}
 	}
 	if len(batch) == 0 {
-		return
+		return nil
 	}
 	t0 := e.passStart()
 	switch {
@@ -65,12 +65,13 @@ func (e *Engine) RunBatch(s *fft.Schedule, batch [][]complex128) {
 		e.steal(s, batch)
 	default:
 		for _, row := range batch {
-			e.Run(s, row)
+			must(e.Run(s, row)) // unreachable: every row was checked above
 		}
 	}
 	if e.obs != nil {
 		e.obs.ObserveBatch(len(batch), s.N, time.Since(t0))
 	}
+	return nil
 }
 
 // steal deals the batch out whole: at most e.workers stealers — the

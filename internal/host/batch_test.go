@@ -1,7 +1,6 @@
 package host_test
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -221,36 +220,22 @@ func TestArbitraryNZeroAllocs(t *testing.T) {
 	par := host.New(host.Config{Workers: 3, Threshold: 1})
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, op := range ops {
-		serial.Run(op.s, op.data) // warm the pools and the plan's split twiddles
-		if allocs := testing.AllocsPerRun(10, func() { serial.Run(op.s, op.data) }); allocs != 0 {
+		noErr(t, serial.Run(op.s, op.data)) // warm the pools and the plan's split twiddles
+		if allocs := testing.AllocsPerRun(10, func() { _ = serial.Run(op.s, op.data) }); allocs != 0 {
 			t.Errorf("serial %s allocates %v objects per call in steady state, want 0", op.name, allocs)
 		}
-		par.Run(op.s, op.data)
+		noErr(t, par.Run(op.s, op.data))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const reps = 10
 		for i := 0; i < reps; i++ {
-			par.Run(op.s, op.data)
+			noErr(t, par.Run(op.s, op.data))
 		}
 		runtime.ReadMemStats(&after)
 		if perCall := (after.TotalAlloc - before.TotalAlloc) / reps; perCall >= uint64(op.buf) {
 			t.Errorf("parallel %s allocates %d bytes per call, want under %d (its buffers are pooled)", op.name, perCall, op.buf)
 		}
 	}
-}
-
-func TestBatchPanicsWrapErrLengthMismatch(t *testing.T) {
-	pl, _ := fft.NewPlan(64, 8)
-	w := fft.Twiddles(64)
-	eng := host.New(host.Config{Workers: 2, Threshold: 1})
-	defer func() {
-		v := recover()
-		e, ok := v.(error)
-		if !ok || !errors.Is(e, fft.ErrLengthMismatch) {
-			t.Fatalf("panic value %v, want error wrapping ErrLengthMismatch", v)
-		}
-	}()
-	eng.TransformBatchKernel(pl, [][]complex128{make([]complex128, 64), make([]complex128, 63)}, w, fft.KernelRadix2)
 }
 
 // TestEngineRealMatchesPlan pins the real-input composition the facade
@@ -271,10 +256,10 @@ func TestEngineRealMatchesPlan(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]complex128, rp.SpectrumLen())
-	rp.Transform(want, x)
+	noErr(t, rp.Transform(want, x))
 	got := make([]complex128, rp.SpectrumLen())
 	rp.Pack(got, x)
-	eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, false), got[:n/2])
+	noErr(t, eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, false), got[:n/2]))
 	rp.Unpack(got)
 	for i := range got {
 		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
@@ -286,7 +271,7 @@ func TestEngineRealMatchesPlan(t *testing.T) {
 	back := make([]float64, n)
 	work := make([]complex128, n/2)
 	rp.PreInverse(work, got)
-	eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, true), work)
+	noErr(t, eng.Run(rp.Half.Schedule(rp.WHalf, fft.KernelRadix2, true), work))
 	rp.PostInverse(back, work)
 	for i := range back {
 		if math.Abs(back[i]-x[i]) > 1e-10 {

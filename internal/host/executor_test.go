@@ -17,6 +17,14 @@ import (
 	"codeletfft/internal/host"
 )
 
+// noErr fails t on a non-nil error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // confCase is one schedule family instance. input draws a row the
 // schedule accepts; nil means complex noise.
 type confCase struct {
@@ -163,9 +171,9 @@ func TestExecutorConformance(t *testing.T) {
 			}
 
 			want := input(1)
-			s.Run(want)
+			noErr(t, s.Run(want))
 			got := input(1)
-			serial.Run(s, got)
+			noErr(t, serial.Run(s, got))
 			if !sameBits(got, want) {
 				t.Fatalf("%s: one-worker engine != serial run", name)
 			}
@@ -173,7 +181,7 @@ func TestExecutorConformance(t *testing.T) {
 				t.Fatalf("%s: serial run reported passes %v batches %v, want nothing", name, p, b)
 			}
 			got = input(1)
-			par.Run(s, got)
+			noErr(t, par.Run(s, got))
 			if !sameBits(got, want) {
 				t.Fatalf("%s: three-worker engine != serial run", name)
 			}
@@ -185,7 +193,7 @@ func TestExecutorConformance(t *testing.T) {
 				wantRows := make([][]complex128, rows)
 				for i := range wantRows {
 					wantRows[i] = input(uint64(10*rows + i))
-					s.Run(wantRows[i])
+					noErr(t, s.Run(wantRows[i]))
 				}
 				for _, e := range []struct {
 					eng    *host.Engine
@@ -199,7 +207,7 @@ func TestExecutorConformance(t *testing.T) {
 					for i := range batch {
 						batch[i] = input(uint64(10*rows + i))
 					}
-					e.eng.RunBatch(s, batch)
+					noErr(t, e.eng.RunBatch(s, batch))
 					for i := range batch {
 						if !sameBits(batch[i], wantRows[i]) {
 							t.Fatalf("%s: B=%d workers=%d row %d != serial run", name, rows, e.eng.Workers(), i)
@@ -276,7 +284,7 @@ func TestExecutionRule(t *testing.T) {
 		want, got := make([][]complex128, n), make([][]complex128, n)
 		for i := range want {
 			want[i], got[i] = kernInput(tc.s.N, uint64(i)), kernInput(tc.s.N, uint64(i))
-			tc.s.Run(want[i])
+			noErr(t, tc.s.Run(want[i]))
 		}
 		var wantPasses []string
 		switch tc.want {
@@ -287,9 +295,9 @@ func TestExecutionRule(t *testing.T) {
 		}
 		var wantBatches [][2]int
 		if tc.rows == 0 {
-			eng.Run(tc.s, got[0])
+			noErr(t, eng.Run(tc.s, got[0]))
 		} else {
-			eng.RunBatch(tc.s, got)
+			noErr(t, eng.RunBatch(tc.s, got))
 			wantBatches = [][2]int{{tc.rows, tc.s.N}}
 		}
 		for i := range got {
@@ -304,8 +312,8 @@ func TestExecutionRule(t *testing.T) {
 }
 
 // TestLengthMismatchLeavesDataUntouched: every family, forward, inverse
-// and batched, on the serial run and both engine shapes, rejects a
-// wrong-length array with a panic wrapping ErrLengthMismatch — naming
+// and batched, on the serial run and both engine shapes, returns a
+// wrong-length array as an error wrapping ErrLengthMismatch — naming
 // the row, for a batch — before writing a single element: the check
 // comes before the inverse's leading conjugation sweep.
 func TestLengthMismatchLeavesDataUntouched(t *testing.T) {
@@ -325,37 +333,37 @@ func TestLengthMismatchLeavesDataUntouched(t *testing.T) {
 		"parallel": host.New(host.Config{Workers: 3, Threshold: 1}),
 	}
 	// rejected runs f on a fresh short array and two good rows, and
-	// checks the panic and that no element moved.
-	rejected := func(name string, n int, wantRow string, f func(bad []complex128, batch [][]complex128)) {
+	// checks the error and that no element moved.
+	rejected := func(name string, n int, wantRow string, f func(bad []complex128, batch [][]complex128) error) {
 		t.Helper()
 		bad := kernInput(n-1, 3)
 		batch := [][]complex128{kernInput(n, 4), kernInput(n, 5), bad}
 		before := [][]complex128{slices.Clone(batch[0]), slices.Clone(batch[1]), slices.Clone(bad)}
-		defer func() {
-			t.Helper()
-			err, _ := recover().(error)
-			if !errors.Is(err, fft.ErrLengthMismatch) || !strings.Contains(err.Error(), wantRow) {
-				t.Fatalf("%s: recovered %v, want an error wrapping ErrLengthMismatch mentioning %q", name, err, wantRow)
+		if err := f(bad, batch); !errors.Is(err, fft.ErrLengthMismatch) || !strings.Contains(err.Error(), wantRow) {
+			t.Fatalf("%s: err = %v, want an error wrapping ErrLengthMismatch mentioning %q", name, err, wantRow)
+		}
+		for i := range batch {
+			if !sameBits(batch[i], before[i]) {
+				t.Fatalf("%s: array %d was modified before the length check", name, i)
 			}
-			for i := range batch {
-				if !sameBits(batch[i], before[i]) {
-					t.Fatalf("%s: array %d was modified before the length check", name, i)
-				}
-			}
-		}()
-		f(bad, batch)
+		}
 	}
 	for fam, sched := range families {
 		for _, inverse := range []bool{false, true} {
 			s := sched(inverse)
 			name := fmt.Sprintf("%s inverse=%v", fam, inverse)
-			rejected(name+" Schedule.Run", s.N, "data", func(bad []complex128, _ [][]complex128) { s.Run(bad) })
+			rejected(name+" Schedule.Run", s.N, "data", func(bad []complex128, _ [][]complex128) error { return s.Run(bad) })
 			for ename, eng := range engines {
-				rejected(name+" "+ename+" Run", s.N, "data", func(bad []complex128, _ [][]complex128) { eng.Run(s, bad) })
-				rejected(name+" "+ename+" RunBatch", s.N, "batch element 2", func(_ []complex128, batch [][]complex128) { eng.RunBatch(s, batch) })
+				rejected(name+" "+ename+" Run", s.N, "data", func(bad []complex128, _ [][]complex128) error { return eng.Run(s, bad) })
+				rejected(name+" "+ename+" RunBatch", s.N, "batch element 2", func(_ []complex128, batch [][]complex128) error { return eng.RunBatch(s, batch) })
 			}
 		}
 	}
-	// The staged radix-2 reference had the same conj-then-check order.
-	rejected("Plan.InverseTransform", 64, "data", func(bad []complex128, _ [][]complex128) { pl.InverseTransform(bad, w) })
+	// The staged radix-2 reference had the same conj-then-check order;
+	// it has no error result and panics with the error instead.
+	rejected("Plan.InverseTransform", 64, "data", func(bad []complex128, _ [][]complex128) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		pl.InverseTransform(bad, w)
+		return nil
+	})
 }

@@ -147,15 +147,16 @@ func (e *Engine) passDone(pass string, start time.Time) {
 // the threshold, and every schedule on a one-worker engine, run
 // serially on the caller's goroutine (fft.Schedule.Run); otherwise
 // every pass is sharded across the workers with a barrier after it and
-// reported to the observer. A wrong-length array panics, untouched,
-// with an error wrapping fft.ErrLengthMismatch. Output is bitwise
-// identical to s.Run(data) either way.
-func (e *Engine) Run(s *fft.Schedule, data []complex128) {
+// reported to the observer. A wrong-length array is returned,
+// untouched, as an error wrapping fft.ErrLengthMismatch. Output is
+// bitwise identical to s.Run(data) either way.
+func (e *Engine) Run(s *fft.Schedule, data []complex128) error {
 	if s.Span() < e.threshold || e.workers <= 1 {
-		s.Run(data)
-		return
+		return s.Run(data)
 	}
-	s.Check(data)
+	if err := s.Check(data); err != nil {
+		return err
+	}
 	st := s.Acquire(data)
 	for i := range s.Passes {
 		p := &s.Passes[i]
@@ -164,37 +165,44 @@ func (e *Engine) Run(s *fft.Schedule, data []complex128) {
 		e.passDone(p.Label, t0)
 	}
 	st.Release()
+	return nil
 }
 
 // The entry points below exist because the benchmark module compiles
 // against them; each names a family's schedule and hands it to Run or
-// RunBatch.
+// RunBatch, and panics with the length error those return.
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 // TransformKernel runs pl's forward schedule under kern on data. w must
 // be fft.Twiddles(pl.N).
 func (e *Engine) TransformKernel(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
-	e.Run(pl.Schedule(w, kern, false), data)
+	must(e.Run(pl.Schedule(w, kern, false), data))
 }
 
 // TransformBatchKernel runs pl's forward schedule under kern on every
 // array of batch.
 func (e *Engine) TransformBatchKernel(pl *fft.Plan, batch [][]complex128, w []complex128, kern fft.Kernel) {
-	e.RunBatch(pl.Schedule(w, kern, false), batch)
+	must(e.RunBatch(pl.Schedule(w, kern, false), batch))
 }
 
 // InverseBatchKernel runs pl's inverse schedule under kern on every
 // array of batch.
 func (e *Engine) InverseBatchKernel(pl *fft.Plan, batch [][]complex128, w []complex128, kern fft.Kernel) {
-	e.RunBatch(pl.Schedule(w, kern, true), batch)
+	must(e.RunBatch(pl.Schedule(w, kern, true), batch))
 }
 
 // MixedTransform runs mp's forward schedule on data.
 func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
-	e.Run(mp.Schedule(false), data)
+	must(e.Run(mp.Schedule(false), data))
 }
 
 // BluesteinTransform runs bp's forward schedule on data, its embedded
 // convolution under kern.
 func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel) {
-	e.Run(bp.Schedule(kern, false), data)
+	must(e.Run(bp.Schedule(kern, false), data))
 }

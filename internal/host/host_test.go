@@ -10,6 +10,14 @@ import (
 	"codeletfft/internal/fft"
 )
 
+// noErr fails t on a non-nil error.
+func noErr(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func noise(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]complex128, n)
@@ -79,7 +87,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 7, 16} {
 				e := New(Config{Workers: workers, Threshold: 1})
 				got := append([]complex128(nil), x...)
-				e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
+				noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, false), got))
 				if !sameBits(got, want) {
 					t.Errorf("N=%d P=%d workers=%d: parallel != serial (max err %g)",
 						n, p, workers, maxErr(got, want))
@@ -103,8 +111,8 @@ func TestParallelInverseMatchesSerial(t *testing.T) {
 
 	e := New(Config{Workers: 4, Threshold: 1})
 	got := append([]complex128(nil), x...)
-	e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
-	e.Run(pl.Schedule(w, fft.KernelRadix2, true), got)
+	noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, false), got))
+	noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, true), got))
 	if !sameBits(got, want) {
 		t.Fatalf("parallel round trip != serial round trip (max err %g)", maxErr(got, want))
 	}
@@ -128,7 +136,7 @@ func TestThresholdFallback(t *testing.T) {
 	pl.Transform(want, w)
 	e := New(Config{Workers: 8}) // DefaultThreshold ≫ 256
 	got := append([]complex128(nil), x...)
-	e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
+	noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, false), got))
 	if !sameBits(got, want) {
 		t.Fatal("serial fallback diverged from serial path")
 	}
@@ -143,16 +151,16 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 		}
 		x := noise(rows*cols, int64(rows))
 		want := append([]complex128(nil), x...)
-		p2.Transform(want)
+		noErr(t, p2.Transform(want))
 		for _, workers := range []int{1, 3, 8} {
 			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
-			e.Run(p2.Schedule(fft.KernelRadix2, false), got)
+			noErr(t, e.Run(p2.Schedule(fft.KernelRadix2, false), got))
 			if !sameBits(got, want) {
 				t.Errorf("%dx%d workers=%d: parallel 2-D != serial (max err %g)",
 					rows, cols, workers, maxErr(got, want))
 			}
-			e.Run(p2.Schedule(fft.KernelRadix2, true), got)
+			noErr(t, e.Run(p2.Schedule(fft.KernelRadix2, true), got))
 			if err := maxErr(got, x); err > 1e-12 {
 				t.Errorf("%dx%d workers=%d: 2-D round trip error %g", rows, cols, workers, err)
 			}
@@ -184,7 +192,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				got := append([]complex128(nil), x...)
-				e.Run(pl.Schedule(w, fft.KernelRadix2, false), got)
+				noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, false), got))
 				if !sameBits(got, want) {
 					errs <- errFailed
 					return

@@ -69,7 +69,7 @@ func TestSoAInverseMatchesUnfusedIdentity(t *testing.T) {
 			}
 			par := host.New(host.Config{Workers: 3, Threshold: 1})
 			got := append([]complex128(nil), batch[0]...)
-			par.Run(pl.Schedule(w, k, true), got)
+			noErr(t, par.Run(pl.Schedule(w, k, true), got))
 			if !sameBits(got, want[0]) {
 				t.Fatalf("N=2^%d %v: Workers=3 inverse != unfused identity", lg, k)
 			}
@@ -109,7 +109,7 @@ func TestKernelRealAndTwoD(t *testing.T) {
 		rp.TransformKernelWith(want, x, k, nil)
 		got := make([]complex128, rp.SpectrumLen())
 		rp.Pack(got, x)
-		eng.Run(rp.Half.Schedule(rp.WHalf, k, false), got[:512])
+		noErr(t, eng.Run(rp.Half.Schedule(rp.WHalf, k, false), got[:512]))
 		rp.Unpack(got)
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine real transform != serial", k)
@@ -117,7 +117,7 @@ func TestKernelRealAndTwoD(t *testing.T) {
 		back := make([]float64, 1024)
 		work := make([]complex128, 512)
 		rp.PreInverse(work, got)
-		eng.Run(rp.Half.Schedule(rp.WHalf, k, true), work)
+		noErr(t, eng.Run(rp.Half.Schedule(rp.WHalf, k, true), work))
 		rp.PostInverse(back, work)
 		for i := range back {
 			if math.Abs(back[i]-x[i]) > 1e-9 {
@@ -133,13 +133,13 @@ func TestKernelRealAndTwoD(t *testing.T) {
 	for _, k := range fft.ConcreteKernels() {
 		want := kernInput(32*64, 5)
 		got := append([]complex128(nil), want...)
-		p2.Schedule(k, false).Run(want)
-		eng.Run(p2.Schedule(k, false), got)
+		noErr(t, p2.Schedule(k, false).Run(want))
+		noErr(t, eng.Run(p2.Schedule(k, false), got))
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine 2-D != serial", k)
 		}
-		p2.Schedule(k, true).Run(want)
-		eng.Run(p2.Schedule(k, true), got)
+		noErr(t, p2.Schedule(k, true).Run(want))
+		noErr(t, eng.Run(p2.Schedule(k, true), got))
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine inverse 2-D != serial", k)
 		}

@@ -47,16 +47,16 @@ func TestMixedParallelMatchesSerial(t *testing.T) {
 		}
 		x := mixedSignal(n, int64(n))
 		serial := append([]complex128(nil), x...)
-		mp.Transform(serial)
+		noErr(t, mp.Transform(serial))
 		serialInv := append([]complex128(nil), serial...)
-		mp.InverseTransform(serialInv)
+		noErr(t, mp.InverseTransform(serialInv))
 
 		for _, workers := range []int{2, 4, 7} {
 			eng := host.New(host.Config{Workers: workers, Threshold: 1})
 			par := append([]complex128(nil), x...)
 			eng.MixedTransform(mp, par)
 			requireSameBits(t, par, serial, "forward")
-			eng.Run(mp.Schedule(true), par)
+			noErr(t, eng.Run(mp.Schedule(true), par))
 			requireSameBits(t, par, serialInv, "inverse")
 		}
 	}
@@ -87,8 +87,8 @@ func TestBluesteinEngineDeterministic(t *testing.T) {
 			four.BluesteinTransform(bp, par, kern)
 			requireSameBits(t, par, ref, "bluestein forward")
 
-			one.Run(bp.Schedule(kern, true), ref)
-			four.Run(bp.Schedule(kern, true), par)
+			noErr(t, one.Run(bp.Schedule(kern, true), ref))
+			noErr(t, four.Run(bp.Schedule(kern, true), par))
 			requireSameBits(t, par, ref, "bluestein inverse")
 			if e := fft.MaxError(par, x); e > 1e-9 {
 				t.Fatalf("n=%d kern=%v: round-trip error %g", n, kern, e)
@@ -115,14 +115,14 @@ func TestBluesteinBatchMatchesLoop(t *testing.T) {
 		eng.BluesteinTransform(bp, want[r], fft.KernelRadix2)
 		batch[r] = append([]complex128(nil), x...)
 	}
-	eng.RunBatch(bp.Schedule(fft.KernelRadix2, false), batch)
+	noErr(t, eng.RunBatch(bp.Schedule(fft.KernelRadix2, false), batch))
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch row")
 	}
 	for r := range batch {
-		eng.Run(bp.Schedule(fft.KernelRadix2, true), want[r])
+		noErr(t, eng.Run(bp.Schedule(fft.KernelRadix2, true), want[r]))
 	}
-	eng.RunBatch(bp.Schedule(fft.KernelRadix2, true), batch)
+	noErr(t, eng.RunBatch(bp.Schedule(fft.KernelRadix2, true), batch))
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch inverse row")
 	}

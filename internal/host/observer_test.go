@@ -58,8 +58,8 @@ func TestObserverBatchAndPasses(t *testing.T) {
 		batch[i] = make([]complex128, n)
 		batch[i][1] = 1
 	}
-	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch)
-	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, true), batch)
+	noErr(t, e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch))
+	noErr(t, e.RunBatch(pl.Schedule(w, fft.KernelRadix2, true), batch))
 
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
@@ -95,8 +95,8 @@ func TestObserverSerialFallback(t *testing.T) {
 	for i := range batch {
 		batch[i] = make([]complex128, n)
 	}
-	e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch)
-	e.Run(pl.Schedule(w, fft.KernelRadix2, true), batch[0])
+	noErr(t, e.RunBatch(pl.Schedule(w, fft.KernelRadix2, false), batch))
+	noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, true), batch[0]))
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if len(obs.batches) != 1 || obs.batches[0] != batchSize {
@@ -120,7 +120,7 @@ func TestObserverParallelTransform(t *testing.T) {
 	e := New(Config{Workers: 4, Threshold: 1, Observer: obs})
 	data := make([]complex128, n)
 	data[1] = 1
-	e.Run(pl.Schedule(w, fft.KernelRadix2, false), data)
+	noErr(t, e.Run(pl.Schedule(w, fft.KernelRadix2, false), data))
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if obs.passes[PassBitRev] != 1 {
@@ -165,9 +165,9 @@ func TestObserverInversePasses(t *testing.T) {
 					batch[i][1] = 1
 				}
 				if rows == 1 {
-					e.Run(inv, batch[0])
+					noErr(t, e.Run(inv, batch[0]))
 				} else {
-					e.RunBatch(inv, batch)
+					noErr(t, e.RunBatch(inv, batch))
 				}
 			})
 			if obs.passes[PassConj] != rows*sweeps || obs.passes[PassScale] != rows*sweeps {

@@ -38,11 +38,11 @@ func TestPoolConcurrentCallers(t *testing.T) {
 						want := append([]complex128(nil), x...)
 						batch := make([][]complex128, rows)
 						for r := range batch {
-							s.Run(want[r*n : (r+1)*n])
+							noErr(t, s.Run(want[r*n:(r+1)*n]))
 							batch[r] = x[r*n : (r+1)*n]
 						}
-						e.Run(s, batch[0])
-						e.RunBatch(s, batch[1:])
+						noErr(t, e.Run(s, batch[0]))
+						noErr(t, e.RunBatch(s, batch[1:]))
 						if !sameBits(x, want) {
 							t.Errorf("%v distinct=%v caller %d: shared-pool output differs from serial", kern, distinct, g)
 						}
@@ -120,8 +120,8 @@ func TestWorkersBeyondPool(t *testing.T) {
 				for r := range batch {
 					batch[r] = run.data[r*n : (r+1)*n]
 				}
-				run.eng.Run(s, batch[0])
-				run.eng.RunBatch(s, batch[1:])
+				noErr(t, run.eng.Run(s, batch[0]))
+				noErr(t, run.eng.RunBatch(s, batch[1:]))
 			}
 			if !sameBits(x, want) {
 				t.Errorf("workers=%d inverse=%v: output differs from Workers: 1", workers, inverse)

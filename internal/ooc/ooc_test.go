@@ -44,9 +44,13 @@ func fourStepRefSplit(t *testing.T, data []complex128, n1, n2 int, inverse bool)
 	}
 	out := append([]complex128(nil), data...)
 	if inverse {
-		fs.InverseTransform(out)
+		if err := fs.InverseTransform(out); err != nil {
+			t.Fatal(err)
+		}
 	} else {
-		fs.Transform(out)
+		if err := fs.Transform(out); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return out
 }

@@ -4,8 +4,8 @@
 //	admit   drain → deadline → queue token (503 / 400 / 429)
 //	submit  queue under the request's shape, wait for the answer or the
 //	        deadline; classify turns a failure into its status and counter
-//	run     resolve the shape's plan from the per-server table, one
-//	        batched engine call, panic → error
+//	run     resolve the shape's plan through the facade's cache, one
+//	        batched engine call; a length error comes back as a value
 //
 // Batches form by a rule that needs no clock — the source paper's firing
 // rule (work fires when its inputs are ready and a unit is free) rather
@@ -203,7 +203,8 @@ func (s *Server) answer(key batchKey, reqs []*pending) {
 // shared core and the shared worker pool, so a hit costs one lookup per
 // batch and holds nothing) and applies key's transform to every row in
 // a single batched call (per-row calls for the real kinds, whose sample
-// buffers are the parallel reals), behind isolate.
+// buffers are the parallel reals), behind isolate. A malformed row is the
+// plan's returned length error, which classify answers with 400.
 func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64) error {
 	return s.isolate(key, rows, func() (err error) {
 		switch key.kind {
@@ -233,21 +234,17 @@ func (s *Server) run(key batchKey, rows [][]complex128, reals [][]float64) error
 	})
 }
 
-// isolate is the daemon's one isolation boundary, around every batch and
-// every session step: a panic anywhere inside work becomes an error and
-// the server keeps serving; panic values that are errors are wrapped,
-// not stringified, so classify can tell a length-mismatch (which names
-// the offending batch element) from a fault. key and rows are what the
-// test seam execHook sees.
+// isolate is the daemon's boundary for real bugs, around every batch and
+// every session step: a panic on the calling goroutine inside work
+// becomes a 500 and the server keeps serving. Bad input never gets here
+// as a panic — every plan returns it — and a panic on a pool worker is
+// beyond any recover here. key and rows are what the test seam execHook
+// sees.
 func (s *Server) isolate(key batchKey, rows [][]complex128, work func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.Inc()
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("transform panic: %w", e)
-			} else {
-				err = fmt.Errorf("transform panic: %v", r)
-			}
+			err = fmt.Errorf("transform panic: %v", r)
 		}
 	}()
 	if s.execHook != nil {

@@ -645,10 +645,10 @@ func TestConcurrentMixedSizes(t *testing.T) {
 	}
 }
 
-// TestRunBatchNamesBadBatchElement: a length-mismatch panic inside a
-// batch dispatch surfaces as an error that wraps ErrLengthMismatch and
+// TestRunBatchNamesBadBatchElement: a malformed row in a batch dispatch
+// comes back from the plan as an error that wraps ErrLengthMismatch and
 // names the offending batch element — the classification that answers
-// 400 instead of 500.
+// 400 instead of 500 — with no panic to recover.
 func TestRunBatchNamesBadBatchElement(t *testing.T) {
 	s := New(Config{})
 	rows := [][]complex128{make([]complex128, 64), make([]complex128, 32)} // row 1 is bad
@@ -662,8 +662,8 @@ func TestRunBatchNamesBadBatchElement(t *testing.T) {
 	if !strings.Contains(err.Error(), "batch element 1") {
 		t.Fatalf("error %q does not name batch element 1", err)
 	}
-	if got := s.m.panics.Value(); got != 1 {
-		t.Fatalf("panics counter = %d, want 1", got)
+	if got := s.m.panics.Value(); got != 0 {
+		t.Fatalf("panics counter = %d, want 0: a bad row is a returned error", got)
 	}
 	if status, _ := s.classify(err); status != http.StatusBadRequest {
 		t.Fatalf("classified as %d, want 400", status)

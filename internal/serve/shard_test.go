@@ -139,7 +139,9 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 		}
 		x := randVecs(fs.N, 1, 9)
 		want := append([]complex128(nil), x...)
-		fs.Transform(want)
+		if err := fs.Transform(want); err != nil {
+			t.Fatal(err)
+		}
 
 		// Pack, session, final transpose — exactly the coordinator's steps.
 		cols := make([]complex128, fs.N)

@@ -39,10 +39,14 @@ func TestOOCPlanBitwiseVsFourStep(t *testing.T) {
 		want := append([]complex128(nil), data...)
 		got := append([]complex128(nil), data...)
 		if inverse {
-			fs.InverseTransform(want)
+			if err := fs.InverseTransform(want); err != nil {
+				t.Fatal(err)
+			}
 			err = p.Inverse(got)
 		} else {
-			fs.Transform(want)
+			if err := fs.Transform(want); err != nil {
+				t.Fatal(err)
+			}
 			err = p.Transform(got)
 		}
 		if err != nil {

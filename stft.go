@@ -34,7 +34,7 @@ type STFTPlan struct {
 // NewSTFTPlan builds a spectrogram plan with the given frame length and
 // hop (both ≥ 1, hop ≤ frame). window is the analysis window applied to
 // each frame before transforming; nil means rectangular, otherwise its
-// length must equal frame (mismatches panic with an error wrapping
+// length must equal frame (a mismatch is an error wrapping
 // ErrLengthMismatch). The window slice is copied. opts configure the
 // frame plan's engine exactly as for NewHostPlan.
 func NewSTFTPlan(frame, hop int, window []float64, opts ...HostOption) (*STFTPlan, error) {
@@ -45,7 +45,7 @@ func NewSTFTPlan(frame, hop int, window []float64, opts ...HostOption) (*STFTPla
 		return nil, fmt.Errorf("%w: spectrogram hop must be in [1, frame]; got hop %d for frame %d", ErrUnsupportedLength, hop, frame)
 	}
 	if window != nil && len(window) != frame {
-		panic(fft.LengthError("window", len(window), frame))
+		return nil, fft.LengthError("window", len(window), frame)
 	}
 	plan, err := CachedHostPlan(frame, opts...)
 	if err != nil {
@@ -78,22 +78,22 @@ func (p *STFTPlan) NumFrames(n int) int {
 // Transform computes the spectrogram of x: frame f is
 // x[f·hop : f·hop+frame] multiplied by the window, transformed in
 // place into dst[f]. len(dst) must be NumFrames(len(x)) and every
-// dst[f] must have length frame. All frames are dispatched as one
-// TransformBatch, so the stage-barrier cost is paid once.
+// dst[f] must have length frame; a mismatch is returned as an error
+// wrapping ErrLengthMismatch (naming the row, for a frame) before any
+// frame is loaded. All frames are dispatched as one TransformBatch, so
+// the stage-barrier cost is paid once.
 func (p *STFTPlan) Transform(dst [][]complex128, x []float64) error {
 	nf := p.NumFrames(len(x))
 	if len(dst) != nf {
-		panic(fft.LengthError("spectrogram frames", len(dst), nf))
+		return fft.LengthError("spectrogram frames", len(dst), nf)
 	}
-	for f := 0; f < nf; f++ {
-		row := dst[f]
+	for f, row := range dst {
 		if len(row) != p.frame {
-			panic(fft.BatchLengthError(f, len(row), p.frame))
+			return fft.BatchLengthError(f, len(row), p.frame)
 		}
-		p.load(row, x[f*p.hop:f*p.hop+p.frame])
 	}
-	if nf == 0 {
-		return nil
+	for f, row := range dst {
+		p.load(row, x[f*p.hop:f*p.hop+p.frame])
 	}
 	return p.plan.TransformBatch(dst)
 }
@@ -146,12 +146,14 @@ func (s *STFTStream) Pending() int { return s.p.NumFrames(len(s.buf)) }
 
 // Next transforms the oldest pending frame into dst (length frame) and
 // advances the stream by hop samples. It returns false without touching
-// dst when no complete frame is buffered. In steady state Next performs
-// no allocation: the frame is windowed into a persistent buffer,
-// transformed through the pooled batch path, and copied out.
+// dst when no complete frame is buffered, and false with an error
+// wrapping ErrLengthMismatch, the stream not advanced, when dst has the
+// wrong length. In steady state Next performs no allocation: the frame
+// is windowed into a persistent buffer, transformed through the pooled
+// batch path, and copied out.
 func (s *STFTStream) Next(dst []complex128) (bool, error) {
 	if len(dst) != s.p.frame {
-		panic(fft.LengthError("spectrogram frame", len(dst), s.p.frame))
+		return false, fft.LengthError("spectrogram frame", len(dst), s.p.frame)
 	}
 	if len(s.buf) < s.p.frame {
 		return false, nil
