@@ -247,9 +247,9 @@ func (p *FourStepPlan) RowFrom(dst, src []complex128) {
 		panic(LengthError("row", min(len(dst), len(src)), p.N2))
 	}
 	f := FrameOf(dst)
-	lg := p.row.pl.LogN
-	f.PackTiles(src, 0, SoAPackTiles(lg), lg, false)
-	p.row.stages(&f)
+	pl, tw := p.row.pl, p.row.pl.SoATwiddles(p.row.w)
+	pl.SoAPack(&f, src, 0, pl.SoAPackTiles(), tw, KernelSoARadix4, false)
+	pl.SoASweeps(&f, tw, KernelSoARadix4)
 }
 
 // UnpackRows is step 5: the final transpose of count transformed rows,

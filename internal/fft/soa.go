@@ -9,13 +9,15 @@ import "sync"
 // operand, where the interleaved layout would pull two complex values
 // and need a shuffle per load. Input is deinterleaved once per
 // transform into a pooled SoAFrame (fused with the bit-reversal
-// permutation so it costs no extra pass) and reinterleaved once at the
-// end; every stage in between works purely on the planes.
+// permutation and stage 0, so neither costs a pass of its own) and
+// reinterleaved once at the end; every stage in between works purely on
+// the planes.
 //
 // Execution differs from the scalar kernels in one structural way.
 // Stage 0 keeps the paper's task shape: each task is a contiguous
 // P-element group at offset r = 0, so it runs in place through the
-// level codelets with the stage's one shared twiddle set. For stages
+// level codelets with the stage's one shared twiddle set — inside the
+// pack, on each run of groups as the pack writes it. For stages
 // ≥ 1 the butterfly distance is already ≥ P, so instead of gathering
 // strided groups (which touches twice the cache lines it would on
 // interleaved data) the planes are swept level by level with
@@ -124,72 +126,194 @@ func GetSoAFrame(n int) *SoAFrame {
 // after Release.
 func (f *SoAFrame) Release() { soaFramePool.Put(f) }
 
-// soaTileBits caps q, the bit width of one side of a pack tile: a
-// 2^q × 2^q tile of complex128 is 16 KiB at q = 5 — resident in any
-// L1d with room for the streams flowing through it — and a 2^q run is
-// 512 bytes of input or 256 bytes of each plane, whole cache lines.
-const soaTileBits = 5
+// The pack's tiles. A tile splits the logN-bit input index i into three
+// fields, and the plane index rev(i) it lands at into their reverses:
+//
+//	i      = a (high r bits) | b (middle) | c (low s bits)
+//	rev(i) = rev(c)          | rev(b)     | rev(a)
+//
+// Tile b is the 2^r × 2^s points that share the middle field. Its rows
+// (fixed a) are contiguous 2^s-point runs of the input; its columns
+// (fixed c) land as contiguous 2^r-point runs of each plane. The pack
+// copies every row into a staging buffer and gathers every column out
+// of it, so the strided half of the permutation never leaves the
+// buffer and every access to the big arrays is a run of whole cache
+// lines. Long runs on both sides are what make the move cheap on
+// arrays that come from L3 or memory: a 1 KiB row and a 2 KiB column
+// run each pay one latency and one page walk for sixteen and
+// thirty-two lines; at a quarter of that length (a 32 × 32 tile) the
+// pack takes twice as long at 2^20 points (EXPERIMENTS "Pack in
+// long-run tiles").
+//
+// A column run is at least P points, so it holds whole stage-0 groups:
+// SoAPack runs stage 0 on each column of a tile once the tile is
+// gathered, while its 256 KiB of planes are in L2, and the transform
+// needs no stage-0 pass of its own.
+const (
+	packRunBits  = 8                         // a column: 256 points, 2 KiB of each plane
+	packRowBits  = 6                         // a row: 64 points, 1 KiB of input
+	packTileBits = packRunBits + packRowBits // the staging buffer: 256 KiB, L2-resident
+)
 
-// soaTileQ returns q for a 2^logN-point pack. The index is split
-// high q bits | middle | low q bits, and one tile holds the 2^q × 2^q
-// points that share a middle field; small transforms shrink the tile
-// until the two outer fields fit.
-func soaTileQ(logN int) int { return min(soaTileBits, logN/2) }
-
-// SoAPackTiles returns the number of independent tiles PackTiles splits
-// a 2^logN-point pack into — the unit callers shard the pack by.
-func SoAPackTiles(logN int) int { return 1 << (logN - 2*soaTileQ(logN)) }
-
-// PackTiles runs tiles [lo,hi) of the SoA transform's input pass: the
-// deinterleave into split planes fused with the bit-reversal
-// permutation (element i lands at BitReverse(i)), cache-blocked.
-// Tile b copies, for every high field a, the contiguous 2^q-point run
-// data[a·2^(logN−q) + b·2^q ...] into row rev(a) of an L1-resident tile
-// on the stack, then for every low field c gathers tile column c into
-// one contiguous 2^q run of each plane at rev(c)·2^(logN−q) + rev(b)·2^q.
-// The strided half of the transpose stays inside the tile, so every
-// access to the big arrays is a run of whole cache lines; the
-// element-at-a-time scatter this replaces stored N/2 floats apart — a
-// new line, and the same few cache sets, on every store. With conj set
-// the imaginary plane is negated on the way in, folding the inverse
-// transform's leading conjugation into the pack. Distinct tiles write
-// disjoint plane elements, so callers may shard
-// [0, SoAPackTiles(logN)) across workers.
-func (f *SoAFrame) PackTiles(data []complex128, lo, hi, logN int, conj bool) {
-	f.packTiles(data, lo, hi, logN, soaTileQ(logN), conj)
+// packShape returns the tile's column and row widths (r, s) for a
+// 2^logN-point pack whose columns must hold 2^logP-point groups. An
+// array of at most 2^packTileBits points is one near-square tile, and
+// SoAPack runs stage 0 over its planes after the gather. Beyond that,
+// columns take 2^packRunBits points, or P when P is longer, and rows
+// 2^packRowBits, narrowed so the buffer stays at 2^packTileBits points
+// until P alone exceeds it.
+func packShape(logN, logP int) (r, s int) {
+	if logN <= packTileBits {
+		return logN - logN/2, logN / 2
+	}
+	r = min(logN, max(packRunBits, logP))
+	return r, min(packRowBits, logN-r, max(0, packTileBits-r))
 }
 
-// packTiles is PackTiles at an explicit tile width q ≤ soaTileBits;
-// q = 0 degenerates to one element per tile, so tile b is element b.
-func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, q int, conj bool) {
-	var tile [1 << (2 * soaTileBits)]complex128
-	var rev [1 << soaTileBits]int
-	side := 1 << q
-	for i := 0; i < side; i++ {
-		rev[i] = int(BitReverse(int64(i), q))
+// packTilePool holds the staging buffers: 256 KiB is too much for a
+// goroutine stack.
+var packTilePool sync.Pool
+
+// packTiles runs tiles [lo, hi) of a pack at shape (r, s): element i of
+// data lands at BitReverse(i) of the planes, with the imaginary part
+// negated if conj is set (the inverse transform's leading conjugation).
+// Each column run of a tile is handed to done, when it is not nil, once
+// the whole tile is gathered. r = s = 0 degenerates to one element per
+// tile, so tile b is element b. Distinct tiles write disjoint plane
+// elements.
+func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, r, s int, conj bool, done func(re, im []float64)) {
+	rows, cols := 1<<r, 1<<s
+	bp, _ := packTilePool.Get().(*[]complex128)
+	if bp == nil {
+		bp = new([]complex128)
 	}
-	top := uint(logN - q) // shift of the high field
-	mid := logN - 2*q
+	if cap(*bp) < rows*cols {
+		*bp = make([]complex128, rows*cols)
+	}
+	runs := (*bp)[:rows*cols]
+	top := uint(logN - r) // shift of the high field
+	mid := logN - r - s
 	for b := lo; b < hi; b++ {
-		for a := 0; a < side; a++ {
-			copy(tile[rev[a]<<q:][:side], data[a<<top|b<<q:])
+		for a := 0; a < rows; a++ {
+			copy(runs[int(BitReverse(int64(a), r))*cols:][:cols], data[a<<top|b<<s:])
 		}
-		rb := int(BitReverse(int64(b), mid)) << q
-		for c := 0; c < side; c++ {
-			dst := rev[c]<<top | rb
-			re, im := f.Re[dst:][:side], f.Im[dst:][:side]
-			if conj {
-				for a := range re {
-					v := tile[a<<q|c]
-					re[a], im[a] = real(v), -imag(v)
-				}
-			} else {
-				for a := range re {
-					v := tile[a<<q|c]
-					re[a], im[a] = real(v), imag(v)
-				}
-			}
+		rb := int(BitReverse(int64(b), mid)) << r
+		gatherColumns(runs, rows, cols, conj, func(c int) (re, im []float64) {
+			d := int(BitReverse(int64(c), s))<<(logN-s) | rb
+			return f.Re[d:][:rows], f.Im[d:][:rows]
+		}, done)
+	}
+	packTilePool.Put(bp)
+}
+
+// gatherColumns is the strided half of both tiled packs: it writes
+// column c of runs, rows staged rows of cols points, into the planes
+// plane(c) returns, the imaginary part negated if conj is set, then
+// hands every column's planes to done (if not nil). It takes four
+// columns — one cache line of every staged row — per sweep, so each
+// line of runs is read once however far apart the rows are; on amd64 a
+// sweep runs four rows at a time as two 4×4 transposes in vector
+// registers (gather4Asm).
+func gatherColumns(runs []complex128, rows, cols int, conj bool, plane func(c int) (re, im []float64), done func(re, im []float64)) {
+	sign := 1.0
+	if conj {
+		sign = -1
+	}
+	c := 0
+	for ; c+4 <= cols; c += 4 {
+		re0, im0 := plane(c)
+		re1, im1 := plane(c + 1)
+		re2, im2 := plane(c + 2)
+		re3, im3 := plane(c + 3)
+		re0, im0, re1, im1 = re0[:rows], im0[:rows], re1[:rows], im1[:rows]
+		re2, im2, re3, im3 = re2[:rows], im2[:rows], re3[:rows], im3[:rows]
+		a := 0
+		if soaHasGather && rows >= 4 {
+			out := [8]*float64{&re0[0], &im0[0], &re1[0], &im1[0], &re2[0], &im2[0], &re3[0], &im3[0]}
+			a = rows &^ 3
+			gather4Asm(&runs[c], cols, a, &out, sign)
 		}
+		for ; a < rows; a++ {
+			line := runs[a*cols+c:][:4]
+			re0[a], im0[a] = real(line[0]), sign*imag(line[0])
+			re1[a], im1[a] = real(line[1]), sign*imag(line[1])
+			re2[a], im2[a] = real(line[2]), sign*imag(line[2])
+			re3[a], im3[a] = real(line[3]), sign*imag(line[3])
+		}
+	}
+	for ; c < cols; c++ {
+		re, im := plane(c)
+		for a := range re {
+			v := runs[a*cols+c]
+			re[a], im[a] = real(v), sign*imag(v)
+		}
+	}
+	if done != nil {
+		for c := 0; c < cols; c++ {
+			re, im := plane(c)
+			done(re, im)
+		}
+	}
+}
+
+// SoAPackTiles returns the number of independent tiles SoAPack splits
+// the plan's pack into — the unit callers shard the pack by.
+func (pl *Plan) SoAPackTiles() int {
+	r, s := packShape(pl.LogN, pl.LogP)
+	return 1 << (pl.LogN - r - s)
+}
+
+// SoAPack runs tiles [lo, hi) of the SoA transform's first pass: the
+// deinterleave of data into the frame's planes, the bit-reversal
+// permutation and stage 0, in one move. Each column run of a tile is a
+// whole number of stage-0 groups, transformed in place once the tile is
+// gathered, so stage 0 costs its arithmetic and no sweep of its own.
+// With conj set the imaginary part is negated on the way in. Distinct
+// tiles write disjoint plane elements, so callers may shard
+// [0, SoAPackTiles()) across workers.
+func (pl *Plan) SoAPack(f *SoAFrame, data []complex128, lo, hi int, st *SoATwiddles, kern Kernel, conj bool) {
+	r, s := packShape(pl.LogN, pl.LogP)
+	if r+s < pl.LogN {
+		f.packTiles(data, lo, hi, pl.LogN, r, s, conj, pl.stage0(st, kern).run)
+		return
+	}
+	// One tile is the whole array: its columns are 2^r-point runs that
+	// may be shorter than P, but together they fill the planes, so
+	// stage 0 runs over the planes once they are.
+	if lo < hi {
+		f.packTiles(data, 0, 1, pl.LogN, r, s, conj, nil)
+		pl.stage0(st, kern).run(f.Re, f.Im)
+	}
+}
+
+// stage0 returns stage 0 of the plan as a function of a run of whole
+// stage-0 groups: contiguous P-point groups after the bit reversal,
+// factored through the level codelets with the shared S0 twiddles (the
+// fused radix-4 base for levels 0–1, then fused pairs for
+// KernelSoARadix4 or single levels for KernelSoARadix2).
+func (pl *Plan) stage0(st *SoATwiddles, kern Kernel) stage0Groups {
+	g := stage0Groups{st.S0Re, st.S0Im, pl.Levels(0), pl.P, kern.Concrete() != KernelSoARadix2}
+	if g.span >= soaBase4MinN {
+		g.span = max(g.span, 1<<packRunBits)
+	}
+	return g
+}
+
+// stage0Groups is stage 0 bound to one plan. Groups of at least
+// soaBase4MinN points share one codelet call per level pair, up to a
+// pack column's worth, which is bit for bit one call per group: the
+// asm-or-generic choice depends on the butterfly distance and the group
+// size, never on how many groups a call spans.
+type stage0Groups struct {
+	twr, twi []float64
+	v, span  int
+	radix4   bool
+}
+
+func (g stage0Groups) run(re, im []float64) {
+	for a := 0; a < len(re); a += g.span {
+		b := min(a+g.span, len(re))
+		soaButterflies(re[a:b], im[a:b], g.twr, g.twi, g.v, g.radix4)
 	}
 }
 
@@ -217,12 +341,12 @@ const (
 // min(2^logN, MoveRuns) source rows.
 func PackColumnTiles(logN int) int { return 1 << (logN - min(logN, soaColumnBits)) }
 
-// PackColumns is the transposing sibling of PackTiles: it packs cols
-// columns of a row-major 2^logN × cols matrix, each into its own frame,
-// in one tiled move — the four-step's column gather and the SoA pack's
-// bit reversal as one step (FourStepPlan, DESIGN §12). Column v's frame
-// is FrameOf(tile[v·2^logN:][:2^logN]), and source element (j, v) lands
-// in it at BitReverse(j).
+// PackColumns is the transposing sibling of SoAPack's tiles: it packs
+// cols columns of a row-major 2^logN × cols matrix, each into its own
+// frame, in one tiled move — the four-step's column gather and the SoA
+// pack's bit reversal as one step (FourStepPlan, DESIGN §12). Column v's
+// frame is FrameOf(tile[v·2^logN:][:2^logN]), and source element (j, v)
+// lands in it at BitReverse(j).
 //
 // The source is read whole rows at a time through load, which fills run
 // (len cols) with row j — FourStepPlan.PackColumnsFrom copies it out of
@@ -231,14 +355,11 @@ func PackColumnTiles(logN int) int { return 1 << (logN - min(logN, soaColumnBits
 // loads, for every high field a, row a·2^(logN−q)+b into row rev(a) of
 // runs, a 2^q × cols staging buffer the caller owns (len ≥ MoveRuns·cols
 // always suffices), then gathers every column of runs into one
-// contiguous 2^q run of each plane of that column at rev(b)·2^q: as in
-// PackTiles the strided half of the move stays inside the staged rows.
-// The gather takes four columns — one cache line of every staged row —
-// per sweep, so each line of runs is read once however far apart the
-// rows are. With conj set the imaginary plane is negated on the way in.
-// Distinct tiles write disjoint plane elements, so callers may run
-// [0, PackColumnTiles(logN)) on several goroutines, each with its own
-// runs.
+// contiguous 2^q run of each plane of that column at rev(b)·2^q
+// (gatherColumns). With conj set the imaginary plane is negated on the
+// way in. Distinct tiles write disjoint plane elements, so callers may
+// run [0, PackColumnTiles(logN)) on several goroutines, each with its
+// own runs.
 func PackColumns(tile []complex128, logN, b, cols int, conj bool, runs []complex128, load func(run []complex128, j int)) {
 	n := 1 << logN
 	q := min(logN, soaColumnBits)
@@ -253,37 +374,12 @@ func PackColumns(tile []complex128, logN, b, cols int, conj bool, runs []complex
 	for a := 0; a < side; a++ {
 		load(runs[int(BitReverse(int64(a), q))*cols:][:cols], a<<low|b)
 	}
-	sign := 1.0
-	if conj {
-		sign = -1
-	}
 	planes := ComplexFloat64s(tile)
 	off := int(BitReverse(int64(b), low)) << q
-	plane := func(c int) (re, im []float64) {
+	gatherColumns(runs, side, cols, conj, func(c int) (re, im []float64) {
 		col := planes[c*2*n:][:2*n]
 		return col[off:][:side], col[n+off:][:side]
-	}
-	c := 0
-	for ; c+4 <= cols; c += 4 {
-		re0, im0 := plane(c)
-		re1, im1 := plane(c + 1)
-		re2, im2 := plane(c + 2)
-		re3, im3 := plane(c + 3)
-		for a := 0; a < side; a++ {
-			line := runs[a*cols+c:][:4]
-			re0[a], im0[a] = real(line[0]), sign*imag(line[0])
-			re1[a], im1[a] = real(line[1]), sign*imag(line[1])
-			re2[a], im2[a] = real(line[2]), sign*imag(line[2])
-			re3[a], im3[a] = real(line[3]), sign*imag(line[3])
-		}
-	}
-	for ; c < cols; c++ {
-		re, im := plane(c)
-		for a := range re {
-			v := runs[a*cols+c]
-			re[a], im[a] = real(v), sign*imag(v)
-		}
-	}
+	}, nil)
 }
 
 // UnpackColumns is the move back out: it reads bins [k0, k0+w) of rows
@@ -334,14 +430,16 @@ func UnpackColumns(runs, tile []complex128, n, rows, k0, w, ld int, conjScale bo
 }
 
 // PackBitrev deinterleaves data[lo:hi] into the planes at bit-reversed
-// positions. The whole array goes through the tiled pack; a partial
-// element range runs the same code one element per tile.
+// positions: the pack's permutation alone, with no stage 0. The whole
+// array goes through the tiled pack; a partial element range runs the
+// same code one element per tile.
 func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
 	if lo == 0 && hi == 1<<logN {
-		f.PackTiles(data, 0, SoAPackTiles(logN), logN, false)
+		r, s := packShape(logN, 0)
+		f.packTiles(data, 0, 1<<(logN-r-s), logN, r, s, false, nil)
 		return
 	}
-	f.packTiles(data, lo, hi, logN, 0, false)
+	f.packTiles(data, lo, hi, logN, 0, 0, false, nil)
 }
 
 // Unpack reinterleaves planes[lo:hi] back into data[lo:hi].
@@ -365,13 +463,14 @@ func (f *SoAFrame) UnpackConjScale(data []complex128, lo, hi int, s float64) {
 // asm-or-generic choice cannot depend on the partition.
 const soaQuantum = 4096
 
-// SoAPasses returns the number of barrier-separated passes stage needs
-// under kern: 1 for stage 0 (independent P-element task codelets),
-// otherwise one per level sweep — v for KernelSoARadix2, ⌈v/2⌉ for
-// KernelSoARadix4's fused pairs (+ single leftover level if v is odd).
+// SoAPasses returns the number of barrier-separated sweeps stage needs
+// under kern: none for stage 0, whose groups are transformed inside the
+// pack's tiles (SoAPack), otherwise one per level sweep — v for
+// KernelSoARadix2, ⌈v/2⌉ for KernelSoARadix4's fused pairs (+ single
+// leftover level if v is odd).
 func (pl *Plan) SoAPasses(stage int, kern Kernel) int {
 	if stage == 0 {
-		return 1
+		return 0
 	}
 	v := pl.Levels(stage)
 	if kern.Concrete() == KernelSoARadix2 {
@@ -403,26 +502,20 @@ func (pl *Plan) soaPassButterflies(stage, pass int, kern Kernel) int64 {
 	return int64(pl.N) / 2
 }
 
-// SoAPassUnits returns the parallel unit count of (stage, pass):
-// TasksPerStage for stage 0, else the pass's butterflies in
-// soaQuantum-sized chunks. Units of one pass touch disjoint elements;
-// any [lo,hi) partition of them yields bitwise-identical results.
+// SoAPassUnits returns the parallel unit count of sweep (stage, pass):
+// the pass's butterflies in soaQuantum-sized chunks. Units of one pass
+// touch disjoint elements; any [lo,hi) partition of them yields
+// bitwise-identical results.
 func (pl *Plan) SoAPassUnits(stage, pass int, kern Kernel) int {
-	if stage == 0 {
-		return pl.TasksPerStage
-	}
 	nb := pl.soaPassButterflies(stage, pass, kern)
 	return int((nb + soaQuantum - 1) / soaQuantum)
 }
 
-// SoARunPass executes units [lo,hi) of one pass on the frame's planes.
-// Same-pass units touch disjoint elements; passes of a stage (and
-// stages) must be barrier-separated, exactly like RunTask's contract.
+// SoARunPass executes units [lo,hi) of one sweep (stage ≥ 1) on the
+// frame's planes. Same-pass units touch disjoint elements; passes of a
+// stage (and stages) must be barrier-separated, exactly like RunTask's
+// contract.
 func (pl *Plan) SoARunPass(stage, pass, lo, hi int, f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	if stage == 0 {
-		pl.soaStage0(lo, hi, f, st, kern)
-		return
-	}
 	gl, pair := pl.soaPassShape(stage, pass, kern)
 	b0 := int64(lo) * soaQuantum
 	b1 := int64(hi) * soaQuantum
@@ -439,29 +532,23 @@ func (pl *Plan) SoARunPass(stage, pass, lo, hi int, f *SoAFrame, st *SoATwiddles
 	}
 }
 
-// SoAStages runs every butterfly pass of the SoA schedule over its whole
-// unit range on planes that already hold the input in bit-reversed
-// order: the schedule's passes between its pack and its unpack, for
+// SoASweeps runs every sweep of the SoA schedule over its whole unit
+// range: the schedule's passes between SoAPack and the unpack, for
 // callers whose own moves do both.
-func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	for stage := 0; stage < pl.NumStages; stage++ {
+func (pl *Plan) SoASweeps(f *SoAFrame, st *SoATwiddles, kern Kernel) {
+	for stage := 1; stage < pl.NumStages; stage++ {
 		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
 			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
 		}
 	}
 }
 
-// soaStage0 runs stage-0 tasks [lo,hi): contiguous P-element groups at
-// offset 0, factored through the level codelets with the shared S0
-// twiddles (fused radix-4 base for levels 0–1, then fused pairs for
-// KernelSoARadix4 or single levels for KernelSoARadix2).
-func (pl *Plan) soaStage0(lo, hi int, f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	radix4 := kern.Concrete() != KernelSoARadix2
-	v := pl.Levels(0)
-	for t := lo; t < hi; t++ {
-		a, b := t*pl.P, (t+1)*pl.P
-		soaButterflies(f.Re[a:b], f.Im[a:b], st.S0Re, st.S0Im, v, radix4)
-	}
+// SoAStages runs the whole butterfly network on planes that already hold
+// the input in bit-reversed order — stage 0, then SoASweeps — for
+// callers whose pack is not SoAPack (PackColumns).
+func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
+	pl.stage0(st, kern).run(f.Re, f.Im)
+	pl.SoASweeps(f, st, kern)
 }
 
 // soaSweep2 applies global level gl to butterflies [b0,b1) of the
@@ -652,16 +739,16 @@ func base4Gen(re, im []float64, war, wai, wbr, wbi float64) {
 }
 
 // soaPasses builds the split-plane pass list over the array buf
-// selects: tiled pack+bitrev, every stage's passes on the planes,
-// unpack. The inverse's conjugation identity rides on passes that
-// already touch every element — the leading conjugation on the pack,
-// the trailing conjugate-and-scale on the unpack — so it costs exactly
-// the forward's passes and is bit-for-bit the unfused conj → forward →
-// conj·1/N composition.
+// selects: the tiled pack (bit reversal and stage 0), every later
+// stage's sweeps on the planes, unpack. The inverse's conjugation
+// identity rides on passes that already touch every element — the
+// leading conjugation on the pack, the trailing conjugate-and-scale on
+// the unpack — so it costs exactly the forward's passes and is
+// bit-for-bit the unfused conj → forward → conj·1/N composition.
 func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
 	tw := pl.SoATwiddles(w)
-	ps := []Pass{{PassSoAPack, SoAPackTiles(pl.LogN), func(st *State, lo, hi int) {
-		st.Frame.PackTiles(buf(st), lo, hi, pl.LogN, inverse)
+	ps := []Pass{{PassSoAPack, pl.SoAPackTiles(), func(st *State, lo, hi int) {
+		pl.SoAPack(st.Frame, buf(st), lo, hi, tw, kern, inverse)
 	}}}
 	label := StageLabel(kern)
 	for stage := 0; stage < pl.NumStages; stage++ {

@@ -20,6 +20,8 @@ var soaHasAsm = detectAVX2FMA()
 
 var soaHasBase4 = soaHasAsm
 
+var soaHasGather = soaHasAsm
+
 // soaAccel names the active acceleration for introspection and tests.
 var soaAccel = func() string {
 	if soaHasAsm {
@@ -65,3 +67,6 @@ func bfly4Asm(re, im, war, wai, wbr, wbi *float64, dist, cnt, nblk int)
 
 //go:noescape
 func base4Asm(re, im *float64, n int, tw *float64)
+
+//go:noescape
+func gather4Asm(runs *complex128, ld, rows int, out *[8]*float64, sign float64)

@@ -316,3 +316,80 @@ base4_loop:
 base4_done:
 	VZEROUPPER
 	RET
+
+// func gather4Asm(runs *complex128, ld, rows int, out *[8]*float64, sign float64)
+//
+// The tiled packs' strided half for four columns: rows staged rows of
+// ld complex values start at runs (row a at runs + a·ld), and column k
+// ∈ 0..3 of them goes to out[2k] (real parts) and out[2k+1] (imaginary
+// parts, times sign), element a at offset a. Four rows per iteration: a
+// row's four values are two YMM loads, and two 4×4 transposes (the
+// base4Asm shuffle) turn the sixteen values into one vector per output.
+// rows must be a positive multiple of 4 (the wrapper peels the tail).
+// A pure move but for the multiply by ±1, so bit for bit the Go loop.
+TEXT ·gather4Asm(SB), NOSPLIT, $0-40
+	MOVQ runs+0(FP), SI
+	MOVQ ld+8(FP), DX
+	SHLQ $4, DX              // row stride in bytes
+	MOVQ rows+16(FP), CX
+	SHRQ $2, CX              // 4-row iterations
+	MOVQ out+24(FP), DI
+	VBROADCASTSD sign+32(FP), Y15
+	XORQ AX, AX              // output offset in bytes
+
+gather4_loop:
+	LEAQ    (SI)(DX*2), R8   // row a+2
+	VMOVUPD (SI), Y0         // row a: r0 i0 r1 i1
+	VMOVUPD 32(SI), Y1       // row a: r2 i2 r3 i3
+	VMOVUPD (SI)(DX*1), Y2   // row a+1
+	VMOVUPD 32(SI)(DX*1), Y3
+	VMOVUPD (R8), Y4         // row a+2
+	VMOVUPD 32(R8), Y5
+	VMOVUPD (R8)(DX*1), Y6   // row a+3
+	VMOVUPD 32(R8)(DX*1), Y7
+
+	VUNPCKLPD  Y2, Y0, Y8         // ra0 rb0 ra1 rb1
+	VUNPCKHPD  Y2, Y0, Y9         // ia0 ib0 ia1 ib1
+	VUNPCKLPD  Y6, Y4, Y10        // rc0 rd0 rc1 rd1
+	VUNPCKHPD  Y6, Y4, Y11        // ic0 id0 ic1 id1
+	VPERM2F128 $0x20, Y10, Y8, Y0 // column 0 re
+	VPERM2F128 $0x31, Y10, Y8, Y2 // column 1 re
+	VPERM2F128 $0x20, Y11, Y9, Y4 // column 0 im
+	VPERM2F128 $0x31, Y11, Y9, Y6 // column 1 im
+	VUNPCKLPD  Y3, Y1, Y8
+	VUNPCKHPD  Y3, Y1, Y9
+	VUNPCKLPD  Y7, Y5, Y10
+	VUNPCKHPD  Y7, Y5, Y11
+	VPERM2F128 $0x20, Y10, Y8, Y1 // column 2 re
+	VPERM2F128 $0x31, Y10, Y8, Y3 // column 3 re
+	VPERM2F128 $0x20, Y11, Y9, Y5 // column 2 im
+	VPERM2F128 $0x31, Y11, Y9, Y7 // column 3 im
+	VMULPD     Y15, Y4, Y4
+	VMULPD     Y15, Y6, Y6
+	VMULPD     Y15, Y5, Y5
+	VMULPD     Y15, Y7, Y7
+
+	MOVQ    0(DI), BX
+	VMOVUPD Y0, (BX)(AX*1)
+	MOVQ    8(DI), BX
+	VMOVUPD Y4, (BX)(AX*1)
+	MOVQ    16(DI), BX
+	VMOVUPD Y2, (BX)(AX*1)
+	MOVQ    24(DI), BX
+	VMOVUPD Y6, (BX)(AX*1)
+	MOVQ    32(DI), BX
+	VMOVUPD Y1, (BX)(AX*1)
+	MOVQ    40(DI), BX
+	VMOVUPD Y5, (BX)(AX*1)
+	MOVQ    48(DI), BX
+	VMOVUPD Y3, (BX)(AX*1)
+	MOVQ    56(DI), BX
+	VMOVUPD Y7, (BX)(AX*1)
+
+	ADDQ $32, AX
+	LEAQ (SI)(DX*4), SI
+	DECQ CX
+	JNZ  gather4_loop
+
+	VZEROUPPER
+	RET

@@ -100,9 +100,10 @@ func TestSoABase4AsmMatchesGeneric(t *testing.T) {
 }
 
 // TestSoAPassPartitionInvariance pins the determinism contract the host
-// engine relies on: running a pass's units in one span or split at any
-// unit boundary must produce bitwise-identical planes, because the
-// asm-or-generic choice depends only on the pass shape.
+// engine relies on: running a pass's units — the pack's tiles, a
+// sweep's butterfly chunks — in one span or split at any unit boundary
+// must produce bitwise-identical planes, because the asm-or-generic
+// choice depends only on the pass shape.
 func TestSoAPassPartitionInvariance(t *testing.T) {
 	// N is chosen so late levels have half > soaQuantum, exercising the
 	// partial j-range (cnt < dist) path as well as full-block batching.
@@ -120,8 +121,10 @@ func TestSoAPassPartitionInvariance(t *testing.T) {
 		}
 		whole := GetSoAFrame(pl.N)
 		split := GetSoAFrame(pl.N)
-		whole.PackBitrev(data, 0, pl.N, pl.LogN)
-		split.PackBitrev(data, 0, pl.N, pl.LogN)
+		pl.SoAPack(whole, data, 0, pl.SoAPackTiles(), st, kern, false)
+		for b := 0; b < pl.SoAPackTiles(); b++ {
+			pl.SoAPack(split, data, b, b+1, st, kern, false)
+		}
 		for stage := 0; stage < pl.NumStages; stage++ {
 			for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
 				units := pl.SoAPassUnits(stage, pass, kern)
@@ -139,5 +142,53 @@ func TestSoAPassPartitionInvariance(t *testing.T) {
 		}
 		whole.Release()
 		split.Release()
+	}
+}
+
+// TestGather4AsmMatchesGo: unlike the butterflies, the packs' column
+// gather is a pure move but for a multiply by ±1, so the vector codelet
+// must equal the Go loop bit for bit — on every row count it is handed
+// (multiples of 4; the caller peels the rest), any row stride, and the
+// values a move must carry unchanged: ±0, ±Inf, NaN, subnormals.
+func TestGather4AsmMatchesGo(t *testing.T) {
+	if !soaHasGather {
+		t.Skipf("no gather codelet in this build (accel=%s)", soaAccel)
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310}
+	for _, rows := range []int{4, 8, 12, 64, 256} {
+		for _, ld := range []int{4, 5, 7, 16, 64} {
+			for _, sign := range []float64{1, -1} {
+				raw := soaFillRand(2*rows*ld, uint64(rows*ld))
+				for i, v := range special {
+					raw[(i*37)%len(raw)] = v
+				}
+				runs := make([]complex128, rows*ld)
+				for i := range runs {
+					runs[i] = complex(raw[2*i], raw[2*i+1])
+				}
+				c := ld - 4 // the last four columns: the widest reach into each row
+				var got, want [8][]float64
+				var out [8]*float64
+				for k := range got {
+					got[k], want[k] = make([]float64, rows), make([]float64, rows)
+					out[k] = &got[k][0]
+				}
+				gather4Asm(&runs[c], ld, rows, &out, sign)
+				for a := 0; a < rows; a++ {
+					for k := 0; k < 4; k++ {
+						v := runs[a*ld+c+k]
+						want[2*k][a], want[2*k+1][a] = real(v), sign*imag(v)
+					}
+				}
+				for k := range got {
+					for a := range got[k] {
+						if math.Float64bits(got[k][a]) != math.Float64bits(want[k][a]) {
+							t.Fatalf("rows=%d ld=%d sign=%v: output %d element %d = %v, want %v",
+								rows, ld, sign, k, a, got[k][a], want[k][a])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -12,9 +12,10 @@ const (
 )
 
 var (
-	soaHasAsm   = false
-	soaHasBase4 = false
-	soaAccel    = "generic"
+	soaHasAsm    = false
+	soaHasBase4  = false
+	soaHasGather = false
+	soaAccel     = "generic"
 )
 
 func bfly2Asm(re, im, wr, wi *float64, dist, cnt, nblk int) {
@@ -27,4 +28,8 @@ func bfly4Asm(re, im, war, wai, wbr, wbi *float64, dist, cnt, nblk int) {
 
 func base4Asm(re, im *float64, n int, tw *float64) {
 	panic("fft: base4Asm unavailable in this build")
+}
+
+func gather4Asm(runs *complex128, ld, rows int, out *[8]*float64, sign float64) {
+	panic("fft: gather4Asm unavailable in this build")
 }

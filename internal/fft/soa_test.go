@@ -11,6 +11,7 @@ package fft_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,10 +48,14 @@ func poison(f *fft.SoAFrame) {
 
 // TestSoAPackTilesMatchesScatter pins the tiled pack bit-for-bit
 // against the scatter oracle for every logN the engine can see — odd
-// logN (non-square middle field), sizes smaller than one tile (q < 5),
-// N = 1 — through the full-range PackBitrev, any partition of the tile
-// range (whole, tile-by-tile in reverse, an uneven three-way split),
-// the conjugating variant, and PackBitrev's partial element ranges.
+// logN (odd-width middle field), sizes smaller than one tile, N = 1:
+// the bare permutation through the full-range PackBitrev and its
+// partial element ranges, and the plan's pack — the permutation with
+// stage 0 run inside the tiles — against the scatter followed by the
+// whole butterfly network (SoAStages), for task sizes below, at and
+// beyond a tile's column, both SoA kernels, any partition of the tile
+// range (whole, tile by tile in reverse, an uneven three-way split) and
+// the conjugating variant.
 func TestSoAPackTilesMatchesScatter(t *testing.T) {
 	maxLog := 22
 	if testing.Short() || raceEnabled {
@@ -72,49 +77,67 @@ func TestSoAPackTilesMatchesScatter(t *testing.T) {
 		poison(got)
 		got.PackBitrev(data, 0, n, logN)
 		check("full-range PackBitrev")
-
-		tiles := fft.SoAPackTiles(logN)
-		for b := tiles - 1; b >= 0; b-- {
-			got.PackTiles(data, b, b+1, logN, false)
-		}
-		check("tile-by-tile PackTiles")
-		c1, c2 := tiles/3, tiles-tiles/5
-		got.PackTiles(data, c2, tiles, logN, false)
-		got.PackTiles(data, 0, c1, logN, false)
-		got.PackTiles(data, c1, c2, logN, false)
-		check("three-way PackTiles split")
-
 		e1 := n / 3
 		got.PackBitrev(data, e1, n, logN)
 		got.PackBitrev(data, 0, e1, logN)
 		check("partial-range PackBitrev")
 
+		conjData := make([]complex128, n)
 		for i, v := range data {
-			data[i] = complex(real(v), -imag(v))
+			conjData[i] = complex(real(v), -imag(v))
 		}
-		scatterPack(want, data, logN) // oracle on pre-conjugated input
-		for i, v := range data {
-			data[i] = complex(real(v), -imag(v))
+		for _, p := range []int{2, 8, 64, 512, n} {
+			if p < 2 || p > n || (logN > 16 && p != 64) {
+				continue
+			}
+			pl, err := fft.NewPlan(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := fft.Twiddles(n)
+			for _, kern := range []fft.Kernel{fft.KernelSoARadix4, fft.KernelSoARadix2} {
+				if logN > 16 && kern != fft.KernelSoARadix4 {
+					continue
+				}
+				st := pl.SoATwiddles(w)
+				oracle := func(in []complex128) {
+					scatterPack(want, in, logN)
+					pl.SoAStages(want, st, kern)
+				}
+				pack := func(what string, conj bool, parts ...[2]int) {
+					t.Helper()
+					for _, pt := range parts {
+						pl.SoAPack(got, data, pt[0], pt[1], st, kern, conj)
+					}
+					pl.SoASweeps(got, st, kern)
+					check(fmt.Sprintf("P=%d %v %s", p, kern, what))
+				}
+				tiles := pl.SoAPackTiles()
+				oracle(data)
+				pack("whole SoAPack", false, [2]int{0, tiles})
+				var rev [][2]int
+				for b := tiles - 1; b >= 0; b-- {
+					rev = append(rev, [2]int{b, b + 1})
+				}
+				pack("tile-by-tile SoAPack", false, rev...)
+				c1, c2 := tiles/3, tiles-tiles/5
+				pack("three-way SoAPack split", false, [2]int{c2, tiles}, [2]int{0, c1}, [2]int{c1, c2})
+				oracle(conjData) // oracle on pre-conjugated input
+				pack("conjugating SoAPack", true, [2]int{0, tiles})
+			}
 		}
-		got.PackTiles(data, 0, tiles, logN, true)
-		check("conjugating PackTiles")
-
 		want.Release()
 		got.Release()
 	}
 }
 
-// soaForwardOracle is TransformSoA as the parent commit ran it: scatter
-// pack, the plan's passes, plain unpack.
+// soaForwardOracle is TransformSoA with every move unfused: scatter
+// pack, the whole butterfly network, plain unpack.
 func soaForwardOracle(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
 	st := pl.SoATwiddles(w)
 	f := fft.GetSoAFrame(pl.N)
 	scatterPack(f, data, pl.LogN)
-	for stage := 0; stage < pl.NumStages; stage++ {
-		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
-		}
-	}
+	pl.SoAStages(f, st, kern)
 	f.Unpack(data, 0, pl.N)
 	f.Release()
 }
@@ -216,18 +239,21 @@ func TestSoATransformAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	for _, kern := range []fft.Kernel{fft.KernelSoARadix2, fft.KernelSoARadix4} {
-		pl, err := fft.NewPlan(1<<12, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := fft.Twiddles(pl.N)
-		data := lcgComplex(pl.N, 99)
-		pl.TransformKernel(data, w, kern) // warm tables and pools
-		if avg := testing.AllocsPerRun(20, func() {
-			pl.TransformKernel(data, w, kern)
-		}); avg != 0 {
-			t.Errorf("%v: %v allocs per steady-state transform, want 0", kern, avg)
+	// 2^12 packs as one tile, 2^16 in many, with stage 0 run per column.
+	for _, n := range []int{1 << 12, 1 << 16} {
+		for _, kern := range []fft.Kernel{fft.KernelSoARadix2, fft.KernelSoARadix4} {
+			pl, err := fft.NewPlan(n, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := fft.Twiddles(pl.N)
+			data := lcgComplex(pl.N, 99)
+			pl.TransformKernel(data, w, kern) // warm tables and pools
+			if avg := testing.AllocsPerRun(20, func() {
+				pl.TransformKernel(data, w, kern)
+			}); avg != 0 {
+				t.Errorf("n=%d %v: %v allocs per steady-state transform, want 0", n, kern, avg)
+			}
 		}
 	}
 }
@@ -252,9 +278,11 @@ func TestMixedTransformWithAllocs(t *testing.T) {
 
 // FuzzSoAParity fuzzes (input, task size, SoA kernel selector): the SoA
 // kernel's forward output must match radix-2 within the documented 1e-9
-// relative tolerance, its forward+inverse round trip must return the
-// input, and its inverse must be bit-for-bit the unfused conjugation
-// identity around its own forward. Part of the CI fuzz smoke alongside FuzzKernelParity,
+// relative tolerance and be bit-for-bit its unfused moves (the element
+// scatter, the whole butterfly network, the plain unpack), its
+// forward+inverse round trip must return the input, and its inverse
+// must be bit-for-bit the unfused conjugation identity around its own
+// forward. Part of the CI fuzz smoke alongside FuzzKernelParity,
 // which draws from all kernels — this target keeps every execution on
 // the split-plane pipeline so the fuzz budget is not diluted.
 func FuzzSoAParity(f *testing.F) {
@@ -284,6 +312,11 @@ func FuzzSoAParity(f *testing.F) {
 		if rel := maxRelError(got, want); rel > 1e-9 {
 			t.Fatalf("n=%d p=%d %v: relative error %g vs radix-2", n, p, kern, rel)
 		}
+		oracle := append([]complex128(nil), x...)
+		soaForwardOracle(pl, oracle, w, kern)
+		if !equalBits(got, oracle) {
+			t.Fatalf("n=%d p=%d %v: forward differs from scatter → stages → unpack", n, p, kern)
+		}
 
 		unfused := append([]complex128(nil), got...)
 		soaInverseOracle(pl, unfused, w, kern)
@@ -295,4 +328,33 @@ func FuzzSoAParity(f *testing.F) {
 			t.Fatalf("n=%d p=%d %v: inverse differs from conj → forward → conj·1/N", n, p, kern)
 		}
 	})
+}
+
+// BenchmarkSoAPack times the SoA transform's first pass — deinterleave,
+// bit reversal and stage 0 in one tiled move — against the permutation
+// alone, at a one-tile size, an L2-sized array and 2^20 points.
+func BenchmarkSoAPack(b *testing.B) {
+	for _, logN := range []int{10, 16, 20} {
+		n := 1 << logN
+		pl, err := fft.NewPlan(n, 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := pl.SoATwiddles(fft.Twiddles(n))
+		data := lcgComplex(n, 5)
+		f := fft.GetSoAFrame(n)
+		b.Run(fmt.Sprintf("pack+stage0/2^%d", logN), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
+			for i := 0; i < b.N; i++ {
+				pl.SoAPack(f, data, 0, pl.SoAPackTiles(), st, fft.KernelSoARadix4, false)
+			}
+		})
+		b.Run(fmt.Sprintf("bitrev/2^%d", logN), func(b *testing.B) {
+			b.SetBytes(int64(16 * n))
+			for i := 0; i < b.N; i++ {
+				f.PackBitrev(data, 0, n, logN)
+			}
+		})
+		f.Release()
+	}
 }

@@ -7,8 +7,8 @@ import (
 
 // tileSide is the side of the square tile every transposition moves
 // through. At 64 a tile is 64 KiB — resident in any L2 and mostly in
-// L1 — and a tile row is a 1 KiB run of the big arrays. The pack's 32
-// (soaTileBits) keeps the tile wholly in L1 but halves the run, and on
+// L1 — and a tile row is a 1 KiB run of the big arrays. A side of 32
+// keeps the tile wholly in L1 but halves the run, and on
 // arrays that come from memory rather than the last-level cache every
 // run pays a latency: one cold 1024×1024 transposition takes 7.8 ms at
 // 32 and 6.9 ms at 64, and the cluster's 2^20-point op 49.8 ms against
@@ -43,7 +43,7 @@ var tilePool = sync.Pool{New: func() any { return new([tileSide * tileSide]compl
 // into a cache-resident tile, and each tile column is gathered into one
 // contiguous run of dst. The strided half of the transpose stays inside
 // the tile, so every access to the big arrays is a run of whole cache
-// lines (SoAFrame.PackTiles does the same for the bit reversal). Ragged
+// lines (Plan.SoAPack does the same for the bit reversal). Ragged
 // edges are shorter runs of the same loops.
 //
 // Distinct blocks of one matrix write disjoint elements, so callers may
