@@ -26,6 +26,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"runtime"
 	"strings"
 	"time"
@@ -66,20 +67,6 @@ type Config struct {
 	Factor func(n int) (n1, n2 int)
 }
 
-// options translates the public Config onto the coordinator's
-// functional options.
-func (c Config) options(t dist.Transport, workers []string) []dist.Option {
-	return []dist.Option{
-		dist.WithTransport(t),
-		dist.WithWorkers(workers...),
-		dist.WithMemberFile(c.MemberFile),
-		dist.WithProbeInterval(c.ProbeInterval),
-		dist.WithMaxAttempts(c.MaxAttempts),
-		dist.WithShardTimeout(c.ShardTimeout),
-		dist.WithFactor(c.Factor),
-	}
-}
-
 // Cluster distributes forward and inverse FFTs over a worker set. Safe
 // for concurrent use; Close releases the membership loops (and, for
 // loopback clusters, the in-process workers).
@@ -89,41 +76,49 @@ type Cluster struct {
 
 // New connects to the configured workers over HTTP.
 func New(cfg Config) (*Cluster, error) {
-	co, err := dist.New(cfg.options(&dist.HTTPTransport{}, cfg.Workers)...)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{co: co}, nil
+	return newCluster(cfg, nil), nil
 }
 
 // NewLoopback builds a self-contained cluster with nWorkers in-process
 // workers — the full coordinator/worker protocol, including the
-// worker-to-worker transpose exchange, with no sockets.
+// worker-to-worker transpose exchange, through the same HTTP client as
+// New, with a dist.Loopback under it instead of sockets.
 func NewLoopback(nWorkers int, cfg Config) (*Cluster, error) {
 	if nWorkers <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one loopback worker, got %d", nWorkers)
 	}
 	lb := dist.NewLoopback()
-	addrs := make([]string, nWorkers)
+	client := &http.Client{Transport: lb}
+	cfg.Workers = make([]string, nWorkers)
 	// Split the process's worker pool (GOMAXPROCS workers, which a CPU
 	// quota can set below NumCPU) between the in-process workers, so
 	// each cuts its work for its share of it.
 	perWorker := max(1, runtime.GOMAXPROCS(0)/nWorkers)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("loopback-%d", i)
+	for i := range cfg.Workers {
+		cfg.Workers[i] = fmt.Sprintf("http://loopback-%d", i)
 		srv := serve.New(serve.Config{
 			EnableShard: true,
 			MaxN:        dist.MaxClusterN,
 			Workers:     perWorker,
-			Peers:       lb,
+			Client:      client,
 		})
-		lb.Register(addrs[i], srv.Handler())
+		lb.Register(cfg.Workers[i], srv.Handler())
 	}
-	co, err := dist.New(cfg.options(lb, addrs)...)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{co: co}, nil
+	return newCluster(cfg, client), nil
+}
+
+// newCluster starts a coordinator over cfg's workers, reached through
+// client (nil: the pooled default).
+func newCluster(cfg Config, client *http.Client) *Cluster {
+	return &Cluster{co: dist.New(dist.Config{
+		Client:        client,
+		Workers:       cfg.Workers,
+		MemberFile:    cfg.MemberFile,
+		ProbeInterval: cfg.ProbeInterval,
+		MaxAttempts:   cfg.MaxAttempts,
+		ShardTimeout:  cfg.ShardTimeout,
+		Factor:        cfg.Factor,
+	})}
 }
 
 // TransformCtx applies the forward FFT to data in place, honoring ctx

@@ -150,17 +150,13 @@ func main() {
 			workerList = append(workerList, w)
 		}
 	}
-	co, err := dist.New(
-		dist.WithTransport(&dist.HTTPTransport{}),
-		dist.WithWorkers(workerList...),
-		dist.WithMemberFile(*memberFile),
-		dist.WithProbeInterval(*probe),
-		dist.WithMaxAttempts(*maxAttempts),
-		dist.WithShardTimeout(*shardTO),
-	)
-	if err != nil {
-		log.Fatalf("fftcluster: %v", err)
-	}
+	co := dist.New(dist.Config{
+		Workers:       workerList,
+		MemberFile:    *memberFile,
+		ProbeInterval: *probe,
+		MaxAttempts:   *maxAttempts,
+		ShardTimeout:  *shardTO,
+	})
 	defer co.Close()
 	s := newServer(co, *timeout)
 	s.reg.Publish("fftcluster")

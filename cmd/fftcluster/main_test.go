@@ -15,21 +15,18 @@ import (
 // count as a bad request (handleBin used to answer both 400).
 func TestHandleBinStatus(t *testing.T) {
 	lb := dist.NewLoopback()
-	lb.Register("w0", serve.New(serve.Config{EnableShard: true}).Handler())
-	co, err := dist.New(
-		dist.WithTransport(lb),
-		dist.WithWorkers("w0"),
+	lb.Register("http://w0", serve.New(serve.Config{EnableShard: true}).Handler())
+	co := dist.New(dist.Config{
+		Client:  &http.Client{Transport: lb},
+		Workers: []string{"http://w0"},
 		// A split that does not cover N: the coordinator's own fault.
-		dist.WithFactor(func(n int) (int, int) {
+		Factor: func(n int) (int, int) {
 			if n == 64 {
 				return 4, 4
 			}
 			return dist.NearSquareFactor(n)
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+		},
+	})
 	defer co.Close()
 	s := newServer(co, 0)
 	for _, tc := range []struct {

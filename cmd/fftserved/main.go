@@ -62,12 +62,6 @@ func main() {
 		TaskSize:       *taskSize,
 		EnableShard:    *worker,
 	}
-	if *worker {
-		// Resident sessions exchange the four-step transpose directly
-		// between workers; peers are named by the coordinator's session
-		// spec, so the daemon just needs an HTTP pusher.
-		cfg.Peers = &serve.HTTPPeers{}
-	}
 	s := serve.New(cfg)
 	s.Registry().Publish("fftserved")
 

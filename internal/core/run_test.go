@@ -20,11 +20,12 @@ func runChecked(t *testing.T, opts Options) *Result {
 
 func TestAllVariantsProduceCorrectFFT(t *testing.T) {
 	for _, v := range Variants() {
-		for _, n := range []int{1 << 12, 1 << 13} {
-			opts := NewOptions(n, v)
+		for _, shape := range []struct{ n, p int }{{1 << 12, 64}, {1 << 13, 64}, {1 << 12, 8}} {
+			opts := NewOptions(shape.n, v)
+			opts.TaskSize = shape.p
 			res := runChecked(t, opts)
 			if !res.Checked || res.MaxError > 1e-8 {
-				t.Fatalf("%v N=%d: max error %g", v, n, res.MaxError)
+				t.Fatalf("%v N=%d P=%d: max error %g", v, shape.n, shape.p, res.MaxError)
 			}
 			if res.Cycles <= 0 {
 				t.Fatalf("%v: nonpositive makespan", v)

@@ -27,13 +27,15 @@
 //     cluster-wide retry/degradation counters on a metrics.Registry
 //     (metrics.go).
 //
-// The Loopback transport runs a whole cluster in one process, so all
-// of the above is exercised by `go test -race` with no sockets.
+// Every hop goes through one HTTP client (transport.go); the Loopback
+// round tripper under it runs a whole cluster in one process, so all of
+// the above is exercised by `go test -race` with no sockets.
 package dist
 
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"time"
 
 	"codeletfft"
@@ -54,12 +56,14 @@ const (
 	MaxClusterN = serve.MaxFrameElems
 )
 
-// Config tunes a Coordinator. Transport is required when any workers
-// are configured; everything else has a default.
+// Config tunes a Coordinator. The zero value is a local-only
+// coordinator (every transform degrades to the host engine); every
+// field has a default.
 type Config struct {
-	// Transport opens sessions on workers (HTTPTransport against real
-	// daemons, Loopback for in-process clusters).
-	Transport Transport
+	// Client carries the session frames and health probes to the
+	// workers; nil means serve.DefaultClient. A client whose transport is
+	// a Loopback reaches in-process workers.
+	Client *http.Client
 	// Workers is the static worker set; MemberFile optionally names a
 	// polled membership file layered on top (see MemberConfig.File).
 	Workers    []string
@@ -106,6 +110,9 @@ func (c Config) withDefaults() Config {
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = DefaultShardTimeout
 	}
+	if c.Client == nil {
+		c.Client = serve.DefaultClient
+	}
 	if c.Factor == nil {
 		c.Factor = NearSquareFactor
 	}
@@ -133,15 +140,11 @@ type Coordinator struct {
 	m       *distMetrics
 }
 
-// newCoordinator builds a coordinator and starts its membership loops.
-// The public constructor is New (functional options, options.go).
-func newCoordinator(cfg Config) (*Coordinator, error) {
+// New builds a coordinator and starts its membership loops.
+func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	if cfg.Transport == nil && (len(cfg.Workers) > 0 || cfg.MemberFile != "") {
-		return nil, fmt.Errorf("dist: workers configured but no transport")
-	}
 	members := NewMembership(MemberConfig{
-		Transport:        cfg.Transport,
+		Client:           cfg.Client,
 		Static:           cfg.Workers,
 		File:             cfg.MemberFile,
 		FilePollInterval: cfg.FilePollInterval,
@@ -162,7 +165,7 @@ func newCoordinator(cfg Config) (*Coordinator, error) {
 	cfg.Registry.GaugeFunc("dist_workers_total", func() float64 {
 		return float64(len(c.members.Addrs()))
 	})
-	return c, nil
+	return c
 }
 
 // Close stops the membership background loops.

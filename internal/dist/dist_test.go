@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,7 +30,7 @@ func noErr(t testing.TB, err error) {
 
 // newTestCluster stands up nWorkers in-process workers on a loopback
 // transport and a coordinator over them. The caller's cfg is honored
-// except Transport/Workers, which the helper owns; ProbeInterval stays
+// except Client/Workers, which the helper owns; ProbeInterval stays
 // at its zero default unless the caller sets it, so membership learns
 // of a bad worker from the data path alone.
 func newTestCluster(t *testing.T, nWorkers int, cfg Config) (*Coordinator, *Loopback, []string) {
@@ -39,25 +40,23 @@ func newTestCluster(t *testing.T, nWorkers int, cfg Config) (*Coordinator, *Loop
 }
 
 // newTestClusterOf is newTestCluster with the workers' own config
-// (EnableShard, MaxN and Peers are the helper's) and their servers.
+// (EnableShard, MaxN and Client are the helper's) and their servers.
 func newTestClusterOf(t *testing.T, nWorkers int, cfg Config, scfg serve.Config) (*Coordinator, *Loopback, []string, []*serve.Server) {
 	t.Helper()
 	lb := NewLoopback()
+	client := &http.Client{Transport: lb}
 	addrs := make([]string, nWorkers)
 	srvs := make([]*serve.Server, nWorkers)
-	scfg.EnableShard, scfg.MaxN, scfg.Peers = true, 1<<20, lb
+	scfg.EnableShard, scfg.MaxN, scfg.Client = true, 1<<20, client
 	for i := range addrs {
-		addrs[i] = fmt.Sprintf("worker-%d", i)
+		addrs[i] = fmt.Sprintf("http://worker-%d", i)
 		scfg.Registry = nil
 		srvs[i] = serve.New(scfg)
 		lb.Register(addrs[i], srvs[i].Handler())
 	}
-	cfg.Transport = lb
+	cfg.Client = client
 	cfg.Workers = addrs
-	c, err := newCoordinator(cfg)
-	if err != nil {
-		t.Fatalf("newCoordinator: %v", err)
-	}
+	c := New(cfg)
 	t.Cleanup(c.Close)
 	return c, lb, addrs, srvs
 }
@@ -279,6 +278,52 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 	}
 }
 
+// TestClusterCircuitTripsOnLatePhase is the regression test for a
+// worker that fails only a late phase: it answers every open and cols
+// frame and refuses the rows fetch. Each answered RPC used to count as a
+// success and reset the failure count the refused one had raised, so
+// its circuit never opened and every transform paid an abandoned
+// session and a backoff for it. Success is now one completed session.
+func TestClusterCircuitTripsOnLatePhase(t *testing.T) {
+	var faults atomic.Int64
+	c, lb, addrs, srvs := newTestClusterOf(t, 3, Config{
+		BackoffBase:     time.Microsecond,
+		CircuitOpenBase: time.Hour, // stays open for the whole test
+	}, serve.Config{})
+	victim := addrs[0]
+	lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
+		if addr == victim && op == serve.OpSessRows {
+			faults.Add(1)
+			return errors.New("injected: rows fetch fails")
+		}
+		return nil
+	}
+	const n = 1 << 12
+	const rounds = 10
+	for round := 0; round < rounds; round++ {
+		data := noise(n, int64(round))
+		want := singleNode(t, data)
+		if err := c.Transform(context.Background(), data); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if d := maxDiff(data, want); d > 1e-12*float64(n) {
+			t.Fatalf("round %d: output deviates by %g", round, d)
+		}
+	}
+	if f := faults.Load(); f != DefaultCircuitThreshold {
+		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, DefaultCircuitThreshold)
+	}
+	if opens := srvs[0].Registry().Snapshot()["sess_opens_total"]; opens != DefaultCircuitThreshold {
+		t.Errorf("victim was opened %v sessions, want %d and none once its circuit opened", opens, DefaultCircuitThreshold)
+	}
+	if got := c.Members().EligibleCount(); got != 2 {
+		t.Errorf("EligibleCount = %d, want 2", got)
+	}
+	if got := counter(t, c, "dist_resident_ok_total"); got != rounds {
+		t.Errorf("resident_ok_total = %d, want %d", got, rounds)
+	}
+}
+
 // TestClusterDegradesToLocal checks both ways a transform ends on the
 // coordinator's own engine: a coordinator with no workers at all never
 // tries a session, and one whose entire worker set fails runs out of
@@ -286,10 +331,7 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 // correct output.
 func TestClusterDegradesToLocal(t *testing.T) {
 	t.Run("no workers", func(t *testing.T) {
-		c, err := New()
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
+		c := New(Config{})
 		defer c.Close()
 		const n = 1 << 12
 		data := noise(n, 4)
@@ -625,10 +667,7 @@ func TestNearSquareFactor(t *testing.T) {
 // schedule (fft.AutoKernel), bit for bit, forward and inverse — not the
 // radix-2 reference internal/fft runs when handed KernelAuto directly.
 func TestDegradedDefaultKernel(t *testing.T) {
-	c, err := New()
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	c := New(Config{})
 	defer c.Close()
 	const n = 1 << 12
 	pl, err := fft.NewPlan(n, 64)

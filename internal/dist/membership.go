@@ -2,6 +2,9 @@ package dist
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -9,10 +12,10 @@ import (
 	"time"
 )
 
-// Circuit-breaker defaults: a worker that fails CircuitThreshold
-// consecutive calls is taken out of rotation for OpenBase, doubling up
-// to OpenMax while failures continue; the first success closes the
-// circuit and resets the backoff.
+// Circuit-breaker defaults: a worker that fails CircuitThreshold calls
+// with no completed session between them is taken out of rotation for
+// OpenBase, doubling up to OpenMax while failures continue; the first
+// completed session closes the circuit and resets the backoff.
 const (
 	DefaultCircuitThreshold = 3
 	DefaultCircuitOpenBase  = 250 * time.Millisecond
@@ -25,7 +28,7 @@ type workerState struct {
 	addr string
 
 	unhealthy atomic.Bool  // last health probe failed
-	fails     atomic.Int32 // consecutive call/probe failures
+	fails     atomic.Int32 // call/probe failures since the last completed session
 	openUntil atomic.Int64 // circuit open until this unix-nano instant
 	openFor   atomic.Int64 // current open duration (nanos), doubles per trip
 }
@@ -40,9 +43,9 @@ func (w *workerState) eligible(now time.Time) bool {
 
 // MemberConfig tunes a Membership.
 type MemberConfig struct {
-	// Transport performs health probes (nil disables probing even if
+	// Client performs health probes (nil disables probing even if
 	// ProbeInterval is set).
-	Transport Transport
+	Client *http.Client
 	// Static is the initial worker set.
 	Static []string
 	// File, when non-empty, is a membership file polled every
@@ -107,7 +110,7 @@ func NewMembership(cfg MemberConfig) *Membership {
 // Start launches the health-probe and membership-file poll loops for
 // whichever of the two the config enables.
 func (m *Membership) Start() {
-	if m.cfg.ProbeInterval > 0 && m.cfg.Transport != nil {
+	if m.cfg.ProbeInterval > 0 && m.cfg.Client != nil {
 		m.wg.Add(1)
 		go m.probeLoop()
 	}
@@ -184,8 +187,8 @@ func (m *Membership) Successors(key uint64, max int, excluded map[string]bool) [
 	})
 }
 
-// ReportSuccess records a successful call: the circuit closes and the
-// backoff resets.
+// ReportSuccess records a session the worker completed: the circuit
+// closes and the backoff resets.
 func (m *Membership) ReportSuccess(addr string) {
 	if w := m.worker(addr); w != nil {
 		w.fails.Store(0)
@@ -241,7 +244,7 @@ func (m *Membership) probeLoop() {
 		m.mu.RUnlock()
 		for _, w := range ws {
 			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ProbeInterval)
-			err := m.cfg.Transport.Health(ctx, w.addr)
+			err := health(ctx, m.cfg.Client, w.addr)
 			cancel()
 			if err != nil {
 				w.unhealthy.Store(true)
@@ -251,6 +254,25 @@ func (m *Membership) probeLoop() {
 			}
 		}
 	}
+}
+
+// health probes the worker's /healthz; nil means the worker is
+// accepting traffic.
+func health(ctx context.Context, client *http.Client, addr string) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("dist: worker %s health: status %d", addr, resp.StatusCode)
+	}
+	return nil
 }
 
 func (m *Membership) fileLoop() {

@@ -76,10 +76,19 @@ func residentKey(n1, n2 int) uint64 {
 
 // residentWorker is one worker's slice of a resident transform.
 type residentWorker struct {
-	addr string
-	spec serve.SessionSpec
-	sess Session
+	addr   string
+	spec   serve.SessionSpec
+	silent bool // held to blame for its own failed call: sent no close
 }
+
+// sessionIDs hands out coordinator-unique session IDs, seeded from the
+// clock so two coordinator processes opening sessions on one worker
+// don't collide at id 1.
+var sessionIDs atomic.Uint64
+
+func init() { sessionIDs.Store(uint64(time.Now().UnixNano())) }
+
+func nextSessionID() uint64 { return sessionIDs.Add(1) }
 
 // parallelWorkers runs fn once per worker concurrently; the first
 // error cancels the rest. It returns nil when every call succeeded and
@@ -141,24 +150,27 @@ func blame(addr string, err error) string {
 	return addr
 }
 
-// call brackets one session RPC to addr: the per-RPC deadline, the
-// attempt and latency instruments, and the verdict membership hears. A
+// call is one session RPC to addr: it posts req, reads the reply — a
+// payload straight into into — and holds the reply's header to want's
+// op and shape. It brackets the RPC with the per-RPC deadline, the
+// attempt and latency instruments, and the blame a failure earns. A
 // call that ends because ctx did — the caller gave up, or a sibling's
-// failure cancelled the phase — is no verdict on anybody.
-func (c *Coordinator) call(ctx context.Context, addr string, fn func(ctx context.Context) error) error {
+// failure cancelled the phase — blames nobody. A success is no verdict
+// either: membership hears that once the whole session completed.
+func (c *Coordinator) call(ctx context.Context, addr string, req, want serve.SessionFrame, into []complex128) error {
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 	c.m.attempts.Inc()
 	start := time.Now()
-	err := fn(cctx)
+	reply, err := serve.PostSessionFrame(cctx, c.cfg.Client, addr, req, into)
+	if err == nil && (reply.Op != want.Op || reply.VecLen != want.VecLen || reply.VecCount != want.VecCount || reply.Arg0 != want.Arg0) {
+		err = fmt.Errorf("dist: worker %s answered %s with %s %d×%d@%d",
+			addr, req.Op, reply.Op, reply.VecCount, reply.VecLen, reply.Arg0)
+	}
 	d := time.Since(start).Seconds()
 	c.m.rpcSec.Observe(d)
 	c.m.perWorkerSec(addr).Observe(d)
-	if err == nil {
-		c.members.ReportSuccess(addr)
-		return nil
-	}
-	if ctx.Err() != nil {
+	if err == nil || ctx.Err() != nil {
 		return err
 	}
 	bad := blame(addr, err)
@@ -200,20 +212,28 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	var moved atomic.Int64 // coordinator↔worker wire bytes, both directions
+	// One distributed session: the SAME coordinator-chosen id on every
+	// worker, so a peer exchange frame carrying that id lands in the
+	// receiving worker's session table. Every frame but the rows fetch is
+	// answered with a header-only ack.
+	sid := nextSessionID()
+	ack := serve.SessionFrame{Op: serve.OpSessAck}
 
 	// closeAll closes every session, whatever became of ctx: a worker's
-	// rows buffer stays pinned until its session closes or expires.
+	// rows buffer stays pinned until its session closes or expires. An
+	// open cancelled by a sibling's failure may have landed, and closing
+	// an unknown session is a no-op, so every worker is sent one.
 	closeAll := func() {
 		cctx := context.WithoutCancel(ctx)
 		var wg sync.WaitGroup
 		for _, rw := range ws {
-			if rw.sess == nil {
+			if rw.silent {
 				continue
 			}
 			wg.Add(1)
 			go func(rw *residentWorker) { // RPC fan-out: blocks in the close call
 				defer wg.Done()
-				if c.call(cctx, rw.addr, rw.sess.CloseSession) == nil {
+				if c.call(cctx, rw.addr, serve.SessionFrame{Op: serve.OpSessClose, ID: sid}, ack, nil) == nil {
 					moved.Add(2 * serve.SessionHeaderLen)
 				}
 			}(rw)
@@ -229,9 +249,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 			var be *blameError
 			if errors.As(errs[i], &be) {
 				blamed[be.addr] = true
-				if be.addr == rw.addr {
-					rw.sess = nil
-				}
+				rw.silent = be.addr == rw.addr
 			}
 		}
 		closeAll()
@@ -239,23 +257,14 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 		return false
 	}
 
-	// Phase 0: open one distributed session — the SAME coordinator-chosen
-	// id on every worker, so a peer exchange frame carrying that id lands
-	// in the receiving worker's session table.
-	sid := nextSessionID()
+	// Phase 0: open the session on every worker.
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
-		return c.call(ctx, rw.addr, func(ctx context.Context) error {
-			sess, err := c.cfg.Transport.OpenSession(ctx, rw.addr, rw.spec, sid)
-			// Kept on failure too: an open cancelled by a sibling's failure
-			// may have landed, and closing an unknown session is a no-op.
-			rw.sess = sess
-			if err != nil {
-				return err
-			}
-			frame := serve.SessionFrame{Op: serve.OpSessOpen, Spec: &rw.spec}
-			moved.Add(int64(serve.SessionFrameLen(frame)) + serve.SessionHeaderLen)
-			return nil
-		})
+		req := serve.SessionFrame{Op: serve.OpSessOpen, ID: sid, Spec: &rw.spec}
+		if err := c.call(ctx, rw.addr, req, ack, nil); err != nil {
+			return err
+		}
+		moved.Add(int64(serve.SessionFrameLen(req)) + serve.SessionHeaderLen)
+		return nil
 	}); errs != nil {
 		return abandon(errs)
 	}
@@ -276,20 +285,11 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 		slab := cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1]
 		fs.PackColumnsFrom(slab, data[sp.ColStart:], sp.ColCount, inverse)
 		req := serve.SessionFrame{
-			Op: serve.OpSessCols, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
+			Op: serve.OpSessCols, ID: sid, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
 			Data: slab,
 		}
 		moved.Add(int64(serve.SessionFrameLen(req)) + serve.SessionHeaderLen)
-		return c.call(ctx, rw.addr, func(ctx context.Context) error {
-			ack, err := rw.sess.ExecShard(ctx, req, nil)
-			if err != nil {
-				return err
-			}
-			if ack.Op != serve.OpSessAck {
-				return fmt.Errorf("dist: worker %s answered cols with %s", rw.addr, ack.Op)
-			}
-			return nil
-		})
+		return c.call(ctx, rw.addr, req, ack, nil)
 	}); errs != nil {
 		return abandon(errs)
 	}
@@ -302,20 +302,20 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		into := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
-		return c.call(ctx, rw.addr, func(ctx context.Context) error {
-			resp, err := rw.sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessRows}, into)
-			if err != nil {
-				return err
-			}
-			if resp.Op != serve.OpSessRows || resp.VecLen != sp.N2 || resp.VecCount != sp.RowCount || resp.Arg0 != sp.RowStart {
-				return fmt.Errorf("dist: worker %s returned mismatched rows (%s %d×%d@%d)",
-					rw.addr, resp.Op, resp.VecCount, resp.VecLen, resp.Arg0)
-			}
-			moved.Add(2*serve.SessionHeaderLen + 16*int64(len(resp.Data)))
-			return nil
-		})
+		want := serve.SessionFrame{Op: serve.OpSessRows, VecLen: sp.N2, VecCount: sp.RowCount, Arg0: sp.RowStart}
+		if err := c.call(ctx, rw.addr, serve.SessionFrame{Op: serve.OpSessRows, ID: sid}, want, into); err != nil {
+			return err
+		}
+		moved.Add(2*serve.SessionHeaderLen + 16*int64(len(into)))
+		return nil
 	}); errs != nil {
 		return abandon(errs)
+	}
+	// The session completed, and that is the verdict membership hears:
+	// a worker that answers the early frames and fails a late one is
+	// still failing, and an answered open must not clear that.
+	for _, rw := range ws {
+		c.members.ReportSuccess(rw.addr)
 	}
 
 	// Only now, with every row block fetched, is the caller's data

@@ -255,18 +255,18 @@ func TestResidentTruncatedResponse(t *testing.T) {
 }
 
 // TestLoopbackRefusesBadFrame: a frame the caller got wrong — a payload
-// that disagrees with its header — is refused before the worker's
-// handler runs, as PostSessionFrame refuses it before it dials, so the
-// worker counts nothing against itself.
+// that disagrees with its header — is refused by PostSessionFrame before
+// the client sends it, so the loopback's worker never runs its handler
+// and counts nothing against itself.
 func TestLoopbackRefusesBadFrame(t *testing.T) {
 	_, lb, addrs, srvs := newTestClusterOf(t, 1, Config{}, serve.Config{})
 	frames0, complexes0 := serve.PoolsOutstanding()
 	bad := serve.SessionFrame{Op: serve.OpSessExchange, ID: 1, VecLen: 4, VecCount: 4, Data: noise(15, 1)}
-	if err := lb.PushFrame(context.Background(), addrs[0], bad); !errors.Is(err, serve.ErrBadFrame) {
-		t.Fatalf("PushFrame error = %v, want ErrBadFrame", err)
+	if _, err := serve.PostSessionFrame(context.Background(), &http.Client{Transport: lb}, addrs[0], bad, nil); !errors.Is(err, serve.ErrBadFrame) {
+		t.Fatalf("PostSessionFrame error = %v, want ErrBadFrame", err)
 	}
 	w := srvs[0].Registry().Snapshot()
-	for _, name := range []string{"sess_exchanges_total", "sess_bad_total", "shard_bad_total"} {
+	for _, name := range []string{"sess_exchanges_total", "sess_bad_total", "shard_bad_total", "shard_requests_total"} {
 		if w[name] != 0 {
 			t.Errorf("worker %s = %v, want 0: the handler saw the refused frame", name, w[name])
 		}
@@ -279,7 +279,7 @@ func TestLoopbackRefusesBadFrame(t *testing.T) {
 // TestHTTPExecShardFailureReleasesBuffers: a worker that drops the
 // connection in the middle of a request costs the coordinator a
 // transport error and nothing else — every pooled buffer of the call is
-// back when ExecShard returns.
+// back when PostSessionFrame returns.
 func TestHTTPExecShardFailureReleasesBuffers(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.ReadFull(r.Body, make([]byte, 100))
@@ -292,11 +292,10 @@ func TestHTTPExecShardFailureReleasesBuffers(t *testing.T) {
 	}))
 	defer ts.Close()
 	frames0, complexes0 := serve.PoolsOutstanding()
-	sess := &httpSession{t: &HTTPTransport{}, addr: ts.URL, id: 1}
-	cols := serve.SessionFrame{Op: serve.OpSessCols, VecLen: 64, VecCount: 16, Data: noise(64*16, 1)}
+	cols := serve.SessionFrame{Op: serve.OpSessCols, ID: 1, VecLen: 64, VecCount: 16, Data: noise(64*16, 1)}
 	for i := 0; i < 3; i++ {
-		if _, err := sess.ExecShard(context.Background(), cols, nil); err == nil {
-			t.Fatal("ExecShard succeeded against a worker that hung up")
+		if _, err := serve.PostSessionFrame(context.Background(), serve.DefaultClient, ts.URL, cols, nil); err == nil {
+			t.Fatal("PostSessionFrame succeeded against a worker that hung up")
 		}
 	}
 	if frames, complexes := serve.PoolsOutstanding(); frames != frames0 || complexes != complexes0 {

@@ -1,328 +1,174 @@
-// The two transports carry session frames (serve's FFS2) between the
-// coordinator and its workers, and between workers, with each payload
-// byte copied once per hop: the sender's serve.WriteSessionFrame
-// streams the header and then the transform buffer's own bytes, and the
-// receiver's serve.ReadSessionFrame reads them from the body straight
-// into the buffer the next step works in — a worker's column scratch,
-// the coordinator's rows buffer. HTTPTransport does it over a socket
-// (serve.PostSessionFrame); Loopback through two in-process pipes, with
-// the worker's handler on a goroutine of its own. Either way a call
-// returns only once nothing reads the request's buffer any more, so the
-// caller may release it, and with no pooled buffer of the hop left out.
+// There is one way to reach a worker: serve.PostSessionFrame posts a
+// session frame through an *http.Client and reads the reply —
+// serve.ReadSessionReply for a 200, serve.NewStatusError for any other
+// status. The coordinator's RPCs, a worker's exchange pushes to its
+// peers and the health probes all go through it. Against real daemons
+// the client's transport is a socket; Loopback is an http.RoundTripper
+// that hands the same request to an in-process handler instead, so a
+// cluster in one process runs the production client end to end.
+//
+// Each payload byte is copied once per hop: the sender's
+// serve.WriteSessionFrame streams the header and then the transform
+// buffer's own bytes into the request body, and the receiver's
+// serve.ReadSessionFrame reads them straight into the buffer the next
+// step works in — a worker's column scratch, the coordinator's rows
+// buffer. PostSessionFrame returns only once nothing reads the request's
+// buffer any more, so the caller may release it, and with no pooled
+// buffer of the hop left out.
 package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"codeletfft/internal/serve"
 )
 
-// Transport reaches workers: it opens resident sessions and probes
-// health. Implementations must be safe for concurrent use.
-type Transport interface {
-	// OpenSession opens a resident session on the worker at addr. id is
-	// the coordinator-chosen session identifier — one distributed
-	// transform opens the SAME id on every participating worker, which is
-	// how a worker matches an incoming peer exchange frame to its own
-	// session. The Session comes back with an error too whenever the open
-	// frame may have reached the worker, for the caller to close.
-	OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error)
-	// Health probes the worker's health endpoint; nil means the worker
-	// is accepting traffic.
-	Health(ctx context.Context, addr string) error
-}
-
-// Session is one open resident-shard session on a worker: the column
-// slab ships out through it once, the finished row block ships back
-// once, and between the two the data stays on the worker. Sessions are
-// not safe for concurrent use (the coordinator drives each worker's
-// session from one goroutine at a time); Close may be called from any
-// goroutine and is idempotent on the worker.
-type Session interface {
-	// ExecShard posts one session frame and returns the decoded
-	// response. A response that carries a payload is read from the wire
-	// straight into respInto, which must have exactly the response's
-	// element count — a worker's row block lands in the coordinator's
-	// rows buffer with no copy in between; with respInto nil the response
-	// must be header-only. ExecShard does not mutate req.Data and is done
-	// with it when it returns.
-	ExecShard(ctx context.Context, req serve.SessionFrame, respInto []complex128) (serve.SessionFrame, error)
-	// CloseSession releases the worker-side session state.
-	CloseSession(ctx context.Context) error
-}
-
-// HTTPTransport speaks the session protocol over real HTTP: addr is the
-// worker's base URL (e.g. "http://10.0.0.7:8080") with the session
-// endpoint at /fft/shard and health at /healthz — a `fftserved -worker`
-// process.
-type HTTPTransport struct {
-	// Client is the HTTP client to use; nil means a dedicated client
-	// with sane connection pooling and no global timeout (per-call
-	// deadlines come from the context).
-	Client *http.Client
-}
-
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return defaultHTTPClient
-}
-
-// defaultHTTPClient pools keep-alive connections per worker; session
-// payloads are large, so reusing connections matters more than the
-// default transport's conservative idle limits.
-var defaultHTTPClient = &http.Client{
-	Transport: &http.Transport{
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     90 * time.Second,
-	},
-}
-
-// Health implements Transport.
-func (t *HTTPTransport) Health(ctx context.Context, addr string) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := t.client().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("dist: worker %s health: status %d", addr, resp.StatusCode)
-	}
-	return nil
-}
-
-// sessionIDs hands out coordinator-unique session IDs, seeded from the
-// clock so two coordinator processes opening sessions on one worker
-// don't collide at id 1.
-var sessionIDs atomic.Uint64
-
-func init() { sessionIDs.Store(uint64(time.Now().UnixNano())) }
-
-func nextSessionID() uint64 { return sessionIDs.Add(1) }
-
-// open sends the open frame through a transport's new session.
-func open(ctx context.Context, sess Session, addr string, spec serve.SessionSpec) error {
-	ack, err := sess.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessOpen, Spec: &spec}, nil)
-	if err == nil && ack.Op != serve.OpSessAck {
-		err = fmt.Errorf("dist: worker %s answered open with %s", addr, ack.Op)
-	}
-	return err
-}
-
-// OpenSession implements Transport.
-func (t *HTTPTransport) OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error) {
-	sess := &httpSession{t: t, addr: addr, id: id}
-	return sess, open(ctx, sess, addr, spec)
-}
-
-type httpSession struct {
-	t    *HTTPTransport
-	addr string
-	id   uint64
-}
-
-// ExecShard implements Session over real HTTP (serve.PostSessionFrame):
-// the request streams out of req.Data, and a payload-bearing response
-// is read from the body straight into respInto.
-func (s *httpSession) ExecShard(ctx context.Context, req serve.SessionFrame, respInto []complex128) (serve.SessionFrame, error) {
-	req.ID = s.id
-	return serve.PostSessionFrame(ctx, s.t.client(), s.addr, req, respInto)
-}
-
-// CloseSession implements Session.
-func (s *httpSession) CloseSession(ctx context.Context) error {
-	_, err := s.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessClose}, nil)
-	return err
-}
-
-// Loopback is an in-process Transport: worker addresses map to HTTP
-// handlers (typically serve.Server handlers with the shard endpoint
-// enabled) invoked directly, so a whole cluster — coordinator, workers,
-// codec, failure handling — runs inside one `go test` process under
-// the race detector, with no sockets.
+// Loopback is an http.RoundTripper that delivers each request to the
+// in-process handler registered for its base URL ("http://loopback-0") —
+// typically a serve.Server handler with the shard endpoint on — so a
+// whole cluster (coordinator, workers, codec, failure handling) runs
+// inside one `go test` process under the race detector, with no sockets.
+// Plug it into a client: &http.Client{Transport: lb}.
+//
+// A hop keeps the wire's mechanics: the handler runs on a goroutine of
+// its own, the request body streams to it through the caller's pipe and
+// its answer streams back through another, and the response's Body.Close
+// waits for the handler to return.
 type Loopback struct {
 	mu       sync.RWMutex
 	handlers map[string]http.Handler
 
 	// SessionFault, when non-nil, runs before every session frame
-	// (coordinator→worker ExecShard and worker→worker PushFrame alike);
-	// a non-nil return is delivered as the transport error without
-	// reaching the worker — mid-session worker death. It may block until
-	// ctx, the frame's own context, is done: a stopped worker.
+	// (coordinator requests and worker→worker exchange pushes alike) with
+	// the worker's base URL and the frame's op; a non-nil return is the
+	// round trip's error and the frame never reaches the worker —
+	// mid-session worker death. It may block until ctx, the request's own
+	// context, is done: a stopped worker.
 	SessionFault func(ctx context.Context, addr string, op serve.SessionOp) error
 	// TruncateFrame, when non-nil, wraps the body a worker reads a
-	// session frame from (coordinator requests and peer exchange pushes
-	// alike): an io.LimitReader is a partial write on the wire.
+	// session frame from: an io.LimitReader is a partial write on the wire.
 	TruncateFrame func(addr string, op serve.SessionOp, body io.Reader) io.Reader
-	// TruncateResponse, when non-nil, wraps the body the coordinator
-	// reads a worker's response from: an io.LimitReader is a short read.
+	// TruncateResponse, when non-nil, wraps the body a session frame's
+	// reply is read from: an io.LimitReader is a short read.
 	TruncateResponse func(addr string, op serve.SessionOp, body io.Reader) io.Reader
 }
 
-// NewLoopback returns an empty loopback transport.
+var _ http.RoundTripper = (*Loopback)(nil)
+
+// NewLoopback returns a loopback transport with no workers.
 func NewLoopback() *Loopback {
 	return &Loopback{handlers: map[string]http.Handler{}}
 }
 
-// Register maps a worker address to its handler.
+// Register maps a worker's base URL to its handler.
 func (l *Loopback) Register(addr string, h http.Handler) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.handlers[addr] = h
 }
 
-// Deregister removes a worker, simulating a vanished process: further
-// calls to it fail like a refused dial.
-func (l *Loopback) Deregister(addr string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.handlers, addr)
-}
-
-func (l *Loopback) handler(addr string) (http.Handler, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	h, ok := l.handlers[addr]
-	if !ok {
-		return nil, fmt.Errorf("dist: loopback worker %s: connection refused", addr)
+// RoundTrip implements http.RoundTripper. A session frame's op is read
+// from the header at the head of its body — the bytes the handler reads
+// next — and keys the fault hooks. The request body is closed once the
+// handler has returned, or at once when the frame never reaches it.
+func (l *Loopback) RoundTrip(req *http.Request) (*http.Response, error) {
+	ctx, addr := req.Context(), req.URL.Scheme+"://"+req.URL.Host
+	refuse := func(err error) (*http.Response, error) {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, err
 	}
-	return h, nil
-}
-
-// OpenSession implements Transport.
-func (l *Loopback) OpenSession(ctx context.Context, addr string, spec serve.SessionSpec, id uint64) (Session, error) {
-	sess := &loopbackSession{l: l, addr: addr, id: id}
-	return sess, open(ctx, sess, addr, spec)
-}
-
-type loopbackSession struct {
-	l    *Loopback
-	addr string
-	id   uint64
-}
-
-// ExecShard implements Session in-process.
-func (s *loopbackSession) ExecShard(ctx context.Context, req serve.SessionFrame, respInto []complex128) (serve.SessionFrame, error) {
-	req.ID = s.id
-	return s.l.roundTrip(ctx, s.addr, req, respInto, s.l.TruncateResponse)
-}
-
-// CloseSession implements Session.
-func (s *loopbackSession) CloseSession(ctx context.Context) error {
-	_, err := s.ExecShard(ctx, serve.SessionFrame{Op: serve.OpSessClose}, nil)
-	return err
-}
-
-// PushFrame implements serve.PeerSender, carrying worker→worker
-// exchange frames through the same in-process fabric (and the same
-// fault hooks) so the whole resident protocol runs under -race in one
-// process.
-func (l *Loopback) PushFrame(ctx context.Context, addr string, f serve.SessionFrame) error {
-	ack, err := l.roundTrip(ctx, addr, f, nil, nil)
-	if err == nil && ack.Op != serve.OpSessAck {
-		err = fmt.Errorf("dist: loopback peer %s answered %s, want ack", addr, ack.Op)
+	body, op, session := io.Reader(req.Body), serve.SessionOp(0), false
+	if body != nil {
+		op, body, session = serve.PeekSessionOp(body)
 	}
-	return err
-}
-
-// errAnswered ends a request body the handler no longer reads.
-var errAnswered = errors.New("dist: loopback handler answered")
-
-// roundTrip carries one session frame to the handler at addr and reads
-// its answer, with the wire's copies and no more: the frame streams from
-// req.Data through a pipe into whatever the handler reads it into, and
-// the handler — on a goroutine of its own — answers through a pipe the
-// caller reads straight into respInto (serve.ReadSessionReply). It
-// returns only when both goroutines are done, so req.Data is free again
-// and every pooled buffer of the hop is back. A frame that cannot be
-// encoded is refused before the handler starts, as PostSessionFrame
-// refuses it before it dials. truncate, when set, wraps the response
-// body.
-func (l *Loopback) roundTrip(ctx context.Context, addr string, req serve.SessionFrame, respInto []complex128, truncate func(string, serve.SessionOp, io.Reader) io.Reader) (serve.SessionFrame, error) {
-	if err := serve.CheckSessionFrame(req); err != nil {
-		return serve.SessionFrame{}, err
-	}
-	if f := l.SessionFault; f != nil {
-		if err := f(ctx, addr, req.Op); err != nil {
-			return serve.SessionFrame{}, err
+	if session {
+		if f := l.SessionFault; f != nil {
+			if err := f(ctx, addr, op); err != nil {
+				return refuse(err)
+			}
+		}
+		if tr := l.TruncateFrame; tr != nil {
+			body = tr(addr, op, body)
 		}
 	}
-	h, err := l.handler(addr)
-	if err != nil {
-		return serve.SessionFrame{}, err
+	l.mu.RLock()
+	h, ok := l.handlers[addr]
+	l.mu.RUnlock()
+	if !ok {
+		return refuse(fmt.Errorf("dist: loopback worker %s: connection refused", addr))
 	}
 
-	var wg sync.WaitGroup // the request writer and the handler
-	reqR, reqW := io.Pipe()
-	wg.Add(2)
-	go func() { // the request body: blocks until the handler reads it
-		defer wg.Done()
-		reqW.CloseWithError(serve.WriteSessionFrame(reqW, req))
-	}()
-	var body io.Reader = reqR
-	if tr := l.TruncateFrame; tr != nil {
-		body = tr(addr, req.Op, body)
+	// The handler gets the request a server would read off the wire: the
+	// same method, URL, header and length, with the body as it streams.
+	hreq := req.WithContext(ctx)
+	hreq.RequestURI, hreq.Body = req.URL.RequestURI(), http.NoBody
+	if body != nil {
+		hreq.Body = io.NopCloser(body)
 	}
-	hreq := httptest.NewRequest(http.MethodPost, "http://"+addr+"/fft/shard", io.NopCloser(body)).WithContext(ctx)
-	hreq.ContentLength = int64(serve.SessionFrameLen(req))
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-
 	respR, respW := io.Pipe()
 	rw := &pipeResponse{header: http.Header{}, committed: make(chan struct{}), body: respW}
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		h.ServeHTTP(rw, hreq)
 		rw.WriteHeader(http.StatusOK) // an empty answer commits a bare 200
-		reqR.CloseWithError(errAnswered)
+		if req.Body != nil {
+			req.Body.Close() // the handler reads no more of the request
+		}
 		respW.Close()
 	}()
 
 	<-rw.committed
-	var resp serve.SessionFrame
-	var rerr error
-	if rw.code != http.StatusOK {
-		rerr = serve.NewStatusError(addr, rw.code, rw.peer, respR)
-	} else {
-		var rb io.Reader = respR
-		if truncate != nil {
-			rb = truncate(addr, req.Op, rb)
-		}
-		resp, rerr = serve.ReadSessionReply(rb, rw.declared, respInto)
+	if err := ctx.Err(); err != nil { // the caller gave up while the handler ran
+		respR.Close()
+		<-done
+		return nil, err
 	}
-	respR.Close()
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return serve.SessionFrame{}, err
+	var rb io.Reader = respR
+	if tr := l.TruncateResponse; tr != nil && session {
+		rb = tr(addr, op, rb)
 	}
-	return resp, rerr
+	return &http.Response{
+		StatusCode:    rw.code,
+		Header:        rw.sent,
+		ContentLength: rw.declared,
+		Body:          &pipeBody{Reader: rb, pipe: respR, done: done},
+		Request:       req,
+	}, nil
+}
+
+// pipeBody is a loopback response body. Close ends the handler's writes
+// and returns once the handler has returned, so every pooled buffer of
+// the hop is back when the caller is done with the reply.
+type pipeBody struct {
+	io.Reader
+	pipe *io.PipeReader
+	done chan struct{}
+}
+
+func (b *pipeBody) Close() error {
+	b.pipe.Close()
+	<-b.done
+	return nil
 }
 
 // pipeResponse is the http.ResponseWriter a loopback handler answers
-// through. The status and the two headers the caller reads are
-// published once, when the first byte or the handler's return commits
-// them; the body streams through a pipe.
+// through. The status and the headers are published once, when the
+// first byte or the handler's return commits them; the body streams
+// through a pipe.
 type pipeResponse struct {
 	header    http.Header
-	committed chan struct{} // closed once code, declared and peer are final
+	committed chan struct{} // closed once code, sent and declared are final
 	code      int
-	declared  int64 // Content-Length, −1 when none was set
-	peer      string
+	sent      http.Header // the header as committed
+	declared  int64       // Content-Length, −1 when none was set
 	body      *io.PipeWriter
 }
 
@@ -332,7 +178,7 @@ func (p *pipeResponse) WriteHeader(code int) {
 	if p.code != 0 {
 		return
 	}
-	p.code, p.declared, p.peer = code, -1, p.header.Get(serve.PeerHeader)
+	p.code, p.sent, p.declared = code, p.header.Clone(), -1
 	if n, err := strconv.ParseInt(p.header.Get("Content-Length"), 10, 64); err == nil {
 		p.declared = n
 	}
@@ -342,19 +188,4 @@ func (p *pipeResponse) WriteHeader(code int) {
 func (p *pipeResponse) Write(b []byte) (int, error) {
 	p.WriteHeader(http.StatusOK)
 	return p.body.Write(b)
-}
-
-// Health implements Transport.
-func (l *Loopback) Health(ctx context.Context, addr string) error {
-	h, err := l.handler(addr)
-	if err != nil {
-		return err
-	}
-	hreq := httptest.NewRequest(http.MethodGet, "http://"+addr+"/healthz", nil).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, hreq)
-	if rec.Code != http.StatusOK {
-		return fmt.Errorf("dist: worker %s health: status %d", addr, rec.Code)
-	}
-	return nil
 }

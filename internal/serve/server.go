@@ -80,11 +80,10 @@ type Config struct {
 	// (POST /fft/shard), making this server a worker a dist
 	// coordinator can dispatch four-step segments to.
 	EnableShard bool
-	// Peers sends this worker's exchange frames to its peers during a
-	// resident session (the on-worker four-step transpose). nil is fine
-	// for single-worker clusters; a worker without a sender refuses the
-	// open of a session whose spec names peers.
-	Peers PeerSender
+	// Client posts this worker's exchange frames to its peers during a
+	// resident session (the on-worker four-step transpose); nil means
+	// DefaultClient.
+	Client *http.Client
 	// SessionTTL expires idle resident sessions (lazy GC on session
 	// traffic); 0 means DefaultSessionTTL.
 	SessionTTL time.Duration
@@ -120,6 +119,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
+	}
+	if c.Client == nil {
+		c.Client = DefaultClient
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()

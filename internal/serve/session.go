@@ -5,9 +5,11 @@
 // those two transfers the data stays resident here. The communication-
 // avoiding step is the transpose: after the column FFTs the worker
 // scales its own rows into the resident rows buffer and pushes every
-// peer's row block directly to that peer (PeerSender), so the all-to-all
-// that dominates distributed four-step never passes through the
-// coordinator.
+// peer's row block directly to that peer, so the all-to-all that
+// dominates distributed four-step never passes through the coordinator.
+// A push is the coordinator's own hop: PostSessionFrame through the
+// worker's Config.Client, which a socket or an in-process
+// dist.Loopback carries.
 //
 // The worker runs steps 2–4 of fft.FourStepPlan (DESIGN §12) on the
 // session's plan; the coordinator runs 1 and 5. So the cols payload
@@ -29,7 +31,7 @@
 //     transposed in tiles (FourStepPlan.TransposeScaled) into columns
 //     [ColStart, ColStart+ColCount) of the session's rows buffer, and each
 //     peer's block is scaled (ScaleFrom) into one pooled complex payload
-//     that streams from there to the peer (PeerSender.PushFrame) and is
+//     that streams from there to the peer (PostSessionFrame) and is
 //     released when the peer has acked it;
 //   - exchange: the payload is read from the body into a pooled buffer
 //     and transposed in tiles (fft.TransposeBlock) into the sender's
@@ -64,24 +66,12 @@ import (
 	"codeletfft/internal/host"
 )
 
-// PeerSender delivers an exchange frame to a peer worker's shard
-// endpoint and checks that the peer acked it; it is done with f.Data
-// when it returns. The dist Loopback transport implements it
-// in-process; HTTPPeers speaks real HTTP.
-type PeerSender interface {
-	PushFrame(ctx context.Context, addr string, f SessionFrame) error
-}
-
-// HTTPPeers is the production PeerSender: addr is a peer's base URL,
-// frames post to its /fft/shard endpoint over pooled keep-alive
-// connections.
-type HTTPPeers struct {
-	// Client overrides the pooled default; per-call deadlines come from
-	// the context.
-	Client *http.Client
-}
-
-var defaultPeerClient = &http.Client{
+// DefaultClient is the client of a coordinator or worker configured
+// with none: keep-alive connections pooled per worker — session payloads
+// are large, so reusing connections matters more than the default
+// transport's conservative idle limits — and no global timeout (per-call
+// deadlines come from the context).
+var DefaultClient = &http.Client{
 	Transport: &http.Transport{
 		MaxIdleConns:        64,
 		MaxIdleConnsPerHost: 16,
@@ -89,26 +79,14 @@ var defaultPeerClient = &http.Client{
 	},
 }
 
-// PushFrame implements PeerSender.
-func (p *HTTPPeers) PushFrame(ctx context.Context, addr string, f SessionFrame) error {
-	client := p.Client
-	if client == nil {
-		client = defaultPeerClient
-	}
-	ack, err := PostSessionFrame(ctx, client, addr, f, nil)
-	if err == nil && ack.Op != OpSessAck {
-		err = fmt.Errorf("serve: peer %s answered %s, want ack", addr, ack.Op)
-	}
-	return err
-}
-
-// PostSessionFrame posts f to the /fft/shard endpoint at addr and reads
-// the reply: the client half of every HTTP hop of a session. The
-// request body streams out of f.Data through a pipe, under a
-// Content-Length, and PostSessionFrame returns only when nothing reads
-// f.Data any more, whatever the transport made of the request. A 200's
-// frame is read by ReadSessionReply, its payload straight into into;
-// any other status is a *StatusError.
+// PostSessionFrame posts f to the /fft/shard endpoint at addr (a base
+// URL) through client and reads the reply: the client half of every hop
+// of a session — coordinator to worker and worker to peer, over a socket
+// or dist.Loopback alike. The request body streams out of f.Data through
+// a pipe, under a Content-Length, and PostSessionFrame returns only when
+// nothing reads f.Data any more, whatever the transport made of the
+// request. A 200's frame is read by ReadSessionReply, its payload
+// straight into into; any other status is a *StatusError.
 func PostSessionFrame(ctx context.Context, client *http.Client, addr string, f SessionFrame, into []complex128) (SessionFrame, error) {
 	if err := CheckSessionFrame(f); err != nil {
 		return SessionFrame{}, err
@@ -326,11 +304,6 @@ func (s *Server) sessOpen(w http.ResponseWriter, f SessionFrame) {
 			http.StatusBadRequest)
 		return
 	}
-	if len(spec.Peers) > 0 && s.cfg.Peers == nil {
-		s.m.sessBad.Inc()
-		http.Error(w, "worker has no peer sender configured", http.StatusBadRequest)
-		return
-	}
 	fs, err := fft.NewFourStep(spec.N1, spec.N2)
 	if err != nil {
 		s.m.sessBad.Inc()
@@ -447,12 +420,6 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	// The peer fan-out, in parallel — one goroutine per push because each
 	// blocks on the network. Any push failure fails the cols request with
 	// the peer's name on it, and the coordinator abandons the attempt.
-	if len(spec.Peers) == 0 {
-		return nil
-	}
-	if s.cfg.Peers == nil {
-		return fmt.Errorf("session %d names %d peers but the worker has no peer sender", sess.id, len(spec.Peers))
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(spec.Peers))
 	for pi, p := range spec.Peers {
@@ -489,12 +456,16 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	}); err != nil {
 		return err
 	}
-	if err := s.cfg.Peers.PushFrame(ctx, p.Addr, SessionFrame{
+	ack, err := PostSessionFrame(ctx, s.cfg.Client, p.Addr, SessionFrame{
 		Op: OpSessExchange, ID: sess.id,
 		VecLen: p.RowCount, VecCount: spec.ColCount,
 		Arg0: spec.ColStart, Arg1: p.RowStart,
 		Data: *payload,
-	}); err != nil {
+	}, nil)
+	if err == nil && ack.Op != OpSessAck {
+		err = fmt.Errorf("answered %s, want ack", ack.Op)
+	}
+	if err != nil {
 		return &peerError{p.Addr, err}
 	}
 	return nil

@@ -29,6 +29,33 @@ func testSpec() SessionSpec {
 	}
 }
 
+// TestPeekSessionOp: the peek names a session frame's op and hands back
+// every byte it read, however the body arrives; a body that does not
+// start like a session frame is passed on whole and not named.
+func TestPeekSessionOp(t *testing.T) {
+	enc, err := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 3, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		wantOK bool
+	}{
+		{"session frame", enc, true},
+		{"shorter than the op", enc[:5], false},
+		{"another magic", append([]byte("FFB1"), enc[4:]...), false},
+	} {
+		op, whole, ok := PeekSessionOp(iotest.OneByteReader(bytes.NewReader(tc.body)))
+		if ok != tc.wantOK || (ok && op != OpSessCols) {
+			t.Errorf("%s: op %s, ok %v; want ok %v", tc.name, op, ok, tc.wantOK)
+		}
+		if got, err := io.ReadAll(whole); err != nil || !bytes.Equal(got, tc.body) {
+			t.Errorf("%s: the body read back differs (err %v)", tc.name, err)
+		}
+	}
+}
+
 func TestSessionFrameRoundTrip(t *testing.T) {
 	spec := testSpec()
 	frames := []SessionFrame{
@@ -302,10 +329,10 @@ func TestPeerReplyIsBounded(t *testing.T) {
 			_, _ = w.Write(junk) // fails once the client hangs up
 		}))
 		var err error
-		alloc := allocatedBy(func() { err = (&HTTPPeers{}).PushFrame(context.Background(), ts.URL, push) })
+		alloc := allocatedBy(func() { _, err = PostSessionFrame(context.Background(), DefaultClient, ts.URL, push, nil) })
 		ts.Close()
 		if !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: PushFrame error = %v, want ErrBadFrame", tc.name, err)
+			t.Errorf("%s: PostSessionFrame error = %v, want ErrBadFrame", tc.name, err)
 		}
 		if alloc > 4<<20 {
 			t.Errorf("%s: the refused reply cost %d bytes of memory", tc.name, alloc)
@@ -457,18 +484,6 @@ func TestSessionTableLimit(t *testing.T) {
 	}
 }
 
-// TestSessionPeersRequired: a spec naming peers needs a PeerSender; a
-// worker without one must refuse the open rather than stall at the
-// exchange phase.
-func TestSessionPeersRequired(t *testing.T) {
-	s := New(Config{EnableShard: true}) // no Peers configured
-	spec := testSpec()
-	code, _ := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 6, Spec: &spec})
-	if code != http.StatusBadRequest {
-		t.Fatalf("open with peers but no sender: status %d, want 400", code)
-	}
-}
-
 // TestSessionPanicIsolation: session steps run behind the daemon's one
 // isolation boundary — a panic in a cols step answers 500, counts in
 // fft_panics_total, and the worker goes on serving sessions.
@@ -500,18 +515,19 @@ func TestSessionPanicIsolation(t *testing.T) {
 	}
 }
 
-// failingPeers is a PeerSender no push gets through.
-type failingPeers struct{}
+// refusingTransport is a network no push gets through.
+type refusingTransport struct{}
 
-func (failingPeers) PushFrame(context.Context, string, SessionFrame) error {
-	return errors.New("connection refused")
+func (refusingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	req.Body.Close()
+	return nil, errors.New("connection refused")
 }
 
 // TestSessionColsNamesFailedPeer: a worker whose exchange push fails
 // answers the cols frame 502 and names the peer that did not take the
 // push, so the coordinator can tell the silent peer from the pusher.
 func TestSessionColsNamesFailedPeer(t *testing.T) {
-	s := New(Config{EnableShard: true, Peers: failingPeers{}})
+	s := New(Config{EnableShard: true, Client: &http.Client{Transport: refusingTransport{}}})
 	spec := testSpec()
 	if code, body := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 8, Spec: &spec}); code != http.StatusOK {
 		t.Fatalf("open: status %d: %s", code, body)

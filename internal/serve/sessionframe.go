@@ -73,6 +73,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -548,7 +549,7 @@ func ReadSessionFrame(body io.Reader, declared int64, into []complex128) (Sessio
 // ReadSessionReply reads a worker's 200 reply to a session frame by
 // ReadSessionFrame's rules, its payload straight into into. With into
 // nil the reply must be header-only, and one whose header announces a
-// payload is refused before any of it is read. Both transports read
+// payload is refused before any of it is read. PostSessionFrame reads
 // every reply through it.
 func ReadSessionReply(body io.Reader, declared int64, into []complex128) (SessionFrame, error) {
 	hp := AcquireFrame(sessHeaderLen)
@@ -566,6 +567,18 @@ func ReadSessionReply(body io.Reader, declared int64, into []complex128) (Sessio
 		return SessionFrame{}, err
 	}
 	return f, nil
+}
+
+// PeekSessionOp reads body as far as the op of the session frame at its
+// head (the magic and the op byte at offset 5) and returns that op with
+// a reader that yields body whole again; ok is false when body does not
+// start like a session frame. It decodes nothing else: it is for a hop
+// that keys on the op and passes the frame on unread.
+func PeekSessionOp(body io.Reader) (op SessionOp, whole io.Reader, ok bool) {
+	b := make([]byte, 6)
+	n, _ := io.ReadFull(body, b)
+	ok = n == len(b) && string(b[:4]) == sessMagic
+	return SessionOp(b[5]), io.MultiReader(bytes.NewReader(b[:n]), body), ok
 }
 
 // headerOnly refuses a frame whose header announces vectors where none
