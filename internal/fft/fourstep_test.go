@@ -167,6 +167,15 @@ func TestTwiddleScaleMatchesDirect(t *testing.T) {
 // conjugates before and scales conj·1/N after, as element loops.
 func unfusedFourStep(t testing.TB, n1, n2 int, data []complex128, inverse bool) {
 	t.Helper()
+	unfusedFourStepWith(t, n1, n2, data, inverse, func(pl *fft.Plan, d, w []complex128) {
+		pl.TransformSoA(d, w, fft.KernelSoARadix4)
+	})
+}
+
+// unfusedFourStepWith is unfusedFourStep with transform as the column
+// and row FFT.
+func unfusedFourStepWith(t testing.TB, n1, n2 int, data []complex128, inverse bool, transform func(pl *fft.Plan, d, w []complex128)) {
+	t.Helper()
 	n := n1 * n2
 	col, err := fft.NewPlan(n1, min(64, n1))
 	if err != nil {
@@ -186,12 +195,12 @@ func unfusedFourStep(t testing.TB, n1, n2 int, data []complex128, inverse bool) 
 	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
 	for j2 := 0; j2 < n2; j2++ {
 		c := buf[j2*n1 : (j2+1)*n1]
-		col.TransformSoA(c, wc, fft.KernelSoARadix4)
+		transform(col, c, wc)
 		tw.Scale(c, j2)
 	}
 	fft.TransposeBlock(data, n2, buf, n1, n2, n1)
 	for k1 := 0; k1 < n1; k1++ {
-		row.TransformSoA(data[k1*n2:(k1+1)*n2], wr, fft.KernelSoARadix4)
+		transform(row, data[k1*n2:(k1+1)*n2], wr)
 	}
 	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
 	copy(data, buf)

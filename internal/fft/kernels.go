@@ -71,7 +71,8 @@ func ConcreteKernels() []Kernel {
 
 // SoA reports whether k (after Auto resolution) is one of the
 // split-plane kernels, which execute through the SoA pipeline
-// (TransformSoA / SoARunPass) rather than per-task RunTaskKernel.
+// (TransformSoA / the Schedule's blocked passes) rather than per-task
+// RunTaskKernel.
 func (k Kernel) SoA() bool {
 	c := k.Concrete()
 	return c == KernelSoARadix2 || c == KernelSoARadix4
@@ -309,8 +310,8 @@ func (pl *Plan) RunTaskKernel(stage, task int, data, w []complex128, kern Kernel
 	}
 	if kern.SoA() {
 		// The SoA family works on split planes, not on the interleaved
-		// data array; pass execution goes through SoARunPass.
-		panic(fmt.Sprintf("fft: RunTaskKernel does not support %v (use SoARunPass)", kern))
+		// data array; pass execution goes through the Schedule.
+		panic(fmt.Sprintf("fft: RunTaskKernel does not support %v (use Schedule)", kern))
 	}
 	pl.checkTask(stage, task)
 	v := pl.Levels(stage)
@@ -348,8 +349,9 @@ func (pl *Plan) RunTaskKernel(stage, task int, data, w []complex128, kern Kernel
 // and is retained by the schedule. The scalar kernels run a
 // bit-reversal pass and one pass of TasksPerStage tasks per stage,
 // bracketed by the conjugation identity's two sweeps for the inverse;
-// the SoA kernels run pack, one pass per level sweep, unpack (soa.go),
-// with the inverse's sweeps folded into the pack and unpack.
+// the SoA kernels run the pack, then blocked passes of level sweeps, the
+// last storing into the array (soa.go), with the inverse's sweeps folded
+// into the pack and that store.
 func (pl *Plan) Schedule(w []complex128, kern Kernel, inverse bool) *Schedule {
 	if len(w) != pl.N/2 {
 		panic(LengthError("twiddle table", len(w), pl.N/2))

@@ -46,13 +46,18 @@ const (
 	PassStage           = "stage"            // radix-2 butterfly stage
 	PassStageRadix4     = "stage_radix4"     // radix-4 butterfly stage
 	PassStageSplitRadix = "stage_splitradix" // split-radix butterfly stage
-	PassStageSoA2       = "stage_soa2"       // one SoA radix-2 level sweep
-	PassStageSoA4       = "stage_soa4"       // one SoA fused radix-4 level sweep
+	PassStageSoA2       = "stage_soa2"       // one SoA radix-2 blocked pass of level sweeps
+	PassStageSoA4       = "stage_soa4"       // one SoA fused radix-4 blocked pass of level sweeps
 	PassStageMixed      = "stage_mixed"      // one mixed-radix Stockham stage (or its copy-back)
 	PassChirp           = "chirp"            // Bluestein chirp or filter-spectrum multiply sweep
 
-	PassSoAPack   = "soa_pack"   // deinterleave + bit-reverse into planes
-	PassSoAUnpack = "soa_unpack" // reinterleave planes into the data array
+	PassSoAPack = "soa_pack" // deinterleave + bit-reverse into planes, with stage 0
+
+	// PassSoAUnpack labelled the reinterleave of the planes into the data
+	// array. No schedule emits it since the last blocked pass stores its
+	// results there itself; the label stays for readers that sum pass
+	// telemetry by name, where it now reads zero.
+	PassSoAUnpack = "soa_unpack"
 )
 
 // StageLabel returns the label of kern's butterfly passes.

@@ -1,6 +1,9 @@
 package fft
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // The SoA kernel family (KernelSoARadix2 / KernelSoARadix4) runs the
 // staged decomposition on split real/imag float64 planes instead of
@@ -9,9 +12,9 @@ import "sync"
 // operand, where the interleaved layout would pull two complex values
 // and need a shuffle per load. Input is deinterleaved once per
 // transform into a pooled SoAFrame (fused with the bit-reversal
-// permutation and stage 0, so neither costs a pass of its own) and
-// reinterleaved once at the end; every stage in between works purely on
-// the planes.
+// permutation and stage 0, so neither costs a pass of its own), and the
+// last butterflies write the interleaved result straight back into the
+// caller's array; every stage in between works purely on the planes.
 //
 // Execution differs from the scalar kernels in one structural way.
 // Stage 0 keeps the paper's task shape: each task is a contiguous
@@ -23,21 +26,26 @@ import "sync"
 // interleaved data) the planes are swept level by level with
 // unit-stride loads — the butterfly partner is a contiguous run at
 // distance 2^gl — against per-level twiddle tables built once per
-// plan (SoATwiddles). Each level sweep (or fused level pair for
-// KernelSoARadix4) is one barrier-separated pass of embarrassingly
-// parallel butterflies; soaPasses lists them as the plan's Schedule, so
-// internal/host can shard each across workers.
+// plan (SoATwiddles). The sweeps (fused level pairs for
+// KernelSoARadix4) do not each stream the whole array: consecutive ones
+// are grouped into blocked passes (soaGroups) whose units are
+// 2^14-point sets closed under the group's levels, run through every
+// sweep of the group while they sit in L2. At 2^20 points that is the
+// pack and two passes over the planes, the second storing into the
+// caller's array. Units of a pass touch disjoint elements, so
+// internal/host can shard each pass across workers.
 //
 // Both members dispatch the inner loops to assembly codelets (AVX2 on
 // amd64, NEON on arm64) when the CPU supports them, with pure-Go
 // fallbacks compiled in under the noasm build tag or chosen at runtime
 // when the features are missing. The asm-or-generic decision depends
-// only on the pass's butterfly distance and the lane width — never on
-// how a pass was partitioned (unit boundaries are lane-aligned by
-// construction) — so a fixed kernel is bitwise deterministic under any
+// only on a codelet call's butterfly distance and run length, which
+// the blocked passes fix per level — never on how a pass was
+// partitioned — so a fixed kernel is bitwise deterministic under any
 // schedule: serial, parallel and batched execution agree bit-for-bit,
-// exactly the engine contract the scalar kernels provide. Asm and
-// generic builds of the *same* kernel agree to rounding (FMA
+// exactly the engine contract the scalar kernels provide, and the
+// blocked passes give the bits one whole-array pass per sweep gave.
+// Asm and generic builds of the *same* kernel agree to rounding (FMA
 // contraction), not bitwise — the parity suite pins ≤1e-9.
 //
 // The radix-4 fusion rests on the same identity as KernelRadix4, in
@@ -57,12 +65,23 @@ func SoAAccel() string { return soaAccel }
 // r = 0, so one P−1-entry set serves every task), and a full
 // subsampled table per sweep level gl ∈ [LogP, LogN) — Lvl[gl][j] =
 // W_N^(j·2^(LogN−gl−1)) — so level sweeps stream their twiddles
-// instead of gathering them. Built lazily by Plan.SoATwiddles and
-// cached on the plan; the level tables total ≈ 2N float64s, the price
-// of contiguity on the hot sweeps.
+// instead of gathering them, and the plan's blocked passes for each SoA
+// kernel. Built lazily by Plan.SoATwiddles and cached on the plan; the
+// level tables total ≈ 2N float64s, the price of contiguity on the hot
+// sweeps.
 type SoATwiddles struct {
 	S0Re, S0Im   []float64   // stage-0 gathered twiddles, level-major, len P−1
 	LvlRe, LvlIm [][]float64 // per-global-level sweep tables; nil below LogP
+
+	blocked [2][]soaGroup // the blocked passes of KernelSoARadix2, KernelSoARadix4
+}
+
+// groups returns the plan's blocked passes under kern.
+func (st *SoATwiddles) groups(kern Kernel) []soaGroup {
+	if kern.Concrete() == KernelSoARadix2 {
+		return st.blocked[0]
+	}
+	return st.blocked[1]
 }
 
 // SoATwiddles returns the split twiddle tables for pl, building them on
@@ -98,6 +117,7 @@ func (pl *Plan) SoATwiddles(w []complex128) *SoATwiddles {
 			}
 			st.LvlRe[gl], st.LvlIm[gl] = tr, ti
 		}
+		st.blocked = [2][]soaGroup{pl.soaGroups(KernelSoARadix2), pl.soaGroups(KernelSoARadix4)}
 		pl.soaTw = st
 	})
 	return pl.soaTw
@@ -443,31 +463,33 @@ func (f *SoAFrame) PackBitrev(data []complex128, lo, hi, logN int) {
 }
 
 // Unpack reinterleaves planes[lo:hi] back into data[lo:hi].
+// The ranges are resliced to one length up front, so the loop indexes
+// them without bounds checks or reloading the frame's fields after every
+// store.
 func (f *SoAFrame) Unpack(data []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		data[i] = complex(f.Re[i], f.Im[i])
+	re := f.Re[lo:hi]
+	d, im := data[lo:hi][:len(re)], f.Im[lo:hi][:len(re)]
+	for i, r := range re {
+		d[i] = complex(r, im[i])
 	}
 }
 
 // UnpackConjScale is Unpack fused with the inverse transform's trailing
 // conjugate-and-scale sweep: data[i] = conj(plane[i])·s.
 func (f *SoAFrame) UnpackConjScale(data []complex128, lo, hi int, s float64) {
-	for i := lo; i < hi; i++ {
-		data[i] = complex(f.Re[i]*s, -f.Im[i]*s)
+	re := f.Re[lo:hi]
+	d, im := data[lo:hi][:len(re)], f.Im[lo:hi][:len(re)]
+	for i, r := range re {
+		d[i] = complex(r*s, -im[i]*s)
 	}
 }
 
-// soaQuantum is the butterfly count of one parallel unit of a sweep
-// pass. It is a power of two well above every lane width, so unit
-// boundaries always fall on lane-aligned j offsets and the
-// asm-or-generic choice cannot depend on the partition.
-const soaQuantum = 4096
-
-// SoAPasses returns the number of barrier-separated sweeps stage needs
-// under kern: none for stage 0, whose groups are transformed inside the
-// pack's tiles (SoAPack), otherwise one per level sweep — v for
-// KernelSoARadix2, ⌈v/2⌉ for KernelSoARadix4's fused pairs (+ single
-// leftover level if v is odd).
+// SoAPasses returns the number of level sweeps stage needs under kern:
+// none for stage 0, whose groups are transformed inside the pack's tiles
+// (SoAPack), otherwise v for KernelSoARadix2 and ⌈v/2⌉ for
+// KernelSoARadix4's fused pairs (+ a single leftover level if v is
+// odd). The schedule does not give a sweep a pass of its own: it runs
+// consecutive sweeps inside blocked passes (soaGroups).
 func (pl *Plan) SoAPasses(stage int, kern Kernel) int {
 	if stage == 0 {
 		return 0
@@ -479,67 +501,200 @@ func (pl *Plan) SoAPasses(stage int, kern Kernel) int {
 	return v/2 + v&1
 }
 
-// soaPassShape resolves (stage ≥ 1, pass) to the sweep's base global
-// level and whether it is a fused pair.
-func (pl *Plan) soaPassShape(stage, pass int, kern Kernel) (gl int, pair bool) {
-	l0 := pl.LogP * stage
-	v := pl.Levels(stage)
-	if kern.Concrete() == KernelSoARadix2 {
-		return l0 + pass, false
-	}
-	if 2*pass+1 < v {
-		return l0 + 2*pass, true
-	}
-	return l0 + v - 1, false // odd leftover level, swept radix-2
+// soaLevel is one level sweep: global level gl, fused with gl+1 into a
+// radix-4 pass when pair is set.
+type soaLevel struct {
+	gl   int
+	pair bool
 }
 
-// soaPassButterflies returns the total butterfly count of a sweep
-// pass: N/4 quad-butterflies for a fused pair, N/2 otherwise.
-func (pl *Plan) soaPassButterflies(stage, pass int, kern Kernel) int64 {
-	if _, pair := pl.soaPassShape(stage, pass, kern); pair {
-		return int64(pl.N) / 4
+// width returns the number of levels the sweep applies.
+func (l soaLevel) width() int {
+	if l.pair {
+		return 2
 	}
-	return int64(pl.N) / 2
+	return 1
 }
 
-// SoAPassUnits returns the parallel unit count of sweep (stage, pass):
-// the pass's butterflies in soaQuantum-sized chunks. Units of one pass
-// touch disjoint elements; any [lo,hi) partition of them yields
-// bitwise-identical results.
-func (pl *Plan) SoAPassUnits(stage, pass int, kern Kernel) int {
-	nb := pl.soaPassButterflies(stage, pass, kern)
-	return int((nb + soaQuantum - 1) / soaQuantum)
+// soaLevels lists the sweeps of stages ≥ 1 in order: each stage's levels
+// in fused pairs from its first level for KernelSoARadix4, an odd
+// stage's last level alone; one level at a time for KernelSoARadix2.
+func (pl *Plan) soaLevels(kern Kernel) []soaLevel {
+	var ls []soaLevel
+	for stage := 1; stage < pl.NumStages; stage++ {
+		end := pl.LogP*stage + pl.Levels(stage)
+		for gl := pl.LogP * stage; gl < end; {
+			l := soaLevel{gl, kern.Concrete() != KernelSoARadix2 && gl+1 < end}
+			ls = append(ls, l)
+			gl += l.width()
+		}
+	}
+	return ls
 }
 
-// SoARunPass executes units [lo,hi) of one sweep (stage ≥ 1) on the
-// frame's planes. Same-pass units touch disjoint elements; passes of a
-// stage (and stages) must be barrier-separated, exactly like RunTask's
-// contract.
-func (pl *Plan) SoARunPass(stage, pass, lo, hi int, f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	gl, pair := pl.soaPassShape(stage, pass, kern)
-	b0 := int64(lo) * soaQuantum
-	b1 := int64(hi) * soaQuantum
-	if nb := pl.soaPassButterflies(stage, pass, kern); b1 > nb {
-		b1 = nb
+// soaGroupLevels is the most levels a higher group (see soaGroups) is
+// cut to, so its runs stay near 2^(packTileBits−6) = 256 points — 2 KiB,
+// 32 cache lines, of a plane — or longer. Eight levels of 64-point runs
+// made 2^22 slower than one pass per level pair (EXPERIMENTS "Blocked
+// level passes").
+const soaGroupLevels = 6
+
+// soaGroup is one blocked pass: consecutive sweeps, run one unit at a
+// time, each unit through all of them before the next starts. A unit is
+// 2^u points of the planes (u = min(LogN, packTileBits): 256 KiB, L2
+// resident) closed under the group's levels — a butterfly at level gl
+// pairs elements that differ in bit gl only — laid out as 2^(top−stride)
+// runs of 2^run contiguous points, 2^stride apart. The first group holds
+// every sweep below level u and its units are contiguous blocks (run =
+// stride = top = u); a higher group spanning levels [a, b) takes runs of
+// 2^(u−(b−a)) points at stride 2^a (top = b).
+type soaGroup struct {
+	levels           []soaLevel
+	run, stride, top int
+}
+
+// soaGroups cuts pl's sweeps under kern into blocked passes: the first
+// group every sweep below level u, the rest into as few groups as
+// soaGroupLevels allows, a sweep going to the group its first level's
+// share of the remaining levels picks — so the groups are balanced and
+// none spans more than soaGroupLevels+1 levels (a pair that starts
+// inside a share may end past it): higher groups' runs are at least
+// 2^(u−7) points.
+func (pl *Plan) soaGroups(kern Kernel) []soaGroup {
+	ls := pl.soaLevels(kern)
+	u := pl.soaUnitBits()
+	var gs []soaGroup
+	i := 0
+	for i < len(ls) && ls[i].gl+ls[i].width() <= u {
+		i++
 	}
-	if b0 >= b1 {
+	if i > 0 {
+		gs = append(gs, soaGroup{ls[:i], u, u, u})
+	}
+	if i == len(ls) {
+		return gs
+	}
+	a0 := ls[i].gl
+	span := pl.LogN - a0
+	n := (span + soaGroupLevels - 1) / soaGroupLevels
+	part := func(l soaLevel) int { return (l.gl - a0) * n / span }
+	for i < len(ls) {
+		e := i + 1
+		for e < len(ls) && part(ls[e]) == part(ls[i]) {
+			e++
+		}
+		a, b := ls[i].gl, ls[e-1].gl+ls[e-1].width()
+		gs = append(gs, soaGroup{ls[i:e], u - (b - a), a, b})
+		i = e
+	}
+	return gs
+}
+
+// soaUnitBits returns log2 of a blocked pass's unit: a 2^packTileBits-
+// point set, or the whole array when it is smaller.
+func (pl *Plan) soaUnitBits() int { return min(pl.LogN, packTileBits) }
+
+// soaUnits returns the number of units of every blocked pass.
+func (pl *Plan) soaUnits() int { return pl.N >> pl.soaUnitBits() }
+
+// soaStore is where the schedule's last blocked pass leaves the
+// transform: interleaved into out, each element conj(x)·s when conj is
+// set (the inverse's trailing conjugate-and-scale). A zero soaStore
+// leaves it in the planes.
+type soaStore struct {
+	out  []complex128
+	conj bool
+	s    float64
+}
+
+// unpack reinterleaves planes [lo, hi) into out.
+func (d soaStore) unpack(f *SoAFrame, lo, hi int) {
+	if d.conj {
+		f.UnpackConjScale(d.out, lo, hi, d.s)
+	} else {
+		f.Unpack(d.out, lo, hi)
+	}
+}
+
+// runUnits executes units [lo, hi) of g on the frame's planes. Units touch
+// pairwise-disjoint elements, and every butterfly of a unit reads the
+// values the sweep before it left, so any partition of the unit range
+// gives the bits one whole-array pass per sweep gives: the
+// asm-or-generic choice of a codelet call depends on its butterfly
+// distance and on cnt — the distance itself in a contiguous block, the
+// run width (≥ 2^7) in a higher group — never on the partition. With
+// dst.out set, the last sweep puts its results into dst.out instead of
+// the planes: a fused pair the vector codelets run stores them there
+// directly (bfly4StoreAsm); otherwise the unit runs the sweep in place
+// and unpacks its runs while they are still in cache.
+func (g *soaGroup) runUnits(lo, hi int, f *SoAFrame, st *SoATwiddles, dst soaStore) {
+	w := 1 << g.run
+	lowField := g.stride - g.run // unit index bits that pick a run offset below 2^stride
+	for u := lo; u < hi; u++ {
+		o := (u & (1<<lowField - 1)) << g.run
+		h := (u >> lowField) << g.top
+		for i, l := range g.levels {
+			m := 1 << l.gl
+			nblk := 1 << (g.top - l.gl - l.width())
+			// A contiguous block takes each level in one call, cnt = m;
+			// a higher group's runs one call per run offset below m.
+			cnt, step := m, m
+			if m >= w {
+				cnt, step = w, 1<<g.stride
+			}
+			last := dst.out != nil && i == len(g.levels)-1
+			direct := last && l.pair && soaHasStore && soaVector(m, cnt)
+			for k := 0; k < m; k += step {
+				j0 := o + k
+				if direct {
+					l.store(f, st, h+j0, j0, cnt, nblk, dst)
+				} else {
+					l.apply(f, st, h+j0, j0, cnt, nblk)
+				}
+			}
+			if last && !direct {
+				for r := 0; r < 1<<(g.top-g.stride); r++ {
+					a := h + o + r<<g.stride
+					dst.unpack(f, a, a+w)
+				}
+			}
+		}
+	}
+}
+
+// apply runs sweep l in place on nblk blocks of cnt butterflies (quad
+// butterflies for a pair) from plane offset base, twiddles from j0.
+func (l soaLevel) apply(f *SoAFrame, st *SoATwiddles, base, j0, cnt, nblk int) {
+	m := 1 << l.gl
+	war, wai := st.LvlRe[l.gl][j0:], st.LvlIm[l.gl][j0:]
+	if !l.pair {
+		soaBfly2(f.Re[base:], f.Im[base:], war, wai, m, cnt, nblk)
 		return
 	}
-	if pair {
-		pl.soaSweepPair(gl, b0, b1, f, st)
-	} else {
-		pl.soaSweep2(gl, b0, b1, f, st)
-	}
+	wbr, wbi := st.LvlRe[l.gl+1][j0:m], st.LvlIm[l.gl+1][j0:m]
+	soaBfly4(f.Re[base:], f.Im[base:], war, wai, wbr, wbi, m, cnt, nblk)
 }
 
-// SoASweeps runs every sweep of the SoA schedule over its whole unit
-// range: the schedule's passes between SoAPack and the unpack, for
-// callers whose own moves do both.
+// store is apply for a fused pair the vector codelets run, with the
+// results written interleaved to dst.out[base:] instead of the planes.
+func (l soaLevel) store(f *SoAFrame, st *SoATwiddles, base, j0, cnt, nblk int, dst soaStore) {
+	s, neg := 1.0, 0.0
+	if dst.conj {
+		s, neg = dst.s, math.Copysign(0, -1)
+	}
+	m := 1 << l.gl
+	_ = dst.out[base+(nblk-1)*4*m+3*m+cnt-1] // the codelet's last store
+	bfly4StoreAsm(&f.Re[base], &f.Im[base], &st.LvlRe[l.gl][j0], &st.LvlIm[l.gl][j0],
+		&st.LvlRe[l.gl+1][j0], &st.LvlIm[l.gl+1][j0], &dst.out[base], m, cnt, nblk, s, neg)
+}
+
+// SoASweeps runs every blocked pass of the SoA schedule over its whole
+// unit range, leaving the transform in the planes: the schedule between
+// SoAPack and the store, for callers whose own moves do both.
 func (pl *Plan) SoASweeps(f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	for stage := 1; stage < pl.NumStages; stage++ {
-		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-			pl.SoARunPass(stage, pass, 0, pl.SoAPassUnits(stage, pass, kern), f, st, kern)
-		}
+	gs := st.groups(kern)
+	for i := range gs {
+		gs[i].runUnits(0, pl.soaUnits(), f, st, soaStore{})
 	}
 }
 
@@ -549,56 +704,6 @@ func (pl *Plan) SoASweeps(f *SoAFrame, st *SoATwiddles, kern Kernel) {
 func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
 	pl.stage0(st, kern).run(f.Re, f.Im)
 	pl.SoASweeps(f, st, kern)
-}
-
-// soaSweep2 applies global level gl to butterflies [b0,b1) of the
-// planes: butterfly b pairs element blk·2^(gl+1)+j with its partner at
-// distance 2^gl (blk = b/2^gl, j = b mod 2^gl), twiddle Lvl[gl][j].
-// Runs of full blocks collapse into one primitive call.
-func (pl *Plan) soaSweep2(gl int, b0, b1 int64, f *SoAFrame, st *SoATwiddles) {
-	half := int64(1) << gl
-	twr, twi := st.LvlRe[gl], st.LvlIm[gl]
-	for b := b0; b < b1; {
-		blk, j0 := b/half, b%half
-		base := blk*2*half + j0
-		if j0 == 0 && b1-b >= half {
-			nblk := (b1 - b) / half
-			soaBfly2(f.Re[base:], f.Im[base:], twr, twi, int(half), int(half), int(nblk))
-			b += nblk * half
-			continue
-		}
-		take := half - j0
-		if take > b1-b {
-			take = b1 - b
-		}
-		soaBfly2(f.Re[base:], f.Im[base:], twr[j0:], twi[j0:], int(half), int(take), 1)
-		b += take
-	}
-}
-
-// soaSweepPair applies the fused level pair (gl, gl+1) to quad
-// butterflies [b0,b1): quad b spans x0..x3 at distance m = 2^gl from
-// base blk·4m+j, with wa = Lvl[gl] and wb = Lvl[gl+1][:m].
-func (pl *Plan) soaSweepPair(gl int, b0, b1 int64, f *SoAFrame, st *SoATwiddles) {
-	m := int64(1) << gl
-	war, wai := st.LvlRe[gl], st.LvlIm[gl]
-	wbr, wbi := st.LvlRe[gl+1][:m], st.LvlIm[gl+1][:m]
-	for b := b0; b < b1; {
-		blk, j0 := b/m, b%m
-		base := blk*4*m + j0
-		if j0 == 0 && b1-b >= m {
-			nblk := (b1 - b) / m
-			soaBfly4(f.Re[base:], f.Im[base:], war, wai, wbr, wbi, int(m), int(m), int(nblk))
-			b += nblk * m
-			continue
-		}
-		take := m - j0
-		if take > b1-b {
-			take = b1 - b
-		}
-		soaBfly4(f.Re[base:], f.Im[base:], war[j0:], wai[j0:], wbr[j0:], wbi[j0:], int(m), int(take), 1)
-		b += take
-	}
 }
 
 // soaButterflies applies a stage-0 group's v levels in place to one
@@ -631,13 +736,20 @@ func soaButterflies(re, im, twr, twi []float64, v int, radix4 bool) {
 	}
 }
 
+// soaVector reports whether a level codelet run at butterfly distance
+// dist with cnt butterflies per block takes the vector codelets: only
+// when both are lane-aligned.
+func soaVector(dist, cnt int) bool {
+	return soaHasAsm && dist >= soaLanes && cnt >= soaLanes && cnt%soaLanes == 0
+}
+
 // soaBfly2 dispatches one radix-2 butterfly run: nblk blocks of stride
 // 2·dist starting at re[0]/im[0], cnt butterflies per block (partner
 // at +dist, twiddle wr/wi[j]). Asm engages only when dist and cnt are
 // lane-aligned — conditions independent of partitioning, since unit
 // boundaries are lane-aligned by construction.
 func soaBfly2(re, im, wr, wi []float64, dist, cnt, nblk int) {
-	if soaHasAsm && dist >= soaLanes && cnt >= soaLanes && cnt%soaLanes == 0 {
+	if soaVector(dist, cnt) {
 		bfly2Asm(&re[0], &im[0], &wr[0], &wi[0], dist, cnt, nblk)
 		return
 	}
@@ -647,7 +759,7 @@ func soaBfly2(re, im, wr, wi []float64, dist, cnt, nblk int) {
 // soaBfly4 dispatches one fused radix-4 run: nblk blocks of stride
 // 4·dist, cnt quad-butterflies per block (x0..x3 at distance dist).
 func soaBfly4(re, im, war, wai, wbr, wbi []float64, dist, cnt, nblk int) {
-	if soaHasAsm && dist >= soaLanes && cnt >= soaLanes && cnt%soaLanes == 0 {
+	if soaVector(dist, cnt) {
 		bfly4Asm(&re[0], &im[0], &war[0], &wai[0], &wbr[0], &wbi[0], dist, cnt, nblk)
 		return
 	}
@@ -739,31 +851,41 @@ func base4Gen(re, im []float64, war, wai, wbr, wbi float64) {
 }
 
 // soaPasses builds the split-plane pass list over the array buf
-// selects: the tiled pack (bit reversal and stage 0), every later
-// stage's sweeps on the planes, unpack. The inverse's conjugation
-// identity rides on passes that already touch every element — the
-// leading conjugation on the pack, the trailing conjugate-and-scale on
-// the unpack — so it costs exactly the forward's passes and is
-// bit-for-bit the unfused conj → forward → conj·1/N composition.
+// selects: the tiled pack (bit reversal and stage 0), then one blocked
+// pass per group of level sweeps, the last of which stores the
+// transform into buf. The inverse's conjugation identity rides on passes
+// that already touch every element — the leading conjugation on the
+// pack, the trailing conjugate-and-scale on the store — so it costs
+// exactly the forward's passes and is bit-for-bit the unfused
+// conj → forward → conj·1/N composition. With no level above stage 0
+// (N ≤ P) the pack is one tile and the whole transform: it unpacks too.
 func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
 	tw := pl.SoATwiddles(w)
+	store := func(st *State) soaStore { return soaStore{buf(st), inverse, 1 / float64(pl.N)} }
+	gs := tw.groups(kern)
+	if len(gs) == 0 {
+		return []Pass{{PassSoAPack, 1, func(st *State, lo, hi int) {
+			if lo < hi {
+				pl.SoAPack(st.Frame, buf(st), 0, 1, tw, kern, inverse)
+				store(st).unpack(st.Frame, 0, pl.N)
+			}
+		}}}
+	}
 	ps := []Pass{{PassSoAPack, pl.SoAPackTiles(), func(st *State, lo, hi int) {
 		pl.SoAPack(st.Frame, buf(st), lo, hi, tw, kern, inverse)
 	}}}
 	label := StageLabel(kern)
-	for stage := 0; stage < pl.NumStages; stage++ {
-		for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-			ps = append(ps, Pass{label, pl.SoAPassUnits(stage, pass, kern), func(st *State, lo, hi int) {
-				pl.SoARunPass(stage, pass, lo, hi, st.Frame, tw, kern)
-			}})
-		}
+	for i := range gs {
+		g, last := &gs[i], i == len(gs)-1
+		ps = append(ps, Pass{label, pl.soaUnits(), func(st *State, lo, hi int) {
+			var dst soaStore
+			if last {
+				dst = store(st)
+			}
+			g.runUnits(lo, hi, st.Frame, tw, dst)
+		}})
 	}
-	unpack := func(st *State, lo, hi int) { st.Frame.Unpack(buf(st), lo, hi) }
-	if inverse {
-		inv := 1 / float64(pl.N)
-		unpack = func(st *State, lo, hi int) { st.Frame.UnpackConjScale(buf(st), lo, hi, inv) }
-	}
-	return append(ps, Pass{PassSoAUnpack, pl.N, unpack})
+	return ps
 }
 
 // TransformSoA runs the forward SoA schedule serially. Zero

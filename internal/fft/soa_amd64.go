@@ -22,6 +22,8 @@ var soaHasBase4 = soaHasAsm
 
 var soaHasGather = soaHasAsm
 
+var soaHasStore = soaHasAsm
+
 // soaAccel names the active acceleration for introspection and tests.
 var soaAccel = func() string {
 	if soaHasAsm {
@@ -64,6 +66,9 @@ func bfly2Asm(re, im, wr, wi *float64, dist, cnt, nblk int)
 
 //go:noescape
 func bfly4Asm(re, im, war, wai, wbr, wbi *float64, dist, cnt, nblk int)
+
+//go:noescape
+func bfly4StoreAsm(re, im, war, wai, wbr, wbi *float64, out *complex128, dist, cnt, nblk int, s, neg float64)
 
 //go:noescape
 func base4Asm(re, im *float64, n int, tw *float64)

@@ -195,6 +195,145 @@ bfly4_inner:
 	VZEROUPPER
 	RET
 
+// func bfly4StoreAsm(re, im, war, wai, wbr, wbi *float64, out *complex128, dist, cnt, nblk int, s, neg float64)
+//
+// bfly4Asm's storing twin, for the last sweep of a transform: the same
+// loads and arithmetic, instruction for instruction, but y0..y3 go to
+// out — the caller's interleaved array, element k at out + 16·k where
+// the planes hold it at re/im + 8·k — instead of back into the planes,
+// each as (y_r·s, (y_i ^ neg)·s). With s = 1, neg = +0 that is a plain
+// store (×1 and ^+0 are exact); with s = 1/N, neg = −0 it is the
+// inverse's conj(y)/N, bit for bit UnpackConjScale's −y_i·s. Every
+// output is two 4×4 half-transposes: (r0 r1 r2 r3), (i0 i1 i2 i3) →
+// (r0 i0 r1 i1), (r2 i2 r3 i3). R14 holds out: this is an ABI0
+// function, whose wrapper restores g on return.
+TEXT ·bfly4StoreAsm(SB), NOSPLIT, $0-96
+	MOVQ re+0(FP), DI
+	MOVQ im+8(FP), SI
+	MOVQ war+16(FP), R8
+	MOVQ wai+24(FP), R9
+	MOVQ wbr+32(FP), R10
+	MOVQ wbi+40(FP), R11
+	MOVQ out+48(FP), R14
+	MOVQ dist+56(FP), R13
+	SHLQ $3, R13            // dist in bytes of a plane
+	MOVQ cnt+64(FP), R12
+	SHLQ $3, R12            // cnt in bytes of a plane
+	MOVQ nblk+72(FP), CX
+	VBROADCASTSD s+80(FP), Y14
+	VBROADCASTSD neg+88(FP), Y15
+
+store4_blk:
+	XORQ BX, BX             // j bytes of a plane
+
+store4_inner:
+	VMOVUPD (R8)(BX*1), Y0   // war
+	VMOVUPD (R9)(BX*1), Y1   // wai
+	VMOVUPD (R10)(BX*1), Y2  // wbr
+	VMOVUPD (R11)(BX*1), Y3  // wbi
+
+	LEAQ    (DI)(BX*1), AX   // &re[k+j]
+	VMOVUPD (AX), Y4         // x0r
+	VMOVUPD (AX)(R13*1), Y6  // x1r
+	VMOVUPD (AX)(R13*2), Y8  // x2r
+	LEAQ    (AX)(R13*1), DX
+	VMOVUPD (DX)(R13*2), Y10 // x3r
+	LEAQ    (SI)(BX*1), AX   // &im[k+j]
+	VMOVUPD (AX), Y5         // x0i
+	VMOVUPD (AX)(R13*1), Y7  // x1i
+	VMOVUPD (AX)(R13*2), Y9  // x2i
+	LEAQ    (AX)(R13*1), DX
+	VMOVUPD (DX)(R13*2), Y11 // x3i
+
+	VMULPD       Y6, Y0, Y12  // b1r = war·x1r − wai·x1i
+	VFNMADD231PD Y7, Y1, Y12
+	VMULPD       Y7, Y0, Y13  // b1i = war·x1i + wai·x1r
+	VFMADD231PD  Y6, Y1, Y13
+	VMULPD       Y10, Y0, Y6  // b3r
+	VFNMADD231PD Y11, Y1, Y6
+	VMULPD       Y11, Y0, Y7  // b3i
+	VFMADD231PD  Y10, Y1, Y7
+
+	VADDPD Y12, Y4, Y0        // pr
+	VSUBPD Y12, Y4, Y4        // qr
+	VADDPD Y13, Y5, Y1        // pi
+	VSUBPD Y13, Y5, Y5        // qi
+	VADDPD Y6, Y8, Y10        // sr
+	VSUBPD Y6, Y8, Y8         // tr
+	VADDPD Y7, Y9, Y11        // si
+	VSUBPD Y7, Y9, Y9         // ti
+
+	VMULPD       Y10, Y2, Y12 // wsr
+	VFNMADD231PD Y11, Y3, Y12
+	VMULPD       Y11, Y2, Y13 // wsi
+	VFMADD231PD  Y10, Y3, Y13
+	VMULPD       Y8, Y2, Y6   // wtr
+	VFNMADD231PD Y9, Y3, Y6
+	VMULPD       Y9, Y2, Y7   // wti
+	VFMADD231PD  Y8, Y3, Y7
+
+	VADDPD Y12, Y0, Y10       // y0r = pr + wsr
+	VSUBPD Y12, Y0, Y0        // y2r
+	VADDPD Y13, Y1, Y11       // y0i
+	VSUBPD Y13, Y1, Y1        // y2i
+	VADDPD Y7, Y4, Y8         // y1r = qr + wti
+	VSUBPD Y7, Y4, Y9         // y3r
+	VSUBPD Y6, Y5, Y2         // y1i = qi − wtr
+	VADDPD Y6, Y5, Y3         // y3i
+
+	VMULPD Y14, Y10, Y10      // y_r·s
+	VMULPD Y14, Y8, Y8
+	VMULPD Y14, Y0, Y0
+	VMULPD Y14, Y9, Y9
+	VXORPD Y15, Y11, Y11      // (y_i ^ neg)·s
+	VMULPD Y14, Y11, Y11
+	VXORPD Y15, Y2, Y2
+	VMULPD Y14, Y2, Y2
+	VXORPD Y15, Y1, Y1
+	VMULPD Y14, Y1, Y1
+	VXORPD Y15, Y3, Y3
+	VMULPD Y14, Y3, Y3
+
+	LEAQ       (R14)(BX*2), AX  // &out[k+j]
+	VUNPCKLPD  Y11, Y10, Y4     // y0: r0 i0 r2 i2
+	VUNPCKHPD  Y11, Y10, Y5     //     r1 i1 r3 i3
+	VPERM2F128 $0x20, Y5, Y4, Y6
+	VPERM2F128 $0x31, Y5, Y4, Y7
+	VMOVUPD    Y6, (AX)
+	VMOVUPD    Y7, 32(AX)
+	VUNPCKLPD  Y2, Y8, Y4       // y1 at +dist
+	VUNPCKHPD  Y2, Y8, Y5
+	VPERM2F128 $0x20, Y5, Y4, Y6
+	VPERM2F128 $0x31, Y5, Y4, Y7
+	VMOVUPD    Y6, (AX)(R13*2)
+	VMOVUPD    Y7, 32(AX)(R13*2)
+	VUNPCKLPD  Y1, Y0, Y4       // y2 at +2·dist
+	VUNPCKHPD  Y1, Y0, Y5
+	VPERM2F128 $0x20, Y5, Y4, Y6
+	VPERM2F128 $0x31, Y5, Y4, Y7
+	VMOVUPD    Y6, (AX)(R13*4)
+	VMOVUPD    Y7, 32(AX)(R13*4)
+	LEAQ       (AX)(R13*4), DX
+	VUNPCKLPD  Y3, Y9, Y4       // y3 at +3·dist
+	VUNPCKHPD  Y3, Y9, Y5
+	VPERM2F128 $0x20, Y5, Y4, Y6
+	VPERM2F128 $0x31, Y5, Y4, Y7
+	VMOVUPD    Y6, (DX)(R13*2)
+	VMOVUPD    Y7, 32(DX)(R13*2)
+
+	ADDQ $32, BX
+	CMPQ BX, R12
+	JL   store4_inner
+
+	LEAQ (DI)(R13*4), DI
+	LEAQ (SI)(R13*4), SI
+	LEAQ (R14)(R13*8), R14
+	DECQ CX
+	JNZ  store4_blk
+
+	VZEROUPPER
+	RET
+
 // func base4Asm(re, im *float64, n int, tw *float64)
 //
 // The fused levels-0-and-1 radix-4 pass on consecutive quads, with

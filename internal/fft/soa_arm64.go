@@ -17,6 +17,7 @@ var (
 	soaHasAsm    = true
 	soaHasBase4  = false
 	soaHasGather = false
+	soaHasStore  = false
 	soaAccel     = "neon"
 )
 
@@ -27,6 +28,10 @@ func bfly2Asm(re, im, wr, wi *float64, dist, cnt, nblk int)
 
 //go:noescape
 func bfly4Asm(re, im, war, wai, wbr, wbi *float64, dist, cnt, nblk int)
+
+func bfly4StoreAsm(re, im, war, wai, wbr, wbi *float64, out *complex128, dist, cnt, nblk int, s, neg float64) {
+	panic("fft: bfly4StoreAsm is not implemented on arm64")
+}
 
 func base4Asm(re, im *float64, n int, tw *float64) {
 	panic("fft: base4Asm is not implemented on arm64")

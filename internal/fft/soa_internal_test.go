@@ -1,7 +1,9 @@
 package fft
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -100,48 +102,176 @@ func TestSoABase4AsmMatchesGeneric(t *testing.T) {
 }
 
 // TestSoAPassPartitionInvariance pins the determinism contract the host
-// engine relies on: running a pass's units — the pack's tiles, a
-// sweep's butterfly chunks — in one span or split at any unit boundary
-// must produce bitwise-identical planes, because the asm-or-generic
-// choice depends only on the pass shape.
+// engine relies on: running a pass's units — the pack's tiles, a blocked
+// pass's L2-sized sets — in one span or split at random unit boundaries
+// and in random order must produce bitwise-identical output, because
+// units touch disjoint elements and the asm-or-generic choice depends
+// only on the pass shape. The sizes give the last blocked pass 2, 4 and
+// 8 units, the one that stores into the caller's array among them.
 func TestSoAPassPartitionInvariance(t *testing.T) {
-	// N is chosen so late levels have half > soaQuantum, exercising the
-	// partial j-range (cnt < dist) path as well as full-block batching.
-	for _, kern := range []Kernel{KernelSoARadix2, KernelSoARadix4} {
-		pl, err := NewPlan(1<<15, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := Twiddles(pl.N)
-		st := pl.SoATwiddles(w)
-		data := make([]complex128, pl.N)
-		rnd := soaFillRand(2*pl.N, 13)
-		for i := range data {
-			data[i] = complex(rnd[2*i], rnd[2*i+1])
-		}
-		whole := GetSoAFrame(pl.N)
-		split := GetSoAFrame(pl.N)
-		pl.SoAPack(whole, data, 0, pl.SoAPackTiles(), st, kern, false)
-		for b := 0; b < pl.SoAPackTiles(); b++ {
-			pl.SoAPack(split, data, b, b+1, st, kern, false)
-		}
-		for stage := 0; stage < pl.NumStages; stage++ {
-			for pass, np := 0, pl.SoAPasses(stage, kern); pass < np; pass++ {
-				units := pl.SoAPassUnits(stage, pass, kern)
-				pl.SoARunPass(stage, pass, 0, units, whole, st, kern)
-				for u := 0; u < units; u++ {
-					pl.SoARunPass(stage, pass, u, u+1, split, st, kern)
+	rng := rand.New(rand.NewSource(13))
+	for _, logN := range []int{12, 15, 16, 17} {
+		for _, p := range []int{2, 8, 64, 1 << 12} {
+			pl, err := NewPlan(1<<logN, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := Twiddles(pl.N)
+			rnd := soaFillRand(2*pl.N, uint64(logN))
+			x := make([]complex128, pl.N)
+			for i := range x {
+				x[i] = complex(rnd[2*i], rnd[2*i+1])
+			}
+			for _, kern := range []Kernel{KernelSoARadix2, KernelSoARadix4} {
+				for _, inverse := range []bool{false, true} {
+					s := pl.Schedule(w, kern, inverse)
+					whole := append([]complex128(nil), x...)
+					must(s.Run(whole))
+					split := append([]complex128(nil), x...)
+					st := s.Acquire(split)
+					for _, ps := range s.Passes {
+						for _, c := range randomPartition(rng, ps.Units) {
+							ps.Run(st, c[0], c[1])
+						}
+					}
+					st.Release()
+					for i := range whole {
+						if math.Float64bits(real(whole[i])) != math.Float64bits(real(split[i])) ||
+							math.Float64bits(imag(whole[i])) != math.Float64bits(imag(split[i])) {
+							t.Fatalf("N=2^%d P=%d %v inverse=%v: element %d differs between whole-pass and partitioned execution",
+								logN, p, kern, inverse, i)
+						}
+					}
 				}
 			}
 		}
-		for i := 0; i < pl.N; i++ {
-			if math.Float64bits(whole.Re[i]) != math.Float64bits(split.Re[i]) ||
-				math.Float64bits(whole.Im[i]) != math.Float64bits(split.Im[i]) {
-				t.Fatalf("%v: plane element %d differs between whole-pass and per-unit execution", kern, i)
+	}
+}
+
+// randomPartition cuts [0, units) into random nonempty chunks and
+// returns them in random order.
+func randomPartition(rng *rand.Rand, units int) [][2]int {
+	var cs [][2]int
+	for lo := 0; lo < units; {
+		hi := lo + 1 + rng.Intn(units-lo)
+		cs = append(cs, [2]int{lo, hi})
+		lo = hi
+	}
+	rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+	return cs
+}
+
+// TestSoAGroupsCoverSweeps checks the blocked passes' geometry for
+// every plan shape up to 2^30 points: the groups hold every level sweep
+// once, in order; each unit's runs hold every partner of every level of
+// its group (run ≤ stride < top, levels inside [stride, top) or, for
+// a contiguous block, below it); higher groups' runs are at least 2^7
+// points, so every call they make is lane-aligned; and the units of a
+// pass tile the array.
+func TestSoAGroupsCoverSweeps(t *testing.T) {
+	for logN := 1; logN <= 30; logN++ {
+		for logP := 1; logP <= logN; logP++ {
+			pl, err := NewPlan(1<<logN, 1<<logP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := pl.soaUnitBits()
+			for _, kern := range []Kernel{KernelSoARadix2, KernelSoARadix4} {
+				var seen []soaLevel
+				for gi, g := range pl.soaGroups(kern) {
+					name := fmt.Sprintf("N=2^%d P=2^%d %v group %d %+v", logN, logP, kern, gi, g)
+					contiguous := g.run == u && g.stride == u && g.top == u
+					if !contiguous && (g.run < 7 || g.run > g.stride || g.stride >= g.top || g.run+g.top-g.stride != u) {
+						t.Fatalf("%s: bad unit geometry", name)
+					}
+					if contiguous && gi != 0 {
+						t.Fatalf("%s: a contiguous block after the first group", name)
+					}
+					for _, l := range g.levels {
+						lo, hi := l.gl, l.gl+l.width()
+						if (contiguous && hi > u) || (!contiguous && (lo < g.stride || hi > g.top)) {
+							t.Fatalf("%s: level sweep %+v outside the unit's levels", name, l)
+						}
+					}
+					if logN <= 16 {
+						cover := make([]int, pl.N)
+						low := g.stride - g.run
+						for unit := 0; unit < pl.soaUnits(); unit++ {
+							o, h := (unit&(1<<low-1))<<g.run, (unit>>low)<<g.top
+							for r := 0; r < 1<<(g.top-g.stride); r++ {
+								for i := 0; i < 1<<g.run; i++ {
+									cover[h+o+r<<g.stride+i]++
+								}
+							}
+						}
+						for i, c := range cover {
+							if c != 1 {
+								t.Fatalf("%s: element %d lies in %d units", name, i, c)
+							}
+						}
+					}
+					seen = append(seen, g.levels...)
+				}
+				if want := pl.soaLevels(kern); fmt.Sprint(seen) != fmt.Sprint(want) {
+					t.Fatalf("N=2^%d P=2^%d %v: groups hold sweeps %v, want %v", logN, logP, kern, seen, want)
+				}
 			}
 		}
-		whole.Release()
-		split.Release()
+	}
+}
+
+// TestSoABfly4StoreMatchesInPlace: the storing codelet the last blocked
+// pass ends with must equal bfly4Asm followed by Unpack (forward) or
+// UnpackConjScale (inverse) bit for bit — on every element it writes —
+// and write nothing else, for the shapes the blocked passes hand it and
+// the values a store must carry: ±0, ±Inf, NaN, subnormals.
+func TestSoABfly4StoreMatchesInPlace(t *testing.T) {
+	if !soaHasStore {
+		t.Skipf("no storing codelet in this build (accel=%s)", soaAccel)
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310}
+	shapes := []struct{ dist, cnt, nblk int }{
+		{4, 4, 1}, {4, 4, 5}, {16, 16, 2}, {16, 4, 1}, {32, 8, 3}, {64, 64, 4}, {256, 128, 2},
+	}
+	sentinel := complex(math.Float64frombits(0x7ff8dead), 0)
+	for _, sh := range shapes {
+		span := (sh.nblk-1)*4*sh.dist + 3*sh.dist + sh.cnt
+		re := soaFillRand(span, uint64(sh.dist))
+		im := soaFillRand(span, uint64(sh.cnt))
+		for i, v := range special {
+			re[(i*13)%span], im[(i*29+5)%span] = v, v
+		}
+		war, wai := soaFillRand(sh.dist, 7), soaFillRand(sh.dist, 8)
+		wbr, wbi := soaFillRand(sh.dist, 9), soaFillRand(sh.dist, 10)
+		for _, conj := range []bool{false, true} {
+			s, neg := 1.0, 0.0
+			if conj {
+				s, neg = 1.0/1024, math.Copysign(0, -1)
+			}
+			got := make([]complex128, span)
+			for i := range got {
+				got[i] = sentinel
+			}
+			bfly4StoreAsm(&re[0], &im[0], &war[0], &wai[0], &wbr[0], &wbi[0], &got[0], sh.dist, sh.cnt, sh.nblk, s, neg)
+			f := &SoAFrame{Re: append([]float64(nil), re...), Im: append([]float64(nil), im...)}
+			bfly4Asm(&f.Re[0], &f.Im[0], &war[0], &wai[0], &wbr[0], &wbi[0], sh.dist, sh.cnt, sh.nblk)
+			want := make([]complex128, span)
+			if conj {
+				f.UnpackConjScale(want, 0, span, s)
+			} else {
+				f.Unpack(want, 0, span)
+			}
+			for i := range got {
+				touched := i%sh.dist < sh.cnt
+				g, wv := got[i], want[i]
+				if !touched {
+					wv = sentinel
+				}
+				if math.Float64bits(real(g)) != math.Float64bits(real(wv)) || math.Float64bits(imag(g)) != math.Float64bits(imag(wv)) {
+					t.Fatalf("%+v conj=%v: element %d (written=%v) = %v, want %v", sh, conj, i, touched, g, wv)
+				}
+			}
+		}
 	}
 }
 

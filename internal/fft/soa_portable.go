@@ -15,6 +15,7 @@ var (
 	soaHasAsm    = false
 	soaHasBase4  = false
 	soaHasGather = false
+	soaHasStore  = false
 	soaAccel     = "generic"
 )
 
@@ -24,6 +25,10 @@ func bfly2Asm(re, im, wr, wi *float64, dist, cnt, nblk int) {
 
 func bfly4Asm(re, im, war, wai, wbr, wbi *float64, dist, cnt, nblk int) {
 	panic("fft: bfly4Asm unavailable in this build")
+}
+
+func bfly4StoreAsm(re, im, war, wai, wbr, wbi *float64, out *complex128, dist, cnt, nblk int, s, neg float64) {
+	panic("fft: bfly4StoreAsm unavailable in this build")
 }
 
 func base4Asm(re, im *float64, n int, tw *float64) {

@@ -163,21 +163,17 @@ func (r *passRecorder) ObservePass(pass string, d time.Duration) {
 
 // TestKernelStagePassLabels: every kernel's butterfly passes report
 // under its own observer label — one per barrier-separated pass, so a
-// scalar kernel reports one per stage and an SoA kernel one per level
-// sweep — and a batch dealt out whole reports the label once.
+// scalar kernel reports one per stage and an SoA kernel one per blocked
+// pass of its schedule — and a batch dealt out whole reports the label
+// once.
 func TestKernelStagePassLabels(t *testing.T) {
 	pl, err := fft.NewPlan(256, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := fft.Twiddles(256)
-	sweeps := func(k fft.Kernel) int {
-		n := 0
-		for s := 0; s < pl.NumStages; s++ {
-			n += pl.SoAPasses(s, k)
-		}
-		return n
-	}
+	// An SoA schedule is its pack, then blocked passes of level sweeps.
+	sweeps := func(k fft.Kernel) int { return len(pl.Schedule(w, k, false).Passes) - 1 }
 	cases := []struct {
 		kern   fft.Kernel
 		label  string
@@ -203,9 +199,10 @@ func TestKernelStagePassLabels(t *testing.T) {
 		}
 		if tc.kern.SoA() {
 			// The split-plane pipeline replaces bitrev with its fused
-			// pack pass and adds the unpack pass.
-			if rec.passes[host.PassSoAPack] != 1 || rec.passes[host.PassSoAUnpack] != 1 {
-				t.Fatalf("%v: pack/unpack passes = %d/%d, want 1/1 (all: %v)",
+			// pack pass, and its last blocked pass stores the result:
+			// there is no unpack pass.
+			if rec.passes[host.PassSoAPack] != 1 || rec.passes[host.PassSoAUnpack] != 0 {
+				t.Fatalf("%v: pack/unpack passes = %d/%d, want 1/0 (all: %v)",
 					tc.kern, rec.passes[host.PassSoAPack], rec.passes[host.PassSoAUnpack], rec.passes)
 			}
 			if rec.passes[host.PassBitRev] != 0 {

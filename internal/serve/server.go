@@ -226,7 +226,7 @@ func newEngineObserver(r *metrics.Registry) *engineObserver {
 	// radix-4 or split-radix batch doesn't race a map write.
 	for _, p := range []string{host.PassBitRev, host.PassStage, host.PassStageRadix4,
 		host.PassStageSplitRadix, host.PassStageSoA2, host.PassStageSoA4,
-		host.PassSoAPack, host.PassSoAUnpack, host.PassConj, host.PassScale,
+		host.PassSoAPack, host.PassConj, host.PassScale,
 		host.PassStageMixed, host.PassChirp} {
 		passes[p] = r.Histogram("engine_pass_"+p+"_seconds", latency)
 	}
