@@ -1,9 +1,9 @@
 // Package cluster is the public face of the distributed FFT: a
 // coordinator that factors large transforms four-step (N = N1·N2) and
 // runs the column and row FFT passes as one resident session over
-// worker daemons, with health-checked membership, consistent-hash
-// placement, a failed session retried on the surviving workers, and
-// graceful degradation to local execution.
+// worker daemons — every eligible worker, in member order, taking an
+// even share — with health-checked membership, a failed session retried
+// on the surviving workers, and graceful degradation to local execution.
 //
 // Workers are `fftserved -worker` processes; a Cluster built with New
 // reaches them over HTTP. NewLoopback instead stands up an entire
@@ -48,7 +48,7 @@ type Config struct {
 	Workers []string
 	// MemberFile, when non-empty, is a polled membership file — one
 	// worker address per line, '#' comments — that can add and remove
-	// workers at runtime.
+	// workers at runtime; its workers follow Workers in member order.
 	MemberFile string
 	// ProbeInterval enables active health probing of every worker; 0
 	// disables it (per-worker circuit breakers still react to call
@@ -61,10 +61,6 @@ type Config struct {
 	MaxAttempts int
 	// ShardTimeout is the deadline of each session RPC (default 10s).
 	ShardTimeout time.Duration
-
-	// Factor overrides the four-step split for a given N; nil picks the
-	// near-square power-of-two split.
-	Factor func(n int) (n1, n2 int)
 }
 
 // Cluster distributes forward and inverse FFTs over a worker set. Safe
@@ -117,7 +113,6 @@ func newCluster(cfg Config, client *http.Client) *Cluster {
 		ProbeInterval: cfg.ProbeInterval,
 		MaxAttempts:   cfg.MaxAttempts,
 		ShardTimeout:  cfg.ShardTimeout,
-		Factor:        cfg.Factor,
 	})}
 }
 

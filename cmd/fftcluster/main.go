@@ -2,11 +2,12 @@
 // over internal/dist. Client transforms arrive as binary frames
 // (the fftserved FFB1 codec, complex forward/inverse kinds), are
 // factored four-step, and the column/row FFT passes run as one resident
-// session over `fftserved -worker` processes — with health-checked
-// membership, per-worker circuit breakers, consistent-hash placement, a
-// failed session retried after a backoff on the workers it did not
-// blame, and graceful degradation to local execution when the worker
-// set is empty or exhausted.
+// session over `fftserved -worker` processes — every eligible worker,
+// in member order (the -workers list, then the -member-file's), taking
+// an even share — with health-checked membership, per-worker circuit
+// breakers, a failed session retried after a backoff on the workers it
+// did not blame, and graceful degradation to local execution when the
+// worker set is empty or exhausted.
 //
 //	go run ./cmd/fftcluster -addr :9100 \
 //	    -workers http://127.0.0.1:9101,http://127.0.0.1:9102 \
@@ -107,19 +108,26 @@ func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 		err = s.co.Inverse(ctx, f.Complex)
 	}
 	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-		case errors.Is(err, codeletfft.ErrUnsupportedLength):
-			s.bad.Inc()
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		s.fail(ctx, w, err)
 		return
 	}
 	s.okCount.Inc()
 	_ = serve.WriteFrame(w, f) // f came from ReadFrame: it encodes
+}
+
+// fail answers a transform that failed with err under ctx. Only a
+// length the cluster cannot transform is the client's fault — a 400,
+// counted in cluster_bad_total; any other coordinator error is a 500.
+func (s *server) fail(ctx context.Context, w http.ResponseWriter, err error) {
+	switch {
+	case ctx.Err() != nil:
+		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
+	case errors.Is(err, codeletfft.ErrUnsupportedLength):
+		s.bad.Inc()
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -14,9 +14,8 @@
 //
 //   - membership: static worker lists plus a file-watched set, active
 //     health probing, and a per-worker circuit breaker (membership.go);
-//   - placement: consistent hashing of the transform shape so a shape
-//     keeps landing on the same workers and their plan caches stay warm
-//     (ring.go);
+//   - placement: every transform is split over the eligible workers in
+//     member order, each taking an even share of the columns and rows;
 //   - partial failure: a deadline on every session RPC, and a failed
 //     session abandoned and retried, after a backoff, on the workers
 //     not blamed for the failure;
@@ -47,65 +46,54 @@ import (
 // Defaults applied by New for zero Config fields.
 const (
 	DefaultMaxAttempts  = 3
-	DefaultBackoffBase  = 5 * time.Millisecond
-	DefaultBackoffMax   = 250 * time.Millisecond
 	DefaultShardTimeout = 10 * time.Second
 
 	// MaxClusterN bounds the distributed transform length to what a
 	// session frame can name (the codec's element limit).
 	MaxClusterN = serve.MaxFrameElems
+
+	// The wait between session attempts starts at defaultBackoffBase and
+	// doubles up to backoffMax.
+	defaultBackoffBase = 5 * time.Millisecond
+	backoffMax         = 250 * time.Millisecond
 )
 
-// Config tunes a Coordinator. The zero value is a local-only
-// coordinator (every transform degrades to the host engine); every
-// field has a default.
+// Config is what a deployment sets on a Coordinator. The zero value is
+// a local-only coordinator (every transform degrades to the host
+// engine); every field has a default.
 type Config struct {
 	// Client carries the session frames and health probes to the
 	// workers; nil means serve.DefaultClient. A client whose transport is
 	// a Loopback reaches in-process workers.
 	Client *http.Client
-	// Workers is the static worker set; MemberFile optionally names a
-	// polled membership file layered on top (see MemberConfig.File).
+	// Workers is the static worker list. MemberFile optionally names a
+	// membership file, polled every 2s — one worker address per line,
+	// '#' comments and blank lines ignored — whose workers follow the
+	// static ones; it can add and remove workers at runtime.
 	Workers    []string
 	MemberFile string
 	// ProbeInterval enables active health probing of every worker; 0
 	// disables it (circuits still react to call failures).
 	ProbeInterval time.Duration
-	// FilePollInterval is how often MemberFile is re-read (default 2s).
-	FilePollInterval time.Duration
 
 	// MaxAttempts bounds the session attempts per transform (first
 	// attempt included).
 	MaxAttempts int
-	// BackoffBase/BackoffMax shape the exponential wait between
-	// attempts.
-	BackoffBase, BackoffMax time.Duration
 	// ShardTimeout is the deadline of each session RPC.
 	ShardTimeout time.Duration
 
-	// Factor picks the four-step split for a given N; nil means the
-	// near-square power-of-two split.
-	Factor func(n int) (n1, n2 int)
-
-	// Circuit-breaker knobs, forwarded to the membership layer.
-	CircuitThreshold int
-	CircuitOpenBase  time.Duration
-	CircuitOpenMax   time.Duration
-
-	// Registry collects the coordinator's instruments; the constructor
-	// creates one when nil.
-	Registry *metrics.Registry
+	// In-package tests set these; zero means the default.
+	n1               int           // the four-step's N1 (default fft.NearSquareFactor's)
+	backoffBase      time.Duration // the first wait between session attempts
+	filePoll         time.Duration // how often MemberFile is re-read
+	circuitThreshold int           // failures that open a worker's circuit
+	circuitOpenBase  time.Duration // first open window, doubling per trip
+	circuitOpenMax   time.Duration // longest open window
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = DefaultBackoffMax
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = DefaultShardTimeout
@@ -113,22 +101,22 @@ func (c Config) withDefaults() Config {
 	if c.Client == nil {
 		c.Client = serve.DefaultClient
 	}
-	if c.Factor == nil {
-		c.Factor = NearSquareFactor
+	if c.backoffBase <= 0 {
+		c.backoffBase = defaultBackoffBase
 	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
+	if c.filePoll <= 0 {
+		c.filePoll = defaultFilePoll
+	}
+	if c.circuitThreshold <= 0 {
+		c.circuitThreshold = defaultCircuitThreshold
+	}
+	if c.circuitOpenBase <= 0 {
+		c.circuitOpenBase = defaultCircuitOpenBase
+	}
+	if c.circuitOpenMax <= 0 {
+		c.circuitOpenMax = defaultCircuitOpenMax
 	}
 	return c
-}
-
-// NearSquareFactor splits a power-of-two n into the most balanced
-// power-of-two pair n1 ≤ n2 — the default four-step shape, minimizing
-// the longer of the two sub-FFT lengths.
-func NearSquareFactor(n int) (n1, n2 int) {
-	logN := fft.Log2(n)
-	l1 := logN / 2
-	return 1 << l1, 1 << (logN - l1)
 }
 
 // Coordinator accepts transforms too large (or too numerous) for one
@@ -136,34 +124,20 @@ func NearSquareFactor(n int) (n1, n2 int) {
 // concurrent use; Close stops the membership loops.
 type Coordinator struct {
 	cfg     Config
-	members *Membership
+	members *membership
 	m       *distMetrics
 }
 
 // New builds a coordinator and starts its membership loops.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	members := NewMembership(MemberConfig{
-		Client:           cfg.Client,
-		Static:           cfg.Workers,
-		File:             cfg.MemberFile,
-		FilePollInterval: cfg.FilePollInterval,
-		ProbeInterval:    cfg.ProbeInterval,
-		CircuitThreshold: cfg.CircuitThreshold,
-		OpenBase:         cfg.CircuitOpenBase,
-		OpenMax:          cfg.CircuitOpenMax,
-	})
-	members.Start()
-	c := &Coordinator{
-		cfg:     cfg,
-		members: members,
-		m:       newDistMetrics(cfg.Registry),
-	}
-	cfg.Registry.GaugeFunc("dist_workers_eligible", func() float64 {
+	reg := metrics.NewRegistry()
+	c := &Coordinator{cfg: cfg, members: newMembership(cfg), m: newDistMetrics(reg)}
+	reg.GaugeFunc("dist_workers_eligible", func() float64 {
 		return float64(c.members.EligibleCount())
 	})
-	cfg.Registry.GaugeFunc("dist_workers_total", func() float64 {
-		return float64(len(c.members.Addrs()))
+	reg.GaugeFunc("dist_workers_total", func() float64 {
+		return float64(len(c.members.list()))
 	})
 	return c
 }
@@ -172,10 +146,7 @@ func New(cfg Config) *Coordinator {
 func (c *Coordinator) Close() { c.members.Close() }
 
 // Registry returns the coordinator's metrics registry.
-func (c *Coordinator) Registry() *metrics.Registry { return c.cfg.Registry }
-
-// Members returns the membership layer (health state, worker set).
-func (c *Coordinator) Members() *Membership { return c.members }
+func (c *Coordinator) Registry() *metrics.Registry { return c.m.reg }
 
 // checkN validates a cluster transform length.
 func checkN(n int) error {
@@ -220,14 +191,18 @@ func (c *Coordinator) transform(ctx context.Context, data []complex128, inverse 
 		c.m.degraded.Inc()
 		return c.transformLocal(data, inverse)
 	}
-	fs, err := c.fourStepFor(len(data))
+	n1, n2 := fft.NearSquareFactor(len(data))
+	if c.cfg.n1 > 0 {
+		n1, n2 = c.cfg.n1, len(data)/c.cfg.n1
+	}
+	fs, err := fft.NewFourStep(n1, n2)
 	if err != nil {
 		return err
 	}
 	blamed := map[string]bool{}
-	backoff := c.cfg.BackoffBase
+	backoff := c.cfg.backoffBase
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		addrs := c.members.Successors(residentKey(fs.N1, fs.N2), min(fs.N1, fs.N2), blamed)
+		addrs := c.members.Pick(min(fs.N1, fs.N2), blamed)
 		if len(addrs) == 0 {
 			break
 		}
@@ -238,7 +213,7 @@ func (c *Coordinator) transform(ctx context.Context, data []complex128, inverse 
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			backoff = min(2*backoff, c.cfg.BackoffMax)
+			backoff = min(2*backoff, backoffMax)
 		}
 		if c.runSession(ctx, fs, addrs, data, inverse, blamed) {
 			return nil
@@ -263,14 +238,4 @@ func (c *Coordinator) transformLocal(data []complex128, inverse bool) error {
 		return p.Inverse(data)
 	}
 	return p.Transform(data)
-}
-
-// fourStepFor builds the plan of n's split; its tables are shared
-// process-wide, so building one per transform costs an allocation.
-func (c *Coordinator) fourStepFor(n int) (*fft.FourStepPlan, error) {
-	n1, n2 := c.cfg.Factor(n)
-	if n1*n2 != n {
-		return nil, fmt.Errorf("dist: factorization %d×%d does not cover N=%d", n1, n2, n)
-	}
-	return fft.NewFourStep(n1, n2)
 }

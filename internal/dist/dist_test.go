@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,20 +111,20 @@ func counter(t *testing.T, c *Coordinator, name string) int64 {
 // loopback cluster and compares against the single-node transform.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	cases := []struct {
-		name   string
-		n      int
-		factor func(int) (int, int)
+		name string
+		n    int
+		n1   int // 0: the near-square split
 	}{
-		{"n=64/default", 64, nil},
-		{"n=4096/default", 4096, nil},
-		{"n=65536/16x4096", 1 << 16, func(int) (int, int) { return 1 << 4, 1 << 12 }},
-		{"n=65536/256x256", 1 << 16, func(int) (int, int) { return 1 << 8, 1 << 8 }},
-		{"n=65536/4096x16", 1 << 16, func(int) (int, int) { return 1 << 12, 1 << 4 }},
-		{"n=1048576/default", 1 << 20, nil},
+		{"n=64/default", 64, 0},
+		{"n=4096/default", 4096, 0},
+		{"n=65536/16x4096", 1 << 16, 1 << 4},
+		{"n=65536/256x256", 1 << 16, 1 << 8},
+		{"n=65536/4096x16", 1 << 16, 1 << 12},
+		{"n=1048576/default", 1 << 20, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _, _ := newTestCluster(t, 3, Config{Factor: tc.factor})
+			c, _, _ := newTestCluster(t, 3, Config{n1: tc.n1})
 			data := noise(tc.n, 1)
 			want := singleNode(t, data)
 			if err := c.Transform(context.Background(), data); err != nil {
@@ -174,8 +175,8 @@ func TestClusterWorkerDiesMidStream(t *testing.T) {
 	c, lb, addrs := newTestCluster(t, 3, Config{
 		// Generous circuit threshold keeps the dead worker in rotation,
 		// so every transform after the death meets it.
-		CircuitThreshold: 1 << 30,
-		BackoffBase:      time.Microsecond,
+		circuitThreshold: 1 << 30,
+		backoffBase:      time.Microsecond,
 	})
 	victim := addrs[1]
 	lb.SessionFault = func(_ context.Context, addr string, _ serve.SessionOp) error {
@@ -234,8 +235,8 @@ func TestClusterWorkerDiesMidStream(t *testing.T) {
 func TestClusterCircuitBreakerSheds(t *testing.T) {
 	var faults atomic.Int64
 	c, lb, addrs := newTestCluster(t, 3, Config{
-		BackoffBase:     time.Microsecond,
-		CircuitOpenBase: time.Hour, // stays open for the whole test
+		backoffBase:     time.Microsecond,
+		circuitOpenBase: time.Hour, // stays open for the whole test
 	})
 	victim := addrs[0]
 	lb.SessionFault = func(_ context.Context, addr string, _ serve.SessionOp) error {
@@ -257,18 +258,18 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 			t.Fatalf("round %d: output deviates by %g", round, d)
 		}
 		wantEligible := 3
-		if round+1 >= DefaultCircuitThreshold {
+		if round+1 >= defaultCircuitThreshold {
 			wantEligible = 2 // one failed open per transform so far
 		}
-		if got := c.Members().EligibleCount(); got != wantEligible {
+		if got := c.members.EligibleCount(); got != wantEligible {
 			t.Fatalf("round %d: EligibleCount = %d, want %d", round, got, wantEligible)
 		}
 	}
-	// The circuit opens after DefaultCircuitThreshold consecutive
+	// The circuit opens after defaultCircuitThreshold consecutive
 	// failures and never half-opens (OpenBase = 1h), so the victim saw
 	// exactly threshold faults.
-	if f := faults.Load(); f != DefaultCircuitThreshold {
-		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, DefaultCircuitThreshold)
+	if f := faults.Load(); f != defaultCircuitThreshold {
+		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, defaultCircuitThreshold)
 	}
 	if got := counter(t, c, "dist_rpc_errors_total"); got != faults.Load() {
 		t.Errorf("rpc_errors_total = %d, want %d", got, faults.Load())
@@ -287,8 +288,8 @@ func TestClusterCircuitBreakerSheds(t *testing.T) {
 func TestClusterCircuitTripsOnLatePhase(t *testing.T) {
 	var faults atomic.Int64
 	c, lb, addrs, srvs := newTestClusterOf(t, 3, Config{
-		BackoffBase:     time.Microsecond,
-		CircuitOpenBase: time.Hour, // stays open for the whole test
+		backoffBase:     time.Microsecond,
+		circuitOpenBase: time.Hour, // stays open for the whole test
 	}, serve.Config{})
 	victim := addrs[0]
 	lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
@@ -310,13 +311,13 @@ func TestClusterCircuitTripsOnLatePhase(t *testing.T) {
 			t.Fatalf("round %d: output deviates by %g", round, d)
 		}
 	}
-	if f := faults.Load(); f != DefaultCircuitThreshold {
-		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, DefaultCircuitThreshold)
+	if f := faults.Load(); f != defaultCircuitThreshold {
+		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, defaultCircuitThreshold)
 	}
-	if opens := srvs[0].Registry().Snapshot()["sess_opens_total"]; opens != DefaultCircuitThreshold {
-		t.Errorf("victim was opened %v sessions, want %d and none once its circuit opened", opens, DefaultCircuitThreshold)
+	if opens := srvs[0].Registry().Snapshot()["sess_opens_total"]; opens != defaultCircuitThreshold {
+		t.Errorf("victim was opened %v sessions, want %d and none once its circuit opened", opens, defaultCircuitThreshold)
 	}
-	if got := c.Members().EligibleCount(); got != 2 {
+	if got := c.members.EligibleCount(); got != 2 {
 		t.Errorf("EligibleCount = %d, want 2", got)
 	}
 	if got := counter(t, c, "dist_resident_ok_total"); got != rounds {
@@ -352,10 +353,10 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	t.Run("all workers failing", func(t *testing.T) {
 		c, lb, _ := newTestCluster(t, 2, Config{
 			MaxAttempts: 2,
-			BackoffBase: time.Microsecond,
+			backoffBase: time.Microsecond,
 			// Keep circuits closed so the membership still looks
 			// eligible and sessions are tried.
-			CircuitThreshold: 1 << 30,
+			circuitThreshold: 1 << 30,
 		})
 		lb.SessionFault = func(context.Context, string, serve.SessionOp) error {
 			return errors.New("injected: cluster-wide outage")
@@ -391,7 +392,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 func TestClusterConcurrentTransforms(t *testing.T) {
 	c, _, _, _ := newTestClusterOf(t, 3, Config{}, serve.Config{})
 	const n = 1 << 14 // 128×128: slabs of 42/43/43, two tiles and a ragged edge each way
-	fs, err := fft.NewFourStep(NearSquareFactor(n))
+	fs, err := fft.NewFourStep(fft.NearSquareFactor(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestClusterRejectsBadN(t *testing.T) {
 // transform with ctx.Err — no hang, no degradation, nobody blamed — and
 // leaves the caller's data as it was.
 func TestClusterContextCancellation(t *testing.T) {
-	c, lb, _ := newTestCluster(t, 2, Config{BackoffBase: time.Microsecond})
+	c, lb, _ := newTestCluster(t, 2, Config{backoffBase: time.Microsecond})
 	block := make(chan struct{})
 	var once sync.Once
 	lb.SessionFault = func(context.Context, string, serve.SessionOp) error {
@@ -503,7 +504,7 @@ func TestClusterInverseLeavesDataOnFailure(t *testing.T) {
 	t.Run("cancel mid-session", func(t *testing.T) {
 		// Cancelled when the first rows fetch goes out: every slab has been
 		// gathered (and conjugated) and shipped by then.
-		c, lb, _ := newTestCluster(t, 2, Config{BackoffBase: time.Microsecond})
+		c, lb, _ := newTestCluster(t, 2, Config{backoffBase: time.Microsecond})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		lb.SessionFault = func(_ context.Context, _ string, op serve.SessionOp) error {
@@ -525,22 +526,22 @@ func TestClusterInverseLeavesDataOnFailure(t *testing.T) {
 }
 
 // TestMembershipFileWatch verifies workers added through the polled
-// membership file join the eligible set.
+// membership file join the list after the static workers, in file
+// order, each address once.
 func TestMembershipFileWatch(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "members")
-	if err := os.WriteFile(path, []byte("# seed\nw0\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("# seed\nw0\nstatic0 # listed twice: kept where it first appears\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMembership(MemberConfig{
-		Static:           []string{"static0"},
-		File:             path,
-		FilePollInterval: 5 * time.Millisecond,
+	m := newMembership(Config{
+		Workers:    []string{"static0"},
+		MemberFile: path,
+		filePoll:   5 * time.Millisecond,
 	})
-	m.Start()
 	defer m.Close()
-	if got := len(m.Addrs()); got != 2 {
-		t.Fatalf("initial Addrs = %d, want 2 (static + file)", got)
+	if got := addrsOf(m); !slices.Equal(got, []string{"static0", "w0"}) {
+		t.Fatalf("initial workers = %v, want [static0 w0] (static, then file)", got)
 	}
 	// File mtimes can be coarse; rewrite until the poll visibly picks
 	// the change up or the deadline passes.
@@ -552,21 +553,30 @@ func TestMembershipFileWatch(t *testing.T) {
 		now := time.Now()
 		_ = os.Chtimes(path, now, now)
 		time.Sleep(10 * time.Millisecond)
-		if len(m.Addrs()) == 3 {
+		if slices.Equal(addrsOf(m), []string{"static0", "w0", "w1"}) {
 			return
 		}
 	}
-	t.Fatalf("file-added worker never joined; Addrs = %v", m.Addrs())
+	t.Fatalf("file-added worker never joined; workers = %v", addrsOf(m))
+}
+
+// addrsOf returns m's worker addresses in member order.
+func addrsOf(m *membership) []string {
+	var out []string
+	for _, w := range m.list() {
+		out = append(out, w.addr)
+	}
+	return out
 }
 
 // TestMembershipCircuit exercises the breaker state machine directly:
 // threshold trips, backoff doubling, and success reset.
 func TestMembershipCircuit(t *testing.T) {
-	m := NewMembership(MemberConfig{
-		Static:           []string{"w0", "w1"},
-		CircuitThreshold: 3,
-		OpenBase:         20 * time.Millisecond,
-		OpenMax:          80 * time.Millisecond,
+	m := newMembership(Config{
+		Workers:          []string{"w0", "w1"},
+		circuitThreshold: 3,
+		circuitOpenBase:  20 * time.Millisecond,
+		circuitOpenMax:   80 * time.Millisecond,
 	})
 	defer m.Close()
 	if m.EligibleCount() != 2 {
@@ -601,64 +611,6 @@ func TestMembershipCircuit(t *testing.T) {
 	}
 	if w.fails.Load() != 0 || w.openFor.Load() != 0 {
 		t.Fatalf("success did not reset breaker state")
-	}
-}
-
-// TestRingProperties checks the consistent-hash ring: determinism,
-// distinct successors in order, exclusion, and bounded remapping when a
-// worker departs.
-func TestRingProperties(t *testing.T) {
-	addrs := []string{"a", "b", "c", "d"}
-	r := buildRing(addrs)
-	keepAll := func(string) bool { return true }
-	for key := uint64(0); key < 1000; key += 37 {
-		s1 := r.successors(key, 3, keepAll)
-		s2 := r.successors(key, 3, keepAll)
-		if len(s1) != 3 {
-			t.Fatalf("successors(%d) = %v, want 3 distinct workers", key, s1)
-		}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("successors not deterministic at key %d: %v vs %v", key, s1, s2)
-			}
-			for j := i + 1; j < len(s1); j++ {
-				if s1[i] == s1[j] {
-					t.Fatalf("duplicate successor at key %d: %v", key, s1)
-				}
-			}
-		}
-	}
-	// Removing one worker must not remap keys between surviving workers.
-	small := buildRing([]string{"a", "b", "c"})
-	moved := 0
-	for key := uint64(0); key < 4000; key += 13 {
-		before := r.successors(key, 1, keepAll)[0]
-		after := small.successors(key, 1, keepAll)[0]
-		if before != "d" && before != after {
-			moved++
-		}
-	}
-	if moved != 0 {
-		t.Fatalf("%d keys moved between surviving workers after a departure", moved)
-	}
-	// Exclusion skips the home worker but keeps ring order.
-	key := uint64(12345)
-	full := r.successors(key, 2, keepAll)
-	excl := r.successors(key, 1, func(a string) bool { return a != full[0] })
-	if len(excl) != 1 || excl[0] != full[1] {
-		t.Fatalf("exclusion of %s gave %v, want [%s]", full[0], excl, full[1])
-	}
-}
-
-// TestNearSquareFactor pins the default factorization shape.
-func TestNearSquareFactor(t *testing.T) {
-	for _, tc := range []struct{ n, n1, n2 int }{
-		{4, 2, 2}, {8, 2, 4}, {64, 8, 8}, {1 << 13, 64, 128}, {1 << 20, 1 << 10, 1 << 10},
-	} {
-		n1, n2 := NearSquareFactor(tc.n)
-		if n1 != tc.n1 || n2 != tc.n2 {
-			t.Errorf("NearSquareFactor(%d) = %d×%d, want %d×%d", tc.n, n1, n2, tc.n1, tc.n2)
-		}
 	}
 }
 
@@ -709,35 +661,34 @@ func TestDegradedDefaultKernel(t *testing.T) {
 // degraded execution is the direct staged algorithm, not a four-step,
 // and agrees to rounding only — TestClusterDegradesToLocal.)
 func TestColumnPhaseParityAcrossPaths(t *testing.T) {
-	skewed := func(int) (int, int) { return 128, 512 }
 	for _, tc := range []struct {
 		name    string
 		n       int
 		workers int
-		factor  func(int) (int, int) // nil: the default near-square split
-		dieAt   serve.SessionOp      // the victim refuses this op; OpSessAck: nobody dies
+		n1      int             // 0: the default near-square split
+		dieAt   serve.SessionOp // the victim refuses this op; OpSessAck: nobody dies
 	}{
-		{"1 worker", 1 << 16, 1, nil, serve.OpSessAck},
-		{"2 workers", 1 << 16, 2, nil, serve.OpSessAck},
-		{"3 workers", 1 << 16, 3, nil, serve.OpSessAck}, // slabs of 85 / 85 / 86 rows and columns
-		{"3 workers, one dies at cols", 1 << 16, 3, nil, serve.OpSessCols},
-		{"2 workers, one dies at rows", 1 << 16, 2, nil, serve.OpSessRows},
-		{"2 workers, 128×512", 1 << 16, 2, skewed, serve.OpSessAck},
-		{"3 workers, 128×512", 1 << 16, 3, skewed, serve.OpSessAck}, // 42 / 43 / 43 rows, 170 / 171 / 171 columns
-		{"3 workers, 64×64", 1 << 12, 3, nil, serve.OpSessAck},
-		{"3 workers, 16×1024", 1 << 14, 3, func(int) (int, int) { return 16, 1024 }, serve.OpSessAck},
+		{"1 worker", 1 << 16, 1, 0, serve.OpSessAck},
+		{"2 workers", 1 << 16, 2, 0, serve.OpSessAck},
+		{"3 workers", 1 << 16, 3, 0, serve.OpSessAck}, // slabs of 85 / 85 / 86 rows and columns
+		{"3 workers, one dies at cols", 1 << 16, 3, 0, serve.OpSessCols},
+		{"2 workers, one dies at rows", 1 << 16, 2, 0, serve.OpSessRows},
+		{"2 workers, 128×512", 1 << 16, 2, 128, serve.OpSessAck},
+		{"3 workers, 128×512", 1 << 16, 3, 128, serve.OpSessAck}, // 42 / 43 / 43 rows, 170 / 171 / 171 columns
+		{"3 workers, 64×64", 1 << 12, 3, 0, serve.OpSessAck},
+		{"3 workers, 16×1024", 1 << 14, 3, 16, serve.OpSessAck},
 	} {
-		factor := tc.factor
-		if factor == nil {
-			factor = NearSquareFactor
+		n1, n2 := fft.NearSquareFactor(tc.n)
+		if tc.n1 > 0 {
+			n1, n2 = tc.n1, tc.n/tc.n1
 		}
-		fs, err := fft.NewFourStep(factor(tc.n))
+		fs, err := fft.NewFourStep(n1, n2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := noise(tc.n, 17)
 		noErr(t, fs.Transform(want))
-		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{BackoffBase: time.Microsecond, Factor: tc.factor}, serve.Config{})
+		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{backoffBase: time.Microsecond, n1: tc.n1}, serve.Config{})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
 			if op == tc.dieAt && addr == addrs[0] {
 				return errors.New("injected: worker died mid-transform")
@@ -774,7 +725,7 @@ func TestSmallFactorsMatchFourStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, _ := newTestCluster(t, 3, Config{Factor: func(int) (int, int) { return 64, 64 }})
+	c, _, _ := newTestCluster(t, 3, Config{n1: 64})
 	ctx := context.Background()
 	want, got := noise(n, 19), noise(n, 19)
 	check := func(dir string) {

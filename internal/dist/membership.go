@@ -6,20 +6,23 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Circuit-breaker defaults: a worker that fails CircuitThreshold calls
-// with no completed session between them is taken out of rotation for
-// OpenBase, doubling up to OpenMax while failures continue; the first
-// completed session closes the circuit and resets the backoff.
+// Circuit-breaker and file-poll defaults: a worker that fails
+// circuitThreshold calls with no completed session between them is
+// taken out of rotation for circuitOpenBase, doubling up to
+// circuitOpenMax while failures continue; the first completed session
+// closes the circuit and resets the backoff.
 const (
-	DefaultCircuitThreshold = 3
-	DefaultCircuitOpenBase  = 250 * time.Millisecond
-	DefaultCircuitOpenMax   = 5 * time.Second
+	defaultCircuitThreshold = 3
+	defaultCircuitOpenBase  = 250 * time.Millisecond
+	defaultCircuitOpenMax   = 5 * time.Second
+	defaultFilePoll         = 2 * time.Second
 )
 
 // workerState is the per-worker health and circuit record. All fields
@@ -41,127 +44,88 @@ func (w *workerState) eligible(now time.Time) bool {
 	return now.UnixNano() >= w.openUntil.Load() && !w.unhealthy.Load()
 }
 
-// MemberConfig tunes a Membership.
-type MemberConfig struct {
-	// Client performs health probes (nil disables probing even if
-	// ProbeInterval is set).
-	Client *http.Client
-	// Static is the initial worker set.
-	Static []string
-	// File, when non-empty, is a membership file polled every
-	// FilePollInterval: one worker address per line, '#' comments and
-	// blank lines ignored. The file replaces the whole worker set, so
-	// it can both add and remove workers at runtime.
-	File             string
-	FilePollInterval time.Duration
-	// ProbeInterval is how often every worker's health endpoint is
-	// probed; 0 disables active probing (circuits still react to call
-	// failures reported by the coordinator).
-	ProbeInterval time.Duration
-
-	// Circuit-breaker knobs; zero values take the defaults above.
-	CircuitThreshold  int
-	OpenBase, OpenMax time.Duration
-}
-
-// Membership tracks the worker set and each worker's health: static
-// and file-sourced members, active health probing, and a per-worker
-// circuit breaker fed by the coordinator's call outcomes. Placement is
-// by consistent hashing so transform shapes keep their home workers
-// across membership churn.
-type Membership struct {
-	cfg MemberConfig
+// membership tracks the worker list and each worker's health: the
+// static workers and then the membership file's, in that order, active
+// health probing, and a per-worker circuit breaker fed by the
+// coordinator's call outcomes. A session takes its workers in list
+// order.
+type membership struct {
+	cfg Config
 
 	mu      sync.RWMutex
-	workers map[string]*workerState
-	ring    *ring
+	workers []*workerState // member order; setWorkers replaces the slice, never writes to it
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// NewMembership builds the membership with the static set (plus the
-// file contents, if the file exists) and applies config defaults.
-// Call Start to begin probing and file polling, Close to stop.
-func NewMembership(cfg MemberConfig) *Membership {
-	if cfg.CircuitThreshold <= 0 {
-		cfg.CircuitThreshold = DefaultCircuitThreshold
+// newMembership builds the worker list — cfg's static workers, then
+// its membership file's if the file exists — and starts the file-poll
+// and health-probe loops for whichever of the two cfg enables; Close
+// stops them.
+func newMembership(cfg Config) *membership {
+	m := &membership{cfg: cfg, stop: make(chan struct{})}
+	var file []string
+	if cfg.MemberFile != "" {
+		file, _ = readMemberFile(cfg.MemberFile) // a missing file adds nobody yet
 	}
-	if cfg.OpenBase <= 0 {
-		cfg.OpenBase = DefaultCircuitOpenBase
+	m.setWorkers(file)
+	if cfg.MemberFile != "" {
+		m.wg.Add(1)
+		go m.fileLoop()
 	}
-	if cfg.OpenMax <= 0 {
-		cfg.OpenMax = DefaultCircuitOpenMax
-	}
-	if cfg.FilePollInterval <= 0 {
-		cfg.FilePollInterval = 2 * time.Second
-	}
-	m := &Membership{cfg: cfg, workers: map[string]*workerState{}, stop: make(chan struct{})}
-	m.setWorkers(cfg.Static)
-	if cfg.File != "" {
-		if addrs, err := readMemberFile(cfg.File); err == nil {
-			m.setWorkers(mergeAddrs(cfg.Static, addrs))
-		}
+	if cfg.ProbeInterval > 0 && cfg.Client != nil {
+		m.wg.Add(1)
+		go m.probeLoop()
 	}
 	return m
 }
 
-// Start launches the health-probe and membership-file poll loops for
-// whichever of the two the config enables.
-func (m *Membership) Start() {
-	if m.cfg.ProbeInterval > 0 && m.cfg.Client != nil {
-		m.wg.Add(1)
-		go m.probeLoop()
-	}
-	if m.cfg.File != "" {
-		m.wg.Add(1)
-		go m.fileLoop()
-	}
-}
-
 // Close stops the background loops. Idempotent.
-func (m *Membership) Close() {
+func (m *membership) Close() {
 	m.stopOnce.Do(func() { close(m.stop) })
 	m.wg.Wait()
 }
 
-// setWorkers replaces the worker set, preserving the state of workers
-// that remain and rebuilding the placement ring.
-func (m *Membership) setWorkers(addrs []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := make(map[string]*workerState, len(addrs))
-	for _, addr := range addrs {
-		if w, ok := m.workers[addr]; ok {
-			next[addr] = w
-		} else {
-			next[addr] = &workerState{addr: addr}
-		}
-	}
-	m.workers = next
-	m.ring = buildRing(addrs)
-}
-
-// Addrs returns every member address (eligible or not), sorted by the
-// ring's notion of order not guaranteed — callers sort if they care.
-func (m *Membership) Addrs() []string {
+// list returns the worker list in member order. The caller must not
+// write to it.
+func (m *membership) list() []*workerState {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.workers))
-	for addr := range m.workers {
-		out = append(out, addr)
+	return m.workers
+}
+
+// setWorkers replaces the worker list — the static workers, then
+// file's, each address where it first appears — keeping the state of
+// workers that remain.
+func (m *membership) setWorkers(file []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	state := map[string]*workerState{}
+	for _, w := range m.workers {
+		state[w.addr] = w
 	}
-	return out
+	var next []*workerState
+	listed := map[string]bool{}
+	for _, addr := range append(slices.Clip(m.cfg.Workers), file...) {
+		if listed[addr] {
+			continue
+		}
+		listed[addr] = true
+		w := state[addr]
+		if w == nil {
+			w = &workerState{addr: addr}
+		}
+		next = append(next, w)
+	}
+	m.workers = next
 }
 
 // EligibleCount reports how many workers may receive traffic now.
-func (m *Membership) EligibleCount() int {
-	now := time.Now()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := 0
-	for _, w := range m.workers {
+func (m *membership) EligibleCount() int {
+	now, n := time.Now(), 0
+	for _, w := range m.list() {
 		if w.eligible(now) {
 			n++
 		}
@@ -169,27 +133,25 @@ func (m *Membership) EligibleCount() int {
 	return n
 }
 
-// Successors returns up to max eligible workers for the placement key
-// in ring order, skipping excluded addresses.
-func (m *Membership) Successors(key uint64, max int, excluded map[string]bool) []string {
+// Pick returns the first n eligible workers in member order, skipping
+// excluded addresses.
+func (m *membership) Pick(n int, excluded map[string]bool) []string {
 	now := time.Now()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.ring == nil {
-		return nil
-	}
-	return m.ring.successors(key, max, func(addr string) bool {
-		if excluded[addr] {
-			return false
+	var out []string
+	for _, w := range m.list() {
+		if len(out) == n {
+			break
 		}
-		w, ok := m.workers[addr]
-		return ok && w.eligible(now)
-	})
+		if !excluded[w.addr] && w.eligible(now) {
+			out = append(out, w.addr)
+		}
+	}
+	return out
 }
 
 // ReportSuccess records a session the worker completed: the circuit
 // closes and the backoff resets.
-func (m *Membership) ReportSuccess(addr string) {
+func (m *membership) ReportSuccess(addr string) {
 	if w := m.worker(addr); w != nil {
 		w.fails.Store(0)
 		w.openFor.Store(0)
@@ -197,36 +159,39 @@ func (m *Membership) ReportSuccess(addr string) {
 	}
 }
 
-// ReportFailure records a failed call; at CircuitThreshold consecutive
+// ReportFailure records a failed call; at circuitThreshold consecutive
 // failures the worker's circuit opens for the current backoff window,
-// doubling (up to OpenMax) on every subsequent failure — so a worker in
-// the half-open state that fails its probe trip re-opens immediately
-// with a longer window.
-func (m *Membership) ReportFailure(addr string) {
+// doubling (up to circuitOpenMax) on every subsequent failure — so a
+// worker in the half-open state that fails its probe trip re-opens
+// immediately with a longer window.
+func (m *membership) ReportFailure(addr string) {
 	w := m.worker(addr)
 	if w == nil {
 		return
 	}
-	if int(w.fails.Add(1)) < m.cfg.CircuitThreshold {
+	if int(w.fails.Add(1)) < m.cfg.circuitThreshold {
 		return
 	}
 	open := w.openFor.Load()
 	if open == 0 {
-		open = int64(m.cfg.OpenBase)
-	} else if open < int64(m.cfg.OpenMax) {
-		open = min(2*open, int64(m.cfg.OpenMax))
+		open = int64(m.cfg.circuitOpenBase)
+	} else if open < int64(m.cfg.circuitOpenMax) {
+		open = min(2*open, int64(m.cfg.circuitOpenMax))
 	}
 	w.openFor.Store(open)
 	w.openUntil.Store(time.Now().UnixNano() + open)
 }
 
-func (m *Membership) worker(addr string) *workerState {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.workers[addr]
+func (m *membership) worker(addr string) *workerState {
+	for _, w := range m.list() {
+		if w.addr == addr {
+			return w
+		}
+	}
+	return nil
 }
 
-func (m *Membership) probeLoop() {
+func (m *membership) probeLoop() {
 	defer m.wg.Done()
 	tick := time.NewTicker(m.cfg.ProbeInterval)
 	defer tick.Stop()
@@ -236,13 +201,7 @@ func (m *Membership) probeLoop() {
 			return
 		case <-tick.C:
 		}
-		m.mu.RLock()
-		ws := make([]*workerState, 0, len(m.workers))
-		for _, w := range m.workers {
-			ws = append(ws, w)
-		}
-		m.mu.RUnlock()
-		for _, w := range ws {
+		for _, w := range m.list() {
 			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ProbeInterval)
 			err := health(ctx, m.cfg.Client, w.addr)
 			cancel()
@@ -275,9 +234,9 @@ func health(ctx context.Context, client *http.Client, addr string) error {
 	return nil
 }
 
-func (m *Membership) fileLoop() {
+func (m *membership) fileLoop() {
 	defer m.wg.Done()
-	tick := time.NewTicker(m.cfg.FilePollInterval)
+	tick := time.NewTicker(m.cfg.filePoll)
 	defer tick.Stop()
 	var lastMod time.Time
 	for {
@@ -286,7 +245,7 @@ func (m *Membership) fileLoop() {
 			return
 		case <-tick.C:
 		}
-		st, err := os.Stat(m.cfg.File)
+		st, err := os.Stat(m.cfg.MemberFile)
 		if err != nil {
 			continue // missing file keeps the current set
 		}
@@ -294,11 +253,11 @@ func (m *Membership) fileLoop() {
 			continue
 		}
 		lastMod = st.ModTime()
-		addrs, err := readMemberFile(m.cfg.File)
+		addrs, err := readMemberFile(m.cfg.MemberFile)
 		if err != nil {
 			continue
 		}
-		m.setWorkers(mergeAddrs(m.cfg.Static, addrs))
+		m.setWorkers(addrs)
 	}
 }
 
@@ -319,18 +278,4 @@ func readMemberFile(path string) ([]string, error) {
 		}
 	}
 	return addrs, nil
-}
-
-// mergeAddrs unions the static set with the file set, preserving first
-// appearance order and dropping duplicates.
-func mergeAddrs(static, file []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range append(append([]string(nil), static...), file...) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
 }

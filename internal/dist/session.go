@@ -48,10 +48,8 @@ package dist
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -61,18 +59,6 @@ import (
 	"codeletfft/internal/host"
 	"codeletfft/internal/serve"
 )
-
-// residentKey places a transform shape on the ring: same N1×N2 → same
-// worker set, so each worker's plan cache and twiddle cache stay warm.
-func residentKey(n1, n2 int) uint64 {
-	h := fnv.New64a()
-	var b [17]byte
-	b[0] = 0xF5 // arbitrary domain byte; changing it only moves placement
-	binary.LittleEndian.PutUint64(b[1:9], uint64(n1))
-	binary.LittleEndian.PutUint64(b[9:17], uint64(n2))
-	_, _ = h.Write(b[:])
-	return h.Sum64()
-}
 
 // residentWorker is one worker's slice of a resident transform.
 type residentWorker struct {

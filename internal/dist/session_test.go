@@ -1,17 +1,23 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"codeletfft/internal/fft"
 	"codeletfft/internal/serve"
 )
 
@@ -125,7 +131,7 @@ func TestResidentBytesMoved(t *testing.T) {
 func faultRun(t *testing.T, nWorkers int, inject func(lb *Loopback, victim string), wantRetries int64) {
 	t.Helper()
 	frames0, complexes0 := serve.PoolsOutstanding()
-	c, lb, addrs, srvs := newTestClusterOf(t, nWorkers, Config{BackoffBase: time.Microsecond}, serve.Config{})
+	c, lb, addrs, srvs := newTestClusterOf(t, nWorkers, Config{backoffBase: time.Microsecond}, serve.Config{})
 	victim := addrs[0]
 	inject(lb, victim)
 
@@ -312,7 +318,7 @@ func TestHTTPExecShardFailureReleasesBuffers(t *testing.T) {
 // concurrent writes).
 func TestResidentFaultChurn(t *testing.T) {
 	frames0, complexes0 := serve.PoolsOutstanding()
-	c, lb, addrs, srvs := newTestClusterOf(t, 3, Config{BackoffBase: time.Microsecond}, serve.Config{})
+	c, lb, addrs, srvs := newTestClusterOf(t, 3, Config{backoffBase: time.Microsecond}, serve.Config{})
 	ops := []serve.SessionOp{serve.OpSessOpen, serve.OpSessCols, serve.OpSessExchange, serve.OpSessRows}
 	var faultOp atomic.Int64
 	faultOp.Store(-1)
@@ -368,7 +374,7 @@ func TestResidentFaultChurn(t *testing.T) {
 // ShardTimeout, not the caller's whole context.
 func TestSessionRPCDeadline(t *testing.T) {
 	const shardTimeout = 50 * time.Millisecond
-	c, lb, addrs := newTestCluster(t, 3, Config{ShardTimeout: shardTimeout, BackoffBase: time.Microsecond})
+	c, lb, addrs := newTestCluster(t, 3, Config{ShardTimeout: shardTimeout, backoffBase: time.Microsecond})
 	lb.SessionFault = func(ctx context.Context, addr string, _ serve.SessionOp) error {
 		if addr == addrs[2] {
 			<-ctx.Done()
@@ -405,7 +411,7 @@ func TestSessionRPCDeadline(t *testing.T) {
 // the attempt is retried after the backoff with nobody blamed, no
 // breaker moved and no error counted.
 func TestBackPressureIsNotAFault(t *testing.T) {
-	c, _, _, _ := newTestClusterOf(t, 2, Config{CircuitThreshold: 1}, serve.Config{MaxSessions: 1})
+	c, _, _, _ := newTestClusterOf(t, 2, Config{circuitThreshold: 1}, serve.Config{MaxSessions: 1})
 	const n = 1 << 14
 	want := singleNode(t, noise(n, 61))
 	var wg sync.WaitGroup
@@ -421,9 +427,9 @@ func TestBackPressureIsNotAFault(t *testing.T) {
 			if d := maxDiff(data, want); d > 1e-12*float64(n) {
 				t.Errorf("output deviates by %g", d)
 			}
-			// CircuitThreshold 1: a single blamed 429 would have opened a
+			// circuitThreshold 1: a single blamed 429 would have opened a
 			// circuit.
-			if got := c.Members().EligibleCount(); got != 2 {
+			if got := c.members.EligibleCount(); got != 2 {
 				t.Errorf("EligibleCount = %d, want 2", got)
 			}
 		}()
@@ -502,7 +508,7 @@ func TestCounterContract(t *testing.T) {
 			"dist_resident_ok_total": 0, "dist_resident_fallback_total": 0, "dist_degraded_total": 1,
 		}},
 	} {
-		c, lb, addrs := newTestCluster(t, tc.workers, Config{BackoffBase: time.Microsecond})
+		c, lb, addrs := newTestCluster(t, tc.workers, Config{backoffBase: time.Microsecond})
 		tc.inject(lb, addrs)
 		if err := c.Transform(context.Background(), noise(n, 71)); err != nil {
 			t.Fatalf("%s: Transform: %v", tc.name, err)
@@ -528,4 +534,109 @@ func TestCounterContract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSessionPlacementFollowsMemberOrder pins placement: a session runs
+// on the eligible workers no earlier attempt of the transform blamed, in
+// member order — the static workers, then the membership file's — at
+// most min(N1, N2) of them, and the i-th takes slab i. Each open frame
+// is decoded on its way to the worker for the slab it assigns.
+func TestSessionPlacementFollowsMemberOrder(t *testing.T) {
+	type open struct {
+		id       uint64
+		addr     string
+		colStart int
+	}
+	var mu sync.Mutex
+	var opens []open
+	record := func(lb *Loopback) {
+		lb.TruncateFrame = func(addr string, op serve.SessionOp, body io.Reader) io.Reader {
+			if op != serve.OpSessOpen {
+				return body
+			}
+			raw, err := io.ReadAll(body)
+			if f, derr := serve.DecodeSessionFrame(raw); err == nil && derr == nil {
+				mu.Lock()
+				opens = append(opens, open{f.ID, addr, f.Spec.ColStart})
+				mu.Unlock()
+			}
+			return bytes.NewReader(raw)
+		}
+	}
+	// check transforms n points on c and holds the last session's opens
+	// to want: worker i of want opened with slab i of the columns.
+	check := func(t *testing.T, c *Coordinator, n int, want ...string) {
+		t.Helper()
+		mu.Lock()
+		opens = nil
+		mu.Unlock()
+		noErr(t, c.Transform(context.Background(), noise(n, 1)))
+		mu.Lock()
+		defer mu.Unlock()
+		var last uint64
+		for _, o := range opens {
+			last = max(last, o.id)
+		}
+		got := map[string]int{}
+		for _, o := range opens {
+			if o.id == last {
+				got[o.addr] = o.colStart
+			}
+		}
+		_, n2 := fft.NearSquareFactor(n)
+		if len(got) != len(want) {
+			t.Errorf("the session opened at these columns: %v, want on %v", got, want)
+		}
+		for i, addr := range want {
+			if col, ok := got[addr]; !ok || col != i*n2/len(want) {
+				t.Errorf("%s opened at column %d (or not at all: %v), want slab %d of %d at column %d",
+					addr, col, !ok, i, len(want), i*n2/len(want))
+			}
+		}
+	}
+
+	t.Run("static order", func(t *testing.T) {
+		c, lb, w := newTestCluster(t, 3, Config{})
+		record(lb)
+		check(t, c, 1<<12, w[0], w[1], w[2])
+	})
+	t.Run("retry skips the blamed worker", func(t *testing.T) {
+		c, lb, w := newTestCluster(t, 3, Config{backoffBase: time.Microsecond})
+		record(lb)
+		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
+			if addr == w[1] && op == serve.OpSessOpen {
+				return errors.New("injected: connection refused")
+			}
+			return nil
+		}
+		check(t, c, 1<<12, w[0], w[2])
+		if got := counter(t, c, "dist_retries_total"); got != 1 {
+			t.Errorf("dist_retries_total = %d, want 1", got)
+		}
+	})
+	t.Run("membership file order", func(t *testing.T) {
+		_, lb, w := newTestCluster(t, 3, Config{})
+		record(lb)
+		path := filepath.Join(t.TempDir(), "members")
+		noErr(t, os.WriteFile(path, []byte(w[2]+"\n"+w[0]+"\n"+w[1]+"\n"), 0o644))
+		c := New(Config{Client: &http.Client{Transport: lb}, MemberFile: path, filePoll: 5 * time.Millisecond})
+		defer c.Close()
+		check(t, c, 1<<12, w[2], w[0], w[1])
+		// A rewritten file reorders the list under the running coordinator.
+		reordered := []string{w[1], w[2], w[0]}
+		for deadline := time.Now().Add(2 * time.Second); !slices.Equal(addrsOf(c.members), reordered); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the file's new order never took; workers = %v", addrsOf(c.members))
+			}
+			noErr(t, os.WriteFile(path, []byte(strings.Join(reordered, "\n")), 0o644))
+			now := time.Now()
+			_ = os.Chtimes(path, now, now)
+		}
+		check(t, c, 1<<12, reordered...)
+	})
+	t.Run("more workers than min(N1, N2)", func(t *testing.T) {
+		c, lb, w := newTestCluster(t, 5, Config{})
+		record(lb)
+		check(t, c, 16, w[0], w[1], w[2], w[3]) // 4×4: four slabs
+	})
 }

@@ -66,6 +66,14 @@ func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 	}, nil
 }
 
+// NearSquareFactor splits a power-of-two n into the most balanced
+// power-of-two pair n1 ≤ n2: the four-step split internal/dist and
+// internal/ooc run, minimizing the longer of the two sub-FFT lengths.
+func NearSquareFactor(n int) (n1, n2 int) {
+	l1 := Log2(n) / 2
+	return 1 << l1, n >> l1
+}
+
 // factor is one four-step factor length's sweeps: its sub-plan, with
 // task size min(64, n) — the engine default — and twiddle table. Both
 // are immutable (the plan builds its SoA tables once, under its own

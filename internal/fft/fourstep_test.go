@@ -141,6 +141,18 @@ func TestFourStepRejectsBadFactors(t *testing.T) {
 	}
 }
 
+// TestNearSquareFactor pins the four-step split the cluster and the
+// out-of-core plans run.
+func TestNearSquareFactor(t *testing.T) {
+	for _, tc := range []struct{ n, n1, n2 int }{
+		{4, 2, 2}, {8, 2, 4}, {64, 8, 8}, {1 << 13, 64, 128}, {1 << 20, 1 << 10, 1 << 10},
+	} {
+		if n1, n2 := fft.NearSquareFactor(tc.n); n1 != tc.n1 || n2 != tc.n2 {
+			t.Errorf("NearSquareFactor(%d) = %d×%d, want %d×%d", tc.n, n1, n2, tc.n1, tc.n2)
+		}
+	}
+}
+
 func TestTwiddleScaleMatchesDirect(t *testing.T) {
 	const totalN = 256
 	tw := fft.TwoLevelTwiddles(totalN)

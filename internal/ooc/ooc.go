@@ -64,8 +64,7 @@ type config struct {
 	tileVecs  int
 	workers   int
 	ioWorkers int
-	reg       *metrics.Registry
-	factor    func(n int) (int, int)
+	n1        int // the four-step's N1, set by in-package tests (default fft.NearSquareFactor's)
 }
 
 // Option configures NewPlan.
@@ -91,21 +90,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // WithIOWorkers sets the staging goroutines per pipeline stage
 // (default DefaultIOWorkers).
 func WithIOWorkers(n int) Option { return func(c *config) { c.ioWorkers = n } }
-
-// WithRegistry collects the plan's instruments in r instead of a
-// private registry.
-func WithRegistry(r *metrics.Registry) Option { return func(c *config) { c.reg = r } }
-
-// WithFactor overrides the N = N1·N2 split (default near-square).
-func WithFactor(f func(n int) (int, int)) Option { return func(c *config) { c.factor = f } }
-
-// nearSquareFactor splits a power-of-two n into the most balanced
-// power-of-two pair n1 ≤ n2.
-func nearSquareFactor(n int) (int, int) {
-	logN := fft.Log2(n)
-	l1 := logN / 2
-	return 1 << l1, 1 << (logN - l1)
-}
 
 // tileCost counts the staging bytes of a run with tile height s: the
 // three pipeline tiles of s·lmax elements, and what the I/O goroutines
@@ -145,6 +129,7 @@ type Plan struct {
 	tw *fft.TwoLevelTable
 
 	cfg config
+	reg *metrics.Registry
 	met *meters
 
 	// What a run holds, kept between runs; each pool's buffers have one
@@ -173,7 +158,6 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	cfg := config{
 		budget:    DefaultMemoryBudget,
 		ioWorkers: DefaultIOWorkers,
-		factor:    nearSquareFactor,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -184,18 +168,12 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 	if cfg.ioWorkers <= 0 {
 		cfg.ioWorkers = DefaultIOWorkers
 	}
-	if cfg.factor == nil {
-		cfg.factor = nearSquareFactor
-	}
-	if cfg.reg == nil {
-		cfg.reg = metrics.NewRegistry()
-	}
 	if fft.Log2(n) < 2 {
 		return nil, fmt.Errorf("%w: out-of-core plans need a power of two ≥ 4, got %d", fft.ErrUnsupportedLength, n)
 	}
-	n1, n2 := cfg.factor(n)
-	if n1*n2 != n || fft.Log2(n1) < 1 || fft.Log2(n2) < 1 {
-		return nil, fmt.Errorf("%w: factorization %d×%d invalid for N=%d", fft.ErrUnsupportedLength, n1, n2, n)
+	n1, n2 := fft.NearSquareFactor(n)
+	if cfg.n1 > 0 {
+		n1, n2 = cfg.n1, n/cfg.n1
 	}
 	fs, err := fft.NewFourStep(n1, n2)
 	if err != nil {
@@ -218,20 +196,22 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 			s = next
 		}
 	}
+	reg := metrics.NewRegistry()
 	return &Plan{
 		n: n, n1: n1, n2: n2,
 		s1: min(s, n1), s2: min(s, n2),
 		fs:  fs,
 		tw:  fft.TwoLevelTwiddles(n),
 		cfg: cfg,
-		met: newMeters(cfg.reg, ioChannels, ioStripe),
+		reg: reg,
+		met: newMeters(reg, ioChannels, ioStripe),
 	}, nil
 }
 
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
-// Factors returns the four-step split N1 ≤ N2 (unless overridden).
+// Factors returns the four-step split N1 ≤ N2.
 func (p *Plan) Factors() (n1, n2 int) { return p.n1, p.n2 }
 
 // TileVecs returns the staged vectors per tile in the (cols, rows)
@@ -246,7 +226,7 @@ func (p *Plan) SpillBytes() int64 {
 }
 
 // Registry returns the registry collecting the plan's instruments.
-func (p *Plan) Registry() *metrics.Registry { return p.cfg.reg }
+func (p *Plan) Registry() *metrics.Registry { return p.reg }
 
 // String describes the plan geometry.
 func (p *Plan) String() string {

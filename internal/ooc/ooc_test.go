@@ -32,7 +32,7 @@ func randomData(n int, seed int64) []complex128 {
 // near-square split.
 func fourStepRef(t *testing.T, data []complex128, inverse bool) []complex128 {
 	t.Helper()
-	n1, n2 := nearSquareFactor(len(data))
+	n1, n2 := fft.NearSquareFactor(len(data))
 	return fourStepRefSplit(t, data, n1, n2, inverse)
 }
 
@@ -93,7 +93,7 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 	} {
 		for _, inverse := range []bool{false, true} {
 			name := fmt.Sprintf("n=%d/tile=%d/fifo/inverse=%v", tc.n, tc.tile, inverse)
-			n1, n2 := nearSquareFactor(tc.n)
+			n1, n2 := fft.NearSquareFactor(tc.n)
 			if tc.n1 != 0 {
 				n1, n2 = tc.n1, tc.n/tc.n1
 				name = fmt.Sprintf("n=%d=%dx%d/tile=%d/fifo/inverse=%v", tc.n, n1, n2, tc.tile, inverse)
@@ -109,7 +109,7 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 					WithSpillDir(t.TempDir()),
 					WithWorkers(3),
 					WithIOWorkers(iow),
-					WithFactor(func(int) (int, int) { return n1, n2 }),
+					func(c *config) { c.n1 = n1 },
 				)
 				if err != nil {
 					t.Fatalf("NewPlan: %v", err)
@@ -535,15 +535,14 @@ func TestMetricsPopulated(t *testing.T) {
 		iow  int // 0 = DefaultIOWorkers
 	}{{"fifo", 0}, {"iow=1", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			p, err := NewPlan(n, WithTileVecs(8), WithIOWorkers(tc.iow), WithRegistry(reg), WithSpillDir(t.TempDir()))
+			p, err := NewPlan(n, WithTileVecs(8), WithIOWorkers(tc.iow), WithSpillDir(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Transform(make([]complex128, n)); err != nil {
 				t.Fatal(err)
 			}
-			snap := reg.Snapshot()
+			snap := p.Registry().Snapshot()
 			vals := map[string]int64{}
 			for name, v := range snap {
 				vals[name] = int64(v)
