@@ -46,9 +46,6 @@ func main() {
 		out     = flag.String("out", "", "output file; empty = a temp file next to the spill")
 		dir     = flag.String("dir", "", "spill/scratch directory (default $TMPDIR)")
 		budget  = flag.String("budget", "256MiB", "memory budget for staging buffers (e.g. 512MiB, 1GiB)")
-		tile    = flag.Int("tile", 0, "pin tile height (vectors per tile, power of two; 0 = derive from budget)")
-		workers = flag.Int("workers", 0, "compute goroutines (0 = GOMAXPROCS)")
-		iow     = flag.Int("io", 0, "staging I/O goroutines per pipeline stage (0 = default)")
 		inverse = flag.Bool("inverse", false, "run the inverse transform")
 		check   = flag.String("check", "none", "verification: none, tone, incore, or roundtrip")
 		tone    = flag.Int("tone", 12345, "tone frequency bin for synthesized input / -check tone")
@@ -56,15 +53,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*logN, *in, *out, *dir, *budget, *tile,
-		*workers, *iow, *inverse, *check, *tone, *metrics); err != nil {
+	if err := run(*logN, *in, *out, *dir, *budget, *inverse, *check, *tone, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "fftooc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logN int, in, out, dir, budgetStr string, tile,
-	workers, iow int, inverse bool, check string, tone int, metrics bool) error {
+func run(logN int, in, out, dir, budgetStr string, inverse bool, check string, tone int, metrics bool) error {
 	if logN < 2 || logN > 40 {
 		return fmt.Errorf("-logn %d out of range [2,40]", logN)
 	}
@@ -80,20 +75,9 @@ func run(logN int, in, out, dir, budgetStr string, tile,
 		dir = os.TempDir()
 	}
 
-	opts := []codeletfft.OOCOption{
+	p, err := codeletfft.NewOOCPlan(n,
 		codeletfft.OOCSpillDir(dir),
-		codeletfft.OOCMemoryBudget(budget),
-	}
-	if tile > 0 {
-		opts = append(opts, codeletfft.OOCTileVecs(tile))
-	}
-	if workers > 0 {
-		opts = append(opts, codeletfft.OOCWorkers(workers))
-	}
-	if iow > 0 {
-		opts = append(opts, codeletfft.OOCIOWorkers(iow))
-	}
-	p, err := codeletfft.NewOOCPlan(n, opts...)
+		codeletfft.OOCMemoryBudget(budget))
 	if err != nil {
 		return err
 	}
@@ -367,7 +351,8 @@ func reportRSS() {
 }
 
 // parseBytes parses sizes like "512MiB", "1GiB", "64MB", or plain byte
-// counts.
+// counts. A negative count, or one whose byte total overflows int64, is
+// an error.
 func parseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	mult := int64(1)
@@ -388,6 +373,9 @@ func parseBytes(s string) (int64, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad size %q: %w", s, err)
+	}
+	if v < 0 || v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q: not a byte count in [0, 2^63)", s)
 	}
 	return v * mult, nil
 }

@@ -43,8 +43,7 @@ func main() {
 		maxTimeout = flag.Duration("max-timeout", serve.DefaultMaxTimeout, "cap on client-supplied ?timeout=")
 		minN       = flag.Int("min-n", serve.DefaultMinN, "smallest served transform length")
 		maxN       = flag.Int("max-n", serve.DefaultMaxN, "largest served transform length")
-		workers    = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS)")
-		taskSize   = flag.Int("task", 0, "P-point kernel size (0 = engine default, 64)")
+		workers    = flag.Int("workers", 0, "most ways a batch is split over the worker pool (0 = GOMAXPROCS)")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight work")
 		worker     = flag.Bool("worker", false, "serve POST /fft/shard so a fftcluster coordinator can dispatch four-step segments here")
 		pprof      = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the serving mux")
@@ -59,7 +58,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		Workers:        *workers,
-		TaskSize:       *taskSize,
 		EnableShard:    *worker,
 	}
 	s := serve.New(cfg)

@@ -35,13 +35,17 @@
 //	cached     h, _ := codeletfft.CachedHostPlan(n)           h.Transform(data)
 //	cluster    cl, _ := cluster.New(cluster.Config{...})      cl.TransformCtx(ctx, data)
 //
-// Plans are built with functional options; every knob has a default:
+// Plans are built with functional options; every option has a default:
 //
 //	h, err := codeletfft.NewHostPlan(1<<20,
-//	    codeletfft.WithTaskSize(64),      // P-point kernels (default 64)
 //	    codeletfft.WithWorkers(8),        // default GOMAXPROCS
-//	    codeletfft.WithThreshold(1<<13),  // serial below this size
+//	    codeletfft.WithObserver(obs),     // default none
 //	    codeletfft.WithKernel(codeletfft.KernelAuto)) // the default: soa4 from 128 points, radix4 below
+//
+// The decomposition is the planner's, not the caller's: a power of two
+// runs the paper's 64-point codelets (clamped to the length), and a
+// call runs serially below 8192 elements, where dispatch would cost
+// more than it saves.
 //
 // Five butterfly kernels run on the same staged decomposition: radix-2
 // (the paper's formulation), radix-4 (three-multiply butterflies),
@@ -61,13 +65,13 @@
 // complex path's speed; ConvPlan and STFTPlan run overlap-save
 // convolution and streaming spectrograms on the batched engine;
 // CachedHostPlan and CachedRealPlan memoize plans in process-wide,
-// sharded, size-bounded caches keyed by (N, task size, kernel) so plans
-// can be resolved per request.
+// sharded, size-bounded caches keyed by (N, kernel) so plans can be
+// resolved per request.
 //
-// Construction errors wrap the sentinels ErrUnsupportedLength and
-// ErrBadTaskSize; every plan returns a wrong-length buffer as an error
-// wrapping ErrLengthMismatch (for batches, naming the offending row's
-// index), never as a panic. The engine is hardened by fuzz targets
+// Construction errors wrap the sentinel ErrUnsupportedLength; every
+// plan returns a wrong-length buffer as an error wrapping
+// ErrLengthMismatch (for batches, naming the offending row's index),
+// never as a panic. The engine is hardened by fuzz targets
 // (internal/fft: FuzzTransformRoundTrip, FuzzParallelMatchesSerial,
 // FuzzRealRoundTrip, FuzzKernelParity), a metamorphic property suite
 // (linearity, Parseval, impulse and shift theorems over every plan

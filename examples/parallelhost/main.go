@@ -25,7 +25,6 @@ import (
 func main() {
 	var (
 		logN       = flag.Int("logn", 20, "transform length: N=2^logn")
-		p          = flag.Int("p", 64, "task size (points per butterfly kernel)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		reps       = flag.Int("reps", 3, "timed repetitions (best is reported)")
 		kernelName = flag.String("kernel", "auto", "butterfly kernel: auto, radix2, radix4, splitradix, soa2, soa4")
@@ -38,14 +37,12 @@ func main() {
 		log.Fatal(err)
 	}
 	h, err := codeletfft.NewHostPlan(n,
-		codeletfft.WithTaskSize(*p),
 		codeletfft.WithWorkers(*workers),
 		codeletfft.WithKernel(kern))
 	if err != nil {
 		log.Fatal(err)
 	}
 	hs, err := codeletfft.NewHostPlan(n,
-		codeletfft.WithTaskSize(*p),
 		codeletfft.WithWorkers(1),
 		codeletfft.WithKernel(kern))
 	if err != nil {
@@ -74,7 +71,7 @@ func main() {
 	gflops := func(d time.Duration) float64 {
 		return 5 * float64(n) * float64(*logN) / d.Seconds() / 1e9
 	}
-	fmt.Printf("N=2^%d P=%d kernel=%v on %d CPUs, %d workers\n", *logN, *p, h.Kernel(), runtime.NumCPU(), h.Workers())
+	fmt.Printf("N=2^%d kernel=%v on %d CPUs, %d workers\n", *logN, h.Kernel(), runtime.NumCPU(), h.Workers())
 	fmt.Printf("  serial    %10v  (%.2f GFLOPS)\n", tSerial, gflops(tSerial))
 	fmt.Printf("  parallel  %10v  (%.2f GFLOPS)\n", tParallel, gflops(tParallel))
 	fmt.Printf("  speedup   %.2fx  (outputs bitwise identical)\n",

@@ -46,19 +46,17 @@ func main() {
 	flag.Parse()
 	n := 1 << *logN
 
-	// One call per request: the (N, taskSize) core — stage decomposition
+	// One call per request: the (N, kernel) core — stage decomposition
 	// and twiddle tables — is built once and shared; only the lightweight
 	// engine wrapper is per-call.
 	obs := &tally{}
 	h, err := codeletfft.CachedHostPlan(n,
-		codeletfft.WithTaskSize(64),
 		codeletfft.WithWorkers(*workers),
-		codeletfft.WithThreshold(1),
 		codeletfft.WithObserver(obs))
 	if err != nil {
 		log.Fatal(err)
 	}
-	again, err := codeletfft.CachedHostPlan(n, codeletfft.WithTaskSize(64))
+	again, err := codeletfft.CachedHostPlan(n)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +87,6 @@ func main() {
 	// typed RealPlan facade (shares the cached half-size core).
 	rp, err := codeletfft.CachedRealPlan(n,
 		codeletfft.WithWorkers(*workers),
-		codeletfft.WithThreshold(1),
 		codeletfft.WithObserver(obs))
 	if err != nil {
 		log.Fatal(err)

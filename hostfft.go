@@ -17,9 +17,6 @@ var (
 	// non-power-of-two for the 2-D path. Complex 1-D plans support every
 	// n ≥ 1, so NewHostPlan only returns it for n < 1.
 	ErrUnsupportedLength = fft.ErrUnsupportedLength
-	// ErrBadTaskSize reports a task size that is not a power of two ≥ 2
-	// or exceeds the transform length.
-	ErrBadTaskSize = fft.ErrBadTaskSize
 	// ErrLengthMismatch reports a buffer whose length does not match the
 	// plan. Every method that takes one returns it (wrapped, naming the
 	// buffer — and, in a batch, the row) before touching any element.
@@ -90,7 +87,6 @@ var _ Plan = (*HostPlan)(nil)
 
 // hostOpts is the resolved option set for plan construction.
 type hostOpts struct {
-	taskSize  int
 	workers   int
 	threshold int
 	observer  EngineObserver
@@ -112,16 +108,6 @@ type EngineObserver = host.Observer
 // their Cached variants.
 type HostOption func(hostOpts) hostOpts
 
-// WithTaskSize selects the P-point kernel size of the staged
-// decomposition (the paper's codelet size). It must be a power of two
-// between 2 and the transform length; 64 — the paper's sweet spot — is
-// the default. For a transform shorter than the default, the task size
-// is clamped to the transform length. Mixed-radix and Bluestein plans
-// (non-power-of-two lengths) have no task-size knob and ignore it.
-func WithTaskSize(p int) HostOption {
-	return func(o hostOpts) hostOpts { o.taskSize = p; return o }
-}
-
 // WithWorkers sets the most ways a Transform, TransformBatch and
 // friends split a call over the process's worker pool: 1 keeps every
 // call on the caller's goroutine, 0 (the default) means GOMAXPROCS. The
@@ -130,15 +116,6 @@ func WithTaskSize(p int) HostOption {
 // for every value.
 func WithWorkers(n int) HostOption {
 	return func(o hostOpts) hostOpts { o.workers = n; return o }
-}
-
-// WithThreshold sets the minimum element count (N for a single
-// transform, B·N for a batch) at which the parallel path engages;
-// smaller workloads run serially, where dispatch overhead would
-// dominate. 0 means the package default (8192); 1 forces the parallel
-// path at every size.
-func WithThreshold(n int) HostOption {
-	return func(o hostOpts) hostOpts { o.threshold = n; return o }
 }
 
 // WithObserver attaches an EngineObserver to the plan's parallel
@@ -158,21 +135,14 @@ func WithKernel(k Kernel) HostOption {
 	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
 
-// applyOpts applies opts over the defaults of an n-point plan. The
-// kernel is left as given; resolveOpts resolves it.
-func applyOpts(n int, opts []HostOption) hostOpts {
-	o := hostOpts{taskSize: min(64, n)}
+// resolveOpts applies opts for a plan whose kernel runs on kernLen
+// points, with KernelAuto resolved by the rule — here, before a cache
+// key is formed or a core built, so nothing downstream sees Auto.
+func resolveOpts(kernLen int, opts []HostOption) hostOpts {
+	var o hostOpts
 	for _, opt := range opts {
 		o = opt(o)
 	}
-	return o
-}
-
-// resolveOpts is applyOpts for a plan whose kernel runs on kernLen
-// points, with KernelAuto resolved by the rule — here, before a cache
-// key is formed or a core built, so nothing downstream sees Auto.
-func resolveOpts(n, kernLen int, opts []HostOption) hostOpts {
-	o := applyOpts(n, opts)
 	if o.kern == KernelAuto {
 		o.kern = fft.AutoKernel(kernLen)
 	}
@@ -181,22 +151,19 @@ func resolveOpts(n, kernLen int, opts []HostOption) hostOpts {
 
 // complexOpts is resolveOpts for an n-point complex plan, given n's
 // radix signature: the kernel runs on n points, or on the convolution
-// length when n routes to Bluestein. What a family ignores is reset, so
-// callers differing only in an ignored option build — and, cached,
-// share — the same core: the mixed-radix and Bluestein planners take no
-// task size, and a mixed-radix plan runs per-radix codelets and no
-// kernel (its Kernel reports the rule's answer for n, pinned or not).
+// length when n routes to Bluestein. A mixed-radix plan runs per-radix
+// codelets and no kernel, so its kernel is the rule's answer for n,
+// pinned or not, and plans of a length differing only in it build —
+// and, cached, share — the same core.
 func complexOpts(n int, sig uint64, opts []HostOption) hostOpts {
-	if n >= 2 && n&(n-1) == 0 {
-		return resolveOpts(n, n, opts)
+	switch {
+	case n >= 2 && n&(n-1) == 0:
+		return resolveOpts(n, opts)
+	case sig>>63 != 0:
+		return resolveOpts(fft.BluesteinLen(n), opts)
 	}
-	if sig>>63 != 0 {
-		o := resolveOpts(n, fft.BluesteinLen(n), opts)
-		o.taskSize = 0
-		return o
-	}
-	o := applyOpts(n, opts)
-	o.taskSize, o.kern = 0, fft.AutoKernel(n)
+	o := resolveOpts(n, opts)
+	o.kern = fft.AutoKernel(n)
 	return o
 }
 
@@ -213,24 +180,25 @@ func (o hostOpts) engine() host.Engine {
 type hostCore struct {
 	n        int
 	algo     string // Algorithm()
-	taskSize int    // TaskSize()
 	kern     Kernel // Kernel()
 	fwd, inv *fft.Schedule
 }
 
 // newHostCore routes a length to its planner: powers of two ≥ 2 keep
-// the staged decomposition, lengths factoring over {2,3,5,7} get the
-// mixed-radix plan, and everything else ≥ 1 gets the Bluestein
+// the staged decomposition with P = min(64, n) — the paper's codelet
+// clamped to the length, the rule the four-step and Bluestein plans
+// apply to their sub-transforms — lengths factoring over {2,3,5,7} get
+// the mixed-radix plan, and everything else ≥ 1 gets the Bluestein
 // fallback. Only n < 1 fails.
 func newHostCore(n int, o hostOpts) (*hostCore, error) {
 	c := &hostCore{n: n, kern: o.kern}
 	if n >= 2 && n&(n-1) == 0 {
-		pl, err := fft.NewPlan(n, o.taskSize)
+		pl, err := fft.NewPlan(n, min(64, n))
 		if err != nil {
 			return nil, err
 		}
 		w := fft.Twiddles(n)
-		c.algo, c.taskSize = "staged", pl.P
+		c.algo = "staged"
 		c.fwd, c.inv = pl.Schedule(w, o.kern, false), pl.Schedule(w, o.kern, true)
 		return c, nil
 	}
@@ -251,19 +219,19 @@ func newHostCore(n int, o hostOpts) (*hostCore, error) {
 }
 
 // planKey identifies a cached core by what complexOpts resolved: the
-// transform length, the task size (0 off the powers of two), the kernel
-// (never KernelAuto: a default plan and one pinned to the kernel the
-// rule names are the same entry, and every mixed-radix plan of a length
-// is), and the radix signature of the length, so a mixed-radix core and
-// a Bluestein core can never alias even under hash collisions on n.
+// transform length, the kernel (never KernelAuto: a default plan and
+// one pinned to the kernel the rule names are the same entry, and every
+// mixed-radix plan of a length is), and the radix signature of the
+// length, so a mixed-radix core and a Bluestein core can never alias
+// even under hash collisions on n.
 type planKey struct {
-	n, p int
+	n    int
 	kern Kernel
 	sig  uint64
 }
 
 func planKeyHash(k planKey) uint64 {
-	h := uint64(k.n)*0x9e3779b97f4a7c15 ^ uint64(k.p)*0xbf58476d1ce4e5b9 ^ uint64(k.kern)*0xff51afd7ed558ccd
+	h := uint64(k.n)*0x9e3779b97f4a7c15 ^ uint64(k.kern)*0xff51afd7ed558ccd
 	h ^= k.sig * 0xd6e8feb86659fd93
 	h ^= h >> 29
 	h *= 0x94d049bb133111eb
@@ -323,19 +291,14 @@ type HostPlan struct {
 }
 
 // NewHostPlan builds a host-side plan for n-point transforms, any
-// n ≥ 1. Powers of two run the staged decomposition (64-point kernels
-// by default, clamped to n); other lengths factoring over {2, 3, 5, 7}
-// run the mixed-radix Stockham schedule (WithTaskSize and WithKernel are
-// ignored); and
-// lengths with larger prime factors run the Bluestein chirp-z plan,
-// whose embedded power-of-two convolution still honors WithKernel. All
-// paths use a GOMAXPROCS parallel engine by default; functional options
-// override each knob:
+// n ≥ 1. Powers of two run the staged decomposition (64-point kernels,
+// clamped to n); other lengths factoring over {2, 3, 5, 7} run the
+// mixed-radix Stockham schedule (WithKernel is ignored); and lengths
+// with larger prime factors run the Bluestein chirp-z plan, whose
+// embedded power-of-two convolution still honors WithKernel. All paths
+// use a GOMAXPROCS parallel engine by default:
 //
-//	p, err := codeletfft.NewHostPlan(1<<20,
-//	    codeletfft.WithTaskSize(64),
-//	    codeletfft.WithWorkers(8),
-//	    codeletfft.WithKernel(codeletfft.KernelSplitRadix))
+//	p, err := codeletfft.NewHostPlan(1<<20, codeletfft.WithWorkers(8))
 func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	o := complexOpts(n, fft.RadixSignature(n), opts)
 	core, err := newHostCore(n, o)
@@ -346,17 +309,16 @@ func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 }
 
 // CachedHostPlan is NewHostPlan backed by a process-wide, size-bounded,
-// concurrency-safe plan cache keyed by (n, task size, kernel). Repeated
-// calls for one shape share the stage decomposition, twiddle table and
-// schedules — concurrent first calls run plan construction once
-// (single-flight) — so serving code can call it per request instead of
-// hand-managing plan lifetimes: a hit is the cache lookup plus one
-// small struct. The engine options (WithWorkers, WithThreshold,
-// WithObserver) are still applied per returned plan.
+// concurrency-safe plan cache keyed by (n, kernel). Repeated calls for
+// one shape share the stage decomposition, twiddle table and schedules
+// — concurrent first calls run plan construction once (single-flight)
+// — so serving code can call it per request instead of hand-managing
+// plan lifetimes: a hit is the cache lookup plus one small struct. The engine options (WithWorkers, WithObserver) are
+// still applied per returned plan.
 func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	sig := fft.RadixSignature(n)
 	o := complexOpts(n, sig, opts)
-	core, err := planCache.GetOrCreate(planKey{n: n, p: o.taskSize, kern: o.kern, sig: sig}, func() (*hostCore, error) {
+	core, err := planCache.GetOrCreate(planKey{n: n, kern: o.kern, sig: sig}, func() (*hostCore, error) {
 		return newHostCore(n, o)
 	})
 	if err != nil {
@@ -367,11 +329,6 @@ func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 
 // N returns the transform length.
 func (h *HostPlan) N() int { return h.core.n }
-
-// TaskSize returns the P-point kernel size of the staged power-of-two
-// decomposition, or 0 for mixed-radix and Bluestein plans, which have
-// no task-size knob.
-func (h *HostPlan) TaskSize() int { return h.core.taskSize }
 
 // Algorithm names the decomposition the length routed to: "staged" for
 // powers of two, "mixed-radix[…]" with the radix schedule, or
@@ -444,8 +401,8 @@ func (h *HostPlan) InverseBatch(batch [][]complex128) error {
 // accepted: the O(N) split pass (fft.RealSplit) does not care how the
 // half transform is computed, so the plan is that pass around an
 // N/2-point HostPlan of whatever family N/2 routes to. It is built with
-// the same HostOption set as HostPlan (task size, workers, threshold,
-// observer, kernel); its kernel is the half plan's.
+// the same HostOption set as HostPlan (workers, observer, kernel); its
+// kernel is the half plan's.
 //
 // A RealPlan is immutable after construction and safe for concurrent
 // use on distinct buffers.
@@ -456,12 +413,9 @@ type RealPlan struct {
 
 // plan assembles the plan around the core and the N/2-point half plan
 // newHalf builds (NewHostPlan, or CachedHostPlan to share it through
-// the plan cache). The half's task size is the real length's, clamped
-// to N/2.
+// the plan cache).
 func (c *realCore) plan(newHalf func(int, ...HostOption) (*HostPlan, error), opts []HostOption) (*RealPlan, error) {
-	h := c.N / 2
-	p := min(applyOpts(c.N, opts).taskSize, h)
-	half, err := newHalf(h, append(opts[:len(opts):len(opts)], WithTaskSize(p))...)
+	half, err := newHalf(c.N/2, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -581,13 +535,13 @@ type HostPlan2D struct {
 }
 
 // NewHostPlan2D builds a host-side plan for rows×cols transforms. It
-// accepts the same functional options as NewHostPlan; the task size is
-// clamped to each axis length as needed by the row-column pass.
+// accepts the same functional options as NewHostPlan; both passes run
+// min(64, rows, cols)-point kernels.
 func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
 	// KernelAuto resolves on the row transform's length (the hotter of
 	// the two passes).
-	o := resolveOpts(min(rows, cols), cols, opts)
-	pl, err := fft.NewPlan2D(rows, cols, o.taskSize)
+	o := resolveOpts(cols, opts)
+	pl, err := fft.NewPlan2D(rows, cols, min(64, rows, cols))
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func maxErr(a, b []complex128) float64 {
 
 func TestHostPlanMatchesReference(t *testing.T) {
 	n := 1 << 12
-	h, err := codeletfft.NewHostPlan(n, codeletfft.WithTaskSize(64))
+	h, err := codeletfft.NewHostPlan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,6 @@ func TestHostPlanRejectsBadShape(t *testing.T) {
 		if _, err := codeletfft.NewHostPlan(n); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
 			t.Fatalf("NewHostPlan(%d) err = %v, want ErrUnsupportedLength", n, err)
 		}
-	}
-	if _, err := codeletfft.NewHostPlan(64, codeletfft.WithTaskSize(3)); !errors.Is(err, codeletfft.ErrBadTaskSize) {
-		t.Fatalf("taskSize 3 err = %v, want ErrBadTaskSize", err)
-	}
-	if _, err := codeletfft.NewHostPlan(64, codeletfft.WithTaskSize(128)); !errors.Is(err, codeletfft.ErrBadTaskSize) {
-		t.Fatalf("taskSize > N err = %v, want ErrBadTaskSize", err)
 	}
 }
 
@@ -135,14 +129,12 @@ func TestHostPlanParallelMatchesSerial(t *testing.T) {
 
 func TestHostPlan2DParallelMatchesSerial(t *testing.T) {
 	for _, k := range codeletfft.Kernels() {
-		hs, err := codeletfft.NewHostPlan2D(64, 32,
-			codeletfft.WithTaskSize(8), codeletfft.WithWorkers(1), codeletfft.WithKernel(k))
+		hs, err := codeletfft.NewHostPlan2D(64, 32, codeletfft.WithWorkers(1), codeletfft.WithKernel(k))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hp, err := codeletfft.NewHostPlan2D(64, 32,
-			codeletfft.WithTaskSize(8), codeletfft.WithWorkers(3),
-			codeletfft.WithThreshold(1), codeletfft.WithKernel(k))
+			codeletfft.WithWorkers(3), codeletfft.WithThreshold(1), codeletfft.WithKernel(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +156,7 @@ func TestHostPlan2DParallelMatchesSerial(t *testing.T) {
 }
 
 func TestHostPlan2DRoundTrip(t *testing.T) {
-	h, err := codeletfft.NewHostPlan2D(32, 64, codeletfft.WithTaskSize(16))
+	h, err := codeletfft.NewHostPlan2D(32, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +194,6 @@ func TestDFTSmall(t *testing.T) {
 }
 
 func TestHostPlanOptionDefaults(t *testing.T) {
-	h, err := codeletfft.NewHostPlan(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.TaskSize() != 64 {
-		t.Fatalf("default TaskSize = %d, want 64", h.TaskSize())
-	}
-	// The default clamps to the transform length for short inputs.
-	small, err := codeletfft.NewHostPlan(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.TaskSize() != 16 {
-		t.Fatalf("clamped TaskSize = %d, want 16", small.TaskSize())
-	}
 	w, err := codeletfft.NewHostPlan(64, codeletfft.WithWorkers(3), codeletfft.WithThreshold(1))
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +201,115 @@ func TestHostPlanOptionDefaults(t *testing.T) {
 	if w.Workers() != 3 {
 		t.Fatalf("Workers = %d, want 3", w.Workers())
 	}
+}
+
+// TestHostPlanTaskSizeRule: a default plan of a power of two runs
+// P = min(64, N) — a real plan on its N/2-point half, a 2-D plan
+// min(64, rows, cols) on both axes — so its output is bitwise the
+// fft-level schedule built with that P and the rule's kernel, forward
+// and inverse, on both sides of 64 and of the 128-point kernel switch.
+func TestHostPlanTaskSizeRule(t *testing.T) {
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// apply runs f on a copy of x.
+	apply := func(x []complex128, f func([]complex128) error) []complex128 {
+		t.Helper()
+		y := append([]complex128(nil), x...)
+		check(f(y))
+		return y
+	}
+	for lg := 1; lg <= 14; lg++ {
+		n := 1 << lg
+		pl, err := fft.NewPlan(n, min(64, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, k := fft.Twiddles(n), fft.AutoKernel(n)
+		x := noise(n, int64(n))
+		fwd, inv := apply(x, pl.Schedule(w, k, false).Run), apply(x, pl.Schedule(w, k, true).Run)
+		for _, mk := range []struct {
+			name string
+			new  func(int, ...codeletfft.HostOption) (*codeletfft.HostPlan, error)
+		}{{"NewHostPlan", codeletfft.NewHostPlan}, {"CachedHostPlan", codeletfft.CachedHostPlan}} {
+			h, err := mk.new(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(apply(x, h.Transform), fwd) || !sameBits(apply(x, h.Inverse), inv) {
+				t.Errorf("%s(%d) is not the P=%d %v schedule", mk.name, n, min(64, n), k)
+			}
+		}
+	}
+
+	for lg := 2; lg <= 12; lg++ {
+		n, h := 1<<lg, 1<<(lg-1)
+		split, err := fft.NewRealSplit(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		half, err := fft.NewPlan(h, min(64, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wh, k := fft.Twiddles(h), fft.AutoKernel(h)
+		z := noise(n, int64(n))
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = real(z[i])
+		}
+		wantSpec := make([]complex128, split.SpectrumLen())
+		split.Pack(wantSpec, x)
+		check(half.Schedule(wh, k, false).Run(wantSpec[:h]))
+		split.Unpack(wantSpec)
+		work := make([]complex128, h)
+		split.PreInverse(work, wantSpec)
+		check(half.Schedule(wh, k, true).Run(work))
+		wantBack := make([]float64, n)
+		split.PostInverse(wantBack, work)
+
+		rp, err := codeletfft.NewRealPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := make([]complex128, rp.SpectrumLen())
+		check(rp.Transform(spec, x))
+		back := make([]float64, n)
+		check(rp.Inverse(back, wantSpec))
+		if !sameBits(spec, wantSpec) || !sameBits(realParts(back), realParts(wantBack)) {
+			t.Errorf("NewRealPlan(%d) is not the split around the P=%d %v half schedule", n, min(64, h), k)
+		}
+	}
+
+	for _, sh := range [][2]int{{16, 64}, {64, 16}, {8, 256}, {128, 128}} {
+		rows, cols := sh[0], sh[1]
+		p2, err := fft.NewPlan2D(rows, cols, min(64, rows, cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := fft.AutoKernel(cols)
+		x := noise(rows*cols, int64(rows))
+		h, err := codeletfft.NewHostPlan2D(rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(apply(x, h.Transform), apply(x, p2.Schedule(k, false).Run)) ||
+			!sameBits(apply(x, h.Inverse), apply(x, p2.Schedule(k, true).Run)) {
+			t.Errorf("NewHostPlan2D(%d, %d) is not the P=%d %v schedule", rows, cols, min(64, rows, cols), k)
+		}
+	}
+}
+
+// realParts widens x to complex128 for sameBits.
+func realParts(x []float64) []complex128 {
+	z := make([]complex128, len(x))
+	for i, v := range x {
+		z[i] = complex(v, 0)
+	}
+	return z
 }
 
 // TestWithKernelPinsSelection: WithKernel fixes the kernel, every
@@ -630,21 +716,17 @@ func TestCachedHostPlan(t *testing.T) {
 	if h1.Workers() != 2 || h2.Workers() != 5 {
 		t.Fatalf("Workers = %d, %d, want 2, 5", h1.Workers(), h2.Workers())
 	}
-	// Distinct task size → distinct cache entry.
-	if _, err := codeletfft.CachedHostPlan(1<<9, codeletfft.WithTaskSize(8), codeletfft.WithKernel(codeletfft.KernelRadix2)); err != nil {
+	// Distinct kernel → distinct cache entry: a miss that builds a core
+	// of its own. (The cache's length is no witness: the 100 shapes of
+	// TestOnePoolAcrossShapes can leave the key's shard full, and then
+	// the new entry evicts an old one.)
+	_, m0 := codeletfft.PlanCacheStats()
+	h3, err := codeletfft.CachedHostPlan(1<<9, codeletfft.WithKernel(codeletfft.KernelSplitRadix))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if codeletfft.PlanCacheLen() != before+1 {
-		t.Fatalf("distinct task size did not add an entry: %d -> %d",
-			before, codeletfft.PlanCacheLen())
-	}
-	// Distinct kernel → distinct cache entry.
-	if _, err := codeletfft.CachedHostPlan(1<<9, codeletfft.WithKernel(codeletfft.KernelSplitRadix)); err != nil {
-		t.Fatal(err)
-	}
-	if codeletfft.PlanCacheLen() != before+2 {
-		t.Fatalf("distinct kernel did not add an entry: %d -> %d",
-			before, codeletfft.PlanCacheLen())
+	if _, m1 := codeletfft.PlanCacheStats(); m1 != m0+1 || codeletfft.ForwardSchedule(h3) == codeletfft.ForwardSchedule(h1) {
+		t.Fatalf("distinct kernel did not add an entry (misses %d -> %d)", m0, m1)
 	}
 	// A non-power-of-two length resolves a mixed-radix core (distinct
 	// cache entry — the radix signature keeps it from aliasing staged
@@ -778,13 +860,13 @@ func TestDefaultPlanIsReproducible(t *testing.T) {
 // returned plan.
 func TestCachedPlanSharesCore(t *testing.T) {
 	const n = 1 << 11
-	pinned := []codeletfft.HostOption{codeletfft.WithTaskSize(32), codeletfft.WithKernel(fft.AutoKernel(n))}
-	a, err := codeletfft.CachedHostPlan(n, pinned[:1]...)
+	pinned := codeletfft.WithKernel(fft.AutoKernel(n))
+	a, err := codeletfft.CachedHostPlan(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := codeletfft.PlanCacheLen()
-	b, err := codeletfft.CachedHostPlan(n, pinned...)
+	b, err := codeletfft.CachedHostPlan(n, pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,20 +877,21 @@ func TestCachedPlanSharesCore(t *testing.T) {
 		t.Fatal("default and pinned plan run different schedule values")
 	}
 
-	// A mixed-radix plan runs no kernel, so whatever is pinned is the
-	// same entry too, and Kernel() does not depend on who built it.
+	// A mixed-radix plan runs no kernel, so a pinned kernel and the
+	// default are the same entry too, and Kernel() does not depend on
+	// who built it.
 	const mixed = 1500
 	m1, err := codeletfft.CachedHostPlan(mixed, codeletfft.WithKernel(codeletfft.KernelRadix2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before = codeletfft.PlanCacheLen()
-	m2, err := codeletfft.CachedHostPlan(mixed, codeletfft.WithTaskSize(32))
+	m2, err := codeletfft.CachedHostPlan(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(m1) != codeletfft.ForwardSchedule(m2) {
-		t.Fatalf("mixed-radix plans differing in ignored options do not share a core (cache %d -> %d)", before, got)
+		t.Fatalf("mixed-radix plans differing in the ignored kernel do not share a core (cache %d -> %d)", before, got)
 	}
 	if want := fft.AutoKernel(mixed); m1.Kernel() != want || m2.Kernel() != want {
 		t.Fatalf("mixed-radix Kernel() = %v (pinned), %v (default), want %v", m1.Kernel(), m2.Kernel(), want)
@@ -816,7 +899,7 @@ func TestCachedPlanSharesCore(t *testing.T) {
 	if raceEnabled {
 		return // instrumentation allocates
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = codeletfft.CachedHostPlan(n, pinned...) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = codeletfft.CachedHostPlan(n, pinned) }); allocs > 1 {
 		t.Fatalf("cached-plan hit costs %v allocations, want at most 1", allocs)
 	}
 }
@@ -862,11 +945,12 @@ func TestWithObserverThreadsTelemetry(t *testing.T) {
 
 func TestPlanCacheStats(t *testing.T) {
 	h0, m0 := codeletfft.PlanCacheStats()
-	const n = 1 << 9 // a size no other test is likely to have cached with this task size
-	if _, err := codeletfft.CachedHostPlan(n, codeletfft.WithTaskSize(4)); err != nil {
+	const n = 1 << 9 // a size no other test caches with this kernel
+	soa2 := codeletfft.WithKernel(codeletfft.KernelSoARadix2)
+	if _, err := codeletfft.CachedHostPlan(n, soa2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codeletfft.CachedHostPlan(n, codeletfft.WithTaskSize(4)); err != nil {
+	if _, err := codeletfft.CachedHostPlan(n, soa2); err != nil {
 		t.Fatal(err)
 	}
 	h1, m1 := codeletfft.PlanCacheStats()

@@ -3,7 +3,7 @@
 // population: concurrent GetOrCreate calls for one key run the create
 // function once and share its result. The facade uses it to memoize
 // FFT plan cores (stage decomposition + twiddle tables) keyed by
-// (N, taskSize), so serving callers stop hand-managing plan lifetimes.
+// (N, kernel), so serving callers stop hand-managing plan lifetimes.
 //
 // Sharding bounds lock contention — a lookup takes one shard mutex,
 // never a global one — and the per-shard capacity bounds memory: a

@@ -51,7 +51,6 @@ func newTestClusterOf(t *testing.T, nWorkers int, cfg Config, scfg serve.Config)
 	scfg.EnableShard, scfg.MaxN, scfg.Client = true, 1<<20, client
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("http://worker-%d", i)
-		scfg.Registry = nil
 		srvs[i] = serve.New(scfg)
 		lb.Register(addrs[i], srvs[i].Handler())
 	}

@@ -229,7 +229,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	// abandon gives up on the sessions after a failed phase. A worker
 	// whose own call was held against it is not sent a close: it did not
 	// answer, a stopped one would cost a second ShardTimeout, and its
-	// session, if it has one, goes with the worker's SessionTTL.
+	// session, if it has one, goes with the worker's session TTL.
 	abandon := func(errs []error) bool {
 		for i, rw := range ws {
 			var be *blameError

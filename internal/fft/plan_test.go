@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -14,25 +15,28 @@ func mustPlan(t *testing.T, n, p int) *Plan {
 	return pl
 }
 
+// TestNewPlanValidation: a bad length wraps ErrUnsupportedLength and a
+// bad task size — not a power of two ≥ 2, or larger than N — wraps
+// ErrBadTaskSize.
 func TestNewPlanValidation(t *testing.T) {
 	cases := []struct {
 		n, p int
-		ok   bool
+		want error // nil = accepted
 	}{
-		{1 << 15, 64, true},
-		{1 << 12, 64, true},
-		{64, 64, true},
-		{2, 2, true},
-		{100, 4, false},  // N not a power of two
-		{64, 3, false},   // P not a power of two
-		{64, 1, false},   // P too small
-		{64, 128, false}, // P > N
-		{0, 2, false},
+		{1 << 15, 64, nil},
+		{1 << 12, 64, nil},
+		{64, 64, nil},
+		{2, 2, nil},
+		{100, 4, ErrUnsupportedLength}, // N not a power of two
+		{64, 3, ErrBadTaskSize},        // P not a power of two
+		{64, 1, ErrBadTaskSize},        // P too small
+		{64, 128, ErrBadTaskSize},      // P > N
+		{0, 2, ErrUnsupportedLength},
 	}
 	for _, c := range cases {
 		_, err := NewPlan(c.n, c.p)
-		if (err == nil) != c.ok {
-			t.Errorf("NewPlan(%d,%d) err=%v, want ok=%v", c.n, c.p, err, c.ok)
+		if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("NewPlan(%d,%d) err=%v, want %v", c.n, c.p, err, c.want)
 		}
 	}
 }

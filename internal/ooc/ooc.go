@@ -46,25 +46,23 @@ import (
 	"codeletfft/internal/metrics"
 )
 
-// Default knob values.
-const (
-	// DefaultMemoryBudget bounds the plan's resident tile and staging
-	// buffers: 256 MiB.
-	DefaultMemoryBudget int64 = 256 << 20
-	// DefaultIOWorkers is the number of goroutines the staging layer
-	// uses for gather/scatter and segment I/O inside each pipeline
-	// stage.
-	DefaultIOWorkers = 4
-)
+// DefaultMemoryBudget bounds the plan's resident tile and staging
+// buffers: 256 MiB.
+const DefaultMemoryBudget int64 = 256 << 20
 
-// config is the resolved option set.
+// defaultIOWorkers is the number of goroutines the staging layer uses
+// for gather/scatter and segment I/O inside each pipeline stage.
+const defaultIOWorkers = 4
+
+// config is the resolved option set. Only the spill directory and the
+// budget have options; in-package tests set the other fields.
 type config struct {
 	spillDir  string
 	budget    int64
-	tileVecs  int
-	workers   int
-	ioWorkers int
-	n1        int // the four-step's N1, set by in-package tests (default fft.NearSquareFactor's)
+	tileVecs  int // the tile height; 0 (the default) derives it from the budget
+	workers   int // ways a tile's FFTs are split over the pool (default GOMAXPROCS)
+	ioWorkers int // staging goroutines per pipeline stage (default defaultIOWorkers)
+	n1        int // the four-step's N1 (default fft.NearSquareFactor's)
 }
 
 // Option configures NewPlan.
@@ -77,19 +75,6 @@ func WithSpillDir(dir string) Option { return func(c *config) { c.spillDir = dir
 // (default DefaultMemoryBudget). The tile height is derived from it;
 // budgets too small for even single-vector tiles fail NewPlan.
 func WithMemoryBudget(b int64) Option { return func(c *config) { c.budget = b } }
-
-// WithTileVecs pins the tile height (vectors staged per tile) instead
-// of deriving it from the memory budget. It must be a power of two;
-// it is clamped to the plan's factor lengths.
-func WithTileVecs(v int) Option { return func(c *config) { c.tileVecs = v } }
-
-// WithWorkers sets how many ways a tile's vectors are split over the
-// process's worker pool (default GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithIOWorkers sets the staging goroutines per pipeline stage
-// (default DefaultIOWorkers).
-func WithIOWorkers(n int) Option { return func(c *config) { c.ioWorkers = n } }
 
 // tileCost counts the staging bytes of a run with tile height s: the
 // three pipeline tiles of s·lmax elements, and what the I/O goroutines
@@ -157,16 +142,11 @@ func take(pool *sync.Pool, n int) *[]complex128 {
 func NewPlan(n int, opts ...Option) (*Plan, error) {
 	cfg := config{
 		budget:    DefaultMemoryBudget,
-		ioWorkers: DefaultIOWorkers,
+		workers:   runtime.GOMAXPROCS(0),
+		ioWorkers: defaultIOWorkers,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ioWorkers <= 0 {
-		cfg.ioWorkers = DefaultIOWorkers
 	}
 	if fft.Log2(n) < 2 {
 		return nil, fmt.Errorf("%w: out-of-core plans need a power of two ≥ 4, got %d", fft.ErrUnsupportedLength, n)
@@ -180,13 +160,8 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 	smax := min(n1, n2)
-	s := cfg.tileVecs
-	if s > 0 {
-		if s&(s-1) != 0 {
-			return nil, fmt.Errorf("ooc: tile height %d is not a power of two", s)
-		}
-		s = min(s, smax)
-	} else {
+	s := min(cfg.tileVecs, smax)
+	if s <= 0 {
 		if need := runCost(fs, 1, &cfg); need > cfg.budget {
 			return nil, fmt.Errorf("ooc: memory budget %d B cannot hold even single-vector tiles for N=%d×%d (need %d B)",
 				cfg.budget, n1, n2, need)
@@ -215,7 +190,7 @@ func (p *Plan) N() int { return p.n }
 func (p *Plan) Factors() (n1, n2 int) { return p.n1, p.n2 }
 
 // TileVecs returns the staged vectors per tile in the (cols, rows)
-// phases — the knob the memory budget resolves.
+// phases, as the memory budget resolved them.
 func (p *Plan) TileVecs() (s2, s1 int) { return p.s2, p.s1 }
 
 // SpillBytes returns the on-disk footprint of one transform's spill

@@ -18,6 +18,12 @@ import (
 	"codeletfft/internal/metrics"
 )
 
+// The tile height, the compute split and the I/O goroutines have no
+// options; the tests set their config fields directly.
+func withTileVecs(v int) Option  { return func(c *config) { c.tileVecs = v } }
+func withWorkers(n int) Option   { return func(c *config) { c.workers = n } }
+func withIOWorkers(n int) Option { return func(c *config) { c.ioWorkers = n } }
+
 // randomData returns deterministic pseudo-random input.
 func randomData(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))
@@ -105,10 +111,10 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				p, err := NewPlan(tc.n,
-					WithTileVecs(tc.tile),
+					withTileVecs(tc.tile),
 					WithSpillDir(t.TempDir()),
-					WithWorkers(3),
-					WithIOWorkers(iow),
+					withWorkers(3),
+					withIOWorkers(iow),
 					func(c *config) { c.n1 = n1 },
 				)
 				if err != nil {
@@ -146,7 +152,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 		var first []complex128
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("workers=%d/inverse=%v", workers, inverse)
-			p, err := NewPlan(n, WithTileVecs(4), WithWorkers(workers), WithSpillDir(t.TempDir()))
+			p, err := NewPlan(n, withTileVecs(4), withWorkers(workers), WithSpillDir(t.TempDir()))
 			if err != nil {
 				t.Fatalf("NewPlan(%s): %v", name, err)
 			}
@@ -176,7 +182,7 @@ func TestWorkerCountIndependence(t *testing.T) {
 // size through the full staged path.
 func TestRoundTrip(t *testing.T) {
 	const n = 1 << 12
-	p, err := NewPlan(n, WithTileVecs(8), WithSpillDir(t.TempDir()))
+	p, err := NewPlan(n, withTileVecs(8), WithSpillDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +213,7 @@ func TestTransformFile(t *testing.T) {
 	if err := os.WriteFile(src, append([]byte(nil), fft.ComplexBytes(data)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(n, WithTileVecs(4), WithSpillDir(dir))
+	p, err := NewPlan(n, withTileVecs(4), WithSpillDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +285,7 @@ func TestFileToFileBitwise(t *testing.T) {
 		if err := os.WriteFile(src, fft.ComplexBytes(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithSpillDir(dir))
+		p, err := NewPlan(tc.n, withTileVecs(tc.tile), WithSpillDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +320,7 @@ func TestFileToFileBitwise(t *testing.T) {
 // TestBatchMethods covers the facade-compat batch entry points.
 func TestBatchMethods(t *testing.T) {
 	const n = 256
-	p, err := NewPlan(n, WithTileVecs(4), WithSpillDir(t.TempDir()))
+	p, err := NewPlan(n, withTileVecs(4), WithSpillDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +347,7 @@ func TestBatchMethods(t *testing.T) {
 func TestContextCancel(t *testing.T) {
 	const n = 1 << 10
 	dir := t.TempDir()
-	p, err := NewPlan(n, WithTileVecs(2), WithSpillDir(dir))
+	p, err := NewPlan(n, withTileVecs(2), WithSpillDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +372,7 @@ func TestContextCancel(t *testing.T) {
 	// 64 vectors of a move tile), and the run unwinds between them — a
 	// goroutine finishes at most the chunk it is in.
 	const big, iow = 1 << 16, 2 // 256×256: four chunks per strip, four strips
-	p, err = NewPlan(big, WithTileVecs(64), WithSpillDir(dir), WithIOWorkers(iow))
+	p, err = NewPlan(big, withTileVecs(64), WithSpillDir(dir), withIOWorkers(iow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,9 +434,6 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := NewPlan(2); !errors.Is(err, fft.ErrUnsupportedLength) {
 		t.Fatalf("N=2: err = %v, want ErrUnsupportedLength (needs two factors ≥ 2)", err)
 	}
-	if _, err := NewPlan(1<<10, WithTileVecs(3)); err == nil {
-		t.Fatal("non-power-of-two tile accepted")
-	}
 	if _, err := NewPlan(1<<10, WithMemoryBudget(1024)); err == nil {
 		t.Fatal("impossible memory budget accepted")
 	}
@@ -450,7 +453,7 @@ func TestBudgetDerivation(t *testing.T) {
 	const n = 1 << 16 // 256×256
 	prev := 0
 	for _, budget := range []int64{1 << 20, 4 << 20, 16 << 20, 64 << 20} {
-		p, err := NewPlan(n, WithMemoryBudget(budget), WithIOWorkers(2), WithWorkers(2))
+		p, err := NewPlan(n, WithMemoryBudget(budget), withIOWorkers(2), withWorkers(2))
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -474,7 +477,7 @@ func TestBudgetDerivation(t *testing.T) {
 	// The kernel's share is counted, not assumed away: a budget that
 	// holds exactly the staging of a 64-vector tile no longer buys one.
 	exact := tileCost(64, 256, 2)
-	p, err := NewPlan(n, WithMemoryBudget(exact), WithIOWorkers(2), WithWorkers(2))
+	p, err := NewPlan(n, WithMemoryBudget(exact), withIOWorkers(2), withWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +502,7 @@ func TestBudgetDerivation(t *testing.T) {
 	// At the N=2^28 target geometry the kernel term is the two
 	// sub-plans' tables and the 512 KiB two-level table — and the
 	// derived tile still fits a 256 MiB budget with it included.
-	p, err = NewPlan(1<<28, WithMemoryBudget(256<<20), WithWorkers(4))
+	p, err = NewPlan(1<<28, WithMemoryBudget(256<<20), withWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +517,7 @@ func TestBudgetDerivation(t *testing.T) {
 
 	// The benchmark's geometry: 2^20 points under 4 MiB still stage in
 	// 64-vector tiles — 256 segments — with every term above counted.
-	p, err = NewPlan(1<<20, WithMemoryBudget(4<<20), WithWorkers(2))
+	p, err = NewPlan(1<<20, WithMemoryBudget(4<<20), withWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,10 +535,10 @@ func TestMetricsPopulated(t *testing.T) {
 	const n = 1 << 12
 	for _, tc := range []struct {
 		name string
-		iow  int // 0 = DefaultIOWorkers
-	}{{"fifo", 0}, {"iow=1", 1}} {
+		iow  int
+	}{{"fifo", defaultIOWorkers}, {"iow=1", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPlan(n, WithTileVecs(8), WithIOWorkers(tc.iow), WithSpillDir(t.TempDir()))
+			p, err := NewPlan(n, withTileVecs(8), withIOWorkers(tc.iow), WithSpillDir(t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -598,7 +601,7 @@ func TestMetricsPopulated(t *testing.T) {
 func TestChannelBytesMatchPerVectorReference(t *testing.T) {
 	const channels, stripe = 3, 4608
 	for _, tc := range []struct{ n, tile int }{{1 << 13, 64}, {1 << 12, 16}, {1 << 15, 128}} {
-		p, err := NewPlan(tc.n, WithTileVecs(tc.tile), WithSpillDir(t.TempDir()))
+		p, err := NewPlan(tc.n, withTileVecs(tc.tile), WithSpillDir(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -644,7 +647,7 @@ func TestChannelBytesMatchPerVectorReference(t *testing.T) {
 func TestToneLargeStreaming(t *testing.T) {
 	const n = 1 << 14
 	const f = 1234
-	p, err := NewPlan(n, WithTileVecs(16), WithSpillDir(t.TempDir()))
+	p, err := NewPlan(n, withTileVecs(16), WithSpillDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,12 @@ const (
 	DefaultQueueLimit     = 1024
 	DefaultRequestTimeout = 10 * time.Second
 	DefaultMaxTimeout     = time.Minute
-	DefaultSessionTTL     = 2 * time.Minute
 	DefaultMaxSessions    = 8
 )
+
+// defaultSessionTTL is how long a resident session may sit idle before
+// session traffic reaps it.
+const defaultSessionTTL = 2 * time.Minute
 
 // Config tunes a Server. The zero value of every field selects the
 // package default.
@@ -68,14 +71,13 @@ type Config struct {
 	// RequestTimeout is the per-request deadline when the client sends
 	// none; MaxTimeout caps what a client may ask for via ?timeout=.
 	RequestTimeout, MaxTimeout time.Duration
-	// Workers and TaskSize configure the plans the executor resolves:
-	// the most ways a batch is split over the process's worker pool
-	// (which has GOMAXPROCS workers whatever this says), and the kernel
-	// size. 0 means the defaults: GOMAXPROCS ways, 64-point tasks. The
-	// butterfly kernel is not a setting: every plan runs the facade's
-	// default for its length (fft.AutoKernel), so a daemon's output bits
-	// are a function of the request and the build.
-	Workers, TaskSize int
+	// Workers is the most ways a batch is split over the process's
+	// worker pool (which has GOMAXPROCS workers whatever this says); 0
+	// means GOMAXPROCS. Nothing else about a plan is a setting: every
+	// plan runs the facade's defaults for its length (64-point tasks,
+	// fft.AutoKernel), so a daemon's output bits are a function of the
+	// request and the build.
+	Workers int
 	// EnableShard mounts the cluster shard-exec endpoint
 	// (POST /fft/shard), making this server a worker a dist
 	// coordinator can dispatch four-step segments to.
@@ -84,15 +86,13 @@ type Config struct {
 	// resident session (the on-worker four-step transpose); nil means
 	// DefaultClient.
 	Client *http.Client
-	// SessionTTL expires idle resident sessions (lazy GC on session
-	// traffic); 0 means DefaultSessionTTL.
-	SessionTTL time.Duration
 	// MaxSessions bounds concurrently open resident sessions (each pins
 	// a rows buffer); 0 means DefaultMaxSessions.
 	MaxSessions int
-	// Registry collects the server's instruments; New creates one when
-	// nil. The daemon publishes it at /metrics and through expvar.
-	Registry *metrics.Registry
+
+	// sessionTTL expires idle resident sessions (lazy GC on session
+	// traffic); 0 means defaultSessionTTL. The package's tests set it.
+	sessionTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -114,17 +114,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = DefaultMaxTimeout
 	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = DefaultSessionTTL
+	if c.sessionTTL <= 0 {
+		c.sessionTTL = defaultSessionTTL
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
 	}
 	if c.Client == nil {
 		c.Client = DefaultClient
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	return c
 }
@@ -273,7 +270,7 @@ type Server struct {
 
 	// Resident-session table: sessions pin rows buffers between the
 	// cols and rows phases; idle entries are reaped lazily on session
-	// traffic once SessionTTL passes.
+	// traffic once the session TTL passes.
 	sessMu     sync.Mutex
 	sessions   map[uint64]*sessEntry
 	lastSessGC time.Time
@@ -289,10 +286,11 @@ type Server struct {
 // New builds a Server from cfg (zero fields take defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	reg := metrics.NewRegistry()
 	s := &Server{
 		cfg:      cfg,
-		reg:      cfg.Registry,
-		m:        newServerMetrics(cfg.Registry),
+		reg:      reg,
+		m:        newServerMetrics(reg),
 		sem:      make(chan struct{}, cfg.QueueLimit),
 		shapes:   make(map[batchKey][]*pending),
 		sessions: make(map[uint64]*sessEntry),
@@ -300,21 +298,18 @@ func New(cfg Config) *Server {
 		// re+im request with headroom, and the binary frame is smaller.
 		maxBody: int64(cfg.MaxN)*64 + 4096,
 	}
-	obs := newEngineObserver(cfg.Registry)
+	obs := newEngineObserver(reg)
 	s.planOpts = []codeletfft.HostOption{codeletfft.WithObserver(obs)}
 	if cfg.Workers > 0 {
 		s.planOpts = append(s.planOpts, codeletfft.WithWorkers(cfg.Workers))
 	}
-	if cfg.TaskSize > 0 {
-		s.planOpts = append(s.planOpts, codeletfft.WithTaskSize(cfg.TaskSize))
-	}
-	cfg.Registry.GaugeFunc("fft_queue_depth", func() float64 { return float64(len(s.sem)) })
-	cfg.Registry.GaugeFunc("plan_cache_len", func() float64 { return float64(codeletfft.PlanCacheLen()) })
-	cfg.Registry.GaugeFunc("plan_cache_hits_total", func() float64 {
+	reg.GaugeFunc("fft_queue_depth", func() float64 { return float64(len(s.sem)) })
+	reg.GaugeFunc("plan_cache_len", func() float64 { return float64(codeletfft.PlanCacheLen()) })
+	reg.GaugeFunc("plan_cache_hits_total", func() float64 {
 		h, _ := codeletfft.PlanCacheStats()
 		return float64(h)
 	})
-	cfg.Registry.GaugeFunc("plan_cache_misses_total", func() float64 {
+	reg.GaugeFunc("plan_cache_misses_total", func() float64 {
 		_, m := codeletfft.PlanCacheStats()
 		return float64(m)
 	})
@@ -335,7 +330,8 @@ func New(cfg Config) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry returns the server's metrics registry.
+// Registry returns the server's metrics registry, which the daemon
+// publishes at /metrics and through expvar.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -191,11 +191,11 @@ func (s *Server) lookupSession(id uint64) *workerSession {
 	now := time.Now()
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	if now.Sub(s.lastSessGC) > s.cfg.SessionTTL/4 {
+	if now.Sub(s.lastSessGC) > s.cfg.sessionTTL/4 {
 		s.gcSessionsLocked(now)
 	}
 	if e, ok := s.sessions[id]; ok {
-		if now.Sub(e.lastUsed) > s.cfg.SessionTTL {
+		if now.Sub(e.lastUsed) > s.cfg.sessionTTL {
 			delete(s.sessions, id)
 			e.sess.release()
 			s.m.sessExpired.Inc()
@@ -214,11 +214,11 @@ type sessEntry struct {
 	lastUsed time.Time
 }
 
-// gcSessionsLocked reaps sessions idle past SessionTTL. Caller holds
+// gcSessionsLocked reaps sessions idle past sessionTTL. Caller holds
 // sessMu.
 func (s *Server) gcSessionsLocked(now time.Time) {
 	for id, e := range s.sessions {
-		if now.Sub(e.lastUsed) > s.cfg.SessionTTL {
+		if now.Sub(e.lastUsed) > s.cfg.sessionTTL {
 			delete(s.sessions, id)
 			e.sess.release()
 			s.m.sessExpired.Inc()

@@ -455,7 +455,7 @@ func TestSessionRowsRequestIsHeaderOnly(t *testing.T) {
 // TestSessionExpiry checks the worker GC: a session idle past the TTL
 // is reaped and later frames 404.
 func TestSessionExpiry(t *testing.T) {
-	s := New(Config{EnableShard: true, SessionTTL: time.Nanosecond})
+	s := New(Config{EnableShard: true, sessionTTL: time.Nanosecond})
 	h := s.Handler()
 	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
 	if code, body := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: 5, Spec: &spec}); code != http.StatusOK {

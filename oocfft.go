@@ -21,22 +21,10 @@ func OOCSpillDir(dir string) OOCOption { return ooc.WithSpillDir(dir) }
 
 // OOCMemoryBudget bounds the plan's resident staging buffers and
 // compute-kernel tables to about b bytes (default 256 MiB); the tile
-// height is derived from it.
+// height is derived from it. A tile's FFTs are split over the
+// process's worker pool, and the staging I/O runs on goroutines of its
+// own, so a blocked read or write never occupies a pool worker.
 func OOCMemoryBudget(b int64) OOCOption { return ooc.WithMemoryBudget(b) }
-
-// OOCTileVecs pins the tile height (vectors staged per tile, a power
-// of two) instead of deriving it from the memory budget.
-func OOCTileVecs(v int) OOCOption { return ooc.WithTileVecs(v) }
-
-// OOCWorkers sets how many ways a tile's FFTs are split over the
-// process's worker pool (default GOMAXPROCS) — the same meaning as
-// WithWorkers. The staging I/O has its own goroutines (OOCIOWorkers):
-// a blocked read or write never occupies a pool worker.
-func OOCWorkers(n int) OOCOption { return ooc.WithWorkers(n) }
-
-// OOCIOWorkers sets the staging goroutines per pipeline stage
-// (default 4).
-func OOCIOWorkers(n int) OOCOption { return ooc.WithIOWorkers(n) }
 
 // OOCPlan computes transforms too large for RAM by staging a four-step
 // decomposition through a file-backed spill store under a fixed memory
@@ -75,7 +63,7 @@ func (o *OOCPlan) N() int { return o.p.N() }
 func (o *OOCPlan) Factors() (n1, n2 int) { return o.p.Factors() }
 
 // TileVecs returns the vectors staged per tile in the column and row
-// phases — the knob the memory budget resolves.
+// phases, as the memory budget resolved them.
 func (o *OOCPlan) TileVecs() (s2, s1 int) { return o.p.TileVecs() }
 
 // SpillBytes returns the on-disk footprint of one transform's spill

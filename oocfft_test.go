@@ -14,6 +14,33 @@ import (
 	"codeletfft/internal/fft"
 )
 
+// oocTileBudget returns the smallest memory budget under which an
+// n-point plan stages s-vector tiles: the budget is what sets the tile
+// height, so a test that wants small tiles asks for a small budget.
+func oocTileBudget(t *testing.T, n, s int) int64 {
+	t.Helper()
+	tile := func(b int64) int {
+		p, err := codeletfft.NewOOCPlan(n, codeletfft.OOCMemoryBudget(b))
+		if err != nil {
+			return 0
+		}
+		s2, _ := p.TileVecs()
+		return s2
+	}
+	lo, hi := int64(0), int64(256<<20) // tile(lo) < s ≤ tile(hi)
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; tile(mid) >= s {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if got := tile(hi); got != s {
+		t.Fatalf("N=%d: no budget stages %d-vector tiles (the smallest with at least %d stages %d)", n, s, s, got)
+	}
+	return hi
+}
+
 // TestOOCPlanBitwiseVsFourStep pins the facade's core contract: the
 // out-of-core plan reproduces the in-core four-step bit for bit at
 // co-runnable sizes, in both directions.
@@ -29,9 +56,10 @@ func TestOOCPlanBitwiseVsFourStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	budget := oocTileBudget(t, n, 8)
 	for _, inverse := range []bool{false, true} {
 		p, err := codeletfft.NewOOCPlan(n,
-			codeletfft.OOCTileVecs(8),
+			codeletfft.OOCMemoryBudget(budget),
 			codeletfft.OOCSpillDir(t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
@@ -98,9 +126,7 @@ func TestOOCPlanFileAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	p, err := codeletfft.NewOOCPlan(n,
 		codeletfft.OOCSpillDir(dir),
-		codeletfft.OOCTileVecs(4),
-		codeletfft.OOCIOWorkers(2),
-		codeletfft.OOCWorkers(2))
+		codeletfft.OOCMemoryBudget(oocTileBudget(t, n, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
