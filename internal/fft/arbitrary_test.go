@@ -8,6 +8,7 @@ package fft_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -249,10 +250,12 @@ func TestFactor(t *testing.T) {
 
 // TestMixedPlanInvariants checks the structural invariants every
 // mixed-radix plan must satisfy: the stage radices multiply back to N,
-// each stage covers the whole vector, and the twiddle tables have the
-// documented (R−1)·M layout.
+// each stage covers the whole vector, the twiddle tables have the
+// documented (R−1)·M layout, and the inverse has the forward's passes
+// — its conjugations and 1/N ride on the first and last (N = 1 keeps
+// them as two sweeps) — and the bits of conj → forward → conj·1/N.
 func TestMixedPlanInvariants(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 60, 360, 1000, 2520, 6144} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 60, 360, 1000, 2520, 6144, 3 << 10, 49, 375} {
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			t.Fatalf("NewMixedPlan(%d): %v", n, err)
@@ -260,6 +263,32 @@ func TestMixedPlanInvariants(t *testing.T) {
 		if mp.N != n {
 			t.Fatalf("plan for %d reports N=%d", n, mp.N)
 		}
+		fwd, inv := mp.Schedule(false).Passes, mp.Schedule(true).Passes
+		wantInv := len(fwd)
+		if n == 1 {
+			wantInv = 2
+		}
+		if len(inv) != wantInv {
+			t.Fatalf("n=%d: inverse has %d passes, forward %d", n, len(inv), len(fwd))
+		}
+		x := randComplex(n, int64(n))
+		want := make([]complex128, n)
+		for i, v := range x {
+			want[i] = complex(real(v), -imag(v))
+		}
+		noErr(t, mp.Transform(want))
+		scale := 1 / float64(n)
+		for i, v := range want {
+			want[i] = complex(real(v)*scale, -imag(v)*scale)
+		}
+		noErr(t, mp.InverseTransform(x))
+		for i := range x {
+			if math.Float64bits(real(x[i])) != math.Float64bits(real(want[i])) ||
+				math.Float64bits(imag(x[i])) != math.Float64bits(imag(want[i])) {
+				t.Fatalf("n=%d: inverse[%d] = %v, conj → forward → conj·1/N gives %v", n, i, x[i], want[i])
+			}
+		}
+
 		prod := 1
 		for _, r := range mp.Radices {
 			prod *= r
@@ -384,5 +413,35 @@ func TestErrUnsupportedLengthSentinel(t *testing.T) {
 	// A mixed-radix cofactor error: 143 = 11·13.
 	if _, err := fft.NewMixedPlan(143); !errors.Is(err, fft.ErrUnsupportedLength) {
 		t.Fatalf("NewMixedPlan(143) err = %v, want ErrUnsupportedLength", err)
+	}
+}
+
+// BenchmarkMixedPlan times one serial mixed-radix transform per op,
+// forward and inverse, in ns per point. Each op first copies the same
+// input back into the array — repeated forwards would overflow, repeated
+// inverses underflow into subnormals — so a point's time includes a
+// 16-byte copy both directions pay alike.
+func BenchmarkMixedPlan(b *testing.B) {
+	for _, n := range []int{1000, 3072, 49152, 3 << 18, 1000000} {
+		mp, err := fft.NewMixedPlan(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		orig := randComplex(n, int64(n))
+		for _, dir := range []string{"fwd", "inv"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, dir), func(b *testing.B) {
+				s := mp.Schedule(dir == "inv")
+				data := make([]complex128, n)
+				st := s.Acquire(data)
+				defer st.Release()
+				b.SetBytes(16 * int64(n))
+				b.ResetTimer()
+				for range b.N {
+					copy(data, orig)
+					s.Exec(st)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+			})
+		}
 	}
 }

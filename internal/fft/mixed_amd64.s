@@ -1,0 +1,489 @@
+//go:build amd64 && !noasm
+
+#include "textflag.h"
+
+// AVX codelets for the mixed-radix Stockham stages (mixedradix.go), on
+// interleaved complex128: a YMM register holds two complex numbers as
+// (re, im, re, im). They are bit for bit the Go codelets pass2 … pass5,
+// because they repeat Go's complex arithmetic op for op, with no FMA:
+//
+//	x·w   (xr·wr − xi·wi, xi·wr + xr·wi): VMULPD by (wr, wr), VPERMILPD $5
+//	      (swap re and im), VMULPD by (wi, wi), VADDSUBPD — CMUL below.
+//	c·x   for a real constant c is Go's full complex product with a zero
+//	      imaginary part, (c·xr − 0·xi, c·xi + 0·xr): the 0·x terms are
+//	      kept (0·Inf is NaN, 0·−x is −0), so CMULK multiplies the
+//	      swapped x by a zero vector rather than dropping them.
+//	−i·x  (xi, −xr): a swap and a sign XOR, NEGI.
+//
+// Sums and products of two operands commute exactly, so only the order
+// of a subtraction and of a chain of sums is Go's to keep. A NaN may
+// carry another payload than Go's (x86 propagates the first operand's);
+// it stays a NaN. Inputs are XORed with (+0, neg) as they load when neg
+// is −0 (the inverse's leading conjugation); a nonzero scale stores
+// conj(y)·scale as (y XOR (+0, −0))·scale, conjugateScale's −yi·s.
+// Buffers need no alignment. No Go calls, no stack frame, no pointer
+// writes: //go:noescape is sound.
+
+DATA mixedNegIm<>+0(SB)/8, $0x0000000000000000
+DATA mixedNegIm<>+8(SB)/8, $0x8000000000000000
+DATA mixedNegIm<>+16(SB)/8, $0x0000000000000000
+DATA mixedNegIm<>+24(SB)/8, $0x8000000000000000
+GLOBL mixedNegIm<>(SB), RODATA|NOPTR, $32
+
+DATA mixedZero<>+0(SB)/8, $0.0
+DATA mixedZero<>+8(SB)/8, $0.0
+DATA mixedZero<>+16(SB)/8, $0.0
+DATA mixedZero<>+24(SB)/8, $0.0
+GLOBL mixedZero<>(SB), RODATA|NOPTR, $32
+
+DATA mixedHalf<>+0(SB)/8, $0.5
+DATA mixedHalf<>+8(SB)/8, $0.5
+DATA mixedHalf<>+16(SB)/8, $0.5
+DATA mixedHalf<>+24(SB)/8, $0.5
+GLOBL mixedHalf<>(SB), RODATA|NOPTR, $32
+
+// (√3/2, −√3/2): the radix-3 codelet's −i·(√3/2)·t is swap(t) times it.
+DATA mixedSqrt3<>+0(SB)/8, $0.86602540378443864676
+DATA mixedSqrt3<>+8(SB)/8, $-0.86602540378443864676
+DATA mixedSqrt3<>+16(SB)/8, $0.86602540378443864676
+DATA mixedSqrt3<>+24(SB)/8, $-0.86602540378443864676
+GLOBL mixedSqrt3<>(SB), RODATA|NOPTR, $32
+
+// cos(2π/5), cos(4π/5), sin(2π/5), sin(4π/5), one scalar each.
+DATA mixedRadix5<>+0(SB)/8, $0.30901699437494742410
+DATA mixedRadix5<>+8(SB)/8, $-0.80901699437494742410
+DATA mixedRadix5<>+16(SB)/8, $0.95105651629515357212
+DATA mixedRadix5<>+24(SB)/8, $0.58778525229247312917
+GLOBL mixedRadix5<>(SB), RODATA|NOPTR, $32
+
+// out = x·w for w = (wr, wi) broadcast as two registers; t is scratch.
+#define CMUL(x, wr, wi, t, out) \
+	VMULPD    wr, x, out; \
+	VPERMILPD $5, x, t; \
+	VMULPD    wi, t, t; \
+	VADDSUBPD t, out, out
+
+// out = c·x, Go's complex(c, 0)·x, given z = swap(x)·0.
+#define CMULK(x, c, z, out) \
+	VMULPD    c, x, out; \
+	VADDSUBPD z, out, out
+
+// x = −i·x.
+#define MULNEGI(x) \
+	VPERMILPD $5, x, x; \
+	VXORPD    Y15, x, x
+
+// x = conj(x)·s for s broadcast in sc.
+#define CONJSCALE(x, sc) \
+	VXORPD Y15, x, x; \
+	VMULPD sc, x, x
+
+// The prologue the four q-pair codelets share: DI dst, SI src, R8 tw,
+// R9 S in bytes (input row, output lane), R10 S·M in bytes (input
+// lane), DX rows left, R11 pairs per row, R12 neg's bits (nonzero: XOR
+// loads with Y14), R13 scale's bits (nonzero: scaled stores), Y15 NEGI.
+#define PAIRS_PROLOGUE \
+	MOVQ         dst+0(FP), DI; \
+	MOVQ         src+8(FP), SI; \
+	MOVQ         tw+16(FP), R8; \
+	MOVQ         s+24(FP), R9; \
+	SHLQ         $4, R9; \
+	MOVQ         sm+32(FP), R10; \
+	SHLQ         $4, R10; \
+	MOVQ         np+40(FP), DX; \
+	MOVQ         nq+48(FP), R11; \
+	MOVQ         neg+56(FP), R12; \
+	MOVQ         scale+64(FP), R13; \
+	VMOVUPD      mixedNegIm<>(SB), Y15; \
+	VBROADCASTSD neg+56(FP), Y14; \
+	VXORPD       Y0, Y0, Y0; \
+	VBLENDPD     $10, Y14, Y0, Y14
+
+// func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+//
+//	y0 = u0 + u1, y1 = (u0 − u1)·w1
+TEXT ·mixed2Asm(SB), NOSPLIT, $0-72
+	PAIRS_PROLOGUE
+
+r2_row:
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD 8(R8), Y9
+	MOVQ         R11, CX
+	XORQ         BX, BX
+
+r2_q:
+	LEAQ    (SI)(BX*1), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R10*1), Y1
+	TESTQ   R12, R12
+	JZ      r2_loaded
+	VXORPD  Y14, Y0, Y0
+	VXORPD  Y14, Y1, Y1
+
+r2_loaded:
+	VADDPD Y1, Y0, Y2
+	VSUBPD Y1, Y0, Y0
+	CMUL(Y0, Y8, Y9, Y4, Y3)
+
+	LEAQ  (DI)(BX*1), AX
+	TESTQ R13, R13
+	JZ    r2_store
+	VBROADCASTSD scale+64(FP), Y4
+	CONJSCALE(Y2, Y4)
+	CONJSCALE(Y3, Y4)
+
+r2_store:
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y3, (AX)(R9*1)
+	ADDQ    $32, BX
+	DECQ    CX
+	JNZ     r2_q
+
+	ADDQ R9, SI
+	LEAQ (DI)(R9*2), DI
+	ADDQ $16, R8
+	DECQ DX
+	JNZ  r2_row
+	VZEROUPPER
+	RET
+
+// func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+//
+//	t1 = u1 + u2, t2 = u1 − u2, m1 = u0 − 0.5·t1, m2 = −i·(√3/2)·t2
+//	y0 = u0 + t1, y1 = (m1 + m2)·w1, y2 = (m1 − m2)·w2
+TEXT ·mixed3Asm(SB), NOSPLIT, $0-72
+	PAIRS_PROLOGUE
+	VMOVUPD mixedHalf<>(SB), Y12
+	VMOVUPD mixedSqrt3<>(SB), Y13
+
+r3_row:
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD 8(R8), Y9
+	VBROADCASTSD 16(R8), Y10
+	VBROADCASTSD 24(R8), Y11
+	MOVQ         R11, CX
+	XORQ         BX, BX
+
+r3_q:
+	LEAQ    (SI)(BX*1), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R10*1), Y1
+	VMOVUPD (AX)(R10*2), Y2
+	TESTQ   R12, R12
+	JZ      r3_loaded
+	VXORPD  Y14, Y0, Y0
+	VXORPD  Y14, Y1, Y1
+	VXORPD  Y14, Y2, Y2
+
+r3_loaded:
+	VADDPD    Y2, Y1, Y3 // t1
+	VSUBPD    Y2, Y1, Y1 // t2
+	VADDPD    Y3, Y0, Y2 // y0
+	VPERMILPD $5, Y3, Y5
+	VMULPD    mixedZero<>(SB), Y5, Y5
+	CMULK(Y3, Y12, Y5, Y4) // 0.5·t1
+	VSUBPD    Y4, Y0, Y0   // m1
+	VPERMILPD $5, Y1, Y1
+	VMULPD    Y13, Y1, Y1  // m2
+	VADDPD    Y1, Y0, Y3   // m1 + m2
+	VSUBPD    Y1, Y0, Y0   // m1 − m2
+	CMUL(Y3, Y8, Y9, Y5, Y4)
+	CMUL(Y0, Y10, Y11, Y5, Y6)
+
+	LEAQ  (DI)(BX*1), AX
+	TESTQ R13, R13
+	JZ    r3_store
+	VBROADCASTSD scale+64(FP), Y7
+	CONJSCALE(Y2, Y7)
+	CONJSCALE(Y4, Y7)
+	CONJSCALE(Y6, Y7)
+
+r3_store:
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y4, (AX)(R9*1)
+	VMOVUPD Y6, (AX)(R9*2)
+	ADDQ    $32, BX
+	DECQ    CX
+	JNZ     r3_q
+
+	ADDQ R9, SI
+	LEAQ (DI)(R9*2), DI
+	ADDQ R9, DI
+	ADDQ $32, R8
+	DECQ DX
+	JNZ  r3_row
+	VZEROUPPER
+	RET
+
+// The radix-4 butterfly on u0..u3 in Y0..Y3, twiddles w1..w3 in
+// (Y8, Y9), (Y10, Y11), (Y12, Y13); y0..y3 land in Y2, Y5, Y6, Y7.
+//
+//	t0 = u0 + u2, t1 = u0 − u2, t2 = u1 + u3, t3 = u1 − u3
+//	y0 = t0 + t2, y1 = (t1 − i·t3)·w1, y2 = (t0 − t2)·w2, y3 = (t1 + i·t3)·w3
+#define BFLY4 \
+	VADDPD Y2, Y0, Y4; \
+	VSUBPD Y2, Y0, Y0; \
+	VADDPD Y3, Y1, Y5; \
+	VSUBPD Y3, Y1, Y1; \
+	MULNEGI(Y1); \
+	VADDPD Y5, Y4, Y2; \
+	VSUBPD Y5, Y4, Y4; \
+	VADDPD Y1, Y0, Y3; \
+	VSUBPD Y1, Y0, Y0; \
+	CMUL(Y3, Y8, Y9, Y6, Y5); \
+	CMUL(Y4, Y10, Y11, Y7, Y6); \
+	CMUL(Y0, Y12, Y13, Y1, Y7)
+
+// func mixed4Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+TEXT ·mixed4Asm(SB), NOSPLIT, $0-72
+	PAIRS_PROLOGUE
+
+r4_row:
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD 8(R8), Y9
+	VBROADCASTSD 16(R8), Y10
+	VBROADCASTSD 24(R8), Y11
+	VBROADCASTSD 32(R8), Y12
+	VBROADCASTSD 40(R8), Y13
+	MOVQ         R11, CX
+	XORQ         BX, BX
+
+r4_q:
+	LEAQ    (SI)(BX*1), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R10*1), Y1
+	VMOVUPD (AX)(R10*2), Y2
+	ADDQ    R10, AX
+	VMOVUPD (AX)(R10*2), Y3
+	TESTQ   R12, R12
+	JZ      r4_loaded
+	VXORPD  Y14, Y0, Y0
+	VXORPD  Y14, Y1, Y1
+	VXORPD  Y14, Y2, Y2
+	VXORPD  Y14, Y3, Y3
+
+r4_loaded:
+	BFLY4
+
+	LEAQ  (DI)(BX*1), AX
+	TESTQ R13, R13
+	JZ    r4_store
+	VBROADCASTSD scale+64(FP), Y1
+	CONJSCALE(Y2, Y1)
+	CONJSCALE(Y5, Y1)
+	CONJSCALE(Y6, Y1)
+	CONJSCALE(Y7, Y1)
+
+r4_store:
+	VMOVUPD Y2, (AX)
+	VMOVUPD Y5, (AX)(R9*1)
+	VMOVUPD Y6, (AX)(R9*2)
+	ADDQ    R9, AX
+	VMOVUPD Y7, (AX)(R9*2)
+	ADDQ    $32, BX
+	DECQ    CX
+	JNZ     r4_q
+
+	ADDQ R9, SI
+	LEAQ (DI)(R9*4), DI
+	ADDQ $48, R8
+	DECQ DX
+	JNZ  r4_row
+	VZEROUPPER
+	RET
+
+// func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64)
+//
+// The S = 1 radix-4 stage, two p per iteration: lane 0 of a register
+// holds p, lane 1 p + 1. Each lane's twiddle w_d = tw[3p + d − 1] is
+// loaded as (w_d(p), w_d(p+1)) and split into its real and imaginary
+// parts; the outputs y0..y3 of p and of p + 1 are consecutive, so the
+// four result registers are stored as two 2×2 transposes of 128-bit
+// halves.
+TEXT ·mixed4PairsAsm(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         tw+16(FP), R8
+	MOVQ         m+24(FP), R10
+	SHLQ         $4, R10
+	MOVQ         np+32(FP), CX
+	MOVQ         neg+40(FP), R12
+	MOVQ         scale+48(FP), R13
+	VMOVUPD      mixedNegIm<>(SB), Y15
+	VBROADCASTSD neg+40(FP), Y14
+	VXORPD       Y0, Y0, Y0
+	VBLENDPD     $10, Y14, Y0, Y14
+
+r4p_loop:
+	VMOVUPD     (R8), X9
+	VINSERTF128 $1, 48(R8), Y9, Y9
+	VMOVDDUP    Y9, Y8
+	VPERMILPD   $15, Y9, Y9
+	VMOVUPD     16(R8), X11
+	VINSERTF128 $1, 64(R8), Y11, Y11
+	VMOVDDUP    Y11, Y10
+	VPERMILPD   $15, Y11, Y11
+	VMOVUPD     32(R8), X13
+	VINSERTF128 $1, 80(R8), Y13, Y13
+	VMOVDDUP    Y13, Y12
+	VPERMILPD   $15, Y13, Y13
+
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R10*1), Y1
+	VMOVUPD (SI)(R10*2), Y2
+	LEAQ    (SI)(R10*2), AX
+	VMOVUPD (AX)(R10*1), Y3
+	TESTQ   R12, R12
+	JZ      r4p_loaded
+	VXORPD  Y14, Y0, Y0
+	VXORPD  Y14, Y1, Y1
+	VXORPD  Y14, Y2, Y2
+	VXORPD  Y14, Y3, Y3
+
+r4p_loaded:
+	BFLY4
+
+	TESTQ R13, R13
+	JZ    r4p_store
+	VBROADCASTSD scale+48(FP), Y1
+	CONJSCALE(Y2, Y1)
+	CONJSCALE(Y5, Y1)
+	CONJSCALE(Y6, Y1)
+	CONJSCALE(Y7, Y1)
+
+r4p_store:
+	VPERM2F128 $0x20, Y5, Y2, Y0 // y0(p), y1(p)
+	VPERM2F128 $0x20, Y7, Y6, Y1 // y2(p), y3(p)
+	VPERM2F128 $0x31, Y5, Y2, Y3 // y0(p+1), y1(p+1)
+	VPERM2F128 $0x31, Y7, Y6, Y4 // y2(p+1), y3(p+1)
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, 32(DI)
+	VMOVUPD    Y3, 64(DI)
+	VMOVUPD    Y4, 96(DI)
+
+	ADDQ $32, SI
+	ADDQ $128, DI
+	ADDQ $96, R8
+	DECQ CX
+	JNZ  r4p_loop
+	VZEROUPPER
+	RET
+
+// func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+//
+//	t1 = u1 + u4, t2 = u2 + u3, t3 = u1 − u4, t4 = u2 − u3
+//	m1 = u0 + c1·t1 + c2·t2, m2 = u0 + c2·t1 + c1·t2
+//	a = s1·t3 + s2·t4, b = s2·t3 − s1·t4, m3 = −i·a, m4 = −i·b
+//	y0 = u0 + t1 + t2, y1 = (m1 + m3)·w1, y2 = (m2 + m4)·w2,
+//	y3 = (m2 − m4)·w3, y4 = (m1 − m3)·w4
+//
+// with c1, c2 = cos(2π/5), cos(4π/5) and s1, s2 = sin(2π/5), sin(4π/5)
+// in Y8..Y11 and zero in Y12; the twiddles are broadcast from memory as
+// each is used.
+TEXT ·mixed5Asm(SB), NOSPLIT, $0-72
+	PAIRS_PROLOGUE
+	VBROADCASTSD mixedRadix5<>+0(SB), Y8
+	VBROADCASTSD mixedRadix5<>+8(SB), Y9
+	VBROADCASTSD mixedRadix5<>+16(SB), Y10
+	VBROADCASTSD mixedRadix5<>+24(SB), Y11
+	VXORPD       Y12, Y12, Y12
+
+r5_row:
+	MOVQ R11, CX
+	XORQ BX, BX
+
+r5_q:
+	LEAQ    (SI)(BX*1), AX
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R10*1), Y1
+	VMOVUPD (AX)(R10*2), Y2
+	ADDQ    R10, AX
+	VMOVUPD (AX)(R10*2), Y3
+	ADDQ    R10, AX
+	VMOVUPD (AX)(R10*2), Y4
+	TESTQ   R12, R12
+	JZ      r5_loaded
+	VXORPD  Y14, Y0, Y0
+	VXORPD  Y14, Y1, Y1
+	VXORPD  Y14, Y2, Y2
+	VXORPD  Y14, Y3, Y3
+	VXORPD  Y14, Y4, Y4
+
+r5_loaded:
+	VADDPD    Y4, Y1, Y5 // t1
+	VSUBPD    Y4, Y1, Y1 // t3
+	VADDPD    Y3, Y2, Y4 // t2
+	VSUBPD    Y3, Y2, Y2 // t4
+	VADDPD    Y5, Y0, Y13
+	VADDPD    Y4, Y13, Y13 // y0 = u0 + t1 + t2
+	VPERMILPD $5, Y5, Y3
+	VMULPD    Y12, Y3, Y3 // swap(t1)·0
+	CMULK(Y5, Y8, Y3, Y6)
+	CMULK(Y5, Y9, Y3, Y7)
+	VADDPD    Y6, Y0, Y6 // u0 + c1·t1
+	VADDPD    Y7, Y0, Y7 // u0 + c2·t1
+	VPERMILPD $5, Y4, Y3
+	VMULPD    Y12, Y3, Y3 // swap(t2)·0
+	CMULK(Y4, Y9, Y3, Y5)
+	VADDPD    Y5, Y6, Y6 // m1
+	CMULK(Y4, Y8, Y3, Y5)
+	VADDPD    Y5, Y7, Y7 // m2
+	VPERMILPD $5, Y1, Y3
+	VMULPD    Y12, Y3, Y3 // swap(t3)·0
+	VPERMILPD $5, Y2, Y4
+	VMULPD    Y12, Y4, Y4 // swap(t4)·0
+	CMULK(Y1, Y10, Y3, Y0)
+	CMULK(Y2, Y11, Y4, Y5)
+	VADDPD    Y5, Y0, Y0 // a
+	CMULK(Y1, Y11, Y3, Y5)
+	CMULK(Y2, Y10, Y4, Y1)
+	VSUBPD    Y1, Y5, Y5 // b
+	MULNEGI(Y0)          // m3
+	MULNEGI(Y5)          // m4
+	VADDPD    Y0, Y6, Y1 // m1 + m3
+	VSUBPD    Y0, Y6, Y6 // m1 − m3
+	VADDPD    Y5, Y7, Y2 // m2 + m4
+	VSUBPD    Y5, Y7, Y7 // m2 − m4
+	VBROADCASTSD (R8), Y3
+	VBROADCASTSD 8(R8), Y4
+	CMUL(Y1, Y3, Y4, Y5, Y0) // y1
+	VBROADCASTSD 16(R8), Y3
+	VBROADCASTSD 24(R8), Y4
+	CMUL(Y2, Y3, Y4, Y5, Y1) // y2
+	VBROADCASTSD 32(R8), Y3
+	VBROADCASTSD 40(R8), Y4
+	CMUL(Y7, Y3, Y4, Y5, Y2) // y3
+	VBROADCASTSD 48(R8), Y3
+	VBROADCASTSD 56(R8), Y4
+	CMUL(Y6, Y3, Y4, Y7, Y5) // y4
+
+	LEAQ  (DI)(BX*1), AX
+	TESTQ R13, R13
+	JZ    r5_store
+	VBROADCASTSD scale+64(FP), Y3
+	CONJSCALE(Y13, Y3)
+	CONJSCALE(Y0, Y3)
+	CONJSCALE(Y1, Y3)
+	CONJSCALE(Y2, Y3)
+	CONJSCALE(Y5, Y3)
+
+r5_store:
+	VMOVUPD Y13, (AX)
+	VMOVUPD Y0, (AX)(R9*1)
+	VMOVUPD Y1, (AX)(R9*2)
+	ADDQ    R9, AX
+	VMOVUPD Y2, (AX)(R9*2)
+	ADDQ    R9, AX
+	VMOVUPD Y5, (AX)(R9*2)
+	ADDQ    $32, BX
+	DECQ    CX
+	JNZ     r5_q
+
+	ADDQ R9, SI
+	LEAQ (DI)(R9*4), DI
+	ADDQ R9, DI
+	ADDQ $64, R8
+	DECQ DX
+	JNZ  r5_row
+	VZEROUPPER
+	RET

@@ -21,7 +21,8 @@
 // pairwise-disjoint elements and are arithmetically self-contained, so
 // a stage shards across workers with bitwise-identical output to the
 // serial pass (internal/host leans on this exactly as it does for the
-// staged power-of-two plan).
+// staged power-of-two plan). On amd64 the radix-2…5 butterflies run as
+// AVX codelets (mixed_amd64.s) that give the Go codelets' bits.
 package fft
 
 import (
@@ -193,9 +194,9 @@ func (mp *MixedPlan) String() string {
 
 // Schedule returns the plan's pass list for the forward or inverse
 // transform: one pass per Stockham stage, ping-ponging between the
-// caller's array and the work buffer, a copy-back pass when the stage
-// count is odd, and the conjugation identity's two sweeps around it all
-// for the inverse.
+// caller's array and the work buffer, and a copy-back pass when the
+// stage count is odd. The inverse has exactly these passes: the
+// conjugation identity rides on them (see buildSchedules).
 func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
 	if inverse {
 		return mp.inv
@@ -204,6 +205,26 @@ func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
 }
 
 func (mp *MixedPlan) buildSchedules() {
+	mp.fwd = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: mp.passes(false), work: mp.N}
+	mp.inv = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: mp.passes(true), work: mp.N}
+}
+
+// passes builds the stage passes of one direction. The inverse's
+// conjugation identity conj(DFT(conj(x)))/N costs no pass of its own:
+// the first stage conjugates what it loads, and the last pass — the
+// last stage when the stage count is even, the copy-back when it is
+// odd — stores conj(y)·(1/N). Both are bit for bit the unfused
+// conj → stages → conj·1/N composition. N = 1 has no stage to carry
+// them and keeps the two sweeps.
+func (mp *MixedPlan) passes(inverse bool) []Pass {
+	n := len(mp.Stages)
+	if n == 0 {
+		if inverse {
+			return inverted(nil, onData, mp.N)
+		}
+		return nil
+	}
+	scale := 1 / float64(mp.N)
 	var ps []Pass
 	for i := range mp.Stages {
 		st := &mp.Stages[i]
@@ -211,13 +232,23 @@ func (mp *MixedPlan) buildSchedules() {
 		if i%2 == 1 {
 			src, dst = dst, src
 		}
-		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.Pass(src(s), dst(s), lo, hi) }})
+		var e stageEdge
+		if inverse {
+			e.conj = i == 0
+			if i == n-1 && n%2 == 0 {
+				e.scale = scale
+			}
+		}
+		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }})
 	}
-	if len(mp.Stages)%2 == 1 {
-		ps = append(ps, Pass{PassStageMixed, mp.N, func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }})
+	if n%2 == 1 {
+		back := func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }
+		if inverse {
+			back = func(s *State, lo, hi int) { conjugateScale(s.Data[lo:hi], s.Work[lo:hi], scale) }
+		}
+		ps = append(ps, Pass{PassStageMixed, mp.N, back})
 	}
-	mp.fwd = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: ps, work: mp.N}
-	mp.inv = &Schedule{N: mp.N, Stage: PassStageMixed, Passes: inverted(ps, onData, mp.N), work: mp.N}
+	return ps
 }
 
 // Transform applies the forward DFT in place, serially. A wrong-length
@@ -244,140 +275,211 @@ func (mp *MixedPlan) TransformWith(data, work []complex128) {
 	st.Release()
 }
 
-// Pass executes butterfly units [ulo, uhi) of the stage, reading src
-// and writing dst (disjoint slices of length ≥ the plan's N). Unit u
-// decomposes as p = u/S, q = u mod S; the iteration groups units by p
-// so each twiddle vector is loaded once. Any [ulo, uhi) partition of
-// [0, Units()) produces output bitwise identical to the full-range
-// serial pass — the determinism contract the parallel engine shards on.
-func (st *MixedStage) Pass(src, dst []complex128, ulo, uhi int) {
+// stageEdge is what the inverse adds to a stage at its edges: with conj
+// set every input is conjugated as it is loaded (the first stage), with
+// scale nonzero every output is stored as conj(y)·scale (the last).
+type stageEdge struct {
+	conj  bool
+	scale float64
+}
+
+// run executes butterfly units [ulo, uhi) of the stage, reading src and
+// writing dst (disjoint slices of length ≥ the plan's N), with the
+// inverse's edges e. Unit u decomposes as p = u/S, q = u mod S. The
+// range is cut into at most three rectangles of units — a partial row
+// of q, whole rows, a partial row — and each goes to the vector
+// codelets (mixed_amd64.go), which take what their vector shape covers:
+// pairs of q when S ≥ 2, pairs of p when S = 1. The Go codelets run what
+// is left. Which codelet computes a unit depends on the range; its bits
+// do not, because the vector codelets repeat the Go codelets' arithmetic
+// op for op. So any [ulo, uhi) partition of [0, Units()) produces output
+// bitwise identical to the full-range serial pass — the determinism
+// contract the parallel engine shards on.
+func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
 	s := st.S
 	for u := ulo; u < uhi; {
-		p := u / s
-		q0 := u - p*s
-		q1 := s
-		if left := uhi - u; left < q1-q0 {
-			q1 = q0 + left
+		p0, q0 := u/s, u%s
+		p1, q1 := p0+1, min(s, q0+uhi-u)
+		if q0 == 0 && uhi-u >= s {
+			p1, q1 = p0+(uhi-u)/s, s
 		}
-		switch st.R {
-		case 2:
-			st.pass2(src, dst, p, q0, q1)
-		case 3:
-			st.pass3(src, dst, p, q0, q1)
-		case 4:
-			st.pass4(src, dst, p, q0, q1)
-		case 5:
-			st.pass5(src, dst, p, q0, q1)
-		default:
-			st.pass7(src, dst, p, q0, q1)
+		u = s*(p1-1) + q1 // the unit after the rectangle's last
+		p, q := st.vec(dst, src, p0, p1, q0, q1, e)
+		if p < p1 && q < q1 {
+			st.scalar(dst, src, p, p1, q, q1, e)
 		}
-		u += q1 - q0
 	}
 }
 
-func (st *MixedStage) pass2(src, dst []complex128, p, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
-	w1 := st.Tw[p]
-	in, out := s*p, 2*s*p
-	for q := q0; q < q1; q++ {
-		u0 := src[in+q]
-		u1 := src[in+q+sm]
-		dst[out+q] = u0 + u1
-		dst[out+q+s] = (u0 - u1) * w1
+// scalar runs units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through the Go
+// codelets. The inverse's edges are sweeps over the rectangle's own
+// elements around them: its inputs conjugated in place before (as
+// conj·1, which is exact; no other unit reads them, and the first
+// stage's src is the caller's array, which the transform overwrites
+// anyway), its outputs conj·scaled after.
+func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) {
+	if e.conj {
+		st.sweep(src, p0, p1, q0, q1, true, 1)
+	}
+	switch st.R {
+	case 2:
+		st.pass2(dst, src, p0, p1, q0, q1)
+	case 3:
+		st.pass3(dst, src, p0, p1, q0, q1)
+	case 4:
+		st.pass4(dst, src, p0, p1, q0, q1)
+	case 5:
+		st.pass5(dst, src, p0, p1, q0, q1)
+	default:
+		st.pass7(dst, src, p0, p1, q0, q1)
+	}
+	if e.scale != 0 {
+		st.sweep(dst, p0, p1, q0, q1, false, e.scale)
 	}
 }
 
-func (st *MixedStage) pass3(src, dst []complex128, p, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
-	tw := st.Tw[2*p:]
-	w1, w2 := tw[0], tw[1]
-	in, out := s*p, 3*s*p
-	for q := q0; q < q1; q++ {
-		u0 := src[in+q]
-		u1 := src[in+q+sm]
-		u2 := src[in+q+2*sm]
-		t1 := u1 + u2
-		t2 := u1 - u2
-		m1 := u0 - 0.5*t1
-		m2 := complex(sqrt3half*imag(t2), -sqrt3half*real(t2)) // -i·(√3/2)·t2
-		dst[out+q] = u0 + t1
-		dst[out+q+s] = (m1 + m2) * w1
-		dst[out+q+2*s] = (m1 - m2) * w2
+// sweep conj·scales, in place, the runs of buf the rectangle's units
+// read (in) or write: per unit R elements S·M apart at S·p + q (in), S
+// apart at R·S·p + q (out). Whole rows make one run per input lane and
+// one output run.
+func (st *MixedStage) sweep(buf []complex128, p0, p1, q0, q1 int, in bool, scale float64) {
+	s, r, n := st.S, st.R, q1-q0
+	row, lane := s, s*st.M
+	if !in {
+		row, lane = r*s, s
 	}
-}
-
-func (st *MixedStage) pass4(src, dst []complex128, p, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
-	tw := st.Tw[3*p:]
-	w1, w2, w3 := tw[0], tw[1], tw[2]
-	in, out := s*p, 4*s*p
-	for q := q0; q < q1; q++ {
-		u0 := src[in+q]
-		u1 := src[in+q+sm]
-		u2 := src[in+q+2*sm]
-		u3 := src[in+q+3*sm]
-		t0 := u0 + u2
-		t1 := u0 - u2
-		t2 := u1 + u3
-		t3 := u1 - u3
-		it3 := complex(imag(t3), -real(t3)) // -i·t3
-		dst[out+q] = t0 + t2
-		dst[out+q+s] = (t1 + it3) * w1
-		dst[out+q+2*s] = (t0 - t2) * w2
-		dst[out+q+3*s] = (t1 - it3) * w3
-	}
-}
-
-func (st *MixedStage) pass5(src, dst []complex128, p, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
-	tw := st.Tw[4*p:]
-	w1, w2, w3, w4 := tw[0], tw[1], tw[2], tw[3]
-	in, out := s*p, 5*s*p
-	for q := q0; q < q1; q++ {
-		u0 := src[in+q]
-		u1 := src[in+q+sm]
-		u2 := src[in+q+2*sm]
-		u3 := src[in+q+3*sm]
-		u4 := src[in+q+4*sm]
-		t1 := u1 + u4
-		t2 := u2 + u3
-		t3 := u1 - u4
-		t4 := u2 - u3
-		m1 := u0 + cos2pi5*t1 + cos4pi5*t2
-		m2 := u0 + cos4pi5*t1 + cos2pi5*t2
-		a := sin2pi5*t3 + sin4pi5*t4
-		b := sin4pi5*t3 - sin2pi5*t4
-		m3 := complex(imag(a), -real(a)) // -i·a
-		m4 := complex(imag(b), -real(b)) // -i·b
-		dst[out+q] = u0 + t1 + t2
-		dst[out+q+s] = (m1 + m3) * w1
-		dst[out+q+2*s] = (m2 + m4) * w2
-		dst[out+q+3*s] = (m2 - m4) * w3
-		dst[out+q+4*s] = (m1 - m3) * w4
-	}
-}
-
-func (st *MixedStage) pass7(src, dst []complex128, p, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
-	tw := st.Tw[6*p:]
-	in, out := s*p, 7*s*p
-	for q := q0; q < q1; q++ {
-		var u [7]complex128
-		for c := range u {
-			u[c] = src[in+q+c*sm]
+	if n == s {
+		n, p1 = n*(p1-p0), p0+1
+		if !in {
+			n, r = n*r, 1
 		}
-		dst[out+q] = u[0] + u[1] + u[2] + u[3] + u[4] + u[5] + u[6]
-		for d := 1; d < 7; d++ {
-			v := u[0]
-			e := 0
-			for c := 1; c < 7; c++ {
-				e += d
-				if e >= 7 {
-					e -= 7
-				}
-				v += u[c] * w7[e]
+	}
+	for p := p0; p < p1; p++ {
+		for c := 0; c < r; c++ {
+			d := buf[row*p+c*lane+q0:][:n]
+			conjugateScale(d, d, scale)
+		}
+	}
+}
+
+// The Go codelets. Each runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1)
+// of units, the twiddles of a p loaded once for its run of q. They are
+// the reference the vector codelets are tested against (mixed_test.go):
+// change one and the other must follow, op for op.
+
+func (st *MixedStage) pass2(dst, src []complex128, p0, p1, q0, q1 int) {
+	s, sm := st.S, st.S*st.M
+	for p := p0; p < p1; p++ {
+		w1 := st.Tw[p]
+		in, out := s*p, 2*s*p
+		for q := q0; q < q1; q++ {
+			u0 := src[in+q]
+			u1 := src[in+q+sm]
+			dst[out+q] = u0 + u1
+			dst[out+q+s] = (u0 - u1) * w1
+		}
+	}
+}
+
+func (st *MixedStage) pass3(dst, src []complex128, p0, p1, q0, q1 int) {
+	s, sm := st.S, st.S*st.M
+	for p := p0; p < p1; p++ {
+		tw := st.Tw[2*p:]
+		w1, w2 := tw[0], tw[1]
+		in, out := s*p, 3*s*p
+		for q := q0; q < q1; q++ {
+			u0 := src[in+q]
+			u1 := src[in+q+sm]
+			u2 := src[in+q+2*sm]
+			t1 := u1 + u2
+			t2 := u1 - u2
+			m1 := u0 - 0.5*t1
+			m2 := complex(sqrt3half*imag(t2), -sqrt3half*real(t2)) // -i·(√3/2)·t2
+			dst[out+q] = u0 + t1
+			dst[out+q+s] = (m1 + m2) * w1
+			dst[out+q+2*s] = (m1 - m2) * w2
+		}
+	}
+}
+
+func (st *MixedStage) pass4(dst, src []complex128, p0, p1, q0, q1 int) {
+	s, sm := st.S, st.S*st.M
+	for p := p0; p < p1; p++ {
+		tw := st.Tw[3*p:]
+		w1, w2, w3 := tw[0], tw[1], tw[2]
+		in, out := s*p, 4*s*p
+		for q := q0; q < q1; q++ {
+			u0 := src[in+q]
+			u1 := src[in+q+sm]
+			u2 := src[in+q+2*sm]
+			u3 := src[in+q+3*sm]
+			t0 := u0 + u2
+			t1 := u0 - u2
+			t2 := u1 + u3
+			t3 := u1 - u3
+			it3 := complex(imag(t3), -real(t3)) // -i·t3
+			dst[out+q] = t0 + t2
+			dst[out+q+s] = (t1 + it3) * w1
+			dst[out+q+2*s] = (t0 - t2) * w2
+			dst[out+q+3*s] = (t1 - it3) * w3
+		}
+	}
+}
+
+func (st *MixedStage) pass5(dst, src []complex128, p0, p1, q0, q1 int) {
+	s, sm := st.S, st.S*st.M
+	for p := p0; p < p1; p++ {
+		tw := st.Tw[4*p:]
+		w1, w2, w3, w4 := tw[0], tw[1], tw[2], tw[3]
+		in, out := s*p, 5*s*p
+		for q := q0; q < q1; q++ {
+			u0 := src[in+q]
+			u1 := src[in+q+sm]
+			u2 := src[in+q+2*sm]
+			u3 := src[in+q+3*sm]
+			u4 := src[in+q+4*sm]
+			t1 := u1 + u4
+			t2 := u2 + u3
+			t3 := u1 - u4
+			t4 := u2 - u3
+			m1 := u0 + cos2pi5*t1 + cos4pi5*t2
+			m2 := u0 + cos4pi5*t1 + cos2pi5*t2
+			a := sin2pi5*t3 + sin4pi5*t4
+			b := sin4pi5*t3 - sin2pi5*t4
+			m3 := complex(imag(a), -real(a)) // -i·a
+			m4 := complex(imag(b), -real(b)) // -i·b
+			dst[out+q] = u0 + t1 + t2
+			dst[out+q+s] = (m1 + m3) * w1
+			dst[out+q+2*s] = (m2 + m4) * w2
+			dst[out+q+3*s] = (m2 - m4) * w3
+			dst[out+q+4*s] = (m1 - m3) * w4
+		}
+	}
+}
+
+func (st *MixedStage) pass7(dst, src []complex128, p0, p1, q0, q1 int) {
+	s, sm := st.S, st.S*st.M
+	for p := p0; p < p1; p++ {
+		tw := st.Tw[6*p:]
+		in, out := s*p, 7*s*p
+		for q := q0; q < q1; q++ {
+			var u [7]complex128
+			for c := range u {
+				u[c] = src[in+q+c*sm]
 			}
-			dst[out+q+d*s] = v * tw[d-1]
+			dst[out+q] = u[0] + u[1] + u[2] + u[3] + u[4] + u[5] + u[6]
+			for d := 1; d < 7; d++ {
+				v := u[0]
+				e := 0
+				for c := 1; c < 7; c++ {
+					e += d
+					if e >= 7 {
+						e -= 7
+					}
+					v += u[c] * w7[e]
+				}
+				dst[out+q+d*s] = v * tw[d-1]
+			}
 		}
 	}
 }

@@ -167,9 +167,10 @@ func conjugate(d []complex128) {
 	}
 }
 
-func conjugateScale(d []complex128, s float64) {
-	for i, v := range d {
-		d[i] = complex(real(v)*s, -imag(v)*s)
+// conjugateScale stores conj(src[i])·s to dst[i]; dst may be src.
+func conjugateScale(dst, src []complex128, s float64) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = complex(real(v)*s, -imag(v)*s)
 	}
 }
 
@@ -182,7 +183,10 @@ func conjPass(buf operand, n int) Pass {
 
 func scalePass(buf operand, n int) Pass {
 	inv := 1 / float64(n)
-	return Pass{PassScale, n, func(st *State, lo, hi int) { conjugateScale(buf(st)[lo:hi], inv) }}
+	return Pass{PassScale, n, func(st *State, lo, hi int) {
+		d := buf(st)[lo:hi]
+		conjugateScale(d, d, inv)
+	}}
 }
 
 func inverted(forward []Pass, buf operand, n int) []Pass {

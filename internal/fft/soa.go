@@ -57,7 +57,10 @@ import (
 
 // SoAAccel names the codelet backend the SoA kernels run on in this
 // process: "avx2+fma", "neon", or "generic" (noasm build, missing CPU
-// features, or an architecture without codelets).
+// features, or an architecture without codelets). The mixed-radix
+// stages run their vector codelets on the same detection: with
+// "avx2+fma" (they use AVX only, and no FMA, to keep the Go codelets'
+// bits); on "neon" and "generic" they run the Go codelets.
 func SoAAccel() string { return soaAccel }
 
 // SoATwiddles holds the split-plane twiddle tables for one Plan:
