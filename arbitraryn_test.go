@@ -166,53 +166,68 @@ func TestMixedFacadeBitwise(t *testing.T) {
 	}
 }
 
-// TestBluesteinFacadeBitwise: the Bluestein facade path, here on the
-// radix-2 reference kernel, is bitwise-deterministic across engine
-// shapes.
+// TestBluesteinFacadeBitwise: the Bluestein facade path is
+// bitwise-deterministic across engine shapes, at 1009 (a 2048-point
+// convolution) and 65521 (2^17 points). The pinned kernel is ignored.
 func TestBluesteinFacadeBitwise(t *testing.T) {
-	const n = 1009 // prime
-	pin := codeletfft.WithKernel(codeletfft.KernelRadix2)
-	serial, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(1), pin)
-	if err != nil {
-		t.Fatalf("NewHostPlan serial: %v", err)
-	}
-	parallel, err := codeletfft.NewHostPlan(n,
-		codeletfft.WithWorkers(4), codeletfft.WithThreshold(1), pin)
-	if err != nil {
-		t.Fatalf("NewHostPlan parallel: %v", err)
-	}
-	x := noise(n, 37)
-	want := append([]complex128(nil), x...)
-	if err := serial.Transform(want); err != nil {
-		t.Fatal(err)
-	}
-	got := append([]complex128(nil), x...)
-	if err := parallel.Transform(got); err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(got, want) {
-		t.Fatal("parallel Bluestein transform differs bitwise from serial")
-	}
-	batch := [][]complex128{
-		append([]complex128(nil), x...),
-		append([]complex128(nil), x...),
-	}
-	if err := parallel.TransformBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	for r := range batch {
-		if !sameBits(batch[r], want) {
-			t.Fatalf("batched Bluestein row %d differs bitwise from serial", r)
+	for _, n := range []int{1009, 65521} { // primes
+		pin := codeletfft.WithKernel(codeletfft.KernelRadix2)
+		serial, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(1), pin)
+		if err != nil {
+			t.Fatalf("NewHostPlan serial: %v", err)
+		}
+		parallel, err := codeletfft.NewHostPlan(n,
+			codeletfft.WithWorkers(4), codeletfft.WithThreshold(1), pin)
+		if err != nil {
+			t.Fatalf("NewHostPlan parallel: %v", err)
+		}
+		x := noise(n, 37)
+		want := append([]complex128(nil), x...)
+		if err := serial.Transform(want); err != nil {
+			t.Fatal(err)
+		}
+		got := append([]complex128(nil), x...)
+		if err := parallel.Transform(got); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("%s: parallel transform differs bitwise from serial", serial.Algorithm())
+		}
+		batch := [][]complex128{
+			append([]complex128(nil), x...),
+			append([]complex128(nil), x...),
+		}
+		if err := parallel.TransformBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for r := range batch {
+			if !sameBits(batch[r], want) {
+				t.Fatalf("%s: batched row %d differs bitwise from serial", serial.Algorithm(), r)
+			}
+		}
+		if err := serial.Inverse(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := parallel.Inverse(got); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("%s: parallel inverse differs bitwise from serial", serial.Algorithm())
 		}
 	}
-	if err := serial.Inverse(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Inverse(got); err != nil {
-		t.Fatal(err)
-	}
-	if !sameBits(got, want) {
-		t.Fatal("parallel Bluestein inverse differs bitwise from serial")
+}
+
+// TestHostPlanRefusesHugeLengths: a length whose Bluestein convolution
+// would overflow an int is an ErrUnsupportedLength from both
+// constructors, not a makeslice panic.
+func TestHostPlanRefusesHugeLengths(t *testing.T) {
+	for _, n := range []int{math.MaxInt/4 + 2, math.MaxInt/2 + 2, math.MaxInt} {
+		if _, err := codeletfft.NewHostPlan(n); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
+			t.Errorf("NewHostPlan(%d) err = %v, want ErrUnsupportedLength", n, err)
+		}
+		if _, err := codeletfft.CachedHostPlan(n); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
+			t.Errorf("CachedHostPlan(%d) err = %v, want ErrUnsupportedLength", n, err)
+		}
 	}
 }
 

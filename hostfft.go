@@ -129,8 +129,8 @@ func WithObserver(obs EngineObserver) HostOption {
 // KernelSplitRadix, KernelSoARadix2, KernelSoARadix4). KernelAuto, the
 // default, is the same as pinning the kernel the rule names for the
 // plan's length (see Kernel): the two build the same plan and, cached,
-// share one cache entry. Mixed-radix plans run per-radix codelets, not
-// a kernel, and ignore it.
+// share one cache entry. Mixed-radix and Bluestein plans run per-radix
+// codelets, not a kernel, and ignore it.
 func WithKernel(k Kernel) HostOption {
 	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
@@ -150,20 +150,22 @@ func resolveOpts(kernLen int, opts []HostOption) hostOpts {
 }
 
 // complexOpts is resolveOpts for an n-point complex plan, given n's
-// radix signature: the kernel runs on n points, or on the convolution
-// length when n routes to Bluestein. A mixed-radix plan runs per-radix
-// codelets and no kernel, so its kernel is the rule's answer for n,
-// pinned or not, and plans of a length differing only in it build —
-// and, cached, share — the same core.
+// radix signature. Only a power of two runs a kernel. A mixed-radix
+// plan runs per-radix codelets, and so does a Bluestein plan's
+// convolution, so their kernel is the rule's answer for n — for
+// Bluestein, for its convolution length M — pinned or not, and plans of
+// a length differing only in it build — and, cached, share — the same
+// core.
 func complexOpts(n int, sig uint64, opts []HostOption) hostOpts {
-	switch {
-	case n >= 2 && n&(n-1) == 0:
+	if n >= 2 && n&(n-1) == 0 {
 		return resolveOpts(n, opts)
-	case sig>>63 != 0:
-		return resolveOpts(fft.BluesteinLen(n), opts)
 	}
-	o := resolveOpts(n, opts)
-	o.kern = fft.AutoKernel(n)
+	kernLen := n
+	if sig>>63 != 0 {
+		kernLen = fft.BluesteinLen(n)
+	}
+	o := resolveOpts(kernLen, opts)
+	o.kern = fft.AutoKernel(kernLen)
 	return o
 }
 
@@ -189,7 +191,8 @@ type hostCore struct {
 // clamped to the length, the rule the four-step and Bluestein plans
 // apply to their sub-transforms — lengths factoring over {2,3,5,7} get
 // the mixed-radix plan, and everything else ≥ 1 gets the Bluestein
-// fallback. Only n < 1 fails.
+// fallback. Only n < 1 and n whose Bluestein convolution length would
+// overflow an int fail.
 func newHostCore(n int, o hostOpts) (*hostCore, error) {
 	c := &hostCore{n: n, kern: o.kern}
 	if n >= 2 && n&(n-1) == 0 {
@@ -295,7 +298,8 @@ type HostPlan struct {
 // clamped to n); other lengths factoring over {2, 3, 5, 7} run the
 // mixed-radix Stockham schedule (WithKernel is ignored); and lengths
 // with larger prime factors run the Bluestein chirp-z plan, whose
-// embedded power-of-two convolution still honors WithKernel. All paths
+// embedded convolution runs the mixed-radix stages on a {2, 3, 5}-smooth
+// length near 2n (WithKernel is ignored). All paths
 // use a GOMAXPROCS parallel engine by default:
 //
 //	p, err := codeletfft.NewHostPlan(1<<20, codeletfft.WithWorkers(8))
@@ -332,7 +336,8 @@ func (h *HostPlan) N() int { return h.core.n }
 
 // Algorithm names the decomposition the length routed to: "staged" for
 // powers of two, "mixed-radix[…]" with the radix schedule, or
-// "bluestein[M=…]" with the embedded convolution length.
+// "bluestein[M=… mixed-radix[…]]" with the embedded convolution's
+// length and schedule.
 func (h *HostPlan) Algorithm() string { return h.core.algo }
 
 // Workers returns the worker count the parallel engine resolved.
@@ -340,9 +345,9 @@ func (h *HostPlan) Workers() int { return h.eng.Workers() }
 
 // Kernel returns the concrete kernel this plan runs: the one WithKernel
 // pinned, else the rule's answer for this length — for a Bluestein
-// plan, for its convolution length. A mixed-radix plan runs per-radix
-// codelets and no kernel; it reports the rule's answer for its own
-// length whatever was pinned.
+// plan, for its convolution length. Mixed-radix and Bluestein plans run
+// no kernel; they report the rule's answer for that length whatever was
+// pinned.
 func (h *HostPlan) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward FFT in place on the plan's parallel

@@ -817,7 +817,7 @@ func TestAutoKernelRule(t *testing.T) {
 	check("real 128 (half 64)", lo, realPlan(128))
 	check("real 256 (half 128)", hi, realPlan(256))
 	check("bluestein 31 (M=64)", lo, complexPlan(31))
-	check("bluestein 33 (M=128)", hi, complexPlan(33))
+	check("bluestein 67 (M=144)", hi, complexPlan(67))
 	check("2-D 256x64 (rows of 64)", lo, plan2D(256, 64))
 	check("2-D 64x128 (rows of 128)", hi, plan2D(64, 128))
 }
@@ -856,8 +856,8 @@ func TestDefaultPlanIsReproducible(t *testing.T) {
 
 // TestCachedPlanSharesCore: a default cached plan and one pinned to the
 // rule's kernel are one cache entry with one schedule, as are the
-// mixed-radix plans of a length, and a hit builds nothing but the
-// returned plan.
+// mixed-radix plans of a length and the Bluestein plans of a length,
+// and a hit builds nothing but the returned plan.
 func TestCachedPlanSharesCore(t *testing.T) {
 	const n = 1 << 11
 	pinned := codeletfft.WithKernel(fft.AutoKernel(n))
@@ -877,24 +877,26 @@ func TestCachedPlanSharesCore(t *testing.T) {
 		t.Fatal("default and pinned plan run different schedule values")
 	}
 
-	// A mixed-radix plan runs no kernel, so a pinned kernel and the
-	// default are the same entry too, and Kernel() does not depend on
-	// who built it.
-	const mixed = 1500
-	m1, err := codeletfft.CachedHostPlan(mixed, codeletfft.WithKernel(codeletfft.KernelRadix2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = codeletfft.PlanCacheLen()
-	m2, err := codeletfft.CachedHostPlan(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(m1) != codeletfft.ForwardSchedule(m2) {
-		t.Fatalf("mixed-radix plans differing in the ignored kernel do not share a core (cache %d -> %d)", before, got)
-	}
-	if want := fft.AutoKernel(mixed); m1.Kernel() != want || m2.Kernel() != want {
-		t.Fatalf("mixed-radix Kernel() = %v (pinned), %v (default), want %v", m1.Kernel(), m2.Kernel(), want)
+	// A mixed-radix plan runs no kernel, and neither does a Bluestein
+	// plan, whose convolution runs the mixed-radix stages (1009: 2048
+	// points), so a pinned kernel and the default are the same entry
+	// too, and Kernel() does not depend on who built it.
+	for _, c := range []struct{ n, kernLen int }{{1500, 1500}, {1009, 2048}} {
+		m1, err := codeletfft.CachedHostPlan(c.n, codeletfft.WithKernel(codeletfft.KernelRadix2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = codeletfft.PlanCacheLen()
+		m2, err := codeletfft.CachedHostPlan(c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(m1) != codeletfft.ForwardSchedule(m2) {
+			t.Fatalf("%s plans differing in the ignored kernel do not share a core (cache %d -> %d)", m1.Algorithm(), before, got)
+		}
+		if want := fft.AutoKernel(c.kernLen); m1.Kernel() != want || m2.Kernel() != want {
+			t.Fatalf("%s Kernel() = %v (pinned), %v (default), want %v", m1.Algorithm(), m1.Kernel(), m2.Kernel(), want)
+		}
 	}
 	if raceEnabled {
 		return // instrumentation allocates

@@ -347,30 +347,6 @@ func TestRadixSignature(t *testing.T) {
 	}
 }
 
-// TestBluesteinPlanShape checks the chirp-z embedding: the convolution
-// length M is the smallest power of two ≥ 2N−1, and the plan transforms
-// prime and near-prime lengths that have no smooth factorization.
-func TestBluesteinPlanShape(t *testing.T) {
-	for _, c := range []struct{ n, m int }{
-		{2, 4}, {3, 8}, {11, 32}, {17, 64}, {127, 256}, {257, 1024},
-	} {
-		bp, err := fft.NewBluesteinPlan(c.n)
-		if err != nil {
-			t.Fatalf("NewBluesteinPlan(%d): %v", c.n, err)
-		}
-		if bp.N != c.n || bp.M != c.m {
-			t.Fatalf("NewBluesteinPlan(%d) = N=%d M=%d, want M=%d", c.n, bp.N, bp.M, c.m)
-		}
-		if len(bp.Chirp) != c.n || len(bp.BHat) != c.m {
-			t.Fatalf("n=%d: chirp/filter tables are %d/%d long, want %d/%d",
-				c.n, len(bp.Chirp), len(bp.BHat), c.n, c.m)
-		}
-	}
-	if _, err := fft.NewBluesteinPlan(0); !errors.Is(err, fft.ErrUnsupportedLength) {
-		t.Fatalf("NewBluesteinPlan(0) err = %v, want ErrUnsupportedLength", err)
-	}
-}
-
 // TestBluesteinLargePrime runs the one transform size the O(N²)
 // reference cannot reach — the prime 2^20+7 — and validates it through
 // Parseval plus a forward/inverse round trip.

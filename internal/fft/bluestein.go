@@ -1,22 +1,24 @@
 // Bluestein (chirp-z) planning: an arbitrary-N DFT as a circular
-// convolution of power-of-two length, covering the lengths the
-// mixed-radix planner cannot — anything with a prime factor outside
-// {2, 3, 5, 7}. With the chirp c[t] = exp(-iπ·t²/N), the identity
-// t·k = (t² + k² - (k-t)²)/2 rewrites the DFT as
+// convolution, covering the lengths the mixed-radix planner cannot —
+// anything with a prime factor outside {2, 3, 5, 7}. With the chirp
+// c[t] = exp(-iπ·t²/N), the identity t·k = (t² + k² - (k-t)²)/2
+// rewrites the DFT as
 //
 //	X[k] = c[k] · Σ_t (x[t]·c[t]) · conj(c[k-t])
 //
 // — a linear convolution of the chirp-premultiplied input with the
-// conjugate chirp, embedded in a circular convolution of length
-// M = 2^⌈log2(2N-1)⌉ and executed by the staged power-of-two plan's
-// passes nested on the work buffer (so the kernel family and the
-// parallel engine apply to the heavy lifting unchanged). The
+// conjugate chirp, embedded in a circular convolution of any length
+// M ≥ 2N-1. BluesteinLen picks M as the cheapest {2, 3, 5}-smooth
+// length near 2N (the next power of two among the candidates), and the
+// mixed-radix plan's vector stages run it, nested on the work buffer,
+// so the parallel engine applies to the heavy lifting unchanged. The
 // filter's spectrum is fixed per plan and precomputed once.
 package fft
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // BluesteinPlan computes N-point DFTs for any N ≥ 1 via the chirp-z
@@ -24,13 +26,11 @@ import (
 // use on distinct buffers.
 type BluesteinPlan struct {
 	N int // transform length
-	M int // convolution length: the smallest power of two ≥ max(2N-1, 2)
+	M int // convolution length: BluesteinLen(N)
 
-	// Conv is the staged M-point plan executing the embedded
-	// convolution and WConv its twiddle table; the host engine runs
-	// them with the caller's kernel choice.
-	Conv  *Plan
-	WConv []complex128
+	// Conv is the M-point mixed-radix plan whose stages execute the
+	// embedded convolution.
+	Conv *MixedPlan
 
 	// Chirp[t] = exp(-iπ·t²/N) for t ∈ [0, N) — the pre- and
 	// post-multiplier. The squared index is reduced mod 2N in integer
@@ -42,104 +42,201 @@ type BluesteinPlan struct {
 	// filter b (b[t] = conj(Chirp[t]), mirrored into b[M-t]).
 	BHat []complex128
 
-	sched schedCache // Schedule's memo
+	fwd, inv *Schedule
 }
 
+// bluesteinMaxN is the largest n BluesteinLen accepts: 2n-1 and its
+// power of two still fit an int.
+const bluesteinMaxN = 1 << (bits.UintSize - 3)
+
 // BluesteinLen returns the convolution length M of the n-point chirp-z
-// plan: the smallest power of two ≥ max(2n-1, 2).
+// plan. Let M₂ be the smallest power of two ≥ max(2n-1, 2); M is the
+// cheapest of M₂ and the multiples of 4 in [2n-1, M₂] with no prime
+// factor beyond 5, by M·len(Factor(M)), ties to the smaller. A multiple
+// of 4 starts on the vector radix-4 codelet, which alone among them
+// covers the first stage; radix 7 runs only in Go, so it is not a
+// candidate. It returns 0 for n < 1 and for n so large that M₂ would
+// overflow an int.
 func BluesteinLen(n int) int {
-	m := 2
-	for m < 2*n-1 {
-		m <<= 1
+	if n < 1 || n > bluesteinMaxN {
+		return 0
 	}
-	return m
+	lo := max(2*n-1, 2)
+	return smoothLen(lo, 1<<bits.Len(uint(lo-1)))
+}
+
+// smoothLen returns the candidate of least cost m·len(Factor(m)) among
+// m2 — a power of two ≥ lo — and the multiples of 4 in [lo, m2] with no
+// prime factor beyond 5, ties to the smaller m. It enumerates the
+// products p = 3^b·5^c and takes, for each, the least 2^a·p with a ≥ 2
+// that reaches lo: a larger a costs more in both factors. That is
+// O(log² m2) candidates, and no product beyond m2 is formed.
+func smoothLen(lo, m2 int) int {
+	best, stages := m2, (bits.TrailingZeros(uint(m2))+1)/2
+	for p5, c := 1, 0; p5 <= m2/4; p5, c = p5*5, c+1 {
+		for p, b := p5, 0; p <= m2/4; p, b = p*3, b+1 {
+			m, a := 4*p, 2
+			for m < lo {
+				m, a = 2*m, a+1
+			}
+			if m > m2 {
+				continue
+			}
+			if s := (a+1)/2 + b + c; cheaper(m, s, best, stages) {
+				best, stages = m, s
+			}
+		}
+	}
+	return best
+}
+
+// cheaper reports whether m at s stages costs less than best at bs:
+// m·s < best·bs, or equal with m < best. The products are taken in 128
+// bits, so no m an int holds overflows them.
+func cheaper(m, s, best, bs int) bool {
+	h1, l1 := bits.Mul64(uint64(m), uint64(s))
+	h2, l2 := bits.Mul64(uint64(best), uint64(bs))
+	if h1 != h2 {
+		return h1 < h2
+	}
+	return l1 < l2 || l1 == l2 && m < best
 }
 
 // NewBluesteinPlan builds the chirp-z plan for n-point transforms. It
-// errors, wrapping ErrUnsupportedLength, only for n < 1.
+// errors, wrapping ErrUnsupportedLength, for n < 1 and for n whose
+// convolution length would overflow an int.
 func NewBluesteinPlan(n int) (*BluesteinPlan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("%w: bluestein plan needs n ≥ 1, got %d", ErrUnsupportedLength, n)
-	}
 	m := BluesteinLen(n)
-	conv, err := NewPlan(m, min(64, m))
+	if m == 0 {
+		return nil, fmt.Errorf("%w: bluestein plan needs 1 ≤ n ≤ %d, got %d", ErrUnsupportedLength, bluesteinMaxN, n)
+	}
+	conv, err := NewMixedPlan(m)
 	if err != nil {
 		return nil, err
 	}
-	w := Twiddles(m)
-
-	chirp := make([]complex128, n)
+	bp := &BluesteinPlan{N: n, M: m, Conv: conv, Chirp: make([]complex128, n), BHat: make([]complex128, m)}
 	for t := 0; t < n; t++ {
 		e := int64(t) * int64(t) % int64(2*n)
 		ang := -math.Pi * float64(e) / float64(n)
-		chirp[t] = complex(math.Cos(ang), math.Sin(ang))
+		bp.Chirp[t] = complex(math.Cos(ang), math.Sin(ang))
 	}
 
-	b := make([]complex128, m)
+	b := bp.BHat
 	b[0] = 1 // conj(chirp[0])
 	for t := 1; t < n; t++ {
-		c := complex(real(chirp[t]), -imag(chirp[t]))
+		c := complex(real(bp.Chirp[t]), -imag(bp.Chirp[t]))
 		b[t] = c
 		b[m-t] = c
 	}
-	conv.Transform(b, w)
-
-	return &BluesteinPlan{N: n, M: m, Conv: conv, WConv: w, Chirp: chirp, BHat: b}, nil
+	if err := conv.Transform(b); err != nil {
+		return nil, err
+	}
+	bp.fwd, bp.inv = bp.schedule(false), bp.schedule(true)
+	return bp, nil
 }
 
-// String names the plan for logs and plan descriptions.
+// String names the plan for logs and plan descriptions, e.g.
+// "bluestein[M=562500 mixed-radix[4 3 3 5 5 5 5 5 5]]".
 func (bp *BluesteinPlan) String() string {
-	return fmt.Sprintf("bluestein[M=%d]", bp.M)
+	return fmt.Sprintf("bluestein[M=%d %v]", bp.M, bp.Conv)
 }
 
-// Schedule returns the plan's pass list under kern — the kernel of the
-// embedded convolution — for the forward or inverse transform, building
-// it on first use: chirp-premultiply and zero-pad into the work buffer,
-// the M-point forward schedule on it, the pointwise product with the
-// filter spectrum, the M-point inverse schedule, and the chirp
-// postmultiply back into the caller's array; the N-point inverse
-// brackets all of that with the conjugation identity's two sweeps.
+// Schedule returns the plan's pass list for the forward or inverse
+// transform: chirp-premultiply and zero-pad into the work buffer, the
+// M-point forward convolution stages, the pointwise product with the
+// filter spectrum, the M-point inverse stages, and the chirp
+// postmultiply back into the caller's array. The stages run per-radix
+// codelets and no kernel, so kern is ignored. The N-point inverse costs
+// no pass of its own: the premultiply conjugates what it loads and the
+// postmultiply stores conj(y)·(1/N), bit for bit the conjugation
+// identity's two sweeps around the forward passes.
 func (bp *BluesteinPlan) Schedule(kern Kernel, inverse bool) *Schedule {
-	return bp.sched.get(kern, inverse, bp.schedule)
+	if inverse {
+		return bp.inv
+	}
+	return bp.fwd
 }
 
-func (bp *BluesteinPlan) schedule(kern Kernel, inverse bool) *Schedule {
-	n, m := bp.N, bp.M
-	ps := []Pass{{PassChirp, m, func(st *State, lo, hi int) {
-		for t := lo; t < min(hi, n); t++ {
-			st.Work[t] = st.Data[t] * bp.Chirp[t]
+// schedule builds one direction. The stages ping-pong between the two
+// M-point halves of the work buffer: the forward's stages end in half k
+// (the stage count mod 2), and the inverse's, starting there, end back
+// in half 0 — no copy-back. The inner inverse's conj rides on its first
+// stage's loads, its conj·1/M on its last stage's stores. Every pass
+// sweeps at most M points, so M, not the 2M-point buffer, is the span.
+func (bp *BluesteinPlan) schedule(inverse bool) *Schedule {
+	m, mp := bp.M, bp.Conv
+	half := [2]operand{
+		func(st *State) []complex128 { return st.Work[:m] },
+		func(st *State) []complex128 { return st.Work[m:] },
+	}
+	k := len(mp.Stages) % 2
+	ps := []Pass{bp.chirpIn(half[0], inverse)}
+	ps = append(ps, mp.stages(half[0], half[1], false, 0)...)
+	ps = append(ps, bp.filter(half[k]))
+	ps = append(ps, mp.stages(half[k], half[1-k], true, 1/float64(m))...)
+	ps = append(ps, bp.chirpOut(half[0], inverse))
+	return &Schedule{N: bp.N, Stage: PassStageMixed, Passes: ps, work: 2 * m, span: m}
+}
+
+// chirpIn is the premultiply over M units: dst[t] = x[t]·Chirp[t] for
+// t < N, zero above, with x the caller's array — conjugated as it is
+// loaded for the inverse.
+func (bp *BluesteinPlan) chirpIn(dst operand, inverse bool) Pass {
+	n := bp.N
+	return Pass{PassChirp, bp.M, func(st *State, lo, hi int) {
+		w, x := dst(st), st.Data
+		if inverse {
+			for t := lo; t < min(hi, n); t++ {
+				w[t] = complex(real(x[t]), -imag(x[t])) * bp.Chirp[t]
+			}
+		} else {
+			for t := lo; t < min(hi, n); t++ {
+				w[t] = x[t] * bp.Chirp[t]
+			}
 		}
 		for t := max(lo, n); t < hi; t++ {
-			st.Work[t] = 0
+			w[t] = 0
 		}
-	}}}
-	ps = append(ps, bp.Conv.passes(bp.WConv, kern, false, onWork)...)
-	ps = append(ps, Pass{PassChirp, m, func(st *State, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			st.Work[i] *= bp.BHat[i]
-		}
-	}})
-	ps = append(ps, bp.Conv.passes(bp.WConv, kern, true, onWork)...)
-	ps = append(ps, Pass{PassChirp, n, func(st *State, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			st.Data[k] = st.Work[k] * bp.Chirp[k]
-		}
-	}})
-	if inverse {
-		ps = inverted(ps, onData, n)
-	}
-	return &Schedule{N: n, Stage: StageLabel(kern), Passes: ps, frame: bp.Conv.frameLen(kern), work: m}
+	}}
 }
 
-// Transform applies the forward DFT in place, serially, with the
-// radix-2 convolution. A wrong-length array is returned as an error
-// wrapping ErrLengthMismatch.
+// filter multiplies buf by the filter spectrum, in place.
+func (bp *BluesteinPlan) filter(buf operand) Pass {
+	return Pass{PassChirp, bp.M, func(st *State, lo, hi int) {
+		w := buf(st)
+		for i := lo; i < hi; i++ {
+			w[i] *= bp.BHat[i]
+		}
+	}}
+}
+
+// chirpOut is the postmultiply over N units: data[k] = y[k]·Chirp[k],
+// stored as conj(·)·(1/N) for the inverse.
+func (bp *BluesteinPlan) chirpOut(src operand, inverse bool) Pass {
+	scale := 1 / float64(bp.N)
+	return Pass{PassChirp, bp.N, func(st *State, lo, hi int) {
+		y, x := src(st), st.Data
+		if inverse {
+			for k := lo; k < hi; k++ {
+				v := y[k] * bp.Chirp[k]
+				x[k] = complex(real(v)*scale, -imag(v)*scale)
+			}
+			return
+		}
+		for k := lo; k < hi; k++ {
+			x[k] = y[k] * bp.Chirp[k]
+		}
+	}}
+}
+
+// Transform applies the forward DFT in place, serially. A wrong-length
+// array is returned as an error wrapping ErrLengthMismatch.
 func (bp *BluesteinPlan) Transform(data []complex128) error {
-	return bp.Schedule(KernelRadix2, false).Run(data)
+	return bp.fwd.Run(data)
 }
 
 // InverseTransform applies the inverse DFT in place via the conjugation
 // identity.
 func (bp *BluesteinPlan) InverseTransform(data []complex128) error {
-	return bp.Schedule(KernelRadix2, true).Run(data)
+	return bp.inv.Run(data)
 }

@@ -99,8 +99,9 @@ const autoSoAMin = 128
 
 // AutoKernel is the rule the facade resolves KernelAuto by when it
 // builds a plan: a pure function of n, the power-of-two length the
-// kernel runs on (the transform's own length, a real plan's N/2, a
-// Bluestein plan's convolution length, a 2-D plan's row length).
+// kernel runs on (the transform's own length, a real plan's N/2, a 2-D
+// plan's row length). A Bluestein plan runs none; the facade reports
+// the rule's answer for its convolution length.
 func AutoKernel(n int) Kernel {
 	if n >= autoSoAMin {
 		return KernelSoARadix4

@@ -225,28 +225,36 @@ func (mp *MixedPlan) passes(inverse bool) []Pass {
 		return nil
 	}
 	scale := 1 / float64(mp.N)
-	var ps []Pass
+	if n%2 == 0 && inverse {
+		return mp.stages(onData, onWork, true, scale)
+	}
+	if n%2 == 0 {
+		return mp.stages(onData, onWork, false, 0)
+	}
+	back := func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }
+	if inverse {
+		back = func(s *State, lo, hi int) { conjugateScale(s.Data[lo:hi], s.Work[lo:hi], scale) }
+	}
+	return append(mp.stages(onData, onWork, inverse, 0), Pass{PassStageMixed, mp.N, back})
+}
+
+// stages builds one pass per stage, the first reading a and writing b,
+// the next back, and so on: the result is in b when the stage count is
+// odd, in a when it is even. With conj set the first stage conjugates
+// what it loads; with scale nonzero the last stores conj(y)·scale.
+func (mp *MixedPlan) stages(a, b operand, conj bool, scale float64) []Pass {
+	ps := make([]Pass, len(mp.Stages))
 	for i := range mp.Stages {
 		st := &mp.Stages[i]
-		src, dst := onData, onWork
+		src, dst := a, b
 		if i%2 == 1 {
-			src, dst = dst, src
+			src, dst = b, a
 		}
-		var e stageEdge
-		if inverse {
-			e.conj = i == 0
-			if i == n-1 && n%2 == 0 {
-				e.scale = scale
-			}
+		e := stageEdge{conj: conj && i == 0}
+		if i == len(mp.Stages)-1 {
+			e.scale = scale
 		}
-		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }})
-	}
-	if n%2 == 1 {
-		back := func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }
-		if inverse {
-			back = func(s *State, lo, hi int) { conjugateScale(s.Data[lo:hi], s.Work[lo:hi], scale) }
-		}
-		ps = append(ps, Pass{PassStageMixed, mp.N, back})
+		ps[i] = Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }}
 	}
 	return ps
 }

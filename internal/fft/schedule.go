@@ -22,6 +22,7 @@ type Schedule struct {
 	Passes []Pass
 
 	frame, work int // SoA plane and work buffer lengths a run needs; 0 = none
+	span        int // Span when no pass sweeps the whole work buffer; 0 = max(N, work)
 }
 
 // Pass is one barrier-separated step. Units [0, Units) of a pass touch
@@ -92,9 +93,15 @@ type State struct {
 var statePool = sync.Pool{New: func() any { return new(State) }}
 
 // Span is the length of the longest array a pass of s sweeps: N, or the
-// work buffer when that is larger (Bluestein's M-point convolution). It
-// is the size an executor's serial/parallel cut should look at.
-func (s *Schedule) Span() int { return max(s.N, s.work) }
+// work buffer when that is larger — for Bluestein, whose buffer holds
+// two M-point halves, the convolution length M. It is the size an
+// executor's serial/parallel cut should look at.
+func (s *Schedule) Span() int {
+	if s.span > 0 {
+		return s.span
+	}
+	return max(s.N, s.work)
+}
 
 // Acquire returns a pooled State sized for s with Data set to data.
 func (s *Schedule) Acquire(data []complex128) *State {

@@ -69,10 +69,12 @@ func conformanceCases(t *testing.T) []confCase {
 		mp := must[*fft.MixedPlan](t)(fft.NewMixedPlan(n))
 		cases = append(cases, confCase{name: fmt.Sprintf("mixed/%d", n), sched: mp.Schedule})
 	}
-	bp := must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(1009))
-	for _, k := range []fft.Kernel{fft.KernelRadix4, fft.KernelSoARadix4} {
-		cases = append(cases, confCase{name: fmt.Sprintf("bluestein/1009/%v", k),
-			sched: func(inverse bool) *fft.Schedule { return bp.Schedule(k, inverse) }})
+	// Bluestein: the mixed-radix stages on the two halves of the work
+	// buffer, at a 2048- and a 2^17-point convolution.
+	for _, n := range []int{1009, 65521} {
+		bp := must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(n))
+		cases = append(cases, confCase{name: fmt.Sprintf("bluestein/%d", n),
+			sched: func(inverse bool) *fft.Schedule { return bp.Schedule(fft.KernelAuto, inverse) }})
 	}
 	// Real input: the split pass around a half schedule. The pass runs
 	// on the caller's goroutine either side of the executor, so the
@@ -264,7 +266,7 @@ func TestExecutionRule(t *testing.T) {
 		{"2^12", pow2(1 << 12), 0, serial},
 		{"2^13", pow2(1 << 13), 0, perRow},
 		{"bluestein 1009 (M=2048)", blue(1009), 0, serial},
-		{"bluestein 5003 (M=16384)", blue(5003), 0, perRow},
+		{"bluestein 5003 (M=10240)", blue(5003), 0, perRow},
 		{"1 x 2^12", pow2(1 << 12), 1, serial},
 		{"4 x 2^10", pow2(1 << 10), 4, serial},
 		{"4 x 2^12", pow2(1 << 12), 4, whole},

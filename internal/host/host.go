@@ -201,8 +201,9 @@ func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
 	must(e.Run(mp.Schedule(false), data))
 }
 
-// BluesteinTransform runs bp's forward schedule on data, its embedded
-// convolution under kern.
+// BluesteinTransform runs bp's forward schedule on data. Its embedded
+// convolution runs the mixed-radix stages, which run no kernel, so kern
+// is ignored.
 func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel) {
 	must(e.Run(bp.Schedule(kern, false), data))
 }

@@ -62,37 +62,38 @@ func TestMixedParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBluesteinEngineDeterministic: for a fixed kernel the Bluestein
-// path is elementwise sweeps around the engine's power-of-two
-// convolution, so a 4-worker engine must reproduce a 1-worker engine
-// bit-for-bit — and both must still be a correct DFT.
+// TestBluesteinEngineDeterministic: the Bluestein path is elementwise
+// sweeps around the engine's convolution stages, so a 4-worker engine
+// must reproduce a 1-worker engine bit-for-bit — and both must still be
+// a correct DFT — from a 24-point convolution up to a 2^17-point one
+// (65521, checked by its round trip).
 func TestBluesteinEngineDeterministic(t *testing.T) {
-	for _, n := range []int{11, 97, 499, 601} {
+	for _, n := range []int{11, 97, 499, 601, 65521} {
 		bp, err := fft.NewBluesteinPlan(n)
 		if err != nil {
 			t.Fatalf("NewBluesteinPlan(%d): %v", n, err)
 		}
 		x := mixedSignal(n, int64(n))
-		for _, kern := range []fft.Kernel{fft.KernelRadix2, fft.KernelRadix4} {
-			one := host.New(host.Config{Workers: 1, Threshold: 1})
-			ref := append([]complex128(nil), x...)
-			one.BluesteinTransform(bp, ref, kern)
+		one := host.New(host.Config{Workers: 1, Threshold: 1})
+		ref := append([]complex128(nil), x...)
+		one.BluesteinTransform(bp, ref, fft.KernelAuto)
 
+		if n <= 601 {
 			if e := fft.MaxError(ref, fft.DFT(x)); e > 1e-9*float64(n) {
-				t.Fatalf("n=%d kern=%v: engine Bluestein vs DFT error %g", n, kern, e)
+				t.Fatalf("n=%d: engine Bluestein vs DFT error %g", n, e)
 			}
+		}
 
-			four := host.New(host.Config{Workers: 4, Threshold: 1})
-			par := append([]complex128(nil), x...)
-			four.BluesteinTransform(bp, par, kern)
-			requireSameBits(t, par, ref, "bluestein forward")
+		four := host.New(host.Config{Workers: 4, Threshold: 1})
+		par := append([]complex128(nil), x...)
+		four.BluesteinTransform(bp, par, fft.KernelAuto)
+		requireSameBits(t, par, ref, bp.String()+" forward")
 
-			noErr(t, one.Run(bp.Schedule(kern, true), ref))
-			noErr(t, four.Run(bp.Schedule(kern, true), par))
-			requireSameBits(t, par, ref, "bluestein inverse")
-			if e := fft.MaxError(par, x); e > 1e-9 {
-				t.Fatalf("n=%d kern=%v: round-trip error %g", n, kern, e)
-			}
+		noErr(t, one.Run(bp.Schedule(fft.KernelAuto, true), ref))
+		noErr(t, four.Run(bp.Schedule(fft.KernelAuto, true), par))
+		requireSameBits(t, par, ref, bp.String()+" inverse")
+		if e := fft.MaxError(par, x); e > 1e-9 {
+			t.Fatalf("n=%d: round-trip error %g", n, e)
 		}
 	}
 }
