@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -41,9 +43,13 @@ func newTestCluster(t *testing.T, nWorkers int, cfg Config) (*Coordinator, *Loop
 }
 
 // newTestClusterOf is newTestCluster with the workers' own config
-// (EnableShard, MaxN and Client are the helper's) and their servers.
+// (EnableShard, MaxN and Client are the helper's) and their servers. The
+// test must leave no session open on any worker and no pooled complex
+// buffer out: a worker the coordinator fell silent on is left to its
+// idle timer, which a test ends early with reapSilent.
 func newTestClusterOf(t *testing.T, nWorkers int, cfg Config, scfg serve.Config) (*Coordinator, *Loopback, []string, []*serve.Server) {
 	t.Helper()
+	_, complexes0 := serve.PoolsOutstanding()
 	lb := NewLoopback()
 	client := &http.Client{Transport: lb}
 	addrs := make([]string, nWorkers)
@@ -57,8 +63,49 @@ func newTestClusterOf(t *testing.T, nWorkers int, cfg Config, scfg serve.Config)
 	cfg.Client = client
 	cfg.Workers = addrs
 	c := New(cfg)
-	t.Cleanup(c.Close)
+	t.Cleanup(func() {
+		c.Close()
+		for i, srv := range srvs {
+			if open := workerMetric(t, srv, "sess_open"); open != 0 {
+				t.Errorf("worker %s: %v sessions left open", addrs[i], open)
+			}
+		}
+		if _, complexes := serve.PoolsOutstanding(); complexes != complexes0 {
+			t.Errorf("%d complex buffers left out", complexes-complexes0)
+		}
+	})
 	return c, lb, addrs, srvs
+}
+
+// workerMetric reads one of srv's instruments, failing t when srv has
+// none of that name (a missing gauge must not read as 0).
+func workerMetric(t *testing.T, srv *serve.Server, name string) float64 {
+	t.Helper()
+	v, ok := srv.Registry().Snapshot()[name]
+	if !ok {
+		t.Fatalf("metric %q not in the worker's registry", name)
+	}
+	return v
+}
+
+// reapSilent ends the sessions still open on srv among those opened
+// since the id first — what srv's idle timer does sessionTTL after the
+// coordinator stopped talking to it, which a test does not wait out —
+// and returns how many it ended.
+func reapSilent(t *testing.T, srv *serve.Server, first uint64) int {
+	t.Helper()
+	open := func() int { return int(workerMetric(t, srv, "sess_open")) }
+	before := open()
+	for id := first + 1; id <= sessionIDs.Load(); id++ {
+		enc, err := serve.EncodeSessionFrame(serve.SessionFrame{Op: serve.OpSessClose, ID: id})
+		noErr(t, err)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(enc)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("close %d: status %d", id, rec.Code)
+		}
+	}
+	return before - open()
 }
 
 // noise returns a deterministic pseudo-random signal.
@@ -300,6 +347,7 @@ func TestClusterCircuitTripsOnLatePhase(t *testing.T) {
 	}
 	const n = 1 << 12
 	const rounds = 10
+	first := sessionIDs.Load()
 	for round := 0; round < rounds; round++ {
 		data := noise(n, int64(round))
 		want := singleNode(t, data)
@@ -313,8 +361,13 @@ func TestClusterCircuitTripsOnLatePhase(t *testing.T) {
 	if f := faults.Load(); f != defaultCircuitThreshold {
 		t.Errorf("victim saw %d faults, want exactly %d before the circuit opened", f, defaultCircuitThreshold)
 	}
-	if opens := srvs[0].Registry().Snapshot()["sess_opens_total"]; opens != defaultCircuitThreshold {
+	if opens := workerMetric(t, srvs[0], "sess_opens_total"); opens != defaultCircuitThreshold {
 		t.Errorf("victim was opened %v sessions, want %d and none once its circuit opened", opens, defaultCircuitThreshold)
+	}
+	// Its rows fetches never reached it and it was sent no close: each of
+	// those sessions waits for the victim's idle timer.
+	if got := reapSilent(t, srvs[0], first); got != defaultCircuitThreshold {
+		t.Errorf("the victim held %d sessions open, want one per failed fetch (%d)", got, defaultCircuitThreshold)
 	}
 	if got := c.members.EligibleCount(); got != 2 {
 		t.Errorf("EligibleCount = %d, want 2", got)
@@ -687,7 +740,7 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 		}
 		want := noise(tc.n, 17)
 		noErr(t, fs.Transform(want))
-		c, lb, addrs, _ := newTestClusterOf(t, tc.workers, Config{backoffBase: time.Microsecond, n1: tc.n1}, serve.Config{})
+		c, lb, addrs, srvs := newTestClusterOf(t, tc.workers, Config{backoffBase: time.Microsecond, n1: tc.n1}, serve.Config{})
 		lb.SessionFault = func(_ context.Context, addr string, op serve.SessionOp) error {
 			if op == tc.dieAt && addr == addrs[0] {
 				return errors.New("injected: worker died mid-transform")
@@ -695,9 +748,11 @@ func TestColumnPhaseParityAcrossPaths(t *testing.T) {
 			return nil
 		}
 		got := noise(tc.n, 17)
+		first := sessionIDs.Load()
 		if err := c.Transform(context.Background(), got); err != nil {
 			t.Fatalf("%s: Transform: %v", tc.name, err)
 		}
+		reapSilent(t, srvs[0], first)
 		wantRetries := int64(0)
 		if tc.dieAt != serve.OpSessAck {
 			wantRetries = 1

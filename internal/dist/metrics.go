@@ -9,12 +9,13 @@ import (
 
 // distMetrics names the coordinator's instruments once. The counters
 // are defined so fault-injection tests can assert exact consistency:
-// attempts counts every session RPC (open, cols, rows, close — four per
-// worker per healthy transform); errors every RPC whose failure was
-// held against an address (cancelled siblings and 429s are not);
-// retries every abandoned session attempt that was followed by
-// another; degraded every transform that ran on the coordinator's host
-// engine, and residentFall those of them that tried a session first.
+// attempts counts every session RPC (open, cols, rows — three per worker
+// per healthy transform — and an abandoned attempt's closes); errors
+// every RPC whose failure was held against an address (cancelled
+// siblings and 429s are not); retries every abandoned session attempt
+// that was followed by another; degraded every transform that ran on the
+// coordinator's host engine, and residentFall those of them that tried a
+// session first.
 type distMetrics struct {
 	reg *metrics.Registry
 

@@ -39,11 +39,14 @@
 // of their own and no write to the caller's array before the rows
 // barrier.
 //
+// A healthy transform is three RPCs per worker — open, cols, rows — and
+// the rows reply ends the worker's session, so there is no close round.
+//
 // Failure: a session that loses any RPC is abandoned — the sessions on
-// the workers that still answer are closed — and the failure is held
-// against one address (blame). The survivors' rows buffers are sized to
-// the abandoned partition, which is why the retry is a new session and
-// not a repair of the old one.
+// the workers that answered are closed (OpSessClose is the abort path
+// only) — and the failure is held against one address (blame). The
+// survivors' rows buffers are sized to the abandoned partition, which is
+// why the retry is a new session and not a repair of the old one.
 package dist
 
 import (
@@ -62,9 +65,8 @@ import (
 
 // residentWorker is one worker's slice of a resident transform.
 type residentWorker struct {
-	addr   string
-	spec   serve.SessionSpec
-	silent bool // held to blame for its own failed call: sent no close
+	addr string
+	spec serve.SessionSpec
 }
 
 // sessionIDs hands out coordinator-unique session IDs, seeded from the
@@ -77,11 +79,14 @@ func init() { sessionIDs.Store(uint64(time.Now().UnixNano())) }
 func nextSessionID() uint64 { return sessionIDs.Add(1) }
 
 // parallelWorkers runs fn once per worker concurrently; the first
-// error cancels the rest. It returns nil when every call succeeded and
-// otherwise each worker's error — the cancelled siblings' included —
-// at the worker's index. This is the RPC fan-out: every fn blocks in a
-// session call, so each gets a goroutine of its own rather than a slot
-// in the process's CPU pool.
+// error held against an address cancels the rest. An error that blames
+// nobody — a 429, a step that found a session ended — leaves the others
+// to finish, so the failure behind it is met and blamed rather than
+// cancelled. It returns nil when every call succeeded and otherwise
+// each worker's error — the cancelled siblings' included — at the
+// worker's index. This is the RPC fan-out: every fn blocks in a session
+// call, so each gets a goroutine of its own rather than a slot in the
+// process's CPU pool.
 func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx context.Context, w *residentWorker) error) []error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -93,7 +98,10 @@ func parallelWorkers(ctx context.Context, ws []*residentWorker, fn func(ctx cont
 			defer wg.Done()
 			if err := fn(ctx, w); err != nil {
 				errs[i] = err
-				cancel()
+				var be *blameError
+				if errors.As(err, &be) {
+					cancel()
+				}
 			}
 		}(i, w)
 	}
@@ -120,13 +128,15 @@ func (e *blameError) Unwrap() error { return e.err }
 // blame names the address a failed RPC to addr is held against: the
 // address that did not answer. That is addr itself — a draining
 // worker's 503 included, it is leaving — except that a worker whose
-// exchange push failed names the silent peer, and a 429 blames nobody:
-// a full session table or admission queue is back-pressure from a
-// healthy worker, to be waited out.
+// exchange push failed names the silent peer, and two answers blame
+// nobody: a 429, a full session table or admission queue, is
+// back-pressure from a healthy worker, to be waited out; a 409 is a
+// cols step that found a session ended under it, whose cause another
+// RPC of the attempt meets.
 func blame(addr string, err error) string {
 	var se *serve.StatusError
 	if errors.As(err, &se) {
-		if se.Code == http.StatusTooManyRequests {
+		if se.Code == http.StatusTooManyRequests || se.Code == http.StatusConflict {
 			return ""
 		}
 		if se.Peer != "" {
@@ -171,9 +181,10 @@ func (c *Coordinator) call(ctx context.Context, addr string, req, want serve.Ses
 
 // runSession is one attempt at the transform — the inverse one via the
 // conjugation identity when inverse is set: a fresh session over addrs,
-// open → cols → rows → close. It reports whether data holds the result;
-// if not, data is untouched, the sessions are closed and the addresses
-// the failure is held against are added to blamed.
+// open → cols → rows, and each worker's rows reply ends its session. It
+// reports whether data holds the result; if not, data is untouched, the
+// sessions on the workers that answered are closed and the addresses the
+// failure is held against are added to blamed.
 func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addrs []string, data []complex128, inverse bool, blamed map[string]bool) bool {
 	w := len(addrs)
 	ws := make([]*residentWorker, w)
@@ -205,40 +216,34 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	sid := nextSessionID()
 	ack := serve.SessionFrame{Op: serve.OpSessAck}
 
-	// closeAll closes every session, whatever became of ctx: a worker's
-	// rows buffer stays pinned until its session closes or expires. An
-	// open cancelled by a sibling's failure may have landed, and closing
-	// an unknown session is a no-op, so every worker is sent one.
-	closeAll := func() {
-		cctx := context.WithoutCancel(ctx)
-		var wg sync.WaitGroup
-		for _, rw := range ws {
-			if rw.silent {
-				continue
-			}
-			wg.Add(1)
-			go func(rw *residentWorker) { // RPC fan-out: blocks in the close call
-				defer wg.Done()
-				if c.call(cctx, rw.addr, serve.SessionFrame{Op: serve.OpSessClose, ID: sid}, ack, nil) == nil {
-					moved.Add(2 * serve.SessionHeaderLen)
-				}
-			}(rw)
-		}
-		wg.Wait()
-	}
-	// abandon gives up on the sessions after a failed phase. A worker
-	// whose own call was held against it is not sent a close: it did not
-	// answer, a stopped one would cost a second ShardTimeout, and its
-	// session, if it has one, goes with the worker's session TTL.
+	// abandon gives up on the sessions after a failed phase: it closes
+	// the session on every worker that answered, whatever became of ctx —
+	// an open cancelled by a sibling's failure may have landed, and
+	// closing an unknown session is a no-op. A worker whose own call was
+	// held against it is not sent a close: it did not answer, and a
+	// stopped one would cost a second ShardTimeout. Its session ends with
+	// the step that failed, if the frame reached it, and otherwise with
+	// the worker's idle timer.
 	abandon := func(errs []error) bool {
+		var answered []*residentWorker
 		for i, rw := range ws {
 			var be *blameError
 			if errors.As(errs[i], &be) {
 				blamed[be.addr] = true
-				rw.silent = be.addr == rw.addr
+				if be.addr == rw.addr {
+					continue
+				}
 			}
+			answered = append(answered, rw)
 		}
-		closeAll()
+		// A close that fails is no reason to stop the others: fn never
+		// returns an error, so no sibling is cancelled.
+		parallelWorkers(context.WithoutCancel(ctx), answered, func(ctx context.Context, rw *residentWorker) error {
+			if c.call(ctx, rw.addr, serve.SessionFrame{Op: serve.OpSessClose, ID: sid}, ack, nil) == nil {
+				moved.Add(2 * serve.SessionHeaderLen)
+			}
+			return nil
+		})
 		c.m.bytesMoved.Add(moved.Load())
 		return false
 	}
@@ -281,7 +286,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Phase 2: fetch each finished row block straight into its slice
-	// of the pooled rows buffer.
+	// of the pooled rows buffer. The fetch ends the worker's session.
 	rowsBuf := serve.AcquireComplex(fs.N)
 	defer serve.ReleaseComplex(rowsBuf)
 	rows := *rowsBuf
@@ -316,7 +321,6 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 			fs.UnpackRows(data[sp.RowStart:], block, sp.RowCount, inverse)
 		}
 	})
-	closeAll()
 	total := moved.Load()
 	c.m.bytesMoved.Add(total)
 	c.m.transformB.Observe(float64(total))

@@ -46,16 +46,20 @@ func TestResidentMatchesSingleNode(t *testing.T) {
 				if got := counter(t, c, "dist_degraded_total"); got != 0 {
 					t.Errorf("degraded_total = %d, want 0", got)
 				}
-				// Open, cols, rows and close per worker.
-				if got := counter(t, c, "dist_rpc_attempts_total"); got != int64(4*nw) {
-					t.Errorf("rpc_attempts_total = %d, want 4 per worker = %d", got, 4*nw)
+				// Open, cols and rows per worker: the rows reply ends the
+				// session, and there is no close round.
+				if got := counter(t, c, "dist_rpc_attempts_total"); got != int64(3*nw) {
+					t.Errorf("rpc_attempts_total = %d, want 3 per worker = %d", got, 3*nw)
 				}
-				if got := counter(t, c, "dist_rpc_seconds_count"); got != int64(4*nw) {
-					t.Errorf("rpc_seconds observations = %d, want %d", got, 4*nw)
+				if got := counter(t, c, "dist_rpc_seconds_count"); got != int64(3*nw) {
+					t.Errorf("rpc_seconds observations = %d, want %d", got, 3*nw)
+				}
+				if got := counter(t, c, "dist_sessions_total"); got != int64(nw) {
+					t.Errorf("sessions_total = %d, want one per worker = %d", got, nw)
 				}
 				for _, addr := range addrs {
-					if got := counter(t, c, "dist_worker_"+sanitizeAddr(addr)+"_rpc_seconds_count"); got != 4 {
-						t.Errorf("worker %s rpc_seconds observations = %d, want 4", addr, got)
+					if got := counter(t, c, "dist_worker_"+sanitizeAddr(addr)+"_rpc_seconds_count"); got != 3 {
+						t.Errorf("worker %s rpc_seconds observations = %d, want 3", addr, got)
 					}
 				}
 			})
@@ -123,11 +127,13 @@ func TestResidentBytesMoved(t *testing.T) {
 
 // faultRun is one transform through an nWorkers cluster with a fault on
 // worker 0, checked against everything a fault on one worker must leave
-// true: correct output computed entirely on the resident path, one
-// retry, the victim and only the victim blamed, every surviving worker's
-// session table empty, and no pooled buffer lost — the only buffers
-// still out are the rows blocks of sessions that are still open (the
-// victim's, when it was not told to close).
+// true: correct output computed entirely on the resident path, the
+// expected retries, the victim and only the victim blamed, no session
+// left open on any survivor, and no pooled buffer lost — the only
+// complex buffers still out are the rows buffers of the sessions still
+// open: at most one, on the victim, when the frame the fault stopped
+// never reached it and it was sent no close. That one waits for the
+// victim's idle timer, which reapSilent stands in for.
 func faultRun(t *testing.T, nWorkers int, inject func(lb *Loopback, victim string), wantRetries int64) {
 	t.Helper()
 	frames0, complexes0 := serve.PoolsOutstanding()
@@ -138,6 +144,7 @@ func faultRun(t *testing.T, nWorkers int, inject func(lb *Loopback, victim strin
 	const n = 1 << 12
 	data := noise(n, 31)
 	want := singleNode(t, data)
+	first := sessionIDs.Load()
 	if err := c.Transform(context.Background(), data); err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
@@ -155,15 +162,17 @@ func faultRun(t *testing.T, nWorkers int, inject func(lb *Loopback, victim strin
 		}
 	}
 	snap := c.Registry().Snapshot()
-	if snap["dist_worker_"+sanitizeAddr(victim)+"_errors_total"] == 0 {
+	if wantRetries > 0 && snap["dist_worker_"+sanitizeAddr(victim)+"_errors_total"] == 0 {
 		t.Errorf("victim %s was not blamed", victim)
 	}
 	var open int64 // sessions still open, cluster-wide
 	for i, srv := range srvs {
-		w := srv.Registry().Snapshot()
-		left := int64(w["sess_opens_total"] - w["sess_closes_total"])
+		left := int64(workerMetric(t, srv, "sess_open"))
 		open += left
 		if i == 0 {
+			if left > 1 {
+				t.Errorf("victim %s: %d sessions open, want at most the abandoned one", victim, left)
+			}
 			continue
 		}
 		if left != 0 {
@@ -178,14 +187,16 @@ func faultRun(t *testing.T, nWorkers int, inject func(lb *Loopback, victim strin
 		t.Errorf("pools out of balance: %d frames, %d complex buffers outstanding with %d sessions open",
 			frames-frames0, complexes-complexes0, open)
 	}
+	reapSilent(t, srvs[0], first)
 }
 
 // TestResidentSessionFaults kills a worker at each phase of the session
 // protocol in turn. A death before completion must cost one retry on
 // the survivors — never the coordinator's own engine; the exchange row
 // is the one that proves a worker's failed push is held against the
-// silent peer and not the pusher. A death at close must not matter (the
-// transform had already completed).
+// silent peer and not the pusher. A healthy transform sends no close at
+// all — the rows reply ends each session — so a worker that would die
+// at close never meets its fault.
 func TestResidentSessionFaults(t *testing.T) {
 	for _, tc := range []struct {
 		op          serve.SessionOp
@@ -208,10 +219,71 @@ func TestResidentSessionFaults(t *testing.T) {
 					return nil
 				}
 			}, tc.wantRetries)
-			if fired.Load() == 0 {
-				t.Fatalf("fault for %s never fired", tc.op)
+			if got, want := fired.Load() > 0, tc.op != serve.OpSessClose; got != want {
+				t.Fatalf("fault for %s fired: %v, want %v", tc.op, got, want)
 			}
 		})
+	}
+}
+
+// TestSessionColsDeadlineEndsSession: a cols request whose context ends
+// mid-step ends the worker's session with the step. Worker 0's push to
+// worker 1 stalls until the coordinator's ShardTimeout ends the cols
+// request; the coordinator blames worker 0 and sends it no close, and
+// the failed step has already returned its rows buffer.
+func TestSessionColsDeadlineEndsSession(t *testing.T) {
+	const shardTimeout = 50 * time.Millisecond
+	c, lb, addrs, srvs := newTestClusterOf(t, 2, Config{ShardTimeout: shardTimeout, backoffBase: time.Microsecond}, serve.Config{})
+	var stalled atomic.Int64
+	lb.SessionFault = func(ctx context.Context, addr string, op serve.SessionOp) error {
+		if op == serve.OpSessExchange && addr == addrs[1] {
+			stalled.Add(1)
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	}
+	const n = 1 << 12
+	data := noise(n, 81)
+	want := singleNode(t, data)
+	noErr(t, c.Transform(context.Background(), data))
+	if d := maxDiff(data, want); d > 1e-12*float64(n) {
+		t.Fatalf("output deviates by %g", d)
+	}
+	if stalled.Load() == 0 {
+		t.Fatal("no push stalled")
+	}
+	if got := counter(t, c, "dist_worker_"+sanitizeAddr(addrs[0])+"_errors_total"); got != 1 {
+		t.Errorf("worker 0 blamed %d times, want 1", got)
+	}
+	if closes, open := workerMetric(t, srvs[0], "sess_closes_total"), workerMetric(t, srvs[0], "sess_open"); closes != 0 || open != 0 {
+		t.Errorf("worker 0: %v closes, %v sessions open; want neither: its failed cols step ends the session", closes, open)
+	}
+}
+
+// TestLoopbackHopPeeksOnlyForHooks: a loopback hop with no fault hook
+// set passes the request body on unread; only a hook needs the op peeked
+// out of the frame header, and the peek's allocations (the header bytes,
+// a reader and a MultiReader) are the production path's no more.
+func TestLoopbackHopPeeksOnlyForHooks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector builds allocate in their instrumentation and drop sync.Pool puts")
+	}
+	_, lb, addrs, _ := newTestClusterOf(t, 1, Config{}, serve.Config{})
+	client := &http.Client{Transport: lb}
+	close := serve.SessionFrame{Op: serve.OpSessClose, ID: 1} // acked: no session to end
+	hop := func() {
+		if _, err := serve.PostSessionFrame(context.Background(), client, addrs[0], close, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hop()
+	free := testing.AllocsPerRun(200, hop)
+	lb.TruncateResponse = func(_ string, _ serve.SessionOp, body io.Reader) io.Reader { return body }
+	hooked := testing.AllocsPerRun(200, hop)
+	t.Logf("loopback hop: %.1f allocations with no hook, %.1f with one", free, hooked)
+	if free >= hooked {
+		t.Errorf("a hook-free hop allocates %.1f times, a hooked one %.1f: the body is still peeked", free, hooked)
 	}
 }
 
@@ -329,6 +401,7 @@ func TestResidentFaultChurn(t *testing.T) {
 		return nil
 	}
 	const n = 1 << 12
+	first := sessionIDs.Load()
 	for round := 0; round < 12; round++ {
 		if round%2 == 0 {
 			faultOp.Store(-1) // healthy round
@@ -354,18 +427,26 @@ func TestResidentFaultChurn(t *testing.T) {
 		t.Errorf("degraded_total = %d, want 0", got)
 	}
 	// Every pooled buffer is back — the loopback transport's request and
-	// response frames included — except the rows blocks of the sessions
-	// the faulted worker was not told to close.
+	// response frames included — except the rows buffers of the sessions
+	// still open: only on the faulted worker, whose frame never reached
+	// it and which was sent no close, at most one per faulted round.
 	var open int64
-	for _, srv := range srvs {
-		w := srv.Registry().Snapshot()
-		open += int64(w["sess_opens_total"] - w["sess_closes_total"])
+	for i, srv := range srvs {
+		left := int64(workerMetric(t, srv, "sess_open"))
+		if i != 1 && left != 0 {
+			t.Errorf("worker %s: %d sessions left open", addrs[i], left)
+		}
+		open += left
+	}
+	if open > 6 {
+		t.Errorf("%d sessions open after the churn, want at most one per faulted round", open)
 	}
 	frames, complexes := serve.PoolsOutstanding()
 	if frames != frames0 || complexes-complexes0 != open {
 		t.Errorf("pools out of balance after the churn: %d frames, %d complex buffers outstanding with %d sessions open",
 			frames-frames0, complexes-complexes0, open)
 	}
+	reapSilent(t, srvs[1], first)
 }
 
 // TestSessionRPCDeadline is the regression test for session RPCs
@@ -443,6 +524,37 @@ func TestBackPressureIsNotAFault(t *testing.T) {
 	}
 }
 
+// TestSessionPhaseCancelsOnBlameOnly: a phase's RPCs are cancelled by
+// the first error held against an address, and not by one that blames
+// nobody — that one is a consequence (a peer's ended session) or
+// back-pressure, and the failure behind it must still be met and blamed.
+func TestSessionPhaseCancelsOnBlameOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		err    error
+		cancel bool
+	}{
+		{"blamed", &blameError{addr: "w0", err: errors.New("down")}, true},
+		{"blames nobody", &serve.StatusError{Addr: "w0", Code: http.StatusConflict}, false},
+	} {
+		ws := []*residentWorker{{addr: "w0"}, {addr: "w1"}}
+		errs := parallelWorkers(context.Background(), ws, func(ctx context.Context, rw *residentWorker) error {
+			if rw.addr == "w0" {
+				return tc.err
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(50 * time.Millisecond):
+				return nil
+			}
+		})
+		if cancelled := errors.Is(errs[1], context.Canceled); cancelled != tc.cancel {
+			t.Errorf("%s: the sibling was cancelled: %v, want %v", tc.name, cancelled, tc.cancel)
+		}
+	}
+}
+
 // TestBlame pins the blame rule on the statuses a worker can answer.
 func TestBlame(t *testing.T) {
 	for _, tc := range []struct {
@@ -454,6 +566,7 @@ func TestBlame(t *testing.T) {
 		{"worker's own 500", &serve.StatusError{Addr: "w0", Code: http.StatusInternalServerError}, "w0"},
 		{"draining 503: it is leaving", &serve.StatusError{Addr: "w0", Code: http.StatusServiceUnavailable}, "w0"},
 		{"back-pressure 429", &serve.StatusError{Addr: "w0", Code: http.StatusTooManyRequests}, ""},
+		{"a session ended under the step: 409", &serve.StatusError{Addr: "w0", Code: http.StatusConflict}, ""},
 		{"failed push names the peer", &serve.StatusError{Addr: "w0", Code: http.StatusBadGateway, Peer: "w1"}, "w1"},
 		{"wrapped status", fmt.Errorf("open: %w", &serve.StatusError{Addr: "w0", Code: http.StatusTooManyRequests}), ""},
 	} {
@@ -486,7 +599,7 @@ func TestCounterContract(t *testing.T) {
 		want    map[string]int64
 	}{
 		{"healthy", 3, outage(0), map[string]int64{
-			"dist_rpc_attempts_total": 12, "dist_rpc_errors_total": 0, "dist_retries_total": 0,
+			"dist_rpc_attempts_total": 9, "dist_sessions_total": 3, "dist_rpc_errors_total": 0, "dist_retries_total": 0,
 			"dist_resident_ok_total": 1, "dist_resident_elems_total": n,
 			"dist_resident_fallback_total": 0, "dist_degraded_total": 0,
 		}},

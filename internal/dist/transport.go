@@ -9,12 +9,13 @@
 //
 // Each payload byte is copied once per hop: the sender's
 // serve.WriteSessionFrame streams the header and then the transform
-// buffer's own bytes into the request body, and the receiver's
-// serve.ReadSessionFrame reads them straight into the buffer the next
-// step works in — a worker's column scratch, the coordinator's rows
-// buffer. PostSessionFrame returns only once nothing reads the request's
-// buffer any more, so the caller may release it, and with no pooled
-// buffer of the hop left out.
+// buffer's own bytes into the request body, and the receiver reads them
+// straight into the buffer the next step works in — a worker's column
+// scratch (its handler reads the header, checks it against the session,
+// then the payload), the coordinator's rows buffer
+// (serve.ReadSessionReply). PostSessionFrame returns only once nothing
+// reads the request's buffer any more, so the caller may release it, and
+// with no pooled buffer of the hop left out.
 package dist
 
 import (
@@ -72,10 +73,11 @@ func (l *Loopback) Register(addr string, h http.Handler) {
 	l.handlers[addr] = h
 }
 
-// RoundTrip implements http.RoundTripper. A session frame's op is read
-// from the header at the head of its body — the bytes the handler reads
-// next — and keys the fault hooks. The request body is closed once the
-// handler has returned, or at once when the frame never reaches it.
+// RoundTrip implements http.RoundTripper. When a fault hook is set, a
+// session frame's op is read from the header at the head of its body —
+// the bytes the handler reads next — and keys the hooks; a hop with no
+// hook set passes the body on unread. The request body is closed once
+// the handler has returned, or at once when the frame never reaches it.
 func (l *Loopback) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx, addr := req.Context(), req.URL.Scheme+"://"+req.URL.Host
 	refuse := func(err error) (*http.Response, error) {
@@ -85,7 +87,7 @@ func (l *Loopback) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	body, op, session := io.Reader(req.Body), serve.SessionOp(0), false
-	if body != nil {
+	if body != nil && (l.SessionFault != nil || l.TruncateFrame != nil || l.TruncateResponse != nil) {
 		op, body, session = serve.PeekSessionOp(body)
 	}
 	if session {

@@ -52,7 +52,7 @@ const (
 )
 
 // defaultSessionTTL is how long a resident session may sit idle before
-// session traffic reaps it.
+// its own timer ends it.
 const defaultSessionTTL = 2 * time.Minute
 
 // Config tunes a Server. The zero value of every field selects the
@@ -90,8 +90,9 @@ type Config struct {
 	// a rows buffer); 0 means DefaultMaxSessions.
 	MaxSessions int
 
-	// sessionTTL expires idle resident sessions (lazy GC on session
-	// traffic); 0 means defaultSessionTTL. The package's tests set it.
+	// sessionTTL is each resident session's idle timer: a session with
+	// no frame for that long ends; 0 means defaultSessionTTL. The
+	// package's tests set it.
 	sessionTTL time.Duration
 }
 
@@ -269,11 +270,9 @@ type Server struct {
 	shapes map[batchKey][]*pending
 
 	// Resident-session table: sessions pin rows buffers between the
-	// cols and rows phases; idle entries are reaped lazily on session
-	// traffic once the session TTL passes.
-	sessMu     sync.Mutex
-	sessions   map[uint64]*sessEntry
-	lastSessGC time.Time
+	// open and the rows step, and leave it only through endSession.
+	sessMu   sync.Mutex
+	sessions map[uint64]*workerSession
 
 	// execHook, when non-nil, runs inside the isolation boundary just
 	// before the work — the test seam for panics and for parking a batch
@@ -293,7 +292,7 @@ func New(cfg Config) *Server {
 		m:        newServerMetrics(reg),
 		sem:      make(chan struct{}, cfg.QueueLimit),
 		shapes:   make(map[batchKey][]*pending),
-		sessions: make(map[uint64]*sessEntry),
+		sessions: make(map[uint64]*workerSession),
 		// JSON spells a float64 in ~25 bytes; 64·MaxN covers the worst
 		// re+im request with headroom, and the binary frame is smaller.
 		maxBody: int64(cfg.MaxN)*64 + 4096,
@@ -304,6 +303,11 @@ func New(cfg Config) *Server {
 		s.planOpts = append(s.planOpts, codeletfft.WithWorkers(cfg.Workers))
 	}
 	reg.GaugeFunc("fft_queue_depth", func() float64 { return float64(len(s.sem)) })
+	reg.GaugeFunc("sess_open", func() float64 {
+		s.sessMu.Lock()
+		defer s.sessMu.Unlock()
+		return float64(len(s.sessions))
+	})
 	reg.GaugeFunc("plan_cache_len", func() float64 { return float64(codeletfft.PlanCacheLen()) })
 	reg.GaugeFunc("plan_cache_hits_total", func() float64 {
 		h, _ := codeletfft.PlanCacheStats()

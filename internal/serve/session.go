@@ -17,12 +17,12 @@
 // vector, bit-reversed — and the rows reply leaves as split planes; only
 // the exchange between workers carries samples.
 //
-// Every hop moves a payload byte once (WriteSessionFrame on one end,
-// ReadSessionFrame on the other: sessionframe.go). Buffer ownership per
-// phase:
+// Every hop moves a payload byte once (WriteSessionFrame on one end;
+// here readSessionPayload, on the client ReadSessionReply:
+// sessionframe.go). Buffer ownership per phase:
 //
 //   - open: the session acquires the pooled rows buffer
-//     (RowCount×N2) and owns it until close/expiry;
+//     (RowCount×N2) and owns it until the session ends;
 //   - cols: the handler reads the header, checks it against the
 //     session, and only then acquires a pooled column scratch, which the
 //     payload is read into straight from the body and which it owns for
@@ -39,8 +39,17 @@
 //   - rows: each resident row is packed into the planes of its own
 //     vector of a pooled buffer, where its sweeps run
 //     (FourStepPlan.RowFrom) and from which the response streams; the
-//     handler owns that buffer until the response is written;
-//   - close: the rows buffer returns to the pool.
+//     handler owns that buffer until the response is written.
+//
+// A session has one lifecycle: open → cols (and the peers' exchanges)
+// → rows, three requests from the coordinator. colsSeen reaching N2
+// fires the rows step, and the rows step is the rows buffer's last
+// consumer, so it ends the session. Nothing else keeps a session alive:
+// endSession — out of the table, timer stopped, rows buffer back in the
+// pool — is also called by a cols or exchange step that fails (its
+// context ended included), by OpSessClose (the coordinator's abort
+// path), and by the session's own idle timer, sessionTTL after its last
+// frame, which bounds a session whose coordinator went silent.
 //
 // Neither transposition stores an element at a time: a row of the rows
 // buffer is N2·16 bytes (16 KiB at 2^20 points), and a store per row
@@ -149,6 +158,12 @@ func NewStatusError(addr string, code int, peer string, body io.Reader) *StatusE
 // coordinator blames the silent peer and not the healthy pusher.
 const PeerHeader = "X-Fft-Failed-Peer"
 
+// errSessionEnded is a cols step that found a session ended under it —
+// its own, or the peer's it pushed to (a 404). Whatever ended it is
+// reported by the request that met the failure, so this step answers
+// 409, which names nobody.
+var errSessionEnded = errors.New("session ended")
+
 // peerError is a failed exchange push to the peer at addr.
 type peerError struct {
 	addr string
@@ -161,70 +176,67 @@ func (e *peerError) Unwrap() error { return e.err }
 // workerSession is one open resident session. The mutex serializes all
 // rows-buffer access; colsSeen counts the columns already folded into
 // the buffer (own cols plus received exchanges) and reaching N2 is the
-// rows phase's readiness condition.
+// rows step's firing condition.
 type workerSession struct {
-	id   uint64
-	spec SessionSpec
-	fs   *fft.FourStepPlan // the session's N1×N2 steps
+	id    uint64
+	spec  SessionSpec
+	fs    *fft.FourStepPlan // the session's N1×N2 steps
+	timer *time.Timer       // ends the session sessionTTL after its last lookup
 
 	mu       sync.Mutex
-	rows     *[]complex128 // RowCount×N2, pooled; nil once released
+	rows     *[]complex128 // RowCount×N2, pooled; nil once the session ended
 	colsSeen int
-	rowsDone bool
 }
 
-// release returns the rows buffer to the pool. Idempotent.
-func (sess *workerSession) release() {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.rows != nil {
-		ReleaseComplex(sess.rows)
-		sess.rows = nil
-	}
-}
-
-// lookupSession fetches a session and touches its TTL clock. A session
-// idle past the TTL is reaped here rather than returned — expiry does
-// not depend on a later open's GC sweep — and the whole table is swept
-// opportunistically at most once per quarter-TTL.
+// lookupSession fetches an open session and restarts its idle timer.
 func (s *Server) lookupSession(id uint64) *workerSession {
-	now := time.Now()
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	if now.Sub(s.lastSessGC) > s.cfg.sessionTTL/4 {
-		s.gcSessionsLocked(now)
+	sess := s.sessions[id]
+	if sess != nil {
+		sess.timer.Reset(s.cfg.sessionTTL)
 	}
-	if e, ok := s.sessions[id]; ok {
-		if now.Sub(e.lastUsed) > s.cfg.sessionTTL {
-			delete(s.sessions, id)
-			e.sess.release()
-			s.m.sessExpired.Inc()
-			return nil
-		}
-		e.lastUsed = now
-		return e.sess
-	}
-	return nil
+	return sess
 }
 
-// sessEntry pairs a session with its TTL clock (touched under sessMu
-// so the GC never races the session's own mutex).
-type sessEntry struct {
-	sess     *workerSession
-	lastUsed time.Time
+// endSession ends sess: out of the table, its timer stopped, its rows
+// buffer back in the pool. It is the one way a session ends — the rows
+// reply, a close, a failed step and the idle timer all call it — and
+// only the first call for a session does anything; it reports whether
+// this call was that one.
+func (s *Server) endSession(sess *workerSession) bool {
+	s.sessMu.Lock()
+	live := s.sessions[sess.id] == sess
+	if live {
+		delete(s.sessions, sess.id)
+	}
+	s.sessMu.Unlock()
+	if !live {
+		return false
+	}
+	sess.timer.Stop()
+	sess.mu.Lock()
+	ReleaseComplex(sess.rows)
+	sess.rows = nil
+	sess.mu.Unlock()
+	return true
 }
 
-// gcSessionsLocked reaps sessions idle past sessionTTL. Caller holds
-// sessMu.
-func (s *Server) gcSessionsLocked(now time.Time) {
-	for id, e := range s.sessions {
-		if now.Sub(e.lastUsed) > s.cfg.sessionTTL {
-			delete(s.sessions, id)
-			e.sess.release()
-			s.m.sessExpired.Inc()
-		}
+// session is lookupSession for a step: a session that is not open
+// answers 404 and is nil.
+func (s *Server) session(w http.ResponseWriter, id uint64) *workerSession {
+	sess := s.lookupSession(id)
+	if sess == nil {
+		s.unknownSession(w, id)
 	}
-	s.lastSessGC = now
+	return sess
+}
+
+// unknownSession answers a frame for a session that is not open — never
+// opened, or already ended.
+func (s *Server) unknownSession(w http.ResponseWriter, id uint64) {
+	s.m.sessBad.Inc()
+	http.Error(w, fmt.Sprintf("unknown session %d", id), http.StatusNotFound)
 }
 
 // handleSession reads one FFS2 frame from body and dispatches it. Only
@@ -248,13 +260,7 @@ func (s *Server) handleSession(ctx context.Context, w http.ResponseWriter, body 
 	// reply does), and one that announces a payload is refused before any
 	// of it is read.
 	read := func(into []complex128) bool {
-		var err error
-		if into == nil {
-			err = headerOnly(f)
-		}
-		if err == nil {
-			_, err = readSessionPayload(body, &f, declared, into, *hp)
-		}
+		err := readSessionPayload(body, &f, declared, into, *hp)
 		if err != nil {
 			s.badFrame(w, err)
 		}
@@ -310,9 +316,7 @@ func (s *Server) sessOpen(w http.ResponseWriter, f SessionFrame) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	now := time.Now()
 	s.sessMu.Lock()
-	s.gcSessionsLocked(now)
 	if _, ok := s.sessions[f.ID]; ok {
 		s.sessMu.Unlock()
 		s.m.sessBad.Inc()
@@ -326,31 +330,38 @@ func (s *Server) sessOpen(w http.ResponseWriter, f SessionFrame) {
 		return
 	}
 	sess := &workerSession{id: f.ID, spec: spec, fs: fs, rows: AcquireComplex(spec.RowCount * spec.N2)}
-	s.sessions[f.ID] = &sessEntry{sess: sess, lastUsed: now}
+	// The timer is armed under sessMu, which endSession takes first, so
+	// the timer's own call sees it set.
+	sess.timer = time.AfterFunc(s.cfg.sessionTTL, func() {
+		if s.endSession(sess) {
+			s.m.sessExpired.Inc()
+		}
+	})
+	s.sessions[f.ID] = sess
 	s.sessMu.Unlock()
-	_ = WriteSessionFrame(w, SessionFrame{Op: OpSessAck, Flags: FlagResident, ID: f.ID})
+	_ = WriteSessionFrame(w, SessionFrame{Op: OpSessAck, ID: f.ID})
 }
 
+// sessClose is the abort path: a coordinator that abandoned an attempt
+// ends the session on every worker that still answers. Closing an
+// unknown (or already ended) session acks anyway, so an abort may close
+// unconditionally.
 func (s *Server) sessClose(w http.ResponseWriter, hdr SessionFrame) {
 	s.m.sessCloses.Inc()
-	s.sessMu.Lock()
-	e, ok := s.sessions[hdr.ID]
-	delete(s.sessions, hdr.ID)
-	s.sessMu.Unlock()
-	if ok {
-		e.sess.release()
+	if sess := s.lookupSession(hdr.ID); sess != nil {
+		s.endSession(sess)
 	}
-	// Closing an unknown (or already-closed) session acks anyway:
-	// coordinator abort paths close unconditionally.
 	_ = WriteSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
 }
 
+// sessCols runs the cols step. A frame refused on its header leaves the
+// session as it was; once the payload is being read, a step that fails —
+// a short body, a panic, a push that did not land, a request whose
+// context ended — ends the session, which can no longer complete.
 func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr SessionFrame, read func([]complex128) bool) {
 	s.m.sessCols.Inc()
-	sess := s.lookupSession(hdr.ID)
+	sess := s.session(w, hdr.ID)
 	if sess == nil {
-		s.m.sessBad.Inc()
-		http.Error(w, fmt.Sprintf("unknown session %d", hdr.ID), http.StatusNotFound)
 		return
 	}
 	spec := sess.spec
@@ -364,18 +375,27 @@ func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr Sessio
 	scratch := AcquireComplex(hdr.VecLen * hdr.VecCount)
 	defer ReleaseComplex(scratch)
 	if !read(*scratch) {
+		s.endSession(sess)
 		return
 	}
 
 	if err := s.execSessCols(ctx, sess, *scratch); err != nil {
+		s.endSession(sess)
 		var pe *peerError
-		if errors.As(err, &pe) && ctx.Err() == nil {
+		var se *StatusError
+		switch {
+		case ctx.Err() != nil:
+			s.fail(w, err)
+		case errors.Is(err, errSessionEnded) || errors.As(err, &se) && se.Code == http.StatusNotFound:
+			s.m.internal.Inc() // a 409 names nobody: see errSessionEnded
+			http.Error(w, err.Error(), http.StatusConflict)
+		case errors.As(err, &pe):
 			s.m.internal.Inc()
 			w.Header().Set(PeerHeader, pe.addr)
 			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
+		default:
+			s.fail(w, err)
 		}
-		s.fail(w, err)
 		return
 	}
 	s.m.shardVecs.Add(int64(hdr.VecCount))
@@ -408,7 +428,7 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		if sess.rows == nil {
-			return fmt.Errorf("session %d is closed", sess.id)
+			return fmt.Errorf("session %d: %w during its cols step", sess.id, errSessionEnded)
 		}
 		fs.TransposeScaled((*sess.rows)[spec.ColStart:], spec.N2, cols, spec.ColStart, spec.ColCount, spec.RowStart, spec.RowCount)
 		sess.colsSeen += spec.ColCount
@@ -471,12 +491,12 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	return nil
 }
 
+// sessExchange folds a peer's block into the rows buffer; like cols, a
+// payload that fails to arrive ends the session.
 func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, read func([]complex128) bool) {
 	s.m.sessExchanges.Inc()
-	sess := s.lookupSession(hdr.ID)
+	sess := s.session(w, hdr.ID)
 	if sess == nil {
-		s.m.sessBad.Inc()
-		http.Error(w, fmt.Sprintf("unknown session %d", hdr.ID), http.StatusNotFound)
 		return
 	}
 	spec := sess.spec
@@ -490,13 +510,13 @@ func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, read func
 	buf := AcquireComplex(hdr.VecLen * hdr.VecCount)
 	defer ReleaseComplex(buf)
 	if !read(*buf) {
+		s.endSession(sess)
 		return
 	}
 	sess.mu.Lock()
 	if sess.rows == nil {
 		sess.mu.Unlock()
-		s.m.sessBad.Inc()
-		http.Error(w, fmt.Sprintf("session %d is closed", hdr.ID), http.StatusConflict)
+		s.unknownSession(w, hdr.ID)
 		return
 	}
 	// Vector v, element i is matrix cell (row i, column Arg0+v).
@@ -506,33 +526,31 @@ func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, read func
 	_ = WriteSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
 }
 
+// sessRows runs the rows step once every column has arrived, and ends
+// the session: the reply is the rows buffer's last consumer, so the
+// buffer goes back to the pool before the reply streams, and a second
+// fetch is an unknown session. A fetch before the barrier is refused
+// with 409 and leaves the session as it was.
 func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 	s.m.sessRows.Inc()
-	sess := s.lookupSession(hdr.ID)
+	sess := s.session(w, hdr.ID)
 	if sess == nil {
-		s.m.sessBad.Inc()
-		http.Error(w, fmt.Sprintf("unknown session %d", hdr.ID), http.StatusNotFound)
 		return
 	}
 	spec := sess.spec
-	// The mutex keeps a concurrent close from releasing the rows buffer
-	// while the row steps read it. The reply streams from planes, which
-	// only this handler holds, so the mutex is not held through the write.
+	// The mutex keeps the rows buffer where it is while the row steps read
+	// it. The reply streams from planes, which only this handler holds,
+	// so the mutex is not held through the write.
 	sess.mu.Lock()
-	refuse := func(msg string) {
-		sess.mu.Unlock()
-		s.m.sessBad.Inc()
-		http.Error(w, msg, http.StatusConflict)
-	}
 	switch {
 	case sess.rows == nil:
-		refuse(fmt.Sprintf("session %d is closed", hdr.ID))
-		return
-	case sess.rowsDone:
-		refuse(fmt.Sprintf("session %d rows already fetched", hdr.ID))
+		sess.mu.Unlock()
+		s.unknownSession(w, hdr.ID)
 		return
 	case sess.colsSeen != spec.N2:
-		refuse(fmt.Sprintf("session %d has %d of %d columns", hdr.ID, sess.colsSeen, spec.N2))
+		sess.mu.Unlock()
+		s.m.sessBad.Inc()
+		http.Error(w, fmt.Sprintf("session %d has %d of %d columns", hdr.ID, sess.colsSeen, spec.N2), http.StatusConflict)
 		return
 	}
 	// Every resident row is packed into the planes of its own vector of a
@@ -547,8 +565,8 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
 		})
 		return nil
 	})
-	sess.rowsDone = err == nil
 	sess.mu.Unlock()
+	s.endSession(sess)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -27,6 +29,57 @@ func testSpec() SessionSpec {
 		RowStart: 0, RowCount: 2,
 		Peers: []PeerRange{{Addr: "peer-1", RowStart: 2, RowCount: 2}},
 	}
+}
+
+// newSessionServer is a worker for a session test: the test must leave
+// no session open and no pooled buffer out — every session it opens
+// ends through the lifecycle under test.
+func newSessionServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	_, complexes0 := PoolsOutstanding()
+	cfg.EnableShard = true
+	s := New(cfg)
+	t.Cleanup(func() {
+		if open := metric(t, s, "sess_open"); open != 0 {
+			t.Errorf("%v sessions left open", open)
+		}
+		if _, complexes := PoolsOutstanding(); complexes != complexes0 {
+			t.Errorf("%d complex buffers left out", complexes-complexes0)
+		}
+	})
+	return s
+}
+
+// metric reads one of s's instruments, failing t when s has none of
+// that name (a missing gauge must not read as 0).
+func metric(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	v, ok := s.Registry().Snapshot()[name]
+	if !ok {
+		t.Fatalf("metric %q not in the worker's registry", name)
+	}
+	return v
+}
+
+// readFrame reads one frame off body the way a worker's handleSession
+// does — readSessionHeader, then readSessionPayload — its payload into a
+// buffer the header sizes, but never past room elements: no frame that
+// fits in room·16 bytes announces more, and one that announces more is
+// refused for the destination's length instead.
+func readFrame(body io.Reader, declared int64, room int) (SessionFrame, error) {
+	hb := make([]byte, sessHeaderLen)
+	f, err := readSessionHeader(body, declared, hb)
+	if err != nil {
+		return SessionFrame{}, err
+	}
+	var into []complex128
+	if n := f.VecLen * f.VecCount; n > 0 {
+		into = make([]complex128, min(n, room))
+	}
+	if err := readSessionPayload(body, &f, declared, into, hb); err != nil {
+		return SessionFrame{}, err
+	}
+	return f, nil
 }
 
 // TestPeekSessionOp: the peek names a session frame's op and hands back
@@ -65,7 +118,7 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 		{Op: OpSessRows, ID: 7, VecLen: 8, VecCount: 2, Arg0: 0, Data: randVecs(8, 2, 3)},
 		{Op: OpSessRows, ID: 7}, // header-only rows request
 		{Op: OpSessClose, ID: 7},
-		{Op: OpSessAck, ID: 7, Flags: FlagResident},
+		{Op: OpSessAck, ID: 7},
 	}
 	for _, f := range frames {
 		enc, err := EncodeSessionFrame(f)
@@ -79,7 +132,7 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", f.Op, err)
 		}
-		if dec.Op != f.Op || dec.Flags != f.Flags || dec.ID != f.ID ||
+		if dec.Op != f.Op || dec.ID != f.ID ||
 			dec.VecLen != f.VecLen || dec.VecCount != f.VecCount || dec.Arg0 != f.Arg0 || dec.Arg1 != f.Arg1 {
 			t.Fatalf("%s: header mismatch: %+v", f.Op, dec)
 		}
@@ -100,19 +153,18 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 		}
 
 		// The wire path writes the encoder's bytes and reads the decoder's
-		// frame, into a pooled buffer or the caller's.
+		// frame, the worker's way and the client's.
 		var wire bytes.Buffer
 		if err := WriteSessionFrame(&wire, f); err != nil || !bytes.Equal(wire.Bytes(), enc) {
 			t.Fatalf("%s: WriteSessionFrame differs from the encoder (err %v)", f.Op, err)
 		}
-		got, buf, err := ReadSessionFrame(bytes.NewReader(enc), int64(len(enc)), nil)
+		got, err := readFrame(bytes.NewReader(enc), int64(len(enc)), len(f.Data))
 		if err != nil {
-			t.Fatalf("%s: ReadSessionFrame: %v", f.Op, err)
+			t.Fatalf("%s: the worker's read: %v", f.Op, err)
 		}
 		if re, err := EncodeSessionFrame(got); err != nil || !bytes.Equal(re, enc) {
-			t.Fatalf("%s: ReadSessionFrame's frame re-encodes differently (err %v)", f.Op, err)
+			t.Fatalf("%s: the worker's read re-encodes differently (err %v)", f.Op, err)
 		}
-		ReleaseComplex(buf)
 
 		// Into-decode lands in the caller's buffer with no copy.
 		if n := f.VecLen * f.VecCount; n > 0 {
@@ -124,9 +176,9 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 			if &into.Data[0] != &dst[0] {
 				t.Fatalf("%s: into-decode did not use the caller's buffer", f.Op)
 			}
-			read, buf, err := ReadSessionFrame(bytes.NewReader(enc), -1, dst)
-			if err != nil || buf != nil || &read.Data[0] != &dst[0] {
-				t.Fatalf("%s: ReadSessionFrame did not read into the caller's buffer (err %v)", f.Op, err)
+			read, err := ReadSessionReply(bytes.NewReader(enc), -1, dst)
+			if err != nil || &read.Data[0] != &dst[0] {
+				t.Fatalf("%s: ReadSessionReply did not read into the caller's buffer (err %v)", f.Op, err)
 			}
 		}
 	}
@@ -142,6 +194,8 @@ func TestSessionFrameRejects(t *testing.T) {
 	cases := map[string]func([]byte) []byte{
 		"bad magic":         func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad version":       func(b []byte) []byte { b[4] = 9; return b },
+		"version 3":         func(b []byte) []byte { b[4] = 3; return b },
+		"reserved flags":    func(b []byte) []byte { b[6] = 1; return b },
 		"bad op":            func(b []byte) []byte { b[5] = 200; return b },
 		"reserved byte":     func(b []byte) []byte { b[7] = 1; return b },
 		"truncated payload": func(b []byte) []byte { return b[:len(b)-8] },
@@ -243,7 +297,7 @@ func TestSessionFrameCodecAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		body.Reset(wire.Bytes())
-		if _, _, err := ReadSessionFrame(body, int64(wire.Len()), *cp); err != nil {
+		if _, err := ReadSessionReply(body, int64(wire.Len()), *cp); err != nil {
 			t.Fatal(err)
 		}
 		ReleaseComplex(cp)
@@ -256,9 +310,10 @@ func TestSessionFrameCodecAllocs(t *testing.T) {
 
 // TestSessionWirePortable runs the session wire both ways through the
 // portable codec — the path a big-endian host takes — and holds it to
-// the copy: WriteSessionFrame's bytes are the encoder's, and
-// ReadSessionFrame's payload is the frame's, bit for bit, on the
-// awkward values and over more than one chunk of a chunked write.
+// the copy: WriteSessionFrame's bytes are the encoder's, and the
+// payload the worker's read and ReadSessionReply land is the frame's,
+// bit for bit, on the awkward values and over more than one chunk of a
+// chunked write.
 func TestSessionWirePortable(t *testing.T) {
 	data := randVecs(64, 3*writeChunkBytes/16/64, 12)
 	for i, v := range awkward {
@@ -269,7 +324,7 @@ func TestSessionWirePortable(t *testing.T) {
 		{Op: OpSessCols, ID: 3, VecLen: 64, VecCount: len(data) / 64, Data: data},
 		{Op: OpSessExchange, ID: 3, VecLen: 2, VecCount: 7, Arg0: 1, Arg1: 2, Data: data[:14]},
 		{Op: OpSessOpen, ID: 3, Spec: &spec},
-		{Op: OpSessAck, ID: 3, Flags: FlagResident},
+		{Op: OpSessAck, ID: 3},
 	}
 	want := make([][]byte, len(frames))
 	for i, f := range frames {
@@ -286,15 +341,19 @@ func TestSessionWirePortable(t *testing.T) {
 			if err := WriteSessionFrame(&wire, f); err != nil || !bytes.Equal(wire.Bytes(), want[i]) {
 				t.Errorf("portable=%v %s: written bytes differ from the copy's (err %v)", portable, f.Op, err)
 			}
-			for _, into := range [][]complex128{nil, make([]complex128, len(f.Data))} {
-				got, buf, err := ReadSessionFrame(iotest.HalfReader(bytes.NewReader(want[i])), int64(len(want[i])), into)
-				if err != nil {
-					t.Fatalf("portable=%v %s: %v", portable, f.Op, err)
-				}
+			body := func() io.Reader { return iotest.HalfReader(bytes.NewReader(want[i])) }
+			worker, err := readFrame(body(), int64(len(want[i])), len(f.Data))
+			if err != nil {
+				t.Fatalf("portable=%v %s: the worker's read: %v", portable, f.Op, err)
+			}
+			client, err := ReadSessionReply(body(), int64(len(want[i])), make([]complex128, len(f.Data)))
+			if err != nil {
+				t.Fatalf("portable=%v %s: ReadSessionReply: %v", portable, f.Op, err)
+			}
+			for who, got := range map[string]SessionFrame{"worker": worker, "client": client} {
 				if !bytes.Equal(fft.ComplexBytes(got.Data), fft.ComplexBytes(f.Data)) {
-					t.Errorf("portable=%v %s into=%v: read payload differs from the frame's", portable, f.Op, into != nil)
+					t.Errorf("portable=%v %s, the %s's read: payload differs from the frame's", portable, f.Op, who)
 				}
-				ReleaseComplex(buf)
 			}
 		}
 	}
@@ -358,11 +417,11 @@ func sessPost(t *testing.T, h http.Handler, f SessionFrame) (int, []byte) {
 }
 
 // TestSessionLifecycle drives a full single-worker session against the
-// handler directly: open acks with the resident capability, premature
-// rows fetches are refused, cols execute, rows return the finished
-// block, and close is idempotent.
+// handler directly: open acks, premature rows fetches are refused, cols
+// execute, and rows return the finished block and end the session — a
+// second fetch is an unknown session, and close acks anyway.
 func TestSessionLifecycle(t *testing.T) {
-	s := New(Config{EnableShard: true})
+	s := newSessionServer(t, Config{})
 	h := s.Handler()
 	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
 
@@ -371,8 +430,8 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("open: status %d: %s", code, body)
 	}
 	ack, err := DecodeSessionFrame(body)
-	if err != nil || ack.Op != OpSessAck || ack.Flags&FlagResident == 0 || ack.ID != 42 {
-		t.Fatalf("open ack = %+v (err %v), want resident ack for session 42", ack, err)
+	if err != nil || ack.Op != OpSessAck || ack.ID != 42 {
+		t.Fatalf("open ack = %+v (err %v), want an ack for session 42", ack, err)
 	}
 
 	// A duplicate open of a live session conflicts.
@@ -400,21 +459,24 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil || rows.Op != OpSessRows || rows.VecLen != 8 || rows.VecCount != 4 {
 		t.Fatalf("rows response = %+v (err %v), want 4×8 block", rows, err)
 	}
-
-	// A second rows fetch is refused: the block was already handed out.
-	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 42}); code != http.StatusConflict {
-		t.Fatalf("double rows: status %d, want 409", code)
+	if open := metric(t, s, "sess_open"); open != 0 {
+		t.Fatalf("sess_open = %v after the rows reply, want 0: the reply ends the session", open)
 	}
 
+	// A second rows fetch finds no session: the reply ended it.
+	if code, body := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 42}); code != http.StatusNotFound || !bytes.Contains(body, []byte("unknown session")) {
+		t.Fatalf("double rows: status %d (%s), want 404 unknown session", code, body)
+	}
+
+	// Closing the ended session acks anyway: an abort closes
+	// unconditionally.
 	for i := 0; i < 2; i++ {
 		if code, _ := sessPost(t, h, SessionFrame{Op: OpSessClose, ID: 42}); code != http.StatusOK {
 			t.Fatalf("close #%d: status %d, want 200 (idempotent)", i, code)
 		}
 	}
-
-	// Frames against the closed session miss the table.
-	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 42}); code != http.StatusNotFound {
-		t.Fatalf("rows after close: status %d, want 404", code)
+	if got := metric(t, s, "sess_expired_total"); got != 0 {
+		t.Errorf("sess_expired_total = %v, want 0", got)
 	}
 }
 
@@ -423,7 +485,7 @@ func TestSessionLifecycle(t *testing.T) {
 // buffer is taken for the payload — and the session still answers the
 // header-only fetch that follows.
 func TestSessionRowsRequestIsHeaderOnly(t *testing.T) {
-	s := New(Config{EnableShard: true})
+	s := newSessionServer(t, Config{})
 	h := s.Handler()
 	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
 	if code, body := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: 7, Spec: &spec}); code != http.StatusOK {
@@ -447,31 +509,109 @@ func TestSessionRowsRequestIsHeaderOnly(t *testing.T) {
 	if code, body := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 7}); code != http.StatusOK {
 		t.Fatalf("rows after the refused request: status %d: %s", code, body)
 	}
-	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessClose, ID: 7}); code != http.StatusOK {
-		t.Fatalf("close: status %d", code)
-	}
 }
 
-// TestSessionExpiry checks the worker GC: a session idle past the TTL
-// is reaped and later frames 404.
+// TestSessionExpiry checks the idle timer: a session that gets no
+// further frame ends sessionTTL after its last one, with nothing else
+// arriving to sweep it — its rows buffer back in the pool, counted in
+// sess_expired_total — while every frame restarts the timer of a
+// session still in use.
 func TestSessionExpiry(t *testing.T) {
-	s := New(Config{EnableShard: true, sessionTTL: time.Nanosecond})
+	const ttl = 200 * time.Millisecond
+	s := newSessionServer(t, Config{sessionTTL: ttl})
 	h := s.Handler()
 	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
+	_, complexes0 := PoolsOutstanding()
 	if code, body := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: 5, Spec: &spec}); code != http.StatusOK {
 		t.Fatalf("open: status %d: %s", code, body)
 	}
-	time.Sleep(time.Millisecond)
-	// Any session op triggers the GC sweep; the expired session is gone.
+	if _, complexes := PoolsOutstanding(); complexes != complexes0+1 {
+		t.Fatalf("an open session holds %d complex buffers, want its rows buffer", complexes-complexes0)
+	}
+	// Frames ttl/4 apart keep it open past its first deadline: each
+	// (a premature rows fetch, refused with 409) restarts the timer.
+	for i := 0; i < 6; i++ {
+		time.Sleep(ttl / 4)
+		if code, _ := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 5}); code != http.StatusConflict {
+			t.Fatalf("rows %v in: status %d, want 409 from a session still open", time.Duration(i+1)*ttl/4, code)
+		}
+	}
+	// Then silence: nothing but the session's own timer can end it.
+	waitFor(t, "the idle timer", func() bool { return metric(t, s, "sess_expired_total") == 1 })
+	if open := metric(t, s, "sess_open"); open != 0 {
+		t.Errorf("sess_open = %v after expiry, want 0", open)
+	}
+	if _, complexes := PoolsOutstanding(); complexes != complexes0 {
+		t.Errorf("%d complex buffers out after expiry, want the rows buffer back", complexes-complexes0)
+	}
 	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 5}); code != http.StatusNotFound {
-		t.Fatalf("rows after TTL: status %d, want 404", code)
+		t.Fatalf("rows after expiry: status %d, want 404", code)
 	}
 }
 
+// TestSessionTimerRacesSteps: with an idle timer shorter than a step,
+// timers end sessions under the handlers' feet, concurrently with steps,
+// rows replies and closes of other sessions. Every frame is answered —
+// 200, or 404 for a session that ended first and 409 for one that ended
+// mid-step —
+// every session ends exactly once (-race sees a double release as a
+// race), and no buffer is left out (newSessionServer's cleanup).
+func TestSessionTimerRacesSteps(t *testing.T) {
+	const goroutines, sessions = 8, 100
+	s := newSessionServer(t, Config{sessionTTL: 50 * time.Microsecond, MaxSessions: goroutines * sessions})
+	h := s.Handler()
+	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
+	cols := randVecs(4, 8, 9)
+	post := func(f SessionFrame) int {
+		enc, err := EncodeSessionFrame(f)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(enc)))
+		return rec.Code
+	}
+	_, complexes0 := PoolsOutstanding()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < sessions; i++ {
+				id := uint64(g<<16 | i)
+				steps := []struct {
+					f    SessionFrame
+					want []int
+				}{
+					{SessionFrame{Op: OpSessOpen, ID: id, Spec: &spec}, []int{http.StatusOK}},
+					{SessionFrame{Op: OpSessCols, ID: id, VecLen: 4, VecCount: 8, Data: cols}, []int{http.StatusOK, http.StatusNotFound, http.StatusConflict}},
+					{SessionFrame{Op: OpSessRows, ID: id}, []int{http.StatusOK, http.StatusNotFound}},
+					{SessionFrame{Op: OpSessClose, ID: id}, []int{http.StatusOK}},
+				}
+				if i%2 == 0 {
+					steps = steps[:2] // left to its timer after the cols step
+				}
+				for _, st := range steps {
+					if code := post(st.f); !slices.Contains(st.want, code) {
+						t.Errorf("session %d %s: status %d, want one of %v", id, st.f.Op, code, st.want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	waitFor(t, "every session to end", func() bool {
+		_, complexes := PoolsOutstanding()
+		return metric(t, s, "sess_open") == 0 && complexes == complexes0
+	})
+}
+
 // TestSessionTableLimit checks the open-session cap: the table refuses
-// session opens beyond MaxSessions with 429.
+// session opens beyond MaxSessions with 429, and an ended session frees
+// its slot.
 func TestSessionTableLimit(t *testing.T) {
-	s := New(Config{EnableShard: true, MaxSessions: 2})
+	s := newSessionServer(t, Config{MaxSessions: 2})
 	h := s.Handler()
 	spec := SessionSpec{N1: 4, N2: 8, ColStart: 0, ColCount: 8, RowStart: 0, RowCount: 4}
 	for id := uint64(1); id <= 2; id++ {
@@ -482,13 +622,25 @@ func TestSessionTableLimit(t *testing.T) {
 	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: 3, Spec: &spec}); code != http.StatusTooManyRequests {
 		t.Fatalf("open past the cap: status %d, want 429", code)
 	}
+	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessClose, ID: 1}); code != http.StatusOK {
+		t.Fatalf("close: status %d", code)
+	}
+	if code, body := sessPost(t, h, SessionFrame{Op: OpSessOpen, ID: 3, Spec: &spec}); code != http.StatusOK {
+		t.Fatalf("open after a close: status %d: %s", code, body)
+	}
+	for _, id := range []uint64{2, 3} {
+		if code, _ := sessPost(t, h, SessionFrame{Op: OpSessClose, ID: id}); code != http.StatusOK {
+			t.Fatalf("close %d: status %d", id, code)
+		}
+	}
 }
 
 // TestSessionPanicIsolation: session steps run behind the daemon's one
 // isolation boundary — a panic in a cols step answers 500, counts in
-// fft_panics_total, and the worker goes on serving sessions.
+// fft_panics_total and ends that session, and the worker goes on
+// serving sessions.
 func TestSessionPanicIsolation(t *testing.T) {
-	s := New(Config{EnableShard: true})
+	s := newSessionServer(t, Config{})
 	h := s.Handler()
 	var once sync.Once
 	s.execHook = func(batchKey, [][]complex128) {
@@ -507,6 +659,9 @@ func TestSessionPanicIsolation(t *testing.T) {
 			t.Fatalf("cols %d: status %d, want %d: %s", id, code, want, body)
 		}
 	}
+	if code, _ := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 0}); code != http.StatusNotFound {
+		t.Fatalf("rows of the session whose cols step panicked: status %d, want 404", code)
+	}
 	if code, body := sessPost(t, h, SessionFrame{Op: OpSessRows, ID: 1}); code != http.StatusOK {
 		t.Fatalf("rows after the panic: status %d: %s", code, body)
 	}
@@ -515,52 +670,77 @@ func TestSessionPanicIsolation(t *testing.T) {
 	}
 }
 
-// refusingTransport is a network no push gets through.
-type refusingTransport struct{}
+// peerTransport is a network whose every push meets the same fate: a
+// refused connection (err), or the peer's answer code.
+type peerTransport struct {
+	err  error
+	code int
+}
 
-func (refusingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (p peerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	req.Body.Close()
-	return nil, errors.New("connection refused")
+	if p.err != nil {
+		return nil, p.err
+	}
+	return &http.Response{StatusCode: p.code, Body: io.NopCloser(strings.NewReader("unknown session 8")), Request: req}, nil
 }
 
 // TestSessionColsNamesFailedPeer: a worker whose exchange push fails
 // answers the cols frame 502 and names the peer that did not take the
-// push, so the coordinator can tell the silent peer from the pusher.
+// push, so the coordinator can tell the silent peer from the pusher. A
+// peer that answers 404 — its session ended, the attempt is failing
+// elsewhere — is named by nobody: the cols frame is a 409. Either way
+// the failed step ends the session (newSessionServer's cleanup).
 func TestSessionColsNamesFailedPeer(t *testing.T) {
-	s := New(Config{EnableShard: true, Client: &http.Client{Transport: refusingTransport{}}})
-	spec := testSpec()
-	if code, body := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 8, Spec: &spec}); code != http.StatusOK {
-		t.Fatalf("open: status %d: %s", code, body)
-	}
-	enc, err := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 8, VecLen: 4, VecCount: 4, Data: randVecs(4, 4, 7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(enc)))
-	if rec.Code != http.StatusBadGateway || rec.Header().Get(PeerHeader) != "peer-1" {
-		t.Fatalf("cols with a dead peer: status %d, %s = %q; want 502 naming peer-1",
-			rec.Code, PeerHeader, rec.Header().Get(PeerHeader))
+	for _, tc := range []struct {
+		name     string
+		peer     peerTransport
+		wantCode int
+		wantPeer string
+	}{
+		{"peer refuses the push", peerTransport{err: errors.New("connection refused")}, http.StatusBadGateway, "peer-1"},
+		{"peer's session ended", peerTransport{code: http.StatusNotFound}, http.StatusConflict, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSessionServer(t, Config{Client: &http.Client{Transport: tc.peer}})
+			spec := testSpec()
+			if code, body := sessPost(t, s.Handler(), SessionFrame{Op: OpSessOpen, ID: 8, Spec: &spec}); code != http.StatusOK {
+				t.Fatalf("open: status %d: %s", code, body)
+			}
+			enc, err := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 8, VecLen: 4, VecCount: 4, Data: randVecs(4, 4, 7)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "http://worker/fft/shard", bytes.NewReader(enc)))
+			if rec.Code != tc.wantCode || rec.Header().Get(PeerHeader) != tc.wantPeer {
+				t.Fatalf("cols: status %d, %s = %q; want %d naming %q",
+					rec.Code, PeerHeader, rec.Header().Get(PeerHeader), tc.wantCode, tc.wantPeer)
+			}
+		})
 	}
 }
 
 // FuzzSessionFrame pins the FFS2 codec's safety properties and holds
-// the streaming reader to the in-memory decoder, as FuzzReadFrame does
+// the streaming readers to the in-memory decoder, as FuzzReadFrame does
 // for FFB1: decoding arbitrary bytes never panics; any frame that
 // decodes re-encodes to exactly the input bytes (canonical encoding);
-// ReadSessionFrame, however the bytes arrive and with the true length
-// declared or none, accepts exactly what DecodeSessionFrame accepts and
-// yields the same frame, into a pooled buffer or the caller's; a
-// declared length that lies is always refused; every refusal wraps
-// ErrBadFrame; and no way out leaves a pooled buffer behind.
+// the worker's read (readSessionHeader, then readSessionPayload), however
+// the bytes arrive and with the true length declared or none, accepts
+// exactly what DecodeSessionFrame accepts and yields the same frame; a
+// declared length that lies is always refused; ReadSessionReply takes a
+// payload only into a buffer that holds it exactly, and a header-only
+// frame with none; every refusal wraps ErrBadFrame; and no way out
+// leaves a pooled buffer behind.
 func FuzzSessionFrame(f *testing.F) {
 	spec := testSpec()
+	cols := SessionFrame{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 1)}
 	for _, fr := range []SessionFrame{
 		{Op: OpSessOpen, ID: 1, Spec: &spec},
-		{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 1)},
+		cols,
 		{Op: OpSessExchange, ID: 1, VecLen: 2, VecCount: 2, Arg0: 1, Arg1: 2, Data: randVecs(2, 2, 2)},
 		{Op: OpSessRows, ID: 1},
-		{Op: OpSessAck, ID: 1, Flags: FlagResident},
+		{Op: OpSessAck, ID: 1},
 	} {
 		if enc, err := EncodeSessionFrame(fr); err == nil {
 			f.Add(enc)
@@ -568,6 +748,12 @@ func FuzzSessionFrame(f *testing.F) {
 	}
 	f.Add([]byte(sessMagic))
 	f.Add(bytes.Repeat([]byte{0}, sessHeaderLen))
+	// Every encoded seed is a version-4 frame; the same cols frame as
+	// version 3 — whose rows request left the session open — is refused.
+	if enc, err := EncodeSessionFrame(cols); err == nil && enc[4] == 4 {
+		enc[4] = 3
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		frames0, complexes0 := PoolsOutstanding()
 		dec, wantErr := DecodeSessionFrame(raw)
@@ -587,36 +773,39 @@ func FuzzSessionFrame(f *testing.F) {
 		for how, deliver := range deliveries {
 			for _, declared := range []int64{int64(len(raw)), -1, int64(len(raw)) + 1, int64(len(raw)) - 1} {
 				lying := declared >= 0 && declared != int64(len(raw))
-				got, buf, err := ReadSessionFrame(deliver(raw), declared, nil)
+				got, err := readFrame(deliver(raw), declared, len(raw)/16)
 				if err != nil {
 					if !errors.Is(err, ErrBadFrame) {
 						t.Fatalf("%s, declared %d: error %v does not wrap ErrBadFrame", how, declared, err)
 					}
-					if buf != nil {
-						t.Fatalf("%s, declared %d: a buffer came back with error %v", how, declared, err)
-					}
 					if wantErr == nil && !lying {
-						t.Fatalf("%s, declared %d: ReadSessionFrame refused (%v) a frame DecodeSessionFrame accepts", how, declared, err)
+						t.Fatalf("%s, declared %d: the worker's read refused (%v) a frame DecodeSessionFrame accepts", how, declared, err)
 					}
 					continue
 				}
 				if wantErr != nil || lying {
-					t.Fatalf("%s, declared %d of %d: ReadSessionFrame accepted; DecodeSessionFrame says %v", how, declared, len(raw), wantErr)
+					t.Fatalf("%s, declared %d of %d: the worker's read accepted; DecodeSessionFrame says %v", how, declared, len(raw), wantErr)
 				}
 				if re, err := EncodeSessionFrame(got); err != nil || !bytes.Equal(re, raw) {
 					t.Fatalf("%s: frame differs from the bytes read (err %v)", how, err)
 				}
-				ReleaseComplex(buf)
 			}
 		}
-		if n := dec.VecLen * dec.VecCount; wantErr == nil && n > 0 {
-			into := make([]complex128, n)
-			got, buf, err := ReadSessionFrame(bytes.NewReader(raw), int64(len(raw)), into)
-			if err != nil || buf != nil || &got.Data[0] != &into[0] {
-				t.Fatalf("into the caller's buffer: err %v, pooled buffer %v", err, buf != nil)
+		if wantErr == nil {
+			n := dec.VecLen * dec.VecCount
+			_, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), nil)
+			if (err == nil) != (n == 0) || (err != nil && !errors.Is(err, ErrBadFrame)) {
+				t.Fatalf("a reply of %d elements read with no destination: err %v", n, err)
 			}
-			if _, _, err := ReadSessionFrame(bytes.NewReader(raw), int64(len(raw)), into[1:]); !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("a destination one element short: err %v, want ErrBadFrame", err)
+			if n > 0 {
+				into := make([]complex128, n)
+				got, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), into)
+				if err != nil || &got.Data[0] != &into[0] {
+					t.Fatalf("into the caller's buffer: err %v", err)
+				}
+				if _, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), into[1:]); !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("a destination one element short: err %v, want ErrBadFrame", err)
+				}
 			}
 		}
 		if frames, complexes := PoolsOutstanding(); frames != frames0 || complexes != complexes0 {

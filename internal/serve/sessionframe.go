@@ -8,11 +8,9 @@
 //
 //	offset  size  field
 //	0       4     magic "FFS2"
-//	4       1     version (3)
+//	4       1     version (4)
 //	5       1     op      (OpSessOpen … OpSessAck)
-//	6       1     flags   (bit 0: FlagResident; a worker acks Open
-//	              with it set)
-//	7       1     reserved, must be 0
+//	6       2     reserved, must be 0
 //	8       8     session (uint64 LE, coordinator-chosen session id)
 //	16      4     vecLen   (uint32 LE)
 //	20      4     vecCount (uint32 LE)
@@ -21,10 +19,11 @@
 //	40      …     payload  (vecLen·vecCount 16-byte elements as float64 LE
 //	              pairs, or the session spec for OpSessOpen)
 //
-// Op semantics (arg0/arg1 meanings):
+// Op semantics (arg0/arg1 meanings). A healthy session is three
+// requests per worker — open, cols, rows — and OpSessRows ends it:
 //
 //   - OpSessOpen: payload is the encoded SessionSpec; vecLen, vecCount,
-//     arg0, arg1 are 0. Response: OpSessAck with FlagResident set.
+//     arg0, arg1 are 0. Response: OpSessAck.
 //   - OpSessCols: the worker's column slab — vecLen = N1, vecCount =
 //     ColCount, arg0 = ColStart, arg1 = 0. Each vector is a column
 //     packed as split planes (fft.FrameOf: the N1 real parts, then the
@@ -44,15 +43,20 @@
 //     vecCount = RowCount, arg0 = RowStart — each row as the split
 //     planes of its transform, in natural bin order, for the
 //     coordinator's final transpose (fft.FourStepPlan.UnpackRows) to
-//     unpack. A rows request that announces a payload is refused on
-//     its header, before any of it is read.
-//
-// Version 3 is the version whose cols and rows payloads carry planes;
-// version 2 carried samples there, and a peer speaking it is refused
-// rather than fed numbers it would misread.
-//   - OpSessClose: header-only; drops the session state. Closing an
-//     unknown session acks anyway (abort paths are idempotent).
+//     unpack. The rows step ends the session: its rows buffer is back in
+//     the worker's pool before the reply streams, and a second rows
+//     request is an unknown session (404). A rows request that announces
+//     a payload is refused on its header, before any of it is read.
+//   - OpSessClose: header-only; the abort path — a coordinator that
+//     abandons an attempt ends the session on every worker that still
+//     answers. Closing an unknown or ended session acks anyway.
 //   - OpSessAck: header-only generic success response.
+//
+// Version 4 is the version whose rows request ends the session; version
+// 3 had the same layout but left the session open for a close, so an old
+// worker under a new coordinator would hold every rows buffer until its
+// idle timer — it is refused instead. Version 3 is the one whose cols and
+// rows payloads carry planes; version 2 carried samples there.
 //
 // Decoding is strict and mirrors DecodeFrame: unknown versions/ops,
 // non-zero reserved bytes, header/payload length mismatches, and
@@ -63,13 +67,16 @@
 // As with FFB1 (codec.go) there are two ways through the codec, and
 // they accept exactly the same byte strings (FuzzSessionFrame).
 // AppendSessionFrame and DecodeSessionFrame work on a whole frame in
-// memory: tests and probes. WriteSessionFrame and ReadSessionFrame are
-// the wire, on every hop of /fft/shard — coordinator to worker, worker
-// to peer, and back — and move each payload byte once: the writer sends
-// the header and then the transform buffer's own bytes, and the reader
-// checks the header (and the declared length) before it reads the
-// payload straight into the buffer the next step works in. No byte
-// frame of a session payload exists anywhere.
+// memory: tests and probes. The wire, on every hop of /fft/shard —
+// coordinator to worker, worker to peer, and back — is WriteSessionFrame
+// on the sending end and, on the receiving end, readSessionHeader then
+// readSessionPayload (the worker's handleSession, between which it checks
+// the header against its session) or ReadSessionReply (the client's).
+// Each payload byte moves once: the writer sends the header and then the
+// transform buffer's own bytes, and the reader checks the header (and
+// the declared length) before it reads the payload straight into the
+// buffer the next step works in. No byte frame of a session payload
+// exists anywhere.
 package serve
 
 import (
@@ -94,9 +101,10 @@ const (
 	// OpSessExchange carries one worker's contribution to a peer's
 	// resident row block (the on-worker four-step transpose).
 	OpSessExchange
-	// OpSessRows fetches a worker's finished row block.
+	// OpSessRows fetches a worker's finished row block and ends the
+	// session.
 	OpSessRows
-	// OpSessClose drops the session state.
+	// OpSessClose ends the session: the abort path.
 	OpSessClose
 	// OpSessAck is the generic header-only success response.
 	OpSessAck
@@ -126,15 +134,11 @@ func (op SessionOp) String() string {
 
 const (
 	sessMagic   = "FFS2"
-	sessVersion = 3
+	sessVersion = 4
 	// SessionHeaderLen is the fixed FFS2 header size — callers sizing
 	// pooled buffers or accounting wire bytes add 16 per payload element.
 	SessionHeaderLen = 40
 	sessHeaderLen    = SessionHeaderLen
-
-	// FlagResident is set by a worker in its OpSessOpen ack to confirm
-	// it holds shards resident across phases.
-	FlagResident byte = 1 << 0
 
 	// maxSessionPeers bounds the peer table so a hostile spec cannot
 	// drive a huge allocation.
@@ -275,9 +279,8 @@ func decodeSpec(b []byte) (SessionSpec, error) {
 // complex payload) holds VecLen·VecCount elements with vector v at
 // Data[v·VecLen:(v+1)·VecLen]; Spec is set for OpSessOpen only.
 type SessionFrame struct {
-	Op    SessionOp
-	Flags byte
-	ID    uint64
+	Op SessionOp
+	ID uint64
 	// VecLen and VecCount shape the complex payload; Arg0 and Arg1 are
 	// op-specific indices (see the package comment).
 	VecLen, VecCount int
@@ -405,7 +408,7 @@ func WriteSessionFrame(w io.Writer, f SessionFrame) error {
 // appendSessionHeader writes the 40-byte header only.
 func appendSessionHeader(dst []byte, f SessionFrame) []byte {
 	dst = append(dst, sessMagic...)
-	dst = append(dst, sessVersion, byte(f.Op), f.Flags, 0)
+	dst = append(dst, sessVersion, byte(f.Op), 0, 0)
 	dst = binary.LittleEndian.AppendUint64(dst, f.ID)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.VecLen))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.VecCount))
@@ -467,9 +470,13 @@ func decodeSession(b []byte, dst []complex128, into bool) (SessionFrame, error) 
 	return f, nil
 }
 
-// checkInto refuses a destination that does not hold f's payload.
+// checkInto refuses a destination that does not hold f's payload; a nil
+// one takes none, so a frame that announces vectors is refused.
 func checkInto(f SessionFrame, dst []complex128) error {
-	if count := f.VecLen * f.VecCount; len(dst) != count {
+	switch count := f.VecLen * f.VecCount; {
+	case dst == nil && count > 0:
+		return fmt.Errorf("%w: %s frame carries %d elements, none expected", ErrBadFrame, f.Op, count)
+	case len(dst) != count:
 		return fmt.Errorf("%w: destination has %d elements, frame carries %d", ErrBadFrame, len(dst), count)
 	}
 	return nil
@@ -494,12 +501,11 @@ func parseSessionHeader(b []byte) (SessionFrame, error) {
 	if b[4] != sessVersion {
 		return SessionFrame{}, fmt.Errorf("%w: unsupported session version %d", ErrBadFrame, b[4])
 	}
-	if b[7] != 0 {
+	if b[6] != 0 || b[7] != 0 {
 		return SessionFrame{}, fmt.Errorf("%w: non-zero reserved byte", ErrBadFrame)
 	}
 	f := SessionFrame{
 		Op:       SessionOp(b[5]),
-		Flags:    b[6],
 		ID:       binary.LittleEndian.Uint64(b[8:16]),
 		VecLen:   int(binary.LittleEndian.Uint32(b[16:20])),
 		VecCount: int(binary.LittleEndian.Uint32(b[20:24])),
@@ -520,37 +526,17 @@ func parseSessionHeader(b []byte) (SessionFrame, error) {
 // header and maxSessionPeers peers of the longest address.
 const maxSpecLen = 26 + maxSessionPeers*(10+255)
 
-// ReadSessionFrame reads one session frame from body: the streaming
-// DecodeSessionFrame, accepting exactly the byte strings it accepts
-// (FuzzSessionFrame). declared is the body's announced length (a
-// Content-Length), −1 when unknown; one that disagrees with the header
-// is refused before any payload is read. The payload goes from body
-// straight into into, which must then hold exactly VecLen·VecCount
-// elements — a worker's column scratch, the coordinator's rows buffer —
-// or, with into nil, into a pooled buffer that is returned for the
-// caller to ReleaseComplex once done with the frame; on error there is
-// nothing to release, and into may hold part of the payload. Trailing
-// bytes are probed with one extra read. A malformed frame is
-// ErrBadFrame; other errors are the body's own.
-func ReadSessionFrame(body io.Reader, declared int64, into []complex128) (SessionFrame, *[]complex128, error) {
-	hp := AcquireFrame(sessHeaderLen)
-	defer ReleaseFrame(hp)
-	f, err := readSessionHeader(body, declared, *hp)
-	if err != nil {
-		return SessionFrame{}, nil, err
-	}
-	buf, err := readSessionPayload(body, &f, declared, into, *hp)
-	if err != nil {
-		return SessionFrame{}, nil, err
-	}
-	return f, buf, nil
-}
-
-// ReadSessionReply reads a worker's 200 reply to a session frame by
-// ReadSessionFrame's rules, its payload straight into into. With into
-// nil the reply must be header-only, and one whose header announces a
-// payload is refused before any of it is read. PostSessionFrame reads
-// every reply through it.
+// ReadSessionReply reads a worker's 200 reply to a session frame — the
+// streaming DecodeSessionFrameInto, accepting exactly the byte strings it
+// accepts (FuzzSessionFrame) — its payload straight into into, which
+// must hold exactly VecLen·VecCount elements; with into nil the reply
+// must be header-only, and one whose header announces a payload is
+// refused before any of it is read. declared is the body's announced
+// length (a Content-Length), −1 when unknown; one that disagrees with
+// the header is refused before any payload is read. On error into may
+// hold part of the payload. A malformed frame is ErrBadFrame; other
+// errors are the body's own. PostSessionFrame reads every reply through
+// it.
 func ReadSessionReply(body io.Reader, declared int64, into []complex128) (SessionFrame, error) {
 	hp := AcquireFrame(sessHeaderLen)
 	defer ReleaseFrame(hp)
@@ -558,12 +544,7 @@ func ReadSessionReply(body io.Reader, declared int64, into []complex128) (Sessio
 	if err != nil {
 		return SessionFrame{}, err
 	}
-	if into == nil {
-		if err := headerOnly(f); err != nil {
-			return SessionFrame{}, err
-		}
-	}
-	if _, err := readSessionPayload(body, &f, declared, into, *hp); err != nil {
+	if err := readSessionPayload(body, &f, declared, into, *hp); err != nil {
 		return SessionFrame{}, err
 	}
 	return f, nil
@@ -579,15 +560,6 @@ func PeekSessionOp(body io.Reader) (op SessionOp, whole io.Reader, ok bool) {
 	n, _ := io.ReadFull(body, b)
 	ok = n == len(b) && string(b[:4]) == sessMagic
 	return SessionOp(b[5]), io.MultiReader(bytes.NewReader(b[:n]), body), ok
-}
-
-// headerOnly refuses a frame whose header announces vectors where none
-// are taken.
-func headerOnly(f SessionFrame) error {
-	if n := f.VecLen * f.VecCount; n > 0 {
-		return fmt.Errorf("%w: %s frame carries %d elements, none expected", ErrBadFrame, f.Op, n)
-	}
-	return nil
 }
 
 // readSessionHeader reads and validates the header into hb (at least
@@ -614,51 +586,42 @@ func readSessionHeader(body io.Reader, declared int64, hb []byte) (SessionFrame,
 	return f, nil
 }
 
-// readSessionPayload reads what follows f's header — an open's spec,
-// the complex payload into into or a pooled buffer it returns — and
+// readSessionPayload reads what follows f's header — an open's spec, or
+// the complex payload straight into into, which must hold exactly
+// VecLen·VecCount elements (nil for a header-only frame: checkInto) — and
 // probes for trailing bytes with probe (at least one byte of scratch).
-func readSessionPayload(body io.Reader, f *SessionFrame, declared int64, into []complex128, probe []byte) (*[]complex128, error) {
-	var buf *[]complex128
-	switch count := f.VecLen * f.VecCount; {
-	case f.Op == OpSessOpen:
+func readSessionPayload(body io.Reader, f *SessionFrame, declared int64, into []complex128, probe []byte) error {
+	if f.Op == OpSessOpen {
 		// The header does not carry the spec's length: read at most the
 		// longest spec there is, and one byte more to tell a longer body.
 		b, err := io.ReadAll(io.LimitReader(body, maxSpecLen+1))
 		if err != nil {
-			return nil, fmt.Errorf("reading session spec: %w", err)
+			return fmt.Errorf("reading session spec: %w", err)
 		}
 		if declared >= 0 && declared != int64(sessHeaderLen+len(b)) {
-			return nil, fmt.Errorf("%w: spec is %d bytes, the body declares %d", ErrBadFrame, len(b), declared-sessHeaderLen)
+			return fmt.Errorf("%w: spec is %d bytes, the body declares %d", ErrBadFrame, len(b), declared-sessHeaderLen)
 		}
 		spec, err := decodeSpec(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Spec = &spec
-	case count > 0:
-		var got int
-		var err error
-		if into != nil {
-			if err := checkInto(*f, into); err != nil {
-				return nil, err
-			}
-			got, err = io.ReadFull(body, fft.ComplexBytes(into))
-			f.Data = into
-		} else if buf, got, err = readPayload(body, 16*count); err == nil {
-			f.Data = (*buf)[:count]
-		}
+	} else if err := checkInto(*f, into); err != nil {
+		return err
+	} else if len(into) > 0 {
+		got, err := io.ReadFull(body, fft.ComplexBytes(into))
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errSessionPayloadLen(*f, int64(got))
+			return errSessionPayloadLen(*f, int64(got))
 		} else if err != nil {
-			return nil, fmt.Errorf("reading session payload: %w", err)
+			return fmt.Errorf("reading session payload: %w", err)
 		}
+		f.Data = into
 		if !hostIsWire {
 			decodeComplexPortable(f.Data, fft.ComplexBytes(f.Data))
 		}
 	}
 	if n, _ := body.Read(probe[:1]); n > 0 {
-		ReleaseComplex(buf)
-		return nil, fmt.Errorf("%w: bytes after the frame", ErrBadFrame)
+		return fmt.Errorf("%w: bytes after the frame", ErrBadFrame)
 	}
-	return buf, nil
+	return nil
 }
