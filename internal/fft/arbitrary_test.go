@@ -251,11 +251,12 @@ func TestFactor(t *testing.T) {
 // TestMixedPlanInvariants checks the structural invariants every
 // mixed-radix plan must satisfy: the stage radices multiply back to N,
 // each stage covers the whole vector, the twiddle tables have the
-// documented (R−1)·M layout, and the inverse has the forward's passes
-// — its conjugations and 1/N ride on the first and last (N = 1 keeps
-// them as two sweeps) — and the bits of conj → forward → conj·1/N.
+// documented (R−1)·M layout, the plan makes one pass per stage each
+// way — an odd stage count ends in place, with no copy-back — and the
+// inverse's conjugations and 1/N ride on the first and last (N = 1
+// keeps them as two sweeps), with the bits of conj → forward → conj·1/N.
 func TestMixedPlanInvariants(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 60, 360, 1000, 2520, 6144, 3 << 10, 49, 375} {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 60, 360, 1000, 2520, 6144, 3 << 10, 49, 375, 12005, 1000000} {
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			t.Fatalf("NewMixedPlan(%d): %v", n, err)
@@ -264,12 +265,13 @@ func TestMixedPlanInvariants(t *testing.T) {
 			t.Fatalf("plan for %d reports N=%d", n, mp.N)
 		}
 		fwd, inv := mp.Schedule(false).Passes, mp.Schedule(true).Passes
-		wantInv := len(fwd)
+		wantFwd, wantInv := len(mp.Stages), len(mp.Stages)
 		if n == 1 {
 			wantInv = 2
 		}
-		if len(inv) != wantInv {
-			t.Fatalf("n=%d: inverse has %d passes, forward %d", n, len(inv), len(fwd))
+		if len(fwd) != wantFwd || len(inv) != wantInv {
+			t.Fatalf("n=%d (%d stages): %d forward and %d inverse passes, want %d and %d",
+				n, len(mp.Stages), len(fwd), len(inv), wantFwd, wantInv)
 		}
 		x := randComplex(n, int64(n))
 		want := make([]complex128, n)

@@ -12,7 +12,8 @@
 // length near 2N (the next power of two among the candidates), and the
 // mixed-radix plan's vector stages run it, nested on the work buffer,
 // so the parallel engine applies to the heavy lifting unchanged. The
-// filter's spectrum is fixed per plan and precomputed once.
+// filter's spectrum is fixed per plan and precomputed once; it and the
+// chirps, sweeps that only multiply, ride on the stages next to them.
 package fft
 
 import (
@@ -142,14 +143,13 @@ func (bp *BluesteinPlan) String() string {
 }
 
 // Schedule returns the plan's pass list for the forward or inverse
-// transform: chirp-premultiply and zero-pad into the work buffer, the
-// M-point forward convolution stages, the pointwise product with the
-// filter spectrum, the M-point inverse stages, and the chirp
-// postmultiply back into the caller's array. The stages run per-radix
-// codelets and no kernel, so kern is ignored. The N-point inverse costs
-// no pass of its own: the premultiply conjugates what it loads and the
-// postmultiply stores conj(y)·(1/N), bit for bit the conjugation
-// identity's two sweeps around the forward passes.
+// transform: the M-point forward convolution stages, then the M-point
+// inverse stages, with the chirp premultiply and zero padding on the
+// first one's loads, the filter product on the last forward stage's
+// stores, and the chirp postmultiply on the last one's stores, into
+// the caller's N points. Per-radix codelets run them, so kern is
+// ignored. The N-point inverse costs no pass either: the first stage
+// conjugates what it loads, the last stores conj(y)·(1/N).
 func (bp *BluesteinPlan) Schedule(kern Kernel, inverse bool) *Schedule {
 	if inverse {
 		return bp.inv
@@ -158,75 +158,22 @@ func (bp *BluesteinPlan) Schedule(kern Kernel, inverse bool) *Schedule {
 }
 
 // schedule builds one direction. The stages ping-pong between the two
-// M-point halves of the work buffer: the forward's stages end in half k
-// (the stage count mod 2), and the inverse's, starting there, end back
-// in half 0 — no copy-back. The inner inverse's conj rides on its first
-// stage's loads, its conj·1/M on its last stage's stores. Every pass
-// sweeps at most M points, so M, not the 2M-point buffer, is the span.
+// M-point halves of the work buffer: the forward's from the caller's
+// array to half 0, the inverse's from there to the caller's array, its
+// conj on its first stage's loads and its conj·1/M on its last stage's
+// stores, before the chirp. No pass sweeps more than M points: M is the
+// span.
 func (bp *BluesteinPlan) schedule(inverse bool) *Schedule {
 	m, mp := bp.M, bp.Conv
-	half := [2]operand{
-		func(st *State) []complex128 { return st.Work[:m] },
-		func(st *State) []complex128 { return st.Work[m:] },
+	h0 := func(st *State) []complex128 { return st.Work[:m] }
+	h1 := func(st *State) []complex128 { return st.Work[m:] }
+	fwd := stageEdge{conj: inverse, in: bp.Chirp, out: bp.BHat}
+	inv := stageEdge{conj: true, scale: 1 / float64(m), out: bp.Chirp}
+	if inverse {
+		inv.post = 1 / float64(bp.N)
 	}
-	k := len(mp.Stages) % 2
-	ps := []Pass{bp.chirpIn(half[0], inverse)}
-	ps = append(ps, mp.stages(half[0], half[1], false, 0)...)
-	ps = append(ps, bp.filter(half[k]))
-	ps = append(ps, mp.stages(half[k], half[1-k], true, 1/float64(m))...)
-	ps = append(ps, bp.chirpOut(half[0], inverse))
+	ps := append(mp.stages(onData, h0, h1, h0, fwd), mp.stages(h0, h0, h1, onData, inv)...)
 	return &Schedule{N: bp.N, Stage: PassStageMixed, Passes: ps, work: 2 * m, span: m}
-}
-
-// chirpIn is the premultiply over M units: dst[t] = x[t]·Chirp[t] for
-// t < N, zero above, with x the caller's array — conjugated as it is
-// loaded for the inverse.
-func (bp *BluesteinPlan) chirpIn(dst operand, inverse bool) Pass {
-	n := bp.N
-	return Pass{PassChirp, bp.M, func(st *State, lo, hi int) {
-		w, x := dst(st), st.Data
-		if inverse {
-			for t := lo; t < min(hi, n); t++ {
-				w[t] = complex(real(x[t]), -imag(x[t])) * bp.Chirp[t]
-			}
-		} else {
-			for t := lo; t < min(hi, n); t++ {
-				w[t] = x[t] * bp.Chirp[t]
-			}
-		}
-		for t := max(lo, n); t < hi; t++ {
-			w[t] = 0
-		}
-	}}
-}
-
-// filter multiplies buf by the filter spectrum, in place.
-func (bp *BluesteinPlan) filter(buf operand) Pass {
-	return Pass{PassChirp, bp.M, func(st *State, lo, hi int) {
-		w := buf(st)
-		for i := lo; i < hi; i++ {
-			w[i] *= bp.BHat[i]
-		}
-	}}
-}
-
-// chirpOut is the postmultiply over N units: data[k] = y[k]·Chirp[k],
-// stored as conj(·)·(1/N) for the inverse.
-func (bp *BluesteinPlan) chirpOut(src operand, inverse bool) Pass {
-	scale := 1 / float64(bp.N)
-	return Pass{PassChirp, bp.N, func(st *State, lo, hi int) {
-		y, x := src(st), st.Data
-		if inverse {
-			for k := lo; k < hi; k++ {
-				v := y[k] * bp.Chirp[k]
-				x[k] = complex(real(v)*scale, -imag(v)*scale)
-			}
-			return
-		}
-		for k := lo; k < hi; k++ {
-			x[k] = y[k] * bp.Chirp[k]
-		}
-	}}
 }
 
 // Transform applies the forward DFT in place, serially. A wrong-length

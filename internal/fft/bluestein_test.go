@@ -142,14 +142,15 @@ func TestBluesteinHugeLengths(t *testing.T) {
 }
 
 // TestBluesteinInverseFolds: the N-point inverse has exactly the
-// forward's passes — its conj rides on the premultiply's loads, its
-// conj·1/N on the postmultiply's stores — and its bits are the unfused
-// conj → forward → conj·1/N composition's. A plan makes 2·stages + 3
-// passes each way (premultiply, forward stages, filter, inverse stages,
-// postmultiply); the unfused inverse made two more.
+// forward's passes — its conj rides on the first stage's loads, with
+// the chirp premultiply, its conj·1/N on the last stage's stores, after
+// the chirp postmultiply — and its bits are the unfused conj → forward
+// → conj·1/N composition's. A plan makes 2·stages passes each way: the
+// premultiply, the filter product and the postmultiply ride on the
+// stages next to them.
 func TestBluesteinInverseFolds(t *testing.T) {
 	for _, c := range []struct{ n, passes int }{
-		{1, 5}, {1009, 15}, {5003, 17}, {65521, 21},
+		{1, 2}, {1009, 12}, {5003, 14}, {65521, 18}, {1<<18 + 3, 18},
 	} {
 		bp, err := fft.NewBluesteinPlan(c.n)
 		if err != nil {

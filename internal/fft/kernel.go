@@ -131,5 +131,5 @@ func (pl *Plan) InverseTransform(data, w []complex128) {
 	must(pl.checkLen(data, w))
 	conjugate(data)
 	pl.Transform(data, w)
-	conjugateScale(data, data, 1/float64(pl.N))
+	conjugateScale(data, 1/float64(pl.N))
 }

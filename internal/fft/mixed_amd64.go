@@ -4,77 +4,98 @@ package fft
 
 import "math"
 
-// vec runs the part of the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of
-// units that the AVX codelets in mixed_amd64.s cover, and returns the
-// corner (p, q) of what is left for the Go codelets: the rectangle
-// (p, p1) × (q, q1), empty when p = p1 or q = q1. With S ≥ 2 a codelet
-// takes the q in pairs, two complex128 to a YMM register, one p after
-// another with its twiddles broadcast, and leaves the odd q column;
-// with S = 1 (the first stage) there is one q per p, so the radix-4
-// codelet takes the p in pairs instead, with per-lane twiddles, and
-// leaves an odd last p. Radix 7 and the other radices at S = 1 are left
-// whole. The codelets need only AVX, and run where soaHasAsm found AVX2
-// and FMA (they use no FMA: a fused product would change the bits).
-func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) (int, int) {
-	if !soaHasAsm || st.R == 7 {
-		return p0, q0
+// vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of units on the
+// AVX codelets in mixed_amd64.s, or reports false, having run nothing,
+// where they do not cover the stage. With S ≥ 2 they take the q in
+// pairs, two complex128 to a YMM register, one p after another with
+// its twiddles broadcast, and with M = 1 carry an output operand; with
+// S = 1 (the first stage) the radix-4 codelet takes pairs of p, with
+// per-lane twiddles, and carries an input operand. A call keeps each
+// lane wholly inside or outside the operand, so the pairs are cut where
+// a lane crosses its end; an odd unit left over runs in Go. The
+// codelets need only AVX, and run where soaHasAsm found AVX2 and FMA
+// (they use no FMA: a fused product would change the bits).
+func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) bool {
+	r, s, m := st.R, st.S, st.M
+	if !soaHasAsm || r == 7 || s == 1 && (r != 4 || e.out != nil) || s > 1 && (e.in != nil || e.out != nil && m > 1) {
+		return false
 	}
 	neg := 0.0
 	if e.conj {
 		neg = math.Copysign(0, -1)
 	}
-	r, s, m := st.R, st.S, st.M
+	// x walks the paired dimension; lane c of the operand is at x + stride·c.
+	x, x1, op, stride := q0, q1, e.out, s
 	if s == 1 {
-		np := (p1 - p0) / 2
-		if r != 4 || np == 0 {
-			return p0, q0
+		x, x1, op, stride = p0, p1, e.in, m
+	}
+	for x < x1 {
+		live, end := r, x1
+		if op != nil { // lanes below len(op) at x, to where the last ends (x1 if none: x < stride)
+			live = min(r, max(0, len(op)-x+stride-1)/stride)
+			end = min(end, len(op)-stride*(live-1))
 		}
-		pe := p0 + 2*np
-		_, _, _ = src[pe-1+3*m], dst[4*pe-1], st.Tw[3*pe-1] // the codelet's last loads and store
-		mixed4PairsAsm(&dst[4*p0], &src[p0], &st.Tw[3*p0], m, np, neg, e.scale)
-		return pe, q0
+		if live == 0 && s > 1 {
+			break // an output operand's: no unit from here on stores anything
+		}
+		xe := x + (end-x)&^1 // the pairs; all-zero inputs run in Go
+		if live == 0 || xe == x {
+			xe = x
+		} else if s == 1 {
+			last := xe - 1 + (live-1)*m // the codelet's last load
+			var v *complex128
+			if e.in != nil {
+				_, v = e.in[last], &e.in[x]
+			}
+			_, _, _ = src[last], dst[4*xe-1], st.Tw[3*xe-1]
+			mixed4PairsAsm(&dst[4*x], &src[x], &st.Tw[3*x], m, (xe-x)/2, neg, e.scale, v, live)
+		} else {
+			var v *complex128
+			if e.out != nil {
+				_, v = e.out[(live-1)*s+xe-1], &e.out[x]
+			}
+			_, _, _ = src[s*(p1-1)+(r-1)*s*m+xe-1], dst[r*s*(p1-1)+(live-1)*s+xe-1], st.Tw[(r-1)*p1-1]
+			pairCodelets[r](&dst[r*s*p0+x], &src[s*p0+x], &st.Tw[(r-1)*p0], s, s*m, p1-p0, (xe-x)/2, neg, e.scale, v, live, e.post)
+		}
+		if xe < end && s == 1 { // an odd unit, or a run with no lane live
+			st.scalar(dst, src, xe, end, q0, q1, e)
+		} else if xe < end {
+			st.scalar(dst, src, p0, p1, xe, end, e)
+		}
+		x = end
 	}
-	nq := (q1 - q0) / 2
-	if nq == 0 {
-		return p0, q0
-	}
-	qe := q0 + 2*nq
-	_, _, _ = src[s*(p1-1)+(r-1)*s*m+qe-1], dst[r*s*(p1-1)+(r-1)*s+qe-1], st.Tw[(r-1)*p1-1]
-	d, x, tw, np := &dst[r*s*p0+q0], &src[s*p0+q0], &st.Tw[(r-1)*p0], p1-p0
-	switch r {
-	case 2:
-		mixed2Asm(d, x, tw, s, s*m, np, nq, neg, e.scale)
-	case 3:
-		mixed3Asm(d, x, tw, s, s*m, np, nq, neg, e.scale)
-	case 4:
-		mixed4Asm(d, x, tw, s, s*m, np, nq, neg, e.scale)
-	default:
-		mixed5Asm(d, x, tw, s, s*m, np, nq, neg, e.scale)
-	}
-	return p0, qe
+	return true
+}
+
+var pairCodelets = [...]func(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64){
+	2: mixed2Asm, 3: mixed3Asm, 4: mixed4Asm, 5: mixed5Asm,
 }
 
 // Implemented in mixed_amd64.s. Each runs np rows p of nq pairs of q
 // from the unit at dst, src and tw: row p + 1 starts S elements of src,
 // R·S of dst and R − 1 twiddles further on; input lane c is S·M
 // elements from lane 0, output lane d S. Inputs are XORed with
-// (+0, neg) as they load; a nonzero scale stores conj(y)·scale.
+// (+0, neg) as they load; a nonzero scale stores conj(y)·scale. With
+// an output operand v (laid out as dst) lanes d < live store y·v,
+// conj·post-scaled when post is nonzero, and the others nothing.
 
 //go:noescape
-func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 
 //go:noescape
-func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 
 //go:noescape
-func mixed4Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+func mixed4Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 
 //go:noescape
-func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 
 // mixed4PairsAsm is the S = 1 radix-4 stage over np pairs of p: input
 // lane c is m elements from lane 0, each p's four outputs are
-// consecutive, and each lane of a register has its own twiddles.
+// consecutive, and each lane of a register has its own twiddles. A
+// non-nil v is an input operand, laid out as src: lanes c < live (≥ 1)
+// load x·v, x XORed with (+0, neg) first, and the others +0, unread.
 //
 //go:noescape
-func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64)
+func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *complex128, live int)

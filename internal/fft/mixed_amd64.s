@@ -21,8 +21,12 @@
 // it stays a NaN. Inputs are XORed with (+0, neg) as they load when neg
 // is −0 (the inverse's leading conjugation); a nonzero scale stores
 // conj(y)·scale as (y XOR (+0, −0))·scale, conjugateScale's −yi·s.
-// Buffers need no alignment. No Go calls, no stack frame, no pointer
-// writes: //go:noescape is sound.
+// An operand v (stageEdge's in or out) multiplies per lane, each
+// complex of a register by its own v: x·v is CMUL with (vr, vr) and
+// (vi, vi) split from the loaded pair, computed in place (CMULV). The
+// operand is addressed as the data it multiplies, at a fixed byte
+// distance R14 from it. Buffers need no alignment. No Go calls, no
+// stack frame, no pointer writes: //go:noescape is sound.
 
 DATA mixedNegIm<>+0(SB)/8, $0x0000000000000000
 DATA mixedNegIm<>+8(SB)/8, $0x8000000000000000
@@ -78,10 +82,33 @@ GLOBL mixedRadix5<>(SB), RODATA|NOPTR, $32
 	VXORPD Y15, x, x; \
 	VMULPD sc, x, x
 
+// x = x·v for the pair v at (AX)(R14*1), in place; a, b, t are scratch.
+#define CMULV(x, a, b, t) \
+	VMOVUPD   (AX)(R14*1), b; \
+	VMOVDDUP  b, a; \
+	VPERMILPD $15, b, b; \
+	VPERMILPD $5, x, t; \
+	VMULPD    b, t, t; \
+	VMULPD    a, x, x; \
+	VADDSUBPD t, x, x
+
+// Output lane y of a q-pair codelet with an operand, stored at AX:
+// y·v, conj(·)·post when post is nonzero; AX moves on to the next lane.
+#define OUTLANE(y, a, b, t, plain) \
+	CMULV(y, a, b, t); \
+	CMPQ         post+88(FP), $0; \
+	JEQ          plain; \
+	VBROADCASTSD post+88(FP), a; \
+	CONJSCALE(y, a); \
+plain: \
+	VMOVUPD      y, (AX); \
+	ADDQ         R9, AX
+
 // The prologue the four q-pair codelets share: DI dst, SI src, R8 tw,
 // R9 S in bytes (input row, output lane), R10 S·M in bytes (input
 // lane), DX rows left, R11 pairs per row, R12 neg's bits (nonzero: XOR
-// loads with Y14), R13 scale's bits (nonzero: scaled stores), Y15 NEGI.
+// loads with Y14), R13 scale's bits (nonzero: scaled stores), R14 the
+// output operand's distance from dst, Y15 NEGI.
 #define PAIRS_PROLOGUE \
 	MOVQ         dst+0(FP), DI; \
 	MOVQ         src+8(FP), SI; \
@@ -94,15 +121,17 @@ GLOBL mixedRadix5<>(SB), RODATA|NOPTR, $32
 	MOVQ         nq+48(FP), R11; \
 	MOVQ         neg+56(FP), R12; \
 	MOVQ         scale+64(FP), R13; \
+	MOVQ         v+72(FP), R14; \
+	SUBQ         DI, R14; \
 	VMOVUPD      mixedNegIm<>(SB), Y15; \
 	VBROADCASTSD neg+56(FP), Y14; \
 	VXORPD       Y0, Y0, Y0; \
 	VBLENDPD     $10, Y14, Y0, Y14
 
-// func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+// func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 //
 //	y0 = u0 + u1, y1 = (u0 − u1)·w1
-TEXT ·mixed2Asm(SB), NOSPLIT, $0-72
+TEXT ·mixed2Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 
 r2_row:
@@ -133,11 +162,15 @@ r2_loaded:
 	CONJSCALE(Y3, Y4)
 
 r2_store:
+	CMPQ    v+72(FP), $0
+	JNE     r2_out
 	VMOVUPD Y2, (AX)
 	VMOVUPD Y3, (AX)(R9*1)
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     r2_q
+
+r2_next:
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  r2_q
 
 	ADDQ R9, SI
 	LEAQ (DI)(R9*2), DI
@@ -147,11 +180,18 @@ r2_store:
 	VZEROUPPER
 	RET
 
-// func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+r2_out:
+	OUTLANE(Y2, Y4, Y5, Y6, r2_plain0)
+	CMPQ live+80(FP), $1
+	JLE  r2_next
+	OUTLANE(Y3, Y4, Y5, Y6, r2_plain1)
+	JMP  r2_next
+
+// func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 //
 //	t1 = u1 + u2, t2 = u1 − u2, m1 = u0 − 0.5·t1, m2 = −i·(√3/2)·t2
 //	y0 = u0 + t1, y1 = (m1 + m2)·w1, y2 = (m1 − m2)·w2
-TEXT ·mixed3Asm(SB), NOSPLIT, $0-72
+TEXT ·mixed3Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 	VMOVUPD mixedHalf<>(SB), Y12
 	VMOVUPD mixedSqrt3<>(SB), Y13
@@ -199,12 +239,16 @@ r3_loaded:
 	CONJSCALE(Y6, Y7)
 
 r3_store:
+	CMPQ    v+72(FP), $0
+	JNE     r3_out
 	VMOVUPD Y2, (AX)
 	VMOVUPD Y4, (AX)(R9*1)
 	VMOVUPD Y6, (AX)(R9*2)
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     r3_q
+
+r3_next:
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  r3_q
 
 	ADDQ R9, SI
 	LEAQ (DI)(R9*2), DI
@@ -214,6 +258,16 @@ r3_store:
 	JNZ  r3_row
 	VZEROUPPER
 	RET
+
+r3_out:
+	OUTLANE(Y2, Y0, Y1, Y3, r3_plain0)
+	CMPQ live+80(FP), $1
+	JLE  r3_next
+	OUTLANE(Y4, Y0, Y1, Y3, r3_plain1)
+	CMPQ live+80(FP), $2
+	JLE  r3_next
+	OUTLANE(Y6, Y0, Y1, Y3, r3_plain2)
+	JMP  r3_next
 
 // The radix-4 butterfly on u0..u3 in Y0..Y3, twiddles w1..w3 in
 // (Y8, Y9), (Y10, Y11), (Y12, Y13); y0..y3 land in Y2, Y5, Y6, Y7.
@@ -234,8 +288,16 @@ r3_store:
 	CMUL(Y4, Y10, Y11, Y7, Y6); \
 	CMUL(Y0, Y12, Y13, Y1, Y7)
 
-// func mixed4Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
-TEXT ·mixed4Asm(SB), NOSPLIT, $0-72
+// Input lane x of mixed4PairsAsm with an operand, loaded from AX:
+// (x XOR (+0, neg))·v; AX moves on to the next lane.
+#define INLANE(x) \
+	VMOVUPD (AX), x; \
+	VXORPD  Y14, x, x; \
+	CMULV(x, Y4, Y5, Y6); \
+	ADDQ    R10, AX
+
+// func mixed4Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
+TEXT ·mixed4Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 
 r4_row:
@@ -275,14 +337,18 @@ r4_loaded:
 	CONJSCALE(Y7, Y1)
 
 r4_store:
+	CMPQ    v+72(FP), $0
+	JNE     r4_out
 	VMOVUPD Y2, (AX)
 	VMOVUPD Y5, (AX)(R9*1)
 	VMOVUPD Y6, (AX)(R9*2)
 	ADDQ    R9, AX
 	VMOVUPD Y7, (AX)(R9*2)
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     r4_q
+
+r4_next:
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  r4_q
 
 	ADDQ R9, SI
 	LEAQ (DI)(R9*4), DI
@@ -292,15 +358,29 @@ r4_store:
 	VZEROUPPER
 	RET
 
-// func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64)
+r4_out:
+	OUTLANE(Y2, Y0, Y1, Y3, r4_plain0)
+	CMPQ live+80(FP), $1
+	JLE  r4_next
+	OUTLANE(Y5, Y0, Y1, Y3, r4_plain1)
+	CMPQ live+80(FP), $2
+	JLE  r4_next
+	OUTLANE(Y6, Y0, Y1, Y3, r4_plain2)
+	CMPQ live+80(FP), $3
+	JLE  r4_next
+	OUTLANE(Y7, Y0, Y1, Y3, r4_plain3)
+	JMP  r4_next
+
+// func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *complex128, live int)
 //
 // The S = 1 radix-4 stage, two p per iteration: lane 0 of a register
 // holds p, lane 1 p + 1. Each lane's twiddle w_d = tw[3p + d − 1] is
 // loaded as (w_d(p), w_d(p+1)) and split into its real and imaginary
 // parts; the outputs y0..y3 of p and of p + 1 are consecutive, so the
 // four result registers are stored as two 2×2 transposes of 128-bit
-// halves.
-TEXT ·mixed4PairsAsm(SB), NOSPLIT, $0-56
+// halves. With an input operand, lanes c < live (≥ 1) load x·v
+// (INLANE) and the rest are +0, read from nowhere.
+TEXT ·mixed4PairsAsm(SB), NOSPLIT, $0-72
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         tw+16(FP), R8
@@ -309,6 +389,8 @@ TEXT ·mixed4PairsAsm(SB), NOSPLIT, $0-56
 	MOVQ         np+32(FP), CX
 	MOVQ         neg+40(FP), R12
 	MOVQ         scale+48(FP), R13
+	MOVQ         v+56(FP), R14
+	SUBQ         SI, R14
 	VMOVUPD      mixedNegIm<>(SB), Y15
 	VBROADCASTSD neg+40(FP), Y14
 	VXORPD       Y0, Y0, Y0
@@ -328,6 +410,8 @@ r4p_loop:
 	VMOVDDUP    Y13, Y12
 	VPERMILPD   $15, Y13, Y13
 
+	CMPQ    v+56(FP), $0
+	JNE     r4p_operand
 	VMOVUPD (SI), Y0
 	VMOVUPD (SI)(R10*1), Y1
 	VMOVUPD (SI)(R10*2), Y2
@@ -369,7 +453,25 @@ r4p_store:
 	VZEROUPPER
 	RET
 
-// func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64)
+r4p_operand:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX
+	INLANE(Y0)
+	CMPQ   live+64(FP), $1
+	JLE    r4p_loaded
+	INLANE(Y1)
+	CMPQ   live+64(FP), $2
+	JLE    r4p_loaded
+	INLANE(Y2)
+	CMPQ   live+64(FP), $3
+	JLE    r4p_loaded
+	INLANE(Y3)
+	JMP    r4p_loaded
+
+// func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 //
 //	t1 = u1 + u4, t2 = u2 + u3, t3 = u1 − u4, t4 = u2 − u3
 //	m1 = u0 + c1·t1 + c2·t2, m2 = u0 + c2·t1 + c1·t2
@@ -380,7 +482,7 @@ r4p_store:
 // with c1, c2 = cos(2π/5), cos(4π/5) and s1, s2 = sin(2π/5), sin(4π/5)
 // in Y8..Y11 and zero in Y12; the twiddles are broadcast from memory as
 // each is used.
-TEXT ·mixed5Asm(SB), NOSPLIT, $0-72
+TEXT ·mixed5Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 	VBROADCASTSD mixedRadix5<>+0(SB), Y8
 	VBROADCASTSD mixedRadix5<>+8(SB), Y9
@@ -468,6 +570,8 @@ r5_loaded:
 	CONJSCALE(Y5, Y3)
 
 r5_store:
+	CMPQ    v+72(FP), $0
+	JNE     r5_out
 	VMOVUPD Y13, (AX)
 	VMOVUPD Y0, (AX)(R9*1)
 	VMOVUPD Y1, (AX)(R9*2)
@@ -475,9 +579,11 @@ r5_store:
 	VMOVUPD Y2, (AX)(R9*2)
 	ADDQ    R9, AX
 	VMOVUPD Y5, (AX)(R9*2)
-	ADDQ    $32, BX
-	DECQ    CX
-	JNZ     r5_q
+
+r5_next:
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  r5_q
 
 	ADDQ R9, SI
 	LEAQ (DI)(R9*4), DI
@@ -487,3 +593,19 @@ r5_store:
 	JNZ  r5_row
 	VZEROUPPER
 	RET
+
+r5_out:
+	OUTLANE(Y13, Y3, Y4, Y6, r5_plain0)
+	CMPQ live+80(FP), $1
+	JLE  r5_next
+	OUTLANE(Y0, Y3, Y4, Y6, r5_plain1)
+	CMPQ live+80(FP), $2
+	JLE  r5_next
+	OUTLANE(Y1, Y3, Y4, Y6, r5_plain2)
+	CMPQ live+80(FP), $3
+	JLE  r5_next
+	OUTLANE(Y2, Y3, Y4, Y6, r5_plain3)
+	CMPQ live+80(FP), $4
+	JLE  r5_next
+	OUTLANE(Y5, Y3, Y4, Y6, r5_plain4)
+	JMP  r5_next

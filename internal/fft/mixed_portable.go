@@ -2,9 +2,6 @@
 
 package fft
 
-// vec is where the vector codelets would take their share of a
-// rectangle of units; this build has none, so the Go codelets run it
-// all.
-func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) (int, int) {
-	return p0, q0
-}
+// vec is where the vector codelets would run a rectangle of units;
+// this build has none, so the Go codelets run it all.
+func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) bool { return false }

@@ -17,12 +17,15 @@
 //
 // Ping-ponging src/dst across stages leaves the spectrum in natural
 // order with no digit-reversal pass — the Stockham autosort property,
-// generalized from the radix-2 case. Units within a stage touch
-// pairwise-disjoint elements and are arithmetically self-contained, so
-// a stage shards across workers with bitwise-identical output to the
-// serial pass (internal/host leans on this exactly as it does for the
-// staged power-of-two plan). On amd64 the radix-2…5 butterflies run as
-// AVX codelets (mixed_amd64.s) that give the Go codelets' bits.
+// generalized from the radix-2 case. The last stage (m = 1) may run in
+// place, so a plan ends in the caller's array at any stage count, and
+// multiply-only sweeps ride on the stages' edges (stageEdge). Units
+// within a stage touch pairwise-disjoint elements and are
+// arithmetically self-contained, so a stage shards across workers with
+// bitwise-identical output to the serial pass (internal/host leans on
+// this as it does for the staged power-of-two plan). On amd64 the
+// radix-2…5 butterflies run as AVX codelets (mixed_amd64.s) that give
+// the Go codelets' bits.
 package fft
 
 import (
@@ -194,9 +197,10 @@ func (mp *MixedPlan) String() string {
 
 // Schedule returns the plan's pass list for the forward or inverse
 // transform: one pass per Stockham stage, ping-ponging between the
-// caller's array and the work buffer, and a copy-back pass when the
-// stage count is odd. The inverse has exactly these passes: the
-// conjugation identity rides on them (see buildSchedules).
+// caller's array and the work buffer and ending in the caller's array —
+// with an odd stage count the last stage runs there in place. The
+// inverse has exactly these passes: the conjugation identity rides on
+// them (see passes).
 func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
 	if inverse {
 		return mp.inv
@@ -211,48 +215,43 @@ func (mp *MixedPlan) buildSchedules() {
 
 // passes builds the stage passes of one direction. The inverse's
 // conjugation identity conj(DFT(conj(x)))/N costs no pass of its own:
-// the first stage conjugates what it loads, and the last pass — the
-// last stage when the stage count is even, the copy-back when it is
-// odd — stores conj(y)·(1/N). Both are bit for bit the unfused
-// conj → stages → conj·1/N composition. N = 1 has no stage to carry
-// them and keeps the two sweeps.
+// the first stage conjugates what it loads and the last stores
+// conj(y)·(1/N), bit for bit the unfused conj → stages → conj·1/N
+// composition. N = 1 has no stage to carry them and keeps the two
+// sweeps.
 func (mp *MixedPlan) passes(inverse bool) []Pass {
-	n := len(mp.Stages)
-	if n == 0 {
+	if len(mp.Stages) == 0 {
 		if inverse {
 			return inverted(nil, onData, mp.N)
 		}
 		return nil
 	}
-	scale := 1 / float64(mp.N)
-	if n%2 == 0 && inverse {
-		return mp.stages(onData, onWork, true, scale)
-	}
-	if n%2 == 0 {
-		return mp.stages(onData, onWork, false, 0)
-	}
-	back := func(s *State, lo, hi int) { copy(s.Data[lo:hi], s.Work[lo:hi]) }
+	var e stageEdge
 	if inverse {
-		back = func(s *State, lo, hi int) { conjugateScale(s.Data[lo:hi], s.Work[lo:hi], scale) }
+		e = stageEdge{conj: true, scale: 1 / float64(mp.N)}
 	}
-	return append(mp.stages(onData, onWork, inverse, 0), Pass{PassStageMixed, mp.N, back})
+	return mp.stages(onData, onData, onWork, onData, e)
 }
 
-// stages builds one pass per stage, the first reading a and writing b,
-// the next back, and so on: the result is in b when the stage count is
-// odd, in a when it is even. With conj set the first stage conjugates
-// what it loads; with scale nonzero the last stores conj(y)·scale.
-func (mp *MixedPlan) stages(a, b operand, conj bool, scale float64) []Pass {
-	ps := make([]Pass, len(mp.Stages))
+// stages builds one pass per stage. Stage 0 reads in; stage i below the
+// last writes b when i is even, a when it is odd, and the next stage
+// reads it; the last writes out. With an odd stage count the stages
+// before the last end in a, so when out is a the last stage — M = 1:
+// each unit reads and writes the same R elements — runs there in
+// place. Stage 0 takes the loads of edges, the last stage its stores.
+func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
+	n := len(mp.Stages)
+	ps := make([]Pass, n)
 	for i := range mp.Stages {
-		st := &mp.Stages[i]
-		src, dst := a, b
+		st, src, dst, e := &mp.Stages[i], a, b, stageEdge{}
 		if i%2 == 1 {
 			src, dst = b, a
 		}
-		e := stageEdge{conj: conj && i == 0}
-		if i == len(mp.Stages)-1 {
-			e.scale = scale
+		if i == 0 {
+			src, e.conj, e.in = in, edges.conj, edges.in
+		}
+		if i == n-1 {
+			dst, e.scale, e.out, e.post = out, edges.scale, edges.out, edges.post
 		}
 		ps[i] = Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }}
 	}
@@ -283,26 +282,34 @@ func (mp *MixedPlan) TransformWith(data, work []complex128) {
 	st.Release()
 }
 
-// stageEdge is what the inverse adds to a stage at its edges: with conj
-// set every input is conjugated as it is loaded (the first stage), with
-// scale nonzero every output is stored as conj(y)·scale (the last).
+// stageEdge is what a stage does at its edges besides the butterflies:
+// the sweeps that only multiply, fused into its loads and stores. Loads:
+// with conj set every input x is conjugated; with in set, input t is
+// x[t]·in[t] for t < len(in), x conjugated first, and +0 above, where x
+// — len(in) long — is not read. Stores: with scale nonzero output y is
+// stored as conj(y)·scale; with out set (an M = 1 stage only) it is then
+// multiplied by out[k], conj·post-scaled when post is nonzero, and
+// stored only for k < len(out), into a dst that need be no longer (one
+// as long as the stage holds scratch above).
 type stageEdge struct {
 	conj  bool
+	in    []complex128
 	scale float64
+	out   []complex128
+	post  float64
 }
 
 // run executes butterfly units [ulo, uhi) of the stage, reading src and
-// writing dst (disjoint slices of length ≥ the plan's N), with the
-// inverse's edges e. Unit u decomposes as p = u/S, q = u mod S. The
-// range is cut into at most three rectangles of units — a partial row
-// of q, whole rows, a partial row — and each goes to the vector
-// codelets (mixed_amd64.go), which take what their vector shape covers:
-// pairs of q when S ≥ 2, pairs of p when S = 1. The Go codelets run what
-// is left. Which codelet computes a unit depends on the range; its bits
-// do not, because the vector codelets repeat the Go codelets' arithmetic
-// op for op. So any [ulo, uhi) partition of [0, Units()) produces output
-// bitwise identical to the full-range serial pass — the determinism
-// contract the parallel engine shards on.
+// writing dst (slices of length ≥ the plan's N, disjoint unless M = 1,
+// shorter only as e allows), with the edges e. Unit u decomposes as
+// p = u/S, q = u mod S. The range is cut into at most three rectangles
+// of units — a partial row of q, whole rows, a partial row — each run
+// by the vector codelets (mixed_amd64.go) where they cover the stage,
+// else by the Go codelets. Which codelet computes a unit depends on the
+// range; its bits do not, because the vector codelets repeat the Go
+// codelets' arithmetic op for op. So any [ulo, uhi) partition of
+// [0, Units()) produces output bitwise identical to the full-range
+// serial pass — the determinism contract the parallel engine shards on.
 func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
 	s := st.S
 	for u := ulo; u < uhi; {
@@ -312,93 +319,122 @@ func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
 			p1, q1 = p0+(uhi-u)/s, s
 		}
 		u = s*(p1-1) + q1 // the unit after the rectangle's last
-		p, q := st.vec(dst, src, p0, p1, q0, q1, e)
-		if p < p1 && q < q1 {
-			st.scalar(dst, src, p, p1, q, q1, e)
+		if !st.vec(dst, src, p0, p1, q0, q1, e) {
+			st.scalar(dst, src, p0, p1, q0, q1, e)
 		}
 	}
 }
 
 // scalar runs units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through the Go
-// codelets. The inverse's edges are sweeps over the rectangle's own
-// elements around them: its inputs conjugated in place before (as
-// conj·1, which is exact; no other unit reads them, and the first
-// stage's src is the caller's array, which the transform overwrites
-// anyway), its outputs conj·scaled after.
+// codelets, the edges as sweeps over the rectangle's own elements: load
+// edges gather its inputs to where its units store, and the codelet
+// runs there in place; store edges sweep its outputs into dst. With a
+// dst shorter than the stage it runs in place in src (M = 1).
 func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) {
-	if e.conj {
-		st.sweep(src, p0, p1, q0, q1, true, 1)
+	r, s := st.R, st.S
+	buf := dst
+	if len(dst) < r*s*st.M {
+		buf = src
 	}
-	switch st.R {
-	case 2:
-		st.pass2(dst, src, p0, p1, q0, q1)
-	case 3:
-		st.pass3(dst, src, p0, p1, q0, q1)
-	case 4:
-		st.pass4(dst, src, p0, p1, q0, q1)
-	case 5:
-		st.pass5(dst, src, p0, p1, q0, q1)
-	default:
-		st.pass7(dst, src, p0, p1, q0, q1)
+	ir, il := s, s*st.M
+	if e.conj || e.in != nil {
+		st.gather(buf, src, p0, p1, q0, q1, e)
+		src, ir, il = buf, r*s, s
 	}
-	if e.scale != 0 {
-		st.sweep(dst, p0, p1, q0, q1, false, e.scale)
+	goCodelets[r](st, buf, src, ir, il, p0, p1, q0, q1)
+	if e.scale != 0 || e.out != nil {
+		st.store(dst, buf, p0, p1, q0, q1, e)
 	}
 }
 
-// sweep conj·scales, in place, the runs of buf the rectangle's units
-// read (in) or write: per unit R elements S·M apart at S·p + q (in), S
-// apart at R·S·p + q (out). Whole rows make one run per input lane and
-// one output run.
-func (st *MixedStage) sweep(buf []complex128, p0, p1, q0, q1 int, in bool, scale float64) {
-	s, r, n := st.S, st.R, q1-q0
-	row, lane := s, s*st.M
-	if !in {
-		row, lane = r*s, s
-	}
-	if n == s {
-		n, p1 = n*(p1-p0), p0+1
-		if !in {
-			n, r = n*r, 1
-		}
-	}
+// gather writes input c of unit (p, q), load edges applied, to
+// buf[R·S·p + q + c·S], where the unit stores output c (and, when buf
+// is src, M = 1, reads it).
+func (st *MixedStage) gather(buf, src []complex128, p0, p1, q0, q1 int, e stageEdge) {
+	r, s, sm := st.R, st.S, st.S*st.M
 	for p := p0; p < p1; p++ {
 		for c := 0; c < r; c++ {
-			d := buf[row*p+c*lane+q0:][:n]
-			conjugateScale(d, d, scale)
+			b, t := buf[r*s*p+c*s:], s*p+c*sm
+			for q := q0; q < q1; q++ {
+				if e.in != nil && t+q >= len(e.in) {
+					b[q] = 0
+					continue
+				}
+				x := src[t+q]
+				if e.conj {
+					x = complex(real(x), -imag(x))
+				}
+				if e.in != nil {
+					x *= e.in[t+q]
+				}
+				b[q] = x
+			}
 		}
 	}
+}
+
+// store sweeps the rectangle's outputs — per unit R elements S apart at
+// R·S·p + q — from buf into dst with the store edges applied.
+func (st *MixedStage) store(dst, buf []complex128, p0, p1, q0, q1 int, e stageEdge) {
+	r, s, lim := st.R, st.S, len(dst)
+	if e.out != nil {
+		lim = len(e.out)
+	}
+	for p := p0; p < p1; p++ {
+		for d := 0; d < r; d++ {
+			k0 := r*s*p + d*s
+			for k := k0 + q0; k < min(k0+q1, lim); k++ {
+				y := buf[k]
+				if e.scale != 0 {
+					y = complex(real(y)*e.scale, -imag(y)*e.scale)
+				}
+				if e.out != nil {
+					y *= e.out[k]
+					if e.post != 0 {
+						y = complex(real(y)*e.post, -imag(y)*e.post)
+					}
+				}
+				dst[k] = y
+			}
+		}
+	}
+}
+
+var goCodelets = [...]func(st *MixedStage, dst, src []complex128, ir, il, p0, p1, q0, q1 int){
+	2: (*MixedStage).pass2, 3: (*MixedStage).pass3, 4: (*MixedStage).pass4, 5: (*MixedStage).pass5, 7: (*MixedStage).pass7,
 }
 
 // The Go codelets. Each runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1)
-// of units, the twiddles of a p loaded once for its run of q. They are
+// of units, the twiddles of a p loaded once for its run of q; unit
+// (p, q) reads input c at src[ir·p + q + il·c] — (S, S·M) in a plain
+// stage, (R·S, S) where scalar gathered its inputs. They are
 // the reference the vector codelets are tested against (mixed_test.go):
 // change one and the other must follow, op for op.
 
-func (st *MixedStage) pass2(dst, src []complex128, p0, p1, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
+func (st *MixedStage) pass2(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
+	s := st.S
 	for p := p0; p < p1; p++ {
 		w1 := st.Tw[p]
-		in, out := s*p, 2*s*p
+		in, out := ir*p, 2*s*p
 		for q := q0; q < q1; q++ {
 			u0 := src[in+q]
-			u1 := src[in+q+sm]
+			u1 := src[in+q+il]
 			dst[out+q] = u0 + u1
 			dst[out+q+s] = (u0 - u1) * w1
 		}
 	}
 }
 
-func (st *MixedStage) pass3(dst, src []complex128, p0, p1, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
+func (st *MixedStage) pass3(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
+	s := st.S
 	for p := p0; p < p1; p++ {
 		tw := st.Tw[2*p:]
 		w1, w2 := tw[0], tw[1]
-		in, out := s*p, 3*s*p
+		in, out := ir*p, 3*s*p
 		for q := q0; q < q1; q++ {
 			u0 := src[in+q]
-			u1 := src[in+q+sm]
-			u2 := src[in+q+2*sm]
+			u1 := src[in+q+il]
+			u2 := src[in+q+2*il]
 			t1 := u1 + u2
 			t2 := u1 - u2
 			m1 := u0 - 0.5*t1
@@ -410,17 +446,17 @@ func (st *MixedStage) pass3(dst, src []complex128, p0, p1, q0, q1 int) {
 	}
 }
 
-func (st *MixedStage) pass4(dst, src []complex128, p0, p1, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
+func (st *MixedStage) pass4(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
+	s := st.S
 	for p := p0; p < p1; p++ {
 		tw := st.Tw[3*p:]
 		w1, w2, w3 := tw[0], tw[1], tw[2]
-		in, out := s*p, 4*s*p
+		in, out := ir*p, 4*s*p
 		for q := q0; q < q1; q++ {
 			u0 := src[in+q]
-			u1 := src[in+q+sm]
-			u2 := src[in+q+2*sm]
-			u3 := src[in+q+3*sm]
+			u1 := src[in+q+il]
+			u2 := src[in+q+2*il]
+			u3 := src[in+q+3*il]
 			t0 := u0 + u2
 			t1 := u0 - u2
 			t2 := u1 + u3
@@ -434,18 +470,18 @@ func (st *MixedStage) pass4(dst, src []complex128, p0, p1, q0, q1 int) {
 	}
 }
 
-func (st *MixedStage) pass5(dst, src []complex128, p0, p1, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
+func (st *MixedStage) pass5(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
+	s := st.S
 	for p := p0; p < p1; p++ {
 		tw := st.Tw[4*p:]
 		w1, w2, w3, w4 := tw[0], tw[1], tw[2], tw[3]
-		in, out := s*p, 5*s*p
+		in, out := ir*p, 5*s*p
 		for q := q0; q < q1; q++ {
 			u0 := src[in+q]
-			u1 := src[in+q+sm]
-			u2 := src[in+q+2*sm]
-			u3 := src[in+q+3*sm]
-			u4 := src[in+q+4*sm]
+			u1 := src[in+q+il]
+			u2 := src[in+q+2*il]
+			u3 := src[in+q+3*il]
+			u4 := src[in+q+4*il]
 			t1 := u1 + u4
 			t2 := u2 + u3
 			t3 := u1 - u4
@@ -465,15 +501,15 @@ func (st *MixedStage) pass5(dst, src []complex128, p0, p1, q0, q1 int) {
 	}
 }
 
-func (st *MixedStage) pass7(dst, src []complex128, p0, p1, q0, q1 int) {
-	s, sm := st.S, st.S*st.M
+func (st *MixedStage) pass7(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
+	s := st.S
 	for p := p0; p < p1; p++ {
 		tw := st.Tw[6*p:]
-		in, out := s*p, 7*s*p
+		in, out := ir*p, 7*s*p
 		for q := q0; q < q1; q++ {
 			var u [7]complex128
 			for c := range u {
-				u[c] = src[in+q+c*sm]
+				u[c] = src[in+q+c*il]
 			}
 			dst[out+q] = u[0] + u[1] + u[2] + u[3] + u[4] + u[5] + u[6]
 			for d := 1; d < 7; d++ {

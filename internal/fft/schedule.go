@@ -49,8 +49,7 @@ const (
 	PassStageSplitRadix = "stage_splitradix" // split-radix butterfly stage
 	PassStageSoA2       = "stage_soa2"       // one SoA radix-2 blocked pass of level sweeps
 	PassStageSoA4       = "stage_soa4"       // one SoA fused radix-4 blocked pass of level sweeps
-	PassStageMixed      = "stage_mixed"      // one mixed-radix Stockham stage (or its copy-back)
-	PassChirp           = "chirp"            // Bluestein chirp or filter-spectrum multiply sweep
+	PassStageMixed      = "stage_mixed"      // one mixed-radix Stockham stage
 
 	PassSoAPack = "soa_pack" // deinterleave + bit-reverse into planes, with stage 0
 
@@ -174,10 +173,10 @@ func conjugate(d []complex128) {
 	}
 }
 
-// conjugateScale stores conj(src[i])·s to dst[i]; dst may be src.
-func conjugateScale(dst, src []complex128, s float64) {
-	for i, v := range src[:len(dst)] {
-		dst[i] = complex(real(v)*s, -imag(v)*s)
+// conjugateScale replaces d[i] by conj(d[i])·s.
+func conjugateScale(d []complex128, s float64) {
+	for i, v := range d {
+		d[i] = complex(real(v)*s, -imag(v)*s)
 	}
 }
 
@@ -191,8 +190,7 @@ func conjPass(buf operand, n int) Pass {
 func scalePass(buf operand, n int) Pass {
 	inv := 1 / float64(n)
 	return Pass{PassScale, n, func(st *State, lo, hi int) {
-		d := buf(st)[lo:hi]
-		conjugateScale(d, d, inv)
+		conjugateScale(buf(st)[lo:hi], inv)
 	}}
 }
 

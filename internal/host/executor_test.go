@@ -137,7 +137,7 @@ func (o *seqObserver) take() (passes []string, batches [][2]int) {
 var parentLabels = []string{
 	host.PassBitRev, host.PassStage, host.PassConj, host.PassScale, host.PassRows, host.PassCols,
 	host.PassStageRadix4, host.PassStageSplitRadix, host.PassStageSoA2, host.PassStageSoA4,
-	host.PassStageMixed, host.PassChirp, host.PassSoAPack, host.PassSoAUnpack,
+	host.PassStageMixed, host.PassSoAPack, host.PassSoAUnpack,
 }
 
 // TestExecutorConformance runs every schedule forward and inverse on a

@@ -46,7 +46,6 @@ const (
 	PassStageSoA2       = fft.PassStageSoA2
 	PassStageSoA4       = fft.PassStageSoA4
 	PassStageMixed      = fft.PassStageMixed
-	PassChirp           = fft.PassChirp
 
 	PassSoAPack   = fft.PassSoAPack
 	PassSoAUnpack = fft.PassSoAUnpack

@@ -225,7 +225,7 @@ func newEngineObserver(r *metrics.Registry) *engineObserver {
 	for _, p := range []string{host.PassBitRev, host.PassStage, host.PassStageRadix4,
 		host.PassStageSplitRadix, host.PassStageSoA2, host.PassStageSoA4,
 		host.PassSoAPack, host.PassConj, host.PassScale,
-		host.PassStageMixed, host.PassChirp} {
+		host.PassStageMixed} {
 		passes[p] = r.Histogram("engine_pass_"+p+"_seconds", latency)
 	}
 	return &engineObserver{
