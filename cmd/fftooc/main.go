@@ -1,26 +1,23 @@
 // Command fftooc runs out-of-core FFTs: transforms whose data and
 // intermediate state live in files, staged through RAM tiles under an
-// explicit memory budget. It is both the operational driver (transform
-// a raw complex128 file into another) and the acceptance harness for
-// the out-of-core subsystem — its check modes verify the staged result
-// against the in-core four-step bit for bit (at co-runnable sizes), a
-// streaming analytic tone (at any size), or a forward/inverse round
-// trip, and it reports the process's peak RSS so a memory-budget claim
-// is measured, not asserted.
+// explicit memory budget. It transforms a raw complex128 file into
+// another and reports the per-phase I/O, the per-channel balance and the
+// process's peak RSS, so a memory-budget claim is measured, not
+// asserted.
 //
 // Usage:
 //
-//	fftooc -logn 26 -budget 256MiB -check tone     # 2^26 points, ≤ budget RAM
-//	fftooc -logn 22 -check incore -metrics         # bitwise vs in-core
-//	fftooc -in x.c128 -out X.c128 -logn 24         # transform a file
-//	fftooc -logn 20 -check roundtrip -metrics      # + metrics dump
+//	fftooc -logn 26 -budget 256MiB -metrics     # 2^26-point tone, ≤ budget RAM
+//	fftooc -in x.c128 -out X.c128 -logn 24      # transform a file
+//	fftooc -in X.c128 -out x.c128 -logn 24 -inverse
 //
 // Input/output files are flat native-order complex128 arrays. With no
 // -in, the driver synthesizes a pure tone x[j] = exp(2πi·f·j/N)
 // streaming to a temp file, so even N=2^28 (4 GiB of data) never needs
-// N points in RAM; -check tone then verifies X[k] = N·δ[k−f] the same
-// way, so it refuses -in. -check incore transforms random data in RAM
-// and refuses -in and -out. Exit status is non-zero if any check fails.
+// N points in RAM, and a forward run verifies X[k] = N·δ[k−f] the same
+// way; the exit status is non-zero if it does not hold. The staged
+// path's bit-for-bit agreement with the in-core four-step is held by
+// internal/ooc's tests.
 package main
 
 import (
@@ -29,7 +26,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -42,31 +38,28 @@ import (
 func main() {
 	var (
 		logN    = flag.Int("logn", 22, "transform 2^logn complex points")
-		in      = flag.String("in", "", "input file (raw complex128); empty = synthesize a tone")
+		in      = flag.String("in", "", "input file (raw complex128); empty = synthesize a tone and verify a forward run against it")
 		out     = flag.String("out", "", "output file; empty = a temp file next to the spill")
 		dir     = flag.String("dir", "", "spill/scratch directory (default $TMPDIR)")
 		budget  = flag.String("budget", "256MiB", "memory budget for staging buffers (e.g. 512MiB, 1GiB)")
 		inverse = flag.Bool("inverse", false, "run the inverse transform")
-		check   = flag.String("check", "none", "verification: none, tone, incore, or roundtrip")
-		tone    = flag.Int("tone", 12345, "tone frequency bin for synthesized input / -check tone")
+		tone    = flag.Int("tone", 12345, "tone frequency bin of the synthesized input")
 		metrics = flag.Bool("metrics", false, "print the plan's metrics after the run")
 	)
 	flag.Parse()
 
-	if err := run(*logN, *in, *out, *dir, *budget, *inverse, *check, *tone, *metrics); err != nil {
+	if err := run(*logN, *in, *out, *dir, *budget, *inverse, *tone, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "fftooc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(logN int, in, out, dir, budgetStr string, inverse bool, check string, tone int, metrics bool) error {
+func run(logN int, in, out, dir, budgetStr string, inverse bool, tone int, metrics bool) error {
 	if logN < 2 || logN > 40 {
 		return fmt.Errorf("-logn %d out of range [2,40]", logN)
 	}
-	if err := checkArgs(check, in, out, inverse); err != nil {
-		return err
-	}
 	n := 1 << logN
+	tone = (tone%n + n) % n // the bin the synthesized tone lands in
 	budget, err := parseBytes(budgetStr)
 	if err != nil {
 		return err
@@ -85,12 +78,8 @@ func run(logN int, in, out, dir, budgetStr string, inverse bool, check string, t
 	fmt.Printf("plan: %s budget=%s tiles=%d×%d spill=%s\n",
 		p, budgetStr, s2, s1, fmtBytes(p.SpillBytes()))
 
-	if check == "incore" {
-		return checkInCore(p, n, inverse, metrics)
-	}
-
-	// File-to-file path (the genuinely out-of-core one).
-	if in == "" {
+	synth := in == ""
+	if synth {
 		f, err := os.CreateTemp(dir, "fftooc-in-*.c128")
 		if err != nil {
 			return err
@@ -122,93 +111,12 @@ func run(logN int, in, out, dir, budgetStr string, inverse bool, check string, t
 	}
 	report(p)
 
-	switch check {
-	case "none":
-	case "tone":
+	if synth && !inverse {
 		if err := verifyTone(out, n, tone); err != nil {
 			return err
 		}
 		fmt.Printf("check: tone ok (X[%d]=N, all other bins ~0)\n", tone)
-	case "roundtrip":
-		back := filepath.Join(dir, fmt.Sprintf("fftooc-back-%d.c128", os.Getpid()))
-		defer os.Remove(back)
-		if inverse {
-			err = p.TransformFile(ctx, back, out)
-		} else {
-			err = p.InverseFile(ctx, back, out)
-		}
-		if err != nil {
-			return err
-		}
-		if err := compareFiles(in, back, n, 1e-9); err != nil {
-			return err
-		}
-		fmt.Println("check: roundtrip ok")
 	}
-
-	if metrics {
-		fmt.Print(p.MetricsText())
-	}
-	reportRSS()
-	return nil
-}
-
-// checkArgs rejects a -check mode the other flags make meaningless,
-// before a plan is built or a byte is transformed.
-func checkArgs(check, in, out string, inverse bool) error {
-	switch check {
-	case "none", "roundtrip":
-	case "tone":
-		if in != "" {
-			return fmt.Errorf("-check tone verifies the synthesized tone, not an -in file; drop -in or pick -check roundtrip")
-		}
-		if inverse {
-			return fmt.Errorf("-check tone verifies the forward transform; drop -inverse")
-		}
-	case "incore":
-		if in != "" || out != "" {
-			return fmt.Errorf("-check incore transforms random data in RAM and would ignore -in and -out; drop them")
-		}
-	default:
-		return fmt.Errorf("unknown -check mode %q (want none, tone, incore, or roundtrip)", check)
-	}
-	return nil
-}
-
-// checkInCore transforms random data through both the staged
-// out-of-core path and the in-core four-step reference and demands
-// bitwise equality — the subsystem's core correctness claim. It holds
-// ~3·N·16 bytes in RAM, so it only runs at co-runnable sizes.
-func checkInCore(p *codeletfft.OOCPlan, n int, inverse, metrics bool) error {
-	rng := rand.New(rand.NewSource(7))
-	data := make([]complex128, n)
-	for i := range data {
-		data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	n1, n2 := p.Factors()
-	fs, err := fft.NewFourStep(n1, n2)
-	if err != nil {
-		return err
-	}
-	want := append([]complex128(nil), data...)
-	ref, run := fs.Transform, p.Transform
-	if inverse {
-		ref, run = fs.InverseTransform, p.Inverse
-	}
-	if err := ref(want); err != nil {
-		return err
-	}
-	if err := run(data); err != nil {
-		return err
-	}
-	for i := range data {
-		if data[i] != want[i] {
-			return fmt.Errorf("check incore: bin %d differs: ooc %v, four-step %v (not bitwise identical)",
-				i, data[i], want[i])
-		}
-	}
-	fmt.Printf("check: incore ok (%d bins bitwise identical to the four-step reference)\n", n)
-	report(p)
 	if metrics {
 		fmt.Print(p.MetricsText())
 	}
@@ -267,39 +175,6 @@ func verifyTone(path string, n, tone int) error {
 		}
 	}
 	fmt.Printf("tone: worst bin error %.3g (tol %.3g)\n", worst, tol)
-	return nil
-}
-
-// compareFiles streams two N-point files and checks elementwise
-// distance ≤ tol.
-func compareFiles(a, b string, n int, tol float64) error {
-	fa, err := os.Open(a)
-	if err != nil {
-		return err
-	}
-	defer fa.Close()
-	fb, err := os.Open(b)
-	if err != nil {
-		return err
-	}
-	defer fb.Close()
-	const chunk = 1 << 16
-	bufA := make([]complex128, chunk)
-	bufB := make([]complex128, chunk)
-	for base := 0; base < n; base += chunk {
-		m := min(chunk, n-base)
-		if _, err := fa.ReadAt(fft.ComplexBytes(bufA[:m]), int64(base)*16); err != nil {
-			return err
-		}
-		if _, err := fb.ReadAt(fft.ComplexBytes(bufB[:m]), int64(base)*16); err != nil {
-			return err
-		}
-		for i := 0; i < m; i++ {
-			if d := cmplx.Abs(bufA[i] - bufB[i]); d > tol {
-				return fmt.Errorf("files differ at element %d by %g", base+i, d)
-			}
-		}
-	}
 	return nil
 }
 

@@ -42,7 +42,9 @@ type convScratch struct {
 // 256) — collapsed to a single full-length segment when the whole
 // output fits in one that small — so every segment transform runs the
 // mixed-radix (or staged power-of-two) planner natively. opts configure
-// the segment plan's engine exactly as for NewHostPlan.
+// the segment plan's engine exactly as for NewHostPlan. A shape whose
+// output length or 4·kernelLen overflows an int is
+// ErrUnsupportedLength.
 func NewConvPlan(n, kernelLen int, opts ...HostOption) (*ConvPlan, error) {
 	spec, err := fft.NewConvSpec(n, kernelLen)
 	if err != nil {

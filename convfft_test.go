@@ -12,6 +12,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+	"time"
 
 	"codeletfft"
 	"codeletfft/internal/fft"
@@ -206,12 +207,28 @@ func TestFilterStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestConvPlanErrors: degenerate shapes error with the sentinel
-// (wrong-length buffers: TestLengthErrorsLeaveBuffersUntouched).
+// TestConvPlanErrors: degenerate shapes, and shapes whose output
+// length or 4·K passes what an int holds, error with the sentinel
+// (wrong-length buffers: TestLengthErrorsLeaveBuffersUntouched). Each
+// call runs on its own goroutine under a deadline, so a planner that
+// spins fails the test instead of stalling the suite.
 func TestConvPlanErrors(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{0, 4}, {4, 0}, {-3, 2}} {
-		if _, err := codeletfft.NewConvPlan(tc.n, tc.k); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
-			t.Fatalf("NewConvPlan(%d, %d) err = %v, want ErrUnsupportedLength", tc.n, tc.k, err)
+	for _, tc := range []struct{ n, k int }{
+		{0, 4}, {4, 0}, {-3, 2},
+		{math.MaxInt, 2}, {2, math.MaxInt / 2}, {math.MaxInt / 2, math.MaxInt / 2},
+	} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := codeletfft.NewConvPlan(tc.n, tc.k)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, codeletfft.ErrUnsupportedLength) {
+				t.Fatalf("NewConvPlan(%d, %d) err = %v, want ErrUnsupportedLength", tc.n, tc.k, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NewConvPlan(%d, %d) did not return within 5s", tc.n, tc.k)
 		}
 	}
 }

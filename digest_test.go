@@ -99,7 +99,7 @@ func TestDefaultPlanDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dir := range []string{"fwd", "inv"} {
-			s := bp.Schedule(fft.KernelAuto, dir == "inv")
+			s := bp.Schedule(dir == "inv")
 			x := digestSignal(n, 0)
 			mustRun(t, s.Run(x))
 			add("bluestein", n, "serial", dir, x)

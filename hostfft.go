@@ -136,36 +136,23 @@ func WithKernel(k Kernel) HostOption {
 }
 
 // resolveOpts applies opts for a plan whose kernel runs on kernLen
-// points, with KernelAuto resolved by the rule — here, before a cache
-// key is formed or a core built, so nothing downstream sees Auto.
+// points. Only a power of two ≥ 2 runs a kernel: there KernelAuto is
+// resolved by the rule — before a cache key is formed or a core built,
+// so nothing downstream sees Auto. Any other length runs the
+// mixed-radix or Bluestein plan's per-radix codelets, so its kernel is
+// KernelAuto, pinned or not: the length's plans build, and cached
+// share, one core, which names the kernel it reports.
 func resolveOpts(kernLen int, opts []HostOption) hostOpts {
 	var o hostOpts
 	for _, opt := range opts {
 		o = opt(o)
 	}
-	if o.kern == KernelAuto {
+	switch {
+	case fft.Log2(kernLen) < 1:
+		o.kern = KernelAuto
+	case o.kern == KernelAuto:
 		o.kern = fft.AutoKernel(kernLen)
 	}
-	return o
-}
-
-// complexOpts is resolveOpts for an n-point complex plan, given n's
-// radix signature. Only a power of two runs a kernel. A mixed-radix
-// plan runs per-radix codelets, and so does a Bluestein plan's
-// convolution, so their kernel is the rule's answer for n — for
-// Bluestein, for its convolution length M — pinned or not, and plans of
-// a length differing only in it build — and, cached, share — the same
-// core.
-func complexOpts(n int, sig uint64, opts []HostOption) hostOpts {
-	if n >= 2 && n&(n-1) == 0 {
-		return resolveOpts(n, opts)
-	}
-	kernLen := n
-	if sig>>63 != 0 {
-		kernLen = fft.BluesteinLen(n)
-	}
-	o := resolveOpts(kernLen, opts)
-	o.kern = fft.AutoKernel(kernLen)
 	return o
 }
 
@@ -177,8 +164,10 @@ func (o hostOpts) engine() host.Engine {
 
 // hostCore is the immutable, shareable part of a plan: what the length
 // routed to, reduced to its name and its two schedules under the
-// kernel resolved at construction. CachedHostPlan hands the same core
-// to many HostPlans; only the engine differs per plan.
+// kernel resolved at construction — for a family that runs no kernel,
+// the rule's answer for the length its stages run on. CachedHostPlan
+// hands the same core to many HostPlans; only the engine differs per
+// plan.
 type hostCore struct {
 	n        int
 	algo     string // Algorithm()
@@ -207,7 +196,7 @@ func newHostCore(n int, o hostOpts) (*hostCore, error) {
 	}
 	mp, err := fft.NewMixedPlan(n)
 	if err == nil {
-		c.algo, c.fwd, c.inv = mp.String(), mp.Schedule(false), mp.Schedule(true)
+		c.algo, c.kern, c.fwd, c.inv = mp.String(), fft.AutoKernel(n), mp.Schedule(false), mp.Schedule(true)
 		return c, nil
 	}
 	if n < 1 {
@@ -217,25 +206,23 @@ func newHostCore(n int, o hostOpts) (*hostCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.algo, c.fwd, c.inv = bp.String(), bp.Schedule(o.kern, false), bp.Schedule(o.kern, true)
+	c.algo, c.kern, c.fwd, c.inv = bp.String(), fft.AutoKernel(bp.M), bp.Schedule(false), bp.Schedule(true)
 	return c, nil
 }
 
-// planKey identifies a cached core by what complexOpts resolved: the
-// transform length, the kernel (never KernelAuto: a default plan and
-// one pinned to the kernel the rule names are the same entry, and every
-// mixed-radix plan of a length is), and the radix signature of the
-// length, so a mixed-radix core and a Bluestein core can never alias
-// even under hash collisions on n.
+// planKey identifies a cached core by the transform length and the
+// kernel resolveOpts left: resolved for a power of two, so a default
+// plan and one pinned to the kernel the rule names are the same entry,
+// and KernelAuto for every other length, whose one core serves every
+// pin. Keys compare by value, so n alone keeps a length's family apart
+// from every other length's.
 type planKey struct {
 	n    int
 	kern Kernel
-	sig  uint64
 }
 
 func planKeyHash(k planKey) uint64 {
 	h := uint64(k.n)*0x9e3779b97f4a7c15 ^ uint64(k.kern)*0xff51afd7ed558ccd
-	h ^= k.sig * 0xd6e8feb86659fd93
 	h ^= h >> 29
 	h *= 0x94d049bb133111eb
 	return h ^ h>>32
@@ -304,7 +291,7 @@ type HostPlan struct {
 //
 //	p, err := codeletfft.NewHostPlan(1<<20, codeletfft.WithWorkers(8))
 func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
-	o := complexOpts(n, fft.RadixSignature(n), opts)
+	o := resolveOpts(n, opts)
 	core, err := newHostCore(n, o)
 	if err != nil {
 		return nil, err
@@ -320,9 +307,8 @@ func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 // plan lifetimes: a hit is the cache lookup plus one small struct. The engine options (WithWorkers, WithObserver) are
 // still applied per returned plan.
 func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
-	sig := fft.RadixSignature(n)
-	o := complexOpts(n, sig, opts)
-	core, err := planCache.GetOrCreate(planKey{n: n, kern: o.kern, sig: sig}, func() (*hostCore, error) {
+	o := resolveOpts(n, opts)
+	core, err := planCache.GetOrCreate(planKey{n: n, kern: o.kern}, func() (*hostCore, error) {
 		return newHostCore(n, o)
 	})
 	if err != nil {
@@ -577,15 +563,3 @@ func (h *HostPlan2D) Inverse(data []complex128) error {
 // DFT computes the discrete Fourier transform directly in O(n²) — the
 // ground-truth reference (any length).
 func DFT(x []complex128) []complex128 { return fft.DFT(x) }
-
-// FFT computes the transform of a power-of-two-length input with the
-// recursive Cooley-Tukey algorithm, allocating the result.
-func FFT(x []complex128) []complex128 { return fft.Recursive(x) }
-
-// IFFT computes the inverse transform, allocating the result.
-func IFFT(x []complex128) []complex128 { return fft.Inverse(x) }
-
-// StockhamFFT computes the transform of a power-of-two-length input with the
-// radix-2 Stockham autosort algorithm (no bit-reversal pass), allocating
-// the result.
-func StockhamFFT(x []complex128) []complex128 { return fft.Stockham(x) }

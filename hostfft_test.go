@@ -52,7 +52,7 @@ func TestHostPlanMatchesReference(t *testing.T) {
 	if err := h.Transform(data); err != nil {
 		t.Fatal(err)
 	}
-	want := codeletfft.FFT(x)
+	want := fft.Recursive(x)
 	if e := maxErr(data, want); e > 1e-12 {
 		t.Fatalf("host plan error %g", e)
 	}
@@ -172,24 +172,28 @@ func TestHostPlan2DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStockhamFFTAgreesWithFFT(t *testing.T) {
-	x := noise(1024, 3)
-	a := codeletfft.StockhamFFT(x)
-	b := codeletfft.FFT(x)
-	if e := maxErr(a, b); e > 1e-14 {
-		t.Fatalf("Stockham vs Cooley-Tukey error %g", e)
-	}
-}
-
 func TestDFTSmall(t *testing.T) {
 	x := []complex128{1, 2, 3, 4}
 	y := codeletfft.DFT(x)
 	if real(y[0]) != 10 {
 		t.Fatalf("DC = %v, want 10", y[0])
 	}
-	back := codeletfft.IFFT(codeletfft.FFT(x))
+	h, err := codeletfft.NewHostPlan(len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := append([]complex128(nil), x...)
+	if err := h.Transform(back); err != nil {
+		t.Fatal(err)
+	}
+	if e := maxErr(back, y); e > 1e-14 {
+		t.Fatalf("HostPlan vs DFT error %g", e)
+	}
+	if err := h.Inverse(back); err != nil {
+		t.Fatal(err)
+	}
 	if e := maxErr(back, x); e > 1e-20 {
-		t.Fatalf("IFFT(FFT(x)) error %g", e)
+		t.Fatalf("HostPlan round trip error %g", e)
 	}
 }
 
@@ -547,7 +551,7 @@ func TestRealPlanFacade(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		wide[i] = complex(x[i], 0)
 	}
-	full := codeletfft.FFT(wide)
+	full := fft.Recursive(wide)
 
 	for _, k := range append([]codeletfft.Kernel{codeletfft.KernelAuto}, codeletfft.Kernels()...) {
 		r, err := codeletfft.NewRealPlan(n, codeletfft.WithKernel(k))
@@ -855,9 +859,9 @@ func TestDefaultPlanIsReproducible(t *testing.T) {
 }
 
 // TestCachedPlanSharesCore: a default cached plan and one pinned to the
-// rule's kernel are one cache entry with one schedule, as are the
-// mixed-radix plans of a length and the Bluestein plans of a length,
-// and a hit builds nothing but the returned plan.
+// rule's kernel are one cache entry with one schedule (the mixed-radix
+// and Bluestein plans of a length: TestPlanKernelAndAlgorithm), and a
+// hit builds nothing but the returned plan.
 func TestCachedPlanSharesCore(t *testing.T) {
 	const n = 1 << 11
 	pinned := codeletfft.WithKernel(fft.AutoKernel(n))
@@ -877,32 +881,91 @@ func TestCachedPlanSharesCore(t *testing.T) {
 		t.Fatal("default and pinned plan run different schedule values")
 	}
 
-	// A mixed-radix plan runs no kernel, and neither does a Bluestein
-	// plan, whose convolution runs the mixed-radix stages (1009: 2048
-	// points), so a pinned kernel and the default are the same entry
-	// too, and Kernel() does not depend on who built it.
-	for _, c := range []struct{ n, kernLen int }{{1500, 1500}, {1009, 2048}} {
-		m1, err := codeletfft.CachedHostPlan(c.n, codeletfft.WithKernel(codeletfft.KernelRadix2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before = codeletfft.PlanCacheLen()
-		m2, err := codeletfft.CachedHostPlan(c.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(m1) != codeletfft.ForwardSchedule(m2) {
-			t.Fatalf("%s plans differing in the ignored kernel do not share a core (cache %d -> %d)", m1.Algorithm(), before, got)
-		}
-		if want := fft.AutoKernel(c.kernLen); m1.Kernel() != want || m2.Kernel() != want {
-			t.Fatalf("%s Kernel() = %v (pinned), %v (default), want %v", m1.Algorithm(), m1.Kernel(), m2.Kernel(), want)
-		}
-	}
 	if raceEnabled {
 		return // instrumentation allocates
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = codeletfft.CachedHostPlan(n, pinned) }); allocs > 1 {
 		t.Fatalf("cached-plan hit costs %v allocations, want at most 1", allocs)
+	}
+}
+
+// TestPlanKernelAndAlgorithm pins what a plan reports for each family,
+// built directly and through the cache, by default and with a kernel
+// pinned: a power of two runs the pinned kernel or the rule's answer
+// for n, a mixed-radix plan reports the rule's answer for n and a
+// Bluestein plan the one for its convolution length M (67: M = 144, so
+// soa4 where the rule for 67 says radix4), whatever was pinned. The
+// table is the one the planner gave when the cache was also keyed on
+// the length's radix signature. A pinned and a default plan of a length
+// that runs no kernel share one cached core.
+func TestPlanKernelAndAlgorithm(t *testing.T) {
+	const (
+		r4   = codeletfft.KernelRadix4
+		soa4 = codeletfft.KernelSoARadix4
+	)
+	for _, c := range []struct {
+		n    int
+		algo string
+		def  codeletfft.Kernel // Kernel() of the default plan; pinned too unless staged
+	}{
+		{1, "mixed-radix[]", r4},
+		{2, "staged", r4},
+		{4, "staged", r4},
+		{64, "staged", r4},
+		{128, "staged", soa4},
+		{1024, "staged", soa4},
+		{16384, "staged", soa4},
+		{3, "mixed-radix[3]", r4},
+		{6, "mixed-radix[2 3]", r4},
+		{7, "mixed-radix[7]", r4},
+		{12, "mixed-radix[4 3]", r4},
+		{49, "mixed-radix[7 7]", r4},
+		{96, "mixed-radix[4 4 2 3]", r4},
+		{100, "mixed-radix[4 5 5]", r4},
+		{1000, "mixed-radix[4 2 5 5 5]", soa4},
+		{3072, "mixed-radix[4 4 4 4 4 3]", soa4},
+		{11, "bluestein[M=24 mixed-radix[4 2 3]]", r4},
+		{13, "bluestein[M=32 mixed-radix[4 4 2]]", r4},
+		{67, "bluestein[M=144 mixed-radix[4 4 3 3]]", soa4},
+		{127, "bluestein[M=256 mixed-radix[4 4 4 4]]", soa4},
+		{832, "bluestein[M=2000 mixed-radix[4 4 5 5 5]]", soa4},
+		{1009, "bluestein[M=2048 mixed-radix[4 4 4 4 4 2]]", soa4},
+	} {
+		staged := c.algo == "staged"
+		for _, pin := range []codeletfft.Kernel{codeletfft.KernelAuto, codeletfft.KernelRadix2, codeletfft.KernelSplitRadix, codeletfft.KernelSoARadix2} {
+			want := c.def
+			if staged && pin != codeletfft.KernelAuto {
+				want = pin
+			}
+			for _, build := range []struct {
+				name string
+				new  func(int, ...codeletfft.HostOption) (*codeletfft.HostPlan, error)
+			}{{"NewHostPlan", codeletfft.NewHostPlan}, {"CachedHostPlan", codeletfft.CachedHostPlan}} {
+				h, err := build.new(c.n, codeletfft.WithKernel(pin))
+				if err != nil {
+					t.Fatalf("%s(%d, %v): %v", build.name, c.n, pin, err)
+				}
+				if h.Kernel() != want || h.Algorithm() != c.algo {
+					t.Errorf("%s(%d, %v): Kernel() = %v, Algorithm() = %q; want %v, %q",
+						build.name, c.n, pin, h.Kernel(), h.Algorithm(), want, c.algo)
+				}
+			}
+		}
+		if staged {
+			continue
+		}
+		pinned, err := codeletfft.CachedHostPlan(c.n, codeletfft.WithKernel(codeletfft.KernelSplitRadix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := codeletfft.PlanCacheLen()
+		def, err := codeletfft.CachedHostPlan(c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(pinned) != codeletfft.ForwardSchedule(def) {
+			t.Errorf("n=%d: pinned and default plans do not share one cached core (cache %d -> %d)", c.n, before, got)
+		}
 	}
 }
 

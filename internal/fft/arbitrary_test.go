@@ -321,34 +321,6 @@ func TestMixedPlanInvariants(t *testing.T) {
 	}
 }
 
-// TestRadixSignature pins the packed multiplicity encoding the plan
-// cache keys on: distinct factorizations must hash to distinct
-// signatures, and the Bluestein bit must separate prime lengths from
-// smooth ones.
-func TestRadixSignature(t *testing.T) {
-	if got := fft.RadixSignature(0); got != 0 {
-		t.Fatalf("RadixSignature(0) = %#x, want 0", got)
-	}
-	if got := fft.RadixSignature(1); got != 0 {
-		t.Fatalf("RadixSignature(1) = %#x, want 0", got)
-	}
-	// 360 = 2^3·3^2·5: multiplicities 3, 2, 1, 0.
-	if got, want := fft.RadixSignature(360), uint64(3)|uint64(2)<<8|uint64(1)<<16; got != want {
-		t.Fatalf("RadixSignature(360) = %#x, want %#x", got, want)
-	}
-	if got := fft.RadixSignature(11); got>>63 != 1 {
-		t.Fatalf("RadixSignature(11) = %#x, want the Bluestein bit set", got)
-	}
-	seen := map[uint64]int{}
-	for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 360, 1000} {
-		sig := fft.RadixSignature(n)
-		if prev, dup := seen[sig]; dup {
-			t.Fatalf("RadixSignature collision: %d and %d both map to %#x", prev, n, sig)
-		}
-		seen[sig] = n
-	}
-}
-
 // TestBluesteinLargePrime runs the one transform size the O(N²)
 // reference cannot reach — the prime 2^20+7 — and validates it through
 // Parseval plus a forward/inverse round trip.

@@ -147,10 +147,10 @@ func (bp *BluesteinPlan) String() string {
 // inverse stages, with the chirp premultiply and zero padding on the
 // first one's loads, the filter product on the last forward stage's
 // stores, and the chirp postmultiply on the last one's stores, into
-// the caller's N points. Per-radix codelets run them, so kern is
-// ignored. The N-point inverse costs no pass either: the first stage
-// conjugates what it loads, the last stores conj(y)·(1/N).
-func (bp *BluesteinPlan) Schedule(kern Kernel, inverse bool) *Schedule {
+// the caller's N points. Per-radix codelets run them, not a kernel.
+// The N-point inverse costs no pass either: the first stage conjugates
+// what it loads, the last stores conj(y)·(1/N).
+func (bp *BluesteinPlan) Schedule(inverse bool) *Schedule {
 	if inverse {
 		return bp.inv
 	}

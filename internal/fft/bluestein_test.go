@@ -41,7 +41,7 @@ func TestBluesteinPlanShape(t *testing.T) {
 			t.Errorf("n=%d: chirp/filter tables are %d/%d long, want %d/%d",
 				c.n, len(bp.Chirp), len(bp.BHat), c.n, c.m)
 		}
-		if s := bp.Schedule(fft.KernelRadix2, false); s.Span() != c.m {
+		if s := bp.Schedule(false); s.Span() != c.m {
 			t.Errorf("n=%d: span %d, want the convolution length %d", c.n, s.Span(), c.m)
 		}
 	}
@@ -156,7 +156,7 @@ func TestBluesteinInverseFolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fwd, inv := bp.Schedule(fft.KernelRadix2, false), bp.Schedule(fft.KernelRadix2, true)
+		fwd, inv := bp.Schedule(false), bp.Schedule(true)
 		if len(fwd.Passes) != c.passes || len(inv.Passes) != c.passes {
 			t.Errorf("%v: %d forward and %d inverse passes, want %d each",
 				bp, len(fwd.Passes), len(inv.Passes), c.passes)
@@ -352,7 +352,7 @@ func BenchmarkBluesteinPlan(b *testing.B) {
 		orig := randComplex(n, int64(n))
 		for _, dir := range []string{"fwd", "inv"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, dir), func(b *testing.B) {
-				benchSchedule(b, bp.Schedule(fft.KernelAuto, dir == "inv"), orig)
+				benchSchedule(b, bp.Schedule(dir == "inv"), orig)
 			})
 		}
 	}

@@ -21,67 +21,49 @@ package fft
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"math/bits"
 )
 
-// smoothTable lists every 7-smooth number (2^a·3^b·5^c·7^d) up to
-// smoothCap in ascending order — the lengths the mixed-radix planner
-// runs natively, so a segment length drawn from it never needs the
-// Bluestein embedding. Built once on first use (~3.8k entries). The cap
-// is 2^31 where an int can hold it and the largest int elsewhere — a
-// length past that cannot index a slice anyway.
-const smoothCap = min(1<<31, math.MaxInt)
-
-var (
-	smoothOnce sync.Once
-	smoothTab  []int
-)
-
-func buildSmoothTable() {
-	var tab []int
-	for p2 := 1; p2 <= smoothCap; p2 *= 2 {
-		for p3 := p2; p3 <= smoothCap; p3 *= 3 {
-			for p5 := p3; p5 <= smoothCap; p5 *= 5 {
-				for p7 := p5; p7 <= smoothCap; p7 *= 7 {
-					tab = append(tab, p7)
-					if p7 > smoothCap/7 {
-						break
-					}
-				}
-				if p5 > smoothCap/5 {
-					break
-				}
-			}
-			if p3 > smoothCap/3 {
-				break
-			}
-		}
-		if p2 > smoothCap/2 {
-			break
-		}
-	}
-	sort.Ints(tab)
-	smoothTab = tab
-}
-
-// NextSmooth returns the smallest 7-smooth integer ≥ n — the cheapest
-// transform length at or above n under the mixed-radix planner. For n
-// beyond the table's range it falls back to the next power of two.
+// NextSmooth returns the smallest 7-smooth integer ≥ n (2^a·3^b·5^c·7^d)
+// — the cheapest transform length at or above n under the mixed-radix
+// planner, so a segment length drawn from it never needs the Bluestein
+// embedding — or 0 when no int that large is 7-smooth. It takes, for
+// each odd part p = 3^b·5^c·7^d up to the first one ≥ n, the least
+// 2^a·p ≥ n: O(log³ n) candidates, none formed past the largest int.
 func NextSmooth(n int) int {
 	if n <= 1 {
 		return 1
 	}
-	smoothOnce.Do(buildSmoothTable)
-	i := sort.SearchInts(smoothTab, n)
-	if i < len(smoothTab) {
-		return smoothTab[i]
+	best := 0
+	for p7 := 1; ; p7 *= 7 {
+		for p5 := p7; ; p5 *= 5 {
+			for p := p5; ; p *= 3 {
+				if m := coverPow2(p, n); m != 0 && (best == 0 || m < best) {
+					best = m
+				}
+				if p >= n || p > math.MaxInt/3 {
+					break
+				}
+			}
+			if p5 >= n || p5 > math.MaxInt/5 {
+				break
+			}
+		}
+		if p7 >= n || p7 > math.MaxInt/7 {
+			break
+		}
 	}
-	p := 1
-	for p < n {
-		p <<= 1
+	return best
+}
+
+// coverPow2 returns the least p·2^a ≥ n, a ≥ 0, or 0 when it overflows
+// an int.
+func coverPow2(p, n int) int {
+	a := bits.Len(uint((n - 1) / p)) // the least a with 2^a ≥ ⌈n/p⌉
+	if bits.Len(uint(p))+a >= bits.UintSize {
+		return 0
 	}
-	return p
+	return p << a
 }
 
 // ConvSpec is the overlap-save segmentation of a linear convolution:
@@ -108,7 +90,9 @@ const minSegment = 256
 // classic throughput sweet spot, so at least 3/4 of every segment's
 // outputs are fresh — unless a single segment covering the whole
 // output is no larger, in which case the convolution collapses to one
-// full-length transform pair.
+// full-length transform pair. A shape whose n+k-1 or 4k overflows an
+// int, or whose output has no 7-smooth length an int holds, errors the
+// same way.
 func NewConvSpec(n, k int) (ConvSpec, error) {
 	if n < 1 {
 		return ConvSpec{}, fmt.Errorf("%w: convolution needs a signal length ≥ 1, got %d", ErrUnsupportedLength, n)
@@ -116,14 +100,20 @@ func NewConvSpec(n, k int) (ConvSpec, error) {
 	if k < 1 {
 		return ConvSpec{}, fmt.Errorf("%w: convolution needs a kernel length ≥ 1, got %d", ErrUnsupportedLength, k)
 	}
+	if k > math.MaxInt/4 || n > math.MaxInt-(k-1) {
+		return ConvSpec{}, fmt.Errorf("%w: convolution of %d samples by %d taps overflows an int", ErrUnsupportedLength, n, k)
+	}
 	out := n + k - 1
 	full := NextSmooth(out)
+	if full == 0 {
+		return ConvSpec{}, fmt.Errorf("%w: no 7-smooth transform length ≥ %d fits an int", ErrUnsupportedLength, out)
+	}
 	m := NextSmooth(max(4*k, minSegment))
-	if m >= full {
+	if m == 0 || m >= full {
 		m = full
 	}
 	s := m - k + 1
-	return ConvSpec{N: n, K: k, M: m, S: s, Segs: (out + s - 1) / s}, nil
+	return ConvSpec{N: n, K: k, M: m, S: s, Segs: (out-1)/s + 1}, nil
 }
 
 // OutLen returns the linear convolution's output length, N+K-1.

@@ -6,9 +6,13 @@
 package fft
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // ossConvolve runs the full overlap-save pipeline on the pure geometry
@@ -60,39 +64,116 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
-// TestNextSmooth pins the 7-smooth rounding: results are 7-smooth,
-// ≥ n, and minimal.
-func TestNextSmooth(t *testing.T) {
-	isSmooth := func(n int) bool {
-		for _, p := range []int{2, 3, 5, 7} {
-			for n%p == 0 {
-				n /= p
-			}
+// isSmooth reports whether n > 0 has no prime factor beyond 7.
+func isSmooth(n int) bool {
+	for _, p := range [...]int{2, 3, 5, 7} {
+		for n%p == 0 {
+			n /= p
 		}
-		return n == 1
 	}
-	for _, n := range []int{1, 2, 7, 11, 100, 211, 256, 257, 1001, 65537} {
-		m := NextSmooth(n)
-		if m < n || !isSmooth(m) {
-			t.Fatalf("NextSmooth(%d) = %d: not a 7-smooth bound", n, m)
+	return n == 1
+}
+
+// scanSmooth is the brute-force oracle: the first 7-smooth c ≥ n.
+func scanSmooth(n int) int {
+	c := max(n, 1)
+	for !isSmooth(c) {
+		c++
+	}
+	return c
+}
+
+// mulOrZero returns a·b, or 0 when it overflows an int.
+func mulOrZero(a, b int) int {
+	if a > math.MaxInt/b {
+		return 0
+	}
+	return a * b
+}
+
+// TestNextSmooth checks the enumeration against a brute-force scan for
+// every n ≤ 2^16 and for n sampled log-uniformly up to 2^31, and at the
+// top of the int range: the largest 7-smooth int is its own answer, and
+// past it there is none (0).
+func TestNextSmooth(t *testing.T) {
+	const dense = 1 << 16
+	want := dense // 2^16 is 7-smooth: the answer for every n in (prev, 2^16]
+	for n := dense; n >= -2; n-- {
+		if n >= 1 && isSmooth(n) {
+			want = n
 		}
-		for c := n; c < m; c++ {
-			if isSmooth(c) {
-				t.Fatalf("NextSmooth(%d) = %d, but %d is 7-smooth", n, m, c)
+		if got := NextSmooth(n); got != max(want, 1) {
+			t.Fatalf("NextSmooth(%d) = %d, want %d", n, got, max(want, 1))
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	hi := min(1<<31, math.MaxInt)
+	samples := []int{hi, hi - 1, hi - 12345, dense + 1}
+	for i := 0; i < 100; i++ {
+		samples = append(samples, int(math.Exp(math.Log(dense)+rng.Float64()*(math.Log(float64(hi))-math.Log(dense)))))
+	}
+	for _, n := range samples {
+		if got, want := NextSmooth(n), scanSmooth(n); got != want {
+			t.Fatalf("NextSmooth(%d) = %d, want %d", n, got, want)
+		}
+	}
+
+	// The largest 7-smooth int: the greatest 2^a·p ≤ MaxInt over the odd
+	// parts p = 3^b·5^c·7^d.
+	top := 0
+	for p7 := 1; p7 > 0; p7 = mulOrZero(p7, 7) {
+		for p5 := p7; p5 > 0; p5 = mulOrZero(p5, 5) {
+			for p := p5; p > 0; p = mulOrZero(p, 3) {
+				top = max(top, p<<(bits.UintSize-1-bits.Len(uint(p))))
 			}
 		}
+	}
+	if !isSmooth(top) {
+		t.Fatalf("cap %d is not 7-smooth", top)
+	}
+	// MaxInt (2^31-1 or 2^63-1) is not 7-smooth, so top + 1 fits.
+	for _, c := range []struct{ n, want int }{{top, top}, {top + 1, 0}, {math.MaxInt, 0}} {
+		var got int
+		within(t, 5*time.Second, fmt.Sprintf("NextSmooth(%d)", c.n), func() { got = NextSmooth(c.n) })
+		if got != c.want {
+			t.Fatalf("NextSmooth(%d) = %d with %d the largest 7-smooth int, want %d", c.n, got, top, c.want)
+		}
+	}
+}
+
+// within runs f on its own goroutine and fails the test if f has not
+// returned after d: a call that spins fails the suite instead of
+// stalling it.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
 	}
 }
 
 // TestConvSpecGeometry pins the segmentation invariants across shapes:
 // 7-smooth M, S ≥ 1, segments exactly tiling the output, and the
-// collapse to one full-length segment when that is no larger.
+// collapse to one full-length segment when that is no larger — up to
+// outputs near the largest int. A shape whose output length or 4·K
+// passes what an int holds, or whose output has no 7-smooth length
+// above it, fails with ErrUnsupportedLength rather than panicking,
+// returning a negative geometry, or spinning.
 func TestConvSpecGeometry(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{
 		{1, 1}, {16, 1}, {100, 3}, {1 << 12, 31}, {1 << 12, 1 << 10},
 		{997, 101}, {5000, 5000}, {64, 1000},
+		{math.MaxInt / 2, 1}, {2, math.MaxInt / 8}, {math.MaxInt / 4, 255},
 	} {
-		spec, err := NewConvSpec(tc.n, tc.k)
+		var spec ConvSpec
+		var err error
+		within(t, 5*time.Second, fmt.Sprintf("NewConvSpec(%d, %d)", tc.n, tc.k), func() { spec, err = NewConvSpec(tc.n, tc.k) })
 		if err != nil {
 			t.Fatalf("NewConvSpec(%d, %d): %v", tc.n, tc.k, err)
 		}
@@ -103,16 +184,22 @@ func TestConvSpecGeometry(t *testing.T) {
 			t.Fatalf("%+v: M not 7-smooth", spec)
 		}
 		out := spec.OutLen()
-		if spec.Segs != (out+spec.S-1)/spec.S {
+		if spec.Segs != (out-1)/spec.S+1 || (spec.Segs-1)*spec.S >= out {
 			t.Fatalf("%+v: segments do not tile %d outputs", spec, out)
 		}
 		if full := NextSmooth(out); spec.M > full {
 			t.Fatalf("%+v: segment longer than the single-transform fallback %d", spec, full)
 		}
 	}
-	for _, tc := range []struct{ n, k int }{{0, 4}, {4, 0}, {-1, 1}} {
-		if _, err := NewConvSpec(tc.n, tc.k); err == nil {
-			t.Fatalf("NewConvSpec(%d, %d) accepted a degenerate shape", tc.n, tc.k)
+	for _, tc := range []struct{ n, k int }{
+		{0, 4}, {4, 0}, {-1, 1},
+		{math.MaxInt, 2}, {2, math.MaxInt / 2}, {math.MaxInt / 2, math.MaxInt / 2},
+		{math.MaxInt - 10, 1}, {1, math.MaxInt/4 + 1},
+	} {
+		var err error
+		within(t, 5*time.Second, fmt.Sprintf("NewConvSpec(%d, %d)", tc.n, tc.k), func() { _, err = NewConvSpec(tc.n, tc.k) })
+		if !errors.Is(err, ErrUnsupportedLength) {
+			t.Fatalf("NewConvSpec(%d, %d) err = %v, want ErrUnsupportedLength", tc.n, tc.k, err)
 		}
 	}
 }

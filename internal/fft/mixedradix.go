@@ -31,7 +31,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -85,36 +84,6 @@ func Factor(n int) (radices []int, cofactor int) {
 		n /= 7
 	}
 	return radices, n
-}
-
-// RadixSignature packs the radix decomposition of n into a uint64 for
-// cache keys: 8 bits each for the multiplicities of 2, 3, 5, and 7,
-// plus a high bit marking a residual cofactor (the Bluestein regime).
-// Two lengths with equal signatures plan the same algorithm with the
-// same stage structure. Non-positive n returns 0.
-func RadixSignature(n int) uint64 {
-	if n < 1 {
-		return 0
-	}
-	// The multiplicity of 2 is a bit count, not a division loop: this
-	// runs on every cached-plan lookup, mostly for powers of two.
-	twos := bits.TrailingZeros(uint(n))
-	n >>= twos
-	sig := uint64(twos)
-	shift := uint(8)
-	for _, p := range [...]int{3, 5, 7} {
-		var c uint64
-		for n%p == 0 {
-			n /= p
-			c++
-		}
-		sig |= (c & 0xff) << shift
-		shift += 8
-	}
-	if n > 1 {
-		sig |= 1 << 63
-	}
-	return sig
 }
 
 // MixedStage is one Stockham pass: split sub-transforms of length R·M

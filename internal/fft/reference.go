@@ -63,22 +63,6 @@ func recurse(x, scratch, w []complex128, root int) {
 	}
 }
 
-// Inverse computes the inverse DFT of X using the conjugation identity
-// IDFT(X) = conj(DFT(conj(X)))/n, with Recursive as the forward engine.
-func Inverse(x []complex128) []complex128 {
-	n := len(x)
-	tmp := make([]complex128, n)
-	for i, v := range x {
-		tmp[i] = complex(real(v), -imag(v))
-	}
-	y := Recursive(tmp)
-	inv := 1 / float64(n)
-	for i, v := range y {
-		y[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-	return y
-}
-
 // MaxError returns the largest element-wise absolute difference between a
 // and b, which must have equal length.
 func MaxError(a, b []complex128) float64 {

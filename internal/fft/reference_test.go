@@ -81,16 +81,6 @@ func TestRecursiveRejectsNonPowerOfTwo(t *testing.T) {
 	Recursive(make([]complex128, 12))
 }
 
-func TestInverseRoundTrip(t *testing.T) {
-	for _, n := range []int{2, 16, 512} {
-		x := randomSignal(n, 42)
-		y := Inverse(Recursive(x))
-		if err := MaxError(x, y); err > 1e-10 {
-			t.Fatalf("n=%d roundtrip error %g", n, err)
-		}
-	}
-}
-
 func TestDFTLinearity(t *testing.T) {
 	n := 128
 	a := randomSignal(n, 1)

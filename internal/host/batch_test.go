@@ -210,8 +210,8 @@ func TestArbitraryNZeroAllocs(t *testing.T) {
 	}{
 		{"mixed forward", 16 * mp.N, mp.Schedule(false), mixed},
 		{"mixed inverse", 16 * mp.N, mp.Schedule(true), mixed},
-		{"bluestein forward", 16 * bp.M, bp.Schedule(k, false), blue},
-		{"bluestein inverse", 16 * bp.M, bp.Schedule(k, true), blue},
+		{"bluestein forward", 16 * bp.M, bp.Schedule(false), blue},
+		{"bluestein inverse", 16 * bp.M, bp.Schedule(true), blue},
 		{"2-D soa4 forward", 16 * p2.Cols * 3, p2.Schedule(k, false), grid},
 		{"2-D soa4 inverse", 16 * p2.Cols * 3, p2.Schedule(k, true), grid},
 		{"2-D radix4 forward", 16 * p2.Cols * 3, p2.Schedule(fft.KernelRadix4, false), grid},

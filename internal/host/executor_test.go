@@ -74,7 +74,7 @@ func conformanceCases(t *testing.T) []confCase {
 	for _, n := range []int{1009, 65521} {
 		bp := must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(n))
 		cases = append(cases, confCase{name: fmt.Sprintf("bluestein/%d", n),
-			sched: func(inverse bool) *fft.Schedule { return bp.Schedule(fft.KernelAuto, inverse) }})
+			sched: func(inverse bool) *fft.Schedule { return bp.Schedule(inverse) }})
 	}
 	// Real input: the split pass around a half schedule. The pass runs
 	// on the caller's goroutine either side of the executor, so the
@@ -253,7 +253,7 @@ func TestExecutionRule(t *testing.T) {
 		return must[*fft.Plan](t)(fft.NewPlan(n, 64)).Schedule(fft.Twiddles(n), fft.KernelSoARadix4, false)
 	}
 	blue := func(n int) *fft.Schedule {
-		return must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(n)).Schedule(fft.KernelRadix4, false)
+		return must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(n)).Schedule(false)
 	}
 	mixed := must[*fft.MixedPlan](t)(fft.NewMixedPlan(1000)).Schedule(false)
 	const serial, whole, perRow = "serial", "whole transforms", "pass-parallel rows"
@@ -327,7 +327,7 @@ func TestLengthMismatchLeavesDataUntouched(t *testing.T) {
 		"radix4":    func(inv bool) *fft.Schedule { return pl.Schedule(w, fft.KernelRadix4, inv) },
 		"soa4":      func(inv bool) *fft.Schedule { return pl.Schedule(w, fft.KernelSoARadix4, inv) },
 		"mixed":     mp.Schedule,
-		"bluestein": func(inv bool) *fft.Schedule { return bp.Schedule(fft.KernelRadix2, inv) },
+		"bluestein": func(inv bool) *fft.Schedule { return bp.Schedule(inv) },
 		"2-D":       func(inv bool) *fft.Schedule { return p2.Schedule(fft.KernelRadix2, inv) },
 	}
 	engines := map[string]*host.Engine{

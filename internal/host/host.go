@@ -204,5 +204,5 @@ func (e *Engine) MixedTransform(mp *fft.MixedPlan, data []complex128) {
 // convolution runs the mixed-radix stages, which run no kernel, so kern
 // is ignored.
 func (e *Engine) BluesteinTransform(bp *fft.BluesteinPlan, data []complex128, kern fft.Kernel) {
-	must(e.Run(bp.Schedule(kern, false), data))
+	must(e.Run(bp.Schedule(false), data))
 }

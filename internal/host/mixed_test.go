@@ -89,8 +89,8 @@ func TestBluesteinEngineDeterministic(t *testing.T) {
 		four.BluesteinTransform(bp, par, fft.KernelAuto)
 		requireSameBits(t, par, ref, bp.String()+" forward")
 
-		noErr(t, one.Run(bp.Schedule(fft.KernelAuto, true), ref))
-		noErr(t, four.Run(bp.Schedule(fft.KernelAuto, true), par))
+		noErr(t, one.Run(bp.Schedule(true), ref))
+		noErr(t, four.Run(bp.Schedule(true), par))
 		requireSameBits(t, par, ref, bp.String()+" inverse")
 		if e := fft.MaxError(par, x); e > 1e-9 {
 			t.Fatalf("n=%d: round-trip error %g", n, e)
@@ -116,14 +116,14 @@ func TestBluesteinBatchMatchesLoop(t *testing.T) {
 		eng.BluesteinTransform(bp, want[r], fft.KernelRadix2)
 		batch[r] = append([]complex128(nil), x...)
 	}
-	noErr(t, eng.RunBatch(bp.Schedule(fft.KernelRadix2, false), batch))
+	noErr(t, eng.RunBatch(bp.Schedule(false), batch))
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch row")
 	}
 	for r := range batch {
-		noErr(t, eng.Run(bp.Schedule(fft.KernelRadix2, true), want[r]))
+		noErr(t, eng.Run(bp.Schedule(true), want[r]))
 	}
-	noErr(t, eng.RunBatch(bp.Schedule(fft.KernelRadix2, true), batch))
+	noErr(t, eng.RunBatch(bp.Schedule(true), batch))
 	for r := range batch {
 		requireSameBits(t, batch[r], want[r], "bluestein batch inverse row")
 	}

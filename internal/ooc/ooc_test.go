@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,12 +72,21 @@ func fourStepRefSplit(t *testing.T, data []complex128, n1, n2 int, inverse bool)
 // splits, factors below the tile side (one short move tile), tile
 // heights at and above it (several column windows per move), a skewed
 // split either way round, and a single I/O goroutine. The names' "fifo"
-// is the fetch order every run takes.
+// is the fetch order every run takes. The last rows derive the tile
+// from a memory budget under the default I/O goroutines, as
+// cmd/fftooc does, at sizes a command-line run would pick: 2^22 under
+// 64 MiB in 256-vector tiles, and 2^20 and 2^21 = 1024×2048 under
+// 16 MiB in 128×128 tiles — twice the staging moves' 64-vector chunks,
+// with N1 ≠ N2 at 2^21. Those rows take up to a second each and skip
+// under the race detector.
 func TestTransformBitwiseVsFourStep(t *testing.T) {
 	for _, tc := range []struct {
 		n, tile int
 		n1      int // 0 = the default near-square split
 		iow     int // 0 = 2
+		budget  int64
+		// The geometry the budget must derive: the split and the tiles.
+		n1n2, tiles [2]int
 	}{
 		{n: 4, tile: 1},
 		{n: 8, tile: 1},
@@ -96,6 +107,9 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 		{n: 1 << 14, tile: 64, n1: 16},
 		{n: 1 << 14, tile: 64, n1: 1024},
 		{n: 1 << 12, tile: 64, iow: 1},
+		{n: 1 << 22, budget: 64 << 20, n1n2: [2]int{2048, 2048}, tiles: [2]int{256, 256}},
+		{n: 1 << 20, budget: 16 << 20, n1n2: [2]int{1024, 1024}, tiles: [2]int{128, 128}},
+		{n: 1 << 21, budget: 16 << 20, n1n2: [2]int{1024, 2048}, tiles: [2]int{128, 128}},
 	} {
 		for _, inverse := range []bool{false, true} {
 			name := fmt.Sprintf("n=%d/tile=%d/fifo/inverse=%v", tc.n, tc.tile, inverse)
@@ -109,20 +123,40 @@ func TestTransformBitwiseVsFourStep(t *testing.T) {
 				iow = tc.iow
 				name += fmt.Sprintf("/iow=%d", iow)
 			}
+			if tc.budget != 0 {
+				iow = defaultIOWorkers
+				name = fmt.Sprintf("n=%d/budget=%dMiB/fifo/inverse=%v", tc.n, tc.budget>>20, inverse)
+			}
 			t.Run(name, func(t *testing.T) {
-				p, err := NewPlan(tc.n,
+				if tc.budget != 0 && raceEnabled {
+					t.Skip("a budget-derived row at 2^20 points or more takes minutes under -race")
+				}
+				opts := []Option{
 					withTileVecs(tc.tile),
 					WithSpillDir(t.TempDir()),
 					withWorkers(3),
 					withIOWorkers(iow),
 					func(c *config) { c.n1 = n1 },
-				)
+				}
+				if tc.budget != 0 {
+					opts = append(opts, WithMemoryBudget(tc.budget))
+				}
+				p, err := NewPlan(tc.n, opts...)
 				if err != nil {
 					t.Fatalf("NewPlan: %v", err)
 				}
-				data := randomData(tc.n, int64(tc.n))
-				want := fourStepRefSplit(t, data, n1, n2, inverse)
-				got := append([]complex128(nil), data...)
+				if tc.budget != 0 {
+					g1, g2 := p.Factors()
+					s2, s1 := p.TileVecs()
+					if [2]int{g1, g2} != tc.n1n2 || [2]int{s2, s1} != tc.tiles {
+						t.Fatalf("%d B budget derived %d×%d in %d×%d tiles, want %d×%d in %d×%d",
+							tc.budget, g1, g2, s2, s1, tc.n1n2[0], tc.n1n2[1], tc.tiles[0], tc.tiles[1])
+					}
+				}
+				// Regenerating the input rather than keeping it holds two
+				// N-point arrays at once, not three.
+				want := fourStepRefSplit(t, randomData(tc.n, int64(tc.n)), n1, n2, inverse)
+				got := randomData(tc.n, int64(tc.n))
 				if inverse {
 					err = p.Inverse(got)
 				} else {
@@ -528,9 +562,10 @@ func TestBudgetDerivation(t *testing.T) {
 
 // TestMetricsPopulated runs one transform and checks the per-channel
 // prefetch counters and phase byte counters land in the registry with
-// the expected totals. It runs under the one fetch order ("fifo") and
-// again with a single I/O goroutine: the totals are a property of the
-// transform, not of how its fetches are spread over goroutines.
+// the expected totals, with the per-channel stall counters beside
+// them. It runs under the one fetch order ("fifo") and again with a
+// single I/O goroutine: the totals are a property of the transform,
+// not of how its fetches are spread over goroutines.
 func TestMetricsPopulated(t *testing.T) {
 	const n = 1 << 12
 	for _, tc := range []struct {
@@ -564,19 +599,33 @@ func TestMetricsPopulated(t *testing.T) {
 			if got := vals["ooc_phase_rows_read_bytes_total"]; got != spillBytes {
 				t.Fatalf("rows read %d spill bytes, want %d", got, spillBytes)
 			}
-			// Every channel's read counter exists; together they account for
-			// every byte read in both phases.
+			// Every channel's read, write and stall counters exist, and
+			// the reads account for every byte read in both phases.
 			var chSum int64
 			for c := 0; c < ioChannels; c++ {
-				name := fmt.Sprintf("ooc_prefetch_read_bytes_ch%d_total", c)
-				v, ok := vals[name]
-				if !ok {
-					t.Fatalf("counter %s missing from registry", name)
+				for _, kind := range []string{"read_bytes", "write_bytes", "stalls"} {
+					if _, ok := vals[fmt.Sprintf("ooc_prefetch_%s_ch%d_total", kind, c)]; !ok {
+						t.Fatalf("counter ooc_prefetch_%s_ch%d_total missing from registry", kind, c)
+					}
 				}
-				chSum += v
+				chSum += vals[fmt.Sprintf("ooc_prefetch_read_bytes_ch%d_total", c)]
 			}
 			if want := dataBytes + spillBytes; chSum != want {
 				t.Fatalf("per-channel reads sum to %d, want %d", chSum, want)
+			}
+			// The text exposition fftooc -metrics prints shows the first
+			// channel, where every file starts, moving bytes both ways,
+			// and its stall count.
+			var text strings.Builder
+			p.Registry().WriteText(&text)
+			for _, line := range []string{
+				`(?m)^ooc_prefetch_read_bytes_ch0_total [1-9]`,
+				`(?m)^ooc_prefetch_write_bytes_ch0_total [1-9]`,
+				`(?m)^ooc_prefetch_stalls_ch0_total [0-9]`,
+			} {
+				if !regexp.MustCompile(line).MatchString(text.String()) {
+					t.Fatalf("metrics text has no line matching %s:\n%s", line, text.String())
+				}
 			}
 			if vals["ooc_transforms_total"] != 1 {
 				t.Fatalf("ooc_transforms_total = %d, want 1", vals["ooc_transforms_total"])

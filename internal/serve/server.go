@@ -60,7 +60,7 @@ const defaultSessionTTL = 2 * time.Minute
 type Config struct {
 	// MinN and MaxN bound the accepted transform length (inclusive).
 	// Complex transforms accept any length in the range; real
-	// transforms additionally require a power of two ≥ 4.
+	// transforms additionally require an even length ≥ 4.
 	MinN, MaxN int
 	// MaxBatch caps how many requests queued behind a shape's running
 	// batch the executor takes as the next one.

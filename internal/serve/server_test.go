@@ -732,9 +732,10 @@ func TestJSONAndBinaryAgreeBitwise(t *testing.T) {
 		return f
 	}
 	for _, kind := range []Kind{KindForward, KindInverse, KindReal, KindRealInverse} {
-		// Power of two, mixed radix (2^4·3), Bluestein (2·11; the real
-		// kinds' half plan is then the 11-point Bluestein).
-		for _, n := range []int{64, 48, 22} {
+		// Power of two, mixed radix (2^4·3 and 2^2·3: real lengths need
+		// only be even), Bluestein (2·11; the real kinds' half plan is
+		// then the 11-point Bluestein).
+		for _, n := range []int{64, 48, 12, 22} {
 			js, jb, bs, bb := both(payload(kind, n))
 			if js != http.StatusOK || bs != http.StatusOK {
 				t.Fatalf("%s n=%d: status json=%d binary=%d", kind, n, js, bs)
