@@ -1,6 +1,6 @@
 // fftcluster is the cluster FFT coordinator daemon: an HTTP front end
 // over internal/dist. Client transforms arrive as binary frames
-// (the fftserved FFB1 codec, complex forward/inverse kinds), are
+// (fftserved's /fft/bin frames, complex forward/inverse kinds), are
 // factored four-step, and the column/row FFT passes run as one resident
 // session over `fftserved -worker` processes — every eligible worker,
 // in member order (the -workers list, then the -member-file's), taking
@@ -82,10 +82,10 @@ func (s *server) handleBin(w http.ResponseWriter, r *http.Request) {
 
 	// The frame's payload goes from the socket into the pooled buffer the
 	// coordinator transforms in place, and the answer leaves from it; a
-	// frame of another kind is refused on its 12-byte header.
+	// frame of another kind is refused on its 40-byte header.
 	f, buf, err := serve.ReadFrame(http.MaxBytesReader(w, r.Body, 16*int64(serve.MaxFrameElems)+64), r.ContentLength,
 		func(h serve.FrameHeader) error {
-			if h.Real || (h.Kind != serve.KindForward && h.Kind != serve.KindInverse) {
+			if h.Real || (h.Op != serve.KindForward && h.Op != serve.KindInverse) {
 				return errors.New("cluster serves complex forward/inverse frames only")
 			}
 			return nil

@@ -216,6 +216,7 @@ func TestConvPlanErrors(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{
 		{0, 4}, {4, 0}, {-3, 2},
 		{math.MaxInt, 2}, {2, math.MaxInt / 2}, {math.MaxInt / 2, math.MaxInt / 2},
+		{2, math.MaxInt / 8},
 	} {
 		errc := make(chan error, 1)
 		go func() {

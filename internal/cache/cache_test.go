@@ -156,8 +156,8 @@ func TestStats(t *testing.T) {
 	if _, err := c.GetOrCreate(1, mk); err != nil { // hit
 		t.Fatal(err)
 	}
-	c.Get(1)                // hit
-	c.Get(2)                // miss
+	c.Get(1)                                               // hit
+	c.Get(2)                                               // miss
 	if _, err := c.GetOrCreate(3, func() (string, error) { // miss, not cached
 		return "", errors.New("boom")
 	}); err == nil {

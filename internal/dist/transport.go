@@ -8,11 +8,11 @@
 // cluster in one process runs the production client end to end.
 //
 // Each payload byte is copied once per hop: the sender's
-// serve.WriteSessionFrame streams the header and then the transform
-// buffer's own bytes into the request body, and the receiver reads them
-// straight into the buffer the next step works in — a worker's column
-// scratch (its handler reads the header, checks it against the session,
-// then the payload), the coordinator's rows buffer
+// serve.WriteSessionFrame streams the 40-byte frame header /fft/bin
+// shares, then the transform buffer's own bytes, into the request body,
+// and the receiver reads them straight into the buffer the next step
+// works in — a worker's column scratch (its handler judges the header
+// against the session first), the coordinator's rows buffer
 // (serve.ReadSessionReply). PostSessionFrame returns only once nothing
 // reads the request's buffer any more, so the caller may release it, and
 // with no pooled buffer of the hop left out.

@@ -83,6 +83,10 @@ type ConvSpec struct {
 // segment dispatch overhead dominates the butterfly work.
 const minSegment = 256
 
+// convMaxM is the largest segment length NewConvSpec sizes: the byte
+// length of an M-point complex buffer still fits an int.
+const convMaxM = math.MaxInt / 16
+
 // NewConvSpec sizes the overlap-save segmentation for an n-sample
 // signal and a k-tap kernel, n ≥ 1 and k ≥ 1 (errors wrap
 // ErrUnsupportedLength otherwise). The segment length is the smallest
@@ -91,8 +95,8 @@ const minSegment = 256
 // outputs are fresh — unless a single segment covering the whole
 // output is no larger, in which case the convolution collapses to one
 // full-length transform pair. A shape whose n+k-1 or 4k overflows an
-// int, or whose output has no 7-smooth length an int holds, errors the
-// same way.
+// int, whose output has no 7-smooth length an int holds, or whose M
+// exceeds convMaxM errors the same way.
 func NewConvSpec(n, k int) (ConvSpec, error) {
 	if n < 1 {
 		return ConvSpec{}, fmt.Errorf("%w: convolution needs a signal length ≥ 1, got %d", ErrUnsupportedLength, n)
@@ -111,6 +115,9 @@ func NewConvSpec(n, k int) (ConvSpec, error) {
 	m := NextSmooth(max(4*k, minSegment))
 	if m == 0 || m >= full {
 		m = full
+	}
+	if m > convMaxM {
+		return ConvSpec{}, fmt.Errorf("%w: a %d-point segment transform exceeds the largest buffer, %d points", ErrUnsupportedLength, m, convMaxM)
 	}
 	s := m - k + 1
 	return ConvSpec{N: n, K: k, M: m, S: s, Segs: (out-1)/s + 1}, nil

@@ -2,12 +2,13 @@
 // payload is read into and transformed in are the cluster's and the
 // daemon's steady-state memory traffic: a coordinator streaming
 // transforms would otherwise allocate (and garbage-collect) tens of
-// megabytes per transform. The byte pool holds only frame headers and
-// the portable codec's write chunks — no payload is ever a byte frame
-// (sessionframe.go, codec.go). Both pools are
-// size-classed by rounding capacities up to the next power of two, so a
-// steady mix of shapes converges onto a small set of reusable buffers
-// and the AllocsPerRun guards in the tests can pin the path at zero.
+// megabytes per transform. The byte pool holds only frame headers (an
+// open's spec rides with its header), the trailing-byte probe and the
+// portable codec's write chunks — no payload is ever a byte frame
+// (codec.go). Both pools are size-classed by rounding capacities up to
+// the next power of two, so a steady mix of shapes converges onto a
+// small set of reusable buffers and the AllocsPerRun guards in the
+// tests can pin the path at zero.
 //
 // Ownership discipline: Acquire returns a buffer that the caller owns
 // exclusively until it calls Release; Release transfers ownership back

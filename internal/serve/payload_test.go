@@ -29,16 +29,16 @@ var awkward = func() []float64 {
 // The loop is correct on any host (its output is pinned to hand-written
 // bytes first), so on a little-endian runner — where the exported
 // functions are the copy — this is the test of the path a big-endian
-// host runs.
+// host runs. A complex payload is its float64 view's, so one loop pair
+// serves both element types.
 func TestPortableLoopMatchesCopy(t *testing.T) {
 	if got, want := appendRealPortable(nil, []float64{1, -2}), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0xc0}; !bytes.Equal(got, want) {
 		t.Fatalf("portable encoding of [1 -2] = %x, want %x", got, want)
 	}
-	if got, want := appendComplexPortable(nil, []complex128{complex(1, -2)}), appendRealPortable(nil, []float64{1, -2}); !bytes.Equal(got, want) {
-		t.Fatalf("portable encoding of 1-2i = %x, want re then im, %x", got, want)
+	if got, want := AppendComplexPayload(nil, []complex128{complex(1, -2)}), appendRealPortable(nil, []float64{1, -2}); !bytes.Equal(got, want) {
+		t.Fatalf("encoding of 1-2i = %x, want re then im, %x", got, want)
 	}
 
-	reals := append([]float64(nil), awkward...)
 	cplx := make([]complex128, len(awkward))
 	for i, v := range awkward {
 		cplx[i] = complex(v, awkward[len(awkward)-1-i])
@@ -46,52 +46,43 @@ func TestPortableLoopMatchesCopy(t *testing.T) {
 	// Long enough to leave the first chunk of a chunked write.
 	for i := 0; len(cplx) < 3*writeChunkBytes/16; i++ {
 		cplx = append(cplx, complex(float64(i), -1/float64(i+1)))
-		reals = append(reals, math.Sqrt(float64(i)), -float64(i))
 	}
+	reals := fft.ComplexFloat64s(cplx)
 
-	wireC, wireR := appendComplexPortable(nil, cplx), appendRealPortable(nil, reals)
-	if got := AppendComplexPayload(nil, cplx); !bytes.Equal(got, wireC) {
+	wire := appendRealPortable(nil, reals)
+	if got := AppendComplexPayload(nil, cplx); !bytes.Equal(got, wire) {
 		t.Error("AppendComplexPayload differs from the portable loop")
 	}
-	if got := AppendRealPayload(nil, reals); !bytes.Equal(got, wireR) {
+	if got := AppendRealPayload(nil, reals); !bytes.Equal(got, wire) {
 		t.Error("AppendRealPayload differs from the portable loop")
 	}
-	var streamC, streamR bytes.Buffer
-	if err := writeChunked(&streamC, cplx, 16, appendComplexPortable); err != nil || !bytes.Equal(streamC.Bytes(), wireC) {
-		t.Errorf("chunked complex write differs from the portable loop (err %v)", err)
+	host := hostIsWire
+	for _, portable := range []bool{false, true} {
+		hostIsWire = !portable
+		var stream bytes.Buffer
+		if err := writePayload(&stream, reals); err != nil || !bytes.Equal(stream.Bytes(), wire) {
+			t.Errorf("portable=%v: written payload differs from the portable loop (err %v)", portable, err)
+		}
 	}
-	if err := writeChunked(&streamR, reals, 8, appendRealPortable); err != nil || !bytes.Equal(streamR.Bytes(), wireR) {
-		t.Errorf("chunked real write differs from the portable loop (err %v)", err)
-	}
+	hostIsWire = host
 
-	gotC, refC := make([]complex128, len(cplx)), make([]complex128, len(cplx))
-	DecodeComplexPayload(gotC, wireC)
-	decodeComplexPortable(refC, wireC)
-	gotR, refR := make([]float64, len(reals)), make([]float64, len(reals))
-	DecodeRealPayload(gotR, wireR)
-	decodeRealPortable(refR, wireR)
+	gotC, ref := make([]complex128, len(cplx)), make([]float64, len(reals))
+	DecodeComplexPayload(gotC, wire)
+	decodeRealPortable(ref, wire)
 	// Bytes, not values: NaN != NaN, and the payload bits are the point.
-	for name, pair := range map[string][3][]byte{
-		"complex": {fft.ComplexBytes(gotC), fft.ComplexBytes(refC), fft.ComplexBytes(cplx)},
-		"real":    {fft.Float64Bytes(gotR), fft.Float64Bytes(refR), fft.Float64Bytes(reals)},
-	} {
-		if !bytes.Equal(pair[0], pair[1]) {
-			t.Errorf("%s: decoded copy differs from the portable loop", name)
-		}
-		if !bytes.Equal(pair[1], pair[2]) {
-			t.Errorf("%s: portable decode of portable encode is not the input", name)
-		}
+	if !bytes.Equal(fft.ComplexBytes(gotC), fft.Float64Bytes(ref)) {
+		t.Error("decoded copy differs from the portable loop")
+	}
+	if !bytes.Equal(fft.Float64Bytes(ref), fft.Float64Bytes(reals)) {
+		t.Error("portable decode of portable encode is not the input")
 	}
 
-	// ReadFrame's conversion on a big-endian host: the loop run in place,
-	// over a buffer that holds wire bytes.
-	inC := make([]complex128, len(cplx))
-	copy(fft.ComplexBytes(inC), wireC)
-	decodeComplexPortable(inC, fft.ComplexBytes(inC))
-	inR := make([]float64, len(reals))
-	copy(fft.Float64Bytes(inR), wireR)
-	decodeRealPortable(inR, fft.Float64Bytes(inR))
-	if !bytes.Equal(fft.ComplexBytes(inC), fft.ComplexBytes(cplx)) || !bytes.Equal(fft.Float64Bytes(inR), fft.Float64Bytes(reals)) {
+	// readPayload's conversion on a big-endian host: the loop run in
+	// place, over a buffer that holds wire bytes.
+	in := make([]float64, len(reals))
+	copy(fft.Float64Bytes(in), wire)
+	decodeRealPortable(in, fft.Float64Bytes(in))
+	if !bytes.Equal(fft.Float64Bytes(in), fft.Float64Bytes(reals)) {
 		t.Error("in-place portable decode damaged the payload")
 	}
 

@@ -511,7 +511,7 @@ type wireCodec struct {
 
 var (
 	jsonCodec   = wireCodec{readJSON, writeJSON}
-	binaryCodec = wireCodec{ReadFrame, writeFrame}
+	binaryCodec = wireCodec{ReadFrame, writeBinary}
 )
 
 func readJSON(body io.Reader, _ int64, check func(FrameHeader) error) (Frame, *[]complex128, error) {
@@ -520,7 +520,7 @@ func readJSON(body io.Reader, _ int64, check func(FrameHeader) error) (Frame, *[
 		return Frame{}, nil, err
 	}
 	// decodeJSON puts kind real's samples, and only those, in f.Real.
-	return f, nil, check(FrameHeader{Kind: f.Kind, Real: f.Kind == KindReal, Count: len(f.Complex) + len(f.Real)})
+	return f, nil, check(FrameHeader{Op: f.Kind, Real: f.Kind == KindReal, VecLen: len(f.Complex) + len(f.Real), VecCount: 1})
 }
 
 func writeJSON(w http.ResponseWriter, f Frame, ok func()) error {
@@ -575,7 +575,9 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request, c wireCodec
 		return
 	}
 	wstart := time.Now()
-	err = c.write(w, p.response(key.kind), s.m.ok.Inc)
+	out := p.response(key.kind)
+	out.ID = in.ID
+	err = c.write(w, out, s.m.ok.Inc)
 	s.m.writeSec.Observe(time.Since(wstart).Seconds())
 	if err != nil {
 		s.fail(w, err)
@@ -586,18 +588,18 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request, c wireCodec
 // reason the daemon does not serve it. It needs the header only, so a
 // binary request is judged before its payload is read.
 func (s *Server) shape(h FrameHeader) (batchKey, error) {
-	key := batchKey{kind: h.Kind}
+	key := batchKey{kind: h.Op}
 	switch {
-	case h.Kind == KindReal && !h.Real:
+	case h.Op == KindReal && !h.Real:
 		return key, shapeErrorf("kind real takes a real payload")
-	case h.Kind != KindReal && h.Real:
-		return key, shapeErrorf("kind %s takes a complex payload", h.Kind)
-	case h.Kind == KindRealInverse:
-		key.n = 2 * (h.Count - 1)
+	case h.Op != KindReal && h.Real:
+		return key, shapeErrorf("kind %s takes a complex payload", h.Op)
+	case h.Op == KindRealInverse:
+		key.n = 2 * (h.VecLen - 1)
 	default:
-		key.n = h.Count
+		key.n = h.VecLen
 	}
-	return key, s.checkN(key.n, h.Kind)
+	return key, s.checkN(key.n, h.Op)
 }
 
 // newPending lays out the buffers the transform of in works in. The

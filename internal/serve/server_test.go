@@ -508,14 +508,15 @@ func TestBadRequests(t *testing.T) {
 	for name, f := range map[string]Frame{
 		"real odd length":      {Kind: KindReal, Real: make([]float64, 101)},
 		"real tiny":            {Kind: KindReal, Real: make([]float64, 2)},
-		"unknown kind":         {Kind: kindCount, Complex: make([]complex128, 64)},
+		"unknown kind":         {Kind: opCount, Complex: make([]complex128, 64)},
+		"session op":           {Kind: OpSessCols, Complex: make([]complex128, 64)},
 		"too large":            {Kind: KindForward, Complex: make([]complex128, 1<<13)},
 		"too small":            {Kind: KindForward, Complex: make([]complex128, 2)},
 		"real with im":         {Kind: KindReal, Complex: make([]complex128, 64)},
 		"forward with samples": {Kind: KindForward, Real: make([]float64, 64)},
 	} {
-		h := FrameHeader{Kind: f.Kind, Real: f.Real != nil, Count: len(f.Complex) + len(f.Real)}
-		enc := append(appendFrameHeader(nil, h), make([]byte, h.payloadLen())...)
+		h := FrameHeader{Op: f.Kind, Real: f.Real != nil, VecLen: len(f.Complex) + len(f.Real), VecCount: 1}
+		enc := append(appendHeader(nil, h), make([]byte, h.payloadLen())...)
 		resp, err := http.Post(ts.URL+"/fft/bin", "application/octet-stream", bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)

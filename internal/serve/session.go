@@ -1,12 +1,13 @@
-// Worker half of the resident-shard session protocol (FFS2,
-// sessionframe.go). A coordinator opens a session describing the
-// four-step geometry and this worker's slice of it, ships the worker's
-// column slab once, and fetches the finished row block once; between
-// those two transfers the data stays resident here. The communication-
-// avoiding step is the transpose: after the column FFTs the worker
-// scales its own rows into the resident rows buffer and pushes every
-// peer's row block directly to that peer, so the all-to-all that
-// dominates distributed four-step never passes through the coordinator.
+// Worker half of the resident-shard session protocol: the session ops
+// of the one frame header (codec.go, sessionframe.go). A coordinator
+// opens a session describing the four-step geometry and this worker's
+// slice of it, ships the worker's column slab once, and fetches the
+// finished row block once; in between the data stays resident here.
+// The communication-avoiding step is the transpose: after the column
+// FFTs the worker scales its own rows into the resident rows buffer and
+// pushes every peer's row block directly to that peer, so the
+// all-to-all that dominates distributed four-step never passes through
+// the coordinator.
 // A push is the coordinator's own hop: PostSessionFrame through the
 // worker's Config.Client, which a socket or an in-process
 // dist.Loopback carries.
@@ -18,8 +19,8 @@
 // the exchange between workers carries samples.
 //
 // Every hop moves a payload byte once (WriteSessionFrame on one end;
-// here readSessionPayload, on the client ReadSessionReply:
-// sessionframe.go). Buffer ownership per phase:
+// here readHeader, then readSession; on the client ReadSessionReply).
+// Buffer ownership per phase:
 //
 //   - open: the session acquires the pooled rows buffer
 //     (RowCount×N2) and owns it until the session ends;
@@ -97,7 +98,7 @@ var DefaultClient = &http.Client{
 // request. A 200's frame is read by ReadSessionReply, its payload
 // straight into into; any other status is a *StatusError.
 func PostSessionFrame(ctx context.Context, client *http.Client, addr string, f SessionFrame, into []complex128) (SessionFrame, error) {
-	if err := CheckSessionFrame(f); err != nil {
+	if _, err := f.header(); err != nil {
 		return SessionFrame{}, err
 	}
 	pr, pw := io.Pipe()
@@ -239,53 +240,51 @@ func (s *Server) unknownSession(w http.ResponseWriter, id uint64) {
 	http.Error(w, fmt.Sprintf("unknown session %d", id), http.StatusNotFound)
 }
 
-// handleSession reads one FFS2 frame from body and dispatches it. Only
-// the header is read first: it is checked — against the declared
+// handleSession reads one session frame from body and dispatches it.
+// Only the header is read first: it is checked — against the declared
 // length, and for cols and exchange against the session it names —
 // before any payload is read, and each op then reads its payload
 // straight into the buffer it works in. The ops answer through
 // WriteSessionFrame and drop its error: a failed write means the client
 // went away, and there is nobody left to tell.
 func (s *Server) handleSession(ctx context.Context, w http.ResponseWriter, body io.Reader, declared int64) {
-	hp := AcquireFrame(SessionHeaderLen)
-	defer ReleaseFrame(hp)
-	f, err := readSessionHeader(body, declared, *hp)
+	h, err := readHeader(body, declared, false, nil)
 	if err != nil {
 		s.badFrame(w, err)
 		return
 	}
+	var f SessionFrame
 	// read takes the rest of the frame, its payload into into; false
 	// means the frame was refused and answered. With into nil the request
 	// must be header-only (a rows request may not carry the vectors its
 	// reply does), and one that announces a payload is refused before any
 	// of it is read.
 	read := func(into []complex128) bool {
-		err := readSessionPayload(body, &f, declared, into, *hp)
-		if err != nil {
+		if f, err = readSession(body, h, into); err != nil {
 			s.badFrame(w, err)
 		}
 		return err == nil
 	}
-	switch f.Op {
+	switch h.Op {
 	case OpSessOpen:
 		if read(nil) {
 			s.sessOpen(w, f)
 		}
 	case OpSessCols:
-		s.sessCols(ctx, w, f, read)
+		s.sessCols(ctx, w, h, read)
 	case OpSessExchange:
-		s.sessExchange(w, f, read)
+		s.sessExchange(w, h, read)
 	case OpSessRows:
 		if read(nil) {
-			s.sessRows(w, f)
+			s.sessRows(w, h)
 		}
 	case OpSessClose:
 		if read(nil) {
-			s.sessClose(w, f)
+			s.sessClose(w, h)
 		}
 	default:
 		s.m.sessBad.Inc()
-		http.Error(w, fmt.Sprintf("op %s is not a request", f.Op), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("op %s is not a request", h.Op), http.StatusBadRequest)
 	}
 }
 
@@ -346,7 +345,7 @@ func (s *Server) sessOpen(w http.ResponseWriter, f SessionFrame) {
 // ends the session on every worker that still answers. Closing an
 // unknown (or already ended) session acks anyway, so an abort may close
 // unconditionally.
-func (s *Server) sessClose(w http.ResponseWriter, hdr SessionFrame) {
+func (s *Server) sessClose(w http.ResponseWriter, hdr FrameHeader) {
 	s.m.sessCloses.Inc()
 	if sess := s.lookupSession(hdr.ID); sess != nil {
 		s.endSession(sess)
@@ -358,7 +357,7 @@ func (s *Server) sessClose(w http.ResponseWriter, hdr SessionFrame) {
 // session as it was; once the payload is being read, a step that fails —
 // a short body, a panic, a push that did not land, a request whose
 // context ended — ends the session, which can no longer complete.
-func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr SessionFrame, read func([]complex128) bool) {
+func (s *Server) sessCols(ctx context.Context, w http.ResponseWriter, hdr FrameHeader, read func([]complex128) bool) {
 	s.m.sessCols.Inc()
 	sess := s.session(w, hdr.ID)
 	if sess == nil {
@@ -493,7 +492,7 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 
 // sessExchange folds a peer's block into the rows buffer; like cols, a
 // payload that fails to arrive ends the session.
-func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, read func([]complex128) bool) {
+func (s *Server) sessExchange(w http.ResponseWriter, hdr FrameHeader, read func([]complex128) bool) {
 	s.m.sessExchanges.Inc()
 	sess := s.session(w, hdr.ID)
 	if sess == nil {
@@ -531,7 +530,7 @@ func (s *Server) sessExchange(w http.ResponseWriter, hdr SessionFrame, read func
 // buffer goes back to the pool before the reply streams, and a second
 // fetch is an unknown session. A fetch before the barrier is refused
 // with 409 and leaves the session as it was.
-func (s *Server) sessRows(w http.ResponseWriter, hdr SessionFrame) {
+func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	s.m.sessRows.Inc()
 	sess := s.session(w, hdr.ID)
 	if sess == nil {

@@ -62,24 +62,20 @@ func metric(t *testing.T, s *Server, name string) float64 {
 }
 
 // readFrame reads one frame off body the way a worker's handleSession
-// does — readSessionHeader, then readSessionPayload — its payload into a
-// buffer the header sizes, but never past room elements: no frame that
-// fits in room·16 bytes announces more, and one that announces more is
-// refused for the destination's length instead.
+// does — readHeader, then readSession — its payload into a buffer the
+// header sizes, but never past room elements: no frame that fits in
+// room·16 bytes announces more, and one that announces more is refused
+// for the destination's length instead.
 func readFrame(body io.Reader, declared int64, room int) (SessionFrame, error) {
-	hb := make([]byte, sessHeaderLen)
-	f, err := readSessionHeader(body, declared, hb)
+	h, err := readHeader(body, declared, false, nil)
 	if err != nil {
 		return SessionFrame{}, err
 	}
 	var into []complex128
-	if n := f.VecLen * f.VecCount; n > 0 {
+	if n := h.VecLen * h.VecCount; n > 0 {
 		into = make([]complex128, min(n, room))
 	}
-	if err := readSessionPayload(body, &f, declared, into, hb); err != nil {
-		return SessionFrame{}, err
-	}
-	return f, nil
+	return readSession(body, h, into)
 }
 
 // TestPeekSessionOp: the peek names a session frame's op and hands back
@@ -97,7 +93,8 @@ func TestPeekSessionOp(t *testing.T) {
 	}{
 		{"session frame", enc, true},
 		{"shorter than the op", enc[:5], false},
-		{"another magic", append([]byte("FFB1"), enc[4:]...), false},
+		{"another magic", append([]byte("FFS2"), enc[4:]...), false},
+		{"a transform", append(enc[:5:5], byte(KindForward)), false},
 	} {
 		op, whole, ok := PeekSessionOp(iotest.OneByteReader(bytes.NewReader(tc.body)))
 		if ok != tc.wantOK || (ok && op != OpSessCols) {
@@ -194,9 +191,10 @@ func TestSessionFrameRejects(t *testing.T) {
 	cases := map[string]func([]byte) []byte{
 		"bad magic":         func(b []byte) []byte { b[0] = 'X'; return b },
 		"bad version":       func(b []byte) []byte { b[4] = 9; return b },
-		"version 3":         func(b []byte) []byte { b[4] = 3; return b },
-		"reserved flags":    func(b []byte) []byte { b[6] = 1; return b },
+		"FFS2 magic":        func(b []byte) []byte { copy(b, "FFS2"); return b },
+		"real payload":      func(b []byte) []byte { b[6] = elemReal; return b },
 		"bad op":            func(b []byte) []byte { b[5] = 200; return b },
+		"transform op":      func(b []byte) []byte { b[5] = byte(KindInverse); return b },
 		"reserved byte":     func(b []byte) []byte { b[7] = 1; return b },
 		"truncated payload": func(b []byte) []byte { return b[:len(b)-8] },
 		"trailing bytes":    func(b []byte) []byte { return append(b, 0) },
@@ -225,7 +223,8 @@ func TestSessionFrameRejects(t *testing.T) {
 		{"cols with arg1", SessionFrame{Op: OpSessCols, VecLen: 2, VecCount: 1, Arg1: 3, Data: randVecs(2, 1, 6)}},
 		{"close with payload", SessionFrame{Op: OpSessClose, VecLen: 2, VecCount: 1, Data: randVecs(2, 1, 6)}},
 		{"ragged payload", SessionFrame{Op: OpSessCols, VecLen: 4, VecCount: 4, Data: randVecs(4, 3, 6)}},
-		{"unknown op", SessionFrame{Op: sessOpCount}},
+		{"unknown op", SessionFrame{Op: opCount}},
+		{"transform op", SessionFrame{Op: KindForward, VecLen: 2, VecCount: 1, Data: randVecs(2, 1, 6)}},
 		{"vecLen without count", SessionFrame{Op: OpSessCols, VecLen: 4}},
 	}
 	for _, tc := range encCases {
@@ -365,8 +364,8 @@ func TestSessionWirePortable(t *testing.T) {
 // for — and none of the body is buffered.
 func TestPeerReplyIsBounded(t *testing.T) {
 	junk := make([]byte, 64<<20)
-	ack := appendSessionHeader(nil, SessionFrame{Op: OpSessAck, ID: 1})
-	claim := appendSessionHeader(nil, SessionFrame{Op: OpSessRows, ID: 1, VecLen: 1 << 11, VecCount: 1 << 11})
+	ack := appendHeader(nil, FrameHeader{Op: OpSessAck, ID: 1})
+	claim := appendHeader(nil, FrameHeader{Op: OpSessRows, ID: 1, VecLen: 1 << 11, VecCount: 1 << 11})
 	push := SessionFrame{Op: OpSessExchange, ID: 1, VecLen: 4, VecCount: 4, Data: randVecs(4, 4, 3)}
 	frames0, complexes0 := PoolsOutstanding()
 	for _, tc := range []struct {
@@ -719,97 +718,4 @@ func TestSessionColsNamesFailedPeer(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzSessionFrame pins the FFS2 codec's safety properties and holds
-// the streaming readers to the in-memory decoder, as FuzzReadFrame does
-// for FFB1: decoding arbitrary bytes never panics; any frame that
-// decodes re-encodes to exactly the input bytes (canonical encoding);
-// the worker's read (readSessionHeader, then readSessionPayload), however
-// the bytes arrive and with the true length declared or none, accepts
-// exactly what DecodeSessionFrame accepts and yields the same frame; a
-// declared length that lies is always refused; ReadSessionReply takes a
-// payload only into a buffer that holds it exactly, and a header-only
-// frame with none; every refusal wraps ErrBadFrame; and no way out
-// leaves a pooled buffer behind.
-func FuzzSessionFrame(f *testing.F) {
-	spec := testSpec()
-	cols := SessionFrame{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 1)}
-	for _, fr := range []SessionFrame{
-		{Op: OpSessOpen, ID: 1, Spec: &spec},
-		cols,
-		{Op: OpSessExchange, ID: 1, VecLen: 2, VecCount: 2, Arg0: 1, Arg1: 2, Data: randVecs(2, 2, 2)},
-		{Op: OpSessRows, ID: 1},
-		{Op: OpSessAck, ID: 1},
-	} {
-		if enc, err := EncodeSessionFrame(fr); err == nil {
-			f.Add(enc)
-		}
-	}
-	f.Add([]byte(sessMagic))
-	f.Add(bytes.Repeat([]byte{0}, sessHeaderLen))
-	// Every encoded seed is a version-4 frame; the same cols frame as
-	// version 3 — whose rows request left the session open — is refused.
-	if enc, err := EncodeSessionFrame(cols); err == nil && enc[4] == 4 {
-		enc[4] = 3
-		f.Add(enc)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		frames0, complexes0 := PoolsOutstanding()
-		dec, wantErr := DecodeSessionFrame(raw)
-		if wantErr != nil {
-			if !errors.Is(wantErr, ErrBadFrame) {
-				t.Fatalf("decode error does not wrap ErrBadFrame: %v", wantErr)
-			}
-		} else {
-			re, err := EncodeSessionFrame(dec)
-			if err != nil {
-				t.Fatalf("decoded frame failed to re-encode: %v", err)
-			}
-			if !bytes.Equal(re, raw) {
-				t.Fatalf("re-encoding is not canonical:\n in: %x\nout: %x", raw, re)
-			}
-		}
-		for how, deliver := range deliveries {
-			for _, declared := range []int64{int64(len(raw)), -1, int64(len(raw)) + 1, int64(len(raw)) - 1} {
-				lying := declared >= 0 && declared != int64(len(raw))
-				got, err := readFrame(deliver(raw), declared, len(raw)/16)
-				if err != nil {
-					if !errors.Is(err, ErrBadFrame) {
-						t.Fatalf("%s, declared %d: error %v does not wrap ErrBadFrame", how, declared, err)
-					}
-					if wantErr == nil && !lying {
-						t.Fatalf("%s, declared %d: the worker's read refused (%v) a frame DecodeSessionFrame accepts", how, declared, err)
-					}
-					continue
-				}
-				if wantErr != nil || lying {
-					t.Fatalf("%s, declared %d of %d: the worker's read accepted; DecodeSessionFrame says %v", how, declared, len(raw), wantErr)
-				}
-				if re, err := EncodeSessionFrame(got); err != nil || !bytes.Equal(re, raw) {
-					t.Fatalf("%s: frame differs from the bytes read (err %v)", how, err)
-				}
-			}
-		}
-		if wantErr == nil {
-			n := dec.VecLen * dec.VecCount
-			_, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), nil)
-			if (err == nil) != (n == 0) || (err != nil && !errors.Is(err, ErrBadFrame)) {
-				t.Fatalf("a reply of %d elements read with no destination: err %v", n, err)
-			}
-			if n > 0 {
-				into := make([]complex128, n)
-				got, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), into)
-				if err != nil || &got.Data[0] != &into[0] {
-					t.Fatalf("into the caller's buffer: err %v", err)
-				}
-				if _, err := ReadSessionReply(bytes.NewReader(raw), int64(len(raw)), into[1:]); !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("a destination one element short: err %v, want ErrBadFrame", err)
-				}
-			}
-		}
-		if frames, complexes := PoolsOutstanding(); frames != frames0 || complexes != complexes0 {
-			t.Fatalf("%d frames and %d complex buffers left outstanding", frames-frames0, complexes-complexes0)
-		}
-	})
 }

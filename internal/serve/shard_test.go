@@ -195,8 +195,8 @@ func TestShardEndpointShedsWhileDraining(t *testing.T) {
 
 // TestShardEndpointBadFrames: whatever the session decoder rejects —
 // an FFS1 frame included, the endpoint has one decode path — is a 400:
-// among them a version-2 frame, whose cols and rows payloads meant
-// samples, and an open whose factors no coordinator builds.
+// among them a frame of another version, and an open whose factors no
+// coordinator builds.
 func TestShardEndpointBadFrames(t *testing.T) {
 	ffs1, err := AppendShardFrame(nil, ShardFrame{Op: OpRows, VecLen: 8, Data: randVecs(8, 1, 1)})
 	if err != nil {
@@ -208,14 +208,14 @@ func TestShardEndpointBadFrames(t *testing.T) {
 	v2[4] = 2
 	// The encoder refuses the spec, so the frame is built by hand.
 	odd := SessionSpec{N1: 3, N2: 8, ColCount: 8, RowCount: 3}
-	open3x8 := appendSpec(appendSessionHeader(nil, SessionFrame{Op: OpSessOpen, ID: 1}), &odd)
+	open3x8 := appendSpec(appendHeader(nil, FrameHeader{Op: OpSessOpen, ID: 1, Arg0: specLen(&odd)}), &odd)
 	for name, body := range map[string][]byte{
 		"FFS1 frame":       ffs1,
 		"empty body":       nil,
-		"truncated header": cols[:sessHeaderLen-1],
+		"truncated header": cols[:headerLen-1],
 		"truncated cols":   cols[:len(cols)-8],
 		"ack as a request": ack,
-		"version 2 frame":  v2,
+		"another version":  v2,
 		"3×8 spec":         open3x8,
 	} {
 		s := New(Config{EnableShard: true})
