@@ -251,12 +251,29 @@ func TestFactor(t *testing.T) {
 // TestMixedPlanInvariants checks the structural invariants every
 // mixed-radix plan must satisfy: the stage radices multiply back to N,
 // each stage covers the whole vector, the twiddle tables have the
-// documented (R−1)·M layout, the plan makes one pass per stage each
-// way — an odd stage count ends in place, with no copy-back — and the
-// inverse's conjugations and 1/N ride on the first and last (N = 1
-// keeps them as two sweeps), with the bits of conj → forward → conj·1/N.
+// documented (R−1)·M layout, the plan makes as many passes each way as
+// the table says — one per stage, less one per pair of same-radix
+// stages fused between the first and the last, and an odd pass count
+// ends in place, with no copy-back — and the inverse's conjugations and
+// 1/N ride on the first and last (N = 1 keeps them as two sweeps), with
+// the bits of conj → forward → conj·1/N.
 func TestMixedPlanInvariants(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 60, 360, 1000, 2520, 6144, 3 << 10, 49, 375, 12005, 1000000} {
+	for _, c := range []struct{ n, passes int }{
+		{1, 0}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 2}, {7, 1}, {8, 2}, {9, 2}, {10, 2}, {12, 2}, {60, 3},
+		{360, 4},     // [4 2 3 3 5]: 3×3 fused
+		{1000, 4},    // [4 2 5 5 5]: 5×5
+		{2520, 5},    // [4 2 3 3 5 7]
+		{6144, 5},    // [4 4 4 4 4 2 3]: two 4×4
+		{3 << 10, 4}, // [4 4 4 4 4 3]
+		{49, 2},      // [7 7]: no stage between the first and the last
+		{375, 3},     // [3 5 5 5]
+		{2401, 3},    // [7 7 7 7]: 7×7, on the Go codelets
+		{12005, 4},   // [5 7 7 7 7]
+		{1000000, 6}, // [4 4 4 5 5 5 5 5 5]: 4×4, 5×5, 5×5; 9 before fusion
+		{3 << 18, 6}, // [4 4 4 4 4 4 4 4 4 3]: four 4×4; 10 before fusion
+		{562500, 6},  // [4 3 3 5 5 5 5 5 5]: 3×3, 5×5, 5×5 (Bluestein's M at 2^18+3)
+	} {
+		n := c.n
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			t.Fatalf("NewMixedPlan(%d): %v", n, err)
@@ -265,7 +282,7 @@ func TestMixedPlanInvariants(t *testing.T) {
 			t.Fatalf("plan for %d reports N=%d", n, mp.N)
 		}
 		fwd, inv := mp.Schedule(false).Passes, mp.Schedule(true).Passes
-		wantFwd, wantInv := len(mp.Stages), len(mp.Stages)
+		wantFwd, wantInv := c.passes, c.passes
 		if n == 1 {
 			wantInv = 2
 		}
@@ -367,12 +384,11 @@ func TestErrUnsupportedLengthSentinel(t *testing.T) {
 }
 
 // BenchmarkMixedPlan times one serial mixed-radix transform per op,
-// forward and inverse, in ns per point. Each op first copies the same
-// input back into the array — repeated forwards would overflow, repeated
-// inverses underflow into subnormals — so a point's time includes a
-// 16-byte copy both directions pay alike.
+// forward and inverse, in ns per point, with the schedule's passes per
+// op (benchSchedule). 562500 is Bluestein's M at 2^18+3, the 3×3 and
+// 5×5 fused pairs.
 func BenchmarkMixedPlan(b *testing.B) {
-	for _, n := range []int{1000, 3072, 49152, 3 << 18, 1000000} {
+	for _, n := range []int{1000, 3072, 49152, 3 << 18, 562500, 1000000} {
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			b.Fatal(err)
@@ -380,17 +396,7 @@ func BenchmarkMixedPlan(b *testing.B) {
 		orig := randComplex(n, int64(n))
 		for _, dir := range []string{"fwd", "inv"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, dir), func(b *testing.B) {
-				s := mp.Schedule(dir == "inv")
-				data := make([]complex128, n)
-				st := s.Acquire(data)
-				defer st.Release()
-				b.SetBytes(16 * int64(n))
-				b.ResetTimer()
-				for range b.N {
-					copy(data, orig)
-					s.Exec(st)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+				benchSchedule(b, mp.Schedule(dir == "inv"), orig)
 			})
 		}
 	}

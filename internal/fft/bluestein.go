@@ -143,8 +143,9 @@ func (bp *BluesteinPlan) String() string {
 }
 
 // Schedule returns the plan's pass list for the forward or inverse
-// transform: the M-point forward convolution stages, then the M-point
-// inverse stages, with the chirp premultiply and zero padding on the
+// transform: the M-point forward convolution's stage passes (fused
+// pairs included, MixedPlan.stages), then the M-point inverse's, with
+// the chirp premultiply and zero padding on the
 // first one's loads, the filter product on the last forward stage's
 // stores, and the chirp postmultiply on the last one's stores, into
 // the caller's N points. Per-radix codelets run them, not a kernel.

@@ -145,12 +145,17 @@ func TestBluesteinHugeLengths(t *testing.T) {
 // forward's passes — its conj rides on the first stage's loads, with
 // the chirp premultiply, its conj·1/N on the last stage's stores, after
 // the chirp postmultiply — and its bits are the unfused conj → forward
-// → conj·1/N composition's. A plan makes 2·stages passes each way: the
-// premultiply, the filter product and the postmultiply ride on the
-// stages next to them.
+// → conj·1/N composition's. A plan makes twice its M-point mixed plan's
+// passes each way: the premultiply, the filter product and the
+// postmultiply ride on the stages next to them, and same-radix stages
+// between the first and the last run in fused pairs.
 func TestBluesteinInverseFolds(t *testing.T) {
 	for _, c := range []struct{ n, passes int }{
-		{1, 2}, {1009, 12}, {5003, 14}, {65521, 18}, {1<<18 + 3, 18},
+		{1, 2},          // M = 2: [2]
+		{1009, 8},       // M = 2048: [4 4 4 4 4 2]; 12 before fusion
+		{5003, 10},      // M = 10240: [4 4 4 4 4 2 5]; 14
+		{65521, 12},     // M = 2^17: [4 4 4 4 4 4 4 4 2]; 18
+		{1<<18 + 3, 12}, // M = 562500: [4 3 3 5 5 5 5 5 5]; 18
 	} {
 		bp, err := fft.NewBluesteinPlan(c.n)
 		if err != nil {
@@ -327,6 +332,53 @@ func TestBluesteinErrorBudget(t *testing.T) {
 	check(129763, 64)  // M = 2^18
 }
 
+// TestMixedErrorBudget holds the mixed-radix family to the budget of
+// TestBluesteinErrorBudget — c·ε·log₂N of the double-double oracle
+// (errEps at sampled bins), c = 2 — forward and inverse: every
+// {2, 3, 5, 7}-smooth N ≤ 4096 at 32 bins (all of them below), and 10^6
+// and 3·2^18 at 32. The inverse's bin N − k is the oracle's bin k over
+// N, so one oracle serves both. It is the gate for a change that moves
+// the family's bits.
+func TestMixedErrorBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
+	}
+	const c = 2
+	check := func(n, bins int) {
+		t.Helper()
+		mp, err := fft.NewMixedPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randSignal(n, int64(n))
+		fwd := append([]complex128(nil), x...)
+		inv := append([]complex128(nil), x...)
+		noErr(t, mp.Transform(fwd))
+		noErr(t, mp.InverseTransform(inv))
+		picked := sampleBins(n, bins, int64(n))
+		hi, lo := ddTwiddles(n)
+		want := dftBinsExact(x, hi, lo, picked)
+		mirror, wantInv := make([]int, len(picked)), make([]complex128, len(picked))
+		for i, k := range picked {
+			mirror[i], wantInv[i] = (n-k)%n, want[i]/complex(float64(n), 0)
+		}
+		budget := c * math.Log2(float64(n))
+		if e := errEps(fwd, want, picked); e > budget {
+			t.Errorf("N=%d %v forward: error %.2f ε, budget %.2f ε", n, mp, e, budget)
+		}
+		if e := errEps(inv, wantInv, mirror); e > budget {
+			t.Errorf("N=%d %v inverse: error %.2f ε, budget %.2f ε", n, mp, e, budget)
+		}
+	}
+	for n := 1; n <= 4096; n++ {
+		if _, cofactor := fft.Factor(n); cofactor == 1 {
+			check(n, 32)
+		}
+	}
+	check(1000000, 32)
+	check(3<<18, 32)
+}
+
 func isPrime(n int) bool {
 	if n < 2 {
 		return false
@@ -341,8 +393,7 @@ func isPrime(n int) bool {
 
 // BenchmarkBluesteinPlan times one serial Bluestein transform per op,
 // forward and inverse, in ns per point (129763 convolves at the power
-// of two 2^18, the cheapest candidate there). Each op first copies the
-// input back, as BenchmarkMixedPlan does.
+// of two 2^18, the cheapest candidate there), through benchSchedule.
 func BenchmarkBluesteinPlan(b *testing.B) {
 	for _, n := range []int{1009, 4099, 65537, 1<<18 + 3, 129763} {
 		bp, err := fft.NewBluesteinPlan(n)
@@ -359,7 +410,10 @@ func BenchmarkBluesteinPlan(b *testing.B) {
 }
 
 // benchSchedule runs s serially per op on a copy of orig and reports
-// ns per point.
+// ns per point and the schedule's passes per op. Each op first copies
+// the same input back into the array — repeated forwards would
+// overflow, repeated inverses underflow into subnormals — so a point's
+// time includes a 16-byte copy both directions pay alike.
 func benchSchedule(b *testing.B, s *fft.Schedule, orig []complex128) {
 	n := len(orig)
 	data := make([]complex128, n)
@@ -372,4 +426,5 @@ func benchSchedule(b *testing.B, s *fft.Schedule, orig []complex128) {
 		s.Exec(st)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+	b.ReportMetric(float64(len(s.Passes)), "passes/op")
 }

@@ -99,3 +99,47 @@ func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, 
 //
 //go:noescape
 func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *complex128, live int)
+
+// vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of fused units on
+// the fused AVX codelets (mixed33Asm … mixed55Asm), the q in pairs, an
+// odd one left over in Go, or reports false, having run nothing, for
+// radix 7.
+func (f mixedPair) vec(dst, src []complex128, p0, p1, q0, q1 int) bool {
+	a, b := f.a, f.b
+	r, s, m := a.R, a.S, b.M
+	if !soaHasAsm || r == 7 {
+		return false
+	}
+	if qe := q0 + (q1-q0)&^1; qe > q0 {
+		// The last unit's last load and store, and the last twiddles.
+		_, _ = src[s*(p1-1)+s*m*(r*r-1)+qe-1], dst[r*r*s*(p1-1)+(r+1)*s*(r-1)+qe-1]
+		_, _ = a.Tw[(r-1)*(p1-1+m*(r-1))+r-2], b.Tw[(r-1)*p1-1]
+		fusedCodelets[r](&dst[r*r*s*p0+q0], &src[s*p0+q0], &a.Tw[(r-1)*p0], &b.Tw[(r-1)*p0], s, m, p1-p0, (qe-q0)/2)
+		q0 = qe
+	}
+	if q0 < q1 {
+		f.scalar(dst, src, p0, p1, q0, q1)
+	}
+	return true
+}
+
+var fusedCodelets = [...]func(dst, src, twa, twb *complex128, s, m, np, nq int){
+	3: mixed33Asm, 4: mixed44Asm, 5: mixed55Asm,
+}
+
+// Implemented in mixed_amd64.s. Each runs np rows p of nq pairs of q of
+// fused units of a radix-r mixedPair from the unit at dst, src, twa and
+// twb (its stages' twiddles at the row): row p + 1 starts S elements of
+// src, r²·S of dst and r − 1 twiddles of each further on. With m the
+// second stage's M, the fused unit's stage-a row c' is S·m elements of
+// src and (r − 1)·m twiddles from row 0, its input lane c r·S·m; its
+// output (d, d') is S·d + r·S·d' elements from dst.
+
+//go:noescape
+func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+
+//go:noescape
+func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+
+//go:noescape
+func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int)

@@ -128,6 +128,62 @@ plain: \
 	VXORPD       Y0, Y0, Y0; \
 	VBLENDPD     $10, Y14, Y0, Y14
 
+// The fused codelets: two stages of one radix r in a pass (mixedPair in
+// mixedradix.go), over rows of fused units p and, in each, pairs of q.
+// A row's pairs run in chunks of up to K: stage a's butterflies, row c'
+// at a time with that row's twiddles broadcast once, into a tile on the
+// stack, [k][c'][d] for pair k of the chunk — then stage b's, output
+// row d at a time, so the r store streams of a row fill their lines
+// before the next row's start, with the row's stage-b twiddles
+// broadcast once per chunk (radix 5 loads both from memory as it goes,
+// as mixed5Asm does). The butterflies are BFLY3, BFLY4 and BFLY5, so
+// the bits are the single-stage codelets'.
+//
+// Registers: DI dst and SI src at the row, R9 S in bytes, DX rows
+// left, CX pairs left in the row, BX the chunk's byte offset in it,
+// R12 its pair count. Stage a: R14 the twiddles of row c', R11 its
+// inputs, AX the pair's, R13 the input lane stride r·S·M in bytes, R10
+// the tile, R8 the pairs left. Stage b: AX the chunk's output row d,
+// R14 the pair's, R8 the output lane stride r·S in bytes, R10 the
+// tile, R11 the pairs left. The 2128-byte frame holds the tile, ≤ 2 KiB
+// at a 32-byte boundary, and six words above it:
+#define FUSED_SRC 2080   // S·M·16: row c' + 1 of src from row c'
+#define FUSED_TWS 2088   // (r − 1)·M·16: row c' + 1 of a's twiddles
+#define FUSED_TWA 2096   // a's twiddles at the row (c' = 0)
+#define FUSED_TWB 2104   // b's twiddles at the row
+#define FUSED_TILE 2112  // the tile
+#define FUSED_LANE 2120  // r·S·M·16
+
+// The prologue for radix R: the frame's words, DI, SI, R9, DX.
+#define FUSED_PROLOGUE(R) \
+	MOVQ   s+32(FP), R9; \
+	SHLQ   $4, R9; \
+	MOVQ   m+40(FP), AX; \
+	IMULQ  R9, AX; \
+	MOVQ   AX, FUSED_SRC(SP); \
+	IMUL3Q $R, AX, AX; \
+	MOVQ   AX, FUSED_LANE(SP); \
+	MOVQ   m+40(FP), AX; \
+	IMUL3Q $(16*(R-1)), AX, AX; \
+	MOVQ   AX, FUSED_TWS(SP); \
+	MOVQ   twa+16(FP), AX; \
+	MOVQ   AX, FUSED_TWA(SP); \
+	MOVQ   twb+24(FP), AX; \
+	MOVQ   AX, FUSED_TWB(SP); \
+	LEAQ   31(SP), AX; \
+	ANDQ   $-32, AX; \
+	MOVQ   AX, FUSED_TILE(SP); \
+	MOVQ   dst+0(FP), DI; \
+	MOVQ   src+8(FP), SI; \
+	MOVQ   np+48(FP), DX; \
+	VMOVUPD mixedNegIm<>(SB), Y15
+
+// The start of a row of fused units.
+#define FUSED_ROW(row) \
+row: \
+	MOVQ nq+56(FP), CX; \
+	XORQ BX, BX
+
 // func mixed2Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 //
 //	y0 = u0 + u1, y1 = (u0 − u1)·w1
@@ -187,10 +243,28 @@ r2_out:
 	OUTLANE(Y3, Y4, Y5, Y6, r2_plain1)
 	JMP  r2_next
 
-// func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
+// The radix-3 butterfly on u0..u2 in Y0..Y2, twiddles w1, w2 in
+// (Y8, Y9), (Y10, Y11), 0.5 in Y12 and (√3/2, −√3/2) in Y13; y0..y2
+// land in Y2, Y4, Y6.
 //
 //	t1 = u1 + u2, t2 = u1 − u2, m1 = u0 − 0.5·t1, m2 = −i·(√3/2)·t2
 //	y0 = u0 + t1, y1 = (m1 + m2)·w1, y2 = (m1 − m2)·w2
+#define BFLY3 \
+	VADDPD    Y2, Y1, Y3; \
+	VSUBPD    Y2, Y1, Y1; \
+	VADDPD    Y3, Y0, Y2; \
+	VPERMILPD $5, Y3, Y5; \
+	VMULPD    mixedZero<>(SB), Y5, Y5; \
+	CMULK(Y3, Y12, Y5, Y4); \
+	VSUBPD    Y4, Y0, Y0; \
+	VPERMILPD $5, Y1, Y1; \
+	VMULPD    Y13, Y1, Y1; \
+	VADDPD    Y1, Y0, Y3; \
+	VSUBPD    Y1, Y0, Y0; \
+	CMUL(Y3, Y8, Y9, Y5, Y4); \
+	CMUL(Y0, Y10, Y11, Y5, Y6)
+
+// func mixed3Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 TEXT ·mixed3Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 	VMOVUPD mixedHalf<>(SB), Y12
@@ -216,19 +290,7 @@ r3_q:
 	VXORPD  Y14, Y2, Y2
 
 r3_loaded:
-	VADDPD    Y2, Y1, Y3 // t1
-	VSUBPD    Y2, Y1, Y1 // t2
-	VADDPD    Y3, Y0, Y2 // y0
-	VPERMILPD $5, Y3, Y5
-	VMULPD    mixedZero<>(SB), Y5, Y5
-	CMULK(Y3, Y12, Y5, Y4) // 0.5·t1
-	VSUBPD    Y4, Y0, Y0   // m1
-	VPERMILPD $5, Y1, Y1
-	VMULPD    Y13, Y1, Y1  // m2
-	VADDPD    Y1, Y0, Y3   // m1 + m2
-	VSUBPD    Y1, Y0, Y0   // m1 − m2
-	CMUL(Y3, Y8, Y9, Y5, Y4)
-	CMUL(Y0, Y10, Y11, Y5, Y6)
+	BFLY3
 
 	LEAQ  (DI)(BX*1), AX
 	TESTQ R13, R13
@@ -471,7 +533,9 @@ r4p_operand:
 	INLANE(Y3)
 	JMP    r4p_loaded
 
-// func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
+// The radix-5 butterfly on u0..u4 in Y0..Y4, c1, c2, s1, s2 in Y8..Y11
+// and zero in Y12, the twiddles w1..w4 broadcast from (TW) as each is
+// used; y0..y4 land in Y13, Y0, Y1, Y2, Y5.
 //
 //	t1 = u1 + u4, t2 = u2 + u3, t3 = u1 − u4, t4 = u2 − u3
 //	m1 = u0 + c1·t1 + c2·t2, m2 = u0 + c2·t1 + c1·t2
@@ -479,9 +543,56 @@ r4p_operand:
 //	y0 = u0 + t1 + t2, y1 = (m1 + m3)·w1, y2 = (m2 + m4)·w2,
 //	y3 = (m2 − m4)·w3, y4 = (m1 − m3)·w4
 //
-// with c1, c2 = cos(2π/5), cos(4π/5) and s1, s2 = sin(2π/5), sin(4π/5)
-// in Y8..Y11 and zero in Y12; the twiddles are broadcast from memory as
-// each is used.
+// with c1, c2 = cos(2π/5), cos(4π/5) and s1, s2 = sin(2π/5), sin(4π/5).
+#define BFLY5(TW) \
+	VADDPD    Y4, Y1, Y5; \
+	VSUBPD    Y4, Y1, Y1; \
+	VADDPD    Y3, Y2, Y4; \
+	VSUBPD    Y3, Y2, Y2; \
+	VADDPD    Y5, Y0, Y13; \
+	VADDPD    Y4, Y13, Y13; \
+	VPERMILPD $5, Y5, Y3; \
+	VMULPD    Y12, Y3, Y3; \
+	CMULK(Y5, Y8, Y3, Y6); \
+	CMULK(Y5, Y9, Y3, Y7); \
+	VADDPD    Y6, Y0, Y6; \
+	VADDPD    Y7, Y0, Y7; \
+	VPERMILPD $5, Y4, Y3; \
+	VMULPD    Y12, Y3, Y3; \
+	CMULK(Y4, Y9, Y3, Y5); \
+	VADDPD    Y5, Y6, Y6; \
+	CMULK(Y4, Y8, Y3, Y5); \
+	VADDPD    Y5, Y7, Y7; \
+	VPERMILPD $5, Y1, Y3; \
+	VMULPD    Y12, Y3, Y3; \
+	VPERMILPD $5, Y2, Y4; \
+	VMULPD    Y12, Y4, Y4; \
+	CMULK(Y1, Y10, Y3, Y0); \
+	CMULK(Y2, Y11, Y4, Y5); \
+	VADDPD    Y5, Y0, Y0; \
+	CMULK(Y1, Y11, Y3, Y5); \
+	CMULK(Y2, Y10, Y4, Y1); \
+	VSUBPD    Y1, Y5, Y5; \
+	MULNEGI(Y0); \
+	MULNEGI(Y5); \
+	VADDPD    Y0, Y6, Y1; \
+	VSUBPD    Y0, Y6, Y6; \
+	VADDPD    Y5, Y7, Y2; \
+	VSUBPD    Y5, Y7, Y7; \
+	VBROADCASTSD (TW), Y3; \
+	VBROADCASTSD 8(TW), Y4; \
+	CMUL(Y1, Y3, Y4, Y5, Y0); \
+	VBROADCASTSD 16(TW), Y3; \
+	VBROADCASTSD 24(TW), Y4; \
+	CMUL(Y2, Y3, Y4, Y5, Y1); \
+	VBROADCASTSD 32(TW), Y3; \
+	VBROADCASTSD 40(TW), Y4; \
+	CMUL(Y7, Y3, Y4, Y5, Y2); \
+	VBROADCASTSD 48(TW), Y3; \
+	VBROADCASTSD 56(TW), Y4; \
+	CMUL(Y6, Y3, Y4, Y7, Y5)
+
+// func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, v *complex128, live int, post float64)
 TEXT ·mixed5Asm(SB), NOSPLIT, $0-96
 	PAIRS_PROLOGUE
 	VBROADCASTSD mixedRadix5<>+0(SB), Y8
@@ -512,52 +623,7 @@ r5_q:
 	VXORPD  Y14, Y4, Y4
 
 r5_loaded:
-	VADDPD    Y4, Y1, Y5 // t1
-	VSUBPD    Y4, Y1, Y1 // t3
-	VADDPD    Y3, Y2, Y4 // t2
-	VSUBPD    Y3, Y2, Y2 // t4
-	VADDPD    Y5, Y0, Y13
-	VADDPD    Y4, Y13, Y13 // y0 = u0 + t1 + t2
-	VPERMILPD $5, Y5, Y3
-	VMULPD    Y12, Y3, Y3 // swap(t1)·0
-	CMULK(Y5, Y8, Y3, Y6)
-	CMULK(Y5, Y9, Y3, Y7)
-	VADDPD    Y6, Y0, Y6 // u0 + c1·t1
-	VADDPD    Y7, Y0, Y7 // u0 + c2·t1
-	VPERMILPD $5, Y4, Y3
-	VMULPD    Y12, Y3, Y3 // swap(t2)·0
-	CMULK(Y4, Y9, Y3, Y5)
-	VADDPD    Y5, Y6, Y6 // m1
-	CMULK(Y4, Y8, Y3, Y5)
-	VADDPD    Y5, Y7, Y7 // m2
-	VPERMILPD $5, Y1, Y3
-	VMULPD    Y12, Y3, Y3 // swap(t3)·0
-	VPERMILPD $5, Y2, Y4
-	VMULPD    Y12, Y4, Y4 // swap(t4)·0
-	CMULK(Y1, Y10, Y3, Y0)
-	CMULK(Y2, Y11, Y4, Y5)
-	VADDPD    Y5, Y0, Y0 // a
-	CMULK(Y1, Y11, Y3, Y5)
-	CMULK(Y2, Y10, Y4, Y1)
-	VSUBPD    Y1, Y5, Y5 // b
-	MULNEGI(Y0)          // m3
-	MULNEGI(Y5)          // m4
-	VADDPD    Y0, Y6, Y1 // m1 + m3
-	VSUBPD    Y0, Y6, Y6 // m1 − m3
-	VADDPD    Y5, Y7, Y2 // m2 + m4
-	VSUBPD    Y5, Y7, Y7 // m2 − m4
-	VBROADCASTSD (R8), Y3
-	VBROADCASTSD 8(R8), Y4
-	CMUL(Y1, Y3, Y4, Y5, Y0) // y1
-	VBROADCASTSD 16(R8), Y3
-	VBROADCASTSD 24(R8), Y4
-	CMUL(Y2, Y3, Y4, Y5, Y1) // y2
-	VBROADCASTSD 32(R8), Y3
-	VBROADCASTSD 40(R8), Y4
-	CMUL(Y7, Y3, Y4, Y5, Y2) // y3
-	VBROADCASTSD 48(R8), Y3
-	VBROADCASTSD 56(R8), Y4
-	CMUL(Y6, Y3, Y4, Y7, Y5) // y4
+	BFLY5(R8)
 
 	LEAQ  (DI)(BX*1), AX
 	TESTQ R13, R13
@@ -609,3 +675,239 @@ r5_out:
 	JLE  r5_next
 	OUTLANE(Y5, Y3, Y4, Y6, r5_plain4)
 	JMP  r5_next
+
+// The start of a chunk of at most K pairs, and stage a's registers
+// for row c' = 0.
+#define FUSED_CHUNK(K, chunk) \
+chunk: \
+	MOVQ    $K, R12; \
+	CMPQ    CX, R12; \
+	CMOVQLT CX, R12; \
+	MOVQ    FUSED_TWA(SP), R14; \
+	LEAQ    (SI)(BX*1), R11; \
+	MOVQ    FUSED_LANE(SP), R13
+
+// Stage a's pair loop for row c' = CP at tile offset CP·r·32, after the
+// twiddles are in place; then R14 and R11 move to row c' + 1.
+#define FUSED_A_LOOP(CP, R, LOADS, BFLY, STORES, loop) \
+	MOVQ FUSED_TILE(SP), R10; \
+	ADDQ $(CP*R*32), R10; \
+	MOVQ R11, AX; \
+	MOVQ R12, R8; \
+loop: \
+	LOADS; \
+	BFLY; \
+	STORES; \
+	ADDQ $32, AX; \
+	ADDQ $(R*R*32), R10; \
+	DECQ R8; \
+	JNZ  loop; \
+	ADDQ FUSED_TWS(SP), R14; \
+	ADDQ FUSED_SRC(SP), R11
+
+// Stage b's registers: AX dst at the chunk, R8 r·S bytes.
+#define FUSED_B_START(R) \
+	LEAQ   (DI)(BX*1), AX; \
+	IMUL3Q $R, R9, R8
+
+// Stage b's pair loop for output row d = D, its inputs at tile offset
+// D·32: the pairs of a row store one after another, so each of its r
+// output lines fills before the next row's; then AX moves to row d + 1.
+#define FUSED_B_LOOP(D, R, LOADS, BFLY, STORES, loop) \
+	MOVQ FUSED_TILE(SP), R10; \
+	ADDQ $(D*32), R10; \
+	MOVQ AX, R14; \
+	MOVQ R12, R11; \
+loop: \
+	LOADS; \
+	BFLY; \
+	STORES; \
+	ADDQ $32, R14; \
+	ADDQ $(R*R*32), R10; \
+	DECQ R11; \
+	JNZ  loop; \
+	ADDQ R9, AX
+
+// The end of a chunk (loop) and of a row (row) for radix R.
+#define FUSED_END(R, chunk, row) \
+	MOVQ   R12, R8; \
+	SHLQ   $5, R8; \
+	ADDQ   R8, BX; \
+	SUBQ   R12, CX; \
+	JNZ    chunk; \
+	ADDQ   R9, SI; \
+	IMUL3Q $(R*R), R9, R8; \
+	ADDQ   R8, DI; \
+	ADDQ   $(16*(R-1)), FUSED_TWA(SP); \
+	ADDQ   $(16*(R-1)), FUSED_TWB(SP); \
+	DECQ   DX; \
+	JNZ    row; \
+	VZEROUPPER; \
+	RET
+
+// func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+#define LOAD3A \
+	VMOVUPD (AX), Y0; \
+	VMOVUPD (AX)(R13*1), Y1; \
+	VMOVUPD (AX)(R13*2), Y2
+
+#define STORE3A \
+	VMOVUPD Y2, (R10); \
+	VMOVUPD Y4, 32(R10); \
+	VMOVUPD Y6, 64(R10)
+
+#define TW3(TW) \
+	VBROADCASTSD (TW), Y8; \
+	VBROADCASTSD 8(TW), Y9; \
+	VBROADCASTSD 16(TW), Y10; \
+	VBROADCASTSD 24(TW), Y11
+
+#define FUSED3_A(CP, loop) \
+	TW3(R14); \
+	FUSED_A_LOOP(CP, 3, LOAD3A, BFLY3, STORE3A, loop)
+
+#define LOAD3B \
+	VMOVUPD (R10), Y0; \
+	VMOVUPD 96(R10), Y1; \
+	VMOVUPD 192(R10), Y2
+
+#define STORE3B \
+	VMOVUPD Y2, (R14); \
+	VMOVUPD Y4, (R14)(R8*1); \
+	VMOVUPD Y6, (R14)(R8*2)
+
+TEXT ·mixed33Asm(SB), $2128-64
+	FUSED_PROLOGUE(3)
+	VMOVUPD mixedHalf<>(SB), Y12
+	VMOVUPD mixedSqrt3<>(SB), Y13
+	FUSED_ROW(f3_row)
+	FUSED_CHUNK(4, f3_chunk)
+	FUSED3_A(0, f3_a0)
+	FUSED3_A(1, f3_a1)
+	FUSED3_A(2, f3_a2)
+	FUSED_B_START(3)
+	MOVQ FUSED_TWB(SP), R14
+	TW3(R14)
+	FUSED_B_LOOP(0, 3, LOAD3B, BFLY3, STORE3B, f3_b0)
+	FUSED_B_LOOP(1, 3, LOAD3B, BFLY3, STORE3B, f3_b1)
+	FUSED_B_LOOP(2, 3, LOAD3B, BFLY3, STORE3B, f3_b2)
+	FUSED_END(3, f3_chunk, f3_row)
+
+// func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+#define LOAD4A \
+	VMOVUPD (AX), Y0; \
+	VMOVUPD (AX)(R13*1), Y1; \
+	VMOVUPD (AX)(R13*2), Y2; \
+	ADDQ    R13, AX; \
+	VMOVUPD (AX)(R13*2), Y3; \
+	SUBQ    R13, AX
+
+#define STORE4A \
+	VMOVUPD Y2, (R10); \
+	VMOVUPD Y5, 32(R10); \
+	VMOVUPD Y6, 64(R10); \
+	VMOVUPD Y7, 96(R10)
+
+#define TW4(TW) \
+	VBROADCASTSD (TW), Y8; \
+	VBROADCASTSD 8(TW), Y9; \
+	VBROADCASTSD 16(TW), Y10; \
+	VBROADCASTSD 24(TW), Y11; \
+	VBROADCASTSD 32(TW), Y12; \
+	VBROADCASTSD 40(TW), Y13
+
+#define FUSED4_A(CP, loop) \
+	TW4(R14); \
+	FUSED_A_LOOP(CP, 4, LOAD4A, BFLY4, STORE4A, loop)
+
+#define LOAD4B \
+	VMOVUPD (R10), Y0; \
+	VMOVUPD 128(R10), Y1; \
+	VMOVUPD 256(R10), Y2; \
+	VMOVUPD 384(R10), Y3
+
+#define STORE4B \
+	VMOVUPD Y2, (R14); \
+	VMOVUPD Y5, (R14)(R8*1); \
+	VMOVUPD Y6, (R14)(R8*2); \
+	ADDQ    R8, R14; \
+	VMOVUPD Y7, (R14)(R8*2); \
+	SUBQ    R8, R14
+
+TEXT ·mixed44Asm(SB), $2128-64
+	FUSED_PROLOGUE(4)
+	FUSED_ROW(f4_row)
+	FUSED_CHUNK(4, f4_chunk)
+	FUSED4_A(0, f4_a0)
+	FUSED4_A(1, f4_a1)
+	FUSED4_A(2, f4_a2)
+	FUSED4_A(3, f4_a3)
+	FUSED_B_START(4)
+	MOVQ FUSED_TWB(SP), R14
+	TW4(R14)
+	FUSED_B_LOOP(0, 4, LOAD4B, BFLY4, STORE4B, f4_b0)
+	FUSED_B_LOOP(1, 4, LOAD4B, BFLY4, STORE4B, f4_b1)
+	FUSED_B_LOOP(2, 4, LOAD4B, BFLY4, STORE4B, f4_b2)
+	FUSED_B_LOOP(3, 4, LOAD4B, BFLY4, STORE4B, f4_b3)
+	FUSED_END(4, f4_chunk, f4_row)
+
+// func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+#define LOAD5A \
+	VMOVUPD (AX), Y0; \
+	VMOVUPD (AX)(R13*1), Y1; \
+	VMOVUPD (AX)(R13*2), Y2; \
+	VMOVUPD (AX)(R13*4), Y4; \
+	ADDQ    R13, AX; \
+	VMOVUPD (AX)(R13*2), Y3; \
+	SUBQ    R13, AX
+
+#define STORE5A \
+	VMOVUPD Y13, (R10); \
+	VMOVUPD Y0, 32(R10); \
+	VMOVUPD Y1, 64(R10); \
+	VMOVUPD Y2, 96(R10); \
+	VMOVUPD Y5, 128(R10)
+
+#define BFLY5A BFLY5(R14)
+
+#define LOAD5B \
+	VMOVUPD (R10), Y0; \
+	VMOVUPD 160(R10), Y1; \
+	VMOVUPD 320(R10), Y2; \
+	VMOVUPD 480(R10), Y3; \
+	VMOVUPD 640(R10), Y4
+
+#define STORE5B \
+	VMOVUPD Y13, (R14); \
+	VMOVUPD Y0, (R14)(R8*1); \
+	VMOVUPD Y1, (R14)(R8*2); \
+	VMOVUPD Y5, (R14)(R8*4); \
+	ADDQ    R8, R14; \
+	VMOVUPD Y2, (R14)(R8*2); \
+	SUBQ    R8, R14
+
+// Stage b at radix 5 reads its twiddles through R13, free there.
+#define BFLY5B BFLY5(R13)
+
+TEXT ·mixed55Asm(SB), $2128-64
+	FUSED_PROLOGUE(5)
+	VBROADCASTSD mixedRadix5<>+0(SB), Y8
+	VBROADCASTSD mixedRadix5<>+8(SB), Y9
+	VBROADCASTSD mixedRadix5<>+16(SB), Y10
+	VBROADCASTSD mixedRadix5<>+24(SB), Y11
+	VXORPD       Y12, Y12, Y12
+	FUSED_ROW(f5_row)
+	FUSED_CHUNK(2, f5_chunk)
+	FUSED_A_LOOP(0, 5, LOAD5A, BFLY5A, STORE5A, f5_a0)
+	FUSED_A_LOOP(1, 5, LOAD5A, BFLY5A, STORE5A, f5_a1)
+	FUSED_A_LOOP(2, 5, LOAD5A, BFLY5A, STORE5A, f5_a2)
+	FUSED_A_LOOP(3, 5, LOAD5A, BFLY5A, STORE5A, f5_a3)
+	FUSED_A_LOOP(4, 5, LOAD5A, BFLY5A, STORE5A, f5_a4)
+	FUSED_B_START(5)
+	MOVQ FUSED_TWB(SP), R13
+	FUSED_B_LOOP(0, 5, LOAD5B, BFLY5B, STORE5B, f5_b0)
+	FUSED_B_LOOP(1, 5, LOAD5B, BFLY5B, STORE5B, f5_b1)
+	FUSED_B_LOOP(2, 5, LOAD5B, BFLY5B, STORE5B, f5_b2)
+	FUSED_B_LOOP(3, 5, LOAD5B, BFLY5B, STORE5B, f5_b3)
+	FUSED_B_LOOP(4, 5, LOAD5B, BFLY5B, STORE5B, f5_b4)
+	FUSED_END(5, f5_chunk, f5_row)

@@ -5,3 +5,7 @@ package fft
 // vec is where the vector codelets would run a rectangle of units;
 // this build has none, so the Go codelets run it all.
 func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) bool { return false }
+
+// vec is where the vector codelets would run a rectangle of fused
+// units; this build has none.
+func (f mixedPair) vec(dst, src []complex128, p0, p1, q0, q1 int) bool { return false }

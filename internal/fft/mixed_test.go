@@ -188,6 +188,63 @@ func mixedEdges(rng *rand.Rand, st *MixedStage) []mixedCase {
 	return cs
 }
 
+// mixedPairOf builds a fused pair of radix r: stage a splits r²·m-point
+// sub-transforms across s copies, stage b the r·m-point results across
+// r·s — the shape of stages i, i+1 of a plan, where s is the product of
+// the radices before them.
+func mixedPairOf(r, m, s int) mixedPair {
+	return mixedPair{mixedStage(r, r*m, s), mixedStage(r, m, r*s)}
+}
+
+// checkPairRange runs fused units [cuts[0], cuts[len(cuts)−1]) of pr on
+// src both ways — pr.run over the given cuts, and the two stages' Go
+// codelets in sequence over the whole array — and reports the first
+// output whose bits differ. An output the range does not write must
+// keep the sentinel, as must a guard past the array.
+func checkPairRange(t *testing.T, pr mixedPair, src []complex128, cuts []int) {
+	t.Helper()
+	a, b := pr.a, pr.b
+	r, s := a.R, a.S
+	n := r * a.M * s
+	mid, full := make([]complex128, n), make([]complex128, n)
+	a.scalar(mid, src, 0, a.M, 0, s, stageEdge{})
+	b.scalar(full, mid, 0, b.M, 0, b.S, stageEdge{})
+	want, got := make([]complex128, n+4), make([]complex128, n+4)
+	for i := range want {
+		want[i], got[i] = sentinel, sentinel
+	}
+	for u := cuts[0]; u < cuts[len(cuts)-1]; u++ {
+		p, q := u/s, u%s
+		for d := range r {
+			for d2 := range r {
+				k := q + s*d + r*s*d2 + r*r*s*p
+				want[k] = full[k]
+			}
+		}
+	}
+	for i := 1; i < len(cuts); i++ {
+		pr.run(got[:n], src, cuts[i-1], cuts[i])
+	}
+	for i := range got {
+		if !sameOrNaN(real(got[i]), real(want[i])) || !sameOrNaN(imag(got[i]), imag(want[i])) {
+			t.Fatalf("fused %d×%d M=%d S=%d cuts %v: out[%d] = %v (%#x, %#x), Go codelets %v (%#x, %#x)",
+				r, r, b.M, s, cuts, i, got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+				want[i], math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
+		}
+	}
+}
+
+// randomCuts partitions [0, units) at random: cuts in mid-row, single
+// units, whole rows, as a parallel run shards a pass of rows of s.
+func randomCuts(rng *rand.Rand, units, s int) []int {
+	cuts := []int{0}
+	for c := 0; c < units; {
+		c = min(units, c+1+rng.Intn(max(1, 2*s+3)))
+		cuts = append(cuts, c)
+	}
+	return cuts
+}
+
 func TestMixedCodeletsMatchGo(t *testing.T) {
 	t.Logf("vector backend: %s", soaAccel)
 	rng := rand.New(rand.NewSource(1))
@@ -206,16 +263,30 @@ func TestMixedCodeletsMatchGo(t *testing.T) {
 							src[i] = complex(mixedValue(rng, zeros), mixedValue(rng, zeros))
 						}
 						checkMixedRange(t, st, src, []int{0, units}, c.e, c.inPlace)
-						// A random partition: cuts in mid-row, single
-						// units, whole rows, as a parallel run shards
-						// the stage.
-						cuts := []int{0}
-						for c := 0; c < units; {
-							c = min(units, c+1+rng.Intn(max(1, 2*s+3)))
-							cuts = append(cuts, c)
-						}
-						checkMixedRange(t, st, src, cuts, c.e, c.inPlace)
+						checkMixedRange(t, st, src, randomCuts(rng, units, s), c.e, c.inPlace)
 					}
+				}
+			}
+		}
+	}
+	// Fused pairs: the vector pair codelets (radix 3, 4, 5) and the Go
+	// composition through the tile (7, odd leftover q) against the two
+	// stages' Go codelets in sequence.
+	for _, r := range []int{3, 4, 5, 7} {
+		for _, s := range []int{1, 2, 3, 4, 5, 16, 64, 1024} {
+			for _, m := range []int{1, 2, 3, 5, 8, 27} {
+				if r*r*m*s > 1<<16 {
+					continue
+				}
+				pr := mixedPairOf(r, m, s)
+				src := make([]complex128, r*r*m*s)
+				units := pr.Units()
+				for _, zeros := range []bool{false, true} {
+					for i := range src {
+						src[i] = complex(mixedValue(rng, zeros), mixedValue(rng, zeros))
+					}
+					checkPairRange(t, pr, src, []int{0, units})
+					checkPairRange(t, pr, src, randomCuts(rng, units, s))
 				}
 			}
 		}
@@ -241,38 +312,56 @@ var mixedSpecials = []byte{
 // eight bytes a number, repeated to fill the stage and the operands.
 // The edge's bits: 1 conj, 2 scale, 4 an input operand, 8 an output
 // operand, 16 in place, 32 post; an output operand or in place makes
-// M = 1, and lim16 sets the operands' lengths.
+// M = 1, and lim16 sets the operands' lengths. With bit 64 set the rest
+// of edge and lim16 are ignored, and the fuzzer's shape is a fused pair
+// of radix 3, 4 or 5 instead (mixedPairOf(r, m, s)), checked against
+// the two stages' Go codelets in sequence.
 func FuzzMixedCodelets(f *testing.F) {
 	f.Add(uint8(4), uint16(1), uint16(6), uint32(0), uint32(24), uint8(1), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3, 4, 5, 6, 7, 0x80})
 	f.Add(uint8(3), uint16(5), uint16(3), uint32(2), uint32(13), uint8(2), uint16(0), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add(uint8(5), uint16(16), uint16(2), uint32(7), uint32(30), uint8(0), uint16(0), []byte{0x18, 0x2d, 0x44, 0x54, 0xfb, 0x21, 0x09, 0x40})
 	f.Add(uint8(2), uint16(3), uint16(4), uint32(1), uint32(11), uint8(3), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0, 0x80})
-	f.Add(uint8(2), uint16(0), uint16(16), uint32(0), uint32(17), uint8(4|1), uint16(37), mixedSpecials)    // input operand, S = 1
-	f.Add(uint8(4), uint16(0), uint16(40), uint32(3), uint32(41), uint8(4), uint16(75), mixedSpecials)      // its lanes cut mid-pair
-	f.Add(uint8(0), uint16(11), uint16(0), uint32(0), uint32(12), uint8(8|2|32), uint16(41), mixedSpecials) // output operand, R = 2
-	f.Add(uint8(3), uint16(30), uint16(0), uint32(5), uint32(29), uint8(8|2), uint16(77), mixedSpecials)    // its store limit mid-lane
-	f.Add(uint8(1), uint16(6), uint16(0), uint32(0), uint32(7), uint8(16|1|2), uint16(0), mixedSpecials)    // in place
+	f.Add(uint8(2), uint16(0), uint16(16), uint32(0), uint32(17), uint8(4|1), uint16(37), mixedSpecials)                                            // input operand, S = 1
+	f.Add(uint8(4), uint16(0), uint16(40), uint32(3), uint32(41), uint8(4), uint16(75), mixedSpecials)                                              // its lanes cut mid-pair
+	f.Add(uint8(0), uint16(11), uint16(0), uint32(0), uint32(12), uint8(8|2|32), uint16(41), mixedSpecials)                                         // output operand, R = 2
+	f.Add(uint8(3), uint16(30), uint16(0), uint32(5), uint32(29), uint8(8|2), uint16(77), mixedSpecials)                                            // its store limit mid-lane
+	f.Add(uint8(1), uint16(6), uint16(0), uint32(0), uint32(7), uint8(16|1|2), uint16(0), mixedSpecials)                                            // in place
+	f.Add(uint8(1), uint16(3), uint16(2), uint32(1), uint32(11), uint8(64), uint16(0), mixedSpecials)                                               // fused 4×4, S = 4
+	f.Add(uint8(2), uint16(2), uint16(4), uint32(0), uint32(15), uint8(64), uint16(0), mixedSpecials)                                               // fused 5×5, odd S
+	f.Add(uint8(0), uint16(8), uint16(0), uint32(2), uint32(9), uint8(64), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x40}) // fused 3×3, M = 1
 	f.Fuzz(func(t *testing.T, radix uint8, s16, m16 uint16, lo32, hi32 uint32, edge uint8, lim16 uint16, raw []byte) {
 		if len(raw) < 8 {
 			return
 		}
 		r := []int{2, 3, 4, 5, 7}[int(radix)%5]
 		s, m := 1+int(s16)%96, 1+int(m16)%48
-		if edge&(8|16) != 0 {
-			m = 1
-		}
-		st := mixedStage(r, m, s)
-		n, units := r*m*s, st.Units()
-		lo, hi := int(lo32)%(units+1), int(hi32)%(units+1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
 		words := len(raw) / 8
 		value := func(i int) complex128 {
 			j, k := 2*i%words, (2*i+1)%words
 			return complex(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:])),
 				math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:])))
 		}
+		cut := func(units int) (int, int) {
+			lo, hi := int(lo32)%(units+1), int(hi32)%(units+1)
+			return min(lo, hi), max(lo, hi)
+		}
+		if edge&64 != 0 {
+			r = []int{3, 4, 5}[int(radix)%3]
+			pr := mixedPairOf(r, 1+m%12, 1+s%48)
+			src := make([]complex128, r*pr.a.M*pr.a.S)
+			for i := range src {
+				src[i] = value(i)
+			}
+			lo, hi := cut(pr.Units())
+			checkPairRange(t, pr, src, []int{lo, hi})
+			return
+		}
+		if edge&(8|16) != 0 {
+			m = 1
+		}
+		st := mixedStage(r, m, s)
+		n, units := r*m*s, st.Units()
+		lo, hi := cut(units)
 		src := make([]complex128, n)
 		for i := range src {
 			src[i] = value(i)
@@ -306,4 +395,144 @@ func FuzzMixedCodelets(f *testing.F) {
 		}
 		checkMixedRange(t, st, src, []int{lo, hi}, e, inPlace)
 	})
+}
+
+// poison fills the source of a closure check outside the unit under
+// test: a NaN whose payload differs from sentinel's, so a read of it
+// shows as a NaN output, and a store of that NaN as a stray write.
+var poison = complex(math.Float64frombits(0x7ff8bad000000001), math.Float64frombits(0x7ff8bad000000002))
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) && math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// pairSets returns the elements fused unit u of pr reads from src and
+// writes to dst, by the index map of mixedPair.
+func pairSets(pr mixedPair, u int, reads, writes []int) ([]int, []int) {
+	r, s, m := pr.a.R, pr.a.S, pr.b.M
+	p, q := u/s, u%s
+	for c := range r {
+		for c2 := range r {
+			reads = append(reads, q+s*(p+m*(c2+r*c)))
+			writes = append(writes, q+s*c+r*s*c2+r*r*s*p)
+		}
+	}
+	return reads, writes
+}
+
+// TestMixedPairClosure checks the executor's contract on every fused
+// pass of the mixed and Bluestein lengths TestDefaultPlanDigests hashes
+// (Bluestein's by its M): the units' read sets, and their write sets,
+// are pairwise disjoint and each covers the array; and a unit run on its
+// own — or a random run of units, which the vector codelets take —
+// reads nothing outside its read set and writes all of its write set
+// and nothing else. The source is poison but for the run's read set, so
+// a stray read shows as a NaN output; the destination is sentinel, so a
+// stray write shows where no unit should have stored. It also checks
+// that the schedule's passes are the stages with the fused pairs folded.
+func TestMixedPairClosure(t *testing.T) {
+	ns := []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 1000000, 3 << 18}
+	for _, n := range []int{13, 1009, 4099, 65537, 129763, 1<<18 + 3} {
+		ns = append(ns, BluesteinLen(n))
+	}
+	rng := rand.New(rand.NewSource(3))
+	fusedPasses := 0
+	for _, n := range ns {
+		mp, err := NewMixedPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := mp.Schedule(false).Passes
+		j := 0
+		for i := 0; i < len(mp.Stages); i, j = i+1, j+1 {
+			if j >= len(passes) {
+				t.Fatalf("%v: %d passes for %d stages", mp, len(passes), len(mp.Stages))
+			}
+			units, label := mp.Stages[i].Units(), passes[j].Label
+			if mp.fused(i) {
+				pr := mixedPair{&mp.Stages[i], &mp.Stages[i+1]}
+				units = pr.Units()
+				checkPairClosure(t, mp, i, pr, rng)
+				fusedPasses++
+				i++
+			}
+			if passes[j].Units != units || label != PassStageMixed {
+				t.Fatalf("%v pass %d: %d units labelled %q, want %d %q", mp, j, passes[j].Units, label, units, PassStageMixed)
+			}
+		}
+		if j != len(passes) {
+			t.Fatalf("%v: %d passes, the stages make %d", mp, len(passes), j)
+		}
+	}
+	if fusedPasses == 0 {
+		t.Fatal("no fused pass among the lengths")
+	}
+}
+
+func checkPairClosure(t *testing.T, mp *MixedPlan, i int, pr mixedPair, rng *rand.Rand) {
+	t.Helper()
+	n, units := mp.N, pr.Units()
+	readBy, writtenBy := make([]int32, n), make([]int32, n)
+	for k := range readBy {
+		readBy[k], writtenBy[k] = -1, -1
+	}
+	var reads, writes []int
+	for u := range units {
+		reads, writes = pairSets(pr, u, reads[:0], writes[:0])
+		for k, e := range reads {
+			if readBy[e] >= 0 || writtenBy[writes[k]] >= 0 {
+				t.Fatalf("%v stages %d+%d: unit %d reads %d (unit %d too) or writes %d (unit %d too)",
+					mp, i, i+1, u, e, readBy[e], writes[k], writtenBy[writes[k]])
+			}
+			readBy[e], writtenBy[writes[k]] = int32(u), int32(u)
+		}
+	}
+	for k := range n {
+		if readBy[k] < 0 || writtenBy[k] < 0 {
+			t.Fatalf("%v stages %d+%d: element %d read by %d, written by %d: not covered", mp, i, i+1, k, readBy[k], writtenBy[k])
+		}
+	}
+
+	src, dst := make([]complex128, n), make([]complex128, n)
+	for k := range src {
+		src[k], dst[k] = poison, sentinel
+	}
+	run := func(lo, hi int) {
+		reads, writes = reads[:0], writes[:0]
+		for u := lo; u < hi; u++ {
+			reads, writes = pairSets(pr, u, reads, writes)
+		}
+		for _, e := range reads {
+			src[e] = complex(float64(e%251+1), float64(e%13))
+		}
+		for _, e := range writes {
+			if !sameBits(dst[e], sentinel) {
+				t.Fatalf("%v stages %d+%d: element %d written before units [%d, %d) ran", mp, i, i+1, e, lo, hi)
+			}
+		}
+		pr.run(dst, src, lo, hi)
+		for _, e := range writes {
+			if y := dst[e]; y != y {
+				t.Fatalf("%v stages %d+%d: units [%d, %d) stored %v at %d: a read outside their set, or no store",
+					mp, i, i+1, lo, hi, y, e)
+			}
+			dst[e] = sentinel
+		}
+		for _, e := range reads {
+			src[e] = poison
+		}
+	}
+	for u := range units {
+		run(u, u+1)
+	}
+	for _, cuts := range [][]int{{0, units}, randomCuts(rng, units, pr.a.S)} {
+		for k := 1; k < len(cuts); k++ {
+			run(cuts[k-1], cuts[k])
+		}
+	}
+	for k, y := range dst {
+		if !sameBits(y, sentinel) {
+			t.Fatalf("%v stages %d+%d: element %d = %v, stored outside a unit's write set", mp, i, i+1, k, y)
+		}
+	}
 }

@@ -17,15 +17,19 @@
 //
 // Ping-ponging src/dst across stages leaves the spectrum in natural
 // order with no digit-reversal pass — the Stockham autosort property,
-// generalized from the radix-2 case. The last stage (m = 1) may run in
-// place, so a plan ends in the caller's array at any stage count, and
-// multiply-only sweeps ride on the stages' edges (stageEdge). Units
-// within a stage touch pairwise-disjoint elements and are
-// arithmetically self-contained, so a stage shards across workers with
+// generalized from the radix-2 case. Two consecutive stages of one
+// radix between the first and the last run as one pass (mixedPair):
+// each fused unit takes the r² values one stage passes to the next
+// through registers and a small tile, so the pair sweeps the array once.
+// The last stage (m = 1) may run in place, so a plan ends in the
+// caller's array at any pass count, and multiply-only sweeps ride on
+// the first and last stages' edges (stageEdge). Units within a pass
+// touch pairwise-disjoint elements and are arithmetically
+// self-contained, so a pass shards across workers with
 // bitwise-identical output to the serial pass (internal/host leans on
 // this as it does for the staged power-of-two plan). On amd64 the
-// radix-2…5 butterflies run as AVX codelets (mixed_amd64.s) that give
-// the Go codelets' bits.
+// radix-2…5 butterflies, and the 3×3, 4×4 and 5×5 fused pairs, run as
+// AVX codelets (mixed_amd64.s) that give the Go codelets' bits.
 package fft
 
 import (
@@ -165,11 +169,11 @@ func (mp *MixedPlan) String() string {
 }
 
 // Schedule returns the plan's pass list for the forward or inverse
-// transform: one pass per Stockham stage, ping-ponging between the
-// caller's array and the work buffer and ending in the caller's array —
-// with an odd stage count the last stage runs there in place. The
-// inverse has exactly these passes: the conjugation identity rides on
-// them (see passes).
+// transform: one pass per Stockham stage or fused pair of stages
+// (stages), ping-ponging between the caller's array and the work
+// buffer and ending in the caller's array — with an odd pass count the
+// last stage runs there in place. The inverse has exactly these passes:
+// the conjugation identity rides on them (see passes).
 func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
 	if inverse {
 		return mp.inv
@@ -202,29 +206,51 @@ func (mp *MixedPlan) passes(inverse bool) []Pass {
 	return mp.stages(onData, onData, onWork, onData, e)
 }
 
-// stages builds one pass per stage. Stage 0 reads in; stage i below the
-// last writes b when i is even, a when it is odd, and the next stage
-// reads it; the last writes out. With an odd stage count the stages
-// before the last end in a, so when out is a the last stage — M = 1:
-// each unit reads and writes the same R elements — runs there in
-// place. Stage 0 takes the loads of edges, the last stage its stores.
+// stages builds the passes of the stages. Stage 0 reads in and takes
+// the loads of edges, the last stage writes out and takes its stores;
+// each pair of consecutive stages between them that share a radix runs
+// as one pass (mixedPair), every other stage as a pass of its own. Pass
+// j below the last writes b when j is even, a when it is odd, and the
+// next pass reads it. With an odd pass count the passes before the last
+// end in a, so when out is a the last stage — M = 1: each unit reads
+// and writes the same R elements — runs there in place.
 func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 	n := len(mp.Stages)
-	ps := make([]Pass, n)
-	for i := range mp.Stages {
-		st, src, dst, e := &mp.Stages[i], a, b, stageEdge{}
-		if i%2 == 1 {
+	var ps []Pass
+	for i := 0; i < n; i++ {
+		src, dst := a, b
+		if len(ps)%2 == 1 {
 			src, dst = b, a
 		}
 		if i == 0 {
-			src, e.conj, e.in = in, edges.conj, edges.in
+			src = in
 		}
 		if i == n-1 {
-			dst, e.scale, e.out, e.post = out, edges.scale, edges.out, edges.post
+			dst = out
 		}
-		ps[i] = Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }}
+		if mp.fused(i) {
+			pr := mixedPair{&mp.Stages[i], &mp.Stages[i+1]}
+			ps = append(ps, Pass{PassStageMixed, pr.Units(), func(s *State, lo, hi int) { pr.run(dst(s), src(s), lo, hi) }})
+			i++
+			continue
+		}
+		st, e := &mp.Stages[i], stageEdge{}
+		if i == 0 {
+			e.conj, e.in = edges.conj, edges.in
+		}
+		if i == n-1 {
+			e.scale, e.out, e.post = edges.scale, edges.out, edges.post
+		}
+		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }})
 	}
 	return ps
+}
+
+// fused reports whether stages i and i+1 run as one pass (mixedPair):
+// both lie strictly between the first stage and the last, and they
+// share a radix. stages pairs greedily from stage 1.
+func (mp *MixedPlan) fused(i int) bool {
+	return i > 0 && i+2 < len(mp.Stages) && mp.Stages[i].R == mp.Stages[i+1].R
 }
 
 // Transform applies the forward DFT in place, serially. A wrong-length
@@ -271,16 +297,25 @@ type stageEdge struct {
 // run executes butterfly units [ulo, uhi) of the stage, reading src and
 // writing dst (slices of length ≥ the plan's N, disjoint unless M = 1,
 // shorter only as e allows), with the edges e. Unit u decomposes as
-// p = u/S, q = u mod S. The range is cut into at most three rectangles
-// of units — a partial row of q, whole rows, a partial row — each run
-// by the vector codelets (mixed_amd64.go) where they cover the stage,
-// else by the Go codelets. Which codelet computes a unit depends on the
-// range; its bits do not, because the vector codelets repeat the Go
-// codelets' arithmetic op for op. So any [ulo, uhi) partition of
+// p = u/S, q = u mod S; rects cuts the range into rectangles of units,
+// each run by the vector codelets (mixed_amd64.go) where they cover the
+// stage, else by the Go codelets. Which codelet computes a unit depends
+// on the range; its bits do not, because the vector codelets repeat the
+// Go codelets' arithmetic op for op. So any [ulo, uhi) partition of
 // [0, Units()) produces output bitwise identical to the full-range
 // serial pass — the determinism contract the parallel engine shards on.
 func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
-	s := st.S
+	rects(st.S, ulo, uhi, func(p0, p1, q0, q1 int) {
+		if !st.vec(dst, src, p0, p1, q0, q1, e) {
+			st.scalar(dst, src, p0, p1, q0, q1, e)
+		}
+	})
+}
+
+// rects cuts units [ulo, uhi), unit u = (u/s, u mod s), into at most
+// three rectangles p ∈ [p0, p1), q ∈ [q0, q1) — a partial row of q,
+// whole rows, a partial row — and calls f on each in order.
+func rects(s, ulo, uhi int, f func(p0, p1, q0, q1 int)) {
 	for u := ulo; u < uhi; {
 		p0, q0 := u/s, u%s
 		p1, q1 := p0+1, min(s, q0+uhi-u)
@@ -288,9 +323,7 @@ func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
 			p1, q1 = p0+(uhi-u)/s, s
 		}
 		u = s*(p1-1) + q1 // the unit after the rectangle's last
-		if !st.vec(dst, src, p0, p1, q0, q1, e) {
-			st.scalar(dst, src, p0, p1, q0, q1, e)
-		}
+		f(p0, p1, q0, q1)
 	}
 }
 
@@ -305,14 +338,91 @@ func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageE
 	if len(dst) < r*s*st.M {
 		buf = src
 	}
-	ir, il := s, s*st.M
+	g := cgeom{ir: s, il: s * st.M, it: r - 1, or: r * s, ol: s}
+	var in []complex128
 	if e.conj || e.in != nil {
 		st.gather(buf, src, p0, p1, q0, q1, e)
-		src, ir, il = buf, r*s, s
+		in, g.ir, g.il = buf[r*s*p0+q0:], r*s, s
+	} else {
+		in = src[s*p0+q0:]
 	}
-	goCodelets[r](st, buf, src, ir, il, p0, p1, q0, q1)
+	codelet(r, buf[r*s*p0+q0:], in, st.Tw[(r-1)*p0:], g, p1-p0, q1-q0)
 	if e.scale != 0 || e.out != nil {
 		st.store(dst, buf, p0, p1, q0, q1, e)
+	}
+}
+
+// mixedPair is two consecutive stages a, b of one radix r, neither the
+// first stage nor the last, run as one pass: fused unit (p, q), p < b.M,
+// q < a.S, is a's r units (p + b.M·c', q), c' < r, and b's r units
+// (p, q + a.S·d), d < r. a's unit c' reads
+//
+//	src[q + S·(p + b.M·(c' + r·c))]   c < r, S = a.S,
+//
+// with twiddles a.Tw[(r−1)·(p + b.M·c') + d − 1], and its output d is
+// input c' of b's unit d, which stores output d' at
+//
+//	dst[q + S·d + r·S·d' + r²·S·p]
+//
+// with twiddles b.Tw[(r−1)·p + d' − 1]. That is the arithmetic of the
+// two stages on the same values, so the bits are theirs; the r² values
+// between the two halves never leave the unit, which halves the sweeps
+// of the array the two stages make. Fused units touch pairwise-disjoint
+// elements, as a stage's units do.
+type mixedPair struct{ a, b *MixedStage }
+
+// Units returns the number of fused units in the pass.
+func (f mixedPair) Units() int { return f.b.M * f.a.S }
+
+// run executes fused units [ulo, uhi), unit u = (u/S, u mod S), from
+// src into dst (disjoint, each the plan's N long): on the vector
+// codelets where they cover the radix, else on the Go codelets. Any
+// partition of [0, Units()) gives the full-range pass's bits.
+func (f mixedPair) run(dst, src []complex128, ulo, uhi int) {
+	rects(f.a.S, ulo, uhi, func(p0, p1, q0, q1 int) {
+		if !f.vec(dst, src, p0, p1, q0, q1) {
+			f.scalar(dst, src, p0, p1, q0, q1)
+		}
+	})
+}
+
+// pairTile is the scratch between a fused unit's two halves, in
+// complex128: 2 KiB, so a run of fused units keeps it in L1.
+const pairTile = 128
+
+// scalar runs fused units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through
+// the two Go codelets and a tile, [j][c'][d][k] for fused row pa + j and
+// q = qa + k: blocks of up to w adjacent q and one row, a's r rows c'
+// in one call and b's r rows d in another — or, where the tile holds
+// more than r rows of a narrower run of q (such as the odd q an odd S
+// leaves the vector codelets), blocks of that many rows, one call per
+// c' and per d, each across the block's rows: fewer calls per unit.
+func (f mixedPair) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
+	a, b := f.a, f.b
+	r, s, m := a.R, a.S, b.M
+	var tile [pairTile]complex128
+	w := min(len(tile)/(r*r), q1-q0)
+	rows := len(tile) / (r * r * w)
+	if rows <= r {
+		rows = 1
+	}
+	for pa := p0; pa < p1; pa += rows {
+		np := min(rows, p1-pa)
+		for qa := q0; qa < q1; qa += w {
+			w := min(w, q1-qa)
+			if rows == 1 {
+				codelet(r, tile[:], src[s*pa+qa:], a.Tw[(r-1)*pa:], cgeom{ir: s * m, il: s * a.M, it: (r - 1) * m, or: r * w, ol: w}, r, w)
+				codelet(r, dst[r*r*s*pa+qa:], tile[:], b.Tw[(r-1)*pa:], cgeom{ir: w, il: r * w, or: s, ol: r * s}, r, w)
+				continue
+			}
+			for c := range r {
+				p := pa + m*c
+				codelet(r, tile[c*r*w:], src[s*p+qa:], a.Tw[(r-1)*p:], cgeom{ir: s, il: s * a.M, it: r - 1, or: r * r * w, ol: w}, np, w)
+			}
+			for d := range r {
+				codelet(r, dst[r*r*s*pa+qa+s*d:], tile[d*w:], b.Tw[(r-1)*pa:], cgeom{ir: r * r * w, il: r * w, it: r - 1, or: r * r * s, ol: r * s}, np, w)
+			}
+		}
 	}
 }
 
@@ -369,88 +479,104 @@ func (st *MixedStage) store(dst, buf []complex128, p0, p1, q0, q1 int, e stageEd
 	}
 }
 
-var goCodelets = [...]func(st *MixedStage, dst, src []complex128, ir, il, p0, p1, q0, q1 int){
-	2: (*MixedStage).pass2, 3: (*MixedStage).pass3, 4: (*MixedStage).pass4, 5: (*MixedStage).pass5, 7: (*MixedStage).pass7,
+// cgeom places a rectangle of units for the Go codelets: unit (j, k),
+// j < rows, k < cols, reads input c at src[ir·j + k + il·c], multiplies
+// output d ≥ 1 by tw[it·j + d − 1] and writes it at dst[or·j + k + ol·d]
+// — the slices starting at the rectangle's first unit. A stage's
+// rectangle of rows p is (S, S·M, R − 1, R·S, S); where scalar gathered
+// its inputs it reads (R·S, S); mixedPair.scalar points either half of
+// a fused unit at its tile.
+type cgeom struct{ ir, il, it, or, ol int }
+
+// codelet runs the radix-r Go codelet over rows × cols units placed by
+// g. The calls are direct, so a caller's stack tile stays on its stack.
+func codelet(r int, dst, src, tw []complex128, g cgeom, rows, cols int) {
+	switch r {
+	case 2:
+		pass2(dst, src, tw, g, rows, cols)
+	case 3:
+		pass3(dst, src, tw, g, rows, cols)
+	case 4:
+		pass4(dst, src, tw, g, rows, cols)
+	case 5:
+		pass5(dst, src, tw, g, rows, cols)
+	case 7:
+		pass7(dst, src, tw, g, rows, cols)
+	}
 }
 
-// The Go codelets. Each runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1)
-// of units, the twiddles of a p loaded once for its run of q; unit
-// (p, q) reads input c at src[ir·p + q + il·c] — (S, S·M) in a plain
-// stage, (R·S, S) where scalar gathered its inputs. They are
-// the reference the vector codelets are tested against (mixed_test.go):
+// The Go codelets. Each runs a rectangle of units placed by g, the
+// twiddles of a row loaded once for its run of k. They are the
+// reference the vector codelets are tested against (mixed_test.go):
 // change one and the other must follow, op for op.
 
-func (st *MixedStage) pass2(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
-	s := st.S
-	for p := p0; p < p1; p++ {
-		w1 := st.Tw[p]
-		in, out := ir*p, 2*s*p
-		for q := q0; q < q1; q++ {
-			u0 := src[in+q]
-			u1 := src[in+q+il]
-			dst[out+q] = u0 + u1
-			dst[out+q+s] = (u0 - u1) * w1
+func pass2(dst, src, tw []complex128, g cgeom, rows, cols int) {
+	for j := range rows {
+		w1 := tw[g.it*j]
+		in, out := g.ir*j, g.or*j
+		for k := range cols {
+			u0 := src[in+k]
+			u1 := src[in+k+g.il]
+			dst[out+k] = u0 + u1
+			dst[out+k+g.ol] = (u0 - u1) * w1
 		}
 	}
 }
 
-func (st *MixedStage) pass3(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
-	s := st.S
-	for p := p0; p < p1; p++ {
-		tw := st.Tw[2*p:]
-		w1, w2 := tw[0], tw[1]
-		in, out := ir*p, 3*s*p
-		for q := q0; q < q1; q++ {
-			u0 := src[in+q]
-			u1 := src[in+q+il]
-			u2 := src[in+q+2*il]
+func pass3(dst, src, tw []complex128, g cgeom, rows, cols int) {
+	for j := range rows {
+		w := tw[g.it*j:]
+		w1, w2 := w[0], w[1]
+		in, out := g.ir*j, g.or*j
+		for k := range cols {
+			u0 := src[in+k]
+			u1 := src[in+k+g.il]
+			u2 := src[in+k+2*g.il]
 			t1 := u1 + u2
 			t2 := u1 - u2
 			m1 := u0 - 0.5*t1
 			m2 := complex(sqrt3half*imag(t2), -sqrt3half*real(t2)) // -i·(√3/2)·t2
-			dst[out+q] = u0 + t1
-			dst[out+q+s] = (m1 + m2) * w1
-			dst[out+q+2*s] = (m1 - m2) * w2
+			dst[out+k] = u0 + t1
+			dst[out+k+g.ol] = (m1 + m2) * w1
+			dst[out+k+2*g.ol] = (m1 - m2) * w2
 		}
 	}
 }
 
-func (st *MixedStage) pass4(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
-	s := st.S
-	for p := p0; p < p1; p++ {
-		tw := st.Tw[3*p:]
-		w1, w2, w3 := tw[0], tw[1], tw[2]
-		in, out := ir*p, 4*s*p
-		for q := q0; q < q1; q++ {
-			u0 := src[in+q]
-			u1 := src[in+q+il]
-			u2 := src[in+q+2*il]
-			u3 := src[in+q+3*il]
+func pass4(dst, src, tw []complex128, g cgeom, rows, cols int) {
+	for j := range rows {
+		w := tw[g.it*j:]
+		w1, w2, w3 := w[0], w[1], w[2]
+		in, out := g.ir*j, g.or*j
+		for k := range cols {
+			u0 := src[in+k]
+			u1 := src[in+k+g.il]
+			u2 := src[in+k+2*g.il]
+			u3 := src[in+k+3*g.il]
 			t0 := u0 + u2
 			t1 := u0 - u2
 			t2 := u1 + u3
 			t3 := u1 - u3
 			it3 := complex(imag(t3), -real(t3)) // -i·t3
-			dst[out+q] = t0 + t2
-			dst[out+q+s] = (t1 + it3) * w1
-			dst[out+q+2*s] = (t0 - t2) * w2
-			dst[out+q+3*s] = (t1 - it3) * w3
+			dst[out+k] = t0 + t2
+			dst[out+k+g.ol] = (t1 + it3) * w1
+			dst[out+k+2*g.ol] = (t0 - t2) * w2
+			dst[out+k+3*g.ol] = (t1 - it3) * w3
 		}
 	}
 }
 
-func (st *MixedStage) pass5(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
-	s := st.S
-	for p := p0; p < p1; p++ {
-		tw := st.Tw[4*p:]
-		w1, w2, w3, w4 := tw[0], tw[1], tw[2], tw[3]
-		in, out := ir*p, 5*s*p
-		for q := q0; q < q1; q++ {
-			u0 := src[in+q]
-			u1 := src[in+q+il]
-			u2 := src[in+q+2*il]
-			u3 := src[in+q+3*il]
-			u4 := src[in+q+4*il]
+func pass5(dst, src, tw []complex128, g cgeom, rows, cols int) {
+	for j := range rows {
+		w := tw[g.it*j:]
+		w1, w2, w3, w4 := w[0], w[1], w[2], w[3]
+		in, out := g.ir*j, g.or*j
+		for k := range cols {
+			u0 := src[in+k]
+			u1 := src[in+k+g.il]
+			u2 := src[in+k+2*g.il]
+			u3 := src[in+k+3*g.il]
+			u4 := src[in+k+4*g.il]
 			t1 := u1 + u4
 			t2 := u2 + u3
 			t3 := u1 - u4
@@ -461,26 +587,25 @@ func (st *MixedStage) pass5(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
 			b := sin4pi5*t3 - sin2pi5*t4
 			m3 := complex(imag(a), -real(a)) // -i·a
 			m4 := complex(imag(b), -real(b)) // -i·b
-			dst[out+q] = u0 + t1 + t2
-			dst[out+q+s] = (m1 + m3) * w1
-			dst[out+q+2*s] = (m2 + m4) * w2
-			dst[out+q+3*s] = (m2 - m4) * w3
-			dst[out+q+4*s] = (m1 - m3) * w4
+			dst[out+k] = u0 + t1 + t2
+			dst[out+k+g.ol] = (m1 + m3) * w1
+			dst[out+k+2*g.ol] = (m2 + m4) * w2
+			dst[out+k+3*g.ol] = (m2 - m4) * w3
+			dst[out+k+4*g.ol] = (m1 - m3) * w4
 		}
 	}
 }
 
-func (st *MixedStage) pass7(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
-	s := st.S
-	for p := p0; p < p1; p++ {
-		tw := st.Tw[6*p:]
-		in, out := ir*p, 7*s*p
-		for q := q0; q < q1; q++ {
+func pass7(dst, src, tw []complex128, g cgeom, rows, cols int) {
+	for j := range rows {
+		w := tw[g.it*j:]
+		in, out := g.ir*j, g.or*j
+		for k := range cols {
 			var u [7]complex128
 			for c := range u {
-				u[c] = src[in+q+c*il]
+				u[c] = src[in+k+c*g.il]
 			}
-			dst[out+q] = u[0] + u[1] + u[2] + u[3] + u[4] + u[5] + u[6]
+			dst[out+k] = u[0] + u[1] + u[2] + u[3] + u[4] + u[5] + u[6]
 			for d := 1; d < 7; d++ {
 				v := u[0]
 				e := 0
@@ -491,7 +616,7 @@ func (st *MixedStage) pass7(dst, src []complex128, ir, il, p0, p1, q0, q1 int) {
 					}
 					v += u[c] * w7[e]
 				}
-				dst[out+q+d*s] = v * tw[d-1]
+				dst[out+k+d*g.ol] = v * w[d-1]
 			}
 		}
 	}
