@@ -53,10 +53,13 @@ const bluesteinMaxN = 1 << (bits.UintSize - 3)
 // BluesteinLen returns the convolution length M of the n-point chirp-z
 // plan. Let M₂ be the smallest power of two ≥ max(2n-1, 2); M is the
 // cheapest of M₂ and the multiples of 4 in [2n-1, M₂] with no prime
-// factor beyond 5, by M·len(Factor(M)), ties to the smaller. A multiple
-// of 4 starts on the vector radix-4 codelet, which alone among them
-// covers the first stage; radix 7 runs only in Go, so it is not a
-// candidate. It returns 0 for n < 1 and for n so large that M₂ would
+// factor beyond 5, by M·len(Factor(M)), ties to the smaller. That
+// prices a plan by its stages, not by its passes (passCount, which
+// folds fused pairs): pricing by passes would move M, and with it the
+// bits, and would make them differ where the pair codelets do not run.
+// A multiple of 4 starts on the vector radix-4 codelet, which alone
+// among them covers the first stage; radix 7 runs only in Go, so it is
+// not a candidate. It returns 0 for n < 1 and for n so large that M₂ would
 // overflow an int.
 func BluesteinLen(n int) int {
 	if n < 1 || n > bluesteinMaxN {

@@ -148,7 +148,8 @@ func TestBluesteinHugeLengths(t *testing.T) {
 // → conj·1/N composition's. A plan makes twice its M-point mixed plan's
 // passes each way: the premultiply, the filter product and the
 // postmultiply ride on the stages next to them, and same-radix stages
-// between the first and the last run in fused pairs.
+// between the first and the last run in fused pairs where the vector
+// pair codelets do (one pass per stage on a build without them).
 func TestBluesteinInverseFolds(t *testing.T) {
 	for _, c := range []struct{ n, passes int }{
 		{1, 2},          // M = 2: [2]
@@ -162,6 +163,9 @@ func TestBluesteinInverseFolds(t *testing.T) {
 			t.Fatal(err)
 		}
 		fwd, inv := bp.Schedule(false), bp.Schedule(true)
+		if !fft.HasPairCodelets() {
+			c.passes = 2 * len(bp.Conv.Stages)
+		}
 		if len(fwd.Passes) != c.passes || len(inv.Passes) != c.passes {
 			t.Errorf("%v: %d forward and %d inverse passes, want %d each",
 				bp, len(fwd.Passes), len(inv.Passes), c.passes)
@@ -296,32 +300,54 @@ func errEps(got, want []complex128, bins []int) float64 {
 	return worst / (0x1p-52 * math.Sqrt(sumSq/float64(len(bins))))
 }
 
-// TestBluesteinErrorBudget holds the forward transform to c·ε·log₂M of
-// the double-double oracle (errEps at sampled bins) with c = 2: when
-// every convolution was a power of two on the staged plan, the worst
-// measured ratio over the same cases was 1.60 (N = 89, M = 256). It
-// covers every prime N ≤ 4096 and two lengths above 2^15: one on a
-// smooth length, one whose cheapest candidate is the power of two.
+// checkErrBudget holds the n-point forward transform fwd, and the
+// inverse inv unless it is nil, on a random signal to c·ε·log₂(size) of
+// the double-double oracle (errEps at bins sampled bins) with c = 2.
+// The inverse's bin N − k is the oracle's bin k over N, so one oracle
+// serves both.
+func checkErrBudget(t *testing.T, name string, n, bins, size int, fwd, inv func([]complex128) error) {
+	t.Helper()
+	const c = 2
+	x := randSignal(n, int64(n))
+	picked := sampleBins(n, bins, int64(n))
+	hi, lo := ddTwiddles(n)
+	want := dftBinsExact(x, hi, lo, picked)
+	budget := c * math.Log2(float64(size))
+	got := append([]complex128(nil), x...)
+	noErr(t, fwd(got))
+	if e := errEps(got, want, picked); e > budget {
+		t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, name, e, budget)
+	}
+	if inv == nil {
+		return
+	}
+	copy(got, x)
+	noErr(t, inv(got))
+	for i, k := range picked {
+		picked[i], want[i] = (n-k)%n, want[i]/complex(float64(n), 0)
+	}
+	if e := errEps(got, want, picked); e > budget {
+		t.Errorf("N=%d %s inverse: error %.2f ε, budget %.2f ε", n, name, e, budget)
+	}
+}
+
+// TestBluesteinErrorBudget holds the forward transform to 2·ε·log₂M
+// (checkErrBudget): when every convolution was a power of two on the
+// staged plan, the worst measured ratio over the same cases was 1.60
+// (N = 89, M = 256). It covers every prime N ≤ 4096 and two lengths
+// above 2^15: one on a smooth length, one whose cheapest candidate is
+// the power of two.
 func TestBluesteinErrorBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
 	}
-	const c = 2
 	check := func(n, bins int) {
 		t.Helper()
 		bp, err := fft.NewBluesteinPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := randSignal(n, int64(n))
-		got := append([]complex128(nil), x...)
-		noErr(t, bp.Transform(got))
-		picked := sampleBins(n, bins, int64(n))
-		hi, lo := ddTwiddles(n)
-		e := errEps(got, dftBinsExact(x, hi, lo, picked), picked)
-		if budget := c * math.Log2(float64(bp.M)); e > budget {
-			t.Errorf("N=%d %v: error %.2f ε, budget %.2f ε", n, bp, e, budget)
-		}
+		checkErrBudget(t, bp.String(), n, bins, bp.M, bp.Transform, nil)
 	}
 	for n := 11; n <= 4096; n++ {
 		if isPrime(n) {
@@ -332,43 +358,22 @@ func TestBluesteinErrorBudget(t *testing.T) {
 	check(129763, 64)  // M = 2^18
 }
 
-// TestMixedErrorBudget holds the mixed-radix family to the budget of
-// TestBluesteinErrorBudget — c·ε·log₂N of the double-double oracle
-// (errEps at sampled bins), c = 2 — forward and inverse: every
+// TestMixedErrorBudget holds the mixed-radix family to the same budget,
+// 2·ε·log₂N (checkErrBudget), forward and inverse: every
 // {2, 3, 5, 7}-smooth N ≤ 4096 at 32 bins (all of them below), and 10^6
-// and 3·2^18 at 32. The inverse's bin N − k is the oracle's bin k over
-// N, so one oracle serves both. It is the gate for a change that moves
-// the family's bits.
+// and 3·2^18 at 32. It is the gate for a change that moves the family's
+// bits.
 func TestMixedErrorBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
 	}
-	const c = 2
 	check := func(n, bins int) {
 		t.Helper()
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := randSignal(n, int64(n))
-		fwd := append([]complex128(nil), x...)
-		inv := append([]complex128(nil), x...)
-		noErr(t, mp.Transform(fwd))
-		noErr(t, mp.InverseTransform(inv))
-		picked := sampleBins(n, bins, int64(n))
-		hi, lo := ddTwiddles(n)
-		want := dftBinsExact(x, hi, lo, picked)
-		mirror, wantInv := make([]int, len(picked)), make([]complex128, len(picked))
-		for i, k := range picked {
-			mirror[i], wantInv[i] = (n-k)%n, want[i]/complex(float64(n), 0)
-		}
-		budget := c * math.Log2(float64(n))
-		if e := errEps(fwd, want, picked); e > budget {
-			t.Errorf("N=%d %v forward: error %.2f ε, budget %.2f ε", n, mp, e, budget)
-		}
-		if e := errEps(inv, wantInv, mirror); e > budget {
-			t.Errorf("N=%d %v inverse: error %.2f ε, budget %.2f ε", n, mp, e, budget)
-		}
+		checkErrBudget(t, mp.String(), n, bins, n, mp.Transform, mp.InverseTransform)
 	}
 	for n := 1; n <= 4096; n++ {
 		if _, cofactor := fft.Factor(n); cofactor == 1 {

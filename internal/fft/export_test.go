@@ -6,3 +6,8 @@ package fft
 func SoALevelTransform(pl *Plan, data, w []complex128, kern Kernel, inverse bool) {
 	pl.soaLevelTransform(data, w, kern, inverse)
 }
+
+// HasPairCodelets reports whether same-radix stage pairs fuse on this
+// build: the vector pair codelets of radix 3, 4 and 5 run here. Where
+// they do not, a mixed plan makes one pass per stage.
+func HasPairCodelets() bool { return hasPairCodelet(4) }

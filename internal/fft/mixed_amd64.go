@@ -100,14 +100,18 @@ func mixed5Asm(dst, src, tw *complex128, s, sm, np, nq int, neg, scale float64, 
 //go:noescape
 func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *complex128, live int)
 
+// hasPairCodelet reports whether a fused pair of radix r runs on a
+// vector pair codelet here: radix 3, 4 or 5 where soaHasAsm.
+func hasPairCodelet(r int) bool { return soaHasAsm && r >= 3 && r <= 5 }
+
 // vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of fused units on
 // the fused AVX codelets (mixed33Asm … mixed55Asm), the q in pairs, an
-// odd one left over in Go, or reports false, having run nothing, for
-// radix 7.
+// odd one left over in Go, or reports false, having run nothing, where
+// hasPairCodelet is false.
 func (f mixedPair) vec(dst, src []complex128, p0, p1, q0, q1 int) bool {
 	a, b := f.a, f.b
 	r, s, m := a.R, a.S, b.M
-	if !soaHasAsm || r == 7 {
+	if !hasPairCodelet(r) {
 		return false
 	}
 	if qe := q0 + (q1-q0)&^1; qe > q0 {

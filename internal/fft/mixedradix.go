@@ -18,9 +18,10 @@
 // Ping-ponging src/dst across stages leaves the spectrum in natural
 // order with no digit-reversal pass — the Stockham autosort property,
 // generalized from the radix-2 case. Two consecutive stages of one
-// radix between the first and the last run as one pass (mixedPair):
-// each fused unit takes the r² values one stage passes to the next
-// through registers and a small tile, so the pair sweeps the array once.
+// radix between the first and the last run as one pass (mixedPair)
+// where a vector pair codelet covers the radix: each fused unit takes
+// the r² values one stage passes to the next through registers and a
+// small tile, so the pair sweeps the array once.
 // The last stage (m = 1) may run in place, so a plan ends in the
 // caller's array at any pass count, and multiply-only sweeps ride on
 // the first and last stages' edges (stageEdge). Units within a pass
@@ -104,8 +105,8 @@ type MixedStage struct {
 func (st *MixedStage) Units() int { return st.M * st.S }
 
 // MixedPlan is a mixed-radix decomposition of an N-point DFT into
-// len(Radices) Stockham passes. N = 1 yields a zero-stage plan (the
-// identity transform). A MixedPlan is immutable after construction and
+// len(Radices) Stockham stages, run as passCount(Radices) passes each
+// way. N = 1 yields a zero-stage plan (the identity transform). A MixedPlan is immutable after construction and
 // safe for concurrent use on distinct buffers.
 type MixedPlan struct {
 	N       int
@@ -216,7 +217,7 @@ func (mp *MixedPlan) passes(inverse bool) []Pass {
 // and writes the same R elements — runs there in place.
 func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 	n := len(mp.Stages)
-	var ps []Pass
+	ps := make([]Pass, 0, passCount(mp.Radices))
 	for i := 0; i < n; i++ {
 		src, dst := a, b
 		if len(ps)%2 == 1 {
@@ -246,11 +247,31 @@ func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 	return ps
 }
 
-// fused reports whether stages i and i+1 run as one pass (mixedPair):
-// both lie strictly between the first stage and the last, and they
-// share a radix. stages pairs greedily from stage 1.
-func (mp *MixedPlan) fused(i int) bool {
-	return i > 0 && i+2 < len(mp.Stages) && mp.Stages[i].R == mp.Stages[i+1].R
+// fused reports whether stages i and i+1 run as one pass (mixedPair).
+func (mp *MixedPlan) fused(i int) bool { return fusedAt(mp.Radices, i) }
+
+// fusedAt reports whether stages i and i+1 of the radix schedule run as
+// one pass: both lie strictly between the first stage and the last,
+// they share a radix, and a vector pair codelet covers it
+// (hasPairCodelet) — the Go composition of two codelets is no faster
+// than the two stages while the array fits in L2, so without one the
+// stages stay single. stages pairs greedily from stage 1.
+func fusedAt(radices []int, i int) bool {
+	return i > 0 && i+2 < len(radices) && radices[i] == radices[i+1] && hasPairCodelet(radices[i])
+}
+
+// passCount returns the number of passes the stages of the radix
+// schedule make each way — its sweeps of the array: one per stage, less
+// one per fused pair.
+func passCount(radices []int) int {
+	n := len(radices)
+	for i := 1; i < len(radices); i++ {
+		if fusedAt(radices, i) {
+			n--
+			i++
+		}
+	}
+	return n
 }
 
 // Transform applies the forward DFT in place, serially. A wrong-length
@@ -375,9 +396,10 @@ type mixedPair struct{ a, b *MixedStage }
 func (f mixedPair) Units() int { return f.b.M * f.a.S }
 
 // run executes fused units [ulo, uhi), unit u = (u/S, u mod S), from
-// src into dst (disjoint, each the plan's N long): on the vector
-// codelets where they cover the radix, else on the Go codelets. Any
-// partition of [0, Units()) gives the full-range pass's bits.
+// src into dst (disjoint, each the plan's N long): on the vector pair
+// codelets, an odd q left over on the Go codelets (all of them where
+// hasPairCodelet is false, as in tests). Any partition of
+// [0, Units()) gives the full-range pass's bits.
 func (f mixedPair) run(dst, src []complex128, ulo, uhi int) {
 	rects(f.a.S, ulo, uhi, func(p0, p1, q0, q1 int) {
 		if !f.vec(dst, src, p0, p1, q0, q1) {
