@@ -1,7 +1,8 @@
 // Convolution on the batched host engine. A ConvPlan runs linear
 // convolution and cross-correlation by overlap-save: the signal is
-// tiled into segments of a small 7-smooth FFT length (planned by the
-// mixed-radix engine, so any kernel/signal length works), the kernel's
+// tiled into segments of a small FFT length chosen by the rule that
+// picks Bluestein's convolution length (planned by the mixed-radix
+// engine, so any kernel/signal length works), the kernel's
 // segment spectrum is computed once and cached exactly like the
 // Bluestein plan's BHat filter, and segment groups are dispatched
 // through TransformBatch/InverseBatch so B segments pay the stage-
@@ -38,13 +39,14 @@ type convScratch struct {
 
 // NewConvPlan builds an overlap-save convolution plan for n-sample
 // signals and kernelLen-tap kernels, any n ≥ 1 and kernelLen ≥ 1. The
-// segment FFT length is the smallest 7-smooth number ≥ max(4·kernelLen,
-// 256) — collapsed to a single full-length segment when the whole
-// output fits in one that small — so every segment transform runs the
-// mixed-radix (or staged power-of-two) planner natively. opts configure
-// the segment plan's engine exactly as for NewHostPlan. A shape whose
-// output length or 4·kernelLen overflows an int is
-// ErrUnsupportedLength.
+// segment FFT length is the cheapest {2,3,5}-smooth multiple of 4
+// between max(4·kernelLen, 256) and the next power of two, or that
+// power of two — Bluestein's length rule — collapsed to a single
+// full-length segment when the whole output fits in one that small, so
+// every segment transform runs the vector mixed-radix stages (or the
+// staged power-of-two planner) natively. opts configure the segment
+// plan's engine exactly as for NewHostPlan. A shape whose output length
+// or 4·kernelLen overflows an int is ErrUnsupportedLength.
 func NewConvPlan(n, kernelLen int, opts ...HostOption) (*ConvPlan, error) {
 	spec, err := fft.NewConvSpec(n, kernelLen)
 	if err != nil {

@@ -8,6 +8,7 @@ package codeletfft_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -231,5 +232,122 @@ func TestConvPlanErrors(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("NewConvPlan(%d, %d) did not return within 5s", tc.n, tc.k)
 		}
+	}
+}
+
+// dd is a double-double accumulator: the sum is hi + lo.
+type dd struct{ hi, lo float64 }
+
+// addProd adds a·b: the product's rounding error comes from an FMA, the
+// sum's from TwoSum, and both gather in lo.
+func (d *dd) addProd(a, b float64) {
+	p := a * b
+	e := math.FMA(a, b, -p)
+	s := d.hi + p
+	v := s - d.hi
+	d.hi, d.lo = s, d.lo+(d.hi-(s-v))+(p-v)+e
+}
+
+// ddConvolve is the direct linear convolution Σ_j x[j]·h[i−j] with
+// every product and sum carried in double-double and rounded once: an
+// oracle whose error is far below the FFT path's.
+func ddConvolve(x, h []complex128) []complex128 {
+	dst := make([]complex128, len(x)+len(h)-1)
+	for i := range dst {
+		var re, im dd
+		for j := max(0, i-len(h)+1); j <= min(i, len(x)-1); j++ {
+			a, b := x[j], h[i-j]
+			re.addProd(real(a), real(b))
+			re.addProd(-imag(a), imag(b))
+			im.addProd(real(a), imag(b))
+			im.addProd(imag(a), real(b))
+		}
+		dst[i] = complex(re.hi+re.lo, im.hi+im.lo)
+	}
+	return dst
+}
+
+// TestConvErrorBudget holds Convolve and CrossCorrelate to
+// ‖ŷ − y‖∞ ≤ c·ε·log₂M·‖x‖₂·‖h‖₂ against the double-double direct
+// convolution, M the segment length, with c = 0.05. The shapes are
+// 2^12 samples against K = 70, 84, 251, 700 and 1100, whose segment
+// lengths moved off 7-smooth lengths onto Bluestein's rule (280 → 300,
+// 336 → 400, 1008 → 1024, 2800 → 2880, 4410 → 4500), and K = 1, 63,
+// 255 and 1000, whose did not. The worst c measured is 0.0165 (K = 70,
+// M = 300; 0.0150 at K = 84 on the 7-smooth lengths). It is small
+// because ‖x‖₂ is the whole signal's, √(N/M) times a segment's.
+func TestConvErrorBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("no shared state to race on; the double-double oracle takes ten times as long")
+	}
+	const n, c = 1 << 12, 0.05
+	rng := rand.New(rand.NewSource(43))
+	norm := func(v []complex128) float64 {
+		var s float64
+		for _, z := range v {
+			s += real(z)*real(z) + imag(z)*imag(z)
+		}
+		return math.Sqrt(s)
+	}
+	worst := 0.0
+	for _, k := range []int{70, 84, 251, 700, 1100, 1, 63, 255, 1000} {
+		p, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, h := randComplex(rng, n), randComplex(rng, k)
+		rev := make([]complex128, k) // CrossCorrelate is Convolve by conj(h) reversed
+		for i, v := range h {
+			rev[k-1-i] = cmplx.Conj(v)
+		}
+		unit := 0x1p-52 * math.Log2(float64(p.SegmentLen())) * norm(x) * norm(h)
+		for _, way := range []struct {
+			name string
+			run  func(dst, x, h []complex128) error
+			want []complex128
+		}{
+			{"Convolve", p.Convolve, ddConvolve(x, h)},
+			{"CrossCorrelate", p.CrossCorrelate, ddConvolve(x, rev)},
+		} {
+			got := make([]complex128, p.OutLen())
+			if err := way.run(got, x, h); err != nil {
+				t.Fatal(err)
+			}
+			e := 0.0
+			for i := range got {
+				e = math.Max(e, cmplx.Abs(got[i]-way.want[i]))
+			}
+			worst = math.Max(worst, e/unit)
+			if e > c*unit {
+				t.Errorf("K=%d M=%d %s: error %.3g = %.3f·ε·log₂M·‖x‖₂·‖h‖₂, budget c = %g", k, p.SegmentLen(), way.name, e, e/unit, c)
+			}
+		}
+	}
+	t.Logf("worst c: %.3f", worst)
+}
+
+// BenchmarkConvolve times one serial ConvPlan.Convolve over 2^16
+// samples per op, in ns per output sample, with the segment length M:
+// K = 255 is batch_resident's shape (M = 1024), and 84, 251 and 1100
+// kernels whose M moved when segments took Bluestein's length rule.
+func BenchmarkConvolve(b *testing.B) {
+	const n = 1 << 16
+	for _, k := range []int{84, 251, 255, 1100} {
+		p, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(k)))
+		x, h := randComplex(rng, n), randComplex(rng, k)
+		dst := make([]complex128, p.OutLen())
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for range b.N {
+				if err := p.Convolve(dst, x, h); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/out")
+			b.ReportMetric(float64(p.SegmentLen()), "M")
+		})
 	}
 }

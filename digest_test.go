@@ -31,7 +31,7 @@ const digestFile = "default_plan_digests.golden"
 // plan itself as kind "bluestein".
 var digestLens = struct{ pow2, mixed, bluestein, direct, real []int }{
 	pow2:      []int{2, 4, 8, 64, 128, 1024, 4096, 1 << 16, 1 << 20},
-	mixed:     []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 1000000, 3 << 18},
+	mixed:     []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 59049, 140625, 1000000, 3 << 18},
 	bluestein: []int{13, 1009, 4099, 65537, 129763, 1<<18 + 3},
 	direct:    []int{1, 2},
 	real:      []int{4, 16, 4096, 2000, 2018, 1 << 16, 98304},

@@ -304,8 +304,9 @@ func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 // one shape share the stage decomposition, twiddle table and schedules
 // — concurrent first calls run plan construction once (single-flight)
 // — so serving code can call it per request instead of hand-managing
-// plan lifetimes: a hit is the cache lookup plus one small struct. The engine options (WithWorkers, WithObserver) are
-// still applied per returned plan.
+// plan lifetimes: a hit is the cache lookup plus one small struct. The
+// engine options (WithWorkers, WithObserver) are still applied per
+// returned plan.
 func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	o := resolveOpts(n, opts)
 	core, err := planCache.GetOrCreate(planKey{n: n, kern: o.kern}, func() (*hostCore, error) {

@@ -251,8 +251,9 @@ func TestFactor(t *testing.T) {
 // TestMixedPlanInvariants checks the structural invariants every
 // mixed-radix plan must satisfy: the stage radices multiply back to N,
 // each stage covers the whole vector, the twiddle tables have the
-// documented (R−1)·M layout, the plan makes as many passes each way as
-// the table says — one per stage, less one per pair of same-radix
+// documented (R−1)·M layout, each pass's units are N over its stages'
+// radices, the plan makes as many passes each way as the table says —
+// one per stage, less one per pair of same-radix
 // stages fused between the first and the last where the vector pair
 // codelets run (radix 3, 4, 5; one pass per stage on a build without
 // them, and for radix 7 everywhere), and an odd pass count
@@ -330,9 +331,18 @@ func TestMixedPlanInvariants(t *testing.T) {
 			if want := (st.R - 1) * st.M; len(st.Tw) != want {
 				t.Fatalf("n=%d stage %d: %d twiddles, want %d", n, i, len(st.Tw), want)
 			}
-			if st.Units() != st.M*st.S {
-				t.Fatalf("n=%d stage %d: Units() = %d, want %d", n, i, st.Units(), st.M*st.S)
+		}
+		// A pass of k stages has N over their radices' product units,
+		// so over the passes those products multiply back to N.
+		span := 1
+		for j, p := range fwd {
+			if p.Units < 1 || n%p.Units != 0 {
+				t.Fatalf("n=%d pass %d: %d units do not divide N", n, j, p.Units)
 			}
+			span *= n / p.Units
+		}
+		if span != n {
+			t.Fatalf("n=%d: the passes' radix products multiply to %d", n, span)
 		}
 	}
 	if _, err := fft.NewMixedPlan(11); !errors.Is(err, fft.ErrUnsupportedLength) {
@@ -391,9 +401,16 @@ func TestErrUnsupportedLengthSentinel(t *testing.T) {
 // BenchmarkMixedPlan times one serial mixed-radix transform per op,
 // forward and inverse, in ns per point, with the schedule's passes per
 // op (benchSchedule). 562500 is Bluestein's M at 2^18+3, the 3×3 and
-// 5×5 fused pairs.
+// 5×5 fused pairs; 59049 = 3^10 and 140625 = 3²·5⁶ fuse pairs with an
+// odd S, whose last q column runs the Go pair path. The powers of two
+// 2^7…2^22 are BenchmarkSoASchedule's lengths, for setting the two
+// engines side by side.
 func BenchmarkMixedPlan(b *testing.B) {
-	for _, n := range []int{1000, 3072, 49152, 3 << 18, 562500, 1000000} {
+	ns := []int{1000, 3072, 49152, 59049, 140625, 3 << 18, 562500, 1000000}
+	for lg := 7; lg <= 22; lg++ {
+		ns = append(ns, 1<<lg)
+	}
+	for _, n := range ns {
 		mp, err := fft.NewMixedPlan(n)
 		if err != nil {
 			b.Fatal(err)

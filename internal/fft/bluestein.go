@@ -59,13 +59,24 @@ const bluesteinMaxN = 1 << (bits.UintSize - 3)
 // bits, and would make them differ where the pair codelets do not run.
 // A multiple of 4 starts on the vector radix-4 codelet, which alone
 // among them covers the first stage; radix 7 runs only in Go, so it is
-// not a candidate. It returns 0 for n < 1 and for n so large that M₂ would
-// overflow an int.
+// not a candidate. The rule is transformLen's, at 2n-1. It returns 0
+// for n < 1 and for n so large that M₂ would overflow an int.
 func BluesteinLen(n int) int {
 	if n < 1 || n > bluesteinMaxN {
 		return 0
 	}
-	lo := max(2*n-1, 2)
+	return transformLen(max(2*n-1, 2))
+}
+
+// transformLen returns the cheapest transform length ≥ lo, lo ≥ 1, by
+// smoothLen: M₂, the smallest power of two ≥ lo, or a {2,3,5}-smooth
+// multiple of 4 in [lo, M₂]. It returns 0 when M₂ would overflow an int.
+// Bluestein's convolutions and overlap-save's segments (NewConvSpec)
+// take their lengths from it.
+func transformLen(lo int) int {
+	if lo > 1<<(bits.UintSize-2) {
+		return 0
+	}
 	return smoothLen(lo, 1<<bits.Len(uint(lo-1)))
 }
 

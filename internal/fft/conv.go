@@ -21,50 +21,7 @@ package fft
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
-
-// NextSmooth returns the smallest 7-smooth integer ≥ n (2^a·3^b·5^c·7^d)
-// — the cheapest transform length at or above n under the mixed-radix
-// planner, so a segment length drawn from it never needs the Bluestein
-// embedding — or 0 when no int that large is 7-smooth. It takes, for
-// each odd part p = 3^b·5^c·7^d up to the first one ≥ n, the least
-// 2^a·p ≥ n: O(log³ n) candidates, none formed past the largest int.
-func NextSmooth(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	best := 0
-	for p7 := 1; ; p7 *= 7 {
-		for p5 := p7; ; p5 *= 5 {
-			for p := p5; ; p *= 3 {
-				if m := coverPow2(p, n); m != 0 && (best == 0 || m < best) {
-					best = m
-				}
-				if p >= n || p > math.MaxInt/3 {
-					break
-				}
-			}
-			if p5 >= n || p5 > math.MaxInt/5 {
-				break
-			}
-		}
-		if p7 >= n || p7 > math.MaxInt/7 {
-			break
-		}
-	}
-	return best
-}
-
-// coverPow2 returns the least p·2^a ≥ n, a ≥ 0, or 0 when it overflows
-// an int.
-func coverPow2(p, n int) int {
-	a := bits.Len(uint((n - 1) / p)) // the least a with 2^a ≥ ⌈n/p⌉
-	if bits.Len(uint(p))+a >= bits.UintSize {
-		return 0
-	}
-	return p << a
-}
 
 // ConvSpec is the overlap-save segmentation of a linear convolution:
 // an N-sample signal against a K-tap kernel, tiled into Segs segments
@@ -73,7 +30,7 @@ func coverPow2(p, n int) int {
 type ConvSpec struct {
 	N int // signal length
 	K int // kernel length
-	M int // segment FFT length (7-smooth)
+	M int // segment FFT length: a power of two or a {2,3,5}-smooth multiple of 4
 	S int // fresh samples per segment: M - K + 1
 	// Segs tiles the OutLen outputs: ⌈(N+K-1)/S⌉.
 	Segs int
@@ -89,14 +46,16 @@ const convMaxM = math.MaxInt / 16
 
 // NewConvSpec sizes the overlap-save segmentation for an n-sample
 // signal and a k-tap kernel, n ≥ 1 and k ≥ 1 (errors wrap
-// ErrUnsupportedLength otherwise). The segment length is the smallest
-// 7-smooth M ≥ max(4k, minSegment) — about 4 kernel lengths, the
-// classic throughput sweet spot, so at least 3/4 of every segment's
-// outputs are fresh — unless a single segment covering the whole
-// output is no larger, in which case the convolution collapses to one
-// full-length transform pair. A shape whose n+k-1 or 4k overflows an
-// int, whose output has no 7-smooth length an int holds, or whose M
-// exceeds convMaxM errors the same way.
+// ErrUnsupportedLength otherwise). The segment length M is
+// transformLen(max(4k, minSegment)), Bluestein's rule for its
+// convolution length: the cheapest {2,3,5}-smooth multiple of 4 up to
+// the next power of two, so every segment runs on the vector stages.
+// That is about 4 kernel lengths, the classic throughput sweet spot, so
+// at least 3/4 of every segment's outputs are fresh — unless a single
+// segment covering the whole output, transformLen(n+k-1), is no larger,
+// in which case the convolution collapses to one full-length transform
+// pair. A shape whose n+k-1 or 4k overflows an int, whose output's
+// power of two does, or whose M exceeds convMaxM errors the same way.
 func NewConvSpec(n, k int) (ConvSpec, error) {
 	if n < 1 {
 		return ConvSpec{}, fmt.Errorf("%w: convolution needs a signal length ≥ 1, got %d", ErrUnsupportedLength, n)
@@ -108,11 +67,11 @@ func NewConvSpec(n, k int) (ConvSpec, error) {
 		return ConvSpec{}, fmt.Errorf("%w: convolution of %d samples by %d taps overflows an int", ErrUnsupportedLength, n, k)
 	}
 	out := n + k - 1
-	full := NextSmooth(out)
+	full := transformLen(out)
 	if full == 0 {
-		return ConvSpec{}, fmt.Errorf("%w: no 7-smooth transform length ≥ %d fits an int", ErrUnsupportedLength, out)
+		return ConvSpec{}, fmt.Errorf("%w: no transform length ≥ %d fits an int", ErrUnsupportedLength, out)
 	}
-	m := NextSmooth(max(4*k, minSegment))
+	m := transformLen(max(4*k, minSegment))
 	if m == 0 || m >= full {
 		m = full
 	}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -26,7 +27,7 @@ func ossConvolve(t testing.TB, x, h []complex128) []complex128 {
 	}
 	mp, err := NewMixedPlan(spec.M)
 	if err != nil {
-		t.Fatalf("segment length %d not 7-smooth: %v", spec.M, err)
+		t.Fatalf("segment length %d: %v", spec.M, err)
 	}
 	hhat := make([]complex128, spec.M)
 	spec.PadKernel(hhat, h)
@@ -64,79 +65,50 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
-// isSmooth reports whether n > 0 has no prime factor beyond 7.
-func isSmooth(n int) bool {
-	for _, p := range [...]int{2, 3, 5, 7} {
-		for n%p == 0 {
-			n /= p
+// scanLen is transformLen's rule done the slow way, over every integer
+// in [lo, M₂], M₂ the smallest power of two ≥ lo: the least
+// m·len(Factor(m)) among M₂ and the multiples of 4 with no prime factor
+// beyond 5, ties to the smaller.
+func scanLen(lo int) int {
+	m2 := 1 << bits.Len(uint(lo-1))
+	best, cost := m2, -1
+	for m := lo; m <= m2; m++ {
+		radices, cofactor := Factor(m)
+		if m != m2 && (m%4 != 0 || cofactor != 1 || slices.Contains(radices, 7)) {
+			continue
+		}
+		if c := m * len(radices); cost < 0 || c < cost {
+			best, cost = m, c
 		}
 	}
-	return n == 1
+	return best
 }
 
-// scanSmooth is the brute-force oracle: the first 7-smooth c ≥ n.
-func scanSmooth(n int) int {
-	c := max(n, 1)
-	for !isSmooth(c) {
-		c++
-	}
-	return c
-}
-
-// mulOrZero returns a·b, or 0 when it overflows an int.
-func mulOrZero(a, b int) int {
-	if a > math.MaxInt/b {
-		return 0
-	}
-	return a * b
-}
-
-// TestNextSmooth checks the enumeration against a brute-force scan for
-// every n ≤ 2^16 and for n sampled log-uniformly up to 2^31, and at the
-// top of the int range: the largest 7-smooth int is its own answer, and
-// past it there is none (0).
-func TestNextSmooth(t *testing.T) {
-	const dense = 1 << 16
-	want := dense // 2^16 is 7-smooth: the answer for every n in (prev, 2^16]
-	for n := dense; n >= -2; n-- {
-		if n >= 1 && isSmooth(n) {
-			want = n
-		}
-		if got := NextSmooth(n); got != max(want, 1) {
-			t.Fatalf("NextSmooth(%d) = %d, want %d", n, got, max(want, 1))
-		}
+// TestTransformLen checks the length rule Bluestein and overlap-save
+// share against the scan at every lo ≤ 2^11 and at lo sampled
+// log-uniformly up to 2^20, and at the top of the int range: M₂ =
+// 2^(bits−2) is the largest length it gives, and past it there is none
+// (0).
+func TestTransformLen(t *testing.T) {
+	los := []int{}
+	for lo := 1; lo <= 1<<11; lo++ {
+		los = append(los, lo)
 	}
 	rng := rand.New(rand.NewSource(31))
-	hi := min(1<<31, math.MaxInt)
-	samples := []int{hi, hi - 1, hi - 12345, dense + 1}
-	for i := 0; i < 100; i++ {
-		samples = append(samples, int(math.Exp(math.Log(dense)+rng.Float64()*(math.Log(float64(hi))-math.Log(dense)))))
+	for i := 0; i < 64; i++ {
+		los = append(los, int(math.Exp(rng.Float64()*math.Log(1<<20))))
 	}
-	for _, n := range samples {
-		if got, want := NextSmooth(n), scanSmooth(n); got != want {
-			t.Fatalf("NextSmooth(%d) = %d, want %d", n, got, want)
+	for _, lo := range los {
+		if got, want := transformLen(lo), scanLen(lo); got != want {
+			t.Fatalf("transformLen(%d) = %d, the scan finds %d", lo, got, want)
 		}
 	}
-
-	// The largest 7-smooth int: the greatest 2^a·p ≤ MaxInt over the odd
-	// parts p = 3^b·5^c·7^d.
-	top := 0
-	for p7 := 1; p7 > 0; p7 = mulOrZero(p7, 7) {
-		for p5 := p7; p5 > 0; p5 = mulOrZero(p5, 5) {
-			for p := p5; p > 0; p = mulOrZero(p, 3) {
-				top = max(top, p<<(bits.UintSize-1-bits.Len(uint(p))))
-			}
-		}
-	}
-	if !isSmooth(top) {
-		t.Fatalf("cap %d is not 7-smooth", top)
-	}
-	// MaxInt (2^31-1 or 2^63-1) is not 7-smooth, so top + 1 fits.
-	for _, c := range []struct{ n, want int }{{top, top}, {top + 1, 0}, {math.MaxInt, 0}} {
+	top := 1 << (bits.UintSize - 2)
+	for _, c := range []struct{ lo, want int }{{top - 1, top}, {top, top}, {top + 1, 0}, {math.MaxInt, 0}} {
 		var got int
-		within(t, 5*time.Second, fmt.Sprintf("NextSmooth(%d)", c.n), func() { got = NextSmooth(c.n) })
+		within(t, 5*time.Second, fmt.Sprintf("transformLen(%d)", c.lo), func() { got = transformLen(c.lo) })
 		if got != c.want {
-			t.Fatalf("NextSmooth(%d) = %d with %d the largest 7-smooth int, want %d", c.n, got, top, c.want)
+			t.Fatalf("transformLen(%d) = %d, want %d", c.lo, got, c.want)
 		}
 	}
 }
@@ -159,17 +131,21 @@ func within(t *testing.T, d time.Duration, what string, f func()) {
 }
 
 // TestConvSpecGeometry pins the segmentation invariants across shapes:
-// 7-smooth M, S ≥ 1, segments exactly tiling the output, and the
-// collapse to one full-length segment when that is no larger — up to
-// outputs near the largest int. A shape whose output length or 4·K
-// passes what an int holds, or whose output has no 7-smooth length
-// above it, fails with ErrUnsupportedLength rather than panicking,
-// returning a negative geometry, or spinning.
+// M is transformLen's answer — for max(4K, 256), or for the whole
+// output where that is no larger — so it has no prime factor beyond 5;
+// S ≥ 1; the segments exactly tile the output — up to outputs near the
+// largest int. The kernels whose M moved off a 7-smooth length (84:
+// 336 → 400, 251: 1008 → 1024, 1100: 4410 → 4500) are among them, and
+// K = 255 over 2^16 samples keeps its 1024. A shape whose output
+// length or 4·K passes what an int holds, or whose output has no
+// transform length an int holds, fails with ErrUnsupportedLength
+// rather than panicking, returning a negative geometry, or spinning.
 func TestConvSpecGeometry(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{
-		{1, 1}, {16, 1}, {100, 3}, {1 << 12, 31}, {1 << 12, 1 << 10},
-		{997, 101}, {5000, 5000}, {64, 1000},
-		{math.MaxInt / 2, 1}, {math.MaxInt / 4, 255},
+	for _, tc := range []struct{ n, k, m int }{
+		{1, 1, 1}, {16, 1, 16}, {100, 3, 108}, {1 << 12, 31, 256}, {1 << 12, 1 << 10, 4096},
+		{997, 101, 500}, {5000, 5000, 10000}, {64, 1000, 1200},
+		{1 << 16, 84, 400}, {1 << 16, 251, 1024}, {1 << 16, 1100, 4500}, {1 << 16, 255, 1024},
+		{math.MaxInt / 2, 1, 256}, {math.MaxInt / 4, 255, 1024},
 	} {
 		var spec ConvSpec
 		var err error
@@ -180,15 +156,15 @@ func TestConvSpecGeometry(t *testing.T) {
 		if spec.S != spec.M-spec.K+1 || spec.S < 1 {
 			t.Fatalf("%+v: bad fresh count", spec)
 		}
-		if NextSmooth(spec.M) != spec.M {
-			t.Fatalf("%+v: M not 7-smooth", spec)
-		}
 		out := spec.OutLen()
+		if want := min(transformLen(max(4*tc.k, minSegment)), transformLen(out)); spec.M != want || spec.M != tc.m {
+			t.Fatalf("%+v: M = %d, the rule gives %d, want %d", spec, spec.M, want, tc.m)
+		}
+		if radices, cofactor := Factor(spec.M); cofactor != 1 || slices.Contains(radices, 7) {
+			t.Fatalf("%+v: M has a prime factor beyond 5", spec)
+		}
 		if spec.Segs != (out-1)/spec.S+1 || (spec.Segs-1)*spec.S >= out {
 			t.Fatalf("%+v: segments do not tile %d outputs", spec, out)
-		}
-		if full := NextSmooth(out); spec.M > full {
-			t.Fatalf("%+v: segment longer than the single-transform fallback %d", spec, full)
 		}
 	}
 	for _, tc := range []struct{ n, k int }{

@@ -4,19 +4,39 @@ package fft
 
 import "math"
 
-// vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of units on the
-// AVX codelets in mixed_amd64.s, or reports false, having run nothing,
-// where they do not cover the stage. With S ≥ 2 they take the q in
-// pairs, two complex128 to a YMM register, one p after another with
-// its twiddles broadcast, and with M = 1 carry an output operand; with
-// S = 1 (the first stage) the radix-4 codelet takes pairs of p, with
-// per-lane twiddles, and carries an input operand. A call keeps each
-// lane wholly inside or outside the operand, so the pairs are cut where
-// a lane crosses its end; an odd unit left over runs in Go. The
-// codelets need only AVX, and run where soaHasAsm found AVX2 and FMA
-// (they use no FMA: a fused product would change the bits).
-func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) bool {
+// vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of the pass's
+// units on the AVX codelets in mixed_amd64.s, or reports false, having
+// run nothing, where they do not cover the pass. A fused pair runs on
+// the pair codelets (mixed33Asm … mixed55Asm), the q in pairs. A single
+// stage with S ≥ 2 runs on the q-pair codelets: two complex128 to a YMM
+// register, one p after another with its twiddles broadcast, and with
+// M = 1 an output operand; with S = 1 (the first stage) the radix-4
+// codelet takes pairs of p, with per-lane twiddles, and carries an
+// input operand. A call keeps each lane wholly inside or outside the
+// operand, so the pairs are cut where a lane crosses its end. An odd
+// unit left over runs in Go (scalar). The codelets need only AVX, and
+// run where soaHasAsm found AVX2 and FMA (they use no FMA: a fused
+// product would change the bits).
+func (ps mixedPass) vec(dst, src []complex128, p0, p1, q0, q1 int) bool {
+	st, e := &ps.st[0], ps.e
 	r, s, m := st.R, st.S, st.M
+	if len(ps.st) == 2 {
+		if !hasPairCodelet(r) {
+			return false
+		}
+		b := &ps.st[1]
+		if qe := q0 + (q1-q0)&^1; qe > q0 {
+			// The last unit's last load and store, and the last twiddles.
+			_, _ = src[s*(p1-1)+s*b.M*(r*r-1)+qe-1], dst[r*r*s*(p1-1)+(r+1)*s*(r-1)+qe-1]
+			_, _ = st.Tw[(r-1)*(p1-1+b.M*(r-1))+r-2], b.Tw[(r-1)*p1-1]
+			fusedCodelets[r](&dst[r*r*s*p0+q0], &src[s*p0+q0], &st.Tw[(r-1)*p0], &b.Tw[(r-1)*p0], s, b.M, p1-p0, (qe-q0)/2)
+			q0 = qe
+		}
+		if q0 < q1 {
+			ps.scalar(dst, src, p0, p1, q0, q1)
+		}
+		return true
+	}
 	if !soaHasAsm || r == 7 || s == 1 && (r != 4 || e.out != nil) || s > 1 && (e.in != nil || e.out != nil && m > 1) {
 		return false
 	}
@@ -58,9 +78,9 @@ func (st *MixedStage) vec(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge
 			pairCodelets[r](&dst[r*s*p0+x], &src[s*p0+x], &st.Tw[(r-1)*p0], s, s*m, p1-p0, (xe-x)/2, neg, e.scale, v, live, e.post)
 		}
 		if xe < end && s == 1 { // an odd unit, or a run with no lane live
-			st.scalar(dst, src, xe, end, q0, q1, e)
+			ps.scalar(dst, src, xe, end, q0, q1)
 		} else if xe < end {
-			st.scalar(dst, src, p0, p1, xe, end, e)
+			ps.scalar(dst, src, p0, p1, xe, end)
 		}
 		x = end
 	}
@@ -104,40 +124,17 @@ func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *
 // vector pair codelet here: radix 3, 4 or 5 where soaHasAsm.
 func hasPairCodelet(r int) bool { return soaHasAsm && r >= 3 && r <= 5 }
 
-// vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of fused units on
-// the fused AVX codelets (mixed33Asm … mixed55Asm), the q in pairs, an
-// odd one left over in Go, or reports false, having run nothing, where
-// hasPairCodelet is false.
-func (f mixedPair) vec(dst, src []complex128, p0, p1, q0, q1 int) bool {
-	a, b := f.a, f.b
-	r, s, m := a.R, a.S, b.M
-	if !hasPairCodelet(r) {
-		return false
-	}
-	if qe := q0 + (q1-q0)&^1; qe > q0 {
-		// The last unit's last load and store, and the last twiddles.
-		_, _ = src[s*(p1-1)+s*m*(r*r-1)+qe-1], dst[r*r*s*(p1-1)+(r+1)*s*(r-1)+qe-1]
-		_, _ = a.Tw[(r-1)*(p1-1+m*(r-1))+r-2], b.Tw[(r-1)*p1-1]
-		fusedCodelets[r](&dst[r*r*s*p0+q0], &src[s*p0+q0], &a.Tw[(r-1)*p0], &b.Tw[(r-1)*p0], s, m, p1-p0, (qe-q0)/2)
-		q0 = qe
-	}
-	if q0 < q1 {
-		f.scalar(dst, src, p0, p1, q0, q1)
-	}
-	return true
-}
-
 var fusedCodelets = [...]func(dst, src, twa, twb *complex128, s, m, np, nq int){
 	3: mixed33Asm, 4: mixed44Asm, 5: mixed55Asm,
 }
 
 // Implemented in mixed_amd64.s. Each runs np rows p of nq pairs of q of
-// fused units of a radix-r mixedPair from the unit at dst, src, twa and
-// twb (its stages' twiddles at the row): row p + 1 starts S elements of
-// src, r²·S of dst and r − 1 twiddles of each further on. With m the
-// second stage's M, the fused unit's stage-a row c' is S·m elements of
-// src and (r − 1)·m twiddles from row 0, its input lane c r·S·m; its
-// output (d, d') is S·d + r·S·d' elements from dst.
+// a fused pair's units (mixedPass) of radix r from the unit at dst,
+// src, twa and twb (its stages' twiddles at the row): row p + 1 starts
+// S elements of src, r²·S of dst and r − 1 twiddles of each further on.
+// With m the second stage's M, the fused unit's stage-a row c' is S·m
+// elements of src and (r − 1)·m twiddles from row 0, its input lane c
+// r·S·m; its output (d, d') is S·d + r·S·d' elements from dst.
 
 //go:noescape
 func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int)

@@ -128,7 +128,7 @@ plain: \
 	VXORPD       Y0, Y0, Y0; \
 	VBLENDPD     $10, Y14, Y0, Y14
 
-// The fused codelets: two stages of one radix r in a pass (mixedPair in
+// The fused codelets: two stages of one radix r in a pass (mixedPass in
 // mixedradix.go), over rows of fused units p and, in each, pairs of q.
 // A row's pairs run in chunks of up to K: stage a's butterflies, row c'
 // at a time with that row's twiddles broadcast once, into a tile on the

@@ -42,9 +42,9 @@ func mixedOracle(st *MixedStage, dst, full, in []complex128, u int, e stageEdge)
 	}
 }
 
-// checkMixedRange runs units [lo, hi) of st on src both ways — st.run
-// over the given cuts, the oracle unit by unit — and reports the first
-// output whose bits differ. An input operand's stage reads only the
+// checkMixedRange runs units [lo, hi) of st on src both ways — st's
+// pass over the given cuts, the oracle unit by unit — and reports the
+// first output whose bits differ. An input operand's stage reads only the
 // first len(e.in) elements of src (the rest hold data that must not
 // show); an output operand's writes a dst len(e.out) long, and nothing
 // after it; with inPlace (M = 1) the stage writes src itself.
@@ -88,8 +88,9 @@ func checkMixedRange(t *testing.T, st *MixedStage, src []complex128, cuts []int,
 	if e.in != nil {
 		from = x[:len(e.in)]
 	}
+	pass := mixedPass{st: []MixedStage{*st}, e: e}
 	for i := 1; i < len(cuts); i++ {
-		st.run(got[:m], from, cuts[i-1], cuts[i], e)
+		pass.run(got[:m], from, cuts[i-1], cuts[i])
 	}
 	for i := range got {
 		w := sentinel
@@ -188,12 +189,12 @@ func mixedEdges(rng *rand.Rand, st *MixedStage) []mixedCase {
 	return cs
 }
 
-// mixedPairOf builds a fused pair of radix r: stage a splits r²·m-point
+// pairPassOf builds a fused pair of radix r: stage a splits r²·m-point
 // sub-transforms across s copies, stage b the r·m-point results across
 // r·s — the shape of stages i, i+1 of a plan, where s is the product of
 // the radices before them.
-func mixedPairOf(r, m, s int) mixedPair {
-	return mixedPair{mixedStage(r, r*m, s), mixedStage(r, m, r*s)}
+func pairPassOf(r, m, s int) mixedPass {
+	return mixedPass{st: []MixedStage{*mixedStage(r, r*m, s), *mixedStage(r, m, r*s)}}
 }
 
 // checkPairRange runs fused units [cuts[0], cuts[len(cuts)−1]) of pr on
@@ -201,9 +202,9 @@ func mixedPairOf(r, m, s int) mixedPair {
 // codelets in sequence over the whole array — and reports the first
 // output whose bits differ. An output the range does not write must
 // keep the sentinel, as must a guard past the array.
-func checkPairRange(t *testing.T, pr mixedPair, src []complex128, cuts []int) {
+func checkPairRange(t *testing.T, pr mixedPass, src []complex128, cuts []int) {
 	t.Helper()
-	a, b := pr.a, pr.b
+	a, b := &pr.st[0], &pr.st[1]
 	r, s := a.R, a.S
 	n := r * a.M * s
 	mid, full := make([]complex128, n), make([]complex128, n)
@@ -256,7 +257,7 @@ func TestMixedCodeletsMatchGo(t *testing.T) {
 				}
 				st := mixedStage(r, m, s)
 				src := make([]complex128, r*m*s)
-				units := st.Units()
+				units := st.M * st.S
 				for _, c := range mixedEdges(rng, st) {
 					for _, zeros := range []bool{false, true} {
 						for i := range src {
@@ -269,18 +270,19 @@ func TestMixedCodeletsMatchGo(t *testing.T) {
 			}
 		}
 	}
-	// Fused pairs: the vector pair codelets, and the Go composition
-	// through the tile that takes an odd q left over, against the two
-	// stages' Go codelets in sequence.
+	// Fused pairs: the vector pair codelets, and the Go composition in
+	// place that takes an odd q left over, against the two stages' Go
+	// codelets in sequence. m = 130 runs the Go pair over more than one
+	// block of pairRows rows.
 	for _, r := range []int{3, 4, 5} {
 		for _, s := range []int{1, 2, 3, 4, 5, 16, 64, 1024} {
-			for _, m := range []int{1, 2, 3, 5, 8, 27} {
+			for _, m := range []int{1, 2, 3, 5, 8, 27, 130} {
 				if r*r*m*s > 1<<16 {
 					continue
 				}
-				pr := mixedPairOf(r, m, s)
+				pr := pairPassOf(r, m, s)
 				src := make([]complex128, r*r*m*s)
-				units := pr.Units()
+				units := pr.units()
 				for _, zeros := range []bool{false, true} {
 					for i := range src {
 						src[i] = complex(mixedValue(rng, zeros), mixedValue(rng, zeros))
@@ -314,7 +316,7 @@ var mixedSpecials = []byte{
 // operand, 16 in place, 32 post; an output operand or in place makes
 // M = 1, and lim16 sets the operands' lengths. With bit 64 set the rest
 // of edge and lim16 are ignored, and the fuzzer's shape is a fused pair
-// of radix 3, 4 or 5 instead (mixedPairOf(r, m, s)), checked against
+// of radix 3, 4 or 5 instead (pairPassOf(r, m, s)), checked against
 // the two stages' Go codelets in sequence.
 func FuzzMixedCodelets(f *testing.F) {
 	f.Add(uint8(4), uint16(1), uint16(6), uint32(0), uint32(24), uint8(1), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3, 4, 5, 6, 7, 0x80})
@@ -347,12 +349,12 @@ func FuzzMixedCodelets(f *testing.F) {
 		}
 		if edge&64 != 0 {
 			r = []int{3, 4, 5}[int(radix)%3]
-			pr := mixedPairOf(r, 1+m%12, 1+s%48)
-			src := make([]complex128, r*pr.a.M*pr.a.S)
+			pr := pairPassOf(r, 1+m%12, 1+s%48)
+			src := make([]complex128, r*pr.st[0].M*pr.st[0].S)
 			for i := range src {
 				src[i] = value(i)
 			}
-			lo, hi := cut(pr.Units())
+			lo, hi := cut(pr.units())
 			checkPairRange(t, pr, src, []int{lo, hi})
 			return
 		}
@@ -360,7 +362,7 @@ func FuzzMixedCodelets(f *testing.F) {
 			m = 1
 		}
 		st := mixedStage(r, m, s)
-		n, units := r*m*s, st.Units()
+		n, units := r*m*s, m*s
 		lo, hi := cut(units)
 		src := make([]complex128, n)
 		for i := range src {
@@ -407,9 +409,9 @@ func sameBits(a, b complex128) bool {
 }
 
 // pairSets returns the elements fused unit u of pr reads from src and
-// writes to dst, by the index map of mixedPair.
-func pairSets(pr mixedPair, u int, reads, writes []int) ([]int, []int) {
-	r, s, m := pr.a.R, pr.a.S, pr.b.M
+// writes to dst, by the index map of mixedPass.
+func pairSets(pr mixedPass, u int, reads, writes []int) ([]int, []int) {
+	r, s, m := pr.st[0].R, pr.st[0].S, pr.st[1].M
 	p, q := u/s, u%s
 	for c := range r {
 		for c2 := range r {
@@ -430,9 +432,11 @@ func pairSets(pr mixedPair, u int, reads, writes []int) ([]int, []int) {
 // a stray read shows as a NaN output; the destination is sentinel, so a
 // stray write shows where no unit should have stored. It also checks
 // that the schedule's passes are the stages with the fused pairs folded,
-// passCount of them. A build without the pair codelets fuses nothing.
+// passCount of them. 59049 = 3^10 and 140625 = 3²·5⁶ fuse pairs with an
+// odd S, whose last q column runs in Go. A build without the pair
+// codelets fuses nothing.
 func TestMixedPairClosure(t *testing.T) {
-	ns := []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 1000000, 3 << 18}
+	ns := []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 59049, 140625, 1000000, 3 << 18}
 	for _, n := range []int{13, 1009, 4099, 65537, 129763, 1<<18 + 3} {
 		ns = append(ns, BluesteinLen(n))
 	}
@@ -449,10 +453,11 @@ func TestMixedPairClosure(t *testing.T) {
 			if j >= len(passes) {
 				t.Fatalf("%v: %d passes for %d stages", mp, len(passes), len(mp.Stages))
 			}
-			units, label := mp.Stages[i].Units(), passes[j].Label
-			if mp.fused(i) {
-				pr := mixedPair{&mp.Stages[i], &mp.Stages[i+1]}
-				units = pr.Units()
+			st, label := &mp.Stages[i], passes[j].Label
+			units := st.M * st.S
+			if fusedAt(mp.Radices, i) {
+				pr := mixedPass{st: mp.Stages[i : i+2]}
+				units = pr.units()
 				checkPairClosure(t, mp, i, pr, rng)
 				fusedPasses++
 				i++
@@ -470,9 +475,9 @@ func TestMixedPairClosure(t *testing.T) {
 	}
 }
 
-func checkPairClosure(t *testing.T, mp *MixedPlan, i int, pr mixedPair, rng *rand.Rand) {
+func checkPairClosure(t *testing.T, mp *MixedPlan, i int, pr mixedPass, rng *rand.Rand) {
 	t.Helper()
-	n, units := mp.N, pr.Units()
+	n, units := mp.N, pr.units()
 	readBy, writtenBy := make([]int32, n), make([]int32, n)
 	for k := range readBy {
 		readBy[k], writtenBy[k] = -1, -1
@@ -526,7 +531,7 @@ func checkPairClosure(t *testing.T, mp *MixedPlan, i int, pr mixedPair, rng *ran
 	for u := range units {
 		run(u, u+1)
 	}
-	for _, cuts := range [][]int{{0, units}, randomCuts(rng, units, pr.a.S)} {
+	for _, cuts := range [][]int{{0, units}, randomCuts(rng, units, pr.st[0].S)} {
 		for k := 1; k < len(cuts); k++ {
 			run(cuts[k-1], cuts[k])
 		}

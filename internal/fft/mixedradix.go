@@ -17,11 +17,11 @@
 //
 // Ping-ponging src/dst across stages leaves the spectrum in natural
 // order with no digit-reversal pass — the Stockham autosort property,
-// generalized from the radix-2 case. Two consecutive stages of one
-// radix between the first and the last run as one pass (mixedPair)
-// where a vector pair codelet covers the radix: each fused unit takes
-// the r² values one stage passes to the next through registers and a
-// small tile, so the pair sweeps the array once.
+// generalized from the radix-2 case. A pass (mixedPass) runs one stage,
+// or two consecutive stages of one radix between the first and the last
+// where a vector pair codelet covers the radix: each fused unit passes
+// the r² values between its two stages on without a sweep of the
+// array, so the pair sweeps it once.
 // The last stage (m = 1) may run in place, so a plan ends in the
 // caller's array at any pass count, and multiply-only sweeps ride on
 // the first and last stages' edges (stageEdge). Units within a pass
@@ -100,14 +100,11 @@ type MixedStage struct {
 	Tw []complex128 // (R-1)·M twiddles: Tw[p·(R-1)+d-1] = ω_{R·M}^{p·d}
 }
 
-// Units returns the number of independent butterfly units in the stage;
-// the parallel engine shards [0, Units()) across workers.
-func (st *MixedStage) Units() int { return st.M * st.S }
-
 // MixedPlan is a mixed-radix decomposition of an N-point DFT into
 // len(Radices) Stockham stages, run as passCount(Radices) passes each
-// way. N = 1 yields a zero-stage plan (the identity transform). A MixedPlan is immutable after construction and
-// safe for concurrent use on distinct buffers.
+// way. N = 1 yields a zero-stage plan (the identity transform). A
+// MixedPlan is immutable after construction and safe for concurrent use
+// on distinct buffers.
 type MixedPlan struct {
 	N       int
 	Radices []int // the stage radices, in execution order
@@ -207,48 +204,37 @@ func (mp *MixedPlan) passes(inverse bool) []Pass {
 	return mp.stages(onData, onData, onWork, onData, e)
 }
 
-// stages builds the passes of the stages. Stage 0 reads in and takes
-// the loads of edges, the last stage writes out and takes its stores;
-// each pair of consecutive stages between them that share a radix runs
-// as one pass (mixedPair), every other stage as a pass of its own. Pass
-// j below the last writes b when j is even, a when it is odd, and the
-// next pass reads it. With an odd pass count the passes before the last
-// end in a, so when out is a the last stage — M = 1: each unit reads
-// and writes the same R elements — runs there in place.
+// stages builds the passes of the stages (mixedPass): each pair of
+// consecutive stages that fusedAt names runs as one pass, every other
+// stage as a pass of its own. The first pass reads in and takes the
+// load edges, the last writes out and takes the store edges; pass j
+// between them writes b when j is even, a when it is odd, and the next
+// pass reads it. With an odd pass count the passes before the last end
+// in a, so when out is a the last stage — M = 1: each unit reads and
+// writes the same R elements — runs there in place.
 func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 	n := len(mp.Stages)
 	ps := make([]Pass, 0, passCount(mp.Radices))
-	for i := 0; i < n; i++ {
+	for i, k := 0, 1; i < n; i += k {
+		k = 1
+		if fusedAt(mp.Radices, i) {
+			k = 2
+		}
 		src, dst := a, b
 		if len(ps)%2 == 1 {
 			src, dst = b, a
 		}
+		pass := mixedPass{st: mp.Stages[i : i+k]}
 		if i == 0 {
-			src = in
+			src, pass.e.conj, pass.e.in = in, edges.conj, edges.in
 		}
-		if i == n-1 {
-			dst = out
+		if i+k == n {
+			dst, pass.e.scale, pass.e.out, pass.e.post = out, edges.scale, edges.out, edges.post
 		}
-		if mp.fused(i) {
-			pr := mixedPair{&mp.Stages[i], &mp.Stages[i+1]}
-			ps = append(ps, Pass{PassStageMixed, pr.Units(), func(s *State, lo, hi int) { pr.run(dst(s), src(s), lo, hi) }})
-			i++
-			continue
-		}
-		st, e := &mp.Stages[i], stageEdge{}
-		if i == 0 {
-			e.conj, e.in = edges.conj, edges.in
-		}
-		if i == n-1 {
-			e.scale, e.out, e.post = edges.scale, edges.out, edges.post
-		}
-		ps = append(ps, Pass{PassStageMixed, st.Units(), func(s *State, lo, hi int) { st.run(dst(s), src(s), lo, hi, e) }})
+		ps = append(ps, Pass{PassStageMixed, pass.units(), func(s *State, lo, hi int) { pass.run(dst(s), src(s), lo, hi) }})
 	}
 	return ps
 }
-
-// fused reports whether stages i and i+1 run as one pass (mixedPair).
-func (mp *MixedPlan) fused(i int) bool { return fusedAt(mp.Radices, i) }
 
 // fusedAt reports whether stages i and i+1 of the radix schedule run as
 // one pass: both lie strictly between the first stage and the last,
@@ -315,23 +301,91 @@ type stageEdge struct {
 	post  float64
 }
 
-// run executes butterfly units [ulo, uhi) of the stage, reading src and
-// writing dst (slices of length ≥ the plan's N, disjoint unless M = 1,
-// shorter only as e allows), with the edges e. Unit u decomposes as
-// p = u/S, q = u mod S; rects cuts the range into rectangles of units,
-// each run by the vector codelets (mixed_amd64.go) where they cover the
-// stage, else by the Go codelets. Which codelet computes a unit depends
-// on the range; its bits do not, because the vector codelets repeat the
-// Go codelets' arithmetic op for op. So any [ulo, uhi) partition of
-// [0, Units()) produces output bitwise identical to the full-range
-// serial pass — the determinism contract the parallel engine shards on.
-func (st *MixedStage) run(dst, src []complex128, ulo, uhi int, e stageEdge) {
-	rects(st.S, ulo, uhi, func(p0, p1, q0, q1 int) {
-		if !st.vec(dst, src, p0, p1, q0, q1, e) {
-			st.scalar(dst, src, p0, p1, q0, q1, e)
+// mixedPass is one pass of a plan: st is mp.Stages[i:i+k], one stage
+// (k = 1) or a fused pair (k = 2), and e its edges — the load edges
+// only on stage 0, the store edges only on the last stage, so a fused
+// pair, which lies strictly between them, has none. Its unit (p, q),
+// p < the last stage's M, q < the first stage's S, is a stage's own
+// unit, or for a pair a, b of radix r a's r units (p + m·c′, q), c′ < r,
+// m = b.M, and b's r units (p, q + S·d), d < r, S = a.S. a's unit c′
+// reads
+//
+//	src[q + S·(p + m·(c′ + r·c))]   c < r,
+//
+// with twiddles a.Tw[(r−1)·(p + m·c′) + d − 1], and its output d is
+// input c′ of b's unit d, which stores output d′ at
+//
+//	dst[q + S·d + r·S·d′ + r²·S·p]
+//
+// with twiddles b.Tw[(r−1)·p + d′ − 1]. That is the arithmetic of the
+// two stages on the same values, so the bits are theirs; the r² values
+// between the two halves never leave the unit, which halves the sweeps
+// of the array the two stages make. A pass's units touch
+// pairwise-disjoint elements.
+type mixedPass struct {
+	st []MixedStage
+	e  stageEdge
+}
+
+// units returns the number of units in the pass, the last stage's M
+// times the first stage's S; the parallel engine shards [0, units())
+// across workers.
+func (ps mixedPass) units() int { return ps.st[len(ps.st)-1].M * ps.st[0].S }
+
+// run executes units [ulo, uhi) of the pass, reading src and writing
+// dst (slices of length ≥ the plan's N, disjoint unless M = 1, shorter
+// only as the edges allow). Unit u decomposes as p = u/S, q = u mod S;
+// rects cuts the range into rectangles of units, each run by the vector
+// codelets (mixed_amd64.go) where they cover the pass, else by the Go
+// codelets. Which codelet computes a unit depends on the range; its
+// bits do not, because the vector codelets repeat the Go codelets'
+// arithmetic op for op. So any [ulo, uhi) partition of [0, units())
+// produces output bitwise identical to the full-range serial pass — the
+// determinism contract the parallel engine shards on.
+func (ps mixedPass) run(dst, src []complex128, ulo, uhi int) {
+	rects(ps.st[0].S, ulo, uhi, func(p0, p1, q0, q1 int) {
+		if !ps.vec(dst, src, p0, p1, q0, q1) {
+			ps.scalar(dst, src, p0, p1, q0, q1)
 		}
 	})
 }
+
+// scalar runs units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through the Go
+// codelets: a stage's with its edges (MixedStage.scalar), a fused pair's
+// composed in place in dst, pairRows rows p at a time. Stage a's unit
+// (p + m·c′, q) stores its output d where b's unit (p, q + S·d) stores
+// output c′, dst[q + S·d + r·S·c′ + r²·S·p]; b's codelet then runs on
+// those slots in place — they belong to the fused unit alone, and a
+// codelet loads a unit's r inputs before it stores any output. Each
+// codelet sees the values the two stages' would, so the bits are
+// theirs.
+func (ps mixedPass) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
+	a := &ps.st[0]
+	if len(ps.st) == 1 {
+		a.scalar(dst, src, p0, p1, q0, q1, ps.e)
+		return
+	}
+	b := &ps.st[1]
+	r, s, m := a.R, a.S, b.M
+	for pa := p0; pa < p1; pa += pairRows {
+		np := min(pairRows, p1-pa)
+		for c := range r {
+			p := pa + m*c
+			codelet(r, dst[r*r*s*pa+r*s*c+q0:], src[s*p+q0:], a.Tw[(r-1)*p:], cgeom{ir: s, il: s * a.M, it: r - 1, or: r * r * s, ol: s}, np, q1-q0)
+		}
+		for d := range r {
+			o := dst[r*r*s*pa+s*d+q0:]
+			codelet(r, o, o, b.Tw[(r-1)*pa:], cgeom{ir: r * r * s, il: r * s, it: r - 1, or: r * r * s, ol: r * s}, np, q1-q0)
+		}
+	}
+}
+
+// pairRows is how many rows of fused units the Go pair runs per block,
+// r codelet calls for each half. That path takes an odd S's last q
+// column, whose r² elements a row lie S apart, so a block's stores are
+// still in cache when b loads them; blocks of one row make r = 3's
+// calls cost a third more.
+const pairRows = 64
 
 // rects cuts units [ulo, uhi), unit u = (u/s, u mod s), into at most
 // three rectangles p ∈ [p0, p1), q ∈ [q0, q1) — a partial row of q,
@@ -370,81 +424,6 @@ func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageE
 	codelet(r, buf[r*s*p0+q0:], in, st.Tw[(r-1)*p0:], g, p1-p0, q1-q0)
 	if e.scale != 0 || e.out != nil {
 		st.store(dst, buf, p0, p1, q0, q1, e)
-	}
-}
-
-// mixedPair is two consecutive stages a, b of one radix r, neither the
-// first stage nor the last, run as one pass: fused unit (p, q), p < b.M,
-// q < a.S, is a's r units (p + b.M·c', q), c' < r, and b's r units
-// (p, q + a.S·d), d < r. a's unit c' reads
-//
-//	src[q + S·(p + b.M·(c' + r·c))]   c < r, S = a.S,
-//
-// with twiddles a.Tw[(r−1)·(p + b.M·c') + d − 1], and its output d is
-// input c' of b's unit d, which stores output d' at
-//
-//	dst[q + S·d + r·S·d' + r²·S·p]
-//
-// with twiddles b.Tw[(r−1)·p + d' − 1]. That is the arithmetic of the
-// two stages on the same values, so the bits are theirs; the r² values
-// between the two halves never leave the unit, which halves the sweeps
-// of the array the two stages make. Fused units touch pairwise-disjoint
-// elements, as a stage's units do.
-type mixedPair struct{ a, b *MixedStage }
-
-// Units returns the number of fused units in the pass.
-func (f mixedPair) Units() int { return f.b.M * f.a.S }
-
-// run executes fused units [ulo, uhi), unit u = (u/S, u mod S), from
-// src into dst (disjoint, each the plan's N long): on the vector pair
-// codelets, an odd q left over on the Go codelets (all of them where
-// hasPairCodelet is false, as in tests). Any partition of
-// [0, Units()) gives the full-range pass's bits.
-func (f mixedPair) run(dst, src []complex128, ulo, uhi int) {
-	rects(f.a.S, ulo, uhi, func(p0, p1, q0, q1 int) {
-		if !f.vec(dst, src, p0, p1, q0, q1) {
-			f.scalar(dst, src, p0, p1, q0, q1)
-		}
-	})
-}
-
-// pairTile is the scratch between a fused unit's two halves, in
-// complex128: 2 KiB, so a run of fused units keeps it in L1.
-const pairTile = 128
-
-// scalar runs fused units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through
-// the two Go codelets and a tile, [j][c'][d][k] for fused row pa + j and
-// q = qa + k: blocks of up to w adjacent q and one row, a's r rows c'
-// in one call and b's r rows d in another — or, where the tile holds
-// more than r rows of a narrower run of q (such as the odd q an odd S
-// leaves the vector codelets), blocks of that many rows, one call per
-// c' and per d, each across the block's rows: fewer calls per unit.
-func (f mixedPair) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
-	a, b := f.a, f.b
-	r, s, m := a.R, a.S, b.M
-	var tile [pairTile]complex128
-	w := min(len(tile)/(r*r), q1-q0)
-	rows := len(tile) / (r * r * w)
-	if rows <= r {
-		rows = 1
-	}
-	for pa := p0; pa < p1; pa += rows {
-		np := min(rows, p1-pa)
-		for qa := q0; qa < q1; qa += w {
-			w := min(w, q1-qa)
-			if rows == 1 {
-				codelet(r, tile[:], src[s*pa+qa:], a.Tw[(r-1)*pa:], cgeom{ir: s * m, il: s * a.M, it: (r - 1) * m, or: r * w, ol: w}, r, w)
-				codelet(r, dst[r*r*s*pa+qa:], tile[:], b.Tw[(r-1)*pa:], cgeom{ir: w, il: r * w, or: s, ol: r * s}, r, w)
-				continue
-			}
-			for c := range r {
-				p := pa + m*c
-				codelet(r, tile[c*r*w:], src[s*p+qa:], a.Tw[(r-1)*p:], cgeom{ir: s, il: s * a.M, it: r - 1, or: r * r * w, ol: w}, np, w)
-			}
-			for d := range r {
-				codelet(r, dst[r*r*s*pa+qa+s*d:], tile[d*w:], b.Tw[(r-1)*pa:], cgeom{ir: r * r * w, il: r * w, it: r - 1, or: r * r * s, ol: r * s}, np, w)
-			}
-		}
 	}
 }
 
@@ -506,12 +485,12 @@ func (st *MixedStage) store(dst, buf []complex128, p0, p1, q0, q1 int, e stageEd
 // output d ≥ 1 by tw[it·j + d − 1] and writes it at dst[or·j + k + ol·d]
 // — the slices starting at the rectangle's first unit. A stage's
 // rectangle of rows p is (S, S·M, R − 1, R·S, S); where scalar gathered
-// its inputs it reads (R·S, S); mixedPair.scalar points either half of
-// a fused unit at its tile.
+// its inputs it reads (R·S, S); mixedPass.scalar places each half of a
+// fused unit, rows p, with it.
 type cgeom struct{ ir, il, it, or, ol int }
 
 // codelet runs the radix-r Go codelet over rows × cols units placed by
-// g. The calls are direct, so a caller's stack tile stays on its stack.
+// g.
 func codelet(r int, dst, src, tw []complex128, g cgeom, rows, cols int) {
 	switch r {
 	case 2:

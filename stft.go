@@ -14,7 +14,8 @@ import (
 // HannWindow returns the length-n periodic Hann window
 // w[i] = 0.5·(1 − cos(2πi/n)). At hop = n/2 the shifted windows sum to
 // exactly 1 (the constant-overlap-add property), so a spectrogram taken
-// with it can be inverted by plain overlap-add.
+// with it can be inverted by plain overlap-add. For n < 1 it returns
+// nil.
 func HannWindow(n int) []float64 { return fft.Hann(n) }
 
 // STFTPlan computes short-time Fourier transforms: length-frame windows

@@ -62,6 +62,16 @@ func TestSTFTMatchesDFT(t *testing.T) {
 	}
 }
 
+// TestHannWindowNonPositive: a length below 1 gets no window (nil),
+// not a panic, from the public facade.
+func TestHannWindowNonPositive(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		if w := codeletfft.HannWindow(n); w != nil {
+			t.Fatalf("HannWindow(%d) = %v, want nil", n, w)
+		}
+	}
+}
+
 // TestHannCOLA pins the constant-overlap-add property the docs promise:
 // at hop = n/2 the shifted periodic Hann windows sum to exactly 1 —
 // and then verifies the reconstruction it implies end to end: inverse
