@@ -253,11 +253,11 @@ func TestFactor(t *testing.T) {
 // each stage covers the whole vector, the twiddle tables have the
 // documented (R−1)·M layout, each pass's units are N over its stages'
 // radices, the plan makes as many passes each way as the table says —
-// one per stage, less one per pair of same-radix
-// stages fused between the first and the last where the vector pair
-// codelets run (radix 3, 4, 5; one pass per stage on a build without
-// them, and for radix 7 everywhere), and an odd pass count
-// ends in place, with no copy-back — and the inverse's conjugations and
+// one per stage, less one per pair of same-radix stages after the
+// first, the last included, fused where the vector pair codelets run
+// (radix 3, 4, 5; one pass per stage on a build without them, and for
+// radix 7 everywhere), and an odd pass count ends in place, the last
+// pass a stage or a pair, with no copy-back — and the inverse's conjugations and
 // 1/N ride on the first and last (N = 1 keeps them as two sweeps), with
 // the bits of conj → forward → conj·1/N.
 func TestMixedPlanInvariants(t *testing.T) {
@@ -268,13 +268,16 @@ func TestMixedPlanInvariants(t *testing.T) {
 		{2520, 5},    // [4 2 3 3 5 7]
 		{6144, 5},    // [4 4 4 4 4 2 3]: two 4×4
 		{3 << 10, 4}, // [4 4 4 4 4 3]
-		{49, 2},      // [7 7]: no stage between the first and the last
+		{49, 2},      // [7 7]: no pair codelet for radix 7, and stage 0 stays single
 		{375, 3},     // [3 5 5 5]
+		{125, 2},     // [5 5 5]: the last pair, S = 5
 		{2401, 4},    // [7 7 7 7]: no pair codelet for radix 7
 		{12005, 5},   // [5 7 7 7 7]
-		{1000000, 6}, // [4 4 4 5 5 5 5 5 5]: 4×4, 5×5, 5×5; 9 before fusion
+		{1000000, 5}, // [4 4 4 5 5 5 5 5 5]: 4×4, 5×5, 5×5, 5×5 (the last, in place); 9 before fusion
 		{3 << 18, 6}, // [4 4 4 4 4 4 4 4 4 3]: four 4×4; 10 before fusion
-		{562500, 6},  // [4 3 3 5 5 5 5 5 5]: 3×3, 5×5, 5×5 (Bluestein's M at 2^18+3)
+		{562500, 5},  // [4 3 3 5 5 5 5 5 5]: 3×3, 5×5, 5×5, 5×5 (Bluestein's M at 2^18+3)
+		{19683, 5},   // [3 3 3 3 3 3 3 3 3]: four 3×3, the last in place with an odd S = 3^7
+		{59049, 6},   // [3 3 3 3 3 3 3 3 3 3]: four 3×3 from stage 1, the last stage single
 	} {
 		n := c.n
 		mp, err := fft.NewMixedPlan(n)

@@ -7,7 +7,8 @@ import "math"
 // vec runs the rectangle p ∈ [p0, p1), q ∈ [q0, q1) of the pass's
 // units on the AVX codelets in mixed_amd64.s, or reports false, having
 // run nothing, where they do not cover the pass. A fused pair runs on
-// the pair codelets (mixed33Asm … mixed55Asm), the q in pairs. A single
+// the pair codelets (mixed33Asm … mixed55Asm), the q in pairs, and as
+// the last pass with the store edges and in place. A single
 // stage with S ≥ 2 runs on the q-pair codelets: two complex128 to a YMM
 // register, one p after another with its twiddles broadcast, and with
 // M = 1 an output operand; with S = 1 (the first stage) the radix-4
@@ -25,15 +26,33 @@ func (ps mixedPass) vec(dst, src []complex128, p0, p1, q0, q1 int) bool {
 			return false
 		}
 		b := &ps.st[1]
-		if qe := q0 + (q1-q0)&^1; qe > q0 {
-			// The last unit's last load and store, and the last twiddles.
-			_, _ = src[s*(p1-1)+s*b.M*(r*r-1)+qe-1], dst[r*r*s*(p1-1)+(r+1)*s*(r-1)+qe-1]
-			_, _ = st.Tw[(r-1)*(p1-1+b.M*(r-1))+r-2], b.Tw[(r-1)*p1-1]
-			fusedCodelets[r](&dst[r*r*s*p0+q0], &src[s*p0+q0], &st.Tw[(r-1)*p0], &b.Tw[(r-1)*p0], s, b.M, p1-p0, (qe-q0)/2)
-			q0 = qe
-		}
-		if q0 < q1 {
-			ps.scalar(dst, src, p0, p1, q0, q1)
+		// Output row j < r² of unit (p, q) is dst[r²·S·p + q + S·j]. With
+		// an output operand (M = 1, p = 0) rows j < live store, and the q
+		// are cut where a row crosses the operand's end.
+		for x := q0; x < q1; {
+			live, end := r*r, q1
+			if e.out != nil {
+				live = min(r*r, max(0, len(e.out)-x+s-1)/s)
+				end = min(end, len(e.out)-s*(live-1))
+			}
+			if live == 0 {
+				break // no unit from here on stores anything
+			}
+			if xe := x + (end-x)&^1; xe > x {
+				var v *complex128
+				if e.out != nil {
+					_, v = e.out[s*(live-1)+xe-1], &e.out[x]
+				}
+				// The last unit's last load and store, and the last twiddles.
+				_, _ = src[s*(p1-1)+s*b.M*(r*r-1)+xe-1], dst[r*r*s*(p1-1)+s*(live-1)+xe-1]
+				_, _ = st.Tw[(r-1)*(p1-1+b.M*(r-1))+r-2], b.Tw[(r-1)*p1-1]
+				fusedCodelets[r](&dst[r*r*s*p0+x], &src[s*p0+x], &st.Tw[(r-1)*p0], &b.Tw[(r-1)*p0], s, b.M, p1-p0, (xe-x)/2, e.scale, v, live, e.post)
+				x = xe
+			}
+			if x < end {
+				ps.scalar(dst, src, p0, p1, x, end)
+			}
+			x = end
 		}
 		return true
 	}
@@ -124,7 +143,7 @@ func mixed4PairsAsm(dst, src, tw *complex128, m, np int, neg, scale float64, v *
 // vector pair codelet here: radix 3, 4 or 5 where soaHasAsm.
 func hasPairCodelet(r int) bool { return soaHasAsm && r >= 3 && r <= 5 }
 
-var fusedCodelets = [...]func(dst, src, twa, twb *complex128, s, m, np, nq int){
+var fusedCodelets = [...]func(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64){
 	3: mixed33Asm, 4: mixed44Asm, 5: mixed55Asm,
 }
 
@@ -134,13 +153,19 @@ var fusedCodelets = [...]func(dst, src, twa, twb *complex128, s, m, np, nq int){
 // S elements of src, r²·S of dst and r − 1 twiddles of each further on.
 // With m the second stage's M, the fused unit's stage-a row c' is S·m
 // elements of src and (r − 1)·m twiddles from row 0, its input lane c
-// r·S·m; its output (d, d') is S·d + r·S·d' elements from dst.
+// r·S·m; its output (d, d') is row j = d + r·d', S·j elements from dst.
+// A last pair (m = 1, np = 1) carries the store edges as the q-pair
+// codelets do: a nonzero scale stores conj(y)·scale; with an output
+// operand v (laid out as dst) rows j < live store y·v, conj·post-scaled
+// when post is nonzero, and the others nothing. live is r² without one.
+// Each chunk of q loads all its inputs before it stores, so dst may be
+// src.
 
 //go:noescape
-func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)
 
 //go:noescape
-func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)
 
 //go:noescape
-func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)

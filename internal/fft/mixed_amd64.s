@@ -9,10 +9,11 @@
 //
 //	x·w   (xr·wr − xi·wi, xi·wr + xr·wi): VMULPD by (wr, wr), VPERMILPD $5
 //	      (swap re and im), VMULPD by (wi, wi), VADDSUBPD — CMUL below.
-//	c·x   for a real constant c is Go's full complex product with a zero
-//	      imaginary part, (c·xr − 0·xi, c·xi + 0·xr): the 0·x terms are
-//	      kept (0·Inf is NaN, 0·−x is −0), so CMULK multiplies the
-//	      swapped x by a zero vector rather than dropping them.
+//	c·x   for a real constant c is two real products, (c·xr, c·xi): one
+//	      VMULPD by c broadcast. The Go codelets spell it so (rmul), not
+//	      as Go's complex product by complex(c, 0), whose 0·x terms
+//	      change a result only where c·xr or c·xi is ±0 or an input is
+//	      Inf or NaN.
 //	−i·x  (xi, −xr): a swap and a sign XOR, NEGI.
 //
 // Sums and products of two operands commute exactly, so only the order
@@ -34,11 +35,8 @@ DATA mixedNegIm<>+16(SB)/8, $0x0000000000000000
 DATA mixedNegIm<>+24(SB)/8, $0x8000000000000000
 GLOBL mixedNegIm<>(SB), RODATA|NOPTR, $32
 
-DATA mixedZero<>+0(SB)/8, $0.0
-DATA mixedZero<>+8(SB)/8, $0.0
-DATA mixedZero<>+16(SB)/8, $0.0
-DATA mixedZero<>+24(SB)/8, $0.0
-GLOBL mixedZero<>(SB), RODATA|NOPTR, $32
+DATA mixedOne<>+0(SB)/8, $1.0
+GLOBL mixedOne<>(SB), RODATA|NOPTR, $8
 
 DATA mixedHalf<>+0(SB)/8, $0.5
 DATA mixedHalf<>+8(SB)/8, $0.5
@@ -66,11 +64,6 @@ GLOBL mixedRadix5<>(SB), RODATA|NOPTR, $32
 	VPERMILPD $5, x, t; \
 	VMULPD    wi, t, t; \
 	VADDSUBPD t, out, out
-
-// out = c·x, Go's complex(c, 0)·x, given z = swap(x)·0.
-#define CMULK(x, c, z, out) \
-	VMULPD    c, x, out; \
-	VADDSUBPD z, out, out
 
 // x = −i·x.
 #define MULNEGI(x) \
@@ -139,20 +132,33 @@ plain: \
 // as mixed5Asm does). The butterflies are BFLY3, BFLY4 and BFLY5, so
 // the bits are the single-stage codelets'.
 //
+// A pair whose stage b is the last (M = 1, one row) may carry its store
+// edges: a nonzero scale, or an output operand v laid out as dst whose
+// rows j < live store (output (d, d') is row j = d + r·d', S·j elements
+// from q). With a scale alone stage b stores CONJSCALE(y) as it goes.
+// With an operand it stores into the tile, in place — output d' of its
+// unit d where input c' = d' was, so row j of pair k lies at
+// k·r²·32 + j·32 — and FUSED_OUT sweeps rows j < live from the tile to
+// dst in the single-stage codelets' order: CONJSCALE by scale, then
+// OUTLANE's y·v and CONJSCALE by post. Every chunk loads all its rows
+// before it stores any, so the pair also runs in place (dst = src).
+//
 // Registers: DI dst and SI src at the row, R9 S in bytes, DX rows
 // left, CX pairs left in the row, BX the chunk's byte offset in it,
 // R12 its pair count. Stage a: R14 the twiddles of row c', R11 its
 // inputs, AX the pair's, R13 the input lane stride r·S·M in bytes, R10
 // the tile, R8 the pairs left. Stage b: AX the chunk's output row d,
 // R14 the pair's, R8 the output lane stride r·S in bytes, R10 the
-// tile, R11 the pairs left. The 2128-byte frame holds the tile, ≤ 2 KiB
-// at a 32-byte boundary, and six words above it:
+// tile, R11 the pairs left. The 2144-byte frame holds the tile, ≤ 2 KiB
+// at a 32-byte boundary, and eight words above it:
 #define FUSED_SRC 2080   // S·M·16: row c' + 1 of src from row c'
 #define FUSED_TWS 2088   // (r − 1)·M·16: row c' + 1 of a's twiddles
 #define FUSED_TWA 2096   // a's twiddles at the row (c' = 0)
 #define FUSED_TWB 2104   // b's twiddles at the row
 #define FUSED_TILE 2112  // the tile
 #define FUSED_LANE 2120  // r·S·M·16
+#define FUSED_LIVE 2128  // live·32: a pair's rows in the tile
+#define FUSED_ROWS 2136  // FUSED_OUT's end of the pair's rows
 
 // The prologue for radix R: the frame's words, DI, SI, R9, DX.
 #define FUSED_PROLOGUE(R) \
@@ -173,6 +179,9 @@ plain: \
 	LEAQ   31(SP), AX; \
 	ANDQ   $-32, AX; \
 	MOVQ   AX, FUSED_TILE(SP); \
+	MOVQ   live+80(FP), AX; \
+	SHLQ   $5, AX; \
+	MOVQ   AX, FUSED_LIVE(SP); \
 	MOVQ   dst+0(FP), DI; \
 	MOVQ   src+8(FP), SI; \
 	MOVQ   np+48(FP), DX; \
@@ -253,9 +262,7 @@ r2_out:
 	VADDPD    Y2, Y1, Y3; \
 	VSUBPD    Y2, Y1, Y1; \
 	VADDPD    Y3, Y0, Y2; \
-	VPERMILPD $5, Y3, Y5; \
-	VMULPD    mixedZero<>(SB), Y5, Y5; \
-	CMULK(Y3, Y12, Y5, Y4); \
+	VMULPD    Y12, Y3, Y4; \
 	VSUBPD    Y4, Y0, Y0; \
 	VPERMILPD $5, Y1, Y1; \
 	VMULPD    Y13, Y1, Y1; \
@@ -533,9 +540,9 @@ r4p_operand:
 	INLANE(Y3)
 	JMP    r4p_loaded
 
-// The radix-5 butterfly on u0..u4 in Y0..Y4, c1, c2, s1, s2 in Y8..Y11
-// and zero in Y12, the twiddles w1..w4 broadcast from (TW) as each is
-// used; y0..y4 land in Y13, Y0, Y1, Y2, Y5.
+// The radix-5 butterfly on u0..u4 in Y0..Y4, c1, c2, s1, s2 in Y8..Y11,
+// the twiddles w1..w4 broadcast from (TW) as each is used; y0..y4 land
+// in Y13, Y0, Y1, Y2, Y5.
 //
 //	t1 = u1 + u4, t2 = u2 + u3, t3 = u1 − u4, t4 = u2 − u3
 //	m1 = u0 + c1·t1 + c2·t2, m2 = u0 + c2·t1 + c1·t2
@@ -551,27 +558,19 @@ r4p_operand:
 	VSUBPD    Y3, Y2, Y2; \
 	VADDPD    Y5, Y0, Y13; \
 	VADDPD    Y4, Y13, Y13; \
-	VPERMILPD $5, Y5, Y3; \
-	VMULPD    Y12, Y3, Y3; \
-	CMULK(Y5, Y8, Y3, Y6); \
-	CMULK(Y5, Y9, Y3, Y7); \
+	VMULPD    Y8, Y5, Y6; \
+	VMULPD    Y9, Y5, Y7; \
 	VADDPD    Y6, Y0, Y6; \
 	VADDPD    Y7, Y0, Y7; \
-	VPERMILPD $5, Y4, Y3; \
-	VMULPD    Y12, Y3, Y3; \
-	CMULK(Y4, Y9, Y3, Y5); \
+	VMULPD    Y9, Y4, Y5; \
 	VADDPD    Y5, Y6, Y6; \
-	CMULK(Y4, Y8, Y3, Y5); \
+	VMULPD    Y8, Y4, Y5; \
 	VADDPD    Y5, Y7, Y7; \
-	VPERMILPD $5, Y1, Y3; \
-	VMULPD    Y12, Y3, Y3; \
-	VPERMILPD $5, Y2, Y4; \
-	VMULPD    Y12, Y4, Y4; \
-	CMULK(Y1, Y10, Y3, Y0); \
-	CMULK(Y2, Y11, Y4, Y5); \
+	VMULPD    Y10, Y1, Y0; \
+	VMULPD    Y11, Y2, Y5; \
 	VADDPD    Y5, Y0, Y0; \
-	CMULK(Y1, Y11, Y3, Y5); \
-	CMULK(Y2, Y10, Y4, Y1); \
+	VMULPD    Y11, Y1, Y5; \
+	VMULPD    Y10, Y2, Y1; \
 	VSUBPD    Y1, Y5, Y5; \
 	MULNEGI(Y0); \
 	MULNEGI(Y5); \
@@ -599,7 +598,6 @@ TEXT ·mixed5Asm(SB), NOSPLIT, $0-96
 	VBROADCASTSD mixedRadix5<>+8(SB), Y9
 	VBROADCASTSD mixedRadix5<>+16(SB), Y10
 	VBROADCASTSD mixedRadix5<>+24(SB), Y11
-	VXORPD       Y12, Y12, Y12
 
 r5_row:
 	MOVQ R11, CX
@@ -728,8 +726,74 @@ loop: \
 	JNZ  loop; \
 	ADDQ R9, AX
 
-// The end of a chunk (loop) and of a row (row) for radix R.
-#define FUSED_END(R, chunk, row) \
+// Stage b's jumps to its edge paths: to operand with an output operand,
+// else to scaled, Y14 the scale broadcast, with a nonzero scale.
+#define FUSED_EDGES(operand, scaled) \
+	CMPQ         v+72(FP), $0; \
+	JNE          operand; \
+	CMPQ         scale+64(FP), $0; \
+	VBROADCASTSD scale+64(FP), Y14; \
+	JNE          scaled
+
+// The store edges of a chunk whose stage b left its outputs in the
+// tile: pair by pair, rows j < live, each output y stored at dst + S·j
+// as (conj(y)·scale)·v, then conj·post-scaled. A zero scale or post
+// takes the XOR mask +0 and the factor 1, which leave y's bits as they
+// are (a NaN stays a NaN), so the loop has no branch. Y4, Y6 hold
+// scale's mask and factor, Y5, Y7 post's; R8 walks dst's pairs, R13
+// the tile's, AX and R10 a pair's rows, R11 counts the pairs, and R14
+// is v's distance from dst. v's r² rows are as many streams again as
+// the data's, more than the hardware prefetchers follow (a Bluestein
+// filter pass ran 1.3× slower without it), so each row's v is
+// prefetched 512 bytes ahead of the q.
+#define FUSED_OUT(R, pair, row, scaled, posted) \
+	VXORPD       Y4, Y4, Y4; \
+	VBROADCASTSD mixedOne<>(SB), Y6; \
+	CMPQ         scale+64(FP), $0; \
+	JEQ          scaled; \
+	VMOVUPD      Y15, Y4; \
+	VBROADCASTSD scale+64(FP), Y6; \
+scaled: \
+	VXORPD       Y5, Y5, Y5; \
+	VBROADCASTSD mixedOne<>(SB), Y7; \
+	CMPQ         post+88(FP), $0; \
+	JEQ          posted; \
+	VMOVUPD      Y15, Y5; \
+	VBROADCASTSD post+88(FP), Y7; \
+posted: \
+	LEAQ         (DI)(BX*1), R8; \
+	MOVQ         FUSED_TILE(SP), R13; \
+	MOVQ         v+72(FP), R14; \
+	SUBQ         dst+0(FP), R14; \
+	MOVQ         R12, R11; \
+pair: \
+	MOVQ         R13, R10; \
+	ADDQ         FUSED_LIVE(SP), R10; \
+	MOVQ         R10, FUSED_ROWS(SP); \
+	MOVQ         R13, R10; \
+	MOVQ         R8, AX; \
+row: \
+	PREFETCHT0   512(AX)(R14*1); \
+	VMOVUPD      (R10), Y0; \
+	VXORPD       Y4, Y0, Y0; \
+	VMULPD       Y6, Y0, Y0; \
+	CMULV(Y0, Y1, Y2, Y3); \
+	VXORPD       Y5, Y0, Y0; \
+	VMULPD       Y7, Y0, Y0; \
+	VMOVUPD      Y0, (AX); \
+	ADDQ         R9, AX; \
+	ADDQ         $32, R10; \
+	CMPQ         R10, FUSED_ROWS(SP); \
+	JNE          row; \
+	ADDQ         $32, R8; \
+	ADDQ         $(R*R*32), R13; \
+	DECQ         R11; \
+	JNZ          pair
+
+// The end of a chunk (loop) and of a row (row) for radix R, at label
+// end.
+#define FUSED_END(R, end, chunk, row) \
+end: \
 	MOVQ   R12, R8; \
 	SHLQ   $5, R8; \
 	ADDQ   R8, BX; \
@@ -745,7 +809,7 @@ loop: \
 	VZEROUPPER; \
 	RET
 
-// func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+// func mixed33Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)
 #define LOAD3A \
 	VMOVUPD (AX), Y0; \
 	VMOVUPD (AX)(R13*1), Y1; \
@@ -776,7 +840,20 @@ loop: \
 	VMOVUPD Y4, (R14)(R8*1); \
 	VMOVUPD Y6, (R14)(R8*2)
 
-TEXT ·mixed33Asm(SB), $2128-64
+// Stage b's outputs conj·scaled by Y14 as they store.
+#define STORE3S \
+	CONJSCALE(Y2, Y14); \
+	CONJSCALE(Y4, Y14); \
+	CONJSCALE(Y6, Y14); \
+	STORE3B
+
+// Stage b's outputs back into the tile, where its inputs were.
+#define STORE3T \
+	VMOVUPD Y2, (R10); \
+	VMOVUPD Y4, 96(R10); \
+	VMOVUPD Y6, 192(R10)
+
+TEXT ·mixed33Asm(SB), $2144-96
 	FUSED_PROLOGUE(3)
 	VMOVUPD mixedHalf<>(SB), Y12
 	VMOVUPD mixedSqrt3<>(SB), Y13
@@ -788,12 +865,26 @@ TEXT ·mixed33Asm(SB), $2128-64
 	FUSED_B_START(3)
 	MOVQ FUSED_TWB(SP), R14
 	TW3(R14)
+	FUSED_EDGES(f3_operand, f3_scaled)
 	FUSED_B_LOOP(0, 3, LOAD3B, BFLY3, STORE3B, f3_b0)
 	FUSED_B_LOOP(1, 3, LOAD3B, BFLY3, STORE3B, f3_b1)
 	FUSED_B_LOOP(2, 3, LOAD3B, BFLY3, STORE3B, f3_b2)
-	FUSED_END(3, f3_chunk, f3_row)
+	FUSED_END(3, f3_end, f3_chunk, f3_row)
 
-// func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+f3_scaled:
+	FUSED_B_LOOP(0, 3, LOAD3B, BFLY3, STORE3S, f3_s0)
+	FUSED_B_LOOP(1, 3, LOAD3B, BFLY3, STORE3S, f3_s1)
+	FUSED_B_LOOP(2, 3, LOAD3B, BFLY3, STORE3S, f3_s2)
+	JMP f3_end
+
+f3_operand:
+	FUSED_B_LOOP(0, 3, LOAD3B, BFLY3, STORE3T, f3_t0)
+	FUSED_B_LOOP(1, 3, LOAD3B, BFLY3, STORE3T, f3_t1)
+	FUSED_B_LOOP(2, 3, LOAD3B, BFLY3, STORE3T, f3_t2)
+	FUSED_OUT(3, f3_opair, f3_orow, f3_oscaled, f3_oposted)
+	JMP f3_end
+
+// func mixed44Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)
 #define LOAD4A \
 	VMOVUPD (AX), Y0; \
 	VMOVUPD (AX)(R13*1), Y1; \
@@ -834,7 +925,21 @@ TEXT ·mixed33Asm(SB), $2128-64
 	VMOVUPD Y7, (R14)(R8*2); \
 	SUBQ    R8, R14
 
-TEXT ·mixed44Asm(SB), $2128-64
+// Stage b's outputs conj·scaled by Y14 as they store.
+#define STORE4S \
+	CONJSCALE(Y2, Y14); \
+	CONJSCALE(Y5, Y14); \
+	CONJSCALE(Y6, Y14); \
+	CONJSCALE(Y7, Y14); \
+	STORE4B
+
+#define STORE4T \
+	VMOVUPD Y2, (R10); \
+	VMOVUPD Y5, 128(R10); \
+	VMOVUPD Y6, 256(R10); \
+	VMOVUPD Y7, 384(R10)
+
+TEXT ·mixed44Asm(SB), $2144-96
 	FUSED_PROLOGUE(4)
 	FUSED_ROW(f4_row)
 	FUSED_CHUNK(4, f4_chunk)
@@ -845,13 +950,29 @@ TEXT ·mixed44Asm(SB), $2128-64
 	FUSED_B_START(4)
 	MOVQ FUSED_TWB(SP), R14
 	TW4(R14)
+	FUSED_EDGES(f4_operand, f4_scaled)
 	FUSED_B_LOOP(0, 4, LOAD4B, BFLY4, STORE4B, f4_b0)
 	FUSED_B_LOOP(1, 4, LOAD4B, BFLY4, STORE4B, f4_b1)
 	FUSED_B_LOOP(2, 4, LOAD4B, BFLY4, STORE4B, f4_b2)
 	FUSED_B_LOOP(3, 4, LOAD4B, BFLY4, STORE4B, f4_b3)
-	FUSED_END(4, f4_chunk, f4_row)
+	FUSED_END(4, f4_end, f4_chunk, f4_row)
 
-// func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int)
+f4_scaled:
+	FUSED_B_LOOP(0, 4, LOAD4B, BFLY4, STORE4S, f4_s0)
+	FUSED_B_LOOP(1, 4, LOAD4B, BFLY4, STORE4S, f4_s1)
+	FUSED_B_LOOP(2, 4, LOAD4B, BFLY4, STORE4S, f4_s2)
+	FUSED_B_LOOP(3, 4, LOAD4B, BFLY4, STORE4S, f4_s3)
+	JMP f4_end
+
+f4_operand:
+	FUSED_B_LOOP(0, 4, LOAD4B, BFLY4, STORE4T, f4_t0)
+	FUSED_B_LOOP(1, 4, LOAD4B, BFLY4, STORE4T, f4_t1)
+	FUSED_B_LOOP(2, 4, LOAD4B, BFLY4, STORE4T, f4_t2)
+	FUSED_B_LOOP(3, 4, LOAD4B, BFLY4, STORE4T, f4_t3)
+	FUSED_OUT(4, f4_opair, f4_orow, f4_oscaled, f4_oposted)
+	JMP f4_end
+
+// func mixed55Asm(dst, src, twa, twb *complex128, s, m, np, nq int, scale float64, v *complex128, live int, post float64)
 #define LOAD5A \
 	VMOVUPD (AX), Y0; \
 	VMOVUPD (AX)(R13*1), Y1; \
@@ -886,16 +1007,31 @@ TEXT ·mixed44Asm(SB), $2128-64
 	VMOVUPD Y2, (R14)(R8*2); \
 	SUBQ    R8, R14
 
+// Stage b's outputs conj·scaled by Y14 as they store.
+#define STORE5S \
+	CONJSCALE(Y13, Y14); \
+	CONJSCALE(Y0, Y14); \
+	CONJSCALE(Y1, Y14); \
+	CONJSCALE(Y2, Y14); \
+	CONJSCALE(Y5, Y14); \
+	STORE5B
+
+#define STORE5T \
+	VMOVUPD Y13, (R10); \
+	VMOVUPD Y0, 160(R10); \
+	VMOVUPD Y1, 320(R10); \
+	VMOVUPD Y2, 480(R10); \
+	VMOVUPD Y5, 640(R10)
+
 // Stage b at radix 5 reads its twiddles through R13, free there.
 #define BFLY5B BFLY5(R13)
 
-TEXT ·mixed55Asm(SB), $2128-64
+TEXT ·mixed55Asm(SB), $2144-96
 	FUSED_PROLOGUE(5)
 	VBROADCASTSD mixedRadix5<>+0(SB), Y8
 	VBROADCASTSD mixedRadix5<>+8(SB), Y9
 	VBROADCASTSD mixedRadix5<>+16(SB), Y10
 	VBROADCASTSD mixedRadix5<>+24(SB), Y11
-	VXORPD       Y12, Y12, Y12
 	FUSED_ROW(f5_row)
 	FUSED_CHUNK(2, f5_chunk)
 	FUSED_A_LOOP(0, 5, LOAD5A, BFLY5A, STORE5A, f5_a0)
@@ -905,9 +1041,27 @@ TEXT ·mixed55Asm(SB), $2128-64
 	FUSED_A_LOOP(4, 5, LOAD5A, BFLY5A, STORE5A, f5_a4)
 	FUSED_B_START(5)
 	MOVQ FUSED_TWB(SP), R13
+	FUSED_EDGES(f5_operand, f5_scaled)
 	FUSED_B_LOOP(0, 5, LOAD5B, BFLY5B, STORE5B, f5_b0)
 	FUSED_B_LOOP(1, 5, LOAD5B, BFLY5B, STORE5B, f5_b1)
 	FUSED_B_LOOP(2, 5, LOAD5B, BFLY5B, STORE5B, f5_b2)
 	FUSED_B_LOOP(3, 5, LOAD5B, BFLY5B, STORE5B, f5_b3)
 	FUSED_B_LOOP(4, 5, LOAD5B, BFLY5B, STORE5B, f5_b4)
-	FUSED_END(5, f5_chunk, f5_row)
+	FUSED_END(5, f5_end, f5_chunk, f5_row)
+
+f5_scaled:
+	FUSED_B_LOOP(0, 5, LOAD5B, BFLY5B, STORE5S, f5_s0)
+	FUSED_B_LOOP(1, 5, LOAD5B, BFLY5B, STORE5S, f5_s1)
+	FUSED_B_LOOP(2, 5, LOAD5B, BFLY5B, STORE5S, f5_s2)
+	FUSED_B_LOOP(3, 5, LOAD5B, BFLY5B, STORE5S, f5_s3)
+	FUSED_B_LOOP(4, 5, LOAD5B, BFLY5B, STORE5S, f5_s4)
+	JMP f5_end
+
+f5_operand:
+	FUSED_B_LOOP(0, 5, LOAD5B, BFLY5B, STORE5T, f5_t0)
+	FUSED_B_LOOP(1, 5, LOAD5B, BFLY5B, STORE5T, f5_t1)
+	FUSED_B_LOOP(2, 5, LOAD5B, BFLY5B, STORE5T, f5_t2)
+	FUSED_B_LOOP(3, 5, LOAD5B, BFLY5B, STORE5T, f5_t3)
+	FUSED_B_LOOP(4, 5, LOAD5B, BFLY5B, STORE5T, f5_t4)
+	FUSED_OUT(5, f5_opair, f5_orow, f5_oscaled, f5_oposted)
+	JMP f5_end

@@ -25,21 +25,27 @@ func mixedOracle(st *MixedStage, dst, full, in []complex128, u int, e stageEdge)
 	st.scalar(full, in, p, p+1, q, q+1, stageEdge{})
 	for d := 0; d < st.R; d++ {
 		k := st.R*st.S*p + d*st.S + q
-		y := full[k]
-		if e.scale != 0 {
-			y = complex(real(y)*e.scale, -imag(y)*e.scale)
-		}
-		if e.out != nil {
-			if k >= len(e.out) {
-				continue
-			}
-			y *= e.out[k]
-			if e.post != 0 {
-				y = complex(real(y)*e.post, -imag(y)*e.post)
-			}
-		}
-		dst[k] = y
+		storeOracle(dst, k, full[k], e)
 	}
+}
+
+// storeOracle stores output y of element k into dst through the store
+// edges, one sweep at a time: conj·scale, the output operand (nothing
+// stored at k ≥ len(out)), conj·post.
+func storeOracle(dst []complex128, k int, y complex128, e stageEdge) {
+	if e.scale != 0 {
+		y = complex(real(y)*e.scale, -imag(y)*e.scale)
+	}
+	if e.out != nil {
+		if k >= len(e.out) {
+			return
+		}
+		y *= e.out[k]
+		if e.post != 0 {
+			y = complex(real(y)*e.post, -imag(y)*e.post)
+		}
+	}
+	dst[k] = y
 }
 
 // checkMixedRange runs units [lo, hi) of st on src both ways — st's
@@ -123,7 +129,7 @@ func sameOrNaN(a, b float64) bool {
 // then one of the values whose bits a careless codelet loses: ±0,
 // subnormals, ±Inf, NaN. With zeros set it is mostly a signed zero, so
 // that the sign of a zero can travel through a whole butterfly and show
-// a dropped 0·x term or a swapped operand.
+// a stray 0·x term or a swapped operand.
 func mixedValue(rng *rand.Rand, zeros bool) float64 {
 	if zeros && rng.Intn(8) != 0 {
 		return math.Copysign(0, float64(rng.Intn(2))-0.5)
@@ -160,33 +166,44 @@ type mixedCase struct {
 
 // mixedEdges lists the cases a stage is checked with: no edge, the
 // inverse's conj and scale, an input operand ending at a random element
-// (its lanes cut in mid-range), and on an M = 1 stage an output operand
-// with a random store limit, both operands at once, and the stage run
-// in place. Operand values are mixedValue's.
+// (its lanes cut in mid-range), and on an M = 1 stage lastEdges' cases.
+// Operand values are mixedValue's.
 func mixedEdges(rng *rand.Rand, st *MixedStage) []mixedCase {
 	n := st.R * st.M * st.S
-	operand := func(k int) []complex128 {
-		v := make([]complex128, k)
-		for i := range v {
-			v[i] = complex(mixedValue(rng, false), mixedValue(rng, false))
-		}
-		return v
-	}
 	cs := []mixedCase{
 		{}, {e: stageEdge{conj: true}}, {e: stageEdge{scale: 1.0 / 3000}}, {e: stageEdge{conj: true, scale: 0.125}},
-		{e: stageEdge{in: operand(1 + rng.Intn(n))}},
-		{e: stageEdge{conj: true, in: operand(1 + rng.Intn(n)), scale: 0.5}},
+		{e: stageEdge{in: mixedOperand(rng, 1+rng.Intn(n))}},
+		{e: stageEdge{conj: true, in: mixedOperand(rng, 1+rng.Intn(n)), scale: 0.5}},
 	}
 	if st.M == 1 {
-		cs = append(cs,
-			mixedCase{e: stageEdge{out: operand(1 + rng.Intn(n))}},
-			mixedCase{e: stageEdge{conj: true, scale: 1.0 / 3000, out: operand(1 + rng.Intn(n)), post: 1.0 / 3}},
-			mixedCase{e: stageEdge{in: operand(1 + rng.Intn(n)), out: operand(n)}},
-			mixedCase{inPlace: true},
-			mixedCase{e: stageEdge{conj: true, scale: 0.125}, inPlace: true},
-		)
+		cs = append(cs, lastEdges(rng, n)...)
 	}
 	return cs
+}
+
+// lastEdges lists mixedEdges' cases for a last stage (M = 1) spanning n
+// elements: an output operand with a random store limit, conj and scale
+// with an operand and post-scale, both operands at once, and the stage
+// run in place — bare, with conj and scale (the inverse's last pass),
+// and with a whole-length operand (Bluestein's forward half).
+func lastEdges(rng *rand.Rand, n int) []mixedCase {
+	return []mixedCase{
+		{e: stageEdge{out: mixedOperand(rng, 1+rng.Intn(n))}},
+		{e: stageEdge{conj: true, scale: 1.0 / 3000, out: mixedOperand(rng, 1+rng.Intn(n)), post: 1.0 / 3}},
+		{e: stageEdge{in: mixedOperand(rng, 1+rng.Intn(n)), out: mixedOperand(rng, n)}},
+		{inPlace: true},
+		{e: stageEdge{conj: true, scale: 0.125}, inPlace: true},
+		{e: stageEdge{out: mixedOperand(rng, n)}, inPlace: true},
+	}
+}
+
+// mixedOperand returns k operand values drawn by mixedValue.
+func mixedOperand(rng *rand.Rand, k int) []complex128 {
+	v := make([]complex128, k)
+	for i := range v {
+		v[i] = complex(mixedValue(rng, false), mixedValue(rng, false))
+	}
+	return v
 }
 
 // pairPassOf builds a fused pair of radix r: stage a splits r²·m-point
@@ -198,11 +215,16 @@ func pairPassOf(r, m, s int) mixedPass {
 }
 
 // checkPairRange runs fused units [cuts[0], cuts[len(cuts)−1]) of pr on
-// src both ways — pr.run over the given cuts, and the two stages' Go
-// codelets in sequence over the whole array — and reports the first
-// output whose bits differ. An output the range does not write must
-// keep the sentinel, as must a guard past the array.
-func checkPairRange(t *testing.T, pr mixedPass, src []complex128, cuts []int) {
+// src both ways — pr.run over the given cuts with the store edges e,
+// and the two stages' Go codelets in sequence over the whole array, the
+// edges then applied one sweep at a time (storeOracle) — and reports
+// the first output whose bits differ. An output the range does not
+// write must keep the sentinel, as must a guard past the array; an
+// output operand's pass writes a dst len(e.out) long, and nothing after
+// it. With store edges or inPlace, pr must be a last pair (M = 1);
+// inPlace runs it in src itself, whose unwritten elements keep src's
+// values.
+func checkPairRange(t *testing.T, pr mixedPass, src []complex128, cuts []int, e stageEdge, inPlace bool) {
 	t.Helper()
 	a, b := &pr.st[0], &pr.st[1]
 	r, s := a.R, a.S
@@ -210,26 +232,36 @@ func checkPairRange(t *testing.T, pr mixedPass, src []complex128, cuts []int) {
 	mid, full := make([]complex128, n), make([]complex128, n)
 	a.scalar(mid, src, 0, a.M, 0, s, stageEdge{})
 	b.scalar(full, mid, 0, b.M, 0, b.S, stageEdge{})
+	m := n
+	if e.out != nil {
+		m = len(e.out)
+	}
 	want, got := make([]complex128, n+4), make([]complex128, n+4)
 	for i := range want {
 		want[i], got[i] = sentinel, sentinel
+	}
+	x := append([]complex128(nil), src...)
+	if inPlace {
+		copy(want, src)
+		got = x
 	}
 	for u := cuts[0]; u < cuts[len(cuts)-1]; u++ {
 		p, q := u/s, u%s
 		for d := range r {
 			for d2 := range r {
 				k := q + s*d + r*s*d2 + r*r*s*p
-				want[k] = full[k]
+				storeOracle(want, k, full[k], e)
 			}
 		}
 	}
+	pr.e = e
 	for i := 1; i < len(cuts); i++ {
-		pr.run(got[:n], src, cuts[i-1], cuts[i])
+		pr.run(got[:m], x, cuts[i-1], cuts[i])
 	}
 	for i := range got {
 		if !sameOrNaN(real(got[i]), real(want[i])) || !sameOrNaN(imag(got[i]), imag(want[i])) {
-			t.Fatalf("fused %d×%d M=%d S=%d cuts %v: out[%d] = %v (%#x, %#x), Go codelets %v (%#x, %#x)",
-				r, r, b.M, s, cuts, i, got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+			t.Fatalf("fused %d×%d M=%d S=%d edge %s cuts %v: out[%d] = %v (%#x, %#x), Go codelets %v (%#x, %#x)",
+				r, r, b.M, s, edgeString(e, inPlace), cuts, i, got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
 				want[i], math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
 		}
 	}
@@ -271,9 +303,11 @@ func TestMixedCodeletsMatchGo(t *testing.T) {
 		}
 	}
 	// Fused pairs: the vector pair codelets, and the Go composition in
-	// place that takes an odd q left over, against the two stages' Go
-	// codelets in sequence. m = 130 runs the Go pair over more than one
-	// block of pairRows rows.
+	// place that takes an odd q left over (at M = 1 the stack tile of
+	// lastUnit), against the two stages' Go codelets in sequence. m = 130
+	// runs the Go pair over more than one block of pairRows rows. A last
+	// pair (m = 1) also runs lastEdges' cases, their load edges dropped:
+	// a pair is never stage 0.
 	for _, r := range []int{3, 4, 5} {
 		for _, s := range []int{1, 2, 3, 4, 5, 16, 64, 1024} {
 			for _, m := range []int{1, 2, 3, 5, 8, 27, 130} {
@@ -283,12 +317,22 @@ func TestMixedCodeletsMatchGo(t *testing.T) {
 				pr := pairPassOf(r, m, s)
 				src := make([]complex128, r*r*m*s)
 				units := pr.units()
-				for _, zeros := range []bool{false, true} {
-					for i := range src {
-						src[i] = complex(mixedValue(rng, zeros), mixedValue(rng, zeros))
+				cs := []mixedCase{{}}
+				if m == 1 {
+					cs = append(cs, mixedCase{e: stageEdge{scale: 1.0 / 3000}})
+					for _, c := range lastEdges(rng, len(src)) {
+						c.e.conj, c.e.in = false, nil
+						cs = append(cs, c)
 					}
-					checkPairRange(t, pr, src, []int{0, units})
-					checkPairRange(t, pr, src, randomCuts(rng, units, s))
+				}
+				for _, c := range cs {
+					for _, zeros := range []bool{false, true} {
+						for i := range src {
+							src[i] = complex(mixedValue(rng, zeros), mixedValue(rng, zeros))
+						}
+						checkPairRange(t, pr, src, []int{0, units}, c.e, c.inPlace)
+						checkPairRange(t, pr, src, randomCuts(rng, units, s), c.e, c.inPlace)
+					}
 				}
 			}
 		}
@@ -314,10 +358,14 @@ var mixedSpecials = []byte{
 // eight bytes a number, repeated to fill the stage and the operands.
 // The edge's bits: 1 conj, 2 scale, 4 an input operand, 8 an output
 // operand, 16 in place, 32 post; an output operand or in place makes
-// M = 1, and lim16 sets the operands' lengths. With bit 64 set the rest
-// of edge and lim16 are ignored, and the fuzzer's shape is a fused pair
-// of radix 3, 4 or 5 instead (pairPassOf(r, m, s)), checked against
-// the two stages' Go codelets in sequence.
+// M = 1, and lim16 sets the operands' lengths. With bit 64 set the
+// fuzzer's shape is a fused pair of radix 3, 4 or 5 instead
+// (pairPassOf(r, m, s)), checked against the two stages' Go codelets in
+// sequence; an output operand or in place makes it a last pair (m = 1),
+// and a last pair honours the store-edge bits 2, 8 and 32 and the
+// in-place bit 16 (in place, the output operand spans the pair: the
+// shape of Bluestein's forward half). The load-edge bits 1 and 4 are
+// ignored there, as a pair is never stage 0.
 func FuzzMixedCodelets(f *testing.F) {
 	f.Add(uint8(4), uint16(1), uint16(6), uint32(0), uint32(24), uint8(1), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2, 3, 4, 5, 6, 7, 0x80})
 	f.Add(uint8(3), uint16(5), uint16(3), uint32(2), uint32(13), uint8(2), uint16(0), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
@@ -331,6 +379,9 @@ func FuzzMixedCodelets(f *testing.F) {
 	f.Add(uint8(1), uint16(3), uint16(2), uint32(1), uint32(11), uint8(64), uint16(0), mixedSpecials)                                               // fused 4×4, S = 4
 	f.Add(uint8(2), uint16(2), uint16(4), uint32(0), uint32(15), uint8(64), uint16(0), mixedSpecials)                                               // fused 5×5, odd S
 	f.Add(uint8(0), uint16(8), uint16(0), uint32(2), uint32(9), uint8(64), uint16(0), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 0x40}) // fused 3×3, M = 1
+	f.Add(uint8(2), uint16(6), uint16(5), uint32(1), uint32(7), uint8(64|8|2|32), uint16(100), mixedSpecials)                                       // last 5×5: operand, its limit mid-row
+	f.Add(uint8(1), uint16(3), uint16(0), uint32(0), uint32(5), uint8(64|16|2), uint16(0), mixedSpecials)                                           // last 4×4 in place, odd S, scaled
+	f.Add(uint8(0), uint16(2), uint16(0), uint32(0), uint32(3), uint8(64|16|8), uint16(0), mixedSpecials)                                           // last 3×3 in place with an operand
 	f.Fuzz(func(t *testing.T, radix uint8, s16, m16 uint16, lo32, hi32 uint32, edge uint8, lim16 uint16, raw []byte) {
 		if len(raw) < 8 {
 			return
@@ -349,13 +400,37 @@ func FuzzMixedCodelets(f *testing.F) {
 		}
 		if edge&64 != 0 {
 			r = []int{3, 4, 5}[int(radix)%3]
-			pr := pairPassOf(r, 1+m%12, 1+s%48)
+			pm := 1 + m%12
+			if edge&(8|16) != 0 {
+				pm = 1
+			}
+			pr := pairPassOf(r, pm, 1+s%48)
 			src := make([]complex128, r*pr.st[0].M*pr.st[0].S)
 			for i := range src {
 				src[i] = value(i)
 			}
+			var e stageEdge
+			inPlace := pm == 1 && edge&16 != 0
+			if pm == 1 {
+				if edge&2 != 0 {
+					e.scale = 1 / float64(len(src))
+				}
+				if edge&8 != 0 {
+					k := 1 + int(lim16)%len(src)
+					if inPlace {
+						k = len(src)
+					}
+					e.out = make([]complex128, k)
+					for i := range e.out {
+						e.out[i] = value(i + 1)
+					}
+					if edge&32 != 0 {
+						e.post = 0.25
+					}
+				}
+			}
 			lo, hi := cut(pr.units())
-			checkPairRange(t, pr, src, []int{lo, hi})
+			checkPairRange(t, pr, src, []int{lo, hi}, e, inPlace)
 			return
 		}
 		if edge&(8|16) != 0 {
@@ -433,15 +508,19 @@ func pairSets(pr mixedPass, u int, reads, writes []int) ([]int, []int) {
 // stray write shows where no unit should have stored. It also checks
 // that the schedule's passes are the stages with the fused pairs folded,
 // passCount of them. 59049 = 3^10 and 140625 = 3²·5⁶ fuse pairs with an
-// odd S, whose last q column runs in Go. A build without the pair
-// codelets fuses nothing.
+// odd S, whose last q column runs in Go. A pair that ends the plan
+// (checkLastPair) is also run in place, and with an output operand
+// into a shorter dst — for a Bluestein M, its inverse half storing the
+// caller's N points. A build without the pair codelets fuses nothing.
 func TestMixedPairClosure(t *testing.T) {
-	ns := []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 59049, 140625, 1000000, 3 << 18}
+	ns := []int{1, 3, 6, 7, 12, 1000, 12005, 19683, 49152, 59049, 140625, 1000000, 3 << 18}
+	short := map[int]int{} // a Bluestein M's N
 	for _, n := range []int{13, 1009, 4099, 65537, 129763, 1<<18 + 3} {
 		ns = append(ns, BluesteinLen(n))
+		short[BluesteinLen(n)] = n
 	}
 	rng := rand.New(rand.NewSource(3))
-	fusedPasses := 0
+	fusedPasses, lastPairs := 0, 0
 	for _, n := range ns {
 		mp, err := NewMixedPlan(n)
 		if err != nil {
@@ -459,6 +538,14 @@ func TestMixedPairClosure(t *testing.T) {
 				pr := mixedPass{st: mp.Stages[i : i+2]}
 				units = pr.units()
 				checkPairClosure(t, mp, i, pr, rng)
+				if i+2 == len(mp.Stages) {
+					lim, ok := short[n]
+					if !ok {
+						lim = n - 1 - rng.Intn(n/2)
+					}
+					checkLastPair(t, mp, i, pr, lim, rng)
+					lastPairs++
+				}
 				fusedPasses++
 				i++
 			}
@@ -470,8 +557,94 @@ func TestMixedPairClosure(t *testing.T) {
 			t.Fatalf("%v: %d passes, the stages make %d, passCount %d", mp, len(passes), j, passCount(mp.Radices))
 		}
 	}
-	if fusedPasses == 0 && hasPairCodelet(4) {
-		t.Fatal("no fused pass among the lengths")
+	if (fusedPasses == 0 || lastPairs == 0) && hasPairCodelet(4) {
+		t.Fatalf("%d fused passes, %d of them last, among the lengths", fusedPasses, lastPairs)
+	}
+}
+
+// checkLastPair checks the pair pr = stages i, i+1 that ends mp (M = 1:
+// unit q reads and writes the same r² elements, q + S·j) in the two ways
+// only a last pass runs. In place: a run of units, the array poison but
+// for their elements, leaves each of them a number and the rest poison.
+// Into a dst lim long, through an output operand as long, with conj·scale
+// and post: a run stores its elements below lim, read from its own, and
+// nothing else, nor past dst into the guard above it.
+func checkLastPair(t *testing.T, mp *MixedPlan, i int, pr mixedPass, lim int, rng *rand.Rand) {
+	t.Helper()
+	n, units := mp.N, pr.units()
+	var set []int
+	cuts := [][]int{{0, units}, randomCuts(rng, units, pr.st[0].S)}
+	for u := range units {
+		cuts = append(cuts, []int{u, u + 1})
+	}
+
+	arr := make([]complex128, n)
+	for k := range arr {
+		arr[k] = poison
+	}
+	for _, c := range cuts {
+		for k := 1; k < len(c); k++ {
+			set = set[:0]
+			for u := c[k-1]; u < c[k]; u++ {
+				_, set = pairSets(pr, u, nil, set)
+			}
+			for _, e := range set {
+				arr[e] = complex(float64(e%251+1), float64(e%13))
+			}
+			pr.run(arr, arr, c[k-1], c[k])
+			for _, e := range set {
+				if y := arr[e]; y != y {
+					t.Fatalf("%v stages %d+%d in place: units [%d, %d) left %v at %d: a read outside their set, or no store",
+						mp, i, i+1, c[k-1], c[k], y, e)
+				}
+				arr[e] = poison
+			}
+		}
+	}
+	for k, y := range arr {
+		if !sameBits(y, poison) {
+			t.Fatalf("%v stages %d+%d in place: element %d = %v, stored outside a unit's set", mp, i, i+1, k, y)
+		}
+	}
+
+	v := make([]complex128, lim)
+	for k := range v {
+		v[k] = complex(1, float64(k%7))
+	}
+	pr.e = stageEdge{scale: 1 / float64(n), out: v, post: 1 / float64(lim)}
+	src, dst := make([]complex128, n), make([]complex128, lim+4)
+	for k := range src {
+		src[k] = poison
+	}
+	for k := range dst {
+		dst[k] = sentinel
+	}
+	for _, c := range cuts {
+		for k := 1; k < len(c); k++ {
+			set = set[:0]
+			for u := c[k-1]; u < c[k]; u++ {
+				_, set = pairSets(pr, u, nil, set)
+			}
+			for _, e := range set {
+				src[e] = complex(float64(e%251+1), float64(e%13))
+			}
+			pr.run(dst[:lim], src, c[k-1], c[k])
+			for _, e := range set {
+				if e < lim {
+					if y := dst[e]; y != y {
+						t.Fatalf("%v stages %d+%d into %d: units [%d, %d) stored %v at %d: a read outside their set, or no store",
+							mp, i, i+1, lim, c[k-1], c[k], y, e)
+					}
+					dst[e] = sentinel
+				}
+				src[e] = poison
+			}
+		}
+	}
+	for k, y := range dst {
+		if !sameBits(y, sentinel) {
+			t.Fatalf("%v stages %d+%d into %d: element %d = %v, stored outside a unit's set or past the limit", mp, i, i+1, lim, k, y)
+		}
 	}
 }
 

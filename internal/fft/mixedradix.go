@@ -18,15 +18,15 @@
 // Ping-ponging src/dst across stages leaves the spectrum in natural
 // order with no digit-reversal pass — the Stockham autosort property,
 // generalized from the radix-2 case. A pass (mixedPass) runs one stage,
-// or two consecutive stages of one radix between the first and the last
-// where a vector pair codelet covers the radix: each fused unit passes
-// the r² values between its two stages on without a sweep of the
-// array, so the pair sweeps it once.
-// The last stage (m = 1) may run in place, so a plan ends in the
-// caller's array at any pass count, and multiply-only sweeps ride on
-// the first and last stages' edges (stageEdge). Units within a pass
-// touch pairwise-disjoint elements and are arithmetically
-// self-contained, so a pass shards across workers with
+// or two consecutive stages of one radix after the first, the last
+// included, where a vector pair codelet covers the radix: each fused
+// unit passes the r² values between its two stages on without a sweep
+// of the array, so the pair sweeps it once.
+// The last pass (m = 1), a stage or a pair, may run in place, so a plan
+// ends in the caller's array at any pass count, and multiply-only
+// sweeps ride on the first and last stages' edges (stageEdge). Units
+// within a pass touch pairwise-disjoint elements and are
+// arithmetically self-contained, so a pass shards across workers with
 // bitwise-identical output to the serial pass (internal/host leans on
 // this as it does for the staged power-of-two plan). On amd64 the
 // radix-2…5 butterflies, and the 3×3, 4×4 and 5×5 fused pairs, run as
@@ -41,8 +41,7 @@ import (
 )
 
 // Butterfly constants: cos/sin of the radix-3 and radix-5 roots of
-// unity, spelled as untyped constants so they contract into complex
-// arithmetic without conversions.
+// unity. A codelet multiplies by one as two real products (rmul).
 const (
 	sqrt3half = 0.86602540378443864676 // sin(π/3) = √3/2
 
@@ -51,6 +50,16 @@ const (
 	sin2pi5 = 0.95105651629515357212  // sin(2π/5)
 	sin4pi5 = 0.58778525229247312917  // sin(4π/5)
 )
+
+// rmul is c·x for a real c: two real products, (c·xr, c·xi), not Go's
+// complex product by complex(c, 0), whose 0·x terms only flip the sign
+// of a zero or turn an Inf into a NaN. The conversions round each
+// product, so the compiler cannot contract it into a fused multiply-add
+// with the sum it feeds (the spec allows that only without one), and
+// the vector codelets' single VMULPD gives the same bits.
+func rmul(c float64, x complex128) complex128 {
+	return complex(float64(c*real(x)), float64(c*imag(x)))
+}
 
 // w7 holds the radix-7 codelet's roots of unity ω_7^k.
 var w7 = func() (w [7]complex128) {
@@ -170,7 +179,7 @@ func (mp *MixedPlan) String() string {
 // transform: one pass per Stockham stage or fused pair of stages
 // (stages), ping-ponging between the caller's array and the work
 // buffer and ending in the caller's array — with an odd pass count the
-// last stage runs there in place. The inverse has exactly these passes:
+// last pass runs there in place. The inverse has exactly these passes:
 // the conjugation identity rides on them (see passes).
 func (mp *MixedPlan) Schedule(inverse bool) *Schedule {
 	if inverse {
@@ -210,8 +219,8 @@ func (mp *MixedPlan) passes(inverse bool) []Pass {
 // load edges, the last writes out and takes the store edges; pass j
 // between them writes b when j is even, a when it is odd, and the next
 // pass reads it. With an odd pass count the passes before the last end
-// in a, so when out is a the last stage — M = 1: each unit reads and
-// writes the same R elements — runs there in place.
+// in a, so when out is a the last pass — M = 1: each unit reads and
+// writes the same R elements, or R² for a pair — runs there in place.
 func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 	n := len(mp.Stages)
 	ps := make([]Pass, 0, passCount(mp.Radices))
@@ -237,13 +246,14 @@ func (mp *MixedPlan) stages(in, a, b, out operand, edges stageEdge) []Pass {
 }
 
 // fusedAt reports whether stages i and i+1 of the radix schedule run as
-// one pass: both lie strictly between the first stage and the last,
-// they share a radix, and a vector pair codelet covers it
-// (hasPairCodelet) — the Go composition of two codelets is no faster
-// than the two stages while the array fits in L2, so without one the
-// stages stay single. stages pairs greedily from stage 1.
+// one pass: both come after the first stage (the last may be i+1, and
+// the pair then carries the store edges and may run in place), they
+// share a radix, and a vector pair codelet covers it (hasPairCodelet) —
+// the Go composition of two codelets is no faster than the two stages
+// while the array fits in L2, so without one the stages stay single.
+// stages pairs greedily from stage 1.
 func fusedAt(radices []int, i int) bool {
-	return i > 0 && i+2 < len(radices) && radices[i] == radices[i+1] && hasPairCodelet(radices[i])
+	return i > 0 && i+1 < len(radices) && radices[i] == radices[i+1] && hasPairCodelet(radices[i])
 }
 
 // passCount returns the number of passes the stages of the radix
@@ -301,10 +311,25 @@ type stageEdge struct {
 	post  float64
 }
 
+// stored applies the store edges to output y of element k < len(out).
+func (e stageEdge) stored(y complex128, k int) complex128 {
+	if e.scale != 0 {
+		y = complex(real(y)*e.scale, -imag(y)*e.scale)
+	}
+	if e.out != nil {
+		y *= e.out[k]
+		if e.post != 0 {
+			y = complex(real(y)*e.post, -imag(y)*e.post)
+		}
+	}
+	return y
+}
+
 // mixedPass is one pass of a plan: st is mp.Stages[i:i+k], one stage
 // (k = 1) or a fused pair (k = 2), and e its edges — the load edges
 // only on stage 0, the store edges only on the last stage, so a fused
-// pair, which lies strictly between them, has none. Its unit (p, q),
+// pair, which never includes stage 0, has store edges at most, and
+// only as the last pass (M = 1). Its unit (p, q),
 // p < the last stage's M, q < the first stage's S, is a stage's own
 // unit, or for a pair a, b of radix r a's r units (p + m·c′, q), c′ < r,
 // m = b.M, and b's r units (p, q + S·d), d < r, S = a.S. a's unit c′
@@ -358,7 +383,9 @@ func (ps mixedPass) run(dst, src []complex128, ulo, uhi int) {
 // those slots in place — they belong to the fused unit alone, and a
 // codelet loads a unit's r inputs before it stores any output. Each
 // codelet sees the values the two stages' would, so the bits are
-// theirs.
+// theirs. That composition overwrites inputs of the unit's later
+// codelets when dst is src, so a last pair (M = 1), which may run in
+// place, runs a unit at a time through a stack tile (lastUnit).
 func (ps mixedPass) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
 	a := &ps.st[0]
 	if len(ps.st) == 1 {
@@ -367,6 +394,12 @@ func (ps mixedPass) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
 	}
 	b := &ps.st[1]
 	r, s, m := a.R, a.S, b.M
+	if m == 1 {
+		for q := q0; q < q1; q++ {
+			ps.lastUnit(dst, src, q)
+		}
+		return
+	}
 	for pa := p0; pa < p1; pa += pairRows {
 		np := min(pairRows, p1-pa)
 		for c := range r {
@@ -377,6 +410,31 @@ func (ps mixedPass) scalar(dst, src []complex128, p0, p1, q0, q1 int) {
 			o := dst[r*r*s*pa+s*d+q0:]
 			codelet(r, o, o, b.Tw[(r-1)*pa:], cgeom{ir: r * r * s, il: r * s, it: r - 1, or: r * r * s, ol: r * s}, np, q1-q0)
 		}
+	}
+}
+
+// lastUnit runs unit (0, q) of a pair whose stage b is the last (M = 1)
+// through a stack tile, so that it may run in place and carry the store
+// edges: its r² inputs, S apart from q, go through stage a's r codelets
+// into the tile, [c'][d], and stage b's codelets run there in place,
+// leaving output row j = d + r·d' at tile[j]; the store edges then take
+// row j to dst[q + S·j] as MixedStage.store does.
+func (ps mixedPass) lastUnit(dst, src []complex128, q int) {
+	a, b := &ps.st[0], &ps.st[1]
+	r, s := a.R, a.S
+	var t [25]complex128 // r ≤ 5: pairs fuse only where a vector pair codelet runs
+	codelet(r, t[:], src[q:], a.Tw, cgeom{ir: s, il: r * s, it: r - 1, or: r, ol: 1}, r, 1)
+	codelet(r, t[:], t[:], b.Tw, cgeom{il: r, it: r - 1, ol: r}, 1, r)
+	lim := len(dst)
+	if ps.e.out != nil {
+		lim = len(ps.e.out)
+	}
+	for j, y := range t[:r*r] {
+		k := q + s*j
+		if k >= lim {
+			break
+		}
+		dst[k] = ps.e.stored(y, k)
 	}
 }
 
@@ -464,17 +522,7 @@ func (st *MixedStage) store(dst, buf []complex128, p0, p1, q0, q1 int, e stageEd
 		for d := 0; d < r; d++ {
 			k0 := r*s*p + d*s
 			for k := k0 + q0; k < min(k0+q1, lim); k++ {
-				y := buf[k]
-				if e.scale != 0 {
-					y = complex(real(y)*e.scale, -imag(y)*e.scale)
-				}
-				if e.out != nil {
-					y *= e.out[k]
-					if e.post != 0 {
-						y = complex(real(y)*e.post, -imag(y)*e.post)
-					}
-				}
-				dst[k] = y
+				dst[k] = e.stored(buf[k], k)
 			}
 		}
 	}
@@ -535,7 +583,7 @@ func pass3(dst, src, tw []complex128, g cgeom, rows, cols int) {
 			u2 := src[in+k+2*g.il]
 			t1 := u1 + u2
 			t2 := u1 - u2
-			m1 := u0 - 0.5*t1
+			m1 := u0 - rmul(0.5, t1)
 			m2 := complex(sqrt3half*imag(t2), -sqrt3half*real(t2)) // -i·(√3/2)·t2
 			dst[out+k] = u0 + t1
 			dst[out+k+g.ol] = (m1 + m2) * w1
@@ -582,10 +630,10 @@ func pass5(dst, src, tw []complex128, g cgeom, rows, cols int) {
 			t2 := u2 + u3
 			t3 := u1 - u4
 			t4 := u2 - u3
-			m1 := u0 + cos2pi5*t1 + cos4pi5*t2
-			m2 := u0 + cos4pi5*t1 + cos2pi5*t2
-			a := sin2pi5*t3 + sin4pi5*t4
-			b := sin4pi5*t3 - sin2pi5*t4
+			m1 := u0 + rmul(cos2pi5, t1) + rmul(cos4pi5, t2)
+			m2 := u0 + rmul(cos4pi5, t1) + rmul(cos2pi5, t2)
+			a := rmul(sin2pi5, t3) + rmul(sin4pi5, t4)
+			b := rmul(sin4pi5, t3) - rmul(sin2pi5, t4)
 			m3 := complex(imag(a), -real(a)) // -i·a
 			m4 := complex(imag(b), -real(b)) // -i·b
 			dst[out+k] = u0 + t1 + t2

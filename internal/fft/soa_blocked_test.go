@@ -144,8 +144,11 @@ func TestSoAScheduleShape(t *testing.T) {
 // BenchmarkSoASchedule times one serial soa4 transform through the
 // plan's Schedule — the pack, the blocked level passes and the store
 // into the caller's array — at the default 64-point task size, forward
-// and inverse, from arrays that fit in L1 to 64 MiB ones. Reported
-// per point: go test -run '^$' -bench SoASchedule ./internal/fft.
+// and inverse, from arrays that fit in L1 to 64 MiB ones, through
+// benchSchedule: each op copies the same input back first, as
+// BenchmarkMixedPlan's do, so the two engines' figures carry the same
+// copy-in and repeated forwards never overflow. Reported per point: go
+// test -run '^$' -bench SoASchedule ./internal/fft.
 func BenchmarkSoASchedule(b *testing.B) {
 	for logN := 7; logN <= 22; logN++ {
 		n := 1 << logN
@@ -154,7 +157,7 @@ func BenchmarkSoASchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 		w := fft.Twiddles(n)
-		data := lcgComplex(n, uint64(logN))
+		orig := lcgComplex(n, uint64(logN))
 		for _, inverse := range []bool{false, true} {
 			dir := "fwd"
 			if inverse {
@@ -162,13 +165,7 @@ func BenchmarkSoASchedule(b *testing.B) {
 			}
 			s := pl.Schedule(w, fft.KernelSoARadix4, inverse)
 			b.Run(fmt.Sprintf("%s/2^%d", dir, logN), func(b *testing.B) {
-				b.SetBytes(int64(16 * n))
-				for i := 0; i < b.N; i++ {
-					if err := s.Run(data); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+				benchSchedule(b, s, orig)
 			})
 		}
 	}
