@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"codeletfft"
+	"codeletfft/internal/fft"
 )
 
 // TestNewHostPlanEveryLength is the exhaustive acceptance loop: every
@@ -57,13 +58,20 @@ func TestNewHostPlanEveryLength(t *testing.T) {
 }
 
 // TestHostPlanAlgorithmRouting pins which engine each length family
-// resolves to.
+// resolves to: a default power of two is staged below 8 points, and
+// from 8 the mixed-radix plan where fft.MixedPow2 moves it
+// (TestPow2Routing).
 func TestHostPlanAlgorithmRouting(t *testing.T) {
+	pow2 := "staged"
+	if fft.MixedPow2(256) {
+		pow2 = "mixed-radix"
+	}
 	cases := []struct {
 		n      int
 		prefix string
 	}{
-		{256, "staged"},
+		{4, "staged"},
+		{256, pow2},
 		{1, "mixed-radix"},
 		{12, "mixed-radix"},
 		{1000, "mixed-radix"},

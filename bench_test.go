@@ -11,6 +11,7 @@ import (
 
 	"codeletfft"
 	"codeletfft/internal/exp"
+	"codeletfft/internal/fft"
 )
 
 func quickCfg() exp.Config {
@@ -190,3 +191,37 @@ func BenchmarkAblationRowBuffer(b *testing.B) {
 }
 
 func byteSize(v int64) string { return fmt.Sprintf("%d", v) }
+
+// BenchmarkDefaultPow2 sets the cut fft.MixedPow2 draws: serial forward
+// plus inverse, in ns per point, of the default plan of each power of
+// two 2^1…2^22 — its Algorithm() in the name — against the staged plan
+// pinned to the kernel the rule names (fft.AutoKernel). The range the
+// rule moves to the mixed-radix plan is where the default wins on the
+// build whose vector codelets run; elsewhere the two are one plan.
+func BenchmarkDefaultPow2(b *testing.B) {
+	for lg := 1; lg <= 22; lg++ {
+		n := 1 << lg
+		for _, which := range []string{"default", "pinned"} {
+			opts := []codeletfft.HostOption{codeletfft.WithWorkers(1)}
+			if which == "pinned" {
+				opts = append(opts, codeletfft.WithKernel(fft.AutoKernel(n)))
+			}
+			h, err := codeletfft.NewHostPlan(n, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("n=%d/%s=%s", n, which, h.Algorithm()), func(b *testing.B) {
+				data := noise(n, int64(n))
+				for range b.N {
+					if err := h.Transform(data); err != nil {
+						b.Fatal(err)
+					}
+					if err := h.Inverse(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+			})
+		}
+	}
+}

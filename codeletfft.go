@@ -43,9 +43,11 @@
 //	    codeletfft.WithKernel(codeletfft.KernelAuto)) // the default: soa4 from 128 points, radix4 below
 //
 // The decomposition is the planner's, not the caller's: a power of two
-// runs the paper's 64-point codelets (clamped to the length), and a
-// call runs serially below 8192 elements, where dispatch would cost
-// more than it saves.
+// runs the paper's 64-point codelets (clamped to the length) — except a
+// default plan of 8 to 2^20 points where the AVX2 codelets run, which
+// takes the faster mixed-radix stages (fft.MixedPow2) — and a call runs
+// serially below 8192 elements, where dispatch would cost more than it
+// saves.
 //
 // Five butterfly kernels run on the same staged decomposition: radix-2
 // (the paper's formulation), radix-4 (three-multiply butterflies),

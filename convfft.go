@@ -44,7 +44,7 @@ type convScratch struct {
 // power of two — Bluestein's length rule — collapsed to a single
 // full-length segment when the whole output fits in one that small, so
 // every segment transform runs the vector mixed-radix stages (or the
-// staged power-of-two planner) natively. opts configure the segment
+// default plan of that power of two) natively. opts configure the segment
 // plan's engine exactly as for NewHostPlan. A shape whose output length
 // or 4·kernelLen overflows an int is ErrUnsupportedLength.
 func NewConvPlan(n, kernelLen int, opts ...HostOption) (*ConvPlan, error) {

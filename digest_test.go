@@ -58,9 +58,13 @@ func TestDefaultPlanDigests(t *testing.T) {
 		got[k] = digest(out...)
 	}
 	// The SoA kernels' vector codelets fuse multiply-adds, so their bits
-	// are the backend's: their lines carry its name.
-	accel := func(kind string, k codeletfft.Kernel) string {
-		if k == fft.KernelSoARadix2 || k == fft.KernelSoARadix4 {
+	// are the backend's: their lines carry its name. So do the powers of
+	// two fft.MixedPow2 moves (kernLen, a real plan's half): the backend
+	// decides whether the mixed stages or the staged kernels run, and the
+	// line is keyed on what runs — at 8 and 64 points Kernel() names
+	// radix4, which runs only where the length stays staged.
+	accel := func(kind string, kernLen int, k codeletfft.Kernel) string {
+		if k == fft.KernelSoARadix2 || k == fft.KernelSoARadix4 || movedPow2(kernLen) {
 			return kind + "/" + codeletfft.Acceleration()
 		}
 		return kind
@@ -75,7 +79,7 @@ func TestDefaultPlanDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := accel("complex", serial.Kernel())
+		kind := accel("complex", n, serial.Kernel())
 		for _, dir := range []string{"fwd", "inv"} {
 			run, runPar, batch := serial.Transform, par.Transform, par.TransformBatch
 			if dir == "inv" {
@@ -126,7 +130,7 @@ func TestDefaultPlanDigests(t *testing.T) {
 			for i, v := range z {
 				x[i] = real(v)
 			}
-			kind := accel("real", rp.Kernel())
+			kind := accel("real", n/2, rp.Kernel())
 			spec := make([]complex128, rp.SpectrumLen())
 			mustRun(t, rp.Transform(spec, x))
 			add(kind, n, way, "fwd", spec)

@@ -11,3 +11,10 @@ func ForwardSchedule(h *HostPlan) any { return h.core.fwd }
 func WithThreshold(n int) HostOption {
 	return func(o hostOpts) hostOpts { o.threshold = n; return o }
 }
+
+// ConvSegmentPlan and STFTFramePlan expose the plan a convolution's
+// segments and a spectrogram's frames run on, so the external tests can
+// check where the length routed.
+func ConvSegmentPlan(p *ConvPlan) *HostPlan { return p.seg }
+
+func STFTFramePlan(p *STFTPlan) *HostPlan { return p.plan }

@@ -1,6 +1,7 @@
 package codeletfft
 
 import (
+	"cmp"
 	"context"
 	"sync"
 
@@ -23,14 +24,15 @@ var (
 	ErrLengthMismatch = fft.ErrLengthMismatch
 )
 
-// Kernel selects the butterfly factorization a plan runs: KernelAuto
-// (the default) is replaced, when the plan is built, by the kernel a
-// fixed rule names for the length the kernel runs on (KernelSoARadix4
-// from 128 points up, KernelRadix4 below); the other values pin one
-// factorization. All kernels compute the same DFT over the same staged
-// decomposition — outputs of one plan are bitwise deterministic, the
-// default plan's included, and outputs of different kernels agree to
-// rounding.
+// Kernel selects the butterfly factorization a staged plan runs:
+// KernelAuto (the default) is replaced, when the plan is built, by the
+// kernel a fixed rule names for the length the kernel runs on
+// (KernelSoARadix4 from 128 points up, KernelRadix4 below); the other
+// values pin one factorization. All kernels compute the same DFT over
+// the same staged decomposition — outputs of one plan are bitwise
+// deterministic, the default plan's included, and outputs of different
+// kernels agree to rounding. A default plan that NewHostPlan sends to
+// the mixed-radix plan runs no kernel.
 type Kernel = fft.Kernel
 
 // Kernel values for WithKernel.
@@ -56,9 +58,10 @@ func ParseKernel(s string) (Kernel, error) { return fft.ParseKernel(s) }
 // (KernelSoARadix2, KernelSoARadix4) run on in this process:
 // "avx2+fma", "neon", or "generic" when the binary was built with the
 // noasm tag or the CPU lacks the features. The scalar kernels are
-// unaffected by it, and so is the default: KernelAuto resolves to the
-// same kernel on every backend (the pure-Go SoA loops still beat the
-// scalar kernels from 128 points up).
+// unaffected by it, and so is KernelAuto: it resolves to the same kernel
+// on every backend (the pure-Go SoA loops still beat the scalar kernels
+// from 128 points up). With "avx2+fma", default plans of 8…2^20-point
+// powers of two run the mixed-radix plan instead (NewHostPlan).
 func Acceleration() string { return fft.SoAAccel() }
 
 // Plan is the one interface every transform provider implements: host
@@ -126,32 +129,34 @@ func WithObserver(obs EngineObserver) HostOption {
 }
 
 // WithKernel pins the butterfly kernel (KernelRadix2, KernelRadix4,
-// KernelSplitRadix, KernelSoARadix2, KernelSoARadix4). KernelAuto, the
+// KernelSplitRadix, KernelSoARadix2, KernelSoARadix4): a power of two
+// then runs the staged decomposition with that kernel. KernelAuto, the
 // default, is the same as pinning the kernel the rule names for the
 // plan's length (see Kernel): the two build the same plan and, cached,
-// share one cache entry. Mixed-radix and Bluestein plans run per-radix
-// codelets, not a kernel, and ignore it.
+// share one cache entry — unless the default plan is the mixed-radix
+// one (NewHostPlan). Other lengths run per-radix codelets, not a
+// kernel, and ignore it.
 func WithKernel(k Kernel) HostOption {
 	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
 
-// resolveOpts applies opts for a plan whose kernel runs on kernLen
-// points. Only a power of two ≥ 2 runs a kernel: there KernelAuto is
-// resolved by the rule — before a cache key is formed or a core built,
-// so nothing downstream sees Auto. Any other length runs the
-// mixed-radix or Bluestein plan's per-radix codelets, so its kernel is
-// KernelAuto, pinned or not: the length's plans build, and cached
-// share, one core, which names the kernel it reports.
-func resolveOpts(kernLen int, opts []HostOption) hostOpts {
+// resolveOpts applies opts for an n-point plan and settles its kernel
+// before a cache key is formed or a core built. Only a staged power of
+// two runs a kernel: a pinned one, or KernelAuto resolved by the rule
+// where fft.MixedPow2 keeps the default staged. Every other plan runs
+// per-radix codelets, so its kernel stays KernelAuto — a moved default
+// power of two, and any other length pinned or not, whose plans build,
+// and cached share, one core that names the kernel it reports.
+func resolveOpts(n int, opts []HostOption) hostOpts {
 	var o hostOpts
 	for _, opt := range opts {
 		o = opt(o)
 	}
 	switch {
-	case fft.Log2(kernLen) < 1:
+	case fft.Log2(n) < 1, o.kern == KernelAuto && fft.MixedPow2(n):
 		o.kern = KernelAuto
 	case o.kern == KernelAuto:
-		o.kern = fft.AutoKernel(kernLen)
+		o.kern = fft.AutoKernel(n)
 	}
 	return o
 }
@@ -175,16 +180,17 @@ type hostCore struct {
 	fwd, inv *fft.Schedule
 }
 
-// newHostCore routes a length to its planner: powers of two ≥ 2 keep
-// the staged decomposition with P = min(64, n) — the paper's codelet
-// clamped to the length, the rule the four-step and Bluestein plans
-// apply to their sub-transforms — lengths factoring over {2,3,5,7} get
-// the mixed-radix plan, and everything else ≥ 1 gets the Bluestein
-// fallback. Only n < 1 and n whose Bluestein convolution length would
-// overflow an int fail.
+// newHostCore routes a length to its planner, on the kernel resolveOpts
+// left: a power of two with a kernel gets the staged decomposition with
+// P = min(64, n) — the paper's codelet clamped to the length, the rule
+// the four-step and Bluestein plans apply to their sub-transforms —
+// lengths factoring over {2,3,5,7}, a default power of two that
+// fft.MixedPow2 moves among them, get the mixed-radix plan, and
+// everything else ≥ 1 gets the Bluestein fallback. Only n < 1 and n
+// whose Bluestein convolution length would overflow an int fail.
 func newHostCore(n int, o hostOpts) (*hostCore, error) {
 	c := &hostCore{n: n, kern: o.kern}
-	if n >= 2 && n&(n-1) == 0 {
+	if o.kern != KernelAuto {
 		pl, err := fft.NewPlan(n, min(64, n))
 		if err != nil {
 			return nil, err
@@ -211,11 +217,12 @@ func newHostCore(n int, o hostOpts) (*hostCore, error) {
 }
 
 // planKey identifies a cached core by the transform length and the
-// kernel resolveOpts left: resolved for a power of two, so a default
-// plan and one pinned to the kernel the rule names are the same entry,
-// and KernelAuto for every other length, whose one core serves every
-// pin. Keys compare by value, so n alone keeps a length's family apart
-// from every other length's.
+// kernel resolveOpts left: resolved for a staged power of two, so a
+// default plan and one pinned to the kernel the rule names are the same
+// entry, and KernelAuto for a plan that runs none — a moved default
+// power of two, apart from its pinned plans, and every other length,
+// whose one core serves every pin. Keys compare by value, so n alone
+// keeps a length's family apart from every other length's.
 type planKey struct {
 	n    int
 	kern Kernel
@@ -282,12 +289,14 @@ type HostPlan struct {
 
 // NewHostPlan builds a host-side plan for n-point transforms, any
 // n ≥ 1. Powers of two run the staged decomposition (64-point kernels,
-// clamped to n); other lengths factoring over {2, 3, 5, 7} run the
-// mixed-radix Stockham schedule (WithKernel is ignored); and lengths
-// with larger prime factors run the Bluestein chirp-z plan, whose
-// embedded convolution runs the mixed-radix stages on a {2, 3, 5}-smooth
-// length near 2n (WithKernel is ignored). All paths
-// use a GOMAXPROCS parallel engine by default:
+// clamped to n) — but where the mixed stages' vector codelets run
+// (amd64 with AVX2 and FMA) a default plan of 8 to 2^20 points runs the
+// faster mixed-radix schedule (fft.MixedPow2). Other lengths factoring
+// over {2, 3, 5, 7} run the mixed-radix Stockham schedule (WithKernel is
+// ignored); and lengths with larger prime factors run the Bluestein
+// chirp-z plan, whose embedded convolution runs the mixed-radix stages
+// on a {2, 3, 5}-smooth length near 2n (WithKernel is ignored). All
+// paths use a GOMAXPROCS parallel engine by default:
 //
 //	p, err := codeletfft.NewHostPlan(1<<20, codeletfft.WithWorkers(8))
 func NewHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
@@ -322,7 +331,8 @@ func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 func (h *HostPlan) N() int { return h.core.n }
 
 // Algorithm names the decomposition the length routed to: "staged" for
-// powers of two, "mixed-radix[…]" with the radix schedule, or
+// a staged power of two, "mixed-radix[…]" with the radix schedule (a
+// moved power of two: "mixed-radix[4 4 4 4 4]" for 1024), or
 // "bluestein[M=… mixed-radix[…]]" with the embedded convolution's
 // length and schedule.
 func (h *HostPlan) Algorithm() string { return h.core.algo }
@@ -334,7 +344,7 @@ func (h *HostPlan) Workers() int { return h.eng.Workers() }
 // pinned, else the rule's answer for this length — for a Bluestein
 // plan, for its convolution length. Mixed-radix and Bluestein plans run
 // no kernel; they report the rule's answer for that length whatever was
-// pinned.
+// pinned, a default power of two on the mixed-radix plan too.
 func (h *HostPlan) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward FFT in place on the plan's parallel
@@ -446,8 +456,8 @@ func (r *RealPlan) N() int { return r.core.N }
 func (r *RealPlan) SpectrumLen() int { return r.core.SpectrumLen() }
 
 // Algorithm names the path the length routed to: "real+" followed by
-// the half plan's algorithm ("staged" for powers of two, otherwise the
-// mixed-radix schedule or Bluestein embedding).
+// the half plan's algorithm ("staged" for a staged power of two,
+// otherwise the mixed-radix schedule or Bluestein embedding).
 func (r *RealPlan) Algorithm() string { return "real+" + r.half.Algorithm() }
 
 // Workers returns the worker count the parallel engine resolved.
@@ -531,13 +541,14 @@ type HostPlan2D struct {
 // min(64, rows, cols)-point kernels.
 func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
 	// KernelAuto resolves on the row transform's length (the hotter of
-	// the two passes).
+	// the two passes); a 2-D plan is staged at every length.
 	o := resolveOpts(cols, opts)
 	pl, err := fft.NewPlan2D(rows, cols, min(64, rows, cols))
 	if err != nil {
 		return nil, err
 	}
-	core := &hostCore{kern: o.kern, fwd: pl.Schedule(o.kern, false), inv: pl.Schedule(o.kern, true)}
+	k := cmp.Or(o.kern, fft.AutoKernel(cols))
+	core := &hostCore{kern: k, fwd: pl.Schedule(k, false), inv: pl.Schedule(k, true)}
 	return &HostPlan2D{core: core, eng: o.engine()}, nil
 }
 

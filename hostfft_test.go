@@ -3,6 +3,7 @@ package codeletfft_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -207,24 +208,20 @@ func TestHostPlanOptionDefaults(t *testing.T) {
 	}
 }
 
-// TestHostPlanTaskSizeRule: a default plan of a power of two runs
+// TestHostPlanTaskSizeRule: a staged plan of a power of two runs
 // P = min(64, N) — a real plan on its N/2-point half, a 2-D plan
 // min(64, rows, cols) on both axes — so its output is bitwise the
 // fft-level schedule built with that P and the rule's kernel, forward
 // and inverse, on both sides of 64 and of the 128-point kernel switch.
+// A plan pinned to the rule's kernel is staged at every length, a
+// default one where fft.MixedPow2 leaves it (TestPow2Routing has the
+// rest).
 func TestHostPlanTaskSizeRule(t *testing.T) {
 	check := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// apply runs f on a copy of x.
-	apply := func(x []complex128, f func([]complex128) error) []complex128 {
-		t.Helper()
-		y := append([]complex128(nil), x...)
-		check(f(y))
-		return y
 	}
 	for lg := 1; lg <= 14; lg++ {
 		n := 1 << lg
@@ -234,17 +231,19 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 		}
 		w, k := fft.Twiddles(n), fft.AutoKernel(n)
 		x := noise(n, int64(n))
-		fwd, inv := apply(x, pl.Schedule(w, k, false).Run), apply(x, pl.Schedule(w, k, true).Run)
+		fwd, inv := applied(t, x, pl.Schedule(w, k, false).Run), applied(t, x, pl.Schedule(w, k, true).Run)
 		for _, mk := range []struct {
 			name string
 			new  func(int, ...codeletfft.HostOption) (*codeletfft.HostPlan, error)
 		}{{"NewHostPlan", codeletfft.NewHostPlan}, {"CachedHostPlan", codeletfft.CachedHostPlan}} {
-			h, err := mk.new(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameBits(apply(x, h.Transform), fwd) || !sameBits(apply(x, h.Inverse), inv) {
-				t.Errorf("%s(%d) is not the P=%d %v schedule", mk.name, n, min(64, n), k)
+			for _, opts := range stagedOpts(n) {
+				h, err := mk.new(n, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(applied(t, x, h.Transform), fwd) || !sameBits(applied(t, x, h.Inverse), inv) {
+					t.Errorf("%s(%d, %d options) is not the P=%d %v schedule", mk.name, n, len(opts), min(64, n), k)
+				}
 			}
 		}
 	}
@@ -275,16 +274,18 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 		wantBack := make([]float64, n)
 		split.PostInverse(wantBack, work)
 
-		rp, err := codeletfft.NewRealPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := make([]complex128, rp.SpectrumLen())
-		check(rp.Transform(spec, x))
-		back := make([]float64, n)
-		check(rp.Inverse(back, wantSpec))
-		if !sameBits(spec, wantSpec) || !sameBits(realParts(back), realParts(wantBack)) {
-			t.Errorf("NewRealPlan(%d) is not the split around the P=%d %v half schedule", n, min(64, h), k)
+		for _, opts := range stagedOpts(h) {
+			rp, err := codeletfft.NewRealPlan(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := make([]complex128, rp.SpectrumLen())
+			check(rp.Transform(spec, x))
+			back := make([]float64, n)
+			check(rp.Inverse(back, wantSpec))
+			if !sameBits(spec, wantSpec) || !sameBits(realParts(back), realParts(wantBack)) {
+				t.Errorf("NewRealPlan(%d, %d options) is not the split around the P=%d %v half schedule", n, len(opts), min(64, h), k)
+			}
 		}
 	}
 
@@ -300,11 +301,22 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(apply(x, h.Transform), apply(x, p2.Schedule(k, false).Run)) ||
-			!sameBits(apply(x, h.Inverse), apply(x, p2.Schedule(k, true).Run)) {
+		if !sameBits(applied(t, x, h.Transform), applied(t, x, p2.Schedule(k, false).Run)) ||
+			!sameBits(applied(t, x, h.Inverse), applied(t, x, p2.Schedule(k, true).Run)) {
 			t.Errorf("NewHostPlan2D(%d, %d) is not the P=%d %v schedule", rows, cols, min(64, rows, cols), k)
 		}
 	}
+}
+
+// stagedOpts lists the option sets that give the staged plan of the
+// power of two n: the kernel the rule names pinned, and the default
+// unless fft.MixedPow2 moves it.
+func stagedOpts(n int) [][]codeletfft.HostOption {
+	sets := [][]codeletfft.HostOption{{codeletfft.WithKernel(fft.AutoKernel(n))}}
+	if !fft.MixedPow2(n) {
+		sets = append(sets, nil)
+	}
+	return sets
 }
 
 // realParts widens x to complex128 for sameBits.
@@ -755,7 +767,10 @@ func TestCachedHostPlan(t *testing.T) {
 // kernel runs on — N for a power of two, N/2 for a real plan, the
 // convolution length M for Bluestein, the row length for 2-D — on both
 // sides of the rule's one threshold, and what Kernel() reports is what
-// runs: the default plan's bits are the pinned plan's.
+// runs: the default plan's bits are the pinned plan's, except where
+// fft.MixedPow2 puts a default power of two (or a real plan's half) on
+// the mixed-radix plan, which reports the rule's answer as a smooth
+// length's plan does and runs its own bits (TestPow2Routing).
 func TestAutoKernelRule(t *testing.T) {
 	const lo, hi = codeletfft.KernelRadix4, codeletfft.KernelSoARadix4
 	for _, c := range []struct {
@@ -768,14 +783,14 @@ func TestAutoKernelRule(t *testing.T) {
 	}
 
 	type plan interface{ Kernel() codeletfft.Kernel }
-	check := func(name string, want codeletfft.Kernel, build func(...codeletfft.HostOption) (plan, []complex128)) {
+	check := func(name string, want codeletfft.Kernel, kernLen int, build func(...codeletfft.HostOption) (plan, []complex128)) {
 		t.Helper()
 		def, a := build()
 		pin, b := build(codeletfft.WithKernel(want))
 		if def.Kernel() != want || pin.Kernel() != want {
 			t.Errorf("%s: Kernel() = %v (default), %v (pinned), want %v", name, def.Kernel(), pin.Kernel(), want)
 		}
-		if !sameBits(a, b) {
+		if !fft.MixedPow2(kernLen) && !sameBits(a, b) {
 			t.Errorf("%s: default plan and the plan pinned to %v disagree bitwise", name, want)
 		}
 	}
@@ -816,22 +831,26 @@ func TestAutoKernelRule(t *testing.T) {
 			return h, data
 		}
 	}
-	check("pow2 64", lo, complexPlan(64))
-	check("pow2 128", hi, complexPlan(128))
-	check("real 128 (half 64)", lo, realPlan(128))
-	check("real 256 (half 128)", hi, realPlan(256))
-	check("bluestein 31 (M=64)", lo, complexPlan(31))
-	check("bluestein 67 (M=144)", hi, complexPlan(67))
-	check("2-D 256x64 (rows of 64)", lo, plan2D(256, 64))
-	check("2-D 64x128 (rows of 128)", hi, plan2D(64, 128))
+	check("pow2 4", lo, 4, complexPlan(4))
+	check("pow2 64", lo, 64, complexPlan(64))
+	check("pow2 128", hi, 128, complexPlan(128))
+	check("real 128 (half 64)", lo, 64, realPlan(128))
+	check("real 256 (half 128)", hi, 128, realPlan(256))
+	// kernLen 0: a Bluestein plan ignores the pin and a 2-D plan is
+	// staged at every length, so default and pinned always agree.
+	check("bluestein 31 (M=64)", lo, 0, complexPlan(31))
+	check("bluestein 67 (M=144)", hi, 0, complexPlan(67))
+	check("2-D 256x64 (rows of 64)", lo, 0, plan2D(256, 64))
+	check("2-D 64x128 (rows of 128)", hi, 0, plan2D(64, 128))
 }
 
 // TestDefaultPlanIsReproducible: the default plan is a function of the
 // length — two fresh default plans give the same bits as each other and
-// as the plan pinned to the rule's kernel, forward and inverse, however
-// many ways the call is split.
+// as the plan the rule names, forward and inverse, however many ways
+// the call is split: the mixed-radix schedule where fft.MixedPow2 moves
+// the length, else the plan pinned to the rule's kernel.
 func TestDefaultPlanIsReproducible(t *testing.T) {
-	for _, n := range []int{8, 64, 4096, 1 << 16} {
+	for _, n := range []int{4, 8, 64, 4096, 1 << 16} {
 		x := noise(n, int64(n))
 		for _, w := range []int{1, 2, 3} {
 			run := func(opts ...codeletfft.HostOption) (fwd, inv []complex128) {
@@ -848,22 +867,33 @@ func TestDefaultPlanIsReproducible(t *testing.T) {
 			f1, i1 := run()
 			f2, i2 := run()
 			fp, ip := run(codeletfft.WithKernel(fft.AutoKernel(n)))
+			ref := fmt.Sprintf("the plan pinned to %v", fft.AutoKernel(n))
+			if fft.MixedPow2(n) {
+				mp, err := fft.NewMixedPlan(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp, ip = applied(t, x, mp.Schedule(false).Run), applied(t, x, mp.Schedule(true).Run)
+				ref = mp.String()
+			}
 			if !sameBits(f1, f2) || !sameBits(i1, i2) {
 				t.Errorf("n=%d workers=%d: two default plans disagree bitwise", n, w)
 			}
 			if !sameBits(f1, fp) || !sameBits(i1, ip) {
-				t.Errorf("n=%d workers=%d: default plan differs from the plan pinned to %v", n, w, fft.AutoKernel(n))
+				t.Errorf("n=%d workers=%d: default plan differs from %s", n, w, ref)
 			}
 		}
 	}
 }
 
-// TestCachedPlanSharesCore: a default cached plan and one pinned to the
-// rule's kernel are one cache entry with one schedule (the mixed-radix
-// and Bluestein plans of a length: TestPlanKernelAndAlgorithm), and a
-// hit builds nothing but the returned plan.
+// TestCachedPlanSharesCore: where the default plan of a power of two is
+// staged — below 8 points on every build — a default cached plan and
+// one pinned to the rule's kernel are one cache entry with one schedule
+// (the mixed-radix and Bluestein plans of a length:
+// TestPlanKernelAndAlgorithm; a moved power of two: TestPow2Routing),
+// and a hit builds nothing but the returned plan.
 func TestCachedPlanSharesCore(t *testing.T) {
-	const n = 1 << 11
+	const n = 4
 	pinned := codeletfft.WithKernel(fft.AutoKernel(n))
 	a, err := codeletfft.CachedHostPlan(n)
 	if err != nil {
@@ -894,48 +924,56 @@ func TestCachedPlanSharesCore(t *testing.T) {
 // pinned: a power of two runs the pinned kernel or the rule's answer
 // for n, a mixed-radix plan reports the rule's answer for n and a
 // Bluestein plan the one for its convolution length M (67: M = 144, so
-// soa4 where the rule for 67 says radix4), whatever was pinned. The
-// table is the one the planner gave when the cache was also keyed on
-// the length's radix signature. A pinned and a default plan of a length
-// that runs no kernel share one cached core.
+// soa4 where the rule for 67 says radix4), whatever was pinned. A
+// default power of two that fft.MixedPow2 moves reports the schedule in
+// the table's moved column and the rule's answer, as a smooth length's
+// plan does. The table is the one the planner gave when the cache was also
+// keyed on the length's radix signature. A pinned and a default plan of
+// a length that runs no kernel share one cached core; a pinned and a
+// default plan of a moved power of two are two.
 func TestPlanKernelAndAlgorithm(t *testing.T) {
 	const (
 		r4   = codeletfft.KernelRadix4
 		soa4 = codeletfft.KernelSoARadix4
 	)
 	for _, c := range []struct {
-		n    int
-		algo string
-		def  codeletfft.Kernel // Kernel() of the default plan; pinned too unless staged
+		n     int
+		algo  string
+		def   codeletfft.Kernel // Kernel() of the default plan; pinned too unless staged
+		moved string            // Algorithm() of the default plan where fft.MixedPow2(n)
 	}{
-		{1, "mixed-radix[]", r4},
-		{2, "staged", r4},
-		{4, "staged", r4},
-		{64, "staged", r4},
-		{128, "staged", soa4},
-		{1024, "staged", soa4},
-		{16384, "staged", soa4},
-		{3, "mixed-radix[3]", r4},
-		{6, "mixed-radix[2 3]", r4},
-		{7, "mixed-radix[7]", r4},
-		{12, "mixed-radix[4 3]", r4},
-		{49, "mixed-radix[7 7]", r4},
-		{96, "mixed-radix[4 4 2 3]", r4},
-		{100, "mixed-radix[4 5 5]", r4},
-		{1000, "mixed-radix[4 2 5 5 5]", soa4},
-		{3072, "mixed-radix[4 4 4 4 4 3]", soa4},
-		{11, "bluestein[M=24 mixed-radix[4 2 3]]", r4},
-		{13, "bluestein[M=32 mixed-radix[4 4 2]]", r4},
-		{67, "bluestein[M=144 mixed-radix[4 4 3 3]]", soa4},
-		{127, "bluestein[M=256 mixed-radix[4 4 4 4]]", soa4},
-		{832, "bluestein[M=2000 mixed-radix[4 4 5 5 5]]", soa4},
-		{1009, "bluestein[M=2048 mixed-radix[4 4 4 4 4 2]]", soa4},
+		{1, "mixed-radix[]", r4, ""},
+		{2, "staged", r4, ""},
+		{4, "staged", r4, ""},
+		{8, "staged", r4, "mixed-radix[4 2]"},
+		{64, "staged", r4, "mixed-radix[4 4 4]"},
+		{128, "staged", soa4, "mixed-radix[4 4 4 2]"},
+		{1024, "staged", soa4, "mixed-radix[4 4 4 4 4]"},
+		{16384, "staged", soa4, "mixed-radix[4 4 4 4 4 4 4]"},
+		{3, "mixed-radix[3]", r4, ""},
+		{6, "mixed-radix[2 3]", r4, ""},
+		{7, "mixed-radix[7]", r4, ""},
+		{12, "mixed-radix[4 3]", r4, ""},
+		{49, "mixed-radix[7 7]", r4, ""},
+		{96, "mixed-radix[4 4 2 3]", r4, ""},
+		{100, "mixed-radix[4 5 5]", r4, ""},
+		{1000, "mixed-radix[4 2 5 5 5]", soa4, ""},
+		{3072, "mixed-radix[4 4 4 4 4 3]", soa4, ""},
+		{11, "bluestein[M=24 mixed-radix[4 2 3]]", r4, ""},
+		{13, "bluestein[M=32 mixed-radix[4 4 2]]", r4, ""},
+		{67, "bluestein[M=144 mixed-radix[4 4 3 3]]", soa4, ""},
+		{127, "bluestein[M=256 mixed-radix[4 4 4 4]]", soa4, ""},
+		{832, "bluestein[M=2000 mixed-radix[4 4 5 5 5]]", soa4, ""},
+		{1009, "bluestein[M=2048 mixed-radix[4 4 4 4 4 2]]", soa4, ""},
 	} {
-		staged := c.algo == "staged"
+		staged, moved := c.algo == "staged", fft.MixedPow2(c.n)
 		for _, pin := range []codeletfft.Kernel{codeletfft.KernelAuto, codeletfft.KernelRadix2, codeletfft.KernelSplitRadix, codeletfft.KernelSoARadix2} {
-			want := c.def
+			want, algo := c.def, c.algo
 			if staged && pin != codeletfft.KernelAuto {
 				want = pin
+			}
+			if moved && pin == codeletfft.KernelAuto {
+				algo = c.moved
 			}
 			for _, build := range []struct {
 				name string
@@ -945,14 +983,14 @@ func TestPlanKernelAndAlgorithm(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s(%d, %v): %v", build.name, c.n, pin, err)
 				}
-				if h.Kernel() != want || h.Algorithm() != c.algo {
+				if h.Kernel() != want || h.Algorithm() != algo {
 					t.Errorf("%s(%d, %v): Kernel() = %v, Algorithm() = %q; want %v, %q",
-						build.name, c.n, pin, h.Kernel(), h.Algorithm(), want, c.algo)
+						build.name, c.n, pin, h.Kernel(), h.Algorithm(), want, algo)
 				}
 			}
 		}
 		if staged {
-			continue
+			continue // a moved power of two's two cores: TestPow2Routing
 		}
 		pinned, err := codeletfft.CachedHostPlan(c.n, codeletfft.WithKernel(codeletfft.KernelSplitRadix))
 		if err != nil {
@@ -966,6 +1004,160 @@ func TestPlanKernelAndAlgorithm(t *testing.T) {
 		if got := codeletfft.PlanCacheLen(); got != before || codeletfft.ForwardSchedule(pinned) != codeletfft.ForwardSchedule(def) {
 			t.Errorf("n=%d: pinned and default plans do not share one cached core (cache %d -> %d)", c.n, before, got)
 		}
+	}
+}
+
+// movedPow2 is the range of powers of two fft.MixedPow2 moves to the
+// mixed-radix plan where its gate holds (TestPow2Routing holds the rule
+// to it on every build, so a test may use it where the gate is false).
+func movedPow2(n int) bool { return n >= 8 && n <= 1<<20 && n&(n-1) == 0 }
+
+// applied runs f on a copy of x.
+func applied(t *testing.T, x []complex128, f func([]complex128) error) []complex128 {
+	t.Helper()
+	y := append([]complex128(nil), x...)
+	mustRun(t, f(y))
+	return y
+}
+
+// TestPow2Routing: where the mixed stages' vector codelets run (amd64
+// with AVX2 and FMA), the default plan of a power of two from 8 to 2^20
+// points — complex, a real plan's N/2 half, a convolution's segments, a
+// spectrogram's frames — is the mixed-radix plan: its Algorithm(), and
+// bit for bit fft.NewMixedPlan(n)'s schedules. A plan pinned to a
+// kernel stays staged, in a cache entry of its own. Where the gate is
+// false nothing moves: every default plan is the pinned staged one.
+func TestPow2Routing(t *testing.T) {
+	gate := runtime.GOARCH == "amd64" && codeletfft.Acceleration() == "avx2+fma"
+	for lg := 0; lg <= 24; lg++ {
+		n := 1 << lg
+		if got, want := fft.MixedPow2(n), gate && movedPow2(n); got != want {
+			t.Errorf("fft.MixedPow2(%d) = %v, want %v", n, got, want)
+		}
+	}
+	for _, n := range []int{12, 1000, 3072} {
+		if fft.MixedPow2(n) {
+			t.Errorf("fft.MixedPow2(%d) holds for a length that is not a power of two", n)
+		}
+	}
+	for _, n := range []int{4, 8, 64, 1024, 4096, 1 << 16} {
+		moved := gate && movedPow2(n)
+		pin := codeletfft.WithKernel(fft.AutoKernel(n))
+		pinned, err := codeletfft.NewHostPlan(n, pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pinned.Algorithm() != "staged" {
+			t.Errorf("n=%d: pinned plan runs %q, want staged", n, pinned.Algorithm())
+		}
+		// The plan the default must be: fwd and inv on a copy.
+		algo, fwd, inv := "staged", pinned.Transform, pinned.Inverse
+		if moved {
+			mp, err := fft.NewMixedPlan(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algo, fwd, inv = mp.String(), mp.Schedule(false).Run, mp.Schedule(true).Run
+		}
+		x := noise(n, int64(n)+5)
+		wantF, wantI := applied(t, x, fwd), applied(t, x, inv)
+		plans := map[string]func(int, ...codeletfft.HostOption) (*codeletfft.HostPlan, error){
+			"NewHostPlan": codeletfft.NewHostPlan, "CachedHostPlan": codeletfft.CachedHostPlan,
+		}
+		for name, mk := range plans {
+			h, err := mk(n, codeletfft.WithWorkers(3), codeletfft.WithThreshold(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Algorithm() != algo || h.Kernel() != fft.AutoKernel(n) {
+				t.Errorf("%s(%d): Algorithm() = %q, Kernel() = %v; want %q, %v", name, n, h.Algorithm(), h.Kernel(), algo, fft.AutoKernel(n))
+			}
+			if !sameBits(applied(t, x, h.Transform), wantF) || !sameBits(applied(t, x, h.Inverse), wantI) {
+				t.Errorf("%s(%d) on three workers is not %s bitwise", name, n, algo)
+			}
+		}
+		def, err := codeletfft.CachedHostPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpin, err := codeletfft.CachedHostPlan(n, pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared := codeletfft.ForwardSchedule(def) == codeletfft.ForwardSchedule(cpin); shared == moved || cpin.Algorithm() != "staged" {
+			t.Errorf("n=%d: default and pinned cached plans share a core: %v (want %v); pinned runs %q", n, shared, !moved, cpin.Algorithm())
+		}
+
+		// The real plan of 2n runs the split passes around this plan.
+		split, err := fft.NewRealSplit(2 * n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := make([]float64, 2*n)
+		for j, v := range x {
+			r[2*j], r[2*j+1] = real(v), imag(v)
+		}
+		wantSpec := make([]complex128, split.SpectrumLen())
+		split.Pack(wantSpec, r)
+		mustRun(t, fwd(wantSpec[:n]))
+		split.Unpack(wantSpec)
+		work := make([]complex128, n)
+		split.PreInverse(work, wantSpec)
+		mustRun(t, inv(work))
+		wantBack := make([]float64, 2*n)
+		split.PostInverse(wantBack, work)
+		rp, err := codeletfft.NewRealPlan(2 * n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, back := make([]complex128, rp.SpectrumLen()), make([]float64, 2*n)
+		mustRun(t, rp.Transform(spec, r))
+		mustRun(t, rp.Inverse(back, wantSpec))
+		if rp.Algorithm() != "real+"+algo || !sameBits(spec, wantSpec) || !sameBits(realParts(back), realParts(wantBack)) {
+			t.Errorf("NewRealPlan(%d) = %q is not the split around %s bitwise", 2*n, rp.Algorithm(), algo)
+		}
+
+		// A spectrogram's frames, hop n/2 over 2n samples.
+		sp, err := codeletfft.NewSTFTPlan(n, n/2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := make([][]complex128, sp.NumFrames(2*n))
+		for f := range frames {
+			frames[f] = make([]complex128, n)
+		}
+		mustRun(t, sp.Transform(frames, r))
+		for f, got := range frames {
+			z := make([]complex128, n)
+			for i := range z {
+				z[i] = complex(r[f*n/2+i], 0)
+			}
+			if a := codeletfft.STFTFramePlan(sp).Algorithm(); a != algo || !sameBits(got, applied(t, z, fwd)) {
+				t.Errorf("STFT frame %d of %d points on %q is not %s bitwise", f, n, a, algo)
+			}
+		}
+	}
+
+	// A convolution's segments: K = 255 convolves at M = 1024.
+	cp, err := codeletfft.NewConvPlan(1<<12, 255)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, m := codeletfft.ConvSegmentPlan(cp), cp.SegmentLen()
+	want := "staged"
+	if gate && movedPow2(m) {
+		mp, err := fft.NewMixedPlan(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = mp.String()
+		x := noise(m, 7)
+		if !sameBits(applied(t, x, seg.Transform), applied(t, x, mp.Schedule(false).Run)) {
+			t.Errorf("the M = %d segment plan is not %s bitwise", m, want)
+		}
+	}
+	if m != 1024 || seg.Algorithm() != want {
+		t.Errorf("K = 255 segments: M = %d on %q, want 1024 on %q", m, seg.Algorithm(), want)
 	}
 }
 

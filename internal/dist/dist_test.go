@@ -667,35 +667,32 @@ func TestMembershipCircuit(t *testing.T) {
 }
 
 // TestDegradedDefaultKernel pins what a coordinator runs when it
-// degrades: the facade's default plan — at this length the SoA radix-4
-// schedule (fft.AutoKernel), bit for bit, forward and inverse — not the
-// radix-2 reference internal/fft runs when handed KernelAuto directly.
+// degrades: the facade's default plan for the length, bit for bit,
+// forward and inverse — at this length the mixed-radix plan where
+// fft.MixedPow2 moves it, else the SoA radix-4 schedule
+// (fft.AutoKernel) — not the radix-2 reference internal/fft runs when
+// handed KernelAuto directly.
 func TestDegradedDefaultKernel(t *testing.T) {
 	c := New(Config{})
 	defer c.Close()
 	const n = 1 << 12
-	pl, err := fft.NewPlan(n, 64)
+	def, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := fft.Twiddles(n)
 	for _, tc := range []struct {
-		name    string
-		run     func(context.Context, []complex128) error
-		inverse bool
-	}{{"Transform", c.Transform, false}, {"Inverse", c.Inverse, true}} {
+		name string
+		run  func(context.Context, []complex128) error
+		want func([]complex128) error
+	}{{"Transform", c.Transform, def.Transform}, {"Inverse", c.Inverse, def.Inverse}} {
 		got, want := noise(n, 21), noise(n, 21)
-		if tc.inverse {
-			noErr(t, pl.Schedule(w, fft.KernelSoARadix4, true).Run(want))
-		} else {
-			pl.TransformSoA(want, w, fft.KernelSoARadix4)
-		}
+		noErr(t, tc.want(want))
 		if err := tc.run(context.Background(), got); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s: bin %d = %v, want the SoA radix-4 schedule's %v", tc.name, i, got[i], want[i])
+				t.Fatalf("%s: bin %d = %v, want the default %s plan's %v", tc.name, i, got[i], def.Algorithm(), want[i])
 			}
 		}
 	}

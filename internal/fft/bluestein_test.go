@@ -300,23 +300,25 @@ func errEps(got, want []complex128, bins []int) float64 {
 	return worst / (0x1p-52 * math.Sqrt(sumSq/float64(len(bins))))
 }
 
-// checkErrBudget holds the n-point forward transform fwd, and the
-// inverse inv unless it is nil, on a random signal to c·ε·log₂(size) of
-// the double-double oracle (errEps at bins sampled bins) with c = 2.
-// The inverse's bin N − k is the oracle's bin k over N, so one oracle
-// serves both.
-func checkErrBudget(t *testing.T, name string, n, bins, size int, fwd, inv func([]complex128) error) {
+// checkErrBudget holds the forward transform fwd of the signal x,
+// n = len(x) points, and the inverse inv, each unless it is nil, to
+// c·ε·log₂(size) of the double-double oracle (errEps at bins sampled
+// bins) with c = 2. The inverse's bin N − k is the oracle's bin k over
+// N, so one oracle serves both.
+func checkErrBudget(t *testing.T, name string, x []complex128, bins, size int, fwd, inv func([]complex128) error) {
 	t.Helper()
 	const c = 2
-	x := randSignal(n, int64(n))
+	n := len(x)
 	picked := sampleBins(n, bins, int64(n))
 	hi, lo := ddTwiddles(n)
 	want := dftBinsExact(x, hi, lo, picked)
 	budget := c * math.Log2(float64(size))
 	got := append([]complex128(nil), x...)
-	noErr(t, fwd(got))
-	if e := errEps(got, want, picked); e > budget {
-		t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, name, e, budget)
+	if fwd != nil {
+		noErr(t, fwd(got))
+		if e := errEps(got, want, picked); e > budget {
+			t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, name, e, budget)
+		}
 	}
 	if inv == nil {
 		return
@@ -347,7 +349,7 @@ func TestBluesteinErrorBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkErrBudget(t, bp.String(), n, bins, bp.M, bp.Transform, nil)
+		checkErrBudget(t, bp.String(), randSignal(n, int64(n)), bins, bp.M, bp.Transform, nil)
 	}
 	for n := 11; n <= 4096; n++ {
 		if isPrime(n) {
@@ -360,9 +362,10 @@ func TestBluesteinErrorBudget(t *testing.T) {
 
 // TestMixedErrorBudget holds the mixed-radix family to the same budget,
 // 2·ε·log₂N (checkErrBudget), forward and inverse: every
-// {2, 3, 5, 7}-smooth N ≤ 4096 at 32 bins (all of them below), and 10^6
-// and 3·2^18 at 32. It is the gate for a change that moves the family's
-// bits.
+// {2, 3, 5, 7}-smooth N ≤ 4096 at 32 bins (all of them below), and 10^6,
+// 3·2^18, 2^16 and 2^20 — powers of two the facade's default plan runs
+// on these stages where fft.MixedPow2 holds — at 32. It is the gate for
+// a change that moves the family's bits.
 func TestMixedErrorBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
@@ -373,7 +376,7 @@ func TestMixedErrorBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkErrBudget(t, mp.String(), n, bins, n, mp.Transform, mp.InverseTransform)
+		checkErrBudget(t, mp.String(), randSignal(n, int64(n)), bins, n, mp.Transform, mp.InverseTransform)
 	}
 	for n := 1; n <= 4096; n++ {
 		if _, cofactor := fft.Factor(n); cofactor == 1 {
@@ -382,6 +385,8 @@ func TestMixedErrorBudget(t *testing.T) {
 	}
 	check(1000000, 32)
 	check(3<<18, 32)
+	check(1<<16, 32)
+	check(1<<20, 32)
 }
 
 func isPrime(n int) bool {

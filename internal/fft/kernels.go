@@ -109,6 +109,18 @@ func AutoKernel(n int) Kernel {
 	return KernelRadix4
 }
 
+// MixedPow2 is the rule by which the facade's default plan of a power
+// of two n runs the mixed-radix plan instead of the staged one: n from 8
+// to 2^20 where the mixed stages' vector codelets run (hasPairCodelet's
+// gate, amd64 with AVX2 and FMA). BenchmarkDefaultPow2 set the range
+// (EXPERIMENTS "Powers of two on the mixed stages"): below 8 staged
+// radix-4 wins, from 2^21 soa4's blocked passes, which sweep the array
+// fewer times. The Go mixed stages (noasm, arm64) make one pass per
+// stage and lose, so there nothing moves; nor does a pinned plan.
+func MixedPow2(n int) bool {
+	return hasPairCodelet(4) && n >= 8 && n <= 1<<20 && n&(n-1) == 0
+}
+
 // Valid reports whether k names a known kernel (including KernelAuto).
 func (k Kernel) Valid() bool { return k < numKernels }
 

@@ -149,12 +149,14 @@ func NewMixedPlan(n int) (*MixedPlan, error) {
 
 // stageTwiddles builds ω_n^{p·d} for p ∈ [0, m), d ∈ [1, r), n = r·m.
 // p·d < n, so the exponent needs no reduction; angles stay in (-2π, 0].
+// math.Sincos runs math.Cos's and math.Sin's reduction and polynomials
+// once for both, so the table has their bits at half the cost.
 func stageTwiddles(n, r, m int) []complex128 {
 	tw := make([]complex128, (r-1)*m)
 	for p := 0; p < m; p++ {
 		for d := 1; d < r; d++ {
-			ang := -2 * math.Pi * float64(p*d) / float64(n)
-			tw[p*(r-1)+d-1] = complex(math.Cos(ang), math.Sin(ang))
+			sin, cos := math.Sincos(-2 * math.Pi * float64(p*d) / float64(n))
+			tw[p*(r-1)+d-1] = complex(cos, sin)
 		}
 	}
 	return tw
@@ -461,10 +463,12 @@ func rects(s, ulo, uhi int, f func(p0, p1, q0, q1 int)) {
 }
 
 // scalar runs units (p, q), p ∈ [p0, p1), q ∈ [q0, q1), through the Go
-// codelets, the edges as sweeps over the rectangle's own elements: load
-// edges gather its inputs to where its units store, and the codelet
-// runs there in place; store edges sweep its outputs into dst. With a
-// dst shorter than the stage it runs in place in src (M = 1).
+// codelets. With edges it goes in blocks of at most pairRows units, so
+// each element is read and written once, as without edges: load edges
+// gather a block's inputs into a stack tile that the codelet reads, and
+// store edges sweep the block's outputs into dst while they are still
+// in L1. With a dst shorter than the stage it runs in place in src
+// (M = 1).
 func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageEdge) {
 	r, s := st.R, st.S
 	buf := dst
@@ -472,43 +476,65 @@ func (st *MixedStage) scalar(dst, src []complex128, p0, p1, q0, q1 int, e stageE
 		buf = src
 	}
 	g := cgeom{ir: s, il: s * st.M, it: r - 1, or: r * s, ol: s}
-	var in []complex128
-	if e.conj || e.in != nil {
-		st.gather(buf, src, p0, p1, q0, q1, e)
-		in, g.ir, g.il = buf[r*s*p0+q0:], r*s, s
-	} else {
-		in = src[s*p0+q0:]
+	load := e.conj || e.in != nil
+	if !load && e.scale == 0 && e.out == nil {
+		codelet(r, buf[r*s*p0+q0:], src[s*p0+q0:], st.Tw[(r-1)*p0:], g, p1-p0, q1-q0)
+		return
 	}
-	codelet(r, buf[r*s*p0+q0:], in, st.Tw[(r-1)*p0:], g, p1-p0, q1-q0)
-	if e.scale != 0 || e.out != nil {
-		st.store(dst, buf, p0, p1, q0, q1, e)
+	var t []complex128
+	if load {
+		t = make([]complex128, 7*pairRows) // the block's r ≤ 7 input rows
 	}
-}
-
-// gather writes input c of unit (p, q), load edges applied, to
-// buf[R·S·p + q + c·S], where the unit stores output c (and, when buf
-// is src, M = 1, reads it).
-func (st *MixedStage) gather(buf, src []complex128, p0, p1, q0, q1 int, e stageEdge) {
-	r, s, sm := st.R, st.S, st.S*st.M
-	for p := p0; p < p1; p++ {
-		for c := 0; c < r; c++ {
-			b, t := buf[r*s*p+c*s:], s*p+c*sm
-			for q := q0; q < q1; q++ {
-				if e.in != nil && t+q >= len(e.in) {
-					b[q] = 0
-					continue
-				}
-				x := src[t+q]
-				if e.conj {
-					x = complex(real(x), -imag(x))
-				}
-				if e.in != nil {
-					x *= e.in[t+q]
-				}
-				b[q] = x
+	nq := min(q1-q0, pairRows)
+	for qa := q0; qa < q1; qa += nq {
+		qb := min(qa+nq, q1)
+		for pa := p0; pa < p1; pa += pairRows / nq {
+			pb := min(pa+pairRows/nq, p1)
+			var in []complex128
+			gb := g
+			if load {
+				in, gb.ir, gb.il = st.gather(t, src, pa, pb, qa, qb, e), qb-qa, (pb-pa)*(qb-qa)
+			} else {
+				in = src[s*pa+qa:]
+			}
+			codelet(r, buf[r*s*pa+qa:], in, st.Tw[(r-1)*pa:], gb, pb-pa, qb-qa)
+			if e.scale != 0 || e.out != nil {
+				st.store(dst, buf, pa, pb, qa, qb, e)
 			}
 		}
 	}
+}
+
+// gather loads input c of unit (p, q), p ∈ [p0, p1), q ∈ [q0, q1), with
+// the load edges applied, into t[(c·np + p − p0)·nq + q − q0] (np, nq
+// the block's rows and columns) and returns t. A block of whole rows of
+// q — every block of stage 0, where S = 1 — is one run per c.
+func (st *MixedStage) gather(t, src []complex128, p0, p1, q0, q1 int, e stageEdge) []complex128 {
+	run, runs := q1-q0, p1-p0
+	if run == st.S {
+		run, runs = run*runs, 1
+	}
+	for c := range st.R {
+		for j := range runs {
+			row, k := t[(c*runs+j)*run:][:run], st.S*(p0+j+st.M*c)+q0
+			if e.in == nil { // conj alone
+				for i, x := range src[k : k+run] {
+					row[i] = complex(real(x), -imag(x))
+				}
+				continue
+			}
+			live := min(run, max(0, len(e.in)-k))
+			for i := range live {
+				x := src[k+i]
+				if e.conj {
+					x = complex(real(x), -imag(x))
+				}
+				row[i] = x * e.in[k+i]
+			}
+			clear(row[live:])
+		}
+	}
+	return t
 }
 
 // store sweeps the rectangle's outputs — per unit R elements S apart at

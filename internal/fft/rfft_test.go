@@ -3,10 +3,12 @@ package fft_test
 import (
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"codeletfft"
 	"codeletfft/internal/fft"
 )
 
@@ -174,4 +176,62 @@ func TestRealPlanLengthErrors(t *testing.T) {
 			t.Fatalf("%s: a buffer was written before the length error", tc.name)
 		}
 	}
+}
+
+// TestRealErrorBudget holds the facade's default RealPlan — the split
+// passes around the N/2-point default plan, which fft.MixedPow2 may put
+// on the mixed stages — to checkErrBudget's 2·ε·log₂N at every power of
+// two N ≤ 4096 and at 2^16. The forward takes a real signal, its oracle
+// the DFT of that signal as a complex one; the inverse takes a
+// Hermitian signal — what RealPlan.Inverse reads as a half spectrum —
+// whose inverse DFT is real.
+func TestRealErrorBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
+	}
+	check := func(n int) {
+		t.Helper()
+		rp, err := codeletfft.NewRealPlan(n, codeletfft.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, sig := make([]complex128, rp.SpectrumLen()), make([]float64, n)
+		fwd := func(z []complex128) error {
+			for i, v := range z {
+				sig[i] = real(v)
+			}
+			if err := rp.Transform(spec, sig); err != nil {
+				return err
+			}
+			copy(z, spec)
+			for k := n/2 + 1; k < n; k++ {
+				z[k] = cmplx.Conj(spec[n-k])
+			}
+			return nil
+		}
+		inv := func(z []complex128) error {
+			if err := rp.Inverse(sig, z[:len(spec)]); err != nil {
+				return err
+			}
+			for i, v := range sig {
+				z[i] = complex(v, 0)
+			}
+			return nil
+		}
+		r := randSignal(n, int64(n))
+		re, herm := make([]complex128, n), make([]complex128, n)
+		for i, v := range r {
+			re[i] = complex(real(v), 0)
+		}
+		herm[0], herm[n/2] = complex(real(r[0]), 0), complex(real(r[n/2]), 0)
+		for j := 1; j < n/2; j++ {
+			herm[j], herm[n-j] = r[j], cmplx.Conj(r[j])
+		}
+		checkErrBudget(t, rp.Algorithm(), re, 32, n, fwd, nil)
+		checkErrBudget(t, rp.Algorithm(), herm, 32, n, nil, inv)
+	}
+	for n := 4; n <= 4096; n *= 2 {
+		check(n)
+	}
+	check(1 << 16)
 }

@@ -74,9 +74,9 @@ type Config struct {
 	// Workers is the most ways a batch is split over the process's
 	// worker pool (which has GOMAXPROCS workers whatever this says); 0
 	// means GOMAXPROCS. Nothing else about a plan is a setting: every
-	// plan runs the facade's defaults for its length (64-point tasks,
-	// fft.AutoKernel), so a daemon's output bits are a function of the
-	// request and the build.
+	// plan runs the facade's defaults for its length (fft.MixedPow2,
+	// 64-point tasks, fft.AutoKernel), so a daemon's output bits are a
+	// function of the request and the build.
 	Workers int
 	// EnableShard mounts the cluster shard-exec endpoint
 	// (POST /fft/shard), making this server a worker a dist
