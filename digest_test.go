@@ -28,19 +28,25 @@ const digestFile = "default_plan_digests.golden"
 // two; mixed-radix lengths with odd and even stage counts, radix 7
 // among them; lengths the default plan sends to Bluestein. Bluestein
 // at 1 and 2, which the default plan never picks, is hashed from the
-// plan itself as kind "bluestein".
-var digestLens = struct{ pow2, mixed, bluestein, direct, real []int }{
+// plan itself as kind "bluestein". pinned are the lengths of the plans
+// pinned to each kernel, fourStep the fft.FourStepPlan lengths.
+var digestLens = struct{ pow2, mixed, bluestein, direct, real, pinned, fourStep []int }{
 	pow2:      []int{2, 4, 8, 64, 128, 1024, 4096, 1 << 16, 1 << 20},
 	mixed:     []int{1, 3, 6, 7, 12, 1000, 12005, 49152, 59049, 140625, 1000000, 3 << 18},
 	bluestein: []int{13, 1009, 4099, 65537, 129763, 1<<18 + 3},
 	direct:    []int{1, 2},
 	real:      []int{4, 16, 4096, 2000, 2018, 1 << 16, 98304},
+	pinned:    []int{1024, 1 << 16},
+	fourStep:  []int{1 << 10, 1 << 16, 1 << 20},
 }
 
 // TestDefaultPlanDigests pins the bits of default plans: it hashes
 // forward and inverse outputs of every digestLens length, serially,
 // pass-parallel on three workers and as a batch of three, and compares
-// the listing with testdata/default_plan_digests.golden. The asm and
+// the listing with testdata/default_plan_digests.golden. It also
+// pins the paths no default plan reaches: fft.FourStepPlan (which the
+// out-of-core and cluster paths equal bit for bit), a plan pinned to
+// each kernel with WithKernel, and a 64×128 HostPlan2D. The asm and
 // `-tags noasm` builds read the same file, so the vector codelets are
 // held to the Go codelets' bits too. A change that is meant to move
 // bits regenerates the file with `go test -run TestDefaultPlanDigests
@@ -69,17 +75,19 @@ func TestDefaultPlanDigests(t *testing.T) {
 		}
 		return kind
 	}
-	complexLens := append(append(append([]int(nil), digestLens.pow2...), digestLens.mixed...), digestLens.bluestein...)
-	for _, n := range complexLens {
-		serial, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(1))
+	// hostLines hashes an n-point host plan built with opts, serial,
+	// pass-parallel and batched; kindOf names the lines from the
+	// kernel the plan resolved.
+	hostLines := func(n int, kindOf func(codeletfft.Kernel) string, opts ...codeletfft.HostOption) {
+		serial, err := codeletfft.NewHostPlan(n, append(opts, codeletfft.WithWorkers(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(3), codeletfft.WithThreshold(1))
+		par, err := codeletfft.NewHostPlan(n, append(opts, codeletfft.WithWorkers(3), codeletfft.WithThreshold(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kind := accel("complex", n, serial.Kernel())
+		kind := kindOf(serial.Kernel())
 		for _, dir := range []string{"fwd", "inv"} {
 			run, runPar, batch := serial.Transform, par.Transform, par.TransformBatch
 			if dir == "inv" {
@@ -95,6 +103,10 @@ func TestDefaultPlanDigests(t *testing.T) {
 			mustRun(t, batch(b))
 			add(kind, n, "batch3", dir, b...)
 		}
+	}
+	complexLens := append(append(append([]int(nil), digestLens.pow2...), digestLens.mixed...), digestLens.bluestein...)
+	for _, n := range complexLens {
+		hostLines(n, func(k codeletfft.Kernel) string { return accel("complex", n, k) })
 	}
 	eng := host.New(host.Config{Workers: 3, Threshold: 1})
 	for _, n := range digestLens.direct {
@@ -140,6 +152,50 @@ func TestDefaultPlanDigests(t *testing.T) {
 				back[i] = complex(v, 0)
 			}
 			add(kind, n, way, "inv", back)
+		}
+	}
+	// A pinned plan stays staged at every length, so only the SoA
+	// kernels' lines carry the backend.
+	for _, kern := range codeletfft.Kernels() {
+		for _, n := range digestLens.pinned {
+			hostLines(n, func(k codeletfft.Kernel) string { return accel("kernel-"+k.String(), 0, k) }, codeletfft.WithKernel(kern))
+		}
+	}
+	// The four-step's sweeps are SoA radix-4's.
+	for _, n := range digestLens.fourStep {
+		p, err := fft.NewFourStep(fft.NearSquareFactor(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{"fwd", "inv"} {
+			run := p.Transform
+			if dir == "inv" {
+				run = p.InverseTransform
+			}
+			x := digestSignal(n, 0)
+			mustRun(t, run(x))
+			add("fourstep/"+codeletfft.Acceleration(), n, "serial", dir, x)
+		}
+	}
+	const rows, cols = 64, 128
+	for _, way := range []string{"serial", "workers3"} {
+		opts := []codeletfft.HostOption{codeletfft.WithWorkers(1)}
+		if way == "workers3" {
+			opts = []codeletfft.HostOption{codeletfft.WithWorkers(3), codeletfft.WithThreshold(1)}
+		}
+		p, err := codeletfft.NewHostPlan2D(rows, cols, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := accel(fmt.Sprintf("2d-%dx%d", rows, cols), 0, p.Kernel())
+		for _, dir := range []string{"fwd", "inv"} {
+			run := p.Transform
+			if dir == "inv" {
+				run = p.Inverse
+			}
+			x := digestSignal(rows*cols, 0)
+			mustRun(t, run(x))
+			add(kind, rows*cols, way, dir, x)
 		}
 	}
 
