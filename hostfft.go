@@ -473,7 +473,7 @@ func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 // buffer is returned as an error wrapping ErrLengthMismatch, with both
 // untouched.
 func (r *RealPlan) Transform(spec []complex128, x []float64) error {
-	if err := r.check(spec, x); err != nil {
+	if err := r.core.Check(spec, x); err != nil {
 		return err
 	}
 	r.core.Pack(spec, x)
@@ -488,7 +488,7 @@ func (r *RealPlan) Transform(spec []complex128, x []float64) error {
 // spec, inverting Transform. spec is not modified; wrong-length buffers
 // are returned as Transform's are, before any work.
 func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
-	if err := r.check(spec, x); err != nil {
+	if err := r.core.Check(spec, x); err != nil {
 		return err
 	}
 	w := r.core.work.Get().(*[]complex128)
@@ -498,18 +498,6 @@ func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
 		return err
 	}
 	r.core.PostInverse(x, *w)
-	return nil
-}
-
-// check validates both of a call's buffers at the entry; the split
-// passes check none.
-func (r *RealPlan) check(spec []complex128, x []float64) error {
-	if len(x) != r.core.N {
-		return fft.LengthError("real signal", len(x), r.core.N)
-	}
-	if len(spec) != r.core.SpectrumLen() {
-		return fft.LengthError("half-spectrum", len(spec), r.core.SpectrumLen())
-	}
 	return nil
 }
 

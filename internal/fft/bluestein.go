@@ -18,7 +18,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -130,10 +129,13 @@ func NewBluesteinPlan(n int) (*BluesteinPlan, error) {
 		return nil, err
 	}
 	bp := &BluesteinPlan{N: n, M: m, Conv: conv, Chirp: make([]complex128, n), BHat: make([]complex128, m)}
-	for t := 0; t < n; t++ {
-		e := int64(t) * int64(t) % int64(2*n)
-		ang := -math.Pi * float64(e) / float64(n)
-		bp.Chirp[t] = complex(math.Cos(ang), math.Sin(ang))
+	// chirp[t] = ω_{2n}^{t² mod 2n}; the exponent steps by
+	// (t+1)² − t² = 2t + 1, so no t² is formed and nothing overflows.
+	for t, e := 0, 0; t < n; t++ {
+		bp.Chirp[t] = root(e, 2*n)
+		if e += 2*t + 1; e >= 2*n {
+			e -= 2 * n
+		}
 	}
 
 	b := bp.BHat

@@ -300,12 +300,19 @@ func errEps(got, want []complex128, bins []int) float64 {
 	return worst / (0x1p-52 * math.Sqrt(sumSq/float64(len(bins))))
 }
 
-// checkErrBudget holds the forward transform fwd of the signal x,
-// n = len(x) points, and the inverse inv, each unless it is nil, to
-// c·ε·log₂(size) of the double-double oracle (errEps at bins sampled
-// bins) with c = 2. The inverse's bin N − k is the oracle's bin k over
-// N, so one oracle serves both.
-func checkErrBudget(t *testing.T, name string, x []complex128, bins, size int, fwd, inv func([]complex128) error) {
+// budgetPath is one transform checkErrBudget holds to the budget: its
+// forward and inverse, either of which may be nil.
+type budgetPath struct {
+	name     string
+	fwd, inv func([]complex128) error
+}
+
+// checkErrBudget holds each path's forward transform of the signal x,
+// n = len(x) points, and its inverse to c·ε·log₂(size) of the
+// double-double oracle (errEps at bins sampled bins) with c = 2. The
+// inverse's bin N − k is the oracle's bin k over N, so one oracle,
+// computed once, serves every path both ways.
+func checkErrBudget(t *testing.T, x []complex128, bins, size int, paths ...budgetPath) {
 	t.Helper()
 	const c = 2
 	n := len(x)
@@ -313,23 +320,26 @@ func checkErrBudget(t *testing.T, name string, x []complex128, bins, size int, f
 	hi, lo := ddTwiddles(n)
 	want := dftBinsExact(x, hi, lo, picked)
 	budget := c * math.Log2(float64(size))
-	got := append([]complex128(nil), x...)
-	if fwd != nil {
-		noErr(t, fwd(got))
-		if e := errEps(got, want, picked); e > budget {
-			t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, name, e, budget)
-		}
-	}
-	if inv == nil {
-		return
-	}
-	copy(got, x)
-	noErr(t, inv(got))
+	invPicked, invWant := make([]int, len(picked)), make([]complex128, len(want))
 	for i, k := range picked {
-		picked[i], want[i] = (n-k)%n, want[i]/complex(float64(n), 0)
+		invPicked[i], invWant[i] = (n-k)%n, want[i]/complex(float64(n), 0)
 	}
-	if e := errEps(got, want, picked); e > budget {
-		t.Errorf("N=%d %s inverse: error %.2f ε, budget %.2f ε", n, name, e, budget)
+	got := make([]complex128, n)
+	for _, p := range paths {
+		if p.fwd != nil {
+			copy(got, x)
+			noErr(t, p.fwd(got))
+			if e := errEps(got, want, picked); e > budget {
+				t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, p.name, e, budget)
+			}
+		}
+		if p.inv != nil {
+			copy(got, x)
+			noErr(t, p.inv(got))
+			if e := errEps(got, invWant, invPicked); e > budget {
+				t.Errorf("N=%d %s inverse: error %.2f ε, budget %.2f ε", n, p.name, e, budget)
+			}
+		}
 	}
 }
 
@@ -349,7 +359,7 @@ func TestBluesteinErrorBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkErrBudget(t, bp.String(), randSignal(n, int64(n)), bins, bp.M, bp.Transform, nil)
+		checkErrBudget(t, randSignal(n, int64(n)), bins, bp.M, budgetPath{bp.String(), bp.Transform, nil})
 	}
 	for n := 11; n <= 4096; n++ {
 		if isPrime(n) {
@@ -376,7 +386,7 @@ func TestMixedErrorBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkErrBudget(t, mp.String(), randSignal(n, int64(n)), bins, n, mp.Transform, mp.InverseTransform)
+		checkErrBudget(t, randSignal(n, int64(n)), bins, n, budgetPath{mp.String(), mp.Transform, mp.InverseTransform})
 	}
 	for n := 1; n <= 4096; n++ {
 		if _, cofactor := fft.Factor(n); cofactor == 1 {
@@ -387,6 +397,43 @@ func TestMixedErrorBudget(t *testing.T) {
 	check(3<<18, 32)
 	check(1<<16, 32)
 	check(1<<20, 32)
+}
+
+// TestStagedErrorBudget holds the staged power-of-two plans — each of
+// the five kernels, as a plan pinned with WithKernel runs them — and
+// the four-step (which the out-of-core and cluster paths equal bit for
+// bit) to the same 2·ε·log₂N (checkErrBudget), forward and inverse:
+// every power of two ≤ 4096 at 32 bins (all of them below), and 2^16
+// and 2^20 at 32. It is the gate for a change that moves their bits.
+func TestStagedErrorBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
+	}
+	check := func(n int) {
+		t.Helper()
+		pl, err := fft.NewPlan(n, min(64, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := fft.Twiddles(n)
+		var paths []budgetPath
+		for _, k := range fft.ConcreteKernels() {
+			paths = append(paths, budgetPath{k.String(), pl.Schedule(w, k, false).Run, pl.Schedule(w, k, true).Run})
+		}
+		if n >= 4 {
+			fs, err := fft.NewFourStep(fft.NearSquareFactor(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, budgetPath{"fourstep", fs.Transform, fs.InverseTransform})
+		}
+		checkErrBudget(t, randSignal(n, int64(n)), 32, n, paths...)
+	}
+	for n := 2; n <= 4096; n *= 2 {
+		check(n)
+	}
+	check(1 << 16)
+	check(1 << 20)
 }
 
 func isPrime(n int) bool {

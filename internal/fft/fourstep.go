@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -106,22 +105,15 @@ func (f *factor) stages(fr *SoAFrame) {
 }
 
 // TwiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
-// a table, bit for bit the entry Twiddles(n) stores: the first half-turn
-// evaluates the same cos/sin expression, the second half is its
-// negation. It fills the two-level table below.
+// a table: root(e, n) on the first half-turn, the negation of
+// root(e − n/2, n) on the second, so an entry below n/2 is bit for bit
+// the one Twiddles(n) stores and one above is its exact negation. It
+// fills the two-level table below.
 func TwiddleDirect(e, n int) complex128 {
-	half := n / 2
-	neg := false
-	if e >= half {
-		e -= half
-		neg = true
+	if half := n / 2; e >= half {
+		return -root(e-half, n)
 	}
-	ang := -2 * math.Pi * float64(e) / float64(n)
-	w := complex(math.Cos(ang), math.Sin(ang))
-	if neg {
-		return -w
-	}
-	return w
+	return root(e, n)
 }
 
 // TwoLevelTable evaluates the four-step scaling factors ω_N^e from two

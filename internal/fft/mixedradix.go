@@ -35,7 +35,6 @@ package fft
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -62,13 +61,7 @@ func rmul(c float64, x complex128) complex128 {
 }
 
 // w7 holds the radix-7 codelet's roots of unity ω_7^k.
-var w7 = func() (w [7]complex128) {
-	for k := range w {
-		ang := -2 * math.Pi * float64(k) / 7
-		w[k] = complex(math.Cos(ang), math.Sin(ang))
-	}
-	return w
-}()
+var w7 = [7]complex128(twiddleTable(7, 7))
 
 // Factor splits n into the radix schedule the mixed-radix planner
 // executes — factors drawn from {4, 2, 3, 5, 7}, power-of-two codelets
@@ -148,15 +141,12 @@ func NewMixedPlan(n int) (*MixedPlan, error) {
 }
 
 // stageTwiddles builds ω_n^{p·d} for p ∈ [0, m), d ∈ [1, r), n = r·m.
-// p·d < n, so the exponent needs no reduction; angles stay in (-2π, 0].
-// math.Sincos runs math.Cos's and math.Sin's reduction and polynomials
-// once for both, so the table has their bits at half the cost.
+// p·d < n, so the exponent needs no reduction.
 func stageTwiddles(n, r, m int) []complex128 {
 	tw := make([]complex128, (r-1)*m)
 	for p := 0; p < m; p++ {
 		for d := 1; d < r; d++ {
-			sin, cos := math.Sincos(-2 * math.Pi * float64(p*d) / float64(n))
-			tw[p*(r-1)+d-1] = complex(cos, sin)
+			tw[p*(r-1)+d-1] = root(p*d, n)
 		}
 	}
 	return tw

@@ -17,7 +17,7 @@ import "fmt"
 // purely real by construction.
 //
 // The split passes check no lengths: a caller validates its buffers at
-// its own entry, before any work.
+// its own entry with Check, before any work.
 type RealSplit struct {
 	// N is the real-input length (even, ≥ 4).
 	N int
@@ -130,7 +130,7 @@ func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Ke
 }
 
 func (rp *RealPlan) transform(dst []complex128, src []float64, kern Kernel) error {
-	if err := rp.check(dst, src); err != nil {
+	if err := rp.Check(dst, src); err != nil {
 		return err
 	}
 	rp.Pack(dst, src)
@@ -170,7 +170,7 @@ func (rp *RealSplit) PostInverse(dst []float64, work []complex128) {
 // not modified. Inverse allocates its N/2 work buffer. Buffers of the
 // wrong length are returned as Transform's are, before any work.
 func (rp *RealPlan) Inverse(dst []float64, src []complex128) error {
-	if err := rp.check(src, dst); err != nil {
+	if err := rp.Check(src, dst); err != nil {
 		return err
 	}
 	work := make([]complex128, rp.N/2)
@@ -182,9 +182,10 @@ func (rp *RealPlan) Inverse(dst []float64, src []complex128) error {
 	return nil
 }
 
-// check returns an error wrapping ErrLengthMismatch unless spec has
-// SpectrumLen elements and x has N.
-func (rp *RealSplit) check(spec []complex128, x []float64) error {
+// Check returns an error wrapping ErrLengthMismatch unless spec has
+// SpectrumLen elements and x has N: the length check every real plan
+// runs at its entry, before any work.
+func (rp *RealSplit) Check(spec []complex128, x []float64) error {
 	if len(x) != rp.N {
 		return LengthError("real signal", len(x), rp.N)
 	}

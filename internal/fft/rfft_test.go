@@ -227,8 +227,8 @@ func TestRealErrorBudget(t *testing.T) {
 		for j := 1; j < n/2; j++ {
 			herm[j], herm[n-j] = r[j], cmplx.Conj(r[j])
 		}
-		checkErrBudget(t, rp.Algorithm(), re, 32, n, fwd, nil)
-		checkErrBudget(t, rp.Algorithm(), herm, 32, n, nil, inv)
+		checkErrBudget(t, re, 32, n, budgetPath{rp.Algorithm(), fwd, nil})
+		checkErrBudget(t, herm, 32, n, budgetPath{rp.Algorithm(), nil, inv})
 	}
 	for n := 4; n <= 4096; n *= 2 {
 		check(n)

@@ -22,15 +22,25 @@ func Twiddles(n int) []complex128 {
 	return twiddleTable(n, n/2)
 }
 
-// twiddleTable returns the first count entries of the modulus-n table;
-// every table in the package is a prefix of this one expression.
+// twiddleTable returns the first count entries of the modulus-n table,
+// root(i, n) for i in [0, count).
 func twiddleTable(n, count int) []complex128 {
 	w := make([]complex128, count)
 	for i := range w {
-		ang := -2 * math.Pi * float64(i) / float64(n)
-		w[i] = complex(math.Cos(ang), math.Sin(ang))
+		w[i] = root(i, n)
 	}
 	return w
+}
+
+// root returns ω_n^e = exp(−2πi·e/n), the one place the package
+// computes a root of unity: every twiddle, chirp, split and window
+// table is built from it. math.Sincos runs math.Cos's and math.Sin's
+// argument reduction and polynomials once for both, with their bits.
+// The O(n²) DFT oracle keeps its own cos/sin so the tests' reference
+// does not share the code it checks.
+func root(e, n int) complex128 {
+	sin, cos := math.Sincos(-2 * math.Pi * float64(e) / float64(n))
+	return complex(cos, sin)
 }
 
 // BitReverse reverses the low `width` bits of x. It is the hash function

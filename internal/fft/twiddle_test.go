@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// TestTwiddlesValues checks the 8-point table against its known values,
+// then pins root, the generator every table is built from, bit for bit
+// to the cos/sin expressions it replaced, at every angle form the
+// package builds: each e < n for n ≤ 4096 and sampled e at 2^20 and
+// 10^6 (twiddle, split and stage tables); Bluestein's chirp exponents
+// t² mod 2n, whose angle was −π·e/n, for n ≤ 4096 and sampled at
+// n = 2^18+3; and Hann's 0.5·(1 − cos(2πi/n)) for n ≤ 4096. Unlike the
+// golden digests it runs on every GOARCH, so a port that fuses
+// math.Sincos's multiply-adds differently from math.Cos's or math.Sin's
+// fails here.
 func TestTwiddlesValues(t *testing.T) {
 	w := Twiddles(8)
 	if len(w) != 4 {
@@ -22,6 +32,56 @@ func TestTwiddlesValues(t *testing.T) {
 	for i := range want {
 		if cmplx.Abs(w[i]-want[i]) > 1e-12 {
 			t.Errorf("W[%d] = %v, want %v", i, w[i], want[i])
+		}
+	}
+
+	bitsOf := func(z complex128) [2]uint64 {
+		return [2]uint64{math.Float64bits(real(z)), math.Float64bits(imag(z))}
+	}
+	check := func(e, n int) {
+		ang := -2 * math.Pi * float64(e) / float64(n)
+		if got, want := root(e, n), complex(math.Cos(ang), math.Sin(ang)); bitsOf(got) != bitsOf(want) {
+			t.Fatalf("root(%d, %d) = %v, cos/sin give %v", e, n, got, want)
+		}
+	}
+	checkChirp := func(tt, n int) {
+		e := int(int64(tt) * int64(tt) % int64(2*n))
+		ang := -math.Pi * float64(e) / float64(n)
+		if got, want := root(e, 2*n), complex(math.Cos(ang), math.Sin(ang)); bitsOf(got) != bitsOf(want) {
+			t.Fatalf("chirp n=%d t=%d: root(%d, %d) = %v, cos/sin give %v", n, tt, e, 2*n, got, want)
+		}
+	}
+	for n := 1; n <= 4096; n++ {
+		for e := range n {
+			check(e, n)
+			checkChirp(e, n)
+		}
+		for i, v := range Hann(n) {
+			if want := 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n))); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("Hann(%d)[%d] = %v, cos gives %v", n, i, v, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(46))
+	for _, n := range []int{1 << 20, 1000000, 1<<18 + 3} {
+		for range 1 << 16 {
+			check(rng.Intn(n), n)
+			checkChirp(rng.Intn(n), n)
+		}
+		check(n-1, n)
+		checkChirp(n-1, n)
+	}
+	// NewBluesteinPlan steps the chirp exponent instead of squaring t; at
+	// 8 and 4096 the step lands on 2n exactly, where it must wrap to 0.
+	for _, n := range []int{1, 2, 3, 8, 13, 1009, 4096, 4099} {
+		bp, err := NewBluesteinPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tt, c := range bp.Chirp {
+			if want := root(int(int64(tt)*int64(tt)%int64(2*n)), 2*n); bitsOf(c) != bitsOf(want) {
+				t.Fatalf("NewBluesteinPlan(%d).Chirp[%d] = %v, want %v", n, tt, c, want)
+			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package fft
 
-import "math"
-
 // Hann returns the length-n periodic Hann window
 // w[i] = 0.5·(1 − cos(2πi/n)). The periodic form (denominator n, not
 // n−1) is the spectrogram convention: shifted copies at hop n/2 sum to
@@ -12,8 +10,10 @@ func Hann(n int) []float64 {
 		return nil
 	}
 	w := make([]float64, n)
+	// real(ω_n^i) is cos(2πi/n): cosine is even, and math.Cos and
+	// math.Sincos both start from |x|, so the bits are the same.
 	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
+		w[i] = 0.5 * (1 - real(root(i, n)))
 	}
 	return w
 }
