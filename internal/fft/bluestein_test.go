@@ -308,36 +308,48 @@ type budgetPath struct {
 }
 
 // checkErrBudget holds each path's forward transform of the signal x,
-// n = len(x) points, and its inverse to c·ε·log₂(size) of the
-// double-double oracle (errEps at bins sampled bins) with c = 2. The
-// inverse's bin N − k is the oracle's bin k over N, so one oracle,
-// computed once, serves every path both ways.
+// n = len(x) points, and its inverse to the budget of holdErrBudget
+// against the double-double oracle at bins sampled bins. The inverse's
+// bin N − k is the oracle's bin k over N, so one oracle, computed once,
+// serves every path both ways.
 func checkErrBudget(t *testing.T, x []complex128, bins, size int, paths ...budgetPath) {
 	t.Helper()
-	const c = 2
 	n := len(x)
 	picked := sampleBins(n, bins, int64(n))
 	hi, lo := ddTwiddles(n)
-	want := dftBinsExact(x, hi, lo, picked)
-	budget := c * math.Log2(float64(size))
-	invPicked, invWant := make([]int, len(picked)), make([]complex128, len(want))
+	negated := make([]int, len(picked))
 	for i, k := range picked {
-		invPicked[i], invWant[i] = (n-k)%n, want[i]/complex(float64(n), 0)
+		negated[i] = (n - k) % n
 	}
-	got := make([]complex128, n)
+	holdErrBudget(t, fmt.Sprintf("N=%d", n), x, picked, negated, dftBinsExact(x, hi, lo, picked), size, paths...)
+}
+
+// holdErrBudget holds each path's forward transform of x at the bins
+// picked, whose oracle values are want, and its inverse at the bins
+// negated, where the inverse reads want over len(x), to c·ε·log₂(size)
+// (errEps) with c = 2. shape names the transform in a failure.
+func holdErrBudget(t *testing.T, shape string, x []complex128, picked, negated []int, want []complex128, size int, paths ...budgetPath) {
+	t.Helper()
+	const c = 2
+	budget := c * math.Log2(float64(size))
+	invWant := make([]complex128, len(want))
+	for i, v := range want {
+		invWant[i] = v / complex(float64(len(x)), 0)
+	}
+	got := make([]complex128, len(x))
 	for _, p := range paths {
 		if p.fwd != nil {
 			copy(got, x)
 			noErr(t, p.fwd(got))
 			if e := errEps(got, want, picked); e > budget {
-				t.Errorf("N=%d %s forward: error %.2f ε, budget %.2f ε", n, p.name, e, budget)
+				t.Errorf("%s %s forward: error %.2f ε, budget %.2f ε", shape, p.name, e, budget)
 			}
 		}
 		if p.inv != nil {
 			copy(got, x)
 			noErr(t, p.inv(got))
-			if e := errEps(got, invWant, invPicked); e > budget {
-				t.Errorf("N=%d %s inverse: error %.2f ε, budget %.2f ε", n, p.name, e, budget)
+			if e := errEps(got, invWant, negated); e > budget {
+				t.Errorf("%s %s inverse: error %.2f ε, budget %.2f ε", shape, p.name, e, budget)
 			}
 		}
 	}
