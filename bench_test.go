@@ -225,3 +225,33 @@ func BenchmarkDefaultPow2(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHostPlan2D times a forward plus inverse transform, in ns per
+// point, of the default 2-D plan at each shape: serial, and on the
+// default worker count.
+func BenchmarkHostPlan2D(b *testing.B) {
+	for _, sh := range [][2]int{{64, 128}, {256, 256}, {1024, 1024}, {2048, 512}} {
+		rows, cols := sh[0], sh[1]
+		for _, way := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"default", 0}} {
+			h, err := codeletfft.NewHostPlan2D(rows, cols, codeletfft.WithWorkers(way.workers))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%dx%d/%s", rows, cols, way.name), func(b *testing.B) {
+				data := noise(rows*cols, int64(rows))
+				for range b.N {
+					if err := h.Transform(data); err != nil {
+						b.Fatal(err)
+					}
+					if err := h.Inverse(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/pt")
+			})
+		}
+	}
+}

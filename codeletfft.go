@@ -33,6 +33,7 @@
 //	batched    h, _ := codeletfft.NewHostPlan(n)              h.TransformBatch(batch)
 //	real       r, _ := codeletfft.NewRealPlan(n)              r.Transform(spec, x)
 //	cached     h, _ := codeletfft.CachedHostPlan(n)           h.Transform(data)
+//	2-D        h, _ := codeletfft.NewHostPlan2D(rows, cols)   h.Transform(grid)
 //	cluster    cl, _ := cluster.New(cluster.Config{...})      cl.TransformCtx(ctx, data)
 //
 // Plans are built with functional options; every option has a default:
@@ -45,9 +46,10 @@
 // The decomposition is the planner's, not the caller's: a power of two
 // runs the paper's 64-point codelets (clamped to the length) — except a
 // default plan of 8 to 2^20 points where the AVX2 codelets run, which
-// takes the faster mixed-radix stages (fft.MixedPow2) — and a call runs
-// serially below 8192 elements, where dispatch would cost more than it
-// saves.
+// takes the faster mixed-radix stages (fft.MixedPow2); a 2-D plan of
+// any shape runs the 1-D plans of its two axes, rows then columns — and
+// a call runs serially below 8192 elements, where dispatch would cost
+// more than it saves.
 //
 // Five butterfly kernels run on the same staged decomposition: radix-2
 // (the paper's formulation), radix-4 (three-multiply butterflies),

@@ -46,7 +46,8 @@ var digestLens = struct{ pow2, mixed, bluestein, direct, real, pinned, fourStep 
 // the listing with testdata/default_plan_digests.golden. It also
 // pins the paths no default plan reaches: fft.FourStepPlan (which the
 // out-of-core and cluster paths equal bit for bit), a plan pinned to
-// each kernel with WithKernel, and a 64×128 HostPlan2D. The asm and
+// each kernel with WithKernel, and HostPlan2D at 64×128, 48×80 and
+// 12×97 (a Bluestein row axis). The asm and
 // `-tags noasm` builds read the same file, so the vector codelets are
 // held to the Go codelets' bits too. A change that is meant to move
 // bits regenerates the file with `go test -run TestDefaultPlanDigests
@@ -177,25 +178,34 @@ func TestDefaultPlanDigests(t *testing.T) {
 			add("fourstep/"+codeletfft.Acceleration(), n, "serial", dir, x)
 		}
 	}
-	const rows, cols = 64, 128
-	for _, way := range []string{"serial", "workers3"} {
-		opts := []codeletfft.HostOption{codeletfft.WithWorkers(1)}
-		if way == "workers3" {
-			opts = []codeletfft.HostOption{codeletfft.WithWorkers(3), codeletfft.WithThreshold(1)}
+	// A 2-D plan's axes are the default plans of their lengths, so a
+	// power-of-two axis carries the backend (the SoA kernels, or the
+	// mixed stages fft.MixedPow2 moves it to) and the other shapes' lines
+	// are the same on every backend.
+	for _, sh := range [][2]int{{64, 128}, {48, 80}, {12, 97}} {
+		rows, cols := sh[0], sh[1]
+		kind := fmt.Sprintf("2d-%dx%d", rows, cols)
+		if rows&(rows-1) == 0 || cols&(cols-1) == 0 {
+			kind += "/" + codeletfft.Acceleration()
 		}
-		p, err := codeletfft.NewHostPlan2D(rows, cols, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kind := accel(fmt.Sprintf("2d-%dx%d", rows, cols), 0, p.Kernel())
-		for _, dir := range []string{"fwd", "inv"} {
-			run := p.Transform
-			if dir == "inv" {
-				run = p.Inverse
+		for _, way := range []string{"serial", "workers3"} {
+			opts := []codeletfft.HostOption{codeletfft.WithWorkers(1)}
+			if way == "workers3" {
+				opts = []codeletfft.HostOption{codeletfft.WithWorkers(3), codeletfft.WithThreshold(1)}
 			}
-			x := digestSignal(rows*cols, 0)
-			mustRun(t, run(x))
-			add(kind, rows*cols, way, dir, x)
+			p, err := codeletfft.NewHostPlan2D(rows, cols, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dir := range []string{"fwd", "inv"} {
+				run := p.Transform
+				if dir == "inv" {
+					run = p.Inverse
+				}
+				x := digestSignal(rows*cols, 0)
+				mustRun(t, run(x))
+				add(kind, rows*cols, way, dir, x)
+			}
 		}
 	}
 

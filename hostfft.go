@@ -1,8 +1,9 @@
 package codeletfft
 
 import (
-	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"sync"
 
 	"codeletfft/internal/cache"
@@ -14,9 +15,10 @@ import (
 // failure modes with errors.Is without importing internal packages.
 var (
 	// ErrUnsupportedLength reports a transform length no planner accepts:
-	// non-positive everywhere, odd or < 4 for the real-input path,
-	// non-power-of-two for the 2-D path. Complex 1-D plans support every
-	// n ≥ 1, so NewHostPlan only returns it for n < 1.
+	// non-positive everywhere, odd or < 4 for the real-input path, a 2-D
+	// shape whose point count overflows an int. Complex plans support
+	// every n ≥ 1 and every rows, cols ≥ 1 otherwise, so NewHostPlan
+	// only returns it for n < 1.
 	ErrUnsupportedLength = fft.ErrUnsupportedLength
 	// ErrLengthMismatch reports a buffer whose length does not match the
 	// plan. Every method that takes one returns it (wrapped, naming the
@@ -32,7 +34,8 @@ var (
 // the same staged decomposition — outputs of one plan are bitwise
 // deterministic, the default plan's included, and outputs of different
 // kernels agree to rounding. A default plan that NewHostPlan sends to
-// the mixed-radix plan runs no kernel.
+// the mixed-radix plan runs no kernel. A 2-D plan settles the kernel of
+// each axis as the 1-D plan of that axis's length does.
 type Kernel = fft.Kernel
 
 // Kernel values for WithKernel.
@@ -135,7 +138,8 @@ func WithObserver(obs EngineObserver) HostOption {
 // plan's length (see Kernel): the two build the same plan and, cached,
 // share one cache entry — unless the default plan is the mixed-radix
 // one (NewHostPlan). Other lengths run per-radix codelets, not a
-// kernel, and ignore it.
+// kernel, and ignore it. NewHostPlan2D hands it to the 1-D plan of each
+// axis.
 func WithKernel(k Kernel) HostOption {
 	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
@@ -146,7 +150,8 @@ func WithKernel(k Kernel) HostOption {
 // where fft.MixedPow2 keeps the default staged. Every other plan runs
 // per-radix codelets, so its kernel stays KernelAuto — a moved default
 // power of two, and any other length pinned or not, whose plans build,
-// and cached share, one core that names the kernel it reports.
+// and cached share, one core that names the kernel it reports. A 2-D
+// plan resolves each axis's options here on that axis's length.
 func resolveOpts(n int, opts []HostOption) hostOpts {
 	var o hostOpts
 	for _, opt := range opts {
@@ -327,14 +332,15 @@ func CachedHostPlan(n int, opts ...HostOption) (*HostPlan, error) {
 	return &HostPlan{core: core, eng: o.engine()}, nil
 }
 
-// N returns the transform length.
+// N returns the transform length: rows·cols for a 2-D plan.
 func (h *HostPlan) N() int { return h.core.n }
 
 // Algorithm names the decomposition the length routed to: "staged" for
 // a staged power of two, "mixed-radix[…]" with the radix schedule (a
 // moved power of two: "mixed-radix[4 4 4 4 4]" for 1024), or
 // "bluestein[M=… mixed-radix[…]]" with the embedded convolution's
-// length and schedule.
+// length and schedule. A 2-D plan's is "2d[… x …]" with the algorithms
+// of its rows-point and its cols-point axis.
 func (h *HostPlan) Algorithm() string { return h.core.algo }
 
 // Workers returns the worker count the parallel engine resolved.
@@ -344,7 +350,8 @@ func (h *HostPlan) Workers() int { return h.eng.Workers() }
 // pinned, else the rule's answer for this length — for a Bluestein
 // plan, for its convolution length. Mixed-radix and Bluestein plans run
 // no kernel; they report the rule's answer for that length whatever was
-// pinned, a default power of two on the mixed-radix plan too.
+// pinned, a default power of two on the mixed-radix plan too. A 2-D plan
+// reports its row axis's: the kernel of the 1-D plan of length cols.
 func (h *HostPlan) Kernel() Kernel { return h.core.kern }
 
 // Transform applies the forward FFT in place on the plan's parallel
@@ -517,47 +524,36 @@ func (r *RealPlan) InverseCtx(ctx context.Context, x []float64, spec []complex12
 	return r.Inverse(x, spec)
 }
 
-// HostPlan2D is the 2-D row-column analogue of HostPlan. Transform and
-// Inverse run on the plan's parallel engine with the plan's kernel.
-type HostPlan2D struct {
-	core *hostCore
-	eng  host.Engine
-}
+// HostPlan2D is the plan NewHostPlan2D builds: a HostPlan over
+// rows×cols row-major data, whose N is rows·cols.
+type HostPlan2D = HostPlan
 
-// NewHostPlan2D builds a host-side plan for rows×cols transforms. It
-// accepts the same functional options as NewHostPlan; both passes run
-// min(64, rows, cols)-point kernels.
+// NewHostPlan2D builds a plan for rows×cols transforms of row-major
+// data, any rows, cols ≥ 1 whose product fits an int (else an error
+// wrapping ErrUnsupportedLength). Each axis runs the plan NewHostPlan
+// builds for its length with opts, on every row and then on every
+// column (fft.RowCol), and the inverse brackets that forward with conj
+// and conj·1/(rows·cols).
 func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
-	// KernelAuto resolves on the row transform's length (the hotter of
-	// the two passes); a 2-D plan is staged at every length.
+	if rows < 1 || cols < 1 || rows > math.MaxInt/cols {
+		return nil, fmt.Errorf("%w: 2-D shape %dx%d", ErrUnsupportedLength, rows, cols)
+	}
 	o := resolveOpts(cols, opts)
-	pl, err := fft.NewPlan2D(rows, cols, min(64, rows, cols))
+	row, err := newHostCore(cols, o)
 	if err != nil {
 		return nil, err
 	}
-	k := cmp.Or(o.kern, fft.AutoKernel(cols))
-	core := &hostCore{kern: k, fwd: pl.Schedule(k, false), inv: pl.Schedule(k, true)}
-	return &HostPlan2D{core: core, eng: o.engine()}, nil
-}
-
-// Workers returns the worker count the parallel engine resolved.
-func (h *HostPlan2D) Workers() int { return h.eng.Workers() }
-
-// Kernel returns the concrete kernel this plan runs: the one WithKernel
-// pinned, else the rule's answer for the row length.
-func (h *HostPlan2D) Kernel() Kernel { return h.core.kern }
-
-// Transform applies the forward 2-D FFT in place (row-major data) on
-// the plan's parallel engine: rows sharded across workers, then
-// columns. Wrong-length data is returned, untouched, as an error
-// wrapping ErrLengthMismatch.
-func (h *HostPlan2D) Transform(data []complex128) error {
-	return h.eng.Run(h.core.fwd, data)
-}
-
-// Inverse applies the inverse 2-D FFT in place.
-func (h *HostPlan2D) Inverse(data []complex128) error {
-	return h.eng.Run(h.core.inv, data)
+	col := row
+	if rows != cols {
+		if col, err = newHostCore(rows, resolveOpts(rows, opts)); err != nil {
+			return nil, err
+		}
+	}
+	core := &hostCore{
+		n: rows * cols, algo: fmt.Sprintf("2d[%s x %s]", col.algo, row.algo), kern: row.kern,
+		fwd: fft.RowCol(row.fwd, col.fwd, false), inv: fft.RowCol(row.fwd, col.fwd, true),
+	}
+	return &HostPlan{core: core, eng: o.engine()}, nil
 }
 
 // DFT computes the discrete Fourier transform directly in O(n²) — the

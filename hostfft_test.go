@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -128,32 +129,72 @@ func TestHostPlanParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestHostPlan2DParallelMatchesSerial: a 2-D plan sharded over three
+// workers is bitwise its serial run, at a power-of-two shape under each
+// kernel and at 97×60, whose columns run Bluestein on pooled buffers.
 func TestHostPlan2DParallelMatchesSerial(t *testing.T) {
-	for _, k := range codeletfft.Kernels() {
-		hs, err := codeletfft.NewHostPlan2D(64, 32, codeletfft.WithWorkers(1), codeletfft.WithKernel(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hp, err := codeletfft.NewHostPlan2D(64, 32,
-			codeletfft.WithWorkers(3), codeletfft.WithThreshold(1), codeletfft.WithKernel(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := noise(64*32, 6)
-		serial := append([]complex128(nil), x...)
-		_ = hs.Transform(serial)
-		par := append([]complex128(nil), x...)
-		_ = hp.Transform(par)
-		if !sameBits(par, serial) {
-			t.Fatalf("%v: 2-D parallel Transform diverged from serial", k)
-		}
-		if err := hp.Inverse(par); err != nil {
-			t.Fatalf("%v: 2-D parallel Inverse: %v", k, err)
-		}
-		if e := maxErr(par, x); e > 1e-16 {
-			t.Fatalf("%v: 2-D parallel roundtrip error %g", k, e)
+	for _, sh := range [][2]int{{64, 32}, {97, 60}} {
+		rows, cols := sh[0], sh[1]
+		for _, k := range codeletfft.Kernels() {
+			hs, err := codeletfft.NewHostPlan2D(rows, cols, codeletfft.WithWorkers(1), codeletfft.WithKernel(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hp, err := codeletfft.NewHostPlan2D(rows, cols,
+				codeletfft.WithWorkers(3), codeletfft.WithThreshold(1), codeletfft.WithKernel(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := noise(rows*cols, 6)
+			serial := append([]complex128(nil), x...)
+			_ = hs.Transform(serial)
+			par := append([]complex128(nil), x...)
+			_ = hp.Transform(par)
+			if !sameBits(par, serial) {
+				t.Fatalf("%dx%d %v: 2-D parallel Transform diverged from serial", rows, cols, k)
+			}
+			_ = hs.Inverse(serial)
+			if err := hp.Inverse(par); err != nil {
+				t.Fatalf("%dx%d %v: 2-D parallel Inverse: %v", rows, cols, k, err)
+			}
+			if !sameBits(par, serial) {
+				t.Fatalf("%dx%d %v: 2-D parallel Inverse diverged from serial", rows, cols, k)
+			}
+			if e := maxErr(par, x); e > 1e-16 {
+				t.Fatalf("%dx%d %v: 2-D parallel roundtrip error %g", rows, cols, k, e)
+			}
 		}
 	}
+}
+
+// TestHostPlan2DMatchesDFT holds 2-D plans of shapes no power of two
+// fits — mixed-radix and Bluestein axes — to the brute-force 2-D DFT.
+func TestHostPlan2DMatchesDFT(t *testing.T) {
+	shapes := [][2]int{{6, 10}, {7, 9}, {480, 640}}
+	if raceEnabled {
+		shapes = shapes[:2] // the O(n²) reference takes minutes under the detector
+	}
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		h, err := codeletfft.NewHostPlan2D(rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := noise(rows*cols, int64(rows*cols))
+		want := rowsThenCols(t, x, rows, cols, dftInPlace, dftInPlace)
+		if e := maxErr(applied(t, x, h.Transform), want); e > 1e-18*float64(rows*cols) {
+			t.Errorf("%dx%d (%s): squared error %g against the 2-D DFT", rows, cols, h.Algorithm(), e)
+		}
+		if e := maxErr(applied(t, want, h.Inverse), x); e > 1e-24 {
+			t.Errorf("%dx%d: round trip squared error %g", rows, cols, e)
+		}
+	}
+}
+
+// dftInPlace overwrites x with codeletfft.DFT(x).
+func dftInPlace(x []complex128) error {
+	copy(x, codeletfft.DFT(x))
+	return nil
 }
 
 func TestHostPlan2DRoundTrip(t *testing.T) {
@@ -209,13 +250,15 @@ func TestHostPlanOptionDefaults(t *testing.T) {
 }
 
 // TestHostPlanTaskSizeRule: a staged plan of a power of two runs
-// P = min(64, N) — a real plan on its N/2-point half, a 2-D plan
-// min(64, rows, cols) on both axes — so its output is bitwise the
-// fft-level schedule built with that P and the rule's kernel, forward
-// and inverse, on both sides of 64 and of the 128-point kernel switch.
-// A plan pinned to the rule's kernel is staged at every length, a
-// default one where fft.MixedPow2 leaves it (TestPow2Routing has the
-// rest).
+// P = min(64, N) — a real plan on its N/2-point half — so its output is
+// bitwise the fft-level schedule built with that P and the rule's
+// kernel, forward and inverse, on both sides of 64 and of the 128-point
+// kernel switch. A plan pinned to the rule's kernel is staged at every
+// length, a default one where fft.MixedPow2 leaves it (TestPow2Routing
+// has the rest). A 2-D plan, default or pinned, is bitwise the 1-D
+// plans of its axes built with its options: the cols-point plan on each
+// row, then the rows-point plan on each column; its inverse is that
+// between conj and conj·1/(rows·cols).
 func TestHostPlanTaskSizeRule(t *testing.T) {
 	check := func(err error) {
 		t.Helper()
@@ -289,21 +332,37 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 		}
 	}
 
-	for _, sh := range [][2]int{{16, 64}, {64, 16}, {8, 256}, {128, 128}} {
+	for _, sh := range [][2]int{{16, 64}, {64, 16}, {8, 256}, {128, 128}, {6, 10}, {97, 60}, {1, 64}, {64, 1}} {
 		rows, cols := sh[0], sh[1]
-		p2, err := fft.NewPlan2D(rows, cols, min(64, rows, cols))
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := fft.AutoKernel(cols)
 		x := noise(rows*cols, int64(rows))
-		h, err := codeletfft.NewHostPlan2D(rows, cols)
-		if err != nil {
-			t.Fatal(err)
+		conjX := make([]complex128, len(x))
+		for i, v := range x {
+			conjX[i] = cmplx.Conj(v)
 		}
-		if !sameBits(applied(t, x, h.Transform), applied(t, x, p2.Schedule(k, false).Run)) ||
-			!sameBits(applied(t, x, h.Inverse), applied(t, x, p2.Schedule(k, true).Run)) {
-			t.Errorf("NewHostPlan2D(%d, %d) is not the P=%d %v schedule", rows, cols, min(64, rows, cols), k)
+		for _, k := range append([]codeletfft.Kernel{codeletfft.KernelAuto}, codeletfft.Kernels()...) {
+			opt := codeletfft.WithKernel(k)
+			h, err := codeletfft.NewHostPlan2D(rows, cols, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := codeletfft.NewHostPlan(cols, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := codeletfft.NewHostPlan(rows, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd := rowsThenCols(t, x, rows, cols, row.Transform, col.Transform)
+			inv := rowsThenCols(t, conjX, rows, cols, row.Transform, col.Transform)
+			s := 1 / float64(rows*cols)
+			for i, v := range inv {
+				inv[i] = complex(real(v)*s, -imag(v)*s)
+			}
+			if !sameBits(applied(t, x, h.Transform), fwd) || !sameBits(applied(t, x, h.Inverse), inv) {
+				t.Errorf("NewHostPlan2D(%d, %d, %v) is not NewHostPlan(%d) on the rows and NewHostPlan(%d) on the columns",
+					rows, cols, k, cols, rows)
+			}
 		}
 	}
 }
@@ -390,39 +449,43 @@ func TestWithKernelPinsSelection(t *testing.T) {
 // TestTransformCtx: the context-aware variants refuse a done context
 // without touching data and run normally otherwise.
 func TestTransformCtx(t *testing.T) {
-	const n = 256
-	h, err := codeletfft.NewHostPlan(n)
+	h1, err := codeletfft.NewHostPlan(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := noise(n, 17)
-	data := append([]complex128(nil), x...)
-
+	h2, err := codeletfft.NewHostPlan2D(16, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := h.TransformCtx(ctx, data); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TransformCtx on canceled ctx = %v, want context.Canceled", err)
-	}
-	if !sameBits(data, x) {
-		t.Fatal("canceled TransformCtx modified data")
-	}
-	if err := h.InverseCtx(ctx, data); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InverseCtx on canceled ctx = %v, want context.Canceled", err)
-	}
+	for _, h := range []*codeletfft.HostPlan{h1, h2} {
+		x := noise(h.N(), 17)
+		data := append([]complex128(nil), x...)
+		if err := h.TransformCtx(ctx, data); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: TransformCtx on canceled ctx = %v, want context.Canceled", h.Algorithm(), err)
+		}
+		if !sameBits(data, x) {
+			t.Fatalf("%s: canceled TransformCtx modified data", h.Algorithm())
+		}
+		if err := h.InverseCtx(ctx, data); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: InverseCtx on canceled ctx = %v, want context.Canceled", h.Algorithm(), err)
+		}
 
-	if err := h.TransformCtx(context.Background(), data); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]complex128(nil), x...)
-	_ = h.Transform(want)
-	if !sameBits(data, want) {
-		t.Fatal("TransformCtx diverged from Transform")
-	}
-	if err := h.InverseCtx(context.Background(), data); err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(data, x); e > 1e-16 {
-		t.Fatalf("ctx roundtrip error %g", e)
+		if err := h.TransformCtx(context.Background(), data); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]complex128(nil), x...)
+		_ = h.Transform(want)
+		if !sameBits(data, want) {
+			t.Fatalf("%s: TransformCtx diverged from Transform", h.Algorithm())
+		}
+		if err := h.InverseCtx(context.Background(), data); err != nil {
+			t.Fatal(err)
+		}
+		if e := maxErr(data, x); e > 1e-16 {
+			t.Fatalf("%s: ctx roundtrip error %g", h.Algorithm(), e)
+		}
 	}
 }
 
@@ -480,31 +543,38 @@ func TestParseKernelFacade(t *testing.T) {
 }
 
 func TestHostPlanBatchMatchesLoop(t *testing.T) {
-	const n, b = 512, 7
-	h, err := codeletfft.NewHostPlan(n, codeletfft.WithWorkers(4), codeletfft.WithThreshold(1))
+	const b = 7
+	h1, err := codeletfft.NewHostPlan(512, codeletfft.WithWorkers(4), codeletfft.WithThreshold(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([][]complex128, b)
-	want := make([][]complex128, b)
-	for i := range batch {
-		batch[i] = noise(n, int64(i))
-		want[i] = append([]complex128(nil), batch[i]...)
-		_ = h.Transform(want[i])
+	h2, err := codeletfft.NewHostPlan2D(24, 97, codeletfft.WithWorkers(4), codeletfft.WithThreshold(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = h.TransformBatch(batch)
-	for i := range batch {
-		if !sameBits(batch[i], want[i]) {
-			t.Fatalf("TransformBatch diverged from Transform loop at transform %d", i)
+	for _, h := range []*codeletfft.HostPlan{h1, h2} {
+		n := h.N()
+		batch := make([][]complex128, b)
+		want := make([][]complex128, b)
+		for i := range batch {
+			batch[i] = noise(n, int64(i))
+			want[i] = append([]complex128(nil), batch[i]...)
+			_ = h.Transform(want[i])
 		}
-	}
-	for i := range want {
-		_ = h.Inverse(want[i])
-	}
-	_ = h.InverseBatch(batch)
-	for i := range batch {
-		if !sameBits(batch[i], want[i]) {
-			t.Fatalf("InverseBatch diverged from Inverse loop at transform %d", i)
+		_ = h.TransformBatch(batch)
+		for i := range batch {
+			if !sameBits(batch[i], want[i]) {
+				t.Fatalf("%s: TransformBatch diverged from Transform loop at transform %d", h.Algorithm(), i)
+			}
+		}
+		for i := range want {
+			_ = h.Inverse(want[i])
+		}
+		_ = h.InverseBatch(batch)
+		for i := range batch {
+			if !sameBits(batch[i], want[i]) {
+				t.Fatalf("%s: InverseBatch diverged from Inverse loop at transform %d", h.Algorithm(), i)
+			}
 		}
 	}
 }
@@ -665,18 +735,21 @@ func TestRealPlanZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	p2, err := codeletfft.NewHostPlan2D(64, 128, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := noise(64*128, 5)
-	cycle := func() {
-		_ = p2.Transform(grid)
-		_ = p2.Inverse(grid)
-	}
-	cycle()
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Errorf("HostPlan2D: Transform+Inverse allocates %v objects in steady state, want 0", allocs)
+	// 97×60: the columns run Bluestein, each on a pooled buffer.
+	for _, sh := range [][2]int{{64, 128}, {97, 60}} {
+		p2, err := codeletfft.NewHostPlan2D(sh[0], sh[1], opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := noise(p2.N(), 5)
+		cycle := func() {
+			_ = p2.Transform(grid)
+			_ = p2.Inverse(grid)
+		}
+		cycle()
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Errorf("HostPlan2D %dx%d: Transform+Inverse allocates %v objects in steady state, want 0", sh[0], sh[1], allocs)
+		}
 	}
 }
 
@@ -836,12 +909,15 @@ func TestAutoKernelRule(t *testing.T) {
 	check("pow2 128", hi, 128, complexPlan(128))
 	check("real 128 (half 64)", lo, 64, realPlan(128))
 	check("real 256 (half 128)", hi, 128, realPlan(256))
-	// kernLen 0: a Bluestein plan ignores the pin and a 2-D plan is
-	// staged at every length, so default and pinned always agree.
+	// kernLen 0: a Bluestein plan ignores the pin, so default and pinned
+	// always agree.
 	check("bluestein 31 (M=64)", lo, 0, complexPlan(31))
 	check("bluestein 67 (M=144)", hi, 0, complexPlan(67))
-	check("2-D 256x64 (rows of 64)", lo, 0, plan2D(256, 64))
-	check("2-D 64x128 (rows of 128)", hi, 0, plan2D(64, 128))
+	// A 2-D plan resolves each axis as the 1-D plan of its length does
+	// and reports the row axis's kernel. Both axes of these shapes
+	// resolve alike, so the row length stands for both.
+	check("2-D 32x64 (rows of 64)", lo, 64, plan2D(32, 64))
+	check("2-D 256x128 (rows of 128)", hi, 128, plan2D(256, 128))
 }
 
 // TestDefaultPlanIsReproducible: the default plan is a function of the
@@ -1005,12 +1081,66 @@ func TestPlanKernelAndAlgorithm(t *testing.T) {
 			t.Errorf("n=%d: pinned and default plans do not share one cached core (cache %d -> %d)", c.n, before, got)
 		}
 	}
+	// A 2-D plan names both axes' algorithms, the rows-point (column)
+	// axis first, and reports the row axis's kernel: each axis is the
+	// 1-D plan of its length, with the same options.
+	h2, err := codeletfft.NewHostPlan2D(13, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, k := h2.Algorithm(), h2.Kernel(); a != "2d[bluestein[M=32 mixed-radix[4 4 2]] x mixed-radix[4 2 5 5 5]]" || k != soa4 || h2.N() != 13000 {
+		t.Errorf("NewHostPlan2D(13, 1000): Algorithm() = %q, Kernel() = %v, N() = %d", a, k, h2.N())
+	}
+	for _, sh := range [][2]int{{64, 128}, {128, 64}, {11, 256}} {
+		rows, cols := sh[0], sh[1]
+		for _, pin := range []codeletfft.Kernel{codeletfft.KernelAuto, codeletfft.KernelRadix2, codeletfft.KernelSoARadix4} {
+			opt := codeletfft.WithKernel(pin)
+			h, err := codeletfft.NewHostPlan2D(rows, cols, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := codeletfft.NewHostPlan(cols, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := codeletfft.NewHostPlan(rows, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("2d[%s x %s]", col.Algorithm(), row.Algorithm()); h.Algorithm() != want || h.Kernel() != row.Kernel() {
+				t.Errorf("NewHostPlan2D(%d, %d, %v): Algorithm() = %q, Kernel() = %v; want %q, %v",
+					rows, cols, pin, h.Algorithm(), h.Kernel(), want, row.Kernel())
+			}
+		}
+	}
 }
 
 // movedPow2 is the range of powers of two fft.MixedPow2 moves to the
 // mixed-radix plan where its gate holds (TestPow2Routing holds the rule
 // to it on every build, so a test may use it where the gate is false).
 func movedPow2(n int) bool { return n >= 8 && n <= 1<<20 && n&(n-1) == 0 }
+
+// rowsThenCols applies row in place to each row of a copy of the
+// rows×cols row-major x, then col to each of its columns, gathered into
+// a buffer and scattered back.
+func rowsThenCols(t *testing.T, x []complex128, rows, cols int, row, col func([]complex128) error) []complex128 {
+	t.Helper()
+	y := append([]complex128(nil), x...)
+	for r := range rows {
+		mustRun(t, row(y[r*cols:(r+1)*cols]))
+	}
+	c := make([]complex128, rows)
+	for j := range cols {
+		for r := range c {
+			c[r] = y[r*cols+j]
+		}
+		mustRun(t, col(c))
+		for r, v := range c {
+			y[r*cols+j] = v
+		}
+	}
+	return y
+}
 
 // applied runs f on a copy of x.
 func applied(t *testing.T, x []complex128, f func([]complex128) error) []complex128 {

@@ -1,31 +1,65 @@
 package fft
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// Plan2D decomposes a rows×cols 2-D FFT into row transforms followed by
-// column transforms, each using the staged P-point-task plan. This is the
-// row-column method the C64 line of work (Chen et al.) used for 2-D FFT;
-// the paper's scheduling applies to each 1-D pass.
-// A Plan2D is immutable after NewPlan2D: the twiddle tables WRow and WCol
-// are computed once and never written again, so one plan may serve any
-// number of concurrent runs on distinct data arrays (the pooled
-// per-unit States are the only mutable state).
-type Plan2D struct {
-	Rows, Cols int
-	RowPlan    *Plan
-	ColPlan    *Plan
-	// WRow and WCol are the per-dimension twiddle tables, Twiddles(Cols)
-	// and Twiddles(Rows). Shared read-only state — callers must not
-	// mutate them.
-	WRow []complex128
-	WCol []complex128
-
-	sched schedCache // Schedule's memo
+// RowCol returns the row-column schedule of a rows×cols 2-D transform
+// of row-major data, rows = col.N and cols = row.N: the method the C64
+// line of work (Chen et al.) used for 2-D FFT, with any 1-D schedule on
+// either axis. The rows pass runs row in place on each row; the cols
+// pass gathers each column into a pooled buffer, runs col on it and
+// scatters it back. A unit runs its 1-D schedule serially on a State of
+// its own. row and col are forward schedules: the inverse brackets the
+// two passes with the conjugation identity's sweeps, conj and
+// conj·1/(rows·cols).
+func RowCol(row, col *Schedule, inverse bool) *Schedule {
+	nr, nc := col.N, row.N
+	bufs := &sync.Pool{New: func() any {
+		b := make([]complex128, nr)
+		return &b
+	}}
+	ps := []Pass{
+		{PassRows, nr, func(st *State, lo, hi int) {
+			rs := row.Acquire(nil)
+			for r := lo; r < hi; r++ {
+				rs.Data = st.Data[r*nc : (r+1)*nc]
+				row.Exec(rs)
+			}
+			rs.Release()
+		}},
+		{PassCols, nc, func(st *State, lo, hi int) {
+			buf := bufs.Get().(*[]complex128)
+			cs := col.Acquire(*buf)
+			for c := lo; c < hi; c++ {
+				for r := range cs.Data {
+					cs.Data[r] = st.Data[r*nc+c]
+				}
+				col.Exec(cs)
+				for r, v := range cs.Data {
+					st.Data[r*nc+c] = v
+				}
+			}
+			cs.Release()
+			bufs.Put(buf)
+		}},
+	}
+	if inverse {
+		ps = inverted(ps, nr*nc)
+	}
+	return &Schedule{N: nr * nc, Stage: row.Stage, Passes: ps}
 }
 
-// NewPlan2D validates the shape and builds per-dimension plans. Task size
-// is clamped to each dimension. The returned errors wrap
-// ErrUnsupportedLength or ErrBadTaskSize.
+// Plan2D is the radix-2 2-D FFT the simulator's 2-D runs are checked
+// against: RowCol over the staged radix-2 schedules of the two axes,
+// whose P-point tasks are clamped to each axis. A Plan2D is immutable
+// after NewPlan2D, so one plan may serve concurrent runs on distinct
+// arrays.
+type Plan2D struct{ fwd, inv *Schedule }
+
+// NewPlan2D validates the shape and builds the two directions. The
+// returned errors wrap ErrUnsupportedLength or ErrBadTaskSize.
 func NewPlan2D(rows, cols, taskSize int) (*Plan2D, error) {
 	if Log2(rows) < 1 || Log2(cols) < 1 {
 		return nil, fmt.Errorf("%w: 2-D shape %dx%d must be powers of two ≥ 2", ErrUnsupportedLength, rows, cols)
@@ -38,62 +72,15 @@ func NewPlan2D(rows, cols, taskSize int) (*Plan2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan2D{
-		Rows: rows, Cols: cols, RowPlan: rp, ColPlan: cp,
-		WRow: Twiddles(cols), WCol: Twiddles(rows),
-	}, nil
+	row := rp.Schedule(Twiddles(cols), KernelRadix2, false)
+	col := cp.Schedule(Twiddles(rows), KernelRadix2, false)
+	return &Plan2D{RowCol(row, col, false), RowCol(row, col, true)}, nil
 }
 
-// Schedule returns the plan's pass list under kern for the forward or
-// inverse transform, building it on first use: one pass whose units are
-// whole row transforms, one whose units are whole column transforms
-// (gathered into and scattered from a pooled staging buffer), and the
-// conjugation identity's two sweeps around them for the inverse. A unit
-// runs its 1-D forward schedule serially on its own pooled State.
-func (p *Plan2D) Schedule(kern Kernel, inverse bool) *Schedule {
-	return p.sched.get(kern, inverse, p.schedule)
-}
-
-func (p *Plan2D) schedule(kern Kernel, inverse bool) *Schedule {
-	rows := p.RowPlan.Schedule(p.WRow, kern, false)
-	cols := &Schedule{N: p.Rows, Passes: p.ColPlan.passes(p.WCol, kern, false, onWork),
-		frame: p.ColPlan.frameLen(kern), work: p.Rows}
-	nr, nc := p.Rows, p.Cols
-	ps := []Pass{
-		{PassRows, nr, func(st *State, lo, hi int) {
-			rs := rows.Acquire(nil)
-			for r := lo; r < hi; r++ {
-				rs.Data = st.Data[r*nc : (r+1)*nc]
-				rows.Exec(rs)
-			}
-			rs.Release()
-		}},
-		{PassCols, nc, func(st *State, lo, hi int) {
-			cs := cols.Acquire(nil)
-			for c := lo; c < hi; c++ {
-				for r := range cs.Work {
-					cs.Work[r] = st.Data[r*nc+c]
-				}
-				cols.Exec(cs)
-				for r, v := range cs.Work {
-					st.Data[r*nc+c] = v
-				}
-			}
-			cs.Release()
-		}},
-	}
-	if inverse {
-		ps = inverted(ps, onData, nr*nc)
-	}
-	return &Schedule{N: nr * nc, Stage: StageLabel(kern), Passes: ps}
-}
-
-// Transform applies the radix-2 2-D FFT in place to data in row-major
-// order, serially. It returns an error wrapping ErrLengthMismatch if
-// len(data) is not Rows×Cols.
-func (p *Plan2D) Transform(data []complex128) error { return p.Schedule(KernelRadix2, false).Run(data) }
+// Transform applies the 2-D FFT in place to data in row-major order,
+// serially. It returns an error wrapping ErrLengthMismatch if len(data)
+// is not rows×cols.
+func (p *Plan2D) Transform(data []complex128) error { return p.fwd.Run(data) }
 
 // InverseTransform applies the inverse 2-D FFT in place.
-func (p *Plan2D) InverseTransform(data []complex128) error {
-	return p.Schedule(KernelRadix2, true).Run(data)
-}
+func (p *Plan2D) InverseTransform(data []complex128) error { return p.inv.Run(data) }

@@ -12,7 +12,10 @@ import (
 // (holdErrBudget), forward and inverse. The oracle is separable: bin
 // (k1, k2) is the double-double DFT at k1 of the rows' double-double
 // DFTs at k2, on a grid of six sampled bins per axis (all of them on a
-// shorter axis).
+// shorter axis). 97×60's columns run Bluestein; 1×64 and 64×1 are 1-D
+// transforms with a one-point axis. The worst measured is 8.97 ε
+// against 25.0 at 97×60; at the powers of two, 8.13 against 40 at 1024²
+// (noasm) and 5.72 or less below.
 func TestHostPlan2DErrorBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("no shared state to race on; the instrumented oracle takes ten times as long")
@@ -53,7 +56,7 @@ func TestHostPlan2DErrorBudget(t *testing.T) {
 		}
 		holdErrBudget(t, fmt.Sprintf("%dx%d", rows, cols), x, picked, negated, want, n, paths...)
 	}
-	for _, sh := range [][2]int{{64, 128}, {256, 64}, {8, 256}, {1024, 1024}} {
+	for _, sh := range [][2]int{{64, 128}, {256, 64}, {8, 256}, {1024, 1024}, {480, 640}, {97, 60}, {1, 64}, {64, 1}} {
 		check(sh[0], sh[1])
 	}
 }

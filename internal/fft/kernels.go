@@ -370,25 +370,20 @@ func (pl *Plan) Schedule(w []complex128, kern Kernel, inverse bool) *Schedule {
 		panic(LengthError("twiddle table", len(w), pl.N/2))
 	}
 	return pl.sched.get(kern, inverse, func(kern Kernel, inverse bool) *Schedule {
-		return &Schedule{N: pl.N, Stage: StageLabel(kern), Passes: pl.passes(w, kern, inverse, onData), frame: pl.frameLen(kern)}
+		s := &Schedule{N: pl.N, Stage: StageLabel(kern), Passes: pl.passes(w, kern, inverse)}
+		if kern.SoA() {
+			s.frame = pl.N
+		}
+		return s
 	})
 }
 
-// frameLen returns the plane length kern's passes need: N for the SoA
-// kernels, none for the scalar ones.
-func (pl *Plan) frameLen(kern Kernel) int {
+// passes builds the plan's pass list over the caller's array.
+func (pl *Plan) passes(w []complex128, kern Kernel, inverse bool) []Pass {
 	if kern.SoA() {
-		return pl.N
+		return pl.soaPasses(w, kern, inverse)
 	}
-	return 0
-}
-
-// passes builds the plan's pass list over the array buf selects.
-func (pl *Plan) passes(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
-	if kern.SoA() {
-		return pl.soaPasses(w, kern, inverse, buf)
-	}
-	ps := []Pass{{PassBitRev, pl.N, func(st *State, lo, hi int) { bitReverseRange(buf(st), lo, hi, pl.LogN) }}}
+	ps := []Pass{{PassBitRev, pl.N, func(st *State, lo, hi int) { bitReverseRange(st.Data, lo, hi, pl.LogN) }}}
 	label := StageLabel(kern)
 	for stage := 0; stage < pl.NumStages; stage++ {
 		ps = append(ps, Pass{label, pl.TasksPerStage, func(st *State, lo, hi int) {
@@ -396,15 +391,14 @@ func (pl *Plan) passes(w []complex128, kern Kernel, inverse bool, buf operand) [
 			if sc == nil {
 				sc = NewScratch(pl)
 			}
-			data := buf(st)
 			for task := lo; task < hi; task++ {
-				pl.RunTaskKernel(stage, task, data, w, kern, sc)
+				pl.RunTaskKernel(stage, task, st.Data, w, kern, sc)
 			}
 			pl.scratch.Put(sc)
 		}})
 	}
 	if inverse {
-		return inverted(ps, buf, pl.N)
+		return inverted(ps, pl.N)
 	}
 	return ps
 }

@@ -210,23 +210,33 @@ func TestRealPlanKernels(t *testing.T) {
 	}
 }
 
-// TestPlan2DKernels checks the 2-D row-column path under each kernel
-// against the radix-2 2-D reference.
+// TestPlan2DKernels checks fft.RowCol over the staged plans of each
+// kernel against the radix-2 2-D reference.
 func TestPlan2DKernels(t *testing.T) {
-	p2, err := fft.NewPlan2D(16, 64, 8)
+	const rows, cols = 16, 64
+	p2, err := fft.NewPlan2D(rows, cols, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := lcgComplex(16*64, 11)
+	rp, err := fft.NewPlan(cols, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := fft.NewPlan(rows, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := lcgComplex(rows*cols, 11)
 	want := append([]complex128(nil), x...)
 	noErr(t, p2.Transform(want))
 	for _, k := range fft.ConcreteKernels() {
+		row, col := rp.Schedule(fft.Twiddles(cols), k, false), cp.Schedule(fft.Twiddles(rows), k, false)
 		got := append([]complex128(nil), x...)
-		noErr(t, p2.Schedule(k, false).Run(got))
+		noErr(t, fft.RowCol(row, col, false).Run(got))
 		if e := maxRelError(got, want); e > 1e-9 {
 			t.Errorf("%v: 2-D error vs radix-2 %g", k, e)
 		}
-		noErr(t, p2.Schedule(k, true).Run(got))
+		noErr(t, fft.RowCol(row, col, true).Run(got))
 		if e := maxRelError(got, x); e > 1e-9 {
 			t.Errorf("%v: 2-D round-trip error %g", k, e)
 		}

@@ -194,7 +194,7 @@ func (mp *MixedPlan) buildSchedules() {
 func (mp *MixedPlan) passes(inverse bool) []Pass {
 	if len(mp.Stages) == 0 {
 		if inverse {
-			return inverted(nil, onData, mp.N)
+			return inverted(nil, mp.N)
 		}
 		return nil
 	}

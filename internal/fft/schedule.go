@@ -83,7 +83,7 @@ func StageLabel(kern Kernel) string {
 // contents are harmless.
 type State struct {
 	Data  []complex128 // the caller's array, transformed in place
-	Work  []complex128 // Stockham partner, convolution array or column staging
+	Work  []complex128 // Stockham partner or convolution array
 	Frame *SoAFrame    // split planes of the SoA kernels
 
 	own []complex128 // pooled backing array of Work
@@ -157,9 +157,8 @@ func (s *Schedule) Run(data []complex128) error {
 	return nil
 }
 
-// operand selects the array a family's passes work on: the caller's
-// data at top level, the work buffer when the family is nested inside
-// another schedule (Bluestein's convolution, a 2-D plan's columns).
+// operand selects the array a mixed-radix stage works on: the caller's
+// data, the work buffer, or a part of it (Bluestein's two halves).
 type operand func(*State) []complex128
 
 func onData(st *State) []complex128 { return st.Data }
@@ -180,23 +179,23 @@ func conjugateScale(d []complex128, s float64) {
 	}
 }
 
-// conjPass and scalePass wrap the identity's sweeps over the first n
-// elements of buf as passes; inverted brackets a forward pass list with
-// them.
-func conjPass(buf operand, n int) Pass {
-	return Pass{PassConj, n, func(st *State, lo, hi int) { conjugate(buf(st)[lo:hi]) }}
+// conjPass and scalePass wrap the identity's sweeps over the n
+// elements of the caller's array as passes; inverted brackets a forward
+// pass list with them.
+func conjPass(n int) Pass {
+	return Pass{PassConj, n, func(st *State, lo, hi int) { conjugate(st.Data[lo:hi]) }}
 }
 
-func scalePass(buf operand, n int) Pass {
+func scalePass(n int) Pass {
 	inv := 1 / float64(n)
 	return Pass{PassScale, n, func(st *State, lo, hi int) {
-		conjugateScale(buf(st)[lo:hi], inv)
+		conjugateScale(st.Data[lo:hi], inv)
 	}}
 }
 
-func inverted(forward []Pass, buf operand, n int) []Pass {
-	ps := append([]Pass{conjPass(buf, n)}, forward...)
-	return append(ps, scalePass(buf, n))
+func inverted(forward []Pass, n int) []Pass {
+	ps := append([]Pass{conjPass(n)}, forward...)
+	return append(ps, scalePass(n))
 }
 
 // schedCache memoizes a plan's schedules per (concrete kernel,

@@ -853,29 +853,29 @@ func base4Gen(re, im []float64, war, wai, wbr, wbi float64) {
 	}
 }
 
-// soaPasses builds the split-plane pass list over the array buf
-// selects: the tiled pack (bit reversal and stage 0), then one blocked
-// pass per group of level sweeps, the last of which stores the
-// transform into buf. The inverse's conjugation identity rides on passes
+// soaPasses builds the split-plane pass list over the caller's array:
+// the tiled pack (bit reversal and stage 0), then one blocked pass per
+// group of level sweeps, the last of which stores the transform into
+// the array. The inverse's conjugation identity rides on passes
 // that already touch every element — the leading conjugation on the
 // pack, the trailing conjugate-and-scale on the store — so it costs
 // exactly the forward's passes and is bit-for-bit the unfused
 // conj → forward → conj·1/N composition. With no level above stage 0
 // (N ≤ P) the pack is one tile and the whole transform: it unpacks too.
-func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool, buf operand) []Pass {
+func (pl *Plan) soaPasses(w []complex128, kern Kernel, inverse bool) []Pass {
 	tw := pl.SoATwiddles(w)
-	store := func(st *State) soaStore { return soaStore{buf(st), inverse, 1 / float64(pl.N)} }
+	store := func(st *State) soaStore { return soaStore{st.Data, inverse, 1 / float64(pl.N)} }
 	gs := tw.groups(kern)
 	if len(gs) == 0 {
 		return []Pass{{PassSoAPack, 1, func(st *State, lo, hi int) {
 			if lo < hi {
-				pl.SoAPack(st.Frame, buf(st), 0, 1, tw, kern, inverse)
+				pl.SoAPack(st.Frame, st.Data, 0, 1, tw, kern, inverse)
 				store(st).unpack(st.Frame, 0, pl.N)
 			}
 		}}}
 	}
 	ps := []Pass{{PassSoAPack, pl.SoAPackTiles(), func(st *State, lo, hi int) {
-		pl.SoAPack(st.Frame, buf(st), lo, hi, tw, kern, inverse)
+		pl.SoAPack(st.Frame, st.Data, lo, hi, tw, kern, inverse)
 	}}}
 	label := StageLabel(kern)
 	for i := range gs {

@@ -194,14 +194,11 @@ func TestArbitraryNZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := fft.NewPlan2D(64, 128, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = fft.KernelSoARadix4
+	const rows, cols = 64, 128
+	soa4, radix4 := rowCol(t, rows, cols, 64, fft.KernelSoARadix4), rowCol(t, rows, cols, 64, fft.KernelRadix4)
 	mixed := batchNoise(1, mp.N, 2)[0]
 	blue := batchNoise(1, bp.N, 3)[0]
-	grid := batchNoise(1, p2.Rows*p2.Cols, 4)[0]
+	grid := batchNoise(1, rows*cols, 4)[0]
 	ops := []struct {
 		name string
 		buf  int // bytes of the largest buffer a per-call make would allocate
@@ -212,9 +209,9 @@ func TestArbitraryNZeroAllocs(t *testing.T) {
 		{"mixed inverse", 16 * mp.N, mp.Schedule(true), mixed},
 		{"bluestein forward", 16 * bp.M, bp.Schedule(false), blue},
 		{"bluestein inverse", 16 * bp.M, bp.Schedule(true), blue},
-		{"2-D soa4 forward", 16 * p2.Cols * 3, p2.Schedule(k, false), grid},
-		{"2-D soa4 inverse", 16 * p2.Cols * 3, p2.Schedule(k, true), grid},
-		{"2-D radix4 forward", 16 * p2.Cols * 3, p2.Schedule(fft.KernelRadix4, false), grid},
+		{"2-D soa4 forward", 16 * cols * 3, soa4(false), grid},
+		{"2-D soa4 inverse", 16 * cols * 3, soa4(true), grid},
+		{"2-D radix4 forward", 16 * cols * 3, radix4(false), grid},
 	}
 	serial := host.New(host.Config{Workers: 1})
 	par := host.New(host.Config{Workers: 3, Threshold: 1})

@@ -43,6 +43,23 @@ func must[T any](t *testing.T) func(T, error) T {
 	}
 }
 
+// rowCol returns the rows×cols row-column schedules over the staged
+// plans of each axis under kern, their P-point tasks clamped to the
+// axis.
+func rowCol(t *testing.T, rows, cols, p int, kern fft.Kernel) func(inverse bool) *fft.Schedule {
+	axis := func(n int) *fft.Schedule {
+		return must[*fft.Plan](t)(fft.NewPlan(n, min(p, n))).Schedule(fft.Twiddles(n), kern, false)
+	}
+	row, col := axis(cols), axis(rows)
+	fwd, inv := fft.RowCol(row, col, false), fft.RowCol(row, col, true)
+	return func(inverse bool) *fft.Schedule {
+		if inverse {
+			return inv
+		}
+		return fwd
+	}
+}
+
 func conformanceCases(t *testing.T) []confCase {
 	var cases []confCase
 	pow2 := func(n, p int, k fft.Kernel) func(bool) *fft.Schedule {
@@ -61,9 +78,7 @@ func conformanceCases(t *testing.T) []confCase {
 				cases = append(cases, confCase{name: fmt.Sprintf("%v/2^%d/P8", k, lg), sched: pow2(n, 8, k)})
 			}
 		}
-		p2 := must[*fft.Plan2D](t)(fft.NewPlan2D(64, 128, 64))
-		cases = append(cases, confCase{name: fmt.Sprintf("%v/2-D 64x128", k),
-			sched: func(inverse bool) *fft.Schedule { return p2.Schedule(k, inverse) }})
+		cases = append(cases, confCase{name: fmt.Sprintf("%v/2-D 64x128", k), sched: rowCol(t, 64, 128, 64, k)})
 	}
 	for _, n := range []int{1, 12, 1000, 3072, 3 << 12} {
 		mp := must[*fft.MixedPlan](t)(fft.NewMixedPlan(n))
@@ -76,6 +91,12 @@ func conformanceCases(t *testing.T) []confCase {
 		cases = append(cases, confCase{name: fmt.Sprintf("bluestein/%d", n),
 			sched: func(inverse bool) *fft.Schedule { return bp.Schedule(inverse) }})
 	}
+	// 2-D with a Bluestein column axis and mixed-radix rows: every column
+	// unit runs the convolution on its own work buffer.
+	mp60, bp61 := must[*fft.MixedPlan](t)(fft.NewMixedPlan(60)), must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(61))
+	cases = append(cases, confCase{name: "2-D 61x60 bluestein×mixed", sched: func(inverse bool) *fft.Schedule {
+		return fft.RowCol(mp60.Schedule(false), bp61.Schedule(false), inverse)
+	}})
 	// Real input: the split pass around a half schedule. The pass runs
 	// on the caller's goroutine either side of the executor, so the
 	// half schedule on packed input is the whole executor surface.
@@ -322,13 +343,13 @@ func TestLengthMismatchLeavesDataUntouched(t *testing.T) {
 	pl, w := must[*fft.Plan](t)(fft.NewPlan(64, 8)), fft.Twiddles(64)
 	mp := must[*fft.MixedPlan](t)(fft.NewMixedPlan(60))
 	bp := must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(61))
-	p2 := must[*fft.Plan2D](t)(fft.NewPlan2D(8, 8, 8))
+	p2 := rowCol(t, 8, 8, 8, fft.KernelRadix2)
 	families := map[string]func(bool) *fft.Schedule{
 		"radix4":    func(inv bool) *fft.Schedule { return pl.Schedule(w, fft.KernelRadix4, inv) },
 		"soa4":      func(inv bool) *fft.Schedule { return pl.Schedule(w, fft.KernelSoARadix4, inv) },
 		"mixed":     mp.Schedule,
 		"bluestein": func(inv bool) *fft.Schedule { return bp.Schedule(inv) },
-		"2-D":       func(inv bool) *fft.Schedule { return p2.Schedule(fft.KernelRadix2, inv) },
+		"2-D":       p2,
 	}
 	engines := map[string]*host.Engine{
 		"serial":   host.New(host.Config{Workers: 1}),

@@ -149,18 +149,26 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		axis := func(n int) *fft.Schedule {
+			pl, err := fft.NewPlan(n, min(16, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pl.Schedule(fft.Twiddles(n), fft.KernelRadix2, false)
+		}
+		row, col := axis(cols), axis(rows)
 		x := noise(rows*cols, int64(rows))
 		want := append([]complex128(nil), x...)
 		noErr(t, p2.Transform(want))
 		for _, workers := range []int{1, 3, 8} {
 			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
-			noErr(t, e.Run(p2.Schedule(fft.KernelRadix2, false), got))
+			noErr(t, e.Run(fft.RowCol(row, col, false), got))
 			if !sameBits(got, want) {
 				t.Errorf("%dx%d workers=%d: parallel 2-D != serial (max err %g)",
 					rows, cols, workers, maxErr(got, want))
 			}
-			noErr(t, e.Run(p2.Schedule(fft.KernelRadix2, true), got))
+			noErr(t, e.Run(fft.RowCol(row, col, true), got))
 			if err := maxErr(got, x); err > 1e-12 {
 				t.Errorf("%dx%d workers=%d: 2-D round trip error %g", rows, cols, workers, err)
 			}

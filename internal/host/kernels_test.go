@@ -126,20 +126,17 @@ func TestKernelRealAndTwoD(t *testing.T) {
 		}
 	}
 
-	p2, err := fft.NewPlan2D(32, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, k := range fft.ConcreteKernels() {
+		p2 := rowCol(t, 32, 64, 8, k)
 		want := kernInput(32*64, 5)
 		got := append([]complex128(nil), want...)
-		noErr(t, p2.Schedule(k, false).Run(want))
-		noErr(t, eng.Run(p2.Schedule(k, false), got))
+		noErr(t, p2(false).Run(want))
+		noErr(t, eng.Run(p2(false), got))
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine 2-D != serial", k)
 		}
-		noErr(t, p2.Schedule(k, true).Run(want))
-		noErr(t, eng.Run(p2.Schedule(k, true), got))
+		noErr(t, p2(true).Run(want))
+		noErr(t, eng.Run(p2(true), got))
 		if !sameBits(got, want) {
 			t.Fatalf("%v: engine inverse 2-D != serial", k)
 		}

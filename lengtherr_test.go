@@ -206,3 +206,17 @@ func TestLengthErrorsLeaveBuffersUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestHostPlan2DRejectsBadShape: a 2-D shape with an axis below 1, or
+// whose point count overflows an int, is an error wrapping
+// ErrUnsupportedLength, returned before either axis is planned.
+func TestHostPlan2DRejectsBadShape(t *testing.T) {
+	for _, sh := range [][2]int{
+		{0, 8}, {8, 0}, {-1, 4}, {4, -64}, {0, 0},
+		{math.MaxInt/2 + 1, 2}, {3, math.MaxInt/3 + 1}, {math.MaxInt, math.MaxInt},
+	} {
+		if _, err := codeletfft.NewHostPlan2D(sh[0], sh[1]); !errors.Is(err, codeletfft.ErrUnsupportedLength) {
+			t.Errorf("NewHostPlan2D(%d, %d) err = %v, want ErrUnsupportedLength", sh[0], sh[1], err)
+		}
+	}
+}
