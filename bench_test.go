@@ -255,3 +255,39 @@ func BenchmarkHostPlan2D(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRealPlan times the default real plan's forward and inverse
+// apart, serially, in ns per real sample: the packed N/2-point half
+// transform plus the split and the moves around it.
+func BenchmarkRealPlan(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 16, 1 << 20} {
+		rp, err := codeletfft.NewRealPlan(n, codeletfft.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := make([]float64, n)
+		for i, v := range noise(n, int64(n)) {
+			x[i] = real(v)
+		}
+		spec := make([]complex128, rp.SpectrumLen())
+		if err := rp.Transform(spec, x); err != nil {
+			b.Fatal(err)
+		}
+		for _, dir := range []struct {
+			name string
+			run  func() error
+		}{
+			{"fwd", func() error { return rp.Transform(spec, x) }},
+			{"inv", func() error { return rp.Inverse(x, spec) }},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, dir.name), func(b *testing.B) {
+				for range b.N {
+					if err := dir.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/pt")
+			})
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"codeletfft/internal/cache"
 	"codeletfft/internal/fft"
@@ -245,29 +244,9 @@ func planKeyHash(k planKey) uint64 {
 // sizes, so eviction is rare in practice.
 var planCache = cache.New[planKey, *hostCore](8, 16, planKeyHash)
 
-// realCore is the shareable part of a RealPlan: the split-pass tables
-// and the pool of packed buffers the inverse works in.
-type realCore struct {
-	*fft.RealSplit
-	work sync.Pool // *[]complex128 of length N/2
-}
-
-func newRealCore(n int) (*realCore, error) {
-	split, err := fft.NewRealSplit(n)
-	if err != nil {
-		return nil, err
-	}
-	c := &realCore{RealSplit: split}
-	c.work.New = func() any {
-		w := make([]complex128, n/2)
-		return &w
-	}
-	return c, nil
-}
-
-// realCache memoizes real cores across CachedRealPlan calls, bounded
-// the same way as planCache.
-var realCache = cache.New[planKey, *realCore](8, 16, planKeyHash)
+// realCache memoizes real plans' split tables across CachedRealPlan
+// calls, bounded the same way as planCache.
+var realCache = cache.New[planKey, *fft.RealSplit](8, 16, planKeyHash)
 
 // PlanCacheLen reports how many plan cores CachedHostPlan currently
 // retains — an observability hook for serving systems.
@@ -416,51 +395,47 @@ func (h *HostPlan) InverseBatch(batch [][]complex128) error {
 // A RealPlan is immutable after construction and safe for concurrent
 // use on distinct buffers.
 type RealPlan struct {
-	core *realCore
-	half *HostPlan
-}
-
-// plan assembles the plan around the core and the N/2-point half plan
-// newHalf builds (NewHostPlan, or CachedHostPlan to share it through
-// the plan cache).
-func (c *realCore) plan(newHalf func(int, ...HostOption) (*HostPlan, error), opts []HostOption) (*RealPlan, error) {
-	half, err := newHalf(c.N/2, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &RealPlan{core: c, half: half}, nil
+	split *fft.RealSplit
+	half  *HostPlan
 }
 
 // NewRealPlan builds a real-input plan for n-point transforms, any even
 // n ≥ 4.
 func NewRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	core, err := newRealCore(n)
+	split, err := fft.NewRealSplit(n)
 	if err != nil {
 		return nil, err
 	}
-	return core.plan(NewHostPlan, opts)
+	half, err := NewHostPlan(n/2, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &RealPlan{split: split, half: half}, nil
 }
 
 // CachedRealPlan is NewRealPlan backed by a process-wide cache keyed by
-// n, sharing the split tables and the inverse's work buffers across
-// calls the way CachedHostPlan shares cores, and the N/2-point half
-// core through the plan cache.
+// n, sharing the split tables across calls the way CachedHostPlan shares
+// cores, and the N/2-point half core through the plan cache.
 func CachedRealPlan(n int, opts ...HostOption) (*RealPlan, error) {
-	core, err := realCache.GetOrCreate(planKey{n: n}, func() (*realCore, error) {
-		return newRealCore(n)
+	split, err := realCache.GetOrCreate(planKey{n: n}, func() (*fft.RealSplit, error) {
+		return fft.NewRealSplit(n)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return core.plan(CachedHostPlan, opts)
+	half, err := CachedHostPlan(n/2, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &RealPlan{split: split, half: half}, nil
 }
 
 // N returns the real-input length.
-func (r *RealPlan) N() int { return r.core.N }
+func (r *RealPlan) N() int { return r.split.N }
 
 // SpectrumLen returns N/2+1, the half-spectrum buffer length Transform
 // fills and Inverse consumes.
-func (r *RealPlan) SpectrumLen() int { return r.core.SpectrumLen() }
+func (r *RealPlan) SpectrumLen() int { return r.split.SpectrumLen() }
 
 // Algorithm names the path the length routed to: "real+" followed by
 // the half plan's algorithm ("staged" for a staged power of two,
@@ -480,32 +455,16 @@ func (r *RealPlan) Kernel() Kernel { return r.half.Kernel() }
 // buffer is returned as an error wrapping ErrLengthMismatch, with both
 // untouched.
 func (r *RealPlan) Transform(spec []complex128, x []float64) error {
-	if err := r.core.Check(spec, x); err != nil {
-		return err
-	}
-	r.core.Pack(spec, x)
-	if err := r.half.Transform(spec[:r.core.N/2]); err != nil {
-		return err
-	}
-	r.core.Unpack(spec)
-	return nil
+	return r.split.Forward(spec, x, r.half.Transform)
 }
 
 // Inverse recovers the length-N real signal x from its half-spectrum
-// spec, inverting Transform. spec is not modified; wrong-length buffers
-// are returned as Transform's are, before any work.
+// spec, inverting Transform: the half plan's inverse runs in x itself,
+// so the call needs no buffer of its own. spec is not modified, and x
+// and spec must not overlap; wrong-length buffers are returned as
+// Transform's are, before any work.
 func (r *RealPlan) Inverse(x []float64, spec []complex128) error {
-	if err := r.core.Check(spec, x); err != nil {
-		return err
-	}
-	w := r.core.work.Get().(*[]complex128)
-	defer r.core.work.Put(w)
-	r.core.PreInverse(*w, spec)
-	if err := r.half.Inverse(*w); err != nil {
-		return err
-	}
-	r.core.PostInverse(x, *w)
-	return nil
+	return r.split.Inverse(x, spec, r.half.Inverse)
 }
 
 // TransformCtx is Transform with a pre-flight context check.
@@ -532,8 +491,8 @@ type HostPlan2D = HostPlan
 // data, any rows, cols ≥ 1 whose product fits an int (else an error
 // wrapping ErrUnsupportedLength). Each axis runs the plan NewHostPlan
 // builds for its length with opts, on every row and then on every
-// column (fft.RowCol), and the inverse brackets that forward with conj
-// and conj·1/(rows·cols).
+// column (fft.RowCol); the inverse runs each axis's inverse plan the
+// same way.
 func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
 	if rows < 1 || cols < 1 || rows > math.MaxInt/cols {
 		return nil, fmt.Errorf("%w: 2-D shape %dx%d", ErrUnsupportedLength, rows, cols)
@@ -551,7 +510,7 @@ func NewHostPlan2D(rows, cols int, opts ...HostOption) (*HostPlan2D, error) {
 	}
 	core := &hostCore{
 		n: rows * cols, algo: fmt.Sprintf("2d[%s x %s]", col.algo, row.algo), kern: row.kern,
-		fwd: fft.RowCol(row.fwd, col.fwd, false), inv: fft.RowCol(row.fwd, col.fwd, true),
+		fwd: fft.RowCol(row.fwd, col.fwd), inv: fft.RowCol(row.inv, col.inv),
 	}
 	return &HostPlan{core: core, eng: o.engine()}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -257,8 +256,8 @@ func TestHostPlanOptionDefaults(t *testing.T) {
 // length, a default one where fft.MixedPow2 leaves it (TestPow2Routing
 // has the rest). A 2-D plan, default or pinned, is bitwise the 1-D
 // plans of its axes built with its options: the cols-point plan on each
-// row, then the rows-point plan on each column; its inverse is that
-// between conj and conj·1/(rows·cols).
+// row, then the rows-point plan on each column — forward, or inverse on
+// both axes for the inverse.
 func TestHostPlanTaskSizeRule(t *testing.T) {
 	check := func(err error) {
 		t.Helper()
@@ -308,14 +307,18 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 			x[i] = real(z[i])
 		}
 		wantSpec := make([]complex128, split.SpectrumLen())
-		split.Pack(wantSpec, x)
+		for j := range h {
+			wantSpec[j] = complex(x[2*j], x[2*j+1])
+		}
 		check(half.Schedule(wh, k, false).Run(wantSpec[:h]))
 		split.Unpack(wantSpec)
 		work := make([]complex128, h)
 		split.PreInverse(work, wantSpec)
 		check(half.Schedule(wh, k, true).Run(work))
 		wantBack := make([]float64, n)
-		split.PostInverse(wantBack, work)
+		for j, v := range work {
+			wantBack[2*j], wantBack[2*j+1] = real(v), imag(v)
+		}
 
 		for _, opts := range stagedOpts(h) {
 			rp, err := codeletfft.NewRealPlan(n, opts...)
@@ -335,10 +338,6 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 	for _, sh := range [][2]int{{16, 64}, {64, 16}, {8, 256}, {128, 128}, {6, 10}, {97, 60}, {1, 64}, {64, 1}} {
 		rows, cols := sh[0], sh[1]
 		x := noise(rows*cols, int64(rows))
-		conjX := make([]complex128, len(x))
-		for i, v := range x {
-			conjX[i] = cmplx.Conj(v)
-		}
 		for _, k := range append([]codeletfft.Kernel{codeletfft.KernelAuto}, codeletfft.Kernels()...) {
 			opt := codeletfft.WithKernel(k)
 			h, err := codeletfft.NewHostPlan2D(rows, cols, opt)
@@ -354,11 +353,7 @@ func TestHostPlanTaskSizeRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			fwd := rowsThenCols(t, x, rows, cols, row.Transform, col.Transform)
-			inv := rowsThenCols(t, conjX, rows, cols, row.Transform, col.Transform)
-			s := 1 / float64(rows*cols)
-			for i, v := range inv {
-				inv[i] = complex(real(v)*s, -imag(v)*s)
-			}
+			inv := rowsThenCols(t, x, rows, cols, row.Inverse, col.Inverse)
 			if !sameBits(applied(t, x, h.Transform), fwd) || !sameBits(applied(t, x, h.Inverse), inv) {
 				t.Errorf("NewHostPlan2D(%d, %d, %v) is not NewHostPlan(%d) on the rows and NewHostPlan(%d) on the columns",
 					rows, cols, k, cols, rows)
@@ -702,8 +697,8 @@ func TestRealPlanFacade(t *testing.T) {
 
 // TestRealPlanZeroAllocs: a real plan's steady-state Transform and
 // Inverse allocate nothing on a serial engine, at power-of-two and other
-// even lengths alike — the inverse's packed N/2 buffer is pooled on
-// every path — and so does a 2-D plan's, whose per-unit scratch and
+// even lengths alike — the inverse's half transform runs in the
+// caller's signal — and so does a 2-D plan's, whose per-unit scratch and
 // column staging come from the schedule pools.
 func TestRealPlanZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -749,6 +744,36 @@ func TestRealPlanZeroAllocs(t *testing.T) {
 		cycle()
 		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 			t.Errorf("HostPlan2D %dx%d: Transform+Inverse allocates %v objects in steady state, want 0", sh[0], sh[1], allocs)
+		}
+	}
+}
+
+// TestRealPlanOddOffsetSignal: a real plan moves the signal through
+// complex views of it — the forward copies it into the spectrum buffer,
+// the inverse runs its half transform in the signal itself — so a signal
+// that starts at an odd float64 index (8-byte but not 16-byte aligned)
+// must give the bits an aligned one does. Under -race, checkptr vets the
+// views.
+func TestRealPlanOddOffsetSignal(t *testing.T) {
+	for _, n := range []int{16, 1000, 4096, 65536} {
+		rp, err := codeletfft.NewRealPlan(n, codeletfft.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		aligned, odd := make([]float64, n), make([]float64, n+1)[1:]
+		for i, v := range noise(n, int64(n)) {
+			aligned[i], odd[i] = real(v), real(v)
+		}
+		want, got := make([]complex128, rp.SpectrumLen()), make([]complex128, rp.SpectrumLen())
+		mustRun(t, rp.Transform(want, aligned))
+		mustRun(t, rp.Transform(got, odd))
+		if !sameBits(got, want) {
+			t.Errorf("n=%d: Transform of an odd-offset signal differs from an aligned one", n)
+		}
+		mustRun(t, rp.Inverse(aligned, want))
+		mustRun(t, rp.Inverse(odd, want))
+		if !sameBits(realParts(odd), realParts(aligned)) {
+			t.Errorf("n=%d: Inverse into an odd-offset signal differs from an aligned one", n)
 		}
 	}
 }
@@ -1228,14 +1253,18 @@ func TestPow2Routing(t *testing.T) {
 			r[2*j], r[2*j+1] = real(v), imag(v)
 		}
 		wantSpec := make([]complex128, split.SpectrumLen())
-		split.Pack(wantSpec, r)
+		for j := range n {
+			wantSpec[j] = complex(r[2*j], r[2*j+1])
+		}
 		mustRun(t, fwd(wantSpec[:n]))
 		split.Unpack(wantSpec)
 		work := make([]complex128, n)
 		split.PreInverse(work, wantSpec)
 		mustRun(t, inv(work))
 		wantBack := make([]float64, 2*n)
-		split.PostInverse(wantBack, work)
+		for j, v := range work {
+			wantBack[2*j], wantBack[2*j+1] = real(v), imag(v)
+		}
 		rp, err := codeletfft.NewRealPlan(2 * n)
 		if err != nil {
 			t.Fatal(err)

@@ -11,16 +11,17 @@ import (
 // either axis. The rows pass runs row in place on each row; the cols
 // pass gathers each column into a pooled buffer, runs col on it and
 // scatters it back. A unit runs its 1-D schedule serially on a State of
-// its own. row and col are forward schedules: the inverse brackets the
-// two passes with the conjugation identity's sweeps, conj and
-// conj·1/(rows·cols).
-func RowCol(row, col *Schedule, inverse bool) *Schedule {
+// its own. The transform's direction is its axes': RowCol of two
+// forward schedules is the forward 2-D transform, and of the axes'
+// inverse schedules, each carrying its own conj and 1/N, the inverse:
+// 1/cols on the rows and 1/rows on the columns are 1/(rows·cols) in all.
+func RowCol(row, col *Schedule) *Schedule {
 	nr, nc := col.N, row.N
 	bufs := &sync.Pool{New: func() any {
 		b := make([]complex128, nr)
 		return &b
 	}}
-	ps := []Pass{
+	return &Schedule{N: nr * nc, Stage: row.Stage, Passes: []Pass{
 		{PassRows, nr, func(st *State, lo, hi int) {
 			rs := row.Acquire(nil)
 			for r := lo; r < hi; r++ {
@@ -44,18 +45,14 @@ func RowCol(row, col *Schedule, inverse bool) *Schedule {
 			cs.Release()
 			bufs.Put(buf)
 		}},
-	}
-	if inverse {
-		ps = inverted(ps, nr*nc)
-	}
-	return &Schedule{N: nr * nc, Stage: row.Stage, Passes: ps}
+	}}
 }
 
 // Plan2D is the radix-2 2-D FFT the simulator's 2-D runs are checked
 // against: RowCol over the staged radix-2 schedules of the two axes,
-// whose P-point tasks are clamped to each axis. A Plan2D is immutable
-// after NewPlan2D, so one plan may serve concurrent runs on distinct
-// arrays.
+// forward or inverse, whose P-point tasks are clamped to each axis. A
+// Plan2D is immutable after NewPlan2D, so one plan may serve concurrent
+// runs on distinct arrays.
 type Plan2D struct{ fwd, inv *Schedule }
 
 // NewPlan2D validates the shape and builds the two directions. The
@@ -72,9 +69,11 @@ func NewPlan2D(rows, cols, taskSize int) (*Plan2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := rp.Schedule(Twiddles(cols), KernelRadix2, false)
-	col := cp.Schedule(Twiddles(rows), KernelRadix2, false)
-	return &Plan2D{RowCol(row, col, false), RowCol(row, col, true)}, nil
+	wr, wc := Twiddles(cols), Twiddles(rows)
+	return &Plan2D{
+		RowCol(rp.Schedule(wr, KernelRadix2, false), cp.Schedule(wc, KernelRadix2, false)),
+		RowCol(rp.Schedule(wr, KernelRadix2, true), cp.Schedule(wc, KernelRadix2, true)),
+	}, nil
 }
 
 // Transform applies the 2-D FFT in place to data in row-major order,

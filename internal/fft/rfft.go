@@ -16,8 +16,10 @@ import "fmt"
 // only the N/2+1 bins X[0..N/2] are produced; X[0] and X[N/2] are
 // purely real by construction.
 //
-// The split passes check no lengths: a caller validates its buffers at
-// its own entry with Check, before any work.
+// Forward and Inverse are the whole composition — check, move, half
+// transform, split — over the caller's two buffers; a plan supplies only
+// its half transform. Unpack and PreInverse, the split passes alone,
+// check no lengths.
 type RealSplit struct {
 	// N is the real-input length (even, ≥ 4).
 	N int
@@ -79,15 +81,6 @@ func NewRealPlan(n, taskSize int) (*RealPlan, error) {
 // Transform fills and Inverse consumes.
 func (rp *RealSplit) SpectrumLen() int { return rp.N/2 + 1 }
 
-// Pack interleaves the real signal src (length N) into dst[:N/2] as
-// dst[j] = src[2j] + i·src[2j+1], leaving dst[N/2] untouched. dst must
-// have SpectrumLen elements.
-func (rp *RealSplit) Pack(dst []complex128, src []float64) {
-	for j := 0; j < rp.N/2; j++ {
-		dst[j] = complex(src[2*j], src[2*j+1])
-	}
-}
-
 // Unpack turns the half transform's output Z = dst[:N/2] into the real
 // signal's half-spectrum X[0..N/2] in place. With E and O the spectra of
 // the even and odd samples, Hermitian symmetry gives
@@ -130,62 +123,73 @@ func (rp *RealPlan) TransformKernelWith(dst []complex128, src []float64, kern Ke
 }
 
 func (rp *RealPlan) transform(dst []complex128, src []float64, kern Kernel) error {
-	if err := rp.Check(dst, src); err != nil {
-		return err
-	}
-	rp.Pack(dst, src)
-	rp.Half.TransformKernel(dst[:rp.N/2], rp.WHalf, kern)
-	rp.Unpack(dst)
-	return nil
+	return rp.Forward(dst, src, rp.Half.Schedule(rp.WHalf, kern, false).Run)
 }
 
-// PreInverse rebuilds the packed half transform Z (into work, length
-// N/2) from the half-spectrum src (length SpectrumLen) — the exact
-// inverse of Unpack, using X[k+h] = conj(X[h−k]):
+// PreInverse rebuilds the packed half transform Z (into z, length N/2)
+// from the half-spectrum spec (length SpectrumLen) — the exact inverse
+// of Unpack, using X[k+h] = conj(X[h−k]):
 //
 //	E[k] = (X[k] + conj(X[h−k]))/2
 //	O[k] = (X[k] − conj(X[h−k]))/2 · conj(W[k])
 //	Z[k] = E[k] + i·O[k].
-func (rp *RealSplit) PreInverse(work, src []complex128) {
+func (rp *RealSplit) PreInverse(z, spec []complex128) {
 	h := rp.N / 2
 	for k := 0; k < h; k++ {
-		a, b := src[k], conj(src[h-k])
+		a, b := spec[k], conj(spec[h-k])
 		e := (a + b) * 0.5
 		o := (a - b) * 0.5 * conj(rp.WReal[k])
-		work[k] = e + o*complex(0, 1)
+		z[k] = e + o*complex(0, 1)
 	}
 }
 
-// PostInverse de-interleaves the inverse half transform work (length
-// N/2) into the real signal dst (length N).
-func (rp *RealSplit) PostInverse(dst []float64, work []complex128) {
-	for j, v := range work {
-		dst[2*j] = real(v)
-		dst[2*j+1] = imag(v)
-	}
-}
-
-// Inverse recovers the length-N real signal from its half-spectrum src
-// (length SpectrumLen) into dst with the radix-2 half transform. src is
-// not modified. Inverse allocates its N/2 work buffer. Buffers of the
-// wrong length are returned as Transform's are, before any work.
-func (rp *RealPlan) Inverse(dst []float64, src []complex128) error {
-	if err := rp.Check(src, dst); err != nil {
+// Forward computes the half-spectrum of the length-N real signal x into
+// spec (length SpectrumLen): x moves into spec[:N/2] as the packed
+// sequence x[2j] + i·x[2j+1] (one copy through a view), half transforms
+// those N/2 elements in place, and Unpack splits them. x is not
+// modified. Buffers of the wrong length are returned, untouched, as an
+// error wrapping ErrLengthMismatch.
+func (rp *RealSplit) Forward(spec []complex128, x []float64, half func([]complex128) error) error {
+	if err := rp.check(spec, x); err != nil {
 		return err
 	}
-	work := make([]complex128, rp.N/2)
-	rp.PreInverse(work, src)
-	if err := rp.Half.Schedule(rp.WHalf, KernelRadix2, true).Run(work); err != nil {
+	z := spec[:rp.N/2]
+	copy(ComplexFloat64s(z), x)
+	if err := half(z); err != nil {
 		return err
 	}
-	rp.PostInverse(dst, work)
+	rp.Unpack(spec)
 	return nil
 }
 
-// Check returns an error wrapping ErrLengthMismatch unless spec has
-// SpectrumLen elements and x has N: the length check every real plan
-// runs at its entry, before any work.
-func (rp *RealSplit) Check(spec []complex128, x []float64) error {
+// Inverse recovers the length-N real signal x from its half-spectrum
+// spec: PreInverse writes the packed sequence straight into x, viewed as
+// N/2 complex elements, and inverseHalf transforms it there in place,
+// which leaves the samples interleaved as x needs them. spec is not
+// modified, and x and spec must not overlap. Buffers of the wrong length
+// are returned as Forward's are, before any work.
+func (rp *RealSplit) Inverse(x []float64, spec []complex128, inverseHalf func([]complex128) error) error {
+	if err := rp.check(spec, x); err != nil {
+		return err
+	}
+	z := Float64Complexes(x)
+	rp.PreInverse(z, spec)
+	return inverseHalf(z)
+}
+
+// Inverse recovers the length-N real signal from its half-spectrum src
+// (length SpectrumLen) into dst with the radix-2 half transform, run in
+// dst itself: it allocates nothing. src is not modified, and dst and
+// src must not overlap. Buffers of the wrong length are returned as
+// Transform's are, before any work.
+func (rp *RealPlan) Inverse(dst []float64, src []complex128) error {
+	return rp.RealSplit.Inverse(dst, src, rp.Half.Schedule(rp.WHalf, KernelRadix2, true).Run)
+}
+
+// check returns an error wrapping ErrLengthMismatch unless spec has
+// SpectrumLen elements and x has N: the length check Forward and Inverse
+// run at their entry, before any work.
+func (rp *RealSplit) check(spec []complex128, x []float64) error {
 	if len(x) != rp.N {
 		return LengthError("real signal", len(x), rp.N)
 	}

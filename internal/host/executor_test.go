@@ -45,13 +45,13 @@ func must[T any](t *testing.T) func(T, error) T {
 
 // rowCol returns the rows×cols row-column schedules over the staged
 // plans of each axis under kern, their P-point tasks clamped to the
-// axis.
+// axis: the inverse is RowCol of the axes' inverses.
 func rowCol(t *testing.T, rows, cols, p int, kern fft.Kernel) func(inverse bool) *fft.Schedule {
-	axis := func(n int) *fft.Schedule {
-		return must[*fft.Plan](t)(fft.NewPlan(n, min(p, n))).Schedule(fft.Twiddles(n), kern, false)
-	}
-	row, col := axis(cols), axis(rows)
-	fwd, inv := fft.RowCol(row, col, false), fft.RowCol(row, col, true)
+	rp := must[*fft.Plan](t)(fft.NewPlan(cols, min(p, cols)))
+	cp := must[*fft.Plan](t)(fft.NewPlan(rows, min(p, rows)))
+	wr, wc := fft.Twiddles(cols), fft.Twiddles(rows)
+	fwd := fft.RowCol(rp.Schedule(wr, kern, false), cp.Schedule(wc, kern, false))
+	inv := fft.RowCol(rp.Schedule(wr, kern, true), cp.Schedule(wc, kern, true))
 	return func(inverse bool) *fft.Schedule {
 		if inverse {
 			return inv
@@ -95,7 +95,7 @@ func conformanceCases(t *testing.T) []confCase {
 	// unit runs the convolution on its own work buffer.
 	mp60, bp61 := must[*fft.MixedPlan](t)(fft.NewMixedPlan(60)), must[*fft.BluesteinPlan](t)(fft.NewBluesteinPlan(61))
 	cases = append(cases, confCase{name: "2-D 61x60 bluestein×mixed", sched: func(inverse bool) *fft.Schedule {
-		return fft.RowCol(mp60.Schedule(false), bp61.Schedule(false), inverse)
+		return fft.RowCol(mp60.Schedule(inverse), bp61.Schedule(inverse))
 	}})
 	// Real input: the split pass around a half schedule. The pass runs
 	// on the caller's goroutine either side of the executor, so the
@@ -114,7 +114,9 @@ func conformanceCases(t *testing.T) []confCase {
 					x[i] = real(z[i])
 				}
 				spec := make([]complex128, split.SpectrumLen())
-				split.Pack(spec, x)
+				for j := range r.n / 2 {
+					spec[j] = complex(x[2*j], x[2*j+1])
+				}
 				if !inverse {
 					return spec[:r.n/2]
 				}

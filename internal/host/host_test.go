@@ -149,26 +149,27 @@ func TestParallel2DMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		axis := func(n int) *fft.Schedule {
+		axis := func(n int, inverse bool) *fft.Schedule {
 			pl, err := fft.NewPlan(n, min(16, n))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return pl.Schedule(fft.Twiddles(n), fft.KernelRadix2, false)
+			return pl.Schedule(fft.Twiddles(n), fft.KernelRadix2, inverse)
 		}
-		row, col := axis(cols), axis(rows)
+		fwd := fft.RowCol(axis(cols, false), axis(rows, false))
+		inv := fft.RowCol(axis(cols, true), axis(rows, true))
 		x := noise(rows*cols, int64(rows))
 		want := append([]complex128(nil), x...)
 		noErr(t, p2.Transform(want))
 		for _, workers := range []int{1, 3, 8} {
 			e := New(Config{Workers: workers, Threshold: 1})
 			got := append([]complex128(nil), x...)
-			noErr(t, e.Run(fft.RowCol(row, col, false), got))
+			noErr(t, e.Run(fwd, got))
 			if !sameBits(got, want) {
 				t.Errorf("%dx%d workers=%d: parallel 2-D != serial (max err %g)",
 					rows, cols, workers, maxErr(got, want))
 			}
-			noErr(t, e.Run(fft.RowCol(row, col, true), got))
+			noErr(t, e.Run(inv, got))
 			if err := maxErr(got, x); err > 1e-12 {
 				t.Errorf("%dx%d workers=%d: 2-D round trip error %g", rows, cols, workers, err)
 			}
