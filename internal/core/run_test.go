@@ -74,7 +74,7 @@ func TestCoarseBankSkew(t *testing.T) {
 }
 
 func TestVariantOrdering(t *testing.T) {
-	// The orderings this model supports (see EXPERIMENTS.md for the full
+	// The orderings this model supports (see EXPERIMENTS "Analysis" for the
 	// discussion of how they compare to the paper's):
 	//   guided ≈ fine best > fine worst,
 	//   fine hash > coarse (hash removes the bank-0 bottleneck),

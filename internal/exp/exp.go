@@ -2,7 +2,7 @@
 // evaluation. Each runner produces the measured series, renders them, and
 // evaluates the shape checks that define reproduction success (who wins,
 // where the crossovers fall, how the banks balance) — absolute numbers
-// are machine-model-dependent and recorded in EXPERIMENTS.md.
+// are machine-model-dependent and recorded in EXPERIMENTS "Summary".
 package exp
 
 import (
@@ -299,7 +299,7 @@ func sixResults(cfg Config, n, threads int) (map[string]*core.Result, error) {
 var sixNames = []string{"coarse", "coarse hash", "fine worst", "fine best", "fine hash", "fine guided"}
 
 // Fig8InputSizes reproduces Figure 8: GFLOPS of the six result types as
-// the input size grows. See EXPERIMENTS.md for the extended discussion of
+// the input size grows. See EXPERIMENTS "Analysis" for the discussion of
 // which of the paper's orderings a work-conserving port model can and
 // cannot reproduce.
 func Fig8InputSizes(cfg Config) (*Result, error) {

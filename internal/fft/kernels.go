@@ -90,7 +90,7 @@ func (k Kernel) Concrete() Kernel {
 }
 
 // autoSoAMin is the length from which AutoKernel answers soa4. Recorded
-// ns per transform (EXPERIMENTS "Default kernel: rule vs race"): at
+// ns per transform (docs/history/13-default-kernel-rule-vs-race.md): at
 // N ≥ 128 soa4 is fastest with the AVX2 codelets and under -tags noasm
 // alike, at N ≤ 32 radix4 is in both, and N = 64 splits the builds —
 // soa4 by 8 % with AVX2, radix4 by 40 % without — so one constant for
@@ -113,7 +113,7 @@ func AutoKernel(n int) Kernel {
 // of two n runs the mixed-radix plan instead of the staged one: n from 8
 // to 2^20 where the mixed stages' vector codelets run (hasPairCodelet's
 // gate, amd64 with AVX2 and FMA). BenchmarkDefaultPow2 set the range
-// (EXPERIMENTS "Powers of two on the mixed stages"): below 8 staged
+// (docs/history/35-powers-of-two-on-the-mixed.md): below 8 staged
 // radix-4 wins, from 2^21 soa4's blocked passes, which sweep the array
 // fewer times. The Go mixed stages (noasm, arm64) make one pass per
 // stage and lose, so there nothing moves; nor does a pinned plan.

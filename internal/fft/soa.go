@@ -165,8 +165,8 @@ func (f *SoAFrame) Release() { soaFramePool.Put(f) }
 // arrays that come from L3 or memory: a 1 KiB row and a 2 KiB column
 // run each pay one latency and one page walk for sixteen and
 // thirty-two lines; at a quarter of that length (a 32 × 32 tile) the
-// pack takes twice as long at 2^20 points (EXPERIMENTS "Pack in
-// long-run tiles").
+// pack takes twice as long at 2^20 points
+// (docs/history/20-pack-in-long-run-tiles.md).
 //
 // A column run is at least P points, so it holds whole stage-0 groups:
 // SoAPack runs stage 0 on each column of a tile once the tile is
@@ -538,8 +538,8 @@ func (pl *Plan) soaLevels(kern Kernel) []soaLevel {
 // soaGroupLevels is the most levels a higher group (see soaGroups) is
 // cut to, so its runs stay near 2^(packTileBits−6) = 256 points — 2 KiB,
 // 32 cache lines, of a plane — or longer. Eight levels of 64-point runs
-// made 2^22 slower than one pass per level pair (EXPERIMENTS "Blocked
-// level passes").
+// made 2^22 slower than one pass per level pair
+// (docs/history/22-blocked-level-passes.md).
 const soaGroupLevels = 6
 
 // soaGroup is one blocked pass: consecutive sweeps, run one unit at a

@@ -13,8 +13,8 @@ import (
 // run pays a latency: one cold 1024×1024 transposition takes 7.8 ms at
 // 32 and 6.9 ms at 64, and the cluster's 2^20-point op 49.8 ms against
 // 46.0 (6 / 6 alternated runs); on arrays already in L3 the order is
-// the other way round, 3.2 against 4.2 ms (EXPERIMENTS "Cluster:
-// transposes in tiles" has every shape tried).
+// the other way round, 3.2 against 4.2 ms (every shape tried is in
+// docs/history/11-cluster-transposes-in-tiles.md).
 const tileSide = 64
 
 // MoveTileBytes is what one transposition in flight keeps resident — the
