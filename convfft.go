@@ -1,14 +1,16 @@
-// Convolution on the batched host engine. A ConvPlan runs linear
-// convolution and cross-correlation by overlap-save: the signal is
-// tiled into segments of a small FFT length chosen by the rule that
-// picks Bluestein's convolution length (planned by the mixed-radix
-// engine, so any kernel/signal length works), the kernel's
-// segment spectrum is computed once and cached exactly like the
-// Bluestein plan's BHat filter, and segment groups are dispatched
-// through TransformBatch/InverseBatch so B segments pay the stage-
-// barrier cost of one. The working set is bounded by the segment group
-// (convGroup·M elements), not the signal — the memory-frugal
-// alternative to transforming the whole padded signal at once.
+// Convolution on the host engine. A ConvPlan runs linear convolution
+// and cross-correlation by overlap-save: the signal is tiled into
+// segments of a small FFT length chosen by the rule that picks
+// Bluestein's convolution length (planned by the mixed-radix engine, so
+// any kernel/signal length works), and the kernel's M-point spectrum is
+// computed once per call and read by every segment, as the Bluestein
+// plan's BHat filter is. A call is one schedule on the plan's engine: a
+// segments pass whose unit gathers its segment into a pooled M-point
+// buffer, runs the segment plan's filter schedule (fft.Filter) there
+// through the same engine and scatters its fresh outputs. The working
+// set is one M-point buffer per running unit, not the signal — the
+// memory-frugal alternative to transforming the whole padded signal at
+// once.
 package codeletfft
 
 import (
@@ -17,24 +19,25 @@ import (
 	"codeletfft/internal/fft"
 )
 
-// convGroup bounds how many segments ride in one batched dispatch —
-// and with it the convolution's working set (convGroup·M complex
-// elements per scratch slab), independent of the signal length.
-const convGroup = 64
-
 // ConvPlan computes linear convolutions of an n-sample complex signal
-// against a kernelLen-tap kernel by overlap-save on the batched host
-// engine. A ConvPlan is immutable after construction and safe for
-// concurrent use on distinct buffers.
+// against a kernelLen-tap kernel by overlap-save on the host engine. A
+// ConvPlan is immutable after construction and safe for concurrent use
+// on distinct buffers.
 type ConvPlan struct {
 	spec fft.ConvSpec
 	seg  *HostPlan
-	pool sync.Pool // *convScratch
+	runs sync.Pool // *convRun
+	bufs sync.Pool // *[]complex128, a unit's M-point segment buffer
 }
 
-type convScratch struct {
-	slab []complex128
-	rows [][]complex128
+// convRun is what one Convolve or CrossCorrelate call runs, pooled with
+// its buffers: the kernel spectrum, the filter schedule that reads it,
+// and the segments schedule over the call's signal x.
+type convRun struct {
+	hhat   []complex128
+	filter *fft.Schedule
+	segs   fft.Schedule
+	x      []complex128
 }
 
 // NewConvPlan builds an overlap-save convolution plan for n-sample
@@ -57,16 +60,25 @@ func NewConvPlan(n, kernelLen int, opts ...HostOption) (*ConvPlan, error) {
 		return nil, err
 	}
 	p := &ConvPlan{spec: spec, seg: seg}
-	p.pool.New = func() any {
-		g := min(convGroup, spec.Segs)
-		sc := &convScratch{
-			slab: make([]complex128, g*spec.M),
-			rows: make([][]complex128, g),
-		}
-		for i := range sc.rows {
-			sc.rows[i] = sc.slab[i*spec.M : (i+1)*spec.M]
-		}
-		return sc
+	p.bufs.New = func() any {
+		b := make([]complex128, spec.M)
+		return &b
+	}
+	p.runs.New = func() any {
+		r := &convRun{hhat: make([]complex128, spec.M)}
+		r.filter = fft.Filter(seg.core.fwd, seg.core.inv, r.hhat)
+		r.segs = fft.Schedule{N: spec.OutLen(), Stage: fft.PassSegments, Passes: []fft.Pass{
+			{Label: fft.PassSegments, Units: spec.Segs, Run: func(st *fft.State, lo, hi int) {
+				buf := p.bufs.Get().(*[]complex128)
+				for s := lo; s < hi; s++ {
+					spec.Gather(s, *buf, r.x)
+					_ = p.seg.eng.Run(r.filter, *buf) // the buffer has the filter's length
+					spec.Scatter(s, st.Data, *buf)
+				}
+				p.bufs.Put(buf)
+			}},
+		}}
+		return r
 	}
 	return p, nil
 }
@@ -87,23 +99,19 @@ func (p *ConvPlan) SegmentLen() int { return p.spec.M }
 // Segments returns how many segments tile one convolution.
 func (p *ConvPlan) Segments() int { return p.spec.Segs }
 
-// kernelSpectrum checks h's length for every entry that takes a
-// kernel, then computes the M-point spectrum of the padded kernel —
+// spectrum checks h's length for every entry that takes a kernel,
+// then writes into hhat the M-point spectrum of the padded kernel —
 // reversed and conjugated for correlation — through the segment plan.
-func (p *ConvPlan) kernelSpectrum(h []complex128, reversed bool) ([]complex128, error) {
+func (p *ConvPlan) spectrum(hhat, h []complex128, reversed bool) error {
 	if len(h) != p.spec.K {
-		return nil, fft.LengthError("kernel", len(h), p.spec.K)
+		return fft.LengthError("kernel", len(h), p.spec.K)
 	}
-	hhat := make([]complex128, p.spec.M)
 	if reversed {
 		p.spec.PadKernelReversed(hhat, h)
 	} else {
 		p.spec.PadKernel(hhat, h)
 	}
-	if err := p.seg.Transform(hhat); err != nil {
-		return nil, err
-	}
-	return hhat, nil
+	return p.seg.Transform(hhat)
 }
 
 // Convolve computes the linear convolution dst[i] = Σ_j x[j]·h[i-j].
@@ -120,10 +128,8 @@ func (p *ConvPlan) CrossCorrelate(dst, x, h []complex128) error {
 	return p.convolve(dst, x, h, true)
 }
 
-// convolve checks x and dst, then h in kernelSpectrum, before touching
-// any of them, and runs the overlap-save pipeline against h's spectrum:
-// segment groups of up to convGroup gather, forward-batch,
-// pointwise-multiply, inverse-batch, scatter.
+// convolve checks x and dst, then h in spectrum, before touching any
+// of them, and runs the call's segments schedule on the plan's engine.
 func (p *ConvPlan) convolve(dst, x, h []complex128, reversed bool) error {
 	switch {
 	case len(x) != p.spec.N:
@@ -131,35 +137,15 @@ func (p *ConvPlan) convolve(dst, x, h []complex128, reversed bool) error {
 	case len(dst) != p.spec.OutLen():
 		return fft.LengthError("convolution output", len(dst), p.spec.OutLen())
 	}
-	hhat, err := p.kernelSpectrum(h, reversed)
-	if err != nil {
+	r := p.runs.Get().(*convRun)
+	defer p.runs.Put(r)
+	if err := p.spectrum(r.hhat, h, reversed); err != nil {
 		return err
 	}
-	sc := p.pool.Get().(*convScratch)
-	defer p.pool.Put(sc)
-	for g0 := 0; g0 < p.spec.Segs; g0 += len(sc.rows) {
-		g := min(len(sc.rows), p.spec.Segs-g0)
-		rows := sc.rows[:g]
-		for i := 0; i < g; i++ {
-			p.spec.Gather(g0+i, rows[i], x)
-		}
-		if err := p.seg.TransformBatch(rows); err != nil {
-			return err
-		}
-		for i := 0; i < g; i++ {
-			row := rows[i]
-			for j := range row {
-				row[j] *= hhat[j]
-			}
-		}
-		if err := p.seg.InverseBatch(rows); err != nil {
-			return err
-		}
-		for i := 0; i < g; i++ {
-			p.spec.Scatter(g0+i, dst, rows[i])
-		}
-	}
-	return nil
+	r.x = x
+	err := p.seg.eng.Run(&r.segs, dst)
+	r.x = nil // a pooled run must not pin the caller's signal
+	return err
 }
 
 // FilterStream builds a streaming FIR filter over the plan's segment
@@ -167,18 +153,16 @@ func (p *ConvPlan) convolve(dst, x, h []complex128, reversed bool) error {
 // long or unbounded signals where Convolve's whole-signal buffers don't
 // apply. len(h) must be KernelLen, or the error wraps ErrLengthMismatch.
 func (p *ConvPlan) FilterStream(h []complex128) (*StreamFilter, error) {
-	hhat, err := p.kernelSpectrum(h, false)
-	if err != nil {
+	hhat := make([]complex128, p.spec.M)
+	if err := p.spectrum(hhat, h, false); err != nil {
 		return nil, err
 	}
-	f := &StreamFilter{
-		p:    p,
-		hhat: hhat,
-		hist: make([]complex128, p.spec.K-1),
-		seg:  make([]complex128, p.spec.M),
-	}
-	f.batch1 = [][]complex128{f.seg}
-	return f, nil
+	return &StreamFilter{
+		p:      p,
+		filter: fft.Filter(p.seg.core.fwd, p.seg.core.inv, hhat),
+		hist:   make([]complex128, p.spec.K-1),
+		seg:    make([]complex128, p.spec.M),
+	}, nil
 }
 
 // StreamFilter applies a fixed FIR kernel to an unbounded sample stream
@@ -188,10 +172,9 @@ func (p *ConvPlan) FilterStream(h []complex128) (*StreamFilter, error) {
 // be shared across goroutines; create one per stream.
 type StreamFilter struct {
 	p      *ConvPlan
-	hhat   []complex128
+	filter *fft.Schedule
 	hist   []complex128 // last K-1 input samples
 	seg    []complex128
-	batch1 [][]complex128
 }
 
 // KernelLen returns the filter's tap count.
@@ -213,24 +196,12 @@ func (f *StreamFilter) Process(dst, src []complex128) error {
 		c := min(spec.S, len(src)-off)
 		copy(f.seg, f.hist)
 		copy(f.seg[k1:], src[off:off+c])
-		for i := k1 + c; i < spec.M; i++ {
-			f.seg[i] = 0
-		}
-		if err := f.p.seg.TransformBatch(f.batch1); err != nil {
+		clear(f.seg[k1+c:])
+		// The next history is the segment's last K-1 inputs, taken before
+		// the filter overwrites them and dst, which may alias src.
+		copy(f.hist, f.seg[c:c+k1])
+		if err := f.p.seg.eng.Run(f.filter, f.seg); err != nil {
 			return err
-		}
-		for j := range f.seg {
-			f.seg[j] *= f.hhat[j]
-		}
-		if err := f.p.seg.InverseBatch(f.batch1); err != nil {
-			return err
-		}
-		// Update the history before writing dst: dst may alias src.
-		if c >= k1 {
-			copy(f.hist, src[off+c-k1:off+c])
-		} else {
-			copy(f.hist, f.hist[c:])
-			copy(f.hist[k1-c:], src[off:off+c])
 		}
 		copy(dst[off:off+c], f.seg[k1:k1+c])
 		off += c
@@ -240,8 +211,4 @@ func (f *StreamFilter) Process(dst, src []complex128) error {
 
 // Reset clears the filter's history, as if no samples had been
 // processed.
-func (f *StreamFilter) Reset() {
-	for i := range f.hist {
-		f.hist[i] = 0
-	}
-}
+func (f *StreamFilter) Reset() { clear(f.hist) }

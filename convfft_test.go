@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func maxRelErr(got, want []complex128) float64 {
 }
 
 // TestConvolveMatchesDirect is the acceptance property: overlap-save
-// convolution through the batched engine agrees with the direct O(N·K)
+// convolution on the host engine agrees with the direct O(N·K)
 // reference to 1e-9 relative error across signal-length regimes —
 // power of two, composite (mixed-radix), prime (Bluestein-planned
 // lengths), single-sample, and both kernel-dominates cases.
@@ -208,6 +209,75 @@ func TestFilterStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestConvScheduleConformance runs the convolution schedule with the
+// serial cut at one element on one, two and four workers — the
+// segments pass sharded, each unit's filter schedule nested on the same
+// pool — and demands the serial plan's bits from Convolve,
+// CrossCorrelate and a stream fed in two calls. 3000×8000 has three
+// 12500-point segments, fewer than four workers, so idle workers shard
+// the nested runs too. Four goroutines then share the four-worker plan,
+// and with it the plan's pooled runs and segment buffers.
+func TestConvScheduleConformance(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, sh := range [][2]int{{1, 1}, {257, 13}, {3000, 41}, {500, 400}, {1 << 14, 255}, {3000, 8000}} {
+		n, k := sh[0], sh[1]
+		x, h := randComplex(rng, n), randComplex(rng, k)
+		run := func(p *codeletfft.ConvPlan) [3][]complex128 {
+			var out [3][]complex128
+			for i, f := range []func(dst, x, h []complex128) error{p.Convolve, p.CrossCorrelate} {
+				out[i] = make([]complex128, p.OutLen())
+				if err := f(out[i], x, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := p.FilterStream(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[2] = make([]complex128, n)
+			for _, c := range [][2]int{{0, n / 3}, {n / 3, n}} {
+				if err := f.Process(out[2][c[0]:c[1]], x[c[0]:c[1]]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		serial, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(serial)
+		for _, w := range []int{1, 2, 4} {
+			p, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(w), codeletfft.WithThreshold(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := run(p)
+			for i, name := range []string{"Convolve", "CrossCorrelate", "StreamFilter"} {
+				if !sameBits(got[i], want[i]) {
+					t.Errorf("%dx%d (M=%d, %d segments) on %d workers: %s differs from the serial run",
+						n, k, p.SegmentLen(), p.Segments(), w, name)
+				}
+			}
+			if w != 4 {
+				continue
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dst := make([]complex128, p.OutLen())
+					if err := p.Convolve(dst, x, h); err != nil || !sameBits(dst, want[0]) {
+						t.Errorf("%dx%d: a concurrent Convolve returned %v or other bits than the serial run", n, k, err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+}
+
 // TestConvPlanErrors: degenerate shapes, and shapes whose output
 // length or 4·K passes what an int holds, error with the sentinel
 // (wrong-length buffers: TestLengthErrorsLeaveBuffersUntouched). Each
@@ -326,28 +396,40 @@ func TestConvErrorBudget(t *testing.T) {
 	t.Logf("worst c: %.3f", worst)
 }
 
-// BenchmarkConvolve times one serial ConvPlan.Convolve over 2^16
-// samples per op, in ns per output sample, with the segment length M:
-// K = 255 is batch_resident's shape (M = 1024), and 84, 251 and 1100
-// kernels whose M moved when segments took Bluestein's length rule.
+// BenchmarkConvolve times one ConvPlan.Convolve per op, in ns per
+// output sample, with the segment length M, serially and on the default
+// worker count: 2^16 samples by K = 255, batch_resident's shape
+// (M = 1024), and by 84, 251 and 1100 taps, whose M moved when segments
+// took Bluestein's length rule; and 3000 samples by 8000 taps, three
+// 12500-point segments, fewer than most machines have workers.
 func BenchmarkConvolve(b *testing.B) {
-	const n = 1 << 16
-	for _, k := range []int{84, 251, 255, 1100} {
-		p, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
+	for _, sh := range [][2]int{{1 << 16, 84}, {1 << 16, 251}, {1 << 16, 255}, {1 << 16, 1100}, {3000, 8000}} {
+		n, k := sh[0], sh[1]
+		shape := fmt.Sprintf("k=%d", k)
+		if n != 1<<16 {
+			shape = fmt.Sprintf("%dx%d", n, k)
 		}
 		rng := rand.New(rand.NewSource(int64(k)))
 		x, h := randComplex(rng, n), randComplex(rng, k)
-		dst := make([]complex128, p.OutLen())
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for range b.N {
-				if err := p.Convolve(dst, x, h); err != nil {
-					b.Fatal(err)
-				}
+		for _, way := range []string{"serial", "default"} {
+			var opts []codeletfft.HostOption
+			if way == "serial" {
+				opts = append(opts, codeletfft.WithWorkers(1))
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/out")
-			b.ReportMetric(float64(p.SegmentLen()), "M")
-		})
+			p, err := codeletfft.NewConvPlan(n, k, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := make([]complex128, p.OutLen())
+			b.Run(way+"/"+shape, func(b *testing.B) {
+				for range b.N {
+					if err := p.Convolve(dst, x, h); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/out")
+				b.ReportMetric(float64(p.SegmentLen()), "M")
+			})
+		}
 	}
 }

@@ -40,14 +40,22 @@ var digestLens = struct{ pow2, mixed, bluestein, direct, real, pinned, fourStep 
 	fourStep:  []int{1 << 10, 1 << 16, 1 << 20},
 }
 
+// digestConvShapes are the (signal, kernel) lengths of the ConvPlan
+// lines: one sample, a 256-point segment, 2^16 samples on segments of
+// 400, 1024 and 4500 points, and a kernel so long that three segments
+// of 12500 points cover the output.
+var digestConvShapes = [][2]int{{1, 1}, {3000, 41}, {1 << 16, 84}, {1 << 16, 255}, {1 << 16, 1100}, {3000, 8000}}
+
 // TestDefaultPlanDigests pins the bits of default plans: it hashes
 // forward and inverse outputs of every digestLens length, serially,
 // pass-parallel on three workers and as a batch of three, and compares
 // the listing with testdata/default_plan_digests.golden. It also
 // pins the paths no default plan reaches: fft.FourStepPlan (which the
 // out-of-core and cluster paths equal bit for bit), a plan pinned to
-// each kernel with WithKernel, and HostPlan2D at 64×128, 48×80 and
-// 12×97 (a Bluestein row axis). The asm and
+// each kernel with WithKernel, HostPlan2D at 64×128, 48×80 and
+// 12×97 (a Bluestein row axis), and ConvPlan's Convolve,
+// CrossCorrelate and StreamFilter at digestConvShapes on one and four
+// workers. The asm and
 // `-tags noasm` builds read the same file, so the vector codelets are
 // held to the Go codelets' bits too. A change that is meant to move
 // bits regenerates the file with `go test -run TestDefaultPlanDigests
@@ -206,6 +214,44 @@ func TestDefaultPlanDigests(t *testing.T) {
 				mustRun(t, run(x))
 				add(kind, rows*cols, way, dir, x)
 			}
+		}
+	}
+	// A convolution's segments run the default plan of the segment
+	// length M. Where M is a power of two from 8 up, that plan is the
+	// backend's (the mixed stages or a staged SoA kernel), so the line
+	// carries its name; every other M runs the mixed stages, whose bits
+	// are the same on every backend. The stream is fed the signal in two
+	// calls, the first empty at n = 1.
+	for _, sh := range digestConvShapes {
+		n, k := sh[0], sh[1]
+		x, h := digestSignal(n, 0), digestSignal(k, 1)
+		for _, w := range []int{1, 4} {
+			p, err := codeletfft.NewConvPlan(n, k, codeletfft.WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			kind := fmt.Sprintf("conv-%dx%d", n, k)
+			if m := p.SegmentLen(); m >= 8 && m&(m-1) == 0 {
+				kind += "/" + codeletfft.Acceleration()
+			}
+			way := fmt.Sprintf("workers%d", w)
+			for _, dir := range []string{"convolve", "correlate"} {
+				run := p.Convolve
+				if dir == "correlate" {
+					run = p.CrossCorrelate
+				}
+				dst := make([]complex128, p.OutLen())
+				mustRun(t, run(dst, x, h))
+				add(kind, p.OutLen(), way, dir, dst)
+			}
+			f, err := p.FilterStream(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]complex128, n)
+			mustRun(t, f.Process(dst[:n/2], x[:n/2]))
+			mustRun(t, f.Process(dst[n/2:], x[n/2:]))
+			add(kind, p.OutLen(), way, "stream", dst)
 		}
 	}
 

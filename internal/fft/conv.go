@@ -7,20 +7,23 @@
 // reads M = S + K - 1 input samples (S fresh, K-1 overlapped from its
 // left neighbour), multiplies by the kernel's precomputed M-point
 // spectrum, and inverse-transforms, keeping the working set bounded by
-// the segment group rather than the signal — the memory-frugal shape
-// the paper's load-balance thesis asks for, applied to convolution.
+// one segment buffer per running segment rather than the signal — the
+// memory-frugal shape the paper's load-balance thesis asks for, applied
+// to convolution.
 //
 // This file holds the pure geometry — segment sizing, gather/scatter
 // index math, the kernel-spectrum layout, and the O(N·K) reference —
-// while the facade (codeletfft.ConvPlan) dispatches the segment FFTs
-// through the batched host engine. The geometry checks no buffer
-// lengths: the facade validates the caller's at its entry, and the
-// segment buffers are its own.
+// and Filter, the one schedule a segment runs, while the facade
+// (codeletfft.ConvPlan) runs the segments as the units of a pass on the
+// host engine. The geometry checks no buffer lengths: the facade
+// validates the caller's at its entry, and the segment buffers are its
+// own.
 package fft
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ConvSpec is the overlap-save segmentation of a linear convolution:
@@ -93,16 +96,10 @@ func (c ConvSpec) OutLen() int { return c.N + c.K - 1 }
 func (c ConvSpec) Gather(seg int, dst, x []complex128) {
 	start := seg*c.S - (c.K - 1)
 	lo := max(start, 0)
-	hi := min(start+c.M, c.N)
-	for j := start; j < lo; j++ {
-		dst[j-start] = 0
-	}
-	if hi > lo {
-		copy(dst[lo-start:], x[lo:hi])
-	}
-	for j := max(hi, start); j < start+c.M; j++ {
-		dst[j-start] = 0
-	}
+	hi := max(min(start+c.M, c.N), lo)
+	clear(dst[:lo-start])
+	copy(dst[lo-start:], x[lo:hi])
+	clear(dst[hi-start:])
 }
 
 // Scatter copies segment seg's fresh outputs — positions K-1 … M-1 of
@@ -119,9 +116,7 @@ func (c ConvSpec) Scatter(seg int, dst, work []complex128) {
 // transform is the cached segment filter spectrum.
 func (c ConvSpec) PadKernel(dst, h []complex128) {
 	copy(dst, h)
-	for i := c.K; i < c.M; i++ {
-		dst[i] = 0
-	}
+	clear(dst[c.K:])
 }
 
 // PadKernelReversed writes conj(h[K-1-t]) into dst — the kernel layout
@@ -133,9 +128,31 @@ func (c ConvSpec) PadKernelReversed(dst, h []complex128) {
 		v := h[c.K-1-t]
 		dst[t] = complex(real(v), -imag(v))
 	}
-	for i := c.K; i < c.M; i++ {
-		dst[i] = 0
-	}
+	clear(dst[c.K:])
+}
+
+// filterBlock is the elements per unit of a filter pass: 8 KiB, so the
+// chunks a pass is cut into split the array only at multiples of a
+// cache line's four elements.
+const filterBlock = 512
+
+// Filter returns the schedule of the circular convolution by the
+// spectrum hhat of the len(hhat) points that fwd and inv, a plan's
+// forward and inverse schedules, transform: fwd's passes, a filter pass
+// computing y[k] *= hhat[k], then inv's passes, on one State whose
+// buffers serve both directions. hhat is read, not copied, on every
+// run.
+func Filter(fwd, inv *Schedule, hhat []complex128) *Schedule {
+	n := len(hhat)
+	filter := Pass{PassFilter, (n + filterBlock - 1) / filterBlock, func(st *State, lo, hi int) {
+		lo, hi = lo*filterBlock, min(hi*filterBlock, n)
+		y := st.Data[lo:hi]
+		for k, h := range hhat[lo:hi] {
+			y[k] *= h
+		}
+	}}
+	return &Schedule{N: n, Stage: fwd.Stage, Passes: slices.Concat(fwd.Passes, []Pass{filter}, inv.Passes),
+		frame: max(fwd.frame, inv.frame), work: max(fwd.work, inv.work), span: max(fwd.Span(), inv.Span())}
 }
 
 // DirectConvolve computes the linear convolution dst[i] = Σ_j x[j]·h[i-j]

@@ -17,8 +17,8 @@ import (
 )
 
 // ossConvolve runs the full overlap-save pipeline on the pure geometry
-// with MixedPlan segment transforms — the reference implementation the
-// facade's batched ConvPlan must agree with.
+// with MixedPlan segment transforms, step by step — the reference
+// implementation the facade's ConvPlan must agree with.
 func ossConvolve(t testing.TB, x, h []complex128) []complex128 {
 	t.Helper()
 	spec, err := NewConvSpec(len(x), len(h))
@@ -254,6 +254,51 @@ func TestOverlapSaveMatchesDirect(t *testing.T) {
 		}
 		if d := maxDiff(got, want); d/scale > 1e-9 {
 			t.Fatalf("n=%d k=%d: overlap-save diverged from direct by %g (rel %g)", tc.n, tc.k, d, d/scale)
+		}
+	}
+}
+
+// TestConvFilterSchedule: Filter's one schedule — forward passes,
+// filter pass, inverse passes on one State — has the bits of the three
+// steps run apart, on plans with a SoA frame (staged 2^12, two filter
+// units), a work buffer (mixed 4500) and a work buffer twice the span
+// (Bluestein 1009), and reads hhat afresh on every run.
+func TestConvFilterSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pl, err := NewPlan(1<<12, 64)
+	noErr(t, err)
+	w := Twiddles(1 << 12)
+	mp, err := NewMixedPlan(4500)
+	noErr(t, err)
+	bp, err := NewBluesteinPlan(1009)
+	noErr(t, err)
+	for _, tc := range []struct {
+		name     string
+		fwd, inv *Schedule
+	}{
+		{"soa4/2^12", pl.Schedule(w, KernelSoARadix4, false), pl.Schedule(w, KernelSoARadix4, true)},
+		{"mixed/4500", mp.Schedule(false), mp.Schedule(true)},
+		{"bluestein/1009", bp.Schedule(false), bp.Schedule(true)},
+	} {
+		n := tc.fwd.N
+		hhat := randSignal(rng, n)
+		s := Filter(tc.fwd, tc.inv, hhat)
+		if s.Passes[len(tc.fwd.Passes)].Label != PassFilter || len(s.Passes) != len(tc.fwd.Passes)+1+len(tc.inv.Passes) {
+			t.Fatalf("%s: passes are not fwd's, one filter pass, inv's", tc.name)
+		}
+		for range 2 {
+			x := randSignal(rng, n)
+			want := slices.Clone(x)
+			noErr(t, tc.fwd.Run(want))
+			for i := range want {
+				want[i] *= hhat[i]
+			}
+			noErr(t, tc.inv.Run(want))
+			noErr(t, s.Run(x))
+			if !slices.EqualFunc(x, want, sameBits) {
+				t.Fatalf("%s: Filter's schedule differs from its three steps", tc.name)
+			}
+			hhat[0] *= 2 // a refilled spectrum is the next run's filter
 		}
 	}
 }

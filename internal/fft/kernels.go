@@ -121,9 +121,6 @@ func MixedPow2(n int) bool {
 	return hasPairCodelet(4) && n >= 8 && n <= 1<<20 && n&(n-1) == 0
 }
 
-// Valid reports whether k names a known kernel (including KernelAuto).
-func (k Kernel) Valid() bool { return k < numKernels }
-
 func (k Kernel) String() string {
 	switch k {
 	case KernelAuto:

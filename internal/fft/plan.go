@@ -90,9 +90,6 @@ func (pl *Plan) TwiddlesPerTask(stage int) int {
 	return pl.GroupsPerTask(stage) * (pl.GroupSize(stage) - 1)
 }
 
-// TotalTasks returns the number of butterfly tasks over all stages.
-func (pl *Plan) TotalTasks() int { return pl.NumStages * pl.TasksPerStage }
-
 // TaskFlops returns the floating-point operations one task of this stage
 // performs: 10 flops per butterfly (complex multiply + add + subtract),
 // P/2 butterflies per level.

@@ -44,6 +44,9 @@ const (
 	PassRows   = "rows"   // 2-D row-FFT pass
 	PassCols   = "cols"   // 2-D column-FFT pass
 
+	PassFilter   = "filter"   // circular convolution's spectrum product (Filter)
+	PassSegments = "segments" // overlap-save pass, one segment per unit
+
 	PassStage           = "stage"            // radix-2 butterfly stage
 	PassStageRadix4     = "stage_radix4"     // radix-4 butterfly stage
 	PassStageSplitRadix = "stage_splitradix" // split-radix butterfly stage

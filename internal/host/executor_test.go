@@ -97,6 +97,11 @@ func conformanceCases(t *testing.T) []confCase {
 	cases = append(cases, confCase{name: "2-D 61x60 bluestein×mixed", sched: func(inverse bool) *fft.Schedule {
 		return fft.RowCol(mp60.Schedule(inverse), bp61.Schedule(inverse))
 	}})
+	// A circular convolution (fft.Filter): a mixed plan's two directions
+	// around the blocked filter pass, 1000 points in two filter units.
+	mp1000 := must[*fft.MixedPlan](t)(fft.NewMixedPlan(1000))
+	filter := fft.Filter(mp1000.Schedule(false), mp1000.Schedule(true), kernInput(1000, 99))
+	cases = append(cases, confCase{name: "filter/mixed 1000", sched: func(bool) *fft.Schedule { return filter }})
 	// Real input: the split pass around a half schedule. The pass runs
 	// on the caller's goroutine either side of the executor, so the
 	// half schedule on packed input is the whole executor surface.
@@ -156,9 +161,11 @@ func (o *seqObserver) take() (passes []string, batches [][2]int) {
 }
 
 // parentLabels is the label set the engine reported before the executor
-// existed; a schedule may use no other.
+// existed, with the composite plans' passes since; a schedule may use
+// no other.
 var parentLabels = []string{
 	host.PassBitRev, host.PassStage, host.PassConj, host.PassScale, host.PassRows, host.PassCols,
+	host.PassFilter, host.PassSegments,
 	host.PassStageRadix4, host.PassStageSplitRadix, host.PassStageSoA2, host.PassStageSoA4,
 	host.PassStageMixed, host.PassSoAPack, host.PassSoAUnpack,
 }

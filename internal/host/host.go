@@ -41,6 +41,9 @@ const (
 	PassRows   = fft.PassRows
 	PassCols   = fft.PassCols
 
+	PassFilter   = fft.PassFilter
+	PassSegments = fft.PassSegments
+
 	PassStageRadix4     = fft.PassStageRadix4
 	PassStageSplitRadix = fft.PassStageSplitRadix
 	PassStageSoA2       = fft.PassStageSoA2

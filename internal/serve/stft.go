@@ -124,9 +124,12 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 
 	key := batchKey{n: req.Frame, kind: KindForward}
 	line := stftFrame{Re: make([]float64, req.Frame), Im: make([]float64, req.Frame)}
+	// One slab serves every chunk, the last one a prefix of it: a submit
+	// that fails ends the stream, so the executor has handed back every
+	// chunk that the next one overwrites.
+	slab := splitRows(make([]complex128, min(stftChunkFrames, nf)*req.Frame), req.Frame)
 	for base := 0; base < nf; base += stftChunkFrames {
-		cnt := min(stftChunkFrames, nf-base)
-		frames := splitRows(make([]complex128, cnt*req.Frame), req.Frame)
+		frames := slab[:min(stftChunkFrames, nf-base)]
 		for f, row := range frames {
 			src := req.Samples[(base+f)*req.Hop : (base+f)*req.Hop+req.Frame]
 			if win != nil {
@@ -156,7 +159,7 @@ func (s *Server) handleSTFT(w http.ResponseWriter, r *http.Request) {
 				return // client went away
 			}
 		}
-		s.m.stftFrames.Add(int64(cnt))
+		s.m.stftFrames.Add(int64(len(frames)))
 		if flusher != nil {
 			flusher.Flush()
 		}

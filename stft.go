@@ -117,23 +117,20 @@ func (p *STFTPlan) load(dst []complex128, src []float64) {
 // few calls warm its buffers, the Write/Next cycle performs no
 // allocation. A stream must not be shared across goroutines.
 func (p *STFTPlan) Stream() *STFTStream {
-	s := &STFTStream{
-		p:   p,
-		buf: make([]float64, 0, 2*p.frame),
+	return &STFTStream{
+		p:     p,
+		buf:   make([]float64, 0, 2*p.frame),
+		frame: make([]complex128, p.frame),
 	}
-	s.frame = make([]complex128, p.frame)
-	s.batch1 = [][]complex128{s.frame}
-	return s
 }
 
 // STFTStream is the streaming form of an STFTPlan: an internal sample
 // queue holding at most frame+hop samples, one persistent frame buffer,
-// and a batch-of-1 dispatch per completed frame.
+// and one transform per completed frame.
 type STFTStream struct {
-	p      *STFTPlan
-	buf    []float64
-	frame  []complex128
-	batch1 [][]complex128
+	p     *STFTPlan
+	buf   []float64
+	frame []complex128
 }
 
 // Write appends samples to the stream. It never blocks and never
@@ -150,8 +147,8 @@ func (s *STFTStream) Pending() int { return s.p.NumFrames(len(s.buf)) }
 // dst when no complete frame is buffered, and false with an error
 // wrapping ErrLengthMismatch, the stream not advanced, when dst has the
 // wrong length. In steady state Next performs no allocation: the frame
-// is windowed into a persistent buffer, transformed through the pooled
-// batch path, and copied out.
+// is windowed into a persistent buffer, transformed there by the plan,
+// and copied out.
 func (s *STFTStream) Next(dst []complex128) (bool, error) {
 	if len(dst) != s.p.frame {
 		return false, fft.LengthError("spectrogram frame", len(dst), s.p.frame)
@@ -160,7 +157,7 @@ func (s *STFTStream) Next(dst []complex128) (bool, error) {
 		return false, nil
 	}
 	s.p.load(s.frame, s.buf[:s.p.frame])
-	if err := s.p.plan.TransformBatch(s.batch1); err != nil {
+	if err := s.p.plan.Transform(s.frame); err != nil {
 		return false, err
 	}
 	copy(dst, s.frame)
