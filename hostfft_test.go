@@ -748,6 +748,89 @@ func TestRealPlanZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestShardedZeroAllocs: with the serial cut at one element every pass
+// is sharded over the pool, and a steady-state call still allocates
+// nothing — the pool's task carries the schedule's own pass and State,
+// so dispatching a pass builds no closure. It covers each family on
+// 2 and 4 workers, forward and inverse: mixed, Bluestein, a pinned
+// kernel, real, 2-D, convolution (its filter schedules nested inside
+// the sharded segments pass) and a batch with fewer rows than workers
+// (its rows run through the pass-sharded path).
+func TestShardedZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, workers := range []int{2, 4} {
+		opts := []codeletfft.HostOption{codeletfft.WithWorkers(workers), codeletfft.WithThreshold(1)}
+		plan := func(n int, extra ...codeletfft.HostOption) *codeletfft.HostPlan {
+			h, err := codeletfft.NewHostPlan(n, append(extra, opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+		cases := map[string]func(){}
+		for name, h := range map[string]*codeletfft.HostPlan{
+			"mixed 3072":     plan(3 << 10),
+			"bluestein 2051": plan(1<<11 + 3),
+			"soa4 4096":      plan(1<<12, codeletfft.WithKernel(codeletfft.KernelSoARadix4)),
+		} {
+			x := noise(h.N(), 1)
+			cases[name] = func() {
+				_ = h.Transform(x)
+				_ = h.Inverse(x)
+			}
+		}
+		rp, err := codeletfft.NewRealPlan(1<<12, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := make([]float64, rp.N())
+		spec := make([]complex128, rp.SpectrumLen())
+		cases["real 4096"] = func() {
+			_ = rp.Transform(spec, sig)
+			_ = rp.Inverse(sig, spec)
+		}
+		p2, err := codeletfft.NewHostPlan2D(64, 128, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := noise(p2.N(), 2)
+		cases["2-D 64x128"] = func() {
+			_ = p2.Transform(grid)
+			_ = p2.Inverse(grid)
+		}
+		cp, err := codeletfft.NewConvPlan(3000, 100, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, ch := noise(cp.N(), 3), noise(cp.KernelLen(), 4)
+		out := make([]complex128, cp.OutLen())
+		cases["conv 3000x100"] = func() {
+			_ = cp.Convolve(out, cx, ch)
+			_ = cp.CrossCorrelate(out, cx, ch)
+		}
+		bh := plan(1 << 12)
+		rows := make([][]complex128, workers-1)
+		for r := range rows {
+			rows[r] = noise(bh.N(), int64(5+r))
+		}
+		cases["batch of workers-1"] = func() {
+			_ = bh.TransformBatch(rows)
+			_ = bh.InverseBatch(rows)
+		}
+		for name, cycle := range cases {
+			for i := 0; i < 3; i++ { // start the pool, fill the schedule pools
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Errorf("%s, %d workers: forward+inverse allocates %v objects in steady state, want 0", name, workers, allocs)
+			}
+		}
+	}
+}
+
 // TestRealPlanOddOffsetSignal: a real plan moves the signal through
 // complex views of it — the forward copies it into the spectrum buffer,
 // the inverse runs its half transform in the signal itself — so a signal

@@ -314,13 +314,13 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	// order, bin k2 of row k1 at data[k2·N1+k1], applying the inverse's
 	// conjugate-and-scale on the way. The blocks are compute, not I/O:
 	// they are dealt to the process's worker pool.
-	host.Do(len(ws), len(ws), func(lo, hi int) {
+	host.Do(len(ws), &fft.Pass{Units: len(ws), Run: func(_ *fft.State, lo, hi int) {
 		for _, rw := range ws[lo:hi] {
 			sp := rw.spec
 			block := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
 			fs.UnpackRows(data[sp.RowStart:], block, sp.RowCount, inverse)
 		}
-	})
+	}}, nil)
 	total := moved.Load()
 	c.m.bytesMoved.Add(total)
 	c.m.transformB.Observe(float64(total))

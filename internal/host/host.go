@@ -5,9 +5,10 @@
 // sharded across goroutines with nothing but a barrier at its end, and
 // a batch of independent transforms can be dealt out whole. The package
 // has exactly two execution entry points over any schedule: Engine.Run
-// for one array and Engine.RunBatch for many. Both, and Do for the one
-// caller whose units are not a schedule's, draw on the one worker pool
-// the process has (pool.go).
+// for one array and Engine.RunBatch for many. Both draw on the one
+// worker pool the process has (pool.go), whose unit of work is a pass:
+// Do runs one, and callers whose units are not a schedule's hand it an
+// fft.Pass of their own.
 //
 // The engine is deliberately deterministic: every unit performs exactly
 // the arithmetic the serial run performs, on the same operands, so
@@ -161,10 +162,9 @@ func (e *Engine) Run(s *fft.Schedule, data []complex128) error {
 	}
 	st := s.Acquire(data)
 	for i := range s.Passes {
-		p := &s.Passes[i]
 		t0 := e.passStart()
-		Do(e.workers, p.Units, func(lo, hi int) { p.Run(st, lo, hi) })
-		e.passDone(p.Label, t0)
+		Do(e.workers, &s.Passes[i], st)
+		e.passDone(s.Passes[i].Label, t0)
 	}
 	st.Release()
 	return nil

@@ -240,7 +240,7 @@ func TestParallelBitReverse(t *testing.T) {
 		for _, workers := range []int{1, 2, 5, 2 * n} {
 			got := append([]complex128(nil), x...)
 			st := &fft.State{Data: got}
-			Do(workers, bitrev.Units, func(lo, hi int) { bitrev.Run(st, lo, hi) })
+			Do(workers, &bitrev, st)
 			if !sameBits(got, want) {
 				t.Errorf("n=%d workers=%d: parallel bit-reverse wrong", n, workers)
 			}

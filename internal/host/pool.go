@@ -1,7 +1,8 @@
 // The process's one worker pool: GOMAXPROCS goroutines, started by the
 // first call that has work to share and never stopped, that every
-// engine, every concurrent call and internal/ooc's tile kernels draw
-// on — the host's version of the paper's one codelet pool per chip.
+// engine, every concurrent call and the four-step sweeps of
+// internal/{ooc,serve,dist} draw on — the host's version of the
+// paper's one codelet pool per chip.
 //
 // A call is one task: units [0, n) behind an atomic cursor that hands
 // them out a chunk at a time. The caller offers the task to workers
@@ -24,9 +25,10 @@ import (
 // task is one call's work. It is recycled through taskPool, so the
 // steady state of a dispatch allocates nothing.
 type task struct {
-	// fn runs units [lo, hi) — Do's closure. A nil fn means the units
-	// are the rows of batch, each run whole by schedule s.
-	fn    func(lo, hi int)
+	// p runs units [lo, hi) of one pass on st — Do's pass. A nil p
+	// means the units are the rows of batch, each run whole by schedule s.
+	p     *fft.Pass
+	st    *fft.State
 	s     *fft.Schedule
 	batch [][]complex128
 
@@ -93,8 +95,8 @@ func (t *task) drain() {
 			break
 		}
 		hi := min(lo+t.chunk, t.n)
-		if t.fn != nil {
-			t.fn(int(lo), int(hi))
+		if t.p != nil {
+			t.p.Run(t.st, int(lo), int(hi))
 			continue
 		}
 		if st == nil {
@@ -107,22 +109,24 @@ func (t *task) drain() {
 	}
 }
 
-// Do runs fn(lo, hi) over [0, n) cut into at most workers contiguous
-// chunks of equal size, on the caller and on idle pool workers, and
-// returns when every chunk has run — a pass and its barrier. The chunks
-// must touch disjoint data. fn runs on the caller's goroutine when one
-// chunk suffices.
-func Do(workers, n int, fn func(lo, hi int)) {
+// Do runs p.Run(st, lo, hi) over [0, p.Units) cut into at most workers
+// contiguous chunks of equal size, on the caller and on idle pool
+// workers, and returns when every chunk has run — a pass and its
+// barrier. The chunks must touch disjoint data; one chunk runs on the
+// caller's goroutine. A caller with units of its own passes a nil st.
+func Do(workers int, p *fft.Pass, st *fft.State) {
+	n := p.Units
 	ways := min(workers, n)
 	if ways <= 1 {
 		if n > 0 {
-			fn(0, n)
+			p.Run(st, 0, n)
 		}
 		return
 	}
 	t := taskPool.Get().(*task)
-	t.fn = fn
+	t.p, t.st = p, st
 	t.share(ways, n, (n+ways-1)/ways)
-	t.fn = nil
+	// As steal does: a recycled task must not pin the pass or its State.
+	t.p, t.st = nil, nil
 	taskPool.Put(t)
 }

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -58,15 +59,16 @@ func TestPoolConcurrentCallers(t *testing.T) {
 // pool worker (and the caller) held inside a unit, a unit that itself
 // calls Do still completes — it finds nobody idle and runs its own task.
 func TestPoolNestedDoWhileBusy(t *testing.T) {
-	Do(2, 2, func(int, int) {}) // start the pool
-	held := cap(pool.work) + 1  // every worker, and the caller
+	// Start the pool.
+	Do(2, &fft.Pass{Units: 2, Run: func(*fft.State, int, int) {}}, nil)
+	held := cap(pool.work) + 1 // every worker, and the caller
 	var entered sync.WaitGroup
 	entered.Add(held)
 	release := make(chan struct{})
 	done := make(chan int64)
 	go func() {
 		var sum int64
-		Do(held, held, func(lo, _ int) {
+		Do(held, &fft.Pass{Units: held, Run: func(_ *fft.State, lo, _ int) {
 			entered.Done()
 			if lo != 0 {
 				<-release
@@ -74,15 +76,15 @@ func TestPoolNestedDoWhileBusy(t *testing.T) {
 			}
 			entered.Wait()
 			var mu sync.Mutex
-			Do(4, 100, func(lo, hi int) {
+			Do(4, &fft.Pass{Units: 100, Run: func(_ *fft.State, lo, hi int) {
 				mu.Lock()
 				for i := lo; i < hi; i++ {
 					sum += int64(i)
 				}
 				mu.Unlock()
-			})
+			}}, nil)
 			close(release)
-		})
+		}}, nil)
 		done <- sum
 	}()
 	select {
@@ -127,5 +129,23 @@ func TestWorkersBeyondPool(t *testing.T) {
 				t.Errorf("workers=%d inverse=%v: output differs from Workers: 1", workers, inverse)
 			}
 		}
+	}
+}
+
+// BenchmarkPassDispatch times one empty 64-unit pass through Do, so
+// ns/op is ns per pass: the fixed cost of a sharded pass — hand-off,
+// cursor and barrier — that a pass's work must outweigh before sharding
+// it pays. At one worker it is the serial call.
+func BenchmarkPassDispatch(b *testing.B) {
+	empty := &fft.Pass{Units: 64, Run: func(*fft.State, int, int) {}}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			Do(workers, empty, nil) // start the pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Do(workers, empty, nil)
+			}
+		})
 	}
 }

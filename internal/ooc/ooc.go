@@ -551,12 +551,12 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			host.Do(p.cfg.workers, s2, func(lo, hi int) {
+			host.Do(p.cfg.workers, &fft.Pass{Units: s2, Run: func(_ *fft.State, lo, hi int) {
 				for c := lo; c < hi && ctx.Err() == nil; c++ {
 					f := fft.FrameOf(tile[c*n1 : (c+1)*n1])
 					p.fs.ColStages(&f)
 				}
-			})
+			}}, nil)
 			return ctx.Err()
 		},
 		// drain: unpack, twiddle scale and the S2×S1 block layout as one
@@ -621,7 +621,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 		// compute: a row is copied out to scratch and packed back into
 		// its own memory as planes, and transformed there.
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
-			host.Do(p.cfg.workers, s1, func(lo, hi int) {
+			host.Do(p.cfg.workers, &fft.Pass{Units: s1, Run: func(_ *fft.State, lo, hi int) {
 				sc := take(&p.scratch, n2)
 				defer p.scratch.Put(sc)
 				for r := lo; r < hi && ctx.Err() == nil; r++ {
@@ -629,7 +629,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 					copy(*sc, row)
 					p.fs.RowFrom(row, *sc)
 				}
-			})
+			}}, nil)
 			return ctx.Err()
 		},
 		// drain: the final transpose as a tiled move out of the planes —

@@ -418,12 +418,12 @@ func (s *Server) ways() int {
 func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
 	spec, fs := sess.spec, sess.fs
 	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
-		host.Do(s.ways(), spec.ColCount, func(lo, hi int) {
+		host.Do(s.ways(), &fft.Pass{Units: spec.ColCount, Run: func(_ *fft.State, lo, hi int) {
 			for v := lo; v < hi; v++ {
 				f := fft.FrameOf(cols[v*spec.N1 : (v+1)*spec.N1])
 				fs.ColStages(&f)
 			}
-		})
+		}}, nil)
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		if sess.rows == nil {
@@ -557,11 +557,11 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	planes := AcquireComplex(spec.RowCount * spec.N2)
 	defer ReleaseComplex(planes)
 	err := s.isolate(batchKey{n: spec.N2, kind: KindForward}, nil, func() error {
-		host.Do(s.ways(), spec.RowCount, func(lo, hi int) {
+		host.Do(s.ways(), &fft.Pass{Units: spec.RowCount, Run: func(_ *fft.State, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				sess.fs.RowFrom((*planes)[r*spec.N2:(r+1)*spec.N2], (*sess.rows)[r*spec.N2:(r+1)*spec.N2])
 			}
-		})
+		}}, nil)
 		return nil
 	})
 	sess.mu.Unlock()
