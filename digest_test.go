@@ -170,7 +170,8 @@ func TestDefaultPlanDigests(t *testing.T) {
 			hostLines(n, func(k codeletfft.Kernel) string { return accel("kernel-"+k.String(), 0, k) }, codeletfft.WithKernel(kern))
 		}
 	}
-	// The four-step's sweeps are SoA radix-4's.
+	// The four-step's sub-FFTs are the mixed stages, whose bits are the
+	// same on every backend.
 	for _, n := range digestLens.fourStep {
 		p, err := fft.NewFourStep(fft.NearSquareFactor(n))
 		if err != nil {
@@ -183,7 +184,7 @@ func TestDefaultPlanDigests(t *testing.T) {
 			}
 			x := digestSignal(n, 0)
 			mustRun(t, run(x))
-			add("fourstep/"+codeletfft.Acceleration(), n, "serial", dir, x)
+			add("fourstep", n, "serial", dir, x)
 		}
 	}
 	// A 2-D plan's axes are the default plans of their lengths, so a

@@ -14,26 +14,25 @@
 //
 // Buffer ownership per phase (coordinator side):
 //
-//   - gather: each worker's goroutine packs that worker's column slab —
-//     columns [c0, c1) of the caller's row-major N1×N2 array — as split
-//     planes, bit-reversed (FourStepPlan.PackColumnsFrom), into
+//   - gather: each worker's goroutine moves that worker's column slab —
+//     columns [c0, c1) of the caller's row-major N1×N2 array — each into
+//     a contiguous vector (FourStepPlan.ColumnsFrom), into
 //     cols[c0·N1 : c1·N1] of a pooled buffer and encodes its cols frame
 //     straight from that slice, so the first worker is computing while
-//     the last slab is still being packed and no per-worker copy exists.
+//     the last slab is still being moved and no per-worker copy exists.
 //     The caller's array is only read;
 //   - resident: the coordinator holds nothing; workers own their row
 //     blocks;
-//   - fetch: each worker's rows response — its row block as the planes
-//     of the rows' transforms — decodes straight into its slice of a
-//     pooled rows buffer;
+//   - fetch: each worker's rows response — its row block, transformed —
+//     decodes straight into its slice of a pooled rows buffer;
 //   - final transpose: only after every fetch succeeded — so a failed
 //     session leaves the input untouched, and Transform retries with a
 //     fresh session on the workers that are left — the row blocks are
-//     unpacked and transposed (FourStepPlan.UnpackRows), as units of the
+//     transposed (FourStepPlan.TransposeRows), as units of the
 //     process's worker pool (host.Do), into the caller's array in
 //     direct-DFT bin order.
 //
-// The inverse rides on the same two moves: the pack conjugates and the
+// The inverse rides on the same two moves: the gather conjugates and the
 // final transpose conjugates and scales by 1/N — the conjugation
 // identity's two sweeps, the same arithmetic per element, with no pass
 // of their own and no write to the caller's array before the rows
@@ -261,11 +260,11 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 	c.m.sessions.Add(int64(w))
 
-	// Phase 1: each worker's goroutine packs that worker's column slab —
-	// data's columns [ColStart, ColStart + ColCount), each into the planes
-	// of its own vector of the pooled buffer, conjugating on the way for
-	// the inverse — and ships it straight out of that slice, so one worker
-	// computes while the next slab is still being packed. The ack returns
+	// Phase 1: each worker's goroutine moves that worker's column slab —
+	// data's columns [ColStart, ColStart + ColCount), each into its own
+	// vector of the pooled buffer, conjugating on the way for the inverse
+	// — and ships it straight out of that slice, so one worker computes
+	// while the next slab is still being moved. The ack returns
 	// only once the worker has pushed every peer's row block, so after
 	// this barrier every rows buffer in the cluster is complete.
 	colsBuf := serve.AcquireComplex(fs.N)
@@ -274,7 +273,7 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		slab := cols[sp.ColStart*sp.N1 : (sp.ColStart+sp.ColCount)*sp.N1]
-		fs.PackColumnsFrom(slab, data[sp.ColStart:], sp.ColCount, inverse)
+		fs.ColumnsFrom(slab, data[sp.ColStart:], sp.ColCount, inverse)
 		req := serve.SessionFrame{
 			Op: serve.OpSessCols, ID: sid, VecLen: sp.N1, VecCount: sp.ColCount, Arg0: sp.ColStart,
 			Data: slab,
@@ -310,15 +309,15 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Only now, with every row block fetched, is the caller's data
-	// written: each block's planes are unpacked into direct-DFT bin
-	// order, bin k2 of row k1 at data[k2·N1+k1], applying the inverse's
+	// written: each block is transposed into direct-DFT bin order, bin k2
+	// of row k1 at data[k2·N1+k1], applying the inverse's
 	// conjugate-and-scale on the way. The blocks are compute, not I/O:
 	// they are dealt to the process's worker pool.
 	host.Do(len(ws), &fft.Pass{Units: len(ws), Run: func(_ *fft.State, lo, hi int) {
 		for _, rw := range ws[lo:hi] {
 			sp := rw.spec
 			block := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]
-			fs.UnpackRows(data[sp.RowStart:], block, sp.RowCount, inverse)
+			fs.TransposeRows(data[sp.RowStart:], block, sp.RowCount, inverse)
 		}
 	}}, nil)
 	total := moved.Load()

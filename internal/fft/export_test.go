@@ -11,3 +11,30 @@ func SoALevelTransform(pl *Plan, data, w []complex128, kern Kernel, inverse bool
 // build: the vector pair codelets of radix 3, 4 and 5 run here. Where
 // they do not, a mixed plan makes one pass per stage.
 func HasPairCodelets() bool { return hasPairCodelet(4) }
+
+// SoAStages is the SoA oracle's butterfly network for the external
+// tests: on planes that already hold the input in bit-reversed order,
+// stage 0 and then every blocked pass over its whole unit range, leaving
+// the transform in the planes.
+func SoAStages(pl *Plan, f *SoAFrame, st *SoATwiddles, kern Kernel) {
+	pl.stage0(st, kern).run(f.Re, f.Im)
+	SoASweeps(pl, f, st, kern)
+}
+
+// SoASweeps is SoAStages without stage 0: the blocked passes after a
+// SoAPack.
+func SoASweeps(pl *Plan, f *SoAFrame, st *SoATwiddles, kern Kernel) {
+	gs := st.groups(kern)
+	for i := range gs {
+		gs[i].runUnits(0, pl.soaUnits(), f, st, soaStore{})
+	}
+}
+
+// GoCodelets runs f with the vector codelets switched off: plans it
+// builds run the Go codelets, one pass per mixed-radix stage, as the
+// noasm build does. It must not overlap other work of the package.
+func GoCodelets(f func()) {
+	defer func(v bool) { soaHasAsm = v }(soaHasAsm)
+	soaHasAsm = false
+	f()
+}

@@ -8,44 +8,50 @@ import (
 // RowCol returns the row-column schedule of a rows×cols 2-D transform
 // of row-major data, rows = col.N and cols = row.N: the method the C64
 // line of work (Chen et al.) used for 2-D FFT, with any 1-D schedule on
-// either axis. The rows pass runs row in place on each row; the cols
-// pass gathers each column into a pooled buffer, runs col on it and
-// scatters it back. A unit runs its 1-D schedule serially on a State of
+// either axis. The rows pass runs row in place on each row. The cols
+// pass is the four-step's column move: a unit is a strip of up to
+// MoveRuns columns, moved by TransposeBlock into a pooled buffer as
+// contiguous vectors, each run through col there, and moved back — so
+// the array is only ever read and written in runs of whole cache lines,
+// not an element per row. A unit runs its 1-D schedule serially on a State of
 // its own. The transform's direction is its axes': RowCol of two
 // forward schedules is the forward 2-D transform, and of the axes'
 // inverse schedules, each carrying its own conj and 1/N, the inverse:
 // 1/cols on the rows and 1/rows on the columns are 1/(rows·cols) in all.
 func RowCol(row, col *Schedule) *Schedule {
 	nr, nc := col.N, row.N
+	// A strip is MoveRuns columns, narrower where that would leave the
+	// cols pass fewer than eight units to share among workers — down to
+	// eight columns, two cache lines of each row.
+	sw := min(MoveRuns, max(8, nc/8))
 	bufs := &sync.Pool{New: func() any {
-		b := make([]complex128, nr)
+		b := make([]complex128, nr*min(sw, nc))
 		return &b
 	}}
 	return &Schedule{N: nr * nc, Stage: row.Stage, Passes: []Pass{
 		{PassRows, nr, func(st *State, lo, hi int) {
-			rs := row.Acquire(nil)
-			for r := lo; r < hi; r++ {
-				rs.Data = st.Data[r*nc : (r+1)*nc]
-				row.Exec(rs)
-			}
-			rs.Release()
+			each(row, st.Data[lo*nc:hi*nc])
 		}},
-		{PassCols, nc, func(st *State, lo, hi int) {
+		{PassCols, (nc + sw - 1) / sw, func(st *State, lo, hi int) {
 			buf := bufs.Get().(*[]complex128)
-			cs := col.Acquire(*buf)
-			for c := lo; c < hi; c++ {
-				for r := range cs.Data {
-					cs.Data[r] = st.Data[r*nc+c]
-				}
-				col.Exec(cs)
-				for r, v := range cs.Data {
-					st.Data[r*nc+c] = v
-				}
+			for c0, end := lo*sw, min(hi*sw, nc); c0 < end; c0 += sw {
+				w := min(sw, nc-c0)
+				columnStrip(*buf, st.Data[c0:], nc, w, false, col)
+				TransposeBlock(st.Data[c0:], nc, *buf, nr, w, nr)
 			}
-			cs.Release()
 			bufs.Put(buf)
 		}},
 	}}
+}
+
+// columnStrip is the column half of a row-column transform on a strip
+// of w columns of src, a col.N-row matrix with rows ld apart: it moves
+// them into strip as contiguous vectors, conjugated if conj is set, and
+// runs col on each there. RowCol moves the strip back; the four-step
+// scales it back into rows (FourStepPlan.TransposeScaled).
+func columnStrip(strip, src []complex128, ld, w int, conj bool, col *Schedule) {
+	TransposeConj(strip, col.N, src, ld, col.N, w, conj, 1)
+	each(col, strip[:w*col.N])
 }
 
 // Plan2D is the radix-2 2-D FFT the simulator's 2-D runs are checked

@@ -2,6 +2,7 @@ package fft_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"math/cmplx"
@@ -170,34 +171,35 @@ func TestTwiddleScaleMatchesDirect(t *testing.T) {
 	}
 }
 
-// unfusedFourStep is the four-step as FourStepPlan ran it before its
-// moves were fused, kept as the oracle its steps are held to bit for
-// bit: TransposeBlock gathers the columns, each is transformed by
-// Plan.TransformSoA and scaled by the element-loop Scale, TransposeBlock
-// scatters them into rows, each row is transformed the same way, and a
-// last TransposeBlock writes direct-DFT bin order. The inverse
-// conjugates before and scales conj·1/N after, as element loops.
+// unfusedFourStep is the four-step with none of its moves fused, kept
+// as the oracle the plan's steps are held to bit for bit: TransposeBlock
+// gathers the columns, each is transformed by the mixed-radix plan of
+// its length (MixedPlan.Transform) and scaled by the element-loop Scale,
+// TransposeBlock scatters them into rows, each row is transformed the
+// same way, and a last TransposeBlock writes direct-DFT bin order. The
+// inverse conjugates before and scales conj·1/N after, as element loops.
 func unfusedFourStep(t testing.TB, n1, n2 int, data []complex128, inverse bool) {
 	t.Helper()
-	unfusedFourStepWith(t, n1, n2, data, inverse, func(pl *fft.Plan, d, w []complex128) {
-		pl.TransformSoA(d, w, fft.KernelSoARadix4)
-	})
+	unfusedFourStepWith(t, n1, n2, data, inverse, mixedTransform(t, n1), mixedTransform(t, n2))
 }
 
-// unfusedFourStepWith is unfusedFourStep with transform as the column
-// and row FFT.
-func unfusedFourStepWith(t testing.TB, n1, n2 int, data []complex128, inverse bool, transform func(pl *fft.Plan, d, w []complex128)) {
+// mixedTransform returns the forward transform of a fresh n-point
+// mixed-radix plan.
+func mixedTransform(t testing.TB, n int) func([]complex128) {
+	t.Helper()
+	mp, err := fft.NewMixedPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(d []complex128) { noErr(t, mp.Transform(d)) }
+}
+
+// unfusedFourStepWith is unfusedFourStep with col and row as the column
+// and row FFTs.
+func unfusedFourStepWith(t testing.TB, n1, n2 int, data []complex128, inverse bool, col, row func([]complex128)) {
 	t.Helper()
 	n := n1 * n2
-	col, err := fft.NewPlan(n1, min(64, n1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := fft.NewPlan(n2, min(64, n2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, wr, tw := fft.Twiddles(n1), fft.Twiddles(n2), fft.TwoLevelTwiddles(n)
+	tw := fft.TwoLevelTwiddles(n)
 	if inverse {
 		for i, v := range data {
 			data[i] = complex(real(v), -imag(v))
@@ -207,12 +209,12 @@ func unfusedFourStepWith(t testing.TB, n1, n2 int, data []complex128, inverse bo
 	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
 	for j2 := 0; j2 < n2; j2++ {
 		c := buf[j2*n1 : (j2+1)*n1]
-		transform(col, c, wc)
+		col(c)
 		tw.Scale(c, j2)
 	}
 	fft.TransposeBlock(data, n2, buf, n1, n2, n1)
 	for k1 := 0; k1 < n1; k1++ {
-		transform(row, data[k1*n2:(k1+1)*n2], wr)
+		row(data[k1*n2 : (k1+1)*n2])
 	}
 	fft.TransposeBlock(buf, n1, data, n2, n1, n2)
 	copy(data, buf)
@@ -247,8 +249,8 @@ func checkFourStepOracle(t testing.TB, fs *fft.FourStepPlan, x []complex128) {
 
 // TestFourStepMatchesUnfusedOracle: the staged steps change which code
 // runs the arithmetic, not the arithmetic — at factor lengths on both
-// sides of the pack's and the moves' tile sides, square and skewed, with
-// ragged column strips (N2 < 64) and two-point factors.
+// sides of the moves' tile side, square and skewed, with ragged column
+// strips (N2 < 64) and two-point factors.
 func TestFourStepMatchesUnfusedOracle(t *testing.T) {
 	for _, f := range [][2]int{{2, 2}, {4, 16}, {32, 64}, {64, 32}, {64, 64}, {128, 256}, {16, 1024}, {2048, 8}, {1024, 1024}} {
 		fs, err := fft.NewFourStep(f[0], f[1])
@@ -256,6 +258,43 @@ func TestFourStepMatchesUnfusedOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkFourStepOracle(t, fs, randComplex(fs.N, int64(f[0]*7+f[1])))
+	}
+}
+
+// TestFourStepMatchesLevelSweeps: the four-step's sub-FFTs are the
+// mixed-radix forward schedules, whose vector codelets and fused stage
+// pairs give the Go codelets' bits, so FourStepPlan.Transform and
+// InverseTransform are bit for bit the unfused four-step whose column
+// and row transforms run the Go codelets one pass per stage — the bits
+// of the noasm build, checked on this one.
+func TestFourStepMatchesLevelSweeps(t *testing.T) {
+	maxLog := 22
+	if testing.Short() || raceEnabled {
+		maxLog = 16
+	}
+	for logN := 2; logN <= maxLog; logN++ {
+		for _, f := range fourStepFactorizations(1 << logN) {
+			fs, err := fft.NewFourStep(f[0], f[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := randComplex(fs.N, int64(logN))
+			for _, inverse := range []bool{false, true} {
+				got := append([]complex128(nil), x...)
+				want := append([]complex128(nil), x...)
+				if inverse {
+					noErr(t, fs.InverseTransform(got))
+				} else {
+					noErr(t, fs.Transform(got))
+				}
+				fft.GoCodelets(func() {
+					unfusedFourStepWith(t, fs.N1, fs.N2, want, inverse, mixedTransform(t, fs.N1), mixedTransform(t, fs.N2))
+				})
+				if !equalBits(got, want) {
+					t.Fatalf("%d×%d inverse=%v: differs from the four-step on the Go codelets", fs.N1, fs.N2, inverse)
+				}
+			}
+		}
 	}
 }
 
@@ -411,6 +450,36 @@ func TestTwoLevelScaleReducesIndex(t *testing.T) {
 			if got[k] != want[k] {
 				t.Fatalf("index %d k=%d: %v != in-range %v", index, k, got[k], want[k])
 			}
+		}
+	}
+}
+
+// BenchmarkFourStep times the in-core four-step's forward and inverse
+// apart, serially, in ns per point: at 1024², the cluster's and the
+// out-of-core benchmark's 2^20 split, a skewed 512×1024 and 2048². Each
+// op starts from the same input; the copy is not timed.
+func BenchmarkFourStep(b *testing.B) {
+	for _, f := range [][2]int{{1024, 1024}, {512, 1024}, {2048, 2048}} {
+		fs, err := fft.NewFourStep(f[0], f[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		orig, data := randComplex(fs.N, int64(fs.N)), make([]complex128, fs.N)
+		for _, dir := range []string{"fwd", "inv"} {
+			run := fs.Transform
+			if dir == "inv" {
+				run = fs.InverseTransform
+			}
+			b.Run(fmt.Sprintf("%dx%d/%s", f[0], f[1], dir), func(b *testing.B) {
+				b.SetBytes(16 * int64(fs.N))
+				for range b.N {
+					b.StopTimer()
+					copy(data, orig)
+					b.StartTimer()
+					noErr(b, run(data))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(fs.N), "ns/pt")
+			})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -147,6 +148,22 @@ func (s *Schedule) Exec(st *State) {
 		p := &s.Passes[i]
 		p.Run(st, 0, p.Units)
 	}
+}
+
+// each runs s serially on every s.N-point vector of v in place, on one
+// State: the batch of sub-FFTs of a row-column transform. A v that is
+// not a whole number of vectors panics with an error wrapping
+// ErrLengthMismatch.
+func each(s *Schedule, v []complex128) {
+	if len(v)%s.N != 0 {
+		panic(fmt.Errorf("%w: %d elements are not whole %d-point vectors", ErrLengthMismatch, len(v), s.N))
+	}
+	st := s.Acquire(nil)
+	for i := 0; i < len(v); i += s.N {
+		st.Data = v[i : i+s.N]
+		s.Exec(st)
+	}
+	st.Release()
 }
 
 // Run transforms data in place serially: check, acquire, Exec, release.

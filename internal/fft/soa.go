@@ -229,7 +229,7 @@ func (f *SoAFrame) packTiles(data []complex128, lo, hi, logN, r, s int, conj boo
 	packTilePool.Put(bp)
 }
 
-// gatherColumns is the strided half of both tiled packs: it writes
+// gatherColumns is the strided half of the tiled pack: it writes
 // column c of runs, rows staged rows of cols points, into the planes
 // plane(c) returns, the imaginary part negated if conj is set, then
 // hands every column's planes to done (if not nil). It takes four
@@ -337,118 +337,6 @@ func (g stage0Groups) run(re, im []float64) {
 	for a := 0; a < len(re); a += g.span {
 		b := min(a+g.span, len(re))
 		soaButterflies(re[a:b], im[a:b], g.twr, g.twi, g.v, g.radix4)
-	}
-}
-
-// FrameOf views the memory of v as a frame of len(v)-point planes, Re
-// in its first half and Im in its second: where every four-step path
-// keeps a vector between the move that packs it and the move that reads
-// its transform, so neither a pooled frame nor an unpack stands between
-// them. The frame aliases v and must not be Released.
-func FrameOf(v []complex128) SoAFrame {
-	f := ComplexFloat64s(v)
-	return SoAFrame{Re: f[:len(v)], Im: f[len(v):]}
-}
-
-// MoveRuns is the number of vectors one chunk of PackColumns or
-// UnpackColumns stages — 64, the side of the transposition's tile, for
-// its reasons: a run of one plane is 512 bytes of whole cache lines, and
-// at 64 vectors of 64 elements the staged rows are one 64 KiB tile.
-const (
-	soaColumnBits = 6
-	MoveRuns      = 1 << soaColumnBits
-)
-
-// PackColumnTiles returns the number of independent tiles PackColumns
-// splits the pack of 2^logN-point columns into; a tile stages
-// min(2^logN, MoveRuns) source rows.
-func PackColumnTiles(logN int) int { return 1 << (logN - min(logN, soaColumnBits)) }
-
-// PackColumns is the transposing sibling of SoAPack's tiles: it packs
-// cols columns of a row-major 2^logN × cols matrix, each into its own
-// frame, in one tiled move — the four-step's column gather and the SoA
-// pack's bit reversal as one step (FourStepPlan, DESIGN §12). Column v's
-// frame is FrameOf(tile[v·2^logN:][:2^logN]), and source element (j, v)
-// lands in it at BitReverse(j).
-//
-// The source is read whole rows at a time through load, which fills run
-// (len cols) with row j — FourStepPlan.PackColumnsFrom copies it out of
-// memory, the out-of-core path reads it from its input Store, one
-// positioned read per vector. With q = min(logN, 6), tile b
-// loads, for every high field a, row a·2^(logN−q)+b into row rev(a) of
-// runs, a 2^q × cols staging buffer the caller owns (len ≥ MoveRuns·cols
-// always suffices), then gathers every column of runs into one
-// contiguous 2^q run of each plane of that column at rev(b)·2^q
-// (gatherColumns). With conj set the imaginary plane is negated on the
-// way in. Distinct tiles write disjoint plane elements, so callers may
-// run [0, PackColumnTiles(logN)) on several goroutines, each with its
-// own runs.
-func PackColumns(tile []complex128, logN, b, cols int, conj bool, runs []complex128, load func(run []complex128, j int)) {
-	n := 1 << logN
-	q := min(logN, soaColumnBits)
-	side := 1 << q
-	if len(tile) < cols*n {
-		panic(LengthError("column tile", len(tile), cols*n))
-	}
-	if len(runs) < side*cols {
-		panic(LengthError("column runs", len(runs), side*cols))
-	}
-	low := logN - q // width of the tile-index field b
-	for a := 0; a < side; a++ {
-		load(runs[int(BitReverse(int64(a), q))*cols:][:cols], a<<low|b)
-	}
-	planes := ComplexFloat64s(tile)
-	off := int(BitReverse(int64(b), low)) << q
-	gatherColumns(runs, side, cols, conj, func(c int) (re, im []float64) {
-		col := planes[c*2*n:][:2*n]
-		return col[off:][:side], col[n+off:][:side]
-	}, nil)
-}
-
-// UnpackColumns is the move back out: it reads bins [k0, k0+w) of rows
-// transformed vectors, each held as the planes of its tile row
-// (FrameOf(tile[r·n:][:n])), and writes them transposed into runs — bin
-// k0+c of row r at runs[c·ld + r], ld ≥ rows, so bin k0+c of every row is
-// one contiguous run, and runs may be a window into a larger matrix: the
-// four-step's final transpose fused with the unpack. With conjScale set
-// an element is conj(x)·s, the inverse transform's trailing sweep. The
-// scatter fills four rows — one cache line of every run — per sweep of
-// the planes, which is fast while runs stays in cache (internal/ooc's
-// 64-vector run buffer); FourStepPlan.UnpackRows, whose output rows are
-// N1·16 bytes apart, feeds it into TransposeBlockFrom's tiles instead.
-func UnpackColumns(runs, tile []complex128, n, rows, k0, w, ld int, conjScale bool, s float64) {
-	if len(tile) < rows*n {
-		panic(LengthError("row tile", len(tile), rows*n))
-	}
-	checkWindow("runs", len(runs), ld, w, rows)
-	sr, si := 1.0, 1.0
-	if conjScale {
-		sr, si = s, -s
-	}
-	planes := ComplexFloat64s(tile)
-	plane := func(r int) (re, im []float64) {
-		row := planes[r*2*n:][:2*n]
-		return row[k0:][:w], row[n+k0:][:w]
-	}
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		re0, im0 := plane(r)
-		re1, im1 := plane(r + 1)
-		re2, im2 := plane(r + 2)
-		re3, im3 := plane(r + 3)
-		for c := 0; c < w; c++ {
-			line := runs[c*ld+r:][:4]
-			line[0] = complex(re0[c]*sr, im0[c]*si)
-			line[1] = complex(re1[c]*sr, im1[c]*si)
-			line[2] = complex(re2[c]*sr, im2[c]*si)
-			line[3] = complex(re3[c]*sr, im3[c]*si)
-		}
-	}
-	for ; r < rows; r++ {
-		re, im := plane(r)
-		for c := range re {
-			runs[c*ld+r] = complex(re[c]*sr, im[c]*si)
-		}
 	}
 }
 
@@ -689,24 +577,6 @@ func (l soaLevel) store(f *SoAFrame, st *SoATwiddles, base, j0, cnt, nblk int, d
 	_ = dst.out[base+(nblk-1)*4*m+3*m+cnt-1] // the codelet's last store
 	bfly4StoreAsm(&f.Re[base], &f.Im[base], &st.LvlRe[l.gl][j0], &st.LvlIm[l.gl][j0],
 		&st.LvlRe[l.gl+1][j0], &st.LvlIm[l.gl+1][j0], &dst.out[base], m, cnt, nblk, s, neg)
-}
-
-// SoASweeps runs every blocked pass of the SoA schedule over its whole
-// unit range, leaving the transform in the planes: the schedule between
-// SoAPack and the store, for callers whose own moves do both.
-func (pl *Plan) SoASweeps(f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	gs := st.groups(kern)
-	for i := range gs {
-		gs[i].runUnits(0, pl.soaUnits(), f, st, soaStore{})
-	}
-}
-
-// SoAStages runs the whole butterfly network on planes that already hold
-// the input in bit-reversed order — stage 0, then SoASweeps — for
-// callers whose pack is not SoAPack (PackColumns).
-func (pl *Plan) SoAStages(f *SoAFrame, st *SoATwiddles, kern Kernel) {
-	pl.stage0(st, kern).run(f.Re, f.Im)
-	pl.SoASweeps(f, st, kern)
 }
 
 // soaButterflies applies a stage-0 group's v levels in place to one

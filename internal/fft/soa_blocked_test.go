@@ -81,41 +81,6 @@ func TestSoAScheduleMatchesLevelSweeps(t *testing.T) {
 	}
 }
 
-// TestFourStepMatchesLevelSweeps: the four-step's sub-FFTs run the same
-// blocked passes, so FourStepPlan.Transform and InverseTransform are bit
-// for bit the unfused four-step whose column and row transforms take
-// one pass per level sweep.
-func TestFourStepMatchesLevelSweeps(t *testing.T) {
-	maxLog := 22
-	if testing.Short() || raceEnabled {
-		maxLog = 16
-	}
-	for logN := 2; logN <= maxLog; logN++ {
-		for _, f := range fourStepFactorizations(1 << logN) {
-			fs, err := fft.NewFourStep(f[0], f[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := randComplex(fs.N, int64(logN))
-			for _, inverse := range []bool{false, true} {
-				got := append([]complex128(nil), x...)
-				want := append([]complex128(nil), x...)
-				if inverse {
-					noErr(t, fs.InverseTransform(got))
-				} else {
-					noErr(t, fs.Transform(got))
-				}
-				unfusedFourStepWith(t, fs.N1, fs.N2, want, inverse, func(pl *fft.Plan, d, w []complex128) {
-					fft.SoALevelTransform(pl, d, w, fft.KernelSoARadix4, false)
-				})
-				if !equalBits(got, want) {
-					t.Fatalf("%d×%d inverse=%v: differs from the four-step over one pass per level sweep", fs.N1, fs.N2, inverse)
-				}
-			}
-		}
-	}
-}
-
 // TestSoAScheduleShape pins the blocked schedule's pass count: the pack,
 // then one blocked pass per group of level sweeps — at the default task
 // size 2^20 points take the pack and two (nine passes at one per level

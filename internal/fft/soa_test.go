@@ -102,14 +102,14 @@ func TestSoAPackTilesMatchesScatter(t *testing.T) {
 				st := pl.SoATwiddles(w)
 				oracle := func(in []complex128) {
 					scatterPack(want, in, logN)
-					pl.SoAStages(want, st, kern)
+					fft.SoAStages(pl, want, st, kern)
 				}
 				pack := func(what string, conj bool, parts ...[2]int) {
 					t.Helper()
 					for _, pt := range parts {
 						pl.SoAPack(got, data, pt[0], pt[1], st, kern, conj)
 					}
-					pl.SoASweeps(got, st, kern)
+					fft.SoASweeps(pl, got, st, kern)
 					check(fmt.Sprintf("P=%d %v %s", p, kern, what))
 				}
 				tiles := pl.SoAPackTiles()
@@ -137,7 +137,7 @@ func soaForwardOracle(pl *fft.Plan, data, w []complex128, kern fft.Kernel) {
 	st := pl.SoATwiddles(w)
 	f := fft.GetSoAFrame(pl.N)
 	scatterPack(f, data, pl.LogN)
-	pl.SoAStages(f, st, kern)
+	fft.SoAStages(pl, f, st, kern)
 	f.Unpack(data, 0, pl.N)
 	f.Release()
 }

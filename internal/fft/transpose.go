@@ -22,6 +22,12 @@ const tileSide = 64
 // goroutine that may be inside one.
 const MoveTileBytes = tileSide * tileSide * 16
 
+// MoveRuns is the number of vectors one strip of a column move stages —
+// the side of the transposition's tile, for its reasons: a strip's
+// columns are one tile column wide, so each source row is read as one
+// 1 KiB run.
+const MoveRuns = tileSide
+
 // tilePool holds the tiles: 64 KiB is too much to zero on the stack of
 // every call.
 var tilePool = sync.Pool{New: func() any { return new([tileSide * tileSide]complex128) }}
@@ -53,10 +59,57 @@ func TransposeBlock(dst []complex128, ldDst int, src []complex128, ldSrc, rows, 
 	TransposeBlockFrom(dst, ldDst, rows, cols, func(run []complex128, r, c int) { copy(run, src[r*ldSrc+c:]) })
 }
 
-// TransposeBlockFrom is TransposeBlock for a source that is not a
-// []complex128 window — the planes of transformed columns, which
-// FourStepPlan.TransposeScaled unpacks and scales on the way, or of
-// transformed rows, which UnpackColumns unpacks: load fills run with source
+// TransposeConj is TransposeBlock that, with conj set, stores conj(x)·s
+// in place of each element x: the conjugation identity's two sweeps
+// riding a move — s = 1 on an inverse's way in, 1/N on its way out.
+func TransposeConj(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int, conj bool, s float64) {
+	if !conj {
+		TransposeBlock(dst, ldDst, src, ldSrc, rows, cols)
+		return
+	}
+	checkWindow("src", len(src), ldSrc, rows, cols)
+	TransposeBlockFrom(dst, ldDst, rows, cols, func(run []complex128, r, c int) {
+		for i, v := range src[r*ldSrc+c:][:len(run)] {
+			run[i] = complex(real(v)*s, -imag(v)*s)
+		}
+	})
+}
+
+// TransposeInto is TransposeConj for a destination small enough to stay
+// in cache — internal/ooc's run buffers: no tile stands between the two
+// arrays, and none is held. A sweep reads four source rows, each as a
+// contiguous run, and stores one cache line of every destination row —
+// the strided half of the move stays in the destination's cache lines.
+func TransposeInto(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int, conj bool, s float64) {
+	checkWindow("src", len(src), ldSrc, rows, cols)
+	checkWindow("dst", len(dst), ldDst, cols, rows)
+	sr, si := 1.0, 1.0
+	if conj {
+		sr, si = s, -s
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		x0, x1 := src[r*ldSrc:][:cols], src[(r+1)*ldSrc:][:cols]
+		x2, x3 := src[(r+2)*ldSrc:][:cols], src[(r+3)*ldSrc:][:cols]
+		for c, v := range x0 {
+			line := dst[c*ldDst+r:][:4]
+			line[0] = complex(real(v)*sr, imag(v)*si)
+			line[1] = complex(real(x1[c])*sr, imag(x1[c])*si)
+			line[2] = complex(real(x2[c])*sr, imag(x2[c])*si)
+			line[3] = complex(real(x3[c])*sr, imag(x3[c])*si)
+		}
+	}
+	for ; r < rows; r++ {
+		for c, x := range src[r*ldSrc:][:cols] {
+			dst[c*ldDst+r] = complex(real(x)*sr, imag(x)*si)
+		}
+	}
+}
+
+// TransposeBlockFrom is TransposeBlock for a source that is not a plain
+// []complex128 window — transformed columns, which
+// FourStepPlan.TransposeScaled scales on the way, or elements
+// conjugated on the way (TransposeConj): load fills run with source
 // elements (r, c), (r, c+1), …, (r, c+len(run)−1), and is called once
 // per tile row, so the source is converted straight into the tile the
 // move owns and never staged in between.

@@ -19,6 +19,9 @@ var transposeVariants = []struct {
 	{"from", func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
 		fft.TransposeBlockFrom(dst, ldDst, rows, cols, func(run []complex128, r, c int) { copy(run, src[r*ldSrc+c:]) })
 	}},
+	{"into", func(dst []complex128, ldDst int, src []complex128, ldSrc, rows, cols int) {
+		fft.TransposeInto(dst, ldDst, src, ldSrc, rows, cols, false, 0)
+	}},
 }
 
 // sentinel fills everything a transposition must leave alone. NaN never
@@ -130,10 +133,11 @@ func FuzzTransposeBlock(f *testing.F) {
 }
 
 // TestFourStepTransposesMatchLoops holds the plan's three data moves —
-// the column gather (PackColumnsFrom), the scaled transposition between
-// the sweeps (TransposeScaled) and the final transpose (UnpackRows) —
-// to the element loops they fuse, kept here as the reference, forward
-// and inverse, on square, skewed, sub-tile and multi-tile factorizations.
+// the column gather (ColumnsFrom), the scaled transposition between the
+// transforms (TransposeScaled) and the final transpose (TransposeRows,
+// and TransposeInto without the tile) — to the element loops they fuse, kept here as the reference, forward
+// and inverse, on square, skewed, sub-tile and multi-tile
+// factorizations.
 func TestFourStepTransposesMatchLoops(t *testing.T) {
 	for _, f := range [][2]int{{2, 2}, {4, 64}, {64, 4}, {32, 128}, {1024, 16}} {
 		n1, n2 := f[0], f[1]
@@ -154,64 +158,76 @@ func TestFourStepTransposesMatchLoops(t *testing.T) {
 		}
 		src := randComplex(n, int64(n1*7+n2))
 		for _, conj := range []bool{false, true} {
-			// Gather column j2 of the row-major N1×N2 matrix into the
-			// planes of its own N1 elements, bit-reversed.
+			// Gather column j2 of the row-major N1×N2 matrix into its own
+			// N1 elements.
 			got, want := make([]complex128, n), make([]complex128, n)
-			fs.PackColumnsFrom(got, src, n2, conj)
+			fs.ColumnsFrom(got, src, n2, conj)
 			for j2 := 0; j2 < n2; j2++ {
-				fr := fft.FrameOf(want[j2*n1 : (j2+1)*n1])
 				for j1 := 0; j1 < n1; j1++ {
 					x := src[j1*n2+j2]
 					if conj {
 						x = complex(real(x), -imag(x))
 					}
-					r := fft.BitReverse(int64(j1), fft.Log2(n1))
-					fr.Re[r], fr.Im[r] = real(x), imag(x)
+					want[j2*n1+j1] = x
 				}
 			}
-			check(fmt.Sprintf("PackColumnsFrom conj=%v", conj), got, want)
+			check(fmt.Sprintf("ColumnsFrom conj=%v", conj), got, want)
 
-			// Final transpose: bin k2 of row k1, held as planes, to
-			// X[k2·N1+k1], conj·1/N of it for the inverse.
-			fs.UnpackRows(got, src, n1, conj)
+			// Final transpose: bin k2 of row k1 to X[k2·N1+k1], conj·1/N of
+			// it for the inverse.
+			fs.TransposeRows(got, src, n1, conj)
 			s := 1 / float64(n)
 			for k1 := 0; k1 < n1; k1++ {
-				fr := fft.FrameOf(src[k1*n2 : (k1+1)*n2])
 				for k2 := 0; k2 < n2; k2++ {
-					x := complex(fr.Re[k2], fr.Im[k2])
+					x := src[k1*n2+k2]
 					if conj {
 						x = complex(real(x)*s, -imag(x)*s)
 					}
 					want[k2*n1+k1] = x
 				}
 			}
-			check(fmt.Sprintf("UnpackRows inverse=%v", conj), got, want)
+			check(fmt.Sprintf("TransposeRows inverse=%v", conj), got, want)
 
 			// Block by block, as the cluster's coordinator runs it: the rows
 			// of each block land in their own slots of the whole output.
 			blocks := make([]complex128, n)
 			for r0, h := 0, max(1, n1/4); r0 < n1; r0 += h {
-				fs.UnpackRows(blocks[r0:], src[r0*n2:], min(h, n1-r0), conj)
+				fs.TransposeRows(blocks[r0:], src[r0*n2:], min(h, n1-r0), conj)
 			}
-			check(fmt.Sprintf("UnpackRows by blocks inverse=%v", conj), blocks, want)
+			check(fmt.Sprintf("TransposeRows by blocks inverse=%v", conj), blocks, want)
+
+			// The same move without the tile, as the out-of-core drain runs
+			// it into its run buffers.
+			fft.TransposeInto(blocks, n1, src, n2, n1, n2, conj, s)
+			check(fmt.Sprintf("TransposeInto inverse=%v", conj), blocks, want)
 		}
 
-		// Between the sweeps: unpack column j2's planes, scale bin k1 by
+		// Between the transforms: scale bin k1 of column j2 by
 		// ω_N^{j2·k1}, and write it at row k1, column j2.
 		got, want := make([]complex128, n), make([]complex128, n)
 		fs.TransposeScaled(got, n2, src, 0, n2, 0, n1)
 		c := make([]complex128, n1)
 		for j2 := 0; j2 < n2; j2++ {
-			fr := fft.FrameOf(src[j2*n1 : (j2+1)*n1])
-			for k1 := range c {
-				c[k1] = complex(fr.Re[k1], fr.Im[k1])
-			}
+			copy(c, src[j2*n1:])
 			tw.Scale(c, j2)
 			for k1, x := range c {
 				want[k1*n2+j2] = x
 			}
 		}
 		check("TransposeScaled", got, want)
+
+		// A worker's window: columns from j0, bins from k0, into a
+		// destination that starts at its first column.
+		j0, k0 := n2/2, n1/2
+		win := make([]complex128, n)
+		fs.TransposeScaled(win[j0:], n2, src[j0*n1:], j0, n2-j0, k0, n1-k0)
+		for k1 := k0; k1 < n1; k1++ {
+			for j2 := j0; j2 < n2; j2++ {
+				if g, w := win[(k1-k0)*n2+j2], want[k1*n2+j2]; !sameBits(g, w) {
+					t.Fatalf("%d×%d TransposeScaled window: bin %d of column %d = %v, want %v", n1, n2, k1, j2, g, w)
+				}
+			}
+		}
 	}
 }
 
@@ -236,33 +252,5 @@ func BenchmarkTransposeBlock(b *testing.B) {
 	})
 	if dst[1] != src[n] {
 		b.Fatalf("dst[1] = %v, want src[%d] = %v", dst[1], n, src[n])
-	}
-}
-
-// BenchmarkUnpackRows times the final transpose at the cluster's
-// 2^20-point shape, forward and inverse: UnpackRows (UnpackColumns fed
-// into the tiles of TransposeBlockFrom) against UnpackColumns over dst
-// directly, a strip of MoveRuns bins at a time, which stores one cache
-// line per N1·16 bytes.
-func BenchmarkUnpackRows(b *testing.B) {
-	const n1, n2 = 1024, 1024
-	fs, err := fft.NewFourStep(n1, n2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows, dst := randComplex(n1*n2, 1), make([]complex128, n1*n2)
-	for _, inverse := range []bool{false, true} {
-		b.Run(fmt.Sprintf("tiles/inverse=%v", inverse), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fs.UnpackRows(dst, rows, n1, inverse)
-			}
-		})
-		b.Run(fmt.Sprintf("strips/inverse=%v", inverse), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for k0 := 0; k0 < n2; k0 += fft.MoveRuns {
-					fft.UnpackColumns(dst[k0*n1:], rows, n2, n1, k0, fft.MoveRuns, n1, inverse, 1/float64(n1*n2))
-				}
-			}
-		})
 	}
 }

@@ -7,11 +7,11 @@
 // The transform runs as two staged phases over the spill, each strip of
 // tile vectors flowing fill → compute → drain:
 //
-//	cols: fft.PackColumns (gather from the input Store + bit-reversal
-//	      pack) → FourStepPlan.ColStages → TwoLevelTable.ScaleFrom into
-//	      S2×S1 block segments of the spill
+//	cols: column gather from the input Store (fft.TransposeConj, the
+//	      inverse's conj) → FourStepPlan.ColFFTs → TwoLevelTable.ScaleFrom
+//	      into S2×S1 block segments of the spill
 //	rows: verified segments transposed (fft.TransposeBlock) into S1 rows
-//	      → FourStepPlan.RowFrom → fft.UnpackColumns (final transpose,
+//	      → FourStepPlan.RowFFTs → final transpose (fft.TransposeInto,
 //	      the inverse's conj·1/N) into the output Store
 //
 // These are the in-core plan's own steps (DESIGN §12) with the spill
@@ -90,13 +90,13 @@ func tileCost(s, lmax int64, ioWorkers int) int64 {
 }
 
 // runCost is the resident estimate the budget is held against: the
-// staging of tileCost plus what compute keeps — a row of pack scratch
-// per compute goroutine (a tile never runs more than s at once), the
-// sub-plan tables and the two-level twiddle table. There is no frame
-// term: a vector is transformed in its own tile row.
+// staging of tileCost plus what compute keeps — a sub-plan's work
+// buffer per compute goroutine (a tile never runs more than s at once),
+// the sub-plan tables and the two-level twiddle table. A vector is
+// transformed in its own tile row.
 func runCost(fs *fft.FourStepPlan, s int, cfg *config) int64 {
-	return tileCost(int64(s), int64(max(fs.N1, fs.N2)), cfg.ioWorkers) +
-		int64(min(cfg.workers, s))*int64(fs.N2)*16 + fs.KernelBytes()
+	lmax := int64(max(fs.N1, fs.N2))
+	return tileCost(int64(s), lmax, cfg.ioWorkers) + int64(min(cfg.workers, s))*lmax*16 + fs.KernelBytes()
 }
 
 // Plan is an out-of-core FFT plan for N = N1·N2 complex points. A
@@ -120,10 +120,9 @@ type Plan struct {
 	// What a run holds, kept between runs; each pool's buffers have one
 	// length. Every element is written before it is read, so stale
 	// contents are harmless.
-	tiles   sync.Pool // pipeline tiles: S·max(N1,N2) elements, so one pool serves both phases
-	segs    sync.Pool // segment buffers (segBuf)
-	runs    sync.Pool // run buffers of the two endpoint moves: fft.MoveRuns vectors of S
-	scratch sync.Pool // the rows compute's pack scratch: one row
+	tiles sync.Pool // pipeline tiles: S·max(N1,N2) elements, so one pool serves both phases
+	segs  sync.Pool // segment buffers (segBuf)
+	runs  sync.Pool // run buffers of the two endpoint moves: fft.MoveRuns vectors of S
 }
 
 // take returns a buffer of n elements from pool, which holds
@@ -511,56 +510,54 @@ func parallelIdx(ctx context.Context, w, n int, fn func(idx int) error) error {
 }
 
 // colsPhase stages strip i of S2 input columns: strided gather from
-// src, N1-point FFT per column, twiddle scale + pack into S2×S1 block
-// segments of the spill. The tile holds one column per row — S2 rows of
-// N1 elements — but between fill and drain a row is not samples: it is
-// the column's split planes (fft.FrameOf), bit-reversed by the fill and
-// transformed in place by compute, so each of the three steps moves or
-// sweeps every element once.
+// src, N1-point FFT per column, twiddle scale into S2×S1 block segments
+// of the spill. The tile holds one column per row — S2 rows of N1
+// elements — moved there by the fill and transformed in place by
+// compute, so each of the three steps moves or sweeps every element
+// once.
 func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 	n1, n2, s1, s2 := p.n1, p.n2, p.s1, p.s2
 	blocksPerStrip := n1 / s1
 	iow := p.cfg.ioWorkers
-	logN1 := fft.Log2(n1)
 
 	return phase{
 		strips:   n2 / s2,
 		tileLen:  s2 * n1,
 		stripOff: func(strip int) int64 { return int64(strip) * int64(s2) * 16 },
-		// fill: the column gather and the SoA pack as one tiled move. A
-		// chunk is the min(N1, 64) source vectors of one pack tile, each
-		// read whole into the chunk's run buffer.
+		// fill: the column gather as one tiled move. A chunk is
+		// MoveRuns source vectors j1, each read whole into the chunk's
+		// run buffer and transposed from there into the tile's columns.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s2)
-			return parallelIdx(ctx, iow, fft.PackColumnTiles(logN1), func(b int) error {
+			chunks := (n1 + fft.MoveRuns - 1) / fft.MoveRuns
+			return parallelIdx(ctx, iow, chunks, func(ch int) error {
 				runs := take(&p.runs, fft.MoveRuns*s2)
 				defer p.runs.Put(runs)
+				j0 := ch * fft.MoveRuns
+				h := min(fft.MoveRuns, n1-j0)
 				acc := p.met.reads(p.met.colsReadBytes)
 				defer acc.flush()
-				var err error
-				fft.PackColumns(tile, logN1, b, s2, inverse, *runs, func(run []complex128, j1 int) {
-					if err != nil {
-						return
+				for j := 0; j < h; j++ {
+					off := int64(j0+j)*int64(n2) + base
+					if err := src.ReadVec((*runs)[j*s2:(j+1)*s2], off); err != nil {
+						return err
 					}
-					off := int64(j1)*int64(n2) + base
-					if err = src.ReadVec(run, off); err == nil {
-						acc.add(off*16, int64(s2)*16)
-					}
-				})
-				return err
+					acc.add(off*16, int64(s2)*16)
+				}
+				fft.TransposeConj(tile[j0:], n1, *runs, s2, h, s2, inverse, 1)
+				return nil
 			})
 		},
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
 			host.Do(p.cfg.workers, &fft.Pass{Units: s2, Run: func(_ *fft.State, lo, hi int) {
 				for c := lo; c < hi && ctx.Err() == nil; c++ {
-					f := fft.FrameOf(tile[c*n1 : (c+1)*n1])
-					p.fs.ColStages(&f)
+					p.fs.ColFFTs(tile[c*n1 : (c+1)*n1])
 				}
 			}}, nil)
 			return ctx.Err()
 		},
-		// drain: unpack, twiddle scale and the S2×S1 block layout as one
-		// sweep from the planes into the segment buffer. A chunk is one
+		// drain: twiddle scale and the S2×S1 block layout as one sweep
+		// from the columns into the segment buffer. A chunk is one
 		// segment: the S1-bin window of all S2 columns.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			return parallelIdx(ctx, iow, blocksPerStrip, func(j int) error {
@@ -568,8 +565,7 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 				defer p.segs.Put(sb)
 				buf := segBuf(*sb).payload()
 				for c := 0; c < s2; c++ {
-					f := fft.FrameOf(tile[c*n1 : (c+1)*n1])
-					p.tw.ScaleFrom(buf[c*s1:(c+1)*s1], f.Re[j*s1:], f.Im[j*s1:], strip*s2+c, j*s1)
+					p.tw.ScaleFrom(buf[c*s1:(c+1)*s1], tile[c*n1+j*s1:], strip*s2+c, j*s1)
 				}
 				idx := strip*blocksPerStrip + j
 				nb, err := sp.write(idx, *sb)
@@ -586,9 +582,8 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 
 // rowsPhase stages strip j of S1 output rows: fetch and verify the
 // strip's block-column of segments, transpose into an S1×N2 slab,
-// N2-point FFT per row, scatter the final transpose (+ the inverse's
-// conjugate/scale) into dst. Compute leaves a row as its split planes,
-// which is what the drain reads.
+// N2-point FFT per row in place, scatter the final transpose (+ the
+// inverse's conjugate/scale) into dst.
 func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 	n1, n2, s1, s2 := p.n1, p.n2, p.s1, p.s2
 	blocksPerStrip := n1 / s1
@@ -618,23 +613,17 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				return nil
 			})
 		},
-		// compute: a row is copied out to scratch and packed back into
-		// its own memory as planes, and transformed there.
 		compute: func(ctx context.Context, strip int, tile []complex128) error {
 			host.Do(p.cfg.workers, &fft.Pass{Units: s1, Run: func(_ *fft.State, lo, hi int) {
-				sc := take(&p.scratch, n2)
-				defer p.scratch.Put(sc)
 				for r := lo; r < hi && ctx.Err() == nil; r++ {
-					row := tile[r*n2 : (r+1)*n2]
-					copy(*sc, row)
-					p.fs.RowFrom(row, *sc)
+					p.fs.RowFFTs(tile[r*n2 : (r+1)*n2])
 				}
 			}}, nil)
 			return ctx.Err()
 		},
-		// drain: the final transpose as a tiled move out of the planes —
-		// the unpack, and conj·1/N with it for the inverse, on the way. A
-		// chunk is up to 64 output vectors (bins k2), gathered in the
+		// drain: the final transpose — conj·1/N with it for the inverse —
+		// straight into the run buffer, which stays in cache. A chunk is
+		// up to MoveRuns output vectors (bins k2), gathered in the
 		// chunk's run buffer and each written whole.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			base := int64(strip) * int64(s1)
@@ -644,7 +633,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				defer p.runs.Put(runs)
 				k0 := ch * fft.MoveRuns
 				w := min(fft.MoveRuns, n2-k0)
-				fft.UnpackColumns(*runs, tile, n2, s1, k0, w, s1, inverse, inv)
+				fft.TransposeInto(*runs, s1, tile[k0:], n2, s1, w, inverse, inv)
 				acc := p.met.writes(p.met.rowsWriteBytes)
 				defer acc.flush()
 				for c := 0; c < w; c++ {

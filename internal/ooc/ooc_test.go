@@ -527,7 +527,7 @@ func TestBudgetDerivation(t *testing.T) {
 	if got, want := tileCost(64, 256, 2), int64(3*64*256*16+2*((64+64*64*16)+fft.MoveTileBytes+64*64*16)); got != want {
 		t.Fatalf("tileCost(64, 256, 2) = %d, want %d", got, want)
 	}
-	// On top of it compute keeps one row of pack scratch per goroutine
+	// On top of it compute keeps a sub-plan's work buffer per goroutine
 	// and the kernel's tables — and no frame.
 	if got, want := runCost(p.fs, 64, &p.cfg), tileCost(64, 256, 2)+2*256*16+p.fs.KernelBytes(); got != want {
 		t.Fatalf("runCost(64) = %d, want %d", got, want)
@@ -541,7 +541,7 @@ func TestBudgetDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const side = 1 << 14
-	if got, want := p.fs.KernelBytes(), int64(24*2*side+(512<<10)); got != want {
+	if got, want := p.fs.KernelBytes(), int64(16*2*(side-1)+(512<<10)); got != want {
 		t.Fatalf("KernelBytes at 2^28 = %d, want %d", got, want)
 	}
 	s2, _ := p.TileVecs()

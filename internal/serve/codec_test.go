@@ -263,13 +263,13 @@ func FuzzSessionFrame(f *testing.F) {
 		SessionFrame{Op: OpSessRows, ID: 1},
 		SessionFrame{Op: OpSessAck, ID: 1},
 	)
-	v2 := append([]byte(nil), enc[1]...)
-	v2[4] = 2
+	v1 := append([]byte(nil), enc[1]...)
+	v1[4] = 1
 	for _, b := range [][]byte{
 		enc[0], enc[1], enc[2], enc[3], enc[4],
 		[]byte(frameMagic), // a header fragment
 		make([]byte, headerLen),
-		v2, // the cols frame in another version of the format
+		v1, // the cols frame in version 1 of the format, which carried planes
 		retiredFrames()["FFS2"],
 	} {
 		f.Add(b)

@@ -14,9 +14,9 @@
 //
 // The worker runs steps 2–4 of fft.FourStepPlan (DESIGN §12) on the
 // session's plan; the coordinator runs 1 and 5. So the cols payload
-// arrives as split planes — column v as the planes of its N1-element
-// vector, bit-reversed — and the rows reply leaves as split planes; only
-// the exchange between workers carries samples.
+// arrives as the worker's columns, each a contiguous N1-element vector
+// in natural order (conjugated for an inverse), and the rows reply
+// leaves as the transformed rows in natural order.
 //
 // Every hop moves a payload byte once (WriteSessionFrame on one end;
 // here readHeader, then readSession; on the client ReadSessionReply).
@@ -27,8 +27,8 @@
 //   - cols: the handler reads the header, checks it against the
 //     session, and only then acquires a pooled column scratch, which the
 //     payload is read into straight from the body and which it owns for
-//     the duration of the request; ColStages sweeps each column's planes
-//     in place; the worker's own RowCount×ColCount block is scaled and
+//     the duration of the request; ColFFTs transforms each column in
+//     place; the worker's own RowCount×ColCount block is scaled and
 //     transposed in tiles (FourStepPlan.TransposeScaled) into columns
 //     [ColStart, ColStart+ColCount) of the session's rows buffer, and each
 //     peer's block is scaled (ScaleFrom) into one pooled complex payload
@@ -37,10 +37,10 @@
 //   - exchange: the payload is read from the body into a pooled buffer
 //     and transposed in tiles (fft.TransposeBlock) into the sender's
 //     columns of the resident rows buffer;
-//   - rows: each resident row is packed into the planes of its own
-//     vector of a pooled buffer, where its sweeps run
-//     (FourStepPlan.RowFrom) and from which the response streams; the
-//     handler owns that buffer until the response is written.
+//   - rows: each resident row is copied into its own vector of a pooled
+//     buffer, where its transform runs (FourStepPlan.RowFFTs) and from
+//     which the response streams; the handler owns that buffer until the
+//     response is written.
 //
 // A session has one lifecycle: open → cols (and the peers' exchanges)
 // → rows, three requests from the coordinator. colsSeen reaching N2
@@ -410,19 +410,16 @@ func (s *Server) ways() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// execSessCols runs the column steps on the slab — column v as the
-// planes of cols[v·N1:][:N1]: the sweeps in place and the worker's own
-// row block scaled out of the planes, behind the isolation boundary;
+// execSessCols runs the column steps on the slab — column v as
+// cols[v·N1:][:N1]: the transforms in place and the worker's own row
+// block scaled out of the columns, behind the isolation boundary;
 // then every peer's row block, scaled into its exchange frame and
 // pushed.
 func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
 	spec, fs := sess.spec, sess.fs
 	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
 		host.Do(s.ways(), &fft.Pass{Units: spec.ColCount, Run: func(_ *fft.State, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				f := fft.FrameOf(cols[v*spec.N1 : (v+1)*spec.N1])
-				fs.ColStages(&f)
-			}
+			fs.ColFFTs(cols[lo*spec.N1 : hi*spec.N1])
 		}}, nil)
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
@@ -457,7 +454,7 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	return nil
 }
 
-// pushExchange scales peer p's block out of the column planes into one
+// pushExchange scales peer p's block out of the columns into one
 // pooled payload — vector v is bins [p.RowStart, p.RowStart+p.RowCount)
 // of column v, scaled by the four-step twiddle (ScaleFrom), behind the
 // isolation boundary — and pushes the exchange frame from there.
@@ -468,8 +465,7 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
 		tw := fft.TwoLevelTwiddles(spec.N1 * spec.N2)
 		for v := 0; v < spec.ColCount; v++ {
-			f := fft.FrameOf(cols[v*spec.N1 : (v+1)*spec.N1])
-			tw.ScaleFrom((*payload)[v*p.RowCount:][:p.RowCount], f.Re[p.RowStart:], f.Im[p.RowStart:], spec.ColStart+v, p.RowStart)
+			tw.ScaleFrom((*payload)[v*p.RowCount:][:p.RowCount], cols[v*spec.N1+p.RowStart:], spec.ColStart+v, p.RowStart)
 		}
 		return nil
 	}); err != nil {
@@ -538,7 +534,7 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	}
 	spec := sess.spec
 	// The mutex keeps the rows buffer where it is while the row steps read
-	// it. The reply streams from planes, which only this handler holds,
+	// it. The reply streams from out, which only this handler holds,
 	// so the mutex is not held through the write.
 	sess.mu.Lock()
 	switch {
@@ -552,14 +548,16 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 		http.Error(w, fmt.Sprintf("session %d has %d of %d columns", hdr.ID, sess.colsSeen, spec.N2), http.StatusConflict)
 		return
 	}
-	// Every resident row is packed into the planes of its own vector of a
-	// pooled buffer, where its sweeps run and the response streams from.
-	planes := AcquireComplex(spec.RowCount * spec.N2)
-	defer ReleaseComplex(planes)
+	// Every resident row is copied into a pooled buffer, where its
+	// transform runs and the response streams from.
+	out := AcquireComplex(spec.RowCount * spec.N2)
+	defer ReleaseComplex(out)
 	err := s.isolate(batchKey{n: spec.N2, kind: KindForward}, nil, func() error {
 		host.Do(s.ways(), &fft.Pass{Units: spec.RowCount, Run: func(_ *fft.State, lo, hi int) {
 			for r := lo; r < hi; r++ {
-				sess.fs.RowFrom((*planes)[r*spec.N2:(r+1)*spec.N2], (*sess.rows)[r*spec.N2:(r+1)*spec.N2])
+				row := (*out)[r*spec.N2 : (r+1)*spec.N2]
+				copy(row, (*sess.rows)[r*spec.N2:])
+				sess.fs.RowFFTs(row)
 			}
 		}}, nil)
 		return nil
@@ -574,6 +572,6 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	_ = WriteSessionFrame(w, SessionFrame{
 		Op: OpSessRows, ID: hdr.ID,
 		VecLen: spec.N2, VecCount: spec.RowCount, Arg0: spec.RowStart,
-		Data: *planes,
+		Data: *out,
 	})
 }

@@ -4,20 +4,19 @@
 //
 //   - OpSessOpen: the payload is the SessionSpec, arg0 its length.
 //   - OpSessCols: the worker's column slab — vecLen = N1, vecCount =
-//     ColCount, arg0 = ColStart — each column as split planes
-//     (fft.FrameOf: its N1 real parts, then its N1 imaginary parts, in
-//     bit-reversed order: fft.PackColumns' output). The worker
-//     transforms them, keeps its own rows and pushes each peer's rows to
-//     that peer as an OpSessExchange.
+//     ColCount, arg0 = ColStart — each column a vector in natural order
+//     (fft.FourStepPlan.ColumnsFrom's output, conjugated for an
+//     inverse). The worker transforms them, keeps its own rows and
+//     pushes each peer's rows to that peer as an OpSessExchange.
 //   - OpSessExchange (worker → worker): vecLen = the receiver's
 //     RowCount, vecCount = the sender's column count, arg0 = its first
 //     column, arg1 = the receiver's RowStart; vector v, element i is the
 //     cell (row arg1+i, column arg0+v).
 //   - OpSessRows: a header-only request, refused on its header if it
 //     announces a payload. The reply carries the finished rows — vecLen
-//     = N2, vecCount = RowCount, arg0 = RowStart — each as the split
-//     planes of its transform in natural order, for
-//     fft.FourStepPlan.UnpackRows, and ends the session (session.go).
+//     = N2, vecCount = RowCount, arg0 = RowStart — each row's transform
+//     in natural order, for fft.FourStepPlan.TransposeRows, and ends the
+//     session (session.go).
 //   - OpSessClose: header-only, the abort path; it acks whether or not
 //     the session is open. OpSessAck: the header-only reply to the
 //     others.

@@ -96,9 +96,9 @@ func TestShardFrameRejects(t *testing.T) {
 // over real HTTP with the session of a whole four-step transform — all
 // the columns out, all the rows back — and checks the result against
 // the serial reference bit for bit: the worker runs the plan's middle
-// steps on the planes the plan's first step packed, and the plan's last
-// step unpacks what it returns. Factors on both sides of the 64-point
-// tiles.
+// steps on the columns the plan's first step gathered, and the plan's
+// last step transposes what it returns. Factors on both sides of the
+// 64-point tiles.
 func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	s := New(Config{EnableShard: true, Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -143,16 +143,16 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Pack, session, final transpose — exactly the coordinator's steps.
+		// Gather, session, final transpose — exactly the coordinator's steps.
 		cols := make([]complex128, fs.N)
-		fs.PackColumnsFrom(cols, x, n2, false)
+		fs.ColumnsFrom(cols, x, n2, false)
 		spec := SessionSpec{N1: n1, N2: n2, ColCount: n2, RowCount: n1}
 		post(SessionFrame{Op: OpSessOpen, Spec: &spec})
 		post(SessionFrame{Op: OpSessCols, VecLen: n1, VecCount: n2, Data: cols})
 		rows := post(SessionFrame{Op: OpSessRows})
 		post(SessionFrame{Op: OpSessClose})
 		got := make([]complex128, fs.N)
-		fs.UnpackRows(got, rows.Data, n1, false)
+		fs.TransposeRows(got, rows.Data, n1, false)
 
 		for i := range want {
 			if got[i] != want[i] {
@@ -167,6 +167,37 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	}
 	if got := snap["shard_vecs_total"]; got != float64(vecs) {
 		t.Errorf("shard_vecs_total = %v, want %d", got, vecs)
+	}
+}
+
+// TestWorkerRefusesVersion1Frames: version 1 of the frame carried the
+// cols and rows payloads as split planes, version 2 as interleaved
+// values, so a frame of either version is refused by a worker of the
+// other, on its header, with 400 — never misread. Every session op of
+// a version-1 coordinator or peer is refused, before any session is
+// opened.
+func TestWorkerRefusesVersion1Frames(t *testing.T) {
+	spec := SessionSpec{N1: 4, N2: 2, ColCount: 2, RowCount: 4}
+	for _, f := range []SessionFrame{
+		{Op: OpSessOpen, ID: 1, Spec: &spec},
+		{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 3)},
+		{Op: OpSessExchange, ID: 1, VecLen: 2, VecCount: 2, Arg0: 0, Arg1: 2, Data: randVecs(2, 2, 4)},
+		{Op: OpSessRows, ID: 1},
+		{Op: OpSessClose, ID: 1},
+	} {
+		enc, err := EncodeSessionFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc[4] = 1
+		s := New(Config{EnableShard: true})
+		if code := shardPost(s, enc); code != http.StatusBadRequest {
+			t.Errorf("version-1 %s: status %d, want 400", f.Op, code)
+		}
+		snap := s.Registry().Snapshot()
+		if snap["sess_bad_total"] != 1 || snap["sess_open"] != 0 {
+			t.Errorf("version-1 %s: sess_bad_total = %v, sess_open = %v, want 1 and 0", f.Op, snap["sess_bad_total"], snap["sess_open"])
+		}
 	}
 }
 
@@ -204,8 +235,8 @@ func TestShardEndpointBadFrames(t *testing.T) {
 	}
 	ack, _ := EncodeSessionFrame(SessionFrame{Op: OpSessAck, ID: 1})
 	cols, _ := EncodeSessionFrame(SessionFrame{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 2)})
-	v2 := append([]byte(nil), cols...)
-	v2[4] = 2
+	v3 := append([]byte(nil), cols...)
+	v3[4] = frameVersion + 1
 	// The encoder refuses the spec, so the frame is built by hand.
 	odd := SessionSpec{N1: 3, N2: 8, ColCount: 8, RowCount: 3}
 	open3x8 := appendSpec(appendHeader(nil, FrameHeader{Op: OpSessOpen, ID: 1, Arg0: specLen(&odd)}), &odd)
@@ -215,7 +246,7 @@ func TestShardEndpointBadFrames(t *testing.T) {
 		"truncated header": cols[:headerLen-1],
 		"truncated cols":   cols[:len(cols)-8],
 		"ack as a request": ack,
-		"another version":  v2,
+		"another version":  v3,
 		"3×8 spec":         open3x8,
 	} {
 		s := New(Config{EnableShard: true})
