@@ -228,9 +228,10 @@ func BenchmarkDefaultPow2(b *testing.B) {
 
 // BenchmarkHostPlan2D times a forward plus inverse transform, in ns per
 // point, of the default 2-D plan at each shape: serial, and on the
-// default worker count.
+// default worker count. 4096×64 and 16384×32 are tall and narrow, so
+// their cols pass has few column strips to share among workers.
 func BenchmarkHostPlan2D(b *testing.B) {
-	for _, sh := range [][2]int{{64, 128}, {256, 256}, {1024, 1024}, {2048, 512}} {
+	for _, sh := range [][2]int{{64, 128}, {256, 256}, {1024, 1024}, {2048, 512}, {4096, 64}, {16384, 32}} {
 		rows, cols := sh[0], sh[1]
 		for _, way := range []struct {
 			name    string

@@ -33,7 +33,7 @@ var (
 // the same staged decomposition — outputs of one plan are bitwise
 // deterministic, the default plan's included, and outputs of different
 // kernels agree to rounding. A default plan that NewHostPlan sends to
-// the mixed-radix plan runs no kernel. A 2-D plan settles the kernel of
+// the mixed-radix plan runs no kernel. A 2-D plan picks the kernel of
 // each axis as the 1-D plan of that axis's length does.
 type Kernel = fft.Kernel
 
@@ -143,7 +143,7 @@ func WithKernel(k Kernel) HostOption {
 	return func(o hostOpts) hostOpts { o.kern = k; return o }
 }
 
-// resolveOpts applies opts for an n-point plan and settles its kernel
+// resolveOpts applies opts for an n-point plan and picks its kernel
 // before a cache key is formed or a core built. Only a staged power of
 // two runs a kernel: a pinned one, or KernelAuto resolved by the rule
 // where fft.MixedPow2 keeps the default staged. Every other plan runs

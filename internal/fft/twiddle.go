@@ -33,14 +33,22 @@ func twiddleTable(n, count int) []complex128 {
 }
 
 // root returns ω_n^e = exp(−2πi·e/n), the one place the package
-// computes a root of unity: every twiddle, chirp, split and window
-// table is built from it. math.Sincos runs math.Cos's and math.Sin's
-// argument reduction and polynomials once for both, with their bits.
-// The O(n²) DFT oracle keeps its own cos/sin so the tests' reference
-// does not share the code it checks.
+// computes a root of unity: every twiddle, chirp and split table is
+// built from it, and the window from rootCos, its real part.
+// math.Sincos runs math.Cos's and math.Sin's argument reduction and
+// polynomials once for both, with their bits. The O(n²) DFT oracle
+// keeps its own cos/sin so the tests' reference does not share the
+// code it checks.
 func root(e, n int) complex128 {
 	sin, cos := math.Sincos(-2 * math.Pi * float64(e) / float64(n))
 	return complex(cos, sin)
+}
+
+// rootCos returns real(root(e, n)) without the sine root would compute:
+// math.Sincos runs math.Cos's reduction and polynomial for its cosine,
+// so the bits are the same (TestHannMatchesRoot).
+func rootCos(e, n int) float64 {
+	return math.Cos(-2 * math.Pi * float64(e) / float64(n))
 }
 
 // BitReverse reverses the low `width` bits of x. It is the hash function

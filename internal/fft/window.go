@@ -1,7 +1,5 @@
 package fft
 
-import "math"
-
 // Hann returns the length-n periodic Hann window
 // w[i] = 0.5·(1 − cos(2πi/n)). The periodic form (denominator n, not
 // n−1) is the spectrogram convention: shifted copies at hop n/2 sum to
@@ -12,11 +10,8 @@ func Hann(n int) []float64 {
 		return nil
 	}
 	w := make([]float64, n)
-	// math.Cos of root's own argument: the bits of real(ω_n^i) —
-	// math.Sincos runs math.Cos's reduction and polynomial for its cosine
-	// (TestHannMatchesRoot) — without the sine root would throw away.
 	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(-2*math.Pi*float64(i)/float64(n)))
+		w[i] = 0.5 * (1 - rootCos(i, n))
 	}
 	return w
 }

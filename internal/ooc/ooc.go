@@ -81,8 +81,8 @@ func WithMemoryBudget(b int64) Option { return func(c *config) { c.budget = b } 
 // of the costlier phase hold while they move data — in the rows phase
 // each prefetcher a segment buffer and the tile of its transposition,
 // each writer the run buffer its chunk of output vectors is gathered in
-// (the cols phase holds a subset: a run buffer per reader, a segment
-// buffer per writer).
+// (the cols phase holds the same total: each reader a run buffer and
+// the tile of its transposition, each writer a segment buffer).
 func tileCost(s, lmax int64, ioWorkers int) int64 {
 	seg := (segHeaderElems + s*s) * 16
 	runs := fft.MoveRuns * s * 16
