@@ -24,7 +24,8 @@
 //   - resident: the coordinator holds nothing; workers own their row
 //     blocks;
 //   - fetch: each worker's rows response — its row block, transformed —
-//     decodes straight into its slice of a pooled rows buffer;
+//     decodes straight into its slice of the cols buffer, which no
+//     frame reads once the cols barrier has returned;
 //   - final transpose: only after every fetch succeeded — so a failed
 //     session leaves the input untouched, and Transform retries with a
 //     fresh session on the workers that are left — the row blocks are
@@ -285,10 +286,9 @@ func (c *Coordinator) runSession(ctx context.Context, fs *fft.FourStepPlan, addr
 	}
 
 	// Phase 2: fetch each finished row block straight into its slice
-	// of the pooled rows buffer. The fetch ends the worker's session.
-	rowsBuf := serve.AcquireComplex(fs.N)
-	defer serve.ReleaseComplex(rowsBuf)
-	rows := *rowsBuf
+	// of the cols buffer, which no frame reads any more (PostSessionFrame
+	// has returned). The fetch ends the worker's session.
+	rows := cols
 	if errs := parallelWorkers(ctx, ws, func(ctx context.Context, rw *residentWorker) error {
 		sp := rw.spec
 		into := rows[sp.RowStart*sp.N2 : (sp.RowStart+sp.RowCount)*sp.N2]

@@ -7,6 +7,25 @@ func SoALevelTransform(pl *Plan, data, w []complex128, kern Kernel, inverse bool
 	pl.soaLevelTransform(data, w, kern, inverse)
 }
 
+// TwoLevelTable, TwoLevelTwiddles and TwiddleDirect are the step-3
+// scaling table and its entries for the external tests, which hold them
+// to the element loops and the direct roots they stand for.
+type TwoLevelTable = twoLevelTable
+
+var (
+	TwoLevelTwiddles = twoLevelTwiddles
+	TwiddleDirect    = twiddleDirect
+)
+
+// At is ω_N^e, the table's entry product.
+func (t *twoLevelTable) At(e int) complex128 { return t.at(e) }
+
+// ScaleFrom is the scale of one column window that TransposeScaled
+// feeds into its tile.
+func (t *twoLevelTable) ScaleFrom(dst, src []complex128, index, k0 int) {
+	t.scaleFrom(dst, src, index, k0)
+}
+
 // HasPairCodelets reports whether same-radix stage pairs fuse on this
 // build: the vector pair codelets of radix 3, 4 and 5 run here. Where
 // they do not, a mixed plan makes one pass per stage.

@@ -27,7 +27,7 @@ import (
 //     N1-element vector — conjugated on the way in for the inverse;
 //  2. ColFFTs: the N1-point mixed-radix forward schedule on each column;
 //  3. TransposeScaled: bin k1 of column j2, scaled by ω^{j2·k1}
-//     (TwoLevelTable.ScaleFrom), is transposed into row k1;
+//     (twoLevelTable.scaleFrom), is transposed into row k1;
 //  4. RowFFTs: the N2-point mixed-radix forward schedule on each row;
 //  5. TransposeRows: bin k2 of row k1 is transposed into X[k2·N1+k1] —
 //     times conj·1/N for the inverse.
@@ -42,7 +42,7 @@ type FourStepPlan struct {
 	N1, N2, N int
 
 	col, row *Schedule      // the N1-point (columns) and N2-point (rows) forward schedules
-	tw       *TwoLevelTable // ω_N: the step-3 scaling factors
+	tw       *twoLevelTable // ω_N: the step-3 scaling factors
 
 	scratch sync.Pool // *[]complex128 of N elements: the buffer Transform stages through
 }
@@ -60,7 +60,7 @@ func NewFourStep(n1, n2 int) (*FourStepPlan, error) {
 	}
 	return &FourStepPlan{
 		N1: n1, N2: n2, N: n1 * n2,
-		col: factorOf(n1).fwd, row: factorOf(n2).fwd, tw: TwoLevelTwiddles(n1 * n2),
+		col: factorOf(n1).fwd, row: factorOf(n2).fwd, tw: twoLevelTwiddles(n1 * n2),
 	}, nil
 }
 
@@ -90,33 +90,33 @@ func factorOf(n int) *MixedPlan {
 	return factors[lg].Load()
 }
 
-// TwiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
+// twiddleDirect computes ω_n^e = exp(−2πi·e/n) for e in [0, n) without
 // a table: root(e, n) on the first half-turn, the negation of
 // root(e − n/2, n) on the second, so an entry below n/2 is bit for bit
 // the one Twiddles(n) stores and one above is its exact negation. It
 // fills the two-level table below.
-func TwiddleDirect(e, n int) complex128 {
+func twiddleDirect(e, n int) complex128 {
 	if half := n / 2; e >= half {
 		return -root(e-half, n)
 	}
 	return root(e, n)
 }
 
-// TwoLevelTable evaluates the four-step scaling factors ω_N^e from two
+// twoLevelTable evaluates the four-step scaling factors ω_N^e from two
 // short tables instead of one of N/2 entries: with h = ⌈log₂N/2⌉,
 //
 //	ω_N^e = hi[e>>h] · lo[e&(2^h−1)],  hi[i] = ω_N^(i·2^h),  lo[j] = ω_N^j
 //
 // — 2·2^10 entries (32 KiB, L1-resident) at N = 2^20 and 512 KiB at
 // 2^28, where Twiddles(N) would be 8 MiB and 2 GiB. Every entry is
-// TwiddleDirect's, so a factor carries one rounding more than a direct
+// twiddleDirect's, so a factor carries one rounding more than a direct
 // evaluation (the product's); each component stays within 2 ε of the
-// exact root, as TwiddleDirect's own do.
+// exact root, as twiddleDirect's own do.
 //
-// Every four-step path — FourStepPlan, the out-of-core phases, the
-// cluster's workers — scales through this one table, which is what makes
-// them agree bit for bit in step 3.
-type TwoLevelTable struct {
+// Every four-step path scales through this one table, in
+// FourStepPlan.TransposeScaled, which is what makes them agree bit for
+// bit in step 3.
+type twoLevelTable struct {
 	n      int
 	h      uint
 	hi, lo []complex128
@@ -125,11 +125,11 @@ type TwoLevelTable struct {
 // twoLevel memoizes one table per log₂N for the life of the process;
 // the tables are immutable and the largest a caller can name is bounded
 // by the transform it can hold.
-var twoLevel [bits.UintSize]atomic.Pointer[TwoLevelTable]
+var twoLevel [bits.UintSize]atomic.Pointer[twoLevelTable]
 
-// TwoLevelTwiddles returns the two-level table for modulus n, a power
+// twoLevelTwiddles returns the two-level table for modulus n, a power
 // of two ≥ 2, building it on first use.
-func TwoLevelTwiddles(n int) *TwoLevelTable {
+func twoLevelTwiddles(n int) *twoLevelTable {
 	lg := Log2(n)
 	if lg < 1 {
 		panic("fft: table size must be a power of two ≥ 2")
@@ -138,27 +138,27 @@ func TwoLevelTwiddles(n int) *TwoLevelTable {
 		return t
 	}
 	h := uint(lg+1) / 2
-	t := &TwoLevelTable{n: n, h: h, hi: make([]complex128, n>>h), lo: make([]complex128, 1<<h)}
+	t := &twoLevelTable{n: n, h: h, hi: make([]complex128, n>>h), lo: make([]complex128, 1<<h)}
 	for i := range t.hi {
-		t.hi[i] = TwiddleDirect(i<<h, n)
+		t.hi[i] = twiddleDirect(i<<h, n)
 	}
 	for j := range t.lo {
-		t.lo[j] = TwiddleDirect(j, n)
+		t.lo[j] = twiddleDirect(j, n)
 	}
 	twoLevel[lg].CompareAndSwap(nil, t)
 	return twoLevel[lg].Load()
 }
 
-// At returns ω_N^e for e in [0, N).
-func (t *TwoLevelTable) At(e int) complex128 {
+// at returns ω_N^e for e in [0, N).
+func (t *twoLevelTable) at(e int) complex128 {
 	return t.hi[e>>t.h] * t.lo[e&(len(t.lo)-1)]
 }
 
-// ScaleFrom is the twiddle step over a window of a transformed
+// scaleFrom is the twiddle step over a window of a transformed
 // column: dst[i] = src[i] · ω_N^{index·(k0+i)}, src being the column
 // from bin k0 on. The exponent is reduced mod N, so any index is
 // accepted. dst may be src.
-func (t *TwoLevelTable) ScaleFrom(dst, src []complex128, index, k0 int) {
+func (t *twoLevelTable) scaleFrom(dst, src []complex128, index, k0 int) {
 	idx := index % t.n
 	if idx < 0 {
 		idx += t.n
@@ -166,7 +166,7 @@ func (t *TwoLevelTable) ScaleFrom(dst, src []complex128, index, k0 int) {
 	e := int(int64(idx) * int64(k0) % int64(t.n))
 	src = src[:len(dst)]
 	for i, v := range src {
-		dst[i] = v * t.At(e)
+		dst[i] = v * t.at(e)
 		e += idx
 		if e >= t.n {
 			e -= t.n
@@ -187,15 +187,15 @@ func (p *FourStepPlan) ColumnsFrom(dst, src []complex128, cols int, conj bool) {
 // column of cols — len(cols)/N1 contiguous vectors.
 func (p *FourStepPlan) ColFFTs(cols []complex128) { each(p.col, cols) }
 
-// TransposeScaled is step 3: ScaleFrom fed into TransposeBlockFrom. It
-// reads bins [k0, k0+bins) of count transformed columns — column v held
-// as cols[v·N1:][:N1], its column index j0+v — and writes bin k of
-// column v, scaled by ω_N^{(j0+v)·k}, at dst[(k−k0)·ld + v]: the twiddle
-// and the transposition in one tiled move.
-func (p *FourStepPlan) TransposeScaled(dst []complex128, ld int, cols []complex128, j0, count, k0, bins int) {
-	checkWindow("cols", len(cols), p.N1, count, k0+bins)
-	TransposeBlockFrom(dst, ld, count, bins, func(run []complex128, v, k int) {
-		p.tw.ScaleFrom(run, cols[v*p.N1+k0+k:], j0+v, k0+k)
+// TransposeScaled is step 3, the scale fed into TransposeBlockFrom: of
+// count transformed columns, column j0+v's bins [k0, k0+bins) held as
+// src[v·ldSrc:][:bins], it writes bin k scaled by ω_N^{(j0+v)·k} at
+// dst[(k−k0)·ldDst + v]. Every path assembles its rows here, from whole
+// columns (ldSrc = N1) or a packed window (an exchange, a spill segment).
+func (p *FourStepPlan) TransposeScaled(dst []complex128, ldDst int, src []complex128, ldSrc, j0, count, k0, bins int) {
+	checkWindow("src", len(src), ldSrc, count, bins)
+	TransposeBlockFrom(dst, ldDst, count, bins, func(run []complex128, v, k int) {
+		p.tw.scaleFrom(run, src[v*ldSrc+k:], j0+v, k0+k)
 	})
 }
 
@@ -254,7 +254,7 @@ func (p *FourStepPlan) transform(data []complex128, inverse bool) error {
 		w := min(MoveRuns, p.N2-c0)
 		strip := buf[c0*p.N1 : (c0+w)*p.N1]
 		columnStrip(strip, data[c0:], p.N2, w, inverse, p.col)
-		p.TransposeScaled(data[c0:], p.N2, strip, c0, w, 0, p.N1)
+		p.TransposeScaled(data[c0:], p.N2, strip, p.N1, c0, w, 0, p.N1)
 	}
 	st := p.row.Acquire(nil)
 	for r := 0; r < p.N; r += p.N2 {

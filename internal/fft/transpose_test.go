@@ -134,10 +134,12 @@ func FuzzTransposeBlock(f *testing.F) {
 
 // TestFourStepTransposesMatchLoops holds the plan's three data moves —
 // the column gather (ColumnsFrom), the scaled transposition between the
-// transforms (TransposeScaled) and the final transpose (TransposeRows,
-// and TransposeInto without the tile) — to the element loops they fuse, kept here as the reference, forward
-// and inverse, on square, skewed, sub-tile and multi-tile
-// factorizations.
+// transforms (TransposeScaled: out of whole columns, and out of a
+// packed window as the cluster's exchange and the out-of-core spill
+// hand it over) and the final transpose (TransposeRows, and
+// TransposeInto without the tile) — to the element loops they fuse,
+// kept here as the reference, forward and inverse, on square, skewed,
+// sub-tile and multi-tile factorizations.
 func TestFourStepTransposesMatchLoops(t *testing.T) {
 	for _, f := range [][2]int{{2, 2}, {4, 64}, {64, 4}, {32, 128}, {1024, 16}} {
 		n1, n2 := f[0], f[1]
@@ -205,7 +207,7 @@ func TestFourStepTransposesMatchLoops(t *testing.T) {
 		// Between the transforms: scale bin k1 of column j2 by
 		// ω_N^{j2·k1}, and write it at row k1, column j2.
 		got, want := make([]complex128, n), make([]complex128, n)
-		fs.TransposeScaled(got, n2, src, 0, n2, 0, n1)
+		fs.TransposeScaled(got, n2, src, n1, 0, n2, 0, n1)
 		c := make([]complex128, n1)
 		for j2 := 0; j2 < n2; j2++ {
 			copy(c, src[j2*n1:])
@@ -220,13 +222,43 @@ func TestFourStepTransposesMatchLoops(t *testing.T) {
 		// destination that starts at its first column.
 		j0, k0 := n2/2, n1/2
 		win := make([]complex128, n)
-		fs.TransposeScaled(win[j0:], n2, src[j0*n1:], j0, n2-j0, k0, n1-k0)
+		fs.TransposeScaled(win[j0:], n2, src[j0*n1+k0:], n1, j0, n2-j0, k0, n1-k0)
 		for k1 := k0; k1 < n1; k1++ {
 			for j2 := j0; j2 < n2; j2++ {
 				if g, w := win[(k1-k0)*n2+j2], want[k1*n2+j2]; !sameBits(g, w) {
 					t.Fatalf("%d×%d TransposeScaled window: bin %d of column %d = %v, want %v", n1, n2, k1, j2, g, w)
 				}
 			}
+		}
+
+		// A window packed on its own, as an exchange frame or a spill
+		// segment carries it — bins [k0, k0+bins) of columns [j0,
+		// j0+count), column v at v·ld, ld ≠ N1 — held to the two moves the
+		// fold replaced: ScaleFrom into a scaled copy, then TransposeBlock.
+		// Cells outside the destination window keep their sentinel.
+		j0, k0 = n2/4+1, n1/4+1
+		count, bins := max(1, n2/2-1), max(1, n1/2-1)
+		if n1 == 2 {
+			k0, bins = 1, 1
+		}
+		if n2 == 2 {
+			j0, count = 1, 1
+		}
+		for _, pad := range []int{0, 5} {
+			ld := bins + pad
+			packed, scaled := make([]complex128, count*ld), make([]complex128, count*ld)
+			for v := 0; v < count; v++ {
+				copy(packed[v*ld:][:bins], src[(j0+v)*n1+k0:])
+				tw.ScaleFrom(scaled[v*ld:][:bins], packed[v*ld:], j0+v, k0)
+			}
+			sentinel := complex(math.Inf(1), -1)
+			folded, moved := make([]complex128, n), make([]complex128, n)
+			for i := range folded {
+				folded[i], moved[i] = sentinel, sentinel
+			}
+			fs.TransposeScaled(folded[j0:], n2, packed, ld, j0, count, k0, bins)
+			fft.TransposeBlock(moved[j0:], n2, scaled, ld, count, bins)
+			check(fmt.Sprintf("TransposeScaled packed window ld=%d", ld), folded, moved)
 		}
 	}
 }

@@ -8,14 +8,13 @@
 // tile vectors flowing fill → compute → drain:
 //
 //	cols: column gather from the input Store (fft.TransposeConj, the
-//	      inverse's conj) → FourStepPlan.ColFFTs → TwoLevelTable.ScaleFrom
-//	      into S2×S1 block segments of the spill
-//	rows: verified segments transposed (fft.TransposeBlock) into S1 rows
-//	      → FourStepPlan.RowFFTs → final transpose (fft.TransposeInto,
+//	      inverse's conj) → FourStepPlan.ColFFTs → S2×S1 spill segments
+//	rows: verified segments → FourStepPlan.TransposeScaled → S1 rows →
+//	      FourStepPlan.RowFFTs → final transpose (fft.TransposeInto,
 //	      the inverse's conj·1/N) into the output Store
 //
 // These are the in-core plan's own steps (DESIGN §12) with the spill
-// between steps 3 and 4: every move touches each element once, in
+// between steps 2 and 3: every move touches each element once, in
 // cache-line runs, and per element the arithmetic is the in-core
 // four-step's, so the out-of-core result is bitwise identical to
 // FourStepPlan at any worker count. The two-level ω_N table is what lets
@@ -108,10 +107,7 @@ type Plan struct {
 	n, n1, n2 int
 	s1, s2    int // spill block geometry: segments hold S2×S1 elements
 
-	// fs is the in-core plan of the same split; its steps and two-level
-	// table do all of both phases' arithmetic.
-	fs *fft.FourStepPlan
-	tw *fft.TwoLevelTable
+	fs *fft.FourStepPlan // the in-core plan of the split: all the arithmetic
 
 	cfg config
 	reg *metrics.Registry
@@ -175,7 +171,6 @@ func NewPlan(n int, opts ...Option) (*Plan, error) {
 		n: n, n1: n1, n2: n2,
 		s1: min(s, n1), s2: min(s, n2),
 		fs:  fs,
-		tw:  fft.TwoLevelTwiddles(n),
 		cfg: cfg,
 		reg: reg,
 		met: newMeters(reg, ioChannels, ioStripe),
@@ -510,8 +505,8 @@ func parallelIdx(ctx context.Context, w, n int, fn func(idx int) error) error {
 }
 
 // colsPhase stages strip i of S2 input columns: strided gather from
-// src, N1-point FFT per column, twiddle scale into S2×S1 block segments
-// of the spill. The tile holds one column per row — S2 rows of N1
+// src, N1-point FFT per column, the bins into S2×S1 block segments of
+// the spill. The tile holds one column per row — S2 rows of N1
 // elements — moved there by the fill and transformed in place by
 // compute, so each of the three steps moves or sweeps every element
 // once.
@@ -556,16 +551,16 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 			}}, nil)
 			return ctx.Err()
 		},
-		// drain: twiddle scale and the S2×S1 block layout as one sweep
-		// from the columns into the segment buffer. A chunk is one
-		// segment: the S1-bin window of all S2 columns.
+		// drain: the S2×S1 block layout as one sweep from the columns
+		// into the segment buffer. A chunk is one segment: the S1-bin
+		// window of all S2 columns, unscaled — the rows fill scales it.
 		drain: func(ctx context.Context, strip int, tile []complex128) error {
 			return parallelIdx(ctx, iow, blocksPerStrip, func(j int) error {
 				sb := take(&p.segs, segHeaderElems+s1*s2)
 				defer p.segs.Put(sb)
 				buf := segBuf(*sb).payload()
 				for c := 0; c < s2; c++ {
-					p.tw.ScaleFrom(buf[c*s1:(c+1)*s1], tile[c*n1+j*s1:], strip*s2+c, j*s1)
+					copy(buf[c*s1:(c+1)*s1], tile[c*n1+j*s1:])
 				}
 				idx := strip*blocksPerStrip + j
 				nb, err := sp.write(idx, *sb)
@@ -581,7 +576,7 @@ func (p *Plan) colsPhase(sp *spill, src Store, inverse bool) phase {
 }
 
 // rowsPhase stages strip j of S1 output rows: fetch and verify the
-// strip's block-column of segments, transpose into an S1×N2 slab,
+// strip's block-column of segments, scale-transpose into an S1×N2 slab,
 // N2-point FFT per row in place, scatter the final transpose (+ the
 // inverse's conjugate/scale) into dst.
 func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
@@ -595,8 +590,8 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 		strips:   blocksPerStrip,
 		tileLen:  s1 * n2,
 		stripOff: func(strip int) int64 { return sp.segOff(strip) },
-		// fill: a chunk is one verified segment, transposed in tiles
-		// into its S2-column window of the slab.
+		// fill: a chunk is one verified segment, scaled and transposed in
+		// tiles (step 3) into its S2-column window of the slab.
 		fill: func(ctx context.Context, strip int, tile []complex128) error {
 			return parallelIdx(ctx, iow, segStrips, func(i int) error {
 				sb := take(&p.segs, segHeaderElems+s1*s2)
@@ -609,7 +604,7 @@ func (p *Plan) rowsPhase(sp *spill, dst Store, inverse bool) phase {
 				}
 				p.met.segsRead.Inc()
 				p.met.onRead(sp.segOff(idx), nb, p.met.rowsReadBytes)
-				fft.TransposeBlock(tile[i*s2:], n2, segBuf(*sb).payload(), s1, s2, s1)
+				p.fs.TransposeScaled(tile[i*s2:], n2, segBuf(*sb).payload(), s1, i*s2, s2, strip*s1, s1)
 				return nil
 			})
 		},

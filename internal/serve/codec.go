@@ -3,7 +3,8 @@
 //
 //	offset  size  field
 //	0       4     magic "FFW1"
-//	4       1     version (2; version 1's session payloads were split planes)
+//	4       1     version (3; version 1's session payloads were split
+//	                       planes, version 2's exchange payloads scaled)
 //	5       1     op      (the transform kinds 0–3, then session ops 4–9)
 //	6       1     elem    (elemComplex=0: 16-byte re/im float64 pairs;
 //	                       elemReal=1: 8-byte float64 samples)
@@ -102,7 +103,7 @@ func (op Op) String() string {
 
 const (
 	frameMagic   = "FFW1"
-	frameVersion = 2
+	frameVersion = 3
 	headerLen    = 40
 	elemComplex  = 0
 	elemReal     = 1

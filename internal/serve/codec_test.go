@@ -265,11 +265,14 @@ func FuzzSessionFrame(f *testing.F) {
 	)
 	v1 := append([]byte(nil), enc[1]...)
 	v1[4] = 1
+	v2 := append([]byte(nil), enc[2]...)
+	v2[4] = 2
 	for _, b := range [][]byte{
 		enc[0], enc[1], enc[2], enc[3], enc[4],
 		[]byte(frameMagic), // a header fragment
 		make([]byte, headerLen),
 		v1, // the cols frame in version 1 of the format, which carried planes
+		v2, // the exchange frame in version 2, which carried scaled bins
 		retiredFrames()["FFS2"],
 	} {
 		f.Add(b)

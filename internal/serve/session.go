@@ -4,7 +4,7 @@
 // slice of it, ships the worker's column slab once, and fetches the
 // finished row block once; in between the data stays resident here.
 // The communication-avoiding step is the transpose: after the column
-// FFTs the worker scales its own rows into the resident rows buffer and
+// FFTs the worker folds its own rows into the resident rows buffer and
 // pushes every peer's row block directly to that peer, so the
 // all-to-all that dominates distributed four-step never passes through
 // the coordinator.
@@ -31,16 +31,16 @@
 //     place; the worker's own RowCount×ColCount block is scaled and
 //     transposed in tiles (FourStepPlan.TransposeScaled) into columns
 //     [ColStart, ColStart+ColCount) of the session's rows buffer, and each
-//     peer's block is scaled (ScaleFrom) into one pooled complex payload
+//     peer's bins are copied, unscaled, into one pooled complex payload
 //     that streams from there to the peer (PostSessionFrame) and is
 //     released when the peer has acked it;
 //   - exchange: the payload is read from the body into a pooled buffer
-//     and transposed in tiles (fft.TransposeBlock) into the sender's
-//     columns of the resident rows buffer;
-//   - rows: each resident row is copied into its own vector of a pooled
-//     buffer, where its transform runs (FourStepPlan.RowFFTs) and from
-//     which the response streams; the handler owns that buffer until the
-//     response is written.
+//     and scaled and transposed in tiles (TransposeScaled, as the own
+//     block is) into the sender's columns of the resident rows buffer;
+//   - rows: the handler takes the rows buffer out of the session and
+//     ends it, transforms each row in place (FourStepPlan.RowFFTs) and
+//     streams the response from that buffer, which it owns until the
+//     response is written and then releases.
 //
 // A session has one lifecycle: open → cols (and the peers' exchanges)
 // → rows, three requests from the coordinator. colsSeen reaching N2
@@ -52,7 +52,7 @@
 // path), and by the session's own idle timer, sessionTTL after its last
 // frame, which bounds a session whose coordinator went silent.
 //
-// Neither transposition stores an element at a time: a row of the rows
+// No transposition stores an element at a time: a row of the rows
 // buffer is N2·16 bytes (16 KiB at 2^20 points), and a store per row
 // stride is a new page and the same L1 set on every store.
 //
@@ -201,10 +201,10 @@ func (s *Server) lookupSession(id uint64) *workerSession {
 }
 
 // endSession ends sess: out of the table, its timer stopped, its rows
-// buffer back in the pool. It is the one way a session ends — the rows
-// reply, a close, a failed step and the idle timer all call it — and
-// only the first call for a session does anything; it reports whether
-// this call was that one.
+// buffer (unless the rows step took it) back in the pool. It is the one
+// way a session ends — the rows reply, a close, a failed step and the
+// idle timer all call it — and only the first call for a session does
+// anything; it reports whether this call was that one.
 func (s *Server) endSession(sess *workerSession) bool {
 	s.sessMu.Lock()
 	live := s.sessions[sess.id] == sess
@@ -413,8 +413,7 @@ func (s *Server) ways() int {
 // execSessCols runs the column steps on the slab — column v as
 // cols[v·N1:][:N1]: the transforms in place and the worker's own row
 // block scaled out of the columns, behind the isolation boundary;
-// then every peer's row block, scaled into its exchange frame and
-// pushed.
+// then every peer's bins, copied into its exchange frame and pushed.
 func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []complex128) error {
 	spec, fs := sess.spec, sess.fs
 	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
@@ -426,7 +425,7 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 		if sess.rows == nil {
 			return fmt.Errorf("session %d: %w during its cols step", sess.id, errSessionEnded)
 		}
-		fs.TransposeScaled((*sess.rows)[spec.ColStart:], spec.N2, cols, spec.ColStart, spec.ColCount, spec.RowStart, spec.RowCount)
+		fs.TransposeScaled((*sess.rows)[spec.ColStart:], spec.N2, cols[spec.RowStart:], spec.N1, spec.ColStart, spec.ColCount, spec.RowStart, spec.RowCount)
 		sess.colsSeen += spec.ColCount
 		return nil
 	}); err != nil {
@@ -454,22 +453,16 @@ func (s *Server) execSessCols(ctx context.Context, sess *workerSession, cols []c
 	return nil
 }
 
-// pushExchange scales peer p's block out of the columns into one
-// pooled payload — vector v is bins [p.RowStart, p.RowStart+p.RowCount)
-// of column v, scaled by the four-step twiddle (ScaleFrom), behind the
-// isolation boundary — and pushes the exchange frame from there.
+// pushExchange copies peer p's bins out of the columns into one pooled
+// payload — vector v is bins [p.RowStart, p.RowStart+p.RowCount) of
+// column v, unscaled: the peer scales them as it transposes — and
+// pushes the exchange frame from there.
 func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRange, cols []complex128) error {
 	spec := sess.spec
 	payload := AcquireComplex(p.RowCount * spec.ColCount)
 	defer ReleaseComplex(payload)
-	if err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
-		tw := fft.TwoLevelTwiddles(spec.N1 * spec.N2)
-		for v := 0; v < spec.ColCount; v++ {
-			tw.ScaleFrom((*payload)[v*p.RowCount:][:p.RowCount], cols[v*spec.N1+p.RowStart:], spec.ColStart+v, p.RowStart)
-		}
-		return nil
-	}); err != nil {
-		return err
+	for v := 0; v < spec.ColCount; v++ {
+		copy((*payload)[v*p.RowCount:][:p.RowCount], cols[v*spec.N1+p.RowStart:])
 	}
 	ack, err := PostSessionFrame(ctx, s.cfg.Client, p.Addr, SessionFrame{
 		Op: OpSessExchange, ID: sess.id,
@@ -486,8 +479,9 @@ func (s *Server) pushExchange(ctx context.Context, sess *workerSession, p PeerRa
 	return nil
 }
 
-// sessExchange folds a peer's block into the rows buffer; like cols, a
-// payload that fails to arrive ends the session.
+// sessExchange folds a peer's block into the rows buffer (step 3, behind
+// the isolation boundary); like cols, a payload that fails to arrive, or
+// a fold that fails, ends the session.
 func (s *Server) sessExchange(w http.ResponseWriter, hdr FrameHeader, read func([]complex128) bool) {
 	s.m.sessExchanges.Inc()
 	sess := s.session(w, hdr.ID)
@@ -514,18 +508,27 @@ func (s *Server) sessExchange(w http.ResponseWriter, hdr FrameHeader, read func(
 		s.unknownSession(w, hdr.ID)
 		return
 	}
-	// Vector v, element i is matrix cell (row i, column Arg0+v).
-	fft.TransposeBlock((*sess.rows)[hdr.Arg0:], spec.N2, *buf, hdr.VecLen, hdr.VecCount, hdr.VecLen)
-	sess.colsSeen += hdr.VecCount
+	// Vector v holds bins [RowStart, RowStart+RowCount) of column Arg0+v.
+	err := s.isolate(batchKey{n: spec.N1, kind: KindForward}, nil, func() error {
+		sess.fs.TransposeScaled((*sess.rows)[hdr.Arg0:], spec.N2, *buf, spec.RowCount, hdr.Arg0, hdr.VecCount, spec.RowStart, spec.RowCount)
+		sess.colsSeen += hdr.VecCount
+		return nil
+	})
 	sess.mu.Unlock()
+	if err != nil {
+		s.endSession(sess)
+		s.fail(w, err)
+		return
+	}
 	_ = WriteSessionFrame(w, SessionFrame{Op: OpSessAck, ID: hdr.ID})
 }
 
 // sessRows runs the rows step once every column has arrived, and ends
 // the session: the reply is the rows buffer's last consumer, so the
-// buffer goes back to the pool before the reply streams, and a second
-// fetch is an unknown session. A fetch before the barrier is refused
-// with 409 and leaves the session as it was.
+// handler takes the buffer out of the session first, transforms the rows
+// in place and releases it after the reply; a second fetch is an unknown
+// session. A fetch before the barrier is refused with 409 and leaves the
+// session as it was.
 func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	s.m.sessRows.Inc()
 	sess := s.session(w, hdr.ID)
@@ -533,9 +536,6 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 		return
 	}
 	spec := sess.spec
-	// The mutex keeps the rows buffer where it is while the row steps read
-	// it. The reply streams from out, which only this handler holds,
-	// so the mutex is not held through the write.
 	sess.mu.Lock()
 	switch {
 	case sess.rows == nil:
@@ -548,22 +548,17 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 		http.Error(w, fmt.Sprintf("session %d has %d of %d columns", hdr.ID, sess.colsSeen, spec.N2), http.StatusConflict)
 		return
 	}
-	// Every resident row is copied into a pooled buffer, where its
-	// transform runs and the response streams from.
-	out := AcquireComplex(spec.RowCount * spec.N2)
-	defer ReleaseComplex(out)
+	rows := sess.rows
+	sess.rows = nil
+	sess.mu.Unlock()
+	s.endSession(sess)
+	defer ReleaseComplex(rows)
 	err := s.isolate(batchKey{n: spec.N2, kind: KindForward}, nil, func() error {
 		host.Do(s.ways(), &fft.Pass{Units: spec.RowCount, Run: func(_ *fft.State, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				row := (*out)[r*spec.N2 : (r+1)*spec.N2]
-				copy(row, (*sess.rows)[r*spec.N2:])
-				sess.fs.RowFFTs(row)
-			}
+			sess.fs.RowFFTs((*rows)[lo*spec.N2 : hi*spec.N2])
 		}}, nil)
 		return nil
 	})
-	sess.mu.Unlock()
-	s.endSession(sess)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -572,6 +567,6 @@ func (s *Server) sessRows(w http.ResponseWriter, hdr FrameHeader) {
 	_ = WriteSessionFrame(w, SessionFrame{
 		Op: OpSessRows, ID: hdr.ID,
 		VecLen: spec.N2, VecCount: spec.RowCount, Arg0: spec.RowStart,
-		Data: *out,
+		Data: *rows,
 	})
 }

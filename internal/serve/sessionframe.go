@@ -10,8 +10,9 @@
 //     pushes each peer's rows to that peer as an OpSessExchange.
 //   - OpSessExchange (worker → worker): vecLen = the receiver's
 //     RowCount, vecCount = the sender's column count, arg0 = its first
-//     column, arg1 = the receiver's RowStart; vector v, element i is the
-//     cell (row arg1+i, column arg0+v).
+//     column, arg1 = the receiver's RowStart; vector v, element i is
+//     bin arg1+i of column arg0+v, unscaled: the receiver scales and
+//     transposes it into cell (row arg1+i, column arg0+v).
 //   - OpSessRows: a header-only request, refused on its header if it
 //     announces a payload. The reply carries the finished rows — vecLen
 //     = N2, vecCount = RowCount, arg0 = RowStart — each row's transform

@@ -170,33 +170,37 @@ func TestShardEndpointExecutesFourStepSegments(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesVersion1Frames: version 1 of the frame carried the
-// cols and rows payloads as split planes, version 2 as interleaved
-// values, so a frame of either version is refused by a worker of the
-// other, on its header, with 400 — never misread. Every session op of
-// a version-1 coordinator or peer is refused, before any session is
-// opened.
-func TestWorkerRefusesVersion1Frames(t *testing.T) {
+// TestWorkerRefusesOldFrameVersions: version 1 of the frame carried the
+// cols and rows payloads as split planes and version 2 scaled exchange
+// payloads; version 3 carries interleaved values and leaves the step-3
+// scale to the receiver. So a frame of an older version is refused by a
+// worker of this one, on its header, with 400 — never misread. Every
+// session op of an older coordinator or peer is refused, before any
+// session is opened.
+func TestWorkerRefusesOldFrameVersions(t *testing.T) {
 	spec := SessionSpec{N1: 4, N2: 2, ColCount: 2, RowCount: 4}
-	for _, f := range []SessionFrame{
-		{Op: OpSessOpen, ID: 1, Spec: &spec},
-		{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 3)},
-		{Op: OpSessExchange, ID: 1, VecLen: 2, VecCount: 2, Arg0: 0, Arg1: 2, Data: randVecs(2, 2, 4)},
-		{Op: OpSessRows, ID: 1},
-		{Op: OpSessClose, ID: 1},
-	} {
-		enc, err := EncodeSessionFrame(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc[4] = 1
-		s := New(Config{EnableShard: true})
-		if code := shardPost(s, enc); code != http.StatusBadRequest {
-			t.Errorf("version-1 %s: status %d, want 400", f.Op, code)
-		}
-		snap := s.Registry().Snapshot()
-		if snap["sess_bad_total"] != 1 || snap["sess_open"] != 0 {
-			t.Errorf("version-1 %s: sess_bad_total = %v, sess_open = %v, want 1 and 0", f.Op, snap["sess_bad_total"], snap["sess_open"])
+	for _, version := range []byte{1, 2} {
+		for _, f := range []SessionFrame{
+			{Op: OpSessOpen, ID: 1, Spec: &spec},
+			{Op: OpSessCols, ID: 1, VecLen: 4, VecCount: 2, Data: randVecs(4, 2, 3)},
+			{Op: OpSessExchange, ID: 1, VecLen: 2, VecCount: 2, Arg0: 0, Arg1: 2, Data: randVecs(2, 2, 4)},
+			{Op: OpSessRows, ID: 1},
+			{Op: OpSessClose, ID: 1},
+		} {
+			enc, err := EncodeSessionFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc[4] = version
+			s := New(Config{EnableShard: true})
+			if code := shardPost(s, enc); code != http.StatusBadRequest {
+				t.Errorf("version-%d %s: status %d, want 400", version, f.Op, code)
+			}
+			snap := s.Registry().Snapshot()
+			if snap["sess_bad_total"] != 1 || snap["sess_open"] != 0 || snap["sess_opens_total"] != 0 {
+				t.Errorf("version-%d %s: sess_bad_total = %v, sess_open = %v, sess_opens_total = %v, want 1, 0 and 0",
+					version, f.Op, snap["sess_bad_total"], snap["sess_open"], snap["sess_opens_total"])
+			}
 		}
 	}
 }

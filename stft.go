@@ -117,20 +117,15 @@ func (p *STFTPlan) load(dst []complex128, src []float64) {
 // few calls warm its buffers, the Write/Next cycle performs no
 // allocation. A stream must not be shared across goroutines.
 func (p *STFTPlan) Stream() *STFTStream {
-	return &STFTStream{
-		p:     p,
-		buf:   make([]float64, 0, 2*p.frame),
-		frame: make([]complex128, p.frame),
-	}
+	return &STFTStream{p: p, buf: make([]float64, 0, 2*p.frame)}
 }
 
 // STFTStream is the streaming form of an STFTPlan: an internal sample
-// queue holding at most frame+hop samples, one persistent frame buffer,
-// and one transform per completed frame.
+// queue holding at most frame+hop samples, and one transform per
+// completed frame, run in the caller's buffer.
 type STFTStream struct {
-	p     *STFTPlan
-	buf   []float64
-	frame []complex128
+	p   *STFTPlan
+	buf []float64
 }
 
 // Write appends samples to the stream. It never blocks and never
@@ -147,8 +142,7 @@ func (s *STFTStream) Pending() int { return s.p.NumFrames(len(s.buf)) }
 // dst when no complete frame is buffered, and false with an error
 // wrapping ErrLengthMismatch, the stream not advanced, when dst has the
 // wrong length. In steady state Next performs no allocation: the frame
-// is windowed into a persistent buffer, transformed there by the plan,
-// and copied out.
+// is windowed into dst and transformed there by the plan.
 func (s *STFTStream) Next(dst []complex128) (bool, error) {
 	if len(dst) != s.p.frame {
 		return false, fft.LengthError("spectrogram frame", len(dst), s.p.frame)
@@ -156,11 +150,10 @@ func (s *STFTStream) Next(dst []complex128) (bool, error) {
 	if len(s.buf) < s.p.frame {
 		return false, nil
 	}
-	s.p.load(s.frame, s.buf[:s.p.frame])
-	if err := s.p.plan.Transform(s.frame); err != nil {
+	s.p.load(dst, s.buf[:s.p.frame])
+	if err := s.p.plan.Transform(dst); err != nil {
 		return false, err
 	}
-	copy(dst, s.frame)
 	n := copy(s.buf, s.buf[s.p.hop:])
 	s.buf = s.buf[:n]
 	return true, nil
